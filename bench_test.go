@@ -588,10 +588,10 @@ func BenchmarkDWTAHash(b *testing.B) {
 	}
 }
 
-// BenchmarkSimHash measures the Text8 hash family on a one-hot input, in
-// both sign-derivation modes: Lazy (vocabulary-sized input space, signs
-// hashed on demand) and Precomputed (hidden-sized query space, packed sign
-// matrix — the network's hot path).
+// BenchmarkSimHash measures the Text8 hash family in both hyperplane modes:
+// Lazy (vocabulary-sized one-hot input, entries hashed on demand) and
+// Precomputed (hidden-sized dense activation against the materialized ±1
+// matrix, K·L Dot kernels — the network's hot path).
 func BenchmarkSimHash(b *testing.B) {
 	b.Run("Lazy253855", func(b *testing.B) {
 		s, err := lsh.NewSimHash(lsh.SimHashConfig{K: 9, L: 50, Dim: 253855, Seed: 11})

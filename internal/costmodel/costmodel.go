@@ -56,6 +56,9 @@ type Workload struct {
 	BatchSize  int
 	// L and K describe the hash structure (zero for full softmax).
 	L, K int
+	// SimHash marks the signed-random-projection family, whose fingerprint
+	// is a K·L × Hidden matrix-vector product rather than K·L bin scans.
+	SimHash bool
 	// RebuildPeriod is the mean batches between table rebuilds.
 	RebuildPeriod float64
 }
@@ -184,14 +187,21 @@ func phases(w Workload, s System) []phase {
 
 	if s.Sampled {
 		// Query: L random bucket reads per sample plus candidate dedup;
-		// rebuild: every neuron re-hashed and re-inserted.
+		// rebuild: every neuron re-hashed and re-inserted. A fingerprint is
+		// K·L hash-map-style operations for the bin-scan families; for
+		// SimHash it is K·L dots of width h against the ±1 matrix, K·L·h
+		// MACs over K·L·h·4 bytes, per sample and per rebuilt neuron alike.
 		lk := float64(w.L * w.K)
 		rebuilds := batches / max(w.RebuildPeriod, 1)
 		cand := float64(w.L) * avgBucket
+		hashed := n + rebuilds*float64(w.Output)
+		fpMacs, fpBytes := lk*hashOpCost, 0.0
+		if w.SimHash {
+			fpMacs, fpBytes = lk*h, lk*h*4
+		}
 		hash := phase{
-			macs: n*(lk*hashOpCost+cand*2) +
-				rebuilds*float64(w.Output)*(h+lk*hashOpCost),
-			bytes: n*float64(w.L)*64 + rebuilds*float64(w.Output)*h*wb,
+			macs:  hashed*fpMacs + n*cand*2 + rebuilds*float64(w.Output)*h,
+			bytes: n*float64(w.L)*64 + rebuilds*float64(w.Output)*h*wb + hashed*fpBytes,
 			rand:  n * float64(w.L),
 		}
 		ph = append(ph, hash)

@@ -1,6 +1,7 @@
 package costmodel
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -227,3 +228,36 @@ func TestHostRooflineUsesDetectedLanes(t *testing.T) {
 		t.Errorf("host lanes = %d, want 4, 8 or 16", host.VectorLanesF32)
 	}
 }
+
+// TestSimHashPricedAsMatvec: a SimHash fingerprint is K·L dots of width
+// Hidden against the ±1 matrix, so the hash phase carries K·L·h MACs and
+// K·L·h·4 bytes per hashed vector — every sample, and every output neuron
+// once per rebuild. The bin-scan families keep their flat per-bit price.
+func TestSimHashPricedAsMatvec(t *testing.T) {
+	// The text8-s shape of the benchmark: one batch, a rebuild every 20.
+	w := Workload{
+		Samples: 256, FeatureNNZ: 1, Input: 5077, Hidden: 200, Output: 5077,
+		MeanActive: 400, BatchSize: 256, L: 20, K: 7, RebuildPeriod: 20,
+	}
+	sys := OptimizedSLIDE(platform.CLX)
+	binScan := phases(w, sys)
+	w.SimHash = true
+	matvec := phases(w, sys)
+
+	hashed := 256 + 5077.0/20 // samples + rebuilt neurons per step
+	lk, h := 140.0, 200.0
+	last := len(matvec) - 1
+	if got, want := matvec[last].macs-binScan[last].macs, hashed*lk*(h-hashOpCost); !near(got, want) {
+		t.Errorf("SimHash adds %.0f MACs to the hash phase, want %.0f", got, want)
+	}
+	if got, want := matvec[last].bytes-binScan[last].bytes, hashed*lk*h*4; !near(got, want) {
+		t.Errorf("SimHash adds %.0f bytes to the hash phase, want %.0f", got, want)
+	}
+	for i := 0; i < last; i++ {
+		if matvec[i] != binScan[i] {
+			t.Errorf("phase %d changed with the hash family", i)
+		}
+	}
+}
+
+func near(a, b float64) bool { return math.Abs(a-b) <= 1e-9*math.Abs(b) }

@@ -138,17 +138,27 @@ func (d *Dataset) Iter(batchSize int, layout sparse.Layout, seed uint64) *BatchI
 	if batchSize <= 0 {
 		panic("dataset: batch size must be positive")
 	}
+	it := &BatchIter{d: d, perm: make([]int, d.Len()), size: batchSize, layout: layout}
+	it.reshuffle(seed)
+	return it
+}
+
+// reshuffle starts another epoch on the same iterator: the permutation
+// d.Iter(…, seed) would draw, written over the previous one in place.
+func (it *BatchIter) reshuffle(seed uint64) {
 	rng := rand.New(rand.NewPCG(seed, 0x9E3779B97F4A7C15))
-	return &BatchIter{
-		d:      d,
-		perm:   rng.Perm(d.Len()),
-		size:   batchSize,
-		layout: layout,
+	for i := range it.perm {
+		it.perm[i] = i
 	}
+	rng.Shuffle(len(it.perm), func(i, j int) {
+		it.perm[i], it.perm[j] = it.perm[j], it.perm[i]
+	})
+	it.pos = 0
 }
 
 // Next returns the next batch, or (nil, false) at epoch end. The final batch
-// may be short.
+// may be short. A coalesced batch is assembled in the iterator's own
+// buffers, so it is valid only until the next Next.
 func (it *BatchIter) Next() (sparse.Batch, bool) {
 	if it.pos >= len(it.perm) {
 		return nil, false

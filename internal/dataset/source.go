@@ -74,13 +74,19 @@ func (s *MemorySource) Features() int { return s.d.Features }
 // Labels implements Source.
 func (s *MemorySource) Labels() int { return s.d.Labels }
 
-// Reset implements Source: a fresh shuffled pass over the dataset.
+// Reset implements Source: a fresh shuffled pass over the dataset, drawn
+// into the previous pass's permutation and batch buffers.
 func (s *MemorySource) Reset(seed uint64) error {
-	s.it = s.d.Iter(s.size, s.layout, seed)
+	if s.it == nil {
+		s.it = s.d.Iter(s.size, s.layout, seed)
+	} else {
+		s.it.reshuffle(seed)
+	}
 	return nil
 }
 
-// Next implements Source.
+// Next implements Source. A coalesced batch is valid until the next Next or
+// Reset: the following batch is assembled over it.
 func (s *MemorySource) Next() (sparse.Batch, error) {
 	if s.it == nil {
 		return nil, fmt.Errorf("dataset: memory source used before Reset")

@@ -3,6 +3,7 @@ package dataset
 import (
 	"bytes"
 	"io"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"slices"
@@ -263,5 +264,56 @@ func TestSyntheticSourceMatchesGenerate(t *testing.T) {
 			!slices.Equal(labels[i], train.LabelsOf(i)) {
 			t.Fatalf("sample %d differs from Generate", i)
 		}
+	}
+}
+
+// TestMemorySourceReshuffleMatchesPerm: every pass — the first, and the ones
+// shuffled in place over it — visits samples in the order of the seed's
+// rand.Perm, which is what Iter drew before passes shared a permutation.
+func TestMemorySourceReshuffleMatchesPerm(t *testing.T) {
+	d := testDataset(t)
+	src, err := NewMemorySource(d, 32, sparse.Coalesced)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, seed := range []uint64{1, 99, 1, 7} {
+		perm := rand.New(rand.NewPCG(seed, 0x9E3779B97F4A7C15)).Perm(d.Len())
+		idx, _, labels := drainSource(t, src, seed)
+		if len(idx) != len(perm) {
+			t.Fatalf("seed %d: pass has %d samples, dataset %d", seed, len(idx), len(perm))
+		}
+		for k, i := range perm {
+			if !slices.Equal(idx[k], d.Sample(i).Indices) || !slices.Equal(labels[k], d.LabelsOf(i)) {
+				t.Fatalf("seed %d: position %d is not sample %d", seed, k, i)
+			}
+		}
+	}
+}
+
+// TestMemorySourceSteadyStateAllocs: after a first pass has sized the
+// permutation and the batch buffers, a pass allocates nothing but its
+// shuffle generator and the batch header each Next returns.
+func TestMemorySourceSteadyStateAllocs(t *testing.T) {
+	d := testDataset(t)
+	src, err := NewMemorySource(d, 32, sparse.Coalesced)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed := uint64(0)
+	pass := func() {
+		seed++
+		if err := src.Reset(seed); err != nil {
+			t.Fatal(err)
+		}
+		for {
+			if _, err := src.Next(); err != nil {
+				return
+			}
+		}
+	}
+	pass()
+	pass() // a later permutation can make one batch larger than any before
+	if a, limit := testing.AllocsPerRun(10, pass), float64(src.BatchesPerEpoch()+2); a > limit {
+		t.Errorf("a pass of %d batches allocates %v objects, want at most %v", src.BatchesPerEpoch(), a, limit)
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"github.com/slide-cpu/slide/internal/layer"
 	"github.com/slide-cpu/slide/internal/network"
+	"github.com/slide-cpu/slide/internal/platform"
 	"github.com/slide-cpu/slide/internal/simd"
 	"github.com/slide-cpu/slide/internal/sparse"
 )
@@ -28,8 +29,8 @@ func Profile(opts Options) (*Report, error) {
 	}
 	for _, w := range ws {
 		cfg := w.NetworkConfig(opts, layer.FP32, layer.Contiguous)
-		if raceDetectorEnabled {
-			cfg.Locked = true // defined behaviour under -race; see race_on.go
+		if platform.RaceEnabled {
+			cfg.Locked = true // defined behaviour under -race; see platform.RaceEnabled
 		}
 		net, err := network.New(&cfg)
 		if err != nil {

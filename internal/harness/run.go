@@ -11,6 +11,7 @@ import (
 	"github.com/slide-cpu/slide/internal/layer"
 	"github.com/slide-cpu/slide/internal/metrics"
 	"github.com/slide-cpu/slide/internal/network"
+	"github.com/slide-cpu/slide/internal/platform"
 	"github.com/slide-cpu/slide/internal/simd"
 	"github.com/slide-cpu/slide/internal/sparse"
 	"github.com/slide-cpu/slide/internal/train"
@@ -103,8 +104,8 @@ func RunSLIDE(w *Workload, v Variant, opts Options) (*RunResult, error) {
 	defer simd.SetMode(prev)
 
 	cfg := w.NetworkConfig(opts, v.Precision, v.Placement)
-	if raceDetectorEnabled {
-		cfg.Locked = true // defined behaviour under -race; see race_on.go
+	if platform.RaceEnabled {
+		cfg.Locked = true // defined behaviour under -race; see platform.RaceEnabled
 	}
 	net, err := network.New(&cfg)
 	if err != nil {

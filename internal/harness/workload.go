@@ -135,7 +135,7 @@ func Workloads(opts Options) ([]*Workload, error) {
 		HiddenAct: layer.Linear, MinActive: 48, RebuildEvery: 20,
 		Full: costmodel.Workload{
 			Samples: 13604165, FeatureNNZ: 1, Input: 253855, Hidden: 200,
-			Output: 253855, BatchSize: 512, L: 50, K: 9, RebuildPeriod: 50,
+			Output: 253855, BatchSize: 512, L: 50, K: 9, SimHash: true, RebuildPeriod: 50,
 		},
 	})
 	return ws, nil

@@ -2,9 +2,9 @@ package layer
 
 import (
 	"math"
-	"sync"
 	"sync/atomic"
 
+	"github.com/slide-cpu/slide/internal/fanout"
 	"github.com/slide-cpu/slide/internal/simd"
 )
 
@@ -15,6 +15,8 @@ import (
 type touchSet struct {
 	words []atomic.Uint32
 	n     int
+
+	fanout fanout.Group // forEachParallel's workers
 }
 
 func newTouchSet(n int) *touchSet {
@@ -95,41 +97,22 @@ func (t *touchSet) ids() []int32 {
 // forEachParallel invokes f(id) for every marked id, splitting word ranges
 // across workers. f must be safe to call concurrently for distinct ids.
 func (t *touchSet) forEachParallel(workers int, f func(id int32)) {
-	if workers < 1 {
-		workers = 1
-	}
 	nw := len(t.words)
-	if nw == 0 {
-		return
-	}
-	if workers > nw {
-		workers = nw
-	}
+	workers = max(1, min(workers, nw))
 	per := (nw + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * per
-		hi := min(lo+per, nw)
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for wi := lo; wi < hi; wi++ {
-				bits := t.words[wi].Load()
-				for bits != 0 {
-					b := bits & -bits
-					id := int32(wi*32) + int32(trailingZeros(bits))
-					if int(id) < t.n {
-						f(id)
-					}
-					bits ^= b
+	t.fanout.Run(workers, func(w int) {
+		for wi := w * per; wi < min((w+1)*per, nw); wi++ {
+			bits := t.words[wi].Load()
+			for bits != 0 {
+				b := bits & -bits
+				id := int32(wi*32) + int32(trailingZeros(bits))
+				if int(id) < t.n {
+					f(id)
 				}
+				bits ^= b
 			}
-		}(lo, hi)
-	}
-	wg.Wait()
+		}
+	})
 }
 
 // forEachRange invokes f(id) for every marked id in [lo, hi), ascending.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"github.com/slide-cpu/slide/internal/simd"
 	"github.com/slide-cpu/slide/internal/sparse"
 )
 
@@ -11,32 +12,39 @@ import (
 // Text8 workload (K=9, L=50).
 //
 // Bit k of table t is the sign of the projection of the input onto a
-// pseudo-random ±1 hyperplane. Hyperplane entries are derived from a
-// splitmix64 of (seed, bit, feature); for moderate dimensions they are
-// additionally materialized into a packed bitset at construction
-// (dim·K·L bits), replacing a 64-bit mix per (bit, feature) with one bit
-// load on the query hot path — the LSH query is a top phase of the Text8
-// step (see harness.Profile). Above PrecomputeLimit the lazy derivation is
-// kept to bound memory; both paths produce identical fingerprints.
+// pseudo-random ±1 hyperplane whose entries are derived from a splitmix64 of
+// (seed, bit, feature). Up to PrecomputeLimit bytes the K·L hyperplanes are
+// materialized at construction as one contiguous row-major float32 matrix
+// [K·L][dim], and a fingerprint is a matrix-vector product through the
+// active kernel table — K·L calls of the same Dot kernel the layers use
+// (§4.2–4.3), so hashing runs at kernel speed on every tier with no kernel
+// of its own. Above the limit the entries are derived lazily per non-zero to
+// bound memory. Dot reductions differ per tier at the rounding edge, so a
+// bit whose projection is within rounding of zero may differ between tiers
+// and between the two paths (DESIGN.md "SimHash projections").
 type SimHash struct {
 	k    int
 	l    int
 	dim  int
 	seed uint64
 
-	// signs is the packed ±1 matrix, indexed [f*nbits + b]; bit set means
-	// +1. nil when dim*nbits exceeds PrecomputeLimit.
-	signs []uint64
+	// planes is the ±1 matrix, hyperplane b in planes[b*dim:(b+1)*dim]. nil
+	// when it would exceed PrecomputeLimit.
+	planes []float32
 
 	scratch sync.Pool // *simhashScratch
 }
 
-// PrecomputeLimit bounds the precomputed sign matrix to 16M entries (2 MiB
-// packed); larger hashers derive signs lazily.
-const PrecomputeLimit = 16 << 20
+// PrecomputeLimit is the byte budget of the materialized hyperplane matrix
+// (K·L·dim float32 entries); larger hashers derive entries lazily. The
+// paper's Text8 shape (K=9, L=50, 200 hidden units) takes 360 KB.
+const PrecomputeLimit = 64 << 20
 
 type simhashScratch struct {
-	acc []float32 // K*L projection accumulators
+	acc []float32 // K*L projections
+	// dense is the scatter target of sparse inputs on the matrix path,
+	// allocated on first use and kept all-zero between calls.
+	dense []float32
 }
 
 // SimHashConfig parameterizes NewSimHash.
@@ -64,14 +72,12 @@ func NewSimHash(cfg SimHashConfig) (*SimHash, error) {
 	}
 	s := &SimHash{k: cfg.K, l: cfg.L, dim: cfg.Dim, seed: cfg.Seed}
 	n := cfg.K * cfg.L
-	if total := cfg.Dim * n; total <= PrecomputeLimit {
-		s.signs = make([]uint64, (total+63)/64)
-		for f := 0; f < cfg.Dim; f++ {
-			base := f * n
-			for b := 0; b < n; b++ {
-				if s.derive(b, int32(f)) > 0 {
-					s.signs[(base+b)>>6] |= 1 << (uint(base+b) & 63)
-				}
+	if n*cfg.Dim <= PrecomputeLimit/4 {
+		s.planes = make([]float32, n*cfg.Dim)
+		for b := 0; b < n; b++ {
+			plane := s.planes[b*cfg.Dim : (b+1)*cfg.Dim]
+			for f := range plane {
+				plane[f] = s.derive(b, int32(f))
 			}
 		}
 	}
@@ -99,63 +105,80 @@ func (s *SimHash) derive(bitIdx int, feature int32) float32 {
 	return -1
 }
 
-// sign returns the hyperplane entry, served from the precomputed bitset
-// when available.
-func (s *SimHash) sign(bitIdx int, feature int32) float32 {
-	if s.signs != nil {
-		pos := int(feature)*s.k*s.l + bitIdx
-		if s.signs[pos>>6]&(1<<(uint(pos)&63)) != 0 {
-			return 1
-		}
-		return -1
-	}
-	return s.derive(bitIdx, feature)
-}
-
-// Hash implements Hasher for sparse inputs.
+// Hash implements Hasher for sparse inputs. On the matrix path the input is
+// scattered into pooled dense scratch and projected exactly as HashDense
+// projects it, so the two agree bit for bit.
 func (s *SimHash) Hash(v sparse.Vector, out []uint32) {
 	if len(out) < s.l {
 		panic("lsh: SimHash.Hash out slice too short")
 	}
-	sc := s.scratch.Get().(*simhashScratch)
-	defer s.scratch.Put(sc)
-
-	acc := sc.acc
-	clear(acc)
-	nbits := s.k * s.l
-	for n, f := range v.Indices {
+	for _, f := range v.Indices {
 		if int(f) >= s.dim || f < 0 {
 			panic(fmt.Sprintf("lsh: feature index %d out of range [0,%d)", f, s.dim))
 		}
-		val := v.Values[n]
-		for b := 0; b < nbits; b++ {
-			acc[b] += val * s.sign(b, f)
+	}
+	sc := s.scratch.Get().(*simhashScratch)
+	defer s.scratch.Put(sc)
+
+	if s.planes == nil {
+		clear(sc.acc)
+		for n, f := range v.Indices {
+			s.addDerived(sc.acc, f, v.Values[n])
+		}
+	} else {
+		if sc.dense == nil {
+			sc.dense = make([]float32, s.dim)
+		}
+		for n, f := range v.Indices {
+			sc.dense[f] += v.Values[n]
+		}
+		s.project(sc.dense, sc.acc)
+		for _, f := range v.Indices {
+			sc.dense[f] = 0
 		}
 	}
-	s.assemble(acc, out)
+	s.assemble(sc.acc, out)
 }
 
-// HashDense implements Hasher for dense vectors.
+// HashDense implements Hasher for dense vectors. len(vals) must equal Dim.
 func (s *SimHash) HashDense(vals []float32, out []uint32) {
 	if len(out) < s.l {
 		panic("lsh: SimHash.HashDense out slice too short")
 	}
+	if len(vals) != s.dim {
+		panic(fmt.Sprintf("lsh: SimHash.HashDense input has %d values, hasher Dim is %d", len(vals), s.dim))
+	}
 	sc := s.scratch.Get().(*simhashScratch)
 	defer s.scratch.Put(sc)
 
-	acc := sc.acc
-	clear(acc)
-	nbits := s.k * s.l
-	for f := range vals {
-		val := vals[f]
-		if val == 0 {
-			continue
+	if s.planes == nil {
+		clear(sc.acc)
+		for f, val := range vals {
+			if val != 0 {
+				s.addDerived(sc.acc, int32(f), val)
+			}
 		}
-		for b := 0; b < nbits; b++ {
-			acc[b] += val * s.sign(b, int32(f))
-		}
+	} else {
+		s.project(vals, sc.acc)
 	}
-	s.assemble(acc, out)
+	s.assemble(sc.acc, out)
+}
+
+// project fills acc[b] with the projection of vals (length Dim) onto
+// hyperplane b: one Dot of the active kernel tier per hyperplane.
+func (s *SimHash) project(vals, acc []float32) {
+	dot := simd.Active().Dot
+	for b := range acc {
+		acc[b] = dot(s.planes[b*s.dim:(b+1)*s.dim], vals)
+	}
+}
+
+// addDerived adds one non-zero's contribution to every projection on the
+// lazy path.
+func (s *SimHash) addDerived(acc []float32, feature int32, val float32) {
+	for b := range acc {
+		acc[b] += val * s.derive(b, feature)
+	}
 }
 
 func (s *SimHash) assemble(acc []float32, out []uint32) {

@@ -1,8 +1,10 @@
 package lsh
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
+	"strings"
 	"testing"
 
 	"github.com/slide-cpu/slide/internal/sparse"
@@ -130,26 +132,25 @@ func TestSimHashZeroVector(t *testing.T) {
 	}
 }
 
-func TestSimHashPrecomputeMatchesDerive(t *testing.T) {
-	// The packed sign matrix must reproduce the lazily derived family
-	// exactly: a small hasher (precomputed) and a conceptually identical
-	// large one (forced lazy by construction size) disagree only through
-	// their seeds, so instead compare sign() against derive() directly.
-	s := mustSimHash(t, SimHashConfig{K: 6, L: 20, Dim: 300, Seed: 41})
-	if s.signs == nil {
-		t.Fatal("small hasher should precompute its sign matrix")
+func TestSimHashMatrixMatchesDerive(t *testing.T) {
+	// Every entry of the materialized hyperplane matrix is the lazily
+	// derived entry of the same (bit, feature) pair.
+	const k, l, dim = 6, 20, 300
+	s := mustSimHash(t, SimHashConfig{K: k, L: l, Dim: dim, Seed: 41})
+	if len(s.planes) != k*l*dim {
+		t.Fatalf("small hasher materialized %d entries, want %d", len(s.planes), k*l*dim)
 	}
-	for f := int32(0); f < 300; f++ {
-		for b := 0; b < 6*20; b++ {
-			if s.sign(b, f) != s.derive(b, f) {
-				t.Fatalf("precomputed sign (bit %d, feature %d) diverges", b, f)
+	for b := 0; b < k*l; b++ {
+		for f := 0; f < dim; f++ {
+			if got, want := s.planes[b*dim+f], s.derive(b, int32(f)); got != want {
+				t.Fatalf("matrix entry (bit %d, feature %d) = %v, derive gives %v", b, f, got, want)
 			}
 		}
 	}
-	// A hasher over the lazy threshold must still work and stay in range.
+	// A hasher over the byte budget must still work and stay in range.
 	big := mustSimHash(t, SimHashConfig{K: 9, L: 50, Dim: 253855, Seed: 43})
-	if big.signs != nil {
-		t.Fatal("huge hasher should not materialize its sign matrix")
+	if big.planes != nil {
+		t.Fatal("huge hasher should not materialize its hyperplane matrix")
 	}
 	out := make([]uint32, 50)
 	big.Hash(sparse.Vector{Indices: []int32{100000}, Values: []float32{1}}, out)
@@ -157,6 +158,80 @@ func TestSimHashPrecomputeMatchesDerive(t *testing.T) {
 		if h >= 1<<9 {
 			t.Fatalf("hash %d out of range", h)
 		}
+	}
+}
+
+// TestSimHashFingerprintOracle checks fingerprints against float64
+// projections: the kernel tiers reduce in different orders, so a bit may
+// differ from the exact sign only where the projection is within the dot
+// kernels' reduction tolerance of zero (DESIGN.md: 1e-5 × Σ|aᵢbᵢ|, and
+// |bᵢ| = 1 here). Runs under whichever tier SLIDE_KERNEL_MODE selects.
+func TestSimHashFingerprintOracle(t *testing.T) {
+	const k, l, dim = 7, 20, 200
+	s := mustSimHash(t, SimHashConfig{K: k, L: l, Dim: dim, Seed: 17})
+	rng := rand.New(rand.NewPCG(5, 6))
+
+	inputs := map[string][]float32{"all-zero": make([]float32, dim)}
+	for i := 0; i < 8; i++ {
+		v := make([]float32, dim)
+		for f := range v {
+			v[f] = float32(rng.NormFloat64())
+		}
+		inputs[fmt.Sprintf("dense-%d", i)] = v
+	}
+	// A one-hot input through a linear hidden layer: the activation is one
+	// weight column plus the bias, small and centred on zero.
+	bias := make([]float32, dim)
+	for f := range bias {
+		bias[f] = float32(rng.NormFloat64()) * 0.01
+	}
+	for i := 0; i < 8; i++ {
+		v := make([]float32, dim)
+		for f := range v {
+			v[f] = float32(rng.NormFloat64())*0.07 + bias[f]
+		}
+		inputs[fmt.Sprintf("one-hot-linear-%d", i)] = v
+	}
+
+	got := make([]uint32, l)
+	for name, v := range inputs {
+		s.HashDense(v, got)
+		var l1 float64
+		for _, x := range v {
+			l1 += math.Abs(float64(x))
+		}
+		tol := 1e-5 * l1
+		for b := 0; b < k*l; b++ {
+			var proj float64
+			for f, x := range v {
+				proj += float64(x) * float64(s.derive(b, int32(f)))
+			}
+			bit := got[b/k]>>(k-1-b%k)&1 == 1
+			if bit != (proj > 0) && math.Abs(proj) > tol {
+				t.Errorf("%s: bit %d is %v but the projection is %g (tolerance %g)", name, b, bit, proj, tol)
+			}
+		}
+	}
+	s.HashDense(inputs["all-zero"], got)
+	for tb, h := range got {
+		if h != 0 {
+			t.Errorf("all-zero input: table %d hashed to %d, want 0", tb, h)
+		}
+	}
+}
+
+func TestSimHashDenseLengthMismatchPanics(t *testing.T) {
+	s := mustSimHash(t, SimHashConfig{K: 2, L: 5, Dim: 10, Seed: 1})
+	for _, n := range []int{9, 11} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "hasher Dim is 10") {
+					t.Errorf("HashDense with %d values: panic %q does not name the mismatch", n, msg)
+				}
+			}()
+			s.HashDense(make([]float32, n), make([]uint32, 5))
+		}()
 	}
 }
 

@@ -40,6 +40,24 @@ type Table struct {
 
 	buckets [][]int32
 	counts  []uint32 // lifetime insert count per bucket
+	// slab is the unused tail of the block bucket storage is carved from.
+	// Rebuilds keep touching new buckets as the weights drift, so a malloc
+	// per new bucket is a steady trickle of small objects; carving costs one
+	// allocation per slabSize ids of new capacity instead.
+	slab []int32
+}
+
+// slabSize is the block size, in ids, bucket storage is carved from.
+const slabSize = 1024
+
+// carve returns an empty bucket of capacity n backed by the table's slab.
+func (t *Table) carve(n int) []int32 {
+	if len(t.slab) < n {
+		t.slab = make([]int32, max(n, slabSize))
+	}
+	b := t.slab[:0:n]
+	t.slab = t.slab[n:]
+	return b
 }
 
 // NewTable builds a table with 2^bits buckets of capacity bucketCap.
@@ -70,8 +88,8 @@ func (t *Table) Insert(id int32, h uint32) {
 	t.counts[b] = n + 1
 	bucket := t.buckets[b]
 	if len(bucket) < t.bucketCap {
-		if bucket == nil {
-			bucket = make([]int32, 0, min(4, t.bucketCap))
+		if len(bucket) == cap(bucket) { // new, or full: double, starting at 4
+			bucket = append(t.carve(min(max(4, 2*cap(bucket)), t.bucketCap)), bucket...)
 		}
 		t.buckets[b] = append(bucket, id)
 		return
@@ -96,7 +114,8 @@ func (t *Table) Query(h uint32) []int32 {
 }
 
 // Clone deep-copies the table: the clone's buckets share no storage with
-// the original, so the two evolve independently. Lifetime insert counts are
+// the original (they are carved from the clone's own slab), so the two
+// evolve independently. Lifetime insert counts are
 // copied too, so Serialize(clone) is byte-identical to serializing the
 // original at clone time — replication ships table snapshots, and a count
 // below a bucket's population would be rejected on deserialize as corrupt.
@@ -114,7 +133,7 @@ func (t *Table) Clone() *Table {
 	}
 	for i, b := range t.buckets {
 		if len(b) > 0 {
-			c.buckets[i] = append([]int32(nil), b...)
+			c.buckets[i] = append(c.carve(len(b)), b...)
 		}
 	}
 	return c

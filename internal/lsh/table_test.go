@@ -1,9 +1,12 @@
 package lsh
 
 import (
+	"bytes"
 	"math/rand/v2"
 	"sync"
 	"testing"
+
+	"github.com/slide-cpu/slide/internal/platform"
 )
 
 func TestTableInsertQuery(t *testing.T) {
@@ -222,6 +225,70 @@ func TestTableSetRebuildMatchesSerialInsert(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// rebuildFixture is a SimHash-fed set over n rows, more than one rebuild
+// chunk, so a rebuild exercises the chunk loop, the worker striping and the
+// projection kernels together.
+func rebuildFixture(t *testing.T, n int) (*TableSet, func(i int, buf []float32) []float32) {
+	t.Helper()
+	const dim = 24
+	s := mustSimHash(t, SimHashConfig{K: 5, L: 8, Dim: dim, Seed: 21})
+	rng := rand.New(rand.NewPCG(41, 9))
+	rows := make([][]float32, n)
+	for i := range rows {
+		rows[i] = make([]float32, dim)
+		for j := range rows[i] {
+			rows[i][j] = float32(rng.NormFloat64())
+		}
+	}
+	// Rows pass through the per-worker buffer, as BF16 weights do.
+	row := func(i int, buf []float32) []float32 {
+		copy(buf, rows[i])
+		return buf[:dim]
+	}
+	return NewTableSet(s, 16, FIFO, 3), row
+}
+
+func serializeSet(t *testing.T, ts *TableSet) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := ts.Serialize(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestTableSetRebuildIndependentOfWorkers: table contents are a pure
+// function of the rows — the hashing worker count, and scratch left by an
+// earlier rebuild at another count or range, must not show.
+func TestTableSetRebuildIndependentOfWorkers(t *testing.T) {
+	const n = 2*rebuildChunk + 300
+	ts, row := rebuildFixture(t, n)
+	ts.RebuildDense(n, 24, row, 1)
+	want := serializeSet(t, ts)
+	for _, workers := range []int{2, 3, 4, 7, 0} {
+		ts.RebuildRange(100, 200, 24, row, workers) // dirty the scratch
+		ts.RebuildRange(0, n, 24, row, workers)
+		if !bytes.Equal(serializeSet(t, ts), want) {
+			t.Errorf("rebuild with %d workers differs from the single-worker rebuild", workers)
+		}
+	}
+}
+
+// TestTableSetRebuildSteadyStateAllocs: the fingerprint chunk, row buffers
+// and bucket storage are kept between rebuilds; a repeat rebuild allocates
+// only the per-chunk task closure.
+func TestTableSetRebuildSteadyStateAllocs(t *testing.T) {
+	if platform.RaceEnabled {
+		t.Skip("the race detector's sync.Pool drops the hashers' scratch at random")
+	}
+	const n = 2*rebuildChunk + 300 // three chunks
+	ts, row := rebuildFixture(t, n)
+	ts.RebuildDense(n, 24, row, 2)
+	if a := testing.AllocsPerRun(5, func() { ts.RebuildDense(n, 24, row, 2) }); a > 3 {
+		t.Errorf("repeat rebuild of three chunks allocates %.0f objects, want at most 3", a)
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+
+	"github.com/slide-cpu/slide/internal/fanout"
 )
 
 // TableSet owns the L hash tables of one LSH-sampled layer plus the hasher
@@ -18,6 +20,12 @@ type TableSet struct {
 	mu sync.RWMutex
 
 	hashBuf sync.Pool // *[]uint32 scratch of length L
+
+	// Rebuild scratch, kept between rebuilds (see RebuildRange): one chunk
+	// of fingerprints and one row buffer per hashing worker.
+	rebuildHashes []uint32
+	rebuildBufs   [][]float32
+	rebuildFanout fanout.Group
 }
 
 // NewTableSet builds the L tables declared by the hasher.
@@ -74,71 +82,30 @@ func (ts *TableSet) InsertDense(id int32, weights []float32) {
 	ts.hashBuf.Put(bp)
 }
 
-// RebuildDense clears all tables and re-inserts neurons [0, n), reading each
-// neuron's weight vector through row. row receives a per-worker scratch
-// buffer of length bufLen it may use to materialize the vector (e.g. to
-// expand bfloat16 weights); it can also ignore the buffer and return a
-// direct view. Hashing is parallelized across workers in chunks; insertion
-// is serialized per chunk under the write lock so queries only ever see a
-// consistent (possibly partially re-filled) table. workers <= 0 uses
-// GOMAXPROCS.
+// RebuildDense clears all tables and re-inserts neurons [0, n): RebuildRange
+// over the whole layer.
 func (ts *TableSet) RebuildDense(n, bufLen int, row func(i int, buf []float32) []float32, workers int) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	ts.mu.Lock()
-	for _, t := range ts.tables {
-		t.Clear()
-	}
-	ts.mu.Unlock()
-
-	const chunk = 2048
-	l := len(ts.tables)
-	hashes := make([]uint32, chunk*l)
-
-	for lo := 0; lo < n; lo += chunk {
-		hi := min(lo+chunk, n)
-		cnt := hi - lo
-
-		// Parallel hash of the chunk.
-		var wg sync.WaitGroup
-		per := (cnt + workers - 1) / workers
-		for w := 0; w < workers; w++ {
-			s := lo + w*per
-			e := min(s+per, hi)
-			if s >= e {
-				break
-			}
-			wg.Add(1)
-			go func(s, e int) {
-				defer wg.Done()
-				buf := make([]float32, bufLen)
-				for i := s; i < e; i++ {
-					ts.hasher.HashDense(row(i, buf), hashes[(i-lo)*l:(i-lo+1)*l])
-				}
-			}(s, e)
-		}
-		wg.Wait()
-
-		// Serial insert under the write lock.
-		ts.mu.Lock()
-		for i := 0; i < cnt; i++ {
-			id := int32(lo + i)
-			hs := hashes[i*l : (i+1)*l]
-			for t, table := range ts.tables {
-				table.Insert(id, hs[t])
-			}
-		}
-		ts.mu.Unlock()
-	}
+	ts.RebuildRange(0, n, bufLen, row, workers)
 }
 
-// RebuildRange clears all tables and re-inserts only neurons [lo, hi),
-// keeping their global ids. A sharded output layer gives each shard its own
-// TableSet rebuilt over just the rows it owns; queries then return global
-// ids directly. Insertion order is ascending id, exactly as RebuildDense,
-// so table contents are a pure function of (lo, hi, weights) — independent
-// of the worker count used for hashing.
+// rebuildChunk is how many neurons are hashed between two insert passes.
+const rebuildChunk = 2048
+
+// RebuildRange clears all tables and re-inserts neurons [lo, hi), keeping
+// their global ids, reading each neuron's weight vector through row. row
+// receives a per-worker scratch buffer of length bufLen it may use to
+// materialize the vector (e.g. to expand bfloat16 weights); it can also
+// ignore the buffer and return a direct view. A sharded output layer gives
+// each shard its own TableSet rebuilt over just the rows it owns; queries
+// then return global ids directly.
+//
+// Hashing is parallelized across workers in chunks (workers <= 0 uses
+// GOMAXPROCS); insertion is serialized per chunk under the write lock, in ascending id, so queries only ever see
+// a consistent (possibly partially re-filled) table and table contents are a
+// pure function of (lo, hi, weights) — independent of the worker count.
+// The fingerprint chunk and the row buffers are scratch owned by the set and
+// reused by the next rebuild, so rebuilds of one set must not overlap (they
+// run from the training goroutine or from construction).
 func (ts *TableSet) RebuildRange(lo, hi, bufLen int, row func(i int, buf []float32) []float32, workers int) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -149,39 +116,35 @@ func (ts *TableSet) RebuildRange(lo, hi, bufLen int, row func(i int, buf []float
 	}
 	ts.mu.Unlock()
 
-	const chunk = 2048
 	l := len(ts.tables)
-	hashes := make([]uint32, chunk*l)
-
-	for cl := lo; cl < hi; cl += chunk {
-		ch := min(cl+chunk, hi)
-		cnt := ch - cl
-
-		var wg sync.WaitGroup
-		per := (cnt + workers - 1) / workers
-		for w := 0; w < workers; w++ {
-			s := cl + w*per
-			e := min(s+per, ch)
-			if s >= e {
-				break
-			}
-			wg.Add(1)
-			go func(s, e int) {
-				defer wg.Done()
-				buf := make([]float32, bufLen)
-				for i := s; i < e; i++ {
-					ts.hasher.HashDense(row(i, buf), hashes[(i-cl)*l:(i-cl+1)*l])
-				}
-			}(s, e)
+	if need := min(rebuildChunk, hi-lo) * l; len(ts.rebuildHashes) < need {
+		ts.rebuildHashes = make([]uint32, need)
+	}
+	for w := 0; w < workers; w++ {
+		if w == len(ts.rebuildBufs) {
+			ts.rebuildBufs = append(ts.rebuildBufs, nil)
 		}
-		wg.Wait()
+		if len(ts.rebuildBufs[w]) < bufLen {
+			ts.rebuildBufs[w] = make([]float32, bufLen)
+		}
+	}
 
+	for cl := lo; cl < hi; cl += rebuildChunk {
+		ch := min(cl+rebuildChunk, hi)
+		per := (ch - cl + workers - 1) / workers
+		ts.rebuildFanout.Run(workers, func(w int) {
+			buf := ts.rebuildBufs[w][:bufLen]
+			for i := cl + w*per; i < min(cl+(w+1)*per, ch); i++ {
+				ts.hasher.HashDense(row(i, buf), ts.rebuildHashes[(i-cl)*l:(i-cl+1)*l])
+			}
+		})
+
+		// Serial insert under the write lock.
 		ts.mu.Lock()
-		for i := 0; i < cnt; i++ {
-			id := int32(cl + i)
-			hs := hashes[i*l : (i+1)*l]
+		for i := cl; i < ch; i++ {
+			hs := ts.rebuildHashes[(i-cl)*l : (i-cl+1)*l]
 			for t, table := range ts.tables {
-				table.Insert(id, hs[t])
+				table.Insert(int32(i), hs[t])
 			}
 		}
 		ts.mu.Unlock()

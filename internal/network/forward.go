@@ -80,6 +80,11 @@ type scratch struct {
 	qa  []uint8
 	qsa float32
 	qzp int32
+	// loss, activeSum and nonFinite are one HOGWILD worker's partial
+	// BatchStats for the batch in flight (training only).
+	loss      float64
+	activeSum int64
+	nonFinite int64
 }
 
 // sampled reports whether the model retrieves candidates via LSH (either

@@ -3,8 +3,8 @@ package network
 import (
 	"fmt"
 	"math"
-	"sync"
 
+	"github.com/slide-cpu/slide/internal/fanout"
 	"github.com/slide-cpu/slide/internal/faultinject"
 	"github.com/slide-cpu/slide/internal/health"
 	"github.com/slide-cpu/slide/internal/layer"
@@ -60,6 +60,7 @@ type Network struct {
 	// (and unallocated) in sharded mode.
 	sh      *shardState
 	workers []*scratch
+	fanout  fanout.Group // TrainBatch's sample fan-out
 
 	// guards enables the per-step NaN/Inf scan of active-set logits and
 	// per-sample losses (SetGuards): BatchStats.NonFinite reports what the
@@ -368,6 +369,21 @@ func (n *Network) trainSample(ws *scratch, x sparse.Vector, labels []int32) (flo
 	return loss, na, bad
 }
 
+// trainStripe runs worker w's share of a batch — samples w, w+nw, … — and
+// leaves the share's loss, active-set and non-finite sums in the worker's
+// scratch.
+func (n *Network) trainStripe(ks *simd.Kernels, b sparse.Batch, w, nw int) {
+	ws := n.workers[w]
+	ws.ks = ks
+	ws.loss, ws.activeSum, ws.nonFinite = 0, 0, 0
+	for i := w; i < b.Len(); i += nw {
+		l, na, bad := n.trainSample(ws, b.Sample(i), b.Labels(i))
+		ws.loss += l
+		ws.activeSum += int64(na)
+		ws.nonFinite += bad
+	}
+}
+
 // BatchStats reports one TrainBatch call.
 type BatchStats struct {
 	// Samples is the number of samples processed.
@@ -407,31 +423,16 @@ func (n *Network) TrainBatch(b sparse.Batch) BatchStats {
 	// Resolve the kernel table once for the whole batch: every per-row call
 	// below goes through this table, not the atomic-dispatching wrappers.
 	ks := simd.Active()
+	// Worker w takes samples w, w+nw, …; partial sums land in the workers'
+	// own scratch and are folded in worker order, so the fan-out shares
+	// nothing.
 	nw := min(n.cfg.Workers, b.Len())
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for w := 0; w < nw; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			ws := n.workers[w]
-			ws.ks = ks
-			var loss float64
-			var activeSum, nonFin int64
-			for i := w; i < b.Len(); i += nw {
-				l, na, bad := n.trainSample(ws, b.Sample(i), b.Labels(i))
-				loss += l
-				activeSum += int64(na)
-				nonFin += bad
-			}
-			mu.Lock()
-			stats.Loss += loss
-			stats.ActiveSum += activeSum
-			stats.NonFinite += nonFin
-			mu.Unlock()
-		}(w)
+	n.fanout.Run(nw, func(w int) { n.trainStripe(ks, b, w, nw) })
+	for _, ws := range n.workers[:nw] {
+		stats.Loss += ws.loss
+		stats.ActiveSum += ws.activeSum
+		stats.NonFinite += ws.nonFinite
 	}
-	wg.Wait()
 
 	n.step++
 	p := simd.NewAdamParams(n.cfg.LR, n.cfg.Beta1, n.cfg.Beta2, n.cfg.Eps, n.step)

@@ -171,7 +171,7 @@ func (b *Builder) Add(indices []int32, values []float32, labels []int32) {
 	if len(indices) != len(values) {
 		panic("sparse: Builder.Add index/value length mismatch")
 	}
-	if b.offsets == nil {
+	if len(b.offsets) == 0 {
 		b.offsets = append(b.offsets, 0)
 		b.labelOffsets = append(b.labelOffsets, 0)
 	}
@@ -184,21 +184,21 @@ func (b *Builder) Add(indices []int32, values []float32, labels []int32) {
 
 // Len returns the number of samples added so far.
 func (b *Builder) Len() int {
-	if b.offsets == nil {
+	if len(b.offsets) == 0 {
 		return 0
 	}
 	return len(b.offsets) - 1
 }
 
-// Reset clears the builder for reuse, keeping capacity.
+// Reset clears the builder for reuse, keeping the capacity of all five
+// buffers. The next Add overwrites them in place, so a CSRBatch finalized
+// before the Reset is no longer valid.
 func (b *Builder) Reset() {
 	b.indices = b.indices[:0]
 	b.values = b.values[:0]
 	b.offsets = b.offsets[:0]
 	b.labels = b.labels[:0]
 	b.labelOffsets = b.labelOffsets[:0]
-	b.offsets = nil
-	b.labelOffsets = nil
 }
 
 // CSR finalizes into the coalesced layout. The builder's backing buffers are

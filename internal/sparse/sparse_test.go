@@ -291,3 +291,24 @@ func TestPropertyLayoutEquivalence(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestBuilderSteadyStateAllocs: Reset keeps all five buffers, so refilling a
+// builder to a size it has held before allocates only the finalized batch's
+// header. (Reset used to drop both offset vectors, which then regrew from
+// zero by doubling on every batch.)
+func TestBuilderSteadyStateAllocs(t *testing.T) {
+	var b Builder
+	fill := func() {
+		b.Reset()
+		for i := 0; i < 256; i++ {
+			b.Add([]int32{1, 5, 9}, []float32{1, 2, 3}, []int32{7})
+		}
+		if _, err := b.CSR(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fill()
+	if a := testing.AllocsPerRun(20, fill); a > 1 {
+		t.Errorf("refilling a warmed builder allocates %v objects, want 1 (the CSRBatch)", a)
+	}
+}
