@@ -583,8 +583,37 @@ func BenchmarkDWTAHash(b *testing.B) {
 	}
 	act := randF32(128, 10)
 	out := make([]uint32, 50)
-	for i := 0; i < b.N; i++ {
-		d.HashDense(act, out)
+	defer simd.SetMode(simd.CurrentMode())
+	for _, m := range simd.AvailableModes() {
+		b.Run(benchModeName(m), func(b *testing.B) {
+			simd.SetMode(m)
+			for i := 0; i < b.N; i++ {
+				d.HashDense(act, out)
+			}
+		})
+	}
+}
+
+// BenchmarkKernelGatherArgMax measures the DWTA winner kernel alone (§4.3.3)
+// over a 128-wide activation: the amazon-s shape (128 bins of 8 slots) and
+// the paper's Amazon-670K shape (K=6, L=400: 2,400 bins of 8).
+func BenchmarkKernelGatherArgMax(b *testing.B) {
+	vals := randF32(128, 13)
+	for _, nbins := range []int{128, 2400} {
+		const slots = 8
+		rng := rand.New(rand.NewPCG(uint64(nbins), 14))
+		idx := make([]int32, slots*nbins)
+		for i := range idx {
+			idx[i] = int32(rng.IntN(len(vals)))
+		}
+		win := make([]uint8, nbins)
+		b.Run(fmt.Sprintf("bins%d", nbins), func(b *testing.B) {
+			benchKernelModes(b, func(b *testing.B, ks *simd.Kernels) {
+				for i := 0; i < b.N; i++ {
+					ks.GatherArgMax(vals, idx, slots, win)
+				}
+			})
+		})
 	}
 }
 

@@ -59,6 +59,10 @@ type Workload struct {
 	// SimHash marks the signed-random-projection family, whose fingerprint
 	// is a K·L × Hidden matrix-vector product rather than K·L bin scans.
 	SimHash bool
+	// BinSize is the DWTA slots per bin: a fingerprint gathers and compares
+	// K·L·BinSize values. Zero for the other families (DOPH keeps the flat
+	// per-bin price).
+	BinSize int
 	// RebuildPeriod is the mean batches between table rebuilds.
 	RebuildPeriod float64
 }
@@ -188,16 +192,23 @@ func phases(w Workload, s System) []phase {
 	if s.Sampled {
 		// Query: L random bucket reads per sample plus candidate dedup;
 		// rebuild: every neuron re-hashed and re-inserted. A fingerprint is
-		// K·L hash-map-style operations for the bin-scan families; for
-		// SimHash it is K·L dots of width h against the ±1 matrix, K·L·h
-		// MACs over K·L·h·4 bytes, per sample and per rebuilt neuron alike.
+		// K·L hash-map-style operations for DOPH; for SimHash it is K·L dots
+		// of width h against the ±1 matrix, K·L·h MACs over K·L·h·4 bytes;
+		// for DWTA it is K·L·BinSize gathered 4-byte loads through the index
+		// map and as many compares, which EstimateEpoch divides by the lane
+		// count like any MAC (one bin per lane). Per sample and per rebuilt
+		// neuron alike.
 		lk := float64(w.L * w.K)
 		rebuilds := batches / max(w.RebuildPeriod, 1)
 		cand := float64(w.L) * avgBucket
 		hashed := n + rebuilds*float64(w.Output)
 		fpMacs, fpBytes := lk*hashOpCost, 0.0
-		if w.SimHash {
+		switch {
+		case w.SimHash:
 			fpMacs, fpBytes = lk*h, lk*h*4
+		case w.BinSize > 0:
+			slots := lk * float64(w.BinSize)
+			fpMacs, fpBytes = slots, slots*4
 		}
 		hash := phase{
 			macs:  hashed*fpMacs + n*cand*2 + rebuilds*float64(w.Output)*h,

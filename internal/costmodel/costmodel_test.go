@@ -260,4 +260,36 @@ func TestSimHashPricedAsMatvec(t *testing.T) {
 	}
 }
 
+// TestDWTAPricedAsGather: a DWTA fingerprint is one GatherArgMax over
+// K·L·BinSize slots, so the hash phase carries that many compares and that
+// many 4-byte gathered loads per hashed vector. The compares are counted as
+// MACs, the one term EstimateEpoch divides by the lane count. DOPH (no
+// BinSize) keeps the flat per-bin price.
+func TestDWTAPricedAsGather(t *testing.T) {
+	// The amazon-s shape of the benchmark: one batch, a rebuild every 20.
+	w := Workload{
+		Samples: 256, FeatureNNZ: 75, Input: 2718, Hidden: 128, Output: 13401,
+		MeanActive: 60, BatchSize: 256, L: 32, K: 4, RebuildPeriod: 20,
+	}
+	sys := OptimizedSLIDE(platform.CLX)
+	flat := phases(w, sys)
+	w.BinSize = 8
+	gather := phases(w, sys)
+
+	hashed := 256 + 13401.0/20 // samples + rebuilt neurons per step
+	lk, slots := 128.0, 1024.0
+	last := len(gather) - 1
+	if got, want := gather[last].macs-flat[last].macs, hashed*(slots-lk*hashOpCost); !near(got, want) {
+		t.Errorf("DWTA adds %.0f compares to the hash phase, want %.0f", got, want)
+	}
+	if got, want := gather[last].bytes-flat[last].bytes, hashed*slots*4; !near(got, want) {
+		t.Errorf("DWTA adds %.0f gathered bytes to the hash phase, want %.0f", got, want)
+	}
+	for i := 0; i < last; i++ {
+		if gather[i] != flat[i] {
+			t.Errorf("phase %d changed with the hash family", i)
+		}
+	}
+}
+
 func near(a, b float64) bool { return math.Abs(a-b) <= 1e-9*math.Abs(b) }

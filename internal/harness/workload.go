@@ -101,7 +101,7 @@ func Workloads(opts Options) ([]*Workload, error) {
 		HiddenAct: layer.ReLU, MinActive: 48, RebuildEvery: 20,
 		Full: costmodel.Workload{
 			Samples: 490449, FeatureNNZ: 75, Input: 135909, Hidden: 128,
-			Output: 670091, BatchSize: 1024, L: 400, K: 6, RebuildPeriod: 50,
+			Output: 670091, BatchSize: 1024, L: 400, K: 6, BinSize: 8, RebuildPeriod: 50,
 		},
 	})
 
@@ -118,7 +118,7 @@ func Workloads(opts Options) ([]*Workload, error) {
 		HiddenAct: layer.ReLU, MinActive: 48, RebuildEvery: 20,
 		Full: costmodel.Workload{
 			Samples: 1778351, FeatureNNZ: 42, Input: 1617899, Hidden: 128,
-			Output: 325056, BatchSize: 256, L: 350, K: 5, RebuildPeriod: 50,
+			Output: 325056, BatchSize: 256, L: 350, K: 5, BinSize: 8, RebuildPeriod: 50,
 		},
 	})
 

@@ -17,13 +17,16 @@ import (
 // The input dimension is pseudo-randomly permuted into K·L bins of BinSize
 // slots each. The hash of one bin is the slot index holding the maximum
 // value; K consecutive bins concatenate into one table's bucket index
-// (K·log2(BinSize) bits). Bins that receive no non-zero (common under
-// extreme sparsity) are "densified": they borrow the winner of a donor bin
-// chosen by a deterministic universal-hash hop sequence, so near-identical
-// vectors still collide.
+// (K·log2(BinSize) bits). Sparse inputs leave bins without any non-zero
+// (common under extreme sparsity); those are "densified": they borrow the
+// winner of a donor bin chosen by a deterministic universal-hash hop
+// sequence, so near-identical vectors still collide.
 //
-// Following §4.3.3, the random index map is precomputed at construction and
-// the per-bin winner scan is the simd.ArgMax kernel.
+// Following §4.3.3, the random index map is precomputed at construction.
+// Positions are numbered p = bin·BinSize + slot, and that numbering (with
+// the seed) fixes the fingerprints; the map itself is stored slot-major so
+// the dense path is a single simd GatherArgMax call that resolves one bin
+// per vector lane (see DESIGN.md "DWTA fingerprints").
 type DWTA struct {
 	k       int // hashes (bins) per table
 	l       int // number of tables
@@ -31,12 +34,14 @@ type DWTA struct {
 	dim     int // input dimensionality
 	slotBit int // log2(binSize)
 
-	// perm maps position p in [0, k*l*binSize) to a feature index.
-	// Built from ceil(positions/dim) independent permutations of [0,dim)
-	// ("rotations") so every position is backed by a real feature.
-	perm []int32
-	// featPos is the CSR inverse of perm: featPos[featStart[f]:featStart[f+1]]
-	// lists the positions feature f occupies. Sparse inputs walk only their
+	// idx maps positions to feature indices, slot-major: the feature behind
+	// position p = bin*binSize + slot is idx[slot*k*l + bin]. Built from
+	// ceil(positions/dim) independent permutations of [0,dim) ("rotations")
+	// laid along p, so every position is backed by a real feature. Every
+	// entry is < dim: HashDense gathers through it unchecked.
+	idx []int32
+	// featPos is the CSR inverse of the map: featPos[featStart[f]:featStart[f+1]]
+	// lists the positions p feature f occupies. Sparse inputs walk only their
 	// non-zeros through this map.
 	featStart []int32
 	featPos   []int32
@@ -48,10 +53,16 @@ type DWTA struct {
 }
 
 type dwtaScratch struct {
-	binMax    []float32 // running max per bin
-	binWinner []int8    // winning slot per bin, -1 = empty
-	gathered  []float32 // dense path: values gathered into position order
+	binMax    []float32 // sparse path: running max per bin
+	binWinner []uint8   // winning slot per bin, emptyBin = none
 }
+
+// emptyBin marks a bin no non-zero reached (sparse path only). It is not a
+// slot number because BinSize is at most maxBinSize.
+const (
+	emptyBin   = 0xFF
+	maxBinSize = 128
+)
 
 // DWTAConfig parameterizes NewDWTA.
 type DWTAConfig struct {
@@ -80,8 +91,8 @@ func NewDWTA(cfg DWTAConfig) (*DWTA, error) {
 	if cfg.Dim <= 0 {
 		return nil, fmt.Errorf("lsh: DWTA requires Dim>0, got %d", cfg.Dim)
 	}
-	if cfg.BinSize < 2 || cfg.BinSize&(cfg.BinSize-1) != 0 {
-		return nil, fmt.Errorf("lsh: DWTA BinSize must be a power of two >= 2, got %d", cfg.BinSize)
+	if cfg.BinSize < 2 || cfg.BinSize > maxBinSize || cfg.BinSize&(cfg.BinSize-1) != 0 {
+		return nil, fmt.Errorf("lsh: DWTA BinSize must be a power of two in [2,%d], got %d", maxBinSize, cfg.BinSize)
 	}
 	slotBit := bits.TrailingZeros(uint(cfg.BinSize))
 	if cfg.K*slotBit > 30 {
@@ -97,27 +108,28 @@ func NewDWTA(cfg DWTAConfig) (*DWTA, error) {
 		maxDensify: 64,
 		seed:       cfg.Seed,
 	}
-	positions := cfg.K * cfg.L * cfg.BinSize
-	d.perm = make([]int32, positions)
+	nbins := cfg.K * cfg.L
+	positions := nbins * cfg.BinSize
 	rng := rand.New(rand.NewPCG(cfg.Seed, cfg.Seed^0x5851F42D4C957F2D))
 
-	// Fill positions with rotations of fresh permutations of [0, dim).
-	p := 0
-	for p < positions {
-		chunk := positions - p
-		if chunk > cfg.Dim {
-			chunk = cfg.Dim
-		}
+	// Fill positions, in p order, with rotations of fresh permutations of
+	// [0, dim), then store the map slot-major and invert it into CSR form.
+	perm := make([]int32, positions)
+	for p := 0; p < positions; p += cfg.Dim {
 		permutation := rng.Perm(cfg.Dim)
-		for i := 0; i < chunk; i++ {
-			d.perm[p+i] = int32(permutation[i])
+		for i := range perm[p:min(p+cfg.Dim, positions)] {
+			perm[p+i] = int32(permutation[i])
 		}
-		p += chunk
 	}
-
-	// Invert into CSR form.
+	d.idx = make([]int32, positions)
 	counts := make([]int32, cfg.Dim+1)
-	for _, f := range d.perm {
+	for p, f := range perm {
+		if f < 0 || int(f) >= cfg.Dim {
+			// HashDense gathers through idx without bounds checks.
+			panic(fmt.Sprintf("lsh: DWTA position %d maps to feature %d outside [0,%d)", p, f, cfg.Dim))
+		}
+		bin, slot := p>>slotBit, p&(cfg.BinSize-1)
+		d.idx[slot*nbins+bin] = f
 		counts[f+1]++
 	}
 	for i := 1; i <= cfg.Dim; i++ {
@@ -126,17 +138,15 @@ func NewDWTA(cfg DWTAConfig) (*DWTA, error) {
 	d.featStart = counts
 	d.featPos = make([]int32, positions)
 	fill := make([]int32, cfg.Dim)
-	for pos, f := range d.perm {
+	for pos, f := range perm {
 		d.featPos[d.featStart[f]+fill[f]] = int32(pos)
 		fill[f]++
 	}
 
-	nbins := cfg.K * cfg.L
 	d.scratch.New = func() any {
 		return &dwtaScratch{
 			binMax:    make([]float32, nbins),
-			binWinner: make([]int8, nbins),
-			gathered:  make([]float32, positions),
+			binWinner: make([]uint8, nbins),
 		}
 	}
 	return d, nil
@@ -162,7 +172,7 @@ func (d *DWTA) Hash(v sparse.Vector, out []uint32) {
 
 	nbins := d.k * d.l
 	for i := 0; i < nbins; i++ {
-		s.binWinner[i] = -1
+		s.binWinner[i] = emptyBin
 		s.binMax[i] = float32(math.Inf(-1))
 	}
 	for n, f := range v.Indices {
@@ -174,7 +184,7 @@ func (d *DWTA) Hash(v sparse.Vector, out []uint32) {
 			bin := int(pos) >> d.slotBit
 			if val > s.binMax[bin] {
 				s.binMax[bin] = val
-				s.binWinner[bin] = int8(int(pos) & (d.binSize - 1))
+				s.binWinner[bin] = uint8(int(pos) & (d.binSize - 1))
 			}
 		}
 	}
@@ -182,39 +192,22 @@ func (d *DWTA) Hash(v sparse.Vector, out []uint32) {
 }
 
 // HashDense implements Hasher for dense vectors (neuron weights, dense
-// activations). Values are gathered into position order once and each bin's
-// winner comes from the simd.ArgMax kernel (§4.3.3's vectorized max).
+// activations): one GatherArgMax call of the active kernel tier resolves
+// every bin's winner (§4.3.3's vectorized max, one bin per lane), then
+// assemble packs them. len(vals) must equal Dim — the gathers are unchecked
+// loads. Every bin has a winner, so nothing is densified: a bin whose slots
+// are all equal (all zero after ReLU, or all -Inf) resolves to slot 0, and a
+// NaN wins only from slot 0, as under Go's >.
 func (d *DWTA) HashDense(vals []float32, out []uint32) {
 	if len(out) < d.l {
 		panic("lsh: DWTA.HashDense out slice too short")
 	}
+	if len(vals) != d.dim {
+		panic(fmt.Sprintf("lsh: DWTA.HashDense input has %d values, hasher Dim is %d", len(vals), d.dim))
+	}
 	s := d.scratch.Get().(*dwtaScratch)
 	defer d.scratch.Put(s)
-
-	n := len(vals)
-	neg := float32(math.Inf(-1))
-	for p, f := range d.perm {
-		if int(f) < n {
-			s.gathered[p] = vals[f]
-		} else {
-			s.gathered[p] = neg
-		}
-	}
-	// Resolve the kernel table once per hash: the bin loop below runs k*l
-	// ArgMax calls, and the dispatching wrapper would re-read the atomic
-	// mode switch in every one.
-	argMax := simd.Active().ArgMax
-	nbins := d.k * d.l
-	for b := 0; b < nbins; b++ {
-		lo := b << d.slotBit
-		bin := s.gathered[lo : lo+d.binSize]
-		w := argMax(bin)
-		if math.IsInf(float64(bin[w]), -1) {
-			s.binWinner[b] = -1
-		} else {
-			s.binWinner[b] = int8(w)
-		}
-	}
+	simd.Active().GatherArgMax(vals, d.idx, d.binSize, s.binWinner)
 	d.assemble(s, out)
 }
 
@@ -227,7 +220,7 @@ func (d *DWTA) assemble(s *dwtaScratch, out []uint32) {
 		for k := 0; k < d.k; k++ {
 			bin := base + k
 			w := s.binWinner[bin]
-			if w < 0 {
+			if w == emptyBin {
 				w = d.densify(s, bin)
 			}
 			h = h<<d.slotBit | uint32(w)
@@ -239,11 +232,11 @@ func (d *DWTA) assemble(s *dwtaScratch, out []uint32) {
 // densify borrows a winner for an empty bin via a deterministic universal-
 // hash hop sequence over all bins. Returns 0 if every attempt lands empty
 // (e.g. the all-zero vector).
-func (d *DWTA) densify(s *dwtaScratch, bin int) int8 {
+func (d *DWTA) densify(s *dwtaScratch, bin int) uint8 {
 	nbins := d.k * d.l
 	for a := 1; a <= d.maxDensify; a++ {
 		donor := int(splitmix64(d.seed^(uint64(bin)<<20|uint64(a))) % uint64(nbins))
-		if w := s.binWinner[donor]; w >= 0 {
+		if w := s.binWinner[donor]; w != emptyBin {
 			return w
 		}
 	}

@@ -228,17 +228,26 @@ func TestTableSetRebuildMatchesSerialInsert(t *testing.T) {
 	}
 }
 
-// rebuildFixture is a SimHash-fed set over n rows, more than one rebuild
-// chunk, so a rebuild exercises the chunk loop, the worker striping and the
-// projection kernels together.
-func rebuildFixture(t *testing.T, n int) (*TableSet, func(i int, buf []float32) []float32) {
+// rebuildDim is the row width of rebuildFixture.
+const rebuildDim = 24
+
+// rebuildHashers are the kernel-backed families a rebuild fans out over.
+func rebuildHashers(t *testing.T) map[string]Hasher {
+	return map[string]Hasher{
+		"simhash": mustSimHash(t, SimHashConfig{K: 5, L: 8, Dim: rebuildDim, Seed: 21}),
+		"dwta":    mustDWTA(t, DWTAConfig{K: 3, L: 8, Dim: rebuildDim, Seed: 21}),
+	}
+}
+
+// rebuildFixture is a set fed by h over n rows, more than one rebuild chunk,
+// so a rebuild exercises the chunk loop, the worker striping and the hash
+// kernels together.
+func rebuildFixture(t *testing.T, h Hasher, n int) (*TableSet, func(i int, buf []float32) []float32) {
 	t.Helper()
-	const dim = 24
-	s := mustSimHash(t, SimHashConfig{K: 5, L: 8, Dim: dim, Seed: 21})
 	rng := rand.New(rand.NewPCG(41, 9))
 	rows := make([][]float32, n)
 	for i := range rows {
-		rows[i] = make([]float32, dim)
+		rows[i] = make([]float32, rebuildDim)
 		for j := range rows[i] {
 			rows[i][j] = float32(rng.NormFloat64())
 		}
@@ -246,9 +255,9 @@ func rebuildFixture(t *testing.T, n int) (*TableSet, func(i int, buf []float32) 
 	// Rows pass through the per-worker buffer, as BF16 weights do.
 	row := func(i int, buf []float32) []float32 {
 		copy(buf, rows[i])
-		return buf[:dim]
+		return buf[:rebuildDim]
 	}
-	return NewTableSet(s, 16, FIFO, 3), row
+	return NewTableSet(h, 16, FIFO, 3), row
 }
 
 func serializeSet(t *testing.T, ts *TableSet) []byte {
@@ -265,14 +274,16 @@ func serializeSet(t *testing.T, ts *TableSet) []byte {
 // earlier rebuild at another count or range, must not show.
 func TestTableSetRebuildIndependentOfWorkers(t *testing.T) {
 	const n = 2*rebuildChunk + 300
-	ts, row := rebuildFixture(t, n)
-	ts.RebuildDense(n, 24, row, 1)
-	want := serializeSet(t, ts)
-	for _, workers := range []int{2, 3, 4, 7, 0} {
-		ts.RebuildRange(100, 200, 24, row, workers) // dirty the scratch
-		ts.RebuildRange(0, n, 24, row, workers)
-		if !bytes.Equal(serializeSet(t, ts), want) {
-			t.Errorf("rebuild with %d workers differs from the single-worker rebuild", workers)
+	for name, h := range rebuildHashers(t) {
+		ts, row := rebuildFixture(t, h, n)
+		ts.RebuildDense(n, 24, row, 1)
+		want := serializeSet(t, ts)
+		for _, workers := range []int{2, 3, 4, 7, 0} {
+			ts.RebuildRange(100, 200, 24, row, workers) // dirty the scratch
+			ts.RebuildRange(0, n, 24, row, workers)
+			if !bytes.Equal(serializeSet(t, ts), want) {
+				t.Errorf("%s: rebuild with %d workers differs from the single-worker rebuild", name, workers)
+			}
 		}
 	}
 }
@@ -285,10 +296,12 @@ func TestTableSetRebuildSteadyStateAllocs(t *testing.T) {
 		t.Skip("the race detector's sync.Pool drops the hashers' scratch at random")
 	}
 	const n = 2*rebuildChunk + 300 // three chunks
-	ts, row := rebuildFixture(t, n)
-	ts.RebuildDense(n, 24, row, 2)
-	if a := testing.AllocsPerRun(5, func() { ts.RebuildDense(n, 24, row, 2) }); a > 3 {
-		t.Errorf("repeat rebuild of three chunks allocates %.0f objects, want at most 3", a)
+	for name, h := range rebuildHashers(t) {
+		ts, row := rebuildFixture(t, h, n)
+		ts.RebuildDense(n, 24, row, 2)
+		if a := testing.AllocsPerRun(5, func() { ts.RebuildDense(n, 24, row, 2) }); a > 3 {
+			t.Errorf("%s: repeat rebuild of three chunks allocates %.0f objects, want at most 3", name, a)
+		}
 	}
 }
 

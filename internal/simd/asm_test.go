@@ -526,6 +526,146 @@ func FuzzAdamModes(f *testing.F) {
 	})
 }
 
+// gatherArgMaxRef is the oracle for GatherArgMax: the bin-by-bin algorithm
+// DWTA used before the kernel existed — gather one bin's slots into a row,
+// then the scalar arg-max.
+func gatherArgMaxRef(vals []float32, idx []int32, slots int, win []uint8) {
+	nbins := len(win)
+	bin := make([]float32, slots)
+	for b := range win {
+		for s := range bin {
+			bin[s] = vals[idx[s*nbins+b]]
+		}
+		win[b] = uint8(argMaxScalar(bin))
+	}
+}
+
+// gatherArgMaxVals fills vals with one of the input families the DWTA path
+// sees (and two it should not, NaN and Inf, whose handling is still pinned).
+func gatherArgMaxVals(rng *rand.Rand, kind string, vals []float32) {
+	for i := range vals {
+		v := float32(rng.NormFloat64())
+		switch kind {
+		case "relu": // >= 50% exact zeros: ties must go to the lowest slot
+			if v < 0 || rng.IntN(4) == 0 {
+				v = 0
+			}
+		case "equal":
+			v = 1.5
+		case "nan":
+			if rng.IntN(3) == 0 {
+				v = float32(math.NaN())
+			}
+		case "inf":
+			switch rng.IntN(4) {
+			case 0:
+				v = float32(math.Inf(1))
+			case 1:
+				v = float32(math.Inf(-1))
+			}
+		}
+		vals[i] = v
+	}
+}
+
+// checkGatherArgMaxTiers runs every tier on one input at the given element
+// offsets into oversized backing arrays and demands the oracle's winners,
+// byte for byte, with the guard bytes around win untouched.
+func checkGatherArgMaxTiers(t *testing.T, name string, vals []float32, idx []int32, slots, nbins, off int) {
+	t.Helper()
+	want := make([]uint8, nbins)
+	gatherArgMaxRef(vals, idx, slots, want)
+	valsOff := append(make([]float32, off), vals...)[off:]
+	idxOff := append(make([]int32, off), idx...)[off:]
+	for _, m := range []Mode{Scalar, Vector, AVX2, AVX512} {
+		buf := make([]uint8, off+nbins+40)
+		for i := range buf {
+			buf[i] = 0xA5
+		}
+		win := buf[off : off+nbins : off+nbins]
+		ForMode(m).GatherArgMax(valsOff, idxOff, slots, win)
+		for b := range want {
+			if win[b] != want[b] {
+				t.Fatalf("%s %s: bin %d winner %d, want %d", name, m, b, win[b], want[b])
+			}
+		}
+		for i, g := range buf {
+			if (i < off || i >= off+nbins) && g != 0xA5 {
+				t.Fatalf("%s %s: wrote outside win at byte %d", name, m, i-off)
+			}
+		}
+	}
+}
+
+func TestGatherArgMaxTiersIdentical(t *testing.T) {
+	rng := rand.New(rand.NewPCG(61, 62))
+	binCounts := []int{128, 300}
+	for n := 0; n <= 33; n++ { // every AVX2 tail and AVX-512 mask length
+		binCounts = append(binCounts, n)
+	}
+	for _, slots := range []int{1, 2, 3, 4, 8, 16, 256} {
+		for _, nbins := range binCounts {
+			for _, kind := range []string{"random", "relu", "equal", "nan", "inf"} {
+				vals := make([]float32, 1+rng.IntN(200))
+				gatherArgMaxVals(rng, kind, vals)
+				idx := make([]int32, slots*nbins)
+				for i := range idx {
+					idx[i] = int32(rng.IntN(len(vals)))
+				}
+				name := fmt.Sprintf("slots=%d nbins=%d %s", slots, nbins, kind)
+				checkGatherArgMaxTiers(t, name, vals, idx, slots, nbins, (slots+nbins)%4)
+			}
+		}
+	}
+}
+
+func TestGatherArgMaxContractPanics(t *testing.T) {
+	vals := make([]float32, 8)
+	for _, m := range []Mode{Scalar, Vector, AVX2, AVX512} {
+		ks := ForMode(m)
+		for name, call := range map[string]func(){
+			"zero slots":     func() { ks.GatherArgMax(vals, nil, 0, make([]uint8, 4)) },
+			"slots over 256": func() { ks.GatherArgMax(vals, make([]int32, 257*2), 257, make([]uint8, 2)) },
+			"short idx":      func() { ks.GatherArgMax(vals, make([]int32, 31), 8, make([]uint8, 4)) },
+			"long idx":       func() { ks.GatherArgMax(vals, make([]int32, 33), 8, make([]uint8, 4)) },
+			"empty vals":     func() { ks.GatherArgMax(nil, make([]int32, 8), 2, make([]uint8, 4)) },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s GatherArgMax with %s did not panic", m, name)
+					}
+				}()
+				call()
+			}()
+		}
+	}
+}
+
+// FuzzGatherArgMax cross-checks every tier against the oracle on arbitrary
+// shapes; raw supplies float32 bit patterns, so NaN payloads, infinities and
+// denormals all reach the compare.
+func FuzzGatherArgMax(f *testing.F) {
+	f.Add(uint64(1), 17, 8, []byte{0, 0, 0x80, 0x7f, 0, 0, 0xc0, 0x7f, 0, 0, 0x80, 0xff})
+	f.Add(uint64(2), 16, 4, []byte{})
+	f.Add(uint64(3), 33, 256, []byte{1, 0, 0, 0, 1, 0, 0, 0x80})
+	f.Fuzz(func(t *testing.T, seed uint64, nbins, slots int, raw []byte) {
+		if nbins < 0 || nbins > 600 || slots < 1 || slots > 256 {
+			t.Skip()
+		}
+		rng := rand.New(rand.NewPCG(seed, 17))
+		vals := randSlice(rng, 1+len(raw)/4+rng.IntN(64))
+		for i := 0; i+4 <= len(raw); i += 4 {
+			vals[i/4] = math.Float32frombits(uint32(raw[i]) | uint32(raw[i+1])<<8 | uint32(raw[i+2])<<16 | uint32(raw[i+3])<<24)
+		}
+		idx := make([]int32, slots*nbins)
+		for i := range idx {
+			idx[i] = int32(rng.IntN(len(vals)))
+		}
+		checkGatherArgMaxTiers(t, fmt.Sprintf("fuzz nbins=%d slots=%d", nbins, slots), vals, idx, slots, nbins, int(seed%4))
+	})
+}
+
 // forcedEnvMode reports the mode forced by SLIDE_KERNEL_MODE, or -1.
 func forcedEnvMode() Mode {
 	switch envMode := envKernelMode(); envMode {

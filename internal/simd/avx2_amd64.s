@@ -208,6 +208,62 @@ max2_reduce:
 	MOVSS X0, ret+16(FP)
 	RET
 
+// func gatherArgMaxAVX2Asm(vals *float32, idx *int32, stride, n, slots int64, win *uint8)
+// DWTA winners for the first n bins (n > 0, n%8 == 0) of a slot-major index
+// map with stride bins per slot: win[b] = lowest s in [0, slots) maximizing
+// vals[idx[s*stride+b]]. Requires 1 <= slots <= 256 and every idx entry a
+// valid position in vals (unchecked gathers). One lane per bin: slot 0 is
+// the running best, then per slot a gather, VCMPPS $0x1E (_CMP_GT_OQ:
+// strict, false on NaN — Go's float >) and two VBLENDVPS carry value and
+// slot number, so ties keep the earlier slot. The 8 dword winners narrow to
+// bytes with two saturating packs (values are < 256).
+TEXT ·gatherArgMaxAVX2Asm(SB), NOSPLIT, $0-48
+	MOVQ vals+0(FP), SI
+	MOVQ idx+8(FP), DI
+	MOVQ stride+16(FP), R10
+	MOVQ n+24(FP), DX
+	MOVQ slots+32(FP), R8
+	MOVQ win+40(FP), R9
+	SHLQ $2, R10            // bytes between two slots of one bin
+	VPCMPEQD Y6, Y6, Y6
+	VPSRLD $31, Y6, Y6      // 1 in every lane
+
+gam2_block:
+	VMOVDQU (DI), Y1
+	VPCMPEQD Y5, Y5, Y5     // a gather consumes its mask
+	VXORPS Y0, Y0, Y0
+	VGATHERDPS Y5, (SI)(Y1*4), Y0 // running best = slot 0
+	VPXOR Y2, Y2, Y2        // winning slot
+	VPXOR Y3, Y3, Y3        // slot being scanned
+	MOVQ DI, R11
+	MOVQ R8, R12
+
+gam2_slot:
+	DECQ R12
+	JE   gam2_store
+	ADDQ R10, R11
+	VPADDD Y6, Y3, Y3
+	VMOVDQU (R11), Y1
+	VPCMPEQD Y5, Y5, Y5
+	VXORPS Y4, Y4, Y4       // no false dependency on the last gather
+	VGATHERDPS Y5, (SI)(Y1*4), Y4
+	VCMPPS $0x1E, Y0, Y4, Y7 // Y4 > Y0
+	VBLENDVPS Y7, Y4, Y0, Y0
+	VBLENDVPS Y7, Y3, Y2, Y2
+	JMP  gam2_slot
+
+gam2_store:
+	VEXTRACTI128 $1, Y2, X8
+	VPACKUSDW X8, X2, X2
+	VPACKUSWB X2, X2, X2
+	VMOVQ X2, (R9)
+	ADDQ $32, DI
+	ADDQ $8, R9
+	SUBQ $8, DX
+	JNE  gam2_block
+	VZEROUPPER
+	RET
+
 // func adamAVX2Asm(w, m, v, grad *float32, n int64, beta1, beta2, omb1, omb2, eps, corr float32, zeroG int64)
 // One fused ADAM pass (§4.3.1): m' = beta1*m + omb1*g; v' = beta2*v +
 // (omb2*g)*g; w -= (corr*m') / (sqrt(v') + eps); optionally g = 0.

@@ -305,6 +305,65 @@ max5_reduce:
 	MOVSS X0, ret+16(FP)
 	RET
 
+// func gatherArgMaxAVX512Asm(vals *float32, idx *int32, nbins, slots int64, win *uint8)
+// DWTA winners, one lane per bin: win[b] = lowest s in [0, slots) maximizing
+// vals[idx[s*nbins+b]]. Requires nbins >= 1, 1 <= slots <= 256 and every idx
+// entry a valid position in vals (unchecked gathers). Each block of 16 bins
+// gathers slot 0 as the running best, then per slot gathers, compares with
+// _CMP_GT_OQ ($0x1E: strict, false on NaN — Go's float >) into K3 and moves
+// value and slot number under K3, so ties keep the earlier slot. The last
+// nbins%16 bins run as one more block under a K-mask: dead lanes are never
+// loaded, gathered or stored.
+TEXT ·gatherArgMaxAVX512Asm(SB), NOSPLIT, $0-40
+	MOVQ vals+0(FP), SI
+	MOVQ idx+8(FP), DI
+	MOVQ nbins+16(FP), DX
+	MOVQ slots+24(FP), R8
+	MOVQ win+32(FP), R9
+	MOVQ DX, R10
+	SHLQ $2, R10            // bytes between two slots of one bin
+	MOVL $1, AX
+	VPBROADCASTD AX, Z5
+	KXNORW K1, K1, K1       // live lanes of the block: all 16 until the tail
+
+gam5_block:
+	CMPQ DX, $16
+	JGE  gam5_first
+	TAILMASK
+
+gam5_first:
+	VMOVDQU32.Z (DI), K1, Z1
+	KMOVW K1, K2            // a gather consumes its mask
+	VPXORD Z0, Z0, Z0
+	VGATHERDPS (SI)(Z1*4), K2, Z0 // running best = slot 0
+	VPXORD Z2, Z2, Z2       // winning slot
+	VPXORD Z3, Z3, Z3       // slot being scanned
+	MOVQ DI, R11
+	MOVQ R8, R12
+
+gam5_slot:
+	DECQ R12
+	JE   gam5_store
+	ADDQ R10, R11
+	VPADDD Z5, Z3, Z3
+	VMOVDQU32.Z (R11), K1, Z1
+	KMOVW K1, K2
+	VPXORD Z4, Z4, Z4       // no false dependency on the last gather
+	VGATHERDPS (SI)(Z1*4), K2, Z4
+	VCMPPS $0x1E, Z0, Z4, K3 // Z4 > Z0
+	VMOVAPS Z4, K3, Z0
+	VMOVDQA32 Z3, K3, Z2
+	JMP  gam5_slot
+
+gam5_store:
+	VPMOVDB Z2, K1, (R9)
+	ADDQ $64, DI
+	ADDQ $16, R9
+	SUBQ $16, DX
+	JG   gam5_block
+	VZEROUPPER
+	RET
+
 // func adamAVX512Asm(w, m, v, grad *float32, n int64, beta1, beta2, omb1, omb2, eps, corr float32, zeroG int64)
 // Same schedule as adamAVX2Asm at 16 lanes with a masked tail.
 TEXT ·adamAVX512Asm(SB), NOSPLIT, $0-72

@@ -32,8 +32,10 @@ func init() {
 			Scale:      scaleAVX2,
 			Sum:        sumAVX2,
 			Max:        maxAVX2,
-			ArgMax:     argMaxVec, // index bookkeeping stays portable (see DESIGN.md)
+			ArgMax:     argMaxVec, // no library caller left; see DESIGN.md "DWTA fingerprints"
 			AdamStep:   adamAVX2,
+
+			GatherArgMax: gatherArgMaxAVX2,
 
 			DotManyBias:  dotManyBiasAVX2,
 			AxpyTwo:      axpyTwoAVX2,
@@ -66,6 +68,8 @@ func init() {
 			Max:        maxAVX512,
 			ArgMax:     argMaxVec,
 			AdamStep:   adamAVX512,
+
+			GatherArgMax: gatherArgMaxAVX512,
 
 			DotManyBias:  dotManyBiasAVX512,
 			AxpyTwo:      axpyTwoAVX512,
@@ -150,6 +154,12 @@ func maxAVX2Asm(x *float32, n int64) float32
 
 //go:noescape
 func maxAVX512Asm(x *float32, n int64) float32
+
+//go:noescape
+func gatherArgMaxAVX2Asm(vals *float32, idx *int32, stride, n, slots int64, win *uint8)
+
+//go:noescape
+func gatherArgMaxAVX512Asm(vals *float32, idx *int32, nbins, slots int64, win *uint8)
 
 //go:noescape
 func adamAVX2Asm(w, m, v, grad *float32, n int64, beta1, beta2, omb1, omb2, eps, corr float32, zeroG int64)
@@ -285,6 +295,18 @@ func maxAVX2(x []float32) float32 {
 		}
 	}
 	return m
+}
+
+// gatherArgMaxAVX2 runs whole registers of 8 bins in assembly and the last
+// len(win)%8 bins through the portable loop, which is exact, so the split is
+// invisible in the result.
+func gatherArgMaxAVX2(vals []float32, idx []int32, slots int, win []uint8) {
+	checkGatherArgMax(len(vals), len(idx), slots, len(win))
+	nv := len(win) &^ 7
+	if nv > 0 {
+		gatherArgMaxAVX2Asm(&vals[0], &idx[0], int64(len(win)), int64(nv), int64(slots), &win[0])
+	}
+	gatherArgMaxFrom(vals, idx, slots, win, nv)
 }
 
 func adamAVX2(w, m, v, g []float32, p AdamParams)     { adamAVX2Impl(w, m, v, g, p, 0) }
@@ -483,6 +505,14 @@ func maxAVX512(x []float32) float32 {
 		panic("simd: Max of empty slice")
 	}
 	return maxAVX512Asm(&x[0], int64(len(x)))
+}
+
+func gatherArgMaxAVX512(vals []float32, idx []int32, slots int, win []uint8) {
+	checkGatherArgMax(len(vals), len(idx), slots, len(win))
+	if len(win) == 0 {
+		return
+	}
+	gatherArgMaxAVX512Asm(&vals[0], &idx[0], int64(len(win)), int64(slots), &win[0])
 }
 
 func adamAVX512(w, m, v, g []float32, p AdamParams)     { adamAVX512Impl(w, m, v, g, p, 0) }

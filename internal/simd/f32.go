@@ -286,9 +286,10 @@ func Max(x []float32) float32 {
 }
 
 // ArgMax returns the index of the maximum element of x, breaking ties toward
-// the lowest index. It panics on an empty slice. This is the DWTA bin-winner
-// kernel (§4.3.3): the vector form scans 16-lane blocks keeping per-lane
-// maxima and resolves the winning lane at the end.
+// the lowest index. It panics on an empty slice. The vector form scans
+// 16-lane blocks keeping per-lane maxima and resolves the winning lane at
+// the end. DWTA no longer calls it (its bins are resolved across lanes by
+// GatherArgMax); it stays for the benchmark's simd.argmax_ns probe.
 func ArgMax(x []float32) int {
 	if len(x) == 0 {
 		panic("simd: ArgMax of empty slice")

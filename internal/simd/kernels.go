@@ -31,6 +31,13 @@ type Kernels struct {
 	ArgMax     func(x []float32) int
 	AdamStep   func(w, m, v, g []float32, p AdamParams)
 
+	// GatherArgMax is the DWTA fingerprint kernel (§4.3.3): win[b] is the
+	// slot of bin b holding the largest of vals[idx[s*len(win)+b]], s in
+	// [0, slots). See gatherargmax.go for the layout and the contract —
+	// idx entries must be valid positions in vals; the assembly tiers do
+	// not check them.
+	GatherArgMax func(vals []float32, idx []int32, slots int, win []uint8)
+
 	// Fused batch kernels (see fused.go).
 	DotManyBias  func(rows [][]float32, bias []float32, ids []int32, h, out []float32)
 	AxpyTwo      func(gz float32, h, grad, w, dh []float32)
@@ -79,6 +86,8 @@ var vectorKernels = Kernels{
 	ArgMax:     argMaxVec,
 	AdamStep:   adamVec,
 
+	GatherArgMax: gatherArgMaxGo, // one portable form serves both Go modes
+
 	DotManyBias:  dotManyBiasVec,
 	AxpyTwo:      axpyTwoUnfusedVec, // fused walk loses under the Go compiler
 	AdamStepZero: adamZeroVec,
@@ -111,6 +120,8 @@ var scalarKernels = Kernels{
 	Max:        Max,
 	ArgMax:     argMaxScalar,
 	AdamStep:   adamScalar,
+
+	GatherArgMax: gatherArgMaxGo,
 
 	DotManyBias:  dotManyBiasScalar,
 	AxpyTwo:      axpyTwoUnfusedScalar,
