@@ -323,10 +323,65 @@ func BenchmarkKernelAdam(b *testing.B) {
 	})
 }
 
-// BenchmarkKernelDotManyBias measures the fused active-set forward kernel
-// against the per-row dispatching form it replaced (one Dot call + bias add
-// per active row). The active set size (64) and hidden width (128) mirror
-// the sampled output layer's hot-path shape.
+// walkShape is one active-set walk as the benchmark fixtures produce it:
+// ids vectors of width dim listed out of rows.
+type walkShape struct {
+	name           string
+	ids, dim, rows int
+}
+
+// The output layer's walks at the two training fixtures' shapes (mean active
+// set × hidden width over the label count), and the hidden layer's (non-zeros
+// per input × hidden width over the feature count).
+var (
+	outputWalks = []walkShape{{"amazon", 103, 128, 13401}, {"text8", 400, 200, 5077}}
+	hiddenWalks = []walkShape{{"amazon", 50, 128, 2718}, {"text8", 1, 200, 5077}}
+)
+
+// walkMatrix builds a contiguous rows×dim matrix, as layer.Contiguous does.
+func walkMatrix(s walkShape, seed uint64) [][]float32 {
+	block := randF32(s.rows*s.dim, seed)
+	m := make([][]float32, s.rows)
+	for i := range m {
+		m[i] = block[i*s.dim : (i+1)*s.dim : (i+1)*s.dim]
+	}
+	return m
+}
+
+// walkLists draws 64 duplicate-free id lists, cycled by the timed loops so
+// that consecutive walks touch different vectors, as consecutive samples do.
+func walkLists(s walkShape, seed uint64) [][]int32 {
+	rng := rand.New(rand.NewPCG(seed, 1))
+	lists := make([][]int32, 64)
+	for i := range lists {
+		perm := rng.Perm(s.rows)[:s.ids]
+		lists[i] = make([]int32, s.ids)
+		for k, id := range perm {
+			lists[i][k] = int32(id)
+		}
+	}
+	return lists
+}
+
+// benchWalk times walk over the cycled lists and reports ns per listed
+// vector next to ns/op.
+func benchWalk(b *testing.B, lists [][]int32, walk func(ids []int32)) {
+	vectors := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ids := lists[i%len(lists)]
+		walk(ids)
+		vectors += len(ids)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(vectors), "ns/row")
+}
+
+// BenchmarkKernelDotManyBias measures the active-set forward kernel. The
+// first three groups are the historical ones (64 ids × 128 over 512
+// cache-resident rows): the table entry, the per-row dispatching form it
+// first replaced, and the entry per tier. The shape groups then put each
+// tier's single-call "walk" beside a "perrow" loop of the same tier's Dot at
+// the two training fixtures' shapes, where rows come from memory.
 func BenchmarkKernelDotManyBias(b *testing.B) {
 	const nRows, dim, nAct = 512, 128, 64
 	rows := make([][]float32, nRows)
@@ -364,6 +419,96 @@ func BenchmarkKernelDotManyBias(b *testing.B) {
 		}
 		sink = out[0]
 	})
+	for _, s := range outputWalks {
+		rows, bias, h := walkMatrix(s, 34), randF32(s.rows, 35), randF32(s.dim, 36)
+		lists, out := walkLists(s, 37), make([]float32, s.ids)
+		b.Run(s.name, func(b *testing.B) {
+			benchKernelModes(b, func(b *testing.B, ks *simd.Kernels) {
+				b.Run("walk", func(b *testing.B) {
+					benchWalk(b, lists, func(ids []int32) { ks.DotManyBias(rows, bias, ids, h, out) })
+				})
+				b.Run("perrow", func(b *testing.B) {
+					benchWalk(b, lists, func(ids []int32) {
+						for k, id := range ids {
+							out[k] = ks.Dot(rows[id], h) + bias[id]
+						}
+					})
+				})
+			})
+		})
+	}
+}
+
+// BenchmarkKernelAxpyTwoMany measures the active-set backward walk (one call
+// per sample: grad rows += gz·h, dh += Σ gz·w rows) against a "perrow" loop
+// of the same tier's AxpyTwo, at the two training fixtures' shapes.
+func BenchmarkKernelAxpyTwoMany(b *testing.B) {
+	for _, s := range outputWalks {
+		w, grad := walkMatrix(s, 51), walkMatrix(s, 52)
+		h, dh, gz := randF32(s.dim, 53), make([]float32, s.dim), randF32(s.ids, 54)
+		lists := walkLists(s, 55)
+		b.Run(s.name, func(b *testing.B) {
+			benchKernelModes(b, func(b *testing.B, ks *simd.Kernels) {
+				b.Run("walk", func(b *testing.B) {
+					benchWalk(b, lists, func(ids []int32) {
+						simd.Zero(dh)
+						ks.AxpyTwoMany(gz, ids, h, grad, w, dh)
+					})
+				})
+				b.Run("perrow", func(b *testing.B) {
+					benchWalk(b, lists, func(ids []int32) {
+						simd.Zero(dh)
+						for k, id := range ids {
+							ks.AxpyTwo(gz[k], h, grad[id], w[id], dh)
+						}
+					})
+				})
+			})
+		})
+	}
+}
+
+// BenchmarkKernelGatherScatterAxpy measures the hidden layer's two walks over
+// one input's non-zeros — forward (h += Σ xⱼ·W[:,j]) and backward
+// (∇W[:,j] += xⱼ·dh) — against "perrow" loops of the same tier's Axpy.
+func BenchmarkKernelGatherScatterAxpy(b *testing.B) {
+	for _, s := range hiddenWalks {
+		cols := walkMatrix(s, 61)
+		y, x, alpha := make([]float32, s.dim), randF32(s.dim, 62), randF32(s.ids, 63)
+		lists := walkLists(s, 64)
+		b.Run("gather/"+s.name, func(b *testing.B) {
+			benchKernelModes(b, func(b *testing.B, ks *simd.Kernels) {
+				b.Run("walk", func(b *testing.B) {
+					benchWalk(b, lists, func(ids []int32) {
+						simd.Zero(y)
+						ks.GatherAxpy(alpha, ids, cols, y)
+					})
+				})
+				b.Run("perrow", func(b *testing.B) {
+					benchWalk(b, lists, func(ids []int32) {
+						simd.Zero(y)
+						for k, id := range ids {
+							ks.ScaleAccum(alpha[k], cols[id], y)
+						}
+					})
+				})
+			})
+		})
+		b.Run("scatter/"+s.name, func(b *testing.B) {
+			benchKernelModes(b, func(b *testing.B, ks *simd.Kernels) {
+				b.Run("walk", func(b *testing.B) {
+					benchWalk(b, lists, func(ids []int32) { ks.ScatterAxpy(alpha, ids, x, cols) })
+				})
+				b.Run("perrow", func(b *testing.B) {
+					benchWalk(b, lists, func(ids []int32) {
+						for k, id := range ids {
+							ks.Axpy(alpha[k], x, cols[id])
+						}
+					})
+				})
+			})
+		})
+	}
 }
 
 // BenchmarkKernelAxpyTwo measures the fused backward walk (grad += gz·h and

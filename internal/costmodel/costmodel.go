@@ -164,19 +164,23 @@ func phases(w Workload, s System) []phase {
 		bytes: batches*dHid*h*wb*waste + n*f*8*waste,
 		rand:  pick(s.Coalesced, n, n*f),
 	}
-	// Output forward (Algorithm 1): active·h MACs; active rows stream per
-	// batch with reuse; each row touch begins with a random line.
+	// Output forward (Algorithm 1): active·h MACs over one stream of the
+	// batch's distinct active rows. The walk kernel holds h in registers for
+	// a sample's whole active set, so h is traffic once per sample, never
+	// per row; each row touch begins with a random line.
 	outFwd := phase{
 		macs:  n * active * h,
 		bytes: batches*dOut*h*wb*waste + n*h*ab,
 		rand:  pick(s.Coalesced, n*active*0.3, n*active),
 	}
-	// Backward: per active row, gradient accumulate (read+write) and ∇h
-	// accumulation (re-read of weights, usually cached); hidden column
-	// gradients mirror the forward touch pattern.
+	// Backward: the output walk moves three streams over the distinct
+	// active rows — the weights read for ∇h, the gradient row read and
+	// written — with h and ∇h register-resident across the list, so ∇h is
+	// one store per sample; hidden column gradients mirror the forward
+	// touch pattern.
 	backward := phase{
 		macs:  n * (2*active*h + f*h),
-		bytes: batches*(2*dOut*h*4+dHid*h*4)*waste + n*h*4,
+		bytes: batches*(dOut*h*(wb+2*4)+dHid*h*4)*waste + n*h*4,
 		rand:  pick(s.Coalesced, n*active*0.3, n*active),
 	}
 	// ADAM (§4.3.1): one fused pass over the *distinct* touched rows/columns

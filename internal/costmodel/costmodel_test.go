@@ -292,4 +292,41 @@ func TestDWTAPricedAsGather(t *testing.T) {
 	}
 }
 
-func near(a, b float64) bool { return math.Abs(a-b) <= 1e-9*math.Abs(b) }
+// TestRowWalkPricedRegisterResident: the output layer's walks hold the dense
+// operand in registers for a sample's whole active set, so growing the
+// active set adds row streams only — one for the forward (the weights),
+// three for the backward (weights read, gradient read and written) — and not
+// a byte of h or ∇h traffic, which stays one vector per sample.
+func TestRowWalkPricedRegisterResident(t *testing.T) {
+	// The text8-s shape, with an output layer wide enough that every active
+	// row of the batch is distinct (to a part in 10^7; hence the tolerance):
+	// the streams then scale with MeanActive.
+	w := Workload{
+		Samples: 256, FeatureNNZ: 1, Input: 5077, Hidden: 200, Output: 1 << 40,
+		MeanActive: 400, BatchSize: 256, L: 20, K: 7, SimHash: true, RebuildPeriod: 20,
+	}
+	sys := System{Sampled: true, Vectorized: true, Coalesced: true, WeightBytes: 4, ActBytes: 4}
+	base := phases(w, sys)
+	w.MeanActive = 700
+	wider := phases(w, sys)
+
+	const fwd, bwd = 1, 2 // phases' order: hidden fwd, output fwd, backward, adam, hash
+	n, h, extraRows := 256.0, 200.0, 256*300.0
+	if got, want := wider[fwd].bytes-base[fwd].bytes, extraRows*h*4; !within(got, want, 1e-3) {
+		t.Errorf("300 more active rows add %.0f forward bytes, want one weight stream = %.0f", got, want)
+	}
+	if got, want := wider[bwd].bytes-base[bwd].bytes, 3*extraRows*h*4; !within(got, want, 1e-3) {
+		t.Errorf("300 more active rows add %.0f backward bytes, want three row streams = %.0f", got, want)
+	}
+	if got, want := base[fwd].bytes-n*400*h*4, n*h*4; !within(got, want, 1e-3) {
+		t.Errorf("forward charges %.0f bytes beyond its row stream, want h once per sample = %.0f", got, want)
+	}
+	hidden := expectedDistinct(n, 5077) * h * 4
+	if got, want := base[bwd].bytes-3*n*400*h*4-hidden, n*h*4; !within(got, want, 1e-3) {
+		t.Errorf("backward charges %.0f bytes beyond its row and column streams, want ∇h once per sample = %.0f", got, want)
+	}
+}
+
+func near(a, b float64) bool { return within(a, b, 1e-9) }
+
+func within(a, b, rel float64) bool { return math.Abs(a-b) <= rel*math.Abs(b) }

@@ -105,10 +105,19 @@ func (l *ColLayer) Backward(ks *simd.Kernels, x sparse.Vector, h, dh []float32) 
 	l.lk.lockBias()
 	ks.Add(dh, l.gbias)
 	l.lk.unlockBias()
-	for k, j := range x.Indices {
-		l.lk.lockRow(j)
-		ks.Axpy(x.Values[k], dh, l.grad[j])
-		l.lk.unlockRow(j)
+	if l.lk.enabled {
+		for k, j := range x.Indices {
+			l.lk.lockRow(j)
+			ks.Axpy(x.Values[k], dh, l.grad[j])
+			l.lk.unlockRow(j)
+			l.touched.mark(j)
+		}
+		return
+	}
+	// ∇W[:,j] += xⱼ·dh for all of x's non-zeros in one call: dh stays in
+	// registers while the listed gradient columns stream past.
+	ks.ScatterAxpy(x.Values, x.Indices, dh, l.grad)
+	for _, j := range x.Indices {
 		l.touched.mark(j)
 	}
 }

@@ -75,9 +75,9 @@ func (w *ColWeights) Forward(ks *simd.Kernels, x sparse.Vector, h []float32) {
 			ks.AxpyBF16(x.Values[k], w.colsBF[j], h)
 		}
 	} else {
-		for k, j := range x.Indices {
-			ks.ScaleAccum(x.Values[k], w.cols[j], h)
-		}
+		// Algorithm 2 over all of x's non-zeros in one call: h accumulates
+		// in registers while the listed columns stream past.
+		ks.GatherAxpy(x.Values, x.Indices, w.cols, h)
 	}
 	if w.act == ReLU {
 		for i := range h {
@@ -140,11 +140,11 @@ func (w *RowWeights) Logit(ks *simd.Kernels, id int32, h []float32, hBF []bf16.B
 }
 
 // ForwardActive fills logits[k] with Logit(active[k]) for each active
-// neuron — one fused DotManyBias call over the whole active set, so the
-// per-row cost is a direct dot-product invocation with no dispatch.
-// Independent dots per row remain the inner structure: BenchmarkKernelDot4
-// shows the intrinsics-style four-row register blocking (simd.Dot4) is
-// slower than independent dots under the Go compiler.
+// neuron — one DotManyBias call over the whole active set. On the assembly
+// tiers that call is a single routine that keeps h in vector registers and
+// streams the listed rows past it; every logit is still bit-identical to
+// Logit's, because each row runs the per-row dot's accumulators, block order
+// and reduction (see DESIGN.md "Active-set walks: one call per sample").
 func (w *RowWeights) ForwardActive(ks *simd.Kernels, active []int32, h []float32, hBF []bf16.BF16, logits []float32) {
 	if len(logits) < len(active) {
 		panic("layer: ForwardActive logits buffer too short")

@@ -79,7 +79,7 @@ func (l *RowLayer) Logit(ks *simd.Kernels, id int32, h []float32, hBF []bf16.BF1
 }
 
 // ForwardActive fills logits[k] with Logit(active[k]) for each active
-// neuron; see RowWeights.ForwardActive.
+// neuron in one kernel call; see RowWeights.ForwardActive.
 func (l *RowLayer) ForwardActive(ks *simd.Kernels, active []int32, h []float32, hBF []bf16.BF16, logits []float32) {
 	l.fwd.ForwardActive(ks, active, h, hBF, logits)
 }
@@ -90,13 +90,13 @@ func (l *RowLayer) ForwardActive(ks *simd.Kernels, active []int32, h []float32, 
 // layer's write policy. Weights are only read here — they change exclusively
 // in ApplyAdam, which the trainer serializes against Backward.
 //
-// The FP32 path goes through the table's AxpyTwo entry, which resolves to
-// whichever walk shape wins on the active tier: the assembly tiers run the
-// genuinely fused single walk (~1.6x faster than two asm axpys), while the
-// Go tiers run two independent axpys (the fused Go loop is ~20% slower —
-// four live slice pointers defeat the scheduler the way Dot4's row blocking
-// does; see DESIGN.md "Known divergences"). Both shapes are bit-identical
-// because the slice pairs never alias.
+// This is the per-row form: the dense middle stack (whose "active set" is
+// chosen row by row by the ReLU mask), Locked layers and the BF16 precisions
+// use it; the output layer's active-set walk goes through AccumulateActive.
+// The FP32 path calls the table's AxpyTwo entry — a genuinely fused single
+// walk on the assembly tiers, two independent axpys on the Go tiers, where
+// the fused loop measures ~20% slower (see DESIGN.md "Known divergences");
+// the two shapes are bit-identical because the slice pairs never alias.
 func (l *RowLayer) Accumulate(ks *simd.Kernels, id int32, gz float32, h []float32, hBF []bf16.BF16, dh []float32) {
 	if dh != nil && l.opts.Precision == FP32 {
 		// dh is worker-private; only the gradient row needs the lock, but
@@ -125,6 +125,28 @@ func (l *RowLayer) Accumulate(ks *simd.Kernels, id int32, gz float32, h []float3
 		} else {
 			ks.Axpy(gz, l.rows[id], dh)
 		}
+	}
+}
+
+// AccumulateActive is the whole Algorithm 1 backward pass over one sample's
+// active set: Accumulate(active[k], gz[k]) for every k in list order, with
+// the same results to the bit. For FP32 unlocked layers the ∇W and ∇h walks
+// are one AxpyTwoMany call — on the assembly tiers h and ∇h stay in vector
+// registers while the listed rows stream past — followed by the bias-gradient
+// and touched-set marks; Locked layers and the BF16 precisions take the
+// per-row path, whose lock scope and BF16 kernels the walk does not have.
+// gz must hold at least len(active) values.
+func (l *RowLayer) AccumulateActive(ks *simd.Kernels, active []int32, gz []float32, h []float32, hBF []bf16.BF16, dh []float32) {
+	if dh == nil || l.opts.Precision != FP32 || l.lk.enabled {
+		for k, id := range active {
+			l.Accumulate(ks, id, gz[k], h, hBF, dh)
+		}
+		return
+	}
+	ks.AxpyTwoMany(gz, active, h, l.grad, l.rows, dh)
+	for k, id := range active {
+		l.gbias[id] += gz[k]
+		l.touched.mark(id)
 	}
 }
 

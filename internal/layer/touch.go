@@ -2,6 +2,7 @@ package layer
 
 import (
 	"math"
+	"math/bits"
 	"sync/atomic"
 
 	"github.com/slide-cpu/slide/internal/fanout"
@@ -39,17 +40,9 @@ func (t *touchSet) isSet(i int32) bool {
 func (t *touchSet) count() int {
 	c := 0
 	for i := range t.words {
-		c += popcount(t.words[i].Load())
+		c += bits.OnesCount32(t.words[i].Load())
 	}
 	return c
-}
-
-func popcount(x uint32) int {
-	n := 0
-	for ; x != 0; x &= x - 1 {
-		n++
-	}
-	return n
 }
 
 func (t *touchSet) clear() {
@@ -63,8 +56,8 @@ func (t *touchSet) clear() {
 // loads is enough — no concurrent markers are active.
 func (t *touchSet) orFrom(src *touchSet) {
 	for i := range t.words {
-		if bits := src.words[i].Load(); bits != 0 {
-			t.words[i].Store(t.words[i].Load() | bits)
+		if word := src.words[i].Load(); word != 0 {
+			t.words[i].Store(t.words[i].Load() | word)
 		}
 	}
 }
@@ -81,14 +74,11 @@ func (t *touchSet) markAll() {
 func (t *touchSet) ids() []int32 {
 	out := make([]int32, 0, t.count())
 	for wi := range t.words {
-		bits := t.words[wi].Load()
-		for bits != 0 {
-			b := bits & -bits
-			id := int32(wi*32) + int32(trailingZeros(bits))
+		for word := t.words[wi].Load(); word != 0; word &= word - 1 {
+			id := int32(wi*32 + bits.TrailingZeros32(word))
 			if int(id) < t.n {
 				out = append(out, id)
 			}
-			bits ^= b
 		}
 	}
 	return out
@@ -102,14 +92,11 @@ func (t *touchSet) forEachParallel(workers int, f func(id int32)) {
 	per := (nw + workers - 1) / workers
 	t.fanout.Run(workers, func(w int) {
 		for wi := w * per; wi < min((w+1)*per, nw); wi++ {
-			bits := t.words[wi].Load()
-			for bits != 0 {
-				b := bits & -bits
-				id := int32(wi*32) + int32(trailingZeros(bits))
+			for word := t.words[wi].Load(); word != 0; word &= word - 1 {
+				id := int32(wi*32 + bits.TrailingZeros32(word))
 				if int(id) < t.n {
 					f(id)
 				}
-				bits ^= b
 			}
 		}
 	})
@@ -132,30 +119,19 @@ func (t *touchSet) forEachRange(lo, hi int, f func(id int32)) {
 	}
 	wLo, wHi := lo>>5, (hi-1)>>5
 	for wi := wLo; wi <= wHi; wi++ {
-		bits := t.words[wi].Load()
+		word := t.words[wi].Load()
 		if wi == wLo {
-			bits &= ^uint32(0) << (uint32(lo) & 31)
+			word &= ^uint32(0) << (uint32(lo) & 31)
 		}
 		if wi == wHi {
 			if r := (uint32(hi)-1)&31 + 1; r < 32 {
-				bits &= (uint32(1) << r) - 1
+				word &= (uint32(1) << r) - 1
 			}
 		}
-		for bits != 0 {
-			b := bits & -bits
-			f(int32(wi*32) + int32(trailingZeros(bits)))
-			bits ^= b
+		for ; word != 0; word &= word - 1 {
+			f(int32(wi*32 + bits.TrailingZeros32(word)))
 		}
 	}
-}
-
-func trailingZeros(x uint32) int {
-	n := 0
-	for x&1 == 0 {
-		x >>= 1
-		n++
-	}
-	return n
 }
 
 // adamScalar applies one ADAM step to a single parameter, used for the

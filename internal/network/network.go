@@ -344,23 +344,25 @@ func (n *Network) trainSample(ws *scratch, x sparse.Vector, labels []int32) (flo
 	if nLab > 0 {
 		t = 1 / float32(nLab)
 	}
+	// probs becomes the logit gradient in place (p - t at the labels), then
+	// the whole active set goes backward in one walk.
 	var loss float64
-	simd.Zero(ws.dhLast())
 	logZ := math.Log(z) + float64(maxLogit)
-	for k, id := range active {
-		gz := probs[k]
-		isLabel := false
-		if n.cfg.NoSampling {
-			isLabel = ws.dedup.Seen(id) // stamped above => true for labels
-		} else {
-			isLabel = k < nLabels
+	if n.cfg.NoSampling {
+		for k, id := range active {
+			if ws.dedup.Seen(id) { // stamped above => true for labels
+				probs[k] -= t
+				loss -= float64(t) * (float64(logits[k]) - logZ)
+			}
 		}
-		if isLabel {
-			gz -= t
+	} else {
+		for k := 0; k < nLabels; k++ {
+			probs[k] -= t
 			loss -= float64(t) * (float64(logits[k]) - logZ)
 		}
-		n.output.Accumulate(ws.ks, id, gz, ws.last(), ws.hBF, ws.dhLast())
 	}
+	simd.Zero(ws.dhLast())
+	n.output.AccumulateActive(ws.ks, active, probs, ws.last(), ws.hBF, ws.dhLast())
 
 	n.backwardStack(ws, x)
 	if n.guards && bad == 0 && (math.IsNaN(loss) || math.IsInf(loss, 0)) {

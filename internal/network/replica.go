@@ -201,7 +201,7 @@ func configChecksum(cfg *Config) uint32 {
 // base counterpart of the checkpoint config section (same payload layout;
 // the rebuild-schedule position is zeroed, a replica does not train).
 func (p *Predictor) WriteBaseConfig(w io.Writer) error {
-	return writeConfigPayload(w, &p.fwd.cfg, p.steps, 0, 0)
+	return writeConfigPayload(w, &p.fwd.cfg, p.steps, 0, 0, 0)
 }
 
 // WriteHidden encodes the full hidden view (weights and bias, no optimizer

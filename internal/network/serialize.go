@@ -73,6 +73,14 @@ var sectionNames = map[uint32]string{
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
+// ErrWorkersMismatch is wrapped by Load when the caller asks for a worker
+// count other than the one an un-sharded (HOGWILD) checkpoint recorded. The
+// HOGWILD engine's bytes — per-worker RNG sections, sample striping,
+// accumulation order, the worker-ordered BatchStats fold — depend on the
+// count, so resuming at another one would silently stop being the run that
+// was interrupted. Pass 0 to adopt the recorded count.
+var ErrWorkersMismatch = errors.New("network: checkpoint worker count mismatch")
+
 // ErrCorruptCheckpoint is the sentinel wrapped by every corruption-shaped
 // load failure: checksum mismatch, truncation, or a structurally impossible
 // field. errors.Is(err, ErrCorruptCheckpoint) distinguishes "this file is
@@ -150,13 +158,19 @@ func (n *Network) Save(w io.Writer) error {
 // fields, and the middle-stack shape. Identical to the version-2 bytes that
 // followed the preamble, so the v2 loader shares readConfig.
 func (n *Network) writeConfig(w io.Writer) error {
-	return writeConfigPayload(w, &n.cfg, n.step, n.sinceRebuild, n.rebuildPeriod)
+	workers := n.cfg.Workers
+	if n.sh != nil {
+		// Sharded checkpoints are bit-identical at any worker count, so the
+		// count is not theirs to record.
+		workers = 0
+	}
+	return writeConfigPayload(w, &n.cfg, n.step, n.sinceRebuild, n.rebuildPeriod, workers)
 }
 
 // writeConfigPayload is the config payload serializer shared by checkpoints
 // (full training state) and replication base snapshots (which carry no
-// rebuild-schedule position — they pass zeros).
-func writeConfigPayload(w io.Writer, cfg *Config, step int64, sinceRebuild int, rebuildPeriod float64) error {
+// rebuild-schedule position and no worker count — they pass zeros).
+func writeConfigPayload(w io.Writer, cfg *Config, step int64, sinceRebuild int, rebuildPeriod float64, workers int) error {
 	hdr := []uint64{
 		uint64(cfg.InputDim), uint64(cfg.HiddenDim), uint64(cfg.OutputDim),
 		uint64(cfg.HiddenActivation), uint64(cfg.Hash),
@@ -189,7 +203,15 @@ func writeConfigPayload(w io.Writer, cfg *Config, step int64, sinceRebuild int, 
 	}
 	// Shards trails the original payload so pre-sharding checkpoints (which
 	// simply end here) keep loading: the reader treats EOF as Shards=0.
-	return binary.Write(w, binary.LittleEndian, uint64(cfg.Shards))
+	if err := binary.Write(w, binary.LittleEndian, uint64(cfg.Shards)); err != nil {
+		return err
+	}
+	// Workers trails Shards the same way: a payload that ends here (older
+	// files, sharded checkpoints, replication bases) reads as 0 = unknown.
+	if workers <= 0 {
+		return nil
+	}
+	return binary.Write(w, binary.LittleEndian, uint64(workers))
 }
 
 // writeRNG emits the random top-up RNG states: without them a resumed run
@@ -237,8 +259,13 @@ func boolU64(b bool) uint64 {
 // weights instead would diverge from an uninterrupted run; see the format
 // comment above). Version-3 sections are checksum-verified before parsing;
 // damage is reported as a *CorruptError wrapping ErrCorruptCheckpoint.
-// Version-2 checkpoints load through the legacy unverified path. Workers
-// defaults to GOMAXPROCS unless overridden by workers > 0.
+// Version-2 checkpoints load through the legacy unverified path.
+//
+// workers == 0 adopts the worker count the checkpoint recorded (GOMAXPROCS
+// when it recorded none: sharded checkpoints, whose bytes do not depend on
+// the count, and files older than the field). workers > 0 sets the count,
+// and is refused with ErrWorkersMismatch when an un-sharded checkpoint
+// recorded a different one.
 func Load(r io.Reader, workers int) (*Network, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	var pre [2]uint64
@@ -372,7 +399,14 @@ func readConfig(r io.Reader, workers int, section string, off int64) (*Network, 
 	if err != nil {
 		return nil, err
 	}
-	cfg.Workers = workers
+	// parseConfigPayload left the recorded count (0 = unknown) in cfg.Workers.
+	if workers > 0 {
+		if cfg.Workers > 0 && cfg.Workers != workers && cfg.Shards == 0 {
+			return nil, fmt.Errorf("%w: checkpoint was written at %d workers, load asked for %d",
+				ErrWorkersMismatch, cfg.Workers, workers)
+		}
+		cfg.Workers = workers
+	}
 	n, err := New(&cfg)
 	if err != nil {
 		return nil, fmt.Errorf("network: checkpoint config invalid: %w", err)
@@ -386,8 +420,9 @@ func readConfig(r io.Reader, workers int, section string, off int64) (*Network, 
 // parseConfigPayload reads the payload written by writeConfigPayload. fail
 // wraps field-level read failures with the caller's error shape. trailing
 // permits reading the optional fields appended after the original payload
-// (Shards); it must be false on the v2 path, where the config is not framed
-// and reading past its end would consume the next payload's bytes.
+// (Shards, then Workers); it must be false on the v2 path, where the config
+// is not framed and reading past its end would consume the next payload's
+// bytes.
 func parseConfigPayload(r io.Reader, trailing bool, fail func(format string, args ...any) error) (Config, int64, int, float64, error) {
 	hdr := make([]uint64, 21)
 	for i := range hdr {
@@ -444,13 +479,24 @@ func parseConfigPayload(r io.Reader, trailing bool, fail func(format string, arg
 		RebuildGrowth:    fs[4],
 	}
 	if trailing {
-		var shards uint64
-		switch err := binary.Read(r, binary.LittleEndian, &shards); err {
-		case nil:
-			cfg.Shards = int(shards)
-		case io.EOF: // payload predates the Shards field
-		default:
-			return Config{}, 0, 0, 0, fail("reading shard count: %w", err)
+		// Each trailing field may be absent (the payload predates it, or the
+		// writer had nothing to record); the first EOF ends the list.
+		for _, f := range []struct {
+			name string
+			dst  *int
+		}{{"shard count", &cfg.Shards}, {"worker count", &cfg.Workers}} {
+			var v uint64
+			err := binary.Read(r, binary.LittleEndian, &v)
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				return Config{}, 0, 0, 0, fail("reading %s: %w", f.name, err)
+			}
+			if v > 1<<20 {
+				return Config{}, 0, 0, 0, fail("checkpoint declares a %s of %d", f.name, v)
+			}
+			*f.dst = int(v)
 		}
 	}
 	return cfg, int64(hdr[19]), int(hdr[20]), fs[5], nil

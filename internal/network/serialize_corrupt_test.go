@@ -19,10 +19,11 @@ func saveV2(n *Network, w *bytes.Buffer) error {
 			return err
 		}
 	}
-	// A real v2 writer predates the trailing Shards field: write the config
-	// payload aside and strip the trailing 8 bytes to reproduce its layout.
+	// A real v2 writer predates the trailing Shards and Workers fields:
+	// write the config payload aside without a worker count and strip the
+	// trailing 8 bytes (Shards) to reproduce its layout.
 	var cfgBuf bytes.Buffer
-	if err := n.writeConfig(&cfgBuf); err != nil {
+	if err := writeConfigPayload(&cfgBuf, &n.cfg, n.step, n.sinceRebuild, n.rebuildPeriod, 0); err != nil {
 		return err
 	}
 	if _, err := w.Write(cfgBuf.Bytes()[:cfgBuf.Len()-8]); err != nil {

@@ -2,6 +2,8 @@ package network
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -121,4 +123,89 @@ func TestLoadRebuildsTables(t *testing.T) {
 	}
 	// Sampling must work immediately.
 	loaded.TrainBatch(p.batch(8))
+}
+
+// TestCheckpointRecordsWorkers: an un-sharded checkpoint pins the HOGWILD
+// worker count its bytes depend on. Load(r, 0) adopts it — whatever
+// GOMAXPROCS is on the loading host — an explicit matching count is
+// accepted, and any other is refused with ErrWorkersMismatch.
+func TestCheckpointRecordsWorkers(t *testing.T) {
+	p := newPlanted(60, 20, 5, 31)
+	cfg := Config{InputDim: 60, HiddenDim: 16, OutputDim: 20, Hash: DWTA, K: 2, L: 8,
+		MinActive: 6, LR: 0.01, Workers: 3, Locked: true, Seed: 78}
+	n, err := New(&cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trainN(t, n, p, 5, 16)
+	var buf bytes.Buffer
+	if err := n.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, ask := range []int{0, 3} {
+		loaded, err := Load(bytes.NewReader(buf.Bytes()), ask)
+		if err != nil {
+			t.Fatalf("Load(%d): %v", ask, err)
+		}
+		if got := loaded.Config().Workers; got != 3 {
+			t.Errorf("Load(%d) runs %d workers, want the recorded 3", ask, got)
+		}
+		var again bytes.Buffer
+		if err := loaded.Save(&again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again.Bytes(), buf.Bytes()) {
+			t.Errorf("Load(%d) re-serializes differently", ask)
+		}
+	}
+	for _, ask := range []int{1, 2, 4} {
+		if _, err := Load(bytes.NewReader(buf.Bytes()), ask); !errors.Is(err, ErrWorkersMismatch) {
+			t.Errorf("Load(%d) of a 3-worker checkpoint: %v, want ErrWorkersMismatch", ask, err)
+		}
+	}
+}
+
+// TestCheckpointWorkersFieldIsOptional: a config payload that ends after
+// Shards — what sharded checkpoints, replication bases and files written
+// before the field existed contain — reads as "no recorded count", and a
+// sharded checkpoint's bytes do not depend on the worker count at all.
+func TestCheckpointWorkersFieldIsOptional(t *testing.T) {
+	fail := func(format string, args ...any) error { return fmt.Errorf(format, args...) }
+	cfg := Config{InputDim: 60, HiddenDim: 16, OutputDim: 20, Hash: DWTA, K: 2, L: 8, Shards: 2, Seed: 79}
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	for _, recorded := range []int{0, 5} {
+		var payload bytes.Buffer
+		if err := writeConfigPayload(&payload, &cfg, 7, 1, 50, recorded); err != nil {
+			t.Fatal(err)
+		}
+		got, step, _, _, err := parseConfigPayload(bytes.NewReader(payload.Bytes()), true, fail)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Workers != recorded || got.Shards != 2 || step != 7 {
+			t.Errorf("recorded %d: parsed Workers=%d Shards=%d step=%d", recorded, got.Workers, got.Shards, step)
+		}
+	}
+
+	var saved [2]bytes.Buffer
+	for i, w := range []int{1, 2} {
+		c := cfg
+		c.Workers = w
+		n, err := New(&c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		trainN(t, n, newPlanted(60, 20, 5, 31), 5, 16)
+		if err := n.Save(&saved[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(saved[0].Bytes(), saved[1].Bytes()) {
+		t.Fatal("a sharded checkpoint's bytes depend on the worker count")
+	}
+	if _, err := Load(bytes.NewReader(saved[0].Bytes()), 4); err != nil {
+		t.Fatalf("sharded checkpoint refused at another worker count: %v", err)
+	}
 }

@@ -448,10 +448,7 @@ func (n *Network) trainBatchSharded(b sparse.Batch) BatchStats {
 		for i := 0; i < B; i++ {
 			dhp := ss.dhPart[i]
 			simd.Zero(dhp)
-			g := ss.gz[i]
-			for k, id := range ss.active[i] {
-				n.output.Accumulate(ks, id, g[k], sh.lastA[i], sh.hBF[i], dhp)
-			}
+			n.output.AccumulateActive(ks, ss.active[i], ss.gz[i], sh.lastA[i], sh.hBF[i], dhp)
 		}
 	})
 

@@ -40,9 +40,9 @@ import (
 // quant codec at that width. Everything else is identical; readers accept
 // both versions, and f32 streams keep emitting v1 bytes unchanged.
 const (
-	wireMagic   = 0x534C4452 // "SLDR"
-	wireV1      = 1          // f32/BF16 output sections
-	wireV2      = 2          // quantized output sections (envelope carries qbits)
+	wireMagic = 0x534C4452 // "SLDR"
+	wireV1    = 1          // f32/BF16 output sections
+	wireV2    = 2          // quantized output sections (envelope carries qbits)
 
 	kindBase  = 1
 	kindDelta = 2

@@ -115,7 +115,7 @@ type Result struct {
 type pending struct {
 	entry    slide.BatchEntry
 	enqueued time.Time
-	deadline time.Time // zero = none; captured from the Submit context
+	deadline time.Time    // zero = none; captured from the Submit context
 	state    atomic.Int32 // pendingState / claimedState / canceledState
 	done     chan struct{}
 	servedAt time.Time
@@ -592,20 +592,20 @@ func (b *Batcher) Stats() Stats {
 		DegradedServed:  b.degServed.Load(),
 		DegradedMode:    degradedMode,
 		DegradeSwitches: switches,
-		QueueDepth: len(b.queue),
-		QueueCap:   b.cfg.QueueCap,
-		Workers:    b.cfg.Workers,
-		MaxBatch:   b.cfg.MaxBatch,
-		MaxWait:    b.cfg.MaxWait,
-		Admitted:   b.admitted.Load(),
-		Served:     b.served.Load(),
-		Failed:     b.failed.Load(),
-		Shed:       b.shed.Load(),
-		Canceled:   b.canceled.Load(),
-		Batches:    b.batches.Load(),
-		BatchSizes: b.sizes.Counts(),
-		MeanBatch:  b.sizes.Mean(),
-		P50:        qs[0],
-		P99:        qs[1],
+		QueueDepth:      len(b.queue),
+		QueueCap:        b.cfg.QueueCap,
+		Workers:         b.cfg.Workers,
+		MaxBatch:        b.cfg.MaxBatch,
+		MaxWait:         b.cfg.MaxWait,
+		Admitted:        b.admitted.Load(),
+		Served:          b.served.Load(),
+		Failed:          b.failed.Load(),
+		Shed:            b.shed.Load(),
+		Canceled:        b.canceled.Load(),
+		Batches:         b.batches.Load(),
+		BatchSizes:      b.sizes.Counts(),
+		MeanBatch:       b.sizes.Mean(),
+		P50:             qs[0],
+		P99:             qs[1],
 	}
 }

@@ -379,6 +379,123 @@ func TestDotManyBiasEquivalence(t *testing.T) {
 	}
 }
 
+// The active-set walks (DotManyBias, AxpyTwoMany, GatherAxpy, ScatterAxpy)
+// are defined as "the same tier's per-row kernel once per id, in list
+// order", so they are compared exactly, tier by tier, with that loop — over
+// widths on both sides of every register-residency boundary (64-column
+// groups up to 192 / 256 columns, 16-column blocks, masked or scalar tails),
+// list lengths from empty to longer than the vector count (so ids repeat,
+// and a vector hit twice must have seen its first update), unaligned bases
+// and both placements.
+var (
+	walkWidths = []int{1, 7, 16, 63, 64, 65, 100, 128, 129, 192, 200, 208, 255, 256, 257, 300, 320, 333, 512, 520}
+	walkLists  = []int{0, 1, 2, 137}
+)
+
+// walkVectors returns nVec vectors of width n whose bases sit at odd element
+// offsets: views into one block (contiguous placement) or one allocation
+// each (scattered).
+func walkVectors(rng *rand.Rand, nVec, n int, scattered bool) [][]float32 {
+	vecs := make([][]float32, nVec)
+	if scattered {
+		for i := range vecs {
+			vecs[i] = offsetSlice(rng, n, 1+i%5)
+		}
+		return vecs
+	}
+	block := offsetSlice(rng, nVec*n, 3)
+	for i := range vecs {
+		vecs[i] = block[i*n : (i+1)*n : (i+1)*n]
+	}
+	return vecs
+}
+
+func cloneVectors(src [][]float32) [][]float32 {
+	dst := make([][]float32, len(src))
+	for i, v := range src {
+		dst[i] = append([]float32(nil), v...)
+	}
+	return dst
+}
+
+// walkIDs draws a list over nVec vectors; from the third entry on, every
+// fifth id repeats its predecessor, so back-to-back revisits are covered as
+// well as distant ones.
+func walkIDs(rng *rand.Rand, nIDs, nVec int) []int32 {
+	ids := make([]int32, nIDs)
+	for k := range ids {
+		ids[k] = int32(rng.IntN(nVec))
+		if k >= 2 && k%5 == 0 {
+			ids[k] = ids[k-1]
+		}
+	}
+	return ids
+}
+
+func checkExactVectors(t *testing.T, name string, got, want [][]float32) {
+	t.Helper()
+	for i := range want {
+		checkExact(t, fmt.Sprintf("%s vector %d", name, i), got[i], want[i])
+	}
+}
+
+func TestActiveSetWalksBitIdenticalToPerRow(t *testing.T) {
+	rng := rand.New(rand.NewPCG(23, 1))
+	const nVec = 23
+	for _, m := range AvailableModes() {
+		ks := ForMode(m)
+		for _, n := range walkWidths {
+			for _, nIDs := range walkLists {
+				for _, scattered := range []bool{false, true} {
+					name := fmt.Sprintf("%s n=%d ids=%d scattered=%v", m, n, nIDs, scattered)
+					ids := walkIDs(rng, nIDs, nVec)
+					coef := randSlice(rng, nIDs)
+					h := offsetSlice(rng, n, 1)
+					dh0 := offsetSlice(rng, n, 2)
+					w := walkVectors(rng, nVec, n, scattered)
+					grad0 := walkVectors(rng, nVec, n, scattered)
+					bias := randSlice(rng, nVec)
+
+					out := make([]float32, nIDs)
+					ks.DotManyBias(w, bias, ids, h, out)
+					want := make([]float32, nIDs)
+					for k, id := range ids {
+						want[k] = ks.Dot(w[id], h) + bias[id]
+					}
+					checkExact(t, name+" DotManyBias", out, want)
+
+					grad, dh := cloneVectors(grad0), offsetSlice(rng, n, 2)
+					copy(dh, dh0)
+					ks.AxpyTwoMany(coef, ids, h, grad, w, dh)
+					wantGrad, wantDh := cloneVectors(grad0), append([]float32(nil), dh0...)
+					for k, id := range ids {
+						ks.AxpyTwo(coef[k], h, wantGrad[id], w[id], wantDh)
+					}
+					checkExactVectors(t, name+" AxpyTwoMany grad", grad, wantGrad)
+					checkExact(t, name+" AxpyTwoMany dh", dh, wantDh)
+
+					y := offsetSlice(rng, n, 2)
+					copy(y, dh0)
+					ks.GatherAxpy(coef, ids, w, y)
+					wantY := append([]float32(nil), dh0...)
+					for k, id := range ids {
+						ks.ScaleAccum(coef[k], w[id], wantY)
+					}
+					checkExact(t, name+" GatherAxpy", y, wantY)
+
+					rows := cloneVectors(grad0)
+					ks.ScatterAxpy(coef, ids, h, rows)
+					wantRows := cloneVectors(grad0)
+					for k, id := range ids {
+						ks.Axpy(coef[k], h, wantRows[id])
+					}
+					checkExactVectors(t, name+" ScatterAxpy", rows, wantRows)
+				}
+			}
+		}
+	}
+}
+
 func TestBF16DotEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewPCG(18, 1))
 	for _, m := range asmModes(t) {

@@ -41,6 +41,10 @@ func init() {
 			AxpyTwo:      axpyTwoAVX2,
 			AdamStepZero: adamZeroAVX2,
 
+			AxpyTwoMany: axpyTwoManyAVX2,
+			GatherAxpy:  gatherAxpyAVX2,
+			ScatterAxpy: scatterAxpyAVX2,
+
 			DotBF16F32:         dotBF16F32AVX2,
 			DotBF16:            dotBF16AVX2,
 			AxpyBF16:           axpyBF16AVX2,
@@ -74,6 +78,10 @@ func init() {
 			DotManyBias:  dotManyBiasAVX512,
 			AxpyTwo:      axpyTwoAVX512,
 			AdamStepZero: adamZeroAVX512,
+
+			AxpyTwoMany: axpyTwoManyAVX512,
+			GatherAxpy:  gatherAxpyAVX512,
+			ScatterAxpy: scatterAxpyAVX512,
 
 			DotBF16F32:         dotBF16F32AVX512,
 			DotBF16:            dotBF16AVX512,
@@ -337,17 +345,6 @@ func adamAVX2Impl(w, m, v, g []float32, p AdamParams, zeroG int64) {
 	}
 }
 
-func dotManyBiasAVX2(rows [][]float32, bias []float32, ids []int32, h, out []float32) {
-	out = out[:len(ids)]
-	for k, id := range ids {
-		r := rows[id]
-		if len(r) != len(h) {
-			panic("simd: DotManyBias row length mismatch")
-		}
-		out[k] = dotAVX2(r, h) + bias[id]
-	}
-}
-
 // dotU8S8AVX2 and dotU8S8VNNI run the vector body on the aligned prefix and
 // finish with a Go tail. Integer accumulation is exact, so both are
 // bit-identical to the scalar reference regardless of blocking.
@@ -528,17 +525,6 @@ func adamAVX512Impl(w, m, v, g []float32, p AdamParams, zeroG int64) {
 	g = g[:n]
 	adamAVX512Asm(&w[0], &m[0], &v[0], &g[0], int64(n),
 		p.Beta1, p.Beta2, 1-p.Beta1, 1-p.Beta2, p.Eps, p.CorrLR, zeroG)
-}
-
-func dotManyBiasAVX512(rows [][]float32, bias []float32, ids []int32, h, out []float32) {
-	out = out[:len(ids)]
-	for k, id := range ids {
-		r := rows[id]
-		if len(r) != len(h) {
-			panic("simd: DotManyBias row length mismatch")
-		}
-		out[k] = dotAVX512(r, h) + bias[id]
-	}
 }
 
 func dotBF16F32AVX512(a []bf16.BF16, b []float32) float32 {

@@ -1,21 +1,26 @@
 package simd
 
 // This file holds the fused batch kernels: single-pass combinations of the
-// primitive kernels that cut per-row call overhead and memory traffic in the
-// training hot path. Each one exists because the per-row form pays a cost the
-// paper's intrinsics code never does — a dispatch per dot product
-// (DotManyBias), two walks over the same cache lines in the backward pass
-// (AxpyTwo), or two passes over every touched gradient row in the optimizer
-// (AdamStepZero). The exported wrappers dispatch on the package mode for
-// standalone use; the hot path reaches the mode-resolved implementations
-// through the Kernels table (see kernels.go) so the atomic mode load happens
-// once per batch, not once per row.
+// primitive kernels that cut call overhead and memory traffic in the training
+// hot path. Each one exists because the unfused form pays a cost the paper's
+// intrinsics code never does — a call, a reload of h and a horizontal
+// reduction set-up per dot product (DotManyBias), two walks over the same
+// cache lines in the per-row backward pass (AxpyTwo), or two passes over
+// every touched gradient row in the optimizer (AdamStepZero). DotManyBias
+// belongs to the family of active-set walks, one call per sample, whose
+// other members live in walk.go. The exported wrappers dispatch on the
+// package mode for standalone use; the hot path reaches the mode-resolved
+// implementations through the Kernels table (see kernels.go) so the atomic
+// mode load happens once per batch, not once per row.
 
 // DotManyBias fills out[k] = rows[ids[k]]·h + bias[ids[k]] for every id in
 // ids — the whole Algorithm 1 forward pass over one active set in a single
-// call. Compared with one Dot call per active row it amortizes the dispatch,
-// the wrapper-level length panic checks, and the bias gather. Every
-// referenced row must have len(h) elements; out must have at least len(ids).
+// call. The Go tiers below loop their per-row dot; the assembly tiers are one
+// routine that keeps h in vector registers and streams the listed rows past
+// it (walk_amd64.go), reproducing the per-row dot's accumulators, block order
+// and reduction so that every logit is bit-identical to Dot(rows[id], h) +
+// bias[id] of the same tier. Every referenced row must have len(h) elements;
+// out must have at least len(ids).
 func DotManyBias(rows [][]float32, bias []float32, ids []int32, h, out []float32) {
 	if len(out) < len(ids) {
 		panic("simd: DotManyBias output buffer too short")

@@ -94,6 +94,116 @@ func TestDotManyBiasPanics(t *testing.T) {
 	}
 }
 
+// TestActiveSetWalkContracts: on every tier the walks keep the per-row
+// loops' safety — a short coefficient list or dense operand, an id outside
+// the vector count (either side), a vector of the wrong length all panic —
+// the ids ahead of an offender are still applied, and an empty list touches
+// nothing.
+func TestActiveSetWalkContracts(t *testing.T) {
+	const n = 70 // one resident group and a tail on both assembly tiers
+	rng := rand.New(rand.NewPCG(35, 36))
+	for _, m := range AvailableModes() {
+		ks := ForMode(m)
+		vecs := randRows(rng, 4, n)
+		grad := randRows(rng, 4, n)
+		ragged := randRows(rng, 4, n)
+		ragged[2] = ragged[2][:n-1]
+		bias := randSlice(rng, 4)
+		h, dh := randSlice(rng, n), randSlice(rng, n)
+		coef := randSlice(rng, 3)
+		out := make([]float32, 3)
+		ok, bad, neg, rag := []int32{1, 0, 3}, []int32{1, 4, 0}, []int32{1, -1, 0}, []int32{1, 2, 0}
+
+		for name, f := range map[string]func(){
+			"DotManyBias id out of range": func() { ks.DotManyBias(vecs, bias, bad, h, out) },
+			"DotManyBias negative id":     func() { ks.DotManyBias(vecs, bias, neg, h, out) },
+			"DotManyBias ragged row":      func() { ks.DotManyBias(ragged, bias, rag, h, out) },
+			"DotManyBias short bias":      func() { ks.DotManyBias(vecs, bias[:3], ok, h, out) },
+
+			"AxpyTwoMany short gz":        func() { ks.AxpyTwoMany(coef[:2], ok, h, grad, vecs, dh) },
+			"AxpyTwoMany short dh":        func() { ks.AxpyTwoMany(coef, ok, h, grad, vecs, dh[:n-1]) },
+			"AxpyTwoMany id out of range": func() { ks.AxpyTwoMany(coef, bad, h, grad, vecs, dh) },
+			"AxpyTwoMany negative id":     func() { ks.AxpyTwoMany(coef, neg, h, grad, vecs, dh) },
+			"AxpyTwoMany ragged grad":     func() { ks.AxpyTwoMany(coef, rag, h, ragged, vecs, dh) },
+			"AxpyTwoMany ragged w":        func() { ks.AxpyTwoMany(coef, rag, h, grad, ragged, dh) },
+			"AxpyTwoMany fewer w":         func() { ks.AxpyTwoMany(coef, ok, h, grad, vecs[:3], dh) },
+
+			"GatherAxpy short alpha":     func() { ks.GatherAxpy(coef[:2], ok, vecs, dh) },
+			"GatherAxpy short y":         func() { ks.GatherAxpy(coef, ok, vecs, dh[:n-1]) },
+			"GatherAxpy id out of range": func() { ks.GatherAxpy(coef, bad, vecs, dh) },
+			"GatherAxpy negative id":     func() { ks.GatherAxpy(coef, neg, vecs, dh) },
+			"GatherAxpy ragged row":      func() { ks.GatherAxpy(coef, rag, ragged, dh) },
+
+			"ScatterAxpy short alpha":     func() { ks.ScatterAxpy(coef[:2], ok, h, grad) },
+			"ScatterAxpy short x":         func() { ks.ScatterAxpy(coef, ok, h[:n-1], grad) },
+			"ScatterAxpy id out of range": func() { ks.ScatterAxpy(coef, bad, h, grad) },
+			"ScatterAxpy negative id":     func() { ks.ScatterAxpy(coef, neg, h, grad) },
+			"ScatterAxpy ragged row":      func() { ks.ScatterAxpy(coef, rag, h, ragged) },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%v: %s did not panic", m, name)
+					}
+				}()
+				f()
+			}()
+		}
+
+		// The id ahead of an offender is applied exactly as the per-row
+		// kernel would have.
+		g2, dh2 := randRows(rng, 4, n), randSlice(rng, n)
+		wantG, wantDh := append([]float32(nil), g2[1]...), append([]float32(nil), dh2...)
+		ks.AxpyTwo(coef[0], h, wantG, vecs[1], wantDh)
+		func() {
+			defer func() { _ = recover() }()
+			ks.AxpyTwoMany(coef, bad, h, g2, vecs, dh2)
+		}()
+		for i := range wantG {
+			if g2[1][i] != wantG[i] || dh2[i] != wantDh[i] {
+				t.Fatalf("%v: AxpyTwoMany lost the id ahead of the offender at column %d", m, i)
+			}
+		}
+
+		// Empty list: nothing is read, nothing is written.
+		before := append([]float32(nil), dh...)
+		ks.DotManyBias(nil, nil, nil, h, nil)
+		ks.AxpyTwoMany(nil, nil, h, nil, nil, dh)
+		ks.GatherAxpy(nil, nil, nil, dh)
+		ks.ScatterAxpy(nil, nil, h, nil)
+		for i := range before {
+			if dh[i] != before[i] {
+				t.Fatalf("%v: an empty list changed dh[%d]", m, i)
+			}
+		}
+	}
+}
+
+// TestActiveSetWalksDoNotAllocate: one call per sample must not become one
+// allocation per sample on any tier.
+func TestActiveSetWalksDoNotAllocate(t *testing.T) {
+	rng := rand.New(rand.NewPCG(37, 38))
+	const n, nVec = 200, 16
+	vecs, grad := randRows(rng, nVec, n), randRows(rng, nVec, n)
+	bias := randSlice(rng, nVec)
+	h, dh := randSlice(rng, n), randSlice(rng, n)
+	ids := []int32{3, 0, 15, 3, 9}
+	coef, out := randSlice(rng, len(ids)), make([]float32, len(ids))
+	for _, m := range AvailableModes() {
+		ks := ForMode(m)
+		for name, f := range map[string]func(){
+			"DotManyBias": func() { ks.DotManyBias(vecs, bias, ids, h, out) },
+			"AxpyTwoMany": func() { ks.AxpyTwoMany(coef, ids, h, grad, vecs, dh) },
+			"GatherAxpy":  func() { ks.GatherAxpy(coef, ids, vecs, dh) },
+			"ScatterAxpy": func() { ks.ScatterAxpy(coef, ids, h, grad) },
+		} {
+			if a := testing.AllocsPerRun(20, f); a != 0 {
+				t.Errorf("%v %s: %v allocations per call", m, name, a)
+			}
+		}
+	}
+}
+
 // TestAxpyTwoMatchesTwoAxpys checks the fused backward walk against two
 // independent scalar axpys across odd lengths and both modes.
 func TestAxpyTwoMatchesTwoAxpys(t *testing.T) {
@@ -285,8 +395,10 @@ func FuzzDotManyBias(f *testing.F) {
 	f.Add(uint64(1), 8, 5, 3)
 	f.Add(uint64(42), 0, 1, 1)
 	f.Add(uint64(7), 17, 4, 9)
+	f.Add(uint64(9), 200, 40, 137)
+	f.Add(uint64(11), 333, 7, 20)
 	f.Fuzz(func(t *testing.T, seed uint64, dim, nRows, nIDs int) {
-		if dim < 0 || dim > 512 || nRows < 1 || nRows > 64 || nIDs < 0 || nIDs > 256 {
+		if dim < 0 || dim > 600 || nRows < 1 || nRows > 64 || nIDs < 0 || nIDs > 256 {
 			t.Skip()
 		}
 		rng := rand.New(rand.NewPCG(seed, 99))
@@ -298,11 +410,13 @@ func FuzzDotManyBias(f *testing.F) {
 			ids[i] = int32(rng.IntN(nRows))
 		}
 		out := make([]float32, nIDs)
-		for _, m := range []Mode{Vector, Scalar} {
-			withModeQuick(m, func() {
-				DotManyBias(rows, bias, ids, h, out)
-			})
+		for _, m := range AvailableModes() {
+			ks := ForMode(m)
+			ks.DotManyBias(rows, bias, ids, h, out)
 			for k, id := range ids {
+				if perRow := ks.Dot(rows[id], h) + bias[id]; out[k] != perRow {
+					t.Fatalf("%v: out[%d]=%g, per-row kernel %g", m, k, out[k], perRow)
+				}
 				var want float64
 				for i := 0; i < dim; i++ {
 					want += float64(rows[id][i]) * float64(h[i])
@@ -310,6 +424,55 @@ func FuzzDotManyBias(f *testing.F) {
 				want += float64(bias[id])
 				if math.Abs(float64(out[k])-want) > 1e-2*math.Max(1, math.Abs(want)) {
 					t.Fatalf("%v: out[%d]=%g, float64 reference %g", m, k, out[k], want)
+				}
+			}
+		}
+	})
+}
+
+// FuzzAxpyTwoMany: on every tier the backward walk leaves grad and dh exactly
+// as the tier's per-row AxpyTwo does, whatever the width, vector count and
+// list (ids repeat freely).
+func FuzzAxpyTwoMany(f *testing.F) {
+	f.Add(uint64(1), 8, 5, 3)
+	f.Add(uint64(42), 0, 1, 1)
+	f.Add(uint64(7), 128, 9, 40)
+	f.Add(uint64(9), 200, 40, 137)
+	f.Add(uint64(11), 333, 7, 20)
+	f.Fuzz(func(t *testing.T, seed uint64, dim, nRows, nIDs int) {
+		if dim < 0 || dim > 600 || nRows < 1 || nRows > 64 || nIDs < 0 || nIDs > 256 {
+			t.Skip()
+		}
+		rng := rand.New(rand.NewPCG(seed, 98))
+		w, grad0 := randRows(rng, nRows, dim), randRows(rng, nRows, dim)
+		h, dh0 := randSlice(rng, dim), randSlice(rng, dim)
+		gz := randSlice(rng, nIDs)
+		ids := make([]int32, nIDs)
+		for i := range ids {
+			ids[i] = int32(rng.IntN(nRows))
+		}
+		for _, m := range AvailableModes() {
+			ks := ForMode(m)
+			grad, dh := randRows(rng, nRows, dim), append([]float32(nil), dh0...)
+			want, wantDh := randRows(rng, nRows, dim), append([]float32(nil), dh0...)
+			for i := range grad0 {
+				copy(grad[i], grad0[i])
+				copy(want[i], grad0[i])
+			}
+			ks.AxpyTwoMany(gz, ids, h, grad, w, dh)
+			for k, id := range ids {
+				ks.AxpyTwo(gz[k], h, want[id], w[id], wantDh)
+			}
+			for i := range want {
+				for j := range want[i] {
+					if grad[i][j] != want[i][j] {
+						t.Fatalf("%v: grad[%d][%d]=%g, per-row kernel %g", m, i, j, grad[i][j], want[i][j])
+					}
+				}
+			}
+			for j := range wantDh {
+				if dh[j] != wantDh[j] {
+					t.Fatalf("%v: dh[%d]=%g, per-row kernel %g", m, j, dh[j], wantDh[j])
 				}
 			}
 		}

@@ -43,6 +43,13 @@ type Kernels struct {
 	AxpyTwo      func(gz float32, h, grad, w, dh []float32)
 	AdamStepZero func(w, m, v, g []float32, p AdamParams)
 
+	// Active-set walks: one call per sample, the dense operand held in
+	// registers on the assembly tiers (see walk.go). Each is bit-identical
+	// to looping this table's AxpyTwo / Axpy entry over the ids.
+	AxpyTwoMany func(gz []float32, ids []int32, h []float32, grad, w [][]float32, dh []float32)
+	GatherAxpy  func(alpha []float32, ids []int32, rows [][]float32, y []float32)
+	ScatterAxpy func(alpha []float32, ids []int32, x []float32, rows [][]float32)
+
 	// Mixed-precision kernels (§4.4).
 	DotBF16F32         func(a []bf16.BF16, b []float32) float32
 	DotBF16            func(a, b []bf16.BF16) float32
@@ -92,6 +99,10 @@ var vectorKernels = Kernels{
 	AxpyTwo:      axpyTwoUnfusedVec, // fused walk loses under the Go compiler
 	AdamStepZero: adamZeroVec,
 
+	AxpyTwoMany: axpyTwoManyVec,
+	GatherAxpy:  gatherAxpyVec,
+	ScatterAxpy: scatterAxpyVec,
+
 	DotBF16F32:         dotBF16Vec,
 	DotBF16:            dotBF16BothVec,
 	AxpyBF16:           axpyBF16Vec,
@@ -126,6 +137,10 @@ var scalarKernels = Kernels{
 	DotManyBias:  dotManyBiasScalar,
 	AxpyTwo:      axpyTwoUnfusedScalar,
 	AdamStepZero: adamZeroScalar,
+
+	AxpyTwoMany: axpyTwoManyScalar,
+	GatherAxpy:  gatherAxpyScalar,
+	ScatterAxpy: scatterAxpyScalar,
 
 	DotBF16F32:         dotBF16Scalar,
 	DotBF16:            dotBF16BothScalar,

@@ -23,7 +23,7 @@ import (
 // iterator, publishing a base snapshot halfway and a delta at the end, and
 // returns every byte-comparable artifact of the run.
 type shardedArtifacts struct {
-	checkpoint []byte   // full Save bytes after the last step
+	checkpoint []byte    // full Save bytes after the last step
 	baseParts  [5][]byte // config, hidden, middle, output, tables at half-way
 	deltaParts [4][]byte // hidden, middle, output, tables (nil without rebuild)
 	deltaSteps [2]int64

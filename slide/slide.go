@@ -600,9 +600,11 @@ func (m *Model) SaveFile(path string) error {
 	return f.Close()
 }
 
-// Load restores a model from a checkpoint written by Save. Hash tables are
-// rebuilt from the restored weights; training resumes at the saved
-// optimizer step.
+// Load restores a model from a checkpoint written by Save; training resumes
+// at the saved optimizer step, with the hash tables the checkpoint carried
+// and — for the HOGWILD engine, whose results depend on it — the worker
+// count it was written at, whatever this host's GOMAXPROCS is. (Sharded
+// models, which train identically at any worker count, take GOMAXPROCS.)
 func Load(r io.Reader) (*Model, error) {
 	net, err := network.Load(r, 0)
 	if err != nil {

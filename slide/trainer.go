@@ -171,8 +171,9 @@ func WithEarlyStopping(patience int, minDelta float64) TrainerOption {
 // mid-epoch to that exact position (seeded shuffle and all) before training,
 // so a checkpoint-interrupted session continues bit-identically to an
 // uninterrupted run. Requires a source with a known pass length (all
-// built-in sources); exact resume also requires the original worker count
-// and WithLockedGradients or a single worker.
+// built-in sources); exact resume also requires WithLockedGradients or a
+// single worker. The original worker count comes back with the checkpoint
+// (see Load).
 func WithResume() TrainerOption {
 	return func(o *trainerOptions) { o.resume = true }
 }
