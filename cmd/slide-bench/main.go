@@ -23,7 +23,7 @@ import (
 
 func main() {
 	var (
-		exp     = flag.String("exp", "all", "experiment: table1|table2|table3|table4|fig6|ablations|sharding|quant|all")
+		exp     = flag.String("exp", "all", "experiment: table1|table2|table3|table4|fig6|ablations|profile|sharding|all")
 		scale   = flag.Float64("scale", 0.01, "fraction of the paper's dataset dimensions")
 		epochs  = flag.Int("epochs", 2, "training epochs per measured run")
 		workers = flag.Int("workers", 0, "HOGWILD workers (0 = GOMAXPROCS)")
@@ -60,8 +60,8 @@ func main() {
 		selected = order
 	} else {
 		for _, name := range strings.Split(*exp, ",") {
-			if _, ok := experiments[name]; !ok && name != "sharding" && name != "quant" {
-				fmt.Fprintf(os.Stderr, "slide-bench: unknown experiment %q (valid: %s, sharding, quant, all)\n",
+			if _, ok := experiments[name]; !ok && name != "sharding" {
+				fmt.Fprintf(os.Stderr, "slide-bench: unknown experiment %q (valid: %s, sharding, all)\n",
 					name, strings.Join(order, ", "))
 				os.Exit(2)
 			}
@@ -76,15 +76,6 @@ func main() {
 			// proves bit-identity along the way.
 			if err := runSharding(opts, *shards, *bSteps, *jsonOut); err != nil {
 				fmt.Fprintf(os.Stderr, "slide-bench: sharding: %v\n", err)
-				os.Exit(1)
-			}
-			continue
-		}
-		if name == "quant" {
-			// Quantized-serving mode: packed snapshot bytes, p@1 cost, and
-			// exact-predict latency of int8/int4 vs the f32 baseline.
-			if err := runQuant(opts, *bSteps, *jsonOut); err != nil {
-				fmt.Fprintf(os.Stderr, "slide-bench: quant: %v\n", err)
 				os.Exit(1)
 			}
 			continue

@@ -68,7 +68,7 @@ func main() {
 		defaultDeadline = flag.Duration("default-deadline", 0, "service deadline for requests without deadline_ms; misses answer 504 (0 = none)")
 		chaos           = flag.String("chaos", "", "fault-injection scenario, e.g. 'replicate.recv@3=err' (self-healing drills)")
 		chaosSeed       = flag.Uint64("chaos-seed", 1, "seed for probabilistic chaos rules (p0.x)")
-		quantize        = flag.Int("quantize", 0, "require an int-quantized stream at this width (8 or 4); refuses f32 bases so a replica sized for packed snapshots never inflates (0 = accept whatever the trainer streams)")
+		quantize        = flag.Int("quantize", 0, "require an int8-quantized stream: 8; refuses f32 bases so a replica sized for packed snapshots never inflates (0 = accept whatever the trainer streams)")
 	)
 	flag.Parse()
 	log.SetFlags(0)
@@ -96,8 +96,8 @@ func main() {
 		},
 		DefaultDeadline: *defaultDeadline,
 	}
-	if *quantize != 0 && *quantize != 8 && *quantize != 4 {
-		log.Fatalf("-quantize must be 0, 8, or 4 (got %d)", *quantize)
+	if *quantize != 0 && *quantize != 8 {
+		log.Fatalf("-quantize must be 0 or 8 (got %d)", *quantize)
 	}
 	if err := run(*addr, *trainerURL, cfg, *maxLag, *pollTimeout, *syncWait, *seed, *quantize); err != nil {
 		log.Fatal(err)

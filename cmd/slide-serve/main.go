@@ -74,7 +74,7 @@ func main() {
 		maxWait   = flag.Duration("max-wait", 2*time.Millisecond, "micro-batcher: flush a partial batch after this wait")
 		queueCap  = flag.Int("queue-cap", 0, "admission queue bound; overflow sheds with 429 (0 = 8×max-batch)")
 		replFlag  = flag.Bool("replicate", false, "expose /replicate/* so slide-replica processes can follow this server's snapshots")
-		quantize  = flag.Int("quantize", 0, "serve int-quantized snapshots: 8 (int8) or 4 (experimental int4); with -replicate the stream ships packed bases and deltas (0 = full precision)")
+		quantize  = flag.Int("quantize", 0, "serve int8-quantized snapshots: 8; with -replicate the stream ships packed bases and deltas (0 = full precision)")
 
 		defaultDeadline = flag.Duration("default-deadline", 0, "service deadline for requests without deadline_ms; misses answer 504 (0 = none)")
 		degradeHigh     = flag.Float64("degrade-high", 0, "queue occupancy fraction that engages degraded (sampled) serving (0 = disabled)")
@@ -103,8 +103,8 @@ func main() {
 		DefaultDeadline: *defaultDeadline,
 		MaxStale:        *maxStale,
 	}
-	if *quantize != 0 && *quantize != 8 && *quantize != 4 {
-		log.Fatalf("-quantize must be 0, 8, or 4 (got %d)", *quantize)
+	if *quantize != 0 && *quantize != 8 {
+		log.Fatalf("-quantize must be 0 or 8 (got %d)", *quantize)
 	}
 	if err := run(*addr, *modelPath, cfg, *demo, *demoScale, *refresh, *shards, *seed, *replFlag, *quantize); err != nil {
 		log.Fatal(err)

@@ -1,9 +1,10 @@
 package layer
 
 import (
-	"sync"
+	"sync/atomic"
 
 	"github.com/slide-cpu/slide/internal/bf16"
+	"github.com/slide-cpu/slide/internal/fanout"
 	"github.com/slide-cpu/slide/internal/mem"
 	"github.com/slide-cpu/slide/internal/simd"
 	"github.com/slide-cpu/slide/internal/sparse"
@@ -159,68 +160,83 @@ func (w *RowWeights) ForwardActive(ks *simd.Kernels, active []int32, h []float32
 	}
 }
 
-// ForwardAll computes every neuron's logit into out (len Out) — the full
-// softmax pass used for evaluation and by the dense baseline. Rows are
-// tiled across workers; workers <= 1 runs inline (the serving path, where
-// parallelism comes from concurrent calls rather than per-call fan-out).
+// rowBlockBytes is how many bytes of weight rows one block of the exact walk
+// covers. A block is re-read once per sample of the chunk, so it has to stay
+// cache-resident while the samples stream over it; 128 KiB sits inside a
+// private L2 on every host this runs on and is long enough (256 rows at
+// hidden width 128) to amortize the primitive's call. It is bytes, not rows,
+// because the footprint is what matters: a row is 4·In, 2·In or In bytes
+// depending on the representation.
+const rowBlockBytes = 128 << 10
+
+// BlockRows returns how many rows of rowBytes bytes each one block of the
+// exact walk covers (at least one).
+func BlockRows(rowBytes int) int { return max(1, rowBlockBytes/max(1, rowBytes)) }
+
+var iotaIDs atomic.Pointer[[]int32]
+
+// Iota returns the id list 0, 1, …, n-1 — every row of a layer, which the
+// exact walk slices its blocks from. The list is shared by all callers and
+// must not be written.
+func Iota(n int) []int32 {
+	if p := iotaIDs.Load(); p != nil && len(*p) >= n {
+		return (*p)[:n:n]
+	}
+	ids := make([]int32, n)
+	for i := range ids {
+		ids[i] = int32(i)
+	}
+	// Racing growers each publish a complete list; if a shorter one lands
+	// last, the next longer request rebuilds it.
+	iotaIDs.Store(&ids)
+	return ids
+}
+
+// ForwardAll computes every neuron's logit into out (len Out) — the exact
+// walk for a batch of one. workers > 1 tiles the rows over that many
+// goroutines (the dense baseline's evaluation); serving passes 1 and scales
+// across calls.
 func (w *RowWeights) ForwardAll(ks *simd.Kernels, h []float32, hBF []bf16.BF16, out []float32, workers int) {
 	if len(out) != w.Out {
 		panic("layer: ForwardAll output size mismatch")
 	}
 	if workers <= 1 {
-		for i := range out {
-			out[i] = w.Logit(ks, int32(i), h, hBF)
-		}
+		w.ForwardAllBatchRange(ks, [][]float32{h}, [][]bf16.BF16{hBF}, [][]float32{out}, 0, w.Out)
 		return
 	}
 	per := (w.Out + workers - 1) / workers
-	var wg sync.WaitGroup
-	for wk := 0; wk < workers; wk++ {
-		lo := wk * per
-		hi := min(lo+per, w.Out)
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				out[i] = w.Logit(ks, int32(i), h, hBF)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
+	var tiles fanout.Group
+	tiles.Run(workers, func(t int) {
+		w.ForwardAllBatchRange(ks, [][]float32{h}, [][]bf16.BF16{hBF}, [][]float32{out}, min(t*per, w.Out), min((t+1)*per, w.Out))
+	})
 }
 
 // ForwardAllBatch computes every neuron's logit for a coalesced batch of
-// dense inputs: outs[s][i] = Logit(i, hs[s]). The loops run row-outer,
-// sample-inner, so each weight row is loaded from memory once per batch
-// instead of once per sample — the micro-batching bandwidth amortization
-// serving batches exist for (on output layers larger than cache the weight
-// stream dominates the forward pass). Every (row, sample) logit is computed
-// by the same kernel call Logit makes, so each sample's scores are
-// bit-identical to a per-sample ForwardAll over the same weights.
+// dense inputs: outs[s][i] = Logit(i, hs[s]) — ForwardAllBatchRange over
+// every row.
 //
 // hBFs mirrors hs under the BF16 modes (ignored under FP32). The walk runs
 // on the caller's goroutine: the serving pipeline parallelizes across
 // concurrent batch calls, not within one.
 func (w *RowWeights) ForwardAllBatch(ks *simd.Kernels, hs [][]float32, hBFs [][]bf16.BF16, outs [][]float32) {
-	if len(outs) != len(hs) {
-		panic("layer: ForwardAllBatch batch size mismatch")
-	}
 	for s := range outs {
 		if len(outs[s]) != w.Out {
 			panic("layer: ForwardAllBatch output size mismatch")
 		}
 	}
-	w.forwardRowRange(ks, hs, hBFs, outs, 0, w.Out)
+	w.ForwardAllBatchRange(ks, hs, hBFs, outs, 0, w.Out)
 }
 
-// ForwardAllBatchRange is ForwardAllBatch restricted to rows [lo, hi) —
-// the per-shard slice of the scatter-gather serving path. Shards call it
-// concurrently over disjoint ranges into shared outs; each (row, sample)
-// logit is the same kernel call ForwardAllBatch makes, so the assembled
-// score vector is bit-identical to the unsharded walk.
+// ForwardAllBatchRange is the exact walk: outs[s][i] = Logit(i, hs[s]) for
+// every row i in [lo, hi) and every sample s. Rows are taken a block at a
+// time (BlockRows of them) and each block is scored against every sample
+// before the next is touched, by one ForwardActive call per (block, sample)
+// — so the weight matrix streams from memory once per chunk instead of once
+// per sample, the activation stays in registers across a block on the
+// assembly tiers, and every logit is the one Logit computes. Callers tile
+// the rows by calling it concurrently over disjoint ranges into shared outs
+// (shards, evaluation workers); the assembled scores are the same bits at
+// any tiling.
 func (w *RowWeights) ForwardAllBatchRange(ks *simd.Kernels, hs [][]float32, hBFs [][]bf16.BF16, outs [][]float32, lo, hi int) {
 	if len(outs) != len(hs) {
 		panic("layer: ForwardAllBatchRange batch size mismatch")
@@ -228,34 +244,19 @@ func (w *RowWeights) ForwardAllBatchRange(ks *simd.Kernels, hs [][]float32, hBFs
 	if lo < 0 || hi > w.Out || lo > hi {
 		panic("layer: ForwardAllBatchRange row range out of bounds")
 	}
-	w.forwardRowRange(ks, hs, hBFs, outs, lo, hi)
-}
-
-// forwardRowRange fills outs[s][i] for i in [lo, hi) and every sample s —
-// the row-outer inner loop of ForwardAllBatch, with the precision switch
-// hoisted out of both loops.
-func (w *RowWeights) forwardRowRange(ks *simd.Kernels, hs [][]float32, hBFs [][]bf16.BF16, outs [][]float32, lo, hi int) {
-	switch w.prec {
-	case BF16Act:
-		for i := lo; i < hi; i++ {
-			row, b := w.rows[i], w.bias[i]
-			for s := range outs {
-				outs[s][i] = ks.DotBF16F32(hBFs[s], row) + b
+	rowBytes := 4 * w.In
+	if w.prec == BF16Both {
+		rowBytes = 2 * w.In
+	}
+	ids, block := Iota(w.Out), BlockRows(rowBytes)
+	for b := lo; b < hi; b += block {
+		e := min(b+block, hi)
+		for s, out := range outs {
+			var hBF []bf16.BF16
+			if w.prec != FP32 {
+				hBF = hBFs[s]
 			}
-		}
-	case BF16Both:
-		for i := lo; i < hi; i++ {
-			row, b := w.rowsBF[i], w.bias[i]
-			for s := range outs {
-				outs[s][i] = ks.DotBF16(row, hBFs[s]) + b
-			}
-		}
-	default:
-		for i := lo; i < hi; i++ {
-			row, b := w.rows[i], w.bias[i]
-			for s := range outs {
-				outs[s][i] = ks.Dot(row, hs[s]) + b
-			}
+			w.ForwardActive(ks, ids[b:e], hs[s], hBF, out[b:e])
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package layer
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -320,20 +321,100 @@ func TestRowLayerApplyAdamAllEqualsSparseWhenAllTouched(t *testing.T) {
 	}
 }
 
+// TestRowLayerForwardAll pins the exact walk to the per-row definition:
+// every score ForwardAllBatchRange, ForwardAllBatch and ForwardAll produce is
+// Logit of that row and sample, bit for bit — on every kernel tier, precision
+// and placement, for chunks of 1 to 64 samples, for layers that end just
+// before, on and after a block boundary, and for row ranges that start and
+// end inside a block.
 func TestRowLayerForwardAll(t *testing.T) {
+	const in = 200
 	rng := rand.New(rand.NewPCG(21, 22))
-	l := NewRowLayer(10, 40, Options{Seed: 23})
-	h := make([]float32, 10)
-	for i := range h {
-		h[i] = float32(rng.NormFloat64())
-	}
-	out := make([]float32, 40)
-	l.ForwardAll(tks(), h, nil, out, 3)
-	for id := int32(0); id < 40; id++ {
-		want := l.Logit(tks(), id, h, nil)
-		if out[id] != want {
-			t.Errorf("ForwardAll[%d] = %g, want %g", id, out[id], want)
+	hs := make([][]float32, 64)
+	hBFs := make([][]bf16.BF16, len(hs))
+	for s := range hs {
+		hs[s] = make([]float32, in)
+		for i := range hs[s] {
+			hs[s][i] = float32(rng.NormFloat64())
 		}
+		hBFs[s] = bf16.FromSlice(hs[s])
+	}
+	for _, m := range simd.AvailableModes() {
+		ks := simd.ForMode(m)
+		for _, prec := range []Precision{FP32, BF16Act, BF16Both} {
+			block := BlockRows(4 * in)
+			if prec == BF16Both {
+				block = BlockRows(2 * in)
+			}
+			for _, place := range []Placement{Contiguous, Scattered} {
+				for _, out := range []int{1, block - 1, block, block + 1, 3*block + 7} {
+					name := fmt.Sprintf("%v/%v/%v/out=%d", m, prec, place, out)
+					w := NewRowLayer(in, out, Options{Precision: prec, Placement: place, Seed: 23}).ForwardView()
+					want := make([][]float32, len(hs))
+					got := make([][]float32, len(hs))
+					for s := range hs {
+						want[s], got[s] = make([]float32, out), make([]float32, out)
+						for i := range want[s] {
+							want[s][i] = w.Logit(ks, int32(i), hs[s], hBFs[s])
+						}
+					}
+					clear := func() {
+						for s := range got {
+							for i := range got[s] {
+								got[s][i] = float32(math.NaN())
+							}
+						}
+					}
+					for _, n := range []int{1, 2, 33, 64} {
+						clear()
+						w.ForwardAllBatch(ks, hs[:n], hBFs[:n], got[:n])
+						for s := 0; s < n; s++ {
+							sameBits(t, fmt.Sprintf("%s ForwardAllBatch chunk=%d sample %d", name, n, s), got[s], want[s])
+						}
+					}
+					// Three ranges cut inside blocks assemble the same scores;
+					// rows outside a range are not written.
+					cutA, cutB := out/3, out-out/4
+					clear()
+					w.ForwardAllBatchRange(ks, hs[:2], hBFs[:2], got[:2], cutA, cutB)
+					for i := 0; i < out; i++ {
+						if inside := i >= cutA && i < cutB; inside == math.IsNaN(float64(got[1][i])) {
+							t.Fatalf("%s: range [%d,%d) row %d written=%v", name, cutA, cutB, i, !inside)
+						}
+					}
+					w.ForwardAllBatchRange(ks, hs[:2], hBFs[:2], got[:2], 0, cutA)
+					w.ForwardAllBatchRange(ks, hs[:2], hBFs[:2], got[:2], cutB, out)
+					w.ForwardAllBatchRange(ks, hs[:2], hBFs[:2], got[:2], cutB, cutB) // empty: a no-op
+					sameBits(t, name+" ranges sample 0", got[0], want[0])
+					sameBits(t, name+" ranges sample 1", got[1], want[1])
+					for _, workers := range []int{1, 3} {
+						clear()
+						w.ForwardAll(ks, hs[5], hBFs[5], got[5], workers)
+						sameBits(t, fmt.Sprintf("%s ForwardAll workers=%d", name, workers), got[5], want[5])
+					}
+				}
+			}
+		}
+	}
+	// The walk still refuses a batch whose outputs do not match its inputs,
+	// a short output vector and a row range outside the layer.
+	w := NewRowLayer(in, 6, Options{Seed: 24}).ForwardView()
+	outs := [][]float32{make([]float32, 6)}
+	for name, call := range map[string]func(){
+		"batch mismatch": func() { w.ForwardAllBatchRange(tks(), hs[:1], nil, nil, 0, 6) },
+		"short out":      func() { w.ForwardAllBatch(tks(), hs[:1], nil, [][]float32{make([]float32, 5)}) },
+		"short single":   func() { w.ForwardAll(tks(), hs[0], nil, make([]float32, 5), 1) },
+		"range past end": func() { w.ForwardAllBatchRange(tks(), hs[:1], nil, outs, 2, 7) },
+		"range reversed": func() { w.ForwardAllBatchRange(tks(), hs[:1], nil, outs, 3, 2) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", name)
+				}
+			}()
+			call()
+		}()
 	}
 }
 

@@ -74,9 +74,14 @@ type scratch struct {
 	// models: the sample is hashed once, then every shard's tables are
 	// probed with the same hashes.
 	hashBuf []uint32
+	// shardTop and shardLists are rank's per-shard selections on sharded
+	// models: shard s ranks into its own row range of shardTop, and
+	// shardLists[s] is the slice of it that came back.
+	shardTop   []int32
+	shardLists [][]int32
 	// qa/qsa/qzp hold the quantized activation vector of the current sample
-	// on quantized predictors (forwardState.qout != nil): the last hidden
-	// activation rendered as u7 codes with its scale and zero point.
+	// on quantized predictors: the last hidden activation rendered as u7
+	// codes with its scale and zero point. qa is nil everywhere else.
 	qa  []uint8
 	qsa float32
 	qzp int32
@@ -116,16 +121,19 @@ func (f *forwardState) newScratch(train bool, seed, stream uint64) *scratch {
 	if train {
 		ws.probs = make([]float32, actCap)
 	}
-	if f.cfg.Precision != layer.FP32 && f.qout == nil {
-		// The BF16 rendering only feeds the output layer; a quantized
-		// predictor renders the activation as u7 codes instead.
-		ws.hBF = make([]bf16.BF16, f.lastDim)
-	}
+	// The output layer reads the last activation in its own rendering: u7
+	// codes on a quantized predictor, bfloat16 under the BF16 modes.
 	if f.qout != nil {
 		ws.qa = make([]uint8, f.lastDim)
+	} else if f.cfg.Precision != layer.FP32 {
+		ws.hBF = make([]bf16.BF16, f.lastDim)
 	}
 	if len(f.shTables) > 0 {
 		ws.hashBuf = make([]uint32, f.shTables[0].Tables())
+	}
+	if f.plan != nil && !train {
+		ws.shardTop = make([]int32, f.cfg.OutputDim)
+		ws.shardLists = make([][]int32, f.plan.s)
 	}
 	return ws
 }
@@ -137,7 +145,10 @@ func (ws *scratch) last() []float32 { return ws.acts[len(ws.acts)-1] }
 func (ws *scratch) dhLast() []float32 { return ws.dhs[len(ws.dhs)-1] }
 
 // forwardStack runs the hidden layer and the dense middle stack, leaving
-// the output-layer input in ws.last() (and ws.hBF under the BF16 modes).
+// the output-layer input in ws.last() and, where the output layer reads
+// another rendering of it, preparing that too: ws.hBF under the BF16 modes,
+// ws.qa/qsa/qzp on a quantized predictor. Every output-layer pass — exact
+// or sampled — starts from here, so the activation is prepared once.
 func (f *forwardState) forwardStack(ws *scratch, x sparse.Vector) {
 	f.hidden.Forward(ws.ks, x, ws.acts[0])
 	for i, ml := range f.middle {
@@ -149,7 +160,9 @@ func (f *forwardState) forwardStack(ws *scratch, x sparse.Vector) {
 			}
 		}
 	}
-	if ws.hBF != nil {
+	if ws.qa != nil {
+		ws.qsa, ws.qzp = quant.QuantizeActs(ws.last(), ws.qa)
+	} else if ws.hBF != nil {
 		// Table-resolved pack kernel: VCVTNEPS2BF16 on AVX512-BF16 hosts,
 		// the software converter elsewhere.
 		ws.ks.PackBF16(ws.hBF, ws.last())
@@ -203,31 +216,6 @@ func (f *forwardState) sampleActive(ws *scratch, labels []int32) int {
 	return nLabels
 }
 
-// quantActs renders the last hidden activation as u7 codes into ws.qa —
-// the quantized predictor's counterpart of the PackBF16 step. Called after
-// forwardStack, before any output-layer pass.
-func (f *forwardState) quantActs(ws *scratch) {
-	ws.qsa, ws.qzp = quant.QuantizeActs(ws.last(), ws.qa)
-}
-
-// forwardAllOut computes every output neuron's logit into out, dispatching
-// on the output representation (f32/BF16 view vs packed rows).
-func (f *forwardState) forwardAllOut(ws *scratch, out []float32, workers int) {
-	if f.qout != nil {
-		f.quantActs(ws)
-		f.qout.ForwardAll(ws.ks, ws.qa, ws.qsa, ws.qzp, out, workers)
-		return
-	}
-	f.output.ForwardAll(ws.ks, ws.last(), ws.hBF, out, workers)
-}
-
-// scoresInto computes the full output-layer logits for one sample into out
-// (len OutputDim), tiling the output rows over workers (<=1 runs inline).
-func (f *forwardState) scoresInto(ws *scratch, x sparse.Vector, out []float32, workers int) {
-	f.forwardStack(ws, x)
-	f.forwardAllOut(ws, out, workers)
-}
-
 // predictSampled ranks the LSH-retrieved candidate set for one sample and
 // returns the top-k ids, highest logit first. Caller guarantees tables are
 // present.
@@ -240,7 +228,6 @@ func (f *forwardState) predictSampled(ws *scratch, x sparse.Vector, k int) []int
 	}
 	logits := ws.logits[:na]
 	if f.qout != nil {
-		f.quantActs(ws)
 		f.qout.ForwardActive(ws.ks, ws.active, ws.qa, ws.qsa, ws.qzp, logits)
 	} else {
 		f.output.ForwardActive(ws.ks, ws.active, ws.last(), ws.hBF, logits)
@@ -253,25 +240,34 @@ func (f *forwardState) predictSampled(ws *scratch, x sparse.Vector, k int) []int
 	return out
 }
 
-// rank selects the top-k ids from a full score vector. Unsharded models run
-// the single-heap selection; sharded models run the scatter-gather path —
-// a per-shard TopKInto over each contiguous score range, then the k-way
-// TopKMergeInto — which is bit-identical to the single heap because the
-// contiguous ranges map local-position ties monotonically onto global-id
-// ties (the merge fuzz test in metrics proves the comparator equivalence).
+// rank selects the top-k ids from a full score vector into pooled storage
+// (the caller copies them out). Unsharded models run the single-heap
+// selection; sharded models run the scatter-gather path — a per-shard
+// TopKInto over each contiguous score range, then the k-way TopKMergeInto —
+// which is bit-identical to the single heap because the contiguous ranges
+// map local-position ties monotonically onto global-id ties (the merge fuzz
+// test in metrics proves the comparator equivalence). A non-positive k
+// selects nothing on either path.
 func (f *forwardState) rank(ws *scratch, scores []float32, k int) []int32 {
 	if f.plan == nil {
 		return metrics.TopKInto(scores, k, ws.active[:0])
 	}
-	lists := make([][]int32, f.plan.s)
-	for s := 0; s < f.plan.s; s++ {
+	for s := range ws.shardLists {
 		lo, hi := f.plan.bounds[s], f.plan.bounds[s+1]
-		kk := min(k, int(hi-lo))
-		l := metrics.TopKInto(scores[lo:hi], k, make([]int32, 0, kk))
+		l := metrics.TopKInto(scores[lo:hi], k, ws.shardTop[lo:lo:hi])
 		for i := range l {
 			l[i] += lo
 		}
-		lists[s] = l
+		ws.shardLists[s] = l
 	}
-	return metrics.TopKMergeInto(scores, lists, k, ws.active[:0])
+	return metrics.TopKMergeInto(scores, ws.shardLists, k, ws.active[:0])
+}
+
+// ranked is rank copied out of the pooled storage: a fresh slice (empty, not
+// nil, when nothing is selected) the caller may retain.
+func (f *forwardState) ranked(ws *scratch, scores []float32, k int) []int32 {
+	top := f.rank(ws, scores, k)
+	out := make([]int32, len(top))
+	copy(out, top)
+	return out
 }

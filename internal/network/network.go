@@ -9,7 +9,6 @@ import (
 	"github.com/slide-cpu/slide/internal/health"
 	"github.com/slide-cpu/slide/internal/layer"
 	"github.com/slide-cpu/slide/internal/lsh"
-	"github.com/slide-cpu/slide/internal/metrics"
 	"github.com/slide-cpu/slide/internal/simd"
 	"github.com/slide-cpu/slide/internal/sparse"
 )
@@ -141,6 +140,7 @@ func New(cfg *Config) (*Network, error) {
 		n.rebuildTables()
 	}
 	n.live = newPredictor(n.fwd, splitSeed(cfg.Seed, 7))
+	n.live.single = true
 
 	if n.sh == nil {
 		n.workers = make([]*scratch, cfg.Workers)
@@ -167,18 +167,11 @@ func splitSeed(seed uint64, stream uint64) uint64 {
 func forwardGeometry(cfg *Config) (dims []int, lastDim int, middleAll [][]int32, all []int32) {
 	dims = append([]int{cfg.HiddenDim}, cfg.HiddenLayers...)
 	lastDim = dims[len(dims)-1]
-	for i := 1; i < len(dims); i++ {
-		idx := make([]int32, dims[i])
-		for r := range idx {
-			idx[r] = int32(r)
-		}
-		middleAll = append(middleAll, idx)
+	for _, d := range dims[1:] {
+		middleAll = append(middleAll, layer.Iota(d))
 	}
 	if cfg.NoSampling {
-		all = make([]int32, cfg.OutputDim)
-		for i := range all {
-			all[i] = int32(i)
-		}
+		all = layer.Iota(cfg.OutputDim)
 	}
 	return dims, lastDim, middleAll, all
 }
@@ -476,21 +469,18 @@ func (n *Network) applyPoison(action string, row int, factor float64) func() {
 }
 
 // Scores computes the full output-layer logits for one sample into out
-// (len OutputDim) — the exact forward pass used for evaluation. Not safe
-// for concurrent use with training; serve from Snapshot for that.
-func (n *Network) Scores(x sparse.Vector, out []float32) {
-	n.live.scoresWorkers(x, out, n.cfg.Workers)
-}
+// (len OutputDim) — the exact forward pass over the live weights, through
+// the same walk and ranking a Snapshot serves with. Not safe for concurrent
+// use with training; serve from Snapshot for that.
+func (n *Network) Scores(x sparse.Vector, out []float32) { n.live.Scores(x, out) }
 
 // Predict returns the top-k scoring label ids for one sample, highest first.
 // Not safe for concurrent use with training; serve from Snapshot for that.
-func (n *Network) Predict(x sparse.Vector, k int, scores []float32) []int32 {
-	if len(scores) != n.cfg.OutputDim {
-		panic("network: Predict scores buffer must have OutputDim length")
-	}
-	n.Scores(x, scores)
-	return metrics.TopK(scores, k)
-}
+func (n *Network) Predict(x sparse.Vector, k int) []int32 { return n.live.Predict(x, k) }
+
+// Evaluate returns mean Precision@k over the first cnt samples of b on the
+// live weights. Not safe for concurrent use with training.
+func (n *Network) Evaluate(b sparse.Batch, cnt, k int) float64 { return n.live.Evaluate(b, cnt, k) }
 
 // PredictSampled returns the top-k label ids ranked only over the LSH-
 // retrieved candidate set — sub-linear inference, the deployment-time

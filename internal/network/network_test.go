@@ -63,10 +63,9 @@ func (p *plantedProblem) batch(n int) sparse.Batch {
 // evalP1 measures precision@1 on fresh samples.
 func evalP1(n *Network, p *plantedProblem, samples int) float64 {
 	b := p.batch(samples)
-	scores := make([]float32, n.Config().OutputDim)
 	hits := 0
 	for i := 0; i < b.Len(); i++ {
-		pred := n.Predict(b.Sample(i), 1, scores)
+		pred := n.Predict(b.Sample(i), 1)
 		if len(pred) == 1 && pred[0] == b.Labels(i)[0] {
 			hits++
 		}
@@ -527,7 +526,7 @@ func TestPredictSampled(t *testing.T) {
 	scores := make([]float32, 25)
 	agree := 0
 	for i := 0; i < eval.Len(); i++ {
-		exact := n.Predict(eval.Sample(i), 1, scores)
+		exact := n.Predict(eval.Sample(i), 1)
 		sampled, err := n.PredictSampled(eval.Sample(i), 1)
 		if err != nil {
 			t.Fatal(err)
@@ -570,8 +569,7 @@ func TestPredictSampledErrorsWithoutLSH(t *testing.T) {
 			t.Errorf("%s: PredictSampled error = %v, want ErrNoSampling", name, err)
 		}
 		// The fallback-to-exact path keeps working on the same model.
-		scores := make([]float32, 8)
-		if got := n.Predict(x, 2, scores); len(got) != 2 {
+		if got := n.Predict(x, 2); len(got) != 2 {
 			t.Errorf("%s: exact fallback Predict returned %v", name, got)
 		}
 	}
@@ -612,5 +610,5 @@ func TestPredictScoresBufferPanic(t *testing.T) {
 			t.Error("short scores buffer did not panic")
 		}
 	}()
-	n.Predict(sparse.Vector{}, 1, make([]float32, 3))
+	n.Scores(sparse.Vector{}, make([]float32, 3))
 }

@@ -3,11 +3,12 @@ package network
 import (
 	"errors"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"github.com/slide-cpu/slide/internal/bf16"
-	"github.com/slide-cpu/slide/internal/metrics"
+	"github.com/slide-cpu/slide/internal/fanout"
 	"github.com/slide-cpu/slide/internal/simd"
 	"github.com/slide-cpu/slide/internal/sparse"
 )
@@ -24,11 +25,18 @@ var ErrNoSampling = errors.New("network: PredictSampled requires an LSH-sampled 
 // (the network's own compatibility path) it inherits the network's
 // single-threaded contract with training.
 type Predictor struct {
-	fwd   *forwardState
-	seed  uint64
-	steps int64
-	calls atomic.Uint64
-	pool  sync.Pool // *scratch
+	fwd  *forwardState
+	seed uint64
+	// single marks the live predictor, whose every entry point has a single
+	// caller (the network's contract with training) and so shares the rows
+	// of a pass out over GOMAXPROCS goroutines, as PredictBatch and Evaluate
+	// do on any predictor. Snapshots serve many callers at once and walk on
+	// the caller's goroutine.
+	single bool
+	steps  int64
+	calls  atomic.Uint64
+	pool   sync.Pool // *scratch, one per call in flight
+	chunks sync.Pool // *chunk, one per exact walk in flight
 }
 
 func newPredictor(f *forwardState, seed uint64) *Predictor {
@@ -37,6 +45,11 @@ func newPredictor(f *forwardState, seed uint64) *Predictor {
 		// The RNG stream is reseeded per call in get(); the construction
 		// stream value never survives to a draw.
 		return f.newScratch(false, seed, 0)
+	}
+	p.chunks.New = func() any {
+		c := &chunk{f: f}
+		c.scoreTile = c.score // bound once: handing it to the group allocates nothing per walk
+		return c
 	}
 	return p
 }
@@ -113,39 +126,141 @@ func (p *Predictor) get() *scratch {
 	return ws
 }
 
+// fusedChunk bounds how many samples one pass of the exact walk holds in
+// flight: each sample pins a score vector (OutputDim floats) and a copy of
+// its activation for the duration of its chunk, so an unbounded client batch
+// must not turn into unbounded server memory. 64 keeps the amortization (the
+// weight stream is read once per 64 samples instead of once per sample)
+// while capping the pinned memory at 64 x OutputDim floats.
+const fusedChunk = 64
+
+// chunk is the state of one exact walk: per sample in flight, what the output
+// layer's range walk takes of it — the last activation in the renderings the
+// predictor's scratch prepares (the others stay empty) and the score vector —
+// in parallel slices the chunk owns and grows to the largest pass it has
+// carried. Nothing here depends on which output representation that is.
+type chunk struct {
+	f      *forwardState
+	ks     *simd.Kernels
+	n      int // samples in flight
+	tiles  int // row tiles of the pass in flight
+	hs     [][]float32
+	hBFs   [][]bf16.BF16
+	qas    [][]uint8
+	sas    []float32
+	zps    []int32
+	scores [][]float32
+
+	group     fanout.Group
+	scoreTile func(t int)
+}
+
+// hold copies the activation forwardStack left in ws into sample i's slot,
+// growing the chunk by one sample if i is its first.
+func (c *chunk) hold(i int, ws *scratch) {
+	if i == len(c.scores) {
+		c.hs = append(c.hs, make([]float32, len(ws.last())))
+		c.hBFs = append(c.hBFs, make([]bf16.BF16, len(ws.hBF)))
+		c.qas = append(c.qas, make([]uint8, len(ws.qa)))
+		c.sas, c.zps = append(c.sas, 0), append(c.zps, 0)
+		c.scores = append(c.scores, make([]float32, c.f.cfg.OutputDim))
+	}
+	copy(c.hs[i], ws.last())
+	copy(c.hBFs[i], ws.hBF)
+	copy(c.qas[i], ws.qa)
+	c.sas[i], c.zps[i] = ws.qsa, ws.qzp
+}
+
+// score fills row tile t of every in-flight sample's scores — the one place
+// the exact pass asks which output representation the predictor holds. Tiles
+// are the shards' row ranges on a sharded model and an even split otherwise.
+func (c *chunk) score(t int) {
+	f, n := c.f, c.n
+	var lo, hi int
+	if f.plan != nil {
+		lo, hi = int(f.plan.bounds[t]), int(f.plan.bounds[t+1])
+	} else {
+		per := (f.cfg.OutputDim + c.tiles - 1) / c.tiles
+		lo, hi = min(t*per, f.cfg.OutputDim), min((t+1)*per, f.cfg.OutputDim)
+	}
+	if f.qout != nil {
+		f.qout.ForwardAllBatchRange(c.ks, c.qas[:n], c.sas[:n], c.zps[:n], c.scores[:n], lo, hi)
+		return
+	}
+	f.output.ForwardAllBatchRange(c.ks, c.hs[:n], c.hBFs[:n], c.scores[:n], lo, hi)
+}
+
+// walk is the exact forward pass, and the only one: every entry point below
+// that scores the whole output layer is a call of it. With one scratch for
+// the whole call, per chunk of up to fusedChunk samples it forwards each
+// hidden stack (which also prepares the activation for the output layer) and
+// holds the result, scores every output row of every held sample tile by
+// tile through the layer's blocked range walk, and hands each sample's
+// scores — with the scratch, for ranking — to emit, in input order, on the
+// calling goroutine. A single query is a chunk of one.
+//
+// tiles is how many goroutines share the rows of a pass: 1 for the serving
+// entry points, which scale across concurrent calls, GOMAXPROCS for the
+// single-caller ones. A sharded model ignores it — its tiles are its shards,
+// one goroutine each, and an un-sharded model is the one-shard case of that.
+func (p *Predictor) walk(xs []sparse.Vector, tiles int, emit func(i int, ws *scratch, scores []float32)) {
+	f := p.fwd
+	ws, c := p.get(), p.chunks.Get().(*chunk)
+	defer p.pool.Put(ws)
+	defer p.chunks.Put(c)
+	c.ks, c.tiles = ws.ks, max(tiles, 1)
+	if f.plan != nil {
+		c.tiles = f.plan.s
+	}
+	for lo := 0; lo < len(xs); lo += fusedChunk {
+		c.n = min(fusedChunk, len(xs)-lo)
+		for i, x := range xs[lo : lo+c.n] {
+			f.forwardStack(ws, x)
+			c.hold(i, ws)
+		}
+		c.group.Run(c.tiles, c.scoreTile)
+		for i, scores := range c.scores[:c.n] {
+			emit(lo+i, ws, scores)
+		}
+	}
+}
+
+// tiles is the tile count of an entry point: GOMAXPROCS when it has a single
+// caller — by its own contract, or because the predictor is the live one —
+// and 1 when it serves concurrent callers.
+func (p *Predictor) tiles(single bool) int {
+	if single || p.single {
+		return runtime.GOMAXPROCS(0)
+	}
+	return 1
+}
+
 // Scores computes the full output-layer logits for one sample into out
 // (len OutputDim) — the exact forward pass.
 func (p *Predictor) Scores(x sparse.Vector, out []float32) {
-	p.scoresWorkers(x, out, 1)
-}
-
-// scoresWorkers is Scores with the output rows tiled over workers — the
-// network's single-caller evaluation path keeps its intra-call parallelism;
-// concurrent serving uses workers=1 and scales across calls instead.
-func (p *Predictor) scoresWorkers(x sparse.Vector, out []float32, workers int) {
 	if len(out) != p.fwd.cfg.OutputDim {
 		panic("network: Scores buffer must have OutputDim length")
 	}
-	ws := p.get()
-	defer p.pool.Put(ws)
-	p.fwd.scoresInto(ws, x, out, workers)
+	p.walk([]sparse.Vector{x}, p.tiles(false), func(_ int, _ *scratch, scores []float32) { copy(out, scores) })
+}
+
+// topK ranks every sample of xs through the exact walk: out[i] holds the
+// top-k(i) label ids of xs[i], highest first, in a fresh slice the caller
+// may retain (the ranking itself runs in pooled storage). Sharded models
+// take the scatter-gather selection inside rank — bit-identical to the
+// single heap. A non-positive k yields an empty list.
+func (p *Predictor) topK(xs []sparse.Vector, tiles int, k func(i int) int) [][]int32 {
+	out := make([][]int32, len(xs))
+	p.walk(xs, tiles, func(i int, ws *scratch, scores []float32) { out[i] = p.fwd.ranked(ws, scores, k(i)) })
+	return out
 }
 
 // Predict returns the top-k scoring label ids for one sample, highest
 // first. The full output layer is ranked (exact inference); results are
 // bit-identical to Network.Predict on the same weights.
 func (p *Predictor) Predict(x sparse.Vector, k int) []int32 {
-	ws := p.get()
-	defer p.pool.Put(ws)
-	p.fwd.forwardStack(ws, x)
-	scores := ws.logits[:p.fwd.cfg.OutputDim]
-	p.fwd.forwardAllOut(ws, scores, 1)
-	// Rank in place in the pooled active buffer, then hand back a fresh
-	// slice the caller may retain. Sharded models take the scatter-gather
-	// selection inside rank — bit-identical to the single heap.
-	top := p.fwd.rank(ws, scores, k)
-	out := make([]int32, len(top))
-	copy(out, top)
+	var out []int32
+	p.walk([]sparse.Vector{x}, p.tiles(false), func(_ int, ws *scratch, scores []float32) { out = p.fwd.ranked(ws, scores, k) })
 	return out
 }
 
@@ -162,130 +277,50 @@ func (p *Predictor) PredictSampled(x sparse.Vector, k int) ([]int32, error) {
 	return p.fwd.predictSampled(ws, x, k), nil
 }
 
-// PredictBatch runs exact top-k prediction over a batch of samples,
-// fanning the samples out across GOMAXPROCS goroutines (each drawing its
-// own scratch from the pool). out[i] corresponds to xs[i].
+// PredictBatch runs exact top-k prediction over a batch of samples for a
+// single caller: the exact walk with the rows of every pass shared out over
+// GOMAXPROCS goroutines. out[i] corresponds to xs[i] and is bit-identical
+// to Predict(xs[i], k).
 func (p *Predictor) PredictBatch(xs []sparse.Vector, k int) [][]int32 {
-	out := make([][]int32, len(xs))
-	nw := min(runtime.GOMAXPROCS(0), len(xs))
-	if nw <= 1 {
-		for i, x := range xs {
-			out[i] = p.Predict(x, k)
-		}
-		return out
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < nw; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < len(xs); i += nw {
-				out[i] = p.Predict(xs[i], k)
-			}
-		}(w)
-	}
-	wg.Wait()
-	return out
+	return p.topK(xs, p.tiles(true), func(int) int { return k })
 }
-
-// fusedChunk bounds how many samples a fused batch walk holds in flight:
-// each sample pins one scratch (O(OutputDim) logits plus activations) for
-// the duration of its chunk, so an unbounded client batch must not turn
-// into unbounded server memory. 64 keeps the amortization (the weight
-// stream is read once per 64 samples instead of once per sample) while
-// capping the pinned scratch at 64 x OutputDim floats.
-const fusedChunk = 64
 
 // PredictBatchK runs exact top-k prediction over a coalesced micro-batch
-// with per-sample k: out[i] holds the top-ks[i] labels for xs[i]. The
-// hidden stack runs per sample, then one fused ForwardAllBatch per chunk
-// of up to fusedChunk samples walks the output weight matrix once for the
-// whole chunk (row-outer, sample-inner), so the dominant weight stream is
-// amortized across the batch instead of re-read per sample. Per-sample
+// with per-sample k: out[i] holds the top-ks[i] labels for xs[i]. It is the
+// exact walk on the caller's goroutine — the output weight matrix streams
+// from memory once per chunk of up to fusedChunk samples instead of once
+// per sample, which is what serving batches exist for — and per-sample
 // scores and rankings are bit-identical to Predict on the same weights.
 //
-// The walk itself is single-threaded: the serving pipeline runs one
-// PredictBatchK per batcher worker and scales across workers, the same
-// across-calls concurrency model as Predict. Use PredictBatch for
-// single-caller data-parallel fan-out.
+// The serving pipeline runs one PredictBatchK per batcher worker and scales
+// across workers, the same across-calls concurrency model as Predict. Use
+// PredictBatch when a single caller has the machine to itself.
 func (p *Predictor) PredictBatchK(xs []sparse.Vector, ks []int) [][]int32 {
-	out := make([][]int32, len(xs))
-	quantized := p.fwd.qout != nil
-	for lo := 0; lo < len(xs); lo += fusedChunk {
-		hi := min(lo+fusedChunk, len(xs))
-		n := hi - lo
-		wss := make([]*scratch, n)
-		hs := make([][]float32, n)
-		hBFs := make([][]bf16.BF16, n)
-		scores := make([][]float32, n)
-		var qas [][]uint8
-		var sas []float32
-		var zps []int32
-		if quantized {
-			qas = make([][]uint8, n)
-			sas = make([]float32, n)
-			zps = make([]int32, n)
-		}
-		for i, x := range xs[lo:hi] {
-			ws := p.get()
-			wss[i] = ws
-			p.fwd.forwardStack(ws, x)
-			hs[i] = ws.last()
-			hBFs[i] = ws.hBF
-			scores[i] = ws.logits[:p.fwd.cfg.OutputDim]
-			if quantized {
-				p.fwd.quantActs(ws)
-				qas[i] = ws.qa
-				sas[i] = ws.qsa
-				zps[i] = ws.qzp
-			}
-		}
-		// One fused walk over the chunk, on whichever output representation
-		// this predictor holds. Per-(row, sample) kernel calls match the
-		// per-sample path exactly, so both representations keep the
-		// batched-equals-direct bit-identity contract.
-		batchRange := func(ks *simd.Kernels, rlo, rhi int) {
-			if quantized {
-				p.fwd.qout.ForwardAllBatchRange(ks, qas, sas, zps, scores, rlo, rhi)
-			} else {
-				p.fwd.output.ForwardAllBatchRange(ks, hs, hBFs, scores, rlo, rhi)
-			}
-		}
-		if plan := p.fwd.plan; plan != nil && plan.s > 1 {
-			// Sharded scatter: each shard's contiguous row range walks the
-			// chunk concurrently (disjoint output columns, shared inputs),
-			// with the same per-(row, sample) kernel calls as the fused
-			// single-threaded walk — scores are bit-identical.
-			var wg sync.WaitGroup
-			for s := 0; s < plan.s; s++ {
-				wg.Add(1)
-				go func(s int) {
-					defer wg.Done()
-					batchRange(wss[0].ks, int(plan.bounds[s]), int(plan.bounds[s+1]))
-				}(s)
-			}
-			wg.Wait()
-		} else {
-			batchRange(wss[0].ks, 0, p.fwd.cfg.OutputDim)
-		}
-		for i := lo; i < hi; i++ {
-			top := p.fwd.rank(wss[i-lo], scores[i-lo], ks[i])
-			out[i] = make([]int32, len(top))
-			copy(out[i], top)
-			p.pool.Put(wss[i-lo])
-		}
-	}
-	return out
+	return p.topK(xs, p.tiles(false), func(i int) int { return ks[i] })
 }
 
-// PrecisionAtK scores one labelled sample: the fraction of the k top
-// predictions that are true labels. The building block of the parallel
-// evaluation loop.
-func (p *Predictor) PrecisionAtK(x sparse.Vector, labels []int32, k int) float64 {
-	ws := p.get()
-	defer p.pool.Put(ws)
-	p.fwd.forwardStack(ws, x)
-	scores := ws.logits[:p.fwd.cfg.OutputDim]
-	p.fwd.forwardAllOut(ws, scores, 1)
-	return metrics.PrecisionAtK(scores, labels, k)
+// Evaluate returns mean Precision@k over the first n samples of b — the
+// fraction of each sample's k top predictions that are true labels — for a
+// single caller (see PredictBatch). Per-sample precisions are summed in
+// sample order, so the result does not depend on GOMAXPROCS. No samples, or
+// a non-positive k, score 0.
+func (p *Predictor) Evaluate(b sparse.Batch, n, k int) float64 {
+	if n < 1 || k < 1 {
+		return 0
+	}
+	xs := make([]sparse.Vector, n)
+	for i := range xs {
+		xs[i] = b.Sample(i)
+	}
+	var sum float64
+	p.walk(xs, p.tiles(true), func(i int, ws *scratch, scores []float32) {
+		hits := 0
+		for _, id := range p.fwd.rank(ws, scores, k) {
+			if slices.Contains(b.Labels(i), id) {
+				hits++
+			}
+		}
+		sum += float64(hits) / float64(k)
+	})
+	return sum / float64(n)
 }

@@ -7,17 +7,16 @@ import (
 	"github.com/slide-cpu/slide/internal/quant"
 )
 
-// Quantized serving predictors. Quantize derives a packed-int8 (or
-// experimental int4) predictor from a full-precision snapshot: the output
-// layer — the overwhelming bulk of a SLIDE model — is re-rendered as
-// per-row symmetric integer codes, while the hidden stack, LSH tables,
-// shard plan, and inference seed are shared with the source predictor
-// unchanged. Training never quantizes; this is strictly a publish-side
+// Quantized serving predictors. Quantize derives a packed-int8 predictor
+// from a full-precision snapshot: the output layer — the overwhelming bulk
+// of a SLIDE model — is re-rendered as per-row symmetric integer codes,
+// while the hidden stack, LSH tables, shard plan, and inference seed are
+// shared with the source predictor unchanged. Training never quantizes; this is strictly a publish-side
 // transform, applied between Snapshot and serving (or between Snapshot and
 // replication, see internal/replicate).
 
 // Quantize returns a new Predictor serving from a quantized rendering of
-// this predictor's output layer. bits is 8 or 4. The source predictor is
+// this predictor's output layer. bits must be 8. The source predictor is
 // unmodified and remains fully usable; the two share everything except the
 // output representation. Snapshots containing NaN/Inf rows refuse to
 // quantize with an error wrapping ErrNonFinite (the same quarantine signal
@@ -41,7 +40,7 @@ func (p *Predictor) Quantize(bits int) (*Predictor, error) {
 // Quantized reports whether this predictor serves from packed integer rows.
 func (p *Predictor) Quantized() bool { return p.fwd.qout != nil }
 
-// QuantizedBits returns the packed bit width (8 or 4), or 0 for a
+// QuantizedBits returns the packed bit width (8), or 0 for a
 // full-precision predictor.
 func (p *Predictor) QuantizedBits() int {
 	if p.fwd.qout == nil {
@@ -51,7 +50,7 @@ func (p *Predictor) QuantizedBits() int {
 }
 
 // PrecisionName names the output-layer storage this predictor serves from:
-// "int8"/"int4" when quantized, "bf16" when weights are stored bfloat16,
+// "int8" when quantized, "bf16" when weights are stored bfloat16,
 // "f32" otherwise (FP32 and BF16Act both keep f32 weight rows).
 func (p *Predictor) PrecisionName() string {
 	if q := p.fwd.qout; q != nil {

@@ -141,7 +141,7 @@ func (d *Delta) WriteOutput(w io.Writer) error {
 	return d.to.output.SerializeRowsDelta(w, d.OutputRows)
 }
 
-// WriteOutputQ encodes the touched output rows quantized to bits (8 or 4):
+// WriteOutputQ encodes the touched output rows quantized to bits (8):
 // each journaled row is packed on the fly from the snapshot's f32 view, so
 // delta publish stays O(touched rows) even on a quantized stream. Because
 // row quantization is a pure per-row function, the receiver's patched view
@@ -220,7 +220,7 @@ func (p *Predictor) WriteOutput(w io.Writer) error {
 	return p.fwd.output.SerializeView(w)
 }
 
-// WriteOutputQ encodes the output view quantized to bits (8 or 4) — the
+// WriteOutputQ encodes the output view quantized to bits (8) — the
 // hub-side base encoder for a quantized stream. An already-quantized
 // predictor at the same width writes its packed rows directly; otherwise
 // the f32 view is quantized on the fly (the source is unmodified).

@@ -2,7 +2,6 @@ package quant
 
 import (
 	"fmt"
-	"sync"
 
 	"github.com/slide-cpu/slide/internal/health"
 	"github.com/slide-cpu/slide/internal/layer"
@@ -14,14 +13,6 @@ import (
 // instead of (h, hBF). The score vectors they produce feed the existing
 // TopKInto / scatter-gather ranking unchanged.
 
-// dot resolves the packed dot for one row at the view's bit width.
-func (q *RowQ) dot(ks *simd.Kernels, id int32, qa []uint8) int32 {
-	if q.Bits == 4 {
-		return ks.DotU8S4(qa, q.rows4[id])
-	}
-	return ks.DotU8S8(qa, q.rows8[id])
-}
-
 // dequant maps the integer accumulator back to a float32 logit. The
 // explicit float32 conversions pin every intermediate to a single rounding
 // — no FMA contraction — so logits are bit-stable across builds and tiers.
@@ -31,13 +22,15 @@ func (q *RowQ) dequant(id int32, acc int32, sa float32, zp int32) float32 {
 	return float32(d*v) + q.bias[id]
 }
 
-// Logit computes neuron id's dequantized pre-activation.
+// Logit computes neuron id's dequantized pre-activation — the per-row
+// definition every walk below is an id list of.
 func (q *RowQ) Logit(ks *simd.Kernels, id int32, qa []uint8, sa float32, zp int32) float32 {
-	return q.dequant(id, q.dot(ks, id, qa), sa, zp)
+	return q.dequant(id, ks.DotU8S8(qa, q.rows8[id]), sa, zp)
 }
 
-// ForwardActive fills logits[k] with Logit(active[k]) — the sampled serving
-// path over the LSH-retrieved candidate set.
+// ForwardActive fills logits[k] with Logit(active[k]) — the one scoring
+// primitive of this representation: the sampled serving path calls it over
+// the LSH-retrieved candidate set, the exact walk over blocks of every row.
 func (q *RowQ) ForwardActive(ks *simd.Kernels, active []int32, qa []uint8, sa float32, zp int32, logits []float32) {
 	if len(logits) < len(active) {
 		panic("quant: ForwardActive logits buffer too short")
@@ -47,56 +40,33 @@ func (q *RowQ) ForwardActive(ks *simd.Kernels, active []int32, qa []uint8, sa fl
 	}
 }
 
-// ForwardAll computes every neuron's logit into out (len Out), tiling rows
-// over workers (<=1 runs inline — the serving path).
+// ForwardAll computes every neuron's logit into out (len Out): the exact
+// walk for a batch of one, on the caller's goroutine. workers is accepted
+// for signature parity with layer.RowWeights.ForwardAll and ignored —
+// serving scales across calls and the dense baseline never quantizes.
 func (q *RowQ) ForwardAll(ks *simd.Kernels, qa []uint8, sa float32, zp int32, out []float32, workers int) {
-	if len(out) != q.Out {
-		panic("quant: ForwardAll output size mismatch")
-	}
-	if workers <= 1 {
-		for i := range out {
-			out[i] = q.Logit(ks, int32(i), qa, sa, zp)
-		}
-		return
-	}
-	per := (q.Out + workers - 1) / workers
-	var wg sync.WaitGroup
-	for wk := 0; wk < workers; wk++ {
-		lo := wk * per
-		hi := min(lo+per, q.Out)
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				out[i] = q.Logit(ks, int32(i), qa, sa, zp)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
+	q.ForwardAllBatch(ks, [][]uint8{qa}, []float32{sa}, []int32{zp}, [][]float32{out})
 }
 
-// ForwardAllBatch is the fused micro-batch walk: outs[s][i] = Logit(i, qas[s]).
-// Row-outer, sample-inner — each packed row streams from memory once per
-// chunk, the same bandwidth amortization as the f32 batch walk (and the
-// packed stream is 4x narrower, which is the point of this tier).
+// ForwardAllBatch is the exact walk over every row:
+// outs[s][i] = Logit(i, qas[s]).
 func (q *RowQ) ForwardAllBatch(ks *simd.Kernels, qas [][]uint8, sas []float32, zps []int32, outs [][]float32) {
-	if len(outs) != len(qas) {
-		panic("quant: ForwardAllBatch batch size mismatch")
-	}
 	for s := range outs {
 		if len(outs[s]) != q.Out {
 			panic("quant: ForwardAllBatch output size mismatch")
 		}
 	}
-	q.forwardRowRange(ks, qas, sas, zps, outs, 0, q.Out)
+	q.ForwardAllBatchRange(ks, qas, sas, zps, outs, 0, q.Out)
 }
 
-// ForwardAllBatchRange is ForwardAllBatch restricted to rows [lo, hi) — the
-// per-shard slice of the scatter-gather serving path. Same per-(row, sample)
-// kernel calls as the unsharded walk, so assembled scores are bit-identical.
+// ForwardAllBatchRange is the exact walk restricted to rows [lo, hi): the
+// same loop as layer.RowWeights.ForwardAllBatchRange — a block of rows
+// (layer.BlockRows of them, so four times as many as the f32 walk takes)
+// against every sample of the chunk, one ForwardActive call per (block,
+// sample) — over packed rows, so each packed row streams from memory once
+// per chunk. Shards call it concurrently over disjoint ranges into shared
+// outs; every logit is Logit's, so the assembled scores are bit-identical
+// at any tiling.
 func (q *RowQ) ForwardAllBatchRange(ks *simd.Kernels, qas [][]uint8, sas []float32, zps []int32, outs [][]float32, lo, hi int) {
 	if len(outs) != len(qas) {
 		panic("quant: ForwardAllBatchRange batch size mismatch")
@@ -104,23 +74,11 @@ func (q *RowQ) ForwardAllBatchRange(ks *simd.Kernels, qas [][]uint8, sas []float
 	if lo < 0 || hi > q.Out || lo > hi {
 		panic("quant: ForwardAllBatchRange row range out of bounds")
 	}
-	q.forwardRowRange(ks, qas, sas, zps, outs, lo, hi)
-}
-
-func (q *RowQ) forwardRowRange(ks *simd.Kernels, qas [][]uint8, sas []float32, zps []int32, outs [][]float32, lo, hi int) {
-	if q.Bits == 4 {
-		for i := lo; i < hi; i++ {
-			row := q.rows4[i]
-			for s := range outs {
-				outs[s][i] = q.dequant(int32(i), ks.DotU8S4(qas[s], row), sas[s], zps[s])
-			}
-		}
-		return
-	}
-	for i := lo; i < hi; i++ {
-		row := q.rows8[i]
-		for s := range outs {
-			outs[s][i] = q.dequant(int32(i), ks.DotU8S8(qas[s], row), sas[s], zps[s])
+	ids, block := layer.Iota(q.Out), layer.BlockRows(q.In)
+	for b := lo; b < hi; b += block {
+		e := min(b+block, hi)
+		for s, out := range outs {
+			q.ForwardActive(ks, ids[b:e], qas[s], sas[s], zps[s], out[b:e])
 		}
 	}
 }

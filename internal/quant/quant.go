@@ -1,13 +1,13 @@
-// Package quant is the quantized serving tier: packed int8 (and experimental
-// int4) renderings of the output layer's row weights, produced at snapshot
-// time from the f32/BF16 training views. Training never sees this package —
+// Package quant is the quantized serving tier: a packed int8 rendering of
+// the output layer's row weights, produced at snapshot time from the
+// f32/BF16 training views. Training never sees this package —
 // quantization is a one-way, serving-side transform, the deployment
 // counterpart of the paper's precision ablations.
 //
 // Scheme (following FullPack's per-vector symmetric layout):
 //
-//   - Weights: per-row symmetric int8. scale = maxabs/127 (maxabs/7 for
-//     int4), q = clamp(round(w/scale)). Zero rows quantize to scale 0 and an
+//   - Weights: per-row symmetric int8. scale = maxabs/127,
+//     q = clamp(round(w/scale)). Zero rows quantize to scale 0 and an
 //     all-zero row. Each row also carries its element sum (recomputed on
 //     deserialize, never on the wire) for the zero-point correction below.
 //   - Activations: per-sample asymmetric u7 in [0,127] with a zero point:
@@ -22,6 +22,14 @@
 // (float64 divide + round-half-away, no accumulation across rows), so the
 // same snapshot packs to bit-identical bytes at any worker count — the
 // sharded-determinism contract survives quantization.
+//
+// Only 8 bits: a 4-bit width existed and was deleted by measurement. FullPack
+// (PAPERS.md, arXiv 2211.06982) shows sub-byte weights pay only while the
+// vector lanes stay full; unpacked in a scalar loop they scored the whole
+// layer 4–9x slower than int8 (DESIGN.md "Quantized serving tier"), and no
+// workload selected them. A narrower width comes back only together with a
+// lane-full kernel on every assembly tier and a benchmark workload that
+// serves from it.
 package quant
 
 import (
@@ -47,30 +55,21 @@ const MaxDotLen = 1 << 16
 // copy-on-write friendly — PatchRows shares untouched rows with its source.
 type RowQ struct {
 	In, Out int
-	// Bits is the weight width: 8 (packed int8, stride In) or 4 (packed
-	// two's-complement nibbles, stride (In+1)/2, low nibble = even index).
+	// Bits is the weight width, always 8 (packed int8, In bytes a row); it
+	// is a field because the wire header carries it.
 	Bits int
 
 	scales  []float32
 	rowSums []int32 // per-row element sums, recomputed on read
 	rows8   [][]int8
-	rows4   [][]uint8
 	bias    []float32
 }
 
 func validBits(bits int) error {
-	if bits != 8 && bits != 4 {
-		return fmt.Errorf("quant: unsupported bit width %d (want 8 or 4)", bits)
+	if bits != 8 {
+		return fmt.Errorf("quant: unsupported bit width %d (want 8)", bits)
 	}
 	return nil
-}
-
-// stride returns the packed byte length of one row.
-func stride(in, bits int) int {
-	if bits == 4 {
-		return (in + 1) / 2
-	}
-	return in
 }
 
 // newRowQ allocates the per-row views over one contiguous backing each.
@@ -81,19 +80,10 @@ func newRowQ(in, out, bits int) *RowQ {
 		rowSums: make([]int32, out),
 		bias:    make([]float32, out),
 	}
-	st := stride(in, bits)
-	if bits == 4 {
-		backing := make([]uint8, out*st)
-		q.rows4 = make([][]uint8, out)
-		for i := range q.rows4 {
-			q.rows4[i] = backing[i*st : (i+1)*st : (i+1)*st]
-		}
-	} else {
-		backing := make([]int8, out*st)
-		q.rows8 = make([][]int8, out)
-		for i := range q.rows8 {
-			q.rows8[i] = backing[i*st : (i+1)*st : (i+1)*st]
-		}
+	backing := make([]int8, out*in)
+	q.rows8 = make([][]int8, out)
+	for i := range q.rows8 {
+		q.rows8[i] = backing[i*in : (i+1)*in : (i+1)*in]
 	}
 	return q
 }
@@ -116,11 +106,7 @@ func QuantizeRowWeights(src *layer.RowWeights, bits int) (*RowQ, error) {
 		if k := health.FirstNonFinite32(row); k >= 0 {
 			return nil, fmt.Errorf("quant: %w: row %d element %d", ErrNonFinite, i, k)
 		}
-		if bits == 4 {
-			q.scales[i], q.rowSums[i] = quantizeRow4(row, q.rows4[i])
-		} else {
-			q.scales[i], q.rowSums[i] = quantizeRow8(row, q.rows8[i])
-		}
+		q.scales[i], q.rowSums[i] = quantizeRow8(row, q.rows8[i])
 	}
 	bias := src.Bias()
 	if k := health.FirstNonFinite32(bias); k >= 0 {
@@ -169,36 +155,6 @@ func quantizeRow8(w []float32, dst []int8) (scale float32, rowSum int32) {
 	return scale, rowSum
 }
 
-// quantizeRow4 packs one row into two's-complement nibbles, low nibble
-// first. The final padding nibble of an odd-length row is zero.
-func quantizeRow4(w []float32, dst []uint8) (scale float32, rowSum int32) {
-	for i := range dst {
-		dst[i] = 0
-	}
-	m := rowMaxAbs(w)
-	if m == 0 {
-		return 0, 0
-	}
-	scale = m / 7
-	inv := float64(scale)
-	for i, v := range w {
-		qi := int32(math.Round(float64(v) / inv))
-		if qi > 7 {
-			qi = 7
-		} else if qi < -7 {
-			qi = -7
-		}
-		rowSum += qi
-		nib := uint8(qi) & 0xF
-		if i&1 == 0 {
-			dst[i>>1] = nib
-		} else {
-			dst[i>>1] |= nib << 4
-		}
-	}
-	return scale, rowSum
-}
-
 // QuantizeActs quantizes one dense activation vector into u7 with a zero
 // point, filling qa (len == len(h)). The [0,127] range is what keeps the
 // integer kernels saturation-free. All-zero inputs return scale 0 (logits
@@ -243,8 +199,5 @@ func (q *RowQ) Scale(i int32) float32 { return q.scales[i] }
 // Bias returns a read-only view of the bias vector.
 func (q *RowQ) Bias() []float32 { return q.bias }
 
-// Row8 returns row i's packed int8 view (Bits==8 only; read-only).
+// Row8 returns row i's packed int8 view (read-only).
 func (q *RowQ) Row8(i int32) []int8 { return q.rows8[i] }
-
-// Row4 returns row i's packed nibble view (Bits==4 only; read-only).
-func (q *RowQ) Row4(i int32) []uint8 { return q.rows4[i] }

@@ -3,6 +3,8 @@ package quant
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"testing"
@@ -50,42 +52,6 @@ func TestQuantizeRoundTripAccuracy(t *testing.T) {
 					t.Fatalf("in=%d row %d[%d]: dequant %v vs %v (scale %v, diff %v)",
 						in, i, j, got, v, sc, diff)
 				}
-			}
-		}
-	}
-}
-
-func TestQuantizeInt4RoundTrip(t *testing.T) {
-	// int4: coarser bound (half of maxabs/7), odd In exercises the padding
-	// nibble.
-	for _, in := range []int{1, 2, 7, 16, 33} {
-		src := testRowWeights(t, in, 16, uint64(100+in))
-		q, err := QuantizeRowWeights(src, 4)
-		if err != nil {
-			t.Fatalf("in=%d: QuantizeRowWeights int4: %v", in, err)
-		}
-		buf := make([]float32, in)
-		for i := 0; i < 16; i++ {
-			row := src.RowF32(i, buf)
-			sc := q.Scale(int32(i))
-			packed := q.Row4(int32(i))
-			for j, v := range row {
-				var nib int8
-				if j&1 == 0 {
-					nib = int8(packed[j>>1]<<4) >> 4
-				} else {
-					nib = int8(packed[j>>1]) >> 4
-				}
-				got := float32(nib) * sc
-				if diff := math.Abs(float64(got - v)); diff > float64(sc)/2+1e-6 {
-					t.Fatalf("in=%d row %d[%d]: int4 dequant %v vs %v (scale %v)",
-						in, i, j, got, v, sc)
-				}
-			}
-			// Odd length: padding nibble must be zero (writers zero it, and
-			// the serialized bytes are part of the determinism contract).
-			if in&1 == 1 && packed[len(packed)-1]&0xF0 != 0 {
-				t.Fatalf("in=%d row %d: padding nibble not zero: %02x", in, i, packed[len(packed)-1])
 			}
 		}
 	}
@@ -142,26 +108,24 @@ func TestQuantizeDeterministic(t *testing.T) {
 }
 
 func TestSerializeViewRoundTrip(t *testing.T) {
-	for _, bits := range []int{8, 4} {
-		for _, in := range []int{1, 15, 16, 33} {
-			src := testRowWeights(t, in, 20, uint64(bits*100+in))
-			q, err := QuantizeRowWeights(src, bits)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var buf bytes.Buffer
-			if err := q.SerializeView(&buf); err != nil {
-				t.Fatal(err)
-			}
-			if got := int64(buf.Len()); got != q.PackedBytes() {
-				t.Errorf("bits=%d in=%d: serialized %d bytes, PackedBytes says %d", bits, in, got, q.PackedBytes())
-			}
-			r, err := ReadRowQ(bytes.NewReader(buf.Bytes()))
-			if err != nil {
-				t.Fatalf("bits=%d in=%d: ReadRowQ: %v", bits, in, err)
-			}
-			assertRowQEqual(t, q, r)
+	for _, in := range []int{1, 15, 16, 33} {
+		src := testRowWeights(t, in, 20, uint64(800+in))
+		q, err := QuantizeRowWeights(src, 8)
+		if err != nil {
+			t.Fatal(err)
 		}
+		var buf bytes.Buffer
+		if err := q.SerializeView(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if got := int64(buf.Len()); got != q.PackedBytes() {
+			t.Errorf("in=%d: serialized %d bytes, PackedBytes says %d", in, got, q.PackedBytes())
+		}
+		r, err := ReadRowQ(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatalf("in=%d: ReadRowQ: %v", in, err)
+		}
+		assertRowQEqual(t, q, r)
 	}
 }
 
@@ -180,15 +144,9 @@ func assertRowQEqual(t *testing.T, a, b *RowQ) {
 		if a.bias[i] != b.bias[i] {
 			t.Fatalf("row %d bias %v vs %v", i, a.bias[i], b.bias[i])
 		}
-		if a.Bits == 4 {
-			if !bytes.Equal(a.rows4[i], b.rows4[i]) {
-				t.Fatalf("row %d nibble bytes differ", i)
-			}
-		} else {
-			for j := range a.rows8[i] {
-				if a.rows8[i][j] != b.rows8[i][j] {
-					t.Fatalf("row %d[%d]: %d vs %d", i, j, a.rows8[i][j], b.rows8[i][j])
-				}
+		for j := range a.rows8[i] {
+			if a.rows8[i][j] != b.rows8[i][j] {
+				t.Fatalf("row %d[%d]: %d vs %d", i, j, a.rows8[i][j], b.rows8[i][j])
 			}
 		}
 	}
@@ -243,23 +201,21 @@ func TestWriteRowsDeltaMatchesFullQuantize(t *testing.T) {
 	// The trainer-side on-the-fly delta encoder and a receiver-side full
 	// quantize must agree byte for byte on the touched rows — the delta
 	// bit-identity contract.
-	for _, bits := range []int{8, 4} {
-		src := testRowWeights(t, 33, 40, uint64(20+bits))
-		full, err := QuantizeRowWeights(src, bits)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids := []int32{0, 5, 17, 39}
-		var fromLayer, fromView bytes.Buffer
-		if err := WriteRowsDelta(&fromLayer, src, ids, bits); err != nil {
-			t.Fatal(err)
-		}
-		if err := full.SerializeRowsDelta(&fromView, ids); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(fromLayer.Bytes(), fromView.Bytes()) {
-			t.Fatalf("bits=%d: WriteRowsDelta and SerializeRowsDelta disagree", bits)
-		}
+	src := testRowWeights(t, 33, 40, 28)
+	full, err := QuantizeRowWeights(src, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := []int32{0, 5, 17, 39}
+	var fromLayer, fromView bytes.Buffer
+	if err := WriteRowsDelta(&fromLayer, src, ids, 8); err != nil {
+		t.Fatal(err)
+	}
+	if err := full.SerializeRowsDelta(&fromView, ids); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(fromLayer.Bytes(), fromView.Bytes()) {
+		t.Fatal("WriteRowsDelta and SerializeRowsDelta disagree")
 	}
 }
 
@@ -282,12 +238,10 @@ func TestPatchRowsRejectsBadPayloads(t *testing.T) {
 		}
 	})
 	t.Run("bits-mismatch", func(t *testing.T) {
-		q4, err := QuantizeRowWeights(src, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := q4.PatchRows(bytes.NewReader(good)); err == nil {
-			t.Fatal("int8 delta applied to int4 view")
+		bad := append([]byte(nil), good...)
+		bad[8] = 4 // header word 2 is the bit width
+		if _, _, err := q.PatchRows(bytes.NewReader(bad)); err == nil {
+			t.Fatal("delta declaring 4-bit rows applied to an int8 view")
 		}
 	})
 	t.Run("descending-ids", func(t *testing.T) {
@@ -392,61 +346,115 @@ func TestLogitMatchesF32(t *testing.T) {
 	}
 }
 
+// TestForwardAllMatchesLogit pins the exact walk to the per-row definition:
+// every score ForwardAllBatchRange, ForwardAllBatch, ForwardAll and
+// ForwardActive produce is Logit of that row and sample, bit for bit — on
+// every kernel tier, for chunks of 1 to 64 samples, for views that end just
+// before, on and after a block boundary, and for row ranges that start and
+// end inside a block.
 func TestForwardAllMatchesLogit(t *testing.T) {
-	// ForwardAll, ForwardActive, and the batch walks must all produce the
-	// same float32 as per-row Logit — same kernel, same dequant expression.
-	src := testRowWeights(t, 48, 25, 66)
-	for _, bits := range []int{8, 4} {
-		q, err := QuantizeRowWeights(src, bits)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ks := simd.Active()
-		rng := rand.New(rand.NewSource(67))
-		h := make([]float32, 48)
+	const in = 200
+	block := layer.BlockRows(in)
+	rng := rand.New(rand.NewSource(67))
+	qas := make([][]uint8, 64)
+	sas := make([]float32, len(qas))
+	zps := make([]int32, len(qas))
+	for s := range qas {
+		h := make([]float32, in)
 		for i := range h {
 			h[i] = float32(rng.NormFloat64())
 		}
-		qa := make([]uint8, 48)
-		sa, zp := QuantizeActs(h, qa)
-		want := make([]float32, 25)
-		for i := range want {
-			want[i] = q.Logit(ks, int32(i), qa, sa, zp)
+		qas[s] = make([]uint8, in)
+		sas[s], zps[s] = QuantizeActs(h, qas[s])
+	}
+	for _, out := range []int{1, block - 1, block, block + 1, 3*block + 7} {
+		q, err := QuantizeRowWeights(testRowWeights(t, in, out, 66), 8)
+		if err != nil {
+			t.Fatal(err)
 		}
-		check := func(name string, got []float32) {
-			t.Helper()
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("bits=%d %s[%d] = %v, want %v", bits, name, i, got[i], want[i])
+		for _, m := range simd.AvailableModes() {
+			ks := simd.ForMode(m)
+			want := make([][]float32, len(qas))
+			got := make([][]float32, len(qas))
+			for s := range qas {
+				want[s], got[s] = make([]float32, out), make([]float32, out)
+				for i := range want[s] {
+					want[s][i] = q.Logit(ks, int32(i), qas[s], sas[s], zps[s])
+				}
+			}
+			clear := func() {
+				for s := range got {
+					for i := range got[s] {
+						got[s][i] = float32(math.NaN())
+					}
+				}
+			}
+			check := func(name string, s int) {
+				t.Helper()
+				for i := range want[s] {
+					if math.Float32bits(got[s][i]) != math.Float32bits(want[s][i]) {
+						t.Fatalf("%v out=%d %s sample %d row %d = %v, want %v", m, out, name, s, i, got[s][i], want[s][i])
+					}
+				}
+			}
+			for _, n := range []int{1, 2, 33, 64} {
+				clear()
+				q.ForwardAllBatch(ks, qas[:n], sas[:n], zps[:n], got[:n])
+				for s := 0; s < n; s++ {
+					check(fmt.Sprintf("ForwardAllBatch chunk=%d", n), s)
+				}
+			}
+			// Three ranges cut inside blocks assemble the same scores; rows
+			// outside a range are not written.
+			cutA, cutB := out/3, out-out/4
+			clear()
+			q.ForwardAllBatchRange(ks, qas[:2], sas[:2], zps[:2], got[:2], cutA, cutB)
+			for i := 0; i < out; i++ {
+				if inside := i >= cutA && i < cutB; inside == math.IsNaN(float64(got[1][i])) {
+					t.Fatalf("%v out=%d: range [%d,%d) row %d written=%v", m, out, cutA, cutB, i, !inside)
+				}
+			}
+			q.ForwardAllBatchRange(ks, qas[:2], sas[:2], zps[:2], got[:2], 0, cutA)
+			q.ForwardAllBatchRange(ks, qas[:2], sas[:2], zps[:2], got[:2], cutB, out)
+			q.ForwardAllBatchRange(ks, qas[:2], sas[:2], zps[:2], got[:2], cutB, cutB) // empty: a no-op
+			check("ForwardAllBatchRange", 0)
+			check("ForwardAllBatchRange", 1)
+			clear()
+			q.ForwardAll(ks, qas[5], sas[5], zps[5], got[5], 4)
+			check("ForwardAll", 5)
+
+			active := []int32{0, int32(out / 2), int32(out - 1)}
+			logits := make([]float32, len(active))
+			q.ForwardActive(ks, active, qas[0], sas[0], zps[0], logits)
+			for k, id := range active {
+				if logits[k] != want[0][id] {
+					t.Fatalf("%v out=%d ForwardActive[%d] = %v, want %v", m, out, id, logits[k], want[0][id])
 				}
 			}
 		}
-		out := make([]float32, 25)
-		q.ForwardAll(ks, qa, sa, zp, out, 1)
-		check("ForwardAll", out)
-		q.ForwardAll(ks, qa, sa, zp, out, 4)
-		check("ForwardAll(workers=4)", out)
-
-		active := []int32{0, 3, 24}
-		logits := make([]float32, 3)
-		q.ForwardActive(ks, active, qa, sa, zp, logits)
-		for k, id := range active {
-			if logits[k] != want[id] {
-				t.Fatalf("bits=%d ForwardActive[%d] = %v, want %v", bits, id, logits[k], want[id])
-			}
-		}
-
-		outs := [][]float32{make([]float32, 25), make([]float32, 25)}
-		q.ForwardAllBatch(ks, [][]uint8{qa, qa}, []float32{sa, sa}, []int32{zp, zp}, outs)
-		check("ForwardAllBatch[0]", outs[0])
-		check("ForwardAllBatch[1]", outs[1])
-
-		for i := range outs[0] {
-			outs[0][i], outs[1][i] = 0, 0
-		}
-		q.ForwardAllBatchRange(ks, [][]uint8{qa, qa}, []float32{sa, sa}, []int32{zp, zp}, outs, 0, 13)
-		q.ForwardAllBatchRange(ks, [][]uint8{qa, qa}, []float32{sa, sa}, []int32{zp, zp}, outs, 13, 25)
-		check("ForwardAllBatchRange[0]", outs[0])
+	}
+	// The walk still refuses a batch whose outputs do not match its inputs,
+	// a short output vector and a row range outside the view.
+	q, err := QuantizeRowWeights(testRowWeights(t, in, 6, 68), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ks, outs := simd.Active(), [][]float32{make([]float32, 6)}
+	for name, call := range map[string]func(){
+		"batch mismatch": func() { q.ForwardAllBatchRange(ks, qas[:1], sas[:1], zps[:1], nil, 0, 6) },
+		"short out":      func() { q.ForwardAllBatch(ks, qas[:1], sas[:1], zps[:1], [][]float32{make([]float32, 5)}) },
+		"short single":   func() { q.ForwardAll(ks, qas[0], sas[0], zps[0], make([]float32, 5), 1) },
+		"range past end": func() { q.ForwardAllBatchRange(ks, qas[:1], sas[:1], zps[:1], outs, 2, 7) },
+		"range reversed": func() { q.ForwardAllBatchRange(ks, qas[:1], sas[:1], zps[:1], outs, 3, 2) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", name)
+				}
+			}()
+			call()
+		}()
 	}
 }
 
@@ -478,7 +486,27 @@ func TestCheckFinite(t *testing.T) {
 
 func TestQuantizeRejectsBadBits(t *testing.T) {
 	src := testRowWeights(t, 8, 4, 99)
-	if _, err := QuantizeRowWeights(src, 16); err == nil {
-		t.Fatal("bits=16 accepted")
+	// 8 is the only width: 4 was deleted by measurement (see the package
+	// comment) and must not come back through any entry point, the wire's
+	// included.
+	for _, bits := range []int{0, 4, 16} {
+		if _, err := QuantizeRowWeights(src, bits); err == nil {
+			t.Errorf("QuantizeRowWeights accepted bits=%d", bits)
+		}
+		if err := WriteRowsDelta(io.Discard, src, []int32{1}, bits); err == nil {
+			t.Errorf("WriteRowsDelta accepted bits=%d", bits)
+		}
+	}
+	q, err := QuantizeRowWeights(src, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var view bytes.Buffer
+	if err := q.SerializeView(&view); err != nil {
+		t.Fatal(err)
+	}
+	view.Bytes()[8] = 4 // header word 2 is the bit width
+	if _, err := ReadRowQ(&view); err == nil {
+		t.Error("ReadRowQ accepted a view declaring 4-bit rows")
 	}
 }

@@ -63,10 +63,6 @@ func readF32s(r io.Reader, xs []float32) error {
 
 // writeRow emits row id's packed bytes.
 func (q *RowQ) writeRow(w io.Writer, id int32) error {
-	if q.Bits == 4 {
-		_, err := w.Write(q.rows4[id])
-		return err
-	}
 	row := q.rows8[id]
 	buf := make([]byte, len(row))
 	for i, v := range row {
@@ -89,29 +85,6 @@ func readRow8(r io.Reader, dst []int8) (int32, error) {
 		sum += int32(v)
 	}
 	return sum, nil
-}
-
-// readRow4 fills a nibble-packed row from the wire and returns its element
-// sum over the first in elements (the odd-length padding nibble is excluded
-// — writers zero it, but a forgiving reader must not let it skew the sum).
-func readRow4(r io.Reader, dst []uint8, in int) (int32, error) {
-	if _, err := io.ReadFull(r, dst); err != nil {
-		return 0, err
-	}
-	return sumNibbles(dst, in), nil
-}
-
-func sumNibbles(row []uint8, in int) int32 {
-	var sum int32
-	for i := 0; i < in; i++ {
-		v := row[i>>1]
-		if i&1 == 0 {
-			sum += int32(int8(v<<4) >> 4)
-		} else {
-			sum += int32(int8(v) >> 4)
-		}
-	}
-	return sum
 }
 
 // SerializeView writes the full quantized view.
@@ -169,12 +142,7 @@ func ReadRowQ(r io.Reader) (*RowQ, error) {
 	}
 	for i := 0; i < q.Out; i++ {
 		var err error
-		if q.Bits == 4 {
-			q.rowSums[i], err = readRow4(r, q.rows4[i], q.In)
-		} else {
-			q.rowSums[i], err = readRow8(r, q.rows8[i])
-		}
-		if err != nil {
+		if q.rowSums[i], err = readRow8(r, q.rows8[i]); err != nil {
 			return nil, fmt.Errorf("quant: reading row %d: %w", i, err)
 		}
 	}
@@ -228,11 +196,7 @@ func (q *RowQ) PatchRows(r io.Reader) (*RowQ, []int32, error) {
 	p.scales = append([]float32(nil), q.scales...)
 	p.rowSums = append([]int32(nil), q.rowSums...)
 	p.bias = append([]float32(nil), q.bias...)
-	if q.Bits == 4 {
-		p.rows4 = append([][]uint8(nil), q.rows4...)
-	} else {
-		p.rows8 = append([][]int8(nil), q.rows8...)
-	}
+	p.rows8 = append([][]int8(nil), q.rows8...)
 	ids := make([]int32, 0, n)
 	last := int64(-1)
 	for k := uint32(0); k < n; k++ {
@@ -249,16 +213,8 @@ func (q *RowQ) PatchRows(r io.Reader) (*RowQ, []int32, error) {
 			return nil, nil, err
 		}
 		var err error
-		if q.Bits == 4 {
-			row := make([]uint8, stride(q.In, 4))
-			p.rowSums[id], err = readRow4(r, row, q.In)
-			p.rows4[id] = row
-		} else {
-			row := make([]int8, q.In)
-			p.rowSums[id], err = readRow8(r, row)
-			p.rows8[id] = row
-		}
-		if err != nil {
+		p.rows8[id] = make([]int8, q.In)
+		if p.rowSums[id], err = readRow8(r, p.rows8[id]); err != nil {
 			return nil, nil, err
 		}
 		if err := readF32s(r, p.bias[id:id+1]); err != nil {
@@ -287,9 +243,8 @@ func WriteRowsDelta(w io.Writer, src *layer.RowWeights, ids []int32, bits int) e
 		}
 	}
 	buf := make([]float32, src.In)
-	row8 := make([]int8, stride(src.In, 8))
-	row4 := make([]uint8, stride(src.In, 4))
-	pbuf := make([]byte, stride(src.In, 8))
+	row8 := make([]int8, src.In)
+	packed := make([]byte, src.In)
 	bias := src.Bias()
 	for _, id := range ids {
 		row := src.RowF32(int(id), buf)
@@ -299,17 +254,9 @@ func WriteRowsDelta(w io.Writer, src *layer.RowWeights, ids []int32, bits int) e
 		if k := health.FirstNonFinite32(bias[id : id+1]); k >= 0 {
 			return fmt.Errorf("quant: %w: bias[%d]", ErrNonFinite, id)
 		}
-		var scale float32
-		var packed []byte
-		if bits == 4 {
-			scale, _ = quantizeRow4(row, row4)
-			packed = row4
-		} else {
-			scale, _ = quantizeRow8(row, row8)
-			for i, v := range row8 {
-				pbuf[i] = uint8(v)
-			}
-			packed = pbuf
+		scale, _ := quantizeRow8(row, row8)
+		for i, v := range row8 {
+			packed[i] = uint8(v)
 		}
 		if err := writeU32(w, uint32(id)); err != nil {
 			return err
@@ -331,5 +278,5 @@ func WriteRowsDelta(w io.Writer, src *layer.RowWeights, ids []int32, bits int) e
 // bytes" number /stats and the bench report: header + scales + biases +
 // packed rows.
 func (q *RowQ) PackedBytes() int64 {
-	return 12 + 8*int64(q.Out) + int64(q.Out)*int64(stride(q.In, q.Bits))
+	return 12 + 8*int64(q.Out) + int64(q.Out)*int64(q.In)
 }

@@ -38,7 +38,7 @@ type Hub struct {
 	pollWait time.Duration
 
 	// qbits, when nonzero, quantizes the stream at publish: bases and
-	// deltas ship int8 (or int4) output sections, so every replica holds
+	// deltas ship int8 output sections, so every replica holds
 	// and serves the packed representation. Set before the first Publish.
 	qbits int
 
@@ -59,12 +59,12 @@ func NewHub() *Hub {
 
 // SetQuantize switches the hub to a quantized replication stream: every
 // subsequently encoded base and delta carries the output layer packed to
-// bits (8 or 4) on wire v2, quantized at publish from the trainer's f32
+// bits (8) on wire v2, quantized at publish from the trainer's f32
 // snapshots. Call once, before the first Publish; bits 0 keeps the
 // full-precision stream.
 func (h *Hub) SetQuantize(bits int) error {
-	if bits != 0 && bits != 4 && bits != 8 {
-		return fmt.Errorf("replicate: quantize bits must be 0, 4, or 8 (got %d)", bits)
+	if bits != 0 && bits != 8 {
+		return fmt.Errorf("replicate: quantize bits must be 0 or 8 (got %d)", bits)
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()

@@ -1,8 +1,6 @@
 package replicate
 
 import (
-	"fmt"
-
 	"github.com/slide-cpu/slide/internal/network"
 	"github.com/slide-cpu/slide/internal/serving"
 	"github.com/slide-cpu/slide/internal/sparse"
@@ -45,7 +43,7 @@ func (s *Served) Sampled() bool { return s.p.Sampled() }
 func (s *Served) CheckFinite() error { return s.p.CheckFinite() }
 
 // SnapshotPrecision names the output-layer storage the replica serves from
-// (f32|bf16|int8|int4) — int8/int4 on a quantized stream. Surfaced on the
+// (f32|bf16|int8) — int8 on a quantized stream. Surfaced on the
 // replica's /stats.
 func (s *Served) SnapshotPrecision() string { return s.p.PrecisionName() }
 
@@ -62,36 +60,14 @@ func (s *Served) PredictSampled(indices []int32, values []float32, k int) ([]int
 	return s.p.PredictSampled(sparse.Vector{Indices: indices, Values: values}, k)
 }
 
-// PredictBatch is the single-caller data-parallel uniform-k path.
-func (s *Served) PredictBatch(samples []slide.Sample, k int) ([][]int32, error) {
-	xs := make([]sparse.Vector, len(samples))
-	for i, smp := range samples {
-		if len(smp.Indices) != len(smp.Values) {
-			return nil, fmt.Errorf("replicate: sample %d has %d indices but %d values",
-				i, len(smp.Indices), len(smp.Values))
-		}
-		xs[i] = sparse.Vector{Indices: smp.Indices, Values: smp.Values}
-	}
-	return s.p.PredictBatch(xs, k), nil
-}
-
-// PredictEntries runs coalesced exact top-k with per-entry k — same
-// validation and fused walk as slide.Predictor.PredictEntries, so a
-// replica's responses are bit-identical to the trainer's at the same
+// PredictEntries runs coalesced exact top-k with per-entry k — the same
+// entry check and the same exact walk as slide.Predictor.PredictEntries, so
+// a replica's responses are bit-identical to the trainer's at the same
 // version.
 func (s *Served) PredictEntries(entries []slide.BatchEntry) ([][]int32, error) {
-	xs := make([]sparse.Vector, len(entries))
-	ks := make([]int, len(entries))
-	for i, e := range entries {
-		if len(e.Indices) != len(e.Values) {
-			return nil, fmt.Errorf("replicate: entry %d has %d indices but %d values",
-				i, len(e.Indices), len(e.Values))
-		}
-		if e.K <= 0 {
-			return nil, fmt.Errorf("replicate: entry %d has non-positive k %d", i, e.K)
-		}
-		xs[i] = sparse.Vector{Indices: e.Indices, Values: e.Values}
-		ks[i] = e.K
+	xs, ks, err := slide.EntryVectors(entries)
+	if err != nil {
+		return nil, err
 	}
 	return s.p.PredictBatchK(xs, ks), nil
 }

@@ -176,11 +176,10 @@ func TestRequireQuantizedRefusesF32(t *testing.T) {
 // every follower).
 func TestSetQuantizeValidation(t *testing.T) {
 	hub := NewHub()
-	if err := hub.SetQuantize(5); err == nil {
-		t.Error("SetQuantize(5) accepted")
-	}
-	if err := hub.SetQuantize(4); err != nil {
-		t.Errorf("SetQuantize(4): %v", err)
+	for _, bits := range []int{5, 4} { // 4 was a width once; it is deleted, not deferred
+		if err := hub.SetQuantize(bits); err == nil {
+			t.Errorf("SetQuantize(%d) accepted", bits)
+		}
 	}
 	if err := hub.SetQuantize(0); err != nil {
 		t.Errorf("SetQuantize(0): %v", err)
@@ -195,7 +194,7 @@ func TestSetQuantizeValidation(t *testing.T) {
 	if err := hub.Publish(p, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := hub.SetQuantize(4); err == nil {
+	if err := hub.SetQuantize(8); err == nil {
 		t.Error("SetQuantize after Publish accepted")
 	}
 }
@@ -250,16 +249,21 @@ func TestQuantizedWireRoundTrip(t *testing.T) {
 		t.Fatalf("f32 base decoded QBits %d, want 0", b1.Parts.QBits)
 	}
 
-	// Corrupt the declared width to 5 (and re-stamp the envelope section's
-	// CRC so only the semantic check can object): message header is 12
-	// bytes, the envelope section header 12 more, so the 40-byte envelope
-	// payload spans [24,64) with qbits in its last 8 bytes.
-	bad := append([]byte(nil), enc...)
-	binary.LittleEndian.PutUint64(bad[56:64], 5)
-	crc := crc32.Checksum(bad[24:64], crc32.MakeTable(crc32.Castagnoli))
-	binary.LittleEndian.PutUint32(bad[64:68], crc)
-	if _, _, err := ReadMessage(bytes.NewReader(bad)); err == nil ||
-		!strings.Contains(err.Error(), "qbits") {
-		t.Fatalf("qbits=5 envelope not rejected: %v", err)
+	// Corrupt the declared width to 5, and to the deleted 4 (re-stamping the
+	// envelope section's CRC so only the semantic check can object): message
+	// header is 12 bytes, the envelope section header 12 more, so the
+	// 40-byte envelope payload spans [24,64) with qbits in its last 8 bytes.
+	for _, qbits := range []uint64{5, 4} {
+		bad := append([]byte(nil), enc...)
+		binary.LittleEndian.PutUint64(bad[56:64], qbits)
+		crc := crc32.Checksum(bad[24:64], crc32.MakeTable(crc32.Castagnoli))
+		binary.LittleEndian.PutUint32(bad[64:68], crc)
+		if _, _, err := ReadMessage(bytes.NewReader(bad)); err == nil ||
+			!strings.Contains(err.Error(), "qbits") {
+			t.Fatalf("qbits=%d envelope not rejected: %v", qbits, err)
+		}
+	}
+	if _, err := EncodeBaseQ(p, 1, 4); err == nil {
+		t.Fatal("EncodeBaseQ accepted qbits=4")
 	}
 }

@@ -96,7 +96,7 @@ func EncodeBase(p *network.Predictor, version uint64) ([]byte, error) {
 }
 
 // EncodeBaseQ serializes a base with the output section quantized to qbits
-// (8 or 4), emitting a v2 message. An already-quantized predictor at the
+// (8), emitting a v2 message. An already-quantized predictor at the
 // same width streams its packed rows directly; an f32 predictor is
 // quantized at encode time (and left unmodified).
 func EncodeBaseQ(p *network.Predictor, version uint64, qbits int) ([]byte, error) {
@@ -232,8 +232,8 @@ func ReadMessage(r io.Reader) (*Base, *Delta, error) {
 // envQBits validates and extracts the v2 qbits field appended at env[at:].
 func envQBits(env []byte, at int) (int, error) {
 	q := binary.LittleEndian.Uint64(env[at : at+8])
-	if q != 4 && q != 8 {
-		return 0, fmt.Errorf("replicate: envelope declares qbits %d, want 4 or 8", q)
+	if q != 8 {
+		return 0, fmt.Errorf("replicate: envelope declares qbits %d, want 8", q)
 	}
 	return int(q), nil
 }

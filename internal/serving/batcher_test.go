@@ -46,14 +46,6 @@ func (s *stubPredictor) Predict(indices []int32, values []float32, k int) []int3
 	return []int32{int32(s.version), int32(k)}
 }
 
-func (s *stubPredictor) PredictBatch(samples []slide.Sample, k int) ([][]int32, error) {
-	out := make([][]int32, len(samples))
-	for i := range out {
-		out[i] = []int32{int32(s.version), int32(k)}
-	}
-	return out, nil
-}
-
 func (s *stubPredictor) PredictSampled(indices []int32, values []float32, k int) ([]int32, error) {
 	return nil, errors.New("stub: no sampling")
 }

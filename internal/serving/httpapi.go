@@ -345,7 +345,9 @@ func (s *Server) handlePredictBatch(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	if s.batcher == nil {
-		labels, err := directBatch(p, entries)
+		// Without the micro-batcher the client batch is its own coalesced
+		// batch: the same PredictEntries call a batcher flush makes.
+		labels, err := p.PredictEntries(entries)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, "%v", err)
 			return
@@ -374,28 +376,6 @@ func (s *Server) handlePredictBatch(w http.ResponseWriter, req *http.Request) {
 		}
 	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// directBatch serves a client batch without the micro-batcher, preserving
-// the pre-batching execution shape: a uniform-k batch goes through the
-// data-parallel PredictBatch fan-out (GOMAXPROCS goroutines), mixed k
-// through the fused per-entry walk.
-func directBatch(p Predictor, entries []slide.BatchEntry) ([][]int32, error) {
-	uniform := true
-	for _, e := range entries[1:] {
-		if e.K != entries[0].K {
-			uniform = false
-			break
-		}
-	}
-	if !uniform {
-		return p.PredictEntries(entries)
-	}
-	samples := make([]slide.Sample, len(entries))
-	for i, e := range entries {
-		samples[i] = slide.Sample{Indices: e.Indices, Values: e.Values}
-	}
-	return p.PredictBatch(samples, entries[0].K)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
@@ -480,7 +460,7 @@ type statsResponse struct {
 	Quarantined      uint64 `json:"quarantined"`
 	QuarantineReason string `json:"quarantine_reason,omitempty"`
 	// SnapshotPrecision names the current snapshot's output-layer storage
-	// (f32|bf16|int8|int4) and SnapshotPackedBytes its serialized size —
+	// (f32|bf16|int8) and SnapshotPackedBytes its serialized size —
 	// present when the predictor reports them (slide.Predictor does).
 	SnapshotPrecision   string `json:"snapshot_precision,omitempty"`
 	SnapshotPackedBytes int64  `json:"snapshot_packed_bytes,omitempty"`

@@ -40,14 +40,6 @@ func (g *gateStub) Predict(indices []int32, values []float32, k int) []int32 {
 	return make([]int32, k)
 }
 
-func (g *gateStub) PredictBatch(samples []slide.Sample, k int) ([][]int32, error) {
-	out := make([][]int32, len(samples))
-	for i := range out {
-		out[i] = make([]int32, k)
-	}
-	return out, nil
-}
-
 func (g *gateStub) PredictSampled(indices []int32, values []float32, k int) ([]int32, error) {
 	return []int32{int32(k), -1}, nil
 }

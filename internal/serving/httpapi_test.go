@@ -375,13 +375,6 @@ func (g *gatedPredictor) PredictEntries(entries []slide.BatchEntry) ([][]int32, 
 func (g *gatedPredictor) Predict(indices []int32, values []float32, k int) []int32 {
 	return []int32{0}
 }
-func (g *gatedPredictor) PredictBatch(samples []slide.Sample, k int) ([][]int32, error) {
-	out := make([][]int32, len(samples))
-	for i := range out {
-		out[i] = []int32{0}
-	}
-	return out, nil
-}
 func (g *gatedPredictor) PredictSampled(indices []int32, values []float32, k int) ([]int32, error) {
 	return nil, errors.New("no sampling")
 }

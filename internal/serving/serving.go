@@ -38,9 +38,6 @@ type Predictor interface {
 	PredictEntries(entries []slide.BatchEntry) ([][]int32, error)
 	// Predict is the single-sample exact path (direct, non-batched mode).
 	Predict(indices []int32, values []float32, k int) []int32
-	// PredictBatch is the single-caller data-parallel uniform-k path
-	// (Labels fields of the samples are ignored).
-	PredictBatch(samples []slide.Sample, k int) ([][]int32, error)
 	// PredictSampled is sub-linear LSH inference; it returns an error on
 	// models without tables (callers fall back to Predict).
 	PredictSampled(indices []int32, values []float32, k int) ([]int32, error)

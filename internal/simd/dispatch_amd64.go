@@ -54,7 +54,6 @@ func init() {
 			DotManyBiasBF16:    dotManyBiasBF16AVX2,
 
 			DotU8S8: dotU8S8AVX2,
-			DotU8S4: dotU8S4Go,
 
 			PackBF16:  packBF16Go,
 			RoundBF16: roundBF16Go,
@@ -95,7 +94,6 @@ func init() {
 			// silicon has VNNI (see below); either way the result is the
 			// identical int32 — exact math, so the swap is pure throughput.
 			DotU8S8: dotU8S8AVX2,
-			DotU8S4: dotU8S4Go,
 
 			PackBF16:  packBF16Go,
 			RoundBF16: roundBF16Go,

@@ -59,59 +59,6 @@ func dotScalar(a, b []float32) float32 {
 	return s
 }
 
-// Dot4 computes four inner products sharing the right-hand operand:
-// (a0·b, a1·b, a2·b, a3·b), register-blocking the shared vector — the
-// batched-GEMV trick AVX-512 kernels use to load b's lanes once per block
-// instead of once per row.
-//
-// Measured negative result (BenchmarkKernelDot4): under the Go compiler
-// this blocking is ~1.5x SLOWER than four independent Dot calls — the
-// four-accumulator single-stream dot schedules better than the 4-row block.
-// The kernel is kept as the documented counterexample: intrinsics-level
-// tricks from the paper do not all transfer to Go (see DESIGN.md "Known
-// divergences"); hot paths use independent dots.
-func Dot4(a0, a1, a2, a3, b []float32) (s0, s1, s2, s3 float32) {
-	n := len(b)
-	if len(a0) != n || len(a1) != n || len(a2) != n || len(a3) != n {
-		panic("simd: Dot4 length mismatch")
-	}
-	if CurrentMode() == Scalar {
-		return dotScalar(a0, b), dotScalar(a1, b), dotScalar(a2, b), dotScalar(a3, b)
-	}
-	return dot4Vec(a0, a1, a2, a3, b)
-}
-
-func dot4Vec(a0, a1, a2, a3, b []float32) (s0, s1, s2, s3 float32) {
-	n := len(b)
-	a0 = a0[:n]
-	a1 = a1[:n]
-	a2 = a2[:n]
-	a3 = a3[:n]
-	i := 0
-	for ; i+Width <= n; i += Width {
-		bb := b[i : i+Width : i+Width]
-		x0 := a0[i : i+Width : i+Width]
-		x1 := a1[i : i+Width : i+Width]
-		x2 := a2[i : i+Width : i+Width]
-		x3 := a3[i : i+Width : i+Width]
-		for k := 0; k < Width; k++ {
-			v := bb[k]
-			s0 += x0[k] * v
-			s1 += x1[k] * v
-			s2 += x2[k] * v
-			s3 += x3[k] * v
-		}
-	}
-	for ; i < n; i++ {
-		v := b[i]
-		s0 += a0[i] * v
-		s1 += a1[i] * v
-		s2 += a2[i] * v
-		s3 += a3[i] * v
-	}
-	return s0, s1, s2, s3
-}
-
 // Axpy computes y += alpha*x (the BLAS axpy). It panics on length mismatch.
 // This is the backward-pass kernel for Algorithm 1: accumulating
 // grad_i * W[i] rows into the dense input gradient.
@@ -289,7 +236,10 @@ func Max(x []float32) float32 {
 // the lowest index. It panics on an empty slice. The vector form scans
 // 16-lane blocks keeping per-lane maxima and resolves the winning lane at
 // the end. DWTA no longer calls it (its bins are resolved across lanes by
-// GatherArgMax); it stays for the benchmark's simd.argmax_ns probe.
+// GatherArgMax) and no library code does: ArgMax, the Kernels.ArgMax entries,
+// argMaxVec and argMaxScalar stay only because the frozen benchmark probe
+// simd.argmax_ns calls them, and go when benchmark/ is next thawed (ROADMAP
+// item 1(b)).
 func ArgMax(x []float32) int {
 	if len(x) == 0 {
 		panic("simd: ArgMax of empty slice")

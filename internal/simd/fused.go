@@ -65,71 +65,12 @@ func AxpyTwo(gz float32, h, grad, w, dh []float32) {
 	Active().AxpyTwo(gz, h, grad, w, dh)
 }
 
-// AxpyTwoFused always runs the genuinely fused single-walk implementation
-// for the active mode, even on the Go tiers where the dispatch tables pick
-// the faster two-walk shape. It exists so BenchmarkKernelAxpyTwo keeps
-// measuring the real fusion A/B on every tier — the documented result that
-// the fused walk loses ~20% under the Go compiler and wins ~1.6x in
-// assembly. Hot paths use Kernels.AxpyTwo, never this.
-func AxpyTwoFused(gz float32, h, grad, w, dh []float32) {
-	n := len(h)
-	if len(grad) != n || len(w) != n || len(dh) != n {
-		panic("simd: AxpyTwoFused length mismatch")
-	}
-	AxpyTwoFusedKernel()(gz, h, grad, w, dh)
-}
-
-// AxpyTwoFusedKernel resolves the genuinely fused implementation for the
-// active mode once, so benchmarks can hoist the dispatch out of the timed
-// loop (the two-axpy comparison side uses a pre-resolved table the same
-// way — the A/B must time the walk shapes, not the dispatch).
-func AxpyTwoFusedKernel() func(gz float32, h, grad, w, dh []float32) {
-	switch CurrentMode() {
-	case Scalar:
-		return axpyTwoScalar
-	case AVX2, AVX512:
-		// The assembly tables already hold the fused loop.
-		return Active().AxpyTwo
-	default:
-		return axpyTwoVec
-	}
-}
-
-func axpyTwoVec(gz float32, h, grad, w, dh []float32) {
-	n := len(h)
-	grad = grad[:n]
-	w = w[:n]
-	dh = dh[:n]
-	i := 0
-	for ; i+Width <= n; i += Width {
-		hh := h[i : i+Width : i+Width]
-		gg := grad[i : i+Width : i+Width]
-		ww := w[i : i+Width : i+Width]
-		dd := dh[i : i+Width : i+Width]
-		for k := 0; k < Width; k++ {
-			gg[k] += gz * hh[k]
-			dd[k] += gz * ww[k]
-		}
-	}
-	for ; i < n; i++ {
-		grad[i] += gz * h[i]
-		dh[i] += gz * w[i]
-	}
-}
-
-func axpyTwoScalar(gz float32, h, grad, w, dh []float32) {
-	for i := range h {
-		grad[i] += gz * h[i]
-		dh[i] += gz * w[i]
-	}
-}
-
 // axpyTwoUnfusedVec and axpyTwoUnfusedScalar implement the AxpyTwo contract
-// as two independent axpy walks. Under the Go compiler the single fused walk
-// (axpyTwoVec) is ~20% SLOWER than two independent axpys — the four live
-// slice pointers defeat the scheduler (BenchmarkKernelAxpyTwo, DESIGN.md
-// "Known divergences") — so the Go-tier dispatch tables point AxpyTwo here,
-// while the assembly tiers use the genuinely fused loop, which measures
+// as two independent axpy walks, which is what the Go tiers run: a single
+// fused Go loop over all four slices measured ~20% SLOWER than two
+// independent axpys — the four live slice pointers defeat the scheduler
+// (DESIGN.md "Known divergences" keeps the number; the loop itself is
+// deleted). The assembly tiers use a genuinely fused loop, which measures
 // ~1.6x FASTER than two asm axpys (one load of gz's broadcast and one loop
 // control per block instead of two full passes). Both walk orders produce
 // bit-identical results because the slice pairs never alias.

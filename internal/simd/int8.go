@@ -69,34 +69,3 @@ func dotU8S8Vec(a []uint8, b []int8) int32 {
 	}
 	return s0 + s1 + s2 + s3
 }
-
-// DotU8S4 returns the integer inner product of unsigned-byte activations a
-// and nibble-packed int4 weights b4: element 2i lives in the low nibble of
-// b4[i], element 2i+1 in the high nibble, each a two's-complement int4.
-// len(b4) must be (len(a)+1)/2; with odd len(a) the final high nibble is
-// padding and ignored. Experimental: Go-only on every tier (the 2x density
-// is a memory-footprint play; unpacking in SIMD is future work).
-func DotU8S4(a []uint8, b4 []uint8) int32 {
-	if len(b4) != (len(a)+1)/2 {
-		panic("simd: DotU8S4 packed length mismatch")
-	}
-	return Active().DotU8S4(a, b4)
-}
-
-// dotU8S4Go serves every tier. The nibble decode (int8(v<<4)>>4) is exact
-// two's-complement sign extension; accumulation order is irrelevant for the
-// exact integer sum.
-func dotU8S4Go(a []uint8, b4 []uint8) int32 {
-	var s int32
-	n := len(a) &^ 1
-	for i := 0; i < n; i += 2 {
-		v := b4[i>>1]
-		s += int32(a[i]) * int32(int8(v<<4)>>4)
-		s += int32(a[i+1]) * int32(int8(v)>>4)
-	}
-	if len(a)&1 != 0 {
-		v := b4[len(b4)-1]
-		s += int32(a[len(a)-1]) * int32(int8(v<<4)>>4)
-	}
-	return s
-}

@@ -16,19 +16,6 @@ func refDotU8S8(a []uint8, b []int8) int32 {
 	return s
 }
 
-func refDotU8S4(a []uint8, b4 []uint8) int32 {
-	var s int32
-	for i := range a {
-		v := b4[i>>1]
-		if i&1 == 0 {
-			s += int32(a[i]) * int32(int8(v<<4)>>4)
-		} else {
-			s += int32(a[i]) * int32(int8(v)>>4)
-		}
-	}
-	return s
-}
-
 // quantInputs builds operands over the full contract range: activations in
 // [0,127], weights in [-127,127].
 func quantInputs(rng *rand.Rand, n int) ([]uint8, []int8) {
@@ -61,34 +48,6 @@ func TestQuantDotU8S8Tiers(t *testing.T) {
 						t.Fatalf("n=%d off=%d: DotU8S8 = %d, want %d (exact)",
 							n, off, got, want)
 					}
-				}
-			}
-		})
-	}
-}
-
-func TestQuantDotU8S4Tiers(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	lengths := []int{0, 1, 2, 3, 15, 16, 17, 32, 33, 127, 128, 129, 1001}
-	for _, mode := range []Mode{Scalar, Vector, AVX2, AVX512} {
-		k := ForMode(mode)
-		t.Run(mode.String(), func(t *testing.T) {
-			for _, n := range lengths {
-				a := make([]uint8, n)
-				b4 := make([]uint8, (n+1)/2)
-				for i := range a {
-					a[i] = uint8(rng.Intn(128))
-				}
-				for i := range b4 {
-					b4[i] = uint8(rng.Intn(256))
-				}
-				// Odd n: the padding nibble must be ignored, so poison it.
-				if n&1 == 1 {
-					b4[len(b4)-1] |= 0xF0
-				}
-				want := refDotU8S4(a, b4)
-				if got := k.DotU8S4(a, b4); got != want {
-					t.Fatalf("n=%d: DotU8S4 = %d, want %d (exact)", n, got, want)
 				}
 			}
 		})
@@ -136,15 +95,6 @@ func TestQuantDotLengthMismatchPanics(t *testing.T) {
 		}
 	}()
 	DotU8S8(make([]uint8, 4), make([]int8, 5))
-}
-
-func TestQuantDotU8S4LengthMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("DotU8S4 with wrong packed length did not panic")
-		}
-	}()
-	DotU8S4(make([]uint8, 4), make([]uint8, 3))
 }
 
 func BenchmarkDotU8S8(b *testing.B) {

@@ -28,7 +28,7 @@ type Kernels struct {
 	Scale      func(alpha float32, x []float32)
 	Sum        func(x []float32) float32
 	Max        func(x []float32) float32
-	ArgMax     func(x []float32) int
+	ArgMax     func(x []float32) int // benchmark probe simd.argmax_ns only; see ArgMax
 	AdamStep   func(w, m, v, g []float32, p AdamParams)
 
 	// GatherArgMax is the DWTA fingerprint kernel (§4.3.3): win[b] is the
@@ -61,10 +61,8 @@ type Kernels struct {
 
 	// Quantized integer kernels (serving tier, internal/quant). DotU8S8 is
 	// the u8-activation x s8-weight inner product; unlike the float kernels
-	// these are exact, so every tier returns the identical int32. DotU8S4
-	// takes nibble-packed int4 weights and is Go-backed on every tier.
+	// these are exact, so every tier returns the identical int32.
 	DotU8S8 func(a []uint8, b []int8) int32
-	DotU8S4 func(a []uint8, b4 []uint8) int32
 
 	// Precision-conversion kernels (§4.4). PackBF16 converts float32 to
 	// bfloat16 with round-to-nearest-even; RoundBF16 rounds float32 values
@@ -112,7 +110,6 @@ var vectorKernels = Kernels{
 	DotManyBiasBF16:    dotManyBiasBF16Vec,
 
 	DotU8S8: dotU8S8Vec,
-	DotU8S4: dotU8S4Go,
 
 	PackBF16:  packBF16Go,
 	RoundBF16: roundBF16Go,
@@ -151,7 +148,6 @@ var scalarKernels = Kernels{
 	DotManyBiasBF16:    dotManyBiasBF16Scalar,
 
 	DotU8S8: dotU8S8Scalar,
-	DotU8S4: dotU8S4Go,
 
 	PackBF16:  packBF16Go,
 	RoundBF16: roundBF16Go,

@@ -143,44 +143,6 @@ func clamp(x float32) float32 {
 	return x
 }
 
-func TestDot4MatchesFourDots(t *testing.T) {
-	rng := rand.New(rand.NewPCG(17, 18))
-	for _, m := range []Mode{Vector, Scalar} {
-		withMode(t, m, func() {
-			for _, n := range []int{0, 1, 7, 8, 9, 128, 131} {
-				a0 := randSlice(rng, n)
-				a1 := randSlice(rng, n)
-				a2 := randSlice(rng, n)
-				a3 := randSlice(rng, n)
-				b := randSlice(rng, n)
-				s0, s1, s2, s3 := Dot4(a0, a1, a2, a3, b)
-				for i, pair := range []struct {
-					got  float32
-					want float32
-				}{
-					{s0, DotScalar(a0, b)},
-					{s1, DotScalar(a1, b)},
-					{s2, DotScalar(a2, b)},
-					{s3, DotScalar(a3, b)},
-				} {
-					if !approxEqual(float64(pair.got), float64(pair.want), 1e-4) {
-						t.Errorf("%v n=%d: Dot4[%d]=%g want %g", m, n, i, pair.got, pair.want)
-					}
-				}
-			}
-		})
-	}
-}
-
-func TestDot4MismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Dot4 length mismatch did not panic")
-		}
-	}()
-	Dot4(make([]float32, 2), make([]float32, 3), make([]float32, 3), make([]float32, 3), make([]float32, 3))
-}
-
 func TestPropertyAxpyEquivalence(t *testing.T) {
 	f := func(raw []float32, alphaRaw float32) bool {
 		n := len(raw) / 2

@@ -2,8 +2,6 @@ package slide
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"github.com/slide-cpu/slide/internal/network"
@@ -95,16 +93,18 @@ func (p *Predictor) Scores(indices []int32, values []float32, out []float32) {
 }
 
 // PredictBatch runs exact top-k prediction for every sample (Labels fields
-// are ignored), fanning the batch out across GOMAXPROCS goroutines. The
-// result is index-aligned with samples.
+// are ignored) for a single caller: the same exact walk PredictEntries runs,
+// with the output rows of every pass shared out over GOMAXPROCS goroutines.
+// The result is index-aligned with samples and bit-identical to Predict on
+// each. k <= 0 is an error, as in PredictEntries.
 func (p *Predictor) PredictBatch(samples []Sample, k int) ([][]int32, error) {
-	xs := make([]sparse.Vector, len(samples))
+	entries := make([]BatchEntry, len(samples))
 	for i, s := range samples {
-		if len(s.Indices) != len(s.Values) {
-			return nil, fmt.Errorf("slide: sample %d has %d indices but %d values",
-				i, len(s.Indices), len(s.Values))
-		}
-		xs[i] = sparse.Vector{Indices: s.Indices, Values: s.Values}
+		entries[i] = BatchEntry{Indices: s.Indices, Values: s.Values, K: k}
+	}
+	xs, _, err := EntryVectors(entries)
+	if err != nil {
+		return nil, err
 	}
 	return p.p.PredictBatch(xs, k), nil
 }
@@ -121,58 +121,51 @@ type BatchEntry struct {
 	K int
 }
 
-// PredictEntries runs exact top-k prediction for a coalesced micro-batch
-// with per-entry k. The output weight matrix is walked exactly once for the
-// whole batch (row-outer, sample-inner), amortizing the dominant weight
-// stream across the entries — the micro-batching win the serving pipeline
-// exists for. out[i] is bit-identical to Predict(e.Indices, e.Values, e.K)
-// for every entry, mixed k included.
-//
-// The call runs on the caller's goroutine; like Predict, concurrency comes
-// from calling it on many goroutines (internal/serving runs one call per
-// batcher worker). Use PredictBatch for single-caller data-parallel fan-out.
-func (p *Predictor) PredictEntries(entries []BatchEntry) ([][]int32, error) {
-	xs := make([]sparse.Vector, len(entries))
-	ks := make([]int, len(entries))
+// EntryVectors checks a micro-batch — every entry has as many indices as
+// values and a positive K — and renders it as the engine's inputs. It is the
+// one entry check behind PredictEntries and PredictBatch here and behind the
+// replication adapter (internal/replicate), which serves the same entries
+// from a replicated engine predictor.
+func EntryVectors(entries []BatchEntry) (xs []sparse.Vector, ks []int, err error) {
+	xs, ks = make([]sparse.Vector, len(entries)), make([]int, len(entries))
 	for i, e := range entries {
 		if len(e.Indices) != len(e.Values) {
-			return nil, fmt.Errorf("slide: entry %d has %d indices but %d values",
+			return nil, nil, fmt.Errorf("slide: entry %d has %d indices but %d values",
 				i, len(e.Indices), len(e.Values))
 		}
 		if e.K <= 0 {
-			return nil, fmt.Errorf("slide: entry %d has non-positive k %d", i, e.K)
+			return nil, nil, fmt.Errorf("slide: entry %d has non-positive k %d", i, e.K)
 		}
-		xs[i] = sparse.Vector{Indices: e.Indices, Values: e.Values}
-		ks[i] = e.K
+		xs[i], ks[i] = sparse.Vector{Indices: e.Indices, Values: e.Values}, e.K
+	}
+	return xs, ks, nil
+}
+
+// PredictEntries runs exact top-k prediction for a coalesced micro-batch
+// with per-entry k. The output weight matrix streams from memory once per
+// chunk of entries instead of once per entry — the micro-batching win the
+// serving pipeline exists for. out[i] is bit-identical to
+// Predict(e.Indices, e.Values, e.K) for every entry, mixed k included.
+//
+// The call runs on the caller's goroutine; like Predict, concurrency comes
+// from calling it on many goroutines (internal/serving runs one call per
+// batcher worker). Use PredictBatch when a single caller has the machine to
+// itself.
+func (p *Predictor) PredictEntries(entries []BatchEntry) ([][]int32, error) {
+	xs, ks, err := EntryVectors(entries)
+	if err != nil {
+		return nil, err
 	}
 	return p.p.PredictBatchK(xs, ks), nil
 }
 
-// Evaluate returns mean Precision@k over (up to) n samples of the dataset,
-// scoring samples in parallel across GOMAXPROCS goroutines. The result is
-// deterministic (per-sample precisions are reduced in sample order) and
-// equals Model.Evaluate on the same weights.
+// Evaluate returns mean Precision@k over (up to) n samples of the dataset
+// for a single caller (see PredictBatch). The result is deterministic
+// (per-sample precisions are reduced in sample order) and equals
+// Model.Evaluate on the same weights.
 func (p *Predictor) Evaluate(test *Dataset, n, k int) (float64, error) {
 	if test == nil || test.Len() == 0 {
 		return 0, ErrEmptyBatch
 	}
-	n = min(n, test.Len())
-	per := make([]float64, n)
-	nw := min(runtime.GOMAXPROCS(0), n)
-	var wg sync.WaitGroup
-	for w := 0; w < nw; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < n; i += nw {
-				per[i] = p.p.PrecisionAtK(test.d.Sample(i), test.d.LabelsOf(i), k)
-			}
-		}(w)
-	}
-	wg.Wait()
-	var sum float64
-	for _, v := range per {
-		sum += v
-	}
-	return sum / float64(n), nil
+	return p.p.Evaluate(test.d.Data(), min(n, test.Len()), k), nil
 }

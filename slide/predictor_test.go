@@ -1,8 +1,11 @@
 package slide
 
 import (
+	"fmt"
 	"sync"
 	"testing"
+
+	"github.com/slide-cpu/slide/internal/sparse"
 )
 
 // TestPredictorConcurrentWithTraining is the serving-API acceptance test:
@@ -211,5 +214,62 @@ func TestPredictorErrors(t *testing.T) {
 	}
 	if _, err := p.PredictBatch([]Sample{{Indices: []int32{1, 2}, Values: []float32{1}}}, 1); err == nil {
 		t.Error("mismatched sample accepted")
+	}
+}
+
+// TestPredictNonPositiveK: a non-positive k selects nothing — an empty list,
+// never a panic — from the exact and the sampled path alike, on un-sharded
+// and sharded models (whose per-shard ranking once sized a buffer with k),
+// from f32 and int8 snapshots, for a single query and inside a chunk; the
+// batch entry points keep rejecting it as a malformed entry.
+func TestPredictNonPositiveK(t *testing.T) {
+	train, _, err := AmazonLike(0.001, 29)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{0, 2} {
+		opts := []Option{WithDWTA(3, 8), WithSeed(31), WithWorkers(1)} // one worker: HOGWILD races by design
+		if shards > 0 {
+			opts = append(opts, WithShards(shards))
+		}
+		m, err := New(train.Features(), 16, train.NumLabels(), opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.TrainEpoch(train.Head(128), 32); err != nil {
+			t.Fatal(err)
+		}
+		f32 := m.Snapshot()
+		int8, err := f32.Quantize(8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := train.Sample(0)
+		xs := []sparse.Vector{{Indices: s.Indices, Values: s.Values}, {Indices: s.Indices, Values: s.Values}}
+		for name, p := range map[string]*Predictor{"f32": f32, "int8": int8} {
+			for _, k := range []int{0, -1} {
+				where := fmt.Sprintf("shards=%d %s k=%d", shards, name, k)
+				if got := p.Predict(s.Indices, s.Values, k); len(got) != 0 {
+					t.Errorf("%s: Predict returned %v, want nothing", where, got)
+				}
+				got, err := p.PredictSampled(s.Indices, s.Values, k)
+				if err != nil || len(got) != 0 {
+					t.Errorf("%s: PredictSampled returned %v, %v, want nothing", where, got, err)
+				}
+				// Inside a chunk, next to a positive k.
+				if got := p.Raw().PredictBatchK(xs, []int{k, 2}); len(got[0]) != 0 || len(got[1]) != 2 {
+					t.Errorf("%s: chunked walk returned %v, want nothing and two labels", where, got)
+				}
+				if _, err := p.PredictEntries([]BatchEntry{{Indices: s.Indices, Values: s.Values, K: k}}); err == nil {
+					t.Errorf("%s: PredictEntries accepted the entry", where)
+				}
+				if _, err := p.PredictBatch([]Sample{s}, k); err == nil {
+					t.Errorf("%s: PredictBatch accepted the batch", where)
+				}
+			}
+		}
+		if got, err := m.Predict(s.Indices, s.Values, -1); err != nil || len(got) != 0 {
+			t.Errorf("shards=%d: Model.Predict(k=-1) returned %v, %v, want nothing", shards, got, err)
+		}
 	}
 }

@@ -50,7 +50,6 @@ import (
 
 	"github.com/slide-cpu/slide/internal/layer"
 	"github.com/slide-cpu/slide/internal/lsh"
-	"github.com/slide-cpu/slide/internal/metrics"
 	"github.com/slide-cpu/slide/internal/network"
 	"github.com/slide-cpu/slide/internal/simd"
 	"github.com/slide-cpu/slide/internal/sparse"
@@ -363,8 +362,7 @@ func WithSeed(seed uint64) Option {
 // but not safe concurrently with them. Snapshot freezes the weights into a
 // Predictor that serves any number of goroutines while training continues.
 type Model struct {
-	net    *network.Network
-	scores []float32
+	net *network.Network
 }
 
 // New builds a model with the given layer sizes. Without a sampling option
@@ -386,7 +384,7 @@ func New(inputDim, hiddenDim, outputDim int, opts ...Option) (*Model, error) {
 	if err != nil {
 		return nil, fmt.Errorf("slide: %w", err)
 	}
-	return &Model{net: net, scores: make([]float32, c.net.OutputDim)}, nil
+	return &Model{net: net}, nil
 }
 
 // TrainStats reports one training call.
@@ -520,7 +518,7 @@ func (m *Model) Predict(indices []int32, values []float32, k int) ([]int32, erro
 	if err := validateSample(Sample{Indices: indices, Values: values}, m.net.Config().InputDim, -1); err != nil {
 		return nil, &BadSampleError{Err: err}
 	}
-	return m.net.Predict(sparse.Vector{Indices: indices, Values: values}, k, m.scores), nil
+	return m.net.Predict(sparse.Vector{Indices: indices, Values: values}, k), nil
 }
 
 // PredictSampled returns the top-k label ids ranked over the LSH-retrieved
@@ -557,14 +555,7 @@ func (m *Model) Evaluate(test *Dataset, n, k int) (float64, error) {
 	if test == nil || test.Len() == 0 {
 		return 0, ErrEmptyBatch
 	}
-	n = min(n, test.Len())
-	var sum float64
-	for i := 0; i < n; i++ {
-		v := test.d.Sample(i)
-		m.net.Scores(v, m.scores)
-		sum += metrics.PrecisionAtK(m.scores, test.d.LabelsOf(i), k)
-	}
-	return sum / float64(n), nil
+	return m.net.Evaluate(test.d.Data(), min(n, test.Len()), k), nil
 }
 
 // Embedding copies the hidden-layer weight column of input feature i — the
@@ -610,7 +601,7 @@ func Load(r io.Reader) (*Model, error) {
 	if err != nil {
 		return nil, fmt.Errorf("slide: %w", err)
 	}
-	return &Model{net: net, scores: make([]float32, net.Config().OutputDim)}, nil
+	return &Model{net: net}, nil
 }
 
 // LoadFile restores a model from a checkpoint file.

@@ -399,7 +399,6 @@ func (t *Trainer) Run(ctx context.Context) (Report, error) {
 		// Adopt the restored state in place so the caller's *Model (and any
 		// publish hooks capturing it) keeps working across the rollback.
 		t.m.net = loaded.net
-		t.m.scores = loaded.scores
 		lrScale *= o.rollbackLR
 		if o.onRollback != nil {
 			o.onRollback(RollbackEvent{
