@@ -414,6 +414,96 @@ func BenchmarkKernelDotManyBias(b *testing.B) {
 	}
 }
 
+// benchTiles times the exact walk's inner step at one fixture shape: the
+// matrix is taken a block of rows at a time and each block is scored against
+// every sample of the batch, by one tiled-walk call ("tile") or by the
+// tier's per-row kernel once per (row, sample) ("perrow"), for 256- and
+// 1,024-row blocks and batches of 1, 4 and 32. ns per (row, sample) is
+// reported next to ns/op (one op is one pass over the matrix).
+func benchTiles(b *testing.B, s walkShape, tile, perrow func(ks *simd.Kernels, ids []int32, batch int)) {
+	all := layer.Iota(s.rows)
+	pass := func(b *testing.B, block, batch int, score func(ids []int32, batch int)) {
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for lo := 0; lo < s.rows; lo += block {
+				score(all[lo:min(lo+block, s.rows)], batch)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*s.rows*batch), "ns/row·sample")
+	}
+	b.Run(s.name, func(b *testing.B) {
+		benchKernelModes(b, func(b *testing.B, ks *simd.Kernels) {
+			for _, block := range []int{256, 1024} {
+				for _, batch := range []int{1, 4, 32} {
+					b.Run(fmt.Sprintf("rows%d/batch%d", block, batch), func(b *testing.B) {
+						b.Run("tile", func(b *testing.B) {
+							pass(b, block, batch, func(ids []int32, n int) { tile(ks, ids, n) })
+						})
+						b.Run("perrow", func(b *testing.B) {
+							pass(b, block, batch, func(ids []int32, n int) { perrow(ks, ids, n) })
+						})
+					})
+				}
+			}
+		})
+	})
+}
+
+// BenchmarkKernelDotManyBiasBatch measures the f32 tiled walk of the exact
+// output pass against the per-row Dot loop it is defined as.
+func BenchmarkKernelDotManyBiasBatch(b *testing.B) {
+	const maxBatch = 32
+	for _, s := range outputWalks {
+		rows, bias := walkMatrix(s, 71), randF32(s.rows, 72)
+		hs, outs := make([][]float32, maxBatch), make([][]float32, maxBatch)
+		for i := range hs {
+			hs[i], outs[i] = randF32(s.dim, 73+uint64(i)), make([]float32, 1024)
+		}
+		benchTiles(b, s,
+			func(ks *simd.Kernels, ids []int32, n int) { ks.DotManyBiasBatch(rows, bias, ids, hs[:n], outs[:n]) },
+			func(ks *simd.Kernels, ids []int32, n int) {
+				for i, h := range hs[:n] {
+					for k, id := range ids {
+						outs[i][k] = ks.Dot(rows[id], h) + bias[id]
+					}
+				}
+			})
+	}
+}
+
+// BenchmarkKernelDotManyU8S8 measures the int8 tiled walk against the
+// per-row DotU8S8 loop it is defined as (and replaced in quant.RowQ).
+func BenchmarkKernelDotManyU8S8(b *testing.B) {
+	const maxBatch = 32
+	for _, s := range outputWalks {
+		rng := rand.New(rand.NewPCG(81, 1))
+		block := make([]int8, s.rows*s.dim)
+		for i := range block {
+			block[i] = int8(rng.IntN(255) - 127)
+		}
+		rows := make([][]int8, s.rows)
+		for i := range rows {
+			rows[i] = block[i*s.dim : (i+1)*s.dim : (i+1)*s.dim]
+		}
+		qas, accs := make([][]uint8, maxBatch), make([][]int32, maxBatch)
+		for i := range qas {
+			qas[i], accs[i] = make([]uint8, s.dim), make([]int32, 1024)
+			for j := range qas[i] {
+				qas[i][j] = uint8(rng.IntN(128))
+			}
+		}
+		benchTiles(b, s,
+			func(ks *simd.Kernels, ids []int32, n int) { ks.DotManyU8S8(rows, ids, qas[:n], accs[:n]) },
+			func(ks *simd.Kernels, ids []int32, n int) {
+				for i, qa := range qas[:n] {
+					for k, id := range ids {
+						accs[i][k] = ks.DotU8S8(qa, rows[id])
+					}
+				}
+			})
+	}
+}
+
 // BenchmarkKernelAxpyTwoMany measures the active-set backward walk (one call
 // per sample: grad rows += gz·h, dh += Σ gz·w rows) against a "perrow" loop
 // of the same tier's AxpyTwo, at the two training fixtures' shapes.

@@ -201,13 +201,13 @@ func (w *RowWeights) ForwardAll(ks *simd.Kernels, h []float32, hBF []bf16.BF16, 
 		panic("layer: ForwardAll output size mismatch")
 	}
 	if workers <= 1 {
-		w.ForwardAllBatchRange(ks, [][]float32{h}, [][]bf16.BF16{hBF}, [][]float32{out}, 0, w.Out)
+		w.ForwardAllBatchRange(ks, [][]float32{h}, [][]bf16.BF16{hBF}, [][]float32{out}, 0, w.Out, nil)
 		return
 	}
 	per := (w.Out + workers - 1) / workers
 	var tiles fanout.Group
 	tiles.Run(workers, func(t int) {
-		w.ForwardAllBatchRange(ks, [][]float32{h}, [][]bf16.BF16{hBF}, [][]float32{out}, min(t*per, w.Out), min((t+1)*per, w.Out))
+		w.ForwardAllBatchRange(ks, [][]float32{h}, [][]bf16.BF16{hBF}, [][]float32{out}, min(t*per, w.Out), min((t+1)*per, w.Out), nil)
 	})
 }
 
@@ -224,20 +224,27 @@ func (w *RowWeights) ForwardAllBatch(ks *simd.Kernels, hs [][]float32, hBFs [][]
 			panic("layer: ForwardAllBatch output size mismatch")
 		}
 	}
-	w.ForwardAllBatchRange(ks, hs, hBFs, outs, 0, w.Out)
+	w.ForwardAllBatchRange(ks, hs, hBFs, outs, 0, w.Out, nil)
 }
 
 // ForwardAllBatchRange is the exact walk: outs[s][i] = Logit(i, hs[s]) for
 // every row i in [lo, hi) and every sample s. Rows are taken a block at a
 // time (BlockRows of them) and each block is scored against every sample
-// before the next is touched, by one ForwardActive call per (block, sample)
-// — so the weight matrix streams from memory once per chunk instead of once
-// per sample, the activation stays in registers across a block on the
-// assembly tiers, and every logit is the one Logit computes. Callers tile
-// the rows by calling it concurrently over disjoint ranges into shared outs
-// (shards, evaluation workers); the assembled scores are the same bits at
-// any tiling.
-func (w *RowWeights) ForwardAllBatchRange(ks *simd.Kernels, hs [][]float32, hBFs [][]bf16.BF16, outs [][]float32, lo, hi int) {
+// before the next is touched — so the weight matrix streams from memory once
+// per chunk instead of once per sample. Under FP32 a block meets the samples
+// a tile at a time: one DotManyBiasBatch call scores it against
+// simd.WalkTile of them, each row loaded once for the tile. A lone last
+// sample — so also a single query — and every sample of the BF16 precisions
+// take one ForwardActive call per block, the activation in registers across
+// it on the assembly tiers (no workload serves BF16, so those walks stay the
+// per-sample definition rather than gain a second tiled kernel). Either way
+// every logit is the one Logit computes. Callers tile the rows by calling it
+// concurrently over disjoint ranges into shared outs (shards, evaluation
+// workers); the assembled scores are the same bits at any tiling.
+//
+// win is scratch for the tile's windows into outs, one per concurrent
+// caller; nil allocates it when a tile is formed.
+func (w *RowWeights) ForwardAllBatchRange(ks *simd.Kernels, hs [][]float32, hBFs [][]bf16.BF16, outs [][]float32, lo, hi int, win *[simd.WalkTile][]float32) {
 	if len(outs) != len(hs) {
 		panic("layer: ForwardAllBatchRange batch size mismatch")
 	}
@@ -251,12 +258,25 @@ func (w *RowWeights) ForwardAllBatchRange(ks *simd.Kernels, hs [][]float32, hBFs
 	ids, block := Iota(w.Out), BlockRows(rowBytes)
 	for b := lo; b < hi; b += block {
 		e := min(b+block, hi)
-		for s, out := range outs {
-			var hBF []bf16.BF16
-			if w.prec != FP32 {
-				hBF = hBFs[s]
+		for s := 0; s < len(outs); {
+			g := min(simd.WalkTile, len(outs)-s)
+			if w.prec == FP32 && g > 1 {
+				if win == nil {
+					win = new([simd.WalkTile][]float32)
+				}
+				for i := range g {
+					win[i] = outs[s+i][b:e]
+				}
+				ks.DotManyBiasBatch(w.rows, w.bias, ids[b:e], hs[s:s+g], win[:g])
+			} else {
+				g = 1
+				var hBF []bf16.BF16
+				if w.prec != FP32 {
+					hBF = hBFs[s]
+				}
+				w.ForwardActive(ks, ids[b:e], hs[s], hBF, outs[s][b:e])
 			}
-			w.ForwardActive(ks, ids[b:e], hs[s], hBF, out[b:e])
+			s += g
 		}
 	}
 }

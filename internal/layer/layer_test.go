@@ -324,9 +324,10 @@ func TestRowLayerApplyAdamAllEqualsSparseWhenAllTouched(t *testing.T) {
 // TestRowLayerForwardAll pins the exact walk to the per-row definition:
 // every score ForwardAllBatchRange, ForwardAllBatch and ForwardAll produce is
 // Logit of that row and sample, bit for bit — on every kernel tier, precision
-// and placement, for chunks of 1 to 64 samples, for layers that end just
-// before, on and after a block boundary, and for row ranges that start and
-// end inside a block.
+// and placement, for chunks of 1 to 64 samples (every remainder of the sample
+// tile), for layers that end just before, on and after a block boundary, and
+// for row ranges that start and end inside a block, with the caller's window
+// scratch and without.
 func TestRowLayerForwardAll(t *testing.T) {
 	const in = 200
 	rng := rand.New(rand.NewPCG(21, 22))
@@ -365,7 +366,7 @@ func TestRowLayerForwardAll(t *testing.T) {
 							}
 						}
 					}
-					for _, n := range []int{1, 2, 33, 64} {
+					for _, n := range []int{1, 2, 3, 4, 5, 33, 64} {
 						clear()
 						w.ForwardAllBatch(ks, hs[:n], hBFs[:n], got[:n])
 						for s := 0; s < n; s++ {
@@ -376,15 +377,16 @@ func TestRowLayerForwardAll(t *testing.T) {
 					// rows outside a range are not written.
 					cutA, cutB := out/3, out-out/4
 					clear()
-					w.ForwardAllBatchRange(ks, hs[:2], hBFs[:2], got[:2], cutA, cutB)
+					win := new([simd.WalkTile][]float32)
+					w.ForwardAllBatchRange(ks, hs[:2], hBFs[:2], got[:2], cutA, cutB, win)
 					for i := 0; i < out; i++ {
 						if inside := i >= cutA && i < cutB; inside == math.IsNaN(float64(got[1][i])) {
 							t.Fatalf("%s: range [%d,%d) row %d written=%v", name, cutA, cutB, i, !inside)
 						}
 					}
-					w.ForwardAllBatchRange(ks, hs[:2], hBFs[:2], got[:2], 0, cutA)
-					w.ForwardAllBatchRange(ks, hs[:2], hBFs[:2], got[:2], cutB, out)
-					w.ForwardAllBatchRange(ks, hs[:2], hBFs[:2], got[:2], cutB, cutB) // empty: a no-op
+					w.ForwardAllBatchRange(ks, hs[:2], hBFs[:2], got[:2], 0, cutA, win)
+					w.ForwardAllBatchRange(ks, hs[:2], hBFs[:2], got[:2], cutB, out, nil)
+					w.ForwardAllBatchRange(ks, hs[:2], hBFs[:2], got[:2], cutB, cutB, nil) // empty: a no-op
 					sameBits(t, name+" ranges sample 0", got[0], want[0])
 					sameBits(t, name+" ranges sample 1", got[1], want[1])
 					for _, workers := range []int{1, 3} {
@@ -401,11 +403,11 @@ func TestRowLayerForwardAll(t *testing.T) {
 	w := NewRowLayer(in, 6, Options{Seed: 24}).ForwardView()
 	outs := [][]float32{make([]float32, 6)}
 	for name, call := range map[string]func(){
-		"batch mismatch": func() { w.ForwardAllBatchRange(tks(), hs[:1], nil, nil, 0, 6) },
+		"batch mismatch": func() { w.ForwardAllBatchRange(tks(), hs[:1], nil, nil, 0, 6, nil) },
 		"short out":      func() { w.ForwardAllBatch(tks(), hs[:1], nil, [][]float32{make([]float32, 5)}) },
 		"short single":   func() { w.ForwardAll(tks(), hs[0], nil, make([]float32, 5), 1) },
-		"range past end": func() { w.ForwardAllBatchRange(tks(), hs[:1], nil, outs, 2, 7) },
-		"range reversed": func() { w.ForwardAllBatchRange(tks(), hs[:1], nil, outs, 3, 2) },
+		"range past end": func() { w.ForwardAllBatchRange(tks(), hs[:1], nil, outs, 2, 7, nil) },
+		"range reversed": func() { w.ForwardAllBatchRange(tks(), hs[:1], nil, outs, 3, 2, nil) },
 	} {
 		func() {
 			defer func() {

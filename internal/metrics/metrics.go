@@ -29,8 +29,10 @@ func TopK(scores []float32, k int) []int32 {
 // path. out's previous contents are ignored.
 //
 // The selection keeps a size-k min-heap of candidate indices ordered by
-// (score, -index), so a full ranking costs O(n log k) with an O(1) reject
-// for the common below-threshold case.
+// (score, -index), so a full ranking costs O(n log k); once the heap is full
+// a score is first compared with the heap's minimum, held in a local, and
+// only one that beats it reaches the heap — one comparison per score in the
+// common below-threshold case.
 func TopKInto(scores []float32, k int, out []int32) []int32 {
 	if k > len(scores) {
 		k = len(scores)
@@ -46,30 +48,33 @@ func TopKInto(scores []float32, k int, out []int32) []int32 {
 		sa, sb := scores[a], scores[b]
 		return sa < sb || (sa == sb && a > b)
 	}
-	for i := range scores {
-		c := int32(i)
-		if len(h) < k {
-			// Sift up.
-			h = append(h, c)
-			j := len(h) - 1
-			for j > 0 {
-				parent := (j - 1) / 2
-				if !worse(h[j], h[parent]) {
-					break
-				}
-				h[j], h[parent] = h[parent], h[j]
-				j = parent
+	// The first k candidates fill the heap, each sifted up.
+	for i := 0; i < k; i++ {
+		h = append(h, int32(i))
+		j := i
+		for j > 0 {
+			parent := (j - 1) / 2
+			if !worse(h[j], h[parent]) {
+				break
 			}
+			h[j], h[parent] = h[parent], h[j]
+			j = parent
+		}
+	}
+	// Candidates iterate in ascending index order, so an incoming score
+	// equal to the current k-th best is always worse (higher index) and
+	// rejected with the lower ones — the tie-toward-lower-index rule falls
+	// out for free, and "beats the minimum" is the one comparison
+	// scores[i] > thr. Written as !(… > thr) so that a NaN on either side
+	// rejects, exactly as worse's comparisons do.
+	thr := scores[h[0]]
+	for i := k; i < len(scores); i++ {
+		if !(scores[i] > thr) {
 			continue
 		}
-		// Candidates iterate in ascending index order, so an incoming score
-		// equal to the current k-th best is always worse (higher index) and
-		// rejected here — the tie-toward-lower-index rule falls out for free.
-		if !worse(h[0], c) {
-			continue
-		}
-		h[0] = c
+		h[0] = int32(i)
 		siftDown(h, 0, worse)
+		thr = scores[h[0]]
 	}
 	// Heap-sort in place: repeatedly move the current worst to the back,
 	// leaving the slice ordered best-first.

@@ -85,6 +85,8 @@ type scratch struct {
 	qa  []uint8
 	qsa float32
 	qzp int32
+	// qacc holds the integer accumulators of the sampled int8 walk.
+	qacc quant.WalkScratch
 	// loss, activeSum and nonFinite are one HOGWILD worker's partial
 	// BatchStats for the batch in flight (training only).
 	loss      float64
@@ -228,7 +230,7 @@ func (f *forwardState) predictSampled(ws *scratch, x sparse.Vector, k int) []int
 	}
 	logits := ws.logits[:na]
 	if f.qout != nil {
-		f.qout.ForwardActive(ws.ks, ws.active, ws.qa, ws.qsa, ws.qzp, logits)
+		f.qout.ForwardActive(ws.ks, ws.active, ws.qa, ws.qsa, ws.qzp, logits, &ws.qacc)
 	} else {
 		f.output.ForwardActive(ws.ks, ws.active, ws.last(), ws.hBF, logits)
 	}

@@ -9,6 +9,7 @@ import (
 
 	"github.com/slide-cpu/slide/internal/bf16"
 	"github.com/slide-cpu/slide/internal/fanout"
+	"github.com/slide-cpu/slide/internal/quant"
 	"github.com/slide-cpu/slide/internal/simd"
 	"github.com/slide-cpu/slide/internal/sparse"
 )
@@ -150,9 +151,18 @@ type chunk struct {
 	sas    []float32
 	zps    []int32
 	scores [][]float32
+	tile   []tileScratch // per row tile of the pass in flight
 
 	group     fanout.Group
 	scoreTile func(t int)
+}
+
+// tileScratch is what one row tile's goroutine needs besides the chunk's
+// shared operands, whichever representation it scores: the f32 walk's
+// windows into the score vectors, the int8 walk's integer accumulators.
+type tileScratch struct {
+	win [simd.WalkTile][]float32
+	q   quant.WalkScratch
 }
 
 // hold copies the activation forwardStack left in ws into sample i's slot,
@@ -184,10 +194,10 @@ func (c *chunk) score(t int) {
 		lo, hi = min(t*per, f.cfg.OutputDim), min((t+1)*per, f.cfg.OutputDim)
 	}
 	if f.qout != nil {
-		f.qout.ForwardAllBatchRange(c.ks, c.qas[:n], c.sas[:n], c.zps[:n], c.scores[:n], lo, hi)
+		f.qout.ForwardAllBatchRange(c.ks, c.qas[:n], c.sas[:n], c.zps[:n], c.scores[:n], lo, hi, &c.tile[t].q)
 		return
 	}
-	f.output.ForwardAllBatchRange(c.ks, c.hs[:n], c.hBFs[:n], c.scores[:n], lo, hi)
+	f.output.ForwardAllBatchRange(c.ks, c.hs[:n], c.hBFs[:n], c.scores[:n], lo, hi, &c.tile[t].win)
 }
 
 // walk is the exact forward pass, and the only one: every entry point below
@@ -211,6 +221,9 @@ func (p *Predictor) walk(xs []sparse.Vector, tiles int, emit func(i int, ws *scr
 	c.ks, c.tiles = ws.ks, max(tiles, 1)
 	if f.plan != nil {
 		c.tiles = f.plan.s
+	}
+	if len(c.tile) < c.tiles {
+		c.tile = make([]tileScratch, c.tiles)
 	}
 	for lo := 0; lo < len(xs); lo += fusedChunk {
 		c.n = min(fusedChunk, len(xs)-lo)

@@ -23,21 +23,68 @@ func (q *RowQ) dequant(id int32, acc int32, sa float32, zp int32) float32 {
 }
 
 // Logit computes neuron id's dequantized pre-activation — the per-row
-// definition every walk below is an id list of.
+// definition every walk below is an id list of. qa must have In elements.
 func (q *RowQ) Logit(ks *simd.Kernels, id int32, qa []uint8, sa float32, zp int32) float32 {
-	return q.dequant(id, ks.DotU8S8(qa, q.rows8[id]), sa, zp)
+	row := q.rows8[id]
+	if len(qa) != len(row) {
+		panic("quant: Logit activation length mismatch")
+	}
+	return q.dequant(id, ks.DotU8S8(qa, row), sa, zp)
+}
+
+// WalkScratch holds a walk's integer accumulators between the kernel call
+// that fills them and the loop that dequantizes them: one list per sample of
+// a tile, as long as the longest id list walked so far. A walk grows it on
+// first use and reuses it afterwards, so whoever owns it pays for it once —
+// network's pooled walk state keeps one per row tile for the exact walk and
+// one per call in flight for sampled serving. The zero value is ready; a
+// WalkScratch must not be shared between goroutines.
+type WalkScratch struct {
+	accs [simd.WalkTile][]int32
+	qa   [1][]uint8 // ForwardActive's activation, as the batch of one the kernel takes
+}
+
+// lists returns the accumulator lists, each at least n long.
+func (w *WalkScratch) lists(n int) *[simd.WalkTile][]int32 {
+	if len(w.accs[0]) < n {
+		buf := make([]int32, simd.WalkTile*n)
+		for s := range w.accs {
+			w.accs[s] = buf[s*n : (s+1)*n : (s+1)*n]
+		}
+	}
+	return &w.accs
+}
+
+// dequantInto turns the accumulators of an id list into its logits: dequant
+// per id, over local copies of the per-row tables so that the stores into
+// logits cannot force their reload.
+func (q *RowQ) dequantInto(ids []int32, acc []int32, sa float32, zp int32, logits []float32) {
+	scales, rowSums, bias := q.scales, q.rowSums, q.bias
+	acc, logits = acc[:len(ids)], logits[:len(ids)]
+	for k, id := range ids {
+		d := float32(scales[id] * sa)
+		v := float32(acc[k] - zp*rowSums[id])
+		logits[k] = float32(d*v) + bias[id]
+	}
 }
 
 // ForwardActive fills logits[k] with Logit(active[k]) — the one scoring
-// primitive of this representation: the sampled serving path calls it over
-// the LSH-retrieved candidate set, the exact walk over blocks of every row.
-func (q *RowQ) ForwardActive(ks *simd.Kernels, active []int32, qa []uint8, sa float32, zp int32, logits []float32) {
+// primitive of this representation, a single DotManyU8S8 call over the id
+// list and one dequantizing loop: the sampled serving path calls it over the
+// LSH-retrieved candidate set. Like the f32 primitive it panics at the first
+// id that is out of range or whose row does not have len(qa) elements, after
+// having scored the ids before it. ws may be nil, which allocates.
+func (q *RowQ) ForwardActive(ks *simd.Kernels, active []int32, qa []uint8, sa float32, zp int32, logits []float32, ws *WalkScratch) {
 	if len(logits) < len(active) {
 		panic("quant: ForwardActive logits buffer too short")
 	}
-	for k, id := range active {
-		logits[k] = q.Logit(ks, id, qa, sa, zp)
+	if ws == nil {
+		ws = new(WalkScratch)
 	}
+	accs := ws.lists(len(active))
+	ws.qa[0] = qa
+	ks.DotManyU8S8(q.rows8, active, ws.qa[:], accs[:1])
+	q.dequantInto(active, accs[0], sa, zp, logits)
 }
 
 // ForwardAll computes every neuron's logit into out (len Out): the exact
@@ -56,29 +103,40 @@ func (q *RowQ) ForwardAllBatch(ks *simd.Kernels, qas [][]uint8, sas []float32, z
 			panic("quant: ForwardAllBatch output size mismatch")
 		}
 	}
-	q.ForwardAllBatchRange(ks, qas, sas, zps, outs, 0, q.Out)
+	q.ForwardAllBatchRange(ks, qas, sas, zps, outs, 0, q.Out, nil)
 }
 
 // ForwardAllBatchRange is the exact walk restricted to rows [lo, hi): the
 // same loop as layer.RowWeights.ForwardAllBatchRange — a block of rows
 // (layer.BlockRows of them, so four times as many as the f32 walk takes)
-// against every sample of the chunk, one ForwardActive call per (block,
-// sample) — over packed rows, so each packed row streams from memory once
-// per chunk. Shards call it concurrently over disjoint ranges into shared
-// outs; every logit is Logit's, so the assembled scores are bit-identical
-// at any tiling.
-func (q *RowQ) ForwardAllBatchRange(ks *simd.Kernels, qas [][]uint8, sas []float32, zps []int32, outs [][]float32, lo, hi int) {
+// against every sample of the chunk — over packed rows, so each packed row
+// streams from memory once per chunk. A block meets the samples a tile at a
+// time: one DotManyU8S8 call scores it against simd.WalkTile of them, each
+// row block loaded once for the tile, into ws's accumulator lists, and one
+// dequantizing loop per sample turns those into logits. Shards call it
+// concurrently over disjoint ranges into shared outs, each with its own ws
+// (nil allocates one); every logit is Logit's, so the assembled scores are
+// bit-identical at any tiling.
+func (q *RowQ) ForwardAllBatchRange(ks *simd.Kernels, qas [][]uint8, sas []float32, zps []int32, outs [][]float32, lo, hi int, ws *WalkScratch) {
 	if len(outs) != len(qas) {
 		panic("quant: ForwardAllBatchRange batch size mismatch")
 	}
 	if lo < 0 || hi > q.Out || lo > hi {
 		panic("quant: ForwardAllBatchRange row range out of bounds")
 	}
+	if ws == nil {
+		ws = new(WalkScratch)
+	}
 	ids, block := layer.Iota(q.Out), layer.BlockRows(q.In)
+	accs := ws.lists(min(block, hi-lo))
 	for b := lo; b < hi; b += block {
 		e := min(b+block, hi)
-		for s, out := range outs {
-			q.ForwardActive(ks, ids[b:e], qas[s], sas[s], zps[s], out[b:e])
+		for s := 0; s < len(outs); s += simd.WalkTile {
+			t := min(s+simd.WalkTile, len(outs))
+			ks.DotManyU8S8(q.rows8, ids[b:e], qas[s:t], accs[:t-s])
+			for i := s; i < t; i++ {
+				q.dequantInto(ids[b:e], accs[i-s], sas[i], zps[i], outs[i][b:e])
+			}
 		}
 	}
 }

@@ -349,9 +349,10 @@ func TestLogitMatchesF32(t *testing.T) {
 // TestForwardAllMatchesLogit pins the exact walk to the per-row definition:
 // every score ForwardAllBatchRange, ForwardAllBatch, ForwardAll and
 // ForwardActive produce is Logit of that row and sample, bit for bit — on
-// every kernel tier, for chunks of 1 to 64 samples, for views that end just
-// before, on and after a block boundary, and for row ranges that start and
-// end inside a block.
+// every kernel tier, for chunks of 1 to 64 samples (every remainder of the
+// sample tile), for views that end just before, on and after a block
+// boundary, and for row ranges that start and end inside a block, with one
+// WalkScratch reused across all of them.
 func TestForwardAllMatchesLogit(t *testing.T) {
 	const in = 200
 	block := layer.BlockRows(in)
@@ -397,7 +398,8 @@ func TestForwardAllMatchesLogit(t *testing.T) {
 					}
 				}
 			}
-			for _, n := range []int{1, 2, 33, 64} {
+			ws := new(WalkScratch)
+			for _, n := range []int{1, 2, 3, 4, 5, 33, 64} {
 				clear()
 				q.ForwardAllBatch(ks, qas[:n], sas[:n], zps[:n], got[:n])
 				for s := 0; s < n; s++ {
@@ -408,15 +410,15 @@ func TestForwardAllMatchesLogit(t *testing.T) {
 			// outside a range are not written.
 			cutA, cutB := out/3, out-out/4
 			clear()
-			q.ForwardAllBatchRange(ks, qas[:2], sas[:2], zps[:2], got[:2], cutA, cutB)
+			q.ForwardAllBatchRange(ks, qas[:2], sas[:2], zps[:2], got[:2], cutA, cutB, ws)
 			for i := 0; i < out; i++ {
 				if inside := i >= cutA && i < cutB; inside == math.IsNaN(float64(got[1][i])) {
 					t.Fatalf("%v out=%d: range [%d,%d) row %d written=%v", m, out, cutA, cutB, i, !inside)
 				}
 			}
-			q.ForwardAllBatchRange(ks, qas[:2], sas[:2], zps[:2], got[:2], 0, cutA)
-			q.ForwardAllBatchRange(ks, qas[:2], sas[:2], zps[:2], got[:2], cutB, out)
-			q.ForwardAllBatchRange(ks, qas[:2], sas[:2], zps[:2], got[:2], cutB, cutB) // empty: a no-op
+			q.ForwardAllBatchRange(ks, qas[:2], sas[:2], zps[:2], got[:2], 0, cutA, ws)
+			q.ForwardAllBatchRange(ks, qas[:2], sas[:2], zps[:2], got[:2], cutB, out, ws)
+			q.ForwardAllBatchRange(ks, qas[:2], sas[:2], zps[:2], got[:2], cutB, cutB, ws) // empty: a no-op
 			check("ForwardAllBatchRange", 0)
 			check("ForwardAllBatchRange", 1)
 			clear()
@@ -425,7 +427,7 @@ func TestForwardAllMatchesLogit(t *testing.T) {
 
 			active := []int32{0, int32(out / 2), int32(out - 1)}
 			logits := make([]float32, len(active))
-			q.ForwardActive(ks, active, qas[0], sas[0], zps[0], logits)
+			q.ForwardActive(ks, active, qas[0], sas[0], zps[0], logits, ws)
 			for k, id := range active {
 				if logits[k] != want[0][id] {
 					t.Fatalf("%v out=%d ForwardActive[%d] = %v, want %v", m, out, id, logits[k], want[0][id])
@@ -441,11 +443,11 @@ func TestForwardAllMatchesLogit(t *testing.T) {
 	}
 	ks, outs := simd.Active(), [][]float32{make([]float32, 6)}
 	for name, call := range map[string]func(){
-		"batch mismatch": func() { q.ForwardAllBatchRange(ks, qas[:1], sas[:1], zps[:1], nil, 0, 6) },
+		"batch mismatch": func() { q.ForwardAllBatchRange(ks, qas[:1], sas[:1], zps[:1], nil, 0, 6, nil) },
 		"short out":      func() { q.ForwardAllBatch(ks, qas[:1], sas[:1], zps[:1], [][]float32{make([]float32, 5)}) },
 		"short single":   func() { q.ForwardAll(ks, qas[0], sas[0], zps[0], make([]float32, 5), 1) },
-		"range past end": func() { q.ForwardAllBatchRange(ks, qas[:1], sas[:1], zps[:1], outs, 2, 7) },
-		"range reversed": func() { q.ForwardAllBatchRange(ks, qas[:1], sas[:1], zps[:1], outs, 3, 2) },
+		"range past end": func() { q.ForwardAllBatchRange(ks, qas[:1], sas[:1], zps[:1], outs, 2, 7, nil) },
+		"range reversed": func() { q.ForwardAllBatchRange(ks, qas[:1], sas[:1], zps[:1], outs, 3, 2, nil) },
 	} {
 		func() {
 			defer func() {
@@ -455,6 +457,38 @@ func TestForwardAllMatchesLogit(t *testing.T) {
 			}()
 			call()
 		}()
+	}
+}
+
+// TestRowQForwardActiveRejectsShortActs: an activation that does not have In
+// elements is refused on every tier — by the walk at the first listed row,
+// with DotU8S8's panic, and by Logit — instead of scoring a truncated dot as
+// the per-row loop over the unchecked table entries used to.
+func TestRowQForwardActiveRejectsShortActs(t *testing.T) {
+	const in = 128
+	q, err := QuantizeRowWeights(testRowWeights(t, in, 8, 69), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	panics := func(call func()) (msg any) {
+		defer func() { msg = recover() }()
+		call()
+		return nil
+	}
+	for _, m := range simd.AvailableModes() {
+		ks := simd.ForMode(m)
+		for _, n := range []int{in / 2, in - 1, in + 1, 2 * in} {
+			qa, logits := make([]uint8, n), make([]float32, 3)
+			if msg := panics(func() { q.ForwardActive(ks, []int32{1, 0, 7}, qa, 0.5, 3, logits, nil) }); msg != "simd: DotU8S8 length mismatch" {
+				t.Errorf("%v: ForwardActive with %d of %d activations: panic %v", m, n, in, msg)
+			}
+			if msg := panics(func() { q.Logit(ks, 1, qa, 0.5, 3) }); msg == nil {
+				t.Errorf("%v: Logit with %d of %d activations did not panic", m, n, in)
+			}
+			if msg := panics(func() { q.ForwardAll(ks, qa, 0.5, 3, make([]float32, 8), 1) }); msg != "simd: DotU8S8 length mismatch" {
+				t.Errorf("%v: ForwardAll with %d of %d activations: panic %v", m, n, in, msg)
+			}
+		}
 	}
 }
 

@@ -472,6 +472,98 @@ func TestActiveSetWalksBitIdenticalToPerRow(t *testing.T) {
 	}
 }
 
+// The tiled walks (DotManyBiasBatch, DotManyU8S8) are defined as "the same
+// tier's per-row kernel once per (id, sample)", and compared exactly with
+// that loop: widths on both sides of every block and residency boundary of
+// either routine (16/64 float columns; 16/32/64 bytes, 256 resident), sample
+// counts below, at and past every tile width, lists from empty to longer
+// than the row count, unaligned bases on every operand, both placements.
+var (
+	tileWidths  = []int{1, 7, 16, 63, 64, 65, 100, 128, 129, 192, 200, 255, 256, 257, 300, 320, 520}
+	tileSamples = []int{1, 2, 3, 4, 5, 8, 9}
+)
+
+// quantVectors is walkVectors for the integer walk: nVec rows of n weights
+// in [-127,127] at odd byte offsets, views into one block or one allocation
+// each.
+func quantVectors(rng *rand.Rand, nVec, n int, scattered bool) [][]int8 {
+	fill := func(n, off int) []int8 {
+		buf := make([]int8, n+off)
+		for i := range buf {
+			buf[i] = int8(rng.IntN(255) - 127)
+		}
+		return buf[off : off+n : off+n]
+	}
+	vecs := make([][]int8, nVec)
+	if scattered {
+		for i := range vecs {
+			vecs[i] = fill(n, 1+i%5)
+		}
+		return vecs
+	}
+	block := fill(nVec*n, 3)
+	for i := range vecs {
+		vecs[i] = block[i*n : (i+1)*n : (i+1)*n]
+	}
+	return vecs
+}
+
+// quantActs returns n activations in DotU8S8's [0,127] at byte offset off.
+func quantActs(rng *rand.Rand, n, off int) []uint8 {
+	buf := make([]uint8, n+off)
+	for i := range buf {
+		buf[i] = uint8(rng.IntN(128))
+	}
+	return buf[off : off+n : off+n]
+}
+
+func TestTiledWalksBitIdenticalToPerRow(t *testing.T) {
+	rng := rand.New(rand.NewPCG(24, 1))
+	const nVec = 23
+	for _, m := range AvailableModes() {
+		ks := ForMode(m)
+		for _, n := range tileWidths {
+			for _, nS := range tileSamples {
+				for _, nIDs := range walkLists {
+					for _, scattered := range []bool{false, true} {
+						name := fmt.Sprintf("%s n=%d samples=%d ids=%d scattered=%v", m, n, nS, nIDs, scattered)
+						ids := walkIDs(rng, nIDs, nVec)
+
+						w, bias := walkVectors(rng, nVec, n, scattered), randSlice(rng, nVec)
+						hs, outs := make([][]float32, nS), make([][]float32, nS)
+						for s := range hs {
+							hs[s], outs[s] = offsetSlice(rng, n, 1+s%3), offsetSlice(rng, nIDs, s%2)
+						}
+						ks.DotManyBiasBatch(w, bias, ids, hs, outs)
+						for s := range hs {
+							want := make([]float32, nIDs)
+							for k, id := range ids {
+								want[k] = ks.Dot(w[id], hs[s]) + bias[id]
+							}
+							checkExact(t, fmt.Sprintf("%s DotManyBiasBatch sample %d", name, s), outs[s], want)
+						}
+
+						q := quantVectors(rng, nVec, n, scattered)
+						qas, accs := make([][]uint8, nS), make([][]int32, nS)
+						for s := range qas {
+							qas[s], accs[s] = quantActs(rng, n, 1+s%3), make([]int32, nIDs+s%2)[s%2:]
+						}
+						ks.DotManyU8S8(q, ids, qas, accs)
+						for s := range qas {
+							for k, id := range ids {
+								if want := ks.DotU8S8(qas[s], q[id]); accs[s][k] != want {
+									t.Errorf("%s DotManyU8S8 sample %d: index %d got %d want %d", name, s, k, accs[s][k], want)
+									break
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestBF16DotEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewPCG(18, 1))
 	for _, m := range asmModes(t) {

@@ -45,6 +45,9 @@ func init() {
 			GatherAxpy:  gatherAxpyAVX2,
 			ScatterAxpy: scatterAxpyAVX2,
 
+			DotManyBiasBatch: dotManyBiasBatchAVX2,
+			DotManyU8S8:      dotManyU8S8AVX2,
+
 			DotBF16F32:         dotBF16F32AVX2,
 			DotBF16:            dotBF16AVX2,
 			AxpyBF16:           axpyBF16AVX2,
@@ -82,6 +85,9 @@ func init() {
 			GatherAxpy:  gatherAxpyAVX512,
 			ScatterAxpy: scatterAxpyAVX512,
 
+			DotManyBiasBatch: dotManyBiasBatchAVX512,
+			DotManyU8S8:      dotManyU8S8AVX2, // as DotU8S8 below
+
 			DotBF16F32:         dotBF16F32AVX512,
 			DotBF16:            dotBF16AVX512,
 			AxpyBF16:           axpyBF16AVX512,
@@ -90,7 +96,7 @@ func init() {
 			DotManyBiasBF16Act: dotManyBiasBF16ActAVX512,
 			DotManyBiasBF16:    dotManyBiasBF16AVX512,
 
-			// The integer dot rides the AVX2 widening kernel unless the
+			// The integer dot and its walk ride the AVX2 kernels unless the
 			// silicon has VNNI (see below); either way the result is the
 			// identical int32 — exact math, so the swap is pure throughput.
 			DotU8S8: dotU8S8AVX2,
@@ -100,6 +106,7 @@ func init() {
 		}
 		if haveVNNI {
 			avx512Kernels.DotU8S8 = dotU8S8VNNI
+			avx512Kernels.DotManyU8S8 = dotManyU8S8VNNI
 		}
 		if haveAVX512BF {
 			// Hardware VCVTNEPS2BF16. Divergence from the software

@@ -114,11 +114,48 @@ func TestActiveSetWalkContracts(t *testing.T) {
 		out := make([]float32, 3)
 		ok, bad, neg, rag := []int32{1, 0, 3}, []int32{1, 4, 0}, []int32{1, -1, 0}, []int32{1, 2, 0}
 
+		// The tiled walks' operands: five samples, so the list is walked in
+		// more than one tile on every tier.
+		const nS = 5
+		hs, outs := make([][]float32, nS), make([][]float32, nS)
+		qas, accs := make([][]uint8, nS), make([][]int32, nS)
+		for s := range hs {
+			hs[s], outs[s] = randSlice(rng, n), make([]float32, 3)
+			qas[s], accs[s] = quantActs(rng, n, 0), make([]int32, 3)
+		}
+		qvecs, qragged := quantVectors(rng, 4, n, false), quantVectors(rng, 4, n, true)
+		qragged[2] = qragged[2][:n-1]
+		shortOuts := append([][]float32{}, outs...)
+		shortOuts[4] = shortOuts[4][:2]
+		shortAccs := append([][]int32{}, accs...)
+		shortAccs[4] = shortAccs[4][:2]
+		unevenHs := append([][]float32{}, hs...)
+		unevenHs[1] = unevenHs[1][:n-1]
+		unevenQas := append([][]uint8{}, qas...)
+		unevenQas[1] = unevenQas[1][:n-1]
+
 		for name, f := range map[string]func(){
 			"DotManyBias id out of range": func() { ks.DotManyBias(vecs, bias, bad, h, out) },
 			"DotManyBias negative id":     func() { ks.DotManyBias(vecs, bias, neg, h, out) },
 			"DotManyBias ragged row":      func() { ks.DotManyBias(ragged, bias, rag, h, out) },
 			"DotManyBias short bias":      func() { ks.DotManyBias(vecs, bias[:3], ok, h, out) },
+
+			"DotManyBiasBatch id out of range":    func() { ks.DotManyBiasBatch(vecs, bias, bad, hs, outs) },
+			"DotManyBiasBatch negative id":        func() { ks.DotManyBiasBatch(vecs, bias, neg, hs, outs) },
+			"DotManyBiasBatch ragged row":         func() { ks.DotManyBiasBatch(ragged, bias, rag, hs, outs) },
+			"DotManyBiasBatch short bias":         func() { ks.DotManyBiasBatch(vecs, bias[:3], ok, hs, outs) },
+			"DotManyBiasBatch short out":          func() { ks.DotManyBiasBatch(vecs, bias, ok, hs, shortOuts) },
+			"DotManyBiasBatch fewer outs":         func() { ks.DotManyBiasBatch(vecs, bias, ok, hs, outs[:4]) },
+			"DotManyBiasBatch uneven activations": func() { ks.DotManyBiasBatch(vecs, bias, ok, unevenHs, outs) },
+
+			"DotManyU8S8 id out of range":    func() { ks.DotManyU8S8(qvecs, bad, qas, accs) },
+			"DotManyU8S8 negative id":        func() { ks.DotManyU8S8(qvecs, neg, qas, accs) },
+			"DotManyU8S8 ragged row":         func() { ks.DotManyU8S8(qragged, rag, qas, accs) },
+			"DotManyU8S8 short accs":         func() { ks.DotManyU8S8(qvecs, ok, qas, shortAccs) },
+			"DotManyU8S8 fewer accs":         func() { ks.DotManyU8S8(qvecs, ok, qas, accs[:4]) },
+			"DotManyU8S8 uneven activations": func() { ks.DotManyU8S8(qvecs, ok, unevenQas, accs) },
+			"DotManyU8S8 short activations":  func() { ks.DotManyU8S8(qvecs, ok, [][]uint8{qas[0][:n-6]}, accs[:1]) },
+			"DotManyU8S8 long activations":   func() { ks.DotManyU8S8(quantVectors(rng, 4, n-6, false), ok, qas[:1], accs[:1]) },
 
 			"AxpyTwoMany short gz":        func() { ks.AxpyTwoMany(coef[:2], ok, h, grad, vecs, dh) },
 			"AxpyTwoMany short dh":        func() { ks.AxpyTwoMany(coef, ok, h, grad, vecs, dh[:n-1]) },
@@ -165,8 +202,47 @@ func TestActiveSetWalkContracts(t *testing.T) {
 			}
 		}
 
+		// So is it by the tiled walks, for the first tile's samples at least
+		// (the integer walk's definition scores every sample of a row before
+		// the next row; the float one finishes a sample's list first).
+		for s := range outs {
+			outs[s][0], accs[s][0] = float32(math.NaN()), math.MinInt32
+		}
+		func() {
+			defer func() { _ = recover() }()
+			ks.DotManyBiasBatch(vecs, bias, bad, hs, outs)
+		}()
+		func() {
+			defer func() { _ = recover() }()
+			ks.DotManyU8S8(qvecs, bad, qas, accs)
+		}()
+		if want := ks.Dot(vecs[1], hs[0]) + bias[1]; outs[0][0] != want {
+			t.Fatalf("%v: DotManyBiasBatch lost the id ahead of the offender: %v, want %v", m, outs[0][0], want)
+		}
+		if want := ks.DotU8S8(qas[0], qvecs[1]); accs[0][0] != want {
+			t.Fatalf("%v: DotManyU8S8 lost the id ahead of the offender: %v, want %v", m, accs[0][0], want)
+		}
+
+		// More samples than any tile holds are walked, not refused.
+		ks.DotManyBiasBatch(vecs, bias, ok, hs, outs)
+		ks.DotManyU8S8(qvecs, ok, qas, accs)
+		for s := range hs {
+			for k, id := range ok {
+				if want := ks.Dot(vecs[id], hs[s]) + bias[id]; outs[s][k] != want {
+					t.Fatalf("%v: DotManyBiasBatch sample %d of %d, id %d: %v, want %v", m, s, nS, id, outs[s][k], want)
+				}
+				if want := ks.DotU8S8(qas[s], qvecs[id]); accs[s][k] != want {
+					t.Fatalf("%v: DotManyU8S8 sample %d of %d, id %d: %v, want %v", m, s, nS, id, accs[s][k], want)
+				}
+			}
+		}
+
 		// Empty list: nothing is read, nothing is written.
 		before := append([]float32(nil), dh...)
+		ks.DotManyBiasBatch(nil, nil, nil, hs, [][]float32{nil, nil, nil, nil, nil})
+		ks.DotManyBiasBatch(vecs, bias, ok, nil, nil)
+		ks.DotManyU8S8(nil, nil, qas, [][]int32{nil, nil, nil, nil, nil})
+		ks.DotManyU8S8(qvecs, ok, nil, nil)
 		ks.DotManyBias(nil, nil, nil, h, nil)
 		ks.AxpyTwoMany(nil, nil, h, nil, nil, dh)
 		ks.GatherAxpy(nil, nil, nil, dh)
@@ -189,9 +265,19 @@ func TestActiveSetWalksDoNotAllocate(t *testing.T) {
 	h, dh := randSlice(rng, n), randSlice(rng, n)
 	ids := []int32{3, 0, 15, 3, 9}
 	coef, out := randSlice(rng, len(ids)), make([]float32, len(ids))
+	qvecs := quantVectors(rng, nVec, n, false)
+	hs, outs := make([][]float32, 5), make([][]float32, 5)
+	qas, accs := make([][]uint8, 5), make([][]int32, 5)
+	for s := range hs {
+		hs[s], outs[s] = randSlice(rng, n), make([]float32, len(ids))
+		qas[s], accs[s] = quantActs(rng, n, 0), make([]int32, len(ids))
+	}
 	for _, m := range AvailableModes() {
 		ks := ForMode(m)
 		for name, f := range map[string]func(){
+			"DotManyBiasBatch": func() { ks.DotManyBiasBatch(vecs, bias, ids, hs, outs) },
+			"DotManyU8S8":      func() { ks.DotManyU8S8(qvecs, ids, qas, accs) },
+
 			"DotManyBias": func() { ks.DotManyBias(vecs, bias, ids, h, out) },
 			"AxpyTwoMany": func() { ks.AxpyTwoMany(coef, ids, h, grad, vecs, dh) },
 			"GatherAxpy":  func() { ks.GatherAxpy(coef, ids, vecs, dh) },
@@ -424,6 +510,91 @@ func FuzzDotManyBias(f *testing.F) {
 				want += float64(bias[id])
 				if math.Abs(float64(out[k])-want) > 1e-2*math.Max(1, math.Abs(want)) {
 					t.Fatalf("%v: out[%d]=%g, float64 reference %g", m, k, out[k], want)
+				}
+			}
+		}
+	})
+}
+
+// FuzzDotManyBiasBatch: on every tier the tiled forward walk yields, for
+// every sample, exactly the tier's per-row Dot plus bias, and stays within
+// reduction-order distance of a float64 reference, whatever the width, the
+// row count, the list (ids repeat freely) and the batch size.
+func FuzzDotManyBiasBatch(f *testing.F) {
+	f.Add(uint64(1), 8, 5, 3, 1)
+	f.Add(uint64(42), 0, 1, 1, 4)
+	f.Add(uint64(7), 17, 4, 9, 2)
+	f.Add(uint64(9), 200, 40, 137, 9)
+	f.Add(uint64(11), 333, 7, 20, 5)
+	f.Add(uint64(13), 128, 9, 0, 3)
+	f.Fuzz(func(t *testing.T, seed uint64, dim, nRows, nIDs, nS int) {
+		if dim < 0 || dim > 600 || nRows < 1 || nRows > 64 || nIDs < 0 || nIDs > 256 || nS < 0 || nS > 12 {
+			t.Skip()
+		}
+		rng := rand.New(rand.NewPCG(seed, 97))
+		rows, bias := randRows(rng, nRows, dim), randSlice(rng, nRows)
+		ids := make([]int32, nIDs)
+		for i := range ids {
+			ids[i] = int32(rng.IntN(nRows))
+		}
+		hs, outs := make([][]float32, nS), make([][]float32, nS)
+		for s := range hs {
+			hs[s], outs[s] = randSlice(rng, dim), make([]float32, nIDs)
+		}
+		for _, m := range AvailableModes() {
+			ks := ForMode(m)
+			ks.DotManyBiasBatch(rows, bias, ids, hs, outs)
+			for s, h := range hs {
+				for k, id := range ids {
+					if perRow := ks.Dot(rows[id], h) + bias[id]; outs[s][k] != perRow {
+						t.Fatalf("%v: outs[%d][%d]=%g, per-row kernel %g", m, s, k, outs[s][k], perRow)
+					}
+					var want float64
+					for i := 0; i < dim; i++ {
+						want += float64(rows[id][i]) * float64(h[i])
+					}
+					want += float64(bias[id])
+					if math.Abs(float64(outs[s][k])-want) > 1e-2*math.Max(1, math.Abs(want)) {
+						t.Fatalf("%v: outs[%d][%d]=%g, float64 reference %g", m, s, k, outs[s][k], want)
+					}
+				}
+			}
+		}
+	})
+}
+
+// FuzzDotManyU8S8: on every tier the integer walk's accumulators are exactly
+// the scalar reference's over operands anywhere in DotU8S8's contract range.
+func FuzzDotManyU8S8(f *testing.F) {
+	f.Add(uint64(1), 8, 5, 3, 1)
+	f.Add(uint64(42), 0, 1, 1, 4)
+	f.Add(uint64(7), 17, 4, 9, 2)
+	f.Add(uint64(9), 200, 40, 137, 9)
+	f.Add(uint64(11), 333, 7, 20, 5)
+	f.Add(uint64(13), 128, 9, 0, 3)
+	f.Add(uint64(15), 256, 3, 5, 4)
+	f.Fuzz(func(t *testing.T, seed uint64, dim, nRows, nIDs, nS int) {
+		if dim < 0 || dim > 600 || nRows < 1 || nRows > 64 || nIDs < 0 || nIDs > 256 || nS < 0 || nS > 12 {
+			t.Skip()
+		}
+		rng := rand.New(rand.NewPCG(seed, 96))
+		rows := quantVectors(rng, nRows, dim, seed%2 == 0)
+		ids := make([]int32, nIDs)
+		for i := range ids {
+			ids[i] = int32(rng.IntN(nRows))
+		}
+		qas, accs := make([][]uint8, nS), make([][]int32, nS)
+		for s := range qas {
+			qas[s], accs[s] = quantActs(rng, dim, s%3), make([]int32, nIDs)
+		}
+		for _, m := range AvailableModes() {
+			ks := ForMode(m)
+			ks.DotManyU8S8(rows, ids, qas, accs)
+			for s, qa := range qas {
+				for k, id := range ids {
+					if want := dotU8S8Scalar(qa, rows[id]); accs[s][k] != want {
+						t.Fatalf("%v: accs[%d][%d]=%d, scalar reference %d", m, s, k, accs[s][k], want)
+					}
 				}
 			}
 		}

@@ -50,6 +50,14 @@ type Kernels struct {
 	GatherAxpy  func(alpha []float32, ids []int32, rows [][]float32, y []float32)
 	ScatterAxpy func(alpha []float32, ids []int32, x []float32, rows [][]float32)
 
+	// Tiled walks of the exact output pass: an id list against a batch of
+	// prepared activations, a register tile of samples per assembly call,
+	// so each listed row is loaded once for the whole tile (see walk.go).
+	// Each is bit-identical to looping this table's DotManyBias / DotU8S8
+	// entry over the samples.
+	DotManyBiasBatch func(rows [][]float32, bias []float32, ids []int32, hs, outs [][]float32)
+	DotManyU8S8      func(rows [][]int8, ids []int32, qas [][]uint8, accs [][]int32)
+
 	// Mixed-precision kernels (§4.4).
 	DotBF16F32         func(a []bf16.BF16, b []float32) float32
 	DotBF16            func(a, b []bf16.BF16) float32
@@ -61,7 +69,8 @@ type Kernels struct {
 
 	// Quantized integer kernels (serving tier, internal/quant). DotU8S8 is
 	// the u8-activation x s8-weight inner product; unlike the float kernels
-	// these are exact, so every tier returns the identical int32.
+	// these are exact, so every tier returns the identical int32. Its walk
+	// over an id list is DotManyU8S8 above.
 	DotU8S8 func(a []uint8, b []int8) int32
 
 	// Precision-conversion kernels (§4.4). PackBF16 converts float32 to
@@ -101,6 +110,9 @@ var vectorKernels = Kernels{
 	GatherAxpy:  gatherAxpyVec,
 	ScatterAxpy: scatterAxpyVec,
 
+	DotManyBiasBatch: dotManyBiasBatchVec,
+	DotManyU8S8:      dotManyU8S8Vec,
+
 	DotBF16F32:         dotBF16Vec,
 	DotBF16:            dotBF16BothVec,
 	AxpyBF16:           axpyBF16Vec,
@@ -138,6 +150,9 @@ var scalarKernels = Kernels{
 	AxpyTwoMany: axpyTwoManyScalar,
 	GatherAxpy:  gatherAxpyScalar,
 	ScatterAxpy: scatterAxpyScalar,
+
+	DotManyBiasBatch: dotManyBiasBatchScalar,
+	DotManyU8S8:      dotManyU8S8Scalar,
 
 	DotBF16F32:         dotBF16Scalar,
 	DotBF16:            dotBF16BothScalar,

@@ -13,7 +13,15 @@ package simd
 //
 // DotManyBias, the forward walk of the same family, lives in fused.go.
 //
-// All four kernels bounds-check every id against the vector count and
+// The exact output pass scores a block of rows against every sample of a
+// batch, so there the listed rows are the reused operand too: the tiled
+// walks at the end of this file, DotManyBiasBatch and DotManyU8S8, take an
+// id list and a batch of dense operands, and their assembly forms load each
+// listed row once for a register tile of samples (WalkTile of them at most;
+// how many a tier's tile holds is that routine's business — a longer batch
+// is walked in tiles, not rejected).
+//
+// All of these kernels bounds-check every id against the vector count and
 // compare every listed vector's length with the dense operand's, and panic
 // on the first offender after having processed the ids before it — the
 // per-row loops' behaviour, kept by the assembly.
@@ -121,4 +129,101 @@ func scatterAxpyVec(alpha []float32, ids []int32, x []float32, rows [][]float32)
 
 func scatterAxpyScalar(alpha []float32, ids []int32, x []float32, rows [][]float32) {
 	scatterAxpyRows(axpyScalar, alpha, ids, x, rows)
+}
+
+// WalkTile is the widest sample tile of any tier's tiled walk. A caller that
+// owns per-sample scratch sizes it for this many and hands the tiled walks
+// groups of it; fewer is always accepted and more is walked in tiles.
+const WalkTile = 4
+
+// DotManyBiasBatch fills outs[s][k] = rows[ids[k]]·hs[s] + bias[ids[k]] for
+// every listed id and every sample — DotManyBias over a batch of activations
+// of one length. Every logit is bit-identical to Dot(rows[id], hs[s]) +
+// bias[id] of the same tier: the assembly tiles keep the per-row dot's
+// accumulators, block order and reduction tree per sample (walk_amd64.go).
+// Every outs[s] must hold at least len(ids) values.
+func DotManyBiasBatch(rows [][]float32, bias []float32, ids []int32, hs, outs [][]float32) {
+	Active().DotManyBiasBatch(rows, bias, ids, hs, outs)
+}
+
+// DotManyU8S8 fills accs[s][k] = DotU8S8(qas[s], rows[ids[k]]) for every
+// listed id and every sample: the integer walk of the quantized tier.
+// Integer sums are exact in any order, so every tier yields the identical
+// accumulator under DotU8S8's operand contract (activations in [0,127]).
+// The activations must share one length, every listed row must have it, and
+// every accs[s] must hold at least len(ids) values.
+func DotManyU8S8(rows [][]int8, ids []int32, qas [][]uint8, accs [][]int32) {
+	Active().DotManyU8S8(rows, ids, qas, accs)
+}
+
+// checkDotManyBiasBatch and checkDotManyU8S8 enforce the slice-length half of
+// the tiled walks' contracts; the per-id half is checked as a walk reaches
+// each id.
+func checkDotManyBiasBatch(ids []int32, hs, outs [][]float32) {
+	if len(outs) != len(hs) {
+		panic("simd: DotManyBiasBatch batch size mismatch")
+	}
+	for s, h := range hs {
+		if len(h) != len(hs[0]) {
+			panic("simd: DotManyBiasBatch activation length mismatch")
+		}
+		if len(outs[s]) < len(ids) {
+			panic("simd: DotManyBiasBatch output buffer too short")
+		}
+	}
+}
+
+func checkDotManyU8S8(ids []int32, qas [][]uint8, accs [][]int32) {
+	if len(accs) != len(qas) {
+		panic("simd: DotManyU8S8 batch size mismatch")
+	}
+	for s, qa := range qas {
+		if len(qa) != len(qas[0]) {
+			panic("simd: DotManyU8S8 activation length mismatch")
+		}
+		if len(accs[s]) < len(ids) {
+			panic("simd: DotManyU8S8 accumulator buffer too short")
+		}
+	}
+}
+
+// The portable tiled walks loop their tier's single-operand kernel over the
+// samples and are the definition of the assembly tiles.
+
+func dotManyBiasBatchVec(rows [][]float32, bias []float32, ids []int32, hs, outs [][]float32) {
+	checkDotManyBiasBatch(ids, hs, outs)
+	for s, h := range hs {
+		dotManyBiasVec(rows, bias, ids, h, outs[s])
+	}
+}
+
+func dotManyBiasBatchScalar(rows [][]float32, bias []float32, ids []int32, hs, outs [][]float32) {
+	checkDotManyBiasBatch(ids, hs, outs)
+	for s, h := range hs {
+		dotManyBiasScalar(rows, bias, ids, h, outs[s])
+	}
+}
+
+func dotManyU8S8Rows(dot func(a []uint8, b []int8) int32, rows [][]int8, ids []int32, qas [][]uint8, accs [][]int32) {
+	checkDotManyU8S8(ids, qas, accs)
+	if len(qas) == 0 {
+		return
+	}
+	for k, id := range ids {
+		r := rows[id]
+		if len(r) != len(qas[0]) {
+			panic("simd: DotU8S8 length mismatch")
+		}
+		for s, qa := range qas {
+			accs[s][k] = dot(qa, r)
+		}
+	}
+}
+
+func dotManyU8S8Vec(rows [][]int8, ids []int32, qas [][]uint8, accs [][]int32) {
+	dotManyU8S8Rows(dotU8S8Vec, rows, ids, qas, accs)
+}
+
+func dotManyU8S8Scalar(rows [][]int8, ids []int32, qas [][]uint8, accs [][]int32) {
+	dotManyU8S8Rows(dotU8S8Scalar, rows, ids, qas, accs)
 }

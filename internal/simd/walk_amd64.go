@@ -39,6 +39,23 @@ func scatterAxpyAVX512Asm(alpha *float32, ids *int32, nids int64, x *float32, n 
 //go:noescape
 func scatterAxpyAVX2Asm(alpha *float32, ids *int32, nids int64, x *float32, n int64, rows *[]float32, nrows int64) int64
 
+// The tiled walks (tile_avx512_amd64.s, tile_avx2_amd64.s) take the samples
+// of one tile as the slice-header arrays themselves: ns headers of hs / qas
+// and of outs / accs, ns at most the routine's tile width. Slot k of every
+// output is written for each id processed.
+
+//go:noescape
+func dotManyBiasBatchAVX512Asm(rows *[]float32, nrows int64, bias *float32, ids *int32, nids int64, hs *[]float32, ns, n int64, outs *[]float32) int64
+
+//go:noescape
+func dotManyBiasBatchAVX2Asm(rows *[]float32, nrows int64, bias *float32, ids *int32, nids int64, hs *[]float32, ns, n int64, outs *[]float32) int64
+
+//go:noescape
+func dotManyU8S8VNNIAsm(rows *[]int8, nrows int64, ids *int32, nids int64, qas *[]uint8, ns, n int64, masks *[5]uint64, accs *[]int32) int64
+
+//go:noescape
+func dotManyU8S8AVX2Asm(rows *[]int8, nrows int64, ids *int32, nids int64, qas *[]uint8, ns, n int64, tails *[WalkTile][16]uint8, accs *[]int32) int64
+
 // rowOffender raises the per-row loop's panic for id: Go's own index panic
 // when it is out of range, the named length panic when its vector is ragged.
 func rowOffender(name string, rows [][]float32, id int32, n int) {
@@ -74,19 +91,26 @@ func dotManyBiasAsm(asm func(rows *[]float32, nrows int64, bias *float32, ids *i
 	done := int(asm(unsafe.SliceData(rows), int64(min(len(rows), len(bias))), biasPtr,
 		&ids[0], int64(len(ids)), unsafe.SliceData(h), int64(n), &out[0]))
 	if nv != n {
-		for k, id := range ids[:done] {
-			r, s := rows[id], out[k]
-			for i := nv; i < n; i++ {
-				s += r[i] * h[i]
-			}
-			out[k] = s + bias[id]
-		}
+		dotBiasTail(rows, bias, ids[:done], h, out, nv)
 	}
 	if done < len(ids) {
 		id := ids[done]
 		rowOffender("DotManyBias", rows, id, n)
 		_ = bias[id]
 		panic("simd: DotManyBias stopped at a valid id")
+	}
+}
+
+// dotBiasTail finishes the AVX2 dot of every listed row against h: the
+// columns from nv on, then the bias, added to the vector part already in
+// out in dotAVX2's order.
+func dotBiasTail(rows [][]float32, bias []float32, ids []int32, h, out []float32, nv int) {
+	for k, id := range ids {
+		r, s := rows[id], out[k]
+		for i := nv; i < len(h); i++ {
+			s += r[i] * h[i]
+		}
+		out[k] = s + bias[id]
 	}
 }
 
@@ -183,5 +207,115 @@ func scatterAxpyAsm(asm func(alpha *float32, ids *int32, nids int64, x *float32,
 	if done < len(ids) {
 		rowOffender("ScatterAxpy", rows, ids[done], n)
 		panic("simd: ScatterAxpy stopped at a valid id")
+	}
+}
+
+func dotManyBiasBatchAVX512(rows [][]float32, bias []float32, ids []int32, hs, outs [][]float32) {
+	dotManyBiasBatchAsm(dotManyBiasBatchAVX512Asm, 4, 0, rows, bias, ids, hs, outs)
+}
+
+func dotManyBiasBatchAVX2(rows [][]float32, bias []float32, ids []int32, hs, outs [][]float32) {
+	dotManyBiasBatchAsm(dotManyBiasBatchAVX2Asm, 2, 7, rows, bias, ids, hs, outs)
+}
+
+// dotManyBiasBatchAsm walks the batch in tiles of the routine's width. tail
+// is the tier's Go-side remainder mask, as in dotManyBiasAsm.
+func dotManyBiasBatchAsm(asm func(rows *[]float32, nrows int64, bias *float32, ids *int32, nids int64, hs *[]float32, ns, n int64, outs *[]float32) int64,
+	tile, tail int, rows [][]float32, bias []float32, ids []int32, hs, outs [][]float32) {
+	checkDotManyBiasBatch(ids, hs, outs)
+	if len(ids) == 0 || len(hs) == 0 {
+		return
+	}
+	n := len(hs[0])
+	nv := n &^ tail
+	biasPtr := unsafe.SliceData(bias)
+	if nv != n {
+		biasPtr = nil
+	}
+	for s := 0; s < len(hs); s += tile {
+		g := min(tile, len(hs)-s)
+		done := int(asm(unsafe.SliceData(rows), int64(min(len(rows), len(bias))), biasPtr,
+			&ids[0], int64(len(ids)), &hs[s], int64(g), int64(n), &outs[s]))
+		if nv != n {
+			for t := s; t < s+g; t++ {
+				dotBiasTail(rows, bias, ids[:done], hs[t], outs[t], nv)
+			}
+		}
+		if done < len(ids) {
+			id := ids[done]
+			rowOffender("DotManyBias", rows, id, n)
+			_ = bias[id]
+			panic("simd: DotManyBiasBatch stopped at a valid id")
+		}
+	}
+}
+
+// u8s8Offender raises the per-row loop's panic for id: Go's own index panic
+// when it is out of range, DotU8S8's when its row is ragged.
+func u8s8Offender(rows [][]int8, id int32, n int) {
+	if len(rows[id]) != n {
+		panic("simd: DotU8S8 length mismatch")
+	}
+	panic("simd: DotManyU8S8 stopped at a valid id")
+}
+
+// lowBits returns a mask of the low min(max(v, 0), 64) bits.
+func lowBits(v int) uint64 {
+	switch {
+	case v <= 0:
+		return 0
+	case v >= 64:
+		return ^uint64(0)
+	}
+	return 1<<v - 1
+}
+
+func dotManyU8S8VNNI(rows [][]int8, ids []int32, qas [][]uint8, accs [][]int32) {
+	checkDotManyU8S8(ids, qas, accs)
+	if len(ids) == 0 || len(qas) == 0 {
+		return
+	}
+	n := len(qas[0])
+	// Byte masks of the 64-byte blocks of a row: one per register-resident
+	// block, and the last block's for rows that have more than four.
+	var masks [5]uint64
+	for j := range 4 {
+		masks[j] = lowBits(n - 64*j)
+	}
+	masks[4] = lowBits((n-1)%64 + 1)
+	for s := 0; s < len(qas); s += WalkTile {
+		g := min(WalkTile, len(qas)-s)
+		done := int(dotManyU8S8VNNIAsm(unsafe.SliceData(rows), int64(len(rows)), &ids[0], int64(len(ids)),
+			&qas[s], int64(g), int64(n), &masks, &accs[s]))
+		if done < len(ids) {
+			u8s8Offender(rows, ids[done], n)
+		}
+	}
+}
+
+// dotManyU8S8AVX2 hands the assembly, for the last n%16 bytes of a row, each
+// sample's last n%16 activations behind zeros (see dotManyU8S8AVX2Asm). Rows
+// shorter than one 16-byte block take the portable walk.
+func dotManyU8S8AVX2(rows [][]int8, ids []int32, qas [][]uint8, accs [][]int32) {
+	checkDotManyU8S8(ids, qas, accs)
+	if len(ids) == 0 || len(qas) == 0 {
+		return
+	}
+	n := len(qas[0])
+	if n < 16 {
+		dotManyU8S8Rows(dotU8S8AVX2, rows, ids, qas, accs)
+		return
+	}
+	for s := 0; s < len(qas); s += WalkTile {
+		g := min(WalkTile, len(qas)-s)
+		var tails [WalkTile][16]uint8
+		for t, qa := range qas[s : s+g] {
+			copy(tails[t][16-n%16:], qa[n&^15:])
+		}
+		done := int(dotManyU8S8AVX2Asm(unsafe.SliceData(rows), int64(len(rows)), &ids[0], int64(len(ids)),
+			&qas[s], int64(g), int64(n), &tails, &accs[s]))
+		if done < len(ids) {
+			u8s8Offender(rows, ids[done], n)
+		}
 	}
 }
