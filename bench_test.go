@@ -714,48 +714,109 @@ func BenchmarkKernelPackBF16(b *testing.B) {
 	})
 }
 
-// BenchmarkTableRebuild measures the hash-table maintenance cost: a full
-// rebuild over all output neurons (the §2 "hash tables update" path).
-func BenchmarkTableRebuild(b *testing.B) {
-	d, err := lsh.NewDWTA(lsh.DWTAConfig{K: 4, L: 16, Dim: 128, Seed: 3})
+// tableShape is one table-set configuration the LSH benchmarks run at: the
+// historical small one, where everything sits in L1/L2 whatever the layout,
+// and the two the gated training workloads use.
+type tableShape struct {
+	name   string
+	n, dim int
+	hasher func() (lsh.Hasher, error)
+}
+
+// tableQueries is how many fingerprint vectors a probe benchmark cycles over.
+const tableQueries = 1024
+
+var tableShapes = []tableShape{
+	{"small", 2000, 128, func() (lsh.Hasher, error) {
+		return lsh.NewDWTA(lsh.DWTAConfig{K: 4, L: 16, Dim: 128, Seed: 3})
+	}},
+	{"amazon", 13401, 128, func() (lsh.Hasher, error) {
+		return lsh.NewDWTA(lsh.DWTAConfig{K: 4, L: 32, Dim: 128, Seed: 3})
+	}},
+	{"text8", 5077, 200, func() (lsh.Hasher, error) {
+		return lsh.NewSimHash(lsh.SimHashConfig{K: 7, L: 20, Dim: 200, Seed: 3})
+	}},
+}
+
+// build returns the shape's table set rebuilt over random rows, and the rows.
+func (sh tableShape) build(b *testing.B) (*lsh.TableSet, [][]float32) {
+	h, err := sh.hasher()
 	if err != nil {
 		b.Fatal(err)
 	}
-	ts := lsh.NewTableSet(d, 128, lsh.FIFO, 5)
-	n := 2000
-	rows, _ := make([][]float32, n), 0
+	rows := make([][]float32, sh.n)
 	for i := range rows {
-		rows[i] = randF32(128, uint64(i))
+		rows[i] = randF32(sh.dim, uint64(i))
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ts.RebuildDense(n, 128, func(j int, _ []float32) []float32 { return rows[j] }, 2)
+	ts := lsh.NewTableSet(h, 128, lsh.FIFO, 5)
+	ts.RebuildDense(sh.n, sh.dim, func(j int, _ []float32) []float32 { return rows[j] }, 2)
+	return ts, rows
+}
+
+// fingerprints hashes tableQueries random activations: a probe benchmark
+// cycles over them, so it pays the cache misses of probing different
+// buckets every time, as sampling a stream of different samples does.
+func (sh tableShape) fingerprints(ts *lsh.TableSet) [][]uint32 {
+	hs := make([][]uint32, tableQueries)
+	for q := range hs {
+		hs[q] = make([]uint32, ts.Tables())
+		ts.HashDense(randF32(sh.dim, uint64(1_000_000+q)), hs[q])
+	}
+	return hs
+}
+
+// BenchmarkTableRebuild measures the hash-table maintenance cost: a full
+// rebuild over all output neurons (the §2 "hash tables update" path), on
+// one worker and on two.
+func BenchmarkTableRebuild(b *testing.B) {
+	for _, sh := range tableShapes {
+		ts, rows := sh.build(b)
+		row := func(j int, _ []float32) []float32 { return rows[j] }
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/w%d", sh.name, workers), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					ts.RebuildDense(sh.n, sh.dim, row, workers)
+				}
+			})
+		}
 	}
 }
 
-// BenchmarkTableQuery measures one active-set retrieval: hash the activation
-// and union L buckets with dedup (the per-sample sampling cost).
+// BenchmarkTableQuery measures one active-set retrieval in its closure form
+// — QueryHashes visiting every id of the L buckets, Dedup.Seen on each —
+// which is what the benchmark harness's lsh.query_us probe times.
 func BenchmarkTableQuery(b *testing.B) {
-	d, err := lsh.NewDWTA(lsh.DWTAConfig{K: 4, L: 16, Dim: 128, Seed: 3})
-	if err != nil {
-		b.Fatal(err)
+	for _, sh := range tableShapes {
+		ts, _ := sh.build(b)
+		hs := sh.fingerprints(ts)
+		dedup := lsh.NewDedup(sh.n)
+		active := make([]int32, 0, sh.n)
+		b.Run(sh.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				dedup.Begin()
+				active = active[:0]
+				ts.QueryHashes(hs[i%len(hs)], func(id int32) {
+					if !dedup.Seen(id) {
+						active = append(active, id)
+					}
+				})
+			}
+		})
 	}
-	ts := lsh.NewTableSet(d, 128, lsh.FIFO, 5)
-	n := 2000
-	rows := make([][]float32, n)
-	for i := range rows {
-		rows[i] = randF32(128, uint64(i))
-	}
-	ts.RebuildDense(n, 128, func(j int, _ []float32) []float32 { return rows[j] }, 2)
-	act := randF32(128, 999)
-	dedup := lsh.NewDedup(n)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dedup.Begin()
-		count := 0
-		ts.QueryDense(act, func(id int32) {
-			if !dedup.Seen(id) {
-				count++
+}
+
+// BenchmarkTableCollect is the same retrieval the way the library samples:
+// one Collect call, no closure.
+func BenchmarkTableCollect(b *testing.B) {
+	for _, sh := range tableShapes {
+		ts, _ := sh.build(b)
+		hs := sh.fingerprints(ts)
+		dedup := lsh.NewDedup(sh.n)
+		active := make([]int32, 0, sh.n)
+		b.Run(sh.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				dedup.Begin()
+				active = ts.Collect(hs[i%len(hs)], dedup, 0, active[:0], 0)
 			}
 		})
 	}

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"github.com/slide-cpu/slide/internal/layer"
+	"github.com/slide-cpu/slide/internal/lsh"
 	"github.com/slide-cpu/slide/internal/network"
 	"github.com/slide-cpu/slide/internal/platform"
 	"github.com/slide-cpu/slide/internal/simd"
@@ -64,6 +65,9 @@ func Profile(opts Options) (*Report, error) {
 		hidden := net.Hidden()
 		tables := net.Tables()
 		h := make([]float32, cfg.HiddenDim)
+		hs := make([]uint32, tables.Tables())
+		dedup := lsh.NewDedup(cfg.OutputDim)
+		active := make([]int32, 0, cfg.OutputDim)
 		ks := simd.Active()
 
 		tHidden := collect(func(b sparse.Batch) {
@@ -74,7 +78,8 @@ func Profile(opts Options) (*Report, error) {
 		tQuery := collect(func(b sparse.Batch) {
 			for i := 0; i < b.Len(); i++ {
 				hidden.Forward(ks, b.Sample(i), h)
-				tables.QueryDense(h, func(int32) {})
+				tables.HashDense(h, hs)
+				active = tables.Collect(hs, dedup, 0, active[:0], 0)
 			}
 		}) - tHidden
 		if tQuery < 0 {

@@ -2,6 +2,7 @@ package lsh
 
 import (
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"github.com/slide-cpu/slide/internal/sparse"
@@ -171,12 +172,9 @@ func TestDOPHWorksInTableSet(t *testing.T) {
 	dedup := NewDedup(n)
 	found := 0
 	for i := range rows {
-		dedup.Begin()
-		ts.QueryDense(rows[i], func(id int32) {
-			if !dedup.Seen(id) && id == int32(i) {
-				found++
-			}
-		})
+		if slices.Contains(collectDense(ts, rows[i], dedup), int32(i)) {
+			found++
+		}
 	}
 	if found < n {
 		t.Errorf("only %d/%d vectors retrieved themselves", found, n)

@@ -1,6 +1,10 @@
 package lsh
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
 	"testing"
 
 	"github.com/slide-cpu/slide/internal/sparse"
@@ -48,19 +52,27 @@ func FuzzDWTAHash(f *testing.F) {
 	})
 }
 
-// FuzzTableInsert exercises bucket policies with arbitrary id/fingerprint
-// streams: buckets must never exceed capacity and never hold ids that were
-// not inserted.
+// FuzzTableInsert exercises the bucket policies with arbitrary fingerprint
+// streams: Build must equal serial insertion byte for byte, and buckets must
+// never exceed capacity nor hold ids that were not offered.
 func FuzzTableInsert(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8})
+	f.Add(bytes.Repeat([]byte{5}, 40))
 	f.Fuzz(func(t *testing.T, stream []byte) {
+		const first = 100
+		hs := make([]uint32, len(stream))
+		for i, b := range stream {
+			hs[i] = uint32(b)
+		}
 		for _, policy := range []BucketPolicy{FIFO, Reservoir} {
 			tbl := NewTable(4, 3, policy, 7)
-			inserted := map[int32]bool{}
-			for i := 0; i+1 < len(stream); i += 2 {
-				id := int32(stream[i])
-				tbl.Insert(id, uint32(stream[i+1]))
-				inserted[id] = true
+			tbl.Build(first, hs)
+			ref := refLike(tbl)
+			for i, h := range hs {
+				ref.Insert(first+int32(i), h)
+			}
+			if !bytes.Equal(tableBytes(t, tbl), refBytes(t, ref)) {
+				t.Fatalf("%v: Build differs from serial insertion over %v", policy, stream)
 			}
 			for b := 0; b < tbl.Buckets(); b++ {
 				bucket := tbl.Query(uint32(b))
@@ -68,9 +80,77 @@ func FuzzTableInsert(f *testing.F) {
 					t.Fatalf("%v bucket %d exceeded capacity: %v", policy, b, bucket)
 				}
 				for _, id := range bucket {
-					if !inserted[id] {
+					if id < first || int(id-first) >= len(hs) || hs[id-first]&15 != uint32(b) {
 						t.Fatalf("%v bucket %d holds phantom id %d", policy, b, id)
 					}
+				}
+			}
+		}
+	})
+}
+
+// fuzzSet is the small shaped set FuzzTableSetDeserialize decodes into: two
+// tables of eight buckets of capacity four over rows [0, fuzzRows).
+func fuzzSet(t testing.TB) *TableSet {
+	h, err := NewSimHash(SimHashConfig{K: 3, L: 2, Dim: 8, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return NewTableSet(h, 4, FIFO, 6)
+}
+
+const fuzzRows = 64
+
+// FuzzTableSetDeserialize feeds arbitrary bytes to the table-set decoder. It
+// must answer with a typed error — malformed, checksum, or truncated — or
+// with a set that re-encodes to exactly the bytes it consumed and that a
+// probe of any bucket can walk without indexing outside a dedup array sized
+// to the row range.
+func FuzzTableSetDeserialize(f *testing.F) {
+	src := fuzzSet(f)
+	for i, tbl := range src.tables {
+		hs := make([]uint32, 40)
+		for j := range hs {
+			hs[j] = uint32(splitmix64(uint64(i*100+j)) % 6)
+		}
+		tbl.Build(0, hs)
+	}
+	var valid bytes.Buffer
+	if err := src.Serialize(&valid); err != nil {
+		f.Fatal(err)
+	}
+	var p0, p1 bytes.Buffer
+	src.tables[0].Serialize(&p0)
+	src.tables[1].Serialize(&p1)
+	f.Add(valid.Bytes())
+	f.Add(frameSet(tablePayload(bucketSpec{2, 5, []int32{1, 1 << 30}}), p1.Bytes()))                      // id out of range
+	f.Add(frameSet(tablePayload(bucketSpec{2, 1, []int32{1}}, bucketSpec{2, 1, []int32{3}}), p1.Bytes())) // bucket twice
+	f.Add(valid.Bytes()[:valid.Len()/2])                                                                  // truncated
+	f.Add(frameLegacy(p0.Bytes(), p1.Bytes()))                                                            // checkpoint v2
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ts := fuzzSet(t)
+		r := bytes.NewReader(data)
+		if err := ts.Deserialize(r, 0, fuzzRows); err != nil {
+			if !errors.Is(err, ErrMalformed) && !errors.Is(err, ErrChecksum) &&
+				!errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
+				t.Fatalf("untyped error: %v", err)
+			}
+			return
+		}
+		consumed := data[:len(data)-r.Len()]
+		again := serializeSet(t, ts)
+		if binary.LittleEndian.Uint64(data) != setSentinel { // legacy stream: compare in its own framing
+			again = frameLegacy(tableBytes(t, ts.tables[0]), tableBytes(t, ts.tables[1]))
+		}
+		if !bytes.Equal(again, consumed) {
+			t.Fatalf("accepted stream re-encodes differently:\n in  %x\n out %x", consumed, again)
+		}
+		d := NewDedup(fuzzRows)
+		for b := uint32(0); b < 8; b++ {
+			d.Begin()
+			for _, id := range ts.Collect([]uint32{b, b}, d, 0, nil, 0) {
+				if id < 0 || id >= fuzzRows {
+					t.Fatalf("accepted stream holds id %d outside [0,%d)", id, fuzzRows)
 				}
 			}
 		}

@@ -1,8 +1,17 @@
 // Package lsh implements the locality-sensitive-hashing substrate of SLIDE:
-// the DWTA (Densified Winner-Take-All) and SimHash families, fixed-capacity
-// hash tables with FIFO/reservoir buckets, and the TableSet that maps neuron
-// ids to buckets and answers active-set queries (§2 of the paper, with the
-// vectorized DWTA bin-max of §4.3.3).
+// the DWTA (Densified Winner-Take-All), SimHash and DOPH families, hash
+// tables with fixed-capacity FIFO/reservoir buckets, and the TableSet that
+// maps neuron ids to buckets and answers active-set queries (§2 of the
+// paper, with the vectorized DWTA bin-max of §4.3.3).
+//
+// Tables are never edited in place. A Table is three flat arrays — bucket
+// offsets, ids, lifetime counts — that Table.Build produces from the
+// fingerprints of a row range by a counting sort whose result is what
+// inserting the ids one by one in ascending order would give (§4.1's
+// contiguous layout, applied to the tables). TableSet.RebuildRange hashes
+// the rows on all workers, then builds the L tables one per worker under
+// the write lock; TableSet.Collect is the sampling probe, appending the
+// not-yet-seen ids of the L addressed buckets to the caller's slice.
 package lsh
 
 import (

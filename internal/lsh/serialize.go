@@ -1,12 +1,12 @@
 package lsh
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 )
 
 // Table/TableSet serialization: the dynamic bucket state only (stored ids
@@ -17,60 +17,97 @@ import (
 // This exists for exact training resume: table contents are a pure function
 // of the weights at the *last scheduled rebuild*, which a checkpoint loader
 // cannot re-derive from the current weights — so the network checkpoint
-// carries the state itself. Only non-empty buckets are written (an insert
-// always leaves its bucket non-empty, so count > 0 implies occupancy), which
-// keeps the payload proportional to stored ids, not bucket space.
+// carries the state itself. Only non-empty buckets are written (a bucket an
+// id ever hashed to keeps at least one, so count > 0 implies occupancy),
+// which keeps the payload proportional to stored ids, not bucket space.
 
-// Serialize writes the table's bucket state. The caller provides
-// synchronization against concurrent Inserts.
+// ErrMalformed is the sentinel wrapped by every structural fault a table
+// payload can carry: a bucket index out of range or out of order, a bucket
+// length its capacity or lifetime count cannot explain, an id outside the
+// row range the set indexes. The CRC trailer proves the bytes are the ones
+// written; this proves they describe a table a query can walk.
+var ErrMalformed = errors.New("lsh: malformed table payload")
+
+// Serialize writes the table's bucket state: the number of non-empty
+// buckets, then for each in ascending order its index, lifetime count and
+// length followed by its ids. The caller provides synchronization against
+// Build.
 func (t *Table) Serialize(w io.Writer) error {
-	nonEmpty, _ := t.Occupancy()
-	if err := binary.Write(w, binary.LittleEndian, uint64(nonEmpty)); err != nil {
-		return fmt.Errorf("lsh: writing table header: %w", err)
-	}
-	for i, b := range t.buckets {
-		if len(b) == 0 {
-			continue
-		}
-		hdr := [3]uint32{uint32(i), t.counts[i], uint32(len(b))}
-		if err := binary.Write(w, binary.LittleEndian, hdr); err != nil {
-			return fmt.Errorf("lsh: writing bucket header: %w", err)
-		}
-		if err := binary.Write(w, binary.LittleEndian, b); err != nil {
-			return fmt.Errorf("lsh: writing bucket ids: %w", err)
-		}
+	if _, err := w.Write(t.appendTo(nil)); err != nil {
+		return fmt.Errorf("lsh: writing table: %w", err)
 	}
 	return nil
 }
 
+// appendTo appends the table's serialized bucket state to out.
+func (t *Table) appendTo(out []byte) []byte {
+	nonEmpty, stored := t.Occupancy()
+	le := binary.LittleEndian
+	out = le.AppendUint64(slices.Grow(out, 8+12*nonEmpty+4*stored), uint64(nonEmpty))
+	for b, count := range t.counts {
+		bucket := t.ids[t.start[b]:t.start[b+1]]
+		if len(bucket) == 0 {
+			continue
+		}
+		out = le.AppendUint32(le.AppendUint32(le.AppendUint32(out, uint32(b)), count), uint32(len(bucket)))
+		for _, id := range bucket {
+			out = le.AppendUint32(out, uint32(id))
+		}
+	}
+	return out
+}
+
 // Deserialize replaces the table's bucket state with a previously serialized
-// one. The table must have the same shape (bits, capacity) as the writer.
-func (t *Table) Deserialize(r io.Reader) error {
-	t.Clear()
-	var nonEmpty uint64
-	if err := binary.Read(r, binary.LittleEndian, &nonEmpty); err != nil {
+// one, reading exactly the payload's bytes. The table must have the same
+// shape (bits, capacity) as the writer. Buckets must arrive in strictly
+// ascending index order, as every writer produces them, and every id must
+// lie in [lo, hi), the rows the owning set indexes — a query stamps a dedup
+// array by id, so an id outside it would be an out-of-range write on the
+// first probe. Structural faults wrap ErrMalformed; after any error the
+// table holds the ids read so far and is safe to query.
+func (t *Table) Deserialize(r io.Reader, lo, hi int32) error {
+	clear(t.counts)
+	t.ids = t.ids[:0]
+	next := 0 // buckets below next have their start offset set
+	defer func() {
+		for ; next < len(t.start); next++ {
+			t.start[next] = uint32(len(t.ids))
+		}
+	}()
+	le := binary.LittleEndian
+	var hdr [12]byte
+	if _, err := io.ReadFull(r, hdr[:8]); err != nil {
 		return fmt.Errorf("lsh: reading table header: %w", err)
 	}
-	if nonEmpty > uint64(len(t.buckets)) {
-		return fmt.Errorf("lsh: table declares %d non-empty buckets of %d", nonEmpty, len(t.buckets))
+	nonEmpty := le.Uint64(hdr[:8])
+	if nonEmpty > uint64(len(t.counts)) {
+		return fmt.Errorf("%w: %d non-empty buckets of %d", ErrMalformed, nonEmpty, len(t.counts))
 	}
+	raw := make([]byte, 4*t.bucketCap)
 	for k := uint64(0); k < nonEmpty; k++ {
-		var hdr [3]uint32
-		if err := binary.Read(r, binary.LittleEndian, &hdr); err != nil {
+		if _, err := io.ReadFull(r, hdr[:]); err != nil {
 			return fmt.Errorf("lsh: reading bucket header: %w", err)
 		}
-		idx, count, n := hdr[0], hdr[1], hdr[2]
-		if int(idx) >= len(t.buckets) {
-			return fmt.Errorf("lsh: bucket index %d out of range [0,%d)", idx, len(t.buckets))
+		idx, count, n := le.Uint32(hdr[0:]), le.Uint32(hdr[4:]), le.Uint32(hdr[8:])
+		if uint64(idx) >= uint64(len(t.counts)) || int(idx) < next {
+			return fmt.Errorf("%w: bucket index %d, want one in [%d,%d)", ErrMalformed, idx, next, len(t.counts))
 		}
-		if int(n) > t.bucketCap || n == 0 || uint64(n) > uint64(count) {
-			return fmt.Errorf("lsh: bucket %d declares %d ids (cap %d, count %d)", idx, n, t.bucketCap, count)
+		if n == 0 || n > uint32(t.bucketCap) || n > count {
+			return fmt.Errorf("%w: bucket %d declares %d ids (cap %d, count %d)", ErrMalformed, idx, n, t.bucketCap, count)
 		}
-		ids := make([]int32, n)
-		if err := binary.Read(r, binary.LittleEndian, ids); err != nil {
+		for ; next <= int(idx); next++ {
+			t.start[next] = uint32(len(t.ids))
+		}
+		if _, err := io.ReadFull(r, raw[:4*n]); err != nil {
 			return fmt.Errorf("lsh: reading bucket ids: %w", err)
 		}
-		t.buckets[idx] = ids
+		for i := uint32(0); i < n; i++ {
+			id := int32(le.Uint32(raw[4*i:]))
+			if id < lo || id >= hi {
+				return fmt.Errorf("%w: bucket %d holds id %d outside [%d,%d)", ErrMalformed, idx, id, lo, hi)
+			}
+			t.ids = append(t.ids, id)
+		}
 		t.counts[idx] = count
 	}
 	return nil
@@ -104,17 +141,12 @@ func (ts *TableSet) Serialize(w io.Writer) error {
 			return fmt.Errorf("lsh: writing table set header: %w", err)
 		}
 	}
-	var buf bytes.Buffer
+	var buf []byte
 	for i, t := range ts.tables {
-		buf.Reset()
-		if err := t.Serialize(&buf); err != nil {
-			return err
-		}
-		if _, err := w.Write(buf.Bytes()); err != nil {
+		buf = t.appendTo(buf[:0])
+		buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
+		if _, err := w.Write(buf); err != nil {
 			return fmt.Errorf("lsh: writing table %d: %w", i, err)
-		}
-		if err := binary.Write(w, binary.LittleEndian, crc32.Checksum(buf.Bytes(), castagnoli)); err != nil {
-			return fmt.Errorf("lsh: writing table %d checksum: %w", i, err)
 		}
 	}
 	return nil
@@ -123,10 +155,12 @@ func (ts *TableSet) Serialize(w io.Writer) error {
 // Deserialize replaces all L tables' bucket state under the write lock,
 // verifying each table's CRC32C trailer (checksummed format) or reading the
 // legacy unchecksummed layout, auto-detected from the header. The set must
-// be identically shaped (same hasher configuration) as the writer. A
-// checksum mismatch is reported as an error wrapping ErrChecksum, naming
-// the damaged table.
-func (ts *TableSet) Deserialize(r io.Reader) error {
+// be identically shaped (same hasher configuration) as the writer, and
+// [lo, hi) is the row range it indexes (the whole layer, or one shard's
+// rows): Table.Deserialize holds every stored id to it. A checksum mismatch
+// is reported as an error wrapping ErrChecksum, naming the damaged table; a
+// payload that does not describe a table wraps ErrMalformed.
+func (ts *TableSet) Deserialize(r io.Reader, lo, hi int32) error {
 	var first uint64
 	if err := binary.Read(r, binary.LittleEndian, &first); err != nil {
 		return fmt.Errorf("lsh: reading table set header: %w", err)
@@ -139,29 +173,29 @@ func (ts *TableSet) Deserialize(r io.Reader) error {
 			return fmt.Errorf("lsh: reading table set header: %w", err)
 		}
 		if version != setFormatCRC {
-			return fmt.Errorf("lsh: unsupported table set format %d", version)
+			return fmt.Errorf("%w: unsupported table set format %d", ErrMalformed, version)
 		}
 		if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
 			return fmt.Errorf("lsh: reading table set header: %w", err)
 		}
 	}
-	if int(n) != len(ts.tables) {
-		return fmt.Errorf("lsh: checkpoint has %d tables, set has %d", n, len(ts.tables))
+	if n != uint64(len(ts.tables)) {
+		return fmt.Errorf("%w: stream has %d tables, set has %d", ErrMalformed, n, len(ts.tables))
 	}
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
 	for i, t := range ts.tables {
 		if !checked {
-			if err := t.Deserialize(r); err != nil {
-				return err
+			if err := t.Deserialize(r, lo, hi); err != nil {
+				return fmt.Errorf("lsh: table %d: %w", i, err)
 			}
 			continue
 		}
 		// Tee the table payload through a checksum so the trailer can be
 		// verified against exactly the bytes the parse consumed.
 		crc := crc32.New(castagnoli)
-		if err := t.Deserialize(io.TeeReader(r, crc)); err != nil {
-			return err
+		if err := t.Deserialize(io.TeeReader(r, crc), lo, hi); err != nil {
+			return fmt.Errorf("lsh: table %d: %w", i, err)
 		}
 		var want uint32
 		if err := binary.Read(r, binary.LittleEndian, &want); err != nil {

@@ -18,9 +18,11 @@ func testSet(t *testing.T) *TableSet {
 	}
 	ts := NewTableSet(h, 8, FIFO, 11)
 	for i, tbl := range ts.tables {
-		for id := int32(0); id < 20; id++ {
-			tbl.Insert(id, uint32(int32(i)+id)%uint32(tbl.Buckets()))
+		hs := make([]uint32, 20)
+		for id := range hs {
+			hs[id] = uint32(i+id) % uint32(tbl.Buckets())
 		}
+		tbl.Build(0, hs)
 	}
 	return ts
 }
@@ -60,7 +62,7 @@ func TestTableSetChecksummedRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	dst := emptyLike(t)
-	if err := dst.Deserialize(bytes.NewReader(buf.Bytes())); err != nil {
+	if err := dst.Deserialize(bytes.NewReader(buf.Bytes()), 0, 20); err != nil {
 		t.Fatal(err)
 	}
 	if !sameContents(src, dst) {
@@ -85,7 +87,7 @@ func TestTableSetChecksumDetectsBitFlip(t *testing.T) {
 	pos := 24 + t0.Len() + 4 + 8 + 12
 	raw := buf.Bytes()
 	raw[pos] ^= 0x40
-	err := emptyLike(t).Deserialize(bytes.NewReader(raw))
+	err := emptyLike(t).Deserialize(bytes.NewReader(raw), 0, 1<<30)
 	if err == nil {
 		t.Fatal("bit-flipped stream deserialized without error")
 	}
@@ -110,7 +112,7 @@ func TestTableSetLegacyFormatStillLoads(t *testing.T) {
 		}
 	}
 	dst := emptyLike(t)
-	if err := dst.Deserialize(bytes.NewReader(buf.Bytes())); err != nil {
+	if err := dst.Deserialize(bytes.NewReader(buf.Bytes()), 0, 20); err != nil {
 		t.Fatalf("legacy stream rejected: %v", err)
 	}
 	if !sameContents(src, dst) {
@@ -128,7 +130,90 @@ func TestTableSetWrongShapeRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := NewTableSet(h, 8, FIFO, 11).Deserialize(bytes.NewReader(buf.Bytes())); err == nil {
+	if err := NewTableSet(h, 8, FIFO, 11).Deserialize(bytes.NewReader(buf.Bytes()), 0, 20); err == nil {
 		t.Fatal("mismatched table count accepted")
+	}
+}
+
+// bucketSpec is one bucket of a hand-written table payload.
+type bucketSpec struct {
+	idx, count uint32
+	ids        []int32
+}
+
+// tablePayload hand-writes a table payload, valid or not.
+func tablePayload(buckets ...bucketSpec) []byte {
+	le := binary.LittleEndian
+	out := le.AppendUint64(nil, uint64(len(buckets)))
+	for _, b := range buckets {
+		out = le.AppendUint32(le.AppendUint32(le.AppendUint32(out, b.idx), b.count), uint32(len(b.ids)))
+		for _, id := range b.ids {
+			out = le.AppendUint32(out, uint32(id))
+		}
+	}
+	return out
+}
+
+// TestTableDeserializeRejectsBadIDs: an id outside the row range the set
+// indexes is a typed decode error, at the table and — behind a valid CRC —
+// at the set, not an index-out-of-range panic in the first query's dedup.
+func TestTableDeserializeRejectsBadIDs(t *testing.T) {
+	for _, c := range []struct {
+		id     int32
+		lo, hi int32
+		ok     bool
+	}{
+		{1 << 30, 0, 20, false},
+		{-5, 0, 20, false},
+		{20, 0, 20, false},
+		{19, 0, 20, true},
+		{0, 0, 20, true},
+		{9, 10, 20, false}, // below a shard's range
+		{10, 10, 20, true},
+	} {
+		payload := tablePayload(bucketSpec{1, 3, []int32{c.lo, c.id}}, bucketSpec{5, 1, []int32{c.lo}})
+		tbl := NewTable(4, 8, FIFO, 1)
+		err := tbl.Deserialize(bytes.NewReader(payload), c.lo, c.hi)
+		if c.ok != (err == nil) || (err != nil && !errors.Is(err, ErrMalformed)) {
+			t.Errorf("id %d in [%d,%d): err %v, want ok=%v wrapping ErrMalformed", c.id, c.lo, c.hi, err, c.ok)
+		}
+		// Whatever was read stays walkable: no bucket keeps the bad id.
+		for b := uint32(0); b < 16; b++ {
+			for _, id := range tbl.Query(b) {
+				if id < c.lo || id >= c.hi {
+					t.Errorf("id %d in [%d,%d): bucket %d holds %d after the decode", c.id, c.lo, c.hi, b, id)
+				}
+			}
+		}
+
+		ts := emptyLike(t)
+		ts.tables = ts.tables[:1]
+		err = ts.Deserialize(bytes.NewReader(frameSet(payload)), c.lo, c.hi)
+		if c.ok != (err == nil) || (err != nil && !errors.Is(err, ErrMalformed)) {
+			t.Errorf("set, id %d in [%d,%d): err %v, want ok=%v wrapping ErrMalformed", c.id, c.lo, c.hi, err, c.ok)
+		}
+	}
+}
+
+// TestTableDeserializeRejectsDuplicateBucket: bucket indices must be
+// strictly ascending. A payload naming a bucket twice (or out of order) used
+// to load, keep the later copy and re-encode to different bytes.
+func TestTableDeserializeRejectsDuplicateBucket(t *testing.T) {
+	for name, payload := range map[string][]byte{
+		"twice":      tablePayload(bucketSpec{2, 1, []int32{1}}, bucketSpec{2, 1, []int32{3}}),
+		"descending": tablePayload(bucketSpec{3, 1, []int32{1}}, bucketSpec{2, 1, []int32{3}}),
+	} {
+		err := NewTable(4, 8, FIFO, 1).Deserialize(bytes.NewReader(payload), 0, 20)
+		if !errors.Is(err, ErrMalformed) {
+			t.Errorf("%s: err %v, want one wrapping ErrMalformed", name, err)
+		}
+	}
+	ok := tablePayload(bucketSpec{2, 1, []int32{1}}, bucketSpec{3, 9, []int32{3, 4}})
+	tbl := NewTable(4, 8, FIFO, 1)
+	if err := tbl.Deserialize(bytes.NewReader(ok), 0, 20); err != nil {
+		t.Fatalf("ascending payload rejected: %v", err)
+	}
+	if !bytes.Equal(tableBytes(t, tbl), ok) {
+		t.Error("accepted payload re-encodes to different bytes")
 	}
 }

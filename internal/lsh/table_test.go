@@ -2,21 +2,26 @@ package lsh
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"math/rand/v2"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
 	"github.com/slide-cpu/slide/internal/platform"
 )
 
+// zeros is n fingerprints of bucket 0.
+func zeros(n int) []uint32 { return make([]uint32, n) }
+
 func TestTableInsertQuery(t *testing.T) {
 	tbl := NewTable(4, 8, FIFO, 1)
 	if tbl.Buckets() != 16 {
 		t.Fatalf("Buckets = %d, want 16", tbl.Buckets())
 	}
-	tbl.Insert(10, 3)
-	tbl.Insert(11, 3)
-	tbl.Insert(12, 19) // 19 & 15 == 3: same bucket
+	tbl.Build(10, []uint32{3, 3, 19}) // 19 & 15 == 3: same bucket
 	got := tbl.Query(3)
 	if len(got) != 3 {
 		t.Fatalf("bucket has %d entries, want 3", len(got))
@@ -31,36 +36,28 @@ func TestTableInsertQuery(t *testing.T) {
 
 func TestTableFIFOEviction(t *testing.T) {
 	tbl := NewTable(2, 3, FIFO, 1)
-	for id := int32(0); id < 7; id++ {
-		tbl.Insert(id, 0)
-	}
-	// Capacity 3, inserts 0..6: ring holds the 3 newest: 6, 4, 5 in ring
+	tbl.Build(0, zeros(7))
+	// Capacity 3, ids 0..6: the ring holds the 3 newest, 6, 4, 5 in ring
 	// order (position = count % cap).
-	got := tbl.Query(0)
-	want := map[int32]bool{4: true, 5: true, 6: true}
-	if len(got) != 3 {
-		t.Fatalf("bucket size %d, want 3", len(got))
-	}
-	for _, id := range got {
-		if !want[id] {
-			t.Errorf("FIFO kept stale id %d (bucket %v)", id, got)
-		}
+	if got := tbl.Query(0); !slices.Equal(got, []int32{6, 4, 5}) {
+		t.Fatalf("FIFO bucket %v, want [6 4 5]", got)
 	}
 }
 
 func TestTableReservoirBoundsAndCoverage(t *testing.T) {
 	tbl := NewTable(2, 16, Reservoir, 42)
-	n := int32(1000)
-	for id := int32(0); id < n; id++ {
-		tbl.Insert(id, 5)
+	hs := zeros(1000)
+	for i := range hs {
+		hs[i] = 5
 	}
+	tbl.Build(0, hs)
 	got := tbl.Query(5)
 	if len(got) != 16 {
 		t.Fatalf("reservoir size %d, want 16", len(got))
 	}
-	// A uniform reservoir over 1000 inserts should not be dominated by the
-	// first 16 (FIFO-never-evicts failure) nor by the last 16 (always
-	// overwrite failure). Check it mixes early and late ids.
+	// A uniform reservoir over 1000 arrivals should not be dominated by the
+	// first 16 (never-evicts failure) nor by the last 16 (always-overwrite
+	// failure). Check it mixes early and late ids.
 	early, late := 0, 0
 	for _, id := range got {
 		if id < 100 {
@@ -76,15 +73,13 @@ func TestTableReservoirBoundsAndCoverage(t *testing.T) {
 }
 
 func TestTableReservoirUniformity(t *testing.T) {
-	// Aggregate over many independent tables: each of the 100 inserted ids
-	// should appear with roughly equal frequency (cap/n = 0.2).
+	// Aggregate over many independent tables: each of the 100 ids should
+	// appear with roughly equal frequency (cap/n = 0.2).
 	trials := 400
 	counts := make([]int, 100)
 	for trial := 0; trial < trials; trial++ {
 		tbl := NewTable(1, 20, Reservoir, uint64(trial)*2654435761)
-		for id := int32(0); id < 100; id++ {
-			tbl.Insert(id, 0)
-		}
+		tbl.Build(0, zeros(100))
 		for _, id := range tbl.Query(0) {
 			counts[id]++
 		}
@@ -97,23 +92,25 @@ func TestTableReservoirUniformity(t *testing.T) {
 	}
 }
 
+// TestTableClear: a Build starts from an empty table — nothing of the
+// previous contents, counts or ring positions survives it.
 func TestTableClear(t *testing.T) {
 	tbl := NewTable(3, 4, FIFO, 1)
-	tbl.Insert(1, 0)
-	tbl.Insert(2, 7)
+	tbl.Build(1, []uint32{0, 7, 0, 0, 0, 0, 0})
 	ne, stored := tbl.Occupancy()
-	if ne != 2 || stored != 2 {
-		t.Fatalf("occupancy %d/%d, want 2/2", ne, stored)
+	if ne != 2 || stored != 5 {
+		t.Fatalf("occupancy %d/%d, want 2/5", ne, stored)
 	}
-	tbl.Clear()
-	ne, stored = tbl.Occupancy()
-	if ne != 0 || stored != 0 {
-		t.Errorf("after Clear occupancy %d/%d, want 0/0", ne, stored)
-	}
-	// Table must be reusable after Clear with fresh FIFO positions.
-	tbl.Insert(9, 0)
+	tbl.Build(9, []uint32{0})
 	if got := tbl.Query(0); len(got) != 1 || got[0] != 9 {
-		t.Errorf("post-Clear insert broken: %v", got)
+		t.Errorf("rebuilt bucket %v, want [9]", got)
+	}
+	if ne, stored = tbl.Occupancy(); ne != 1 || stored != 1 || tbl.counts[0] != 1 || tbl.counts[7] != 0 {
+		t.Errorf("after the rebuild occupancy %d/%d counts %v, want 1/1 and one arrival", ne, stored, tbl.counts)
+	}
+	tbl.Build(0, nil)
+	if ne, stored = tbl.Occupancy(); ne != 0 || stored != 0 || len(tbl.Query(0)) != 0 {
+		t.Errorf("after an empty Build occupancy %d/%d, want 0/0", ne, stored)
 	}
 }
 
@@ -140,47 +137,52 @@ func TestBucketPolicyString(t *testing.T) {
 	}
 }
 
-func TestTableSetInsertAndQueryRoundTrip(t *testing.T) {
-	d, err := NewDWTA(DWTAConfig{K: 2, L: 10, Dim: 32, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
+// gaussRows is a fixed pseudo-random n × dim matrix.
+func gaussRows(n, dim int, seed, stream uint64) [][]float32 {
+	rng := rand.New(rand.NewPCG(seed, stream))
+	flat := make([]float32, n*dim)
+	for i := range flat {
+		flat[i] = float32(rng.NormFloat64())
 	}
-	ts := NewTableSet(d, 64, FIFO, 9)
-	rng := rand.New(rand.NewPCG(3, 4))
+	rows := make([][]float32, n)
+	for i := range rows {
+		rows[i] = flat[i*dim : (i+1)*dim]
+	}
+	return rows
+}
 
+// direct adapts rows to RebuildRange's row callback without using the buffer.
+func direct(rows [][]float32) func(i int, _ []float32) []float32 {
+	return func(i int, _ []float32) []float32 { return rows[i] }
+}
+
+// collectDense hashes act and returns the deduplicated candidates, the way
+// the network samples.
+func collectDense(ts *TableSet, act []float32, d *Dedup) []int32 {
+	hs := make([]uint32, ts.Tables())
+	ts.HashDense(act, hs)
+	d.Begin()
+	return ts.Collect(hs, d, 0, nil, 0)
+}
+
+func TestTableSetInsertAndQueryRoundTrip(t *testing.T) {
+	d := mustDWTA(t, DWTAConfig{K: 2, L: 10, Dim: 32, Seed: 5})
+	ts := NewTableSet(d, 64, FIFO, 9)
 	n := 40
-	weights := make([][]float32, n)
-	for i := range weights {
-		weights[i] = make([]float32, 32)
-		for j := range weights[i] {
-			weights[i][j] = float32(rng.NormFloat64())
-		}
-	}
-	for i := range weights {
-		ts.InsertDense(int32(i), weights[i])
-	}
+	weights := gaussRows(n, 32, 3, 4)
+	ts.RebuildDense(n, 32, direct(weights), 1)
 
 	// Querying with a stored vector must retrieve its own id (same hash =>
-	// same buckets; capacity 64 is far above the 40 inserts).
+	// same buckets; capacity 64 is far above the 40 rows).
 	dedup := NewDedup(n)
 	for i := range weights {
-		dedup.Begin()
-		found := false
-		ts.QueryDense(weights[i], func(id int32) {
-			if dedup.Seen(id) {
-				return
-			}
-			if id == int32(i) {
-				found = true
-			}
-		})
-		if !found {
+		if !slices.Contains(collectDense(ts, weights[i], dedup), int32(i)) {
 			t.Errorf("neuron %d not retrieved by its own weight vector", i)
 		}
 	}
 
 	st := ts.Stats()
-	if st.Tables != 10 || st.Stored == 0 {
+	if st.Tables != 10 || st.Stored != 10*n {
 		t.Errorf("stats look wrong: %+v", st)
 	}
 	if st.String() == "" {
@@ -189,41 +191,51 @@ func TestTableSetInsertAndQueryRoundTrip(t *testing.T) {
 }
 
 func TestTableSetRebuildMatchesSerialInsert(t *testing.T) {
-	d, err := NewDWTA(DWTAConfig{K: 2, L: 6, Dim: 16, Seed: 15})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewPCG(31, 7))
+	d := mustDWTA(t, DWTAConfig{K: 2, L: 6, Dim: 16, Seed: 15})
 	n := 100
-	rows := make([][]float32, n)
-	for i := range rows {
-		rows[i] = make([]float32, 16)
-		for j := range rows[i] {
-			rows[i][j] = float32(rng.NormFloat64())
+	rows := gaussRows(n, 16, 31, 7)
+	ts := NewTableSet(d, 32, FIFO, 77)
+	serial := refRebuild(ts, 0, n, func(i int) []float32 { return rows[i] })
+	ts.RebuildDense(n, 16, direct(rows), 4)
+
+	// Same hasher, same ids in the same order, same seeds: bucket contents
+	// and lifetime counts must be identical.
+	for ti, tbl := range ts.tables {
+		if !bytes.Equal(tableBytes(t, tbl), refBytes(t, serial[ti])) {
+			t.Fatalf("table %d: rebuild differs from serial insertion", ti)
 		}
 	}
+}
 
-	serial := NewTableSet(d, 32, FIFO, 77)
-	for i := 0; i < n; i++ {
-		serial.InsertDense(int32(i), rows[i])
-	}
-	parallel := NewTableSet(d, 32, FIFO, 77)
-	parallel.RebuildDense(n, 16, func(i int, _ []float32) []float32 { return rows[i] }, 4)
-
-	// Same hasher, same insert order (rebuild inserts chunks in id order),
-	// same seeds: bucket contents must be identical.
-	for ti := range serial.tables {
-		st, pt := serial.tables[ti], parallel.tables[ti]
-		for b := 0; b < st.Buckets(); b++ {
-			sb, pb := st.Query(uint32(b)), pt.Query(uint32(b))
-			if len(sb) != len(pb) {
-				t.Fatalf("table %d bucket %d: serial %v parallel %v", ti, b, sb, pb)
-			}
-			for k := range sb {
-				if sb[k] != pb[k] {
-					t.Fatalf("table %d bucket %d: serial %v parallel %v", ti, b, sb, pb)
-				}
-			}
+// TestTableSetGoldenBytes pins the serialized tables of a rebuild over fixed
+// pseudo-random rows at the two shapes the benchmark trains (amazon-s: DWTA
+// K 4 L 32 over 13,401 × 128; text8-s: SimHash K 7 L 20 over 5,077 × 200)
+// and at capacities that make both policies evict. The literals were
+// recorded with the bucket-of-slices tables at commit 1e0183e, before the
+// flat layout existed: table bytes did not move.
+func TestTableSetGoldenBytes(t *testing.T) {
+	dwta := mustDWTA(t, DWTAConfig{K: 4, L: 32, Dim: 128, Seed: 17})
+	simhash := mustSimHash(t, SimHashConfig{K: 7, L: 20, Dim: 200, Seed: 19})
+	for _, c := range []struct {
+		name      string
+		h         Hasher
+		n, dim    int
+		bucketCap int
+		policy    BucketPolicy
+		want      string
+	}{
+		{"dwta-amazon", dwta, 13401, 128, 128, FIFO, "21cfbb03c8746a2d400c90ef439ab25c118abc5781c1cc0a9c2ee637d1065f72"},
+		{"simhash-text8", simhash, 5077, 200, 128, FIFO, "0d9d13c05fa493186333c8bbf48ca4ca58824f66a189c2ad148fa915be139f51"},
+		{"dwta-amazon-reservoir2", dwta, 13401, 128, 2, Reservoir, "0580ef566081505b8751856ac57f3f9ad83c64f91ef2bd47d0a964b6c23bb86d"},
+		{"simhash-text8-fifo16", simhash, 5077, 200, 16, FIFO, "054bfb4269950d5d9a920812824a8768a2c6f62da277d51bb23e3bd4b5b2da61"},
+		{"simhash-text8-reservoir16", simhash, 5077, 200, 16, Reservoir, "c7c2167d431fcc5403064596cdba2f7f317bf42ad3d07465898551c6289f1f94"},
+	} {
+		rows := gaussRows(c.n, c.dim, 23, 0x51de)
+		ts := NewTableSet(c.h, c.bucketCap, c.policy, 29)
+		ts.RebuildDense(c.n, c.dim, direct(rows), 2)
+		sum := sha256.Sum256(serializeSet(t, ts))
+		if got := hex.EncodeToString(sum[:]); got != c.want {
+			t.Errorf("%s: serialized tables hash to %s, want %s (%v)", c.name, got, c.want, ts.Stats())
 		}
 	}
 }
@@ -239,20 +251,15 @@ func rebuildHashers(t *testing.T) map[string]Hasher {
 	}
 }
 
-// rebuildFixture is a set fed by h over n rows, more than one rebuild chunk,
-// so a rebuild exercises the chunk loop, the worker striping and the hash
-// kernels together.
+// fixtureRows are the rows rebuildFixture feeds.
+func fixtureRows(n int) [][]float32 { return gaussRows(n, rebuildDim, 41, 9) }
+
+// rebuildFixture is a set fed by h over n rows that pass through the
+// per-worker buffer, as BF16 weights do, so a rebuild exercises the worker
+// striping, the row buffers and the hash kernels together.
 func rebuildFixture(t *testing.T, h Hasher, n int) (*TableSet, func(i int, buf []float32) []float32) {
 	t.Helper()
-	rng := rand.New(rand.NewPCG(41, 9))
-	rows := make([][]float32, n)
-	for i := range rows {
-		rows[i] = make([]float32, rebuildDim)
-		for j := range rows[i] {
-			rows[i][j] = float32(rng.NormFloat64())
-		}
-	}
-	// Rows pass through the per-worker buffer, as BF16 weights do.
+	rows := fixtureRows(n)
 	row := func(i int, buf []float32) []float32 {
 		copy(buf, rows[i])
 		return buf[:rebuildDim]
@@ -270,157 +277,213 @@ func serializeSet(t *testing.T, ts *TableSet) []byte {
 }
 
 // TestTableSetRebuildIndependentOfWorkers: table contents are a pure
-// function of the rows — the hashing worker count, and scratch left by an
-// earlier rebuild at another count or range, must not show.
+// function of the rows — the worker count (one, fewer than tables, more than
+// tables, GOMAXPROCS) and scratch left by an earlier rebuild at another
+// count or range must not show — for the whole layer and for a range that
+// starts past row 0, as a shard's does. The reference is serial insertion.
 func TestTableSetRebuildIndependentOfWorkers(t *testing.T) {
-	const n = 2*rebuildChunk + 300
+	const n = 4396
+	rows := fixtureRows(n)
 	for name, h := range rebuildHashers(t) {
 		ts, row := rebuildFixture(t, h, n)
-		ts.RebuildDense(n, 24, row, 1)
-		want := serializeSet(t, ts)
-		for _, workers := range []int{2, 3, 4, 7, 0} {
-			ts.RebuildRange(100, 200, 24, row, workers) // dirty the scratch
-			ts.RebuildRange(0, n, 24, row, workers)
-			if !bytes.Equal(serializeSet(t, ts), want) {
-				t.Errorf("%s: rebuild with %d workers differs from the single-worker rebuild", name, workers)
+		for _, r := range [][2]int{{0, n}, {1000, 3100}} {
+			lo, hi := r[0], r[1]
+			want := refSetBytes(t, refRebuild(ts, lo, hi, func(i int) []float32 { return rows[i] }))
+			for _, workers := range []int{1, 2, 3, 4, 7, 33, 0} {
+				ts.RebuildRange(100, 200, rebuildDim, row, workers) // dirty the scratch
+				ts.RebuildRange(lo, hi, rebuildDim, row, workers)
+				if !bytes.Equal(serializeSet(t, ts), want) {
+					t.Errorf("%s: rebuild of [%d,%d) with %d workers differs from serial insertion", name, lo, hi, workers)
+				}
 			}
 		}
 	}
 }
 
-// TestTableSetRebuildSteadyStateAllocs: the fingerprint chunk, row buffers
-// and bucket storage are kept between rebuilds; a repeat rebuild allocates
-// only the per-chunk task closure.
+// TestTableSetRebuildSteadyStateAllocs: the fingerprint matrix, the
+// per-worker row and hash buffers and the tables' arrays are sized by the
+// first rebuild; a repeat allocates only the two task closures, at a fixed
+// worker count and at GOMAXPROCS.
 func TestTableSetRebuildSteadyStateAllocs(t *testing.T) {
 	if platform.RaceEnabled {
 		t.Skip("the race detector's sync.Pool drops the hashers' scratch at random")
 	}
-	const n = 2*rebuildChunk + 300 // three chunks
+	const n = 4396
 	for name, h := range rebuildHashers(t) {
-		ts, row := rebuildFixture(t, h, n)
-		ts.RebuildDense(n, 24, row, 2)
-		if a := testing.AllocsPerRun(5, func() { ts.RebuildDense(n, 24, row, 2) }); a > 3 {
-			t.Errorf("%s: repeat rebuild of three chunks allocates %.0f objects, want at most 3", name, a)
+		for _, workers := range []int{2, 0} {
+			ts, row := rebuildFixture(t, h, n)
+			ts.RebuildDense(n, rebuildDim, row, workers)
+			if a := testing.AllocsPerRun(5, func() { ts.RebuildDense(n, rebuildDim, row, workers) }); a > 2 {
+				t.Errorf("%s: repeat rebuild with %d workers (GOMAXPROCS %d) allocates %.0f objects, want at most 2",
+					name, workers, runtime.GOMAXPROCS(0), a)
+			}
 		}
 	}
 }
 
 func TestTableSetRebuildClearsOldEntries(t *testing.T) {
-	d, err := NewDWTA(DWTAConfig{K: 2, L: 4, Dim: 8, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := mustDWTA(t, DWTAConfig{K: 2, L: 4, Dim: 8, Seed: 1})
 	ts := NewTableSet(d, 16, FIFO, 2)
-	ts.InsertDense(999, []float32{1, 2, 3, 4, 5, 6, 7, 8})
-	ts.RebuildDense(3, 8, func(i int, _ []float32) []float32 {
+	row := func(i int, _ []float32) []float32 {
 		return []float32{float32(i), 1, 2, 3, 4, 5, 6, 7}
-	}, 1)
+	}
+	ts.RebuildRange(990, 1000, 8, row, 1)
+	ts.RebuildDense(3, 8, row, 1)
 	st := ts.Stats()
 	if st.Stored != 3*4 { // 3 neurons x 4 tables
 		t.Errorf("stored %d ids after rebuild, want 12 (stale id leaked?)", st.Stored)
 	}
-}
-
-func TestTableSetConcurrentQueryRebuild(t *testing.T) {
-	// Stress rebuilds racing queries under -race: correctness requirement is
-	// only "no crash, no torn data" — returned ids must always be valid.
-	d, err := NewDWTA(DWTAConfig{K: 2, L: 8, Dim: 24, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := NewTableSet(d, 8, FIFO, 4)
-	n := 50
-	rows := make([][]float32, n)
-	rng := rand.New(rand.NewPCG(8, 9))
-	for i := range rows {
-		rows[i] = make([]float32, 24)
-		for j := range rows[i] {
-			rows[i][j] = float32(rng.NormFloat64())
+	for _, tbl := range ts.tables {
+		if slices.Max(tbl.ids) > 2 {
+			t.Errorf("table still holds an id of the earlier rebuild: %v", tbl.ids)
 		}
 	}
-	ts.RebuildDense(n, 24, func(i int, _ []float32) []float32 { return rows[i] }, 2)
+}
+
+// TestTableSetConcurrentQueryRebuild races probes against rebuilds that
+// alternate between two row sets. A probe holds the read lock across all L
+// tables and a rebuild swaps all L in under the write lock, so every probe
+// must return, in full, what one of the two generations returns — never a
+// table of each, never a partly built one. Run under -race in CI.
+func TestTableSetConcurrentQueryRebuild(t *testing.T) {
+	d := mustDWTA(t, DWTAConfig{K: 2, L: 8, Dim: 24, Seed: 3})
+	ts := NewTableSet(d, 8, FIFO, 4)
+	n := 50
+	gens := [2][][]float32{gaussRows(n, 24, 8, 9), gaussRows(n, 24, 10, 11)}
+	const readers = 4
+	var hs [readers][]uint32
+	var want [readers][2][]int32
+	for g, rows := range gens {
+		ts.RebuildDense(n, 24, direct(rows), 2)
+		for w := range hs {
+			hs[w] = make([]uint32, ts.Tables())
+			ts.HashDense(gens[0][w], hs[w])
+			ts.QueryHashes(hs[w], func(id int32) { want[w][g] = append(want[w][g], id) })
+		}
+	}
+	if slices.Equal(want[0][0], want[0][1]) {
+		t.Fatal("the two generations answer reader 0 identically; the test cannot tell them apart")
+	}
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
-	for w := 0; w < 4; w++ {
+	for w := 0; w < readers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			q := rows[w]
+			var got []int32
 			for {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				ts.QueryDense(q, func(id int32) {
-					if id < 0 || id >= int32(n) {
-						t.Errorf("invalid id %d from query", id)
-					}
-				})
+				got = got[:0]
+				ts.QueryHashes(hs[w], func(id int32) { got = append(got, id) })
+				if !slices.Equal(got, want[w][0]) && !slices.Equal(got, want[w][1]) {
+					t.Errorf("reader %d saw %v, neither generation's answer", w, got)
+					return
+				}
 			}
 		}(w)
 	}
-	for r := 0; r < 5; r++ {
-		ts.RebuildDense(n, 24, func(i int, _ []float32) []float32 { return rows[i] }, 2)
+	for r := 0; r < 40; r++ {
+		ts.RebuildDense(n, 24, direct(gens[r%2]), 2)
 	}
 	close(stop)
 	wg.Wait()
 }
 
 func TestTableSetCloneIsIndependent(t *testing.T) {
-	d, err := NewDWTA(DWTAConfig{K: 2, L: 6, Dim: 16, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := mustDWTA(t, DWTAConfig{K: 2, L: 6, Dim: 16, Seed: 7})
 	ts := NewTableSet(d, 32, FIFO, 3)
-	rng := rand.New(rand.NewPCG(5, 6))
 	n := 30
-	weights := make([][]float32, n)
-	for i := range weights {
-		weights[i] = make([]float32, 16)
-		for j := range weights[i] {
-			weights[i][j] = float32(rng.NormFloat64())
-		}
-	}
-	ts.RebuildDense(n, 16, func(i int, _ []float32) []float32 { return weights[i] }, 2)
+	weights := gaussRows(n, 16, 5, 6)
+	ts.RebuildDense(n, 16, direct(weights), 2)
 
-	collect := func(set *TableSet, q []float32) map[int32]bool {
-		got := map[int32]bool{}
-		set.QueryDense(q, func(id int32) { got[id] = true })
-		return got
-	}
+	dedup := NewDedup(n)
 	clone := ts.Clone()
+	if !bytes.Equal(serializeSet(t, clone), serializeSet(t, ts)) {
+		t.Fatal("clone serializes differently from the original")
+	}
 	for i := range weights {
-		a, b := collect(ts, weights[i]), collect(clone, weights[i])
-		if len(a) != len(b) {
-			t.Fatalf("query %d: clone returned %d ids, original %d", i, len(b), len(a))
-		}
-		for id := range a {
-			if !b[id] {
-				t.Fatalf("query %d: clone missing id %d", i, id)
-			}
+		if a, b := collectDense(ts, weights[i], dedup), collectDense(clone, weights[i], dedup); !slices.Equal(a, b) {
+			t.Fatalf("query %d: clone returned %v, original %v", i, b, a)
 		}
 	}
 
 	// Rebuild the original over half the neurons: the clone must keep
 	// serving the old contents.
-	ts.RebuildDense(n/2, 16, func(i int, _ []float32) []float32 { return weights[i] }, 2)
-	if !collect(clone, weights[n-1])[int32(n-1)] {
+	ts.RebuildDense(n/2, 16, direct(weights), 2)
+	last := int32(n - 1)
+	if !slices.Contains(collectDense(clone, weights[last], dedup), last) {
 		t.Error("clone lost an id after the original was rebuilt")
 	}
-	if collect(ts, weights[n-1])[int32(n-1)] {
+	if slices.Contains(collectDense(ts, weights[last], dedup), last) {
 		t.Error("original still serves an id dropped by its rebuild")
 	}
 
-	// Inserting into the clone must not leak into the original.
-	extra := make([]float32, 16)
-	for j := range extra {
-		extra[j] = float32(rng.NormFloat64())
+	// Rebuilding the clone must not leak into the original.
+	before := serializeSet(t, ts)
+	clone.RebuildRange(n-5, n, 16, direct(weights), 2)
+	if !bytes.Equal(serializeSet(t, ts), before) {
+		t.Error("rebuild of the clone reached the original")
 	}
-	clone.InsertDense(int32(999), extra)
-	if collect(ts, extra)[999] {
-		t.Error("insert into clone reached the original")
+}
+
+// TestCollectMatchesQueryHashes: Collect returns exactly the ids, in exactly
+// the order, that visiting every bucket through QueryHashes and keeping what
+// Dedup.Seen has not seen yields — unlimited and under a limit, with labels
+// stamped before the probe, and on a set over a row range that starts past
+// zero with the dedup array indexed from the range's start.
+func TestCollectMatchesQueryHashes(t *testing.T) {
+	const n, dim = 3000, 24
+	h := mustSimHash(t, SimHashConfig{K: 5, L: 8, Dim: dim, Seed: 21})
+	rows := gaussRows(n, dim, 41, 9)
+	for _, base := range []int32{0, 1000} {
+		ts := NewTableSet(h, 64, FIFO, 3)
+		ts.RebuildRange(int(base), n, dim, direct(rows), 2)
+		width := n - int(base)
+		viaVisit, viaCollect := NewDedup(width), NewDedup(width)
+		hs := make([]uint32, ts.Tables())
+		for q := 0; q < 200; q++ {
+			ts.HashDense(rows[q], hs)
+			labels := []int32{base + int32(q), base + int32(7*q%width), base + int32(q)} // one repeated
+			for _, limit := range []int{0, -1, 1, 2, 3, 40, 1 << 20} {
+				var want []int32
+				viaVisit.Begin()
+				for _, y := range labels {
+					if !viaVisit.Seen(y - base) {
+						want = append(want, y)
+					}
+				}
+				ts.QueryHashes(hs, func(id int32) {
+					if limit > 0 && len(want) >= limit {
+						return
+					}
+					if !viaVisit.Seen(id - base) {
+						want = append(want, id)
+					}
+				})
+
+				var got []int32
+				viaCollect.Begin()
+				for _, y := range labels {
+					if !viaCollect.Seen(y - base) {
+						got = append(got, y)
+					}
+				}
+				got = ts.Collect(hs, viaCollect, base, got, limit)
+				if !slices.Equal(got, want) {
+					t.Fatalf("base %d query %d limit %d: Collect %v, closure form %v", base, q, limit, got, want)
+				}
+				// What each form stamped must agree too: the random top-up
+				// that follows reads the stamps.
+				if !slices.Equal(viaCollect.stamp, viaVisit.stamp) || viaCollect.cur != viaVisit.cur {
+					t.Fatalf("base %d query %d limit %d: dedup state differs after the probe", base, q, limit)
+				}
+			}
+		}
 	}
 }
 

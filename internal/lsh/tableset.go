@@ -2,6 +2,7 @@ package lsh
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 
@@ -11,21 +12,21 @@ import (
 // TableSet owns the L hash tables of one LSH-sampled layer plus the hasher
 // feeding them. It serializes rebuilds against queries with a read-write
 // lock: HOGWILD threads query concurrently under the read lock while the
-// periodic re-hashing of updated neurons takes the write lock (§2
-// "Backpropagation and Hash Tables Update").
+// periodic re-hashing of updated neurons takes the write lock only to swap
+// the new contents in (§2 "Backpropagation and Hash Tables Update").
 type TableSet struct {
 	hasher Hasher
 	tables []*Table
 
 	mu sync.RWMutex
 
-	hashBuf sync.Pool // *[]uint32 scratch of length L
-
-	// Rebuild scratch, kept between rebuilds (see RebuildRange): one chunk
-	// of fingerprints and one row buffer per hashing worker.
-	rebuildHashes []uint32
-	rebuildBufs   [][]float32
-	rebuildFanout fanout.Group
+	// Rebuild scratch, kept between rebuilds (see RebuildRange): the
+	// fingerprints of the range, table-major, and one row buffer and one
+	// fingerprint vector per hashing worker.
+	cols    []uint32
+	rowBufs [][]float32
+	hashes  [][]uint32
+	fan     fanout.Group
 }
 
 // NewTableSet builds the L tables declared by the hasher.
@@ -35,10 +36,6 @@ func NewTableSet(h Hasher, bucketCap int, policy BucketPolicy, seed uint64) *Tab
 	for i := range ts.tables {
 		ts.tables[i] = NewTable(h.Bits(), bucketCap, policy, splitmix64(seed^uint64(i)))
 	}
-	ts.hashBuf.New = func() any {
-		b := make([]uint32, h.Tables())
-		return &b
-	}
 	return ts
 }
 
@@ -46,22 +43,17 @@ func NewTableSet(h Hasher, bucketCap int, policy BucketPolicy, seed uint64) *Tab
 func (ts *TableSet) Hasher() Hasher { return ts.hasher }
 
 // Clone returns a deep copy of the current table contents under the read
-// lock: a point-in-time snapshot that later rebuilds or inserts on the
-// original never touch. The hasher is shared — hashers are immutable after
-// construction and use pooled scratch, so concurrent queries through both
-// sets are safe. Predictor snapshots query the clone while training keeps
-// rebuilding the original.
+// lock: a point-in-time snapshot that later rebuilds of the original never
+// touch. The hasher is shared — hashers are immutable after construction
+// and use pooled scratch, so concurrent queries through both sets are safe.
+// Predictor snapshots query the clone while training keeps rebuilding the
+// original.
 func (ts *TableSet) Clone() *TableSet {
 	ts.mu.RLock()
 	defer ts.mu.RUnlock()
-	c := &TableSet{hasher: ts.hasher}
-	c.tables = make([]*Table, len(ts.tables))
+	c := &TableSet{hasher: ts.hasher, tables: make([]*Table, len(ts.tables))}
 	for i, t := range ts.tables {
 		c.tables[i] = t.Clone()
-	}
-	c.hashBuf.New = func() any {
-		b := make([]uint32, ts.hasher.Tables())
-		return &b
 	}
 	return c
 }
@@ -69,29 +61,13 @@ func (ts *TableSet) Clone() *TableSet {
 // Tables returns L.
 func (ts *TableSet) Tables() int { return len(ts.tables) }
 
-// InsertDense hashes one neuron's weight vector and inserts its id into all
-// L tables. It takes the write lock; prefer RebuildDense for bulk work.
-func (ts *TableSet) InsertDense(id int32, weights []float32) {
-	bp := ts.hashBuf.Get().(*[]uint32)
-	ts.hasher.HashDense(weights, *bp)
-	ts.mu.Lock()
-	for t, table := range ts.tables {
-		table.Insert(id, (*bp)[t])
-	}
-	ts.mu.Unlock()
-	ts.hashBuf.Put(bp)
-}
-
-// RebuildDense clears all tables and re-inserts neurons [0, n): RebuildRange
-// over the whole layer.
+// RebuildDense replaces all tables' contents with neurons [0, n):
+// RebuildRange over the whole layer.
 func (ts *TableSet) RebuildDense(n, bufLen int, row func(i int, buf []float32) []float32, workers int) {
 	ts.RebuildRange(0, n, bufLen, row, workers)
 }
 
-// rebuildChunk is how many neurons are hashed between two insert passes.
-const rebuildChunk = 2048
-
-// RebuildRange clears all tables and re-inserts neurons [lo, hi), keeping
+// RebuildRange replaces all tables' contents with neurons [lo, hi), keeping
 // their global ids, reading each neuron's weight vector through row. row
 // receives a per-worker scratch buffer of length bufLen it may use to
 // materialize the vector (e.g. to expand bfloat16 weights); it can also
@@ -99,85 +75,96 @@ const rebuildChunk = 2048
 // each shard its own TableSet rebuilt over just the rows it owns; queries
 // then return global ids directly.
 //
-// Hashing is parallelized across workers in chunks (workers <= 0 uses
-// GOMAXPROCS); insertion is serialized per chunk under the write lock, in ascending id, so queries only ever see
-// a consistent (possibly partially re-filled) table and table contents are a
-// pure function of (lo, hi, weights) — independent of the worker count.
-// The fingerprint chunk and the row buffers are scratch owned by the set and
+// Both halves run on workers goroutines (workers <= 0 uses GOMAXPROCS). The
+// rows are hashed in contiguous stripes while queries go on against the old
+// contents, each fingerprint vector scattered table-major into cols (4·L
+// bytes per row); then, under the write lock, worker w builds tables w,
+// w+workers, … from their columns. Table.Build equals serial insertion in
+// ascending id, so table contents are a pure function of (lo, hi, weights) —
+// independent of the worker count — and a query sees the old tables or the
+// new ones, never a partly filled one. The scratch is owned by the set and
 // reused by the next rebuild, so rebuilds of one set must not overlap (they
 // run from the training goroutine or from construction).
 func (ts *TableSet) RebuildRange(lo, hi, bufLen int, row func(i int, buf []float32) []float32, workers int) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
+	n, l := max(hi-lo, 0), len(ts.tables)
+	if len(ts.cols) < n*l {
+		ts.cols = make([]uint32, n*l)
+	}
+	for w := len(ts.hashes); w < workers; w++ {
+		ts.rowBufs = append(ts.rowBufs, nil)
+		ts.hashes = append(ts.hashes, make([]uint32, l))
+	}
+	for w := range ts.rowBufs[:workers] {
+		if len(ts.rowBufs[w]) < bufLen {
+			ts.rowBufs[w] = make([]float32, bufLen)
+		}
+	}
+
+	per := (n + workers - 1) / workers
+	ts.fan.Run(workers, func(w int) {
+		buf, hs := ts.rowBufs[w][:bufLen], ts.hashes[w]
+		for i := w * per; i < min((w+1)*per, n); i++ {
+			ts.hasher.HashDense(row(lo+i, buf), hs)
+			for t, h := range hs {
+				ts.cols[t*n+i] = h
+			}
+		}
+	})
+
+	builders := min(workers, l)
 	ts.mu.Lock()
-	for _, t := range ts.tables {
-		t.Clear()
-	}
+	ts.fan.Run(builders, func(w int) {
+		for t := w; t < l; t += builders {
+			ts.tables[t].Build(int32(lo), ts.cols[t*n:(t+1)*n])
+		}
+	})
 	ts.mu.Unlock()
-
-	l := len(ts.tables)
-	if need := min(rebuildChunk, hi-lo) * l; len(ts.rebuildHashes) < need {
-		ts.rebuildHashes = make([]uint32, need)
-	}
-	for w := 0; w < workers; w++ {
-		if w == len(ts.rebuildBufs) {
-			ts.rebuildBufs = append(ts.rebuildBufs, nil)
-		}
-		if len(ts.rebuildBufs[w]) < bufLen {
-			ts.rebuildBufs[w] = make([]float32, bufLen)
-		}
-	}
-
-	for cl := lo; cl < hi; cl += rebuildChunk {
-		ch := min(cl+rebuildChunk, hi)
-		per := (ch - cl + workers - 1) / workers
-		ts.rebuildFanout.Run(workers, func(w int) {
-			buf := ts.rebuildBufs[w][:bufLen]
-			for i := cl + w*per; i < min(cl+(w+1)*per, ch); i++ {
-				ts.hasher.HashDense(row(i, buf), ts.rebuildHashes[(i-cl)*l:(i-cl+1)*l])
-			}
-		})
-
-		// Serial insert under the write lock.
-		ts.mu.Lock()
-		for i := cl; i < ch; i++ {
-			hs := ts.rebuildHashes[(i-cl)*l : (i-cl+1)*l]
-			for t, table := range ts.tables {
-				table.Insert(int32(i), hs[t])
-			}
-		}
-		ts.mu.Unlock()
-	}
-}
-
-// QueryDense hashes a dense activation vector and calls visit for every id
-// found across the L tables' matching buckets. Ids repeat across tables;
-// callers dedup (see Dedup). visit runs under the read lock and must not
-// call back into the TableSet.
-func (ts *TableSet) QueryDense(act []float32, visit func(id int32)) {
-	bp := ts.hashBuf.Get().(*[]uint32)
-	ts.hasher.HashDense(act, *bp)
-	ts.query(*bp, visit)
-	ts.hashBuf.Put(bp)
 }
 
 // HashDense hashes a dense activation vector into hs (length L) without
 // querying. Sharded execution hashes each sample once and then probes every
-// shard's tables with QueryHashes, instead of re-hashing per shard.
+// shard's tables with the same fingerprints, instead of re-hashing per
+// shard.
 func (ts *TableSet) HashDense(act []float32, hs []uint32) {
 	ts.hasher.HashDense(act, hs)
 }
 
-// QueryHashes is QueryDense with the hashing already done: hs holds one
-// bucket hash per table, as produced by HashDense with the same hasher
-// parameters. Visit order (table-major, bucket order within) matches
-// QueryDense exactly.
-func (ts *TableSet) QueryHashes(hs []uint32, visit func(id int32)) {
-	ts.query(hs, visit)
+// Collect is the sampling probe: it appends to dst the ids of the L buckets
+// hs addresses (one fingerprint per table, as HashDense produces) that d has
+// not seen this round, marking them seen, in visit order — table-major,
+// bucket order within — and stops once dst holds limit ids (limit <= 0
+// means no limit). d is indexed by id-base: a shard's set stores global ids
+// and dedups over its own row range.
+func (ts *TableSet) Collect(hs []uint32, d *Dedup, base int32, dst []int32, limit int) []int32 {
+	if limit <= 0 {
+		limit = math.MaxInt
+	}
+	stamp, cur := d.stamp, d.cur
+	ts.mu.RLock()
+	defer ts.mu.RUnlock()
+	for t, table := range ts.tables {
+		for _, id := range table.Query(hs[t]) {
+			if len(dst) >= limit {
+				return dst
+			}
+			if stamp[id-base] != cur {
+				stamp[id-base] = cur
+				dst = append(dst, id)
+			}
+		}
+	}
+	return dst
 }
 
-func (ts *TableSet) query(hs []uint32, visit func(id int32)) {
+// QueryHashes calls visit for every id of the L buckets hs addresses, in
+// Collect's visit order, repeats included. It is the closure form of the
+// probe the benchmark's per-layer probes measure; the library itself
+// samples through Collect. visit runs under the read lock and must not call
+// back into the TableSet.
+func (ts *TableSet) QueryHashes(hs []uint32, visit func(id int32)) {
 	ts.mu.RLock()
 	for t, table := range ts.tables {
 		for _, id := range table.Query(hs[t]) {

@@ -70,9 +70,9 @@ type scratch struct {
 	// rngSrc is rng's underlying PCG, retained so checkpoints can serialize
 	// the random top-up state — part of the exact-resume contract.
 	rngSrc *rand.PCG
-	// hashBuf holds the per-table bucket hashes of one query on sharded
-	// models: the sample is hashed once, then every shard's tables are
-	// probed with the same hashes.
+	// hashBuf holds the per-table bucket hashes of one query: the sample is
+	// hashed once, then the table set — every shard's, on a sharded model —
+	// is probed with them.
 	hashBuf []uint32
 	// shardTop and shardLists are rank's per-shard selections on sharded
 	// models: shard s ranks into its own row range of shardTop, and
@@ -130,7 +130,9 @@ func (f *forwardState) newScratch(train bool, seed, stream uint64) *scratch {
 	} else if f.cfg.Precision != layer.FP32 {
 		ws.hBF = make([]bf16.BF16, f.lastDim)
 	}
-	if len(f.shTables) > 0 {
+	if f.tables != nil {
+		ws.hashBuf = make([]uint32, f.tables.Tables())
+	} else if len(f.shTables) > 0 {
 		ws.hashBuf = make([]uint32, f.shTables[0].Tables())
 	}
 	if f.plan != nil && !train {
@@ -188,22 +190,15 @@ func (f *forwardState) sampleActive(ws *scratch, labels []int32) int {
 	if limit > 0 && nLabels > limit {
 		limit = nLabels // labels always survive
 	}
-	visit := func(id int32) {
-		if limit > 0 && len(ws.active) >= limit {
-			return
-		}
-		if !ws.dedup.Seen(id) {
-			ws.active = append(ws.active, id)
-		}
-	}
 	if f.tables != nil {
-		f.tables.QueryDense(ws.last(), visit)
+		f.tables.HashDense(ws.last(), ws.hashBuf)
+		ws.active = f.tables.Collect(ws.hashBuf, ws.dedup, 0, ws.active, limit)
 	} else if len(f.shTables) > 0 {
 		// Hash once (all shard hashers are seed-identical), probe every
 		// shard's tables in shard order — ids are disjoint across shards.
 		f.shTables[0].HashDense(ws.last(), ws.hashBuf)
 		for _, ts := range f.shTables {
-			ts.QueryHashes(ws.hashBuf, visit)
+			ws.active = ts.Collect(ws.hashBuf, ws.dedup, 0, ws.active, limit)
 		}
 	}
 

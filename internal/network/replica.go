@@ -367,7 +367,7 @@ func NewPredictorFromBase(parts BaseParts) (*Predictor, error) {
 		if parts.Tables == nil {
 			return nil, fail("sharded config requires a tables payload")
 		}
-		if err := deserializeShardTables(bytes.NewReader(parts.Tables), shTables); err != nil {
+		if err := deserializeShardTables(bytes.NewReader(parts.Tables), shTables, plan); err != nil {
 			return nil, fail("tables: %w", err)
 		}
 	} else {
@@ -380,7 +380,7 @@ func NewPredictorFromBase(parts BaseParts) (*Predictor, error) {
 				parts.Tables != nil, tables != nil)
 		}
 		if tables != nil {
-			if err := tables.Deserialize(bytes.NewReader(parts.Tables)); err != nil {
+			if err := tables.Deserialize(bytes.NewReader(parts.Tables), 0, int32(cfg.OutputDim)); err != nil {
 				return nil, fail("tables: %w", err)
 			}
 		}
@@ -491,7 +491,7 @@ func (p *Predictor) ApplyDelta(parts DeltaParts) (*Predictor, error) {
 				}
 				fresh[s] = ts
 			}
-			if err := deserializeShardTables(bytes.NewReader(parts.Tables), fresh); err != nil {
+			if err := deserializeShardTables(bytes.NewReader(parts.Tables), fresh, p.fwd.plan); err != nil {
 				return nil, fmt.Errorf("network: delta tables: %w", err)
 			}
 			shTables = fresh
@@ -503,7 +503,7 @@ func (p *Predictor) ApplyDelta(parts DeltaParts) (*Predictor, error) {
 			if err != nil {
 				return nil, err
 			}
-			if err := fresh.Deserialize(bytes.NewReader(parts.Tables)); err != nil {
+			if err := fresh.Deserialize(bytes.NewReader(parts.Tables), 0, int32(cfg.OutputDim)); err != nil {
 				return nil, fmt.Errorf("network: delta tables: %w", err)
 			}
 			tables = fresh

@@ -333,7 +333,7 @@ func loadV3(br *bufio.Reader, workers int) (*Network, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := deserializeShardTables(bytes.NewReader(payload), n.sh.tables); err != nil {
+		if err := deserializeShardTables(bytes.NewReader(payload), n.sh.tables, n.sh.plan); err != nil {
 			return nil, corrupt("tables", off, "parsing verified section: %w", err)
 		}
 	} else if n.tables != nil {
@@ -341,7 +341,7 @@ func loadV3(br *bufio.Reader, workers int) (*Network, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := n.tables.Deserialize(bytes.NewReader(payload)); err != nil {
+		if err := n.tables.Deserialize(bytes.NewReader(payload), 0, int32(n.cfg.OutputDim)); err != nil {
 			return nil, corrupt("tables", off, "parsing verified section: %w", err)
 		}
 	}
@@ -374,7 +374,7 @@ func loadV2(br *bufio.Reader, workers int) (*Network, error) {
 		return nil, fmt.Errorf("network: reading output layer: %w", err)
 	}
 	if n.tables != nil {
-		if err := n.tables.Deserialize(br); err != nil {
+		if err := n.tables.Deserialize(br, 0, int32(n.cfg.OutputDim)); err != nil {
 			return nil, fmt.Errorf("network: reading hash tables: %w", err)
 		}
 	}
@@ -517,10 +517,11 @@ func serializeShardTables(w io.Writer, sets []*lsh.TableSet) error {
 }
 
 // deserializeShardTables restores the per-shard table sets written by
-// serializeShardTables, in shard order.
-func deserializeShardTables(r io.Reader, sets []*lsh.TableSet) error {
+// serializeShardTables, in shard order, holding each shard's ids to the rows
+// the plan gives it.
+func deserializeShardTables(r io.Reader, sets []*lsh.TableSet, plan *shardPlan) error {
 	for s, ts := range sets {
-		if err := ts.Deserialize(r); err != nil {
+		if err := ts.Deserialize(r, plan.bounds[s], plan.bounds[s+1]); err != nil {
 			return fmt.Errorf("shard %d tables: %w", s, err)
 		}
 	}

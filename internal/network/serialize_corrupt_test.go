@@ -5,9 +5,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"testing"
 
 	"github.com/slide-cpu/slide/internal/layer"
+	"github.com/slide-cpu/slide/internal/lsh"
 )
 
 // saveV2 writes the legacy version-2 layout: preamble, then the raw section
@@ -275,6 +277,69 @@ func BenchmarkCheckpointLoadV2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := Load(bytes.NewReader(buf.Bytes()), 1); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestLoadRejectsOutOfRangeTableID: the checksums say a section is the bytes
+// that were written, not that they describe a model. A tables section whose
+// first stored id lies outside the output layer — with the table's and the
+// section's CRC32C recomputed over it, as a buggy or hostile writer would
+// leave them — must fail the load as a corrupt tables section wrapping
+// lsh.ErrMalformed. It used to load, and the first sampled step then died
+// with an index out of range in the worker's dedup array. Sharded
+// checkpoints hold each shard's ids to the shard's own rows the same way.
+func TestLoadRejectsOutOfRangeTableID(t *testing.T) {
+	for name, shards := range map[string]int{"single": 0, "sharded": 2} {
+		p := newPlanted(60, 20, 5, 31)
+		cfg := Config{
+			InputDim: 60, HiddenDim: 16, OutputDim: 20,
+			Hash: DWTA, K: 2, L: 8, BucketCap: 32,
+			MinActive: 6, LR: 0.01, Workers: 1, Shards: shards,
+			RebuildEvery: 10, Seed: 77,
+		}
+		n, err := New(&cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n.TrainBatch(p.batch(32))
+		var buf bytes.Buffer
+		if err := n.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		raw := buf.Bytes()
+		var sec frame
+		for _, f := range frames(t, raw) {
+			if f.id == secTables {
+				sec = f
+			}
+		}
+		// Payload: 24-byte set header, then table 0 — bucket count, then per
+		// bucket a 12-byte header and its ids — then table 0's CRC32C.
+		table := raw[sec.payloadOff+24 : sec.payloadOff+sec.payloadLen]
+		end := 8
+		for k := binary.LittleEndian.Uint64(table); k > 0; k-- {
+			end += 12 + 4*int(binary.LittleEndian.Uint32(table[end+8:]))
+		}
+		for _, bad := range []uint32{1 << 30, uint32(0xfffffffb) /* -5 */, 19 /* in the layer, outside shard 0 */} {
+			if bad == 19 && shards == 0 {
+				continue
+			}
+			dmg := bytes.Clone(raw)
+			table := dmg[sec.payloadOff+24:]
+			binary.LittleEndian.PutUint32(table[8+12:], bad)
+			binary.LittleEndian.PutUint32(table[end:], crc32.Checksum(table[:end], castagnoli))
+			payload := dmg[sec.payloadOff : sec.payloadOff+sec.payloadLen]
+			binary.LittleEndian.PutUint32(dmg[sec.end-4:], crc32.Checksum(payload, castagnoli))
+
+			_, err := Load(bytes.NewReader(dmg), 1)
+			var ce *CorruptError
+			if !errors.As(err, &ce) || ce.Section != "tables" || !errors.Is(err, lsh.ErrMalformed) {
+				t.Errorf("%s: id %d in a re-checksummed tables section: err %v, want a corrupt tables section wrapping lsh.ErrMalformed", name, int32(bad), err)
+			}
+		}
+		if _, err := Load(bytes.NewReader(raw), 1); err != nil {
+			t.Errorf("%s: undamaged checkpoint rejected: %v", name, err)
 		}
 	}
 }

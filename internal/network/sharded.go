@@ -340,14 +340,7 @@ func (n *Network) trainBatchSharded(b sparse.Batch) BatchStats {
 			if limit > 0 && nLab > limit {
 				limit = nLab // labels always survive
 			}
-			sh.tables[s].QueryHashes(sh.hashes[i], func(id int32) {
-				if limit > 0 && len(act) >= limit {
-					return
-				}
-				if !d.Seen(id - lo) {
-					act = append(act, id)
-				}
-			})
+			act = sh.tables[s].Collect(sh.hashes[i], d, lo, act, limit)
 			for len(act) < plan.minAct[s] {
 				local := int32(rng.IntN(width))
 				if !d.Seen(local) {
