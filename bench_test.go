@@ -381,7 +381,7 @@ func BenchmarkKernelDotManyBias(b *testing.B) {
 	b.Run("PerRowDispatch", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for k, id := range ids {
-				out[k] = simd.Dot(rows[id], h) + bias[id]
+				out[k] = simd.Active().Dot(rows[id], h) + bias[id] // one mode load per row
 			}
 		}
 		sink = out[0]
@@ -405,7 +405,7 @@ func BenchmarkKernelDotManyBias(b *testing.B) {
 				b.Run("perrow", func(b *testing.B) {
 					benchWalk(b, lists, func(ids []int32) {
 						for k, id := range ids {
-							out[k] = ks.Dot(rows[id], h) + bias[id]
+							out[k] = simd.Active().Dot(rows[id], h) + bias[id] // one mode load per row
 						}
 					})
 				})
@@ -553,7 +553,7 @@ func BenchmarkKernelGatherScatterAxpy(b *testing.B) {
 					benchWalk(b, lists, func(ids []int32) {
 						simd.Zero(y)
 						for k, id := range ids {
-							ks.ScaleAccum(alpha[k], cols[id], y)
+							ks.Axpy(alpha[k], cols[id], y)
 						}
 					})
 				})

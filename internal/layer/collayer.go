@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"github.com/slide-cpu/slide/internal/bf16"
 	"github.com/slide-cpu/slide/internal/simd"
 	"github.com/slide-cpu/slide/internal/sparse"
 )
@@ -25,24 +24,13 @@ type ColLayer struct {
 	// In is the input (sparse feature) dimension; Out the neuron count.
 	In, Out int
 
-	opts Options
-	act  Activation
+	// trainState holds gradient, ADAM moments, the touched set and the
+	// optimizer walk; its w.f32 / w.bf are the columns below.
+	trainState
 
-	cols   [][]float32   // FP32 / BF16Act weights: cols[j][i] = W[i][j]
-	colsBF [][]bf16.BF16 // BF16Both weights
-	bias   []float32
-
-	grad    [][]float32 // per-column gradient accumulators
-	gbias   []float32
-	m, v    [][]float32 // ADAM moments per column
-	mb, vb  []float32
-	touched *touchSet
-	journal *touchSet // nil unless EnableJournal; columns touched since last drain
-	lk      locks
-
-	// fwd is the live forward view over the storage above; Forward and
-	// ForwardView go through it, so training and serving consume the same
-	// forward implementation.
+	// fwd is the live forward view over the layer's columns and bias;
+	// Forward and ForwardView go through it, so training and serving consume
+	// the same forward implementation.
 	fwd ColWeights
 }
 
@@ -51,34 +39,16 @@ func NewColLayer(in, out int, act Activation, o Options) *ColLayer {
 	if in <= 0 || out <= 0 {
 		panic(fmt.Sprintf("layer: invalid ColLayer dims %dx%d", in, out))
 	}
-	l := &ColLayer{In: in, Out: out, opts: o, act: act}
-	scale := 1.0 / math.Sqrt(float64(in))
-	if o.Precision == BF16Both {
-		l.colsBF = vectors2DBF16(in, out, o.Placement)
-		initGaussianBF16(l.colsBF, scale, o.Seed)
-	} else {
-		l.cols = vectors2D(in, out, o.Placement)
-		initGaussian(l.cols, scale, o.Seed)
-	}
-	l.bias = make([]float32, out)
-	l.grad = vectors2D(in, out, o.Placement)
-	l.gbias = make([]float32, out)
-	l.m = vectors2D(in, out, o.Placement)
-	l.v = vectors2D(in, out, o.Placement)
-	l.mb = make([]float32, out)
-	l.vb = make([]float32, out)
-	l.touched = newTouchSet(in)
-	l.lk.enabled = o.Locked
-	l.fwd = ColWeights{In: in, Out: out, prec: o.Precision, act: act,
-		cols: l.cols, colsBF: l.colsBF, bias: l.bias}
+	cols := newStore(in, out, o.Precision, o.Placement)
+	cols.initGaussian(1.0/math.Sqrt(float64(in)), o.Seed)
+	l := &ColLayer{In: in, Out: out,
+		fwd: ColWeights{In: in, Out: out, prec: o.Precision, act: act, vecs: cols, bias: make([]float32, out)}}
+	l.trainState.init(o, cols, l.fwd.bias, false)
 	return l
 }
 
-// Options returns the construction options.
-func (l *ColLayer) Options() Options { return l.opts }
-
 // Activation returns the layer non-linearity.
-func (l *ColLayer) Activation() Activation { return l.act }
+func (l *ColLayer) Activation() Activation { return l.fwd.act }
 
 // Forward computes h = act(Wx + b) into h (len Out); see
 // ColWeights.Forward, which implements the pass for both the training path
@@ -95,7 +65,7 @@ func (l *ColLayer) Backward(ks *simd.Kernels, x sparse.Vector, h, dh []float32) 
 	if len(h) != l.Out || len(dh) != l.Out {
 		panic("layer: ColLayer.Backward size mismatch")
 	}
-	if l.act == ReLU {
+	if l.fwd.act == ReLU {
 		for i := range dh {
 			if h[i] <= 0 {
 				dh[i] = 0
@@ -138,7 +108,7 @@ func (l *ColLayer) BackwardBatchRange(ks *simd.Kernels, xs []sparse.Vector, acts
 		if len(h) != l.Out || len(dh) != l.Out {
 			panic("layer: ColLayer.BackwardBatchRange size mismatch")
 		}
-		if l.act == ReLU {
+		if l.fwd.act == ReLU {
 			for u := lo; u < hi; u++ {
 				if h[u] <= 0 {
 					dh[u] = 0
@@ -153,27 +123,11 @@ func (l *ColLayer) BackwardBatchRange(ks *simd.Kernels, xs []sparse.Vector, acts
 	}
 }
 
-// ApplyAdam steps every touched column (plus the bias) with the fused
-// vector ADAM kernel of §4.3.1, zeroes the consumed gradients and clears the
+// ApplyAdam steps every touched column and the bias with the fused vector
+// ADAM kernel of §4.3.1, zeroes the consumed gradients and clears the
 // touched set. Call only after all Backward calls for the batch completed.
-// Step and clear stay two passes — the single-pass AdamStepZero fusion is a
-// measured negative result under the Go compiler (see DESIGN.md).
 func (l *ColLayer) ApplyAdam(ks *simd.Kernels, p simd.AdamParams, workers int) {
-	if l.opts.Precision == BF16Both {
-		l.touched.forEachParallel(workers, func(j int32) {
-			ks.AdamStepBF16(l.colsBF[j], l.m[j], l.v[j], l.grad[j], p)
-			simd.Zero(l.grad[j])
-		})
-	} else {
-		l.touched.forEachParallel(workers, func(j int32) {
-			ks.AdamStep(l.cols[j], l.m[j], l.v[j], l.grad[j], p)
-			simd.Zero(l.grad[j])
-		})
-	}
-	if l.journal != nil {
-		l.journal.orFrom(l.touched)
-	}
-	l.touched.clear()
+	l.applyAdam(ks, p, workers, false)
 	ks.AdamStep(l.bias, l.mb, l.vb, l.gbias, p)
 	simd.Zero(l.gbias)
 }
@@ -182,50 +136,7 @@ func (l *ColLayer) ApplyAdam(ks *simd.Kernels, p simd.AdamParams, workers int) {
 // (diagnostics; meaningful between Backward and ApplyAdam).
 func (l *ColLayer) TouchedCols() int { return l.touched.count() }
 
-// EnableJournal starts accumulating a touch journal: every column stepped by
-// ApplyAdam stays recorded across batches until DrainJournal collects it.
-// The bias is deliberately not journaled — it receives dense gradient every
-// batch (Backward adds dh into gbias unconditionally), so delta consumers
-// must always treat the full bias vector as changed.
-func (l *ColLayer) EnableJournal() {
-	if l.journal == nil {
-		l.journal = newTouchSet(l.In)
-	}
-}
-
-// DrainJournal returns the columns stepped since the previous drain
-// (ascending) and resets the journal. Call between batches, never
-// concurrently with ApplyAdam. Returns nil when no journal is enabled.
-func (l *ColLayer) DrainJournal() []int32 {
-	if l.journal == nil {
-		return nil
-	}
-	ids := l.journal.ids()
-	l.journal.clear()
-	return ids
-}
-
-// Col returns column j of the weight matrix as float32 values. For BF16Both
-// the column is expanded into buf (len >= Out); otherwise a direct view is
-// returned. Read-only.
-func (l *ColLayer) Col(j int, buf []float32) []float32 {
-	if l.opts.Precision == BF16Both {
-		buf = buf[:l.Out]
-		bf16.Expand(buf, l.colsBF[j])
-		return buf
-	}
-	return l.cols[j]
-}
-
-// Bias returns the bias vector (read-only view).
-func (l *ColLayer) Bias() []float32 { return l.bias }
-
-// ParamBytes returns the resident size of the trained parameters in bytes,
-// used by the cost model's memory-traffic accounting.
-func (l *ColLayer) ParamBytes() int64 {
-	per := int64(4)
-	if l.opts.Precision == BF16Both {
-		per = 2
-	}
-	return int64(l.In)*int64(l.Out)*per + int64(l.Out)*4
-}
+// Col returns column j of the weight matrix as float32 values: a direct
+// view of float32 storage, bfloat16 storage expanded into buf (len >= Out).
+// Read-only.
+func (l *ColLayer) Col(j int, buf []float32) []float32 { return l.w.expand(j, buf) }

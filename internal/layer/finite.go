@@ -19,123 +19,79 @@ import (
 // quarantine paths test errors.Is against it.
 var ErrNonFinite = errors.New("layer: non-finite parameter")
 
-// CheckFinite scans the bias completely and every stride-th weight vector
-// completely (stride <= 1 scans everything). Deterministic: the visited
-// set depends only on stride and the layer shape.
-func (w *ColWeights) CheckFinite(stride int) error {
-	if i := health.FirstNonFinite32(w.bias); i >= 0 {
-		return fmt.Errorf("%w: hidden bias[%d]", ErrNonFinite, i)
+// checkBias and checkVec are the two scans every check is made of.
+func (v wireView) checkBias() error {
+	if i := health.FirstNonFinite32(v.bias); i >= 0 {
+		return fmt.Errorf("%w: %sbias[%d]", ErrNonFinite, v.where, i)
 	}
-	if stride < 1 {
-		stride = 1
+	return nil
+}
+
+func (v wireView) checkVec(i int) error {
+	if k := v.vecs.firstNonFinite(i); k >= 0 {
+		return fmt.Errorf("%w: %s%s %d element %d", ErrNonFinite, v.where, v.vec, i, k)
 	}
-	if w.colsBF != nil {
-		for j := 0; j < len(w.colsBF); j += stride {
-			if k := health.FirstNonFiniteBF16(w.colsBF[j]); k >= 0 {
-				return fmt.Errorf("%w: hidden col %d element %d", ErrNonFinite, j, k)
-			}
-		}
-		return nil
+	return nil
+}
+
+// checkFinite scans the bias completely and every stride-th weight vector
+// completely (stride <= 1 scans everything). Deterministic: the visited set
+// depends only on stride and the view's shape.
+func (v wireView) checkFinite(stride int) error {
+	if err := v.checkBias(); err != nil {
+		return err
 	}
-	for j := 0; j < len(w.cols); j += stride {
-		if k := health.FirstNonFinite32(w.cols[j]); k >= 0 {
-			return fmt.Errorf("%w: hidden col %d element %d", ErrNonFinite, j, k)
+	for i := 0; i < v.vecs.n(); i += max(stride, 1) {
+		if err := v.checkVec(i); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// CheckFiniteCols scans exactly the named columns (plus the full bias) —
-// the delta-admission path, where ids is the touch journal.
-func (w *ColWeights) CheckFiniteCols(ids []int32) error {
-	if i := health.FirstNonFinite32(w.bias); i >= 0 {
-		return fmt.Errorf("%w: hidden bias[%d]", ErrNonFinite, i)
+// checkFiniteIDs scans exactly the named vectors plus the full bias — the
+// delta-admission path, where ids is the touch journal. Ids the view does
+// not have are skipped.
+func (v wireView) checkFiniteIDs(ids []int32) error {
+	if err := v.checkBias(); err != nil {
+		return err
 	}
-	for _, j := range ids {
-		if int(j) >= len(w.cols) && int(j) >= len(w.colsBF) {
+	for _, i := range ids {
+		if int(i) >= v.vecs.n() {
 			continue
 		}
-		if w.colsBF != nil {
-			if k := health.FirstNonFiniteBF16(w.colsBF[j]); k >= 0 {
-				return fmt.Errorf("%w: hidden col %d element %d", ErrNonFinite, j, k)
-			}
-		} else if k := health.FirstNonFinite32(w.cols[j]); k >= 0 {
-			return fmt.Errorf("%w: hidden col %d element %d", ErrNonFinite, j, k)
+		if err := v.checkVec(int(i)); err != nil {
+			return err
 		}
 	}
 	return nil
 }
+
+// CheckFinite scans the bias completely and every stride-th column
+// completely (stride <= 1 scans everything).
+func (w *ColWeights) CheckFinite(stride int) error { return w.wire().checkFinite(stride) }
+
+// CheckFiniteCols scans exactly the named columns plus the full bias.
+func (w *ColWeights) CheckFiniteCols(ids []int32) error { return w.wire().checkFiniteIDs(ids) }
 
 // CheckFinite scans the bias completely and every stride-th row completely
 // (stride <= 1 scans everything).
-func (w *RowWeights) CheckFinite(stride int) error {
-	if i := health.FirstNonFinite32(w.bias); i >= 0 {
-		return fmt.Errorf("%w: bias[%d]", ErrNonFinite, i)
-	}
-	if stride < 1 {
-		stride = 1
-	}
-	if w.rowsBF != nil {
-		for i := 0; i < len(w.rowsBF); i += stride {
-			if k := health.FirstNonFiniteBF16(w.rowsBF[i]); k >= 0 {
-				return fmt.Errorf("%w: row %d element %d", ErrNonFinite, i, k)
-			}
-		}
-		return nil
-	}
-	for i := 0; i < len(w.rows); i += stride {
-		if k := health.FirstNonFinite32(w.rows[i]); k >= 0 {
-			return fmt.Errorf("%w: row %d element %d", ErrNonFinite, i, k)
-		}
-	}
-	return nil
-}
+func (w *RowWeights) CheckFinite(stride int) error { return w.wire().checkFinite(stride) }
 
-// CheckFiniteRows scans exactly the named rows (plus their biases and the
-// full bias vector) — the delta-admission path.
-func (w *RowWeights) CheckFiniteRows(ids []int32) error {
-	if i := health.FirstNonFinite32(w.bias); i >= 0 {
-		return fmt.Errorf("%w: bias[%d]", ErrNonFinite, i)
-	}
-	for _, i := range ids {
-		if int(i) >= len(w.rows) && int(i) >= len(w.rowsBF) {
-			continue
-		}
-		if w.rowsBF != nil {
-			if k := health.FirstNonFiniteBF16(w.rowsBF[i]); k >= 0 {
-				return fmt.Errorf("%w: row %d element %d", ErrNonFinite, i, k)
-			}
-		} else if k := health.FirstNonFinite32(w.rows[i]); k >= 0 {
-			return fmt.Errorf("%w: row %d element %d", ErrNonFinite, i, k)
-		}
-	}
-	return nil
-}
+// CheckFiniteRows scans exactly the named rows plus the full bias.
+func (w *RowWeights) CheckFiniteRows(ids []int32) error { return w.wire().checkFiniteIDs(ids) }
 
-// PoisonBias overwrites hidden bias i with v. Fault injection only (the
-// faultinject nan:<row>/inf:<row> actions): a poisoned hidden bias feeds
-// every downstream unit, so the very next forward pass produces non-finite
-// logits for every sample regardless of which rows LSH sampling selects —
-// the deterministic way to drill the detect → rollback loop.
-func (l *ColLayer) PoisonBias(i int, v float32) {
-	if len(l.bias) == 0 {
-		return
-	}
-	if i < 0 || i >= len(l.bias) {
+// PoisonBias overwrites bias i with v (an out-of-range i poisons bias 0).
+// Fault injection only (the faultinject nan:<row>/inf:<row> actions): a
+// poisoned hidden bias feeds every downstream unit, so the very next forward
+// pass produces non-finite logits for every sample regardless of which rows
+// LSH sampling selects — the deterministic way to drill the detect →
+// rollback loop.
+func (t *trainState) PoisonBias(i int, v float32) {
+	if i < 0 || i >= len(t.bias) {
 		i = 0
 	}
-	l.bias[i] = v
-}
-
-// PoisonBias overwrites output bias i with v. Fault injection only.
-func (l *RowLayer) PoisonBias(i int, v float32) {
-	if len(l.bias) == 0 {
-		return
-	}
-	if i < 0 || i >= len(l.bias) {
-		i = 0
-	}
-	l.bias[i] = v
+	t.bias[i] = v
 }
 
 // PoisonValue maps a faultinject poison action name to the value planted.

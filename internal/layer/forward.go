@@ -5,7 +5,6 @@ import (
 
 	"github.com/slide-cpu/slide/internal/bf16"
 	"github.com/slide-cpu/slide/internal/fanout"
-	"github.com/slide-cpu/slide/internal/mem"
 	"github.com/slide-cpu/slide/internal/simd"
 	"github.com/slide-cpu/slide/internal/sparse"
 )
@@ -32,11 +31,10 @@ type ColWeights struct {
 	// In is the input (sparse feature) dimension; Out the neuron count.
 	In, Out int
 
-	prec   Precision
-	act    Activation
-	cols   [][]float32
-	colsBF [][]bf16.BF16
-	bias   []float32
+	prec Precision
+	act  Activation
+	vecs store // In columns of Out weights: vecs[j][i] = W[i][j]
+	bias []float32
 }
 
 // ForwardView returns a view aliasing the layer's live storage. It reflects
@@ -48,16 +46,7 @@ func (l *ColLayer) ForwardView() *ColWeights { return &l.fwd }
 // contiguous view. Do not call concurrently with ApplyAdam (same contract
 // as Serialize); the returned view is safe for unlimited concurrent reads
 // afterwards.
-func (l *ColLayer) SnapshotWeights() *ColWeights {
-	w := &ColWeights{In: l.In, Out: l.Out, prec: l.opts.Precision, act: l.act}
-	if l.opts.Precision == BF16Both {
-		w.colsBF = copy2DBF16(l.colsBF)
-	} else {
-		w.cols = copy2D(l.cols)
-	}
-	w.bias = append([]float32(nil), l.bias...)
-	return w
-}
+func (l *ColLayer) SnapshotWeights() *ColWeights { return l.SnapshotWeightsCOW(nil, nil) }
 
 // Precision returns the storage precision of the view.
 func (w *ColWeights) Precision() Precision { return w.prec }
@@ -73,12 +62,12 @@ func (w *ColWeights) Forward(ks *simd.Kernels, x sparse.Vector, h []float32) {
 	copy(h, w.bias)
 	if w.prec == BF16Both {
 		for k, j := range x.Indices {
-			ks.AxpyBF16(x.Values[k], w.colsBF[j], h)
+			ks.AxpyBF16(x.Values[k], w.vecs.bf[j], h)
 		}
 	} else {
 		// Algorithm 2 over all of x's non-zeros in one call: h accumulates
 		// in registers while the listed columns stream past.
-		ks.GatherAxpy(x.Values, x.Indices, w.cols, h)
+		ks.GatherAxpy(x.Values, x.Indices, w.vecs.f32, h)
 	}
 	if w.act == ReLU {
 		for i := range h {
@@ -98,10 +87,9 @@ type RowWeights struct {
 	// In is the input (hidden) dimension; Out the neuron/label count.
 	In, Out int
 
-	prec   Precision
-	rows   [][]float32
-	rowsBF [][]bf16.BF16
-	bias   []float32
+	prec Precision
+	vecs store // Out rows of In weights
+	bias []float32
 }
 
 // ForwardView returns a view aliasing the layer's live storage. It reflects
@@ -112,16 +100,7 @@ func (l *RowLayer) ForwardView() *RowWeights { return &l.fwd }
 // SnapshotWeights deep-copies the current parameters into an immutable
 // contiguous view. Do not call concurrently with ApplyAdam; the returned
 // view is safe for unlimited concurrent reads afterwards.
-func (l *RowLayer) SnapshotWeights() *RowWeights {
-	w := &RowWeights{In: l.In, Out: l.Out, prec: l.opts.Precision}
-	if l.opts.Precision == BF16Both {
-		w.rowsBF = copy2DBF16(l.rowsBF)
-	} else {
-		w.rows = copy2D(l.rows)
-	}
-	w.bias = append([]float32(nil), l.bias...)
-	return w
-}
+func (l *RowLayer) SnapshotWeights() *RowWeights { return l.SnapshotWeightsCOW(nil, nil) }
 
 // Precision returns the storage precision of the view.
 func (w *RowWeights) Precision() Precision { return w.prec }
@@ -132,11 +111,11 @@ func (w *RowWeights) Precision() Precision { return w.prec }
 func (w *RowWeights) Logit(ks *simd.Kernels, id int32, h []float32, hBF []bf16.BF16) float32 {
 	switch w.prec {
 	case BF16Act:
-		return ks.DotBF16F32(hBF, w.rows[id]) + w.bias[id]
+		return ks.DotBF16F32(hBF, w.vecs.f32[id]) + w.bias[id]
 	case BF16Both:
-		return ks.DotBF16(w.rowsBF[id], hBF) + w.bias[id]
+		return ks.DotBF16(w.vecs.bf[id], hBF) + w.bias[id]
 	default:
-		return ks.Dot(w.rows[id], h) + w.bias[id]
+		return ks.Dot(w.vecs.f32[id], h) + w.bias[id]
 	}
 }
 
@@ -152,11 +131,11 @@ func (w *RowWeights) ForwardActive(ks *simd.Kernels, active []int32, h []float32
 	}
 	switch w.prec {
 	case BF16Act:
-		ks.DotManyBiasBF16Act(w.rows, w.bias, active, hBF, logits)
+		ks.DotManyBiasBF16Act(w.vecs.f32, w.bias, active, hBF, logits)
 	case BF16Both:
-		ks.DotManyBiasBF16(w.rowsBF, w.bias, active, hBF, logits)
+		ks.DotManyBiasBF16(w.vecs.bf, w.bias, active, hBF, logits)
 	default:
-		ks.DotManyBias(w.rows, w.bias, active, h, logits)
+		ks.DotManyBias(w.vecs.f32, w.bias, active, h, logits)
 	}
 }
 
@@ -251,11 +230,7 @@ func (w *RowWeights) ForwardAllBatchRange(ks *simd.Kernels, hs [][]float32, hBFs
 	if lo < 0 || hi > w.Out || lo > hi {
 		panic("layer: ForwardAllBatchRange row range out of bounds")
 	}
-	rowBytes := 4 * w.In
-	if w.prec == BF16Both {
-		rowBytes = 2 * w.In
-	}
-	ids, block := Iota(w.Out), BlockRows(rowBytes)
+	ids, block := Iota(w.Out), BlockRows(w.vecs.elemBytes()*w.In)
 	for b := lo; b < hi; b += block {
 		e := min(b+block, hi)
 		for s := 0; s < len(outs); {
@@ -267,7 +242,7 @@ func (w *RowWeights) ForwardAllBatchRange(ks *simd.Kernels, hs [][]float32, hBFs
 				for i := range g {
 					win[i] = outs[s+i][b:e]
 				}
-				ks.DotManyBiasBatch(w.rows, w.bias, ids[b:e], hs[s:s+g], win[:g])
+				ks.DotManyBiasBatch(w.vecs.f32, w.bias, ids[b:e], hs[s:s+g], win[:g])
 			} else {
 				g = 1
 				var hBF []bf16.BF16
@@ -286,42 +261,7 @@ func (w *RowWeights) ForwardAllBatchRange(ks *simd.Kernels, hs [][]float32, hBFs
 // reads them straight from the source view.
 func (w *RowWeights) Bias() []float32 { return w.bias }
 
-// RowF32 returns neuron i's weight vector as float32. For BF16Both it is
-// expanded into buf (len >= In); otherwise a direct view is returned.
+// RowF32 returns neuron i's weight vector as float32: a direct view of
+// float32 storage, bfloat16 storage expanded into buf (len >= In).
 // Read-only; used by the LSH rebuild to hash current weights.
-func (w *RowWeights) RowF32(i int, buf []float32) []float32 {
-	if w.prec == BF16Both {
-		buf = buf[:w.In]
-		bf16.Expand(buf, w.rowsBF[i])
-		return buf
-	}
-	return w.rows[i]
-}
-
-// copy2D deep-copies a weight matrix into one contiguous block (snapshots
-// always use the optimized placement regardless of the source layout).
-func copy2D(src [][]float32) [][]float32 {
-	if len(src) == 0 {
-		return nil
-	}
-	vecLen := len(src[0])
-	views, _ := mem.Contiguous2D(len(src), vecLen)
-	for i, v := range src {
-		copy(views[i], v)
-	}
-	return views
-}
-
-func copy2DBF16(src [][]bf16.BF16) [][]bf16.BF16 {
-	if len(src) == 0 {
-		return nil
-	}
-	vecLen := len(src[0])
-	backing := make([]bf16.BF16, len(src)*vecLen)
-	views := make([][]bf16.BF16, len(src))
-	for i, v := range src {
-		views[i] = backing[i*vecLen : (i+1)*vecLen : (i+1)*vecLen]
-		copy(views[i], v)
-	}
-	return views
-}
+func (w *RowWeights) RowF32(i int, buf []float32) []float32 { return w.vecs.expand(i, buf) }

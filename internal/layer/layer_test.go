@@ -225,7 +225,7 @@ func TestRowLayerLogitMatchesDot(t *testing.T) {
 	}
 	buf := make([]float32, 16)
 	for id := int32(0); id < 12; id++ {
-		want := simd.DotScalar(l.RowF32(int(id), buf), h) + l.Bias()[id]
+		want := simd.ForMode(simd.Scalar).Dot(l.RowF32(int(id), buf), h) + l.Bias()[id]
 		got := l.Logit(tks(), id, h, nil)
 		if math.Abs(float64(got-want)) > 1e-4 {
 			t.Errorf("Logit(%d) = %g, want %g", id, got, want)
@@ -495,7 +495,7 @@ func TestGradientCheckEndToEnd(t *testing.T) {
 	// Output-layer weights (a few rows, all dims).
 	for _, id := range []int{0, 3, 6} {
 		for i := 0; i < hid; i += 3 {
-			checkGrad("outW", &outputL.rows[id][i], outputL.grad[id][i])
+			checkGrad("outW", &outputL.w.f32[id][i], outputL.grad[id][i])
 		}
 	}
 	// Output-layer biases.
@@ -505,7 +505,7 @@ func TestGradientCheckEndToEnd(t *testing.T) {
 	// Hidden-layer weights: only touched columns (non-zeros of x).
 	for _, j := range x.Indices {
 		for i := 0; i < hid; i += 2 {
-			checkGrad("hidW", &hiddenL.cols[j][i], hiddenL.grad[j][i])
+			checkGrad("hidW", &hiddenL.w.f32[j][i], hiddenL.grad[j][i])
 		}
 	}
 	// Hidden bias.
@@ -603,14 +603,15 @@ func TestTouchSet(t *testing.T) {
 		t.Fatalf("count = %d, want 6", ts.count())
 	}
 	seen := map[int32]bool{}
-	var mu = make(chan int32, 100)
-	ts.forEachParallel(3, func(id int32) { mu <- id })
-	close(mu)
-	for id := range mu {
-		if seen[id] {
-			t.Errorf("id %d visited twice", id)
-		}
-		seen[id] = true
+	// Three ranges that split inside a word, on a word boundary and past the
+	// end: every marked id is visited by exactly one of them.
+	for _, r := range [][2]int{{-4, 31}, {31, 64}, {64, 200}} {
+		ts.forEachRange(r[0], r[1], func(id int32) {
+			if seen[id] {
+				t.Errorf("id %d visited twice", id)
+			}
+			seen[id] = true
+		})
 	}
 	for _, id := range []int32{0, 31, 32, 63, 64, 99} {
 		if !seen[id] {

@@ -3,7 +3,6 @@ package layer
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"github.com/slide-cpu/slide/internal/bf16"
 	"github.com/slide-cpu/slide/internal/simd"
@@ -20,23 +19,13 @@ type RowLayer struct {
 	// In is the input (hidden) dimension; Out the neuron/label count.
 	In, Out int
 
-	opts Options
+	// trainState holds gradient, ADAM moments, the touched set and the
+	// optimizer walk; its w.f32 / w.bf are the rows below.
+	trainState
 
-	rows   [][]float32   // FP32 / BF16Act weights
-	rowsBF [][]bf16.BF16 // BF16Both weights
-	bias   []float32
-
-	grad    [][]float32
-	gbias   []float32
-	m, v    [][]float32
-	mb, vb  []float32
-	touched *touchSet
-	journal *touchSet // nil unless EnableJournal; rows touched since last drain
-	lk      locks
-
-	// fwd is the live forward view over the storage above; the forward
-	// methods and ForwardView go through it, so training and serving consume
-	// the same forward implementation.
+	// fwd is the live forward view over the layer's rows and bias; the
+	// forward methods and ForwardView go through it, so training and serving
+	// consume the same forward implementation.
 	fwd RowWeights
 }
 
@@ -45,31 +34,13 @@ func NewRowLayer(in, out int, o Options) *RowLayer {
 	if in <= 0 || out <= 0 {
 		panic(fmt.Sprintf("layer: invalid RowLayer dims %dx%d", in, out))
 	}
-	l := &RowLayer{In: in, Out: out, opts: o}
-	scale := 1.0 / math.Sqrt(float64(in))
-	if o.Precision == BF16Both {
-		l.rowsBF = vectors2DBF16(out, in, o.Placement)
-		initGaussianBF16(l.rowsBF, scale, o.Seed)
-	} else {
-		l.rows = vectors2D(out, in, o.Placement)
-		initGaussian(l.rows, scale, o.Seed)
-	}
-	l.bias = make([]float32, out)
-	l.grad = vectors2D(out, in, o.Placement)
-	l.gbias = make([]float32, out)
-	l.m = vectors2D(out, in, o.Placement)
-	l.v = vectors2D(out, in, o.Placement)
-	l.mb = make([]float32, out)
-	l.vb = make([]float32, out)
-	l.touched = newTouchSet(out)
-	l.lk.enabled = o.Locked
-	l.fwd = RowWeights{In: in, Out: out, prec: o.Precision,
-		rows: l.rows, rowsBF: l.rowsBF, bias: l.bias}
+	rows := newStore(out, in, o.Precision, o.Placement)
+	rows.initGaussian(1.0/math.Sqrt(float64(in)), o.Seed)
+	l := &RowLayer{In: in, Out: out,
+		fwd: RowWeights{In: in, Out: out, prec: o.Precision, vecs: rows, bias: make([]float32, out)}}
+	l.trainState.init(o, rows, l.fwd.bias, true)
 	return l
 }
-
-// Options returns the construction options.
-func (l *RowLayer) Options() Options { return l.opts }
 
 // Logit computes neuron id's pre-activation for the dense input h; see
 // RowWeights.Logit, which implements the pass for both the training path
@@ -103,7 +74,7 @@ func (l *RowLayer) Accumulate(ks *simd.Kernels, id int32, gz float32, h []float3
 		// the fused walk's bandwidth win outweighs the slightly longer
 		// critical section under the Locked policy.
 		l.lk.lockRow(id)
-		ks.AxpyTwo(gz, h, l.grad[id], l.rows[id], dh)
+		ks.AxpyTwo(gz, h, l.grad[id], l.w.f32[id], dh)
 		l.gbias[id] += gz
 		l.lk.unlockRow(id)
 		l.touched.mark(id)
@@ -121,9 +92,9 @@ func (l *RowLayer) Accumulate(ks *simd.Kernels, id int32, gz float32, h []float3
 
 	if dh != nil {
 		if l.opts.Precision == BF16Both {
-			ks.AxpyBF16(gz, l.rowsBF[id], dh)
+			ks.AxpyBF16(gz, l.w.bf[id], dh)
 		} else {
-			ks.Axpy(gz, l.rows[id], dh)
+			ks.Axpy(gz, l.w.f32[id], dh)
 		}
 	}
 }
@@ -143,7 +114,7 @@ func (l *RowLayer) AccumulateActive(ks *simd.Kernels, active []int32, gz []float
 		}
 		return
 	}
-	ks.AxpyTwoMany(gz, active, h, l.grad, l.rows, dh)
+	ks.AxpyTwoMany(gz, active, h, l.grad, l.w.f32, dh)
 	for k, id := range active {
 		l.gbias[id] += gz[k]
 		l.touched.mark(id)
@@ -161,31 +132,9 @@ func (l *RowLayer) AccumulateOwnedRow(ks *simd.Kernels, id int32, gz float32, h 
 }
 
 // ApplyAdam steps every touched row and its bias, zeroes consumed gradients
-// and clears the touched set. The step and the gradient clear stay separate
-// passes on purpose: BenchmarkKernelAdamZero and the row-walk experiments in
-// DESIGN.md show the single-pass fusion (simd.AdamStepZero) is ~4-7% slower
-// under the Go compiler, whose runtime memclr beats an inline zeroing store
-// in the update loop (see DESIGN.md "Known divergences").
+// and clears the touched set; rows are striped over workers by bitset word.
 func (l *RowLayer) ApplyAdam(ks *simd.Kernels, p simd.AdamParams, workers int) {
-	if l.opts.Precision == BF16Both {
-		l.touched.forEachParallel(workers, func(id int32) {
-			ks.AdamStepBF16(l.rowsBF[id], l.m[id], l.v[id], l.grad[id], p)
-			simd.Zero(l.grad[id])
-			adamScalar(&l.bias[id], &l.mb[id], &l.vb[id], l.gbias[id], p)
-			l.gbias[id] = 0
-		})
-	} else {
-		l.touched.forEachParallel(workers, func(id int32) {
-			ks.AdamStep(l.rows[id], l.m[id], l.v[id], l.grad[id], p)
-			simd.Zero(l.grad[id])
-			adamScalar(&l.bias[id], &l.mb[id], &l.vb[id], l.gbias[id], p)
-			l.gbias[id] = 0
-		})
-	}
-	if l.journal != nil {
-		l.journal.orFrom(l.touched)
-	}
-	l.touched.clear()
+	l.applyAdam(ks, p, workers, false)
 }
 
 // ApplyAdamRange steps every touched row in [lo, hi) and its bias, zeroing
@@ -195,94 +144,22 @@ func (l *RowLayer) ApplyAdam(ks *simd.Kernels, p simd.AdamParams, workers int) {
 // journal or clear it; after all ranges complete, the caller must invoke
 // FinishAdam exactly once.
 func (l *RowLayer) ApplyAdamRange(ks *simd.Kernels, p simd.AdamParams, lo, hi int) {
-	if l.opts.Precision == BF16Both {
-		l.touched.forEachRange(lo, hi, func(id int32) {
-			ks.AdamStepBF16(l.rowsBF[id], l.m[id], l.v[id], l.grad[id], p)
-			simd.Zero(l.grad[id])
-			adamScalar(&l.bias[id], &l.mb[id], &l.vb[id], l.gbias[id], p)
-			l.gbias[id] = 0
-		})
-	} else {
-		l.touched.forEachRange(lo, hi, func(id int32) {
-			ks.AdamStep(l.rows[id], l.m[id], l.v[id], l.grad[id], p)
-			simd.Zero(l.grad[id])
-			adamScalar(&l.bias[id], &l.mb[id], &l.vb[id], l.gbias[id], p)
-			l.gbias[id] = 0
-		})
-	}
+	l.adamRange(ks, p, lo, hi, false)
 }
 
 // FinishAdam completes a set of ApplyAdamRange calls covering the full row
 // space: it folds the touched set into the journal (when enabled) and clears
 // it. Must not run concurrently with ApplyAdamRange.
-func (l *RowLayer) FinishAdam() {
-	if l.journal != nil {
-		l.journal.orFrom(l.touched)
-	}
-	l.touched.clear()
-}
+func (l *RowLayer) FinishAdam() { l.finishAdam(false) }
 
 // TouchedRows returns how many rows currently hold unapplied gradient.
 func (l *RowLayer) TouchedRows() int { return l.touched.count() }
 
-// EnableJournal starts accumulating a touch journal: every row stepped by
-// ApplyAdam (or all rows, under ApplyAdamAll) stays recorded across batches
-// until DrainJournal collects it. The journal is what turns per-batch touch
-// tracking into per-publish-interval delta extents.
-func (l *RowLayer) EnableJournal() {
-	if l.journal == nil {
-		l.journal = newTouchSet(l.Out)
-	}
-}
-
-// DrainJournal returns the rows stepped since the previous drain (ascending)
-// and resets the journal. Call between batches, never concurrently with
-// ApplyAdam. Returns nil when no journal is enabled.
-func (l *RowLayer) DrainJournal() []int32 {
-	if l.journal == nil {
-		return nil
-	}
-	ids := l.journal.ids()
-	l.journal.clear()
-	return ids
-}
-
 // ApplyAdamAll steps every row unconditionally — the dense update of the
-// full-softmax baseline, where all parameters change every batch. Rows are
-// tiled across workers; consumed gradients are zeroed and the touched set
-// cleared.
+// full-softmax baseline, where all parameters change every batch: ApplyAdam
+// with the touched test off, and a journal that records every row.
 func (l *RowLayer) ApplyAdamAll(ks *simd.Kernels, p simd.AdamParams, workers int) {
-	if workers < 1 {
-		workers = 1
-	}
-	per := (l.Out + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * per
-		hi := min(lo+per, l.Out)
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				if l.opts.Precision == BF16Both {
-					ks.AdamStepBF16(l.rowsBF[i], l.m[i], l.v[i], l.grad[i], p)
-				} else {
-					ks.AdamStep(l.rows[i], l.m[i], l.v[i], l.grad[i], p)
-				}
-				simd.Zero(l.grad[i])
-				adamScalar(&l.bias[i], &l.mb[i], &l.vb[i], l.gbias[i], p)
-				l.gbias[i] = 0
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-	if l.journal != nil {
-		l.journal.markAll() // dense step: every row changed
-	}
-	l.touched.clear()
+	l.applyAdam(ks, p, workers, true)
 }
 
 // ForwardAll computes every neuron's logit into out (len Out) — the full
@@ -292,21 +169,5 @@ func (l *RowLayer) ForwardAll(ks *simd.Kernels, h []float32, hBF []bf16.BF16, ou
 	l.fwd.ForwardAll(ks, h, hBF, out, workers)
 }
 
-// RowF32 returns neuron i's weight vector as float32. For BF16Both it is
-// expanded into buf (len >= In); otherwise a direct view is returned.
-// Read-only; used by the LSH rebuild to hash current weights.
-func (l *RowLayer) RowF32(i int, buf []float32) []float32 {
-	return l.fwd.RowF32(i, buf)
-}
-
-// Bias returns the bias vector (read-only view).
-func (l *RowLayer) Bias() []float32 { return l.bias }
-
-// ParamBytes returns the resident parameter size in bytes.
-func (l *RowLayer) ParamBytes() int64 {
-	per := int64(4)
-	if l.opts.Precision == BF16Both {
-		per = 2
-	}
-	return int64(l.In)*int64(l.Out)*per + int64(l.Out)*4
-}
+// RowF32 returns neuron i's weight vector as float32; see RowWeights.RowF32.
+func (l *RowLayer) RowF32(i int, buf []float32) []float32 { return l.fwd.RowF32(i, buf) }

@@ -2,9 +2,11 @@ package layer
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"github.com/slide-cpu/slide/internal/bf16"
 )
@@ -14,11 +16,35 @@ import (
 // versioning. Gradients are transient and not persisted — save between
 // batches, not mid-batch.
 
-func writeU32(w io.Writer, v uint32) error {
+func writeU32s(w io.Writer, vs ...uint32) error {
 	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	_, err := w.Write(b[:])
-	return err
+	for _, v := range vs {
+		binary.LittleEndian.PutUint32(b[:], v)
+		if _, err := w.Write(b[:]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// errShape marks a stream whose header declares another shape, precision or
+// activation than the layer or configuration it is being decoded for.
+var errShape = errors.New("layer: stream does not match the expected shape")
+
+// expectU32s reads len(want) header words and fails with errShape unless
+// they are exactly want. Every decoder starts here, so a header is only ever
+// compared with what the caller already holds, never used to size anything.
+func expectU32s(r io.Reader, what string, want []uint32) error {
+	got := make([]uint32, len(want))
+	for i := range got {
+		if err := readU32(r, &got[i]); err != nil {
+			return fmt.Errorf("layer: reading %s: %w", what, err)
+		}
+	}
+	if !slices.Equal(got, want) {
+		return fmt.Errorf("%w: %s is %d, expected %d", errShape, what, got, want)
+	}
+	return nil
 }
 
 func readU32(r io.Reader, v *uint32) error {
@@ -74,155 +100,69 @@ func readBF16s(r io.Reader, s []bf16.BF16) error {
 	return nil
 }
 
-// Serialize writes the layer's dimensions, precision, weights, biases and
-// ADAM moments. The caller provides buffering (one bufio around the whole
-// stream); the layer writes exactly its own bytes.
-func (l *ColLayer) Serialize(bw io.Writer) error {
-	for _, v := range []uint32{uint32(l.In), uint32(l.Out), uint32(l.opts.Precision)} {
-		if err := writeU32(bw, v); err != nil {
+// A layer's checkpoint section is its dimensions and precision, the weight
+// vectors, each vector's two ADAM moments, then the bias with its moments.
+// The caller provides buffering (one bufio around the whole stream); a layer
+// writes, and reads back, exactly its own bytes, so several can share one
+// stream.
+
+// eachF32Section visits, in checkpoint order, everything that follows the
+// weight vectors.
+func (t *trainState) eachF32Section(visit func([]float32) error) error {
+	for i := range t.m {
+		if err := visit(t.m[i]); err != nil {
+			return err
+		}
+		if err := visit(t.v[i]); err != nil {
 			return err
 		}
 	}
-	for j := 0; j < l.In; j++ {
-		if l.opts.Precision == BF16Both {
-			if err := writeBF16s(bw, l.colsBF[j]); err != nil {
-				return err
-			}
-		} else {
-			if err := writeF32s(bw, l.cols[j]); err != nil {
-				return err
-			}
-		}
-	}
-	for j := 0; j < l.In; j++ {
-		if err := writeF32s(bw, l.m[j]); err != nil {
-			return err
-		}
-		if err := writeF32s(bw, l.v[j]); err != nil {
-			return err
-		}
-	}
-	for _, s := range [][]float32{l.bias, l.mb, l.vb} {
-		if err := writeF32s(bw, s); err != nil {
+	for _, s := range [][]float32{t.bias, t.mb, t.vb} {
+		if err := visit(s); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
+func (t *trainState) writeCheckpoint(bw io.Writer, in, out int) error {
+	if err := writeU32s(bw, uint32(in), uint32(out), uint32(t.opts.Precision)); err != nil {
+		return err
+	}
+	if err := t.w.each(func(i int32) error { return t.w.writeVec(bw, i) }); err != nil {
+		return err
+	}
+	return t.eachF32Section(func(s []float32) error { return writeF32s(bw, s) })
+}
+
+// readCheckpoint restores what writeCheckpoint wrote into a layer constructed
+// with the same dimensions and precision; any other header is errShape.
+func (t *trainState) readCheckpoint(br io.Reader, kind string, in, out int) error {
+	if err := expectU32s(br, kind+" header", []uint32{uint32(in), uint32(out), uint32(t.opts.Precision)}); err != nil {
+		return err
+	}
+	if err := t.w.each(func(i int32) error { return t.w.readVec(br, i) }); err != nil {
+		return err
+	}
+	return t.eachF32Section(func(s []float32) error { return readF32s(br, s) })
+}
+
+// Serialize writes the layer's dimensions, precision, weights, biases and
+// ADAM moments.
+func (l *ColLayer) Serialize(bw io.Writer) error { return l.writeCheckpoint(bw, l.In, l.Out) }
+
 // Deserialize restores state written by Serialize into a layer constructed
-// with matching dimensions and precision. It reads exactly the bytes
-// Serialize wrote, so multiple layers can share one stream.
+// with matching dimensions and precision, reading exactly those bytes.
 func (l *ColLayer) Deserialize(br io.Reader) error {
-	var in, out, prec uint32
-	for _, p := range []*uint32{&in, &out, &prec} {
-		if err := readU32(br, p); err != nil {
-			return fmt.Errorf("layer: reading ColLayer header: %w", err)
-		}
-	}
-	if int(in) != l.In || int(out) != l.Out || Precision(prec) != l.opts.Precision {
-		return fmt.Errorf("layer: ColLayer mismatch: file %dx%d/%v, layer %dx%d/%v",
-			in, out, Precision(prec), l.In, l.Out, l.opts.Precision)
-	}
-	for j := 0; j < l.In; j++ {
-		if l.opts.Precision == BF16Both {
-			if err := readBF16s(br, l.colsBF[j]); err != nil {
-				return err
-			}
-		} else {
-			if err := readF32s(br, l.cols[j]); err != nil {
-				return err
-			}
-		}
-	}
-	for j := 0; j < l.In; j++ {
-		if err := readF32s(br, l.m[j]); err != nil {
-			return err
-		}
-		if err := readF32s(br, l.v[j]); err != nil {
-			return err
-		}
-	}
-	for _, s := range [][]float32{l.bias, l.mb, l.vb} {
-		if err := readF32s(br, s); err != nil {
-			return err
-		}
-	}
-	return nil
+	return l.readCheckpoint(br, "ColLayer", l.In, l.Out)
 }
 
 // Serialize writes the layer's dimensions, precision, weights, biases and
-// ADAM moments. See ColLayer.Serialize for the buffering contract.
-func (l *RowLayer) Serialize(bw io.Writer) error {
-	for _, v := range []uint32{uint32(l.In), uint32(l.Out), uint32(l.opts.Precision)} {
-		if err := writeU32(bw, v); err != nil {
-			return err
-		}
-	}
-	for i := 0; i < l.Out; i++ {
-		if l.opts.Precision == BF16Both {
-			if err := writeBF16s(bw, l.rowsBF[i]); err != nil {
-				return err
-			}
-		} else {
-			if err := writeF32s(bw, l.rows[i]); err != nil {
-				return err
-			}
-		}
-	}
-	for i := 0; i < l.Out; i++ {
-		if err := writeF32s(bw, l.m[i]); err != nil {
-			return err
-		}
-		if err := writeF32s(bw, l.v[i]); err != nil {
-			return err
-		}
-	}
-	for _, s := range [][]float32{l.bias, l.mb, l.vb} {
-		if err := writeF32s(bw, s); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+// ADAM moments.
+func (l *RowLayer) Serialize(bw io.Writer) error { return l.writeCheckpoint(bw, l.In, l.Out) }
 
 // Deserialize restores state written by Serialize into a layer constructed
-// with matching dimensions and precision. Reads exactly the bytes
-// Serialize wrote.
+// with matching dimensions and precision, reading exactly those bytes.
 func (l *RowLayer) Deserialize(br io.Reader) error {
-	var in, out, prec uint32
-	for _, p := range []*uint32{&in, &out, &prec} {
-		if err := readU32(br, p); err != nil {
-			return fmt.Errorf("layer: reading RowLayer header: %w", err)
-		}
-	}
-	if int(in) != l.In || int(out) != l.Out || Precision(prec) != l.opts.Precision {
-		return fmt.Errorf("layer: RowLayer mismatch: file %dx%d/%v, layer %dx%d/%v",
-			in, out, Precision(prec), l.In, l.Out, l.opts.Precision)
-	}
-	for i := 0; i < l.Out; i++ {
-		if l.opts.Precision == BF16Both {
-			if err := readBF16s(br, l.rowsBF[i]); err != nil {
-				return err
-			}
-		} else {
-			if err := readF32s(br, l.rows[i]); err != nil {
-				return err
-			}
-		}
-	}
-	for i := 0; i < l.Out; i++ {
-		if err := readF32s(br, l.m[i]); err != nil {
-			return err
-		}
-		if err := readF32s(br, l.v[i]); err != nil {
-			return err
-		}
-	}
-	for _, s := range [][]float32{l.bias, l.mb, l.vb} {
-		if err := readF32s(br, s); err != nil {
-			return err
-		}
-	}
-	return nil
+	return l.readCheckpoint(br, "RowLayer", l.In, l.Out)
 }

@@ -1,12 +1,8 @@
 package layer
 
 import (
-	"math"
 	"math/bits"
 	"sync/atomic"
-
-	"github.com/slide-cpu/slide/internal/fanout"
-	"github.com/slide-cpu/slide/internal/simd"
 )
 
 // touchSet is a concurrent bitset recording which weight rows/columns
@@ -16,8 +12,6 @@ import (
 type touchSet struct {
 	words []atomic.Uint32
 	n     int
-
-	fanout fanout.Group // forEachParallel's workers
 }
 
 func newTouchSet(n int) *touchSet {
@@ -30,10 +24,6 @@ func (t *touchSet) mark(i int32) {
 	if w.Load()&bit == 0 { // cheap read avoids contended RMW on re-marks
 		w.Or(bit)
 	}
-}
-
-func (t *touchSet) isSet(i int32) bool {
-	return t.words[uint32(i)>>5].Load()&(uint32(1)<<(uint32(i)&31)) != 0
 }
 
 // count returns the number of marked ids.
@@ -73,40 +63,15 @@ func (t *touchSet) markAll() {
 // ids returns the marked ids in ascending order.
 func (t *touchSet) ids() []int32 {
 	out := make([]int32, 0, t.count())
-	for wi := range t.words {
-		for word := t.words[wi].Load(); word != 0; word &= word - 1 {
-			id := int32(wi*32 + bits.TrailingZeros32(word))
-			if int(id) < t.n {
-				out = append(out, id)
-			}
-		}
-	}
+	t.forEachRange(0, t.n, func(id int32) { out = append(out, id) })
 	return out
-}
-
-// forEachParallel invokes f(id) for every marked id, splitting word ranges
-// across workers. f must be safe to call concurrently for distinct ids.
-func (t *touchSet) forEachParallel(workers int, f func(id int32)) {
-	nw := len(t.words)
-	workers = max(1, min(workers, nw))
-	per := (nw + workers - 1) / workers
-	t.fanout.Run(workers, func(w int) {
-		for wi := w * per; wi < min((w+1)*per, nw); wi++ {
-			for word := t.words[wi].Load(); word != 0; word &= word - 1 {
-				id := int32(wi*32 + bits.TrailingZeros32(word))
-				if int(id) < t.n {
-					f(id)
-				}
-			}
-		}
-	})
 }
 
 // forEachRange invokes f(id) for every marked id in [lo, hi), ascending.
 // Partial boundary words are masked, so shards whose row ranges share a
 // 32-bit word never visit each other's ids. Single-threaded per call; the
-// sharded ADAM pass runs one call per shard concurrently, which is safe
-// because the ranges are disjoint and reads are atomic.
+// ADAM pass runs one call per worker stripe or shard concurrently, which is
+// safe because the ranges are disjoint and reads are atomic.
 func (t *touchSet) forEachRange(lo, hi int, f func(id int32)) {
 	if lo < 0 {
 		lo = 0
@@ -132,14 +97,4 @@ func (t *touchSet) forEachRange(lo, hi int, f func(id int32)) {
 			f(int32(wi*32 + bits.TrailingZeros32(word)))
 		}
 	}
-}
-
-// adamScalar applies one ADAM step to a single parameter, used for the
-// per-neuron biases of the sparse output layer.
-func adamScalar(w, m, v *float32, g float32, p simd.AdamParams) {
-	mk := p.Beta1**m + (1-p.Beta1)*g
-	vk := p.Beta2**v + (1-p.Beta2)*g*g
-	*m = mk
-	*v = vk
-	*w -= p.CorrLR * mk / (float32(math.Sqrt(float64(vk))) + p.Eps)
 }

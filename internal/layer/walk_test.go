@@ -107,9 +107,9 @@ func TestColLayerWalksEqualPerNonZeroForms(t *testing.T) {
 			want := append([]float32(nil), l.bias...)
 			for k, j := range x.Indices {
 				if o.Precision == BF16Both {
-					ks.AxpyBF16(x.Values[k], l.colsBF[j], want)
+					ks.AxpyBF16(x.Values[k], l.w.bf[j], want)
 				} else {
-					ks.ScaleAccum(x.Values[k], l.cols[j], want)
+					ks.Axpy(x.Values[k], l.w.f32[j], want)
 				}
 			}
 			if act == ReLU {

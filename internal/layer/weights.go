@@ -17,10 +17,8 @@ package layer
 
 import (
 	"fmt"
-	"math/rand/v2"
 	"sync"
 
-	"github.com/slide-cpu/slide/internal/bf16"
 	"github.com/slide-cpu/slide/internal/mem"
 )
 
@@ -154,43 +152,5 @@ func vectors2D(nVec, vecLen int, p Placement) [][]float32 {
 		return views
 	default:
 		panic(fmt.Sprintf("layer: unknown placement %d", p))
-	}
-}
-
-// vectors2DBF16 is vectors2D for bfloat16 storage.
-func vectors2DBF16(nVec, vecLen int, p Placement) [][]bf16.BF16 {
-	views := make([][]bf16.BF16, nVec)
-	if p == Contiguous {
-		backing := make([]bf16.BF16, nVec*vecLen)
-		for i := range views {
-			views[i] = backing[i*vecLen : (i+1)*vecLen : (i+1)*vecLen]
-		}
-		return views
-	}
-	for i := range views {
-		views[i] = make([]bf16.BF16, vecLen)
-	}
-	return views
-}
-
-// initGaussian fills the weight vectors with N(0, scale²) values from a
-// deterministic PCG stream; vector i always receives the same values
-// regardless of placement or precision, so layout/precision ablations start
-// from identical (up to rounding) parameters.
-func initGaussian(vecs [][]float32, scale float64, seed uint64) {
-	for i, v := range vecs {
-		rng := rand.New(rand.NewPCG(seed, uint64(i)))
-		for j := range v {
-			v[j] = float32(rng.NormFloat64() * scale)
-		}
-	}
-}
-
-func initGaussianBF16(vecs [][]bf16.BF16, scale float64, seed uint64) {
-	for i, v := range vecs {
-		rng := rand.New(rand.NewPCG(seed, uint64(i)))
-		for j := range v {
-			v[j] = bf16.FromFloat32(float32(rng.NormFloat64() * scale))
-		}
 	}
 }

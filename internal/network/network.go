@@ -415,8 +415,8 @@ func (n *Network) TrainBatch(b sparse.Batch) BatchStats {
 		return n.trainBatchSharded(b)
 	}
 	stats := BatchStats{Samples: b.Len()}
-	// Resolve the kernel table once for the whole batch: every per-row call
-	// below goes through this table, not the atomic-dispatching wrappers.
+	// Resolve the kernel table once for the whole batch: every kernel call
+	// below goes through it, one atomic mode load per batch.
 	ks := simd.Active()
 	// Worker w takes samples w, w+nw, …; partial sums land in the workers'
 	// own scratch and are folded in worker order, so the fan-out shares

@@ -276,13 +276,9 @@ func readMiddleViews(r io.Reader, dims []int) ([]*layer.RowWeights, error) {
 	}
 	var middle []*layer.RowWeights
 	for i := 1; i < len(dims); i++ {
-		mv, err := layer.ReadRowWeights(r)
+		mv, err := layer.ReadRowWeights(r, dims[i-1], dims[i], layer.FP32)
 		if err != nil {
 			return nil, fmt.Errorf("middle layer %d: %w", i, err)
-		}
-		if mv.In != dims[i-1] || mv.Out != dims[i] || mv.Precision() != layer.FP32 {
-			return nil, fmt.Errorf("middle layer %d is %dx%d/%v, config declares %dx%d/fp32",
-				i, mv.In, mv.Out, mv.Precision(), dims[i-1], dims[i])
 		}
 		middle = append(middle, mv)
 	}
@@ -307,7 +303,7 @@ func NewPredictorFromBase(parts BaseParts) (*Predictor, error) {
 	fail := func(format string, args ...any) error {
 		return fmt.Errorf("network: base snapshot: %w", fmt.Errorf(format, args...))
 	}
-	cfg, step, _, _, err := parseConfigPayload(bytes.NewReader(parts.Config), true, fail)
+	cfg, step, _, _, err := parseConfigPayload(bytes.NewReader(parts.Config), fail)
 	if err != nil {
 		return nil, err
 	}
@@ -316,13 +312,11 @@ func NewPredictorFromBase(parts BaseParts) (*Predictor, error) {
 	}
 	dims, lastDim, middleAll, all := forwardGeometry(&cfg)
 
-	hidden, err := layer.ReadColWeights(bytes.NewReader(parts.Hidden))
+	// Every view is read against the shape the config declares; a payload
+	// whose header says otherwise is refused before it allocates anything.
+	hidden, err := layer.ReadColWeights(bytes.NewReader(parts.Hidden), cfg.InputDim, cfg.HiddenDim, cfg.Precision, cfg.HiddenActivation)
 	if err != nil {
 		return nil, fail("hidden: %w", err)
-	}
-	if hidden.In != cfg.InputDim || hidden.Out != cfg.HiddenDim || hidden.Precision() != cfg.Precision {
-		return nil, fail("hidden view is %dx%d/%v, config declares %dx%d/%v",
-			hidden.In, hidden.Out, hidden.Precision(), cfg.InputDim, cfg.HiddenDim, cfg.Precision)
 	}
 	middle, err := readMiddleViews(bytes.NewReader(parts.Middle), dims)
 	if err != nil {
@@ -331,23 +325,12 @@ func NewPredictorFromBase(parts BaseParts) (*Predictor, error) {
 	var output *layer.RowWeights
 	var qout *quant.RowQ
 	if parts.QBits != 0 {
-		qout, err = quant.ReadRowQ(bytes.NewReader(parts.Output))
-		if err != nil {
-			return nil, fail("output: %w", err)
-		}
-		if qout.In != lastDim || qout.Out != cfg.OutputDim || qout.Bits != parts.QBits {
-			return nil, fail("output view is %dx%d/int%d, stream declares %dx%d/int%d",
-				qout.In, qout.Out, qout.Bits, lastDim, cfg.OutputDim, parts.QBits)
-		}
+		qout, err = quant.ReadRowQ(bytes.NewReader(parts.Output), lastDim, cfg.OutputDim, parts.QBits)
 	} else {
-		output, err = layer.ReadRowWeights(bytes.NewReader(parts.Output))
-		if err != nil {
-			return nil, fail("output: %w", err)
-		}
-		if output.In != lastDim || output.Out != cfg.OutputDim || output.Precision() != cfg.Precision {
-			return nil, fail("output view is %dx%d/%v, config declares %dx%d/%v",
-				output.In, output.Out, output.Precision(), lastDim, cfg.OutputDim, cfg.Precision)
-		}
+		output, err = layer.ReadRowWeights(bytes.NewReader(parts.Output), lastDim, cfg.OutputDim, cfg.Precision)
+	}
+	if err != nil {
+		return nil, fail("output: %w", err)
 	}
 
 	var tables *lsh.TableSet

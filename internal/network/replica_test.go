@@ -2,6 +2,8 @@ package network
 
 import (
 	"bytes"
+	"encoding/binary"
+	"runtime"
 	"testing"
 
 	"github.com/slide-cpu/slide/internal/layer"
@@ -230,4 +232,50 @@ func TestReplicaDeltaStepGapRejected(t *testing.T) {
 	}
 	// The replica still serves its original version.
 	expectSamePredictions(t, "after-gap", base, remote, p)
+}
+
+// TestNewPredictorFromBaseRefusesOversizeViews: a view payload is decoded
+// against the shape the config payload declares, so a 12-byte section whose
+// header asks for 2^56 weights (which used to die in makeslice) or for 64 GiB
+// is an error before anything is allocated — in the hidden, middle and output
+// sections alike, f32 or quantized.
+func TestNewPredictorFromBaseRefusesOversizeViews(t *testing.T) {
+	cfg := Config{
+		InputDim: 60, HiddenDim: 16, OutputDim: 20, HiddenLayers: []int{12},
+		Hash: DWTA, K: 2, L: 8, BucketCap: 32,
+		MinActive: 6, LR: 0.01, Workers: 1, RebuildEvery: 50, Seed: 5,
+	}
+	n, err := New(&cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := encodeBaseParts(t, n.Snapshot())
+	if _, err := NewPredictorFromBase(good); err != nil {
+		t.Fatalf("intact base: %v", err)
+	}
+	le := binary.LittleEndian
+	for _, dims := range [][2]uint32{{1 << 28, 1 << 28}, {1 << 28, 64}} {
+		hdr := le.AppendUint32(le.AppendUint32(le.AppendUint32(nil, dims[0]), dims[1]), 0)
+		for name, corrupt := range map[string]func(*BaseParts){
+			"hidden": func(p *BaseParts) { p.Hidden = le.AppendUint32(hdr, 0) },
+			"middle": func(p *BaseParts) { p.Middle = append(le.AppendUint32(nil, 1), hdr...) },
+			"output": func(p *BaseParts) { p.Output = hdr },
+			"quantized output": func(p *BaseParts) {
+				p.QBits, p.Output = 8, le.AppendUint32(le.AppendUint32(le.AppendUint32(nil, 64), dims[0]), 8)
+			},
+		} {
+			parts := good
+			corrupt(&parts)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := NewPredictorFromBase(parts)
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Errorf("%s section declaring %dx%d: accepted", name, dims[0], dims[1])
+			}
+			if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+				t.Errorf("%s section declaring %dx%d: refusing it allocated %d bytes", name, dims[0], dims[1], got)
+			}
+		}
+	}
 }

@@ -37,15 +37,13 @@ func lshPolicy(v uint64) lsh.BucketPolicy       { return lsh.BucketPolicy(v) }
 // Tables are persisted — not rebuilt from the loaded weights — because
 // their contents are a function of the weights at the *last scheduled
 // rebuild*, not the current ones; restoring them exactly is what makes a
-// resumed session bit-identical to an uninterrupted run. Version-2
-// checkpoints (same payload bytes, no framing or checksums) still load;
-// version-1 checkpoints rebuilt tables from current weights and cannot
-// resume exactly.
+// resumed session bit-identical to an uninterrupted run. Any other format
+// version is refused by number (DESIGN.md "Failure model & recovery" has the
+// migration note for version-2 files).
 
 const (
-	checkpointMagic     = uint32(0x534C4944) // "SLID"
-	checkpointVersion   = uint32(3)
-	checkpointVersionV2 = uint32(2)
+	checkpointMagic   = uint32(0x534C4944) // "SLID"
+	checkpointVersion = uint32(3)
 
 	// maxSectionBytes bounds a declared section length before allocation: a
 	// corrupt length field must produce a typed error, not an OOM.
@@ -155,8 +153,7 @@ func (n *Network) Save(w io.Writer) error {
 }
 
 // writeConfig emits the config payload: the fixed uint64 fields, the float64
-// fields, and the middle-stack shape. Identical to the version-2 bytes that
-// followed the preamble, so the v2 loader shares readConfig.
+// fields, and the middle-stack shape.
 func (n *Network) writeConfig(w io.Writer) error {
 	workers := n.cfg.Workers
 	if n.sh != nil {
@@ -257,9 +254,10 @@ func boolU64(b bool) uint64 {
 // restoring the exact LSH table bucket state the checkpoint carried (the
 // tables as of the last scheduled rebuild — rebuilding from the restored
 // weights instead would diverge from an uninterrupted run; see the format
-// comment above). Version-3 sections are checksum-verified before parsing;
-// damage is reported as a *CorruptError wrapping ErrCorruptCheckpoint.
-// Version-2 checkpoints load through the legacy unverified path.
+// comment above). Sections are checksum-verified before parsing; damage is
+// reported as a *CorruptError wrapping ErrCorruptCheckpoint. Any other format
+// version is an "unsupported checkpoint version" error that does not wrap
+// ErrCorruptCheckpoint: the file may be intact, this build cannot read it.
 //
 // workers == 0 adopts the worker count the checkpoint recorded (GOMAXPROCS
 // when it recorded none: sharded checkpoints, whose bytes do not depend on
@@ -277,18 +275,9 @@ func Load(r io.Reader, workers int) (*Network, error) {
 	if uint32(pre[0]) != checkpointMagic {
 		return nil, fmt.Errorf("network: not a SLIDE checkpoint (magic %#x)", pre[0])
 	}
-	switch uint32(pre[1]) {
-	case checkpointVersion:
-		return loadV3(br, workers)
-	case checkpointVersionV2:
-		return loadV2(br, workers)
-	default:
+	if uint32(pre[1]) != checkpointVersion {
 		return nil, fmt.Errorf("network: unsupported checkpoint version %d", pre[1])
 	}
-}
-
-// loadV3 reads the framed, checksummed format.
-func loadV3(br *bufio.Reader, workers int) (*Network, error) {
 	sr := NewSectionReader(br, 16) // past the preamble
 	next := func(wantID uint32) ([]byte, int64, error) {
 		return sr.Next(wantID, sectionNames[wantID])
@@ -298,7 +287,7 @@ func loadV3(br *bufio.Reader, workers int) (*Network, error) {
 	if err != nil {
 		return nil, err
 	}
-	n, err := readConfig(bytes.NewReader(cfgPayload), workers, "config", cfgOff)
+	n, err := readConfig(bytes.NewReader(cfgPayload), workers, cfgOff)
 	if err != nil {
 		return nil, err
 	}
@@ -355,47 +344,12 @@ func loadV3(br *bufio.Reader, workers int) (*Network, error) {
 	return n, nil
 }
 
-// loadV2 reads the legacy unframed format: the same payloads, concatenated
-// with no checksums.
-func loadV2(br *bufio.Reader, workers int) (*Network, error) {
-	n, err := readConfig(br, workers, "", 0)
-	if err != nil {
-		return nil, err
-	}
-	if err := n.hidden.Deserialize(br); err != nil {
-		return nil, fmt.Errorf("network: reading hidden layer: %w", err)
-	}
-	for i, ml := range n.middle {
-		if err := ml.Deserialize(br); err != nil {
-			return nil, fmt.Errorf("network: reading hidden layer %d: %w", i+1, err)
-		}
-	}
-	if err := n.output.Deserialize(br); err != nil {
-		return nil, fmt.Errorf("network: reading output layer: %w", err)
-	}
-	if n.tables != nil {
-		if err := n.tables.Deserialize(br, 0, int32(n.cfg.OutputDim)); err != nil {
-			return nil, fmt.Errorf("network: reading hash tables: %w", err)
-		}
-	}
-	if err := readRNG(br, n); err != nil {
-		return nil, fmt.Errorf("network: %w", err)
-	}
-	return n, nil
-}
-
 // readConfig parses the config payload (see writeConfig) and constructs the
-// network, restoring step, rebuild-schedule position and rebuild period.
-// section/off locate corruption reports in the v3 path; the v2 path passes
-// an empty section and reports plain errors.
-func readConfig(r io.Reader, workers int, section string, off int64) (*Network, error) {
-	fail := func(format string, args ...any) error {
-		if section != "" {
-			return corrupt(section, off, format, args...)
-		}
-		return fmt.Errorf("network: reading checkpoint header: %w", fmt.Errorf(format, args...))
-	}
-	cfg, step, sinceRebuild, rebuildPeriod, err := parseConfigPayload(r, section != "", fail)
+// network, restoring step, rebuild-schedule position and rebuild period. off
+// is the config section's stream offset, for corruption reports.
+func readConfig(r io.Reader, workers int, off int64) (*Network, error) {
+	fail := func(format string, args ...any) error { return corrupt("config", off, format, args...) }
+	cfg, step, sinceRebuild, rebuildPeriod, err := parseConfigPayload(r, fail)
 	if err != nil {
 		return nil, err
 	}
@@ -417,13 +371,11 @@ func readConfig(r io.Reader, workers int, section string, off int64) (*Network, 
 	return n, nil
 }
 
-// parseConfigPayload reads the payload written by writeConfigPayload. fail
-// wraps field-level read failures with the caller's error shape. trailing
-// permits reading the optional fields appended after the original payload
-// (Shards, then Workers); it must be false on the v2 path, where the config
-// is not framed and reading past its end would consume the next payload's
-// bytes.
-func parseConfigPayload(r io.Reader, trailing bool, fail func(format string, args ...any) error) (Config, int64, int, float64, error) {
+// parseConfigPayload reads the payload written by writeConfigPayload, which
+// must be all r holds: the optional fields appended after the original
+// payload (Shards, then Workers) are read until EOF. fail wraps field-level
+// read failures with the caller's error shape.
+func parseConfigPayload(r io.Reader, fail func(format string, args ...any) error) (Config, int64, int, float64, error) {
 	hdr := make([]uint64, 21)
 	for i := range hdr {
 		if err := binary.Read(r, binary.LittleEndian, &hdr[i]); err != nil {
@@ -478,26 +430,24 @@ func parseConfigPayload(r io.Reader, trailing bool, fail func(format string, arg
 		Eps:              fs[3],
 		RebuildGrowth:    fs[4],
 	}
-	if trailing {
-		// Each trailing field may be absent (the payload predates it, or the
-		// writer had nothing to record); the first EOF ends the list.
-		for _, f := range []struct {
-			name string
-			dst  *int
-		}{{"shard count", &cfg.Shards}, {"worker count", &cfg.Workers}} {
-			var v uint64
-			err := binary.Read(r, binary.LittleEndian, &v)
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				return Config{}, 0, 0, 0, fail("reading %s: %w", f.name, err)
-			}
-			if v > 1<<20 {
-				return Config{}, 0, 0, 0, fail("checkpoint declares a %s of %d", f.name, v)
-			}
-			*f.dst = int(v)
+	// Each trailing field may be absent (the payload predates it, or the
+	// writer had nothing to record); the first EOF ends the list.
+	for _, f := range []struct {
+		name string
+		dst  *int
+	}{{"shard count", &cfg.Shards}, {"worker count", &cfg.Workers}} {
+		var v uint64
+		err := binary.Read(r, binary.LittleEndian, &v)
+		if err == io.EOF {
+			break
 		}
+		if err != nil {
+			return Config{}, 0, 0, 0, fail("reading %s: %w", f.name, err)
+		}
+		if v > 1<<20 {
+			return Config{}, 0, 0, 0, fail("checkpoint declares a %s of %d", f.name, v)
+		}
+		*f.dst = int(v)
 	}
 	return cfg, int64(hdr[19]), int(hdr[20]), fs[5], nil
 }

@@ -6,49 +6,12 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"strings"
 	"testing"
 
 	"github.com/slide-cpu/slide/internal/layer"
 	"github.com/slide-cpu/slide/internal/lsh"
 )
-
-// saveV2 writes the legacy version-2 layout: preamble, then the raw section
-// payloads concatenated with no framing or checksums. It is the reference
-// writer for back-compat tests and the v2 side of the checkpoint benchmark.
-func saveV2(n *Network, w *bytes.Buffer) error {
-	for _, v := range []uint64{uint64(checkpointMagic), uint64(checkpointVersionV2)} {
-		if err := binary.Write(w, binary.LittleEndian, v); err != nil {
-			return err
-		}
-	}
-	// A real v2 writer predates the trailing Shards and Workers fields:
-	// write the config payload aside without a worker count and strip the
-	// trailing 8 bytes (Shards) to reproduce its layout.
-	var cfgBuf bytes.Buffer
-	if err := writeConfigPayload(&cfgBuf, &n.cfg, n.step, n.sinceRebuild, n.rebuildPeriod, 0); err != nil {
-		return err
-	}
-	if _, err := w.Write(cfgBuf.Bytes()[:cfgBuf.Len()-8]); err != nil {
-		return err
-	}
-	if err := n.hidden.Serialize(w); err != nil {
-		return err
-	}
-	for _, ml := range n.middle {
-		if err := ml.Serialize(w); err != nil {
-			return err
-		}
-	}
-	if err := n.output.Serialize(w); err != nil {
-		return err
-	}
-	if n.tables != nil {
-		if err := n.tables.Serialize(w); err != nil {
-			return err
-		}
-	}
-	return n.writeRNG(w)
-}
 
 // frame locates one v3 section in a saved checkpoint.
 type frame struct {
@@ -178,30 +141,22 @@ func TestLoadCorruptPreamble(t *testing.T) {
 	}
 }
 
-// TestLoadV2Compat: a legacy unframed checkpoint still loads and reproduces
-// the writer's scores exactly.
-func TestLoadV2Compat(t *testing.T) {
-	n, p := trainedNet(t, layer.FP32)
-	var buf bytes.Buffer
-	if err := saveV2(n, &buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(bytes.NewReader(buf.Bytes()), 1)
-	if err != nil {
-		t.Fatalf("v2 checkpoint rejected: %v", err)
-	}
-	if loaded.Step() != n.Step() {
-		t.Fatalf("step %d != %d", loaded.Step(), n.Step())
-	}
-	x := p.batch(1).Sample(0)
-	s1 := make([]float32, 20)
-	s2 := make([]float32, 20)
-	n.Scores(x, s1)
-	loaded.Scores(x, s2)
-	for i := range s1 {
-		if s1[i] != s2[i] {
-			t.Fatalf("score[%d] %g != %g after v2 load", i, s1[i], s2[i])
+// TestLoadRefusesV2: the unframed version-2 format has no loader any more. Its
+// preamble is refused by version number, with an error that does not claim
+// the file is corrupt (it may be intact; this build cannot read it).
+func TestLoadRefusesV2(t *testing.T) {
+	var pre bytes.Buffer
+	for _, v := range []uint64{uint64(checkpointMagic), 2} {
+		if err := binary.Write(&pre, binary.LittleEndian, v); err != nil {
+			t.Fatal(err)
 		}
+	}
+	_, err := Load(&pre, 1)
+	if err == nil || !strings.Contains(err.Error(), "unsupported checkpoint version 2") {
+		t.Fatalf("v2 preamble: %v, want an unsupported-version error", err)
+	}
+	if errors.Is(err, ErrCorruptCheckpoint) {
+		t.Fatalf("v2 preamble reported as corruption: %v", err)
 	}
 }
 
@@ -238,38 +193,10 @@ func BenchmarkCheckpointSaveV3(b *testing.B) {
 	b.SetBytes(int64(buf.Len()))
 }
 
-func BenchmarkCheckpointSaveV2(b *testing.B) {
-	n := benchNet(b)
-	var buf bytes.Buffer
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf.Reset()
-		if err := saveV2(n, &buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.SetBytes(int64(buf.Len()))
-}
-
 func BenchmarkCheckpointLoadV3(b *testing.B) {
 	n := benchNet(b)
 	var buf bytes.Buffer
 	if err := n.Save(&buf); err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(buf.Len()))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Load(bytes.NewReader(buf.Bytes()), 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkCheckpointLoadV2(b *testing.B) {
-	n := benchNet(b)
-	var buf bytes.Buffer
-	if err := saveV2(n, &buf); err != nil {
 		b.Fatal(err)
 	}
 	b.SetBytes(int64(buf.Len()))

@@ -180,7 +180,7 @@ func TestCheckpointWorkersFieldIsOptional(t *testing.T) {
 		if err := writeConfigPayload(&payload, &cfg, 7, 1, 50, recorded); err != nil {
 			t.Fatal(err)
 		}
-		got, step, _, _, err := parseConfigPayload(bytes.NewReader(payload.Bytes()), true, fail)
+		got, step, _, _, err := parseConfigPayload(bytes.NewReader(payload.Bytes()), fail)
 		if err != nil {
 			t.Fatal(err)
 		}

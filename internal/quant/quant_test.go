@@ -16,7 +16,7 @@ import (
 // testRowWeights builds an f32 RowWeights view via the layer constructor +
 // snapshot path (the quantizer consumes real views exactly as Snapshot
 // produces them): Gaussian weights from the seed, nonzero biases.
-func testRowWeights(t *testing.T, in, out int, seed uint64) *layer.RowWeights {
+func testRowWeights(t testing.TB, in, out int, seed uint64) *layer.RowWeights {
 	t.Helper()
 	l := layer.NewRowLayer(in, out, layer.Options{Seed: seed})
 	rng := rand.New(rand.NewSource(int64(seed)))
@@ -121,7 +121,7 @@ func TestSerializeViewRoundTrip(t *testing.T) {
 		if got := int64(buf.Len()); got != q.PackedBytes() {
 			t.Errorf("in=%d: serialized %d bytes, PackedBytes says %d", in, got, q.PackedBytes())
 		}
-		r, err := ReadRowQ(bytes.NewReader(buf.Bytes()))
+		r, err := ReadRowQ(bytes.NewReader(buf.Bytes()), in, 20, 8)
 		if err != nil {
 			t.Fatalf("in=%d: ReadRowQ: %v", in, err)
 		}
@@ -333,7 +333,7 @@ func TestLogitMatchesF32(t *testing.T) {
 	sa, zp := QuantizeActs(h, qa)
 	buf := make([]float32, 64)
 	for i := int32(0); i < 30; i++ {
-		exact := simd.Dot(src.RowF32(int(i), buf), h) + src.Bias()[i]
+		exact := simd.Active().Dot(src.RowF32(int(i), buf), h) + src.Bias()[i]
 		got := q.Logit(ks, i, qa, sa, zp)
 		// Error budget: each product w*h gains at most |w|*sa/2 + |h|*sw/2
 		// + sw*sa/4; summed over 64 terms with |w|,|h| ~ N(0,1) this stays
@@ -540,7 +540,10 @@ func TestQuantizeRejectsBadBits(t *testing.T) {
 		t.Fatal(err)
 	}
 	view.Bytes()[8] = 4 // header word 2 is the bit width
-	if _, err := ReadRowQ(&view); err == nil {
-		t.Error("ReadRowQ accepted a view declaring 4-bit rows")
+	if _, err := ReadRowQ(bytes.NewReader(view.Bytes()), q.In, q.Out, 8); !errors.Is(err, errShape) {
+		t.Errorf("ReadRowQ of a view declaring 4-bit rows: %v, want errShape", err)
+	}
+	if _, err := ReadRowQ(bytes.NewReader(view.Bytes()), q.In, q.Out, 4); err == nil {
+		t.Error("ReadRowQ accepted a request for 4-bit rows")
 	}
 }

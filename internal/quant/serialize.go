@@ -2,9 +2,11 @@ package quant
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"github.com/slide-cpu/slide/internal/health"
 	"github.com/slide-cpu/slide/internal/layer"
@@ -20,10 +22,6 @@ import (
 // Row sums are NOT on the wire: they are a pure function of the packed
 // bytes, recomputed on read — Out int32s of wire saved per message, and one
 // less way for a corrupted payload to desynchronize the dequant correction.
-
-// maxViewDim mirrors layer.maxViewDim: headers are read before allocation,
-// so a corrupted header must not provoke a huge allocation.
-const maxViewDim = 1 << 28
 
 func writeU32(w io.Writer, v uint32) error {
 	var b [4]byte
@@ -108,32 +106,41 @@ func (q *RowQ) SerializeView(out io.Writer) error {
 	return nil
 }
 
-func checkViewHeader(in, out, bits uint32) error {
-	if in == 0 || out == 0 || in > maxViewDim || out > maxViewDim {
-		return fmt.Errorf("quant: view dims %dx%d out of range", in, out)
+// errShape marks a stream whose header declares another shape or bit width
+// than the one it is being decoded for.
+var errShape = errors.New("quant: stream does not match the expected shape")
+
+// expectHeader reads len(want) header words and fails with errShape unless
+// they are exactly want: a header is compared with what the caller already
+// holds, never used to size an allocation.
+func expectHeader(r io.Reader, what string, want ...uint32) error {
+	got := make([]uint32, len(want))
+	for i := range got {
+		if err := readU32(r, &got[i]); err != nil {
+			return fmt.Errorf("quant: reading %s: %w", what, err)
+		}
 	}
-	if in > MaxDotLen {
-		return fmt.Errorf("quant: row length %d exceeds MaxDotLen %d", in, MaxDotLen)
-	}
-	if err := validBits(int(bits)); err != nil {
-		return err
+	if !slices.Equal(got, want) {
+		return fmt.Errorf("%w: %s is %d, expected %d", errShape, what, got, want)
 	}
 	return nil
 }
 
 // ReadRowQ reconstructs a view written by SerializeView, recomputing the
-// per-row sums from the packed bytes.
-func ReadRowQ(r io.Reader) (*RowQ, error) {
-	var in, out, bits uint32
-	for _, p := range []*uint32{&in, &out, &bits} {
-		if err := readU32(r, p); err != nil {
-			return nil, fmt.Errorf("quant: reading view header: %w", err)
-		}
+// per-row sums from the packed bytes. The caller states the shape and bit
+// width it expects; a stream that declares another is an error, returned
+// before any storage is allocated.
+func ReadRowQ(r io.Reader, in, out, bits int) (*RowQ, error) {
+	if in <= 0 || out <= 0 || in > MaxDotLen {
+		return nil, fmt.Errorf("quant: view declared as %dx%d (row length limit %d)", in, out, MaxDotLen)
 	}
-	if err := checkViewHeader(in, out, bits); err != nil {
+	if err := validBits(bits); err != nil {
 		return nil, err
 	}
-	q := newRowQ(int(in), int(out), int(bits))
+	if err := expectHeader(r, "view header", uint32(in), uint32(out), uint32(bits)); err != nil {
+		return nil, err
+	}
+	q := newRowQ(in, out, bits)
 	if err := readF32s(r, q.scales); err != nil {
 		return nil, err
 	}
@@ -179,16 +186,14 @@ func (q *RowQ) SerializeRowsDelta(out io.Writer, ids []int32) error {
 // the payload named. q itself is never modified. The payload's shape and
 // bit width must match q's.
 func (q *RowQ) PatchRows(r io.Reader) (*RowQ, []int32, error) {
-	var in, out, bits, n uint32
-	for _, p := range []*uint32{&in, &out, &bits, &n} {
-		if err := readU32(r, p); err != nil {
-			return nil, nil, fmt.Errorf("quant: reading rows delta header: %w", err)
-		}
+	if err := expectHeader(r, "rows delta header", uint32(q.In), uint32(q.Out), uint32(q.Bits)); err != nil {
+		return nil, nil, err
 	}
-	if int(in) != q.In || int(out) != q.Out || int(bits) != q.Bits {
-		return nil, nil, fmt.Errorf("quant: rows delta mismatch: wire %dx%d/int%d, view %dx%d/int%d",
-			in, out, bits, q.In, q.Out, q.Bits)
+	var n uint32
+	if err := readU32(r, &n); err != nil {
+		return nil, nil, fmt.Errorf("quant: reading rows delta count: %w", err)
 	}
+	out := uint32(q.Out)
 	if n > out {
 		return nil, nil, fmt.Errorf("quant: rows delta names %d rows, view has %d", n, out)
 	}

@@ -27,41 +27,15 @@ func NewAdamParams(lr, beta1, beta2, eps float64, t int64) AdamParams {
 	}
 }
 
-// AdamStep applies one ADAM update over the contiguous block:
+// adamVec and adamScalar apply one ADAM update over the contiguous block:
 //
 //	m = beta1*m + (1-beta1)*g
 //	v = beta2*v + (1-beta2)*g^2
 //	w -= CorrLR * m / (sqrt(v) + eps)
 //
-// All four slices must have equal length. This is the §4.3.1 kernel: because
-// the weight matrix is one contiguous block, the 2D update collapses into
-// this 1D blocked loop.
-func AdamStep(w, m, v, g []float32, p AdamParams) {
-	n := len(w)
-	if len(m) != n || len(v) != n || len(g) != n {
-		panic("simd: AdamStep length mismatch")
-	}
-	Active().AdamStep(w, m, v, g, p)
-}
-
-// AdamStepVec is the 16-lane implementation, exported for equivalence tests.
-func AdamStepVec(w, m, v, g []float32, p AdamParams) {
-	n := len(w)
-	if len(m) != n || len(v) != n || len(g) != n {
-		panic("simd: AdamStepVec length mismatch")
-	}
-	adamVec(w, m, v, g, p)
-}
-
-// AdamStepScalar is the naive implementation.
-func AdamStepScalar(w, m, v, g []float32, p AdamParams) {
-	n := len(w)
-	if len(m) != n || len(v) != n || len(g) != n {
-		panic("simd: AdamStepScalar length mismatch")
-	}
-	adamScalar(w, m, v, g, p)
-}
-
+// m, v and g must hold at least len(w) values. This is the §4.3.1 kernel:
+// because the weight matrix is one contiguous block, the 2D update collapses
+// into this 1D blocked loop.
 func adamVec(w, m, v, g []float32, p AdamParams) {
 	n := len(w)
 	m = m[:n]

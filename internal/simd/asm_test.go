@@ -132,22 +132,6 @@ func TestDotEquivalence(t *testing.T) {
 	}
 }
 
-func TestSumEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewPCG(11, 1))
-	for _, m := range asmModes(t) {
-		ks := ForMode(m)
-		for _, n := range testLengths {
-			x := offsetSlice(rng, n, 1)
-			var ref, scale float64
-			for _, v := range x {
-				ref += float64(v)
-				scale += math.Abs(float64(v))
-			}
-			checkReduction(t, fmt.Sprintf("%s Sum n=%d", m, n), ks.Sum(x), ref, scale)
-		}
-	}
-}
-
 func TestMaxEquivalenceExact(t *testing.T) {
 	rng := rand.New(rand.NewPCG(12, 1))
 	for _, m := range asmModes(t) {
@@ -206,10 +190,6 @@ func TestAxpyBitIdentical(t *testing.T) {
 				got := append([]float32(nil), y0...)
 				ks.Axpy(0.37, x, got)
 				checkExact(t, fmt.Sprintf("%s Axpy n=%d off=%d", m, n, off), got, want)
-
-				got2 := append([]float32(nil), y0...)
-				ks.ScaleAccum(0.37, x, got2)
-				checkExact(t, fmt.Sprintf("%s ScaleAccum n=%d", m, n), got2, want)
 			}
 		}
 	}
@@ -455,7 +435,7 @@ func TestActiveSetWalksBitIdenticalToPerRow(t *testing.T) {
 					ks.GatherAxpy(coef, ids, w, y)
 					wantY := append([]float32(nil), dh0...)
 					for k, id := range ids {
-						ks.ScaleAccum(coef[k], w[id], wantY)
+						ks.Axpy(coef[k], w[id], wantY)
 					}
 					checkExact(t, name+" GatherAxpy", y, wantY)
 

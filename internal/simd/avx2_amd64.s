@@ -143,40 +143,6 @@ add2_blk8:
 	VZEROUPPER
 	RET
 
-// func sumAVX2Asm(x *float32, n int64) float32
-TEXT ·sumAVX2Asm(SB), NOSPLIT, $0-20
-	MOVQ x+0(FP), SI
-	MOVQ n+8(FP), DX
-	VXORPS Y0, Y0, Y0
-	VXORPS Y1, Y1, Y1
-
-sum2_blk16:
-	CMPQ DX, $16
-	JLT  sum2_blk8
-	VADDPS (SI), Y0, Y0
-	VADDPS 32(SI), Y1, Y1
-	ADDQ $64, SI
-	SUBQ $16, DX
-	JMP  sum2_blk16
-
-sum2_blk8:
-	TESTQ DX, DX
-	JE    sum2_reduce
-	VADDPS (SI), Y0, Y0
-	ADDQ $32, SI
-	SUBQ $8, DX
-	JMP  sum2_blk8
-
-sum2_reduce:
-	VADDPS Y1, Y0, Y0
-	VEXTRACTF128 $1, Y0, X1
-	VADDPS X1, X0, X0
-	VHADDPS X0, X0, X0
-	VHADDPS X0, X0, X0
-	VZEROUPPER
-	MOVSS X0, ret+16(FP)
-	RET
-
 // func maxAVX2Asm(x *float32, n int64) float32
 // Lane-wise running maxima, horizontal resolve at the end. NaN handling
 // follows VMAXPS (NaN in the newer operand propagates), which differs from

@@ -223,49 +223,6 @@ add5_done:
 	VZEROUPPER
 	RET
 
-// func sumAVX512Asm(x *float32, n int64) float32
-TEXT ·sumAVX512Asm(SB), NOSPLIT, $0-20
-	MOVQ x+0(FP), SI
-	MOVQ n+8(FP), DX
-	VXORPS Z0, Z0, Z0
-	VXORPS Z1, Z1, Z1
-
-sum5_blk32:
-	CMPQ DX, $32
-	JLT  sum5_blk16
-	VADDPS (SI), Z0, Z0
-	VADDPS 64(SI), Z1, Z1
-	ADDQ $128, SI
-	SUBQ $32, DX
-	JMP  sum5_blk32
-
-sum5_blk16:
-	CMPQ DX, $16
-	JLT  sum5_tail
-	VADDPS (SI), Z0, Z0
-	ADDQ $64, SI
-	SUBQ $16, DX
-	JMP  sum5_blk16
-
-sum5_tail:
-	TESTQ DX, DX
-	JE    sum5_reduce
-	TAILMASK
-	VMOVUPS.Z (SI), K1, Z2
-	VADDPS Z2, Z0, Z0
-
-sum5_reduce:
-	VADDPS Z1, Z0, Z0
-	VEXTRACTF64X4 $1, Z0, Y1
-	VADDPS Y1, Y0, Y0
-	VEXTRACTF128 $1, Y0, X1
-	VADDPS X1, X0, X0
-	VHADDPS X0, X0, X0
-	VHADDPS X0, X0, X0
-	VZEROUPPER
-	MOVSS X0, ret+16(FP)
-	RET
-
 // func maxAVX512Asm(x *float32, n int64) float32
 // Requires n >= 1. Accumulators seed at -Inf; the masked tail merges into a
 // -Inf-filled register so dead lanes never win. NaN handling follows VMAXPS

@@ -8,16 +8,9 @@ import "github.com/slide-cpu/slide/internal/bf16"
 // halved memory traffic while paying a software conversion cost (see
 // DESIGN.md "Known divergences").
 
-// DotBF16F32 returns the inner product of a bfloat16 vector and a float32
-// vector. Used when weights are stored in BF16 (mode 1) or the activation is
-// stored in BF16 (mode 2, with the operands swapped by the caller).
-func DotBF16F32(a []bf16.BF16, b []float32) float32 {
-	if len(a) != len(b) {
-		panic("simd: DotBF16F32 length mismatch")
-	}
-	return Active().DotBF16F32(a, b)
-}
-
+// dotBF16Vec and dotBF16Scalar return the inner product of a bfloat16 vector
+// and a float32 vector (the DotBF16F32 entry): the activation is stored in
+// BF16 and the weights in float32, len(b) >= len(a).
 func dotBF16Vec(a []bf16.BF16, b []float32) float32 {
 	n := len(a)
 	b = b[:n]
@@ -45,15 +38,9 @@ func dotBF16Scalar(a []bf16.BF16, b []float32) float32 {
 	return s
 }
 
-// DotBF16 returns the inner product of two bfloat16 vectors (mode 1: both
-// weights and activations quantized).
-func DotBF16(a, b []bf16.BF16) float32 {
-	if len(a) != len(b) {
-		panic("simd: DotBF16 length mismatch")
-	}
-	return Active().DotBF16(a, b)
-}
-
+// dotBF16BothVec and dotBF16BothScalar return the inner product of two
+// bfloat16 vectors (the DotBF16 entry: both weights and activations
+// quantized).
 func dotBF16BothVec(a, b []bf16.BF16) float32 {
 	n := len(a)
 	b = b[:n]
@@ -81,14 +68,8 @@ func dotBF16BothScalar(a, b []bf16.BF16) float32 {
 	return s
 }
 
-// AxpyBF16 computes y += alpha*x where x is stored in bfloat16.
-func AxpyBF16(alpha float32, x []bf16.BF16, y []float32) {
-	if len(x) != len(y) {
-		panic("simd: AxpyBF16 length mismatch")
-	}
-	Active().AxpyBF16(alpha, x, y)
-}
-
+// axpyBF16Vec and axpyBF16Scalar compute y += alpha*x where x is stored in
+// bfloat16 (len(y) >= len(x)).
 func axpyBF16Vec(alpha float32, x []bf16.BF16, y []float32) {
 	n := len(x)
 	y = y[:n]
@@ -111,20 +92,13 @@ func axpyBF16Scalar(alpha float32, x []bf16.BF16, y []float32) {
 	}
 }
 
-// AdamStepBF16 applies one fused ADAM update to weights stored in bfloat16
+// adamStepBF16 applies one fused ADAM update to weights stored in bfloat16
 // (mode 1). The first and second moments stay in float32; each weight lane is
 // expanded, updated, and re-rounded to BF16 (round-to-nearest-even), exactly
 // what an AVX512-BF16 pipeline does around its FP32 accumulators. The
-// element-local math is identical under both kernel modes, so a single
-// implementation backs both table entries.
-func AdamStepBF16(w []bf16.BF16, m, v, g []float32, p AdamParams) {
-	n := len(w)
-	if len(m) != n || len(v) != n || len(g) != n {
-		panic("simd: AdamStepBF16 length mismatch")
-	}
-	adamStepBF16(w, m, v, g, p)
-}
-
+// element-local math is identical under every kernel mode, so a single
+// implementation backs every table. m, v and g must hold at least len(w)
+// values.
 func adamStepBF16(w []bf16.BF16, m, v, g []float32, p AdamParams) {
 	omb1 := 1 - p.Beta1
 	omb2 := 1 - p.Beta2
@@ -138,17 +112,9 @@ func adamStepBF16(w []bf16.BF16, m, v, g []float32, p AdamParams) {
 	}
 }
 
-// AdamStepZeroBF16 is AdamStepBF16 fused with the gradient clear: each lane
+// adamStepZeroBF16 is adamStepBF16 fused with the gradient clear: each lane
 // of g is consumed and zeroed in the same pass, so a touched BF16 weight row
 // is walked once per batch instead of twice (AdamStepBF16 then Zero).
-func AdamStepZeroBF16(w []bf16.BF16, m, v, g []float32, p AdamParams) {
-	n := len(w)
-	if len(m) != n || len(v) != n || len(g) != n {
-		panic("simd: AdamStepZeroBF16 length mismatch")
-	}
-	adamStepZeroBF16(w, m, v, g, p)
-}
-
 func adamStepZeroBF16(w []bf16.BF16, m, v, g []float32, p AdamParams) {
 	omb1 := 1 - p.Beta1
 	omb2 := 1 - p.Beta2
@@ -163,16 +129,9 @@ func adamStepZeroBF16(w []bf16.BF16, m, v, g []float32, p AdamParams) {
 	}
 }
 
-// DotManyBiasBF16Act computes out[k] = hBF·rows[ids[k]] + bias[ids[k]] for a
-// whole active set under the BF16-activation mode (FP32 weights, BF16
-// activation). See DotManyBias for the dispatch-amortization rationale.
-func DotManyBiasBF16Act(rows [][]float32, bias []float32, ids []int32, hBF []bf16.BF16, out []float32) {
-	if len(out) < len(ids) {
-		panic("simd: DotManyBiasBF16Act output buffer too short")
-	}
-	Active().DotManyBiasBF16Act(rows, bias, ids, hBF, out)
-}
-
+// The DotManyBiasBF16Act entries compute out[k] = hBF·rows[ids[k]] +
+// bias[ids[k]] for a whole active set under the BF16-activation mode (FP32
+// weights, BF16 activation); see dotManyBiasVec for the contract.
 func dotManyBiasBF16ActVec(rows [][]float32, bias []float32, ids []int32, hBF []bf16.BF16, out []float32) {
 	out = out[:len(ids)]
 	for k, id := range ids {
@@ -195,15 +154,9 @@ func dotManyBiasBF16ActScalar(rows [][]float32, bias []float32, ids []int32, hBF
 	}
 }
 
-// DotManyBiasBF16 computes out[k] = rows[ids[k]]·hBF + bias[ids[k]] for a
-// whole active set under the BF16-both mode (BF16 weights and activation).
-func DotManyBiasBF16(rows [][]bf16.BF16, bias []float32, ids []int32, hBF []bf16.BF16, out []float32) {
-	if len(out) < len(ids) {
-		panic("simd: DotManyBiasBF16 output buffer too short")
-	}
-	Active().DotManyBiasBF16(rows, bias, ids, hBF, out)
-}
-
+// The DotManyBiasBF16 entries compute out[k] = rows[ids[k]]·hBF +
+// bias[ids[k]] for a whole active set under the BF16-both mode (BF16 weights
+// and activation).
 func dotManyBiasBF16Vec(rows [][]bf16.BF16, bias []float32, ids []int32, hBF []bf16.BF16, out []float32) {
 	out = out[:len(ids)]
 	for k, id := range ids {

@@ -24,16 +24,14 @@ var (
 func init() {
 	if haveAVX2 {
 		avx2Kernels = Kernels{
-			Mode:       AVX2,
-			Dot:        dotAVX2,
-			Axpy:       axpyAVX2,
-			ScaleAccum: axpyAVX2,
-			Add:        addAVX2,
-			Scale:      scaleAVX2,
-			Sum:        sumAVX2,
-			Max:        maxAVX2,
-			ArgMax:     argMaxVec, // no library caller left; see DESIGN.md "DWTA fingerprints"
-			AdamStep:   adamAVX2,
+			Mode:     AVX2,
+			Dot:      dotAVX2,
+			Axpy:     axpyAVX2,
+			Add:      addAVX2,
+			Scale:    scaleAVX2,
+			Max:      maxAVX2,
+			ArgMax:   argMaxVec, // no library caller left; see DESIGN.md "DWTA fingerprints"
+			AdamStep: adamAVX2,
 
 			GatherArgMax: gatherArgMaxAVX2,
 
@@ -64,16 +62,14 @@ func init() {
 	}
 	if haveAVX512 {
 		avx512Kernels = Kernels{
-			Mode:       AVX512,
-			Dot:        dotAVX512,
-			Axpy:       axpyAVX512,
-			ScaleAccum: axpyAVX512,
-			Add:        addAVX512,
-			Scale:      scaleAVX512,
-			Sum:        sumAVX512,
-			Max:        maxAVX512,
-			ArgMax:     argMaxVec,
-			AdamStep:   adamAVX512,
+			Mode:     AVX512,
+			Dot:      dotAVX512,
+			Axpy:     axpyAVX512,
+			Add:      addAVX512,
+			Scale:    scaleAVX512,
+			Max:      maxAVX512,
+			ArgMax:   argMaxVec,
+			AdamStep: adamAVX512,
 
 			GatherArgMax: gatherArgMaxAVX512,
 
@@ -155,12 +151,6 @@ func addAVX2Asm(x, y *float32, n int64)
 
 //go:noescape
 func addAVX512Asm(x, y *float32, n int64)
-
-//go:noescape
-func sumAVX2Asm(x *float32, n int64) float32
-
-//go:noescape
-func sumAVX512Asm(x *float32, n int64) float32
 
 //go:noescape
 func maxAVX2Asm(x *float32, n int64) float32
@@ -278,19 +268,6 @@ func addAVX2(x, y []float32) {
 	for i := nv; i < n; i++ {
 		y[i] += x[i]
 	}
-}
-
-func sumAVX2(x []float32) float32 {
-	n := len(x)
-	nv := n &^ 7
-	var s float32
-	if nv > 0 {
-		s = sumAVX2Asm(&x[0], int64(nv))
-	}
-	for i := nv; i < n; i++ {
-		s += x[i]
-	}
-	return s
 }
 
 func maxAVX2(x []float32) float32 {
@@ -493,13 +470,6 @@ func addAVX512(x, y []float32) {
 	}
 	y = y[:n]
 	addAVX512Asm(&x[0], &y[0], int64(n))
-}
-
-func sumAVX512(x []float32) float32 {
-	if len(x) == 0 {
-		return 0
-	}
-	return sumAVX512Asm(&x[0], int64(len(x)))
 }
 
 func maxAVX512(x []float32) float32 {

@@ -6,32 +6,7 @@ package simd
 // of the weight column, accumulate into the dense output), plus the generic
 // slice utilities shared by the optimizer and the baselines.
 
-// Dot returns the inner product of a and b.
-// It panics if len(a) != len(b).
-func Dot(a, b []float32) float32 {
-	if len(a) != len(b) {
-		panic("simd: Dot length mismatch")
-	}
-	return Active().Dot(a, b)
-}
-
-// DotVec is the 16-lane implementation of Dot, exported for direct use in
-// equivalence tests and microbenchmarks.
-func DotVec(a, b []float32) float32 {
-	if len(a) != len(b) {
-		panic("simd: DotVec length mismatch")
-	}
-	return dotVec(a, b)
-}
-
-// DotScalar is the naive implementation of Dot.
-func DotScalar(a, b []float32) float32 {
-	if len(a) != len(b) {
-		panic("simd: DotScalar length mismatch")
-	}
-	return dotScalar(a, b)
-}
-
+// dotVec and dotScalar return the inner product of a and b (len(b) >= len(a)).
 func dotVec(a, b []float32) float32 {
 	n := len(a)
 	b = b[:n]
@@ -59,32 +34,11 @@ func dotScalar(a, b []float32) float32 {
 	return s
 }
 
-// Axpy computes y += alpha*x (the BLAS axpy). It panics on length mismatch.
-// This is the backward-pass kernel for Algorithm 1: accumulating
-// grad_i * W[i] rows into the dense input gradient.
-func Axpy(alpha float32, x, y []float32) {
-	if len(x) != len(y) {
-		panic("simd: Axpy length mismatch")
-	}
-	Active().Axpy(alpha, x, y)
-}
-
-// AxpyVec is the 16-lane implementation of Axpy.
-func AxpyVec(alpha float32, x, y []float32) {
-	if len(x) != len(y) {
-		panic("simd: AxpyVec length mismatch")
-	}
-	axpyVec(alpha, x, y)
-}
-
-// AxpyScalar is the naive implementation of Axpy.
-func AxpyScalar(alpha float32, x, y []float32) {
-	if len(x) != len(y) {
-		panic("simd: AxpyScalar length mismatch")
-	}
-	axpyScalar(alpha, x, y)
-}
-
+// axpyVec and axpyScalar compute y += alpha*x (the BLAS axpy; len(y) >=
+// len(x)). This is the backward-pass kernel for Algorithm 1 — accumulating
+// grad_i * W[i] rows into the dense input gradient — and, over a weight
+// column, Algorithm 2's inner step: alpha is one non-zero of the sparse input
+// broadcast into a register.
 func axpyVec(alpha float32, x, y []float32) {
 	n := len(x)
 	y = y[:n]
@@ -120,11 +74,7 @@ func axpyScalar(alpha float32, x, y []float32) {
 	}
 }
 
-// Scale multiplies every element of x by alpha in place.
-func Scale(alpha float32, x []float32) {
-	Active().Scale(alpha, x)
-}
-
+// scaleVec and scaleScalar multiply every element of x by alpha in place.
 func scaleVec(alpha float32, x []float32) {
 	n := len(x)
 	i := 0
@@ -145,14 +95,7 @@ func scaleScalar(alpha float32, x []float32) {
 	}
 }
 
-// Add computes y += x element-wise. It panics on length mismatch.
-func Add(x, y []float32) {
-	if len(x) != len(y) {
-		panic("simd: Add length mismatch")
-	}
-	Active().Add(x, y)
-}
-
+// addVec and addScalar compute y += x element-wise (len(y) >= len(x)).
 func addVec(x, y []float32) {
 	n := len(x)
 	y = y[:n]
@@ -175,47 +118,9 @@ func addScalar(x, y []float32) {
 	}
 }
 
-// Fill sets every element of x to v (the _mm512_set1 broadcast used before
-// Algorithm 2's column accumulation).
-func Fill(x []float32, v float32) {
-	for i := range x {
-		x[i] = v
-	}
-}
-
 // Zero clears x.
 func Zero(x []float32) {
 	clear(x)
-}
-
-// Sum returns the sum of the elements of x (AVX reduce-sum).
-func Sum(x []float32) float32 {
-	return Active().Sum(x)
-}
-
-func sumVec(x []float32) float32 {
-	var s0, s1, s2, s3 float32
-	n := len(x)
-	i := 0
-	for ; i+Width <= n; i += Width {
-		xx := x[i : i+Width : i+Width]
-		s0 += xx[0] + xx[1] + xx[2] + xx[3]
-		s1 += xx[4] + xx[5] + xx[6] + xx[7]
-		s2 += xx[8] + xx[9] + xx[10] + xx[11]
-		s3 += xx[12] + xx[13] + xx[14] + xx[15]
-	}
-	for ; i < n; i++ {
-		s0 += x[i]
-	}
-	return (s0 + s1) + (s2 + s3)
-}
-
-func sumScalar(x []float32) float32 {
-	var s float32
-	for _, v := range x {
-		s += v
-	}
-	return s
 }
 
 // Max returns the maximum element of x. It panics on an empty slice.
@@ -232,21 +137,13 @@ func Max(x []float32) float32 {
 	return m
 }
 
-// ArgMax returns the index of the maximum element of x, breaking ties toward
-// the lowest index. It panics on an empty slice. The vector form scans
+// argMaxScalar and argMaxVec return the index of the maximum element of a
+// non-empty x, breaking ties toward the lowest index. The vector form scans
 // 16-lane blocks keeping per-lane maxima and resolves the winning lane at
-// the end. DWTA no longer calls it (its bins are resolved across lanes by
-// GatherArgMax) and no library code does: ArgMax, the Kernels.ArgMax entries,
-// argMaxVec and argMaxScalar stay only because the frozen benchmark probe
-// simd.argmax_ns calls them, and go when benchmark/ is next thawed (ROADMAP
-// item 1(b)).
-func ArgMax(x []float32) int {
-	if len(x) == 0 {
-		panic("simd: ArgMax of empty slice")
-	}
-	return Active().ArgMax(x)
-}
-
+// the end. DWTA no longer calls them (its bins are resolved across lanes by
+// GatherArgMax) and no library code does: they and the Kernels.ArgMax
+// entries stay only because the frozen benchmark probe simd.argmax_ns calls
+// them, and go when benchmark/ is next thawed (ROADMAP item 1(b)).
 func argMaxScalar(x []float32) int {
 	best := 0
 	bv := x[0]
@@ -297,18 +194,4 @@ func argMaxVec(x []float32) int {
 		}
 	}
 	return best
-}
-
-// ScaleAccum computes y[i] += v * w[i] for a 16-lane blocked walk of w. It
-// is Algorithm 2's inner step: v is one non-zero of the sparse input
-// (broadcast into a register) and w is the column-major weight column.
-func ScaleAccum(v float32, w, y []float32) {
-	// Same computation as Axpy; named separately because it is the
-	// column-major hot path and microbenchmarked on its own.
-	Axpy(v, w, y)
-}
-
-// SquaredNorm returns the sum of squares of x.
-func SquaredNorm(x []float32) float32 {
-	return Active().Dot(x, x)
 }

@@ -8,26 +8,18 @@ package simd
 // cache lines in the per-row backward pass (AxpyTwo), or two passes over
 // every touched gradient row in the optimizer (AdamStepZero). DotManyBias
 // belongs to the family of active-set walks, one call per sample, whose
-// other members live in walk.go. The exported wrappers dispatch on the
-// package mode for standalone use; the hot path reaches the mode-resolved
-// implementations through the Kernels table (see kernels.go) so the atomic
+// other members live in walk.go. Callers reach the mode-resolved
+// implementations through the Kernels table (see kernels.go), so the atomic
 // mode load happens once per batch, not once per row.
 
-// DotManyBias fills out[k] = rows[ids[k]]·h + bias[ids[k]] for every id in
-// ids — the whole Algorithm 1 forward pass over one active set in a single
-// call. The Go tiers below loop their per-row dot; the assembly tiers are one
-// routine that keeps h in vector registers and streams the listed rows past
-// it (walk_amd64.go), reproducing the per-row dot's accumulators, block order
-// and reduction so that every logit is bit-identical to Dot(rows[id], h) +
-// bias[id] of the same tier. Every referenced row must have len(h) elements;
-// out must have at least len(ids).
-func DotManyBias(rows [][]float32, bias []float32, ids []int32, h, out []float32) {
-	if len(out) < len(ids) {
-		panic("simd: DotManyBias output buffer too short")
-	}
-	Active().DotManyBias(rows, bias, ids, h, out)
-}
-
+// The DotManyBias entries fill out[k] = rows[ids[k]]·h + bias[ids[k]] for
+// every id in ids — the whole Algorithm 1 forward pass over one active set in
+// a single call. The Go tiers below loop their per-row dot; the assembly tiers
+// are one routine that keeps h in vector registers and streams the listed
+// rows past it (walk_amd64.go), reproducing the per-row dot's accumulators,
+// block order and reduction so that every logit is bit-identical to the same
+// tier's Dot(rows[id], h) + bias[id]. Every referenced row must have len(h)
+// elements; out must have at least len(ids).
 func dotManyBiasVec(rows [][]float32, bias []float32, ids []int32, h, out []float32) {
 	out = out[:len(ids)]
 	for k, id := range ids {
@@ -50,21 +42,12 @@ func dotManyBiasScalar(rows [][]float32, bias []float32, ids []int32, h, out []f
 	}
 }
 
-// AxpyTwo fuses the two axpys of the Algorithm 1 backward pass into one
-// walk: grad += gz*h (the weight-gradient accumulation) and dh += gz*w (the
-// input-gradient accumulation) share loop control and the broadcast of gz.
-// All four slices must have equal length. Aliasing between (h, grad) and
-// (w, dh) pairs is not supported. Dispatches to the active tier's winning
-// walk shape (fused in assembly, two independent walks in the Go tiers);
-// both shapes are bit-identical.
-func AxpyTwo(gz float32, h, grad, w, dh []float32) {
-	n := len(h)
-	if len(grad) != n || len(w) != n || len(dh) != n {
-		panic("simd: AxpyTwo length mismatch")
-	}
-	Active().AxpyTwo(gz, h, grad, w, dh)
-}
-
+// The AxpyTwo entries fuse the two axpys of the Algorithm 1 backward pass
+// into one walk: grad += gz*h (the weight-gradient accumulation) and dh +=
+// gz*w (the input-gradient accumulation) share loop control and the broadcast
+// of gz. grad, w and dh must hold at least len(h) values. Aliasing between
+// the (h, grad) and (w, dh) pairs is not supported.
+//
 // axpyTwoUnfusedVec and axpyTwoUnfusedScalar implement the AxpyTwo contract
 // as two independent axpy walks, which is what the Go tiers run: a single
 // fused Go loop over all four slices measured ~20% SLOWER than two
@@ -84,19 +67,11 @@ func axpyTwoUnfusedScalar(gz float32, h, grad, w, dh []float32) {
 	axpyScalar(gz, w, dh)
 }
 
-// AdamStepZero is AdamStep fused with the gradient clear: each gradient lane
-// is consumed and zeroed in the same pass, so a touched row is walked once
-// per batch instead of twice (AdamStep then Zero) — halving the traffic over
-// the gradient row and saving one full pass over (w, m, v) re-fetches when
-// the row has fallen out of cache between the two walks.
-func AdamStepZero(w, m, v, g []float32, p AdamParams) {
-	n := len(w)
-	if len(m) != n || len(v) != n || len(g) != n {
-		panic("simd: AdamStepZero length mismatch")
-	}
-	Active().AdamStepZero(w, m, v, g, p)
-}
-
+// The AdamStepZero entries are AdamStep fused with the gradient clear: each
+// gradient lane is consumed and zeroed in the same pass, so a touched row is
+// walked once per batch instead of twice (AdamStep then Zero) — halving the
+// traffic over the gradient row and saving one full pass over (w, m, v)
+// re-fetches when the row has fallen out of cache between the two walks.
 func adamZeroVec(w, m, v, g []float32, p AdamParams) {
 	n := len(w)
 	m = m[:n]

@@ -17,25 +17,9 @@ package simd
 // (tens to a few thousand), bounded far below the 2^31/16129 ≈ 133k element
 // overflow horizon. quant.MaxDotLen enforces the bound at packing time.
 
-// DotU8S8 returns the integer inner product of unsigned-byte activations a
-// and signed-byte weights b: sum(int32(a[i]) * int32(b[i]).
-// It panics if len(a) != len(b).
-func DotU8S8(a []uint8, b []int8) int32 {
-	if len(a) != len(b) {
-		panic("simd: DotU8S8 length mismatch")
-	}
-	return Active().DotU8S8(a, b)
-}
-
-// DotU8S8Scalar is the naive reference implementation, exported for the
-// per-tier equivalence tests.
-func DotU8S8Scalar(a []uint8, b []int8) int32 {
-	if len(a) != len(b) {
-		panic("simd: DotU8S8Scalar length mismatch")
-	}
-	return dotU8S8Scalar(a, b)
-}
-
+// dotU8S8Scalar is the definition of the DotU8S8 entries: the integer inner
+// product of unsigned-byte activations a and signed-byte weights b,
+// sum(int32(a[i]) * int32(b[i])), with len(b) >= len(a).
 func dotU8S8Scalar(a []uint8, b []int8) int32 {
 	var s int32
 	for i := range a {

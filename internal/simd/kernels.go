@@ -2,18 +2,20 @@ package simd
 
 import "github.com/slide-cpu/slide/internal/bf16"
 
-// Kernels is a mode-resolved function-pointer table over every hot-path
-// kernel. The dispatching package-level wrappers (Dot, Axpy, AdamStep, …)
-// re-read the atomic mode switch on every call, which is fine for cold code
-// but measurable when ForwardActive issues one call per active row. The
-// training loop instead calls Active() once per batch and invokes the
-// resolved table for every row in that batch — the structure the paper's
-// intrinsics code gets for free from compile-time dispatch, with SetMode kept
-// as the Table-4 ablation switch that decides which table Active returns.
+// Kernels is a mode-resolved function-pointer table over every kernel, and
+// the only way to call one: there are no package-level kernel functions. A
+// caller resolves the table once per batch with Active() (or pins a tier with
+// ForMode) and invokes its entries for every row in that batch — one atomic
+// mode load per stretch of work instead of one per row, the structure the
+// paper's intrinsics code gets for free from compile-time dispatch, with
+// SetMode kept as the Table-4 ablation switch that decides which table Active
+// returns.
 //
 // Entries point at the mode-specific implementations directly (dotVec,
-// dotScalar, the assembly wrappers, …), never at the dispatching wrappers,
-// so no table entry hides an atomic load.
+// dotScalar, the assembly wrappers, …). They do not validate operand lengths
+// beyond what memory safety needs: an operand too short for the call panics
+// (a slice-bounds failure or the walks' named checks), a longer one is read
+// only as far as the call needs.
 type Kernels struct {
 	// Mode records which implementation set this table holds. When an
 	// assembly tier is unavailable, ForMode returns a downgraded table and
@@ -21,15 +23,13 @@ type Kernels struct {
 	Mode Mode
 
 	// Primitive float32 kernels (§4.2–4.3).
-	Dot        func(a, b []float32) float32
-	Axpy       func(alpha float32, x, y []float32)
-	ScaleAccum func(v float32, w, y []float32)
-	Add        func(x, y []float32)
-	Scale      func(alpha float32, x []float32)
-	Sum        func(x []float32) float32
-	Max        func(x []float32) float32
-	ArgMax     func(x []float32) int // benchmark probe simd.argmax_ns only; see ArgMax
-	AdamStep   func(w, m, v, g []float32, p AdamParams)
+	Dot      func(a, b []float32) float32
+	Axpy     func(alpha float32, x, y []float32)
+	Add      func(x, y []float32)
+	Scale    func(alpha float32, x []float32)
+	Max      func(x []float32) float32
+	ArgMax   func(x []float32) int // benchmark probe simd.argmax_ns only; see argMaxScalar
+	AdamStep func(w, m, v, g []float32, p AdamParams)
 
 	// GatherArgMax is the DWTA fingerprint kernel (§4.3.3): win[b] is the
 	// slot of bin b holding the largest of vals[idx[s*len(win)+b]], s in
@@ -89,16 +89,14 @@ func roundBF16Go(x []float32)                   { bf16.RoundSlice(x) }
 
 // vectorKernels is the portable 16-lane (AVX-512 substitute) table.
 var vectorKernels = Kernels{
-	Mode:       Vector,
-	Dot:        dotVec,
-	Axpy:       axpyVec,
-	ScaleAccum: axpyVec, // Algorithm 2's column step is an axpy by another name
-	Add:        addVec,
-	Scale:      scaleVec,
-	Sum:        sumVec,
-	Max:        Max, // single dispatch-free implementation serves both Go modes
-	ArgMax:     argMaxVec,
-	AdamStep:   adamVec,
+	Mode:     Vector,
+	Dot:      dotVec,
+	Axpy:     axpyVec,
+	Add:      addVec,
+	Scale:    scaleVec,
+	Max:      Max, // one implementation serves both Go modes
+	ArgMax:   argMaxVec,
+	AdamStep: adamVec,
 
 	GatherArgMax: gatherArgMaxGo, // one portable form serves both Go modes
 
@@ -130,16 +128,14 @@ var vectorKernels = Kernels{
 // scalarKernels is the naive one-element-at-a-time table (the "-no-avx"
 // ablation build).
 var scalarKernels = Kernels{
-	Mode:       Scalar,
-	Dot:        dotScalar,
-	Axpy:       axpyScalar,
-	ScaleAccum: axpyScalar,
-	Add:        addScalar,
-	Scale:      scaleScalar,
-	Sum:        sumScalar,
-	Max:        Max,
-	ArgMax:     argMaxScalar,
-	AdamStep:   adamScalar,
+	Mode:     Scalar,
+	Dot:      dotScalar,
+	Axpy:     axpyScalar,
+	Add:      addScalar,
+	Scale:    scaleScalar,
+	Max:      Max,
+	ArgMax:   argMaxScalar,
+	AdamStep: adamScalar,
 
 	GatherArgMax: gatherArgMaxGo,
 

@@ -4,7 +4,8 @@
 // intrinsics (§4.2-4.3): 512-bit registers hold 16 float32 lanes, and the
 // kernels are built from pairwise multiply, reduce-sum, broadcast-fill and
 // lane-wise max operations. This package implements those kernels in four
-// tiers, selected once at startup by CPUID feature detection:
+// tiers, one Kernels table each (kernels.go); the tier is selected once at
+// startup by CPUID feature detection and callers take its table from Active:
 //
 //	Scalar — naive one-element loops (the paper's "-no-avx" ablation build)
 //	Vector — portable Go: hand-unrolled 16-lane blocks with independent
@@ -15,9 +16,9 @@
 //	         masked tails, plus AVX512-BF16 conversions where the CPU
 //	         reports them
 //
-// Kernels never allocate and panic on length mismatches (caller bugs), the
-// same contract the intrinsic versions have. See DESIGN.md "Native kernel
-// backend" for the FMA/ULP divergence policy between tiers.
+// Kernels never allocate, and an operand too short for the call panics (a
+// caller bug) rather than being read or written past. See DESIGN.md "Native
+// kernel backend" for the FMA/ULP divergence policy between tiers.
 package simd
 
 import (
@@ -31,7 +32,7 @@ import (
 // width; the AVX512 tier realizes it in hardware.
 const Width = 16
 
-// Mode selects the kernel implementation used by the dispatching wrappers.
+// Mode names a kernel tier: which table Active returns.
 type Mode int32
 
 const (
@@ -145,10 +146,10 @@ func init() {
 	SetMode(m)
 }
 
-// SetMode selects the implementation used by the dispatching wrappers.
-// Unsupported assembly tiers are clamped to the best supported tier below
-// them. Flip it only between training runs: kernels already in flight keep
-// the implementation they loaded.
+// SetMode selects the table Active returns. Unsupported assembly tiers are
+// clamped to the best supported tier below them. Flip it only between
+// training runs: kernels already in flight keep the implementation they
+// loaded.
 func SetMode(m Mode) { mode.Store(int32(clampMode(m))) }
 
 // CurrentMode returns the active kernel mode.

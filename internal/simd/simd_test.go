@@ -53,8 +53,8 @@ func TestDotVecMatchesScalar(t *testing.T) {
 	for _, n := range []int{0, 1, 3, 15, 16, 17, 31, 32, 100, 1024, 1000} {
 		a := randSlice(rng, n)
 		b := randSlice(rng, n)
-		v := float64(DotVec(a, b))
-		s := float64(DotScalar(a, b))
+		v := float64(ForMode(Vector).Dot(a, b))
+		s := float64(ForMode(Scalar).Dot(a, b))
 		if !approxEqual(v, s, 1e-4) {
 			t.Errorf("n=%d: DotVec=%g DotScalar=%g", n, v, s)
 		}
@@ -66,33 +66,38 @@ func TestDotDispatch(t *testing.T) {
 	b := []float32{4, 5, 6}
 	want := float32(32)
 	withMode(t, Vector, func() {
-		if got := Dot(a, b); got != want {
+		if got := Active().Dot(a, b); got != want {
 			t.Errorf("vector Dot = %g, want %g", got, want)
 		}
 	})
 	withMode(t, Scalar, func() {
-		if got := Dot(a, b); got != want {
+		if got := Active().Dot(a, b); got != want {
 			t.Errorf("scalar Dot = %g, want %g", got, want)
 		}
 	})
 }
 
+// expectPanic runs f and fails the test unless it panics.
+func expectPanic(t *testing.T, name string, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s did not panic", name)
+		}
+	}()
+	f()
+}
+
+// TestDotLengthMismatchPanics: a table entry handed a second operand too
+// short for the first panics on every tier instead of reading past it (24
+// elements against 16 puts the overrun inside the assembly tiers' vector
+// body, not their scalar tail).
 func TestDotLengthMismatchPanics(t *testing.T) {
-	for name, f := range map[string]func(){
-		"Dot":       func() { Dot(make([]float32, 2), make([]float32, 3)) },
-		"DotVec":    func() { DotVec(make([]float32, 2), make([]float32, 3)) },
-		"DotScalar": func() { DotScalar(make([]float32, 2), make([]float32, 3)) },
-		"Axpy":      func() { Axpy(1, make([]float32, 2), make([]float32, 3)) },
-		"Add":       func() { Add(make([]float32, 2), make([]float32, 3)) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s with mismatched lengths did not panic", name)
-				}
-			}()
-			f()
-		}()
+	for _, m := range AvailableModes() {
+		ks := ForMode(m)
+		expectPanic(t, m.String()+" Dot", func() { ks.Dot(make([]float32, 24), make([]float32, 16)) })
+		expectPanic(t, m.String()+" Axpy", func() { ks.Axpy(1, make([]float32, 24), make([]float32, 16)) })
+		expectPanic(t, m.String()+" Add", func() { ks.Add(make([]float32, 24), make([]float32, 16)) })
 	}
 }
 
@@ -104,9 +109,9 @@ func TestAxpyVecMatchesScalar(t *testing.T) {
 		alpha := float32(rng.NormFloat64())
 
 		yv := append([]float32(nil), y0...)
-		AxpyVec(alpha, x, yv)
+		ForMode(Vector).Axpy(alpha, x, yv)
 		ys := append([]float32(nil), y0...)
-		AxpyScalar(alpha, x, ys)
+		ForMode(Scalar).Axpy(alpha, x, ys)
 		for i := range yv {
 			if !approxEqual(float64(yv[i]), float64(ys[i]), 1e-5) {
 				t.Errorf("n=%d i=%d: vec=%g scalar=%g", n, i, yv[i], ys[i])
@@ -123,7 +128,7 @@ func TestPropertyDotEquivalence(t *testing.T) {
 			a[i] = clamp(a[i])
 			b[i] = clamp(b[i])
 		}
-		return approxEqual(float64(DotVec(a, b)), float64(DotScalar(a, b)), 1e-3)
+		return approxEqual(float64(ForMode(Vector).Dot(a, b)), float64(ForMode(Scalar).Dot(a, b)), 1e-3)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -155,30 +160,14 @@ func TestPropertyAxpyEquivalence(t *testing.T) {
 		alpha := clamp(alphaRaw)
 		yv := append([]float32(nil), y0...)
 		ys := append([]float32(nil), y0...)
-		AxpyVec(alpha, x, yv)
-		AxpyScalar(alpha, x, ys)
+		ForMode(Vector).Axpy(alpha, x, yv)
+		ForMode(Scalar).Axpy(alpha, x, ys)
 		for i := range yv {
 			if !approxEqual(float64(yv[i]), float64(ys[i]), 1e-4) {
 				return false
 			}
 		}
 		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestPropertySumEquivalence(t *testing.T) {
-	f := func(raw []float32) bool {
-		x := make([]float32, len(raw))
-		for i := range raw {
-			x[i] = clamp(raw[i])
-		}
-		var vec, scalar float32
-		withModeQuick(Vector, func() { vec = Sum(x) })
-		withModeQuick(Scalar, func() { scalar = Sum(x) })
-		return approxEqual(float64(vec), float64(scalar), 1e-3)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -199,8 +188,8 @@ func TestPropertyAdamEquivalence(t *testing.T) {
 		ws := append([]float32(nil), w0...)
 		mv, vv := make([]float32, n), make([]float32, n)
 		ms, vs := make([]float32, n), make([]float32, n)
-		AdamStepVec(wv, mv, vv, g, p)
-		AdamStepScalar(ws, ms, vs, g, p)
+		ForMode(Vector).AdamStep(wv, mv, vv, g, p)
+		ForMode(Scalar).AdamStep(ws, ms, vs, g, p)
 		for i := range wv {
 			if wv[i] != ws[i] { // identical math, element-local: bit-equal
 				return false
@@ -213,31 +202,19 @@ func TestPropertyAdamEquivalence(t *testing.T) {
 	}
 }
 
-// withModeQuick flips the kernel mode without a testing.T (quick.Check
-// callbacks).
-func withModeQuick(m Mode, f func()) {
-	prev := CurrentMode()
-	SetMode(m)
-	defer SetMode(prev)
-	f()
-}
-
 func TestSumAndScaleAndAdd(t *testing.T) {
 	for _, m := range []Mode{Vector, Scalar} {
 		withMode(t, m, func() {
 			x := []float32{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17}
-			if got := Sum(x); got != 153 {
-				t.Errorf("%v Sum = %g, want 153", m, got)
-			}
 			y := append([]float32(nil), x...)
-			Scale(2, y)
+			Active().Scale(2, y)
 			for i := range y {
 				if y[i] != 2*x[i] {
 					t.Errorf("%v Scale[%d] = %g", m, i, y[i])
 				}
 			}
 			z := append([]float32(nil), x...)
-			Add(x, z)
+			Active().Add(x, z)
 			for i := range z {
 				if z[i] != 2*x[i] {
 					t.Errorf("%v Add[%d] = %g", m, i, z[i])
@@ -249,11 +226,8 @@ func TestSumAndScaleAndAdd(t *testing.T) {
 
 func TestFillZero(t *testing.T) {
 	x := make([]float32, 37)
-	Fill(x, 3.5)
-	for _, v := range x {
-		if v != 3.5 {
-			t.Fatal("Fill failed")
-		}
+	for i := range x {
+		x[i] = 3.5
 	}
 	Zero(x)
 	for _, v := range x {
@@ -279,7 +253,7 @@ func TestArgMax(t *testing.T) {
 	for _, m := range []Mode{Vector, Scalar} {
 		withMode(t, m, func() {
 			for _, c := range cases {
-				if got := ArgMax(c.x); got != c.want {
+				if got := Active().ArgMax(c.x); got != c.want {
 					t.Errorf("%v ArgMax(%v) = %d, want %d", m, c.x, got, c.want)
 				}
 			}
@@ -304,12 +278,9 @@ func TestPropertyArgMaxEquivalence(t *testing.T) {
 }
 
 func TestArgMaxEmptyPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("ArgMax(empty) did not panic")
-		}
-	}()
-	ArgMax(nil)
+	for _, m := range AvailableModes() {
+		expectPanic(t, m.String()+" ArgMax(empty)", func() { ForMode(m).ArgMax(nil) })
+	}
 }
 
 func TestMax(t *testing.T) {
@@ -359,7 +330,7 @@ func TestAdamStepAgainstReference(t *testing.T) {
 			g64[i] = float64(g32[i])
 		}
 		p := NewAdamParams(lr, b1, b2, eps, step)
-		AdamStepVec(w32, m32, v32, g32, p)
+		ForMode(Vector).AdamStep(w32, m32, v32, g32, p)
 		referenceAdam(w64, m64, v64, g64, lr, b1, b2, eps, step)
 	}
 	// eps placement differs microscopically between the float32 fused form
@@ -381,12 +352,12 @@ func TestAdamVecMatchesScalar(t *testing.T) {
 	wv := append([]float32(nil), w0...)
 	mv := make([]float32, n)
 	vv := make([]float32, n)
-	AdamStepVec(wv, mv, vv, g, p)
+	ForMode(Vector).AdamStep(wv, mv, vv, g, p)
 
 	ws := append([]float32(nil), w0...)
 	ms := make([]float32, n)
 	vs := make([]float32, n)
-	AdamStepScalar(ws, ms, vs, g, p)
+	ForMode(Scalar).AdamStep(ws, ms, vs, g, p)
 
 	for i := range wv {
 		if wv[i] != ws[i] || mv[i] != ms[i] || vv[i] != vs[i] {
@@ -401,18 +372,18 @@ func TestAdamStepDispatchAndPanic(t *testing.T) {
 	for _, m := range []Mode{Vector, Scalar} {
 		withMode(t, m, func() {
 			w := []float32{1}
-			AdamStep(w, []float32{0}, []float32{0}, []float32{1}, p)
+			Active().AdamStep(w, []float32{0}, []float32{0}, []float32{1}, p)
 			if w[0] >= 1 {
 				t.Errorf("%v AdamStep did not descend: w=%g", m, w[0])
 			}
 		})
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("AdamStep length mismatch did not panic")
-		}
-	}()
-	AdamStep(make([]float32, 2), make([]float32, 1), make([]float32, 2), make([]float32, 2), p)
+	// A moment vector shorter than the weights panics on every tier.
+	for _, m := range AvailableModes() {
+		expectPanic(t, m.String()+" AdamStep with a short m", func() {
+			ForMode(m).AdamStep(make([]float32, 24), make([]float32, 16), make([]float32, 24), make([]float32, 24), p)
+		})
+	}
 }
 
 func TestDotBF16F32(t *testing.T) {
@@ -423,8 +394,8 @@ func TestDotBF16F32(t *testing.T) {
 				a := randSlice(rng, n)
 				b := randSlice(rng, n)
 				ab := bf16.FromSlice(a)
-				got := float64(DotBF16F32(ab, b))
-				want := float64(DotScalar(bf16.ToSlice(ab), b))
+				got := float64(Active().DotBF16F32(ab, b))
+				want := float64(ForMode(Scalar).Dot(bf16.ToSlice(ab), b))
 				if !approxEqual(got, want, 1e-4) {
 					t.Errorf("%v n=%d: DotBF16F32=%g want %g", m, n, got, want)
 				}
@@ -440,8 +411,8 @@ func TestDotBF16Both(t *testing.T) {
 			n := 53
 			a := bf16.FromSlice(randSlice(rng, n))
 			b := bf16.FromSlice(randSlice(rng, n))
-			got := float64(DotBF16(a, b))
-			want := float64(DotScalar(bf16.ToSlice(a), bf16.ToSlice(b)))
+			got := float64(Active().DotBF16(a, b))
+			want := float64(ForMode(Scalar).Dot(bf16.ToSlice(a), bf16.ToSlice(b)))
 			if !approxEqual(got, want, 1e-4) {
 				t.Errorf("%v DotBF16=%g want %g", m, got, want)
 			}
@@ -457,8 +428,8 @@ func TestAxpyBF16(t *testing.T) {
 			x := bf16.FromSlice(randSlice(rng, n))
 			y := randSlice(rng, n)
 			want := append([]float32(nil), y...)
-			AxpyScalar(0.5, bf16.ToSlice(x), want)
-			AxpyBF16(0.5, x, y)
+			ForMode(Scalar).Axpy(0.5, bf16.ToSlice(x), want)
+			Active().AxpyBF16(0.5, x, y)
 			for i := range y {
 				if !approxEqual(float64(y[i]), float64(want[i]), 1e-5) {
 					t.Errorf("%v AxpyBF16[%d]=%g want %g", m, i, y[i], want[i])
@@ -481,7 +452,7 @@ func TestAdamStepBF16Descends(t *testing.T) {
 		g[i] = 1 // positive gradient => weights must decrease
 	}
 	p := NewAdamParams(0.01, 0.9, 0.999, 1e-8, 1)
-	AdamStepBF16(w, m, v, g, p)
+	Active().AdamStepBF16(w, m, v, g, p)
 	for i := range w {
 		if w[i].Float32() >= 1 {
 			t.Fatalf("w[%d]=%g did not descend", i, w[i].Float32())
@@ -489,45 +460,44 @@ func TestAdamStepBF16Descends(t *testing.T) {
 	}
 }
 
+// TestBF16MismatchPanics: the mixed-precision entries panic on a second
+// operand too short for the first, on every tier.
 func TestBF16MismatchPanics(t *testing.T) {
-	for name, f := range map[string]func(){
-		"DotBF16F32": func() { DotBF16F32(make([]bf16.BF16, 1), make([]float32, 2)) },
-		"DotBF16":    func() { DotBF16(make([]bf16.BF16, 1), make([]bf16.BF16, 2)) },
-		"AxpyBF16":   func() { AxpyBF16(1, make([]bf16.BF16, 1), make([]float32, 2)) },
-		"AdamBF16": func() {
-			AdamStepBF16(make([]bf16.BF16, 1), make([]float32, 2), make([]float32, 1), make([]float32, 1), AdamParams{})
-		},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s mismatch did not panic", name)
-				}
-			}()
-			f()
-		}()
-	}
-}
-
-func TestSquaredNorm(t *testing.T) {
-	for _, m := range []Mode{Vector, Scalar} {
-		withMode(t, m, func() {
-			x := []float32{3, 4}
-			if got := SquaredNorm(x); got != 25 {
-				t.Errorf("%v SquaredNorm = %g, want 25", m, got)
-			}
+	for _, m := range AvailableModes() {
+		ks := ForMode(m)
+		expectPanic(t, m.String()+" DotBF16F32", func() { ks.DotBF16F32(make([]bf16.BF16, 24), make([]float32, 16)) })
+		expectPanic(t, m.String()+" DotBF16", func() { ks.DotBF16(make([]bf16.BF16, 24), make([]bf16.BF16, 16)) })
+		expectPanic(t, m.String()+" AxpyBF16", func() { ks.AxpyBF16(1, make([]bf16.BF16, 24), make([]float32, 16)) })
+		expectPanic(t, m.String()+" AdamStepBF16", func() {
+			ks.AdamStepBF16(make([]bf16.BF16, 24), make([]float32, 16), make([]float32, 24), make([]float32, 24), AdamParams{})
 		})
 	}
 }
 
+// TestSquaredNorm: a squared norm is the Dot entry with one slice as both
+// operands, which every tier must accept.
+func TestSquaredNorm(t *testing.T) {
+	for _, m := range AvailableModes() {
+		x := []float32{3, 4}
+		if got := ForMode(m).Dot(x, x); got != 25 {
+			t.Errorf("%v Dot(x, x) = %g, want 25", m, got)
+		}
+	}
+}
+
+// TestScaleAccumIsAxpy: Algorithm 2's column step — broadcast one non-zero,
+// accumulate a scaled weight column — is the Axpy entry (it had a table entry
+// of its own, ScaleAccum, that pointed at the same functions).
 func TestScaleAccumIsAxpy(t *testing.T) {
-	x := []float32{1, 2, 3}
-	y := []float32{10, 20, 30}
-	ScaleAccum(2, x, y)
-	want := []float32{12, 24, 36}
-	for i := range y {
-		if y[i] != want[i] {
-			t.Errorf("ScaleAccum[%d] = %g, want %g", i, y[i], want[i])
+	for _, m := range AvailableModes() {
+		x := []float32{1, 2, 3}
+		y := []float32{10, 20, 30}
+		ForMode(m).Axpy(2, x, y)
+		want := []float32{12, 24, 36}
+		for i := range y {
+			if y[i] != want[i] {
+				t.Errorf("%v Axpy[%d] = %g, want %g", m, i, y[i], want[i])
+			}
 		}
 	}
 }

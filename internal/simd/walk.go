@@ -26,30 +26,23 @@ package simd
 // on the first offender after having processed the ids before it — the
 // per-row loops' behaviour, kept by the assembly.
 
+// The kernels, by table entry:
+//
 // AxpyTwoMany is the whole Algorithm 1 backward pass over one active set:
 // for each k in list order, grad[ids[k]] += gz[k]·h and dh += gz[k]·w[ids[k]].
 // gz must hold at least len(ids) values, dh and every listed row of grad and
 // w must have len(h) elements. The (h, grad) and (w, dh) pairs must not
 // alias.
-func AxpyTwoMany(gz []float32, ids []int32, h []float32, grad, w [][]float32, dh []float32) {
-	Active().AxpyTwoMany(gz, ids, h, grad, w, dh)
-}
-
+//
 // GatherAxpy accumulates a weighted sum of listed vectors into one dense
 // vector: y += Σ alpha[k]·rows[ids[k]], in list order — Algorithm 2's
 // forward pass over the non-zeros of one sparse input. alpha must hold at
 // least len(ids) values and every listed row must have len(y) elements.
-func GatherAxpy(alpha []float32, ids []int32, rows [][]float32, y []float32) {
-	Active().GatherAxpy(alpha, ids, rows, y)
-}
-
+//
 // ScatterAxpy adds a scaled copy of one dense vector into each listed
 // vector: rows[ids[k]] += alpha[k]·x, in list order — Algorithm 2's weight
 // gradient over the non-zeros of one sparse input. alpha must hold at least
 // len(ids) values and every listed row must have len(x) elements.
-func ScatterAxpy(alpha []float32, ids []int32, x []float32, rows [][]float32) {
-	Active().ScatterAxpy(alpha, ids, x, rows)
-}
 
 // checkAxpyTwoMany enforces the slice-length half of the AxpyTwoMany
 // contract; the per-id half is checked as the walk reaches each id.
@@ -142,19 +135,13 @@ const WalkTile = 4
 // bias[id] of the same tier: the assembly tiles keep the per-row dot's
 // accumulators, block order and reduction tree per sample (walk_amd64.go).
 // Every outs[s] must hold at least len(ids) values.
-func DotManyBiasBatch(rows [][]float32, bias []float32, ids []int32, hs, outs [][]float32) {
-	Active().DotManyBiasBatch(rows, bias, ids, hs, outs)
-}
-
+//
 // DotManyU8S8 fills accs[s][k] = DotU8S8(qas[s], rows[ids[k]]) for every
 // listed id and every sample: the integer walk of the quantized tier.
 // Integer sums are exact in any order, so every tier yields the identical
 // accumulator under DotU8S8's operand contract (activations in [0,127]).
 // The activations must share one length, every listed row must have it, and
 // every accs[s] must hold at least len(ids) values.
-func DotManyU8S8(rows [][]int8, ids []int32, qas [][]uint8, accs [][]int32) {
-	Active().DotManyU8S8(rows, ids, qas, accs)
-}
 
 // checkDotManyBiasBatch and checkDotManyU8S8 enforce the slice-length half of
 // the tiled walks' contracts; the per-id half is checked as a walk reaches
