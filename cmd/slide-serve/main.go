@@ -67,7 +67,7 @@ func main() {
 		demo      = flag.Bool("demo", false, "train a synthetic model instead of loading a checkpoint")
 		demoScale = flag.Float64("demo-scale", 1e-6, "demo workload scale (fraction of Amazon-670K dims)")
 		refresh   = flag.Int("refresh", 20, "demo: batches between snapshot refreshes (0 = freeze after warmup)")
-		shards    = flag.Int("shards", 0, "demo: output-layer shards for the deterministic sharded trainer (0 = legacy HOGWILD)")
+		shards    = flag.Int("shards", 0, "demo: output-layer shards for the deterministic sharded trainer (0 = HOGWILD)")
 		seed      = flag.Uint64("seed", 42, "demo RNG seed")
 		noBatch   = flag.Bool("no-batch", false, "bypass the micro-batcher: one forward pass per request (A/B baseline)")
 		maxBatch  = flag.Int("max-batch", 32, "micro-batcher: flush when this many requests coalesce")

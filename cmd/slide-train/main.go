@@ -73,7 +73,7 @@ func main() {
 		mode    = flag.String("mode", "slide", "slide | dense (full softmax)")
 		prec    = flag.String("precision", "fp32", "fp32 | bf16act | bf16full")
 		workers = flag.Int("workers", 0, "HOGWILD workers (0 = GOMAXPROCS)")
-		shards  = flag.Int("shards", 0, "output-layer shards for the deterministic sharded trainer (0 = legacy HOGWILD; requires -mode slide)")
+		shards  = flag.Int("shards", 0, "output-layer shards for the deterministic sharded trainer (0 = HOGWILD; requires -mode slide)")
 		seed    = flag.Uint64("seed", 42, "random seed")
 		evalN   = flag.Int("evalsamples", 500, "test samples per evaluation")
 		saveF   = flag.String("save", "", "checkpoint path (written at end of training, and every -checkpoint-every steps)")

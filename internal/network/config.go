@@ -100,9 +100,9 @@ type Config struct {
 	// budget, RNG stream, and gradient arena. The shard count is a model
 	// property — results, checkpoints, and deltas are bit-identical for any
 	// Workers value, because workers merely execute the fixed shard task
-	// list. 0 keeps the legacy single-table HOGWILD engine. Requires LSH
-	// sampling (incompatible with NoSampling / UniformSampling); clamped to
-	// OutputDim.
+	// list. 0 keeps the HOGWILD engine, whose tables are the one-shard case
+	// of the same layout. Requires LSH sampling (incompatible with
+	// NoSampling / UniformSampling); clamped to OutputDim.
 	Shards int
 
 	// RebuildEvery is the initial hash-table rebuild period in batches

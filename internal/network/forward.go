@@ -19,7 +19,7 @@ import (
 //   - training holds a *live* forwardState whose layer views alias the
 //     mutable weights (updates are visible batch to batch), and
 //   - Predictor snapshots hold a *frozen* forwardState whose views are deep
-//     copies and whose table set is a clone, immutable for its lifetime and
+//     copies and whose sampler is a clone, immutable for its lifetime and
 //     therefore safe for any number of concurrent readers.
 //
 // All per-call mutable state lives in scratch, never here.
@@ -33,14 +33,9 @@ type forwardState struct {
 	// replica holding an int8 base) drop the f32 view entirely and serve
 	// every output-layer pass from the packed rows. Training states never
 	// set it.
-	qout   *quant.RowQ
-	tables *lsh.TableSet // nil when sampling is disabled or sharded
-
-	// Sharded execution (cfg.Shards > 0): per-shard table sets and the
-	// immutable shard geometry replace the single global table set. Exactly
-	// one of tables/shTables is non-nil on a sampled model.
-	shTables []*lsh.TableSet
-	plan     *shardPlan
+	qout *quant.RowQ
+	// smp is the LSH sampling structure and the shard plan (sampler.go).
+	smp *sampler
 
 	// middleAll[i] lists every row id of middle layer i (dense forward).
 	middleAll [][]int32
@@ -71,11 +66,10 @@ type scratch struct {
 	// the random top-up state — part of the exact-resume contract.
 	rngSrc *rand.PCG
 	// hashBuf holds the per-table bucket hashes of one query: the sample is
-	// hashed once, then the table set — every shard's, on a sharded model —
-	// is probed with them.
+	// hashed once, then every set of the sampler is probed with them.
 	hashBuf []uint32
-	// shardTop and shardLists are rank's per-shard selections on sharded
-	// models: shard s ranks into its own row range of shardTop, and
+	// shardTop and shardLists are rank's per-shard selections on a model of
+	// several shards: shard s ranks into its own row range of shardTop, and
 	// shardLists[s] is the slice of it that came back.
 	shardTop   []int32
 	shardLists [][]int32
@@ -93,10 +87,6 @@ type scratch struct {
 	activeSum int64
 	nonFinite int64
 }
-
-// sampled reports whether the model retrieves candidates via LSH (either
-// the single table set or the per-shard sets).
-func (f *forwardState) sampled() bool { return f.tables != nil || len(f.shTables) > 0 }
 
 // newScratch sizes a scratch set for this network shape. train additionally
 // allocates the backward buffers; stream separates the random top-up
@@ -130,14 +120,12 @@ func (f *forwardState) newScratch(train bool, seed, stream uint64) *scratch {
 	} else if f.cfg.Precision != layer.FP32 {
 		ws.hBF = make([]bf16.BF16, f.lastDim)
 	}
-	if f.tables != nil {
-		ws.hashBuf = make([]uint32, f.tables.Tables())
-	} else if len(f.shTables) > 0 {
-		ws.hashBuf = make([]uint32, f.shTables[0].Tables())
+	if f.smp.sampled() {
+		ws.hashBuf = make([]uint32, f.smp.sets[0].Tables())
 	}
-	if f.plan != nil && !train {
+	if f.smp.plan.s > 1 && !train {
 		ws.shardTop = make([]int32, f.cfg.OutputDim)
-		ws.shardLists = make([][]int32, f.plan.s)
+		ws.shardLists = make([][]int32, f.smp.plan.s)
 	}
 	return ws
 }
@@ -154,16 +142,7 @@ func (ws *scratch) dhLast() []float32 { return ws.dhs[len(ws.dhs)-1] }
 // ws.qa/qsa/qzp on a quantized predictor. Every output-layer pass — exact
 // or sampled — starts from here, so the activation is prepared once.
 func (f *forwardState) forwardStack(ws *scratch, x sparse.Vector) {
-	f.hidden.Forward(ws.ks, x, ws.acts[0])
-	for i, ml := range f.middle {
-		in, out := ws.acts[i], ws.acts[i+1]
-		ml.ForwardActive(ws.ks, f.middleAll[i], in, nil, out)
-		for j := range out { // stacked layers are ReLU
-			if out[j] < 0 {
-				out[j] = 0
-			}
-		}
-	}
+	f.forwardHidden(ws.ks, x, ws.acts)
 	if ws.qa != nil {
 		ws.qsa, ws.qzp = quant.QuantizeActs(ws.last(), ws.qa)
 	} else if ws.hBF != nil {
@@ -173,9 +152,26 @@ func (f *forwardState) forwardStack(ws *scratch, x sparse.Vector) {
 	}
 }
 
+// forwardHidden runs the hidden layer and the dense middle stack over one
+// sample: acts[0] receives the first hidden activation, acts[i] the i-th
+// stacked layer's.
+func (f *forwardState) forwardHidden(ks *simd.Kernels, x sparse.Vector, acts [][]float32) {
+	f.hidden.Forward(ks, x, acts[0])
+	for i, ml := range f.middle {
+		out := acts[i+1]
+		ml.ForwardActive(ks, f.middleAll[i], acts[i], nil, out)
+		for j := range out { // stacked layers are ReLU
+			if out[j] < 0 {
+				out[j] = 0
+			}
+		}
+	}
+}
+
 // sampleActive fills ws.active for one sample: true labels first (never
 // dropped), then LSH candidates, then random top-up to MinActive, capped at
-// MaxActive. Returns the number of label entries at the head of the slice.
+// MaxActive — one budget over the whole layer, however many sets the sampler
+// probes. Returns the number of label entries at the head of the slice.
 func (f *forwardState) sampleActive(ws *scratch, labels []int32) int {
 	ws.active = ws.active[:0]
 	ws.dedup.Begin()
@@ -190,16 +186,9 @@ func (f *forwardState) sampleActive(ws *scratch, labels []int32) int {
 	if limit > 0 && nLabels > limit {
 		limit = nLabels // labels always survive
 	}
-	if f.tables != nil {
-		f.tables.HashDense(ws.last(), ws.hashBuf)
-		ws.active = f.tables.Collect(ws.hashBuf, ws.dedup, 0, ws.active, limit)
-	} else if len(f.shTables) > 0 {
-		// Hash once (all shard hashers are seed-identical), probe every
-		// shard's tables in shard order — ids are disjoint across shards.
-		f.shTables[0].HashDense(ws.last(), ws.hashBuf)
-		for _, ts := range f.shTables {
-			ws.active = ts.Collect(ws.hashBuf, ws.dedup, 0, ws.active, limit)
-		}
+	if f.smp.sampled() {
+		f.smp.hash(ws.last(), ws.hashBuf)
+		ws.active = f.smp.collect(ws.hashBuf, ws.dedup, ws.active, limit)
 	}
 
 	// Random top-up: keeps gradient flowing when buckets run cold early in
@@ -238,19 +227,19 @@ func (f *forwardState) predictSampled(ws *scratch, x sparse.Vector, k int) []int
 }
 
 // rank selects the top-k ids from a full score vector into pooled storage
-// (the caller copies them out). Unsharded models run the single-heap
-// selection; sharded models run the scatter-gather path — a per-shard
+// (the caller copies them out). A one-shard model runs the single-heap
+// selection; several shards run the scatter-gather path — a per-shard
 // TopKInto over each contiguous score range, then the k-way TopKMergeInto —
 // which is bit-identical to the single heap because the contiguous ranges
 // map local-position ties monotonically onto global-id ties (the merge fuzz
 // test in metrics proves the comparator equivalence). A non-positive k
 // selects nothing on either path.
 func (f *forwardState) rank(ws *scratch, scores []float32, k int) []int32 {
-	if f.plan == nil {
+	if f.smp.plan.s == 1 {
 		return metrics.TopKInto(scores, k, ws.active[:0])
 	}
 	for s := range ws.shardLists {
-		lo, hi := f.plan.bounds[s], f.plan.bounds[s+1]
+		lo, hi := f.smp.plan.bounds[s], f.smp.plan.bounds[s+1]
 		l := metrics.TopKInto(scores[lo:hi], k, ws.shardTop[lo:lo:hi])
 		for i := range l {
 			l[i] += lo

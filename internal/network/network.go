@@ -1,7 +1,6 @@
 package network
 
 import (
-	"fmt"
 	"math"
 
 	"github.com/slide-cpu/slide/internal/fanout"
@@ -27,7 +26,9 @@ type Network struct {
 	hidden *layer.ColLayer
 	middle []*layer.RowLayer // optional dense hidden stack (cfg.HiddenLayers)
 	output *layer.RowLayer
-	tables *lsh.TableSet // nil when cfg.NoSampling
+	// smp is the live LSH sampler (sampler.go): the sets the rebuild schedule
+	// rewrites and fwd probes.
+	smp *sampler
 
 	// fwd is the live read-only view consumed by the training forward pass
 	// and the single-threaded inference compatibility path.
@@ -54,12 +55,12 @@ type Network struct {
 	rebuildGen  uint64
 	lastSnapGen uint64
 
-	// sh is the sharded-execution state (nil when cfg.Shards == 0); see
-	// sharded.go. workers is the legacy HOGWILD per-worker scratch, unused
-	// (and unallocated) in sharded mode.
+	// sh is the phase engine's state (sharded.go), non-nil exactly when
+	// cfg.Shards > 0 selects that engine; workers is the HOGWILD engine's
+	// per-worker scratch, allocated otherwise.
 	sh      *shardState
 	workers []*scratch
-	fanout  fanout.Group // TrainBatch's sample fan-out
+	fanout  fanout.Group // HOGWILD's sample fan-out; the out-of-band rebuild's
 
 	// guards enables the per-step NaN/Inf scan of active-set logits and
 	// per-sample losses (SetGuards): BatchStats.NonFinite reports what the
@@ -68,8 +69,23 @@ type Network struct {
 	guards bool
 }
 
-// New builds a SLIDE network from cfg (validated and defaulted in place).
+// New builds a SLIDE network from cfg (validated and defaulted in place) and
+// hashes its freshly initialised output rows into the tables.
 func New(cfg *Config) (*Network, error) {
+	n, err := build(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if n.smp.sampled() {
+		n.rebuildTables(n.fanout.Run)
+	}
+	return n, nil
+}
+
+// build is New up to, and without, the first table rebuild: a network whose
+// tables are still empty, for New to fill from the weights and Load from the
+// checkpoint.
+func build(cfg *Config) (*Network, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -100,20 +116,11 @@ func New(cfg *Config) (*Network, error) {
 		n.middle = append(n.middle, layer.NewRowLayer(dims[i-1], dims[i], mOpts))
 	}
 
-	if cfg.Shards > 0 {
-		// Sharded mode: per-shard table sets replace the single global one.
-		sh, err := newShardState(cfg, lastDim)
-		if err != nil {
-			return nil, err
-		}
-		n.sh = sh
-	} else {
-		tables, err := newTables(cfg, lastDim)
-		if err != nil {
-			return nil, err
-		}
-		n.tables = tables
+	smp, err := newSampler(cfg, lastDim)
+	if err != nil {
+		return nil, err
 	}
+	n.smp = smp
 
 	// The live forward view: layer views alias the training weights, so
 	// every ApplyAdam is visible to the next forward pass.
@@ -126,23 +133,20 @@ func New(cfg *Config) (*Network, error) {
 		hidden:    n.hidden.ForwardView(),
 		middle:    middleViews,
 		output:    n.output.ForwardView(),
-		tables:    n.tables,
+		smp:       smp,
 		middleAll: middleAll,
 		dims:      dims,
 		lastDim:   lastDim,
 		all:       all,
 	}
-	if n.sh != nil {
-		n.fwd.shTables = n.sh.tables
-		n.fwd.plan = n.sh.plan
-	}
-	if n.tables != nil || n.sh != nil {
-		n.rebuildTables()
-	}
 	n.live = newPredictor(n.fwd, splitSeed(cfg.Seed, 7))
 	n.live.single = true
 
-	if n.sh == nil {
+	// Engine selection: Shards > 0 is the phase engine (on one shard too),
+	// 0 the HOGWILD one.
+	if cfg.Shards > 0 {
+		n.sh = newShardState(cfg, smp.plan)
+	} else {
 		n.workers = make([]*scratch, cfg.Workers)
 		for w := range n.workers {
 			n.workers[w] = n.fwd.newScratch(true, splitSeed(cfg.Seed, 5), uint64(w))
@@ -176,41 +180,6 @@ func forwardGeometry(cfg *Config) (dims []int, lastDim int, middleAll [][]int32,
 	return dims, lastDim, middleAll, all
 }
 
-// newTables builds the LSH table set a validated config declares (nil under
-// NoSampling/UniformSampling). Hasher and table seeds derive from cfg.Seed
-// exactly as in training, so a replica deserializing table contents into a
-// fresh set gets bit-identical query behavior.
-func newTables(cfg *Config, lastDim int) (*lsh.TableSet, error) {
-	if cfg.NoSampling || cfg.UniformSampling {
-		return nil, nil
-	}
-	var hasher lsh.Hasher
-	var err error
-	switch cfg.Hash {
-	case DWTA:
-		hasher, err = lsh.NewDWTA(lsh.DWTAConfig{
-			K: cfg.K, L: cfg.L, BinSize: cfg.BinSize,
-			Dim: lastDim, Seed: splitSeed(cfg.Seed, 3),
-		})
-	case SimHash:
-		hasher, err = lsh.NewSimHash(lsh.SimHashConfig{
-			K: cfg.K, L: cfg.L,
-			Dim: lastDim, Seed: splitSeed(cfg.Seed, 3),
-		})
-	case DOPH:
-		hasher, err = lsh.NewDOPH(lsh.DOPHConfig{
-			K: cfg.K, L: cfg.L,
-			Dim: lastDim, Seed: splitSeed(cfg.Seed, 3),
-		})
-	default:
-		err = fmt.Errorf("network: unknown hash family %d", cfg.Hash)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return lsh.NewTableSet(hasher, cfg.BucketCap, cfg.BucketPolicy, splitSeed(cfg.Seed, 4)), nil
-}
-
 // Config returns the validated configuration.
 func (n *Network) Config() Config { return n.cfg }
 
@@ -220,8 +189,14 @@ func (n *Network) Hidden() *layer.ColLayer { return n.hidden }
 // Output returns the output layer (diagnostics, tests).
 func (n *Network) Output() *layer.RowLayer { return n.output }
 
-// Tables returns the LSH table set, or nil when sampling is disabled.
-func (n *Network) Tables() *lsh.TableSet { return n.tables }
+// Tables returns the LSH table set of an un-sharded model, or nil when
+// sampling is disabled or the model is sharded (Shards > 0).
+func (n *Network) Tables() *lsh.TableSet {
+	if n.cfg.Shards > 0 || !n.smp.sampled() {
+		return nil
+	}
+	return n.smp.sets[0]
+}
 
 // Step returns the number of optimizer steps (batches) applied so far.
 func (n *Network) Step() int64 { return n.step }
@@ -249,35 +224,129 @@ func (n *Network) SetLR(lr float64) {
 // training; call between batches.
 func (n *Network) SetGuards(on bool) { n.guards = on }
 
-// rebuildTables re-hashes every output neuron into fresh tables (each
-// shard's rows into its own set under sharded execution).
-func (n *Network) rebuildTables() {
-	if n.sh != nil {
-		n.rebuildShardTables() // increments rebuildGen itself
-		return
-	}
-	n.tables.RebuildDense(n.cfg.OutputDim, n.lastDim, n.output.RowF32, n.cfg.Workers)
+// rebuildTables re-hashes every output neuron into fresh tables, the sets
+// fanned out over run (see sampler.rebuild).
+func (n *Network) rebuildTables(run func(n int, task func(w int))) {
+	n.smp.rebuild(n.lastDim, n.output.RowF32, n.cfg.Workers, run)
 	n.rebuildGen++
 }
 
-// backwardStack propagates ws.dhLast() through the middle stack and into
-// the first hidden layer's gradient buffers.
-func (n *Network) backwardStack(ws *scratch, x sparse.Vector) {
+// What follows is the per-sample and per-batch math both engines run —
+// together with forwardState.forwardHidden, one body each. What differs
+// between TrainBatch and trainBatchSharded is scheduling and ownership
+// (sample-striped racy accumulation against barrier phases over shard-owned
+// rows), whose RNG streams the top-up draws from, and whether the worker
+// count is part of the checkpoint.
+
+// backwardMiddle propagates dhs[last] down the middle stack, accumulating
+// the stacked layers' gradients, and leaves the first hidden layer's
+// activation gradient in dhs[0].
+func (n *Network) backwardMiddle(ks *simd.Kernels, acts, dhs [][]float32) {
 	for i := len(n.middle) - 1; i >= 0; i-- {
 		ml := n.middle[i]
-		act, dh := ws.acts[i+1], ws.dhs[i+1]
-		prev := ws.dhs[i]
+		act, dh := acts[i+1], dhs[i+1]
+		prev := dhs[i]
 		simd.Zero(prev)
 		for r := range dh {
 			if act[r] <= 0 { // ReLU mask
 				continue
 			}
 			if gz := dh[r]; gz != 0 {
-				ml.Accumulate(ws.ks, int32(r), gz, ws.acts[i], nil, prev)
+				ml.Accumulate(ks, int32(r), gz, acts[i], nil, prev)
 			}
 		}
 	}
-	n.hidden.Backward(ws.ks, x, ws.acts[0], ws.dhs[0])
+}
+
+// labelHead is the loss of one sample: a numerically stable softmax over its
+// active logits and the cross-entropy against a uniform target over its
+// nTrue labels. The active set comes as an ordered list of parts — all of it
+// from a HOGWILD worker, one part per shard from the phase engine — and every
+// reduction walks the list in order, so the float accumulation order is fixed
+// by the list alone. Part p carries heads[p] label entries at its head.
+// grads, shaped like logits, receives the logit gradient (p − t at the label
+// entries). Returns the loss over the label entries, log Z for a caller whose
+// labels sit elsewhere, and (guards on) the count of non-finite logits.
+func (n *Network) labelHead(ks *simd.Kernels, logits, grads [][]float32, heads []int, nTrue int) (loss, logZ float64, bad int64) {
+	// Health guard: scan the raw logits — a poisoned weight or activation
+	// lands here first, and the buffers are about to be consumed anyway, so
+	// the scan rides hot cache lines.
+	m := float32(math.Inf(-1))
+	for _, lg := range logits {
+		if n.guards {
+			bad += health.CountNonFinite32(lg)
+		}
+		if len(lg) > 0 {
+			m = max(m, ks.Max(lg))
+		}
+	}
+	var z float64
+	for p, lg := range logits {
+		g := grads[p][:len(lg)]
+		for k, l := range lg {
+			e := math.Exp(float64(l - m))
+			g[k] = float32(e)
+			z += e
+		}
+	}
+	invZ := float32(1 / z)
+	logZ = math.Log(z) + float64(m)
+	// Cross-entropy target: uniform over the sample's labels.
+	var t float32
+	if nTrue > 0 {
+		t = 1 / float32(nTrue)
+	}
+	for p, g := range grads {
+		if len(g) > 0 {
+			ks.Scale(invZ, g)
+		}
+		for k, l := range logits[p][:heads[p]] {
+			g[k] -= t
+			loss -= float64(t) * (float64(l) - logZ)
+		}
+	}
+	return loss, logZ, bad
+}
+
+// guardLoss counts a non-finite loss as one finding of the health guards
+// unless the logit scan already has some.
+func (n *Network) guardLoss(loss float64, bad int64) int64 {
+	if n.guards && bad == 0 && (math.IsNaN(loss) || math.IsInf(loss, 0)) {
+		return 1
+	}
+	return bad
+}
+
+// stepDense opens the optimizer phase of a batch: it advances the step
+// counter, derives the ADAM parameters and steps the hidden layer and the
+// dense middle stack, passes that are per-column and per-row independent at
+// any worker count. The caller steps the output layer with the parameters
+// returned — over the touched rows, or shard by shard over the rows it owns.
+func (n *Network) stepDense(ks *simd.Kernels) simd.AdamParams {
+	n.step++
+	p := simd.NewAdamParams(n.cfg.LR, n.cfg.Beta1, n.cfg.Beta2, n.cfg.Eps, n.step)
+	n.hidden.ApplyAdam(ks, p, n.cfg.Workers)
+	for _, ml := range n.middle {
+		ml.ApplyAdamAll(ks, p, n.cfg.Workers) // dense stack: every row touched
+	}
+	return p
+}
+
+// advanceRebuild closes a batch: it advances the table rebuild schedule and,
+// when a rebuild is due, runs it over run and stretches the period. Reports
+// whether the tables were rebuilt.
+func (n *Network) advanceRebuild(run func(n int, task func(w int))) bool {
+	if !n.smp.sampled() {
+		return false
+	}
+	n.sinceRebuild++
+	if float64(n.sinceRebuild) < n.rebuildPeriod {
+		return false
+	}
+	n.rebuildTables(run)
+	n.sinceRebuild = 0
+	n.rebuildPeriod *= n.cfg.RebuildGrowth
+	return true
 }
 
 // trainSample processes one sample end to end (forward, sampled softmax,
@@ -287,22 +356,20 @@ func (n *Network) trainSample(ws *scratch, x sparse.Vector, labels []int32) (flo
 	n.fwd.forwardStack(ws, x)
 
 	var nLabels int
+	var active []int32
 	if n.cfg.NoSampling {
-		ws.active = ws.active[:0]
+		// Every row is active, so the labels sit wherever their ids do:
+		// stamp them here, find them by the stamps below.
 		ws.dedup.Begin()
 		for _, y := range labels {
 			if int(y) < n.cfg.OutputDim {
 				ws.dedup.Seen(y)
 			}
 		}
-		nLabels = -1 // labels identified via dedup stamps below
+		active = n.fwd.all
 	} else {
 		nLabels = n.fwd.sampleActive(ws, labels)
-	}
-
-	active := ws.active
-	if n.cfg.NoSampling {
-		active = n.fwd.all
+		active = ws.active
 	}
 	na := len(active)
 	if na == 0 {
@@ -312,56 +379,24 @@ func (n *Network) trainSample(ws *scratch, x sparse.Vector, labels []int32) (flo
 	probs := ws.probs[:na]
 	n.output.ForwardActive(ws.ks, active, ws.last(), ws.hBF, logits)
 
-	// Health guard: scan the raw logits before the softmax transform — a
-	// poisoned weight or activation lands here first, and the buffer is
-	// about to be consumed anyway, so the scan rides hot cache lines.
-	var bad int64
-	if n.guards {
-		bad = health.CountNonFinite32(logits)
-	}
-
-	// Numerically stable softmax over the active set.
-	maxLogit := ws.ks.Max(logits)
-	var z float64
-	for k, l := range logits {
-		e := math.Exp(float64(l - maxLogit))
-		probs[k] = float32(e)
-		z += e
-	}
-	invZ := float32(1 / z)
-	ws.ks.Scale(invZ, probs)
-
-	// Cross-entropy target: uniform over the sample's labels.
-	nLab := len(labels)
-	var t float32
-	if nLab > 0 {
-		t = 1 / float32(nLab)
-	}
-	// probs becomes the logit gradient in place (p - t at the labels), then
-	// the whole active set goes backward in one walk.
-	var loss float64
-	logZ := math.Log(z) + float64(maxLogit)
-	if n.cfg.NoSampling {
+	// probs becomes the logit gradient (p - t at the labels), then the whole
+	// active set goes backward in one walk.
+	loss, logZ, bad := n.labelHead(ws.ks, [][]float32{logits}, [][]float32{probs}, []int{nLabels}, len(labels))
+	if n.cfg.NoSampling && len(labels) > 0 {
+		t := 1 / float32(len(labels))
 		for k, id := range active {
 			if ws.dedup.Seen(id) { // stamped above => true for labels
 				probs[k] -= t
 				loss -= float64(t) * (float64(logits[k]) - logZ)
 			}
 		}
-	} else {
-		for k := 0; k < nLabels; k++ {
-			probs[k] -= t
-			loss -= float64(t) * (float64(logits[k]) - logZ)
-		}
 	}
 	simd.Zero(ws.dhLast())
 	n.output.AccumulateActive(ws.ks, active, probs, ws.last(), ws.hBF, ws.dhLast())
 
-	n.backwardStack(ws, x)
-	if n.guards && bad == 0 && (math.IsNaN(loss) || math.IsInf(loss, 0)) {
-		bad = 1
-	}
-	return loss, na, bad
+	n.backwardMiddle(ws.ks, ws.acts, ws.dhs)
+	n.hidden.Backward(ws.ks, x, ws.acts[0], ws.dhs[0])
+	return loss, na, n.guardLoss(loss, bad)
 }
 
 // trainStripe runs worker w's share of a batch — samples w, w+nw, … — and
@@ -429,27 +464,13 @@ func (n *Network) TrainBatch(b sparse.Batch) BatchStats {
 		stats.NonFinite += ws.nonFinite
 	}
 
-	n.step++
-	p := simd.NewAdamParams(n.cfg.LR, n.cfg.Beta1, n.cfg.Beta2, n.cfg.Eps, n.step)
-	n.hidden.ApplyAdam(ks, p, n.cfg.Workers)
-	for _, ml := range n.middle {
-		ml.ApplyAdamAll(ks, p, n.cfg.Workers) // dense stack: every row touched
-	}
+	p := n.stepDense(ks)
 	if n.cfg.NoSampling {
 		n.output.ApplyAdamAll(ks, p, n.cfg.Workers)
 	} else {
 		n.output.ApplyAdam(ks, p, n.cfg.Workers)
 	}
-
-	if n.tables != nil {
-		n.sinceRebuild++
-		if float64(n.sinceRebuild) >= n.rebuildPeriod {
-			n.rebuildTables()
-			n.sinceRebuild = 0
-			n.rebuildPeriod *= n.cfg.RebuildGrowth
-			stats.Rebuilt = true
-		}
-	}
+	stats.Rebuilt = n.advanceRebuild(n.fanout.Run)
 	return stats
 }
 

@@ -79,30 +79,6 @@ func snapshotSeed(cfg *Config, step int64) uint64 {
 	return splitSeed(cfg.Seed, 6) ^ uint64(step)
 }
 
-// fullSnapshotState deep-copies the live forward state.
-func (n *Network) fullSnapshotState() *forwardState {
-	f := &forwardState{
-		cfg:       n.cfg,
-		hidden:    n.hidden.SnapshotWeights(),
-		output:    n.output.SnapshotWeights(),
-		middleAll: n.fwd.middleAll, // immutable index lists, shared
-		dims:      n.fwd.dims,
-		lastDim:   n.lastDim,
-		all:       n.fwd.all,
-	}
-	for _, ml := range n.middle {
-		f.middle = append(f.middle, ml.SnapshotWeights())
-	}
-	if n.tables != nil {
-		f.tables = n.tables.Clone()
-	}
-	if n.sh != nil {
-		f.shTables = cloneShardTables(n.sh.tables)
-		f.plan = n.sh.plan
-	}
-	return f
-}
-
 // Steps returns the optimizer step count of the source network at snapshot
 // time — serving observability for "how fresh is this snapshot".
 func (p *Predictor) Steps() int64 { return p.steps }
@@ -110,9 +86,9 @@ func (p *Predictor) Steps() int64 { return p.steps }
 // Config returns the configuration of the snapshotted network.
 func (p *Predictor) Config() Config { return p.fwd.cfg }
 
-// Sampled reports whether the predictor carries LSH tables (single-set or
-// per-shard), i.e. whether PredictSampled is available.
-func (p *Predictor) Sampled() bool { return p.fwd.sampled() }
+// Sampled reports whether the predictor carries LSH tables, i.e. whether
+// PredictSampled is available.
+func (p *Predictor) Sampled() bool { return p.fwd.smp.sampled() }
 
 func (p *Predictor) get() *scratch {
 	ws := p.pool.Get().(*scratch)
@@ -183,12 +159,13 @@ func (c *chunk) hold(i int, ws *scratch) {
 
 // score fills row tile t of every in-flight sample's scores — the one place
 // the exact pass asks which output representation the predictor holds. Tiles
-// are the shards' row ranges on a sharded model and an even split otherwise.
+// are the shards' row ranges on a model of several shards and an even split
+// of the one shard otherwise.
 func (c *chunk) score(t int) {
 	f, n := c.f, c.n
 	var lo, hi int
-	if f.plan != nil {
-		lo, hi = int(f.plan.bounds[t]), int(f.plan.bounds[t+1])
+	if plan := f.smp.plan; plan.s > 1 {
+		lo, hi = int(plan.bounds[t]), int(plan.bounds[t+1])
 	} else {
 		per := (f.cfg.OutputDim + c.tiles - 1) / c.tiles
 		lo, hi = min(t*per, f.cfg.OutputDim), min((t+1)*per, f.cfg.OutputDim)
@@ -211,16 +188,16 @@ func (c *chunk) score(t int) {
 //
 // tiles is how many goroutines share the rows of a pass: 1 for the serving
 // entry points, which scale across concurrent calls, GOMAXPROCS for the
-// single-caller ones. A sharded model ignores it — its tiles are its shards,
-// one goroutine each, and an un-sharded model is the one-shard case of that.
+// single-caller ones. A model of several shards ignores it — its tiles are
+// its shards, one goroutine each.
 func (p *Predictor) walk(xs []sparse.Vector, tiles int, emit func(i int, ws *scratch, scores []float32)) {
 	f := p.fwd
 	ws, c := p.get(), p.chunks.Get().(*chunk)
 	defer p.pool.Put(ws)
 	defer p.chunks.Put(c)
 	c.ks, c.tiles = ws.ks, max(tiles, 1)
-	if f.plan != nil {
-		c.tiles = f.plan.s
+	if f.smp.plan.s > 1 {
+		c.tiles = f.smp.plan.s
 	}
 	if len(c.tile) < c.tiles {
 		c.tile = make([]tileScratch, c.tiles)
@@ -282,7 +259,7 @@ func (p *Predictor) Predict(x sparse.Vector, k int) []int32 {
 // counterpart of SLIDE's sampled training. Returns ErrNoSampling for
 // models built without LSH tables.
 func (p *Predictor) PredictSampled(x sparse.Vector, k int) ([]int32, error) {
-	if !p.fwd.sampled() {
+	if !p.fwd.smp.sampled() {
 		return nil, ErrNoSampling
 	}
 	ws := p.get()

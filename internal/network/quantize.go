@@ -2,6 +2,7 @@ package network
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/slide-cpu/slide/internal/layer"
 	"github.com/slide-cpu/slide/internal/quant"
@@ -74,11 +75,11 @@ func (p *Predictor) PackedBytes() int64 {
 }
 
 // outputViewBytes computes the SerializeView wire size of the f32/BF16
-// output view: header + rows + bias.
+// output view.
 func outputViewBytes(f *forwardState) int64 {
-	elem := int64(4)
+	elem := 4
 	if f.cfg.Precision == layer.BF16Both {
 		elem = 2
 	}
-	return 12 + int64(f.output.Out)*int64(f.output.In)*elem + 4*int64(f.output.Out)
+	return int64(viewSize(math.MaxInt, 3, f.output.Out, f.output.In, elem, f.output.Out))
 }

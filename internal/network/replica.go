@@ -8,7 +8,6 @@ import (
 	"io"
 
 	"github.com/slide-cpu/slide/internal/layer"
-	"github.com/slide-cpu/slide/internal/lsh"
 	"github.com/slide-cpu/slide/internal/quant"
 )
 
@@ -67,46 +66,38 @@ type Delta struct {
 // The delta is nil when tracking is disabled or this is the first snapshot
 // since tracking was enabled (callers publish a full base instead).
 func (n *Network) SnapshotDelta() (*Predictor, *Delta) {
-	var f *forwardState
+	// prev is the previous snapshot under tracking and empty otherwise —
+	// tracking off, or the first snapshot since it was enabled — and a
+	// copy-on-write against nothing is the full copy. Journal entries from
+	// before the first snapshot are drained and dropped: the full copy
+	// carries them.
+	prev := n.lastSnap
+	if prev == nil {
+		prev = &forwardState{}
+	}
+	var hiddenCols, outputRows []int32
+	if n.deltas {
+		hiddenCols, outputRows = n.hidden.DrainJournal(), n.output.DrainJournal()
+	}
+	tablesChanged := n.rebuildGen != n.lastSnapGen
+	f := &forwardState{
+		cfg:       n.cfg,
+		hidden:    n.hidden.SnapshotWeightsCOW(prev.hidden, hiddenCols),
+		output:    n.output.SnapshotWeightsCOW(prev.output, outputRows),
+		smp:       prev.smp,        // unchanged since the last snapshot: share the clone
+		middleAll: n.fwd.middleAll, // immutable index lists, shared
+		dims:      n.fwd.dims,
+		lastDim:   n.lastDim,
+		all:       n.fwd.all,
+	}
+	for _, ml := range n.middle {
+		f.middle = append(f.middle, ml.SnapshotWeights())
+	}
+	if f.smp == nil || tablesChanged {
+		f.smp = n.smp.clone()
+	}
 	var d *Delta
-	if !n.deltas || n.lastSnap == nil {
-		if n.deltas {
-			// Discard journal entries accumulated before the first snapshot:
-			// the full copy below carries them.
-			n.hidden.DrainJournal()
-			n.output.DrainJournal()
-		}
-		f = n.fullSnapshotState()
-	} else {
-		hiddenCols := n.hidden.DrainJournal()
-		outputRows := n.output.DrainJournal()
-		tablesChanged := n.rebuildGen != n.lastSnapGen
-		f = &forwardState{
-			cfg:       n.cfg,
-			hidden:    n.hidden.SnapshotWeightsCOW(n.lastSnap.hidden, hiddenCols),
-			output:    n.output.SnapshotWeightsCOW(n.lastSnap.output, outputRows),
-			middleAll: n.fwd.middleAll,
-			dims:      n.fwd.dims,
-			lastDim:   n.lastDim,
-			all:       n.fwd.all,
-		}
-		for _, ml := range n.middle {
-			f.middle = append(f.middle, ml.SnapshotWeights())
-		}
-		if n.tables != nil {
-			if tablesChanged {
-				f.tables = n.tables.Clone()
-			} else {
-				f.tables = n.lastSnap.tables // unchanged since last snapshot: share
-			}
-		} else if n.sh != nil {
-			if tablesChanged {
-				f.shTables = cloneShardTables(n.sh.tables)
-			} else {
-				f.shTables = n.lastSnap.shTables // unchanged: share the clone
-			}
-			f.plan = n.sh.plan
-		}
+	if n.lastSnap != nil {
 		d = &Delta{
 			FromStep:      n.lastStep,
 			ToStep:        n.step,
@@ -150,17 +141,14 @@ func (d *Delta) WriteOutputQ(w io.Writer, bits int) error {
 	return quant.WriteRowsDelta(w, d.to.output, d.OutputRows, bits)
 }
 
-// WriteTables encodes the full LSH table state (the single set, or every
-// per-shard set back to back on sharded models). Valid only when
-// TablesChanged — otherwise the receiver keeps its current tables.
+// WriteTables encodes the full LSH table state (every set of the sampler,
+// back to back). Valid only when TablesChanged — otherwise the receiver
+// keeps its current tables.
 func (d *Delta) WriteTables(w io.Writer) error {
-	if !d.TablesChanged || !d.to.sampled() {
+	if !d.TablesChanged || !d.to.smp.sampled() {
 		return fmt.Errorf("network: delta carries no table change")
 	}
-	if len(d.to.shTables) > 0 {
-		return serializeShardTables(w, d.to.shTables)
-	}
-	return d.to.tables.Serialize(w)
+	return d.to.smp.serialize(w)
 }
 
 // ConfigChecksum fingerprints the model-shape fields a delta producer and
@@ -238,20 +226,17 @@ func (p *Predictor) WriteOutputQ(w io.Writer, bits int) error {
 	return q.SerializeView(w)
 }
 
-// HasTables reports whether the predictor carries LSH tables (single-set or
-// per-shard — and thus whether WriteTables produces a payload).
-func (p *Predictor) HasTables() bool { return p.fwd.sampled() }
+// HasTables reports whether the predictor carries LSH tables — and thus
+// whether WriteTables produces a payload.
+func (p *Predictor) HasTables() bool { return p.fwd.smp.sampled() }
 
-// WriteTables encodes the full LSH table state (the single set, or every
-// per-shard set back to back on sharded models).
+// WriteTables encodes the full LSH table state (every set of the sampler,
+// back to back).
 func (p *Predictor) WriteTables(w io.Writer) error {
-	if len(p.fwd.shTables) > 0 {
-		return serializeShardTables(w, p.fwd.shTables)
-	}
-	if p.fwd.tables == nil {
+	if !p.fwd.smp.sampled() {
 		return fmt.Errorf("network: predictor has no LSH tables")
 	}
-	return p.fwd.tables.Serialize(w)
+	return p.fwd.smp.serialize(w)
 }
 
 func writeMiddleViews(w io.Writer, middle []*layer.RowWeights) error {
@@ -285,6 +270,72 @@ func readMiddleViews(r io.Reader, dims []int) ([]*layer.RowWeights, error) {
 	return middle, nil
 }
 
+// readSampler builds the sampler cfg declares and fills it from a tables
+// payload, which must be present exactly when the model is sampled.
+func readSampler(cfg *Config, lastDim int, payload []byte) (*sampler, error) {
+	sm, err := newSampler(cfg, lastDim)
+	if err != nil {
+		return nil, err
+	}
+	if sm.sampled() != (payload != nil) {
+		return nil, fmt.Errorf("tables payload presence (%v) disagrees with config sampling (%v)",
+			payload != nil, sm.sampled())
+	}
+	r := bytes.NewReader(payload)
+	if err := sm.deserialize(r); err != nil {
+		return nil, fmt.Errorf("tables: %w", err)
+	}
+	if r.Len() != 0 {
+		return nil, fmt.Errorf("tables: %d bytes after the last table set", r.Len())
+	}
+	return sm, nil
+}
+
+// viewSize returns the encoded size of a weight view — hdr header words, n
+// vectors of vecLen elements of elem bytes each, side f32 sidecar values — or
+// -1 when that exceeds limit, so that no declared shape overflows the sum.
+func viewSize(limit, hdr, n, vecLen, elem, side int) int {
+	if n > limit/vecLen || side > limit/4 {
+		return -1
+	}
+	return 4*hdr + n*vecLen*elem + 4*side
+}
+
+// checkBaseSizes holds the hidden, middle and output payloads of a base to
+// the exact length SerializeView gives the shapes cfg (validated) declares,
+// in whichever of the three element codecs each is in: f32, bfloat16 under
+// BF16Both, packed int8 with its scales beside the biases.
+func checkBaseSizes(cfg *Config, parts *BaseParts) error {
+	elem := 4
+	if cfg.Precision == layer.BF16Both {
+		elem = 2
+	}
+	hidden := viewSize(len(parts.Hidden), 4, cfg.InputDim, cfg.HiddenDim, elem, cfg.HiddenDim)
+	middle, last := 4, cfg.HiddenDim // the layer count leads the stack
+	for _, d := range cfg.HiddenLayers {
+		sz := viewSize(len(parts.Middle), 3, d, last, 4, d)
+		if sz < 0 {
+			middle = -1
+			break
+		}
+		middle, last = middle+sz, d
+	}
+	output := viewSize(len(parts.Output), 3, cfg.OutputDim, last, elem, cfg.OutputDim)
+	if parts.QBits != 0 {
+		output = viewSize(len(parts.Output), 3, cfg.OutputDim, last, 1, 2*cfg.OutputDim)
+	}
+	for _, v := range []struct {
+		name    string
+		payload []byte
+		want    int
+	}{{"hidden", parts.Hidden, hidden}, {"middle", parts.Middle, middle}, {"output", parts.Output, output}} {
+		if len(v.payload) != v.want {
+			return fmt.Errorf("%s: payload of %d bytes is not the encoding of the shape the config declares", v.name, len(v.payload))
+		}
+	}
+	return nil
+}
+
 // BaseParts carries the decoded (already CRC-verified) payloads of one full
 // base snapshot. Tables must be nil exactly when the config disables
 // sampling. QBits != 0 declares the Output payload quantized (written by
@@ -310,10 +361,15 @@ func NewPredictorFromBase(parts BaseParts) (*Predictor, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("network: base snapshot config invalid: %w", err)
 	}
+	// Every view is read against the shape the config declares: a payload of
+	// another length than that shape encodes to, or whose header says
+	// otherwise, is refused before anything is allocated for it — neither a
+	// crafted header nor a crafted config sizes a weight allocation.
+	if err := checkBaseSizes(&cfg, &parts); err != nil {
+		return nil, fail("%w", err)
+	}
 	dims, lastDim, middleAll, all := forwardGeometry(&cfg)
 
-	// Every view is read against the shape the config declares; a payload
-	// whose header says otherwise is refused before it allocates anything.
 	hidden, err := layer.ReadColWeights(bytes.NewReader(parts.Hidden), cfg.InputDim, cfg.HiddenDim, cfg.Precision, cfg.HiddenActivation)
 	if err != nil {
 		return nil, fail("hidden: %w", err)
@@ -333,40 +389,9 @@ func NewPredictorFromBase(parts BaseParts) (*Predictor, error) {
 		return nil, fail("output: %w", err)
 	}
 
-	var tables *lsh.TableSet
-	var shTables []*lsh.TableSet
-	var plan *shardPlan
-	if cfg.Shards > 0 {
-		// Sharded model: rebuild the (config-derived) shard geometry and one
-		// table set per shard, restored from the concatenated payload.
-		plan = newShardPlan(&cfg)
-		for s := 0; s < plan.s; s++ {
-			ts, err := newTables(&cfg, lastDim)
-			if err != nil {
-				return nil, err
-			}
-			shTables = append(shTables, ts)
-		}
-		if parts.Tables == nil {
-			return nil, fail("sharded config requires a tables payload")
-		}
-		if err := deserializeShardTables(bytes.NewReader(parts.Tables), shTables, plan); err != nil {
-			return nil, fail("tables: %w", err)
-		}
-	} else {
-		tables, err = newTables(&cfg, lastDim)
-		if err != nil {
-			return nil, err
-		}
-		if (tables != nil) != (parts.Tables != nil) {
-			return nil, fail("tables payload presence (%v) disagrees with config sampling (%v)",
-				parts.Tables != nil, tables != nil)
-		}
-		if tables != nil {
-			if err := tables.Deserialize(bytes.NewReader(parts.Tables), 0, int32(cfg.OutputDim)); err != nil {
-				return nil, fail("tables: %w", err)
-			}
-		}
+	smp, err := readSampler(&cfg, lastDim, parts.Tables)
+	if err != nil {
+		return nil, fail("%w", err)
 	}
 
 	f := &forwardState{
@@ -375,9 +400,7 @@ func NewPredictorFromBase(parts BaseParts) (*Predictor, error) {
 		middle:    middle,
 		output:    output,
 		qout:      qout,
-		tables:    tables,
-		shTables:  shTables,
-		plan:      plan,
+		smp:       smp,
 		middleAll: middleAll,
 		dims:      dims,
 		lastDim:   lastDim,
@@ -460,53 +483,16 @@ func (p *Predictor) ApplyDelta(parts DeltaParts) (*Predictor, error) {
 	} else if err := output.CheckFiniteRows(outputIDs); err != nil {
 		return nil, fmt.Errorf("network: delta to step %d: output: %w", parts.ToStep, err)
 	}
-	tables := p.fwd.tables
-	shTables := p.fwd.shTables
+	smp := p.fwd.smp
 	if parts.Tables != nil {
-		if p.fwd.plan != nil {
-			// Sharded: the payload carries every shard's set; deserialize into
-			// fresh sets so the previous predictor's tables stay untouched.
-			fresh := make([]*lsh.TableSet, p.fwd.plan.s)
-			for s := range fresh {
-				ts, err := newTables(&cfg, p.fwd.lastDim)
-				if err != nil {
-					return nil, err
-				}
-				fresh[s] = ts
-			}
-			if err := deserializeShardTables(bytes.NewReader(parts.Tables), fresh, p.fwd.plan); err != nil {
-				return nil, fmt.Errorf("network: delta tables: %w", err)
-			}
-			shTables = fresh
-		} else {
-			if tables == nil {
-				return nil, fmt.Errorf("network: delta carries tables but predictor has none")
-			}
-			fresh, err := newTables(&cfg, p.fwd.lastDim)
-			if err != nil {
-				return nil, err
-			}
-			if err := fresh.Deserialize(bytes.NewReader(parts.Tables), 0, int32(cfg.OutputDim)); err != nil {
-				return nil, fmt.Errorf("network: delta tables: %w", err)
-			}
-			tables = fresh
+		// Into a fresh sampler: the previous predictor's tables stay untouched.
+		if smp, err = readSampler(&cfg, p.fwd.lastDim, parts.Tables); err != nil {
+			return nil, fmt.Errorf("network: delta: %w", err)
 		}
 	}
-	f := &forwardState{
-		cfg:       cfg,
-		hidden:    hidden,
-		middle:    middle,
-		output:    output,
-		qout:      qout,
-		tables:    tables,
-		shTables:  shTables,
-		plan:      p.fwd.plan,
-		middleAll: p.fwd.middleAll,
-		dims:      p.fwd.dims,
-		lastDim:   p.fwd.lastDim,
-		all:       p.fwd.all,
-	}
-	np := newPredictor(f, snapshotSeed(&cfg, parts.ToStep))
+	f := *p.fwd // config, geometry and index lists carry over
+	f.hidden, f.middle, f.output, f.qout, f.smp = hidden, middle, output, qout, smp
+	np := newPredictor(&f, snapshotSeed(&cfg, parts.ToStep))
 	np.steps = parts.ToStep
 	return np, nil
 }

@@ -279,3 +279,85 @@ func TestNewPredictorFromBaseRefusesOversizeViews(t *testing.T) {
 		}
 	}
 }
+
+// TestNewPredictorFromBaseRefusesOversizeConfig: the config payload no longer
+// sizes a replica's weight allocations either. A view's encoded size is an
+// exact function of its shape, so a config declaring a huge layer over honest
+// small payloads — even with a view header crafted to match it — is refused
+// on the payload length, before the weight store it declares is allocated
+// (128 MiB for the first case when only headers were compared).
+func TestNewPredictorFromBaseRefusesOversizeConfig(t *testing.T) {
+	cfg := Config{
+		InputDim: 60, HiddenDim: 128, OutputDim: 20,
+		Hash: DWTA, K: 2, L: 8, BucketCap: 32,
+		MinActive: 6, LR: 0.01, Workers: 1, RebuildEvery: 50, Seed: 5,
+	}
+	n, err := New(&cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := n.Snapshot()
+	good := encodeBaseParts(t, snap)
+	quantized := good
+	quantized.QBits = 8
+	var q bytes.Buffer
+	if err := snap.WriteOutputQ(&q, 8); err != nil {
+		t.Fatal(err)
+	}
+	quantized.Output = q.Bytes()
+	for _, parts := range []BaseParts{good, quantized} {
+		if _, err := NewPredictorFromBase(parts); err != nil {
+			t.Fatalf("intact base (QBits %d): %v", parts.QBits, err)
+		}
+	}
+	le := binary.LittleEndian
+	hdr := func(words ...int) []byte {
+		var b []byte
+		for _, w := range words {
+			b = le.AppendUint32(b, uint32(w))
+		}
+		return b
+	}
+	deep := make([]int, 64)
+	for i := range deep {
+		deep[i] = 1 << 14
+	}
+	for name, craft := range map[string]func(*Config, *BaseParts){
+		"2^18 x 128 output rows": func(c *Config, p *BaseParts) {
+			c.OutputDim = 1 << 18
+			p.Output = hdr(c.HiddenDim, c.OutputDim, int(c.Precision))
+		},
+		"2^18 x 128 quantized output rows": func(c *Config, p *BaseParts) {
+			c.OutputDim = 1 << 18
+			p.QBits, p.Output = 8, hdr(c.HiddenDim, c.OutputDim, 8)
+		},
+		"2^20-wide hidden layer": func(c *Config, p *BaseParts) {
+			c.HiddenDim = 1 << 20
+			p.Hidden = hdr(c.InputDim, c.HiddenDim, int(c.Precision), int(c.HiddenActivation))
+		},
+		"64-layer middle stack": func(c *Config, p *BaseParts) {
+			c.HiddenLayers = deep
+			p.Middle = append(hdr(len(deep)), hdr(c.HiddenDim, deep[0], int(layer.FP32))...)
+		},
+		"output payload one byte long":  func(c *Config, p *BaseParts) { p.Output = append(bytes.Clone(p.Output), 0) },
+		"hidden payload one byte short": func(c *Config, p *BaseParts) { p.Hidden = p.Hidden[:len(p.Hidden)-1] },
+	} {
+		c, parts := snap.Config(), good
+		craft(&c, &parts)
+		var cb bytes.Buffer
+		if err := writeConfigPayload(&cb, &c, snap.Steps(), 0, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+		parts.Config = cb.Bytes()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := NewPredictorFromBase(parts)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+			t.Errorf("%s: refusing it allocated %d bytes", name, got)
+		}
+	}
+}

@@ -109,6 +109,11 @@ func (sr *SectionReader) Next(wantID uint32, name string) ([]byte, int64, error)
 	if length > maxSectionBytes {
 		return nil, 0, corrupt(name, secStart, "declared length %d exceeds bound %d", length, maxSectionBytes)
 	}
+	// A reader that knows what it has left (a message already in memory)
+	// is held to it before the declared length sizes the allocation.
+	if lr, ok := sr.r.(interface{ Len() int }); ok && length > uint64(lr.Len()) {
+		return nil, 0, corrupt(name, secStart, "declared length %d exceeds the %d bytes left", length, lr.Len())
+	}
 	payloadOff := secStart + 12
 	payload := make([]byte, length)
 	if _, err := io.ReadFull(sr.r, payload); err != nil {

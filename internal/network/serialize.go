@@ -135,15 +135,8 @@ func (n *Network) Save(w io.Writer) error {
 		return nil
 	})
 	sw.Section(secOutput, sectionNames[secOutput], n.output.Serialize)
-	if n.sh != nil {
-		// Per-shard table sets, back to back (TableSet framing is
-		// self-delimiting). The shard count is config-derived, so the
-		// section needs no count prefix.
-		sw.Section(secTables, sectionNames[secTables], func(w io.Writer) error {
-			return serializeShardTables(w, n.sh.tables)
-		})
-	} else if n.tables != nil {
-		sw.Section(secTables, sectionNames[secTables], n.tables.Serialize)
+	if n.smp.sampled() {
+		sw.Section(secTables, sectionNames[secTables], n.smp.serialize)
 	}
 	sw.Section(secRNG, sectionNames[secRNG], n.writeRNG)
 	if err := sw.Err(); err != nil {
@@ -213,18 +206,8 @@ func writeConfigPayload(w io.Writer, cfg *Config, step int64, sinceRebuild int, 
 
 // writeRNG emits the random top-up RNG states: without them a resumed run
 // draws a different top-up sequence and diverges from the uninterrupted one.
-// Sharded networks emit the per-shard streams — keyed by shard, a model
-// property, so the section is identical for any worker count and loads
-// exactly at a different count. Legacy HOGWILD emits per-worker streams.
 func (n *Network) writeRNG(w io.Writer) error {
-	srcs := make([]*rand.PCG, 0, len(n.workers))
-	if n.sh != nil {
-		srcs = n.sh.rngSrcs
-	} else {
-		for _, ws := range n.workers {
-			srcs = append(srcs, ws.rngSrc)
-		}
-	}
+	srcs := n.rngSources()
 	if err := binary.Write(w, binary.LittleEndian, uint64(len(srcs))); err != nil {
 		return err
 	}
@@ -241,6 +224,24 @@ func (n *Network) writeRNG(w io.Writer) error {
 		}
 	}
 	return nil
+}
+
+// rngSources lists the top-up streams in checkpoint order, which is where the
+// engines differ in what they own. The phase engine draws per shard — a model
+// property, so the section is identical for any worker count and loads
+// exactly at a different one. HOGWILD draws per worker: only a load at the
+// same count resumes exactly (its sample striping changes with the count
+// anyway); at another, the overlapping workers restore and the rest keep
+// their fresh seeds.
+func (n *Network) rngSources() []*rand.PCG {
+	if n.sh != nil {
+		return n.sh.rngSrcs
+	}
+	srcs := make([]*rand.PCG, len(n.workers))
+	for w, ws := range n.workers {
+		srcs[w] = ws.rngSrc
+	}
+	return srcs
 }
 
 func boolU64(b bool) uint64 {
@@ -291,10 +292,11 @@ func Load(r io.Reader, workers int) (*Network, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, sec := range []struct {
+	type section struct {
 		id    uint32
 		parse func(io.Reader) error
-	}{
+	}
+	secs := []section{
 		{secHidden, n.hidden.Deserialize},
 		{secMiddle, func(r io.Reader) error {
 			for i, ml := range n.middle {
@@ -305,7 +307,12 @@ func Load(r io.Reader, workers int) (*Network, error) {
 			return nil
 		}},
 		{secOutput, n.output.Deserialize},
-	} {
+	}
+	if n.smp.sampled() {
+		secs = append(secs, section{secTables, n.smp.deserialize})
+	}
+	secs = append(secs, section{secRNG, n.readRNG})
+	for _, sec := range secs {
 		payload, off, err := next(sec.id)
 		if err != nil {
 			return nil, err
@@ -317,36 +324,14 @@ func Load(r io.Reader, workers int) (*Network, error) {
 			return nil, corrupt(sectionNames[sec.id], off, "parsing verified section: %w", err)
 		}
 	}
-	if n.sh != nil {
-		payload, off, err := next(secTables)
-		if err != nil {
-			return nil, err
-		}
-		if err := deserializeShardTables(bytes.NewReader(payload), n.sh.tables, n.sh.plan); err != nil {
-			return nil, corrupt("tables", off, "parsing verified section: %w", err)
-		}
-	} else if n.tables != nil {
-		payload, off, err := next(secTables)
-		if err != nil {
-			return nil, err
-		}
-		if err := n.tables.Deserialize(bytes.NewReader(payload), 0, int32(n.cfg.OutputDim)); err != nil {
-			return nil, corrupt("tables", off, "parsing verified section: %w", err)
-		}
-	}
-	payload, off, err := next(secRNG)
-	if err != nil {
-		return nil, err
-	}
-	if err := readRNG(bytes.NewReader(payload), n); err != nil {
-		return nil, corrupt("rng", off, "parsing verified section: %w", err)
-	}
 	return n, nil
 }
 
 // readConfig parses the config payload (see writeConfig) and constructs the
-// network, restoring step, rebuild-schedule position and rebuild period. off
-// is the config section's stream offset, for corruption reports.
+// network — with empty tables: Load fills them from the tables section, so
+// hashing the freshly initialised weights first would be thrown away —
+// restoring step, rebuild-schedule position and rebuild period. off is the
+// config section's stream offset, for corruption reports.
 func readConfig(r io.Reader, workers int, off int64) (*Network, error) {
 	fail := func(format string, args ...any) error { return corrupt("config", off, format, args...) }
 	cfg, step, sinceRebuild, rebuildPeriod, err := parseConfigPayload(r, fail)
@@ -361,7 +346,7 @@ func readConfig(r io.Reader, workers int, off int64) (*Network, error) {
 		}
 		cfg.Workers = workers
 	}
-	n, err := New(&cfg)
+	n, err := build(&cfg)
 	if err != nil {
 		return nil, fmt.Errorf("network: checkpoint config invalid: %w", err)
 	}
@@ -452,53 +437,10 @@ func parseConfigPayload(r io.Reader, fail func(format string, args ...any) error
 	return cfg, int64(hdr[19]), int(hdr[20]), fs[5], nil
 }
 
-// serializeShardTables writes the per-shard table sets back to back. The
-// TableSet framing is self-delimiting and the shard count is derived from
-// the config, so the stream needs no count prefix — and the bytes are a
-// pure function of (seed, shard count, insert history), never of the worker
-// count, which is what makes sharded checkpoints bit-identical across W.
-func serializeShardTables(w io.Writer, sets []*lsh.TableSet) error {
-	for s, ts := range sets {
-		if err := ts.Serialize(w); err != nil {
-			return fmt.Errorf("shard %d tables: %w", s, err)
-		}
-	}
-	return nil
-}
-
-// deserializeShardTables restores the per-shard table sets written by
-// serializeShardTables, in shard order, holding each shard's ids to the rows
-// the plan gives it.
-func deserializeShardTables(r io.Reader, sets []*lsh.TableSet, plan *shardPlan) error {
-	for s, ts := range sets {
-		if err := ts.Deserialize(r, plan.bounds[s], plan.bounds[s+1]); err != nil {
-			return fmt.Errorf("shard %d tables: %w", s, err)
-		}
-	}
-	return nil
-}
-
-// readRNG restores the RNG states. Sharded networks restore the per-shard
-// streams — the shard count comes from the config, so the counts always
-// match and a checkpoint written at W workers resumes bit-exactly at W'.
-// Legacy HOGWILD restores per-worker: a load with the same worker count
-// resumes exactly; with fewer or more workers the overlapping workers
-// restore and the rest keep their fresh seeds (exact resume requires
-// matching worker counts anyway — HOGWILD partitioning changes with the
-// count).
-func readRNG(r io.Reader, n *Network) error {
-	into := func(i int) *rand.PCG {
-		if n.sh != nil {
-			if i < len(n.sh.rngSrcs) {
-				return n.sh.rngSrcs[i]
-			}
-			return nil
-		}
-		if i < len(n.workers) {
-			return n.workers[i].rngSrc
-		}
-		return nil
-	}
+// readRNG restores the RNG states into the network's streams (rngSources);
+// states beyond them are read and dropped.
+func (n *Network) readRNG(r io.Reader) error {
+	srcs := n.rngSources()
 	var nRNG uint64
 	if err := binary.Read(r, binary.LittleEndian, &nRNG); err != nil {
 		return fmt.Errorf("reading RNG states: %w", err)
@@ -518,8 +460,8 @@ func readRNG(r io.Reader, n *Network) error {
 		if _, err := io.ReadFull(r, state); err != nil {
 			return fmt.Errorf("reading RNG states: %w", err)
 		}
-		if src := into(int(i)); src != nil {
-			if err := src.UnmarshalBinary(state); err != nil {
+		if i < uint64(len(srcs)) {
+			if err := srcs[i].UnmarshalBinary(state); err != nil {
 				return fmt.Errorf("restoring RNG state %d: %w", i, err)
 			}
 		}

@@ -107,7 +107,9 @@ func TestLoadRejectsTruncated(t *testing.T) {
 	}
 }
 
-func TestLoadRebuildsTables(t *testing.T) {
+// TestLoadedTablesUsable: the tables a checkpoint carries are in place, and
+// sampling works, straight after Load.
+func TestLoadedTablesUsable(t *testing.T) {
 	n, p := trainedNet(t, layer.FP32)
 	var buf bytes.Buffer
 	if err := n.Save(&buf); err != nil {
@@ -119,10 +121,50 @@ func TestLoadRebuildsTables(t *testing.T) {
 	}
 	st := loaded.Tables().Stats()
 	if st.Stored == 0 {
-		t.Error("tables empty after load: weights were not re-hashed")
+		t.Error("tables empty after load: the tables section was not restored")
 	}
 	// Sampling must work immediately.
 	loaded.TrainBatch(p.batch(8))
+}
+
+// TestLoadDoesNotRehash: Load reads the tables the checkpoint carries and
+// hashes nothing. It used to construct the network through New, which hashed
+// every freshly initialised output row into tables the tables section then
+// overwrote — one whole rebuild of wasted work per load. The checkpoint here
+// is taken nine steps after the last scheduled rebuild, so its tables are
+// stale with respect to its weights and a rehash would show.
+func TestLoadDoesNotRehash(t *testing.T) {
+	n, _ := trainedNet(t, layer.FP32) // rebuilds after batches 10 and 21 of 30
+	tableBytes := func(n *Network) []byte {
+		var b bytes.Buffer
+		if err := n.Tables().Serialize(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	stored := tableBytes(n)
+	var ckpt bytes.Buffer
+	if err := n.Save(&ckpt); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(&ckpt, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loaded.rebuildGen != 0 {
+		t.Errorf("Load rebuilt the tables %d time(s); it must only read them", loaded.rebuildGen)
+	}
+	if !bytes.Equal(tableBytes(loaded), stored) {
+		t.Error("the loaded tables do not re-serialize to the stored bytes")
+	}
+	loaded.EnableDeltaTracking()
+	if _, d := loaded.SnapshotDelta(); d != nil {
+		t.Error("the first SnapshotDelta after a load returned a delta, want a full base")
+	}
+	loaded.rebuildTables(loaded.fanout.Run)
+	if bytes.Equal(tableBytes(loaded), stored) {
+		t.Fatal("premise: the stored tables equal a rehash of the stored weights, so the test cannot see one")
+	}
 }
 
 // TestCheckpointRecordsWorkers: an un-sharded checkpoint pins the HOGWILD

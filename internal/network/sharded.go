@@ -1,14 +1,12 @@
 package network
 
 import (
-	"math"
 	"math/rand/v2"
 	"runtime"
 	"sync"
 
 	"github.com/slide-cpu/slide/internal/bf16"
 	"github.com/slide-cpu/slide/internal/faultinject"
-	"github.com/slide-cpu/slide/internal/health"
 	"github.com/slide-cpu/slide/internal/layer"
 	"github.com/slide-cpu/slide/internal/lsh"
 	"github.com/slide-cpu/slide/internal/mem"
@@ -29,125 +27,65 @@ import (
 // bit-identical for ANY worker count. The shard count S is a model property;
 // the worker count W is purely an execution resource.
 
-// shardPlan is the immutable shard geometry derived from a validated config:
-// a balanced contiguous partition of the output rows, with the active-set
-// budgets split proportionally. Pure function of the config — trainer,
-// snapshots, and replicas derive identical plans.
-type shardPlan struct {
-	s      int
-	bounds []int32 // len s+1; shard i owns rows [bounds[i], bounds[i+1])
-	minAct []int   // per-shard random top-up floor (MinActive split)
-	maxAct []int   // per-shard active cap (MaxActive split; 0 = uncapped)
-}
-
-func newShardPlan(cfg *Config) *shardPlan {
-	s := cfg.Shards
-	p := &shardPlan{
-		s:      s,
-		bounds: make([]int32, s+1),
-		minAct: make([]int, s),
-		maxAct: make([]int, s),
-	}
-	base, rem := cfg.OutputDim/s, cfg.OutputDim%s
-	minBase, minRem := cfg.MinActive/s, cfg.MinActive%s
-	maxBase, maxRem := cfg.MaxActive/s, cfg.MaxActive%s
-	off := int32(0)
-	for i := 0; i < s; i++ {
-		p.bounds[i] = off
-		w := base
-		if i < rem {
-			w++
-		}
-		off += int32(w)
-		p.minAct[i] = minBase
-		if i < minRem {
-			p.minAct[i]++
-		}
-		if p.minAct[i] > w {
-			p.minAct[i] = w // top-up cannot exceed the shard's width
-		}
-		if cfg.MaxActive > 0 {
-			p.maxAct[i] = maxBase
-			if i < maxRem {
-				p.maxAct[i]++
-			}
-			if p.maxAct[i] < 1 {
-				p.maxAct[i] = 1 // a cap of zero would drop labels
-			}
-		}
-	}
-	p.bounds[s] = off
-	return p
-}
-
-// shardScratch is one shard's per-batch working set: the active ids and
-// logit/gradient values per sample, and the shard's partial ∇h per sample.
-// dhPart rows come from a per-shard arena (64-byte aligned, contiguous) so
-// one shard's gradient traffic stays in one pinned core's private cache —
-// the working set the plan sizes against platform.DetectTopology's L2.
+// shardScratch is one shard's per-batch working set: the active ids per
+// sample and the shard's partial ∇h per sample. dhPart rows come from a
+// per-shard arena (64-byte aligned, contiguous) so one shard's gradient
+// traffic stays in one pinned core's private cache — the working set the
+// plan sizes against platform.DetectTopology's L2.
 type shardScratch struct {
-	active  [][]int32   // [sample] global ids, labels first
-	gz      [][]float32 // [sample] logits, then softmax grads, over active
-	nLabels []int       // [sample] label entries at the head of active
-	arena   *mem.Arena
-	dhPart  [][]float32 // [sample][lastDim] partial ∇h, arena-backed
+	active [][]int32 // [sample] global ids, labels first
+	arena  *mem.Arena
+	dhPart [][]float32 // [sample][lastDim] partial ∇h, arena-backed
 }
 
-// shardState is the trainer-side sharded machinery hanging off a Network.
+// shardState is the phase engine's machinery hanging off a Network; the
+// shard geometry and the per-shard tables are the network's sampler.
 type shardState struct {
-	plan    *shardPlan
-	tables  []*lsh.TableSet // per-shard tables storing global row ids
-	rngs    []*rand.Rand    // per-shard top-up streams (checkpointed)
+	rngs    []*rand.Rand // per-shard top-up streams (checkpointed)
 	rngSrcs []*rand.PCG
 	dedups  []*lsh.Dedup // per-shard, local-id (width-sized) stamps
 	topo    platform.Topology
 	pin     bool // pin pool workers to CPUs (hint; skipped on 1-CPU hosts)
 
 	// Per-batch scratch, grown on demand and reused across batches.
-	capB    int // sample capacity currently allocated
-	xs      []sparse.Vector
-	acts    [][][]float32 // [sample][layer]
-	dhs     [][][]float32
-	acts0   [][]float32 // acts[i][0] views (hidden backward)
-	dhs0    [][]float32
-	lastA   [][]float32 // acts[i][last] views (output phases)
-	lastD   [][]float32
-	hBF     [][]bf16.BF16
-	hashes  [][]uint32 // [sample] one bucket hash per table
-	losses  []float64
-	actN    []int64
-	nonFin  []int64     // [sample] health-guard non-finite counts
-	labelLg [][]float32 // [sample] label-entry logits in canonical order
+	capB   int // sample capacity currently allocated
+	xs     []sparse.Vector
+	acts   [][][]float32 // [sample][layer]
+	dhs    [][][]float32
+	acts0  [][]float32 // acts[i][0] views (hidden backward)
+	dhs0   [][]float32
+	lastA  [][]float32 // acts[i][last] views (output phases)
+	lastD  [][]float32
+	hBF    [][]bf16.BF16
+	hashes [][]uint32 // [sample] one bucket hash per table
+	losses []float64
+	nonFin []int64 // [sample] health-guard non-finite counts
+	// The label head's operands, per sample the list of per-shard parts:
+	// logits over the shard's active ids, the softmax gradients over the
+	// same, and how many label entries lead each.
+	logits [][][]float32 // [sample][shard]
+	grads  [][][]float32
+	heads  [][]int
 
 	shards []*shardScratch
 }
 
-func newShardState(cfg *Config, lastDim int) (*shardState, error) {
-	plan := newShardPlan(cfg)
-	sh := &shardState{plan: plan, topo: platform.DetectTopology()}
+func newShardState(cfg *Config, plan *shardPlan) *shardState {
+	sh := &shardState{topo: platform.DetectTopology()}
 	// Pinning is a cache-affinity hint: useful when the pool fits the
 	// machine, pointless on one CPU, harmful when oversubscribed.
 	sh.pin = sh.topo.CPUs > 1 && cfg.Workers <= sh.topo.CPUs
 	for s := 0; s < plan.s; s++ {
-		ts, err := newTables(cfg, lastDim)
-		if err != nil {
-			return nil, err
-		}
-		// All shards share hasher/table seeds (splitSeed streams 3 and 4);
-		// contents differ only by which rows each shard inserts, so a shard
-		// table is a pure function of (bounds, weights) — replicas rebuild
-		// identical sets from serialized buckets.
-		sh.tables = append(sh.tables, ts)
 		width := int(plan.bounds[s+1] - plan.bounds[s])
 		sh.dedups = append(sh.dedups, lsh.NewDedup(max(width, 1)))
-		// Stream 1<<40|s cannot collide with the legacy per-worker streams
+		// Stream 1<<40|s cannot collide with the HOGWILD per-worker streams
 		// (0..W-1) or any other splitSeed consumer.
 		src := rand.NewPCG(splitSeed(cfg.Seed, 5), uint64(1)<<40|uint64(s))
 		sh.rngSrcs = append(sh.rngSrcs, src)
 		sh.rngs = append(sh.rngs, rand.New(src))
 		sh.shards = append(sh.shards, &shardScratch{})
 	}
-	return sh, nil
+	return sh
 }
 
 // ensureBatch grows the per-batch scratch to hold b samples.
@@ -174,19 +112,18 @@ func (sh *shardState) ensureBatch(f *forwardState, b int) {
 		} else {
 			sh.hBF = append(sh.hBF, nil)
 		}
-		sh.hashes = append(sh.hashes, make([]uint32, sh.tables[0].Tables()))
-		sh.labelLg = append(sh.labelLg, nil)
+		sh.hashes = append(sh.hashes, make([]uint32, f.smp.sets[0].Tables()))
+		sh.logits = append(sh.logits, make([][]float32, f.smp.plan.s))
+		sh.grads = append(sh.grads, make([][]float32, f.smp.plan.s))
+		sh.heads = append(sh.heads, make([]int, f.smp.plan.s))
 	}
 	sh.xs = make([]sparse.Vector, b)
 	sh.losses = make([]float64, b)
-	sh.actN = make([]int64, b)
 	sh.nonFin = make([]int64, b)
 	for s, ss := range sh.shards {
 		for i := len(ss.active); i < b; i++ {
-			ss.active = append(ss.active, make([]int32, 0, sh.plan.minAct[s]+8))
-			ss.gz = append(ss.gz, nil)
+			ss.active = append(ss.active, make([]int32, 0, f.smp.plan.minAct[s]+8))
 		}
-		ss.nLabels = make([]int, b)
 		// One contiguous arena per shard keeps the shard's ∇h partials in
 		// one aligned block (sized to the batch; compare sh.topo.L2Bytes
 		// for whether a shard's slice stays cache-resident).
@@ -264,8 +201,8 @@ func (p *phasePool) close() {
 //	A (per sample): forward stack; hash the last activation once.
 //	B (per shard):  active-set selection (labels → LSH probe → top-up) and
 //	                the active logits, into shard-private buffers.
-//	C (per sample): canonical softmax merge across shards — max, Σexp, scale,
-//	                label subtraction — in shard-ascending order.
+//	C (per sample): the label head (labelHead) over the shards' parts — max,
+//	                Σexp, scale, label subtraction — in shard-ascending order.
 //	D (per shard):  output-row gradient accumulation (rows shard-owned) and
 //	                the shard's partial ∇h per sample.
 //	E (per sample): ∇h = Σ_s partials, fixed shard order; then the middle
@@ -275,18 +212,18 @@ func (p *phasePool) close() {
 //	                kernels make the per-scalar order sample-ascending
 //	                regardless of tiling.
 //	G:              ADAM (output per shard via ApplyAdamRange) and the
-//	                per-shard table rebuild on schedule.
+//	                table rebuild on schedule, the sets striped over the pool.
 //
 // Barriers separate the phases; nothing in any phase depends on how tasks
 // interleave within it, so W only changes wall-clock, never bits.
 func (n *Network) trainBatchSharded(b sparse.Batch) BatchStats {
 	sh := n.sh
-	plan := sh.plan
+	f := n.fwd
+	smp, plan := n.smp, n.smp.plan
 	S := plan.s
 	B := b.Len()
 	stats := BatchStats{Samples: B}
 	ks := simd.Active()
-	f := n.fwd
 	sh.ensureBatch(f, B)
 	for i := 0; i < B; i++ {
 		sh.xs[i] = b.Sample(i)
@@ -296,30 +233,21 @@ func (n *Network) trainBatchSharded(b sparse.Batch) BatchStats {
 	pool := newPhasePool(nw, sh.pin)
 	defer pool.close()
 
-	// Phase A: forward every sample, hash its output-layer input once. All
-	// shard hashers are seed-identical, so shard 0's is "the" hasher.
+	// Phase A: forward every sample, hash its output-layer input once.
 	pool.run(B, func(i int) {
-		x := sh.xs[i]
-		stack := sh.acts[i]
-		f.hidden.Forward(ks, x, stack[0])
-		for li, ml := range f.middle {
-			ml.ForwardActive(ks, f.middleAll[li], stack[li], nil, stack[li+1])
-			out := stack[li+1]
-			for j := range out { // stacked layers are ReLU
-				if out[j] < 0 {
-					out[j] = 0
-				}
-			}
-		}
+		f.forwardHidden(ks, sh.xs[i], sh.acts[i])
 		if sh.hBF[i] != nil {
 			ks.PackBF16(sh.hBF[i], sh.lastA[i])
 		}
-		sh.tables[0].HashDense(sh.lastA[i], sh.hashes[i])
+		smp.hash(sh.lastA[i], sh.hashes[i])
 	})
 
 	// Phase B: per-shard active sets and logits. Samples run in order inside
 	// each shard, so the shard RNG consumption is a pure function of the
-	// batch — independent of which worker executes the shard.
+	// batch — independent of which worker executes the shard. Each shard
+	// fills its own budget (the plan's split of MinActive/MaxActive) from its
+	// own set: unlike sampleActive's one budget over all sets, what a shard
+	// selects never depends on what another found.
 	pool.run(S, func(s int) {
 		lo, hi := plan.bounds[s], plan.bounds[s+1]
 		width := int(hi - lo)
@@ -335,12 +263,12 @@ func (n *Network) trainBatchSharded(b sparse.Batch) BatchStats {
 				}
 			}
 			nLab := len(act)
-			ss.nLabels[i] = nLab
+			sh.heads[i][s] = nLab
 			limit := plan.maxAct[s]
 			if limit > 0 && nLab > limit {
 				limit = nLab // labels always survive
 			}
-			act = sh.tables[s].Collect(sh.hashes[i], d, lo, act, limit)
+			act = smp.sets[s].Collect(sh.hashes[i], d, lo, act, limit)
 			for len(act) < plan.minAct[s] {
 				local := int32(rng.IntN(width))
 				if !d.Seen(local) {
@@ -348,89 +276,18 @@ func (n *Network) trainBatchSharded(b sparse.Batch) BatchStats {
 				}
 			}
 			ss.active[i] = act
-			gz := ss.gz[i]
-			if cap(gz) < len(act) {
-				gz = make([]float32, len(act))
-			}
-			gz = gz[:len(act)]
-			f.output.ForwardActive(ks, act, sh.lastA[i], sh.hBF[i], gz)
-			ss.gz[i] = gz
+			sh.logits[i][s] = fit(sh.logits[i][s], len(act))
+			sh.grads[i][s] = fit(sh.grads[i][s], len(act))
+			f.output.ForwardActive(ks, act, sh.lastA[i], sh.hBF[i], sh.logits[i][s])
 		}
 	})
 
-	// Phase C: canonical per-sample softmax merge. Every reduction walks
-	// shards in ascending order, so the float accumulation order is fixed.
+	// Phase C: the per-sample label head over the shards' parts in ascending
+	// order — a pure function of (weights at batch start, sample), whichever
+	// worker runs it.
 	pool.run(B, func(i int) {
-		// Health guard: scan each shard's raw logits before the exp
-		// transform overwrites them. Per-sample integer sum over per-shard
-		// partials — a pure function of (weights at batch start, sample),
-		// independent of which worker runs the merge.
-		var bad int64
-		if n.guards {
-			for s := 0; s < S; s++ {
-				bad += health.CountNonFinite32(sh.shards[s].gz[i])
-			}
-		}
-		m := float32(math.Inf(-1))
-		total := 0
-		for s := 0; s < S; s++ {
-			g := sh.shards[s].gz[i]
-			if len(g) > 0 {
-				if v := ks.Max(g); v > m {
-					m = v
-				}
-				total += len(g)
-			}
-		}
-		if total == 0 {
-			sh.losses[i], sh.actN[i], sh.nonFin[i] = 0, 0, bad
-			return
-		}
-		// Save the label-entry logits before the buffers are overwritten
-		// with exp values (the loss needs raw logits after the z-sum).
-		ll := sh.labelLg[i][:0]
-		for s := 0; s < S; s++ {
-			g := sh.shards[s].gz[i]
-			ll = append(ll, g[:sh.shards[s].nLabels[i]]...)
-		}
-		sh.labelLg[i] = ll
-		var z float64
-		for s := 0; s < S; s++ {
-			g := sh.shards[s].gz[i]
-			for k, l := range g {
-				e := math.Exp(float64(l - m))
-				g[k] = float32(e)
-				z += e
-			}
-		}
-		invZ := float32(1 / z)
-		for s := 0; s < S; s++ {
-			if g := sh.shards[s].gz[i]; len(g) > 0 {
-				ks.Scale(invZ, g)
-			}
-		}
-		nLab := len(b.Labels(i))
-		var t float32
-		if nLab > 0 {
-			t = 1 / float32(nLab)
-		}
-		logZ := math.Log(z) + float64(m)
-		var loss float64
-		p := 0
-		for s := 0; s < S; s++ {
-			g := sh.shards[s].gz[i]
-			for k := 0; k < sh.shards[s].nLabels[i]; k++ {
-				g[k] -= t
-				loss -= float64(t) * (float64(ll[p]) - logZ)
-				p++
-			}
-		}
-		if n.guards && bad == 0 && (math.IsNaN(loss) || math.IsInf(loss, 0)) {
-			bad = 1
-		}
-		sh.losses[i] = loss
-		sh.actN[i] = int64(total)
-		sh.nonFin[i] = bad
+		loss, _, bad := n.labelHead(ks, sh.logits[i], sh.grads[i], sh.heads[i], len(b.Labels(i)))
+		sh.losses[i], sh.nonFin[i] = loss, n.guardLoss(loss, bad)
 	})
 
 	// Phase D: output gradients. Each shard owns its rows exclusively, and
@@ -441,7 +298,7 @@ func (n *Network) trainBatchSharded(b sparse.Batch) BatchStats {
 		for i := 0; i < B; i++ {
 			dhp := ss.dhPart[i]
 			simd.Zero(dhp)
-			n.output.AccumulateActive(ks, ss.active[i], ss.gz[i], sh.lastA[i], sh.hBF[i], dhp)
+			n.output.AccumulateActive(ks, ss.active[i], sh.grads[i][s], sh.lastA[i], sh.hBF[i], dhp)
 		}
 	})
 
@@ -459,21 +316,7 @@ func (n *Network) trainBatchSharded(b sparse.Batch) BatchStats {
 	// documented cost of determinism on deep stacks. The paper's
 	// single-hidden-layer configurations skip this entirely.
 	for i := 0; i < B; i++ {
-		stack, dstack := sh.acts[i], sh.dhs[i]
-		for li := len(n.middle) - 1; li >= 0; li-- {
-			ml := n.middle[li]
-			act, dh := stack[li+1], dstack[li+1]
-			prev := dstack[li]
-			simd.Zero(prev)
-			for r := range dh {
-				if act[r] <= 0 { // ReLU mask
-					continue
-				}
-				if gz := dh[r]; gz != 0 {
-					ml.Accumulate(ks, int32(r), gz, stack[li], nil, prev)
-				}
-			}
-		}
+		n.backwardMiddle(ks, sh.acts[i], sh.dhs[i])
 	}
 
 	// Phase F: hidden backward over disjoint unit tiles. Tile count follows
@@ -489,74 +332,32 @@ func (n *Network) trainBatchSharded(b sparse.Batch) BatchStats {
 		}
 	})
 
-	// Phase G: optimizer. Hidden/middle passes are per-column/per-row
-	// independent (already worker-count-safe); the output steps per shard.
-	n.step++
-	p := simd.NewAdamParams(n.cfg.LR, n.cfg.Beta1, n.cfg.Beta2, n.cfg.Eps, n.step)
-	n.hidden.ApplyAdam(ks, p, nw)
-	for _, ml := range n.middle {
-		ml.ApplyAdamAll(ks, p, nw)
-	}
+	// Phase G: optimizer; the output layer steps per shard over the rows the
+	// shard owns. Then the rebuild schedule, the sets striped over the pool.
+	p := n.stepDense(ks)
 	pool.run(S, func(s int) {
 		n.output.ApplyAdamRange(ks, p, int(plan.bounds[s]), int(plan.bounds[s+1]))
 	})
 	n.output.FinishAdam()
-
-	n.sinceRebuild++
-	if float64(n.sinceRebuild) >= n.rebuildPeriod {
-		pool.run(S, func(s int) {
-			sh.tables[s].RebuildRange(int(plan.bounds[s]), int(plan.bounds[s+1]),
-				n.lastDim, n.output.RowF32, 1)
-		})
-		n.rebuildGen++
-		n.sinceRebuild = 0
-		n.rebuildPeriod *= n.cfg.RebuildGrowth
-		stats.Rebuilt = true
-	}
+	stats.Rebuilt = n.advanceRebuild(pool.run)
 
 	for i := 0; i < B; i++ {
 		stats.Loss += sh.losses[i]
-		stats.ActiveSum += sh.actN[i]
 		stats.NonFinite += sh.nonFin[i]
+		for _, lg := range sh.logits[i] {
+			stats.ActiveSum += int64(len(lg))
+		}
 	}
 	return stats
 }
 
-// rebuildShardTables re-hashes every shard's rows into fresh tables — the
-// out-of-band rebuild used at construction and after deserialization.
-// Shards fan out over the worker budget; each shard's content is
-// independent of scheduling.
-func (n *Network) rebuildShardTables() {
-	sh := n.sh
-	nw := min(n.cfg.Workers, sh.plan.s)
-	var wg sync.WaitGroup
-	for w := 0; w < nw; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for s := w; s < sh.plan.s; s += nw {
-				sh.tables[s].RebuildRange(int(sh.plan.bounds[s]), int(sh.plan.bounds[s+1]),
-					n.lastDim, n.output.RowF32, 1)
-			}
-		}(w)
+// fit returns buf resized to n elements, reallocated only when it has to grow.
+func fit(buf []float32, n int) []float32 {
+	if cap(buf) < n {
+		return make([]float32, n)
 	}
-	wg.Wait()
-	n.rebuildGen++
-}
-
-// cloneShardTables deep-copies every shard's tables (snapshot publication).
-func cloneShardTables(sets []*lsh.TableSet) []*lsh.TableSet {
-	out := make([]*lsh.TableSet, len(sets))
-	for i, ts := range sets {
-		out[i] = ts.Clone()
-	}
-	return out
+	return buf[:n]
 }
 
 // ShardCount returns the configured shard count (0 = unsharded).
-func (n *Network) ShardCount() int {
-	if n.sh == nil {
-		return 0
-	}
-	return n.sh.plan.s
-}
+func (n *Network) ShardCount() int { return n.cfg.Shards }

@@ -128,43 +128,60 @@ func TestShardedWorkerCountDeterminism(t *testing.T) {
 	}
 	w := ws[0] // Amazon-670K-like
 
-	const steps, shards = 20, 3
+	const steps = 20
+	type combo struct {
+		prec   layer.Precision
+		place  layer.Placement
+		shards int
+	}
+	var combos []combo
 	for _, prec := range []layer.Precision{layer.FP32, layer.BF16Act, layer.BF16Both} {
 		for _, place := range []layer.Placement{layer.Contiguous, layer.Scattered} {
-			t.Run(fmt.Sprintf("%v/%v", prec, place), func(t *testing.T) {
-				ref := shardedRun(t, w, opts, prec, place, 1, shards, steps)
-				for _, workers := range []int{2, 4, 8} {
-					got := shardedRun(t, w, opts, prec, place, workers, shards, steps)
-					if !bytes.Equal(got.checkpoint, ref.checkpoint) {
-						t.Errorf("W=%d: checkpoint bytes diverge from W=1 (%d vs %d bytes)",
-							workers, len(got.checkpoint), len(ref.checkpoint))
-					}
-					for i := range ref.baseParts {
-						if !bytes.Equal(got.baseParts[i], ref.baseParts[i]) {
-							t.Errorf("W=%d: base payload %d diverges from W=1", workers, i)
-						}
-					}
-					if got.deltaSteps != ref.deltaSteps {
-						t.Errorf("W=%d: delta spans steps %v, W=1 spans %v", workers, got.deltaSteps, ref.deltaSteps)
-					}
-					for i := range ref.deltaParts {
-						if !bytes.Equal(got.deltaParts[i], ref.deltaParts[i]) {
-							t.Errorf("W=%d: delta payload %d diverges from W=1", workers, i)
-						}
-					}
-					for i, s := range ref.scores {
-						if got.scores[i] != s {
-							t.Fatalf("W=%d: score %d is %g, W=1 scored %g", workers, i, got.scores[i], s)
-						}
-					}
-					for i, p := range ref.preds {
-						if got.preds[i] != p {
-							t.Fatalf("W=%d: prediction %d is %d, W=1 predicted %d", workers, i, got.preds[i], p)
-						}
+			combos = append(combos, combo{prec, place, 3})
+		}
+	}
+	// One shard: the sampler's lone set hashes on all W workers where the
+	// sets of several shards take one worker each.
+	combos = append(combos, combo{layer.FP32, layer.Contiguous, 1})
+	for _, c := range combos {
+		prec, place, shards := c.prec, c.place, c.shards
+		name := fmt.Sprintf("%v/%v", prec, place)
+		if shards == 1 {
+			name += "/shards1"
+		}
+		t.Run(name, func(t *testing.T) {
+			ref := shardedRun(t, w, opts, prec, place, 1, shards, steps)
+			for _, workers := range []int{2, 4, 8} {
+				got := shardedRun(t, w, opts, prec, place, workers, shards, steps)
+				if !bytes.Equal(got.checkpoint, ref.checkpoint) {
+					t.Errorf("W=%d: checkpoint bytes diverge from W=1 (%d vs %d bytes)",
+						workers, len(got.checkpoint), len(ref.checkpoint))
+				}
+				for i := range ref.baseParts {
+					if !bytes.Equal(got.baseParts[i], ref.baseParts[i]) {
+						t.Errorf("W=%d: base payload %d diverges from W=1", workers, i)
 					}
 				}
-			})
-		}
+				if got.deltaSteps != ref.deltaSteps {
+					t.Errorf("W=%d: delta spans steps %v, W=1 spans %v", workers, got.deltaSteps, ref.deltaSteps)
+				}
+				for i := range ref.deltaParts {
+					if !bytes.Equal(got.deltaParts[i], ref.deltaParts[i]) {
+						t.Errorf("W=%d: delta payload %d diverges from W=1", workers, i)
+					}
+				}
+				for i, s := range ref.scores {
+					if got.scores[i] != s {
+						t.Fatalf("W=%d: score %d is %g, W=1 scored %g", workers, i, got.scores[i], s)
+					}
+				}
+				for i, p := range ref.preds {
+					if got.preds[i] != p {
+						t.Fatalf("W=%d: prediction %d is %d, W=1 predicted %d", workers, i, got.preds[i], p)
+					}
+				}
+			}
+		})
 	}
 }
 
