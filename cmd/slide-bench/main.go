@@ -8,7 +8,6 @@
 //	slide-bench -exp all -scale 0.01 -epochs 2 -outdir results/
 //	slide-bench -exp table2
 //	slide-bench -exp fig6 -scale 0.02 -epochs 3
-//	slide-bench -exp profile                     # phase decomposition
 package main
 
 import (
@@ -23,16 +22,13 @@ import (
 
 func main() {
 	var (
-		exp     = flag.String("exp", "all", "experiment: table1|table2|table3|table4|fig6|ablations|profile|sharding|all")
+		exp     = flag.String("exp", "all", "experiment: table1|table2|table3|table4|fig6|ablations|all")
 		scale   = flag.Float64("scale", 0.01, "fraction of the paper's dataset dimensions")
 		epochs  = flag.Int("epochs", 2, "training epochs per measured run")
 		workers = flag.Int("workers", 0, "HOGWILD workers (0 = GOMAXPROCS)")
 		seed    = flag.Uint64("seed", 42, "random seed")
 		outdir  = flag.String("outdir", "", "directory for CSV exports (optional)")
 		evalN   = flag.Int("evalsamples", 200, "held-out samples per evaluation")
-		shards  = flag.Int("shards", 4, "output-layer shard count for -exp sharding")
-		bSteps  = flag.Int("bench-steps", 30, "measured TrainBatch steps per point for -exp sharding")
-		jsonOut = flag.String("json", "", "write -exp sharding results as JSON to this path")
 	)
 	flag.Parse()
 
@@ -51,17 +47,16 @@ func main() {
 		"table4":    harness.Table4,
 		"fig6":      harness.Figure6,
 		"ablations": harness.Ablations,
-		"profile":   harness.Profile,
 	}
-	order := []string{"table1", "table2", "table3", "table4", "fig6", "ablations", "profile"}
+	order := []string{"table1", "table2", "table3", "table4", "fig6", "ablations"}
 
 	var selected []string
 	if *exp == "all" {
 		selected = order
 	} else {
 		for _, name := range strings.Split(*exp, ",") {
-			if _, ok := experiments[name]; !ok && name != "sharding" {
-				fmt.Fprintf(os.Stderr, "slide-bench: unknown experiment %q (valid: %s, sharding, all)\n",
+			if _, ok := experiments[name]; !ok {
+				fmt.Fprintf(os.Stderr, "slide-bench: unknown experiment %q (valid: %s, all)\n",
 					name, strings.Join(order, ", "))
 				os.Exit(2)
 			}
@@ -70,16 +65,6 @@ func main() {
 	}
 
 	for _, name := range selected {
-		if name == "sharding" {
-			// Scaling-curve mode: not a harness.Report experiment — it
-			// measures wall-clock per TrainBatch across worker counts and
-			// proves bit-identity along the way.
-			if err := runSharding(opts, *shards, *bSteps, *jsonOut); err != nil {
-				fmt.Fprintf(os.Stderr, "slide-bench: sharding: %v\n", err)
-				os.Exit(1)
-			}
-			continue
-		}
 		fmt.Printf("running %s (scale %g, %d epochs)...\n\n", name, *scale, *epochs)
 		rep, err := experiments[name](opts)
 		if err != nil {

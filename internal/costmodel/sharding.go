@@ -105,25 +105,3 @@ func SingleStep(w Workload, s System, p platform.Platform) time.Duration {
 func ShardedStep(w Workload, s System, p platform.Platform, workers int) time.Duration {
 	return stepTime(w, s, p, workers, true)
 }
-
-// ShardedSpeedup returns the modeled step-time ratio of the single-worker
-// reference to the W-worker sharded engine — the scaling curve the
-// slide-bench `sharding` mode measures empirically.
-func ShardedSpeedup(w Workload, s System, p platform.Platform, workers int) float64 {
-	return Speedup(SingleStep(w, s, p), ShardedStep(w, s, p, workers))
-}
-
-// ShardingCrossoverBatch returns the smallest power-of-two batch size at
-// which the W-worker sharded step outruns the single-worker step — below
-// it, per-step barrier overhead swamps the divided compute and the
-// deterministic engine should run W=1 (or the caller should batch larger).
-// Returns -1 if no batch size up to 2^20 crosses over.
-func ShardingCrossoverBatch(w Workload, s System, p platform.Platform, workers int) int {
-	for bs := 1; bs <= 1<<20; bs *= 2 {
-		w.BatchSize = bs
-		if ShardedStep(w, s, p, workers) < SingleStep(w, s, p) {
-			return bs
-		}
-	}
-	return -1
-}

@@ -262,30 +262,6 @@ func TestAblations(t *testing.T) {
 	}
 }
 
-func TestProfile(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full experiment regeneration; skipped in -short (race CI)")
-	}
-	rep, err := Profile(tinyOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	tbl := rep.Tables[0]
-	if len(tbl.Rows) != 12 { // 3 datasets x 4 phases
-		t.Fatalf("got %d rows", len(tbl.Rows))
-	}
-	// Every dataset's "full training step" row must carry 100%.
-	full := 0
-	for _, row := range tbl.Rows {
-		if row[1] == "full training step" && row[3] == "100%" {
-			full++
-		}
-	}
-	if full != 3 {
-		t.Errorf("full-step rows = %d, want 3", full)
-	}
-}
-
 func TestRenderConvergenceEmpty(t *testing.T) {
 	out := RenderConvergence("empty", []*metrics.Tracker{metrics.NewTracker("s", "d")})
 	if !strings.Contains(out, "no convergence points") {

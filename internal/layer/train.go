@@ -80,10 +80,9 @@ func (t *trainState) DrainJournal() []int32 {
 
 // stepVector applies one ADAM step to vector id from its accumulated
 // gradient, then zeroes the gradient. Step and clear stay separate passes on
-// purpose: BenchmarkKernelAdamZero and the row-walk experiments in DESIGN.md
-// show the single-pass fusion (the AdamStepZero table entry) is ~4-7% slower
-// under the Go compiler, whose runtime memclr beats an inline zeroing store
-// in the update loop (see DESIGN.md "Known divergences").
+// purpose: a single-pass fused kernel measured ~4-7% slower, because the
+// runtime's memclr beats an inline zeroing store in the update loop (DESIGN.md
+// "Known divergences" keeps the numbers; the kernel is deleted).
 func (t *trainState) stepVector(ks *simd.Kernels, p simd.AdamParams, id int32) {
 	if t.w.bf != nil {
 		ks.AdamStepBF16(t.w.bf[id], t.m[id], t.v[id], t.grad[id], p)

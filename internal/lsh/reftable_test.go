@@ -164,8 +164,8 @@ func frameSet(payloads ...[]byte) []byte {
 	return out
 }
 
-// frameLegacy renders table payloads in the pre-checksum (checkpoint v2)
-// set format: a plain count, then the payloads.
+// frameLegacy renders table payloads in the pre-sentinel set layout, which
+// Deserialize refuses: a plain count, then the payloads.
 func frameLegacy(payloads ...[]byte) []byte {
 	out := binary.LittleEndian.AppendUint64(nil, uint64(len(payloads)))
 	for _, p := range payloads {

@@ -117,9 +117,9 @@ func (t *Table) Deserialize(r io.Reader, lo, hi int32) error {
 // the checksummed layout — sentinel, format version, table count, then each
 // table's payload followed by its own CRC32C trailer. Per-table checksums
 // localize damage to one table even when the set is embedded in a larger
-// container (the network checkpoint today, delta replication streams
-// later). Streams that start with a plain count (pre-checksum writers, i.e.
-// checkpoint v2) are read through the legacy path unchanged.
+// container (the network checkpoint, a replication base or delta). A stream
+// that does not open with the sentinel — the unchecksummed layout of
+// pre-checksum writers, which started with a plain table count — is refused.
 
 const (
 	setSentinel  = ^uint64(0)
@@ -153,44 +153,29 @@ func (ts *TableSet) Serialize(w io.Writer) error {
 }
 
 // Deserialize replaces all L tables' bucket state under the write lock,
-// verifying each table's CRC32C trailer (checksummed format) or reading the
-// legacy unchecksummed layout, auto-detected from the header. The set must
-// be identically shaped (same hasher configuration) as the writer, and
-// [lo, hi) is the row range it indexes (the whole layer, or one shard's
-// rows): Table.Deserialize holds every stored id to it. A checksum mismatch
-// is reported as an error wrapping ErrChecksum, naming the damaged table; a
-// payload that does not describe a table wraps ErrMalformed.
+// verifying each table's CRC32C trailer. The set must be identically shaped
+// (same hasher configuration) as the writer, and [lo, hi) is the row range it
+// indexes (the whole layer, or one shard's rows): Table.Deserialize holds
+// every stored id to it. A checksum mismatch is reported as an error wrapping
+// ErrChecksum, naming the damaged table; a payload that does not describe a
+// table set wraps ErrMalformed.
 func (ts *TableSet) Deserialize(r io.Reader, lo, hi int32) error {
-	var first uint64
-	if err := binary.Read(r, binary.LittleEndian, &first); err != nil {
+	var hdr [3]uint64 // sentinel, format version, table count
+	if err := binary.Read(r, binary.LittleEndian, &hdr); err != nil {
 		return fmt.Errorf("lsh: reading table set header: %w", err)
 	}
-	checked := first == setSentinel
-	n := first
-	if checked {
-		var version uint64
-		if err := binary.Read(r, binary.LittleEndian, &version); err != nil {
-			return fmt.Errorf("lsh: reading table set header: %w", err)
-		}
-		if version != setFormatCRC {
-			return fmt.Errorf("%w: unsupported table set format %d", ErrMalformed, version)
-		}
-		if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-			return fmt.Errorf("lsh: reading table set header: %w", err)
-		}
+	if hdr[0] != setSentinel {
+		return fmt.Errorf("%w: table set does not open with the format sentinel", ErrMalformed)
 	}
-	if n != uint64(len(ts.tables)) {
-		return fmt.Errorf("%w: stream has %d tables, set has %d", ErrMalformed, n, len(ts.tables))
+	if hdr[1] != setFormatCRC {
+		return fmt.Errorf("%w: unsupported table set format %d", ErrMalformed, hdr[1])
+	}
+	if hdr[2] != uint64(len(ts.tables)) {
+		return fmt.Errorf("%w: stream has %d tables, set has %d", ErrMalformed, hdr[2], len(ts.tables))
 	}
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
 	for i, t := range ts.tables {
-		if !checked {
-			if err := t.Deserialize(r, lo, hi); err != nil {
-				return fmt.Errorf("lsh: table %d: %w", i, err)
-			}
-			continue
-		}
 		// Tee the table payload through a checksum so the trailer can be
 		// verified against exactly the bytes the parse consumed.
 		crc := crc32.New(castagnoli)

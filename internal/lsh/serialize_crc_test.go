@@ -99,24 +99,23 @@ func TestTableSetChecksumDetectsBitFlip(t *testing.T) {
 	}
 }
 
-func TestTableSetLegacyFormatStillLoads(t *testing.T) {
+// TestTableSetLegacyFormatRefused: the pre-sentinel layout (a plain table
+// count, then unchecksummed payloads) has no writer left and no CRC, so a
+// stream in it is malformed and leaves the set as it was.
+func TestTableSetLegacyFormatRefused(t *testing.T) {
 	src := testSet(t)
-	// Hand-write the pre-checksum layout: plain count, then raw payloads.
-	var buf bytes.Buffer
-	if err := binary.Write(&buf, binary.LittleEndian, uint64(len(src.tables))); err != nil {
-		t.Fatal(err)
-	}
-	for _, tbl := range src.tables {
-		if err := tbl.Serialize(&buf); err != nil {
-			t.Fatal(err)
-		}
+	payloads := make([][]byte, len(src.tables))
+	for i, tbl := range src.tables {
+		payloads[i] = tableBytes(t, tbl)
 	}
 	dst := emptyLike(t)
-	if err := dst.Deserialize(bytes.NewReader(buf.Bytes()), 0, 20); err != nil {
-		t.Fatalf("legacy stream rejected: %v", err)
+	before := serializeSet(t, dst)
+	err := dst.Deserialize(bytes.NewReader(frameLegacy(payloads...)), 0, 20)
+	if !errors.Is(err, ErrMalformed) {
+		t.Fatalf("pre-sentinel stream: err %v, want one wrapping ErrMalformed", err)
 	}
-	if !sameContents(src, dst) {
-		t.Fatal("legacy round-trip differs from source")
+	if !bytes.Equal(serializeSet(t, dst), before) {
+		t.Fatal("refused stream changed the set")
 	}
 }
 

@@ -126,6 +126,13 @@ func (c *Config) Validate() error {
 			return fmt.Errorf("network: hidden layer %d has non-positive width %d", i+1, d)
 		}
 	}
+	// The enumerations arrive as raw integers from a checkpoint or a
+	// replication base; the layer constructors panic on ones they do not know.
+	if c.Precision < layer.FP32 || c.Precision > layer.BF16Both || c.Placement < layer.Contiguous || c.Placement > layer.Scattered ||
+		c.HiddenActivation < layer.ReLU || c.HiddenActivation > layer.Linear || c.BucketPolicy < lsh.FIFO || c.BucketPolicy > lsh.Reservoir {
+		return fmt.Errorf("network: unknown precision (%d), placement (%d), hidden activation (%d) or bucket policy (%d)",
+			int(c.Precision), int(c.Placement), int(c.HiddenActivation), int(c.BucketPolicy))
+	}
 	if c.NoSampling && c.UniformSampling {
 		return fmt.Errorf("network: NoSampling and UniformSampling are mutually exclusive")
 	}

@@ -255,8 +255,10 @@ func boolU64(b bool) uint64 {
 // restoring the exact LSH table bucket state the checkpoint carried (the
 // tables as of the last scheduled rebuild — rebuilding from the restored
 // weights instead would diverge from an uninterrupted run; see the format
-// comment above). Sections are checksum-verified before parsing; damage is
-// reported as a *CorruptError wrapping ErrCorruptCheckpoint. Any other format
+// comment above). Sections are checksum-verified before parsing, and a
+// verified section must be exactly what Save writes — no bytes after its
+// content, one RNG state per stream; damage is reported as a *CorruptError
+// wrapping ErrCorruptCheckpoint. Any other format
 // version is an "unsupported checkpoint version" error that does not wrap
 // ErrCorruptCheckpoint: the file may be intact, this build cannot read it.
 //
@@ -266,7 +268,12 @@ func boolU64(b bool) uint64 {
 // and is refused with ErrWorkersMismatch when an un-sharded checkpoint
 // recorded a different one.
 func Load(r io.Reader, workers int) (*Network, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
+	// A reader that knows what it has left is read directly, so that the
+	// section reader can hold a declared length to it before allocating.
+	br := r
+	if _, inMemory := r.(interface{ Len() int }); !inMemory {
+		br = bufio.NewReaderSize(r, 1<<16)
+	}
 	var pre [2]uint64
 	for i := range pre {
 		if err := binary.Read(br, binary.LittleEndian, &pre[i]); err != nil {
@@ -288,7 +295,7 @@ func Load(r io.Reader, workers int) (*Network, error) {
 	if err != nil {
 		return nil, err
 	}
-	n, err := readConfig(bytes.NewReader(cfgPayload), workers, cfgOff)
+	n, recorded, err := readConfig(bytes.NewReader(cfgPayload), workers, cfgOff)
 	if err != nil {
 		return nil, err
 	}
@@ -311,13 +318,20 @@ func Load(r io.Reader, workers int) (*Network, error) {
 	if n.smp.sampled() {
 		secs = append(secs, section{secTables, n.smp.deserialize})
 	}
-	secs = append(secs, section{secRNG, n.readRNG})
+	// A checkpoint that recorded its worker count, or whose streams do not
+	// depend on one, holds exactly the model's RNG states.
+	secs = append(secs, section{secRNG, func(r io.Reader) error { return n.readRNG(r, recorded > 0 || n.cfg.Shards > 0) }})
 	for _, sec := range secs {
 		payload, off, err := next(sec.id)
 		if err != nil {
 			return nil, err
 		}
-		if err := sec.parse(bytes.NewReader(payload)); err != nil {
+		rest := bytes.NewReader(payload)
+		err = sec.parse(rest)
+		if err == nil && rest.Len() > 0 {
+			err = fmt.Errorf("%d bytes after the section's content", rest.Len())
+		}
+		if err != nil {
 			// The checksum passed, so the bytes are what Save wrote — a parse
 			// failure here is a shape mismatch, but one the checksum says was
 			// written that way: report it as corruption with location.
@@ -330,30 +344,31 @@ func Load(r io.Reader, workers int) (*Network, error) {
 // readConfig parses the config payload (see writeConfig) and constructs the
 // network — with empty tables: Load fills them from the tables section, so
 // hashing the freshly initialised weights first would be thrown away —
-// restoring step, rebuild-schedule position and rebuild period. off is the
-// config section's stream offset, for corruption reports.
-func readConfig(r io.Reader, workers int, off int64) (*Network, error) {
+// restoring step, rebuild-schedule position and rebuild period. It also
+// returns the worker count the payload recorded (0 = none). off is the config
+// section's stream offset, for corruption reports.
+func readConfig(r io.Reader, workers int, off int64) (*Network, int, error) {
 	fail := func(format string, args ...any) error { return corrupt("config", off, format, args...) }
 	cfg, step, sinceRebuild, rebuildPeriod, err := parseConfigPayload(r, fail)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	// parseConfigPayload left the recorded count (0 = unknown) in cfg.Workers.
+	recorded := cfg.Workers
 	if workers > 0 {
-		if cfg.Workers > 0 && cfg.Workers != workers && cfg.Shards == 0 {
-			return nil, fmt.Errorf("%w: checkpoint was written at %d workers, load asked for %d",
-				ErrWorkersMismatch, cfg.Workers, workers)
+		if recorded > 0 && recorded != workers && cfg.Shards == 0 {
+			return nil, 0, fmt.Errorf("%w: checkpoint was written at %d workers, load asked for %d",
+				ErrWorkersMismatch, recorded, workers)
 		}
 		cfg.Workers = workers
 	}
 	n, err := build(&cfg)
 	if err != nil {
-		return nil, fmt.Errorf("network: checkpoint config invalid: %w", err)
+		return nil, 0, fmt.Errorf("network: checkpoint config invalid: %w", err)
 	}
 	n.step = step
 	n.sinceRebuild = sinceRebuild
 	n.rebuildPeriod = rebuildPeriod
-	return n, nil
+	return n, recorded, nil
 }
 
 // parseConfigPayload reads the payload written by writeConfigPayload, which
@@ -437,16 +452,19 @@ func parseConfigPayload(r io.Reader, fail func(format string, args ...any) error
 	return cfg, int64(hdr[19]), int(hdr[20]), fs[5], nil
 }
 
-// readRNG restores the RNG states into the network's streams (rngSources);
-// states beyond them are read and dropped.
-func (n *Network) readRNG(r io.Reader) error {
+// readRNG restores the RNG states into the network's streams (rngSources).
+// exact demands one state per stream; otherwise (an un-sharded file from
+// before the config recorded a worker count, loaded at whatever count the
+// caller runs) states beyond the streams are read and dropped and streams
+// beyond the states keep their seeds.
+func (n *Network) readRNG(r io.Reader, exact bool) error {
 	srcs := n.rngSources()
 	var nRNG uint64
 	if err := binary.Read(r, binary.LittleEndian, &nRNG); err != nil {
 		return fmt.Errorf("reading RNG states: %w", err)
 	}
-	if nRNG > 1<<20 {
-		return fmt.Errorf("checkpoint declares %d RNG states", nRNG)
+	if nRNG > 1<<20 || (exact && nRNG != uint64(len(srcs))) {
+		return fmt.Errorf("checkpoint declares %d RNG states, the model has %d streams", nRNG, len(srcs))
 	}
 	for i := uint64(0); i < nRNG; i++ {
 		var sz uint32

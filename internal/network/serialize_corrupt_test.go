@@ -22,21 +22,12 @@ type frame struct {
 	end        int64 // offset just past the CRC trailer
 }
 
-// frames parses the v3 framing of a checkpoint without loading it.
+// frames parses the v3 framing of a whole checkpoint without loading it.
 func frames(t *testing.T, raw []byte) []frame {
 	t.Helper()
-	var fs []frame
-	off := int64(16)
-	for off < int64(len(raw)) {
-		id := binary.LittleEndian.Uint32(raw[off:])
-		length := int64(binary.LittleEndian.Uint64(raw[off+4:]))
-		f := frame{id: id, start: off, payloadOff: off + 12, payloadLen: length}
-		f.end = f.payloadOff + length + 4
-		if f.end > int64(len(raw)) {
-			t.Fatalf("section %d overruns the stream", id)
-		}
-		fs = append(fs, f)
-		off = f.end
+	fs := wholeFrames(raw)
+	if len(fs) == 0 || fs[len(fs)-1].end != int64(len(raw)) {
+		t.Fatalf("checkpoint framing ends after %d whole sections, short of its %d bytes", len(fs), len(raw))
 	}
 	return fs
 }

@@ -156,16 +156,15 @@ func allocatedBy(f func()) uint64 {
 // decoded base, and ApplyDelta of a decoded delta onto the fixed replica with
 // its config fingerprint, return an error or a predictor that (a) encodes
 // (EncodeBase, or EncodeBaseQ on a v2 stream) to a message whose weight
-// sections are the consumed ones byte for byte and whose tables section is
-// the consumed one (a legacy-framed table stream re-encodes checksummed, and
-// the envelope's step and fingerprint are advisory copies no decoder holds
-// against the config section: for those and for the config section, which
-// Validate normalises, the check is that decoding and encoding once more is a
-// fixed point), (b) answers an exact and a sampled query without indexing out
-// of range, and (c) left the replica it was patched from untouched. Nothing
-// panics, and no input makes the decoders allocate more than a fixed multiple
-// of its length: with restamp set the section checksums are recomputed first,
-// so mutations reach the payload decoders instead of dying on the CRC. Table
+// and tables sections are the consumed ones byte for byte (the envelope's step
+// and fingerprint are advisory copies no decoder holds against the config
+// section: for those and for the config section, which Validate normalises,
+// the check is that decoding and encoding once more is a fixed point), (b)
+// answers an exact and a sampled query without indexing out of range, and (c)
+// left the replica it was patched from untouched. Nothing panics, and no
+// input makes the decoders allocate more than a fixed multiple of its length:
+// with restamp set the section checksums are recomputed first, so mutations
+// reach the payload decoders instead of dying on the CRC. Table
 // geometry is the one thing a config still sizes (see CHANGES.md), so configs
 // declaring another are not built.
 func FuzzReadMessage(f *testing.F) {
@@ -308,8 +307,7 @@ func FuzzReadMessage(f *testing.F) {
 				consumed  []byte
 				reencoded []byte
 			}{{"hidden", in.Hidden, out.Hidden}, {"middle", in.Middle, out.Middle}, {"output", in.Output, out.Output}, {"tables", in.Tables, out.Tables}} {
-				legacy := sec.name == "tables" && (len(sec.consumed) < 8 || binary.LittleEndian.Uint64(sec.consumed) != ^uint64(0))
-				if !legacy && !bytes.Equal(sec.reencoded, sec.consumed) {
+				if !bytes.Equal(sec.reencoded, sec.consumed) {
 					t.Fatalf("%s re-encodes to %d bytes that differ from the %d consumed", sec.name, len(sec.reencoded), len(sec.consumed))
 				}
 			}

@@ -403,7 +403,6 @@ func (b *Batcher) flush(batch []*pending) {
 	degraded := b.degrade.observe(len(b.queue), b.cfg.QueueCap, b.cfg.Degrade) && pred.Sampled()
 	live := make([]*pending, 0, len(batch))
 	entries := make([]slide.BatchEntry, 0, len(batch))
-	failed, deadlined := 0, 0
 	now := time.Now()
 	for _, item := range batch {
 		// Claim the item; a submitter that cancelled first keeps it.
@@ -413,7 +412,7 @@ func (b *Batcher) flush(batch []*pending) {
 		if !item.deadline.IsZero() && now.After(item.deadline) {
 			item.err = fmt.Errorf("serving: deadline passed %v before flush: %w",
 				now.Sub(item.deadline), ErrDeadline)
-			deadlined++
+			b.deadlined.Add(1) // counted before the submitter can see the outcome, as served is
 			close(item.done)
 			continue
 		}
@@ -424,15 +423,13 @@ func (b *Batcher) flush(batch []*pending) {
 		// front end promises never to truncate an accepted k).
 		if e := checkSkew(item.entry, pred); e != nil {
 			item.err = e
-			failed++
+			b.failed.Add(1)
 			close(item.done)
 			continue
 		}
 		live = append(live, item)
 		entries = append(entries, item.entry)
 	}
-	b.failed.Add(uint64(failed))
-	b.deadlined.Add(uint64(deadlined))
 	if len(live) == 0 {
 		return
 	}

@@ -3,6 +3,7 @@ package serving
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
 	"time"
 )
@@ -23,13 +24,24 @@ func (s sampledStub) PredictSampled(indices []int32, values []float32, k int) ([
 // of a deadline that arrives as request metadata (the wire deadline_ms
 // field) rather than as transport cancellation. It exercises the
 // flush-time deadline check, which the cancelling-context path would
-// otherwise always win.
+// otherwise always win. The budget starts counting when Submit first asks
+// for the deadline, so however late the submitting goroutine is scheduled,
+// admission sees the whole budget.
 type deadlineOnlyCtx struct {
 	context.Context
-	d time.Time
+	budget time.Duration
+	mu     sync.Mutex
+	d      time.Time
 }
 
-func (c deadlineOnlyCtx) Deadline() (time.Time, bool) { return c.d, true }
+func (c *deadlineOnlyCtx) Deadline() (time.Time, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.d.IsZero() {
+		c.d = time.Now().Add(c.budget)
+	}
+	return c.d, true
+}
 
 func TestSubmitExpiredContext(t *testing.T) {
 	mgr := NewSnapshotManager(&stubPredictor{version: 1})
@@ -65,15 +77,16 @@ func TestFlushRejectsPassedDeadline(t *testing.T) {
 	<-stub.entered // the worker is now stuck inside the backend
 
 	second := make(chan error, 1)
+	ctx := &deadlineOnlyCtx{Context: context.Background(), budget: 20 * time.Millisecond}
 	go func() {
-		ctx := deadlineOnlyCtx{context.Background(), time.Now().Add(20 * time.Millisecond)}
 		_, err := b.Submit(ctx, entry(2))
 		second <- err
 	}()
 	waitFor(t, "second request queued", func() bool { return b.Stats().Admitted == 2 })
 
-	time.Sleep(40 * time.Millisecond) // let the queued deadline lapse
-	stub.release <- struct{}{}        // unblock the first flush
+	d, _ := ctx.Deadline() // the one admission saw
+	time.Sleep(time.Until(d) + time.Millisecond)
+	stub.release <- struct{}{} // unblock the first flush, now past the queued deadline
 
 	if err := <-first; err != nil {
 		t.Fatalf("first request failed: %v", err)

@@ -230,11 +230,11 @@ gam2_store:
 	VZEROUPPER
 	RET
 
-// func adamAVX2Asm(w, m, v, grad *float32, n int64, beta1, beta2, omb1, omb2, eps, corr float32, zeroG int64)
+// func adamAVX2Asm(w, m, v, grad *float32, n int64, beta1, beta2, omb1, omb2, eps, corr float32)
 // One fused ADAM pass (§4.3.1): m' = beta1*m + omb1*g; v' = beta2*v +
-// (omb2*g)*g; w -= (corr*m') / (sqrt(v') + eps); optionally g = 0.
+// (omb2*g)*g; w -= (corr*m') / (sqrt(v') + eps).
 // Operation order and rounding match the scalar reference exactly.
-TEXT ·adamAVX2Asm(SB), NOSPLIT, $0-72
+TEXT ·adamAVX2Asm(SB), NOSPLIT, $0-64
 	MOVQ w+0(FP), R8
 	MOVQ m+8(FP), R9
 	MOVQ v+16(FP), R10
@@ -246,8 +246,6 @@ TEXT ·adamAVX2Asm(SB), NOSPLIT, $0-72
 	VBROADCASTSS omb2+52(FP), Y3
 	VBROADCASTSS eps+56(FP), Y4
 	VBROADCASTSS corr+60(FP), Y5
-	MOVQ zeroG+64(FP), R12
-	VXORPS Y6, Y6, Y6
 
 adam2_blk8:
 	VMOVUPS (R11), Y7          // g
@@ -269,11 +267,6 @@ adam2_blk8:
 	VMOVUPS (R8), Y13
 	VSUBPS  Y12, Y13, Y13      // w - update
 	VMOVUPS Y13, (R8)
-	TESTQ R12, R12
-	JE    adam2_nozero
-	VMOVUPS Y6, (R11)
-
-adam2_nozero:
 	ADDQ $32, R8
 	ADDQ $32, R9
 	ADDQ $32, R10

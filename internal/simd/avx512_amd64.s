@@ -321,9 +321,9 @@ gam5_store:
 	VZEROUPPER
 	RET
 
-// func adamAVX512Asm(w, m, v, grad *float32, n int64, beta1, beta2, omb1, omb2, eps, corr float32, zeroG int64)
+// func adamAVX512Asm(w, m, v, grad *float32, n int64, beta1, beta2, omb1, omb2, eps, corr float32)
 // Same schedule as adamAVX2Asm at 16 lanes with a masked tail.
-TEXT ·adamAVX512Asm(SB), NOSPLIT, $0-72
+TEXT ·adamAVX512Asm(SB), NOSPLIT, $0-64
 	MOVQ w+0(FP), R8
 	MOVQ m+8(FP), R9
 	MOVQ v+16(FP), R10
@@ -335,8 +335,6 @@ TEXT ·adamAVX512Asm(SB), NOSPLIT, $0-72
 	VBROADCASTSS omb2+52(FP), Z3
 	VBROADCASTSS eps+56(FP), Z4
 	VBROADCASTSS corr+60(FP), Z5
-	MOVQ zeroG+64(FP), R12
-	VXORPS Z6, Z6, Z6
 
 adam5_blk16:
 	CMPQ DX, $16
@@ -360,11 +358,6 @@ adam5_blk16:
 	VMOVUPS (R8), Z13
 	VSUBPS  Z12, Z13, Z13
 	VMOVUPS Z13, (R8)
-	TESTQ R12, R12
-	JE    adam5_nozero
-	VMOVUPS Z6, (R11)
-
-adam5_nozero:
 	ADDQ $64, R8
 	ADDQ $64, R9
 	ADDQ $64, R10
@@ -395,9 +388,6 @@ adam5_tail:
 	VMOVUPS.Z (R8), K1, Z13
 	VSUBPS  Z12, Z13, Z13
 	VMOVUPS Z13, K1, (R8)
-	TESTQ R12, R12
-	JE    adam5_done
-	VMOVUPS Z6, K1, (R11)
 
 adam5_done:
 	VZEROUPPER

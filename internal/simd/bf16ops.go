@@ -112,23 +112,6 @@ func adamStepBF16(w []bf16.BF16, m, v, g []float32, p AdamParams) {
 	}
 }
 
-// adamStepZeroBF16 is adamStepBF16 fused with the gradient clear: each lane
-// of g is consumed and zeroed in the same pass, so a touched BF16 weight row
-// is walked once per batch instead of twice (AdamStepBF16 then Zero).
-func adamStepZeroBF16(w []bf16.BF16, m, v, g []float32, p AdamParams) {
-	omb1 := 1 - p.Beta1
-	omb2 := 1 - p.Beta2
-	for i := range w {
-		gk := g[i]
-		g[i] = 0
-		mk := p.Beta1*m[i] + omb1*gk
-		vk := p.Beta2*v[i] + omb2*gk*gk
-		m[i] = mk
-		v[i] = vk
-		w[i] = bf16.FromFloat32(w[i].Float32() - p.CorrLR*mk/(sqrt32(vk)+p.Eps))
-	}
-}
-
 // The DotManyBiasBF16Act entries compute out[k] = hBF·rows[ids[k]] +
 // bias[ids[k]] for a whole active set under the BF16-activation mode (FP32
 // weights, BF16 activation); see dotManyBiasVec for the contract.

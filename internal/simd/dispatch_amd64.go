@@ -35,9 +35,8 @@ func init() {
 
 			GatherArgMax: gatherArgMaxAVX2,
 
-			DotManyBias:  dotManyBiasAVX2,
-			AxpyTwo:      axpyTwoAVX2,
-			AdamStepZero: adamZeroAVX2,
+			DotManyBias: dotManyBiasAVX2,
+			AxpyTwo:     axpyTwoAVX2,
 
 			AxpyTwoMany: axpyTwoManyAVX2,
 			GatherAxpy:  gatherAxpyAVX2,
@@ -50,7 +49,6 @@ func init() {
 			DotBF16:            dotBF16AVX2,
 			AxpyBF16:           axpyBF16AVX2,
 			AdamStepBF16:       adamStepBF16, // element-local re-rounding: software on every tier
-			AdamStepZeroBF16:   adamStepZeroBF16,
 			DotManyBiasBF16Act: dotManyBiasBF16ActAVX2,
 			DotManyBiasBF16:    dotManyBiasBF16AVX2,
 
@@ -73,9 +71,8 @@ func init() {
 
 			GatherArgMax: gatherArgMaxAVX512,
 
-			DotManyBias:  dotManyBiasAVX512,
-			AxpyTwo:      axpyTwoAVX512,
-			AdamStepZero: adamZeroAVX512,
+			DotManyBias: dotManyBiasAVX512,
+			AxpyTwo:     axpyTwoAVX512,
 
 			AxpyTwoMany: axpyTwoManyAVX512,
 			GatherAxpy:  gatherAxpyAVX512,
@@ -88,7 +85,6 @@ func init() {
 			DotBF16:            dotBF16AVX512,
 			AxpyBF16:           axpyBF16AVX512,
 			AdamStepBF16:       adamStepBF16,
-			AdamStepZeroBF16:   adamStepZeroBF16,
 			DotManyBiasBF16Act: dotManyBiasBF16ActAVX512,
 			DotManyBiasBF16:    dotManyBiasBF16AVX512,
 
@@ -165,10 +161,10 @@ func gatherArgMaxAVX2Asm(vals *float32, idx *int32, stride, n, slots int64, win 
 func gatherArgMaxAVX512Asm(vals *float32, idx *int32, nbins, slots int64, win *uint8)
 
 //go:noescape
-func adamAVX2Asm(w, m, v, grad *float32, n int64, beta1, beta2, omb1, omb2, eps, corr float32, zeroG int64)
+func adamAVX2Asm(w, m, v, grad *float32, n int64, beta1, beta2, omb1, omb2, eps, corr float32)
 
 //go:noescape
-func adamAVX512Asm(w, m, v, grad *float32, n int64, beta1, beta2, omb1, omb2, eps, corr float32, zeroG int64)
+func adamAVX512Asm(w, m, v, grad *float32, n int64, beta1, beta2, omb1, omb2, eps, corr float32)
 
 //go:noescape
 func dotBF16F32AVX2Asm(a *bf16.BF16, b *float32, n int64) float32
@@ -299,10 +295,7 @@ func gatherArgMaxAVX2(vals []float32, idx []int32, slots int, win []uint8) {
 	gatherArgMaxFrom(vals, idx, slots, win, nv)
 }
 
-func adamAVX2(w, m, v, g []float32, p AdamParams)     { adamAVX2Impl(w, m, v, g, p, 0) }
-func adamZeroAVX2(w, m, v, g []float32, p AdamParams) { adamAVX2Impl(w, m, v, g, p, 1) }
-
-func adamAVX2Impl(w, m, v, g []float32, p AdamParams, zeroG int64) {
+func adamAVX2(w, m, v, g []float32, p AdamParams) {
 	n := len(w)
 	m = m[:n]
 	v = v[:n]
@@ -312,13 +305,10 @@ func adamAVX2Impl(w, m, v, g []float32, p AdamParams, zeroG int64) {
 	nv := n &^ 7
 	if nv > 0 {
 		adamAVX2Asm(&w[0], &m[0], &v[0], &g[0], int64(nv),
-			p.Beta1, p.Beta2, omb1, omb2, p.Eps, p.CorrLR, zeroG)
+			p.Beta1, p.Beta2, omb1, omb2, p.Eps, p.CorrLR)
 	}
 	for i := nv; i < n; i++ {
 		gk := g[i]
-		if zeroG != 0 {
-			g[i] = 0
-		}
 		mk := p.Beta1*m[i] + omb1*gk
 		vk := p.Beta2*v[i] + omb2*gk*gk
 		m[i] = mk
@@ -487,10 +477,7 @@ func gatherArgMaxAVX512(vals []float32, idx []int32, slots int, win []uint8) {
 	gatherArgMaxAVX512Asm(&vals[0], &idx[0], int64(len(win)), int64(slots), &win[0])
 }
 
-func adamAVX512(w, m, v, g []float32, p AdamParams)     { adamAVX512Impl(w, m, v, g, p, 0) }
-func adamZeroAVX512(w, m, v, g []float32, p AdamParams) { adamAVX512Impl(w, m, v, g, p, 1) }
-
-func adamAVX512Impl(w, m, v, g []float32, p AdamParams, zeroG int64) {
+func adamAVX512(w, m, v, g []float32, p AdamParams) {
 	n := len(w)
 	if n == 0 {
 		return
@@ -499,7 +486,7 @@ func adamAVX512Impl(w, m, v, g []float32, p AdamParams, zeroG int64) {
 	v = v[:n]
 	g = g[:n]
 	adamAVX512Asm(&w[0], &m[0], &v[0], &g[0], int64(n),
-		p.Beta1, p.Beta2, 1-p.Beta1, 1-p.Beta2, p.Eps, p.CorrLR, zeroG)
+		p.Beta1, p.Beta2, 1-p.Beta1, 1-p.Beta2, p.Eps, p.CorrLR)
 }
 
 func dotBF16F32AVX512(a []bf16.BF16, b []float32) float32 {

@@ -4,13 +4,12 @@ package simd
 // primitive kernels that cut call overhead and memory traffic in the training
 // hot path. Each one exists because the unfused form pays a cost the paper's
 // intrinsics code never does — a call, a reload of h and a horizontal
-// reduction set-up per dot product (DotManyBias), two walks over the same
-// cache lines in the per-row backward pass (AxpyTwo), or two passes over
-// every touched gradient row in the optimizer (AdamStepZero). DotManyBias
-// belongs to the family of active-set walks, one call per sample, whose
-// other members live in walk.go. Callers reach the mode-resolved
-// implementations through the Kernels table (see kernels.go), so the atomic
-// mode load happens once per batch, not once per row.
+// reduction set-up per dot product (DotManyBias), or two walks over the same
+// cache lines in the per-row backward pass (AxpyTwo). DotManyBias belongs to
+// the family of active-set walks, one call per sample, whose other members
+// live in walk.go. Callers reach the mode-resolved implementations through
+// the Kernels table (see kernels.go), so the atomic mode load happens once
+// per batch, not once per row.
 
 // The DotManyBias entries fill out[k] = rows[ids[k]]·h + bias[ids[k]] for
 // every id in ids — the whole Algorithm 1 forward pass over one active set in
@@ -65,57 +64,4 @@ func axpyTwoUnfusedVec(gz float32, h, grad, w, dh []float32) {
 func axpyTwoUnfusedScalar(gz float32, h, grad, w, dh []float32) {
 	axpyScalar(gz, h, grad)
 	axpyScalar(gz, w, dh)
-}
-
-// The AdamStepZero entries are AdamStep fused with the gradient clear: each
-// gradient lane is consumed and zeroed in the same pass, so a touched row is
-// walked once per batch instead of twice (AdamStep then Zero) — halving the
-// traffic over the gradient row and saving one full pass over (w, m, v)
-// re-fetches when the row has fallen out of cache between the two walks.
-func adamZeroVec(w, m, v, g []float32, p AdamParams) {
-	n := len(w)
-	m = m[:n]
-	v = v[:n]
-	g = g[:n]
-	omb1 := 1 - p.Beta1
-	omb2 := 1 - p.Beta2
-	i := 0
-	for ; i+Width <= n; i += Width {
-		ww := w[i : i+Width : i+Width]
-		mm := m[i : i+Width : i+Width]
-		vv := v[i : i+Width : i+Width]
-		gg := g[i : i+Width : i+Width]
-		for k := 0; k < Width; k++ {
-			gk := gg[k]
-			gg[k] = 0
-			mk := p.Beta1*mm[k] + omb1*gk
-			vk := p.Beta2*vv[k] + omb2*gk*gk
-			mm[k] = mk
-			vv[k] = vk
-			ww[k] -= p.CorrLR * mk / (sqrt32(vk) + p.Eps)
-		}
-	}
-	for ; i < n; i++ {
-		gk := g[i]
-		g[i] = 0
-		mk := p.Beta1*m[i] + omb1*gk
-		vk := p.Beta2*v[i] + omb2*gk*gk
-		m[i] = mk
-		v[i] = vk
-		w[i] -= p.CorrLR * mk / (sqrt32(vk) + p.Eps)
-	}
-}
-
-func adamZeroScalar(w, m, v, g []float32, p AdamParams) {
-	omb1 := 1 - p.Beta1
-	omb2 := 1 - p.Beta2
-	for i := range w {
-		gk := g[i]
-		g[i] = 0
-		mk := p.Beta1*m[i] + omb1*gk
-		vk := p.Beta2*v[i] + omb2*gk*gk
-		m[i] = mk
-		v[i] = vk
-		w[i] -= p.CorrLR * mk / (sqrt32(vk) + p.Eps)
-	}
 }

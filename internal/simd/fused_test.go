@@ -330,106 +330,6 @@ func TestAxpyTwoMismatchPanics(t *testing.T) {
 	}
 }
 
-// TestAdamStepZeroMatchesStepThenZero checks that the fused optimizer pass
-// is bit-identical to AdamStep followed by Zero, in both modes and across
-// odd lengths, and that it clears the gradient.
-func TestAdamStepZeroMatchesStepThenZero(t *testing.T) {
-	rng := rand.New(rand.NewPCG(35, 36))
-	p := NewAdamParams(0.01, 0.9, 0.999, 1e-8, 3)
-	for _, m := range []Mode{Vector, Scalar} {
-		withMode(t, m, func() {
-			for _, n := range fusedLens {
-				w0 := randSlice(rng, n)
-				m0 := randSlice(rng, n)
-				v0 := randSlice(rng, n)
-				for i := range v0 {
-					v0[i] = v0[i] * v0[i] // second moment must be non-negative
-				}
-				g0 := randSlice(rng, n)
-
-				wf := append([]float32(nil), w0...)
-				mf := append([]float32(nil), m0...)
-				vf := append([]float32(nil), v0...)
-				gf := append([]float32(nil), g0...)
-				Active().AdamStepZero(wf, mf, vf, gf, p)
-
-				wr := append([]float32(nil), w0...)
-				mr := append([]float32(nil), m0...)
-				vr := append([]float32(nil), v0...)
-				gr := append([]float32(nil), g0...)
-				adamScalar(wr, mr, vr, gr, p)
-				Zero(gr)
-
-				for i := 0; i < n; i++ {
-					if wf[i] != wr[i] || mf[i] != mr[i] || vf[i] != vr[i] {
-						t.Errorf("%v n=%d i=%d: fused (%g,%g,%g) reference (%g,%g,%g)",
-							m, n, i, wf[i], mf[i], vf[i], wr[i], mr[i], vr[i])
-					}
-					if gf[i] != 0 {
-						t.Errorf("%v n=%d: gradient lane %d not cleared: %g", m, n, i, gf[i])
-					}
-				}
-			}
-		})
-	}
-}
-
-// TestAdamStepZeroBF16MatchesStepThenZero is the BF16Both-precision analog.
-func TestAdamStepZeroBF16MatchesStepThenZero(t *testing.T) {
-	rng := rand.New(rand.NewPCG(37, 38))
-	p := NewAdamParams(0.01, 0.9, 0.999, 1e-8, 2)
-	for _, m := range []Mode{Vector, Scalar} {
-		withMode(t, m, func() {
-			for _, n := range fusedLens {
-				w0 := bf16.FromSlice(randSlice(rng, n))
-				m0 := randSlice(rng, n)
-				v0 := randSlice(rng, n)
-				for i := range v0 {
-					v0[i] = v0[i] * v0[i]
-				}
-				g0 := randSlice(rng, n)
-
-				wf := append([]bf16.BF16(nil), w0...)
-				mf := append([]float32(nil), m0...)
-				vf := append([]float32(nil), v0...)
-				gf := append([]float32(nil), g0...)
-				Active().AdamStepZeroBF16(wf, mf, vf, gf, p)
-
-				wr := append([]bf16.BF16(nil), w0...)
-				mr := append([]float32(nil), m0...)
-				vr := append([]float32(nil), v0...)
-				gr := append([]float32(nil), g0...)
-				Active().AdamStepBF16(wr, mr, vr, gr, p)
-				Zero(gr)
-
-				for i := 0; i < n; i++ {
-					if wf[i] != wr[i] || mf[i] != mr[i] || vf[i] != vr[i] {
-						t.Errorf("%v n=%d i=%d: fused BF16 diverged from step-then-zero", m, n, i)
-					}
-					if gf[i] != 0 {
-						t.Errorf("%v n=%d: BF16 gradient lane %d not cleared: %g", m, n, i, gf[i])
-					}
-				}
-			}
-		})
-	}
-}
-
-// TestAdamStepZeroMismatchPanics: a moment vector shorter than the weights
-// panics on every tier.
-func TestAdamStepZeroMismatchPanics(t *testing.T) {
-	p := NewAdamParams(0.1, 0.9, 0.999, 1e-8, 1)
-	for _, m := range AvailableModes() {
-		ks := ForMode(m)
-		expectPanic(t, m.String()+" AdamStepZero", func() {
-			ks.AdamStepZero(make([]float32, 24), make([]float32, 16), make([]float32, 24), make([]float32, 24), p)
-		})
-		expectPanic(t, m.String()+" AdamStepZeroBF16", func() {
-			ks.AdamStepZeroBF16(make([]bf16.BF16, 24), make([]float32, 16), make([]float32, 24), make([]float32, 24), p)
-		})
-	}
-}
-
 // TestKernelTableResolvesMode checks that Active and ForMode return tables
 // whose entries match the mode-specific implementations, and that SetMode
 // still flips which table Active returns (the Table-4 ablation contract).

@@ -39,9 +39,8 @@ type Kernels struct {
 	GatherArgMax func(vals []float32, idx []int32, slots int, win []uint8)
 
 	// Fused batch kernels (see fused.go).
-	DotManyBias  func(rows [][]float32, bias []float32, ids []int32, h, out []float32)
-	AxpyTwo      func(gz float32, h, grad, w, dh []float32)
-	AdamStepZero func(w, m, v, g []float32, p AdamParams)
+	DotManyBias func(rows [][]float32, bias []float32, ids []int32, h, out []float32)
+	AxpyTwo     func(gz float32, h, grad, w, dh []float32)
 
 	// Active-set walks: one call per sample, the dense operand held in
 	// registers on the assembly tiers (see walk.go). Each is bit-identical
@@ -63,7 +62,6 @@ type Kernels struct {
 	DotBF16            func(a, b []bf16.BF16) float32
 	AxpyBF16           func(alpha float32, x []bf16.BF16, y []float32)
 	AdamStepBF16       func(w []bf16.BF16, m, v, g []float32, p AdamParams)
-	AdamStepZeroBF16   func(w []bf16.BF16, m, v, g []float32, p AdamParams)
 	DotManyBiasBF16Act func(rows [][]float32, bias []float32, ids []int32, hBF []bf16.BF16, out []float32)
 	DotManyBiasBF16    func(rows [][]bf16.BF16, bias []float32, ids []int32, hBF []bf16.BF16, out []float32)
 
@@ -100,9 +98,8 @@ var vectorKernels = Kernels{
 
 	GatherArgMax: gatherArgMaxGo, // one portable form serves both Go modes
 
-	DotManyBias:  dotManyBiasVec,
-	AxpyTwo:      axpyTwoUnfusedVec, // fused walk loses under the Go compiler
-	AdamStepZero: adamZeroVec,
+	DotManyBias: dotManyBiasVec,
+	AxpyTwo:     axpyTwoUnfusedVec, // fused walk loses under the Go compiler
 
 	AxpyTwoMany: axpyTwoManyVec,
 	GatherAxpy:  gatherAxpyVec,
@@ -115,7 +112,6 @@ var vectorKernels = Kernels{
 	DotBF16:            dotBF16BothVec,
 	AxpyBF16:           axpyBF16Vec,
 	AdamStepBF16:       adamStepBF16,
-	AdamStepZeroBF16:   adamStepZeroBF16,
 	DotManyBiasBF16Act: dotManyBiasBF16ActVec,
 	DotManyBiasBF16:    dotManyBiasBF16Vec,
 
@@ -139,9 +135,8 @@ var scalarKernels = Kernels{
 
 	GatherArgMax: gatherArgMaxGo,
 
-	DotManyBias:  dotManyBiasScalar,
-	AxpyTwo:      axpyTwoUnfusedScalar,
-	AdamStepZero: adamZeroScalar,
+	DotManyBias: dotManyBiasScalar,
+	AxpyTwo:     axpyTwoUnfusedScalar,
 
 	AxpyTwoMany: axpyTwoManyScalar,
 	GatherAxpy:  gatherAxpyScalar,
@@ -154,7 +149,6 @@ var scalarKernels = Kernels{
 	DotBF16:            dotBF16BothScalar,
 	AxpyBF16:           axpyBF16Scalar,
 	AdamStepBF16:       adamStepBF16, // element-local math: one impl serves both modes
-	AdamStepZeroBF16:   adamStepZeroBF16,
 	DotManyBiasBF16Act: dotManyBiasBF16ActScalar,
 	DotManyBiasBF16:    dotManyBiasBF16Scalar,
 
