@@ -57,7 +57,8 @@ func (w *WalkScratch) lists(n int) *[simd.WalkTile][]int32 {
 
 // dequantInto turns the accumulators of an id list into its logits: dequant
 // per id, over local copies of the per-row tables so that the stores into
-// logits cannot force their reload.
+// logits cannot force their reload. A gathered list is what the sampled walk
+// has; the exact walk's rows are contiguous and take simd's DequantRows8.
 func (q *RowQ) dequantInto(ids []int32, acc []int32, sa float32, zp int32, logits []float32) {
 	scales, rowSums, bias := q.scales, q.rowSums, q.bias
 	acc, logits = acc[:len(ids)], logits[:len(ids)]
@@ -113,7 +114,8 @@ func (q *RowQ) ForwardAllBatch(ks *simd.Kernels, qas [][]uint8, sas []float32, z
 // streams from memory once per chunk. A block meets the samples a tile at a
 // time: one DotManyU8S8 call scores it against simd.WalkTile of them, each
 // row block loaded once for the tile, into ws's accumulator lists, and one
-// dequantizing loop per sample turns those into logits. Shards call it
+// DequantRows8 call per sample turns those into logits over the block's
+// contiguous stretch of the per-row tables (its ids are an Iota). Shards call it
 // concurrently over disjoint ranges into shared outs, each with its own ws
 // (nil allocates one); every logit is Logit's, so the assembled scores are
 // bit-identical at any tiling.
@@ -135,7 +137,7 @@ func (q *RowQ) ForwardAllBatchRange(ks *simd.Kernels, qas [][]uint8, sas []float
 			t := min(s+simd.WalkTile, len(outs))
 			ks.DotManyU8S8(q.rows8, ids[b:e], qas[s:t], accs[:t-s])
 			for i := s; i < t; i++ {
-				q.dequantInto(ids[b:e], accs[i-s], sas[i], zps[i], outs[i][b:e])
+				ks.DequantRows8(accs[i-s], q.scales[b:e], q.rowSums[b:e], q.bias[b:e], sas[i], zps[i], outs[i][b:e])
 			}
 		}
 	}

@@ -18,6 +18,9 @@
 //     with explicit float32 conversions so the compiler cannot fuse the
 //     multiply-add (bit-stable across builds).
 //
+// Packing and the exact walk's dequantizing are simd.Kernels entries,
+// QuantizeRow8 and DequantRows8, and every kernel tier returns the same bits.
+//
 // Determinism: row quantization is a pure per-row function of the f32 bytes
 // (float64 divide + round-half-away, no accumulation across rows), so the
 // same snapshot packs to bit-identical bytes at any worker count — the
@@ -38,6 +41,7 @@ import (
 
 	"github.com/slide-cpu/slide/internal/health"
 	"github.com/slide-cpu/slide/internal/layer"
+	"github.com/slide-cpu/slide/internal/simd"
 )
 
 // ErrNonFinite aliases the layer sentinel: a NaN/Inf row refuses to
@@ -99,14 +103,15 @@ func QuantizeRowWeights(src *layer.RowWeights, bits int) (*RowQ, error) {
 	if src.In > MaxDotLen {
 		return nil, fmt.Errorf("quant: row length %d exceeds MaxDotLen %d", src.In, MaxDotLen)
 	}
+	ks := simd.Active()
 	q := newRowQ(src.In, src.Out, bits)
 	buf := make([]float32, src.In)
 	for i := 0; i < src.Out; i++ {
 		row := src.RowF32(i, buf)
-		if k := health.FirstNonFinite32(row); k >= 0 {
-			return nil, fmt.Errorf("quant: %w: row %d element %d", ErrNonFinite, i, k)
+		var finite bool
+		if q.scales[i], q.rowSums[i], finite = ks.QuantizeRow8(row, q.rows8[i]); !finite {
+			return nil, fmt.Errorf("quant: %w: row %d element %d", ErrNonFinite, i, health.FirstNonFinite32(row))
 		}
-		q.scales[i], q.rowSums[i] = quantizeRow8(row, q.rows8[i])
 	}
 	bias := src.Bias()
 	if k := health.FirstNonFinite32(bias); k >= 0 {
@@ -114,45 +119,6 @@ func QuantizeRowWeights(src *layer.RowWeights, bits int) (*RowQ, error) {
 	}
 	copy(q.bias, bias)
 	return q, nil
-}
-
-// rowMaxAbs returns the largest |w_i| (NaN-free input by contract).
-func rowMaxAbs(w []float32) float32 {
-	var m float32
-	for _, v := range w {
-		if v < 0 {
-			v = -v
-		}
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// quantizeRow8 packs one row symmetrically into int8. Pure per-element
-// float64 math — deterministic regardless of kernel mode or worker count.
-func quantizeRow8(w []float32, dst []int8) (scale float32, rowSum int32) {
-	m := rowMaxAbs(w)
-	if m == 0 {
-		for i := range dst {
-			dst[i] = 0
-		}
-		return 0, 0
-	}
-	scale = m / 127
-	inv := float64(scale)
-	for i, v := range w {
-		qi := int32(math.Round(float64(v) / inv))
-		if qi > 127 {
-			qi = 127
-		} else if qi < -127 {
-			qi = -127
-		}
-		dst[i] = int8(qi)
-		rowSum += qi
-	}
-	return scale, rowSum
 }
 
 // QuantizeActs quantizes one dense activation vector into u7 with a zero

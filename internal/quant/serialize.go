@@ -7,9 +7,11 @@ import (
 	"io"
 	"math"
 	"slices"
+	"unsafe"
 
 	"github.com/slide-cpu/slide/internal/health"
 	"github.com/slide-cpu/slide/internal/layer"
+	"github.com/slide-cpu/slide/internal/simd"
 )
 
 // Wire codecs for quantized views, mirroring the layer view codecs (same
@@ -247,32 +249,26 @@ func WriteRowsDelta(w io.Writer, src *layer.RowWeights, ids []int32, bits int) e
 			return err
 		}
 	}
+	ks := simd.Active()
 	buf := make([]float32, src.In)
-	row8 := make([]int8, src.In)
-	packed := make([]byte, src.In)
+	// One record, written whole: [id u32][scale f32][row bytes][bias f32]. The
+	// row is packed in place, through an int8 view of its bytes.
+	rec := make([]byte, 8+src.In+4)
+	row8 := unsafe.Slice((*int8)(unsafe.Pointer(&rec[8])), src.In)
 	bias := src.Bias()
 	for _, id := range ids {
 		row := src.RowF32(int(id), buf)
-		if k := health.FirstNonFinite32(row); k >= 0 {
-			return fmt.Errorf("quant: %w: row %d element %d", ErrNonFinite, id, k)
+		scale, _, finite := ks.QuantizeRow8(row, row8)
+		if !finite {
+			return fmt.Errorf("quant: %w: row %d element %d", ErrNonFinite, id, health.FirstNonFinite32(row))
 		}
-		if k := health.FirstNonFinite32(bias[id : id+1]); k >= 0 {
+		if health.FirstNonFinite32(bias[id:id+1]) >= 0 {
 			return fmt.Errorf("quant: %w: bias[%d]", ErrNonFinite, id)
 		}
-		scale, _ := quantizeRow8(row, row8)
-		for i, v := range row8 {
-			packed[i] = uint8(v)
-		}
-		if err := writeU32(w, uint32(id)); err != nil {
-			return err
-		}
-		if err := writeF32s(w, []float32{scale}); err != nil {
-			return err
-		}
-		if _, err := w.Write(packed); err != nil {
-			return err
-		}
-		if err := writeF32s(w, bias[id:id+1]); err != nil {
+		binary.LittleEndian.PutUint32(rec[0:], uint32(id))
+		binary.LittleEndian.PutUint32(rec[4:], math.Float32bits(scale))
+		binary.LittleEndian.PutUint32(rec[8+src.In:], math.Float32bits(bias[id]))
+		if _, err := w.Write(rec); err != nil {
 			return err
 		}
 	}

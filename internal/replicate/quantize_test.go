@@ -3,13 +3,78 @@ package replicate
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"hash/crc32"
+	"runtime"
 	"strings"
 	"testing"
 
 	"github.com/slide-cpu/slide/internal/network"
+	"github.com/slide-cpu/slide/internal/simd"
 )
+
+// TestInt8WireBytesPinned pins the quantized replication stream — a packed
+// base (EncodeBaseQ) and a packed delta (EncodeDeltaQ) — at output rows of
+// 128 elements and of 200, whose last 8 are a masked tail of a 16-lane
+// register. The model trains on the scalar tier, so its f32 weights are the
+// same on every host; the packing then runs on every tier the host has and
+// must give the same bytes. The literals were recorded before row
+// quantization became a kernel-table entry.
+func TestInt8WireBytesPinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("literals were recorded on amd64 (other compilers fuse a*b+c in the portable tiers)")
+	}
+	want := map[int][2]string{
+		128: {"006254f161dacb695d4fe86c1d5f86b5197e964ddc44df0b7a2fa214fe154dcf", "bebfe87bb75c21d84c42c67a88a1a964ed7c2289524a3434e26b97e3ab9127f8"},
+		200: {"0afef3fbccb5d7f0e25dd4819a56d66760c839d00653554e4e9380050c28386a", "5d9a14f43f9a091da522fe0d560481aae4744afeafa24f27f1233b7cb83ae8ef"},
+	}
+	sha := func(b []byte) string {
+		h := sha256.Sum256(b)
+		return hex.EncodeToString(h[:])
+	}
+	defer simd.SetMode(simd.CurrentMode())
+	for _, in := range []int{128, 200} {
+		simd.SetMode(simd.Scalar)
+		cfg := network.Config{
+			InputDim: 60, HiddenDim: in, OutputDim: 40,
+			Hash: network.DWTA, K: 2, L: 8, BucketCap: 32,
+			MinActive: 6, LR: 0.01, Workers: 1, RebuildEvery: 7, Seed: 71,
+		}
+		n, err := network.New(&cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n.EnableDeltaTracking()
+		src := newTrainSrc(60, 40, 29)
+		for i := 0; i < 3; i++ {
+			n.TrainBatch(src.batch(32))
+		}
+		p, _ := n.SnapshotDelta()
+		for i := 0; i < 2; i++ {
+			n.TrainBatch(src.batch(32))
+		}
+		_, d := n.SnapshotDelta()
+		if d == nil || len(d.OutputRows) == 0 {
+			t.Fatalf("in=%d: the delta touches no output row", in)
+		}
+		for _, m := range simd.AvailableModes() {
+			simd.SetMode(m)
+			base, err := EncodeBaseQ(p, 1, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			delta, err := EncodeDeltaQ(d, 1, 2, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := [2]string{sha(base), sha(delta)}; got != want[in] {
+				t.Errorf("%v, in=%d: base and delta hash to\n%d: {%q, %q},\nwant %q", m, in, in, got[0], got[1], want[in])
+			}
+		}
+	}
+}
 
 // quantIdentical asserts the replica predictor is int8-quantized and both
 // answers and serializes byte-identically to quantizing the trainer's local

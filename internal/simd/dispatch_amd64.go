@@ -54,6 +54,9 @@ func init() {
 
 			DotU8S8: dotU8S8AVX2,
 
+			QuantizeRow8: quantizeRow8AVX2,
+			DequantRows8: dequantRows8AVX2,
+
 			PackBF16:  packBF16Go,
 			RoundBF16: roundBF16Go,
 		}
@@ -92,6 +95,9 @@ func init() {
 			// silicon has VNNI (see below); either way the result is the
 			// identical int32 — exact math, so the swap is pure throughput.
 			DotU8S8: dotU8S8AVX2,
+
+			QuantizeRow8: quantizeRow8AVX512,
+			DequantRows8: dequantRows8AVX512,
 
 			PackBF16:  packBF16Go,
 			RoundBF16: roundBF16Go,

@@ -71,6 +71,12 @@ type Kernels struct {
 	// over an id list is DotManyU8S8 above.
 	DotU8S8 func(a []uint8, b []int8) int32
 
+	// The quantized tier's element-wise kernels: packing an f32 row into
+	// int8 codes, and dequantizing the accumulators of contiguous rows into
+	// logits (see quant8.go). Every tier returns the same bits.
+	QuantizeRow8 func(w []float32, dst []int8) (scale float32, rowSum int32, finite bool)
+	DequantRows8 func(acc []int32, scales []float32, rowSums []int32, bias []float32, sa float32, zp int32, out []float32)
+
 	// Precision-conversion kernels (§4.4). PackBF16 converts float32 to
 	// bfloat16 with round-to-nearest-even; RoundBF16 rounds float32 values
 	// through bfloat16 in place. On AVX512-BF16 hardware both map to
@@ -117,6 +123,9 @@ var vectorKernels = Kernels{
 
 	DotU8S8: dotU8S8Vec,
 
+	QuantizeRow8: quantizeRow8, // the definitions serve both Go modes
+	DequantRows8: dequantRows8,
+
 	PackBF16:  packBF16Go,
 	RoundBF16: roundBF16Go,
 }
@@ -153,6 +162,9 @@ var scalarKernels = Kernels{
 	DotManyBiasBF16:    dotManyBiasBF16Scalar,
 
 	DotU8S8: dotU8S8Scalar,
+
+	QuantizeRow8: quantizeRow8,
+	DequantRows8: dequantRows8,
 
 	PackBF16:  packBF16Go,
 	RoundBF16: roundBF16Go,

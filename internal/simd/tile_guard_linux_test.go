@@ -5,6 +5,7 @@ package simd
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"syscall"
 	"testing"
 	"unsafe"
@@ -86,6 +87,48 @@ func TestTiledWalksReadNothingPastARow(t *testing.T) {
 							t.Fatalf("%s DotManyBiasBatch sample %d id %d: %v, want %v", name, s, id, outs[s][k], want)
 						}
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestQuantizeRow8DequantRows8StayInBounds places every operand of the
+// quantized tier's element-wise kernels, read or written, so that its last
+// element is the last before an unmapped page, at lengths with a partial last
+// register on every tier.
+func TestQuantizeRow8DequantRows8StayInBounds(t *testing.T) {
+	rng := rand.New(rand.NewPCG(47, 48))
+	f32s := func(n int) []float32 {
+		return unsafe.Slice((*float32)(unsafe.Pointer(&guarded(t, 4*n)[0])), n)
+	}
+	i32s := func(n int) []int32 {
+		return unsafe.Slice((*int32)(unsafe.Pointer(&guarded(t, 4*n)[0])), n)
+	}
+	for _, m := range AvailableModes() {
+		ks := ForMode(m)
+		for _, n := range []int{1, 7, 9, 15, 17, 33, 200, 257} {
+			w := f32s(n)
+			copy(w, randSlice(rng, n))
+			dst := unsafe.Slice((*int8)(unsafe.Pointer(&guarded(t, n)[0])), n)
+			want := make([]int8, n)
+			ws, wsum, _ := quantizeRow8(w, want)
+			if s, sum, _ := ks.QuantizeRow8(w, dst); s != ws || sum != wsum || !slices.Equal(dst, want) {
+				t.Fatalf("%v n=%d: QuantizeRow8 differs from its definition", m, n)
+			}
+
+			acc, sums, scales, bias, out := i32s(n), i32s(n), f32s(n), f32s(n), f32s(n)
+			for k := range n {
+				acc[k], sums[k] = rng.Int32N(1<<16), rng.Int32N(1<<10)
+			}
+			copy(scales, randSlice(rng, n))
+			copy(bias, randSlice(rng, n))
+			ref := make([]float32, n)
+			dequantRows8(acc, scales, sums, bias, 0.01, 9, ref)
+			ks.DequantRows8(acc, scales, sums, bias, 0.01, 9, out)
+			for k := range out {
+				if out[k] != ref[k] {
+					t.Fatalf("%v n=%d: DequantRows8 out[%d] = %v, definition %v", m, n, k, out[k], ref[k])
 				}
 			}
 		}
