@@ -76,10 +76,12 @@ type Trainer struct {
 	step   int64
 
 	// chunk scratch
-	h      [][]float32 // SampleChunk × HiddenDim activations
-	logits []float32   // SampleChunk × OutputDim, row-major per sample
-	dh     [][]float32 // per-worker partial input gradients: Workers × (SampleChunk × HiddenDim)
-	rowBuf [][]float32 // per-worker row expansion buffers
+	h      [][]float32     // SampleChunk × HiddenDim activations
+	logits []float32       // SampleChunk × OutputDim, row-major per sample
+	dh     [][]float32     // per-worker partial input gradients: Workers × (SampleChunk × HiddenDim)
+	dhs    [][]float32     // per-sample views of the reduced gradient, dh[0]
+	xs     []sparse.Vector // the chunk's samples
+	rowBuf [][]float32     // per-worker row expansion buffers
 	evalH  []float32
 }
 
@@ -94,24 +96,28 @@ func New(cfg *Config) (*Trainer, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	hOpts := layer.Options{Locked: true, Seed: cfg.Seed ^ 0xA5A5}
+	hOpts := layer.Options{Seed: cfg.Seed ^ 0xA5A5}
 	oOpts := layer.Options{Seed: cfg.Seed ^ 0x5A5A}
 	t := &Trainer{
 		cfg:    *cfg,
 		hidden: layer.NewColLayer(cfg.InputDim, cfg.HiddenDim, cfg.HiddenActivation, hOpts),
 		output: layer.NewRowLayer(cfg.HiddenDim, cfg.OutputDim, oOpts),
 		logits: make([]float32, cfg.SampleChunk*cfg.OutputDim),
+		xs:     make([]sparse.Vector, cfg.SampleChunk),
 		evalH:  make([]float32, cfg.HiddenDim),
-	}
-	t.h = make([][]float32, cfg.SampleChunk)
-	for i := range t.h {
-		t.h[i] = make([]float32, cfg.HiddenDim)
 	}
 	t.dh = make([][]float32, cfg.Workers)
 	t.rowBuf = make([][]float32, cfg.Workers)
 	for w := range t.dh {
 		t.dh[w] = make([]float32, cfg.SampleChunk*cfg.HiddenDim)
 		t.rowBuf[w] = make([]float32, cfg.HiddenDim)
+	}
+	hd := cfg.HiddenDim
+	t.h = make([][]float32, cfg.SampleChunk)
+	t.dhs = make([][]float32, cfg.SampleChunk)
+	for i := range t.h {
+		t.h[i] = make([]float32, hd)
+		t.dhs[i] = t.dh[0][i*hd : (i+1)*hd]
 	}
 	return t, nil
 }
@@ -265,15 +271,19 @@ func (t *Trainer) chunk(ks *simd.Kernels, b sparse.Batch, lo, hi int) float64 {
 	}
 	wg.Wait()
 
-	// 5. Reduce worker partials and run hidden backward per sample.
-	parallelFor(n, t.cfg.Workers, func(s, e int) {
-		for i := s; i < e; i++ {
-			dh := t.dh[0][i*hd : (i+1)*hd]
+	// 5. Hidden backward over disjoint hidden-unit tiles, units owned per
+	// tile like the output rows in step 4: reduce the worker partials into
+	// dh[0] over the tile, then accumulate the tile's gradients.
+	for i := range n {
+		t.xs[i] = b.Sample(lo + i)
+	}
+	parallelFor(hd, t.cfg.Workers, func(s, e int) {
+		for i := range n {
 			for w := 1; w < len(t.dh); w++ {
-				ks.Add(t.dh[w][i*hd:(i+1)*hd], dh)
+				ks.Add(t.dh[w][i*hd+s:i*hd+e], t.dhs[i][s:e])
 			}
-			t.hidden.Backward(ks, b.Sample(lo+i), t.h[i], dh)
 		}
+		t.hidden.BackwardBatchRange(ks, t.xs[:n], t.h[:n], t.dhs[:n], s, e)
 	})
 	return loss
 }

@@ -1,7 +1,10 @@
 package fullsoftmax
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"math/rand/v2"
+	"runtime"
 	"testing"
 
 	"github.com/slide-cpu/slide/internal/metrics"
@@ -207,6 +210,57 @@ func TestLossDecreasesOnFixedBatch(t *testing.T) {
 	}
 	if last >= first {
 		t.Errorf("fixed-batch loss did not decrease: %.4f -> %.4f", first, last)
+	}
+}
+
+// trainedStateSHA trains a fresh dense baseline for a few batches (several
+// chunks each) and hashes its whole trained state: both layers' checkpoints,
+// weights, ADAM moments and biases.
+func trainedStateSHA(t *testing.T, workers int) string {
+	t.Helper()
+	cfg := Config{InputDim: 60, HiddenDim: 40, OutputDim: 30, LR: 0.01,
+		Workers: workers, SampleChunk: 64, Seed: 21}
+	tr, err := New(&cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := newPlanted(60, 30, 5, 23)
+	for i := 0; i < 8; i++ {
+		tr.TrainBatch(p.batch(160))
+	}
+	h := sha256.New()
+	if err := tr.Hidden().Serialize(h); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Output().Serialize(h); err != nil {
+		t.Fatal(err)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestDenseBaselineRepeatable: every worker owns the output rows and hidden
+// units it writes, so a run is a function of its inputs at any worker count.
+// The W=1 literals were recorded per kernel tier on the commit before the
+// hidden backward moved from per-sample calls onto owned unit tiles.
+func TestDenseBaselineRepeatable(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("literals were recorded on amd64 (other compilers fuse a*b+c in the portable tiers)")
+	}
+	if a, b := trainedStateSHA(t, 3), trainedStateSHA(t, 3); a != b {
+		t.Errorf("two W=3 runs trained different states: %s vs %s", a, b)
+	}
+	want := map[string]string{
+		"avx512": "e385d422628f50e8ee7febb10692aba4e288ecf2f77ff0de4075415ca06461a3",
+		"avx2":   "eeade4026d7622555866474c84007ed38a8d2bd5ab5692e5b5e45c762fd2bfc0",
+		"vector": "8765ecbdc118a8a4f0bef215952bab36d9de396c916eb51761a3e208c1f9fe4c",
+		"scalar": "5b26e8fb7f11f7c23c4ab000ece9376ead8f2915f358d7f604086a8043622e58",
+	}
+	defer simd.SetMode(simd.CurrentMode())
+	for _, m := range simd.AvailableModes() {
+		simd.SetMode(m)
+		if got := trainedStateSHA(t, 1); got != want[m.String()] {
+			t.Errorf("%s: W=1 trained state hashes to %q, want %q", m, got, want[m.String()])
+		}
 	}
 }
 

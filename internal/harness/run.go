@@ -105,7 +105,7 @@ func RunSLIDE(w *Workload, v Variant, opts Options) (*RunResult, error) {
 
 	cfg := w.NetworkConfig(opts, v.Precision, v.Placement)
 	if platform.RaceEnabled {
-		cfg.Locked = true // defined behaviour under -race; see platform.RaceEnabled
+		cfg.Workers = 1 // several HOGWILD workers race by design; see platform.RaceEnabled
 	}
 	net, err := network.New(&cfg)
 	if err != nil {

@@ -60,7 +60,9 @@ func (l *ColLayer) Forward(ks *simd.Kernels, x sparse.Vector, h []float32) {
 // Backward accumulates gradients given the input x, the forward activation
 // h, and the output gradient dh. For ReLU layers dh is masked in place where
 // the unit was inactive, so the caller must pass dh before any further use.
-// Safe for concurrent calls; the write policy follows Options.Locked.
+// Concurrent calls race on the shared gradient columns and bias by design
+// (HOGWILD); a caller that needs defined results calls it from one goroutine
+// or uses BackwardBatchRange over owned unit tiles.
 func (l *ColLayer) Backward(ks *simd.Kernels, x sparse.Vector, h, dh []float32) {
 	if len(h) != l.Out || len(dh) != l.Out {
 		panic("layer: ColLayer.Backward size mismatch")
@@ -72,18 +74,7 @@ func (l *ColLayer) Backward(ks *simd.Kernels, x sparse.Vector, h, dh []float32) 
 			}
 		}
 	}
-	l.lk.lockBias()
 	ks.Add(dh, l.gbias)
-	l.lk.unlockBias()
-	if l.lk.enabled {
-		for k, j := range x.Indices {
-			l.lk.lockRow(j)
-			ks.Axpy(x.Values[k], dh, l.grad[j])
-			l.lk.unlockRow(j)
-			l.touched.mark(j)
-		}
-		return
-	}
 	// ∇W[:,j] += xⱼ·dh for all of x's non-zeros in one call: dh stays in
 	// registers while the listed gradient columns stream past.
 	ks.ScatterAxpy(x.Values, x.Indices, dh, l.grad)
@@ -99,8 +90,8 @@ func (l *ColLayer) Backward(ks *simd.Kernels, x sparse.Vector, h, dh []float32) 
 // own disjoint [lo, hi) tiles, so no locks are needed; because every kernel
 // involved is elementwise, the per-scalar accumulation order is sample-
 // ascending regardless of where the tile boundaries fall — the result is
-// bit-identical for any tile count. Used by the deterministic sharded
-// trainer in place of per-sample Backward calls; apply with ApplyAdam as
+// bit-identical for any tile count. Used by the sharded trainer and the dense
+// baseline in place of per-sample Backward calls; apply with ApplyAdam as
 // usual.
 func (l *ColLayer) BackwardBatchRange(ks *simd.Kernels, xs []sparse.Vector, acts, dhs [][]float32, lo, hi int) {
 	for i := range xs {

@@ -57,37 +57,30 @@ func (l *RowLayer) ForwardActive(ks *simd.Kernels, active []int32, h []float32, 
 
 // Accumulate adds one sample's contribution for active neuron id with logit
 // gradient gz: ∇W[id] += gz·h, ∇b[id] += gz, and (if dh is non-nil)
-// dh += gz·W[id]. dh is worker-private; the shared gradient rows follow the
-// layer's write policy. Weights are only read here — they change exclusively
-// in ApplyAdam, which the trainer serializes against Backward.
+// dh += gz·W[id]. dh is worker-private; concurrent calls race on the shared
+// gradient rows by design (HOGWILD). Weights are only read here — they change
+// exclusively in ApplyAdam, which the trainer serializes against Backward.
 //
 // This is the per-row form: the dense middle stack (whose "active set" is
-// chosen row by row by the ReLU mask), Locked layers and the BF16 precisions
-// use it; the output layer's active-set walk goes through AccumulateActive.
-// The FP32 path calls the table's AxpyTwo entry — a genuinely fused single
-// walk on the assembly tiers, two independent axpys on the Go tiers, where
-// the fused loop measures ~20% slower (see DESIGN.md "Known divergences");
-// the two shapes are bit-identical because the slice pairs never alias.
+// chosen row by row by the ReLU mask) and the BF16 precisions use it; the
+// output layer's active-set walk goes through AccumulateActive. The FP32
+// path calls the table's AxpyTwo entry — a genuinely fused single walk on
+// the assembly tiers, two independent axpys on the Go tiers, where the fused
+// loop measures ~20% slower (see DESIGN.md "Known divergences"); the two
+// shapes are bit-identical because the slice pairs never alias.
 func (l *RowLayer) Accumulate(ks *simd.Kernels, id int32, gz float32, h []float32, hBF []bf16.BF16, dh []float32) {
 	if dh != nil && l.opts.Precision == FP32 {
-		// dh is worker-private; only the gradient row needs the lock, but
-		// the fused walk's bandwidth win outweighs the slightly longer
-		// critical section under the Locked policy.
-		l.lk.lockRow(id)
 		ks.AxpyTwo(gz, h, l.grad[id], l.w.f32[id], dh)
 		l.gbias[id] += gz
-		l.lk.unlockRow(id)
 		l.touched.mark(id)
 		return
 	}
-	l.lk.lockRow(id)
 	if l.opts.Precision == FP32 {
 		ks.Axpy(gz, h, l.grad[id])
 	} else {
 		ks.AxpyBF16(gz, hBF, l.grad[id])
 	}
 	l.gbias[id] += gz
-	l.lk.unlockRow(id)
 	l.touched.mark(id)
 
 	if dh != nil {
@@ -101,14 +94,13 @@ func (l *RowLayer) Accumulate(ks *simd.Kernels, id int32, gz float32, h []float3
 
 // AccumulateActive is the whole Algorithm 1 backward pass over one sample's
 // active set: Accumulate(active[k], gz[k]) for every k in list order, with
-// the same results to the bit. For FP32 unlocked layers the ∇W and ∇h walks
-// are one AxpyTwoMany call — on the assembly tiers h and ∇h stay in vector
-// registers while the listed rows stream past — followed by the bias-gradient
-// and touched-set marks; Locked layers and the BF16 precisions take the
-// per-row path, whose lock scope and BF16 kernels the walk does not have.
-// gz must hold at least len(active) values.
+// the same results to the bit. For FP32 layers the ∇W and ∇h walks are one
+// AxpyTwoMany call — on the assembly tiers h and ∇h stay in vector registers
+// while the listed rows stream past — followed by the bias-gradient and
+// touched-set marks; the BF16 precisions take the per-row path, whose BF16
+// kernels the walk does not have. gz must hold at least len(active) values.
 func (l *RowLayer) AccumulateActive(ks *simd.Kernels, active []int32, gz []float32, h []float32, hBF []bf16.BF16, dh []float32) {
-	if dh == nil || l.opts.Precision != FP32 || l.lk.enabled {
+	if dh == nil || l.opts.Precision != FP32 {
 		for k, id := range active {
 			l.Accumulate(ks, id, gz[k], h, hBF, dh)
 		}
@@ -122,7 +114,7 @@ func (l *RowLayer) AccumulateActive(ks *simd.Kernels, active []int32, gz []float
 }
 
 // AccumulateOwnedRow adds gz·h into row id's gradient and gz into its bias
-// gradient without locking or touch-marking. The caller must own row id
+// gradient without touch-marking. The caller must own row id
 // exclusively (the dense baseline tiles disjoint row ranges over workers)
 // and must apply the update with ApplyAdamAll, which ignores the touched
 // set. FP32 storage only.

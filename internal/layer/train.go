@@ -9,10 +9,10 @@ import (
 
 // trainState is everything a layer owns beyond its forward view, identical
 // for both layer kinds and embedded in each: per-vector gradient and ADAM
-// moments, the bias triple, the touched set and its journal, the Locked-mode
-// mutexes, and the optimizer walk over all of it. w and bias alias the
-// forward view's storage — the walk steps them in place, and a checkpoint is
-// these fields in a fixed order (serialize.go).
+// moments, the bias triple, the touched set and its journal, and the
+// optimizer walk over all of it. w and bias alias the forward view's storage
+// — the walk steps them in place, and a checkpoint is these fields in a fixed
+// order (serialize.go).
 type trainState struct {
 	opts Options
 
@@ -25,9 +25,8 @@ type trainState struct {
 
 	grad, m, v    [][]float32 // per vector, float32 in every precision
 	gbias, mb, vb []float32
-	touched       *touchSet // vectors holding unapplied gradient
-	journal       *touchSet // nil unless EnableJournal; vectors stepped since the last drain
-	lk            locks
+	touched       *touchSet    // vectors holding unapplied gradient
+	journal       *touchSet    // nil unless EnableJournal; vectors stepped since the last drain
 	fanout        fanout.Group // ApplyAdam's workers
 }
 
@@ -39,7 +38,6 @@ func (t *trainState) init(o Options, w store, bias []float32, rowBias bool) {
 		grad: vectors2D(n, vecLen, o.Placement), m: vectors2D(n, vecLen, o.Placement), v: vectors2D(n, vecLen, o.Placement),
 		gbias: make([]float32, len(bias)), mb: make([]float32, len(bias)), vb: make([]float32, len(bias)),
 		touched: newTouchSet(n)}
-	t.lk.enabled = o.Locked
 }
 
 // Options returns the construction options.

@@ -30,10 +30,8 @@ func forEachLayerVariant(f func(name string, ks *simd.Kernels, o Options)) {
 	for _, m := range simd.AvailableModes() {
 		for _, prec := range []Precision{FP32, BF16Act, BF16Both} {
 			for _, place := range []Placement{Contiguous, Scattered} {
-				for _, locked := range []bool{false, true} {
-					o := Options{Precision: prec, Placement: place, Locked: locked, Seed: 11}
-					f(fmt.Sprintf("%v/%v/%v/locked=%v", m, prec, place, locked), simd.ForMode(m), o)
-				}
+				o := Options{Precision: prec, Placement: place, Seed: 11}
+				f(fmt.Sprintf("%v/%v/%v", m, prec, place), simd.ForMode(m), o)
 			}
 		}
 	}

@@ -17,7 +17,6 @@ package layer
 
 import (
 	"fmt"
-	"sync"
 
 	"github.com/slide-cpu/slide/internal/mem"
 )
@@ -98,47 +97,8 @@ func (a Activation) String() string {
 type Options struct {
 	Precision Precision
 	Placement Placement
-	// Locked replaces HOGWILD's benign-race gradient accumulation with
-	// striped mutexes. Slower, but clean under the Go race detector; used
-	// by -race tests and available to users who want defined behaviour.
-	Locked bool
 	// Seed drives weight initialization.
 	Seed uint64
-}
-
-// gradStripes is the number of mutex stripes guarding gradient rows/columns
-// in Locked mode.
-const gradStripes = 256
-
-// locks is the striped-mutex set shared by both layer kinds.
-type locks struct {
-	enabled bool
-	stripes [gradStripes]sync.Mutex
-	bias    sync.Mutex
-}
-
-func (l *locks) lockRow(i int32) {
-	if l.enabled {
-		l.stripes[uint32(i)%gradStripes].Lock()
-	}
-}
-
-func (l *locks) unlockRow(i int32) {
-	if l.enabled {
-		l.stripes[uint32(i)%gradStripes].Unlock()
-	}
-}
-
-func (l *locks) lockBias() {
-	if l.enabled {
-		l.bias.Lock()
-	}
-}
-
-func (l *locks) unlockBias() {
-	if l.enabled {
-		l.bias.Unlock()
-	}
 }
 
 // vectors2D builds an nVec×vecLen float32 matrix in the requested placement.

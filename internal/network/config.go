@@ -86,11 +86,12 @@ type Config struct {
 	LR, Beta1, Beta2, Eps float64
 
 	// Precision is the §4.4 quantization mode; Placement the §4.1 parameter
-	// layout; Locked swaps HOGWILD's racy accumulation for striped locks.
+	// layout.
 	Precision layer.Precision
 	Placement layer.Placement
-	Locked    bool
-	// Workers is the HOGWILD thread count (default GOMAXPROCS). Under
+	// Workers is the HOGWILD thread count (default GOMAXPROCS); several
+	// HOGWILD workers race on shared gradient rows by design, so a run that
+	// must be race-clean or reproducible uses one worker or Shards. Under
 	// sharded execution (Shards > 0) it is instead the size of the pinned
 	// worker pool executing shard tasks.
 	Workers int

@@ -69,6 +69,15 @@ func section(t testing.TB, raw []byte, id uint32) []byte {
 	return nil
 }
 
+// withRetiredWord returns a copy of the checkpoint raw with config word 16 set
+// to 1: the word once held a gradient locking flag, and files written while
+// it existed may have it set.
+func withRetiredWord(t testing.TB, raw []byte) []byte {
+	cfg := bytes.Clone(section(t, raw, secConfig))
+	binary.LittleEndian.PutUint64(cfg[16*8:], 1)
+	return withSection(raw, secConfig, cfg)
+}
+
 // preSentinel re-frames a one-set tables payload in the layout TableSet
 // writers used before the checksummed one: a plain table count, then the
 // table payloads without their CRC trailers.
@@ -210,6 +219,8 @@ func FuzzLoad(f *testing.F) {
 	// Tables in the pre-sentinel layout, and another shard count's.
 	f.Add(withSection(s0, secTables, preSentinel(section(f, s0, secTables))), false)
 	f.Add(withSection(ckpts["shards4"], secTables, section(f, ckpts["shards1"], secTables)), false)
+	// The retired config word set.
+	f.Add(withRetiredWord(f, s0), false)
 
 	fail := func(format string, args ...any) error { return fmt.Errorf(format, args...) }
 	ref, _, _, _, err := parseConfigPayload(bytes.NewReader(section(f, s0, secConfig)), fail)
@@ -275,9 +286,9 @@ func FuzzLoad(f *testing.F) {
 		if !bytes.Equal(saved(t, n2), again) {
 			t.Fatal("saving is not a fixed point of load+save")
 		}
-		// Unlocked HOGWILD on several workers races by design; the race lane
-		// trains the engines that do not.
-		if cfg := n.Config(); !platform.RaceEnabled || cfg.Workers == 1 || cfg.Shards > 0 || cfg.Locked {
+		// HOGWILD on several workers races by design; the race lane trains
+		// the engines that do not.
+		if cfg := n.Config(); !platform.RaceEnabled || cfg.Workers == 1 || cfg.Shards > 0 {
 			n.TrainBatch(batch)
 		}
 		pred := n.Snapshot()

@@ -89,11 +89,7 @@ func build(cfg *Config) (*Network, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	opts := layer.Options{
-		Precision: cfg.Precision,
-		Placement: cfg.Placement,
-		Locked:    cfg.Locked,
-	}
+	opts := layer.Options{Precision: cfg.Precision, Placement: cfg.Placement}
 	hOpts := opts
 	hOpts.Seed = splitSeed(cfg.Seed, 1)
 	oOpts := opts

@@ -141,7 +141,7 @@ func TestSlideLearnsPlantedProblem(t *testing.T) {
 	cfg := Config{
 		InputDim: 100, HiddenDim: 32, OutputDim: 40,
 		Hash: DWTA, K: 2, L: 10, BucketCap: 32,
-		MinActive: 8, LR: 0.01, Workers: 2, Locked: true,
+		MinActive: 8, LR: 0.01, Workers: 2, Shards: 2,
 		RebuildEvery: 20, Seed: 42,
 	}
 	n, err := New(&cfg)
@@ -166,7 +166,7 @@ func TestFullSoftmaxEngineLearns(t *testing.T) {
 	p := newPlanted(80, 25, 6, 2)
 	cfg := Config{
 		InputDim: 80, HiddenDim: 24, OutputDim: 25,
-		NoSampling: true, LR: 0.01, Workers: 2, Locked: true, Seed: 7,
+		NoSampling: true, LR: 0.01, Workers: 1, Seed: 7,
 	}
 	n, err := New(&cfg)
 	if err != nil {
@@ -186,7 +186,7 @@ func TestSimHashVariantLearns(t *testing.T) {
 	cfg := Config{
 		InputDim: 80, HiddenDim: 24, OutputDim: 25,
 		Hash: SimHash, K: 4, L: 12, BucketCap: 32,
-		MinActive: 6, LR: 0.01, Workers: 2, Locked: true,
+		MinActive: 6, LR: 0.01, Workers: 2, Shards: 2,
 		RebuildEvery: 20, Seed: 11,
 	}
 	n, err := New(&cfg)
@@ -344,7 +344,7 @@ func TestDeepStackLearns(t *testing.T) {
 		InputDim: 80, HiddenDim: 32, OutputDim: 25,
 		HiddenLayers: []int{24, 16}, // input→32→24→16→25
 		Hash:         DWTA, K: 2, L: 10, BucketCap: 32,
-		MinActive: 8, LR: 0.01, Workers: 2, Locked: true,
+		MinActive: 8, LR: 0.01, Workers: 2, Shards: 2,
 		RebuildEvery: 20, Seed: 33,
 	}
 	n, err := New(&cfg)
@@ -437,14 +437,14 @@ func TestDeepStackSaveLoad(t *testing.T) {
 
 func TestDeepStackWithBF16AndScattered(t *testing.T) {
 	// Combined configuration stress: deep stack + BF16 output quantization
-	// + scattered placement + locked gradients with 2 workers must train
+	// + scattered placement + the phase engine on 2 workers must train
 	// without corruption.
 	p := newPlanted(60, 18, 5, 18)
 	cfg := Config{
 		InputDim: 60, HiddenDim: 20, OutputDim: 18,
 		HiddenLayers: []int{14},
 		Hash:         DWTA, K: 2, L: 8, BucketCap: 32,
-		MinActive: 6, LR: 0.01, Workers: 2, Locked: true,
+		MinActive: 6, LR: 0.01, Workers: 2, Shards: 2,
 		Precision: layer.BF16Both, Placement: layer.Scattered,
 		RebuildEvery: 20, Seed: 39,
 	}

@@ -14,7 +14,7 @@ func snapNet(t *testing.T, seed uint64, opts func(*Config)) (*Network, *plantedP
 	cfg := Config{
 		InputDim: 80, HiddenDim: 24, OutputDim: 25,
 		Hash: DWTA, K: 2, L: 10, BucketCap: 32,
-		MinActive: 8, LR: 0.01, Workers: 2, Locked: true,
+		MinActive: 8, LR: 0.01, Workers: 2, Shards: 2,
 		RebuildEvery: 20, Seed: seed,
 	}
 	if opts != nil {
@@ -31,9 +31,9 @@ func snapNet(t *testing.T, seed uint64, opts func(*Config)) (*Network, *plantedP
 func TestPredictorMatchesNetworkExactly(t *testing.T) {
 	for name, opts := range map[string]func(*Config){
 		"fp32":     nil,
-		"bf16both": func(c *Config) { c.Precision = layer.BF16Both; c.Workers = 1; c.Locked = false },
+		"bf16both": func(c *Config) { c.Precision = layer.BF16Both; c.Workers, c.Shards = 1, 0 },
 		"deep":     func(c *Config) { c.HiddenLayers = []int{16} },
-		"dense":    func(c *Config) { c.NoSampling = true; c.Hash = 0; c.K, c.L = 0, 0 },
+		"dense":    func(c *Config) { c.NoSampling = true; c.Hash = 0; c.K, c.L = 0, 0; c.Workers, c.Shards = 1, 0 },
 	} {
 		t.Run(name, func(t *testing.T) {
 			n, p := snapNet(t, 51, opts)
@@ -183,8 +183,8 @@ func precisionRef(scores []float32, labels []int32) float64 {
 func TestPredictorBatchKMatchesSingle(t *testing.T) {
 	for name, opts := range map[string]func(*Config){
 		"fp32":     nil,
-		"bf16act":  func(c *Config) { c.Precision = layer.BF16Act; c.Workers = 1; c.Locked = false },
-		"bf16both": func(c *Config) { c.Precision = layer.BF16Both; c.Workers = 1; c.Locked = false },
+		"bf16act":  func(c *Config) { c.Precision = layer.BF16Act; c.Workers, c.Shards = 1, 0 },
+		"bf16both": func(c *Config) { c.Precision = layer.BF16Both; c.Workers, c.Shards = 1, 0 },
 		"deep":     func(c *Config) { c.HiddenLayers = []int{16} },
 	} {
 		t.Run(name, func(t *testing.T) {

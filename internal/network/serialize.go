@@ -169,7 +169,7 @@ func writeConfigPayload(w io.Writer, cfg *Config, step int64, sinceRebuild int, 
 		uint64(cfg.MinActive), uint64(cfg.MaxActive),
 		boolU64(cfg.NoSampling), boolU64(cfg.UniformSampling),
 		uint64(cfg.Precision), uint64(cfg.Placement),
-		boolU64(cfg.Locked),
+		0, // retired: a gradient locking flag that never changed a stored weight; read and ignored
 		uint64(cfg.RebuildEvery), uint64(cfg.Seed),
 		uint64(step), uint64(sinceRebuild),
 	}
@@ -421,8 +421,7 @@ func parseConfigPayload(r io.Reader, fail func(format string, args ...any) error
 		UniformSampling:  hdr[13] != 0,
 		Precision:        layerPrecision(hdr[14]),
 		Placement:        layerPlacement(hdr[15]),
-		Locked:           hdr[16] != 0,
-		RebuildEvery:     int(hdr[17]),
+		RebuildEvery:     int(hdr[17]), // hdr[16] is retired (writeConfigPayload)
 		Seed:             hdr[18],
 		LR:               fs[0],
 		Beta1:            fs[1],

@@ -2,12 +2,14 @@ package network
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"strings"
 	"testing"
 
 	"github.com/slide-cpu/slide/internal/layer"
+	"github.com/slide-cpu/slide/internal/platform"
 )
 
 func trainedNet(t *testing.T, prec layer.Precision) (*Network, *plantedProblem) {
@@ -170,16 +172,19 @@ func TestLoadDoesNotRehash(t *testing.T) {
 // TestCheckpointRecordsWorkers: an un-sharded checkpoint pins the HOGWILD
 // worker count its bytes depend on. Load(r, 0) adopts it — whatever
 // GOMAXPROCS is on the loading host — an explicit matching count is
-// accepted, and any other is refused with ErrWorkersMismatch.
+// accepted, and any other is refused with ErrWorkersMismatch. Three HOGWILD
+// workers race by design, so the race detector sees an untrained model.
 func TestCheckpointRecordsWorkers(t *testing.T) {
 	p := newPlanted(60, 20, 5, 31)
 	cfg := Config{InputDim: 60, HiddenDim: 16, OutputDim: 20, Hash: DWTA, K: 2, L: 8,
-		MinActive: 6, LR: 0.01, Workers: 3, Locked: true, Seed: 78}
+		MinActive: 6, LR: 0.01, Workers: 3, Seed: 78}
 	n, err := New(&cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	trainN(t, n, p, 5, 16)
+	if !platform.RaceEnabled {
+		trainN(t, n, p, 5, 16)
+	}
 	var buf bytes.Buffer
 	if err := n.Save(&buf); err != nil {
 		t.Fatal(err)
@@ -249,5 +254,35 @@ func TestCheckpointWorkersFieldIsOptional(t *testing.T) {
 	}
 	if _, err := Load(bytes.NewReader(saved[0].Bytes()), 4); err != nil {
 		t.Fatalf("sharded checkpoint refused at another worker count: %v", err)
+	}
+}
+
+// TestCheckpointRetiredWordIgnored: config word 16 once held a gradient
+// locking flag that never changed a stored weight. A checkpoint with it set
+// loads, re-saves with the word 0 and every other byte unchanged, and trains
+// exactly as the same checkpoint without it.
+func TestCheckpointRetiredWordIgnored(t *testing.T) {
+	n, p := fuzzNet(t, func(*Config) {})
+	plain := saved(t, n)
+	flagged, err := Load(bytes.NewReader(withRetiredWord(t, plain)), 0)
+	if err != nil {
+		t.Fatalf("checkpoint with the retired word set refused: %v", err)
+	}
+	if !bytes.Equal(saved(t, flagged), plain) {
+		t.Error("it re-saves to other bytes than the same checkpoint with the word 0")
+	}
+	ref, err := Load(bytes.NewReader(plain), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := p.batch(16)
+	flagged.TrainBatch(batch)
+	ref.TrainBatch(batch)
+	got := saved(t, flagged)
+	if binary.LittleEndian.Uint64(section(t, got, secConfig)[16*8:]) != 0 {
+		t.Error("the trained model re-saves the retired word set")
+	}
+	if !bytes.Equal(got, saved(t, ref)) {
+		t.Error("after one batch it saves other bytes than the same checkpoint with the word 0")
 	}
 }

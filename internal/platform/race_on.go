@@ -3,9 +3,9 @@
 package platform
 
 // RaceEnabled reports whether this binary was built with -race. Harness
-// runs force the Locked gradient policy under the detector — the default
-// HOGWILD accumulation races benignly by design (as in SLIDE), and the
-// Locked striped-mutex mode exists exactly so race-instrumented runs have
-// defined behaviour — and allocation gates skip, because the detector's
-// sync.Pool drops entries at random.
+// runs train on one worker under the detector: several HOGWILD workers race
+// on shared gradient rows by design (as in SLIDE), so a run that must be
+// race-clean or exactly resumable needs a single worker or WithShards, whose
+// phase engine gives each worker disjoint rows. Allocation gates skip,
+// because the detector's sync.Pool drops entries at random.
 const RaceEnabled = true

@@ -21,7 +21,7 @@ func TestTrainerPublishesSnapshots(t *testing.T) {
 	}
 	m, err := slide.New(train.Features(), 16, train.NumLabels(),
 		slide.WithDWTA(3, 8), slide.WithLearningRate(1e-3),
-		slide.WithLockedGradients(), slide.WithSeed(11))
+		slide.WithWorkers(1), slide.WithSeed(11))
 	if err != nil {
 		t.Fatal(err)
 	}

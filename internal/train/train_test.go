@@ -19,7 +19,7 @@ func testNet(t *testing.T, d *dataset.Dataset) *network.Network {
 	cfg := network.Config{
 		InputDim: d.Features, HiddenDim: 16, OutputDim: d.Labels,
 		Hash: network.DWTA, K: 3, L: 6,
-		Workers: 1, Locked: true, Seed: 5, LR: 1e-3,
+		Workers: 1, Seed: 5, LR: 1e-3,
 	}
 	net, err := network.New(&cfg)
 	if err != nil {

@@ -50,7 +50,6 @@ func ringTemplate() ([][]byte, []int64, error) {
 			WithDWTA(3, 8),
 			WithLearningRate(1e-3),
 			WithWorkers(1),
-			WithLockedGradients(),
 			WithSeed(17))
 		if err != nil {
 			ringErr = err

@@ -12,9 +12,9 @@ import (
 // snapshot mid-training, then hammer the Predictor from 8+ goroutines
 // (Predict, PredictBatch, PredictSampled, Evaluate) while TrainBatch keeps
 // running — and re-snapshotting — on the source model. Run under -race this
-// proves the snapshot shares no mutable state with training. The model uses
-// locked gradients so the HOGWILD benign races inside training itself don't
-// trip the detector (the same convention the harness race tests use).
+// proves the snapshot shares no mutable state with training. The model trains
+// on the phase engine, whose workers own disjoint rows, so training itself is
+// race-clean too (HOGWILD's races on shared rows are by design).
 func TestPredictorConcurrentWithTraining(t *testing.T) {
 	train, test, err := AmazonLike(1e-9, 7)
 	if err != nil {
@@ -24,7 +24,7 @@ func TestPredictorConcurrentWithTraining(t *testing.T) {
 		WithDWTA(2, 6),
 		WithLearningRate(0.01),
 		WithWorkers(2),
-		WithLockedGradients(),
+		WithShards(2),
 		WithRebuildSchedule(5, 1.0), // rebuild often: stress table cloning
 		WithSeed(11))
 	if err != nil {
@@ -115,7 +115,7 @@ func TestPredictorEquivalence(t *testing.T) {
 	}
 	m, err := New(train.Features(), 24, train.NumLabels(),
 		WithDWTA(3, 8), WithLearningRate(0.01), WithWorkers(2),
-		WithLockedGradients(), WithSeed(17))
+		WithShards(2), WithSeed(17))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -261,7 +261,9 @@ func WithMemoryLayout(m MemoryLayout) Option {
 	}
 }
 
-// WithWorkers sets the HOGWILD worker count (default GOMAXPROCS).
+// WithWorkers sets the HOGWILD worker count (default GOMAXPROCS). Several
+// HOGWILD workers race on shared gradient rows by design; a run that must be
+// race-clean or reproducible uses one worker or WithShards.
 func WithWorkers(n int) Option {
 	return func(c *config) { c.net.Workers = n }
 }
@@ -276,13 +278,6 @@ func WithWorkers(n int) Option {
 // resource. Requires LSH sampling.
 func WithShards(n int) Option {
 	return func(c *config) { c.net.Shards = n }
-}
-
-// WithLockedGradients replaces HOGWILD's benign-race gradient accumulation
-// with striped locks — slower but race-detector clean and deterministic
-// with one worker.
-func WithLockedGradients() Option {
-	return func(c *config) { c.net.Locked = true }
 }
 
 // WithActiveSet bounds LSH sampling: the active set is topped up to min with

@@ -21,7 +21,7 @@ func TestPublicEndToEnd(t *testing.T) {
 		WithDWTA(3, 10),
 		WithLearningRate(0.01),
 		WithWorkers(2),
-		WithLockedGradients(),
+		WithShards(2),
 		WithActiveSet(16, 0),
 		WithRebuildSchedule(10, 1.2),
 		WithSeed(5))

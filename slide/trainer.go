@@ -171,9 +171,10 @@ func WithEarlyStopping(patience int, minDelta float64) TrainerOption {
 // mid-epoch to that exact position (seeded shuffle and all) before training,
 // so a checkpoint-interrupted session continues bit-identically to an
 // uninterrupted run. Requires a source with a known pass length (all
-// built-in sources); exact resume also requires WithLockedGradients or a
-// single worker. The original worker count comes back with the checkpoint
-// (see Load).
+// built-in sources); exact resume also requires a single worker or
+// WithShards, because several HOGWILD workers race on shared gradient rows by
+// design. The original worker count comes back with the checkpoint (see
+// Load).
 func WithResume() TrainerOption {
 	return func(o *trainerOptions) { o.resume = true }
 }

@@ -12,14 +12,13 @@ import (
 )
 
 // detModel builds a deterministic single-worker model for bit-identity
-// tests (1 worker + locked gradients = fully deterministic training).
+// tests (one HOGWILD worker = fully deterministic training).
 func detModel(t *testing.T, train *Dataset) *Model {
 	t.Helper()
 	m, err := New(train.Features(), 16, train.NumLabels(),
 		WithDWTA(3, 8),
 		WithLearningRate(1e-3),
 		WithWorkers(1),
-		WithLockedGradients(),
 		WithSeed(17))
 	if err != nil {
 		t.Fatal(err)
