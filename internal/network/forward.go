@@ -47,19 +47,17 @@ type forwardState struct {
 	all []int32
 }
 
-// scratch holds the mutable buffers of one forward (and, for training
-// workers, backward) pass. Training owns one per HOGWILD worker for the
-// whole run; Predictors draw them from a sync.Pool per call.
+// scratch holds the mutable buffers of one forward pass and its LSH
+// retrieval. Training owns one per HOGWILD worker for the whole run (inside
+// the worker, stripe.go); Predictors draw them from a sync.Pool per call.
 type scratch struct {
 	ks *simd.Kernels
 	// acts[0] is the first hidden layer's activation; acts[i] the i-th
-	// stacked layer's. dhs mirror them with gradients (training only).
+	// stacked layer's.
 	acts   [][]float32
-	dhs    [][]float32
 	hBF    []bf16.BF16 // bfloat16 view of the last activation
 	active []int32
-	logits []float32
-	probs  []float32 // training only
+	logits []float32 // serving only; a training worker's are stripe buffers
 	dedup  *lsh.Dedup
 	rng    *rand.Rand
 	// rngSrc is rng's underlying PCG, retained so checkpoints can serialize
@@ -81,16 +79,11 @@ type scratch struct {
 	qzp int32
 	// qacc holds the integer accumulators of the sampled int8 walk.
 	qacc quant.WalkScratch
-	// loss, activeSum and nonFinite are one HOGWILD worker's partial
-	// BatchStats for the batch in flight (training only).
-	loss      float64
-	activeSum int64
-	nonFinite int64
 }
 
-// newScratch sizes a scratch set for this network shape. train additionally
-// allocates the backward buffers; stream separates the random top-up
-// sequences of sibling scratches.
+// newScratch sizes a scratch set for this network shape. train leaves out
+// what only serving reads (the logits and the per-shard selection buffers);
+// stream separates the random top-up sequences of sibling scratches.
 func (f *forwardState) newScratch(train bool, seed, stream uint64) *scratch {
 	// Buffers are sized for the worst case (every neuron active): MaxActive
 	// caps the usual path, but labels are never dropped, so a pathological
@@ -99,19 +92,15 @@ func (f *forwardState) newScratch(train bool, seed, stream uint64) *scratch {
 	src := rand.NewPCG(seed, stream)
 	ws := &scratch{
 		active: make([]int32, 0, actCap),
-		logits: make([]float32, actCap),
 		dedup:  lsh.NewDedup(f.cfg.OutputDim),
 		rng:    rand.New(src),
 		rngSrc: src,
 	}
 	for _, d := range f.dims {
 		ws.acts = append(ws.acts, make([]float32, d))
-		if train {
-			ws.dhs = append(ws.dhs, make([]float32, d))
-		}
 	}
-	if train {
-		ws.probs = make([]float32, actCap)
+	if !train {
+		ws.logits = make([]float32, actCap)
 	}
 	// The output layer reads the last activation in its own rendering: u7
 	// codes on a quantized predictor, bfloat16 under the BF16 modes.
@@ -132,9 +121,6 @@ func (f *forwardState) newScratch(train bool, seed, stream uint64) *scratch {
 
 // last returns the activation feeding the output layer.
 func (ws *scratch) last() []float32 { return ws.acts[len(ws.acts)-1] }
-
-// dhLast returns the gradient buffer for the output layer's input.
-func (ws *scratch) dhLast() []float32 { return ws.dhs[len(ws.dhs)-1] }
 
 // forwardStack runs the hidden layer and the dense middle stack, leaving
 // the output-layer input in ws.last() and, where the output layer reads

@@ -58,9 +58,15 @@ func trainStatsSHA(t *testing.T, n *Network, p *plantedProblem, batches, batchSi
 // the code that produced them moved: the state literals of hogwild1 and
 // shards4 before the active-set walks became single kernel calls, the shards1
 // row and every stats literal on the commit before the two table layouts
-// became one sampler. Every kernel tier has its own literals: tiers differ
+// became one sampler, and the text8deep row (a text8-like model with a dense
+// middle layer, HOGWILD on one worker) before the HOGWILD stripes walked the
+// output layer row-major. Every kernel tier has its own literals: tiers differ
 // from each other in dot-product reduction order, but no tier may differ from
 // its own past.
+//
+// The HOGWILD rows also check which output walk their stripes took, so that
+// the pins cover both: text8's stripes select a touched row ≈ 5 times and
+// mostly walk row-major, text8deep's too, amazon's ≈ 1.4 times and never do.
 func TestTrainingBitsPinned(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("literals were recorded on amd64 (other compilers fuse a*b+c in the portable tiers)")
@@ -68,12 +74,17 @@ func TestTrainingBitsPinned(t *testing.T) {
 	type shape struct {
 		cfg      Config
 		protoNNZ int
+		rowMajor bool // most HOGWILD stripes walk the output layer row-major
+		engines  []string
 	}
+	all := []string{"hogwild1", "shards1", "shards4"}
 	shapes := map[string]shape{
 		"amazon": {Config{InputDim: 1500, HiddenDim: 128, OutputDim: 2000,
-			Hash: DWTA, K: 4, L: 10, MinActive: 48, LR: 0.01, RebuildEvery: 10, Seed: 101}, 12},
+			Hash: DWTA, K: 4, L: 10, MinActive: 48, LR: 0.01, RebuildEvery: 10, Seed: 101}, 12, false, all},
 		"text8": {Config{InputDim: 600, HiddenDim: 200, OutputDim: 600, HiddenActivation: layer.Linear,
-			Hash: SimHash, K: 6, L: 8, MinActive: 64, LR: 0.01, RebuildEvery: 10, Seed: 102}, 1},
+			Hash: SimHash, K: 6, L: 8, MinActive: 64, LR: 0.01, RebuildEvery: 10, Seed: 102}, 1, true, all},
+		"text8deep": {Config{InputDim: 600, HiddenDim: 200, HiddenLayers: []int{40}, OutputDim: 600, HiddenActivation: layer.Linear,
+			Hash: SimHash, K: 6, L: 8, MinActive: 96, LR: 0.01, RebuildEvery: 10, Seed: 103}, 1, true, []string{"hogwild1"}},
 	}
 	engines := map[string]func(*Config){
 		"hogwild1": func(c *Config) { c.Workers = 1 },
@@ -106,15 +117,20 @@ func TestTrainingBitsPinned(t *testing.T) {
 		"scalar/text8/hogwild1":  {"679917c92a04b37282836fba43ca70e21f314fe831723a20f7f0642fa3099666", "d81f353e174063f34656e291e62a25eddb1026c5615d32e38eaf950c35c399f2"},
 		"scalar/text8/shards1":   {"5fd525b8fe11cd8a3e8babbb2bb62aa481beddb7847e0a25c128d77435c0acf4", "91c94565999876e1cad9941f21e09d3c2e207afc1ec8130deb83c45f373992ee"},
 		"scalar/text8/shards4":   {"7276a8bd48a1c496ffc17fcbc4184ee9d965ed7a491ceacc242a490725bcd7a0", "4b09a2a37631d88ade9bcc110435a01027faa98dffc7d6cb934621fa96e41ffb"},
+		// Recorded on the parent of the stripe-major output walks.
+		"avx512/text8deep/hogwild1": {"f8418a0e33d583a3591582f60413828e6b892601f13743ab29ea25100331a96a", "041b3b1d05643fbf679373c29fb67bcb07ceb909ea07792712e1ddedc4d0be74"},
+		"avx2/text8deep/hogwild1":   {"10bf15ca7d94133c218c66de084426a59c8bba43b6873cfb1fba2488c4595744", "a3e8e10a197c1b4081a971b65f153196a5bb0fda69ab81f157e342a07418b9d6"},
+		"vector/text8deep/hogwild1": {"48377c23f65d616347084b1c48bef5dca6f64b073cb421d3f342f2645403ff08", "6ae747d9d5b478cf6bfea1d738932f1b228d5cccfafeff6e0e2c28fcee3e7f90"},
+		"scalar/text8deep/hogwild1": {"c57fb9d810b6745b52a49d4154727d6fc43587716ada45f38abab52784d0743c", "4f7882544900cb430ea6a0adeb03dadd204e6ca79d102d11975322606360198b"},
 	}
 	defer simd.SetMode(simd.CurrentMode())
 	for _, m := range simd.AvailableModes() {
 		simd.SetMode(m)
 		for sn, sh := range shapes {
-			for en, engine := range engines {
+			for _, en := range sh.engines {
 				name := m.String() + "/" + sn + "/" + en
 				cfg := sh.cfg
-				engine(&cfg)
+				engines[en](&cfg)
 				n, err := New(&cfg)
 				if err != nil {
 					t.Fatal(err)
@@ -124,6 +140,9 @@ func TestTrainingBitsPinned(t *testing.T) {
 				got.state = trainStateSHA(t, n)
 				if got != want[name] {
 					t.Errorf("%s: trained state and step stats hash to\n%q: {%q, %q},\nwant %+v", name, name, got.state, got.stats, want[name])
+				}
+				if rm, ps := n.StripeWalks(); cfg.Shards == 0 && ((rm > ps) != sh.rowMajor || !sh.rowMajor && rm > 0) {
+					t.Errorf("%s: %d stripes walked the output layer row-major, %d per sample", name, rm, ps)
 				}
 			}
 		}

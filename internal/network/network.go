@@ -57,9 +57,9 @@ type Network struct {
 
 	// sh is the phase engine's state (sharded.go), non-nil exactly when
 	// cfg.Shards > 0 selects that engine; workers is the HOGWILD engine's
-	// per-worker scratch, allocated otherwise.
+	// per-worker state (stripe.go), allocated otherwise.
 	sh      *shardState
-	workers []*scratch
+	workers []*worker
 	fanout  fanout.Group // HOGWILD's sample fan-out; the out-of-band rebuild's
 
 	// guards enables the per-step NaN/Inf scan of active-set logits and
@@ -143,9 +143,9 @@ func build(cfg *Config) (*Network, error) {
 	if cfg.Shards > 0 {
 		n.sh = newShardState(cfg, smp.plan)
 	} else {
-		n.workers = make([]*scratch, cfg.Workers)
+		n.workers = make([]*worker, cfg.Workers)
 		for w := range n.workers {
-			n.workers[w] = n.fwd.newScratch(true, splitSeed(cfg.Seed, 5), uint64(w))
+			n.workers[w] = n.fwd.newWorker(splitSeed(cfg.Seed, 5), uint64(w))
 		}
 	}
 	return n, nil
@@ -343,71 +343,6 @@ func (n *Network) advanceRebuild(run func(n int, task func(w int))) bool {
 	n.sinceRebuild = 0
 	n.rebuildPeriod *= n.cfg.RebuildGrowth
 	return true
-}
-
-// trainSample processes one sample end to end (forward, sampled softmax,
-// backward) and returns its loss, active-set size, and (guards on) the
-// count of non-finite logits/losses the health scan found.
-func (n *Network) trainSample(ws *scratch, x sparse.Vector, labels []int32) (float64, int, int64) {
-	n.fwd.forwardStack(ws, x)
-
-	var nLabels int
-	var active []int32
-	if n.cfg.NoSampling {
-		// Every row is active, so the labels sit wherever their ids do:
-		// stamp them here, find them by the stamps below.
-		ws.dedup.Begin()
-		for _, y := range labels {
-			if int(y) < n.cfg.OutputDim {
-				ws.dedup.Seen(y)
-			}
-		}
-		active = n.fwd.all
-	} else {
-		nLabels = n.fwd.sampleActive(ws, labels)
-		active = ws.active
-	}
-	na := len(active)
-	if na == 0 {
-		return 0, 0, 0
-	}
-	logits := ws.logits[:na]
-	probs := ws.probs[:na]
-	n.output.ForwardActive(ws.ks, active, ws.last(), ws.hBF, logits)
-
-	// probs becomes the logit gradient (p - t at the labels), then the whole
-	// active set goes backward in one walk.
-	loss, logZ, bad := n.labelHead(ws.ks, [][]float32{logits}, [][]float32{probs}, []int{nLabels}, len(labels))
-	if n.cfg.NoSampling && len(labels) > 0 {
-		t := 1 / float32(len(labels))
-		for k, id := range active {
-			if ws.dedup.Seen(id) { // stamped above => true for labels
-				probs[k] -= t
-				loss -= float64(t) * (float64(logits[k]) - logZ)
-			}
-		}
-	}
-	simd.Zero(ws.dhLast())
-	n.output.AccumulateActive(ws.ks, active, probs, ws.last(), ws.hBF, ws.dhLast())
-
-	n.backwardMiddle(ws.ks, ws.acts, ws.dhs)
-	n.hidden.Backward(ws.ks, x, ws.acts[0], ws.dhs[0])
-	return loss, na, n.guardLoss(loss, bad)
-}
-
-// trainStripe runs worker w's share of a batch — samples w, w+nw, … — and
-// leaves the share's loss, active-set and non-finite sums in the worker's
-// scratch.
-func (n *Network) trainStripe(ks *simd.Kernels, b sparse.Batch, w, nw int) {
-	ws := n.workers[w]
-	ws.ks = ks
-	ws.loss, ws.activeSum, ws.nonFinite = 0, 0, 0
-	for i := w; i < b.Len(); i += nw {
-		l, na, bad := n.trainSample(ws, b.Sample(i), b.Labels(i))
-		ws.loss += l
-		ws.activeSum += int64(na)
-		ws.nonFinite += bad
-	}
 }
 
 // BatchStats reports one TrainBatch call.

@@ -351,10 +351,13 @@ func (n *Network) trainBatchSharded(b sparse.Batch) BatchStats {
 	return stats
 }
 
-// fit returns buf resized to n elements, reallocated only when it has to grow.
-func fit(buf []float32, n int) []float32 {
+// fit returns buf resized to n elements. It reallocates only when it has to
+// grow, and then to at least twice the old capacity, so that a buffer which
+// creeps up over the first batches settles after a few allocations instead
+// of leaving one garbage copy per batch.
+func fit[T any](buf []T, n int) []T {
 	if cap(buf) < n {
-		return make([]float32, n)
+		return make([]T, n, max(n, 2*cap(buf)))
 	}
 	return buf[:n]
 }

@@ -35,6 +35,7 @@ func TestTrainerSteadyStateAllocs(t *testing.T) {
 		WithActiveSet(16, 0),
 		WithRebuildSchedule(rebuildEvery, 1),
 		WithLearningRate(1e-3),
+		WithWorkers(2), // stripes of 32 samples on any host
 		WithSeed(9))
 	if err != nil {
 		t.Fatal(err)
@@ -68,6 +69,12 @@ func TestTrainerSteadyStateAllocs(t *testing.T) {
 	}
 	if rep.Epochs < 3 {
 		t.Fatalf("session completed %d passes; the measured window must cross an epoch wrap", rep.Epochs)
+	}
+	// The model is text8-shaped: its stripes select a touched output row
+	// often enough to walk the output layer row-major, whose stripe buffers
+	// are what this gate must see kept rather than reallocated.
+	if rowMajor, perSample := m.net.StripeWalks(); rowMajor <= perSample {
+		t.Errorf("%d stripes walked the output layer row-major, %d per sample", rowMajor, perSample)
 	}
 	bytesPerStep := float64(after.TotalAlloc-before.TotalAlloc) / float64(steps)
 	mallocsPerStep := float64(after.Mallocs-before.Mallocs) / float64(steps)
