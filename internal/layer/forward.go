@@ -120,20 +120,25 @@ func (w *RowWeights) Logit(ks *simd.Kernels, id int32, h []float32, hBF []bf16.B
 }
 
 // ForwardActive fills logits[k] with Logit(active[k]) for each active
-// neuron — one DotManyBias call over the whole active set. On the assembly
-// tiers that call is a single routine that keeps h in vector registers and
-// streams the listed rows past it; every logit is still bit-identical to
-// Logit's, because each row runs the per-row dot's accumulators, block order
+// neuron. Under FP32 that is one DotManyBias call over the whole active set:
+// on the assembly tiers a single routine that keeps h in vector registers and
+// streams the listed rows past it, every logit still bit-identical to
+// Logit's because each row runs the per-row dot's accumulators, block order
 // and reduction (see DESIGN.md "Active-set walks: one call per sample").
+// Under the BF16 precisions it is Logit's own per-row dot, once per id.
 func (w *RowWeights) ForwardActive(ks *simd.Kernels, active []int32, h []float32, hBF []bf16.BF16, logits []float32) {
 	if len(logits) < len(active) {
 		panic("layer: ForwardActive logits buffer too short")
 	}
 	switch w.prec {
 	case BF16Act:
-		ks.DotManyBiasBF16Act(w.vecs.f32, w.bias, active, hBF, logits)
+		for k, id := range active {
+			logits[k] = ks.DotBF16F32(hBF, w.vecs.f32[id]) + w.bias[id]
+		}
 	case BF16Both:
-		ks.DotManyBiasBF16(w.vecs.bf, w.bias, active, hBF, logits)
+		for k, id := range active {
+			logits[k] = ks.DotBF16(w.vecs.bf[id], hBF) + w.bias[id]
+		}
 	default:
 		ks.DotManyBias(w.vecs.f32, w.bias, active, h, logits)
 	}
@@ -214,9 +219,9 @@ func (w *RowWeights) ForwardAllBatch(ks *simd.Kernels, hs [][]float32, hBFs [][]
 // a tile at a time: one DotManyBiasBatch call scores it against
 // simd.WalkTile of them, each row loaded once for the tile. A lone last
 // sample — so also a single query — and every sample of the BF16 precisions
-// take one ForwardActive call per block, the activation in registers across
-// it on the assembly tiers (no workload serves BF16, so those walks stay the
-// per-sample definition rather than gain a second tiled kernel). Either way
+// take one ForwardActive call per block: under FP32 the activation stays in
+// registers across it on the assembly tiers; no workload serves BF16, so its
+// walk stays the per-row definition rather than gain a tiled kernel. Either way
 // every logit is the one Logit computes. Callers tile the rows by calling it
 // concurrently over disjoint ranges into shared outs (shards, evaluation
 // workers); the assembled scores are the same bits at any tiling.

@@ -4,18 +4,16 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"sync"
-
-	"github.com/slide-cpu/slide/internal/sparse"
 )
 
 // DOPH is Densified One-Permutation (min-)Hashing for binary data — the
 // hash family the SLIDE codebase uses for one-hot / set-valued inputs,
 // where only the support of the vector matters. One fixed permutation of
 // the feature universe is cut into K·L bins; each bin's hash is (a few bits
-// of) the minimum permuted rank present in it, and empty bins borrow from
-// donors exactly like DWTA. Two sets collide per bin with probability equal
-// to their Jaccard similarity, at the cost of a single permutation instead
-// of K·L independent minwise hashes.
+// of) the minimum permuted rank present in it, and a bin holding no
+// non-zero borrows a donor bin's minimum (densification). Two sets collide
+// per bin with probability equal to their Jaccard similarity, at the cost
+// of a single permutation instead of K·L independent minwise hashes.
 type DOPH struct {
 	k, l       int
 	dim        int
@@ -90,29 +88,6 @@ func (d *DOPH) Bits() int { return d.k * d.bitsPerBin }
 
 // Dim returns the configured feature-universe size.
 func (d *DOPH) Dim() int { return d.dim }
-
-// Hash implements Hasher for sparse inputs. Values are ignored: the support
-// set determines the hash.
-func (d *DOPH) Hash(v sparse.Vector, out []uint32) {
-	if len(out) < d.l {
-		panic("lsh: DOPH.Hash out slice too short")
-	}
-	s := d.scratch.Get().(*dophScratch)
-	defer d.scratch.Put(s)
-	for i := range s.binMin {
-		s.binMin[i] = -1
-	}
-	for _, f := range v.Indices {
-		if f < 0 || int(f) >= d.dim {
-			panic(fmt.Sprintf("lsh: feature index %d out of range [0,%d)", f, d.dim))
-		}
-		bin := d.binOf[f]
-		if r := d.rank[f]; s.binMin[bin] < 0 || r < s.binMin[bin] {
-			s.binMin[bin] = r
-		}
-	}
-	d.assemble(s, out)
-}
 
 // HashDense implements Hasher: every non-zero coordinate counts as present.
 func (d *DOPH) HashDense(vals []float32, out []uint32) {

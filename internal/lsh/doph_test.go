@@ -4,8 +4,6 @@ import (
 	"math/rand/v2"
 	"slices"
 	"testing"
-
-	"github.com/slide-cpu/slide/internal/sparse"
 )
 
 func mustDOPH(t *testing.T, cfg DOPHConfig) *DOPH {
@@ -35,22 +33,24 @@ func TestDOPHConfigValidation(t *testing.T) {
 	}
 }
 
-func setVec(elems ...int32) sparse.Vector {
-	vals := make([]float32, len(elems))
-	for i := range vals {
-		vals[i] = 1
+// setVec returns the 0/1 vector of width dim whose support is elems.
+func setVec(dim int, elems ...int32) []float32 {
+	v := make([]float32, dim)
+	for _, f := range elems {
+		v[f] = 1
 	}
-	return sparse.Vector{Indices: elems, Values: vals}
+	return v
 }
 
 func TestDOPHDeterministicAndValueInvariant(t *testing.T) {
 	d := mustDOPH(t, DOPHConfig{K: 3, L: 10, Dim: 200, Seed: 5})
-	a := sparse.Vector{Indices: []int32{3, 50, 120}, Values: []float32{1, 1, 1}}
-	b := sparse.Vector{Indices: []int32{3, 50, 120}, Values: []float32{9, -2, 0.1}}
+	a := setVec(200, 3, 50, 120)
+	b := make([]float32, 200)
+	b[3], b[50], b[120] = 9, -2, 0.1
 	ha := make([]uint32, 10)
 	hb := make([]uint32, 10)
-	d.Hash(a, ha)
-	d.Hash(b, hb)
+	d.HashDense(a, ha)
+	d.HashDense(b, hb)
 	for i := range ha {
 		if ha[i] != hb[i] {
 			t.Fatal("DOPH must depend only on the support set, not values")
@@ -96,9 +96,9 @@ func TestDOPHJaccardLocality(t *testing.T) {
 	hb := make([]uint32, 400)
 	hn := make([]uint32, 400)
 	hf := make([]uint32, 400)
-	d.Hash(setVec(base...), hb)
-	d.Hash(setVec(near...), hn)
-	d.Hash(setVec(far...), hf)
+	d.HashDense(setVec(1000, base...), hb)
+	d.HashDense(setVec(1000, near...), hn)
+	d.HashDense(setVec(1000, far...), hf)
 	nearColl, farColl := 0, 0
 	for i := range hb {
 		if hb[i] == hn[i] {
@@ -116,34 +116,10 @@ func TestDOPHJaccardLocality(t *testing.T) {
 	}
 }
 
-func TestDOPHSparseDenseConsistency(t *testing.T) {
-	d := mustDOPH(t, DOPHConfig{K: 2, L: 8, Dim: 64, Seed: 9})
-	v := setVec(1, 17, 40, 63)
-	hs := make([]uint32, 8)
-	hd := make([]uint32, 8)
-	d.Hash(v, hs)
-	d.HashDense(v.Dense(64), hd)
-	for i := range hs {
-		if hs[i] != hd[i] {
-			t.Errorf("table %d: sparse %d != dense %d", i, hs[i], hd[i])
-		}
-	}
-}
-
 func TestDOPHEmptySet(t *testing.T) {
 	d := mustDOPH(t, DOPHConfig{K: 2, L: 4, Dim: 32, Seed: 11})
 	out := make([]uint32, 4)
-	d.Hash(sparse.Vector{}, out) // must not panic or loop forever
-}
-
-func TestDOPHOutOfRangePanics(t *testing.T) {
-	d := mustDOPH(t, DOPHConfig{K: 2, L: 2, Dim: 10, Seed: 1})
-	defer func() {
-		if recover() == nil {
-			t.Error("out-of-range feature did not panic")
-		}
-	}()
-	d.Hash(setVec(10), make([]uint32, 2))
+	d.HashDense(make([]float32, 32), out) // must not panic or loop forever
 }
 
 func TestDOPHShortOutPanics(t *testing.T) {
@@ -153,7 +129,7 @@ func TestDOPHShortOutPanics(t *testing.T) {
 			t.Error("short out slice did not panic")
 		}
 	}()
-	d.Hash(setVec(1), make([]uint32, 3))
+	d.HashDense(setVec(10, 1), make([]uint32, 3))
 }
 
 func TestDOPHWorksInTableSet(t *testing.T) {

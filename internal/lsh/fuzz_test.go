@@ -4,48 +4,55 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math"
+	"slices"
 	"testing"
 
-	"github.com/slide-cpu/slide/internal/sparse"
+	"github.com/slide-cpu/slide/internal/simd"
 )
 
-// FuzzDWTAHash feeds arbitrary sparse vectors (indices reduced into range)
-// to the DWTA sparse path: hashes must stay in the bucket space and be
-// deterministic.
-func FuzzDWTAHash(f *testing.F) {
-	f.Add([]byte{1, 2, 3}, []byte{10, 20, 30})
-	f.Add([]byte{}, []byte{})
-	f.Add([]byte{0, 0, 0, 0}, []byte{0, 0, 0, 0})
-	d, err := NewDWTA(DWTAConfig{K: 3, L: 8, Dim: 64, Seed: 99})
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Fuzz(func(t *testing.T, idxRaw, valRaw []byte) {
-		n := min(len(idxRaw), len(valRaw))
-		seen := map[int32]bool{}
-		var idx []int32
-		var val []float32
-		for i := 0; i < n; i++ {
-			fi := int32(idxRaw[i]) % 64
-			if seen[fi] {
-				continue
-			}
-			seen[fi] = true
-			idx = append(idx, fi)
-			val = append(val, float32(int8(valRaw[i]))/16)
+// FuzzDWTAHashDense feeds arbitrary shapes and vectors to HashDense under
+// every kernel tier: each fingerprint must equal referenceHashDense's. Bytes
+// become values in steps of 1/16, so ties are common, and three byte values
+// stand for +Inf, -Inf and NaN.
+func FuzzDWTAHashDense(f *testing.F) {
+	f.Add(uint64(99), uint8(3), uint8(8), uint8(3), uint16(64), []byte{1, 2, 3, 10, 20, 30})
+	f.Add(uint64(1), uint8(1), uint8(1), uint8(1), uint16(1), []byte{})
+	f.Add(uint64(5), uint8(4), uint8(32), uint8(3), uint16(128), []byte{0, 0, 0x7f, 0x80, 0x81, 200})
+	f.Add(uint64(7), uint8(6), uint8(50), uint8(2), uint16(40), []byte{0x81, 5, 5, 5, 0x80})
+	f.Fuzz(func(t *testing.T, seed uint64, k, l, binLog uint8, dim uint16, raw []byte) {
+		cfg := DWTAConfig{K: 1 + int(k)%8, L: 1 + int(l)%64, BinSize: 2 << (binLog % 4), Dim: 1 + int(dim)%512, Seed: seed}
+		if cfg.K*(1+int(binLog%4)) > 30 {
+			t.Skip()
 		}
-		v := sparse.Vector{Indices: idx, Values: val}
-		out1 := make([]uint32, 8)
-		out2 := make([]uint32, 8)
-		d.Hash(v, out1)
-		d.Hash(v, out2)
-		limit := uint32(1) << d.Bits()
-		for i := range out1 {
-			if out1[i] != out2[i] {
-				t.Fatal("hash is not deterministic")
+		d, err := NewDWTA(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v := make([]float32, cfg.Dim)
+		for i := range v {
+			if len(raw) == 0 {
+				break
 			}
-			if out1[i] >= limit {
-				t.Fatalf("hash %d outside bucket space %d", out1[i], limit)
+			switch b := raw[i%len(raw)]; b {
+			case 0x7f:
+				v[i] = float32(math.Inf(1))
+			case 0x80:
+				v[i] = float32(math.Inf(-1))
+			case 0x81:
+				v[i] = float32(math.NaN())
+			default:
+				v[i] = float32(int8(b)) / 16
+			}
+		}
+		got, want := make([]uint32, cfg.L), make([]uint32, cfg.L)
+		referenceHashDense(d, v, want)
+		defer simd.SetMode(simd.CurrentMode())
+		for _, m := range simd.AvailableModes() {
+			simd.SetMode(m)
+			d.HashDense(v, got)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%v %+v: got %v, reference %v", m, cfg, got, want)
 			}
 		}
 	})

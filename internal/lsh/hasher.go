@@ -14,10 +14,6 @@
 // not-yet-seen ids of the L addressed buckets to the caller's slice.
 package lsh
 
-import (
-	"github.com/slide-cpu/slide/internal/sparse"
-)
-
 // Hasher computes, for one input vector, the bucket fingerprint in each of
 // L hash tables. Implementations are safe for concurrent use: HOGWILD
 // threads hash samples in parallel while rebuild threads hash neurons.
@@ -27,11 +23,9 @@ type Hasher interface {
 	// Bits returns the number of bucket-index bits produced per table.
 	// Table capacity is 2^Bits buckets.
 	Bits() int
-	// Hash writes one bucket index per table into out (len >= Tables())
-	// for a sparse input vector.
-	Hash(v sparse.Vector, out []uint32)
-	// HashDense is the dense-vector path, used for hashing neuron weight
-	// vectors (dim = fan-in of the layer) and dense activations.
+	// HashDense writes one bucket index per table into out (len >=
+	// Tables()) for a dense vector: a neuron weight row (dim = fan-in of the
+	// layer) or a dense activation — the only vectors SLIDE hashes.
 	HashDense(vals []float32, out []uint32)
 }
 

@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"github.com/slide-cpu/slide/internal/simd"
-	"github.com/slide-cpu/slide/internal/sparse"
 )
 
 // SimHash is the signed-random-projection family, used by the paper for the
@@ -42,9 +41,6 @@ const PrecomputeLimit = 64 << 20
 
 type simhashScratch struct {
 	acc []float32 // K*L projections
-	// dense is the scatter target of sparse inputs on the matrix path,
-	// allocated on first use and kept all-zero between calls.
-	dense []float32
 }
 
 // SimHashConfig parameterizes NewSimHash.
@@ -103,41 +99,6 @@ func (s *SimHash) derive(bitIdx int, feature int32) float32 {
 		return 1
 	}
 	return -1
-}
-
-// Hash implements Hasher for sparse inputs. On the matrix path the input is
-// scattered into pooled dense scratch and projected exactly as HashDense
-// projects it, so the two agree bit for bit.
-func (s *SimHash) Hash(v sparse.Vector, out []uint32) {
-	if len(out) < s.l {
-		panic("lsh: SimHash.Hash out slice too short")
-	}
-	for _, f := range v.Indices {
-		if int(f) >= s.dim || f < 0 {
-			panic(fmt.Sprintf("lsh: feature index %d out of range [0,%d)", f, s.dim))
-		}
-	}
-	sc := s.scratch.Get().(*simhashScratch)
-	defer s.scratch.Put(sc)
-
-	if s.planes == nil {
-		clear(sc.acc)
-		for n, f := range v.Indices {
-			s.addDerived(sc.acc, f, v.Values[n])
-		}
-	} else {
-		if sc.dense == nil {
-			sc.dense = make([]float32, s.dim)
-		}
-		for n, f := range v.Indices {
-			sc.dense[f] += v.Values[n]
-		}
-		s.project(sc.dense, sc.acc)
-		for _, f := range v.Indices {
-			sc.dense[f] = 0
-		}
-	}
-	s.assemble(sc.acc, out)
 }
 
 // HashDense implements Hasher for dense vectors. len(vals) must equal Dim.

@@ -4,10 +4,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"strings"
 	"testing"
-
-	"github.com/slide-cpu/slide/internal/sparse"
 )
 
 func mustSimHash(t *testing.T, cfg SimHashConfig) *SimHash {
@@ -37,38 +36,18 @@ func TestSimHashConfigValidation(t *testing.T) {
 	}
 }
 
-func TestSimHashSparseDenseConsistency(t *testing.T) {
-	dim := 64
-	s := mustSimHash(t, SimHashConfig{K: 6, L: 20, Dim: dim, Seed: 3})
-	rng := rand.New(rand.NewPCG(1, 2))
-
-	// Sparse vector with a handful of non-zeros.
-	idx := []int32{2, 9, 33, 60}
-	val := make([]float32, len(idx))
-	for i := range val {
-		val[i] = float32(rng.NormFloat64())
-	}
-	v := sparse.Vector{Indices: idx, Values: val}
-
-	hs := make([]uint32, 20)
-	hd := make([]uint32, 20)
-	s.Hash(v, hs)
-	s.HashDense(v.Dense(dim), hd)
-	for i := range hs {
-		if hs[i] != hd[i] {
-			t.Errorf("table %d: sparse %d != dense %d", i, hs[i], hd[i])
-		}
-	}
-}
-
 func TestSimHashScaleInvariance(t *testing.T) {
 	s := mustSimHash(t, SimHashConfig{K: 8, L: 25, Dim: 100, Seed: 5})
-	v := sparse.Vector{Indices: []int32{1, 5, 77}, Values: []float32{0.3, -2, 1.4}}
-	scaled := sparse.Vector{Indices: v.Indices, Values: []float32{0.3 * 7, -2 * 7, 1.4 * 7}}
+	v := make([]float32, 100)
+	v[1], v[5], v[77] = 0.3, -2, 1.4
+	scaled := make([]float32, 100)
+	for i := range v {
+		scaled[i] = v[i] * 7
+	}
 	h1 := make([]uint32, 25)
 	h2 := make([]uint32, 25)
-	s.Hash(v, h1)
-	s.Hash(scaled, h2)
+	s.HashDense(v, h1)
+	s.HashDense(scaled, h2)
 	for i := range h1 {
 		if h1[i] != h2[i] {
 			t.Fatalf("table %d: positive scaling changed hash %d -> %d", i, h1[i], h2[i])
@@ -113,7 +92,9 @@ func TestSimHashLocalityTracksCosine(t *testing.T) {
 func TestSimHashBucketRange(t *testing.T) {
 	s := mustSimHash(t, SimHashConfig{K: 5, L: 10, Dim: 40, Seed: 11})
 	out := make([]uint32, 10)
-	s.Hash(sparse.Vector{Indices: []int32{0, 39}, Values: []float32{1, -1}}, out)
+	v := make([]float32, 40)
+	v[0], v[39] = 1, -1
+	s.HashDense(v, out)
 	for i, h := range out {
 		if h >= 1<<5 {
 			t.Errorf("table %d hash %d exceeds 5-bit space", i, h)
@@ -124,7 +105,7 @@ func TestSimHashBucketRange(t *testing.T) {
 func TestSimHashZeroVector(t *testing.T) {
 	s := mustSimHash(t, SimHashConfig{K: 4, L: 6, Dim: 10, Seed: 13})
 	out := make([]uint32, 6)
-	s.Hash(sparse.Vector{}, out) // must not panic
+	s.HashDense(make([]float32, 10), out)
 	for _, h := range out {
 		if h != 0 { // all projections are 0 => all sign bits 0
 			t.Errorf("zero vector hashed to non-zero bucket %d", h)
@@ -147,13 +128,32 @@ func TestSimHashMatrixMatchesDerive(t *testing.T) {
 			}
 		}
 	}
+	// The two paths give the same fingerprints: on small-integer inputs
+	// every projection is exact in any summation order.
+	lazy := mustSimHash(t, SimHashConfig{K: k, L: l, Dim: dim, Seed: 41})
+	lazy.planes = nil
+	rng := rand.New(rand.NewPCG(3, 4))
+	got, want := make([]uint32, l), make([]uint32, l)
+	for trial := 0; trial < 20; trial++ {
+		v := make([]float32, dim)
+		for f := range v {
+			v[f] = float32(rng.IntN(7) - 3)
+		}
+		s.HashDense(v, want)
+		lazy.HashDense(v, got)
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d: derived path %v, matrix path %v", trial, got, want)
+		}
+	}
 	// A hasher over the byte budget must still work and stay in range.
 	big := mustSimHash(t, SimHashConfig{K: 9, L: 50, Dim: 253855, Seed: 43})
 	if big.planes != nil {
 		t.Fatal("huge hasher should not materialize its hyperplane matrix")
 	}
 	out := make([]uint32, 50)
-	big.Hash(sparse.Vector{Indices: []int32{100000}, Values: []float32{1}}, out)
+	oneHot := make([]float32, 253855)
+	oneHot[100000] = 1
+	big.HashDense(oneHot, out)
 	for _, h := range out {
 		if h >= 1<<9 {
 			t.Fatalf("hash %d out of range", h)
@@ -233,16 +233,6 @@ func TestSimHashDenseLengthMismatchPanics(t *testing.T) {
 			s.HashDense(make([]float32, n), make([]uint32, 5))
 		}()
 	}
-}
-
-func TestSimHashOutOfRangePanics(t *testing.T) {
-	s := mustSimHash(t, SimHashConfig{K: 2, L: 2, Dim: 10, Seed: 1})
-	defer func() {
-		if recover() == nil {
-			t.Error("out-of-range feature did not panic")
-		}
-	}()
-	s.Hash(sparse.Vector{Indices: []int32{-1}, Values: []float32{1}}, make([]uint32, 2))
 }
 
 func TestSimHashShortOutPanics(t *testing.T) {

@@ -16,10 +16,7 @@
 // loads — only the backing block start is guaranteed.
 package mem
 
-import (
-	"fmt"
-	"unsafe"
-)
+import "unsafe"
 
 // alignBytes is the backing-allocation alignment: one cache line, which is
 // also the width of one AVX-512 register.
@@ -49,42 +46,6 @@ func Aligned(s []float32) bool {
 	}
 	return uintptr(unsafe.Pointer(&s[0]))%alignBytes == 0
 }
-
-// Arena hands out contiguous float32 sub-slices from one backing allocation.
-// It is not safe for concurrent use; layers allocate from it at build time
-// only.
-type Arena struct {
-	buf []float32
-	off int
-}
-
-// NewArena allocates an arena with capacity for n float32 values. The
-// backing block starts on a 64-byte boundary.
-func NewArena(n int) *Arena {
-	if n < 0 {
-		panic("mem: negative arena size")
-	}
-	return &Arena{buf: alignedSlice(n)}
-}
-
-// Alloc returns a zeroed length-n slice carved from the arena. Consecutive
-// calls return adjacent memory. It panics if the arena is exhausted —
-// layer construction sizes the arena exactly, so overflow is a bug.
-func (a *Arena) Alloc(n int) []float32 {
-	if n < 0 {
-		panic("mem: negative allocation")
-	}
-	if a.off+n > len(a.buf) {
-		panic(fmt.Sprintf("mem: arena exhausted (%d of %d used, want %d more)",
-			a.off, len(a.buf), n))
-	}
-	s := a.buf[a.off : a.off+n : a.off+n]
-	a.off += n
-	return s
-}
-
-// Remaining returns the number of unallocated float32 slots.
-func (a *Arena) Remaining() int { return len(a.buf) - a.off }
 
 // Contiguous2D returns rows×cols as row views into one contiguous backing
 // slice (also returned, for whole-block kernels such as the fused ADAM pass

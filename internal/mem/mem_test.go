@@ -2,90 +2,25 @@ package mem
 
 import "testing"
 
-func TestArenaAllocContiguity(t *testing.T) {
-	a := NewArena(100)
-	s1 := a.Alloc(30)
-	s2 := a.Alloc(70)
-	if len(s1) != 30 || len(s2) != 70 {
-		t.Fatalf("lengths %d, %d", len(s1), len(s2))
-	}
-	if a.Remaining() != 0 {
-		t.Fatalf("Remaining = %d, want 0", a.Remaining())
-	}
-	// Adjacent allocations must be adjacent in memory.
-	if &s1[:cap(s1)][29] == nil || &s2[0] != &a.buf[30] {
-		t.Error("allocations are not contiguous")
-	}
-	// Zeroed on allocation.
-	for i := range s1 {
-		if s1[i] != 0 {
-			t.Fatal("allocation not zeroed")
-		}
-	}
-	// Writes must not leak across the capacity boundary.
-	s1 = append(s1[:0], make([]float32, 30)...)
-	if cap(s1) != 30 {
-		t.Errorf("slice capacity not clamped: %d", cap(s1))
-	}
-}
-
 func TestBackingAlignment(t *testing.T) {
 	// Backing allocations start on a 64-byte boundary (one cache line, one
 	// zmm register), for every allocation size including cache-line-odd ones.
 	for _, n := range []int{1, 2, 15, 16, 17, 64, 100, 1000, 4096} {
-		a := NewArena(n)
-		s := a.Alloc(n)
-		if !Aligned(s) {
-			t.Errorf("NewArena(%d): first allocation not 64-byte aligned", n)
-		}
 		_, backing := Contiguous2D(3, n)
 		if !Aligned(backing) {
 			t.Errorf("Contiguous2D(3, %d): backing not 64-byte aligned", n)
 		}
 	}
 	// Rows carved at multiples of 16 floats stay aligned for zmm loads.
-	a := NewArena(64)
-	r0 := a.Alloc(16)
-	r1 := a.Alloc(32)
-	r2 := a.Alloc(16)
-	for i, r := range [][]float32{r0, r1, r2} {
+	rows, _ := Contiguous2D(4, 16)
+	for i, r := range rows {
 		if !Aligned(r) {
-			t.Errorf("arena row %d (16-multiple carve) not aligned", i)
+			t.Errorf("Contiguous2D(4, 16) row %d not aligned", i)
 		}
 	}
 	if !Aligned(nil) {
 		t.Error("empty slice must report aligned")
 	}
-}
-
-func TestArenaExhaustionPanics(t *testing.T) {
-	a := NewArena(10)
-	a.Alloc(8)
-	defer func() {
-		if recover() == nil {
-			t.Error("over-allocation did not panic")
-		}
-	}()
-	a.Alloc(3)
-}
-
-func TestArenaNegativePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("negative arena size did not panic")
-		}
-	}()
-	NewArena(-1)
-}
-
-func TestArenaAllocNegativePanics(t *testing.T) {
-	a := NewArena(4)
-	defer func() {
-		if recover() == nil {
-			t.Error("negative Alloc did not panic")
-		}
-	}()
-	a.Alloc(-1)
 }
 
 func TestContiguous2D(t *testing.T) {

@@ -98,7 +98,7 @@ type Config struct {
 	// Shards > 0 replaces HOGWILD sample-striping with the deterministic
 	// sharded output layer: the label space is partitioned into Shards
 	// contiguous row ranges, each with its own LSH tables, active-set
-	// budget, RNG stream, and gradient arena. The shard count is a model
+	// budget, RNG stream, and ∇h scratch. The shard count is a model
 	// property — results, checkpoints, and deltas are bit-identical for any
 	// Workers value, because workers merely execute the fixed shard task
 	// list. 0 keeps the HOGWILD engine, whose tables are the one-shard case

@@ -18,7 +18,7 @@ import (
 // Sharded execution (Config.Shards > 0) replaces the HOGWILD sample-striped
 // trainer with a deterministic scatter-gather engine. The label space is
 // partitioned into S contiguous shards, each owning its rows' LSH tables,
-// active-set budget, RNG stream, and gradient arena; a batch runs as a fixed
+// active-set budget, RNG stream, and ∇h scratch; a batch runs as a fixed
 // sequence of barrier-separated phases whose tasks (samples or shards) are
 // striped over a pool of pinned workers. Every reduction either targets
 // worker-exclusive state (shard-owned rows), runs in a canonical fixed order
@@ -28,14 +28,12 @@ import (
 // the worker count W is purely an execution resource.
 
 // shardScratch is one shard's per-batch working set: the active ids per
-// sample and the shard's partial ∇h per sample. dhPart rows come from a
-// per-shard arena (64-byte aligned, contiguous) so one shard's gradient
-// traffic stays in one pinned core's private cache — the working set the
-// plan sizes against platform.DetectTopology's L2.
+// sample and the shard's partial ∇h per sample. dhPart rows are views into
+// one 64-byte-aligned block per shard, so one shard's gradient traffic is
+// one contiguous stretch on its pinned core.
 type shardScratch struct {
-	active [][]int32 // [sample] global ids, labels first
-	arena  *mem.Arena
-	dhPart [][]float32 // [sample][lastDim] partial ∇h, arena-backed
+	active [][]int32   // [sample] global ids, labels first
+	dhPart [][]float32 // [sample][lastDim] partial ∇h, one contiguous block
 }
 
 // shardState is the phase engine's machinery hanging off a Network; the
@@ -44,8 +42,7 @@ type shardState struct {
 	rngs    []*rand.Rand // per-shard top-up streams (checkpointed)
 	rngSrcs []*rand.PCG
 	dedups  []*lsh.Dedup // per-shard, local-id (width-sized) stamps
-	topo    platform.Topology
-	pin     bool // pin pool workers to CPUs (hint; skipped on 1-CPU hosts)
+	pin     bool         // pin pool workers to CPUs (hint; skipped on 1-CPU hosts)
 
 	// Per-batch scratch, grown on demand and reused across batches.
 	capB   int // sample capacity currently allocated
@@ -71,10 +68,10 @@ type shardState struct {
 }
 
 func newShardState(cfg *Config, plan *shardPlan) *shardState {
-	sh := &shardState{topo: platform.DetectTopology()}
 	// Pinning is a cache-affinity hint: useful when the pool fits the
 	// machine, pointless on one CPU, harmful when oversubscribed.
-	sh.pin = sh.topo.CPUs > 1 && cfg.Workers <= sh.topo.CPUs
+	ncpu := runtime.NumCPU()
+	sh := &shardState{pin: ncpu > 1 && cfg.Workers <= ncpu}
 	for s := 0; s < plan.s; s++ {
 		width := int(plan.bounds[s+1] - plan.bounds[s])
 		sh.dedups = append(sh.dedups, lsh.NewDedup(max(width, 1)))
@@ -124,14 +121,7 @@ func (sh *shardState) ensureBatch(f *forwardState, b int) {
 		for i := len(ss.active); i < b; i++ {
 			ss.active = append(ss.active, make([]int32, 0, f.smp.plan.minAct[s]+8))
 		}
-		// One contiguous arena per shard keeps the shard's ∇h partials in
-		// one aligned block (sized to the batch; compare sh.topo.L2Bytes
-		// for whether a shard's slice stays cache-resident).
-		ss.arena = mem.NewArena(b * f.lastDim)
-		ss.dhPart = ss.dhPart[:0]
-		for i := 0; i < b; i++ {
-			ss.dhPart = append(ss.dhPart, ss.arena.Alloc(f.lastDim))
-		}
+		ss.dhPart, _ = mem.Contiguous2D(b, f.lastDim)
 	}
 	sh.capB = b
 }
@@ -292,7 +282,7 @@ func (n *Network) trainBatchSharded(b sparse.Batch) BatchStats {
 
 	// Phase D: output gradients. Each shard owns its rows exclusively, and
 	// samples run in order, so every weight-row accumulation has a fixed
-	// order; ∇h partials land in shard-private arena rows.
+	// order; ∇h partials land in shard-private rows.
 	pool.run(S, func(s int) {
 		ss := sh.shards[s]
 		for i := 0; i < B; i++ {

@@ -10,7 +10,7 @@ import (
 // PinThread binds the calling OS thread to logical CPU cpu via
 // sched_setaffinity(2). Callers must hold the thread with
 // runtime.LockOSThread first, or the Go scheduler may migrate the goroutine
-// off the pinned thread. Pinning keeps each output-layer shard's arena and
+// off the pinned thread. Pinning keeps each output-layer shard's ∇h rows and
 // LSH tables resident in one core's private caches instead of bouncing
 // between cores; it is a performance hint — on failure (restricted cpusets,
 // seccomp) the caller should proceed unpinned.

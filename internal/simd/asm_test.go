@@ -13,7 +13,7 @@ import (
 // The assembly-tier equivalence suite. Every kernel in every available mode
 // is compared against the scalar reference over the boundary lengths
 // (0/1/15/16/17/31/32/33/65, plus longer stretches) and at unaligned base
-// offsets (the arena guarantees 64-byte alignment of backing blocks, but
+// offsets (internal/mem guarantees 64-byte alignment of backing blocks, but
 // kernels must accept any offset).
 //
 // Tolerance policy (see DESIGN.md "Native kernel backend"):
@@ -281,14 +281,11 @@ func TestDotManyBiasEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewPCG(17, 1))
 	const nRows, dim = 64, 65 // odd dim: every row dot takes the tail path
 	rows := make([][]float32, nRows)
-	rowsBF := make([][]bf16.BF16, nRows)
 	for i := range rows {
 		rows[i] = randSlice(rng, dim)
-		rowsBF[i] = bf16.FromSlice(rows[i])
 	}
 	bias := randSlice(rng, nRows)
 	h := randSlice(rng, dim)
-	hBF := bf16.FromSlice(h)
 	ids := make([]int32, 33)
 	for i := range ids {
 		ids[i] = int32(rng.IntN(nRows))
@@ -303,26 +300,6 @@ func TestDotManyBiasEquivalence(t *testing.T) {
 		for k := range ref {
 			rf, scale := dotRef(rows[ids[k]], h)
 			checkReduction(t, fmt.Sprintf("%s DotManyBias k=%d", m, k), out[k], rf+float64(bias[ids[k]]), scale)
-		}
-
-		outBF := make([]float32, len(ids))
-		ks.DotManyBiasBF16Act(rows, bias, ids, hBF, outBF)
-		refBF := make([]float32, len(ids))
-		dotManyBiasBF16ActScalar(rows, bias, ids, hBF, refBF)
-		for k := range refBF {
-			if !approxEqual(float64(outBF[k]), float64(refBF[k]), 1e-4) {
-				t.Errorf("%s DotManyBiasBF16Act k=%d: got %g want %g", m, k, outBF[k], refBF[k])
-			}
-		}
-
-		outB := make([]float32, len(ids))
-		ks.DotManyBiasBF16(rowsBF, bias, ids, hBF, outB)
-		refB := make([]float32, len(ids))
-		dotManyBiasBF16Scalar(rowsBF, bias, ids, hBF, refB)
-		for k := range refB {
-			if !approxEqual(float64(outB[k]), float64(refB[k]), 1e-4) {
-				t.Errorf("%s DotManyBiasBF16 k=%d: got %g want %g", m, k, outB[k], refB[k])
-			}
 		}
 	}
 }

@@ -111,53 +111,3 @@ func adamStepBF16(w []bf16.BF16, m, v, g []float32, p AdamParams) {
 		w[i] = bf16.FromFloat32(w[i].Float32() - p.CorrLR*mk/(sqrt32(vk)+p.Eps))
 	}
 }
-
-// The DotManyBiasBF16Act entries compute out[k] = hBF·rows[ids[k]] +
-// bias[ids[k]] for a whole active set under the BF16-activation mode (FP32
-// weights, BF16 activation); see dotManyBiasVec for the contract.
-func dotManyBiasBF16ActVec(rows [][]float32, bias []float32, ids []int32, hBF []bf16.BF16, out []float32) {
-	out = out[:len(ids)]
-	for k, id := range ids {
-		r := rows[id]
-		if len(r) != len(hBF) {
-			panic("simd: DotManyBiasBF16Act row length mismatch")
-		}
-		out[k] = dotBF16Vec(hBF, r) + bias[id]
-	}
-}
-
-func dotManyBiasBF16ActScalar(rows [][]float32, bias []float32, ids []int32, hBF []bf16.BF16, out []float32) {
-	out = out[:len(ids)]
-	for k, id := range ids {
-		r := rows[id]
-		if len(r) != len(hBF) {
-			panic("simd: DotManyBiasBF16Act row length mismatch")
-		}
-		out[k] = dotBF16Scalar(hBF, r) + bias[id]
-	}
-}
-
-// The DotManyBiasBF16 entries compute out[k] = rows[ids[k]]·hBF +
-// bias[ids[k]] for a whole active set under the BF16-both mode (BF16 weights
-// and activation).
-func dotManyBiasBF16Vec(rows [][]bf16.BF16, bias []float32, ids []int32, hBF []bf16.BF16, out []float32) {
-	out = out[:len(ids)]
-	for k, id := range ids {
-		r := rows[id]
-		if len(r) != len(hBF) {
-			panic("simd: DotManyBiasBF16 row length mismatch")
-		}
-		out[k] = dotBF16BothVec(r, hBF) + bias[id]
-	}
-}
-
-func dotManyBiasBF16Scalar(rows [][]bf16.BF16, bias []float32, ids []int32, hBF []bf16.BF16, out []float32) {
-	out = out[:len(ids)]
-	for k, id := range ids {
-		r := rows[id]
-		if len(r) != len(hBF) {
-			panic("simd: DotManyBiasBF16 row length mismatch")
-		}
-		out[k] = dotBF16BothScalar(r, hBF) + bias[id]
-	}
-}

@@ -45,12 +45,10 @@ func init() {
 			DotManyBiasBatch: dotManyBiasBatchAVX2,
 			DotManyU8S8:      dotManyU8S8AVX2,
 
-			DotBF16F32:         dotBF16F32AVX2,
-			DotBF16:            dotBF16AVX2,
-			AxpyBF16:           axpyBF16AVX2,
-			AdamStepBF16:       adamStepBF16, // element-local re-rounding: software on every tier
-			DotManyBiasBF16Act: dotManyBiasBF16ActAVX2,
-			DotManyBiasBF16:    dotManyBiasBF16AVX2,
+			DotBF16F32:   dotBF16F32AVX2,
+			DotBF16:      dotBF16AVX2,
+			AxpyBF16:     axpyBF16AVX2,
+			AdamStepBF16: adamStepBF16, // element-local re-rounding: software on every tier
 
 			DotU8S8: dotU8S8AVX2,
 
@@ -84,12 +82,10 @@ func init() {
 			DotManyBiasBatch: dotManyBiasBatchAVX512,
 			DotManyU8S8:      dotManyU8S8AVX2, // as DotU8S8 below
 
-			DotBF16F32:         dotBF16F32AVX512,
-			DotBF16:            dotBF16AVX512,
-			AxpyBF16:           axpyBF16AVX512,
-			AdamStepBF16:       adamStepBF16,
-			DotManyBiasBF16Act: dotManyBiasBF16ActAVX512,
-			DotManyBiasBF16:    dotManyBiasBF16AVX512,
+			DotBF16F32:   dotBF16F32AVX512,
+			DotBF16:      dotBF16AVX512,
+			AxpyBF16:     axpyBF16AVX512,
+			AdamStepBF16: adamStepBF16,
 
 			// The integer dot and its walk ride the AVX2 kernels unless the
 			// silicon has VNNI (see below); either way the result is the
@@ -396,28 +392,6 @@ func axpyBF16AVX2(alpha float32, x []bf16.BF16, y []float32) {
 	}
 }
 
-func dotManyBiasBF16ActAVX2(rows [][]float32, bias []float32, ids []int32, hBF []bf16.BF16, out []float32) {
-	out = out[:len(ids)]
-	for k, id := range ids {
-		r := rows[id]
-		if len(r) != len(hBF) {
-			panic("simd: DotManyBiasBF16Act row length mismatch")
-		}
-		out[k] = dotBF16F32AVX2(hBF, r) + bias[id]
-	}
-}
-
-func dotManyBiasBF16AVX2(rows [][]bf16.BF16, bias []float32, ids []int32, hBF []bf16.BF16, out []float32) {
-	out = out[:len(ids)]
-	for k, id := range ids {
-		r := rows[id]
-		if len(r) != len(hBF) {
-			panic("simd: DotManyBiasBF16 row length mismatch")
-		}
-		out[k] = dotBF16AVX2(r, hBF) + bias[id]
-	}
-}
-
 // --- AVX512 wrappers --------------------------------------------------------
 //
 // Tails are masked inside the assembly; wrappers only guard the empty slice
@@ -520,28 +494,6 @@ func axpyBF16AVX512(alpha float32, x []bf16.BF16, y []float32) {
 	}
 	y = y[:n]
 	axpyBF16AVX512Asm(alpha, &x[0], &y[0], int64(n))
-}
-
-func dotManyBiasBF16ActAVX512(rows [][]float32, bias []float32, ids []int32, hBF []bf16.BF16, out []float32) {
-	out = out[:len(ids)]
-	for k, id := range ids {
-		r := rows[id]
-		if len(r) != len(hBF) {
-			panic("simd: DotManyBiasBF16Act row length mismatch")
-		}
-		out[k] = dotBF16F32AVX512(hBF, r) + bias[id]
-	}
-}
-
-func dotManyBiasBF16AVX512(rows [][]bf16.BF16, bias []float32, ids []int32, hBF []bf16.BF16, out []float32) {
-	out = out[:len(ids)]
-	for k, id := range ids {
-		r := rows[id]
-		if len(r) != len(hBF) {
-			panic("simd: DotManyBiasBF16 row length mismatch")
-		}
-		out[k] = dotBF16AVX512(r, hBF) + bias[id]
-	}
 }
 
 func packBF16AVX512(dst []bf16.BF16, src []float32) {

@@ -4,8 +4,6 @@ import (
 	"math"
 	"math/rand/v2"
 	"testing"
-
-	"github.com/slide-cpu/slide/internal/bf16"
 )
 
 // fusedLens are the equivalence-test lengths: empty, sub-width, one lane shy
@@ -21,7 +19,7 @@ func randRows(rng *rand.Rand, n, dim int) [][]float32 {
 }
 
 // TestDotManyBiasMatchesScalarReference checks the fused forward kernel
-// against per-row scalar dots in both modes and all three precisions.
+// against per-row scalar dots in both modes.
 func TestDotManyBiasMatchesScalarReference(t *testing.T) {
 	rng := rand.New(rand.NewPCG(31, 32))
 	for _, m := range []Mode{Vector, Scalar} {
@@ -31,7 +29,6 @@ func TestDotManyBiasMatchesScalarReference(t *testing.T) {
 				rows := randRows(rng, nRows, dim)
 				bias := randSlice(rng, nRows)
 				h := randSlice(rng, dim)
-				hBF := bf16.FromSlice(h)
 				ids := []int32{3, 0, 6, 3, 1} // repeats allowed
 				out := make([]float32, len(ids))
 
@@ -40,28 +37,6 @@ func TestDotManyBiasMatchesScalarReference(t *testing.T) {
 					want := dotScalar(rows[id], h) + bias[id]
 					if !approxEqual(float64(out[k]), float64(want), 1e-4) {
 						t.Errorf("%v dim=%d: DotManyBias[%d]=%g want %g", m, dim, k, out[k], want)
-					}
-				}
-
-				// BF16Act: FP32 rows against the BF16 activation.
-				Active().DotManyBiasBF16Act(rows, bias, ids, hBF, out)
-				for k, id := range ids {
-					want := dotScalar(rows[id], bf16.ToSlice(hBF)) + bias[id]
-					if !approxEqual(float64(out[k]), float64(want), 1e-4) {
-						t.Errorf("%v dim=%d: DotManyBiasBF16Act[%d]=%g want %g", m, dim, k, out[k], want)
-					}
-				}
-
-				// BF16Both: BF16 rows against the BF16 activation.
-				rowsBF := make([][]bf16.BF16, nRows)
-				for i := range rowsBF {
-					rowsBF[i] = bf16.FromSlice(rows[i])
-				}
-				Active().DotManyBiasBF16(rowsBF, bias, ids, hBF, out)
-				for k, id := range ids {
-					want := dotScalar(bf16.ToSlice(rowsBF[id]), bf16.ToSlice(hBF)) + bias[id]
-					if !approxEqual(float64(out[k]), float64(want), 1e-4) {
-						t.Errorf("%v dim=%d: DotManyBiasBF16[%d]=%g want %g", m, dim, k, out[k], want)
 					}
 				}
 			}
@@ -78,12 +53,6 @@ func TestDotManyBiasPanics(t *testing.T) {
 		for name, f := range map[string]func(){
 			"short out":    func() { ks.DotManyBias(rows, bias, []int32{0, 1}, h, make([]float32, 1)) },
 			"row mismatch": func() { ks.DotManyBias(rows, bias, []int32{0}, []float32{1}, make([]float32, 1)) },
-			"short out bf16act": func() {
-				ks.DotManyBiasBF16Act(rows, bias, []int32{0, 1}, make([]bf16.BF16, 2), make([]float32, 1))
-			},
-			"short out bf16": func() {
-				ks.DotManyBiasBF16([][]bf16.BF16{{0}}, bias, []int32{0, 0}, make([]bf16.BF16, 1), make([]float32, 1))
-			},
 		} {
 			expectPanic(t, m.String()+" "+name, f)
 		}

@@ -58,12 +58,10 @@ type Kernels struct {
 	DotManyU8S8      func(rows [][]int8, ids []int32, qas [][]uint8, accs [][]int32)
 
 	// Mixed-precision kernels (§4.4).
-	DotBF16F32         func(a []bf16.BF16, b []float32) float32
-	DotBF16            func(a, b []bf16.BF16) float32
-	AxpyBF16           func(alpha float32, x []bf16.BF16, y []float32)
-	AdamStepBF16       func(w []bf16.BF16, m, v, g []float32, p AdamParams)
-	DotManyBiasBF16Act func(rows [][]float32, bias []float32, ids []int32, hBF []bf16.BF16, out []float32)
-	DotManyBiasBF16    func(rows [][]bf16.BF16, bias []float32, ids []int32, hBF []bf16.BF16, out []float32)
+	DotBF16F32   func(a []bf16.BF16, b []float32) float32
+	DotBF16      func(a, b []bf16.BF16) float32
+	AxpyBF16     func(alpha float32, x []bf16.BF16, y []float32)
+	AdamStepBF16 func(w []bf16.BF16, m, v, g []float32, p AdamParams)
 
 	// Quantized integer kernels (serving tier, internal/quant). DotU8S8 is
 	// the u8-activation x s8-weight inner product; unlike the float kernels
@@ -114,12 +112,10 @@ var vectorKernels = Kernels{
 	DotManyBiasBatch: dotManyBiasBatchVec,
 	DotManyU8S8:      dotManyU8S8Vec,
 
-	DotBF16F32:         dotBF16Vec,
-	DotBF16:            dotBF16BothVec,
-	AxpyBF16:           axpyBF16Vec,
-	AdamStepBF16:       adamStepBF16,
-	DotManyBiasBF16Act: dotManyBiasBF16ActVec,
-	DotManyBiasBF16:    dotManyBiasBF16Vec,
+	DotBF16F32:   dotBF16Vec,
+	DotBF16:      dotBF16BothVec,
+	AxpyBF16:     axpyBF16Vec,
+	AdamStepBF16: adamStepBF16,
 
 	DotU8S8: dotU8S8Vec,
 
@@ -154,12 +150,10 @@ var scalarKernels = Kernels{
 	DotManyBiasBatch: dotManyBiasBatchScalar,
 	DotManyU8S8:      dotManyU8S8Scalar,
 
-	DotBF16F32:         dotBF16Scalar,
-	DotBF16:            dotBF16BothScalar,
-	AxpyBF16:           axpyBF16Scalar,
-	AdamStepBF16:       adamStepBF16, // element-local math: one impl serves both modes
-	DotManyBiasBF16Act: dotManyBiasBF16ActScalar,
-	DotManyBiasBF16:    dotManyBiasBF16Scalar,
+	DotBF16F32:   dotBF16Scalar,
+	DotBF16:      dotBF16BothScalar,
+	AxpyBF16:     axpyBF16Scalar,
+	AdamStepBF16: adamStepBF16, // element-local math: one impl serves both modes
 
 	DotU8S8: dotU8S8Scalar,
 
