@@ -131,7 +131,7 @@ func run(addr, trainerURL string, cfg serving.ServerConfig, maxLag int64, pollTi
 		once  sync.Once
 	)
 	client.OnSwap = func(p *network.Predictor, version uint64) {
-		sp := serving.Predictor(replicate.NewServed(p, version))
+		sp := replicate.NewServed(p, version)
 		mu.Lock()
 		defer mu.Unlock()
 		if srv == nil {

@@ -111,68 +111,7 @@ func RunSLIDE(w *Workload, v Variant, opts Options) (*RunResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("harness: %s on %s: %w", v.Name, w.Name, err)
 	}
-
-	trainSet := trainSlice(w.Train)
-	res := &RunResult{System: v.Name, Dataset: w.Name,
-		Tracker: metrics.NewTracker(v.Name, w.Name)}
-	scores := make([]float32, cfg.OutputDim)
-
-	src, err := dataset.NewMemorySource(trainSet, w.Batch, v.BatchLayout)
-	if err != nil {
-		return nil, fmt.Errorf("harness: %s on %s: %w", v.Name, w.Name, err)
-	}
-	evalEvery := max(1, src.BatchesPerEpoch()/opts.EvalPointsPerEpoch)
-
-	// Convergence tracking: elapsed counts TrainBatch wall-clock only
-	// (BatchInfo.TrainTime excludes data loading, hooks and the evaluation
-	// below); loss is windowed between evaluation points.
-	var elapsed time.Duration
-	var lossSum float64
-	var lossN int64
-
-	runtime.GC() // isolate this run from the previous system's garbage
-	rep, err := train.Run(context.Background(), net, src, train.Config{
-		Epochs: opts.Epochs,
-		// Keep the harness's historical per-epoch seeding (measurement runs
-		// reproduce across harness versions); the default Step()+1 rule is
-		// the public Trainer behaviour.
-		SeedFunc: func(pass int, _ int64) uint64 { return opts.Seed + uint64(pass) },
-		Hooks: train.Hooks{
-			OnBatch: func(bi train.BatchInfo) {
-				elapsed += bi.TrainTime
-				lossSum += bi.Stats.Loss
-				lossN += int64(bi.Stats.Samples)
-				if bi.Step%int64(evalEvery) == 0 {
-					p1 := evalP1(scores, net.Scores, w.Test, opts.EvalSamples)
-					res.Tracker.Record(metrics.Point{
-						Elapsed: elapsed, Epoch: bi.Epoch + 1, Batches: bi.Step,
-						P1: p1, Loss: lossSum / float64(max64(lossN, 1)),
-					})
-					lossSum, lossN = 0, 0
-				}
-			},
-			OnEpoch: func(ei train.EpochInfo) {
-				if res.EpochTime == 0 || ei.TrainTime < res.EpochTime {
-					// Report the fastest epoch: first-epoch page faults, lazy
-					// allocations and noisy neighbours inflate the mean on
-					// small runs.
-					res.EpochTime = ei.TrainTime
-				}
-			},
-		},
-	})
-	if err != nil {
-		return nil, fmt.Errorf("harness: %s on %s: %w", v.Name, w.Name, err)
-	}
-	res.TrainTime = rep.TrainTime
-	res.FinalP1 = evalP1(scores, net.Scores, w.Test, opts.EvalSamples)
-	if last, ok := res.Tracker.Last(); ok {
-		res.FinalLoss = last.Loss
-	}
-	if rep.Stats.Samples > 0 {
-		res.MeanActive = float64(rep.Stats.ActiveSum) / float64(rep.Stats.Samples)
-	}
-	return res, nil
+	return run(w, opts, v.Name, v.BatchLayout, net, net.Scores, cfg.OutputDim)
 }
 
 // RunDense trains the workload with the dense full-softmax baseline.
@@ -195,26 +134,36 @@ func RunDense(w *Workload, opts Options) (*RunResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("harness: dense baseline on %s: %w", w.Name, err)
 	}
+	return run(w, opts, "TF FullSoftmax", sparse.Coalesced, denseStepper{tr}, tr.Scores, cfg.OutputDim)
+}
 
-	trainSet := trainSlice(w.Train)
-	const name = "TF FullSoftmax"
-	res := &RunResult{System: name, Dataset: w.Name,
-		Tracker: metrics.NewTracker(name, w.Name), MeanActive: float64(cfg.OutputDim)}
-	scores := make([]float32, cfg.OutputDim)
+// run is the measured session both systems train through: step trains the
+// workload's head in the given batch layout, and scorer, writing outputDim
+// logits, is evaluated at the tracker's points and at the end.
+func run(w *Workload, opts Options, system string, layout sparse.Layout, step train.Stepper,
+	scorer func(sparse.Vector, []float32), outputDim int) (*RunResult, error) {
+	res := &RunResult{System: system, Dataset: w.Name, Tracker: metrics.NewTracker(system, w.Name)}
+	scores := make([]float32, outputDim)
 
-	src, err := dataset.NewMemorySource(trainSet, w.Batch, sparse.Coalesced)
+	src, err := dataset.NewMemorySource(trainSlice(w.Train), w.Batch, layout)
 	if err != nil {
-		return nil, fmt.Errorf("harness: dense baseline on %s: %w", w.Name, err)
+		return nil, fmt.Errorf("harness: %s on %s: %w", system, w.Name, err)
 	}
 	evalEvery := max(1, src.BatchesPerEpoch()/opts.EvalPointsPerEpoch)
 
+	// Convergence tracking: elapsed counts TrainBatch wall-clock only
+	// (BatchInfo.TrainTime excludes data loading, hooks and the evaluation
+	// below); loss is windowed between evaluation points.
 	var elapsed time.Duration
 	var lossSum float64
 	var lossN int64
 
-	runtime.GC()
-	rep, err := train.Run(context.Background(), denseStepper{tr}, src, train.Config{
-		Epochs:   opts.Epochs,
+	runtime.GC() // isolate this run from the previous system's garbage
+	rep, err := train.Run(context.Background(), step, src, train.Config{
+		Epochs: opts.Epochs,
+		// Keep the harness's historical per-epoch seeding (measurement runs
+		// reproduce across harness versions); the default Step()+1 rule is
+		// the public Trainer behaviour.
 		SeedFunc: func(pass int, _ int64) uint64 { return opts.Seed + uint64(pass) },
 		Hooks: train.Hooks{
 			OnBatch: func(bi train.BatchInfo) {
@@ -222,7 +171,7 @@ func RunDense(w *Workload, opts Options) (*RunResult, error) {
 				lossSum += bi.Stats.Loss
 				lossN += int64(bi.Stats.Samples)
 				if bi.Step%int64(evalEvery) == 0 {
-					p1 := evalP1(scores, tr.Scores, w.Test, opts.EvalSamples)
+					p1 := evalP1(scores, scorer, w.Test, opts.EvalSamples)
 					res.Tracker.Record(metrics.Point{
 						Elapsed: elapsed, Epoch: bi.Epoch + 1, Batches: bi.Step,
 						P1: p1, Loss: lossSum / float64(max64(lossN, 1)),
@@ -232,25 +181,31 @@ func RunDense(w *Workload, opts Options) (*RunResult, error) {
 			},
 			OnEpoch: func(ei train.EpochInfo) {
 				if res.EpochTime == 0 || ei.TrainTime < res.EpochTime {
+					// Report the fastest epoch: first-epoch page faults, lazy
+					// allocations and noisy neighbours inflate the mean on
+					// small runs.
 					res.EpochTime = ei.TrainTime
 				}
 			},
 		},
 	})
 	if err != nil {
-		return nil, fmt.Errorf("harness: dense baseline on %s: %w", w.Name, err)
+		return nil, fmt.Errorf("harness: %s on %s: %w", system, w.Name, err)
 	}
 	res.TrainTime = rep.TrainTime
-	res.FinalP1 = evalP1(scores, tr.Scores, w.Test, opts.EvalSamples)
+	res.FinalP1 = evalP1(scores, scorer, w.Test, opts.EvalSamples)
 	if last, ok := res.Tracker.Last(); ok {
 		res.FinalLoss = last.Loss
+	}
+	if rep.Stats.Samples > 0 {
+		res.MeanActive = float64(rep.Stats.ActiveSum) / float64(rep.Stats.Samples)
 	}
 	return res, nil
 }
 
 // denseStepper adapts the full-softmax baseline trainer to the session
-// engine's Stepper contract (its stats carry no active-set counts — every
-// output neuron is always active).
+// engine's Stepper contract (every output neuron is always active, and its
+// stats count them so).
 type denseStepper struct {
 	t *fullsoftmax.Trainer
 }

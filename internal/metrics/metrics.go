@@ -85,49 +85,6 @@ func TopKInto(scores []float32, k int, out []int32) []int32 {
 	return h
 }
 
-// TopKMergeInto merges per-shard top-k lists into the global top-k — the
-// scatter-gather reduction of the sharded output layer. Each lists[s] holds
-// global indices into scores, already ordered best-first under the TopKInto
-// total order (score descending, index ascending); typically it is the
-// result of TopKInto over one contiguous score range with the range offset
-// added back. The merge applies the same total order, so the result is
-// bit-identical to TopKInto over the full score vector: equal scores break
-// toward the lower global index no matter which shard they came from, and
-// k larger than any single shard's list drains shards in order. out is
-// caller-provided storage (contents ignored); allocation-free when
-// cap(out) >= k.
-func TopKMergeInto(scores []float32, lists [][]int32, k int, out []int32) []int32 {
-	out = out[:0]
-	if k <= 0 {
-		return out
-	}
-	// better reports whether id a outranks id b globally.
-	better := func(a, b int32) bool {
-		sa, sb := scores[a], scores[b]
-		return sa > sb || (sa == sb && a < b)
-	}
-	// cursor per shard list; linear scan over the shard heads each round.
-	// S is small (worker-scale), so S·k comparisons beat maintaining a heap.
-	heads := make([]int, len(lists))
-	for len(out) < k {
-		best := -1
-		for s, h := range heads {
-			if h >= len(lists[s]) {
-				continue
-			}
-			if best < 0 || better(lists[s][h], lists[best][heads[best]]) {
-				best = s
-			}
-		}
-		if best < 0 {
-			break // every shard drained: fewer than k candidates exist
-		}
-		out = append(out, lists[best][heads[best]])
-		heads[best]++
-	}
-	return out
-}
-
 func siftDown(h []int32, j int, worse func(a, b int32) bool) {
 	for {
 		l := 2*j + 1

@@ -66,11 +66,6 @@ type scratch struct {
 	// hashBuf holds the per-table bucket hashes of one query: the sample is
 	// hashed once, then every set of the sampler is probed with them.
 	hashBuf []uint32
-	// shardTop and shardLists are rank's per-shard selections on a model of
-	// several shards: shard s ranks into its own row range of shardTop, and
-	// shardLists[s] is the slice of it that came back.
-	shardTop   []int32
-	shardLists [][]int32
 	// qa/qsa/qzp hold the quantized activation vector of the current sample
 	// on quantized predictors: the last hidden activation rendered as u7
 	// codes with its scale and zero point. qa is nil everywhere else.
@@ -82,8 +77,8 @@ type scratch struct {
 }
 
 // newScratch sizes a scratch set for this network shape. train leaves out
-// what only serving reads (the logits and the per-shard selection buffers);
-// stream separates the random top-up sequences of sibling scratches.
+// what only serving reads (the logits); stream separates the random top-up
+// sequences of sibling scratches.
 func (f *forwardState) newScratch(train bool, seed, stream uint64) *scratch {
 	// Buffers are sized for the worst case (every neuron active): MaxActive
 	// caps the usual path, but labels are never dropped, so a pathological
@@ -111,10 +106,6 @@ func (f *forwardState) newScratch(train bool, seed, stream uint64) *scratch {
 	}
 	if f.smp.sampled() {
 		ws.hashBuf = make([]uint32, f.smp.sets[0].Tables())
-	}
-	if f.smp.plan.s > 1 && !train {
-		ws.shardTop = make([]int32, f.cfg.OutputDim)
-		ws.shardLists = make([][]int32, f.smp.plan.s)
 	}
 	return ws
 }
@@ -213,26 +204,10 @@ func (f *forwardState) predictSampled(ws *scratch, x sparse.Vector, k int) []int
 }
 
 // rank selects the top-k ids from a full score vector into pooled storage
-// (the caller copies them out). A one-shard model runs the single-heap
-// selection; several shards run the scatter-gather path — a per-shard
-// TopKInto over each contiguous score range, then the k-way TopKMergeInto —
-// which is bit-identical to the single heap because the contiguous ranges
-// map local-position ties monotonically onto global-id ties (the merge fuzz
-// test in metrics proves the comparator equivalence). A non-positive k
-// selects nothing on either path.
+// (the caller copies them out): one heap over every row, however many shards
+// the model trains on. A non-positive k selects nothing.
 func (f *forwardState) rank(ws *scratch, scores []float32, k int) []int32 {
-	if f.smp.plan.s == 1 {
-		return metrics.TopKInto(scores, k, ws.active[:0])
-	}
-	for s := range ws.shardLists {
-		lo, hi := f.smp.plan.bounds[s], f.smp.plan.bounds[s+1]
-		l := metrics.TopKInto(scores[lo:hi], k, ws.shardTop[lo:lo:hi])
-		for i := range l {
-			l[i] += lo
-		}
-		ws.shardLists[s] = l
-	}
-	return metrics.TopKMergeInto(scores, ws.shardLists, k, ws.active[:0])
+	return metrics.TopKInto(scores, k, ws.active[:0])
 }
 
 // ranked is rank copied out of the pooled storage: a fresh slice (empty, not

@@ -230,11 +230,6 @@ func TestServingScoresPinned(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				// Only the k-way merge of several shards needs the per-shard
-				// selection buffer, an OutputDim-sized slice per pooled scratch.
-				if ws := f32.fwd.newScratch(false, 0, 0); (ws.shardTop != nil) != (shards > 1) {
-					t.Errorf("shards%d: scratch shardTop allocated = %v", shards, ws.shardTop != nil)
-				}
 				for repr, pred := range map[string]*Predictor{"f32": f32, "int8": int8} {
 					name := fmt.Sprintf("%s/%s/shards%d/%s", m, sn, shards, repr)
 					h := sha256.New()

@@ -159,17 +159,11 @@ func (c *chunk) hold(i int, ws *scratch) {
 
 // score fills row tile t of every in-flight sample's scores — the one place
 // the exact pass asks which output representation the predictor holds. Tiles
-// are the shards' row ranges on a model of several shards and an even split
-// of the one shard otherwise.
+// split the rows evenly, whatever the model's shard count.
 func (c *chunk) score(t int) {
 	f, n := c.f, c.n
-	var lo, hi int
-	if plan := f.smp.plan; plan.s > 1 {
-		lo, hi = int(plan.bounds[t]), int(plan.bounds[t+1])
-	} else {
-		per := (f.cfg.OutputDim + c.tiles - 1) / c.tiles
-		lo, hi = min(t*per, f.cfg.OutputDim), min((t+1)*per, f.cfg.OutputDim)
-	}
+	per := (f.cfg.OutputDim + c.tiles - 1) / c.tiles
+	lo, hi := min(t*per, f.cfg.OutputDim), min((t+1)*per, f.cfg.OutputDim)
 	if f.qout != nil {
 		f.qout.ForwardAllBatchRange(c.ks, c.qas[:n], c.sas[:n], c.zps[:n], c.scores[:n], lo, hi, &c.tile[t].q)
 		return
@@ -188,17 +182,13 @@ func (c *chunk) score(t int) {
 //
 // tiles is how many goroutines share the rows of a pass: 1 for the serving
 // entry points, which scale across concurrent calls, GOMAXPROCS for the
-// single-caller ones. A model of several shards ignores it — its tiles are
-// its shards, one goroutine each.
+// single-caller ones.
 func (p *Predictor) walk(xs []sparse.Vector, tiles int, emit func(i int, ws *scratch, scores []float32)) {
 	f := p.fwd
 	ws, c := p.get(), p.chunks.Get().(*chunk)
 	defer p.pool.Put(ws)
 	defer p.chunks.Put(c)
 	c.ks, c.tiles = ws.ks, max(tiles, 1)
-	if f.smp.plan.s > 1 {
-		c.tiles = f.smp.plan.s
-	}
 	if len(c.tile) < c.tiles {
 		c.tile = make([]tileScratch, c.tiles)
 	}
@@ -236,9 +226,8 @@ func (p *Predictor) Scores(x sparse.Vector, out []float32) {
 
 // topK ranks every sample of xs through the exact walk: out[i] holds the
 // top-k(i) label ids of xs[i], highest first, in a fresh slice the caller
-// may retain (the ranking itself runs in pooled storage). Sharded models
-// take the scatter-gather selection inside rank — bit-identical to the
-// single heap. A non-positive k yields an empty list.
+// may retain (the ranking itself runs in pooled storage). A non-positive k
+// yields an empty list.
 func (p *Predictor) topK(xs []sparse.Vector, tiles int, k func(i int) int) [][]int32 {
 	out := make([][]int32, len(xs))
 	p.walk(xs, tiles, func(i int, ws *scratch, scores []float32) { out[i] = p.fwd.ranked(ws, scores, k(i)) })

@@ -156,7 +156,7 @@ func TestQuantizedPackingWorkerIndependence(t *testing.T) {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		if err := q.WriteOutput(&buf); err != nil {
+		if err := q.WriteOutput(&buf, 8); err != nil {
 			t.Fatal(err)
 		}
 		if ref == nil {
@@ -221,7 +221,7 @@ func TestQuantizedReplicaCycle(t *testing.T) {
 		if err := p.WriteMiddle(&midB); err != nil {
 			t.Fatal(err)
 		}
-		if err := p.WriteOutputQ(&outB, 8); err != nil {
+		if err := p.WriteOutput(&outB, 8); err != nil {
 			t.Fatal(err)
 		}
 		if err := p.WriteTables(&tabB); err != nil {
@@ -250,10 +250,10 @@ func TestQuantizedReplicaCycle(t *testing.T) {
 			t.Fatal(err)
 		}
 		var lb, rb bytes.Buffer
-		if err := lq.WriteOutput(&lb); err != nil {
+		if err := lq.WriteOutput(&lb, 8); err != nil {
 			t.Fatal(err)
 		}
-		if err := replica.WriteOutput(&rb); err != nil {
+		if err := replica.WriteOutput(&rb, 8); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(lb.Bytes(), rb.Bytes()) {
@@ -288,7 +288,7 @@ func TestQuantizedReplicaCycle(t *testing.T) {
 		if err := d.WriteMiddle(&midB); err != nil {
 			t.Fatal(err)
 		}
-		if err := d.WriteOutputQ(&outB, 8); err != nil {
+		if err := d.WriteOutput(&outB, 8); err != nil {
 			t.Fatal(err)
 		}
 		parts := DeltaParts{
@@ -338,11 +338,7 @@ func TestQuantizedDeltaMismatchRejected(t *testing.T) {
 	encOut := func(bits int) []byte {
 		t.Helper()
 		var b bytes.Buffer
-		if bits == 0 {
-			if err := d.WriteOutput(&b); err != nil {
-				t.Fatal(err)
-			}
-		} else if err := d.WriteOutputQ(&b, bits); err != nil {
+		if err := d.WriteOutput(&b, bits); err != nil {
 			t.Fatal(err)
 		}
 		return b.Bytes()

@@ -127,17 +127,16 @@ func (d *Delta) WriteHidden(w io.Writer) error {
 // view). Empty stack encodes as a zero count.
 func (d *Delta) WriteMiddle(w io.Writer) error { return writeMiddleViews(w, d.to.middle) }
 
-// WriteOutput encodes the touched output rows and their biases.
-func (d *Delta) WriteOutput(w io.Writer) error {
-	return d.to.output.SerializeRowsDelta(w, d.OutputRows)
-}
-
-// WriteOutputQ encodes the touched output rows quantized to bits (8):
-// each journaled row is packed on the fly from the snapshot's f32 view, so
-// delta publish stays O(touched rows) even on a quantized stream. Because
-// row quantization is a pure per-row function, the receiver's patched view
-// is bit-identical to a full re-quantize of the trainer snapshot.
-func (d *Delta) WriteOutputQ(w io.Writer, bits int) error {
+// WriteOutput encodes the touched output rows and their biases at bits: 0
+// keeps the model's own precision, 8 packs each journaled row on the fly from
+// the snapshot's f32 view, so delta publish stays O(touched rows) even on a
+// quantized stream. Because row quantization is a pure per-row function, the
+// receiver's patched view is bit-identical to a full re-quantize of the
+// trainer snapshot.
+func (d *Delta) WriteOutput(w io.Writer, bits int) error {
+	if bits == 0 {
+		return d.to.output.SerializeRowsDelta(w, d.OutputRows)
+	}
 	return quant.WriteRowsDelta(w, d.to.output, d.OutputRows, bits)
 }
 
@@ -199,25 +198,19 @@ func (p *Predictor) WriteHidden(w io.Writer) error { return p.fwd.hidden.Seriali
 // WriteMiddle encodes the dense middle stack (layer count, then each view).
 func (p *Predictor) WriteMiddle(w io.Writer) error { return writeMiddleViews(w, p.fwd.middle) }
 
-// WriteOutput encodes the full output view: the f32/BF16 codec on a
-// full-precision predictor, the packed codec on a quantized one.
-func (p *Predictor) WriteOutput(w io.Writer) error {
-	if q := p.fwd.qout; q != nil {
-		return q.SerializeView(w)
-	}
-	return p.fwd.output.SerializeView(w)
-}
-
-// WriteOutputQ encodes the output view quantized to bits (8) — the
-// hub-side base encoder for a quantized stream. An already-quantized
-// predictor at the same width writes its packed rows directly; otherwise
-// the f32 view is quantized on the fly (the source is unmodified).
-func (p *Predictor) WriteOutputQ(w io.Writer, bits int) error {
+// WriteOutput encodes the full output view at bits: 0 is the f32/BF16 codec
+// of a full-precision predictor, 8 the packed codec. A quantized predictor
+// writes its packed rows only at its own width; a full-precision one at 8 is
+// quantized on the fly (the source is unmodified).
+func (p *Predictor) WriteOutput(w io.Writer, bits int) error {
 	if q := p.fwd.qout; q != nil {
 		if q.Bits != bits {
 			return fmt.Errorf("network: predictor is quantized int%d, stream wants int%d", q.Bits, bits)
 		}
 		return q.SerializeView(w)
+	}
+	if bits == 0 {
+		return p.fwd.output.SerializeView(w)
 	}
 	q, err := quant.QuantizeRowWeights(p.fwd.output, bits)
 	if err != nil {
@@ -339,7 +332,8 @@ func checkBaseSizes(cfg *Config, parts *BaseParts) error {
 // BaseParts carries the decoded (already CRC-verified) payloads of one full
 // base snapshot. Tables must be nil exactly when the config disables
 // sampling. QBits != 0 declares the Output payload quantized (written by
-// WriteOutputQ): the reconstructed predictor serves from packed int rows.
+// WriteOutput at that width): the reconstructed predictor serves from packed
+// int rows.
 type BaseParts struct {
 	Config, Hidden, Middle, Output, Tables []byte
 	QBits                                  int
@@ -414,8 +408,8 @@ func NewPredictorFromBase(parts BaseParts) (*Predictor, error) {
 // DeltaParts carries the decoded (already CRC-verified) payloads of one
 // delta. Tables is nil when the interval saw no LSH rebuild — the receiver
 // keeps its current tables. QBits != 0 declares the Output payload
-// quantized (written by Delta.WriteOutputQ) and must match the width the
-// receiving predictor holds.
+// quantized (written by Delta.WriteOutput at that width) and must match the
+// width the receiving predictor holds.
 type DeltaParts struct {
 	FromStep, ToStep       int64
 	Hidden, Middle, Output []byte

@@ -25,7 +25,7 @@ func encodeBaseParts(t *testing.T, p *Predictor) BaseParts {
 		Config: enc(func(b *bytes.Buffer) error { return p.WriteBaseConfig(b) }),
 		Hidden: enc(func(b *bytes.Buffer) error { return p.WriteHidden(b) }),
 		Middle: enc(func(b *bytes.Buffer) error { return p.WriteMiddle(b) }),
-		Output: enc(func(b *bytes.Buffer) error { return p.WriteOutput(b) }),
+		Output: enc(func(b *bytes.Buffer) error { return p.WriteOutput(b, 0) }),
 	}
 	if p.HasTables() {
 		parts.Tables = enc(func(b *bytes.Buffer) error { return p.WriteTables(b) })
@@ -47,7 +47,7 @@ func encodeDeltaParts(t *testing.T, d *Delta) DeltaParts {
 		ToStep:   d.ToStep,
 		Hidden:   enc(func(b *bytes.Buffer) error { return d.WriteHidden(b) }),
 		Middle:   enc(func(b *bytes.Buffer) error { return d.WriteMiddle(b) }),
-		Output:   enc(func(b *bytes.Buffer) error { return d.WriteOutput(b) }),
+		Output:   enc(func(b *bytes.Buffer) error { return d.WriteOutput(b, 0) }),
 	}
 	if d.TablesChanged {
 		parts.Tables = enc(func(b *bytes.Buffer) error { return d.WriteTables(b) })
@@ -301,7 +301,7 @@ func TestNewPredictorFromBaseRefusesOversizeConfig(t *testing.T) {
 	quantized := good
 	quantized.QBits = 8
 	var q bytes.Buffer
-	if err := snap.WriteOutputQ(&q, 8); err != nil {
+	if err := snap.WriteOutput(&q, 8); err != nil {
 		t.Fatal(err)
 	}
 	quantized.Output = q.Bytes()

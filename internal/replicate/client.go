@@ -13,11 +13,19 @@ import (
 
 	"github.com/slide-cpu/slide/internal/faultinject"
 	"github.com/slide-cpu/slide/internal/network"
+	"github.com/slide-cpu/slide/slide"
 )
 
 // maxMessageBytes bounds one replication response body read into memory.
 // Each section is already bounded by the framing; this bounds the count.
 const maxMessageBytes = 16 << 30
+
+// NewServed returns what a replica serves for a predictor OnSwap hands
+// over: the same slide.Predictor a trainer-local snapshot is, under the hub
+// version, so a replica answers through exactly the code the trainer does.
+func NewServed(p *network.Predictor, version uint64) *slide.Predictor {
+	return slide.FromRaw(p, version)
+}
 
 // Stats is the client's atomic observability surface: safe to read from
 // any goroutine while Run is live. Versions are hub replication versions.

@@ -91,7 +91,7 @@ const (
 // deltas are applied onto.
 type fuzzModel struct {
 	crc           uint32
-	base, d4, d6  [2][]byte // [0] wire v1, [1] wire v2 at 8 bits
+	base, d4, d6  [2][]byte // [0] at qbits 0, [1] at qbits 8
 	replica       [2]*network.Predictor
 	replicaEnc    [2][]byte // what the replicas encode to, before and after
 	tableGeometry []byte
@@ -124,9 +124,9 @@ func newFuzzModel(t testing.TB, shards int, uniform bool) *fuzzModel {
 	_, d6 := train(2)
 	m := &fuzzModel{crc: p3.ConfigChecksum()}
 	for q, bits := range []int{0, 8} {
-		m.base[q] = must(encodeBase(p3, 1, bits))
-		m.d4[q] = must(encodeDelta(d4, 1, 2, bits))
-		m.d6[q] = must(encodeDelta(d6, 2, 3, bits))
+		m.base[q] = must(EncodeBaseQ(p3, 1, bits))
+		m.d4[q] = must(EncodeDeltaQ(d4, 1, 2, bits))
+		m.d6[q] = must(EncodeDeltaQ(d6, 2, 3, bits))
 		b, _, err := ReadMessage(bytes.NewReader(m.base[q]))
 		if err != nil {
 			t.Fatal(err)
@@ -155,7 +155,7 @@ func allocatedBy(f func()) uint64 {
 // bytes: ReadMessage returns an error or a message; NewPredictorFromBase on a
 // decoded base, and ApplyDelta of a decoded delta onto the fixed replica with
 // its config fingerprint, return an error or a predictor that (a) encodes
-// (EncodeBase, or EncodeBaseQ on a v2 stream) to a message whose weight
+// (EncodeBaseQ at the message's qbits) to a message whose weight
 // and tables sections are the consumed ones byte for byte (the envelope's step
 // and fingerprint are advisory copies no decoder holds against the config
 // section: for those and for the config section, which Validate normalises,
@@ -288,11 +288,11 @@ func FuzzReadMessage(f *testing.F) {
 			if p.Steps() != delta.Parts.ToStep {
 				t.Fatalf("applied delta to step %d left the predictor at step %d", delta.Parts.ToStep, p.Steps())
 			}
-			if enc, err := encodeBase(from.replica[q], 1, bits); err != nil || !bytes.Equal(enc, from.replicaEnc[q]) {
+			if enc, err := EncodeBaseQ(from.replica[q], 1, bits); err != nil || !bytes.Equal(enc, from.replicaEnc[q]) {
 				t.Fatalf("ApplyDelta modified the predictor it was applied to (%v)", err)
 			}
 		}
-		enc, err := encodeBase(p, version, bits)
+		enc, err := EncodeBaseQ(p, version, bits)
 		if err != nil {
 			t.Fatalf("accepted predictor does not encode: %v", err)
 		}
@@ -316,7 +316,7 @@ func FuzzReadMessage(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encoded base does not build: %v", err)
 		}
-		if enc2, err := encodeBase(p2, version, bits); err != nil || !bytes.Equal(enc2, enc) {
+		if enc2, err := EncodeBaseQ(p2, version, bits); err != nil || !bytes.Equal(enc2, enc) {
 			t.Fatalf("encoding is not a fixed point of decode+encode (%v)", err)
 		}
 		x := probe

@@ -86,8 +86,16 @@ func (h *Hub) SetQuantize(bits int) error {
 // state changes — exact on the delta's touched rows, sampled on a full
 // base. A poisoned snapshot is refused with an error wrapping
 // network.ErrNonFinite, the version does not advance, and followers keep
-// replicating the last good version.
+// replicating the last good version. So is a quantized p whose width is not
+// the stream's: its base would not encode at the stream's width.
 func (h *Hub) Publish(p *network.Predictor, d *network.Delta) error {
+	h.mu.Lock()
+	from, to, qbits := h.version, h.version+1, h.qbits
+	h.mu.Unlock()
+	if p != nil && p.QuantizedBits() != 0 && p.QuantizedBits() != qbits {
+		return fmt.Errorf("replicate: predictor holds int%d rows, the stream is int%d (0 = full precision)",
+			p.QuantizedBits(), qbits)
+	}
 	var verr error
 	if d != nil {
 		verr = d.CheckFinite()
@@ -101,20 +109,12 @@ func (h *Hub) Publish(p *network.Predictor, d *network.Delta) error {
 		return fmt.Errorf("replicate: quarantined: %w", verr)
 	}
 	var enc []byte
-	var err error
-	h.mu.Lock()
-	from, to, qbits := h.version, h.version+1, h.qbits
-	h.mu.Unlock()
 	if d != nil {
 		// Encode outside the lock: serving-path handlers must not wait on
 		// snapshot serialization. On a quantized stream the touched rows are
 		// packed here, on the fly — O(touched), never O(model).
-		if qbits != 0 {
-			enc, err = EncodeDeltaQ(d, from, to, qbits)
-		} else {
-			enc, err = EncodeDelta(d, from, to)
-		}
-		if err != nil {
+		var err error
+		if enc, err = EncodeDeltaQ(d, from, to, qbits); err != nil {
 			return err
 		}
 	}
@@ -158,13 +158,7 @@ func (h *Hub) encodedBase() ([]byte, uint64, error) {
 	if cur == nil {
 		return nil, 0, fmt.Errorf("replicate: nothing published yet")
 	}
-	var enc []byte
-	var err error
-	if qbits != 0 {
-		enc, err = EncodeBaseQ(cur, ver, qbits)
-	} else {
-		enc, err = EncodeBase(cur, ver)
-	}
+	enc, err := EncodeBaseQ(cur, ver, qbits)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -91,10 +91,10 @@ func quantIdentical(t *testing.T, local, remote *network.Predictor, src *trainSr
 	}
 	expectIdentical(t, lq, remote, src.probes(30))
 	var lb, rb bytes.Buffer
-	if err := lq.WriteOutput(&lb); err != nil {
+	if err := lq.WriteOutput(&lb, 8); err != nil {
 		t.Fatal(err)
 	}
-	if err := remote.WriteOutput(&rb); err != nil {
+	if err := remote.WriteOutput(&rb, 8); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(lb.Bytes(), rb.Bytes()) {
@@ -264,7 +264,59 @@ func TestSetQuantizeValidation(t *testing.T) {
 	}
 }
 
-// TestQuantizedWireRoundTrip: v2 base and delta messages carry QBits through
+// TestPublishRefusesOtherWidth: a hub publishes a quantized predictor only
+// on a stream of its width. A full-precision hub refuses an int8 predictor,
+// whose base would carry packed rows under a qbits-0 envelope that no
+// replica loads, and its version does not advance; an int8 hub streams the
+// packed rows as they are.
+func TestPublishRefusesOtherWidth(t *testing.T) {
+	n := newTestNet(t, 67)
+	n.TrainBatch(newTrainSrc(60, 20, 29).batch(32))
+	p, _ := n.SnapshotDelta()
+	q, err := p.Quantize(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := NewHub()
+	if err := full.Publish(q, nil); err == nil {
+		t.Fatal("a full-precision hub published an int8 predictor")
+	}
+	if v := full.Version(); v != 0 {
+		t.Fatalf("refused publish advanced the hub to v%d", v)
+	}
+
+	packed := NewHub()
+	if err := packed.SetQuantize(8); err != nil {
+		t.Fatal(err)
+	}
+	if err := packed.Publish(q, nil); err != nil {
+		t.Fatal(err)
+	}
+	enc, _, err := packed.encodedBase()
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, _, err := ReadMessage(bytes.NewReader(enc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := network.NewPredictorFromBase(base.Parts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want, got bytes.Buffer
+	if err := q.WriteOutput(&want, 8); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.WriteOutput(&got, 8); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(want.Bytes(), got.Bytes()) {
+		t.Fatal("the replica's packed rows differ from the published predictor's")
+	}
+}
+
+// TestQuantizedWireRoundTrip: base and delta messages carry QBits through
 // encode/decode, and an envelope declaring an unknown width is rejected.
 func TestQuantizedWireRoundTrip(t *testing.T) {
 	n := newTestNet(t, 61)
@@ -301,17 +353,26 @@ func TestQuantizedWireRoundTrip(t *testing.T) {
 		t.Fatalf("decoded delta = %+v, want QBits 8 v1->v2", dd)
 	}
 
-	// The f32 encoders still emit v1 bytes: no qbits field in the envelope.
-	v1, err := EncodeBase(p, 1)
+	// A full-precision stream is the same version with qbits 0, and a v1
+	// header is refused.
+	f32, err := EncodeBaseQ(p, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b1, _, err := ReadMessage(bytes.NewReader(v1))
+	if !bytes.Equal(f32[:12], enc[:12]) {
+		t.Fatalf("f32 base header %x, int8 base header %x", f32[:12], enc[:12])
+	}
+	b1, _, err := ReadMessage(bytes.NewReader(f32))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if b1.Parts.QBits != 0 {
 		t.Fatalf("f32 base decoded QBits %d, want 0", b1.Parts.QBits)
+	}
+	v1 := bytes.Clone(f32)
+	binary.LittleEndian.PutUint32(v1[4:8], 1)
+	if _, _, err := ReadMessage(bytes.NewReader(v1)); err == nil || !strings.Contains(err.Error(), "wire version 1") {
+		t.Fatalf("wire v1 message not refused: %v", err)
 	}
 
 	// Corrupt the declared width to 5, and to the deleted 4 (re-stamping the

@@ -120,7 +120,7 @@ func TestReplicaQuarantinesPoisonedDelta(t *testing.T) {
 	if d == nil {
 		t.Fatal("expected a delta after training")
 	}
-	enc, err := EncodeDelta(d, 1, 2)
+	enc, err := EncodeDeltaQ(d, 1, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

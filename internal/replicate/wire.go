@@ -28,21 +28,20 @@ import (
 // version, message kind — followed by framed sections:
 //
 //	[magic u32 "SLDR"][wireVersion u32][kind u32]
-//	section envelope   (fixed-width ids: versions, steps, flags, config CRC)
+//	section envelope   (fixed-width ids: versions, steps, flags, config CRC, qbits)
 //	section config     (base only — the checkpoint config payload)
 //	section hidden     (base: full view; delta: touched columns + bias)
 //	section middle     (dense middle stack, whole either way)
 //	section output     (base: full view; delta: touched rows + biases)
 //	section tables     (present iff the envelope's hasTables flag is set)
 //
-// Wire v2 (quantized streams) appends one u64 — qbits — to the envelope
-// (base: 40 bytes, delta: 56) and carries the output section in the packed
-// quant codec at that width. Everything else is identical; readers accept
-// both versions, and f32 streams keep emitting v1 bytes unchanged.
+// The envelope is 40 bytes on a base and 56 on a delta; its last u64, qbits,
+// names the output section's codec: 0 the model's own precision (f32 or
+// bfloat16), 8 the packed quant codec. Version 2 is the only version: a hub
+// and its replicas run the same release.
 const (
-	wireMagic = 0x534C4452 // "SLDR"
-	wireV1    = 1          // f32/BF16 output sections
-	wireV2    = 2          // quantized output sections (envelope carries qbits)
+	wireMagic   = 0x534C4452 // "SLDR"
+	wireVersion = 2
 
 	kindBase  = 1
 	kindDelta = 2
@@ -88,42 +87,24 @@ type Delta struct {
 	Parts network.DeltaParts
 }
 
-// EncodeBase serializes a full snapshot of p at the given replication
-// version into one wire message (v1: the output ships at the predictor's
-// training precision).
-func EncodeBase(p *network.Predictor, version uint64) ([]byte, error) {
-	return encodeBase(p, version, 0)
-}
-
-// EncodeBaseQ serializes a base with the output section quantized to qbits
-// (8), emitting a v2 message. An already-quantized predictor at the
-// same width streams its packed rows directly; an f32 predictor is
-// quantized at encode time (and left unmodified).
+// EncodeBaseQ serializes a full snapshot of p at the given replication
+// version into one wire message with the output section at qbits: 0 ships
+// the predictor's training precision, 8 the packed rows. An
+// already-quantized predictor streams its packed rows at its own width only;
+// an f32 predictor is quantized at encode time (and left unmodified).
 func EncodeBaseQ(p *network.Predictor, version uint64, qbits int) ([]byte, error) {
-	return encodeBase(p, version, qbits)
-}
-
-func encodeBase(p *network.Predictor, version uint64, qbits int) ([]byte, error) {
 	var buf bytes.Buffer
-	writeHeader(&buf, kindBase, qbits)
+	writeHeader(&buf, kindBase)
 	sw := network.NewSectionWriter(&buf)
 	sw.Section(secEnvelope, "envelope", func(w io.Writer) error {
-		env := []uint64{
-			version, uint64(p.Steps()), boolU64(p.HasTables()), uint64(p.ConfigChecksum()),
-		}
-		if qbits != 0 {
-			env = append(env, uint64(qbits))
-		}
-		return binary.Write(w, binary.LittleEndian, env)
+		return binary.Write(w, binary.LittleEndian, []uint64{
+			version, uint64(p.Steps()), boolU64(p.HasTables()), uint64(p.ConfigChecksum()), uint64(qbits),
+		})
 	})
 	sw.Section(secConfig, "config", p.WriteBaseConfig)
 	sw.Section(secHidden, "hidden", p.WriteHidden)
 	sw.Section(secMiddle, "middle", p.WriteMiddle)
-	if qbits != 0 {
-		sw.Section(secOutput, "output", func(w io.Writer) error { return p.WriteOutputQ(w, qbits) })
-	} else {
-		sw.Section(secOutput, "output", p.WriteOutput)
-	}
+	sw.Section(secOutput, "output", func(w io.Writer) error { return p.WriteOutput(w, qbits) })
 	if p.HasTables() {
 		sw.Section(secTables, "tables", p.WriteTables)
 	}
@@ -133,39 +114,23 @@ func encodeBase(p *network.Predictor, version uint64, qbits int) ([]byte, error)
 	return buf.Bytes(), nil
 }
 
-// EncodeDelta serializes d as the wire message moving fromVersion to
-// toVersion (v1: f32 output rows).
-func EncodeDelta(d *network.Delta, fromVersion, toVersion uint64) ([]byte, error) {
-	return encodeDelta(d, fromVersion, toVersion, 0)
-}
-
-// EncodeDeltaQ serializes d with the touched output rows quantized to qbits
-// on the fly (v2). Publish cost stays O(touched rows).
+// EncodeDeltaQ serializes d as the wire message moving fromVersion to
+// toVersion, with the touched output rows at qbits: 0 ships them at the
+// training precision, 8 quantizes them on the fly. Publish cost stays
+// O(touched rows).
 func EncodeDeltaQ(d *network.Delta, fromVersion, toVersion uint64, qbits int) ([]byte, error) {
-	return encodeDelta(d, fromVersion, toVersion, qbits)
-}
-
-func encodeDelta(d *network.Delta, fromVersion, toVersion uint64, qbits int) ([]byte, error) {
 	var buf bytes.Buffer
-	writeHeader(&buf, kindDelta, qbits)
+	writeHeader(&buf, kindDelta)
 	sw := network.NewSectionWriter(&buf)
 	sw.Section(secEnvelope, "envelope", func(w io.Writer) error {
-		env := []uint64{
+		return binary.Write(w, binary.LittleEndian, []uint64{
 			fromVersion, toVersion, uint64(d.FromStep), uint64(d.ToStep),
-			boolU64(d.TablesChanged), uint64(d.ConfigChecksum()),
-		}
-		if qbits != 0 {
-			env = append(env, uint64(qbits))
-		}
-		return binary.Write(w, binary.LittleEndian, env)
+			boolU64(d.TablesChanged), uint64(d.ConfigChecksum()), uint64(qbits),
+		})
 	})
 	sw.Section(secHidden, "hidden", d.WriteHidden)
 	sw.Section(secMiddle, "middle", d.WriteMiddle)
-	if qbits != 0 {
-		sw.Section(secOutput, "output", func(w io.Writer) error { return d.WriteOutputQ(w, qbits) })
-	} else {
-		sw.Section(secOutput, "output", d.WriteOutput)
-	}
+	sw.Section(secOutput, "output", func(w io.Writer) error { return d.WriteOutput(w, qbits) })
 	if d.TablesChanged {
 		sw.Section(secTables, "tables", d.WriteTables)
 	}
@@ -175,14 +140,10 @@ func encodeDelta(d *network.Delta, fromVersion, toVersion uint64, qbits int) ([]
 	return buf.Bytes(), nil
 }
 
-func writeHeader(buf *bytes.Buffer, kind uint32, qbits int) {
-	ver := uint32(wireV1)
-	if qbits != 0 {
-		ver = wireV2
-	}
+func writeHeader(buf *bytes.Buffer, kind uint32) {
 	var hdr [12]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], wireMagic)
-	binary.LittleEndian.PutUint32(hdr[4:8], ver)
+	binary.LittleEndian.PutUint32(hdr[4:8], wireVersion)
 	binary.LittleEndian.PutUint32(hdr[8:12], kind)
 	buf.Write(hdr[:])
 }
@@ -209,8 +170,7 @@ func ReadMessage(r io.Reader) (*Base, *Delta, error) {
 	if m := binary.LittleEndian.Uint32(hdr[0:4]); m != wireMagic {
 		return nil, nil, fmt.Errorf("replicate: bad magic %#x", m)
 	}
-	wv := binary.LittleEndian.Uint32(hdr[4:8])
-	if wv != wireV1 && wv != wireV2 {
+	if wv := binary.LittleEndian.Uint32(hdr[4:8]); wv != wireVersion {
 		return nil, nil, fmt.Errorf("replicate: unsupported wire version %d", wv)
 	}
 	kind := binary.LittleEndian.Uint32(hdr[8:12])
@@ -221,44 +181,41 @@ func ReadMessage(r io.Reader) (*Base, *Delta, error) {
 	}
 	switch kind {
 	case kindBase:
-		return readBase(next, wv)
+		return readBase(next)
 	case kindDelta:
-		return readDelta(next, wv)
+		return readDelta(next)
 	default:
 		return nil, nil, fmt.Errorf("replicate: unknown message kind %d", kind)
 	}
 }
 
-// envQBits validates and extracts the v2 qbits field appended at env[at:].
-func envQBits(env []byte, at int) (int, error) {
-	q := binary.LittleEndian.Uint64(env[at : at+8])
-	if q != 8 {
-		return 0, fmt.Errorf("replicate: envelope declares qbits %d, want 8", q)
-	}
-	return int(q), nil
-}
-
-func readBase(next func(uint32) ([]byte, error), wv uint32) (*Base, *Delta, error) {
+// envelope reads the envelope section, which must be want bytes, and its
+// last word, qbits.
+func envelope(next func(uint32) ([]byte, error), kind string, want int) ([]byte, int, error) {
 	env, err := next(secEnvelope)
 	if err != nil {
-		return nil, nil, err
-	}
-	want := 32
-	if wv == wireV2 {
-		want = 40
+		return nil, 0, err
 	}
 	if len(env) != want {
-		return nil, nil, fmt.Errorf("replicate: base envelope is %d bytes, want %d", len(env), want)
+		return nil, 0, fmt.Errorf("replicate: %s envelope is %d bytes, want %d", kind, len(env), want)
+	}
+	q := binary.LittleEndian.Uint64(env[want-8:])
+	if q != 0 && q != 8 {
+		return nil, 0, fmt.Errorf("replicate: envelope declares qbits %d, want 0 or 8", q)
+	}
+	return env, int(q), nil
+}
+
+func readBase(next func(uint32) ([]byte, error)) (*Base, *Delta, error) {
+	env, qbits, err := envelope(next, "base", 40)
+	if err != nil {
+		return nil, nil, err
 	}
 	b := &Base{
 		Version:   binary.LittleEndian.Uint64(env[0:8]),
 		Step:      int64(binary.LittleEndian.Uint64(env[8:16])),
 		ConfigCRC: uint32(binary.LittleEndian.Uint64(env[24:32])),
-	}
-	if wv == wireV2 {
-		if b.Parts.QBits, err = envQBits(env, 32); err != nil {
-			return nil, nil, err
-		}
+		Parts:     network.BaseParts{QBits: qbits},
 	}
 	hasTables := binary.LittleEndian.Uint64(env[16:24]) != 0
 	if b.Parts.Config, err = next(secConfig); err != nil {
@@ -281,30 +238,21 @@ func readBase(next func(uint32) ([]byte, error), wv uint32) (*Base, *Delta, erro
 	return b, nil, nil
 }
 
-func readDelta(next func(uint32) ([]byte, error), wv uint32) (*Base, *Delta, error) {
-	env, err := next(secEnvelope)
+func readDelta(next func(uint32) ([]byte, error)) (*Base, *Delta, error) {
+	env, qbits, err := envelope(next, "delta", 56)
 	if err != nil {
 		return nil, nil, err
-	}
-	want := 48
-	if wv == wireV2 {
-		want = 56
-	}
-	if len(env) != want {
-		return nil, nil, fmt.Errorf("replicate: delta envelope is %d bytes, want %d", len(env), want)
 	}
 	d := &Delta{
 		FromVersion: binary.LittleEndian.Uint64(env[0:8]),
 		ToVersion:   binary.LittleEndian.Uint64(env[8:16]),
 		ConfigCRC:   uint32(binary.LittleEndian.Uint64(env[40:48])),
+		Parts: network.DeltaParts{
+			FromStep: int64(binary.LittleEndian.Uint64(env[16:24])),
+			ToStep:   int64(binary.LittleEndian.Uint64(env[24:32])),
+			QBits:    qbits,
+		},
 	}
-	if wv == wireV2 {
-		if d.Parts.QBits, err = envQBits(env, 48); err != nil {
-			return nil, nil, err
-		}
-	}
-	d.Parts.FromStep = int64(binary.LittleEndian.Uint64(env[16:24]))
-	d.Parts.ToStep = int64(binary.LittleEndian.Uint64(env[24:32]))
 	hasTables := binary.LittleEndian.Uint64(env[32:40]) != 0
 	if d.Parts.Hidden, err = next(secHidden); err != nil {
 		return nil, nil, err

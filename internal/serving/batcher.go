@@ -433,6 +433,10 @@ func (b *Batcher) flush(batch []*pending) {
 	if len(live) == 0 {
 		return
 	}
+	// Counted before the flush releases a submitter, as served is: a caller
+	// whose Submit has returned sees its own batch in Stats.
+	b.batches.Add(1)
+	b.sizes.Observe(len(live))
 	version := pred.Version()
 	start := time.Now()
 	if degraded {
@@ -441,8 +445,6 @@ func (b *Batcher) flush(batch []*pending) {
 		b.flushExact(pred, live, entries, version)
 	}
 	b.observeService(time.Since(start))
-	b.batches.Add(1)
-	b.sizes.Observe(len(live))
 }
 
 // flushExact is the normal path: one fused PredictEntries for the batch.

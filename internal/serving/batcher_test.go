@@ -172,6 +172,36 @@ func TestBatcherMaxBatchBoundsFlush(t *testing.T) {
 	}
 }
 
+// statsProbe is a backend that reads its batcher's Stats while it serves.
+type statsProbe struct {
+	stubPredictor
+	b    *Batcher
+	seen chan Stats
+}
+
+func (s *statsProbe) PredictEntries(entries []slide.BatchEntry) ([][]int32, error) {
+	s.seen <- s.b.Stats()
+	return s.stubPredictor.PredictEntries(entries)
+}
+
+// TestBatcherCountsBeforeRelease: a flush is counted in Batches and in the
+// size histogram before it releases any submitter, so a caller whose Submit
+// has returned always finds its batch in Stats. The backend reads Stats in
+// the middle of the flush, after which every submitter is released; the
+// batch it serves must already be counted.
+func TestBatcherCountsBeforeRelease(t *testing.T) {
+	probe := &statsProbe{stubPredictor: stubPredictor{version: 5}, seen: make(chan Stats, 1)}
+	b := NewBatcher(NewSnapshotManager(probe), Config{Workers: 1, MaxBatch: 4, MaxWait: time.Millisecond, QueueCap: 8})
+	defer b.Close()
+	probe.b = b
+	if _, err := b.Submit(context.Background(), entry(1)); err != nil {
+		t.Fatal(err)
+	}
+	if st := <-probe.seen; st.Batches != 1 || st.BatchSizes[0] != 1 {
+		t.Errorf("the backend serving a batch of 1 saw %d batches, sizes %v", st.Batches, st.BatchSizes)
+	}
+}
+
 func TestBatcherMaxWaitFlushesPartialBatch(t *testing.T) {
 	stub := &stubPredictor{version: 3} // ungated
 	mgr := NewSnapshotManager(stub)

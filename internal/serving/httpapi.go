@@ -467,7 +467,7 @@ type statsResponse struct {
 }
 
 // precisionReporter is the optional observability surface a predictor may
-// implement (slide.Predictor and replicate.Served do) to expose its
+// implement (slide.Predictor does) to expose its
 // output-layer storage format on /stats.
 type precisionReporter interface {
 	SnapshotPrecision() string

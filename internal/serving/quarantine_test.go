@@ -11,7 +11,7 @@ import (
 )
 
 // checkedStub is a stubPredictor that can report non-finite weights — the
-// shape the quarantine path sees from slide.Predictor / replicate.Served.
+// shape the quarantine path sees from slide.Predictor.
 type checkedStub struct {
 	*stubPredictor
 	err error

@@ -24,7 +24,7 @@ type SnapshotManager struct {
 }
 
 // finiteChecker is implemented by predictors that can validate their weights
-// for NaN/Inf (slide.Predictor, replicate.Served). Publish quarantines a
+// for NaN/Inf (slide.Predictor, local or replicated). Publish quarantines a
 // candidate that fails the check instead of swapping it in.
 type finiteChecker interface {
 	CheckFinite() error

@@ -83,7 +83,7 @@ func shardedRun(t *testing.T, w *harness.Workload, opts harness.Options,
 	a.baseParts[0] = enc(func(b *bytes.Buffer) error { return base.WriteBaseConfig(b) })
 	a.baseParts[1] = enc(func(b *bytes.Buffer) error { return base.WriteHidden(b) })
 	a.baseParts[2] = enc(func(b *bytes.Buffer) error { return base.WriteMiddle(b) })
-	a.baseParts[3] = enc(func(b *bytes.Buffer) error { return base.WriteOutput(b) })
+	a.baseParts[3] = enc(func(b *bytes.Buffer) error { return base.WriteOutput(b, 0) })
 	a.baseParts[4] = enc(func(b *bytes.Buffer) error { return base.WriteTables(b) })
 	for s := steps / 2; s < steps; s++ {
 		step()
@@ -95,7 +95,7 @@ func shardedRun(t *testing.T, w *harness.Workload, opts harness.Options,
 	a.deltaSteps = [2]int64{d.FromStep, d.ToStep}
 	a.deltaParts[0] = enc(func(b *bytes.Buffer) error { return d.WriteHidden(b) })
 	a.deltaParts[1] = enc(func(b *bytes.Buffer) error { return d.WriteMiddle(b) })
-	a.deltaParts[2] = enc(func(b *bytes.Buffer) error { return d.WriteOutput(b) })
+	a.deltaParts[2] = enc(func(b *bytes.Buffer) error { return d.WriteOutput(b, 0) })
 	if d.TablesChanged {
 		a.deltaParts[3] = enc(func(b *bytes.Buffer) error { return d.WriteTables(b) })
 	}
@@ -231,7 +231,7 @@ func TestShardedCrossWorkerResume(t *testing.T) {
 		Config: enc(func(b *bytes.Buffer) error { return base.WriteBaseConfig(b) }),
 		Hidden: enc(func(b *bytes.Buffer) error { return base.WriteHidden(b) }),
 		Middle: enc(func(b *bytes.Buffer) error { return base.WriteMiddle(b) }),
-		Output: enc(func(b *bytes.Buffer) error { return base.WriteOutput(b) }),
+		Output: enc(func(b *bytes.Buffer) error { return base.WriteOutput(b, 0) }),
 		Tables: enc(func(b *bytes.Buffer) error { return base.WriteTables(b) }),
 	}
 	replica, err := network.NewPredictorFromBase(parts)
@@ -280,7 +280,7 @@ func TestShardedCrossWorkerResume(t *testing.T) {
 		FromStep: d.FromStep, ToStep: d.ToStep,
 		Hidden: enc(func(b *bytes.Buffer) error { return d.WriteHidden(b) }),
 		Middle: enc(func(b *bytes.Buffer) error { return d.WriteMiddle(b) }),
-		Output: enc(func(b *bytes.Buffer) error { return d.WriteOutput(b) }),
+		Output: enc(func(b *bytes.Buffer) error { return d.WriteOutput(b, 0) }),
 	}
 	if d.TablesChanged {
 		dparts.Tables = enc(func(b *bytes.Buffer) error { return d.WriteTables(b) })

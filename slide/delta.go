@@ -54,17 +54,21 @@ func (d *Delta) Raw() *network.Delta {
 // Raw exposes the engine-level predictor for the replication subsystem.
 func (p *Predictor) Raw() *network.Predictor { return p.p }
 
+// FromRaw is the inverse of Raw: it serves an engine-level predictor under
+// the given version. A replica passes the predictor it rebuilt from the
+// replication stream with the hub's version, which across a cluster names
+// the weights, in place of this process's snapshot counter.
+func FromRaw(p *network.Predictor, version uint64) *Predictor {
+	return &Predictor{p: p, out: p.Config().OutputDim, version: version}
+}
+
 // SnapshotDelta is Snapshot plus the delta against the previous snapshot.
 // The delta is nil when EnableDeltas was never called or this is the
 // first snapshot since it was — publish a full base then. Same contract
 // as Snapshot: call between training calls.
 func (m *Model) SnapshotDelta() (*Predictor, *Delta) {
 	np, nd := m.net.SnapshotDelta()
-	p := &Predictor{
-		p:       np,
-		out:     m.net.Config().OutputDim,
-		version: snapshotVersion.Add(1),
-	}
+	p := FromRaw(np, snapshotVersion.Add(1))
 	if nd == nil {
 		return p, nil
 	}

@@ -32,11 +32,7 @@ type Predictor struct {
 // concurrently with TrainBatch/TrainEpoch — but once it returns, the
 // snapshot is fully independent of further training.
 func (m *Model) Snapshot() *Predictor {
-	return &Predictor{
-		p:       m.net.Snapshot(),
-		out:     m.net.Config().OutputDim,
-		version: snapshotVersion.Add(1),
-	}
+	return FromRaw(m.net.Snapshot(), snapshotVersion.Add(1))
 }
 
 // Version returns the process-wide snapshot sequence number: every Snapshot
@@ -102,7 +98,7 @@ func (p *Predictor) PredictBatch(samples []Sample, k int) ([][]int32, error) {
 	for i, s := range samples {
 		entries[i] = BatchEntry{Indices: s.Indices, Values: s.Values, K: k}
 	}
-	xs, _, err := EntryVectors(entries)
+	xs, _, err := entryVectors(entries)
 	if err != nil {
 		return nil, err
 	}
@@ -121,12 +117,11 @@ type BatchEntry struct {
 	K int
 }
 
-// EntryVectors checks a micro-batch — every entry has as many indices as
+// entryVectors checks a micro-batch — every entry has as many indices as
 // values and a positive K — and renders it as the engine's inputs. It is the
-// one entry check behind PredictEntries and PredictBatch here and behind the
-// replication adapter (internal/replicate), which serves the same entries
-// from a replicated engine predictor.
-func EntryVectors(entries []BatchEntry) (xs []sparse.Vector, ks []int, err error) {
+// one entry check behind PredictEntries and PredictBatch, for local and
+// replicated predictors alike.
+func entryVectors(entries []BatchEntry) (xs []sparse.Vector, ks []int, err error) {
 	xs, ks = make([]sparse.Vector, len(entries)), make([]int, len(entries))
 	for i, e := range entries {
 		if len(e.Indices) != len(e.Values) {
@@ -152,7 +147,7 @@ func EntryVectors(entries []BatchEntry) (xs []sparse.Vector, ks []int, err error
 // batcher worker). Use PredictBatch when a single caller has the machine to
 // itself.
 func (p *Predictor) PredictEntries(entries []BatchEntry) ([][]int32, error) {
-	xs, ks, err := EntryVectors(entries)
+	xs, ks, err := entryVectors(entries)
 	if err != nil {
 		return nil, err
 	}

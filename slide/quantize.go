@@ -20,11 +20,7 @@ func (p *Predictor) Quantize(bits int) (*Predictor, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Predictor{
-		p:       qp,
-		out:     p.out,
-		version: snapshotVersion.Add(1),
-	}, nil
+	return FromRaw(qp, snapshotVersion.Add(1)), nil
 }
 
 // SnapshotPrecision names the output-layer storage this snapshot serves
