@@ -117,13 +117,18 @@ func (l *RowLayer) ForwardStripe(ks *simd.Kernels, x *StripeIndex, hs [][]float3
 	}
 }
 
-// AccumulateStripe is the weight-gradient half of AccumulateActive for every
-// sample of the stripe, row-major: for each selected row, one GatherAxpy adds
-// gz[p]·hs[sample] into the row's gradient over its selections in ascending
-// sample order — the order the per-sample walks reach the row in, so the
-// gradient, the bias gradient and the touched set come out bit-identical.
-// The input gradients are InputGrad's, per sample. FP32 layers only.
-func (l *RowLayer) AccumulateStripe(ks *simd.Kernels, x *StripeIndex, gz []float32, hs [][]float32, first int) {
+// AccumulateStripe is AccumulateActive for every sample of the stripe,
+// row-major: each selected row is one AxpyTwoMany call with the roles swapped
+// — the row and its gradient are the dense, register-resident operands, the
+// samples that chose it the listed ones — which adds gz[p]·hs[sample] into the
+// row's gradient and gz[p]·w[row] into the sample's input gradient
+// dhs[sample], both from one load of the row. The gradient's contributions
+// arrive in ascending sample order, the order the per-sample walks reach the
+// row in, so the gradient, the bias gradient and the touched set come out
+// bit-identical to AccumulateActive's. An input gradient gets the same terms
+// in row-walk order instead of list order: rows ascending from first,
+// wrapping, and a row a sample chose twice in slot order. FP32 layers only.
+func (l *RowLayer) AccumulateStripe(ks *simd.Kernels, x *StripeIndex, gz []float32, hs, dhs [][]float32, first int) {
 	l.needFP32("AccumulateStripe")
 	for i := range len(x.start) - 1 {
 		r, lo, hi := x.row(i, first)
@@ -135,18 +140,10 @@ func (l *RowLayer) AccumulateStripe(ks *simd.Kernels, x *StripeIndex, gz []float
 			g[j] = gz[p]
 			gb += gz[p]
 		}
-		ks.GatherAxpy(g, x.sample[lo:hi], hs, l.grad[r])
+		ks.AxpyTwoMany(g, x.sample[lo:hi], l.w.f32[r], dhs, hs, l.grad[r])
 		l.gbias[r] = gb
 		l.touched.mark(int32(r))
 	}
-}
-
-// InputGrad is the input-gradient half of AccumulateActive over one sample's
-// active set: dh += gz[k]·W[active[k]] in list order, the same products and
-// sums AxpyTwoMany accumulates into dh. FP32 layers only.
-func (l *RowLayer) InputGrad(ks *simd.Kernels, active []int32, gz, dh []float32) {
-	l.needFP32("InputGrad")
-	ks.GatherAxpy(gz, active, l.w.f32, dh)
 }
 
 // grow returns buf with length n. It reallocates only when it has to grow,

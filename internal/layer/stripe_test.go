@@ -2,6 +2,7 @@ package layer
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"testing"
 
@@ -20,11 +21,11 @@ func flatten(lists [][]int32) (offs, active []int32) {
 }
 
 // checkStripeWalks runs one stripe through the row-major walks on one layer
-// — ForwardStripe, AccumulateStripe, then InputGrad per sample — and through
-// ForwardActive and AccumulateActive sample by sample on a twin, twice over
-// (so the second pass starts from non-zero gradients), and requires every
-// logit, input gradient, gradient row, bias gradient and touched row to be
-// the same bits.
+// — ForwardStripe, then AccumulateStripe — and through ForwardActive and
+// AccumulateActive sample by sample on a twin, twice over (so the second pass
+// starts from non-zero gradients), and requires every logit, gradient row,
+// bias gradient and touched row to be the same bits. The input gradients sum
+// their terms in another order, so checkStripeDh checks them.
 func checkStripeWalks(t *testing.T, name string, ks *simd.Kernels, o Options, in, out int, lists [][]int32, first int, rng *rand.Rand) {
 	t.Helper()
 	walk, loop := NewRowLayer(in, out, o), NewRowLayer(in, out, o)
@@ -48,17 +49,20 @@ func checkStripeWalks(t *testing.T, name string, ks *simd.Kernels, o Options, in
 		logits := make([]float32, len(active))
 		walk.ForwardStripe(ks, &x, hs, logits, first)
 		gz := randVec(rng, len(active))
-		walk.AccumulateStripe(ks, &x, gz, hs, first)
+		dhs := make([][]float32, len(lists))
+		for k := range dhs {
+			dhs[k] = make([]float32, in)
+		}
+		walk.AccumulateStripe(ks, &x, gz, hs, dhs, first)
 		for k, ids := range lists {
 			lo, hi := offs[k], offs[k+1]
 			want := make([]float32, len(ids))
 			loop.ForwardActive(ks, ids, hs[k], nil, want)
 			sameBits(t, fmt.Sprintf("%s logits of sample %d", name, k), logits[lo:hi], want)
 
-			dh, dhLoop := make([]float32, in), make([]float32, in)
-			walk.InputGrad(ks, ids, gz[lo:hi], dh)
+			dhLoop := make([]float32, in)
 			loop.AccumulateActive(ks, ids, gz[lo:hi], hs[k], nil, dhLoop)
-			sameBits(t, fmt.Sprintf("%s dh of sample %d", name, k), dh, dhLoop)
+			checkStripeDh(t, fmt.Sprintf("%s dh of sample %d", name, k), ks, walk, ids, gz[lo:hi], first, dhs[k], dhLoop)
 		}
 	}
 	for i := range loop.grad {
@@ -67,6 +71,40 @@ func checkStripeWalks(t *testing.T, name string, ks *simd.Kernels, o Options, in
 	sameBits(t, name+" gbias", walk.gbias, loop.gbias)
 	if got, want := fmt.Sprint(walk.touched.ids()), fmt.Sprint(loop.touched.ids()); got != want {
 		t.Fatalf("%s touched %s, want %s", name, got, want)
+	}
+}
+
+// checkStripeDh checks one sample's input gradient from AccumulateStripe, dh,
+// against two references. It must be bit-identical to applying Axpy(g, w[r])
+// per selection in the walk's order — rows ascending from first, wrapping,
+// and a row the sample chose twice in slot order. And it must agree with the
+// list-order dhLoop of AccumulateActive: both lie within 1e-5·Σ|g·w| of the
+// float64 sum of the same terms, per element.
+func checkStripeDh(t *testing.T, name string, ks *simd.Kernels, l *RowLayer, ids []int32, gz []float32, first int, dh, dhLoop []float32) {
+	t.Helper()
+	out := len(l.w.f32)
+	want := make([]float32, len(dh))
+	for i := range out {
+		r := (first + i) % out
+		for j, id := range ids {
+			if int(id) == r {
+				ks.Axpy(gz[j], l.w.f32[r], want)
+			}
+		}
+	}
+	sameBits(t, name+" (row order)", dh, want)
+	for c := range dh {
+		var sum, abs float64
+		for j, id := range ids {
+			term := float64(gz[j]) * float64(l.w.f32[id][c])
+			sum += term
+			abs += math.Abs(term)
+		}
+		for _, got := range []float32{dh[c], dhLoop[c]} {
+			if math.Abs(float64(got)-sum) > 1e-5*abs {
+				t.Fatalf("%s[%d]: row order %g, list order %g, float64 sum %g (Σ|g·w| %g)", name, c, dh[c], dhLoop[c], sum, abs)
+			}
+		}
 	}
 }
 
@@ -100,8 +138,8 @@ func randLists(rng *rand.Rand, m, out, maxLen int) [][]int32 {
 // equal the per-sample walks over its samples, on every tier and placement,
 // at hidden widths on both sides of every register block (200 is text8-s's,
 // whose last columns the AVX2 wrappers finish in Go), for ordinary stripes,
-// stripes with empty samples, a single sample, a row every sample chose, a
-// stripe of nothing, and walks starting at every kind of row.
+// stripes with empty samples, a single sample, a row every sample chose, ids
+// a sample chose twice, a stripe of nothing, and walks starting at every row.
 func TestStripeWalksBitIdenticalToPerSample(t *testing.T) {
 	const out = 37
 	rng := rand.New(rand.NewPCG(71, 72))
@@ -120,13 +158,14 @@ func TestStripeWalksBitIdenticalToPerSample(t *testing.T) {
 		"nothing":     func() [][]int32 { return make([][]int32, 4) },
 		"last-row":    func() [][]int32 { return [][]int32{{out - 1, 0}, {0, out - 1}} },
 		"all-samples": func() [][]int32 { return [][]int32{{2}, {2}, {2}, {2}} },
+		"repeats":     func() [][]int32 { return [][]int32{{4, 9, 4}, {9}, {out - 1, 4, out - 1, 4}} },
 	}
 	for _, m := range simd.AvailableModes() {
 		for _, place := range []Placement{Contiguous, Scattered} {
 			o := Options{Precision: FP32, Placement: place, Seed: 13}
 			for _, in := range []int{1, 15, 16, 17, 128, 200} {
 				for sn, stripe := range stripes {
-					for _, first := range []int{0, 1, out / 2, out - 1} {
+					for first := range out {
 						name := fmt.Sprintf("%v/%v/in%d/%s/first%d", m, place, in, sn, first)
 						checkStripeWalks(t, name, simd.ForMode(m), o, in, out, stripe(), first, rng)
 					}
@@ -165,8 +204,8 @@ func panicOf(f func()) (msg string) {
 
 // TestStripeWalksPanicAsPerSample: an id outside the layer panics on the
 // row-major path with the panic the per-sample path raised — Go's index error
-// for the row — on every tier: Build where ForwardActive did, InputGrad where
-// AccumulateActive did. The walks refuse bfloat16 layers by name.
+// for the row — on every tier, in Build, where ForwardActive raised it. The
+// walks refuse bfloat16 layers by name.
 func TestStripeWalksPanicAsPerSample(t *testing.T) {
 	const in, out = 16, 9
 	rng := rand.New(rand.NewPCG(73, 74))
@@ -176,7 +215,6 @@ func TestStripeWalksPanicAsPerSample(t *testing.T) {
 		h := randVec(rng, in)
 		for _, bad := range []int32{out, out + 7, -1} {
 			ids := []int32{1, bad, 2}
-			gz := randVec(rng, len(ids))
 			offs, active := flatten([][]int32{{0}, ids})
 			var x StripeIndex
 			got := panicOf(func() { x.Build(out, offs, active, 0) })
@@ -184,16 +222,16 @@ func TestStripeWalksPanicAsPerSample(t *testing.T) {
 			if got == "" || got != want {
 				t.Errorf("%v id %d: Build panics with %q, ForwardActive with %q", m, bad, got, want)
 			}
-			got = panicOf(func() { l.InputGrad(ks, ids, gz, make([]float32, in)) })
-			want = panicOf(func() { l.AccumulateActive(ks, ids, gz, h, nil, make([]float32, in)) })
-			if got == "" || got != want {
-				t.Errorf("%v id %d: InputGrad panics with %q, AccumulateActive with %q", m, bad, got, want)
-			}
 		}
 	}
 	bf := NewRowLayer(in, out, Options{Precision: BF16Both})
-	if got := panicOf(func() { bf.InputGrad(simd.Active(), nil, nil, nil) }); got != "layer: InputGrad walks FP32 rows only" {
-		t.Errorf("InputGrad on a BF16 layer panics with %q", got)
+	for name, walk := range map[string]func(){
+		"ForwardStripe":    func() { bf.ForwardStripe(simd.Active(), &StripeIndex{}, nil, nil, 0) },
+		"AccumulateStripe": func() { bf.AccumulateStripe(simd.Active(), &StripeIndex{}, nil, nil, nil, 0) },
+	} {
+		if got := panicOf(walk); got != "layer: "+name+" walks FP32 rows only" {
+			t.Errorf("%s on a BF16 layer panics with %q", name, got)
+		}
 	}
 }
 

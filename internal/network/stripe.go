@@ -22,7 +22,9 @@ const minStripeReuse = 4
 // stage. The stripe buffers grow to the longest stripe seen and stay.
 type worker struct {
 	*scratch
-	dhs [][]float32 // one sample's activation gradients, shaped like acts
+	// dhs holds one sample's activation gradients, shaped like acts; backward
+	// points its last slot at the sample's output-layer input gradient.
+	dhs [][]float32
 
 	// Per sample k of the stripe: its activations [k][layer], the last of
 	// them (the output layer's input) and its bfloat16 rendering under the
@@ -39,6 +41,10 @@ type worker struct {
 	// one sample's at a time on the per-sample one.
 	logits, grads []float32
 	index         layer.StripeIndex
+	// lastDhs holds the output layer's input gradient per sample: the whole
+	// stripe's on the row-major walk, which alone grows it past the one
+	// buffer the per-sample walk reuses.
+	lastDhs [][]float32
 
 	// loss, activeSum and nonFinite are the worker's partial BatchStats for
 	// the batch in flight; rowMajor and perSample count the stripes that took
@@ -59,6 +65,7 @@ func (f *forwardState) newWorker(seed, stream uint64) *worker {
 	ws.sampleActs = [][][]float32{ws.acts}
 	ws.lasts = [][]float32{ws.last()}
 	ws.lastsBF = [][]bf16.BF16{ws.hBF}
+	ws.lastDhs = [][]float32{ws.dhs[len(ws.dhs)-1]}
 	return ws
 }
 
@@ -89,14 +96,16 @@ func (ws *worker) fitStripe(f *forwardState, m int) {
 //  2. transpose the stripe's active lists (StripeIndex.Build) — an FP32
 //     stripe at minStripeReuse or more selections per touched row then
 //  3. walks the output layer row-major: every logit, the label heads in
-//     sample order, every weight gradient, and per sample the input
-//     gradient in list order;
+//     sample order, then every weight gradient and every sample's input
+//     gradient in one pass over the rows;
 //  4. the middle stack and hidden backward, per sample in stripe order.
 //
 // Any other stripe — below the crossover, BF16, NoSampling — runs 3 and 4
 // sample by sample through ForwardActive and AccumulateActive. Either way the
-// bits are those of running each sample end to end in stripe order. The
-// share's loss, active-set and non-finite sums are left in the worker.
+// bits are those of running each sample end to end in stripe order, except
+// that the row-major walk sums each input gradient in row order
+// (AccumulateStripe). The share's loss, active-set and non-finite sums are
+// left in the worker.
 func (n *Network) trainStripe(ks *simd.Kernels, b sparse.Batch, w, nw int) {
 	ws := n.workers[w]
 	ws.ks = ks
@@ -134,14 +143,17 @@ func (n *Network) trainStripe(ks *simd.Kernels, b sparse.Batch, w, nw int) {
 			ws.fold(n, loss, int(hi-lo), bad)
 		}
 	}
-	n.output.AccumulateStripe(ks, &ws.index, ws.grads, hs, first)
-	for k := range m {
-		lo, hi := ws.offs[k], ws.offs[k+1]
-		if lo < hi {
-			dh := ws.dhs[len(ws.dhs)-1]
-			simd.Zero(dh)
-			n.output.InputGrad(ks, ws.ids[lo:hi], ws.grads[lo:hi], dh)
-			n.backward(ws, k, b.Sample(w+k*nw))
+	for len(ws.lastDhs) < m {
+		ws.lastDhs = append(ws.lastDhs, make([]float32, n.fwd.lastDim))
+	}
+	dhs := ws.lastDhs[:m]
+	for _, dh := range dhs {
+		simd.Zero(dh)
+	}
+	n.output.AccumulateStripe(ks, &ws.index, ws.grads, hs, dhs, first)
+	for k, dh := range dhs {
+		if ws.offs[k] < ws.offs[k+1] {
+			n.backward(ws, k, dh, b.Sample(w+k*nw))
 		}
 	}
 }
@@ -183,10 +195,10 @@ func (n *Network) stripePerSample(ws *worker, b sparse.Batch, w, nw, m int) {
 			}
 		}
 		ws.fold(n, loss, na, bad)
-		dh := ws.dhs[len(ws.dhs)-1]
+		dh := ws.lastDhs[0]
 		simd.Zero(dh)
 		n.output.AccumulateActive(ws.ks, active, probs, ws.lasts[k], ws.lastsBF[k], dh)
-		n.backward(ws, k, b.Sample(i))
+		n.backward(ws, k, dh, b.Sample(i))
 	}
 }
 
@@ -198,10 +210,11 @@ func (ws *worker) fold(n *Network, loss float64, na int, bad int64) {
 	ws.nonFinite += n.guardLoss(loss, bad)
 }
 
-// backward propagates sample k's output-layer input gradient, left in the
-// last of ws.dhs, through the middle stack and into the hidden layer.
-func (n *Network) backward(ws *worker, k int, x sparse.Vector) {
+// backward propagates sample k's output-layer input gradient dh through the
+// middle stack and into the hidden layer.
+func (n *Network) backward(ws *worker, k int, dh []float32, x sparse.Vector) {
 	acts := ws.sampleActs[k]
+	ws.dhs[len(ws.dhs)-1] = dh
 	n.backwardMiddle(ws.ks, acts, ws.dhs)
 	n.hidden.Backward(ws.ks, x, acts[0], ws.dhs[0])
 }
