@@ -89,6 +89,9 @@ func (d *DOPH) Bits() int { return d.k * d.bitsPerBin }
 // Dim returns the configured feature-universe size.
 func (d *DOPH) Dim() int { return d.dim }
 
+// HashDenseMany implements Hasher as a loop over HashDense.
+func (d *DOPH) HashDenseMany(vals [][]float32, out []uint32) { hashEach(d, vals, out) }
+
 // HashDense implements Hasher: every non-zero coordinate counts as present.
 func (d *DOPH) HashDense(vals []float32, out []uint32) {
 	if len(out) < d.l {

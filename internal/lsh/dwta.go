@@ -123,6 +123,9 @@ func (d *DWTA) Bits() int { return d.k * d.slotBit }
 // Dim returns the configured input dimensionality.
 func (d *DWTA) Dim() int { return d.dim }
 
+// HashDenseMany implements Hasher as a loop over HashDense.
+func (d *DWTA) HashDenseMany(vals [][]float32, out []uint32) { hashEach(d, vals, out) }
+
 // HashDense implements Hasher: one GatherArgMax call of the active kernel
 // tier resolves every bin's winner (§4.3.3's vectorized max, one bin per
 // lane), then the winners are packed K per table. len(vals) must equal Dim —

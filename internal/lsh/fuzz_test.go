@@ -58,6 +58,55 @@ func FuzzDWTAHashDense(f *testing.F) {
 	})
 }
 
+// FuzzSimHashDenseMany feeds arbitrary shapes and batches to HashDenseMany
+// under every kernel tier: every vector's fingerprints must equal what
+// HashDense and the per-plane Dot definition give it. Values are decoded as
+// in FuzzDWTAHashDense, so exact-zero projections, ±Inf and NaN are common.
+func FuzzSimHashDenseMany(f *testing.F) {
+	f.Add(uint64(7), uint8(6), uint8(19), uint16(199), uint8(9), []byte{1, 2, 3, 0xf0, 0x81})
+	f.Add(uint64(1), uint8(0), uint8(0), uint16(0), uint8(0), []byte{})
+	f.Add(uint64(3), uint8(8), uint8(31), uint16(16), uint8(5), []byte{0, 0x7f, 0x80, 16, 0xf0})
+	f.Fuzz(func(t *testing.T, seed uint64, k, l uint8, dim uint16, count uint8, raw []byte) {
+		cfg := SimHashConfig{K: 1 + int(k)%12, L: 1 + int(l)%32, Dim: 1 + int(dim)%300, Seed: seed}
+		s, err := NewSimHash(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vs := make([][]float32, int(count)%40)
+		for i := range vs {
+			vs[i] = make([]float32, cfg.Dim)
+			for f := range vs[i] {
+				if len(raw) == 0 {
+					break
+				}
+				switch b := raw[(i*cfg.Dim+f)%len(raw)]; b {
+				case 0x7f:
+					vs[i][f] = float32(math.Inf(1))
+				case 0x80:
+					vs[i][f] = float32(math.Inf(-1))
+				case 0x81:
+					vs[i][f] = float32(math.NaN())
+				default:
+					vs[i][f] = float32(int8(b)) / 16
+				}
+			}
+		}
+		got, one, def := make([]uint32, len(vs)*cfg.L), make([]uint32, cfg.L), make([]uint32, cfg.L)
+		defer simd.SetMode(simd.CurrentMode())
+		for _, m := range simd.AvailableModes() {
+			simd.SetMode(m)
+			s.HashDenseMany(vs, got)
+			for i, v := range vs {
+				s.HashDense(v, one)
+				dotFingerprints(s, simd.Active(), v, def)
+				if h := got[i*cfg.L : (i+1)*cfg.L]; !slices.Equal(h, one) || !slices.Equal(h, def) {
+					t.Fatalf("%v %+v vector %d of %d: HashDenseMany %v, HashDense %v, per-plane Dot %v", m, cfg, i, len(vs), h, one, def)
+				}
+			}
+		}
+	})
+}
+
 // FuzzTableInsert exercises the bucket policies with arbitrary fingerprint
 // streams: Build must equal serial insertion byte for byte, and buckets must
 // never exceed capacity nor hold ids that were not offered.

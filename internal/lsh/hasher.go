@@ -9,9 +9,16 @@
 // fingerprints of a row range by a counting sort whose result is what
 // inserting the ids one by one in ascending order would give (§4.1's
 // contiguous layout, applied to the tables). TableSet.RebuildRange hashes
-// the rows on all workers, then builds the L tables one per worker under
-// the write lock; TableSet.Collect is the sampling probe, appending the
-// not-yet-seen ids of the L addressed buckets to the caller's slice.
+// the rows on all workers, a tile of simd.WalkTile rows per HashDenseMany
+// call, then builds the L tables one per worker under the write lock;
+// TableSet.Collect is the sampling probe, appending the not-yet-seen ids of
+// the L addressed buckets to the caller's slice.
+//
+// Hashers fingerprint one vector (HashDense) or a batch (HashDenseMany, what
+// training stripes and rebuilds call). SimHash runs both through the kernel
+// table's walk kernels, its hyperplanes as the listed rows: one DotManyBias
+// per vector, one DotManyBiasBatch per tile of vectors, every bit the sign
+// of the tier's per-plane Dot.
 package lsh
 
 // Hasher computes, for one input vector, the bucket fingerprint in each of
@@ -27,6 +34,19 @@ type Hasher interface {
 	// Tables()) for a dense vector: a neuron weight row (dim = fan-in of the
 	// layer) or a dense activation — the only vectors SLIDE hashes.
 	HashDense(vals []float32, out []uint32)
+	// HashDenseMany hashes a batch of dense vectors: vector i's fingerprints
+	// go to out[i·L:(i+1)·L] (len(out) >= len(vals)·Tables()), each equal to
+	// what HashDense writes for it.
+	HashDenseMany(vals [][]float32, out []uint32)
+}
+
+// hashEach is HashDenseMany as a loop over HashDense, for the hashers with
+// no batched form.
+func hashEach(h Hasher, vals [][]float32, out []uint32) {
+	l := h.Tables()
+	for i, v := range vals {
+		h.HashDense(v, out[i*l:(i+1)*l])
+	}
 }
 
 // splitmix64 is the 64-bit finalizer used to derive per-(table,bit,feature)

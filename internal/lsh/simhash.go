@@ -15,12 +15,17 @@ import (
 // (seed, bit, feature). Up to PrecomputeLimit bytes the K·L hyperplanes are
 // materialized at construction as one contiguous row-major float32 matrix
 // [K·L][dim], and a fingerprint is a matrix-vector product through the
-// active kernel table — K·L calls of the same Dot kernel the layers use
-// (§4.2–4.3), so hashing runs at kernel speed on every tier with no kernel
-// of its own. Above the limit the entries are derived lazily per non-zero to
-// bound memory. Dot reductions differ per tier at the rounding edge, so a
-// bit whose projection is within rounding of zero may differ between tiers
-// and between the two paths (DESIGN.md "SimHash projections").
+// active kernel table's walk kernels (§4.2–4.3): the hyperplanes are the
+// listed rows and the vector the activation, so one vector is one
+// DotManyBias call and a batch is one DotManyBiasBatch call per WalkTile
+// vectors, each hyperplane loaded once per tile — hashing runs at kernel
+// speed on every tier with no kernel of its own. Both walks are bit-identical
+// to the tier's Dot plus a zero bias, which no sign test can tell from Dot,
+// so every bit is the sign of the tier's per-plane Dot. Above the limit the
+// entries are derived lazily per non-zero to bound memory. Dot reductions
+// differ per tier at the rounding edge, so a bit whose projection is within
+// rounding of zero may differ between tiers and between the two paths
+// (DESIGN.md "SimHash projections").
 type SimHash struct {
 	k    int
 	l    int
@@ -30,6 +35,12 @@ type SimHash struct {
 	// planes is the ±1 matrix, hyperplane b in planes[b*dim:(b+1)*dim]. nil
 	// when it would exceed PrecomputeLimit.
 	planes []float32
+	// rows, ids and bias are the walk kernels' operands over planes: a row
+	// view per hyperplane (no copy), the ids 0…K·L−1 and K·L zeros. nil
+	// with planes.
+	rows [][]float32
+	ids  []int32
+	bias []float32
 
 	scratch sync.Pool // *simhashScratch
 }
@@ -39,8 +50,9 @@ type SimHash struct {
 // paper's Text8 shape (K=9, L=50, 200 hidden units) takes 360 KB.
 const PrecomputeLimit = 64 << 20
 
+// simhashScratch holds the K·L projections of each vector of one tile.
 type simhashScratch struct {
-	acc []float32 // K*L projections
+	accs [simd.WalkTile][]float32
 }
 
 // SimHashConfig parameterizes NewSimHash.
@@ -70,15 +82,24 @@ func NewSimHash(cfg SimHashConfig) (*SimHash, error) {
 	n := cfg.K * cfg.L
 	if n*cfg.Dim <= PrecomputeLimit/4 {
 		s.planes = make([]float32, n*cfg.Dim)
-		for b := 0; b < n; b++ {
+		s.rows = make([][]float32, n)
+		s.ids = make([]int32, n)
+		s.bias = make([]float32, n)
+		for b := range n {
 			plane := s.planes[b*cfg.Dim : (b+1)*cfg.Dim]
 			for f := range plane {
 				plane[f] = s.derive(b, int32(f))
 			}
+			s.rows[b], s.ids[b] = plane, int32(b)
 		}
 	}
 	s.scratch.New = func() any {
-		return &simhashScratch{acc: make([]float32, n)}
+		sc := new(simhashScratch)
+		acc := make([]float32, simd.WalkTile*n)
+		for j := range sc.accs {
+			sc.accs[j] = acc[j*n : (j+1)*n]
+		}
+		return sc
 	}
 	return s, nil
 }
@@ -101,7 +122,9 @@ func (s *SimHash) derive(bitIdx int, feature int32) float32 {
 	return -1
 }
 
-// HashDense implements Hasher for dense vectors. len(vals) must equal Dim.
+// HashDense implements Hasher for dense vectors: on the materialized path,
+// one DotManyBias call of the active kernel tier projects vals onto every
+// hyperplane. len(vals) must equal Dim.
 func (s *SimHash) HashDense(vals []float32, out []uint32) {
 	if len(out) < s.l {
 		panic("lsh: SimHash.HashDense out slice too short")
@@ -112,25 +135,46 @@ func (s *SimHash) HashDense(vals []float32, out []uint32) {
 	sc := s.scratch.Get().(*simhashScratch)
 	defer s.scratch.Put(sc)
 
+	acc := sc.accs[0]
 	if s.planes == nil {
-		clear(sc.acc)
+		clear(acc)
 		for f, val := range vals {
 			if val != 0 {
-				s.addDerived(sc.acc, int32(f), val)
+				s.addDerived(acc, int32(f), val)
 			}
 		}
 	} else {
-		s.project(vals, sc.acc)
+		simd.Active().DotManyBias(s.rows, s.bias, s.ids, vals, acc)
 	}
-	s.assemble(sc.acc, out)
+	s.assemble(acc, out)
 }
 
-// project fills acc[b] with the projection of vals (length Dim) onto
-// hyperplane b: one Dot of the active kernel tier per hyperplane.
-func (s *SimHash) project(vals, acc []float32) {
-	dot := simd.Active().Dot
-	for b := range acc {
-		acc[b] = dot(s.planes[b*s.dim:(b+1)*s.dim], vals)
+// HashDenseMany implements Hasher: on the materialized path, one
+// DotManyBiasBatch call of the active kernel tier per WalkTile vectors, each
+// hyperplane loaded once for the tile; the lazy path loops HashDense. Every
+// vector's length is checked before any is hashed.
+func (s *SimHash) HashDenseMany(vals [][]float32, out []uint32) {
+	if len(out) < len(vals)*s.l {
+		panic("lsh: SimHash.HashDenseMany out slice too short")
+	}
+	for i, v := range vals {
+		if len(v) != s.dim {
+			panic(fmt.Sprintf("lsh: SimHash.HashDenseMany vector %d has %d values, hasher Dim is %d", i, len(v), s.dim))
+		}
+	}
+	if s.planes == nil {
+		hashEach(s, vals, out)
+		return
+	}
+	ks := simd.Active()
+	sc := s.scratch.Get().(*simhashScratch)
+	defer s.scratch.Put(sc)
+	for lo := 0; lo < len(vals); lo += simd.WalkTile {
+		accs := sc.accs[:min(simd.WalkTile, len(vals)-lo)]
+		ks.DotManyBiasBatch(s.rows, s.bias, s.ids, vals[lo:lo+len(accs)], accs)
+		for j, acc := range accs {
+			s.assemble(acc, out[(lo+j)*s.l:])
+		}
 	}
 }
 

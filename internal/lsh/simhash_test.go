@@ -7,6 +7,9 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"github.com/slide-cpu/slide/internal/platform"
+	"github.com/slide-cpu/slide/internal/simd"
 )
 
 func mustSimHash(t *testing.T, cfg SimHashConfig) *SimHash {
@@ -243,4 +246,180 @@ func TestSimHashShortOutPanics(t *testing.T) {
 		}
 	}()
 	s.HashDense(make([]float32, 10), make([]uint32, 4))
+}
+
+// dotFingerprints is the definition of a materialized SimHash fingerprint
+// under kernel table ks: bit k of table t is whether the Dot of hyperplane
+// t·K+k with v is positive, K bits per table, most significant first.
+func dotFingerprints(s *SimHash, ks *simd.Kernels, v []float32, out []uint32) {
+	for t := range s.l {
+		var h uint32
+		for k := range s.k {
+			b := t*s.k + k
+			h <<= 1
+			if ks.Dot(s.planes[b*s.dim:(b+1)*s.dim], v) > 0 {
+				h |= 1
+			}
+		}
+		out[t] = h
+	}
+}
+
+// simhashVectors returns n vectors of length dim cycling through the inputs
+// a sign test is fragile on: all zero, all −0, small integers (projections
+// of exactly zero are common), Gaussian, and Gaussian with ±Inf or NaN.
+func simhashVectors(n, dim int, seed uint64) [][]float32 {
+	rng := rand.New(rand.NewPCG(seed, 77))
+	negZero := float32(math.Copysign(0, -1))
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	vs := make([][]float32, n)
+	for i := range vs {
+		v := make([]float32, dim)
+		for f := range v {
+			switch i % 7 {
+			case 1:
+				v[f] = negZero
+			case 2:
+				v[f] = float32(rng.IntN(3) - 1)
+			case 3, 4:
+				v[f] = float32(rng.NormFloat64())
+			case 5, 6:
+				v[f] = float32(rng.NormFloat64())
+				if rng.IntN(max(dim/2, 2)) == 0 {
+					v[f] = []float32{inf, -inf, nan}[rng.IntN(3)]
+				}
+			}
+		}
+		vs[i] = v
+	}
+	return vs
+}
+
+// TestSimHashDenseManyMatchesPerPlaneDot: on every tier, HashDense and
+// HashDenseMany give dotFingerprints bit for bit — the walk kernels are the
+// tier's Dot plus a zero bias, which no sign test sees. Dims 1–40 cover the
+// AVX2 Go tail at every remainder and AVX-512's masked tail; 199–201 the
+// text8 shape and its neighbours. Batch sizes cover the empty batch, a lone
+// vector, tiles either side of simd.WalkTile, a ragged last tile and a
+// training stripe; out is longer than needed and its tail must stay as it
+// was.
+func TestSimHashDenseManyMatchesPerPlaneDot(t *testing.T) {
+	const k, l, sentinel = 7, 20, 0xdeadbeef
+	var dims []int
+	for d := 1; d <= 40; d++ {
+		dims = append(dims, d)
+	}
+	dims = append(dims, 199, 200, 201)
+	counts := []int{0, 1, simd.WalkTile - 1, simd.WalkTile, simd.WalkTile + 1, 17, 128}
+	forEachKernelMode(t, func(t *testing.T) {
+		ks := simd.Active()
+		for _, dim := range dims {
+			s := mustSimHash(t, SimHashConfig{K: k, L: l, Dim: dim, Seed: uint64(dim)})
+			vs := simhashVectors(128, dim, uint64(dim))
+			want := make([]uint32, len(vs)*l)
+			for i, v := range vs {
+				dotFingerprints(s, ks, v, want[i*l:(i+1)*l])
+			}
+			one := make([]uint32, l)
+			for i, v := range vs {
+				s.HashDense(v, one)
+				if !slices.Equal(one, want[i*l:(i+1)*l]) {
+					t.Fatalf("dim %d vector %d: HashDense %v, per-plane Dot %v", dim, i, one, want[i*l:(i+1)*l])
+				}
+			}
+			for _, c := range counts {
+				got := make([]uint32, (c+1)*l)
+				for i := range got {
+					got[i] = sentinel
+				}
+				s.HashDenseMany(vs[:c], got)
+				for i := range c {
+					if !slices.Equal(got[i*l:(i+1)*l], want[i*l:(i+1)*l]) {
+						t.Fatalf("dim %d batch %d vector %d: HashDenseMany %v, per-plane Dot %v",
+							dim, c, i, got[i*l:(i+1)*l], want[i*l:(i+1)*l])
+					}
+				}
+				for _, h := range got[c*l:] {
+					if h != sentinel {
+						t.Fatalf("dim %d batch %d: HashDenseMany wrote past the batch's fingerprints", dim, c)
+					}
+				}
+			}
+		}
+	})
+}
+
+// TestSimHashDenseManyLazyPath: above PrecomputeLimit the batch is a loop
+// over the lazily derived HashDense.
+func TestSimHashDenseManyLazyPath(t *testing.T) {
+	const l = 12
+	s := mustSimHash(t, SimHashConfig{K: 5, L: l, Dim: 90, Seed: 8})
+	s.planes = nil
+	vs := simhashVectors(2*simd.WalkTile+3, 90, 8)
+	got, one := make([]uint32, len(vs)*l), make([]uint32, l)
+	s.HashDenseMany(vs, got)
+	for i, v := range vs {
+		s.HashDense(v, one)
+		if !slices.Equal(got[i*l:(i+1)*l], one) {
+			t.Fatalf("vector %d: HashDenseMany %v, HashDense %v", i, got[i*l:(i+1)*l], one)
+		}
+	}
+}
+
+// TestSimHashDenseManyLengthMismatchPanics: a vector of the wrong length
+// anywhere in a batch panics by name before any vector is hashed, on both
+// paths.
+func TestSimHashDenseManyLengthMismatchPanics(t *testing.T) {
+	const l = 5
+	for _, lazy := range []bool{false, true} {
+		s := mustSimHash(t, SimHashConfig{K: 2, L: l, Dim: 10, Seed: 1})
+		if lazy {
+			s.planes = nil
+		}
+		for _, bad := range []int{0, simd.WalkTile, 8} {
+			for _, n := range []int{0, 9, 11} {
+				vs := simhashVectors(9, 10, 3)
+				vs[bad] = make([]float32, n)
+				out := make([]uint32, len(vs)*l)
+				func() {
+					defer func() {
+						msg, _ := recover().(string)
+						if want := fmt.Sprintf("vector %d has %d values, hasher Dim is 10", bad, n); !strings.Contains(msg, want) {
+							t.Errorf("lazy %v, %d values at %d: panic %q does not name the mismatch", lazy, n, bad, msg)
+						}
+					}()
+					s.HashDenseMany(vs, out)
+				}()
+				if slices.ContainsFunc(out, func(h uint32) bool { return h != 0 }) {
+					t.Errorf("lazy %v, %d values at %d: vectors were hashed before the panic", lazy, n, bad)
+				}
+			}
+		}
+	}
+}
+
+func TestSimHashDenseManyShortOutPanics(t *testing.T) {
+	s := mustSimHash(t, SimHashConfig{K: 2, L: 5, Dim: 10, Seed: 1})
+	defer func() {
+		if recover() == nil {
+			t.Error("short out slice did not panic")
+		}
+	}()
+	s.HashDenseMany(simhashVectors(3, 10, 1), make([]uint32, 14))
+}
+
+func TestSimHashDenseManyDoesNotAllocate(t *testing.T) {
+	if platform.RaceEnabled {
+		t.Skip("the race detector's sync.Pool drops the hasher's scratch at random")
+	}
+	const l = 20
+	s := mustSimHash(t, SimHashConfig{K: 7, L: l, Dim: 200, Seed: 3})
+	vs := simhashVectors(17, 200, 3)
+	out := make([]uint32, len(vs)*l)
+	if a := testing.AllocsPerRun(200, func() { s.HashDenseMany(vs, out) }); a != 0 {
+		t.Errorf("HashDenseMany allocates %.0f objects per call, want 0", a)
+	}
+	if a := testing.AllocsPerRun(200, func() { s.HashDense(vs[3], out) }); a != 0 {
+		t.Errorf("HashDense allocates %.0f objects per call, want 0", a)
+	}
 }

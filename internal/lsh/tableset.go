@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"github.com/slide-cpu/slide/internal/fanout"
+	"github.com/slide-cpu/slide/internal/simd"
 )
 
 // TableSet owns the L hash tables of one LSH-sampled layer plus the hasher
@@ -21,12 +22,20 @@ type TableSet struct {
 	mu sync.RWMutex
 
 	// Rebuild scratch, kept between rebuilds (see RebuildRange): the
-	// fingerprints of the range, table-major, and one row buffer and one
-	// fingerprint vector per hashing worker.
+	// fingerprints of the range, table-major, and one tile's buffers per
+	// hashing worker.
 	cols    []uint32
-	rowBufs [][]float32
-	hashes  [][]uint32
+	workers []rebuildTile
 	fan     fanout.Group
+}
+
+// rebuildTile is one hashing worker's scratch for a tile of simd.WalkTile
+// rows: a buffer per row, since row may materialize each into its own, the
+// vectors row returned, and their fingerprints, vector-major.
+type rebuildTile struct {
+	bufs [simd.WalkTile][]float32
+	vecs [simd.WalkTile][]float32
+	hs   []uint32
 }
 
 // NewTableSet builds the L tables declared by the hasher.
@@ -77,8 +86,9 @@ func (ts *TableSet) RebuildDense(n, bufLen int, row func(i int, buf []float32) [
 //
 // Both halves run on workers goroutines (workers <= 0 uses GOMAXPROCS). The
 // rows are hashed in contiguous stripes while queries go on against the old
-// contents, each fingerprint vector scattered table-major into cols (4·L
-// bytes per row); then, under the write lock, worker w builds tables w,
+// contents, one HashDenseMany call per tile of simd.WalkTile rows, each
+// fingerprint vector scattered table-major into cols (4·L bytes per row);
+// then, under the write lock, worker w builds tables w,
 // w+workers, … from their columns. Table.Build equals serial insertion in
 // ascending id, so table contents are a pure function of (lo, hi, weights) —
 // independent of the worker count — and a query sees the old tables or the
@@ -93,23 +103,31 @@ func (ts *TableSet) RebuildRange(lo, hi, bufLen int, row func(i int, buf []float
 	if len(ts.cols) < n*l {
 		ts.cols = make([]uint32, n*l)
 	}
-	for w := len(ts.hashes); w < workers; w++ {
-		ts.rowBufs = append(ts.rowBufs, nil)
-		ts.hashes = append(ts.hashes, make([]uint32, l))
+	for w := len(ts.workers); w < workers; w++ {
+		ts.workers = append(ts.workers, rebuildTile{hs: make([]uint32, simd.WalkTile*l)})
 	}
-	for w := range ts.rowBufs[:workers] {
-		if len(ts.rowBufs[w]) < bufLen {
-			ts.rowBufs[w] = make([]float32, bufLen)
+	for w := range ts.workers[:workers] {
+		for j, buf := range ts.workers[w].bufs {
+			if len(buf) < bufLen {
+				ts.workers[w].bufs[j] = make([]float32, bufLen)
+			}
 		}
 	}
 
 	per := (n + workers - 1) / workers
 	ts.fan.Run(workers, func(w int) {
-		buf, hs := ts.rowBufs[w][:bufLen], ts.hashes[w]
-		for i := w * per; i < min((w+1)*per, n); i++ {
-			ts.hasher.HashDense(row(lo+i, buf), hs)
-			for t, h := range hs {
-				ts.cols[t*n+i] = h
+		rt := &ts.workers[w]
+		end := min((w+1)*per, n)
+		for i := w * per; i < end; i += simd.WalkTile {
+			vecs := rt.vecs[:min(simd.WalkTile, end-i)]
+			for j := range vecs {
+				vecs[j] = row(lo+i+j, rt.bufs[j][:bufLen])
+			}
+			ts.hasher.HashDenseMany(vecs, rt.hs)
+			for j := range vecs {
+				for t, h := range rt.hs[j*l : (j+1)*l] {
+					ts.cols[t*n+i+j] = h
+				}
 			}
 		}
 	})
@@ -130,6 +148,12 @@ func (ts *TableSet) RebuildRange(lo, hi, bufLen int, row func(i int, buf []float
 // shard.
 func (ts *TableSet) HashDense(act []float32, hs []uint32) {
 	ts.hasher.HashDense(act, hs)
+}
+
+// HashDenseMany hashes a batch of activation vectors, vector i's
+// fingerprints into hs[i·L:(i+1)·L], each equal to HashDense's.
+func (ts *TableSet) HashDenseMany(acts [][]float32, hs []uint32) {
+	ts.hasher.HashDenseMany(acts, hs)
 }
 
 // Collect is the sampling probe: it appends to dst the ids of the L buckets

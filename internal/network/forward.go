@@ -63,8 +63,10 @@ type scratch struct {
 	// rngSrc is rng's underlying PCG, retained so checkpoints can serialize
 	// the random top-up state — part of the exact-resume contract.
 	rngSrc *rand.PCG
-	// hashBuf holds the per-table bucket hashes of one query: the sample is
-	// hashed once, then every set of the sampler is probed with them.
+	// hashBuf holds the per-table bucket hashes, L per sample: one query's
+	// on a predictor, one stripe's on a training worker (fitStripe grows
+	// it). A sample is hashed once, then every set of the sampler is probed
+	// with its fingerprints.
 	hashBuf []uint32
 	// qa/qsa/qzp hold the quantized activation vector of the current sample
 	// on quantized predictors: the last hidden activation rendered as u7
@@ -104,9 +106,7 @@ func (f *forwardState) newScratch(train bool, seed, stream uint64) *scratch {
 	} else if f.cfg.Precision != layer.FP32 {
 		ws.hBF = make([]bf16.BF16, f.lastDim)
 	}
-	if f.smp.sampled() {
-		ws.hashBuf = make([]uint32, f.smp.sets[0].Tables())
-	}
+	ws.hashBuf = make([]uint32, f.smp.tables())
 	return ws
 }
 
@@ -146,10 +146,12 @@ func (f *forwardState) forwardHidden(ks *simd.Kernels, x sparse.Vector, acts [][
 }
 
 // sampleActive fills ws.active for one sample: true labels first (never
-// dropped), then LSH candidates, then random top-up to MinActive, capped at
-// MaxActive — one budget over the whole layer, however many sets the sampler
-// probes. Returns the number of label entries at the head of the slice.
-func (f *forwardState) sampleActive(ws *scratch, labels []int32) int {
+// dropped), then the LSH candidates of the sample's fingerprints hs (as
+// sampler.hash wrote them; unread when the model does not sample through
+// LSH), then random top-up to MinActive, capped at MaxActive — one budget
+// over the whole layer, however many sets the sampler probes. Returns the
+// number of label entries at the head of the slice.
+func (f *forwardState) sampleActive(ws *scratch, labels []int32, hs []uint32) int {
 	ws.active = ws.active[:0]
 	ws.dedup.Begin()
 	for _, y := range labels {
@@ -164,8 +166,7 @@ func (f *forwardState) sampleActive(ws *scratch, labels []int32) int {
 		limit = nLabels // labels always survive
 	}
 	if f.smp.sampled() {
-		f.smp.hash(ws.last(), ws.hashBuf)
-		ws.active = f.smp.collect(ws.hashBuf, ws.dedup, ws.active, limit)
+		ws.active = f.smp.collect(hs, ws.dedup, ws.active, limit)
 	}
 
 	// Random top-up: keeps gradient flowing when buckets run cold early in
@@ -184,7 +185,8 @@ func (f *forwardState) sampleActive(ws *scratch, labels []int32) int {
 // present.
 func (f *forwardState) predictSampled(ws *scratch, x sparse.Vector, k int) []int32 {
 	f.forwardStack(ws, x)
-	f.sampleActive(ws, nil)
+	f.smp.hash(ws.last(), ws.hashBuf)
+	f.sampleActive(ws, nil, ws.hashBuf)
 	na := len(ws.active)
 	if na == 0 {
 		return nil

@@ -154,8 +154,24 @@ func (sm *sampler) rebuild(bufLen int, row func(i int, buf []float32) []float32,
 	})
 }
 
+// tables returns L, the fingerprints per sample: 0 when nothing is hashed.
+func (sm *sampler) tables() int {
+	if !sm.sampled() {
+		return 0
+	}
+	return sm.sets[0].Tables()
+}
+
 // hash fingerprints the output layer's input once for every set.
 func (sm *sampler) hash(act []float32, hs []uint32) { sm.sets[0].HashDense(act, hs) }
+
+// hashMany fingerprints a batch of output-layer inputs, sample i's into
+// hs[i·L:(i+1)·L]; a no-op when nothing is hashed.
+func (sm *sampler) hashMany(acts [][]float32, hs []uint32) {
+	if sm.sampled() {
+		sm.sets[0].HashDenseMany(acts, hs)
+	}
+}
 
 // collect probes every set, in shard order, with one sample's fingerprints
 // under one budget and one whole-layer dedup — ids are disjoint across sets.

@@ -54,7 +54,7 @@ type shardState struct {
 	lastA  [][]float32 // acts[i][last] views (output phases)
 	lastD  [][]float32
 	hBF    [][]bf16.BF16
-	hashes [][]uint32 // [sample] one bucket hash per table
+	hashes []uint32 // sample i's bucket hash per table at [i·L, (i+1)·L)
 	losses []float64
 	nonFin []int64 // [sample] health-guard non-finite counts
 	// The label head's operands, per sample the list of per-shard parts:
@@ -109,11 +109,11 @@ func (sh *shardState) ensureBatch(f *forwardState, b int) {
 		} else {
 			sh.hBF = append(sh.hBF, nil)
 		}
-		sh.hashes = append(sh.hashes, make([]uint32, f.smp.sets[0].Tables()))
 		sh.logits = append(sh.logits, make([][]float32, f.smp.plan.s))
 		sh.grads = append(sh.grads, make([][]float32, f.smp.plan.s))
 		sh.heads = append(sh.heads, make([]int, f.smp.plan.s))
 	}
+	sh.hashes = make([]uint32, b*f.smp.tables())
 	sh.xs = make([]sparse.Vector, b)
 	sh.losses = make([]float64, b)
 	sh.nonFin = make([]int64, b)
@@ -188,7 +188,8 @@ func (p *phasePool) close() {
 
 // trainBatchSharded is the deterministic sharded optimizer step. Phases:
 //
-//	A (per sample): forward stack; hash the last activation once.
+//	A (per tile):   forward stack; hash the last activations once, one
+//	                HashDenseMany per tile of simd.WalkTile samples.
 //	B (per shard):  active-set selection (labels → LSH probe → top-up) and
 //	                the active logits, into shard-private buffers.
 //	C (per sample): the label head (labelHead) over the shards' parts — max,
@@ -223,13 +224,18 @@ func (n *Network) trainBatchSharded(b sparse.Batch) BatchStats {
 	pool := newPhasePool(nw, sh.pin)
 	defer pool.close()
 
-	// Phase A: forward every sample, hash its output-layer input once.
-	pool.run(B, func(i int) {
-		f.forwardHidden(ks, sh.xs[i], sh.acts[i])
-		if sh.hBF[i] != nil {
-			ks.PackBF16(sh.hBF[i], sh.lastA[i])
+	// Phase A: forward every sample, hash its output-layer input once —
+	// a tile of samples per task, hashed together.
+	L := smp.tables()
+	pool.run((B+simd.WalkTile-1)/simd.WalkTile, func(t int) {
+		lo, hi := t*simd.WalkTile, min((t+1)*simd.WalkTile, B)
+		for i := lo; i < hi; i++ {
+			f.forwardHidden(ks, sh.xs[i], sh.acts[i])
+			if sh.hBF[i] != nil {
+				ks.PackBF16(sh.hBF[i], sh.lastA[i])
+			}
 		}
-		smp.hash(sh.lastA[i], sh.hashes[i])
+		smp.hashMany(sh.lastA[lo:hi], sh.hashes[lo*L:hi*L])
 	})
 
 	// Phase B: per-shard active sets and logits. Samples run in order inside
@@ -258,7 +264,7 @@ func (n *Network) trainBatchSharded(b sparse.Batch) BatchStats {
 			if limit > 0 && nLab > limit {
 				limit = nLab // labels always survive
 			}
-			act = smp.sets[s].Collect(sh.hashes[i], d, lo, act, limit)
+			act = smp.sets[s].Collect(sh.hashes[i*L:(i+1)*L], d, lo, act, limit)
 			for len(act) < plan.minAct[s] {
 				local := int32(rng.IntN(width))
 				if !d.Seen(local) {

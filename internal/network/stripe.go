@@ -17,9 +17,9 @@ import (
 const minStripeReuse = 4
 
 // worker is one HOGWILD worker's state for the model's life: the forward
-// scratch (top-up RNG, dedup stamps, hash buffer), one sample's activation
-// gradients, and the stripe buffers the staged body keeps from stage to
-// stage. The stripe buffers grow to the longest stripe seen and stay.
+// scratch (top-up RNG, dedup stamps, the stripe's fingerprints), one
+// sample's activation gradients, and the stripe buffers the staged body
+// keeps from stage to stage. The stripe buffers grow to the longest stripe seen and stay.
 type worker struct {
 	*scratch
 	// dhs holds one sample's activation gradients, shaped like acts; backward
@@ -69,7 +69,8 @@ func (f *forwardState) newWorker(seed, stream uint64) *worker {
 	return ws
 }
 
-// fitStripe grows the per-sample buffers to hold a stripe of m samples.
+// fitStripe grows the per-sample buffers, the fingerprints among them, to
+// hold a stripe of m samples.
 func (ws *worker) fitStripe(f *forwardState, m int) {
 	for len(ws.sampleActs) < m {
 		acts := make([][]float32, len(f.dims))
@@ -85,14 +86,17 @@ func (ws *worker) fitStripe(f *forwardState, m int) {
 		ws.lastsBF = append(ws.lastsBF, hBF)
 	}
 	ws.offs, ws.heads = fit(ws.offs, m+1), fit(ws.heads, m)
+	ws.hashBuf = fit(ws.hashBuf, m*f.smp.tables())
 }
 
 // trainStripe runs worker w's share of a batch — samples w, w+nw, … — in
 // stages, each finished for every sample of the stripe before the next
 // starts, which is sound because no weight changes inside a batch:
 //
-//  1. forward and sample, in stripe order, so the top-up draws keep their
-//     order;
+//  1. forward every sample; hash the stripe's output-layer inputs in one
+//     HashDenseMany call (SimHash walks its hyperplanes once per tile of
+//     simd.WalkTile samples); then sample, in stripe order, so the top-up
+//     draws keep their order;
 //  2. transpose the stripe's active lists (StripeIndex.Build) — an FP32
 //     stripe at minStripeReuse or more selections per touched row then
 //  3. walks the output layer row-major: every logit, the label heads in
@@ -113,13 +117,16 @@ func (n *Network) trainStripe(ks *simd.Kernels, b sparse.Batch, w, nw int) {
 	m := (b.Len() - w + nw - 1) / nw
 	ws.fitStripe(n.fwd, m)
 
+	for k := range m {
+		ws.acts, ws.hBF = ws.sampleActs[k], ws.lastsBF[k]
+		n.fwd.forwardStack(ws.scratch, b.Sample(w+k*nw))
+	}
+	n.fwd.smp.hashMany(ws.lasts[:m], ws.hashBuf)
+	l := n.fwd.smp.tables()
 	ws.ids = ws.ids[:0]
 	for k := range m {
-		i := w + k*nw
-		ws.acts, ws.hBF = ws.sampleActs[k], ws.lastsBF[k]
-		n.fwd.forwardStack(ws.scratch, b.Sample(i))
 		if !n.cfg.NoSampling {
-			ws.heads[k] = n.fwd.sampleActive(ws.scratch, b.Labels(i))
+			ws.heads[k] = n.fwd.sampleActive(ws.scratch, b.Labels(w+k*nw), ws.hashBuf[k*l:(k+1)*l])
 			ws.ids = extend(ws.ids, ws.active)
 		}
 		ws.offs[k+1] = int32(len(ws.ids))
