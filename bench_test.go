@@ -371,11 +371,11 @@ func BenchmarkTrainStepModes(b *testing.B) {
 // under every kernel tier.
 func BenchmarkKernelDotBF16(b *testing.B) {
 	x := bf16.FromSlice(randF32(128, 7))
-	y := randF32(128, 8)
+	y := bf16.FromSlice(randF32(128, 8))
 	benchKernelModes(b, func(b *testing.B, ks *simd.Kernels) {
 		var s float32
 		for i := 0; i < b.N; i++ {
-			s += ks.DotBF16F32(x, y)
+			s += ks.DotBF16(x, y)
 		}
 		sink = s
 	})

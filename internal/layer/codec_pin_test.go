@@ -51,6 +51,9 @@ func pinTrainRow(l *RowLayer, rng *rand.Rand, step, nActive int, apply bool) {
 		h[i] = float32(rng.NormFloat64())
 	}
 	hBF := bf16.FromSlice(h)
+	if l.opts.Precision != FP32 {
+		h = bf16.ToSlice(hBF) // the BF16 modes take h already rounded
+	}
 	for k := 0; k < nActive; k++ {
 		id := int32(rng.IntN(l.Out))
 		if nActive >= l.Out {

@@ -83,6 +83,13 @@ func (w *ColWeights) Forward(ks *simd.Kernels, x sparse.Vector, h []float32) {
 
 // RowWeights is a read-only forward view of a RowLayer (row-major wide
 // layer): weights, bias, precision.
+//
+// The activation contract of every pass that takes (h, hBF): under the BF16
+// modes the caller passes h already rounded through bfloat16 (ColWeights.
+// Forward does it, and so does the network's forward of a stacked model), so
+// FP32 and BF16Act rows both run the float32 kernels on h — BF16Act is
+// float32 arithmetic on bfloat16-valued activations. Only BF16Both, whose
+// rows are bfloat16, reads hBF, the packed rendering of the same values.
 type RowWeights struct {
 	// In is the input (hidden) dimension; Out the neuron/label count.
 	In, Out int
@@ -107,41 +114,35 @@ func (w *RowWeights) Precision() Precision { return w.prec }
 
 // Logit computes neuron id's pre-activation for the dense input h using the
 // resolved kernel table ks. hBF is the bfloat16 rendering of h, required
-// (non-nil) under the BF16 modes and ignored under FP32.
+// (non-nil) under BF16Both and ignored otherwise: float32 rows — FP32 and
+// BF16Act — read h, which under BF16Act the caller has already rounded
+// through bfloat16, so the float32 dot is the mixed-precision one.
 func (w *RowWeights) Logit(ks *simd.Kernels, id int32, h []float32, hBF []bf16.BF16) float32 {
-	switch w.prec {
-	case BF16Act:
-		return ks.DotBF16F32(hBF, w.vecs.f32[id]) + w.bias[id]
-	case BF16Both:
+	if w.prec == BF16Both {
 		return ks.DotBF16(w.vecs.bf[id], hBF) + w.bias[id]
-	default:
-		return ks.Dot(w.vecs.f32[id], h) + w.bias[id]
 	}
+	return ks.Dot(w.vecs.f32[id], h) + w.bias[id]
 }
 
 // ForwardActive fills logits[k] with Logit(active[k]) for each active
-// neuron. Under FP32 that is one DotManyBias call over the whole active set:
-// on the assembly tiers a single routine that keeps h in vector registers and
-// streams the listed rows past it, every logit still bit-identical to
-// Logit's because each row runs the per-row dot's accumulators, block order
-// and reduction (see DESIGN.md "Active-set walks: one call per sample").
-// Under the BF16 precisions it is Logit's own per-row dot, once per id.
+// neuron. Over float32 rows that is one DotManyBias call over the whole
+// active set: on the assembly tiers a single routine that keeps h in vector
+// registers and streams the listed rows past it, every logit still
+// bit-identical to Logit's because each row runs the per-row dot's
+// accumulators, block order and reduction (see DESIGN.md "Active-set walks:
+// one call per sample"). Over BF16Both's bfloat16 rows it is Logit's own
+// per-row dot, once per id.
 func (w *RowWeights) ForwardActive(ks *simd.Kernels, active []int32, h []float32, hBF []bf16.BF16, logits []float32) {
 	if len(logits) < len(active) {
 		panic("layer: ForwardActive logits buffer too short")
 	}
-	switch w.prec {
-	case BF16Act:
-		for k, id := range active {
-			logits[k] = ks.DotBF16F32(hBF, w.vecs.f32[id]) + w.bias[id]
-		}
-	case BF16Both:
+	if w.prec == BF16Both {
 		for k, id := range active {
 			logits[k] = ks.DotBF16(w.vecs.bf[id], hBF) + w.bias[id]
 		}
-	default:
-		ks.DotManyBias(w.vecs.f32, w.bias, active, h, logits)
+		return
 	}
+	ks.DotManyBias(w.vecs.f32, w.bias, active, h, logits)
 }
 
 // rowBlockBytes is how many bytes of weight rows one block of the exact walk
@@ -199,7 +200,7 @@ func (w *RowWeights) ForwardAll(ks *simd.Kernels, h []float32, hBF []bf16.BF16, 
 // dense inputs: outs[s][i] = Logit(i, hs[s]) — ForwardAllBatchRange over
 // every row.
 //
-// hBFs mirrors hs under the BF16 modes (ignored under FP32). The walk runs
+// hBFs mirrors hs under BF16Both (ignored otherwise). The walk runs
 // on the caller's goroutine: the serving pipeline parallelizes across
 // concurrent batch calls, not within one.
 func (w *RowWeights) ForwardAllBatch(ks *simd.Kernels, hs [][]float32, hBFs [][]bf16.BF16, outs [][]float32) {
@@ -215,14 +216,14 @@ func (w *RowWeights) ForwardAllBatch(ks *simd.Kernels, hs [][]float32, hBFs [][]
 // every row i in [lo, hi) and every sample s. Rows are taken a block at a
 // time (BlockRows of them) and each block is scored against every sample
 // before the next is touched — so the weight matrix streams from memory once
-// per chunk instead of once per sample. Under FP32 a block meets the samples
-// a tile at a time: one DotManyBiasBatch call scores it against
+// per chunk instead of once per sample. Over float32 rows a block meets the
+// samples a tile at a time: one DotManyBiasBatch call scores it against
 // simd.WalkTile of them, each row loaded once for the tile. A lone last
-// sample — so also a single query — and every sample of the BF16 precisions
-// take one ForwardActive call per block: under FP32 the activation stays in
-// registers across it on the assembly tiers; no workload serves BF16, so its
-// walk stays the per-row definition rather than gain a tiled kernel. Either way
-// every logit is the one Logit computes. Callers tile the rows by calling it
+// sample — so also a single query — and every sample of BF16Both take one
+// ForwardActive call per block: over float32 rows the activation stays in
+// registers across it on the assembly tiers; no workload serves BF16Both, so
+// its walk stays the per-row definition rather than gain a tiled kernel.
+// Either way every logit is the one Logit computes. Callers tile the rows by calling it
 // concurrently over disjoint ranges into shared outs (shards, evaluation
 // workers); the assembled scores are the same bits at any tiling.
 //
@@ -240,7 +241,7 @@ func (w *RowWeights) ForwardAllBatchRange(ks *simd.Kernels, hs [][]float32, hBFs
 		e := min(b+block, hi)
 		for s := 0; s < len(outs); {
 			g := min(simd.WalkTile, len(outs)-s)
-			if w.prec == FP32 && g > 1 {
+			if w.prec != BF16Both && g > 1 {
 				if win == nil {
 					win = new([simd.WalkTile][]float32)
 				}
@@ -251,7 +252,7 @@ func (w *RowWeights) ForwardAllBatchRange(ks *simd.Kernels, hs [][]float32, hBFs
 			} else {
 				g = 1
 				var hBF []bf16.BF16
-				if w.prec != FP32 {
+				if w.prec == BF16Both {
 					hBF = hBFs[s]
 				}
 				w.ForwardActive(ks, ids[b:e], hs[s], hBF, outs[s][b:e])

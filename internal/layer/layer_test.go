@@ -257,6 +257,65 @@ func TestRowLayerPrecisionLogits(t *testing.T) {
 	}
 }
 
+// TestBF16ActIsFloat32OnRoundedActivations: BF16Act rows are float32 and
+// its activations arrive rounded through bfloat16, so on every tier and
+// placement a BF16Act layer computes exactly what an FP32 layer with the same
+// weights computes from the same rounded h — logits one row at a time, over
+// an active set and over every row; gradients, bias gradients and ∇h over an
+// active set; and the stripe walks, which take it like FP32 — without ever
+// reading hBF, which only BF16Both does.
+func TestBF16ActIsFloat32OnRoundedActivations(t *testing.T) {
+	const in, out = 200, 37
+	rng := rand.New(rand.NewPCG(81, 82))
+	hs := make([][]float32, 5)
+	for s := range hs {
+		hs[s] = randVec(rng, in)
+		bf16.RoundSlice(hs[s])
+	}
+	active := []int32{3, 0, 36, 3, 17}
+	gz := randVec(rng, len(active))
+	for _, m := range simd.AvailableModes() {
+		ks := simd.ForMode(m)
+		for _, place := range []Placement{Contiguous, Scattered} {
+			name := fmt.Sprintf("%v/%v", m, place)
+			f32 := NewRowLayer(in, out, Options{Precision: FP32, Placement: place, Seed: 83})
+			act := NewRowLayer(in, out, Options{Precision: BF16Act, Placement: place, Seed: 83})
+			for id := int32(0); id < out; id++ {
+				a, b := act.Logit(ks, id, hs[0], nil), f32.Logit(ks, id, hs[0], nil)
+				if math.Float32bits(a) != math.Float32bits(b) {
+					t.Fatalf("%s: Logit(%d) = %g, FP32 %g", name, id, a, b)
+				}
+			}
+			got, want := make([]float32, len(active)), make([]float32, len(active))
+			act.ForwardActive(ks, active, hs[0], nil, got)
+			f32.ForwardActive(ks, active, hs[0], nil, want)
+			sameBits(t, name+" ForwardActive", got, want)
+			gotAll, wantAll := make([][]float32, len(hs)), make([][]float32, len(hs))
+			for s := range hs {
+				gotAll[s], wantAll[s] = make([]float32, out), make([]float32, out)
+			}
+			act.ForwardView().ForwardAllBatch(ks, hs, make([][]bf16.BF16, len(hs)), gotAll)
+			f32.ForwardView().ForwardAllBatch(ks, hs, make([][]bf16.BF16, len(hs)), wantAll)
+			for s := range hs {
+				sameBits(t, fmt.Sprintf("%s ForwardAllBatch sample %d", name, s), gotAll[s], wantAll[s])
+			}
+			dhGot, dhWant := make([]float32, in), make([]float32, in)
+			act.AccumulateActive(ks, active, gz, hs[0], nil, dhGot)
+			f32.AccumulateActive(ks, active, gz, hs[0], nil, dhWant)
+			sameBits(t, name+" dh", dhGot, dhWant)
+			sameBits(t, name+" gbias", act.gbias, f32.gbias)
+			for r := range out {
+				sameBits(t, fmt.Sprintf("%s grad[%d]", name, r), act.grad[r], f32.grad[r])
+			}
+			if act.TouchedRows() != f32.TouchedRows() {
+				t.Errorf("%s: %d rows touched, FP32 %d", name, act.TouchedRows(), f32.TouchedRows())
+			}
+			checkStripeWalks(t, name+" stripe", ks, Options{Precision: BF16Act, Placement: place, Seed: 84},
+				in, out, randLists(rng, 6, out, 9), 5, rng)
+		}
+	}
+}
+
 func TestRowLayerAccumulateAndAdam(t *testing.T) {
 	l := NewRowLayer(8, 5, Options{Seed: 17})
 	h := []float32{1, 2, 3, 4, 5, 6, 7, 8}

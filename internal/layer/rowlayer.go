@@ -14,7 +14,10 @@ import (
 // wide output layer: the input (hidden activation) is dense, the active
 // output set is sparse, and each active logit is one contiguous 16-lane dot
 // product. The backward pass computes ∇h = Σ gzᵢ·W[i] over active rows
-// (row-major again, by Lemma 1) and per-row weight gradients gzᵢ·h.
+// (row-major again, by Lemma 1) and per-row weight gradients gzᵢ·h. Every
+// pass takes h under RowWeights' activation contract: rounded through
+// bfloat16 by the caller under the BF16 modes, with hBF read by BF16Both
+// alone.
 type RowLayer struct {
 	// In is the input (hidden) dimension; Out the neuron/label count.
 	In, Out int
@@ -62,45 +65,38 @@ func (l *RowLayer) ForwardActive(ks *simd.Kernels, active []int32, h []float32, 
 // exclusively in ApplyAdam, which the trainer serializes against Backward.
 //
 // This is the per-row form: the dense middle stack (whose "active set" is
-// chosen row by row by the ReLU mask) and the BF16 precisions use it; the
-// output layer's active-set walk goes through AccumulateActive. The FP32
-// path calls the table's AxpyTwo entry — a genuinely fused single walk on
-// the assembly tiers, two independent axpys on the Go tiers, where the fused
+// chosen row by row by the ReLU mask) and BF16Both use it; the output
+// layer's active-set walk goes through AccumulateActive. Over float32 rows
+// it calls the table's AxpyTwo entry — a genuinely fused single walk on the
+// assembly tiers, two independent axpys on the Go tiers, where the fused
 // loop measures ~20% slower (see DESIGN.md "Known divergences"); the two
 // shapes are bit-identical because the slice pairs never alias.
 func (l *RowLayer) Accumulate(ks *simd.Kernels, id int32, gz float32, h []float32, hBF []bf16.BF16, dh []float32) {
-	if dh != nil && l.opts.Precision == FP32 {
+	bf := l.opts.Precision == BF16Both
+	switch {
+	case dh != nil && !bf:
 		ks.AxpyTwo(gz, h, l.grad[id], l.w.f32[id], dh)
-		l.gbias[id] += gz
-		l.touched.mark(id)
-		return
-	}
-	if l.opts.Precision == FP32 {
-		ks.Axpy(gz, h, l.grad[id])
-	} else {
+	case bf:
 		ks.AxpyBF16(gz, hBF, l.grad[id])
+		if dh != nil {
+			ks.AxpyBF16(gz, l.w.bf[id], dh)
+		}
+	default:
+		ks.Axpy(gz, h, l.grad[id])
 	}
 	l.gbias[id] += gz
 	l.touched.mark(id)
-
-	if dh != nil {
-		if l.opts.Precision == BF16Both {
-			ks.AxpyBF16(gz, l.w.bf[id], dh)
-		} else {
-			ks.Axpy(gz, l.w.f32[id], dh)
-		}
-	}
 }
 
 // AccumulateActive is the whole Algorithm 1 backward pass over one sample's
 // active set: Accumulate(active[k], gz[k]) for every k in list order, with
-// the same results to the bit. For FP32 layers the ∇W and ∇h walks are one
+// the same results to the bit. Over float32 rows the ∇W and ∇h walks are one
 // AxpyTwoMany call — on the assembly tiers h and ∇h stay in vector registers
 // while the listed rows stream past — followed by the bias-gradient and
-// touched-set marks; the BF16 precisions take the per-row path, whose BF16
+// touched-set marks; BF16Both takes the per-row path, whose bfloat16
 // kernels the walk does not have. gz must hold at least len(active) values.
 func (l *RowLayer) AccumulateActive(ks *simd.Kernels, active []int32, gz []float32, h []float32, hBF []bf16.BF16, dh []float32) {
-	if dh == nil || l.opts.Precision != FP32 {
+	if dh == nil || l.opts.Precision == BF16Both {
 		for k, id := range active {
 			l.Accumulate(ks, id, gz[k], h, hBF, dh)
 		}

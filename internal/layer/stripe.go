@@ -84,9 +84,11 @@ func (x *StripeIndex) row(i, first int) (r int, lo, hi int32) {
 	return r, x.start[r], x.start[r+1]
 }
 
-func (l *RowLayer) needFP32(name string) {
-	if l.opts.Precision != FP32 {
-		panic("layer: " + name + " walks FP32 rows only")
+// needF32 refuses BF16Both's bfloat16 rows; FP32 and BF16Act rows are
+// float32.
+func (l *RowLayer) needF32(name string) {
+	if l.opts.Precision == BF16Both {
+		panic("layer: " + name + " walks float32 rows only")
 	}
 }
 
@@ -97,9 +99,10 @@ func (l *RowLayer) needFP32(name string) {
 // of the samples that chose it streamed past; every logit is bit-identical to
 // ForwardActive's, because a dot product's products commute and its
 // accumulation order depends only on the column. The walk starts at row first
-// and wraps around, so that concurrent workers start apart. FP32 layers only.
+// and wraps around, so that concurrent workers start apart. Float32 rows
+// only (FP32, BF16Act).
 func (l *RowLayer) ForwardStripe(ks *simd.Kernels, x *StripeIndex, hs [][]float32, logits []float32, first int) {
-	l.needFP32("ForwardStripe")
+	l.needF32("ForwardStripe")
 	for i := range len(x.start) - 1 {
 		r, lo, hi := x.row(i, first)
 		if lo == hi {
@@ -127,9 +130,10 @@ func (l *RowLayer) ForwardStripe(ks *simd.Kernels, x *StripeIndex, hs [][]float3
 // row in, so the gradient, the bias gradient and the touched set come out
 // bit-identical to AccumulateActive's. An input gradient gets the same terms
 // in row-walk order instead of list order: rows ascending from first,
-// wrapping, and a row a sample chose twice in slot order. FP32 layers only.
+// wrapping, and a row a sample chose twice in slot order. Float32 rows only
+// (FP32, BF16Act).
 func (l *RowLayer) AccumulateStripe(ks *simd.Kernels, x *StripeIndex, gz []float32, hs, dhs [][]float32, first int) {
-	l.needFP32("AccumulateStripe")
+	l.needF32("AccumulateStripe")
 	for i := range len(x.start) - 1 {
 		r, lo, hi := x.row(i, first)
 		if lo == hi {

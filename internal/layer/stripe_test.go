@@ -229,7 +229,7 @@ func TestStripeWalksPanicAsPerSample(t *testing.T) {
 		"ForwardStripe":    func() { bf.ForwardStripe(simd.Active(), &StripeIndex{}, nil, nil, 0) },
 		"AccumulateStripe": func() { bf.AccumulateStripe(simd.Active(), &StripeIndex{}, nil, nil, nil, 0) },
 	} {
-		if got := panicOf(walk); got != "layer: "+name+" walks FP32 rows only" {
+		if got := panicOf(walk); got != "layer: "+name+" walks float32 rows only" {
 			t.Errorf("%s on a BF16 layer panics with %q", name, got)
 		}
 	}

@@ -27,8 +27,8 @@ type Precision int
 const (
 	// FP32 trains entirely in float32 ("Without BF16" in Table 3).
 	FP32 Precision = iota
-	// BF16Act keeps parameters in FP32 but stores/consumes activations in
-	// bfloat16 ("BF16 only for activations").
+	// BF16Act keeps parameters in FP32 but rounds activations to bfloat16
+	// ("BF16 only for activations"): float32 arithmetic on bfloat16 values.
 	BF16Act
 	// BF16Both stores weights and activations in bfloat16, with FP32 ADAM
 	// moments ("BF16 for both activations and weights").

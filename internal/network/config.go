@@ -7,6 +7,7 @@ package network
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 
 	"github.com/slide-cpu/slide/internal/layer"
@@ -172,9 +173,12 @@ func (c *Config) Validate() error {
 	if c.Eps == 0 {
 		c.Eps = 1e-8
 	}
-	if c.LR < 0 || c.Beta1 < 0 || c.Beta1 >= 1 || c.Beta2 < 0 || c.Beta2 >= 1 {
-		return fmt.Errorf("network: invalid optimizer hyperparameters (lr=%g b1=%g b2=%g)",
-			c.LR, c.Beta1, c.Beta2)
+	// Written so that NaN fails every test: a checkpoint's or a replication
+	// base's config arrives through here too.
+	if !(c.LR > 0 && !math.IsInf(c.LR, 1)) || !(c.Beta1 >= 0 && c.Beta1 < 1) || !(c.Beta2 >= 0 && c.Beta2 < 1) ||
+		!(c.Eps > 0 && !math.IsInf(c.Eps, 1)) {
+		return fmt.Errorf("network: invalid optimizer hyperparameters (lr=%g b1=%g b2=%g eps=%g)",
+			c.LR, c.Beta1, c.Beta2, c.Eps)
 	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
@@ -185,8 +189,8 @@ func (c *Config) Validate() error {
 	if c.RebuildGrowth == 0 {
 		c.RebuildGrowth = 1.05
 	}
-	if c.RebuildGrowth < 1 {
-		return fmt.Errorf("network: RebuildGrowth must be >= 1, got %g", c.RebuildGrowth)
+	if !(c.RebuildGrowth >= 1 && !math.IsInf(c.RebuildGrowth, 1)) {
+		return fmt.Errorf("network: RebuildGrowth must be finite and >= 1, got %g", c.RebuildGrowth)
 	}
 	if c.Shards < 0 {
 		return fmt.Errorf("network: Shards must be non-negative, got %d", c.Shards)

@@ -55,7 +55,7 @@ type scratch struct {
 	// acts[0] is the first hidden layer's activation; acts[i] the i-th
 	// stacked layer's.
 	acts   [][]float32
-	hBF    []bf16.BF16 // bfloat16 view of the last activation
+	hBF    []bf16.BF16 // bfloat16 view of the last activation (BF16Both only)
 	active []int32
 	logits []float32 // serving only; a training worker's are stripe buffers
 	dedup  *lsh.Dedup
@@ -100,10 +100,10 @@ func (f *forwardState) newScratch(train bool, seed, stream uint64) *scratch {
 		ws.logits = make([]float32, actCap)
 	}
 	// The output layer reads the last activation in its own rendering: u7
-	// codes on a quantized predictor, bfloat16 under the BF16 modes.
+	// codes on a quantized predictor, bfloat16 under BF16Both.
 	if f.qout != nil {
 		ws.qa = make([]uint8, f.lastDim)
-	} else if f.cfg.Precision != layer.FP32 {
+	} else if f.cfg.Precision == layer.BF16Both {
 		ws.hBF = make([]bf16.BF16, f.lastDim)
 	}
 	ws.hashBuf = make([]uint32, f.smp.tables())
@@ -115,7 +115,7 @@ func (ws *scratch) last() []float32 { return ws.acts[len(ws.acts)-1] }
 
 // forwardStack runs the hidden layer and the dense middle stack, leaving
 // the output-layer input in ws.last() and, where the output layer reads
-// another rendering of it, preparing that too: ws.hBF under the BF16 modes,
+// another rendering of it, preparing that too: ws.hBF under BF16Both,
 // ws.qa/qsa/qzp on a quantized predictor. Every output-layer pass — exact
 // or sampled — starts from here, so the activation is prepared once.
 func (f *forwardState) forwardStack(ws *scratch, x sparse.Vector) {
@@ -131,7 +131,9 @@ func (f *forwardState) forwardStack(ws *scratch, x sparse.Vector) {
 
 // forwardHidden runs the hidden layer and the dense middle stack over one
 // sample: acts[0] receives the first hidden activation, acts[i] the i-th
-// stacked layer's.
+// stacked layer's. Under the BF16 modes the output layer's input leaves
+// rounded through bfloat16, as its activation contract asks: the hidden
+// layer rounds its own output, and the last stacked layer's is rounded here.
 func (f *forwardState) forwardHidden(ks *simd.Kernels, x sparse.Vector, acts [][]float32) {
 	f.hidden.Forward(ks, x, acts[0])
 	for i, ml := range f.middle {
@@ -142,6 +144,9 @@ func (f *forwardState) forwardHidden(ks *simd.Kernels, x sparse.Vector, acts [][
 				out[j] = 0
 			}
 		}
+	}
+	if len(f.middle) > 0 && f.cfg.Precision != layer.FP32 {
+		ks.RoundBF16(acts[len(acts)-1])
 	}
 }
 

@@ -198,13 +198,14 @@ func (n *Network) Tables() *lsh.TableSet {
 func (n *Network) Step() int64 { return n.step }
 
 // SetLR changes the ADAM learning rate applied by subsequent TrainBatch
-// calls — the hook LR schedules drive. Not safe concurrently with training;
+// calls — the hook LR schedules drive. A rate that is not finite and
+// positive is ignored. Not safe concurrently with training;
 // call it between batches (the training-session engine does). The value is
 // serialized with the checkpoint, but schedule-driven callers re-derive it
 // from the step counter on resume, so a mid-schedule checkpoint restores
 // correctly either way.
 func (n *Network) SetLR(lr float64) {
-	if lr > 0 {
+	if lr > 0 && !math.IsInf(lr, 1) {
 		n.cfg.LR = lr
 	}
 }
@@ -254,21 +255,23 @@ func (n *Network) backwardMiddle(ks *simd.Kernels, acts, dhs [][]float32) {
 	}
 }
 
-// labelHead is the loss of one sample: a numerically stable softmax over its
+// labelHead is the loss of sample i: a numerically stable softmax over its
 // active logits and the cross-entropy against a uniform target over its
-// nTrue labels. The active set comes as an ordered list of parts — all of it
-// from a HOGWILD worker, one part per shard from the phase engine — and every
-// reduction walks the list in order, so the float accumulation order is fixed
-// by the list alone. Part p carries heads[p] label entries at its head.
-// grads, shaped like logits, receives the logit gradient (p − t at the label
-// entries). Returns the loss over the label entries, log Z for a caller whose
-// labels sit elsewhere, and (guards on) the count of non-finite logits.
-func (n *Network) labelHead(ks *simd.Kernels, logits, grads [][]float32, heads []int, nTrue int) (loss, logZ float64, bad int64) {
+// nTrue labels. The active set comes as an ordered list of stripes, the
+// sample's part of each — a HOGWILD worker's one stripe, or one per shard
+// from the phase engine — and every reduction walks the list in order, so
+// the float accumulation order is fixed by the list alone. Each part carries
+// its heads[i] label entries at its head, and its grads receive the logit
+// gradient (p − t at the label entries). Returns the loss over the label
+// entries, log Z for a caller whose labels sit elsewhere, and (guards on)
+// the count of non-finite logits.
+func (n *Network) labelHead(ks *simd.Kernels, parts []*stripe, i, nTrue int) (loss, logZ float64, bad int64) {
 	// Health guard: scan the raw logits — a poisoned weight or activation
 	// lands here first, and the buffers are about to be consumed anyway, so
 	// the scan rides hot cache lines.
 	m := float32(math.Inf(-1))
-	for _, lg := range logits {
+	for _, s := range parts {
+		lg := s.logits[s.offs[i]:s.offs[i+1]]
 		if n.guards {
 			bad += health.CountNonFinite32(lg)
 		}
@@ -277,9 +280,10 @@ func (n *Network) labelHead(ks *simd.Kernels, logits, grads [][]float32, heads [
 		}
 	}
 	var z float64
-	for p, lg := range logits {
-		g := grads[p][:len(lg)]
-		for k, l := range lg {
+	for _, s := range parts {
+		lo, hi := s.offs[i], s.offs[i+1]
+		g := s.grads[lo:hi]
+		for k, l := range s.logits[lo:hi] {
 			e := math.Exp(float64(l - m))
 			g[k] = float32(e)
 			z += e
@@ -292,11 +296,13 @@ func (n *Network) labelHead(ks *simd.Kernels, logits, grads [][]float32, heads [
 	if nTrue > 0 {
 		t = 1 / float32(nTrue)
 	}
-	for p, g := range grads {
+	for _, s := range parts {
+		lo, hi := s.offs[i], s.offs[i+1]
+		g := s.grads[lo:hi]
 		if len(g) > 0 {
 			ks.Scale(invZ, g)
 		}
-		for k, l := range logits[p][:heads[p]] {
+		for k, l := range s.logits[lo : lo+int32(s.heads[i])] {
 			g[k] -= t
 			loss -= float64(t) * (float64(l) - logZ)
 		}

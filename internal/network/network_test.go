@@ -3,6 +3,7 @@ package network
 import (
 	"bytes"
 	"errors"
+	"math"
 	"math/rand/v2"
 	"testing"
 
@@ -120,6 +121,49 @@ func TestConfigValidateErrors(t *testing.T) {
 		if err := c.Validate(); err == nil {
 			t.Errorf("case %d (%+v) passed validation", i, c)
 		}
+	}
+}
+
+// TestConfigValidateRejectsNonFinite: every optimizer and rebuild
+// hyperparameter must be finite and in range once defaults are filled, so a
+// NaN or an infinity — from a caller, a checkpoint or a replication base —
+// is an error, and SetLR ignores one.
+func TestConfigValidateRejectsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := map[string]func(*Config){
+		"LR NaN":            func(c *Config) { c.LR = nan },
+		"LR +Inf":           func(c *Config) { c.LR = inf },
+		"LR -1":             func(c *Config) { c.LR = -1 },
+		"Beta1 NaN":         func(c *Config) { c.Beta1 = nan },
+		"Beta1 1":           func(c *Config) { c.Beta1 = 1 },
+		"Beta2 NaN":         func(c *Config) { c.Beta2 = nan },
+		"Beta2 -0.5":        func(c *Config) { c.Beta2 = -0.5 },
+		"Eps NaN":           func(c *Config) { c.Eps = nan },
+		"Eps -1":            func(c *Config) { c.Eps = -1 },
+		"Eps +Inf":          func(c *Config) { c.Eps = inf },
+		"RebuildGrowth NaN": func(c *Config) { c.RebuildGrowth = nan },
+		"RebuildGrowth Inf": func(c *Config) { c.RebuildGrowth = inf },
+	}
+	for name, set := range cases {
+		c := Config{InputDim: 5, HiddenDim: 5, OutputDim: 5, K: 1, L: 1}
+		set(&c)
+		if err := c.Validate(); err == nil {
+			t.Errorf("%s passed validation", name)
+		}
+	}
+	c := Config{InputDim: 5, HiddenDim: 5, OutputDim: 5, K: 1, L: 1, LR: 0.5, Beta1: 1e-300, Eps: 1e-300, RebuildGrowth: 1}
+	if err := c.Validate(); err != nil {
+		t.Errorf("finite in-range hyperparameters refused: %v", err)
+	}
+	n, err := New(&c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, lr := range []float64{nan, inf, -inf, 0, -1} {
+		n.SetLR(lr)
+	}
+	if got := n.Config().LR; got != 0.5 {
+		t.Errorf("SetLR took a rate that is not finite and positive: LR = %g", got)
 	}
 }
 

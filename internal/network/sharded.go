@@ -27,12 +27,13 @@ import (
 // bit-identical for ANY worker count. The shard count S is a model property;
 // the worker count W is purely an execution resource.
 
-// shardScratch is one shard's per-batch working set: the active ids per
-// sample and the shard's partial ∇h per sample. dhPart rows are views into
-// one 64-byte-aligned block per shard, so one shard's gradient traffic is
-// one contiguous stretch on its pinned core.
+// shardScratch is one shard's per-batch working set: its output walk over
+// the whole batch — every sample's active ids among the shard's rows, labels
+// first, and their logits and gradients — and the shard's partial ∇h per
+// sample. dhPart rows are views into one 64-byte-aligned block per shard, so
+// one shard's gradient traffic is one contiguous stretch on its pinned core.
 type shardScratch struct {
-	active [][]int32   // [sample] global ids, labels first
+	stripe
 	dhPart [][]float32 // [sample][lastDim] partial ∇h, one contiguous block
 }
 
@@ -57,14 +58,9 @@ type shardState struct {
 	hashes []uint32 // sample i's bucket hash per table at [i·L, (i+1)·L)
 	losses []float64
 	nonFin []int64 // [sample] health-guard non-finite counts
-	// The label head's operands, per sample the list of per-shard parts:
-	// logits over the shard's active ids, the softmax gradients over the
-	// same, and how many label entries lead each.
-	logits [][][]float32 // [sample][shard]
-	grads  [][][]float32
-	heads  [][]int
 
 	shards []*shardScratch
+	parts  []*stripe // the shards' stripes in shard order: labelHead's parts
 }
 
 func newShardState(cfg *Config, plan *shardPlan) *shardState {
@@ -80,7 +76,9 @@ func newShardState(cfg *Config, plan *shardPlan) *shardState {
 		src := rand.NewPCG(splitSeed(cfg.Seed, 5), uint64(1)<<40|uint64(s))
 		sh.rngSrcs = append(sh.rngSrcs, src)
 		sh.rngs = append(sh.rngs, rand.New(src))
-		sh.shards = append(sh.shards, &shardScratch{})
+		ss := &shardScratch{}
+		sh.shards = append(sh.shards, ss)
+		sh.parts = append(sh.parts, &ss.stripe)
 	}
 	return sh
 }
@@ -104,23 +102,17 @@ func (sh *shardState) ensureBatch(f *forwardState, b int) {
 		sh.dhs0 = append(sh.dhs0, dstack[0])
 		sh.lastA = append(sh.lastA, stack[nLayers-1])
 		sh.lastD = append(sh.lastD, dstack[nLayers-1])
-		if f.cfg.Precision != layer.FP32 { // BF16 modes need the packed view
-			sh.hBF = append(sh.hBF, make([]bf16.BF16, f.lastDim))
-		} else {
-			sh.hBF = append(sh.hBF, nil)
+		var hBF []bf16.BF16
+		if f.cfg.Precision == layer.BF16Both { // bfloat16 rows read the packed view
+			hBF = make([]bf16.BF16, f.lastDim)
 		}
-		sh.logits = append(sh.logits, make([][]float32, f.smp.plan.s))
-		sh.grads = append(sh.grads, make([][]float32, f.smp.plan.s))
-		sh.heads = append(sh.heads, make([]int, f.smp.plan.s))
+		sh.hBF = append(sh.hBF, hBF)
 	}
 	sh.hashes = make([]uint32, b*f.smp.tables())
 	sh.xs = make([]sparse.Vector, b)
 	sh.losses = make([]float64, b)
 	sh.nonFin = make([]int64, b)
-	for s, ss := range sh.shards {
-		for i := len(ss.active); i < b; i++ {
-			ss.active = append(ss.active, make([]int32, 0, f.smp.plan.minAct[s]+8))
-		}
+	for _, ss := range sh.shards {
 		ss.dhPart, _ = mem.Contiguous2D(b, f.lastDim)
 	}
 	sh.capB = b
@@ -190,12 +182,14 @@ func (p *phasePool) close() {
 //
 //	A (per tile):   forward stack; hash the last activations once, one
 //	                HashDenseMany per tile of simd.WalkTile samples.
-//	B (per shard):  active-set selection (labels → LSH probe → top-up) and
-//	                the active logits, into shard-private buffers.
-//	C (per sample): the label head (labelHead) over the shards' parts — max,
-//	                Σexp, scale, label subtraction — in shard-ascending order.
-//	D (per shard):  output-row gradient accumulation (rows shard-owned) and
-//	                the shard's partial ∇h per sample.
+//	B (per shard):  active-set selection (labels → LSH probe → top-up) for
+//	                every sample, then the shard's output walk (stripe.plan,
+//	                stripe.forward) for the active logits, into the shard's
+//	                stripe.
+//	C (per sample): the label head (labelHead) over the shards' stripes —
+//	                max, Σexp, scale, label subtraction — in shard order.
+//	D (per shard):  the walk's backward: output-row gradient accumulation
+//	                (rows shard-owned) and the shard's partial ∇h per sample.
 //	E (per sample): ∇h = Σ_s partials, fixed shard order; then the middle
 //	                stack backward (serial — stacked layers share gradient
 //	                rows across samples).
@@ -243,59 +237,65 @@ func (n *Network) trainBatchSharded(b sparse.Batch) BatchStats {
 	// batch — independent of which worker executes the shard. Each shard
 	// fills its own budget (the plan's split of MinActive/MaxActive) from its
 	// own set: unlike sampleActive's one budget over all sets, what a shard
-	// selects never depends on what another found.
+	// selects never depends on what another found. The shard's walk then
+	// starts at its first row, so a row-major walk sums each ∇h partial in
+	// an order fixed by the shard count alone.
 	pool.run(S, func(s int) {
 		lo, hi := plan.bounds[s], plan.bounds[s+1]
 		width := int(hi - lo)
 		d := sh.dedups[s]
 		rng := sh.rngs[s]
 		ss := sh.shards[s]
+		// Sized before the fill: a batch larger than the last one would
+		// index past offs otherwise.
+		ss.offs, ss.heads = fit(ss.offs, B+1), fit(ss.heads, B)
+		act := ss.ids[:0]
 		for i := 0; i < B; i++ {
-			act := ss.active[i][:0]
+			start := len(act)
 			d.Begin()
 			for _, y := range b.Labels(i) {
 				if y >= lo && y < hi && !d.Seen(y-lo) {
 					act = append(act, y)
 				}
 			}
-			nLab := len(act)
-			sh.heads[i][s] = nLab
+			nLab := len(act) - start
 			limit := plan.maxAct[s]
-			if limit > 0 && nLab > limit {
-				limit = nLab // labels always survive
+			if limit > 0 {
+				limit = start + max(limit, nLab) // labels always survive
 			}
 			act = smp.sets[s].Collect(sh.hashes[i*L:(i+1)*L], d, lo, act, limit)
-			for len(act) < plan.minAct[s] {
+			for len(act)-start < plan.minAct[s] {
 				local := int32(rng.IntN(width))
 				if !d.Seen(local) {
 					act = append(act, lo+local)
 				}
 			}
-			ss.active[i] = act
-			sh.logits[i][s] = fit(sh.logits[i][s], len(act))
-			sh.grads[i][s] = fit(sh.grads[i][s], len(act))
-			f.output.ForwardActive(ks, act, sh.lastA[i], sh.hBF[i], sh.logits[i][s])
+			ss.heads[i], ss.offs[i+1] = nLab, int32(len(act))
 		}
+		ss.ids = act
+		ss.plan(n.output, int(hi))
+		ss.forward(ks, n.output, sh.lastA[:B], sh.hBF[:B], int(lo))
 	})
 
 	// Phase C: the per-sample label head over the shards' parts in ascending
 	// order — a pure function of (weights at batch start, sample), whichever
 	// worker runs it.
 	pool.run(B, func(i int) {
-		loss, _, bad := n.labelHead(ks, sh.logits[i], sh.grads[i], sh.heads[i], len(b.Labels(i)))
+		loss, _, bad := n.labelHead(ks, sh.parts, i, len(b.Labels(i)))
 		sh.losses[i], sh.nonFin[i] = loss, n.guardLoss(loss, bad)
 	})
 
 	// Phase D: output gradients. Each shard owns its rows exclusively, and
-	// samples run in order, so every weight-row accumulation has a fixed
-	// order; ∇h partials land in shard-private rows.
+	// every row meets its samples in order on either walk, so every
+	// weight-row accumulation has a fixed order; ∇h partials land in
+	// shard-private rows.
 	pool.run(S, func(s int) {
 		ss := sh.shards[s]
-		for i := 0; i < B; i++ {
-			dhp := ss.dhPart[i]
+		dhs := ss.dhPart[:B]
+		for _, dhp := range dhs {
 			simd.Zero(dhp)
-			n.output.AccumulateActive(ks, ss.active[i], sh.grads[i][s], sh.lastA[i], sh.hBF[i], dhp)
 		}
+		ss.backward(ks, n.output, sh.lastA[:B], sh.hBF[:B], dhs, int(plan.bounds[s]))
 	})
 
 	// Phase E: reduce ∇h per sample in fixed shard order.
@@ -340,9 +340,9 @@ func (n *Network) trainBatchSharded(b sparse.Batch) BatchStats {
 	for i := 0; i < B; i++ {
 		stats.Loss += sh.losses[i]
 		stats.NonFinite += sh.nonFin[i]
-		for _, lg := range sh.logits[i] {
-			stats.ActiveSum += int64(len(lg))
-		}
+	}
+	for _, ss := range sh.shards {
+		stats.ActiveSum += int64(len(ss.ids))
 	}
 	return stats
 }

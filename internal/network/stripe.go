@@ -13,46 +13,113 @@ import (
 // gradient per stripe); below it, sample by sample. text8-s stripes select a
 // touched row 11–21 times, amazon-s ones 1.6–2.3 times, where the row-major
 // walk measured 10–20 % slower end to end (DESIGN.md "Stripe-major output
-// walks").
-const minStripeReuse = 4
+// walks"). A variable only so that a test can force the per-sample walk.
+var minStripeReuse = 4
+
+// stripe is one set of samples' walk over the output layer: their active
+// lists, the logits and logit gradients over them, and the walk chosen for
+// them. A HOGWILD worker owns one over its share of a batch, a phase-engine
+// shard one over the whole batch and its own rows; both engines run the
+// output layer through it, and labelHead reads stripes as its parts.
+type stripe struct {
+	// Per sample k: its active ids ids[offs[k]:offs[k+1]], of which heads[k]
+	// label entries lead.
+	offs  []int32
+	heads []int
+	ids   []int32
+	// logits and grads hold the output layer's logits and their gradients at
+	// the flat positions of ids.
+	logits, grads []float32
+	index         layer.StripeIndex
+	// rowMajor is the walk plan chose for the stripe in flight; rowMajors and
+	// perSamples count the stripes that took each walk over the model's life.
+	rowMajor              bool
+	rowMajors, perSamples int64
+}
+
+// plan sizes the logit buffers for the ids the stripe's m = len(offs)-1
+// samples selected out of the output layer's first rows rows, and picks the
+// walk: row-major when l's rows are float32 (FP32, BF16Act) and the stripe
+// selects each row it touches at least minStripeReuse times on average,
+// sample by sample otherwise.
+func (s *stripe) plan(l *layer.RowLayer, rows int) {
+	s.logits, s.grads = fit(s.logits, len(s.ids)), fit(s.grads, len(s.ids))
+	s.rowMajor = l.Options().Precision != layer.BF16Both &&
+		s.index.Build(rows, s.offs, s.ids, minStripeReuse)
+	if s.rowMajor {
+		s.rowMajors++
+	} else {
+		s.perSamples++
+	}
+}
+
+// forward fills every sample's logits through the planned walk; hs[k] (and
+// hBFs[k], read by BF16Both only) is sample k's output-layer input. A
+// row-major walk starts at row first and wraps around.
+func (s *stripe) forward(ks *simd.Kernels, l *layer.RowLayer, hs [][]float32, hBFs [][]bf16.BF16, first int) {
+	if s.rowMajor {
+		l.ForwardStripe(ks, &s.index, hs, s.logits, first)
+		return
+	}
+	for k := range len(s.offs) - 1 {
+		s.forwardSample(ks, l, k, hs[k], hBFs[k])
+	}
+}
+
+// backward accumulates every sample's output-layer gradients, and adds its
+// input gradient into dhs[k], through the planned walk: on the row-major one
+// each input gradient sums in row-walk order from row first
+// (layer.AccumulateStripe), otherwise in list order.
+func (s *stripe) backward(ks *simd.Kernels, l *layer.RowLayer, hs [][]float32, hBFs [][]bf16.BF16, dhs [][]float32, first int) {
+	if s.rowMajor {
+		l.AccumulateStripe(ks, &s.index, s.grads, hs, dhs, first)
+		return
+	}
+	for k := range len(s.offs) - 1 {
+		s.backwardSample(ks, l, k, hs[k], hBFs[k], dhs[k])
+	}
+}
+
+// forwardSample is sample k's per-sample forward walk.
+func (s *stripe) forwardSample(ks *simd.Kernels, l *layer.RowLayer, k int, h []float32, hBF []bf16.BF16) {
+	lo, hi := s.offs[k], s.offs[k+1]
+	l.ForwardActive(ks, s.ids[lo:hi], h, hBF, s.logits[lo:hi])
+}
+
+// backwardSample is sample k's per-sample backward walk.
+func (s *stripe) backwardSample(ks *simd.Kernels, l *layer.RowLayer, k int, h []float32, hBF []bf16.BF16, dh []float32) {
+	lo, hi := s.offs[k], s.offs[k+1]
+	l.AccumulateActive(ks, s.ids[lo:hi], s.grads[lo:hi], h, hBF, dh)
+}
 
 // worker is one HOGWILD worker's state for the model's life: the forward
-// scratch (top-up RNG, dedup stamps, the stripe's fingerprints), one
-// sample's activation gradients, and the stripe buffers the staged body
-// keeps from stage to stage. The stripe buffers grow to the longest stripe seen and stay.
+// scratch (top-up RNG, dedup stamps, the stripe's fingerprints), its output
+// walk over its share of the batch, one sample's activation gradients, and
+// the per-sample buffers the staged body keeps from stage to stage. The
+// buffers grow to the longest stripe seen and stay.
 type worker struct {
 	*scratch
+	stripe
 	// dhs holds one sample's activation gradients, shaped like acts; backward
 	// points its last slot at the sample's output-layer input gradient.
 	dhs [][]float32
 
 	// Per sample k of the stripe: its activations [k][layer], the last of
-	// them (the output layer's input) and its bfloat16 rendering under the
-	// BF16 modes; its active ids ids[offs[k]:offs[k+1]], of which heads[k]
-	// label entries lead.
+	// them (the output layer's input) and its bfloat16 rendering under
+	// BF16Both.
 	sampleActs [][][]float32
 	lasts      [][]float32
 	lastsBF    [][]bf16.BF16
-	offs       []int32
-	heads      []int
-	ids        []int32
-	// logits and grads hold the output layer's logits and their gradients:
-	// the whole stripe's at the flat positions of ids on the row-major walk,
-	// one sample's at a time on the per-sample one.
-	logits, grads []float32
-	index         layer.StripeIndex
 	// lastDhs holds the output layer's input gradient per sample: the whole
 	// stripe's on the row-major walk, which alone grows it past the one
 	// buffer the per-sample walk reuses.
 	lastDhs [][]float32
 
 	// loss, activeSum and nonFinite are the worker's partial BatchStats for
-	// the batch in flight; rowMajor and perSample count the stripes that took
-	// each output walk over the model's life.
-	loss                float64
-	activeSum           int64
-	nonFinite           int64
-	rowMajor, perSample int64
+	// the batch in flight.
+	loss      float64
+	activeSum int64
+	nonFinite int64
 }
 
 func (f *forwardState) newWorker(seed, stream uint64) *worker {
@@ -78,7 +145,7 @@ func (ws *worker) fitStripe(f *forwardState, m int) {
 			acts[i] = make([]float32, d)
 		}
 		var hBF []bf16.BF16
-		if f.cfg.Precision != layer.FP32 {
+		if f.cfg.Precision == layer.BF16Both {
 			hBF = make([]bf16.BF16, f.lastDim)
 		}
 		ws.sampleActs = append(ws.sampleActs, acts)
@@ -97,19 +164,21 @@ func (ws *worker) fitStripe(f *forwardState, m int) {
 //     HashDenseMany call (SimHash walks its hyperplanes once per tile of
 //     simd.WalkTile samples); then sample, in stripe order, so the top-up
 //     draws keep their order;
-//  2. transpose the stripe's active lists (StripeIndex.Build) — an FP32
-//     stripe at minStripeReuse or more selections per touched row then
+//  2. plan the output walk (stripe.plan) — a float32-row stripe at
+//     minStripeReuse or more selections per touched row then
 //  3. walks the output layer row-major: every logit, the label heads in
 //     sample order, then every weight gradient and every sample's input
 //     gradient in one pass over the rows;
 //  4. the middle stack and hidden backward, per sample in stripe order.
 //
-// Any other stripe — below the crossover, BF16, NoSampling — runs 3 and 4
-// sample by sample through ForwardActive and AccumulateActive. Either way the
-// bits are those of running each sample end to end in stripe order, except
-// that the row-major walk sums each input gradient in row order
-// (AccumulateStripe). The share's loss, active-set and non-finite sums are
-// left in the worker.
+// A stripe below the crossover, or of BF16Both rows, runs 3 and 4 per
+// sample instead, each sample's forward, label head, gradient and backward
+// before the next sample's, so that its rows are still in cache for its
+// gradient (DESIGN.md "Known divergences"); NoSampling stripes run
+// stripeNoSampling. Either way the bits are those of running each sample end
+// to end in stripe order, except that the row-major walk sums each input
+// gradient in row order (AccumulateStripe). The share's loss, active-set and
+// non-finite sums are left in the worker.
 func (n *Network) trainStripe(ks *simd.Kernels, b sparse.Batch, w, nw int) {
 	ws := n.workers[w]
 	ws.ks = ks
@@ -121,34 +190,47 @@ func (n *Network) trainStripe(ks *simd.Kernels, b sparse.Batch, w, nw int) {
 		ws.acts, ws.hBF = ws.sampleActs[k], ws.lastsBF[k]
 		n.fwd.forwardStack(ws.scratch, b.Sample(w+k*nw))
 	}
+	if n.cfg.NoSampling {
+		ws.perSamples++
+		n.stripeNoSampling(ws, b, w, nw, m)
+		return
+	}
 	n.fwd.smp.hashMany(ws.lasts[:m], ws.hashBuf)
 	l := n.fwd.smp.tables()
 	ws.ids = ws.ids[:0]
 	for k := range m {
-		if !n.cfg.NoSampling {
-			ws.heads[k] = n.fwd.sampleActive(ws.scratch, b.Labels(w+k*nw), ws.hashBuf[k*l:(k+1)*l])
-			ws.ids = extend(ws.ids, ws.active)
-		}
+		ws.heads[k] = n.fwd.sampleActive(ws.scratch, b.Labels(w+k*nw), ws.hashBuf[k*l:(k+1)*l])
+		ws.ids = extend(ws.ids, ws.active)
 		ws.offs[k+1] = int32(len(ws.ids))
 	}
 
-	if n.cfg.NoSampling || n.cfg.Precision != layer.FP32 ||
-		!ws.index.Build(n.cfg.OutputDim, ws.offs[:m+1], ws.ids, minStripeReuse) {
-		ws.perSample++
-		n.stripePerSample(ws, b, w, nw, m)
+	ws.plan(n.output, n.cfg.OutputDim)
+	parts := []*stripe{&ws.stripe}
+	head := func(k int) {
+		if ws.offs[k] < ws.offs[k+1] {
+			loss, _, bad := n.labelHead(ks, parts, k, len(b.Labels(w+k*nw)))
+			ws.fold(n, loss, int(ws.offs[k+1]-ws.offs[k]), bad)
+		}
+	}
+	if !ws.rowMajor {
+		dh := ws.lastDhs[0]
+		for k := range m {
+			if ws.offs[k] == ws.offs[k+1] {
+				continue
+			}
+			ws.forwardSample(ks, n.output, k, ws.lasts[k], ws.lastsBF[k])
+			head(k)
+			simd.Zero(dh)
+			ws.backwardSample(ks, n.output, k, ws.lasts[k], ws.lastsBF[k], dh)
+			n.backward(ws, k, dh, b.Sample(w+k*nw))
+		}
 		return
 	}
-	ws.rowMajor++
 	first := w * n.cfg.OutputDim / nw // concurrent workers sweep apart
 	hs := ws.lasts[:m]
-	ws.logits, ws.grads = fit(ws.logits, len(ws.ids)), fit(ws.grads, len(ws.ids))
-	n.output.ForwardStripe(ks, &ws.index, hs, ws.logits, first)
+	ws.forward(ks, n.output, hs, nil, first)
 	for k := range m {
-		lo, hi := ws.offs[k], ws.offs[k+1]
-		if lo < hi {
-			loss, _, bad := n.labelHead(ks, [][]float32{ws.logits[lo:hi]}, [][]float32{ws.grads[lo:hi]}, []int{ws.heads[k]}, len(b.Labels(w+k*nw)))
-			ws.fold(n, loss, int(hi-lo), bad)
-		}
+		head(k)
 	}
 	for len(ws.lastDhs) < m {
 		ws.lastDhs = append(ws.lastDhs, make([]float32, n.fwd.lastDim))
@@ -157,7 +239,7 @@ func (n *Network) trainStripe(ks *simd.Kernels, b sparse.Batch, w, nw int) {
 	for _, dh := range dhs {
 		simd.Zero(dh)
 	}
-	n.output.AccumulateStripe(ks, &ws.index, ws.grads, hs, dhs, first)
+	ws.backward(ks, n.output, hs, nil, dhs, first)
 	for k, dh := range dhs {
 		if ws.offs[k] < ws.offs[k+1] {
 			n.backward(ws, k, dh, b.Sample(w+k*nw))
@@ -165,46 +247,39 @@ func (n *Network) trainStripe(ks *simd.Kernels, b sparse.Batch, w, nw int) {
 	}
 }
 
-// stripePerSample is stages 3 and 4 sample by sample: the output layer's
-// ForwardActive, the label head, AccumulateActive and the backward pass of
-// one sample before the next.
-func (n *Network) stripePerSample(ws *worker, b sparse.Batch, w, nw, m int) {
+// stripeNoSampling is stages 3 and 4 under NoSampling, sample by sample:
+// every row is active, so the labels sit wherever their ids do — stamped
+// here, found by the stamps in the loss.
+func (n *Network) stripeNoSampling(ws *worker, b sparse.Batch, w, nw, m int) {
+	active := n.fwd.all
+	na := len(active)
+	ws.offs[1], ws.heads[0], ws.ids = int32(na), 0, active
+	ws.stripe.logits, ws.grads = fit(ws.stripe.logits, na), fit(ws.grads, na)
+	parts := []*stripe{&ws.stripe}
+	dh := ws.lastDhs[0]
 	for k := range m {
 		i := w + k*nw
 		labels := b.Labels(i)
-		active, nLabels := ws.ids[ws.offs[k]:ws.offs[k+1]], ws.heads[k]
-		if n.cfg.NoSampling {
-			// Every row is active, so the labels sit wherever their ids
-			// do: stamp them here, find them by the stamps below.
-			ws.dedup.Begin()
-			for _, y := range labels {
-				if int(y) < n.cfg.OutputDim {
-					ws.dedup.Seen(y)
-				}
+		ws.dedup.Begin()
+		for _, y := range labels {
+			if int(y) < n.cfg.OutputDim {
+				ws.dedup.Seen(y)
 			}
-			active, nLabels = n.fwd.all, 0
 		}
-		na := len(active)
-		if na == 0 {
-			continue
-		}
-		ws.logits, ws.grads = fit(ws.logits, na), fit(ws.grads, na)
-		logits, probs := ws.logits, ws.grads
-		n.output.ForwardActive(ws.ks, active, ws.lasts[k], ws.lastsBF[k], logits)
-		loss, logZ, bad := n.labelHead(ws.ks, [][]float32{logits}, [][]float32{probs}, []int{nLabels}, len(labels))
-		if n.cfg.NoSampling && len(labels) > 0 {
+		ws.forwardSample(ws.ks, n.output, 0, ws.lasts[k], ws.lastsBF[k])
+		loss, logZ, bad := n.labelHead(ws.ks, parts, 0, len(labels))
+		if len(labels) > 0 {
 			t := 1 / float32(len(labels))
 			for j, id := range active {
 				if ws.dedup.Seen(id) { // stamped above => true for labels
-					probs[j] -= t
-					loss -= float64(t) * (float64(logits[j]) - logZ)
+					ws.grads[j] -= t
+					loss -= float64(t) * (float64(ws.stripe.logits[j]) - logZ)
 				}
 			}
 		}
 		ws.fold(n, loss, na, bad)
-		dh := ws.lastDhs[0]
 		simd.Zero(dh)
-		n.output.AccumulateActive(ws.ks, active, probs, ws.lasts[k], ws.lastsBF[k], dh)
+		ws.backwardSample(ws.ks, n.output, 0, ws.lasts[k], ws.lastsBF[k], dh)
 		n.backward(ws, k, dh, b.Sample(i))
 	}
 }
@@ -234,14 +309,22 @@ func extend[T any](buf, xs []T) []T {
 	return append(buf, xs...)
 }
 
-// StripeWalks reports how many worker stripes have taken each output walk
-// since the model was built: the row-major one and the per-sample one (see
-// minStripeReuse). Diagnostics; the phase engine counts neither. Not safe
-// concurrently with TrainBatch.
+// StripeWalks reports how many output walks have been row-major and how
+// many per sample since the model was built (see minStripeReuse): one per
+// HOGWILD worker stripe, and one per shard and batch on the phase engine.
+// Diagnostics. Not safe concurrently with TrainBatch.
 func (n *Network) StripeWalks() (rowMajor, perSample int64) {
+	count := func(s *stripe) {
+		rowMajor += s.rowMajors
+		perSample += s.perSamples
+	}
 	for _, ws := range n.workers {
-		rowMajor += ws.rowMajor
-		perSample += ws.perSample
+		count(&ws.stripe)
+	}
+	if n.sh != nil {
+		for _, ss := range n.sh.shards {
+			count(&ss.stripe)
+		}
 	}
 	return rowMajor, perSample
 }

@@ -11,48 +11,179 @@ import (
 	"github.com/slide-cpu/slide/internal/sparse"
 )
 
-// TestStripeWalksTrainLikePhaseEngine checks the row-major output walks by
-// what they train, independently of any pinned hash: the text8 miniature of
-// TestTrainingBitsPinned trains 36 steps on HOGWILD at W=1, whose stripes walk
-// the output layer row-major, and on the phase engine with one shard, which
-// shares none of the stripe code, from the same seed and the same batches.
-// The mean per-sample loss of the last 8 steps must agree within
-// stripeLossBand. On the commit before the input gradient was summed in
-// row-walk order the two read 4.2078 and 4.2200 on every tier, 0.29 % apart
-// (and still do); a row-major walk that left the input gradient at zero read
-// 4.6776, 10.8 % apart.
-func TestStripeWalksTrainLikePhaseEngine(t *testing.T) {
-	const stripeLossBand = 0.02 // relative: about seven times the measured spread
-	cfg := Config{InputDim: 600, HiddenDim: 200, OutputDim: 600, HiddenActivation: layer.Linear,
-		Hash: SimHash, K: 6, L: 8, MinActive: 64, LR: 0.01, RebuildEvery: 10, Seed: 102}
+// text8Mini is the text8 miniature of TestTrainingBitsPinned: its stripes and
+// shards select a touched output row about five times per batch, so both
+// engines walk its output layer row-major.
+var text8Mini = Config{InputDim: 600, HiddenDim: 200, OutputDim: 600, HiddenActivation: layer.Linear,
+	Hash: SimHash, K: 6, L: 8, MinActive: 64, LR: 0.01, RebuildEvery: 10, Seed: 102}
+
+// forcePerSample makes every output walk from here on per-sample, until the
+// returned function restores the crossover.
+func forcePerSample() (restore func()) {
+	old := minStripeReuse
+	minStripeReuse = math.MaxInt32
+	return func() { minStripeReuse = old }
+}
+
+// TestOutputWalksTrainAlike checks the row-major output walks by what they
+// train, independently of any pinned hash and of the walk itself: the text8
+// miniature trains 36 steps from the same seed and batches on HOGWILD at W=1
+// and on the phase engine at S=1 and S=4, each of which must walk the output
+// layer row-major, and on the phase engine at S=1 with the per-sample walk
+// forced, the reference. The mean per-sample loss of the last 8 steps of
+// every run must lie within lossBand of the reference's. On every tier they
+// read 4.2200 for the reference, 4.2078 on HOGWILD (0.29 % apart), 4.2200
+// on the row-major S=1 and 4.2153 on S=4; a row-major walk that left the
+// input gradient at zero read 4.6776, 10.8 % apart.
+func TestOutputWalksTrainAlike(t *testing.T) {
+	const lossBand = 0.02 // relative: about seven times the measured spread
+	runs := []struct {
+		name      string
+		engine    func(*Config)
+		perSample bool
+	}{
+		{"phase engine S=1, per-sample walk", func(c *Config) { c.Shards, c.Workers = 1, 2 }, true},
+		{"HOGWILD W=1", func(c *Config) { c.Workers = 1 }, false},
+		{"phase engine S=1", func(c *Config) { c.Shards, c.Workers = 1, 2 }, false},
+		{"phase engine S=4", func(c *Config) { c.Shards, c.Workers = 4, 2 }, false},
+	}
 	defer simd.SetMode(simd.CurrentMode())
 	for _, m := range simd.AvailableModes() {
 		simd.SetMode(m)
-		var tail [2]float64
-		for i, engine := range []func(*Config){
-			func(c *Config) { c.Workers = 1 },
-			func(c *Config) { c.Shards, c.Workers = 1, 2 },
-		} {
-			c := cfg
-			engine(&c)
+		var ref float64
+		for i, r := range runs {
+			c := text8Mini
+			r.engine(&c)
 			n, err := New(&c)
 			if err != nil {
 				t.Fatal(err)
 			}
+			restore := func() {}
+			if r.perSample {
+				restore = forcePerSample()
+			}
 			p := newPlanted(c.InputDim, c.OutputDim, 1, 7)
+			var tail float64
 			for step := range 36 {
 				st := n.TrainBatch(p.batch(32))
 				if step >= 28 {
-					tail[i] += st.Loss / float64(st.Samples) / 8
+					tail += st.Loss / float64(st.Samples) / 8
 				}
 			}
-			if rm, ps := n.StripeWalks(); c.Shards == 0 && rm <= ps {
-				t.Fatalf("%v: %d stripes walked the output layer row-major, %d per sample", m, rm, ps)
+			restore()
+			if rm, ps := n.StripeWalks(); r.perSample && rm != 0 || !r.perSample && rm <= ps {
+				t.Fatalf("%v %s: %d output walks were row-major, %d per sample", m, r.name, rm, ps)
+			}
+			if i == 0 {
+				ref = tail
+				continue
+			}
+			if d := math.Abs(tail-ref) / ref; !(d <= lossBand) {
+				t.Errorf("%v: last-8-step mean loss %.4f on %s, %.4f on %s: %.1f %% apart, band %.0f %%",
+					m, tail, r.name, ref, runs[0].name, 100*d, 100*lossBand)
 			}
 		}
-		if d := math.Abs(tail[0]-tail[1]) / tail[1]; !(d <= stripeLossBand) {
-			t.Errorf("%v: last-8-step mean loss %.4f row-major, %.4f phase engine: %.1f %% apart, band %.0f %%",
-				m, tail[0], tail[1], 100*d, 100*stripeLossBand)
+	}
+}
+
+// TestShardWalksAgreeOnOneBatch runs one shard's output pass over one batch
+// both ways on two identical phase-engine models: row-major, and per sample
+// forced. The logits, the output layer's weight and bias gradients and its
+// touched rows must be bit-identical, and every ∇h partial must lie within
+// 1e-5·Σ|g·w| of its float64 sum on both walks — the bound HOGWILD's
+// row-major input gradient is held to (layer's checkStripeDh). The gradients
+// are read through an ADAM step with Beta1 = 0, whose first moment is the
+// gradient itself.
+func TestShardWalksAgreeOnOneBatch(t *testing.T) {
+	defer simd.SetMode(simd.CurrentMode())
+	for _, mode := range simd.AvailableModes() {
+		simd.SetMode(mode)
+		ks := simd.Active()
+		p := newPlanted(text8Mini.InputDim, text8Mini.OutputDim, 1, 9)
+		batches := []sparse.Batch{p.batch(32), p.batch(32), p.batch(32), p.batch(48)}
+		var logits [2][]float32
+		var dhs [2][][]float32
+		var state [2][]byte
+		var journal [2][]int32
+		var read *layer.RowWeights // the weights both passes read
+		var ss *shardScratch       // the per-sample pass's selection and gradients
+		for w := range 2 {
+			c := text8Mini
+			c.Shards, c.Workers = 1, 1
+			n, err := New(&c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The last batch leaves its selection in the shard's stripe and
+			// its activations in the phase scratch.
+			for _, b := range batches {
+				n.TrainBatch(b)
+			}
+			n.output.EnableJournal()
+			n.output.DrainJournal()
+			b := batches[len(batches)-1]
+			sh := n.sh
+			ss = sh.shards[0]
+			B := b.Len()
+			restore := func() {}
+			if w == 1 {
+				restore = forcePerSample()
+			}
+			ss.plan(n.output, c.OutputDim)
+			restore()
+			if ss.rowMajor != (w == 0) {
+				t.Fatalf("%v: walk %d planned row-major = %v", mode, w, ss.rowMajor)
+			}
+			ss.forward(ks, n.output, sh.lastA[:B], sh.hBF[:B], 0)
+			for i := range B {
+				n.labelHead(ks, sh.parts, i, len(b.Labels(i)))
+			}
+			dh := ss.dhPart[:B]
+			for _, d := range dh {
+				simd.Zero(d)
+			}
+			ss.backward(ks, n.output, sh.lastA[:B], sh.hBF[:B], dh, 0)
+			if w == 0 && n.output.TouchedRows() == 0 {
+				t.Fatalf("%v: the pass touched no row", mode)
+			}
+			read = n.output.SnapshotWeights()
+			n.output.ApplyAdam(ks, simd.NewAdamParams(0.01, 0, 0.999, 1e-8, 1), 1)
+			var buf bytes.Buffer
+			if err := n.output.Serialize(&buf); err != nil {
+				t.Fatal(err)
+			}
+			logits[w], dhs[w] = ss.logits, dh
+			state[w], journal[w] = buf.Bytes(), n.output.DrainJournal()
+		}
+		if !slices.Equal(logits[0], logits[1]) {
+			t.Errorf("%v: row-major logits differ from per-sample ones", mode)
+		}
+		if !bytes.Equal(state[0], state[1]) {
+			t.Errorf("%v: row-major weight or bias gradients differ from per-sample ones", mode)
+		}
+		if !slices.Equal(journal[0], journal[1]) {
+			t.Errorf("%v: the walks touched rows %v and %v", mode, journal[0], journal[1])
+		}
+		// ∇h against the float64 sum.
+		row := make([]float32, text8Mini.HiddenDim)
+		for k := range len(ss.offs) - 1 {
+			sum := make([]float64, text8Mini.HiddenDim)
+			abs := make([]float64, text8Mini.HiddenDim)
+			for j := ss.offs[k]; j < ss.offs[k+1]; j++ {
+				w := read.RowF32(int(ss.ids[j]), row)
+				for c, wc := range w {
+					term := float64(ss.grads[j]) * float64(wc)
+					sum[c] += term
+					abs[c] += math.Abs(term)
+				}
+			}
+			for c := range sum {
+				for walk, dh := range dhs {
+					if got := float64(dh[k][c]); math.Abs(got-sum[c]) > 1e-5*abs[c] {
+						t.Fatalf("%v sample %d ∇h[%d]: walk %d %g, float64 sum %g (Σ|g·w| %g)", mode, k, c, walk, got, sum[c], abs[c])
+					}
+				}
+			}
 		}
 	}
 }

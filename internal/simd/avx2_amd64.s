@@ -276,51 +276,6 @@ adam2_blk8:
 	VZEROUPPER
 	RET
 
-// func dotBF16F32AVX2Asm(a *bf16.BF16, b *float32, n int64) float32
-// a lanes expand bfloat16 -> float32 (zero-extend word, shift into the high
-// half — the exact software expansion), then FMA with b.
-TEXT ·dotBF16F32AVX2Asm(SB), NOSPLIT, $0-28
-	MOVQ a+0(FP), SI
-	MOVQ b+8(FP), DI
-	MOVQ n+16(FP), DX
-	VXORPS Y0, Y0, Y0
-	VXORPS Y1, Y1, Y1
-
-bfdot2_blk16:
-	CMPQ DX, $16
-	JLT  bfdot2_blk8
-	VPMOVZXWD (SI), Y4
-	VPMOVZXWD 16(SI), Y5
-	VPSLLD $16, Y4, Y4
-	VPSLLD $16, Y5, Y5
-	VFMADD231PS (DI), Y4, Y0
-	VFMADD231PS 32(DI), Y5, Y1
-	ADDQ $32, SI
-	ADDQ $64, DI
-	SUBQ $16, DX
-	JMP  bfdot2_blk16
-
-bfdot2_blk8:
-	TESTQ DX, DX
-	JE    bfdot2_reduce
-	VPMOVZXWD (SI), Y4
-	VPSLLD $16, Y4, Y4
-	VFMADD231PS (DI), Y4, Y0
-	ADDQ $16, SI
-	ADDQ $32, DI
-	SUBQ $8, DX
-	JMP  bfdot2_blk8
-
-bfdot2_reduce:
-	VADDPS Y1, Y0, Y0
-	VEXTRACTF128 $1, Y0, X1
-	VADDPS X1, X0, X0
-	VHADDPS X0, X0, X0
-	VHADDPS X0, X0, X0
-	VZEROUPPER
-	MOVSS X0, ret+24(FP)
-	RET
-
 // func dotBF16AVX2Asm(a, b *bf16.BF16, n int64) float32
 // Both operands expand bfloat16 -> float32, then FMA.
 TEXT ·dotBF16AVX2Asm(SB), NOSPLIT, $0-28

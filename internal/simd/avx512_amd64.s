@@ -393,62 +393,6 @@ adam5_done:
 	VZEROUPPER
 	RET
 
-// func dotBF16F32AVX512Asm(a *bf16.BF16, b *float32, n int64) float32
-// a lanes expand bfloat16 -> float32 (zero-extend word, shift left 16 — the
-// exact software expansion), then FMA with b.
-TEXT ·dotBF16F32AVX512Asm(SB), NOSPLIT, $0-28
-	MOVQ a+0(FP), SI
-	MOVQ b+8(FP), DI
-	MOVQ n+16(FP), DX
-	VXORPS Z0, Z0, Z0
-	VXORPS Z1, Z1, Z1
-
-bfdot5_blk32:
-	CMPQ DX, $32
-	JLT  bfdot5_blk16
-	VPMOVZXWD (SI), Z4
-	VPMOVZXWD 32(SI), Z5
-	VPSLLD $16, Z4, Z4
-	VPSLLD $16, Z5, Z5
-	VFMADD231PS (DI), Z4, Z0
-	VFMADD231PS 64(DI), Z5, Z1
-	ADDQ $64, SI
-	ADDQ $128, DI
-	SUBQ $32, DX
-	JMP  bfdot5_blk32
-
-bfdot5_blk16:
-	CMPQ DX, $16
-	JLT  bfdot5_tail
-	VPMOVZXWD (SI), Z4
-	VPSLLD $16, Z4, Z4
-	VFMADD231PS (DI), Z4, Z0
-	ADDQ $32, SI
-	ADDQ $64, DI
-	SUBQ $16, DX
-	JMP  bfdot5_blk16
-
-bfdot5_tail:
-	TESTQ DX, DX
-	JE    bfdot5_reduce
-	TAILMASK
-	VPMOVZXWD.Z (SI), K1, Z4
-	VPSLLD $16, Z4, Z4
-	VMOVUPS.Z (DI), K1, Z5
-	VFMADD231PS Z5, Z4, Z0
-
-bfdot5_reduce:
-	VADDPS Z1, Z0, Z0
-	VEXTRACTF64X4 $1, Z0, Y1
-	VADDPS Y1, Y0, Y0
-	VEXTRACTF128 $1, Y0, X1
-	VADDPS X1, X0, X0
-	VHADDPS X0, X0, X0
-	VHADDPS X0, X0, X0
-	VZEROUPPER
-	MOVSS X0, ret+24(FP)
-	RET
-
 // func dotBF16AVX512Asm(a, b *bf16.BF16, n int64) float32
 TEXT ·dotBF16AVX512Asm(SB), NOSPLIT, $0-28
 	MOVQ a+0(FP), SI

@@ -8,36 +8,6 @@ import "github.com/slide-cpu/slide/internal/bf16"
 // halved memory traffic while paying a software conversion cost (see
 // DESIGN.md "Known divergences").
 
-// dotBF16Vec and dotBF16Scalar return the inner product of a bfloat16 vector
-// and a float32 vector (the DotBF16F32 entry): the activation is stored in
-// BF16 and the weights in float32, len(b) >= len(a).
-func dotBF16Vec(a []bf16.BF16, b []float32) float32 {
-	n := len(a)
-	b = b[:n]
-	var s0, s1, s2, s3 float32
-	i := 0
-	for ; i+Width <= n; i += Width {
-		x := a[i : i+Width : i+Width]
-		y := b[i : i+Width : i+Width]
-		s0 += x[0].Float32()*y[0] + x[1].Float32()*y[1] + x[2].Float32()*y[2] + x[3].Float32()*y[3]
-		s1 += x[4].Float32()*y[4] + x[5].Float32()*y[5] + x[6].Float32()*y[6] + x[7].Float32()*y[7]
-		s2 += x[8].Float32()*y[8] + x[9].Float32()*y[9] + x[10].Float32()*y[10] + x[11].Float32()*y[11]
-		s3 += x[12].Float32()*y[12] + x[13].Float32()*y[13] + x[14].Float32()*y[14] + x[15].Float32()*y[15]
-	}
-	for ; i < n; i++ {
-		s0 += a[i].Float32() * b[i]
-	}
-	return (s0 + s1) + (s2 + s3)
-}
-
-func dotBF16Scalar(a []bf16.BF16, b []float32) float32 {
-	var s float32
-	for i := range a {
-		s += a[i].Float32() * b[i]
-	}
-	return s
-}
-
 // dotBF16BothVec and dotBF16BothScalar return the inner product of two
 // bfloat16 vectors (the DotBF16 entry: both weights and activations
 // quantized).

@@ -45,7 +45,6 @@ func init() {
 			DotManyBiasBatch: dotManyBiasBatchAVX2,
 			DotManyU8S8:      dotManyU8S8AVX2,
 
-			DotBF16F32:   dotBF16F32AVX2,
 			DotBF16:      dotBF16AVX2,
 			AxpyBF16:     axpyBF16AVX2,
 			AdamStepBF16: adamStepBF16, // element-local re-rounding: software on every tier
@@ -82,7 +81,6 @@ func init() {
 			DotManyBiasBatch: dotManyBiasBatchAVX512,
 			DotManyU8S8:      dotManyU8S8AVX2, // as DotU8S8 below
 
-			DotBF16F32:   dotBF16F32AVX512,
 			DotBF16:      dotBF16AVX512,
 			AxpyBF16:     axpyBF16AVX512,
 			AdamStepBF16: adamStepBF16,
@@ -167,12 +165,6 @@ func adamAVX2Asm(w, m, v, grad *float32, n int64, beta1, beta2, omb1, omb2, eps,
 
 //go:noescape
 func adamAVX512Asm(w, m, v, grad *float32, n int64, beta1, beta2, omb1, omb2, eps, corr float32)
-
-//go:noescape
-func dotBF16F32AVX2Asm(a *bf16.BF16, b *float32, n int64) float32
-
-//go:noescape
-func dotBF16F32AVX512Asm(a *bf16.BF16, b *float32, n int64) float32
 
 //go:noescape
 func dotBF16AVX2Asm(a, b *bf16.BF16, n int64) float32
@@ -352,20 +344,6 @@ func dotU8S8VNNI(a []uint8, b []int8) int32 {
 	return s
 }
 
-func dotBF16F32AVX2(a []bf16.BF16, b []float32) float32 {
-	n := len(a)
-	b = b[:n]
-	nv := n &^ 7
-	var s float32
-	if nv > 0 {
-		s = dotBF16F32AVX2Asm(&a[0], &b[0], int64(nv))
-	}
-	for i := nv; i < n; i++ {
-		s += a[i].Float32() * b[i]
-	}
-	return s
-}
-
 func dotBF16AVX2(a, b []bf16.BF16) float32 {
 	n := len(a)
 	b = b[:n]
@@ -467,15 +445,6 @@ func adamAVX512(w, m, v, g []float32, p AdamParams) {
 	g = g[:n]
 	adamAVX512Asm(&w[0], &m[0], &v[0], &g[0], int64(n),
 		p.Beta1, p.Beta2, 1-p.Beta1, 1-p.Beta2, p.Eps, p.CorrLR)
-}
-
-func dotBF16F32AVX512(a []bf16.BF16, b []float32) float32 {
-	n := len(a)
-	if n == 0 {
-		return 0
-	}
-	b = b[:n]
-	return dotBF16F32AVX512Asm(&a[0], &b[0], int64(n))
 }
 
 func dotBF16AVX512(a, b []bf16.BF16) float32 {

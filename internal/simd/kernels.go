@@ -58,7 +58,6 @@ type Kernels struct {
 	DotManyU8S8      func(rows [][]int8, ids []int32, qas [][]uint8, accs [][]int32)
 
 	// Mixed-precision kernels (§4.4).
-	DotBF16F32   func(a []bf16.BF16, b []float32) float32
 	DotBF16      func(a, b []bf16.BF16) float32
 	AxpyBF16     func(alpha float32, x []bf16.BF16, y []float32)
 	AdamStepBF16 func(w []bf16.BF16, m, v, g []float32, p AdamParams)
@@ -112,7 +111,6 @@ var vectorKernels = Kernels{
 	DotManyBiasBatch: dotManyBiasBatchVec,
 	DotManyU8S8:      dotManyU8S8Vec,
 
-	DotBF16F32:   dotBF16Vec,
 	DotBF16:      dotBF16BothVec,
 	AxpyBF16:     axpyBF16Vec,
 	AdamStepBF16: adamStepBF16,
@@ -150,7 +148,6 @@ var scalarKernels = Kernels{
 	DotManyBiasBatch: dotManyBiasBatchScalar,
 	DotManyU8S8:      dotManyU8S8Scalar,
 
-	DotBF16F32:   dotBF16Scalar,
 	DotBF16:      dotBF16BothScalar,
 	AxpyBF16:     axpyBF16Scalar,
 	AdamStepBF16: adamStepBF16, // element-local math: one impl serves both modes

@@ -386,24 +386,6 @@ func TestAdamStepDispatchAndPanic(t *testing.T) {
 	}
 }
 
-func TestDotBF16F32(t *testing.T) {
-	rng := rand.New(rand.NewPCG(11, 12))
-	for _, m := range []Mode{Vector, Scalar} {
-		withMode(t, m, func() {
-			for _, n := range []int{0, 1, 16, 17, 100} {
-				a := randSlice(rng, n)
-				b := randSlice(rng, n)
-				ab := bf16.FromSlice(a)
-				got := float64(Active().DotBF16F32(ab, b))
-				want := float64(ForMode(Scalar).Dot(bf16.ToSlice(ab), b))
-				if !approxEqual(got, want, 1e-4) {
-					t.Errorf("%v n=%d: DotBF16F32=%g want %g", m, n, got, want)
-				}
-			}
-		})
-	}
-}
-
 func TestDotBF16Both(t *testing.T) {
 	rng := rand.New(rand.NewPCG(13, 14))
 	for _, m := range []Mode{Vector, Scalar} {
@@ -465,7 +447,6 @@ func TestAdamStepBF16Descends(t *testing.T) {
 func TestBF16MismatchPanics(t *testing.T) {
 	for _, m := range AvailableModes() {
 		ks := ForMode(m)
-		expectPanic(t, m.String()+" DotBF16F32", func() { ks.DotBF16F32(make([]bf16.BF16, 24), make([]float32, 16)) })
 		expectPanic(t, m.String()+" DotBF16", func() { ks.DotBF16(make([]bf16.BF16, 24), make([]bf16.BF16, 16)) })
 		expectPanic(t, m.String()+" AxpyBF16", func() { ks.AxpyBF16(1, make([]bf16.BF16, 24), make([]float32, 16)) })
 		expectPanic(t, m.String()+" AdamStepBF16", func() {

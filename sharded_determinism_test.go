@@ -29,6 +29,7 @@ type shardedArtifacts struct {
 	deltaSteps [2]int64
 	scores     []float32 // concatenated eval scores from the final snapshot
 	preds      []int32   // concatenated top-3 ids from the final snapshot
+	rowMajor   int64     // shard passes that walked the output layer row-major
 }
 
 // batchFeeder yields an endless deterministic batch stream: the workload's
@@ -100,6 +101,7 @@ func shardedRun(t *testing.T, w *harness.Workload, opts harness.Options,
 		a.deltaParts[3] = enc(func(b *bytes.Buffer) error { return d.WriteTables(b) })
 	}
 	a.checkpoint = enc(func(b *bytes.Buffer) error { return net.Save(b) })
+	a.rowMajor, _ = net.StripeWalks()
 	n := min(8, w.Test.Len())
 	buf := make([]float32, cfg.OutputDim)
 	for i := 0; i < n; i++ {
@@ -115,7 +117,12 @@ func shardedRun(t *testing.T, w *harness.Workload, opts harness.Options,
 // artifact — checkpoint bytes, base-snapshot payloads, delta payloads, and
 // served scores/rankings — to be bit-identical to the W=1 run. 20 steps with
 // RebuildEvery well inside that window exercises the scheduled per-shard
-// rebuild (so the delta carries tables) under every worker count.
+// rebuild (so the delta carries tables) under every worker count. The
+// Text8-like workload joins at FP32 and BF16Act. At this scale both
+// workloads' shards are narrow enough to select each touched row many times
+// per batch, so every shard of float32 rows walks the output layer row-major,
+// summing its ∇h partials from the shard's first row, and BF16Both's never
+// does; the W=1 run asserts which.
 func TestShardedWorkerCountDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full worker-count matrix; skipped in -short (race CI runs the focused lane)")
@@ -126,10 +133,11 @@ func TestShardedWorkerCountDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := ws[0] // Amazon-670K-like
+	amazon, text8 := ws[0], ws[2]
 
 	const steps = 20
 	type combo struct {
+		w      *harness.Workload
 		prec   layer.Precision
 		place  layer.Placement
 		shards int
@@ -137,20 +145,29 @@ func TestShardedWorkerCountDeterminism(t *testing.T) {
 	var combos []combo
 	for _, prec := range []layer.Precision{layer.FP32, layer.BF16Act, layer.BF16Both} {
 		for _, place := range []layer.Placement{layer.Contiguous, layer.Scattered} {
-			combos = append(combos, combo{prec, place, 3})
+			combos = append(combos, combo{amazon, prec, place, 3})
 		}
 	}
 	// One shard: the sampler's lone set hashes on all W workers where the
 	// sets of several shards take one worker each.
-	combos = append(combos, combo{layer.FP32, layer.Contiguous, 1})
+	combos = append(combos, combo{amazon, layer.FP32, layer.Contiguous, 1})
+	for _, prec := range []layer.Precision{layer.FP32, layer.BF16Act} {
+		combos = append(combos, combo{text8, prec, layer.Contiguous, 3})
+	}
 	for _, c := range combos {
-		prec, place, shards := c.prec, c.place, c.shards
+		w, prec, place, shards := c.w, c.prec, c.place, c.shards
 		name := fmt.Sprintf("%v/%v", prec, place)
 		if shards == 1 {
 			name += "/shards1"
 		}
+		if w == text8 {
+			name = "text8/" + name
+		}
 		t.Run(name, func(t *testing.T) {
 			ref := shardedRun(t, w, opts, prec, place, 1, shards, steps)
+			if (ref.rowMajor > 0) != (prec != layer.BF16Both) {
+				t.Fatalf("%d shard passes walked the output layer row-major", ref.rowMajor)
+			}
 			for _, workers := range []int{2, 4, 8} {
 				got := shardedRun(t, w, opts, prec, place, workers, shards, steps)
 				if !bytes.Equal(got.checkpoint, ref.checkpoint) {

@@ -61,8 +61,8 @@ type Precision int
 const (
 	// FP32 trains in float32 throughout.
 	FP32 Precision = iota
-	// BF16Activations keeps parameters FP32 but carries activations in
-	// bfloat16.
+	// BF16Activations keeps parameters FP32 but rounds activations to
+	// bfloat16 values, on which the float32 kernels then run.
 	BF16Activations
 	// BF16Full stores weights and activations in bfloat16 (FP32 ADAM
 	// moments).
