@@ -367,29 +367,29 @@ func BenchmarkTrainStepModes(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelDotBF16 measures the §4.4 mixed-precision dot product
-// under every kernel tier.
-func BenchmarkKernelDotBF16(b *testing.B) {
-	x := bf16.FromSlice(randF32(128, 7))
-	y := bf16.FromSlice(randF32(128, 8))
+// BenchmarkKernelWidenBF16 measures the §4.4 row loader: one 128-wide
+// bfloat16 row widened into float32, under every kernel tier.
+func BenchmarkKernelWidenBF16(b *testing.B) {
+	src := bf16.FromSlice(randF32(128, 7))
+	dst := make([]float32, 128)
 	benchKernelModes(b, func(b *testing.B, ks *simd.Kernels) {
-		var s float32
 		for i := 0; i < b.N; i++ {
-			s += ks.DotBF16(x, y)
+			ks.WidenBF16(dst, src)
 		}
-		sink = s
 	})
 }
 
-// BenchmarkKernelPackBF16 measures the float32 -> bfloat16 conversion that
-// feeds the §4.4 activation quantization (VCVTNEPS2BF16 on AVX512-BF16
-// hosts, the software rounder elsewhere).
-func BenchmarkKernelPackBF16(b *testing.B) {
+// BenchmarkKernelRoundBF16 measures the rounding through bfloat16 that feeds
+// the §4.4 activation quantization (VCVTNEPS2BF16 on AVX512-BF16 hosts, the
+// software rounder elsewhere). The source is refreshed every iteration, so
+// each call rounds unrounded values.
+func BenchmarkKernelRoundBF16(b *testing.B) {
 	src := randF32(128, 9)
-	dst := make([]bf16.BF16, 128)
+	x := make([]float32, 128)
 	benchKernelModes(b, func(b *testing.B, ks *simd.Kernels) {
 		for i := 0; i < b.N; i++ {
-			ks.PackBF16(dst, src)
+			copy(x, src)
+			ks.RoundBF16(x)
 		}
 	})
 }

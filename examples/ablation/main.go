@@ -1,7 +1,8 @@
 // Ablation walkthrough: measures, on one workload, the individual effect of
 // each optimization the paper adds to SLIDE — vectorized kernels (§4.2),
-// memory layout (§4.1), and the BF16 modes (§4.4; software-emulated here,
-// so it demonstrates the accuracy behaviour rather than a host speedup).
+// memory layout (§4.1), and the BF16 modes (§4.4; bfloat16 rows widen into
+// float32 arithmetic here, so it demonstrates the accuracy behaviour rather
+// than the hardware's speedup).
 //
 //	go run ./examples/ablation [-scale 0.003] [-epochs 2]
 package main
@@ -92,6 +93,7 @@ func main() {
 	}
 	slide.SetKernelMode(slide.VectorKernels)
 
-	fmt.Println("\nnotes: software BF16 adds conversion cost on this host — on AVX512-BF16")
-	fmt.Println("hardware it is a speedup (paper Table 3); accuracy parity reproduces here.")
+	fmt.Println("\nnotes: BF16 here widens bfloat16 rows into float32 arithmetic, which saves no")
+	fmt.Println("time — with native AVX512-BF16 dot products it is a speedup (paper Table 3);")
+	fmt.Println("accuracy parity reproduces here.")
 }

@@ -8,10 +8,7 @@
 // footprint (half of FP32) and the numerical behaviour (rounding) of the
 // hardware format, so accuracy-impact experiments transfer directly.
 //
-// Two rounding modes are provided: truncation (what naive hardware casts do)
-// and round-to-nearest-even (what AVX512-BF16 VCVTNEPS2BF16 does). All
-// conversion helpers in this package use round-to-nearest-even unless the
-// name says otherwise.
+// Conversion rounds to nearest even, as AVX512-BF16 VCVTNEPS2BF16 does.
 package bf16
 
 import "math"
@@ -34,16 +31,6 @@ func FromFloat32(x float32) BF16 {
 	// the kept mantissa to break ties toward even.
 	lsb := (bits >> 16) & 1
 	bits += 0x7FFF + lsb
-	return BF16(bits >> 16)
-}
-
-// Truncate converts x to BF16 by dropping the low mantissa bits without
-// rounding. Mode used only by tests and by the rounding-error ablation.
-func Truncate(x float32) BF16 {
-	bits := math.Float32bits(x)
-	if isNaN32(bits) {
-		return BF16(bits>>16 | 0x0040)
-	}
 	return BF16(bits >> 16)
 }
 
@@ -77,20 +64,6 @@ func (b BF16) IsInf(sign int) bool {
 func isNaN32(bits uint32) bool {
 	return bits&0x7F800000 == 0x7F800000 && bits&0x007FFFFF != 0
 }
-
-// Common constants.
-var (
-	// PositiveInfinity is +Inf in bfloat16.
-	PositiveInfinity = BF16(0x7F80)
-	// NegativeInfinity is -Inf in bfloat16.
-	NegativeInfinity = BF16(0xFF80)
-	// MaxValue is the largest finite bfloat16 (about 3.39e38).
-	MaxValue = BF16(0x7F7F)
-	// SmallestNormal is the smallest positive normal bfloat16 (about 1.18e-38).
-	SmallestNormal = BF16(0x0080)
-	// Epsilon is the gap between 1.0 and the next representable value (2^-7).
-	Epsilon = BF16(0x3C00)
-)
 
 // FromSlice converts a float32 slice into a freshly allocated BF16 slice.
 func FromSlice(src []float32) []BF16 {

@@ -196,7 +196,7 @@ func (t *Trainer) chunk(ks *simd.Kernels, b sparse.Batch, lo, hi int) float64 {
 	parallelFor(out, t.cfg.Workers, func(s, e int) {
 		for id := s; id < e; id++ {
 			for i := 0; i < n; i++ {
-				t.logits[i*out+id] = t.output.Logit(ks, int32(id), t.h[i], nil)
+				t.logits[i*out+id] = t.output.Logit(ks, int32(id), t.h[i])
 			}
 		}
 	})

@@ -167,7 +167,7 @@ func TestScoresMatchManualForward(t *testing.T) {
 	h := make([]float32, 10)
 	tr.Hidden().Forward(simd.Active(), x, h)
 	for id := int32(0); id < 12; id++ {
-		want := tr.Output().Logit(simd.Active(), id, h, nil)
+		want := tr.Output().Logit(simd.Active(), id, h)
 		if scores[id] != want {
 			t.Errorf("score[%d] = %g, manual forward %g", id, scores[id], want)
 		}

@@ -164,9 +164,10 @@ func Table2(opts Options) (*Report, error) {
 }
 
 // Table3 regenerates the BF16 ablation: the three §4.4 quantization modes
-// on the optimized system. Host rows measure software-BF16 (conversion cost
-// included — see DESIGN.md); the modeled column shows the hardware-BF16
-// effect on CPX.
+// on the optimized system. Host rows measure BF16 as this host runs it —
+// bfloat16 rows widened on load into the float32 kernels, no bfloat16
+// arithmetic (see DESIGN.md) — and the modeled column shows the
+// hardware-BF16 effect on CPX.
 func Table3(opts Options) (*Report, error) {
 	opts.defaults()
 	ws, err := Workloads(opts)
@@ -176,7 +177,7 @@ func Table3(opts Options) (*Report, error) {
 	t := &Table{
 		Title:  fmt.Sprintf("Table 3 — BF16 modes on optimized SLIDE (scale %g)", opts.Scale),
 		Header: []string{"Dataset", "Mode", "Epoch(s)", "P@1", "ParamBytes", "ModeledCPX(s)", "ModeledSpeedup"},
-		Note:   "host BF16 is software-emulated (slower); ModeledCPX shows the hardware effect",
+		Note:   "host BF16 widens bfloat16 rows into float32 arithmetic (no native BF16 dot); ModeledCPX shows the hardware effect",
 	}
 	modes := []struct {
 		name string

@@ -31,9 +31,9 @@ type Variant struct {
 	Precision layer.Precision
 }
 
-// Optimized is the paper's fully optimized SLIDE (host FP32: software BF16
-// is a separate Table 3 variant, since it costs rather than saves time
-// without hardware support). Kernels resolve to the best CPUID-supported
+// Optimized is the paper's fully optimized SLIDE (host FP32: BF16 is a
+// separate Table 3 variant, since widening bfloat16 rows into float32
+// arithmetic saves no time without native BF16 dot products). Kernels resolve to the best CPUID-supported
 // tier — the assembly backend on AVX hosts, the portable vector kernels
 // elsewhere.
 var Optimized = Variant{

@@ -50,16 +50,15 @@ func pinTrainRow(l *RowLayer, rng *rand.Rand, step, nActive int, apply bool) {
 	for i := range h {
 		h[i] = float32(rng.NormFloat64())
 	}
-	hBF := bf16.FromSlice(h)
 	if l.opts.Precision != FP32 {
-		h = bf16.ToSlice(hBF) // the BF16 modes take h already rounded
+		bf16.RoundSlice(h) // the BF16 modes take h already rounded
 	}
 	for k := 0; k < nActive; k++ {
 		id := int32(rng.IntN(l.Out))
 		if nActive >= l.Out {
 			id = int32(k)
 		}
-		l.Accumulate(pinKS(), id, float32(rng.NormFloat64()), h, hBF, nil)
+		l.Accumulate(pinKS(), id, float32(rng.NormFloat64()), h, nil, nil)
 	}
 	if apply {
 		l.ApplyAdam(pinKS(), pinAdam(step), 1)

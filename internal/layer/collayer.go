@@ -128,6 +128,8 @@ func (l *ColLayer) ApplyAdam(ks *simd.Kernels, p simd.AdamParams, workers int) {
 func (l *ColLayer) TouchedCols() int { return l.touched.count() }
 
 // Col returns column j of the weight matrix as float32 values: a direct
-// view of float32 storage, bfloat16 storage expanded into buf (len >= Out).
+// view of float32 storage, bfloat16 storage widened into buf (len >= Out).
 // Read-only.
-func (l *ColLayer) Col(j int, buf []float32) []float32 { return l.w.expand(j, buf) }
+func (l *ColLayer) Col(j int, buf []float32) []float32 {
+	return l.w.row(simd.Active(), j, &widening{buf: buf})
+}

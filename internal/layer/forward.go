@@ -60,10 +60,13 @@ func (w *ColWeights) Forward(ks *simd.Kernels, x sparse.Vector, h []float32) {
 		panic("layer: ColWeights.Forward output size mismatch")
 	}
 	copy(h, w.bias)
-	if w.prec == BF16Both {
+	if wb := w.vecs.widening(1); wb != nil {
+		// bfloat16 columns: widen each non-zero's column, then the float32
+		// Axpy — bit for bit what GatherAxpy does over float32 columns.
 		for k, j := range x.Indices {
-			ks.AxpyBF16(x.Values[k], w.vecs.bf[j], h)
+			ks.Axpy(x.Values[k], w.vecs.widen(ks, int(j), wb), h)
 		}
+		wb.release()
 	} else {
 		// Algorithm 2 over all of x's non-zeros in one call: h accumulates
 		// in registers while the listed columns stream past.
@@ -84,12 +87,17 @@ func (w *ColWeights) Forward(ks *simd.Kernels, x sparse.Vector, h []float32) {
 // RowWeights is a read-only forward view of a RowLayer (row-major wide
 // layer): weights, bias, precision.
 //
-// The activation contract of every pass that takes (h, hBF): under the BF16
-// modes the caller passes h already rounded through bfloat16 (ColWeights.
-// Forward does it, and so does the network's forward of a stacked model), so
-// FP32 and BF16Act rows both run the float32 kernels on h — BF16Act is
-// float32 arithmetic on bfloat16-valued activations. Only BF16Both, whose
-// rows are bfloat16, reads hBF, the packed rendering of the same values.
+// The activation contract of every pass that takes h: under the BF16 modes
+// the caller passes h already rounded through bfloat16 (ColWeights.Forward
+// does it, and so does the network's forward of a stacked model), so every
+// precision runs the float32 kernels on h. BF16Act is float32 arithmetic on
+// bfloat16-valued activations; BF16Both is the same on bfloat16 rows widened
+// on load, whose products with h are exact in float32.
+//
+// ForwardActive, ForwardAll and ForwardAllBatch (and RowLayer's
+// ForwardActive, Accumulate and ForwardAll) keep an hBF parameter that
+// nothing reads: the frozen benchmark probes pass it, and it goes with them
+// when they are next changed (ROADMAP item 1).
 type RowWeights struct {
 	// In is the input (hidden) dimension; Out the neuron/label count.
 	In, Out int
@@ -113,15 +121,13 @@ func (l *RowLayer) SnapshotWeights() *RowWeights { return l.SnapshotWeightsCOW(n
 func (w *RowWeights) Precision() Precision { return w.prec }
 
 // Logit computes neuron id's pre-activation for the dense input h using the
-// resolved kernel table ks. hBF is the bfloat16 rendering of h, required
-// (non-nil) under BF16Both and ignored otherwise: float32 rows — FP32 and
-// BF16Act — read h, which under BF16Act the caller has already rounded
-// through bfloat16, so the float32 dot is the mixed-precision one.
-func (w *RowWeights) Logit(ks *simd.Kernels, id int32, h []float32, hBF []bf16.BF16) float32 {
-	if w.prec == BF16Both {
-		return ks.DotBF16(w.vecs.bf[id], hBF) + w.bias[id]
-	}
-	return ks.Dot(w.vecs.f32[id], h) + w.bias[id]
+// resolved kernel table ks: the float32 Dot of the row — bfloat16 rows
+// widened on load — and h, plus the bias.
+func (w *RowWeights) Logit(ks *simd.Kernels, id int32, h []float32) float32 {
+	wb := w.vecs.widening(1)
+	z := ks.Dot(w.vecs.row(ks, int(id), wb), h) + w.bias[id]
+	wb.release()
+	return z
 }
 
 // ForwardActive fills logits[k] with Logit(active[k]) for each active
@@ -130,19 +136,21 @@ func (w *RowWeights) Logit(ks *simd.Kernels, id int32, h []float32, hBF []bf16.B
 // registers and streams the listed rows past it, every logit still
 // bit-identical to Logit's because each row runs the per-row dot's
 // accumulators, block order and reduction (see DESIGN.md "Active-set walks:
-// one call per sample"). Over BF16Both's bfloat16 rows it is Logit's own
-// per-row dot, once per id.
+// one call per sample"). Over bfloat16 rows it is Logit's own loop: widen
+// the row, then Dot. hBF is unread (see the activation contract above).
 func (w *RowWeights) ForwardActive(ks *simd.Kernels, active []int32, h []float32, hBF []bf16.BF16, logits []float32) {
 	if len(logits) < len(active) {
 		panic("layer: ForwardActive logits buffer too short")
 	}
-	if w.prec == BF16Both {
-		for k, id := range active {
-			logits[k] = ks.DotBF16(w.vecs.bf[id], hBF) + w.bias[id]
-		}
+	wb := w.vecs.widening(1)
+	if wb == nil {
+		ks.DotManyBias(w.vecs.f32, w.bias, active, h, logits)
 		return
 	}
-	ks.DotManyBias(w.vecs.f32, w.bias, active, h, logits)
+	for k, id := range active {
+		logits[k] = ks.Dot(w.vecs.widen(ks, int(id), wb), h) + w.bias[id]
+	}
+	wb.release()
 }
 
 // rowBlockBytes is how many bytes of weight rows one block of the exact walk
@@ -150,8 +158,8 @@ func (w *RowWeights) ForwardActive(ks *simd.Kernels, active []int32, h []float32
 // cache-resident while the samples stream over it; 128 KiB sits inside a
 // private L2 on every host this runs on and is long enough (256 rows at
 // hidden width 128) to amortize the primitive's call. It is bytes, not rows,
-// because the footprint is what matters: a row is 4·In, 2·In or In bytes
-// depending on the representation.
+// because the footprint is what matters: a row is 4·In or In bytes
+// depending on the representation, and a bfloat16 row is walked widened.
 const rowBlockBytes = 128 << 10
 
 // BlockRows returns how many rows of rowBytes bytes each one block of the
@@ -180,86 +188,81 @@ func Iota(n int) []int32 {
 // ForwardAll computes every neuron's logit into out (len Out) — the exact
 // walk for a batch of one. workers > 1 tiles the rows over that many
 // goroutines (the dense baseline's evaluation); serving passes 1 and scales
-// across calls.
+// across calls. hBF is unread.
 func (w *RowWeights) ForwardAll(ks *simd.Kernels, h []float32, hBF []bf16.BF16, out []float32, workers int) {
 	if len(out) != w.Out {
 		panic("layer: ForwardAll output size mismatch")
 	}
 	if workers <= 1 {
-		w.ForwardAllBatchRange(ks, [][]float32{h}, [][]bf16.BF16{hBF}, [][]float32{out}, 0, w.Out, nil)
+		w.ForwardAllBatchRange(ks, [][]float32{h}, [][]float32{out}, 0, w.Out, nil)
 		return
 	}
 	per := (w.Out + workers - 1) / workers
 	var tiles fanout.Group
 	tiles.Run(workers, func(t int) {
-		w.ForwardAllBatchRange(ks, [][]float32{h}, [][]bf16.BF16{hBF}, [][]float32{out}, min(t*per, w.Out), min((t+1)*per, w.Out), nil)
+		w.ForwardAllBatchRange(ks, [][]float32{h}, [][]float32{out}, min(t*per, w.Out), min((t+1)*per, w.Out), nil)
 	})
 }
 
 // ForwardAllBatch computes every neuron's logit for a coalesced batch of
 // dense inputs: outs[s][i] = Logit(i, hs[s]) — ForwardAllBatchRange over
-// every row.
-//
-// hBFs mirrors hs under BF16Both (ignored otherwise). The walk runs
-// on the caller's goroutine: the serving pipeline parallelizes across
-// concurrent batch calls, not within one.
+// every row. The walk runs on the caller's goroutine: the serving pipeline
+// parallelizes across concurrent batch calls, not within one. hBFs is
+// unread.
 func (w *RowWeights) ForwardAllBatch(ks *simd.Kernels, hs [][]float32, hBFs [][]bf16.BF16, outs [][]float32) {
 	for s := range outs {
 		if len(outs[s]) != w.Out {
 			panic("layer: ForwardAllBatch output size mismatch")
 		}
 	}
-	w.ForwardAllBatchRange(ks, hs, hBFs, outs, 0, w.Out, nil)
+	w.ForwardAllBatchRange(ks, hs, outs, 0, w.Out, nil)
 }
 
 // ForwardAllBatchRange is the exact walk: outs[s][i] = Logit(i, hs[s]) for
 // every row i in [lo, hi) and every sample s. Rows are taken a block at a
-// time (BlockRows of them) and each block is scored against every sample
-// before the next is touched — so the weight matrix streams from memory once
-// per chunk instead of once per sample. Over float32 rows a block meets the
-// samples a tile at a time: one DotManyBiasBatch call scores it against
-// simd.WalkTile of them, each row loaded once for the tile. A lone last
-// sample — so also a single query — and every sample of BF16Both take one
-// ForwardActive call per block: over float32 rows the activation stays in
-// registers across it on the assembly tiers; no workload serves BF16Both, so
-// its walk stays the per-row definition rather than gain a tiled kernel.
-// Either way every logit is the one Logit computes. Callers tile the rows by calling it
-// concurrently over disjoint ranges into shared outs (shards, evaluation
-// workers); the assembled scores are the same bits at any tiling.
+// time (BlockRows of them, sized by their float32 footprint) and each block
+// is scored against every sample before the next is touched — so the weight
+// matrix streams from memory once per chunk instead of once per sample, and
+// a bfloat16 block is widened once per chunk. A block meets the samples a
+// tile at a time: one DotManyBiasBatch call scores it against simd.WalkTile
+// of them, each row loaded once for the tile; a lone last sample — so also a
+// single query — takes one DotManyBias call, the activation in registers on
+// the assembly tiers. Either way every logit is the one Logit computes.
+// Callers tile the rows by calling it concurrently over disjoint ranges into
+// shared outs (shards, evaluation workers); the assembled scores are the
+// same bits at any tiling.
 //
 // win is scratch for the tile's windows into outs, one per concurrent
 // caller; nil allocates it when a tile is formed.
-func (w *RowWeights) ForwardAllBatchRange(ks *simd.Kernels, hs [][]float32, hBFs [][]bf16.BF16, outs [][]float32, lo, hi int, win *[simd.WalkTile][]float32) {
+func (w *RowWeights) ForwardAllBatchRange(ks *simd.Kernels, hs, outs [][]float32, lo, hi int, win *[simd.WalkTile][]float32) {
 	if len(outs) != len(hs) {
 		panic("layer: ForwardAllBatchRange batch size mismatch")
 	}
 	if lo < 0 || hi > w.Out || lo > hi {
 		panic("layer: ForwardAllBatchRange row range out of bounds")
 	}
-	ids, block := Iota(w.Out), BlockRows(w.vecs.elemBytes()*w.In)
+	block := BlockRows(4 * w.In)
+	wb := w.vecs.widening(min(block, hi-lo))
 	for b := lo; b < hi; b += block {
 		e := min(b+block, hi)
+		rows, bias, ids := w.vecs.block(ks, b, e, wb), w.bias[b:e], Iota(e-b)
 		for s := 0; s < len(outs); {
 			g := min(simd.WalkTile, len(outs)-s)
-			if w.prec != BF16Both && g > 1 {
+			if g > 1 {
 				if win == nil {
 					win = new([simd.WalkTile][]float32)
 				}
 				for i := range g {
 					win[i] = outs[s+i][b:e]
 				}
-				ks.DotManyBiasBatch(w.vecs.f32, w.bias, ids[b:e], hs[s:s+g], win[:g])
+				ks.DotManyBiasBatch(rows, bias, ids, hs[s:s+g], win[:g])
 			} else {
-				g = 1
-				var hBF []bf16.BF16
-				if w.prec == BF16Both {
-					hBF = hBFs[s]
-				}
-				w.ForwardActive(ks, ids[b:e], hs[s], hBF, outs[s][b:e])
+				ks.DotManyBias(rows, bias, ids, hs[s], outs[s][b:e])
 			}
 			s += g
 		}
 	}
+	wb.release()
 }
 
 // Bias returns a read-only view of the bias vector. The quantized serving
@@ -268,6 +271,8 @@ func (w *RowWeights) ForwardAllBatchRange(ks *simd.Kernels, hs [][]float32, hBFs
 func (w *RowWeights) Bias() []float32 { return w.bias }
 
 // RowF32 returns neuron i's weight vector as float32: a direct view of
-// float32 storage, bfloat16 storage expanded into buf (len >= In).
+// float32 storage, bfloat16 storage widened into buf (len >= In).
 // Read-only; used by the LSH rebuild to hash current weights.
-func (w *RowWeights) RowF32(i int, buf []float32) []float32 { return w.vecs.expand(i, buf) }
+func (w *RowWeights) RowF32(i int, buf []float32) []float32 {
+	return w.vecs.row(simd.Active(), i, &widening{buf: buf})
+}

@@ -226,7 +226,7 @@ func TestRowLayerLogitMatchesDot(t *testing.T) {
 	buf := make([]float32, 16)
 	for id := int32(0); id < 12; id++ {
 		want := simd.ForMode(simd.Scalar).Dot(l.RowF32(int(id), buf), h) + l.Bias()[id]
-		got := l.Logit(tks(), id, h, nil)
+		got := l.Logit(tks(), id, h)
 		if math.Abs(float64(got-want)) > 1e-4 {
 			t.Errorf("Logit(%d) = %g, want %g", id, got, want)
 		}
@@ -239,15 +239,16 @@ func TestRowLayerPrecisionLogits(t *testing.T) {
 	for i := range h {
 		h[i] = float32(rng.NormFloat64())
 	}
-	hBF := bf16.FromSlice(h)
+	hr := append([]float32(nil), h...) // the BF16 modes take h rounded
+	bf16.RoundSlice(hr)
 
 	l32 := NewRowLayer(32, 6, Options{Precision: FP32, Seed: 15})
 	lact := NewRowLayer(32, 6, Options{Precision: BF16Act, Seed: 15})
 	lboth := NewRowLayer(32, 6, Options{Precision: BF16Both, Seed: 15})
 	for id := int32(0); id < 6; id++ {
-		ref := float64(l32.Logit(tks(), id, h, nil))
-		a := float64(lact.Logit(tks(), id, h, hBF))
-		b := float64(lboth.Logit(tks(), id, h, hBF))
+		ref := float64(l32.Logit(tks(), id, h))
+		a := float64(lact.Logit(tks(), id, hr))
+		b := float64(lboth.Logit(tks(), id, hr))
 		if math.Abs(a-ref) > 0.05*math.Max(1, math.Abs(ref)) {
 			t.Errorf("BF16Act logit %d = %g, fp32 %g", id, a, ref)
 		}
@@ -262,8 +263,7 @@ func TestRowLayerPrecisionLogits(t *testing.T) {
 // placement a BF16Act layer computes exactly what an FP32 layer with the same
 // weights computes from the same rounded h — logits one row at a time, over
 // an active set and over every row; gradients, bias gradients and ∇h over an
-// active set; and the stripe walks, which take it like FP32 — without ever
-// reading hBF, which only BF16Both does.
+// active set; and the stripe walks, which take it like FP32.
 func TestBF16ActIsFloat32OnRoundedActivations(t *testing.T) {
 	const in, out = 200, 37
 	rng := rand.New(rand.NewPCG(81, 82))
@@ -281,7 +281,7 @@ func TestBF16ActIsFloat32OnRoundedActivations(t *testing.T) {
 			f32 := NewRowLayer(in, out, Options{Precision: FP32, Placement: place, Seed: 83})
 			act := NewRowLayer(in, out, Options{Precision: BF16Act, Placement: place, Seed: 83})
 			for id := int32(0); id < out; id++ {
-				a, b := act.Logit(ks, id, hs[0], nil), f32.Logit(ks, id, hs[0], nil)
+				a, b := act.Logit(ks, id, hs[0]), f32.Logit(ks, id, hs[0])
 				if math.Float32bits(a) != math.Float32bits(b) {
 					t.Fatalf("%s: Logit(%d) = %g, FP32 %g", name, id, a, b)
 				}
@@ -300,8 +300,8 @@ func TestBF16ActIsFloat32OnRoundedActivations(t *testing.T) {
 				sameBits(t, fmt.Sprintf("%s ForwardAllBatch sample %d", name, s), gotAll[s], wantAll[s])
 			}
 			dhGot, dhWant := make([]float32, in), make([]float32, in)
-			act.AccumulateActive(ks, active, gz, hs[0], nil, dhGot)
-			f32.AccumulateActive(ks, active, gz, hs[0], nil, dhWant)
+			act.AccumulateActive(ks, active, gz, hs[0], dhGot)
+			f32.AccumulateActive(ks, active, gz, hs[0], dhWant)
 			sameBits(t, name+" dh", dhGot, dhWant)
 			sameBits(t, name+" gbias", act.gbias, f32.gbias)
 			for r := range out {
@@ -312,6 +312,144 @@ func TestBF16ActIsFloat32OnRoundedActivations(t *testing.T) {
 			}
 			checkStripeWalks(t, name+" stripe", ks, Options{Precision: BF16Act, Placement: place, Seed: 84},
 				in, out, randLists(rng, 6, out, 9), 5, rng)
+		}
+	}
+}
+
+// widenedRowTwins returns a BF16Both RowLayer and an FP32 twin holding its
+// rows widened to float32, both with the same random bias.
+func widenedRowTwins(in, out int, place Placement, rng *rand.Rand) (bf, f32 *RowLayer) {
+	bf = NewRowLayer(in, out, Options{Precision: BF16Both, Placement: place, Seed: 87})
+	f32 = NewRowLayer(in, out, Options{Precision: FP32, Placement: place, Seed: 87})
+	for i := range out {
+		bf16.Expand(f32.w.f32[i], bf.w.bf[i])
+		bf.bias[i] = float32(rng.NormFloat64())
+		f32.bias[i] = bf.bias[i]
+	}
+	return bf, f32
+}
+
+// TestBF16BothIsFloat32OnWidenedRows: BF16Both stores its vectors in
+// bfloat16 and widens them on load into the float32 kernels, so on every tier
+// and placement a BF16Both layer computes exactly what an FP32 twin holding
+// the widened values computes from the same rounded h: the RowLayer's logits
+// one row at a time, over an active set, over every row and over row ranges
+// cut inside and on blocks; its gradients, bias gradients, ∇h and touched
+// rows over an active set and through the stripe walks (which also equal the
+// per-sample walks); and the ColLayer's forward — rounded, as the BF16 modes'
+// is — and backward.
+func TestBF16BothIsFloat32OnWidenedRows(t *testing.T) {
+	const in, colIn = 200, 90
+	block := BlockRows(4 * in)
+	out := 2*block + 5
+	rng := rand.New(rand.NewPCG(85, 86))
+	hs := make([][]float32, 6)
+	for s := range hs {
+		hs[s] = randVec(rng, in)
+		bf16.RoundSlice(hs[s])
+	}
+	active := []int32{3, 0, int32(out - 1), 3, int32(block)}
+	gz := randVec(rng, len(active))
+	offs, stripeIDs := flatten(randLists(rng, len(hs), out, 40))
+	for _, m := range simd.AvailableModes() {
+		ks := simd.ForMode(m)
+		for _, place := range []Placement{Contiguous, Scattered} {
+			name := fmt.Sprintf("%v/%v", m, place)
+			bf, f32 := widenedRowTwins(in, out, place, rng)
+			for id := range int32(out) {
+				a, b := bf.Logit(ks, id, hs[0]), f32.Logit(ks, id, hs[0])
+				if math.Float32bits(a) != math.Float32bits(b) {
+					t.Fatalf("%s: Logit(%d) = %g, FP32 %g", name, id, a, b)
+				}
+			}
+			got, want := make([]float32, len(active)), make([]float32, len(active))
+			bf.ForwardActive(ks, active, hs[0], nil, got)
+			f32.ForwardActive(ks, active, hs[0], nil, want)
+			sameBits(t, name+" ForwardActive", got, want)
+
+			gotAll, wantAll := make([][]float32, len(hs)), make([][]float32, len(hs))
+			for s := range hs {
+				gotAll[s], wantAll[s] = make([]float32, out), make([]float32, out)
+			}
+			f32.ForwardView().ForwardAllBatch(ks, hs, nil, wantAll)
+			for _, n := range []int{1, 5, len(hs)} {
+				bf.ForwardView().ForwardAllBatch(ks, hs[:n], nil, gotAll[:n])
+				for s := range n {
+					sameBits(t, fmt.Sprintf("%s ForwardAllBatch chunk=%d sample %d", name, n, s), gotAll[s], wantAll[s])
+				}
+			}
+			for _, cuts := range [][]int{{0, 7, out}, {0, block, out}, {0, out / 3, out - out/4, out}, {0, 1, block + 1, 2 * block, out}} {
+				for s := range gotAll {
+					clear(gotAll[s])
+				}
+				win := new([simd.WalkTile][]float32)
+				for i := range len(cuts) - 1 {
+					bf.ForwardView().ForwardAllBatchRange(ks, hs, gotAll, cuts[i], cuts[i+1], win)
+				}
+				for s := range hs {
+					sameBits(t, fmt.Sprintf("%s ForwardAllBatchRange cuts=%v sample %d", name, cuts, s), gotAll[s], wantAll[s])
+				}
+			}
+
+			dhGot, dhWant := make([]float32, in), make([]float32, in)
+			bf.AccumulateActive(ks, active, gz, hs[0], dhGot)
+			f32.AccumulateActive(ks, active, gz, hs[0], dhWant)
+			sameBits(t, name+" dh", dhGot, dhWant)
+
+			var x StripeIndex
+			if !x.Build(out, offs, stripeIDs, 0) {
+				t.Fatalf("%s: Build refused the stripe", name)
+			}
+			stripeGot, stripeWant := make([]float32, len(stripeIDs)), make([]float32, len(stripeIDs))
+			bf.ForwardStripe(ks, &x, hs, stripeGot, 5)
+			f32.ForwardStripe(ks, &x, hs, stripeWant, 5)
+			sameBits(t, name+" ForwardStripe", stripeGot, stripeWant)
+			sgz := randVec(rng, len(stripeIDs))
+			dhsGot, dhsWant := make([][]float32, len(hs)), make([][]float32, len(hs))
+			for k := range hs {
+				dhsGot[k], dhsWant[k] = make([]float32, in), make([]float32, in)
+			}
+			bf.AccumulateStripe(ks, &x, sgz, hs, dhsGot, 5)
+			f32.AccumulateStripe(ks, &x, sgz, hs, dhsWant, 5)
+			for k := range hs {
+				sameBits(t, fmt.Sprintf("%s AccumulateStripe dh %d", name, k), dhsGot[k], dhsWant[k])
+			}
+			sameBits(t, name+" gbias", bf.gbias, f32.gbias)
+			for r := range out {
+				sameBits(t, fmt.Sprintf("%s grad[%d]", name, r), bf.grad[r], f32.grad[r])
+			}
+			if got, want := fmt.Sprint(bf.touched.ids()), fmt.Sprint(f32.touched.ids()); got != want {
+				t.Fatalf("%s: touched %s, FP32 %s", name, got, want)
+			}
+			checkStripeWalks(t, name+" stripe", ks, Options{Precision: BF16Both, Placement: place, Seed: 84},
+				in, 37, randLists(rng, 6, 37, 9), 5, rng)
+
+			cbf := NewColLayer(colIn, in, ReLU, Options{Precision: BF16Both, Placement: place, Seed: 88})
+			cf := NewColLayer(colIn, in, ReLU, Options{Precision: FP32, Placement: place, Seed: 88})
+			for j := range colIn {
+				bf16.Expand(cf.w.f32[j], cbf.w.bf[j])
+			}
+			for i := range in {
+				cbf.bias[i] = float32(rng.NormFloat64())
+				cf.bias[i] = cbf.bias[i]
+			}
+			sv := sampleVec(rng, colIn, 13)
+			hb, hf := make([]float32, in), make([]float32, in)
+			cbf.Forward(ks, sv, hb)
+			cf.Forward(ks, sv, hf)
+			ks.RoundBF16(hf)
+			sameBits(t, name+" ColLayer.Forward", hb, hf)
+			dhb := randVec(rng, in)
+			dhf := append([]float32(nil), dhb...)
+			cbf.Backward(ks, sv, hb, dhb)
+			cf.Backward(ks, sv, hb, dhf)
+			for j := range colIn {
+				sameBits(t, fmt.Sprintf("%s ColLayer grad[%d]", name, j), cbf.grad[j], cf.grad[j])
+			}
+			sameBits(t, name+" ColLayer gbias", cbf.gbias, cf.gbias)
+			if got, want := fmt.Sprint(cbf.touched.ids()), fmt.Sprint(cf.touched.ids()); got != want {
+				t.Fatalf("%s: ColLayer touched %s, FP32 %s", name, got, want)
+			}
 		}
 	}
 }
@@ -391,21 +529,16 @@ func TestRowLayerForwardAll(t *testing.T) {
 	const in = 200
 	rng := rand.New(rand.NewPCG(21, 22))
 	hs := make([][]float32, 64)
-	hBFs := make([][]bf16.BF16, len(hs))
 	for s := range hs {
 		hs[s] = make([]float32, in)
 		for i := range hs[s] {
 			hs[s][i] = float32(rng.NormFloat64())
 		}
-		hBFs[s] = bf16.FromSlice(hs[s])
 	}
 	for _, m := range simd.AvailableModes() {
 		ks := simd.ForMode(m)
 		for _, prec := range []Precision{FP32, BF16Act, BF16Both} {
-			block := BlockRows(4 * in)
-			if prec == BF16Both {
-				block = BlockRows(2 * in)
-			}
+			block := BlockRows(4 * in) // bfloat16 rows are walked widened
 			for _, place := range []Placement{Contiguous, Scattered} {
 				for _, out := range []int{1, block - 1, block, block + 1, 3*block + 7} {
 					name := fmt.Sprintf("%v/%v/%v/out=%d", m, prec, place, out)
@@ -415,7 +548,7 @@ func TestRowLayerForwardAll(t *testing.T) {
 					for s := range hs {
 						want[s], got[s] = make([]float32, out), make([]float32, out)
 						for i := range want[s] {
-							want[s][i] = w.Logit(ks, int32(i), hs[s], hBFs[s])
+							want[s][i] = w.Logit(ks, int32(i), hs[s])
 						}
 					}
 					clear := func() {
@@ -427,7 +560,7 @@ func TestRowLayerForwardAll(t *testing.T) {
 					}
 					for _, n := range []int{1, 2, 3, 4, 5, 33, 64} {
 						clear()
-						w.ForwardAllBatch(ks, hs[:n], hBFs[:n], got[:n])
+						w.ForwardAllBatch(ks, hs[:n], nil, got[:n])
 						for s := 0; s < n; s++ {
 							sameBits(t, fmt.Sprintf("%s ForwardAllBatch chunk=%d sample %d", name, n, s), got[s], want[s])
 						}
@@ -437,20 +570,20 @@ func TestRowLayerForwardAll(t *testing.T) {
 					cutA, cutB := out/3, out-out/4
 					clear()
 					win := new([simd.WalkTile][]float32)
-					w.ForwardAllBatchRange(ks, hs[:2], hBFs[:2], got[:2], cutA, cutB, win)
+					w.ForwardAllBatchRange(ks, hs[:2], got[:2], cutA, cutB, win)
 					for i := 0; i < out; i++ {
 						if inside := i >= cutA && i < cutB; inside == math.IsNaN(float64(got[1][i])) {
 							t.Fatalf("%s: range [%d,%d) row %d written=%v", name, cutA, cutB, i, !inside)
 						}
 					}
-					w.ForwardAllBatchRange(ks, hs[:2], hBFs[:2], got[:2], 0, cutA, win)
-					w.ForwardAllBatchRange(ks, hs[:2], hBFs[:2], got[:2], cutB, out, nil)
-					w.ForwardAllBatchRange(ks, hs[:2], hBFs[:2], got[:2], cutB, cutB, nil) // empty: a no-op
+					w.ForwardAllBatchRange(ks, hs[:2], got[:2], 0, cutA, win)
+					w.ForwardAllBatchRange(ks, hs[:2], got[:2], cutB, out, nil)
+					w.ForwardAllBatchRange(ks, hs[:2], got[:2], cutB, cutB, nil) // empty: a no-op
 					sameBits(t, name+" ranges sample 0", got[0], want[0])
 					sameBits(t, name+" ranges sample 1", got[1], want[1])
 					for _, workers := range []int{1, 3} {
 						clear()
-						w.ForwardAll(ks, hs[5], hBFs[5], got[5], workers)
+						w.ForwardAll(ks, hs[5], nil, got[5], workers)
 						sameBits(t, fmt.Sprintf("%s ForwardAll workers=%d", name, workers), got[5], want[5])
 					}
 				}
@@ -462,11 +595,11 @@ func TestRowLayerForwardAll(t *testing.T) {
 	w := NewRowLayer(in, 6, Options{Seed: 24}).ForwardView()
 	outs := [][]float32{make([]float32, 6)}
 	for name, call := range map[string]func(){
-		"batch mismatch": func() { w.ForwardAllBatchRange(tks(), hs[:1], nil, nil, 0, 6, nil) },
+		"batch mismatch": func() { w.ForwardAllBatchRange(tks(), hs[:1], nil, 0, 6, nil) },
 		"short out":      func() { w.ForwardAllBatch(tks(), hs[:1], nil, [][]float32{make([]float32, 5)}) },
 		"short single":   func() { w.ForwardAll(tks(), hs[0], nil, make([]float32, 5), 1) },
-		"range past end": func() { w.ForwardAllBatchRange(tks(), hs[:1], nil, outs, 2, 7, nil) },
-		"range reversed": func() { w.ForwardAllBatchRange(tks(), hs[:1], nil, outs, 3, 2, nil) },
+		"range past end": func() { w.ForwardAllBatchRange(tks(), hs[:1], outs, 2, 7, nil) },
+		"range reversed": func() { w.ForwardAllBatchRange(tks(), hs[:1], outs, 3, 2, nil) },
 	} {
 		func() {
 			defer func() {
@@ -590,12 +723,8 @@ func TestSnapshotWeightsAreImmutable(t *testing.T) {
 			x := sampleVec(rng, 10, 4)
 			h := make([]float32, 8)
 			col.Forward(tks(), x, h)
-			var hBF []bf16.BF16
-			if prec != FP32 {
-				hBF = bf16.FromSlice(h)
-			}
 			logits := make([]float32, 6)
-			row.ForwardAll(tks(), h, hBF, logits, 1)
+			row.ForwardAll(tks(), h, nil, logits, 1)
 
 			colSnap := col.SnapshotWeights()
 			rowSnap := row.SnapshotWeights()
@@ -604,7 +733,7 @@ func TestSnapshotWeightsAreImmutable(t *testing.T) {
 			h2 := make([]float32, 8)
 			colSnap.Forward(tks(), x, h2)
 			logits2 := make([]float32, 6)
-			rowSnap.ForwardAll(tks(), h2, hBF, logits2, 1)
+			rowSnap.ForwardAll(tks(), h2, nil, logits2, 1)
 			for i := range h {
 				if h[i] != h2[i] {
 					t.Fatalf("%v/%v: snapshot hidden[%d] = %g, live %g", prec, place, i, h2[i], h[i])
@@ -622,13 +751,13 @@ func TestSnapshotWeightsAreImmutable(t *testing.T) {
 				dh[i] = float32(rng.NormFloat64())
 			}
 			col.Backward(tks(), x, h, dh)
-			row.Accumulate(tks(), 2, 0.7, h, hBF, nil)
+			row.Accumulate(tks(), 2, 0.7, h, nil, nil)
 			p := simd.NewAdamParams(0.1, 0.9, 0.999, 1e-8, 1)
 			col.ApplyAdam(tks(), p, 1)
 			row.ApplyAdam(tks(), p, 1)
 
 			colSnap.Forward(tks(), x, h2)
-			rowSnap.ForwardAll(tks(), h2, hBF, logits2, 1)
+			rowSnap.ForwardAll(tks(), h2, nil, logits2, 1)
 			for i := range logits {
 				if logits[i] != logits2[i] {
 					t.Fatalf("%v/%v: snapshot logit[%d] moved after live training: %g -> %g",
@@ -738,7 +867,6 @@ func TestRowLayerForwardAllBatchMatchesPerSample(t *testing.T) {
 		w := l.ForwardView()
 		const batch = 5
 		hs := make([][]float32, batch)
-		hBFs := make([][]bf16.BF16, batch)
 		want := make([][]float32, batch)
 		outs := make([][]float32, batch)
 		for s := range hs {
@@ -747,13 +875,13 @@ func TestRowLayerForwardAllBatchMatchesPerSample(t *testing.T) {
 				hs[s][i] = float32(rng.NormFloat64())
 			}
 			if prec != FP32 {
-				hBFs[s] = bf16.FromSlice(hs[s])
+				bf16.RoundSlice(hs[s])
 			}
 			want[s] = make([]float32, 30)
-			w.ForwardAll(tks(), hs[s], hBFs[s], want[s], 1)
+			w.ForwardAll(tks(), hs[s], nil, want[s], 1)
 			outs[s] = make([]float32, 30)
 		}
-		w.ForwardAllBatch(tks(), hs, hBFs, outs)
+		w.ForwardAllBatch(tks(), hs, nil, outs)
 		for s := range outs {
 			for i := range outs[s] {
 				if outs[s][i] != want[s][i] {

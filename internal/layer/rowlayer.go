@@ -15,9 +15,9 @@ import (
 // output set is sparse, and each active logit is one contiguous 16-lane dot
 // product. The backward pass computes ∇h = Σ gzᵢ·W[i] over active rows
 // (row-major again, by Lemma 1) and per-row weight gradients gzᵢ·h. Every
-// pass takes h under RowWeights' activation contract: rounded through
-// bfloat16 by the caller under the BF16 modes, with hBF read by BF16Both
-// alone.
+// pass takes h under RowWeights' activation contract — rounded through
+// bfloat16 by the caller under the BF16 modes — and reads bfloat16 rows
+// widened into float32, so every precision runs the float32 kernels.
 type RowLayer struct {
 	// In is the input (hidden) dimension; Out the neuron/label count.
 	In, Out int
@@ -48,14 +48,14 @@ func NewRowLayer(in, out int, o Options) *RowLayer {
 // Logit computes neuron id's pre-activation for the dense input h; see
 // RowWeights.Logit, which implements the pass for both the training path
 // and snapshot serving.
-func (l *RowLayer) Logit(ks *simd.Kernels, id int32, h []float32, hBF []bf16.BF16) float32 {
-	return l.fwd.Logit(ks, id, h, hBF)
+func (l *RowLayer) Logit(ks *simd.Kernels, id int32, h []float32) float32 {
+	return l.fwd.Logit(ks, id, h)
 }
 
 // ForwardActive fills logits[k] with Logit(active[k]) for each active
-// neuron in one kernel call; see RowWeights.ForwardActive.
+// neuron; see RowWeights.ForwardActive. hBF is unread.
 func (l *RowLayer) ForwardActive(ks *simd.Kernels, active []int32, h []float32, hBF []bf16.BF16, logits []float32) {
-	l.fwd.ForwardActive(ks, active, h, hBF, logits)
+	l.fwd.ForwardActive(ks, active, h, nil, logits)
 }
 
 // Accumulate adds one sample's contribution for active neuron id with logit
@@ -63,25 +63,27 @@ func (l *RowLayer) ForwardActive(ks *simd.Kernels, active []int32, h []float32, 
 // dh += gz·W[id]. dh is worker-private; concurrent calls race on the shared
 // gradient rows by design (HOGWILD). Weights are only read here — they change
 // exclusively in ApplyAdam, which the trainer serializes against Backward.
+// hBF is unread.
 //
 // This is the per-row form: the dense middle stack (whose "active set" is
-// chosen row by row by the ReLU mask) and BF16Both use it; the output
-// layer's active-set walk goes through AccumulateActive. Over float32 rows
-// it calls the table's AxpyTwo entry — a genuinely fused single walk on the
-// assembly tiers, two independent axpys on the Go tiers, where the fused
-// loop measures ~20% slower (see DESIGN.md "Known divergences"); the two
-// shapes are bit-identical because the slice pairs never alias.
+// chosen row by row by the ReLU mask) uses it; the output layer's
+// active-set walk goes through AccumulateActive. It calls the table's
+// AxpyTwo entry on the row, widened when it is bfloat16 — a genuinely fused
+// single walk on the assembly tiers, two independent axpys on the Go tiers,
+// where the fused loop measures ~20% slower (see DESIGN.md "Known
+// divergences"); the two shapes are bit-identical because the slice pairs
+// never alias.
 func (l *RowLayer) Accumulate(ks *simd.Kernels, id int32, gz float32, h []float32, hBF []bf16.BF16, dh []float32) {
-	bf := l.opts.Precision == BF16Both
-	switch {
-	case dh != nil && !bf:
-		ks.AxpyTwo(gz, h, l.grad[id], l.w.f32[id], dh)
-	case bf:
-		ks.AxpyBF16(gz, hBF, l.grad[id])
-		if dh != nil {
-			ks.AxpyBF16(gz, l.w.bf[id], dh)
-		}
-	default:
+	wb := l.w.widening(1)
+	l.accumulate(ks, id, gz, h, dh, wb)
+	wb.release()
+}
+
+// accumulate is Accumulate with the caller's widening scratch.
+func (l *RowLayer) accumulate(ks *simd.Kernels, id int32, gz float32, h, dh []float32, wb *widening) {
+	if dh != nil {
+		ks.AxpyTwo(gz, h, l.grad[id], l.w.row(ks, int(id), wb), dh)
+	} else {
 		ks.Axpy(gz, h, l.grad[id])
 	}
 	l.gbias[id] += gz
@@ -93,13 +95,14 @@ func (l *RowLayer) Accumulate(ks *simd.Kernels, id int32, gz float32, h []float3
 // the same results to the bit. Over float32 rows the ∇W and ∇h walks are one
 // AxpyTwoMany call — on the assembly tiers h and ∇h stay in vector registers
 // while the listed rows stream past — followed by the bias-gradient and
-// touched-set marks; BF16Both takes the per-row path, whose bfloat16
-// kernels the walk does not have. gz must hold at least len(active) values.
-func (l *RowLayer) AccumulateActive(ks *simd.Kernels, active []int32, gz []float32, h []float32, hBF []bf16.BF16, dh []float32) {
-	if dh == nil || l.opts.Precision == BF16Both {
+// touched-set marks; bfloat16 rows loop Accumulate's per-row form, each row
+// widened once. gz must hold at least len(active) values.
+func (l *RowLayer) AccumulateActive(ks *simd.Kernels, active []int32, gz []float32, h, dh []float32) {
+	if wb := l.w.widening(1); dh == nil || wb != nil {
 		for k, id := range active {
-			l.Accumulate(ks, id, gz[k], h, hBF, dh)
+			l.accumulate(ks, id, gz[k], h, dh, wb)
 		}
+		wb.release()
 		return
 	}
 	ks.AxpyTwoMany(gz, active, h, l.grad, l.w.f32, dh)
@@ -152,9 +155,9 @@ func (l *RowLayer) ApplyAdamAll(ks *simd.Kernels, p simd.AdamParams, workers int
 
 // ForwardAll computes every neuron's logit into out (len Out) — the full
 // softmax pass used for evaluation and by the dense baseline; see
-// RowWeights.ForwardAll.
+// RowWeights.ForwardAll. hBF is unread.
 func (l *RowLayer) ForwardAll(ks *simd.Kernels, h []float32, hBF []bf16.BF16, out []float32, workers int) {
-	l.fwd.ForwardAll(ks, h, hBF, out, workers)
+	l.fwd.ForwardAll(ks, h, nil, out, workers)
 }
 
 // RowF32 returns neuron i's weight vector as float32; see RowWeights.RowF32.

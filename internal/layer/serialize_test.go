@@ -33,12 +33,11 @@ func trainRow(l *RowLayer, seed uint64) {
 		for i := range h {
 			h[i] = float32(rng.NormFloat64())
 		}
-		var hBF []bf16.BF16
 		if l.Options().Precision != FP32 {
-			hBF = bf16.FromSlice(h)
+			bf16.RoundSlice(h) // the BF16 modes take h already rounded
 		}
 		id := int32(rng.IntN(l.Out))
-		l.Accumulate(tks(), id, float32(rng.NormFloat64()), h, hBF, nil)
+		l.Accumulate(tks(), id, float32(rng.NormFloat64()), h, nil, nil)
 		l.ApplyAdam(tks(), simd.NewAdamParams(0.01, 0.9, 0.999, 1e-8, int64(step)), 1)
 	}
 }
@@ -94,12 +93,11 @@ func TestRowLayerSerializeRoundTrip(t *testing.T) {
 		for i := range h {
 			h[i] = float32(i) * 0.1
 		}
-		var hBF []bf16.BF16
 		if prec != FP32 {
-			hBF = bf16.FromSlice(h)
+			bf16.RoundSlice(h)
 		}
 		for id := int32(0); id < 6; id++ {
-			if src.Logit(tks(), id, h, hBF) != dst.Logit(tks(), id, h, hBF) {
+			if src.Logit(tks(), id, h) != dst.Logit(tks(), id, h) {
 				t.Fatalf("%v: logit %d diverged after round trip", prec, id)
 			}
 		}
@@ -168,7 +166,7 @@ func TestSerializeStreamComposition(t *testing.T) {
 	}
 	h := []float32{1, 2, 3, 4}
 	for id := int32(0); id < 9; id++ {
-		if b.Logit(tks(), id, h, nil) != b2.Logit(tks(), id, h, nil) {
+		if b.Logit(tks(), id, h) != b2.Logit(tks(), id, h) {
 			t.Fatalf("row layer diverged at %d", id)
 		}
 	}

@@ -3,19 +3,23 @@ package layer
 import (
 	"io"
 	"math/rand/v2"
+	"sync"
 
 	"github.com/slide-cpu/slide/internal/bf16"
 	"github.com/slide-cpu/slide/internal/health"
+	"github.com/slide-cpu/slide/internal/simd"
 )
 
 // store holds a layer's weight vectors — the rows of a RowLayer, the columns
 // of a ColLayer — in exactly one of the two element types of §4.4: float32
 // (FP32, BF16Act) or bfloat16 (BF16Both). It is the only code that knows
-// which. The forward and backward math hands the concrete slice to the
-// kernel that takes it (ks.DotManyBias(w.vecs.f32, …)); everything that
-// allocates, copies, shares, encodes, decodes or scans vectors goes through
-// the methods below, so each of those operations exists once for both layer
-// kinds and both element types.
+// which. bfloat16 is a storage format only: the forward and backward math
+// reads vectors through row and block, which hand float32 storage over as it
+// is and widen bfloat16 vectors into float32 scratch on load, so every pass
+// runs the float32 kernels on either. Everything that allocates, copies,
+// shares, encodes, decodes or scans vectors goes through the methods below,
+// so each of those operations exists once for both layer kinds and both
+// element types.
 //
 // A store is a value holding slice headers: copying one aliases the same
 // vectors, which is how a layer's training state and its live forward view
@@ -162,13 +166,68 @@ func (s store) firstNonFinite(i int) int {
 	return health.FirstNonFinite32(s.f32[i])
 }
 
-// expand returns vector i as float32: a direct read-only view of float32
-// storage, or the bfloat16 vector widened into buf (len >= the vector's).
-func (s store) expand(i int, buf []float32) []float32 {
+// widening is a pass's scratch for reading bfloat16 vectors as float32: buf
+// holds the widened values, rows the views of a widened block.
+type widening struct {
+	buf  []float32
+	rows [][]float32
+}
+
+// widenings pools the scratch of passes over bfloat16 storage, so that a
+// pass reuses it from call to call instead of allocating.
+var widenings = sync.Pool{New: func() any { return new(widening) }}
+
+// widening draws scratch for n vectors at once from the pool when s is
+// bfloat16; release hands it back. Float32 storage needs none and gets nil,
+// without touching the pool.
+func (s store) widening(n int) *widening {
+	if s.bf == nil {
+		return nil
+	}
+	wb := widenings.Get().(*widening)
+	wb.buf = grow(wb.buf, n*s.vecLen())
+	return wb
+}
+
+// release returns wb to the pool; nil is a no-op.
+func (wb *widening) release() {
+	if wb != nil {
+		widenings.Put(wb)
+	}
+}
+
+// row returns vector i as float32: float32 storage as it is (read-only), or
+// the bfloat16 vector widened into wb with ks. Widening is exact, so the
+// kernel tier never changes a bit.
+func (s store) row(ks *simd.Kernels, i int, wb *widening) []float32 {
 	if s.bf == nil {
 		return s.f32[i]
 	}
-	buf = buf[:len(s.bf[i])]
-	bf16.Expand(buf, s.bf[i])
-	return buf
+	return s.widen(ks, i, wb)
+}
+
+// widen is row's bfloat16 half, kept out of line so that row stays cheap
+// enough to inline into the walks' loops.
+//
+//go:noinline
+func (s store) widen(ks *simd.Kernels, i int, wb *widening) []float32 {
+	v := wb.buf[:len(s.bf[i])]
+	ks.WidenBF16(v, s.bf[i])
+	return v
+}
+
+// block returns vectors [lo, hi) as float32 rows: float32 storage as it is,
+// or the bfloat16 vectors widened into wb (drawn for at least hi-lo).
+func (s store) block(ks *simd.Kernels, lo, hi int, wb *widening) [][]float32 {
+	if s.bf == nil {
+		return s.f32[lo:hi]
+	}
+	n := s.vecLen()
+	wb.rows = grow(wb.rows, hi-lo)
+	for k := range wb.rows {
+		v := wb.buf[k*n : (k+1)*n : (k+1)*n]
+		ks.WidenBF16(v, s.bf[lo+k])
+		wb.rows[k] = v
+	}
+	return wb.rows
 }

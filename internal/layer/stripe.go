@@ -84,14 +84,6 @@ func (x *StripeIndex) row(i, first int) (r int, lo, hi int32) {
 	return r, x.start[r], x.start[r+1]
 }
 
-// needF32 refuses BF16Both's bfloat16 rows; FP32 and BF16Act rows are
-// float32.
-func (l *RowLayer) needF32(name string) {
-	if l.opts.Precision == BF16Both {
-		panic("layer: " + name + " walks float32 rows only")
-	}
-}
-
 // ForwardStripe is ForwardActive for every sample of the stripe x was built
 // from, row-major: hs[k] is sample k's activation, and logits[p] receives the
 // logit of the selection at flat position p. Each selected row is one
@@ -99,10 +91,10 @@ func (l *RowLayer) needF32(name string) {
 // of the samples that chose it streamed past; every logit is bit-identical to
 // ForwardActive's, because a dot product's products commute and its
 // accumulation order depends only on the column. The walk starts at row first
-// and wraps around, so that concurrent workers start apart. Float32 rows
-// only (FP32, BF16Act).
+// and wraps around, so that concurrent workers start apart. A bfloat16 row
+// is widened once per stripe.
 func (l *RowLayer) ForwardStripe(ks *simd.Kernels, x *StripeIndex, hs [][]float32, logits []float32, first int) {
-	l.needF32("ForwardStripe")
+	wb := l.w.widening(1)
 	for i := range len(x.start) - 1 {
 		r, lo, hi := x.row(i, first)
 		if lo == hi {
@@ -113,11 +105,12 @@ func (l *RowLayer) ForwardStripe(ks *simd.Kernels, x *StripeIndex, hs [][]float3
 			x.bias[s] = l.bias[r]
 		}
 		out := x.buf[:hi-lo]
-		ks.DotManyBias(hs, x.bias, ids, l.w.f32[r], out)
+		ks.DotManyBias(hs, x.bias, ids, l.w.row(ks, r, wb), out)
 		for j, p := range x.pos[lo:hi] {
 			logits[p] = out[j]
 		}
 	}
+	wb.release()
 }
 
 // AccumulateStripe is AccumulateActive for every sample of the stripe,
@@ -130,10 +123,10 @@ func (l *RowLayer) ForwardStripe(ks *simd.Kernels, x *StripeIndex, hs [][]float3
 // row in, so the gradient, the bias gradient and the touched set come out
 // bit-identical to AccumulateActive's. An input gradient gets the same terms
 // in row-walk order instead of list order: rows ascending from first,
-// wrapping, and a row a sample chose twice in slot order. Float32 rows only
-// (FP32, BF16Act).
+// wrapping, and a row a sample chose twice in slot order. A bfloat16 row is
+// widened once per stripe.
 func (l *RowLayer) AccumulateStripe(ks *simd.Kernels, x *StripeIndex, gz []float32, hs, dhs [][]float32, first int) {
-	l.needF32("AccumulateStripe")
+	wb := l.w.widening(1)
 	for i := range len(x.start) - 1 {
 		r, lo, hi := x.row(i, first)
 		if lo == hi {
@@ -144,10 +137,11 @@ func (l *RowLayer) AccumulateStripe(ks *simd.Kernels, x *StripeIndex, gz []float
 			g[j] = gz[p]
 			gb += gz[p]
 		}
-		ks.AxpyTwoMany(g, x.sample[lo:hi], l.w.f32[r], dhs, hs, l.grad[r])
+		ks.AxpyTwoMany(g, x.sample[lo:hi], l.w.row(ks, r, wb), dhs, hs, l.grad[r])
 		l.gbias[r] = gb
 		l.touched.mark(int32(r))
 	}
+	wb.release()
 }
 
 // grow returns buf with length n. It reallocates only when it has to grow,

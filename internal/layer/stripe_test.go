@@ -6,6 +6,7 @@ import (
 	"math/rand/v2"
 	"testing"
 
+	"github.com/slide-cpu/slide/internal/bf16"
 	"github.com/slide-cpu/slide/internal/simd"
 )
 
@@ -36,6 +37,9 @@ func checkStripeWalks(t *testing.T, name string, ks *simd.Kernels, o Options, in
 	hs := make([][]float32, len(lists))
 	for k := range hs {
 		hs[k] = randVec(rng, in)
+		if o.Precision != FP32 {
+			bf16.RoundSlice(hs[k]) // the BF16 modes take h already rounded
+		}
 	}
 	offs, active := flatten(lists)
 	var x StripeIndex
@@ -61,7 +65,7 @@ func checkStripeWalks(t *testing.T, name string, ks *simd.Kernels, o Options, in
 			sameBits(t, fmt.Sprintf("%s logits of sample %d", name, k), logits[lo:hi], want)
 
 			dhLoop := make([]float32, in)
-			loop.AccumulateActive(ks, ids, gz[lo:hi], hs[k], nil, dhLoop)
+			loop.AccumulateActive(ks, ids, gz[lo:hi], hs[k], dhLoop)
 			checkStripeDh(t, fmt.Sprintf("%s dh of sample %d", name, k), ks, walk, ids, gz[lo:hi], first, dhs[k], dhLoop)
 		}
 	}
@@ -82,13 +86,17 @@ func checkStripeWalks(t *testing.T, name string, ks *simd.Kernels, o Options, in
 // float64 sum of the same terms, per element.
 func checkStripeDh(t *testing.T, name string, ks *simd.Kernels, l *RowLayer, ids []int32, gz []float32, first int, dh, dhLoop []float32) {
 	t.Helper()
-	out := len(l.w.f32)
+	out := l.Out
+	rows := make([][]float32, out)
+	for r := range rows {
+		rows[r] = l.RowF32(r, make([]float32, l.In))
+	}
 	want := make([]float32, len(dh))
 	for i := range out {
 		r := (first + i) % out
 		for j, id := range ids {
 			if int(id) == r {
-				ks.Axpy(gz[j], l.w.f32[r], want)
+				ks.Axpy(gz[j], rows[r], want)
 			}
 		}
 	}
@@ -96,7 +104,7 @@ func checkStripeDh(t *testing.T, name string, ks *simd.Kernels, l *RowLayer, ids
 	for c := range dh {
 		var sum, abs float64
 		for j, id := range ids {
-			term := float64(gz[j]) * float64(l.w.f32[id][c])
+			term := float64(gz[j]) * float64(rows[id][c])
 			sum += term
 			abs += math.Abs(term)
 		}
@@ -204,8 +212,7 @@ func panicOf(f func()) (msg string) {
 
 // TestStripeWalksPanicAsPerSample: an id outside the layer panics on the
 // row-major path with the panic the per-sample path raised — Go's index error
-// for the row — on every tier, in Build, where ForwardActive raised it. The
-// walks refuse bfloat16 layers by name.
+// for the row — on every tier, in Build, where ForwardActive raised it.
 func TestStripeWalksPanicAsPerSample(t *testing.T) {
 	const in, out = 16, 9
 	rng := rand.New(rand.NewPCG(73, 74))
@@ -224,20 +231,11 @@ func TestStripeWalksPanicAsPerSample(t *testing.T) {
 			}
 		}
 	}
-	bf := NewRowLayer(in, out, Options{Precision: BF16Both})
-	for name, walk := range map[string]func(){
-		"ForwardStripe":    func() { bf.ForwardStripe(simd.Active(), &StripeIndex{}, nil, nil, 0) },
-		"AccumulateStripe": func() { bf.AccumulateStripe(simd.Active(), &StripeIndex{}, nil, nil, nil, 0) },
-	} {
-		if got := panicOf(walk); got != "layer: "+name+" walks float32 rows only" {
-			t.Errorf("%s on a BF16 layer panics with %q", name, got)
-		}
-	}
 }
 
 // FuzzStripeWalks drives checkStripeWalks with random stripe shapes on every
-// tier: hidden width, output rows, sample count, list length and the walk's
-// first row.
+// tier, over float32 and bfloat16 rows: hidden width, output rows, sample
+// count, list length and the walk's first row.
 func FuzzStripeWalks(f *testing.F) {
 	f.Add(uint64(1), 16, 20, 8, 6, 0)
 	f.Add(uint64(2), 1, 1, 1, 1, 0)
@@ -252,8 +250,10 @@ func FuzzStripeWalks(f *testing.F) {
 		rng := rand.New(rand.NewPCG(seed, 75))
 		lists := randLists(rng, m, out, maxLen)
 		for _, mode := range simd.AvailableModes() {
-			name := fmt.Sprintf("%v/in%d/out%d/m%d", mode, in, out, m)
-			checkStripeWalks(t, name, simd.ForMode(mode), Options{Seed: seed}, in, out, lists, first, rng)
+			for _, prec := range []Precision{FP32, BF16Both} {
+				name := fmt.Sprintf("%v/%v/in%d/out%d/m%d", mode, prec, in, out, m)
+				checkStripeWalks(t, name, simd.ForMode(mode), Options{Precision: prec, Seed: seed}, in, out, lists, first, rng)
+			}
 		}
 	})
 }

@@ -49,7 +49,9 @@ func TestAccumulateActiveEqualsAccumulateLoop(t *testing.T) {
 		for i := range h {
 			h[i] = float32(rng.NormFloat64())
 		}
-		hBF := bf16.FromSlice(h)
+		if o.Precision != FP32 {
+			bf16.RoundSlice(h) // the BF16 modes take h already rounded
+		}
 		active := make([]int32, 57)
 		gz := make([]float32, len(active)+3) // longer than the list is allowed
 		for k := range active {
@@ -65,16 +67,16 @@ func TestAccumulateActiveEqualsAccumulateLoop(t *testing.T) {
 		// gradient rows.
 		for pass := 0; pass < 2; pass++ {
 			dhWalk, dhLoop := make([]float32, in), make([]float32, in)
-			walk.AccumulateActive(ks, active, gz, h, hBF, dhWalk)
+			walk.AccumulateActive(ks, active, gz, h, dhWalk)
 			for k, id := range active {
-				loop.Accumulate(ks, id, gz[k], h, hBF, dhLoop)
+				loop.Accumulate(ks, id, gz[k], h, nil, dhLoop)
 			}
 			sameBits(t, name+" dh", dhWalk, dhLoop)
 		}
 		// And once with no input gradient wanted.
-		walk.AccumulateActive(ks, active, gz, h, hBF, nil)
+		walk.AccumulateActive(ks, active, gz, h, nil)
 		for k, id := range active {
-			loop.Accumulate(ks, id, gz[k], h, hBF, nil)
+			loop.Accumulate(ks, id, gz[k], h, nil, nil)
 		}
 		for i := range loop.grad {
 			sameBits(t, fmt.Sprintf("%s grad[%d]", name, i), walk.grad[i], loop.grad[i])
@@ -86,9 +88,9 @@ func TestAccumulateActiveEqualsAccumulateLoop(t *testing.T) {
 	})
 }
 
-// TestColLayerWalksEqualPerNonZeroForms: Forward equals bias plus one
-// ScaleAccum (AxpyBF16 for bfloat16 weights) per non-zero, and Backward's
-// column gradients equal one Axpy per non-zero, exactly.
+// TestColLayerWalksEqualPerNonZeroForms: Forward equals bias plus one Axpy
+// of the column (widened from bfloat16 for BF16Both) per non-zero, and
+// Backward's column gradients equal one Axpy per non-zero, exactly.
 func TestColLayerWalksEqualPerNonZeroForms(t *testing.T) {
 	const in, out = 90, 200
 	rng := rand.New(rand.NewPCG(63, 64))
@@ -103,12 +105,9 @@ func TestColLayerWalksEqualPerNonZeroForms(t *testing.T) {
 			h := make([]float32, out)
 			l.Forward(ks, x, h)
 			want := append([]float32(nil), l.bias...)
+			col := make([]float32, out)
 			for k, j := range x.Indices {
-				if o.Precision == BF16Both {
-					ks.AxpyBF16(x.Values[k], l.w.bf[j], want)
-				} else {
-					ks.Axpy(x.Values[k], l.w.f32[j], want)
-				}
+				ks.Axpy(x.Values[k], l.Col(int(j), col), want)
 			}
 			if act == ReLU {
 				for i := range want {

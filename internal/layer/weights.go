@@ -30,8 +30,10 @@ const (
 	// BF16Act keeps parameters in FP32 but rounds activations to bfloat16
 	// ("BF16 only for activations"): float32 arithmetic on bfloat16 values.
 	BF16Act
-	// BF16Both stores weights and activations in bfloat16, with FP32 ADAM
-	// moments ("BF16 for both activations and weights").
+	// BF16Both stores weights in bfloat16 and rounds activations to it, with
+	// FP32 ADAM moments ("BF16 for both activations and weights"): rows are
+	// widened to float32 on load, so it too is float32 arithmetic on
+	// bfloat16 values.
 	BF16Both
 )
 

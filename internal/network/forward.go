@@ -3,7 +3,6 @@ package network
 import (
 	"math/rand/v2"
 
-	"github.com/slide-cpu/slide/internal/bf16"
 	"github.com/slide-cpu/slide/internal/layer"
 	"github.com/slide-cpu/slide/internal/lsh"
 	"github.com/slide-cpu/slide/internal/metrics"
@@ -55,7 +54,6 @@ type scratch struct {
 	// acts[0] is the first hidden layer's activation; acts[i] the i-th
 	// stacked layer's.
 	acts   [][]float32
-	hBF    []bf16.BF16 // bfloat16 view of the last activation (BF16Both only)
 	active []int32
 	logits []float32 // serving only; a training worker's are stripe buffers
 	dedup  *lsh.Dedup
@@ -99,12 +97,10 @@ func (f *forwardState) newScratch(train bool, seed, stream uint64) *scratch {
 	if !train {
 		ws.logits = make([]float32, actCap)
 	}
-	// The output layer reads the last activation in its own rendering: u7
-	// codes on a quantized predictor, bfloat16 under BF16Both.
+	// A quantized predictor's output layer reads the last activation as u7
+	// codes.
 	if f.qout != nil {
 		ws.qa = make([]uint8, f.lastDim)
-	} else if f.cfg.Precision == layer.BF16Both {
-		ws.hBF = make([]bf16.BF16, f.lastDim)
 	}
 	ws.hashBuf = make([]uint32, f.smp.tables())
 	return ws
@@ -114,18 +110,13 @@ func (f *forwardState) newScratch(train bool, seed, stream uint64) *scratch {
 func (ws *scratch) last() []float32 { return ws.acts[len(ws.acts)-1] }
 
 // forwardStack runs the hidden layer and the dense middle stack, leaving
-// the output-layer input in ws.last() and, where the output layer reads
-// another rendering of it, preparing that too: ws.hBF under BF16Both,
-// ws.qa/qsa/qzp on a quantized predictor. Every output-layer pass — exact
-// or sampled — starts from here, so the activation is prepared once.
+// the output-layer input in ws.last() and, on a quantized predictor, its u7
+// codes in ws.qa/qsa/qzp. Every output-layer pass — exact or sampled —
+// starts from here, so the activation is prepared once.
 func (f *forwardState) forwardStack(ws *scratch, x sparse.Vector) {
 	f.forwardHidden(ws.ks, x, ws.acts)
 	if ws.qa != nil {
 		ws.qsa, ws.qzp = quant.QuantizeActs(ws.last(), ws.qa)
-	} else if ws.hBF != nil {
-		// Table-resolved pack kernel: VCVTNEPS2BF16 on AVX512-BF16 hosts,
-		// the software converter elsewhere.
-		ws.ks.PackBF16(ws.hBF, ws.last())
 	}
 }
 
@@ -200,7 +191,7 @@ func (f *forwardState) predictSampled(ws *scratch, x sparse.Vector, k int) []int
 	if f.qout != nil {
 		f.qout.ForwardActive(ws.ks, ws.active, ws.qa, ws.qsa, ws.qzp, logits, &ws.qacc)
 	} else {
-		f.output.ForwardActive(ws.ks, ws.active, ws.last(), ws.hBF, logits)
+		f.output.ForwardActive(ws.ks, ws.active, ws.last(), nil, logits)
 	}
 	top := metrics.TopK(logits, k)
 	out := make([]int32, len(top))

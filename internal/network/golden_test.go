@@ -69,14 +69,15 @@ func trainStatsSHA(t *testing.T, n *Network, p *plantedProblem, batches, batchSi
 // shards1 and shards4 rows were re-recorded when the phase engine's shards
 // took the same walk, for the same reason. The BF16 rows pin both BF16
 // precisions on both engines; see their comments for which held when
-// BF16Act became float32 arithmetic on rounded activations. Every kernel tier
+// BF16Act became float32 arithmetic on rounded activations and when BF16Both
+// rows began to widen on load. Every kernel tier
 // has its own literals: tiers differ from each other in dot-product reduction
 // order, but no tier may differ from its own past.
 //
 // Every row also checks which output walks its stripes and shards took, so
 // that the pins cover both: text8's select a touched row ≈ 5 times and
-// mostly walk row-major (text8deep's too, and BF16Act's like FP32's),
-// amazon's ≈ 1.4 times and never do, and BF16Both's bfloat16 rows never do.
+// mostly walk row-major (text8deep's too, and both BF16 precisions' like
+// FP32's), and amazon's ≈ 1.4 times and never do.
 func TestTrainingBitsPinned(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("literals were recorded on amd64 (other compilers fuse a*b+c in the portable tiers)")
@@ -96,14 +97,13 @@ func TestTrainingBitsPinned(t *testing.T) {
 		"text8deep": {Config{InputDim: 600, HiddenDim: 200, HiddenLayers: []int{40}, OutputDim: 600, HiddenActivation: layer.Linear,
 			Hash: SimHash, K: 6, L: 8, MinActive: 96, LR: 0.01, RebuildEvery: 10, Seed: 103}, 1, true, []string{"hogwild1"}},
 	}
-	// The BF16 precisions on both regimes and both engines. BF16Act rows are
-	// float32 and walk like FP32's; BF16Both's bfloat16 rows never walk
-	// row-major.
+	// The BF16 precisions on both regimes and both engines. Both walk like
+	// FP32: BF16Act's rows are float32, and BF16Both's bfloat16 rows are
+	// walked widened.
 	for _, prec := range []layer.Precision{layer.BF16Act, layer.BF16Both} {
 		for _, sn := range []string{"amazon", "text8"} {
 			sh := shapes[sn]
 			sh.cfg.Precision = prec
-			sh.rowMajor = sh.rowMajor && prec == layer.BF16Act
 			sh.engines = []string{"hogwild1", "shards4"}
 			shapes[sn+"-"+prec.String()] = sh
 		}
@@ -150,28 +150,37 @@ func TestTrainingBitsPinned(t *testing.T) {
 		"scalar/text8/shards1": {"efca755dd0b3cb61fddab6a7118c60855071492ac4a8b0b3bc4f665bb3511590", "8b7a5b74dd2eaedd6a6cae5d69ea33472371864279e2c1b4945e2607347c131d"},
 		"scalar/text8/shards4": {"fe5f54e9e2635444b44646635ca4c5da0d4a022da3c4327cc1fe6e6f21288afa", "16a9843ec3106849615a20b4d65c4ccbd145efa1a35bdbe82ffe767a2f266735"},
 		// Recorded on the parent of BF16Act's float32 walks, and held by the
-		// change: BF16Both on every tier, BF16Act amazon on the Go tiers, where
-		// Dot sums as DotBF16F32 did.
+		// change: BF16Act amazon on the Go tiers, where Dot sums as DotBF16F32
+		// did. The scalar BF16Both amazon rows also held when BF16Both's
+		// bfloat16 rows began to widen on load into the float32 kernels: the
+		// scalar Dot sums as DotBF16 did.
 		"vector/amazon-bf16-act/hogwild1":  {"327ad15de77bbf4067259ecf5565fdf2ae695a6edf77004b4e4b637ab430d718", "2f04aabd0bfc2eb9441c4bd7d39f5554cfb42d75c8bb9b34684471283e3cdd44"},
 		"vector/amazon-bf16-act/shards4":   {"436bf8f33631095aae1e756d62efb27a06e72d02cf2ea548b4efdc66ac4b4ff5", "e9e6aa0a9935d1c066b6476888002ced95955611d39e820c0003f1dd5cd5cfae"},
 		"scalar/amazon-bf16-act/hogwild1":  {"0048d1511d7767d4b3e5ce2ef6b51291c2f210e242967578022b142f95f66c39", "0124a2882f49156681e3a0c79c823cf69d3d27f5fc63de5188352fca685f01cb"},
 		"scalar/amazon-bf16-act/shards4":   {"104a500f260cc965c3a815ae9ee2ed73a597012a4852f0b5b8cec6266af12202", "60966a3e0d9931de95d96acb85186e048054578b462f0dffefb12b9ffd934706"},
-		"avx512/amazon-bf16-both/hogwild1": {"33dacda3e0257e0fcf17369ca5a42f79d9e4479c37797aa663f54086225e227c", "6e390f0c06e332d159b41f326266a0618cf10a151e4a0ab110c55ddcedb46b06"},
-		"avx512/amazon-bf16-both/shards4":  {"5c448632e3c912de984d98f871e61a00fc227cd245f712aec07976f67142e2a2", "5daf6993e314f1d3fa653f901a82c93910f8baa284fc2b1f7c7c2ef2b006965f"},
-		"avx2/amazon-bf16-both/hogwild1":   {"ab8f80b854831d9e56cc24a8092700e13a61f306028f76c38685298792e19560", "1876b71eaf7c992d1c78b7fb01a10bafe6707b1739f150e7f2e9520113cc73eb"},
-		"avx2/amazon-bf16-both/shards4":    {"a50731829abbd527e847224e8f8c6b00756f512ce97d5e4a0df8786432a905fc", "7f17d434abf39f59e9e0b6b3c9e67622312cdd657384b319c58e263523b6f82e"},
-		"vector/amazon-bf16-both/hogwild1": {"3a0433dc2f989bc2919b8c9dcb472f1d67c926edb6bded1466e1dfd4d2d372f2", "b0e7c911b3356fc11f474aa0606423c436aa9cce9ff9cc228d03c1654ee53277"},
-		"vector/amazon-bf16-both/shards4":  {"f75efd61f81d390863291ef54f70402e9b22a77ab277a41f01de8286122f819c", "a399986d24b69582c2d46cec757915720b227e548ead392a350ba5aec9fe105a"},
 		"scalar/amazon-bf16-both/hogwild1": {"0e1af61b04bcfe8da04b9cbb909b7378ee9db0ef2de28faef304fad98704dec7", "bd27ab2d922d76e630c56540376aa14b3a62d6e264328e6086464d7d0a4ac26a"},
 		"scalar/amazon-bf16-both/shards4":  {"7f611b44fb16f14be6ba6a3df9df59398d4e0a5cec1f3c55a347f8be6c75112d", "b731cb52b6e255a4372d715d92e0e1ea8d311b02cd3f2c32cf5892063509001b"},
-		"avx512/text8-bf16-both/hogwild1":  {"4a1651884f8e66a88abbea254e8718863e57352043192abb772f8d784da66eb3", "825a000c21a7a85843069f30bd4eae7221d48ad7bbda62b9e5a64f63ce50d951"},
-		"avx512/text8-bf16-both/shards4":   {"57809618349bf7a2db876b7a92221403b0d406c2eff1e4e8f9e76e6db65a6e0e", "fe0257f881937a42f9ccebf97f2c0748a872480fab9f6b68f8e45f48c99fa10f"},
-		"avx2/text8-bf16-both/hogwild1":    {"3636ea46c4a7b4e7fae7cdb87581da656cfca0a6e874f9087475a226385afa3f", "8fe78a6c221e99ef19fc90d2dccea6772d26eac05faddb65e643855e0f935a4b"},
-		"avx2/text8-bf16-both/shards4":     {"85221be0807eba3163c008434ace11747cfae2c140cb0d9871ba399ebd425a47", "c8ea1de86cb140b1cb516ab5c2da6f989d63a33d3872a6eecc74c03d21d15f91"},
-		"vector/text8-bf16-both/hogwild1":  {"46578fe1ecf31527303644217a249a8b2346942dc41f1c0d1501720df9c8a48f", "dce622e6c893c959f2c5952973921dc4b76eb9de051e52a93fd194865e9b1107"},
-		"vector/text8-bf16-both/shards4":   {"fcb0284cedde5a469c28518fe40b441526aefe75b536405cc98a0c0af9789ab1", "cdcdc7acfab425fb9acceac6c16accb66c6a3d8da9330f27924304d12e36e6c1"},
-		"scalar/text8-bf16-both/hogwild1":  {"c287bd5c2da29c7a9d7ad0752b06534dd2c792a28574ba88b368f0dacbb1f3db", "f21bcdd2992ee760dba15616172bf6f68d1d841cf5d637356d633794770a90d9"},
-		"scalar/text8-bf16-both/shards4":   {"b77b298cff0ecc68f3a6e518067367bfe296b7e2f56015b31112c0e3a01d0520", "42d0abca88834373dc00a2323cd1658576820b0c256c410e247aa12a5eb2851a"},
+		// Re-recorded for the reduction order when BF16Both's bfloat16 rows
+		// began to widen on load into the float32 kernels: the assembly and
+		// vector tiers' Dot sums in another order than their DotBF16 did.
+		"avx512/amazon-bf16-both/hogwild1": {"270860c23dc758cd88e7866f8d7c9c1b6914bbf5ff2d9ac8b5441c332a6080c8", "874fb3001beb38476b567e0b60a1f114c426ce2f530d06ae7e2bb4b73d0b0455"},
+		"avx512/amazon-bf16-both/shards4":  {"5a7ed1592453d6e892b0665b7c688f69fe9b2ca0c8e040e900d69cc5032115ae", "480c98a3bc6f56943a5d21f4af2bff0f17714785cc3b4edc6ccb582af25bd554"},
+		"avx2/amazon-bf16-both/hogwild1":   {"99ed0280fcaa11e47a0691d761a8508950ef71f9bdc0888f8ea242048633747b", "4e6014f15049a672cb8597d7fe272b3fce563728b46c3caaf1c8c6af2c846a2f"},
+		"avx2/amazon-bf16-both/shards4":    {"8087421a51ebb79d90889fc243ac41af7e7713a43e4806eac315e0666ee3f508", "dca22509f7d4f704b09610a9aa65cea4cf83ed22e0f4dbe03dbbf29c3e3ec843"},
+		"vector/amazon-bf16-both/hogwild1": {"b98b1d7f8a1a6352b4f20572dc6bb96aa0e77394d1ff4697d5031143fcaf46c9", "431967559969d91c7a55af104819b2f71244debca0f19a922ae3dbc8bdefa87c"},
+		"vector/amazon-bf16-both/shards4":  {"315ec24d990d21494ad624c3d5c4b403e8fbddfc8ba429bb4a79c7a528931a0a", "4b5add27f3d0cdfac9bfd1fbee8c619ab952e2ffc38f4abc05c8b23b1a6515ef"},
+		// Re-recorded for the row-major walks (and, off the scalar tier, Dot's
+		// reduction order): BF16Both text8 stripes and shards now cross over.
+		// With the per-sample walk forced, the scalar tier still produces the
+		// literals recorded before.
+		"avx512/text8-bf16-both/hogwild1": {"16bd52f69a7b1eb38993ba2d7a1ac72dab0f9f4ceeb8ad62788985218580867a", "b0c360d1f2c5c10f7cbc2a0a10beb50563b6b20eda63933f44d2597ebd641aaf"},
+		"avx512/text8-bf16-both/shards4":  {"3d17ef02cea0879b24dfd4ce5942e1f356ffbac57f7181b06c5b374141289e0f", "f255fd85851711f1fa7a8fc47e774eff83992da43631d1621e9e4c55f8321790"},
+		"avx2/text8-bf16-both/hogwild1":   {"b62b5deb6bd8b0fb1646c4b03bd4e431017a456767070545004ae19ac08d99c1", "9290eafcb7ef9d3e0424ddcfef3fd313752516b63afb3e3a64b11d4091566e1d"},
+		"avx2/text8-bf16-both/shards4":    {"198d1e9ef5fb1601ce53785e688971c7e6ecf7d296dd529c4483d35d04c813c1", "32a70a6a88de45125880af3e0a6a3a881cd03eac66a35279a9020701fe9e2493"},
+		"vector/text8-bf16-both/hogwild1": {"7a0f77fd3ebf0df66cd1a1e055bf3d860f2a2eed14d2ac7d386b537f4b0136c0", "b992a88a38fb8e6d4385efc018d0fc583c6d070c5d8ca8098e11d999542765e2"},
+		"vector/text8-bf16-both/shards4":  {"f658ca789f9cc1aa847641fbc9e3638e0f744ee009a027fefddf4dcbbdc133d6", "591f611ccbb6df92d01d4e57facf223d7add0ae22c5ec08a63a490c86061047e"},
+		"scalar/text8-bf16-both/hogwild1": {"667dabb8f7d52cadf15a640c5359a54f891e265d2ac87f26164aa83f1b9aac9c", "ef6dcd30e28c742e5ef440bc35e9299412fd026bef15bea94231bd775be59237"},
+		"scalar/text8-bf16-both/shards4":  {"02600a86f326498c37c01bd4bef9d86e620b46eb3d165928f5d36b12e63cc595", "a2b68f960fd98077feecf17a092a17c595d478dbb040a7715e80114a7778e07a"},
 		// Re-recorded for the reduction order: BF16Act now runs Dot on the
 		// assembly tiers, whose accumulators differ from DotBF16F32's.
 		"avx512/amazon-bf16-act/hogwild1": {"35909502918329086207f80490fa85a2ffd2ec6dea72802333557be27ebf2da1", "f4a351cc91326adcf8f7d2f14f6c4cf5bdb86ac0d3ad330164185cefdcdd213f"},

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"github.com/slide-cpu/slide/internal/bf16"
 	"github.com/slide-cpu/slide/internal/fanout"
 	"github.com/slide-cpu/slide/internal/quant"
 	"github.com/slide-cpu/slide/internal/simd"
@@ -122,7 +121,6 @@ type chunk struct {
 	n      int // samples in flight
 	tiles  int // row tiles of the pass in flight
 	hs     [][]float32
-	hBFs   [][]bf16.BF16
 	qas    [][]uint8
 	sas    []float32
 	zps    []int32
@@ -146,13 +144,11 @@ type tileScratch struct {
 func (c *chunk) hold(i int, ws *scratch) {
 	if i == len(c.scores) {
 		c.hs = append(c.hs, make([]float32, len(ws.last())))
-		c.hBFs = append(c.hBFs, make([]bf16.BF16, len(ws.hBF)))
 		c.qas = append(c.qas, make([]uint8, len(ws.qa)))
 		c.sas, c.zps = append(c.sas, 0), append(c.zps, 0)
 		c.scores = append(c.scores, make([]float32, c.f.cfg.OutputDim))
 	}
 	copy(c.hs[i], ws.last())
-	copy(c.hBFs[i], ws.hBF)
 	copy(c.qas[i], ws.qa)
 	c.sas[i], c.zps[i] = ws.qsa, ws.qzp
 }
@@ -168,7 +164,7 @@ func (c *chunk) score(t int) {
 		f.qout.ForwardAllBatchRange(c.ks, c.qas[:n], c.sas[:n], c.zps[:n], c.scores[:n], lo, hi, &c.tile[t].q)
 		return
 	}
-	f.output.ForwardAllBatchRange(c.ks, c.hs[:n], c.hBFs[:n], c.scores[:n], lo, hi, &c.tile[t].win)
+	f.output.ForwardAllBatchRange(c.ks, c.hs[:n], c.scores[:n], lo, hi, &c.tile[t].win)
 }
 
 // walk is the exact forward pass, and the only one: every entry point below

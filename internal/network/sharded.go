@@ -5,9 +5,7 @@ import (
 	"runtime"
 	"sync"
 
-	"github.com/slide-cpu/slide/internal/bf16"
 	"github.com/slide-cpu/slide/internal/faultinject"
-	"github.com/slide-cpu/slide/internal/layer"
 	"github.com/slide-cpu/slide/internal/lsh"
 	"github.com/slide-cpu/slide/internal/mem"
 	"github.com/slide-cpu/slide/internal/platform"
@@ -54,7 +52,6 @@ type shardState struct {
 	dhs0   [][]float32
 	lastA  [][]float32 // acts[i][last] views (output phases)
 	lastD  [][]float32
-	hBF    [][]bf16.BF16
 	hashes []uint32 // sample i's bucket hash per table at [i·L, (i+1)·L)
 	losses []float64
 	nonFin []int64 // [sample] health-guard non-finite counts
@@ -102,11 +99,6 @@ func (sh *shardState) ensureBatch(f *forwardState, b int) {
 		sh.dhs0 = append(sh.dhs0, dstack[0])
 		sh.lastA = append(sh.lastA, stack[nLayers-1])
 		sh.lastD = append(sh.lastD, dstack[nLayers-1])
-		var hBF []bf16.BF16
-		if f.cfg.Precision == layer.BF16Both { // bfloat16 rows read the packed view
-			hBF = make([]bf16.BF16, f.lastDim)
-		}
-		sh.hBF = append(sh.hBF, hBF)
 	}
 	sh.hashes = make([]uint32, b*f.smp.tables())
 	sh.xs = make([]sparse.Vector, b)
@@ -225,9 +217,6 @@ func (n *Network) trainBatchSharded(b sparse.Batch) BatchStats {
 		lo, hi := t*simd.WalkTile, min((t+1)*simd.WalkTile, B)
 		for i := lo; i < hi; i++ {
 			f.forwardHidden(ks, sh.xs[i], sh.acts[i])
-			if sh.hBF[i] != nil {
-				ks.PackBF16(sh.hBF[i], sh.lastA[i])
-			}
 		}
 		smp.hashMany(sh.lastA[lo:hi], sh.hashes[lo*L:hi*L])
 	})
@@ -273,8 +262,8 @@ func (n *Network) trainBatchSharded(b sparse.Batch) BatchStats {
 			ss.heads[i], ss.offs[i+1] = nLab, int32(len(act))
 		}
 		ss.ids = act
-		ss.plan(n.output, int(hi))
-		ss.forward(ks, n.output, sh.lastA[:B], sh.hBF[:B], int(lo))
+		ss.plan(int(hi))
+		ss.forward(ks, n.output, sh.lastA[:B], int(lo))
 	})
 
 	// Phase C: the per-sample label head over the shards' parts in ascending
@@ -295,7 +284,7 @@ func (n *Network) trainBatchSharded(b sparse.Batch) BatchStats {
 		for _, dhp := range dhs {
 			simd.Zero(dhp)
 		}
-		ss.backward(ks, n.output, sh.lastA[:B], sh.hBF[:B], dhs, int(plan.bounds[s]))
+		ss.backward(ks, n.output, sh.lastA[:B], dhs, int(plan.bounds[s]))
 	})
 
 	// Phase E: reduce ∇h per sample in fixed shard order.

@@ -1,7 +1,6 @@
 package network
 
 import (
-	"github.com/slide-cpu/slide/internal/bf16"
 	"github.com/slide-cpu/slide/internal/layer"
 	"github.com/slide-cpu/slide/internal/simd"
 	"github.com/slide-cpu/slide/internal/sparse"
@@ -39,13 +38,12 @@ type stripe struct {
 
 // plan sizes the logit buffers for the ids the stripe's m = len(offs)-1
 // samples selected out of the output layer's first rows rows, and picks the
-// walk: row-major when l's rows are float32 (FP32, BF16Act) and the stripe
-// selects each row it touches at least minStripeReuse times on average,
-// sample by sample otherwise.
-func (s *stripe) plan(l *layer.RowLayer, rows int) {
+// walk: row-major when the stripe selects each row it touches at least
+// minStripeReuse times on average, sample by sample otherwise — whatever the
+// precision, since bfloat16 rows are walked widened.
+func (s *stripe) plan(rows int) {
 	s.logits, s.grads = fit(s.logits, len(s.ids)), fit(s.grads, len(s.ids))
-	s.rowMajor = l.Options().Precision != layer.BF16Both &&
-		s.index.Build(rows, s.offs, s.ids, minStripeReuse)
+	s.rowMajor = s.index.Build(rows, s.offs, s.ids, minStripeReuse)
 	if s.rowMajor {
 		s.rowMajors++
 	} else {
@@ -53,16 +51,16 @@ func (s *stripe) plan(l *layer.RowLayer, rows int) {
 	}
 }
 
-// forward fills every sample's logits through the planned walk; hs[k] (and
-// hBFs[k], read by BF16Both only) is sample k's output-layer input. A
-// row-major walk starts at row first and wraps around.
-func (s *stripe) forward(ks *simd.Kernels, l *layer.RowLayer, hs [][]float32, hBFs [][]bf16.BF16, first int) {
+// forward fills every sample's logits through the planned walk; hs[k] is
+// sample k's output-layer input. A row-major walk starts at row first and
+// wraps around.
+func (s *stripe) forward(ks *simd.Kernels, l *layer.RowLayer, hs [][]float32, first int) {
 	if s.rowMajor {
 		l.ForwardStripe(ks, &s.index, hs, s.logits, first)
 		return
 	}
 	for k := range len(s.offs) - 1 {
-		s.forwardSample(ks, l, k, hs[k], hBFs[k])
+		s.forwardSample(ks, l, k, hs[k])
 	}
 }
 
@@ -70,26 +68,26 @@ func (s *stripe) forward(ks *simd.Kernels, l *layer.RowLayer, hs [][]float32, hB
 // input gradient into dhs[k], through the planned walk: on the row-major one
 // each input gradient sums in row-walk order from row first
 // (layer.AccumulateStripe), otherwise in list order.
-func (s *stripe) backward(ks *simd.Kernels, l *layer.RowLayer, hs [][]float32, hBFs [][]bf16.BF16, dhs [][]float32, first int) {
+func (s *stripe) backward(ks *simd.Kernels, l *layer.RowLayer, hs, dhs [][]float32, first int) {
 	if s.rowMajor {
 		l.AccumulateStripe(ks, &s.index, s.grads, hs, dhs, first)
 		return
 	}
 	for k := range len(s.offs) - 1 {
-		s.backwardSample(ks, l, k, hs[k], hBFs[k], dhs[k])
+		s.backwardSample(ks, l, k, hs[k], dhs[k])
 	}
 }
 
 // forwardSample is sample k's per-sample forward walk.
-func (s *stripe) forwardSample(ks *simd.Kernels, l *layer.RowLayer, k int, h []float32, hBF []bf16.BF16) {
+func (s *stripe) forwardSample(ks *simd.Kernels, l *layer.RowLayer, k int, h []float32) {
 	lo, hi := s.offs[k], s.offs[k+1]
-	l.ForwardActive(ks, s.ids[lo:hi], h, hBF, s.logits[lo:hi])
+	l.ForwardActive(ks, s.ids[lo:hi], h, nil, s.logits[lo:hi])
 }
 
 // backwardSample is sample k's per-sample backward walk.
-func (s *stripe) backwardSample(ks *simd.Kernels, l *layer.RowLayer, k int, h []float32, hBF []bf16.BF16, dh []float32) {
+func (s *stripe) backwardSample(ks *simd.Kernels, l *layer.RowLayer, k int, h, dh []float32) {
 	lo, hi := s.offs[k], s.offs[k+1]
-	l.AccumulateActive(ks, s.ids[lo:hi], s.grads[lo:hi], h, hBF, dh)
+	l.AccumulateActive(ks, s.ids[lo:hi], s.grads[lo:hi], h, dh)
 }
 
 // worker is one HOGWILD worker's state for the model's life: the forward
@@ -104,12 +102,10 @@ type worker struct {
 	// points its last slot at the sample's output-layer input gradient.
 	dhs [][]float32
 
-	// Per sample k of the stripe: its activations [k][layer], the last of
-	// them (the output layer's input) and its bfloat16 rendering under
-	// BF16Both.
+	// Per sample k of the stripe: its activations [k][layer] and the last of
+	// them (the output layer's input).
 	sampleActs [][][]float32
 	lasts      [][]float32
-	lastsBF    [][]bf16.BF16
 	// lastDhs holds the output layer's input gradient per sample: the whole
 	// stripe's on the row-major walk, which alone grows it past the one
 	// buffer the per-sample walk reuses.
@@ -131,7 +127,6 @@ func (f *forwardState) newWorker(seed, stream uint64) *worker {
 	// points them at sample k's before each forward.
 	ws.sampleActs = [][][]float32{ws.acts}
 	ws.lasts = [][]float32{ws.last()}
-	ws.lastsBF = [][]bf16.BF16{ws.hBF}
 	ws.lastDhs = [][]float32{ws.dhs[len(ws.dhs)-1]}
 	return ws
 }
@@ -144,13 +139,8 @@ func (ws *worker) fitStripe(f *forwardState, m int) {
 		for i, d := range f.dims {
 			acts[i] = make([]float32, d)
 		}
-		var hBF []bf16.BF16
-		if f.cfg.Precision == layer.BF16Both {
-			hBF = make([]bf16.BF16, f.lastDim)
-		}
 		ws.sampleActs = append(ws.sampleActs, acts)
 		ws.lasts = append(ws.lasts, acts[len(acts)-1])
-		ws.lastsBF = append(ws.lastsBF, hBF)
 	}
 	ws.offs, ws.heads = fit(ws.offs, m+1), fit(ws.heads, m)
 	ws.hashBuf = fit(ws.hashBuf, m*f.smp.tables())
@@ -164,15 +154,14 @@ func (ws *worker) fitStripe(f *forwardState, m int) {
 //     HashDenseMany call (SimHash walks its hyperplanes once per tile of
 //     simd.WalkTile samples); then sample, in stripe order, so the top-up
 //     draws keep their order;
-//  2. plan the output walk (stripe.plan) — a float32-row stripe at
-//     minStripeReuse or more selections per touched row then
+//  2. plan the output walk (stripe.plan) — a stripe at minStripeReuse or
+//     more selections per touched row then
 //  3. walks the output layer row-major: every logit, the label heads in
 //     sample order, then every weight gradient and every sample's input
 //     gradient in one pass over the rows;
 //  4. the middle stack and hidden backward, per sample in stripe order.
 //
-// A stripe below the crossover, or of BF16Both rows, runs 3 and 4 per
-// sample instead, each sample's forward, label head, gradient and backward
+// A stripe below the crossover runs 3 and 4 per sample instead, each sample's forward, label head, gradient and backward
 // before the next sample's, so that its rows are still in cache for its
 // gradient (DESIGN.md "Known divergences"); NoSampling stripes run
 // stripeNoSampling. Either way the bits are those of running each sample end
@@ -187,7 +176,7 @@ func (n *Network) trainStripe(ks *simd.Kernels, b sparse.Batch, w, nw int) {
 	ws.fitStripe(n.fwd, m)
 
 	for k := range m {
-		ws.acts, ws.hBF = ws.sampleActs[k], ws.lastsBF[k]
+		ws.acts = ws.sampleActs[k]
 		n.fwd.forwardStack(ws.scratch, b.Sample(w+k*nw))
 	}
 	if n.cfg.NoSampling {
@@ -204,7 +193,7 @@ func (n *Network) trainStripe(ks *simd.Kernels, b sparse.Batch, w, nw int) {
 		ws.offs[k+1] = int32(len(ws.ids))
 	}
 
-	ws.plan(n.output, n.cfg.OutputDim)
+	ws.plan(n.cfg.OutputDim)
 	parts := []*stripe{&ws.stripe}
 	head := func(k int) {
 		if ws.offs[k] < ws.offs[k+1] {
@@ -218,17 +207,17 @@ func (n *Network) trainStripe(ks *simd.Kernels, b sparse.Batch, w, nw int) {
 			if ws.offs[k] == ws.offs[k+1] {
 				continue
 			}
-			ws.forwardSample(ks, n.output, k, ws.lasts[k], ws.lastsBF[k])
+			ws.forwardSample(ks, n.output, k, ws.lasts[k])
 			head(k)
 			simd.Zero(dh)
-			ws.backwardSample(ks, n.output, k, ws.lasts[k], ws.lastsBF[k], dh)
+			ws.backwardSample(ks, n.output, k, ws.lasts[k], dh)
 			n.backward(ws, k, dh, b.Sample(w+k*nw))
 		}
 		return
 	}
 	first := w * n.cfg.OutputDim / nw // concurrent workers sweep apart
 	hs := ws.lasts[:m]
-	ws.forward(ks, n.output, hs, nil, first)
+	ws.forward(ks, n.output, hs, first)
 	for k := range m {
 		head(k)
 	}
@@ -239,7 +228,7 @@ func (n *Network) trainStripe(ks *simd.Kernels, b sparse.Batch, w, nw int) {
 	for _, dh := range dhs {
 		simd.Zero(dh)
 	}
-	ws.backward(ks, n.output, hs, nil, dhs, first)
+	ws.backward(ks, n.output, hs, dhs, first)
 	for k, dh := range dhs {
 		if ws.offs[k] < ws.offs[k+1] {
 			n.backward(ws, k, dh, b.Sample(w+k*nw))
@@ -266,7 +255,7 @@ func (n *Network) stripeNoSampling(ws *worker, b sparse.Batch, w, nw, m int) {
 				ws.dedup.Seen(y)
 			}
 		}
-		ws.forwardSample(ws.ks, n.output, 0, ws.lasts[k], ws.lastsBF[k])
+		ws.forwardSample(ws.ks, n.output, 0, ws.lasts[k])
 		loss, logZ, bad := n.labelHead(ws.ks, parts, 0, len(labels))
 		if len(labels) > 0 {
 			t := 1 / float32(len(labels))
@@ -279,7 +268,7 @@ func (n *Network) stripeNoSampling(ws *worker, b sparse.Batch, w, nw, m int) {
 		}
 		ws.fold(n, loss, na, bad)
 		simd.Zero(dh)
-		ws.backwardSample(ws.ks, n.output, 0, ws.lasts[k], ws.lastsBF[k], dh)
+		ws.backwardSample(ws.ks, n.output, 0, ws.lasts[k], dh)
 		n.backward(ws, k, dh, b.Sample(i))
 	}
 }

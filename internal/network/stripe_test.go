@@ -129,12 +129,12 @@ func TestShardWalksAgreeOnOneBatch(t *testing.T) {
 			if w == 1 {
 				restore = forcePerSample()
 			}
-			ss.plan(n.output, c.OutputDim)
+			ss.plan(c.OutputDim)
 			restore()
 			if ss.rowMajor != (w == 0) {
 				t.Fatalf("%v: walk %d planned row-major = %v", mode, w, ss.rowMajor)
 			}
-			ss.forward(ks, n.output, sh.lastA[:B], sh.hBF[:B], 0)
+			ss.forward(ks, n.output, sh.lastA[:B], 0)
 			for i := range B {
 				n.labelHead(ks, sh.parts, i, len(b.Labels(i)))
 			}
@@ -142,7 +142,7 @@ func TestShardWalksAgreeOnOneBatch(t *testing.T) {
 			for _, d := range dh {
 				simd.Zero(d)
 			}
-			ss.backward(ks, n.output, sh.lastA[:B], sh.hBF[:B], dh, 0)
+			ss.backward(ks, n.output, sh.lastA[:B], dh, 0)
 			if w == 0 && n.output.TouchedRows() == 0 {
 				t.Fatalf("%v: the pass touched no row", mode)
 			}

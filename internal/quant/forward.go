@@ -10,7 +10,7 @@ import (
 
 // Forward methods mirroring layer.RowWeights' serving surface, over packed
 // rows and a quantized activation vector (qa, sa, zp from QuantizeActs)
-// instead of (h, hBF). The score vectors they produce feed the existing
+// instead of h. The score vectors they produce feed the existing
 // TopKInto / scatter-gather ranking unchanged.
 
 // dequant maps the integer accumulator back to a float32 logit. The

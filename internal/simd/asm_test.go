@@ -17,10 +17,10 @@ import (
 // kernels must accept any offset).
 //
 // Tolerance policy (see DESIGN.md "Native kernel backend"):
-//   - Elementwise kernels (Axpy, AxpyTwo, Add, Scale, AdamStep, AxpyBF16,
-//     PackBF16, RoundBF16) must be BIT-IDENTICAL across tiers: the
-//     assembly uses the same two-rounding mul/add schedule as the Go code.
-//   - Reductions (Dot, Sum, DotBF16*, DotManyBias*) may differ by summation
+//   - Elementwise kernels (Axpy, AxpyTwo, Add, Scale, AdamStep, WidenBF16,
+//     RoundBF16) must be BIT-IDENTICAL across tiers: the assembly uses the
+//     same two-rounding mul/add schedule as the Go code.
+//   - Reductions (Dot, Sum, DotManyBias*) may differ by summation
 //     order and FMA contraction; they are compared against a float64
 //     reference with a tolerance scaled to the sum of absolute products.
 //   - Max is order-insensitive and must be exact (NaN inputs excluded).
@@ -513,6 +513,10 @@ func TestTiledWalksBitIdenticalToPerRow(t *testing.T) {
 	}
 }
 
+// TestBF16DotEquivalence: a dot over bfloat16 operands is WidenBF16 of both
+// then the float32 Dot — the row loader's forward — and stays within the
+// reduction tolerance of the float64 sum of the (exact) products on every
+// tier.
 func TestBF16DotEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewPCG(18, 1))
 	for _, m := range asmModes(t) {
@@ -527,23 +531,44 @@ func TestBF16DotEquivalence(t *testing.T) {
 				ref += p
 				scale += math.Abs(p)
 			}
-			checkReduction(t, fmt.Sprintf("%s DotBF16 n=%d", m, n), ks.DotBF16(a, bBF), ref, scale)
+			wa, wb := make([]float32, n), make([]float32, n)
+			ks.WidenBF16(wa, a)
+			ks.WidenBF16(wb, bBF)
+			checkReduction(t, fmt.Sprintf("%s widened Dot n=%d", m, n), ks.Dot(wa, wb), ref, scale)
 		}
 	}
 }
 
-func TestAxpyBF16BitIdentical(t *testing.T) {
+// TestWidenBF16BitIdentical: widening is exact, so every tier writes
+// bf16.Expand's bits — NaN payloads, infinities, subnormals and -0 included —
+// at unaligned offsets, and leaves dst past len(src) alone.
+func TestWidenBF16BitIdentical(t *testing.T) {
+	special := []uint16{0x7FC1, 0xFF81, 0x7F80, 0xFF80, 0x0001, 0x807F, 0x8000, 0x0000, 0x7F7F, 0x0080}
 	rng := rand.New(rand.NewPCG(19, 1))
 	for _, m := range asmModes(t) {
 		ks := ForMode(m)
 		for _, n := range testLengths {
-			x := bf16.FromSlice(offsetSlice(rng, n, 1))
-			y0 := offsetSlice(rng, n, 1)
-			want := append([]float32(nil), y0...)
-			axpyBF16Scalar(1.3, x, want)
-			got := append([]float32(nil), y0...)
-			ks.AxpyBF16(1.3, x, got)
-			checkExact(t, fmt.Sprintf("%s AxpyBF16 n=%d", m, n), got, want)
+			buf := make([]bf16.BF16, n+1)
+			for i := range buf {
+				buf[i] = bf16.FromBits(uint16(rng.Uint32()))
+				if i < len(special) && i < n {
+					buf[i] = bf16.FromBits(special[i])
+				}
+			}
+			src := buf[1 : n+1 : n+1]
+			want := make([]float32, n)
+			bf16.Expand(want, src)
+			const guard = float32(-12345.5)
+			dst := make([]float32, n+2)
+			for i := range dst {
+				dst[i] = guard
+			}
+			got := dst[1 : n+2]
+			ks.WidenBF16(got, src)
+			checkExact(t, fmt.Sprintf("%s WidenBF16 n=%d", m, n), got, want)
+			if dst[0] != guard || got[n] != guard {
+				t.Errorf("%s WidenBF16 n=%d wrote outside dst[:len(src)]", m, n)
+			}
 		}
 	}
 }
@@ -552,7 +577,8 @@ func TestPackRoundBF16Equivalence(t *testing.T) {
 	// Inputs stay in the normal float32 range: the hardware converter
 	// (VCVTNEPS2BF16) flushes subnormal inputs to zero, a documented
 	// divergence from the software rounder. Normal values, zeros, infinities
-	// and NaNs convert identically.
+	// and NaNs convert identically. Rounding in place is packing to bfloat16
+	// and widening back, on every tier.
 	rng := rand.New(rand.NewPCG(20, 1))
 	for _, m := range asmModes(t) {
 		ks := ForMode(m)
@@ -564,39 +590,29 @@ func TestPackRoundBF16Equivalence(t *testing.T) {
 				src[2] = float32(math.Inf(-1))
 				src[3] = 3.39e38 // near MaxFloat32: rounds up to +Inf in bf16
 			}
-			want := make([]bf16.BF16, n)
-			bf16.Convert(want, src)
-			got := make([]bf16.BF16, n)
-			ks.PackBF16(got, src)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Errorf("%s PackBF16 n=%d i=%d: got %#x want %#x (src %g)", m, n, i, got[i], want[i], src[i])
-					break
-				}
-			}
-
 			wantR := append([]float32(nil), src...)
 			bf16.RoundSlice(wantR)
 			gotR := append([]float32(nil), src...)
 			ks.RoundBF16(gotR)
 			checkExact(t, fmt.Sprintf("%s RoundBF16 n=%d", m, n), gotR, wantR)
+
+			widened := make([]float32, n)
+			ks.WidenBF16(widened, bf16.FromSlice(src))
+			checkExact(t, fmt.Sprintf("%s WidenBF16 of packed n=%d", m, n), widened, wantR)
 		}
 	}
 }
 
-func TestPackBF16NaNQuieting(t *testing.T) {
-	// NaN payloads survive truncation with the quiet bit set, on every tier.
+func TestRoundBF16NaNQuieting(t *testing.T) {
+	// NaN payloads survive rounding with the quiet bit set, on every tier:
+	// VCVTNEPS2BF16 quiets them as the software converter does.
 	src := []float32{math.Float32frombits(0x7FC01234), math.Float32frombits(0xFF800001), 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}
-	want := make([]bf16.BF16, len(src))
-	bf16.Convert(want, src)
+	want := append([]float32(nil), src...)
+	bf16.RoundSlice(want)
 	for _, m := range asmModes(t) {
-		got := make([]bf16.BF16, len(src))
-		ForMode(m).PackBF16(got, src)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Errorf("%s PackBF16 NaN i=%d: got %#x want %#x", m, i, got[i], want[i])
-			}
-		}
+		got := append([]float32(nil), src...)
+		ForMode(m).RoundBF16(got)
+		checkExact(t, fmt.Sprintf("%s RoundBF16 NaN", m), got, want)
 	}
 }
 

@@ -276,50 +276,20 @@ adam2_blk8:
 	VZEROUPPER
 	RET
 
-// func dotBF16AVX2Asm(a, b *bf16.BF16, n int64) float32
-// Both operands expand bfloat16 -> float32, then FMA.
-TEXT ·dotBF16AVX2Asm(SB), NOSPLIT, $0-28
-	MOVQ a+0(FP), SI
-	MOVQ b+8(FP), DI
+// func widenBF16AVX2Asm(dst *float32, src *bf16.BF16, n int64)
+// dst[i] = float32(src[i]): zero-extend each 16-bit lane, shift left 16.
+TEXT ·widenBF16AVX2Asm(SB), NOSPLIT, $0-24
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
 	MOVQ n+16(FP), DX
-	VXORPS Y0, Y0, Y0
 
-bfboth2_blk8:
-	VPMOVZXWD (SI), Y4
-	VPSLLD $16, Y4, Y4
-	VPMOVZXWD (DI), Y5
-	VPSLLD $16, Y5, Y5
-	VFMADD231PS Y5, Y4, Y0
-	ADDQ $16, SI
-	ADDQ $16, DI
-	SUBQ $8, DX
-	JNE  bfboth2_blk8
-
-	VEXTRACTF128 $1, Y0, X1
-	VADDPS X1, X0, X0
-	VHADDPS X0, X0, X0
-	VHADDPS X0, X0, X0
-	VZEROUPPER
-	MOVSS X0, ret+24(FP)
-	RET
-
-// func axpyBF16AVX2Asm(alpha float32, x *bf16.BF16, y *float32, n int64)
-// y[i] += alpha * expand(x[i]), two roundings per lane.
-TEXT ·axpyBF16AVX2Asm(SB), NOSPLIT, $0-32
-	VBROADCASTSS alpha+0(FP), Y0
-	MOVQ x+8(FP), SI
-	MOVQ y+16(FP), DI
-	MOVQ n+24(FP), DX
-
-bfaxpy2_blk8:
-	VPMOVZXWD (SI), Y1
-	VPSLLD $16, Y1, Y1
-	VMULPS  Y1, Y0, Y1
-	VADDPS  (DI), Y1, Y1
-	VMOVUPS Y1, (DI)
+widen2_blk8:
+	VPMOVZXWD (SI), Y0
+	VPSLLD $16, Y0, Y0
+	VMOVUPS Y0, (DI)
 	ADDQ $16, SI
 	ADDQ $32, DI
 	SUBQ $8, DX
-	JNE  bfaxpy2_blk8
+	JNE  widen2_blk8
 	VZEROUPPER
 	RET

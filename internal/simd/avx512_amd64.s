@@ -8,8 +8,8 @@
 // finishes the final partial block with a K-masked load/store, so no Go-side
 // remainder loop is needed. As in the AVX2 tier, elementwise kernels use
 // separate VMULPS/VADDPS (two roundings, bit-identical to the Go reference)
-// and FMA appears only inside dot/sum reductions. The VCVTNEPS2BF16 kernels
-// at the bottom additionally require AVX512-BF16 and are only installed in
+// and FMA appears only inside dot/sum reductions. The VCVTNEPS2BF16 kernel
+// at the bottom additionally requires AVX512-BF16 and is only installed in
 // the dispatch table when CPUID reports it. The Go assembler has no
 // AVX512-BF16 mnemonics, so VCVTNEPS2BF16 Z0 -> Y1 is hand-encoded
 // (EVEX.512.F3.0F38.W0 72 /r with reg=Y1, rm=Z0): 62 F2 7E 48 72 C8.
@@ -17,10 +17,10 @@
 DATA negInf32<>+0(SB)/4, $0xFF800000
 GLOBL negInf32<>(SB), RODATA, $4
 
-// tailmask: K1 = (1 << DX) - 1 for DX in [1,15]; clobbers AX, CX.
 #define VCVTNEPS2BF16_Z0_Y1 \
 	BYTE $0x62; BYTE $0xF2; BYTE $0x7E; BYTE $0x48; BYTE $0x72; BYTE $0xC8
 
+// tailmask: K1 = (1 << DX) - 1 for DX in [1,15]; clobbers AX, CX.
 #define TAILMASK \
 	MOVL $1, AX \
 	MOVQ DX, CX \
@@ -393,111 +393,33 @@ adam5_done:
 	VZEROUPPER
 	RET
 
-// func dotBF16AVX512Asm(a, b *bf16.BF16, n int64) float32
-TEXT ·dotBF16AVX512Asm(SB), NOSPLIT, $0-28
-	MOVQ a+0(FP), SI
-	MOVQ b+8(FP), DI
-	MOVQ n+16(FP), DX
-	VXORPS Z0, Z0, Z0
-
-bfboth5_blk16:
-	CMPQ DX, $16
-	JLT  bfboth5_tail
-	VPMOVZXWD (SI), Z4
-	VPSLLD $16, Z4, Z4
-	VPMOVZXWD (DI), Z5
-	VPSLLD $16, Z5, Z5
-	VFMADD231PS Z5, Z4, Z0
-	ADDQ $32, SI
-	ADDQ $32, DI
-	SUBQ $16, DX
-	JMP  bfboth5_blk16
-
-bfboth5_tail:
-	TESTQ DX, DX
-	JE    bfboth5_reduce
-	TAILMASK
-	VPMOVZXWD.Z (SI), K1, Z4
-	VPSLLD $16, Z4, Z4
-	VPMOVZXWD.Z (DI), K1, Z5
-	VPSLLD $16, Z5, Z5
-	VFMADD231PS Z5, Z4, Z0
-
-bfboth5_reduce:
-	VEXTRACTF64X4 $1, Z0, Y1
-	VADDPS Y1, Y0, Y0
-	VEXTRACTF128 $1, Y0, X1
-	VADDPS X1, X0, X0
-	VHADDPS X0, X0, X0
-	VHADDPS X0, X0, X0
-	VZEROUPPER
-	MOVSS X0, ret+24(FP)
-	RET
-
-// func axpyBF16AVX512Asm(alpha float32, x *bf16.BF16, y *float32, n int64)
-TEXT ·axpyBF16AVX512Asm(SB), NOSPLIT, $0-32
-	VBROADCASTSS alpha+0(FP), Z0
-	MOVQ x+8(FP), SI
-	MOVQ y+16(FP), DI
-	MOVQ n+24(FP), DX
-
-bfaxpy5_blk16:
-	CMPQ DX, $16
-	JLT  bfaxpy5_tail
-	VPMOVZXWD (SI), Z1
-	VPSLLD $16, Z1, Z1
-	VMULPS  Z1, Z0, Z1
-	VADDPS  (DI), Z1, Z1
-	VMOVUPS Z1, (DI)
-	ADDQ $32, SI
-	ADDQ $64, DI
-	SUBQ $16, DX
-	JMP  bfaxpy5_blk16
-
-bfaxpy5_tail:
-	TESTQ DX, DX
-	JE    bfaxpy5_done
-	TAILMASK
-	VPMOVZXWD.Z (SI), K1, Z1
-	VPSLLD $16, Z1, Z1
-	VMULPS  Z1, Z0, Z1
-	VMOVUPS.Z (DI), K1, Z2
-	VADDPS  Z2, Z1, Z1
-	VMOVUPS Z1, K1, (DI)
-
-bfaxpy5_done:
-	VZEROUPPER
-	RET
-
-// func packBF16AVX512Asm(dst *bf16.BF16, src *float32, n int64)
-// Requires AVX512-BF16: VCVTNEPS2BF16 converts 16 float32 to 16 bfloat16
-// with round-to-nearest-even (subnormal inputs flush to zero — documented
-// divergence from the software converter).
-TEXT ·packBF16AVX512Asm(SB), NOSPLIT, $0-24
+// func widenBF16AVX512Asm(dst *float32, src *bf16.BF16, n int64)
+// dst[i] = float32(src[i]): zero-extend each 16-bit lane, shift left 16.
+TEXT ·widenBF16AVX512Asm(SB), NOSPLIT, $0-24
 	MOVQ dst+0(FP), DI
 	MOVQ src+8(FP), SI
 	MOVQ n+16(FP), DX
 
-pack5_blk16:
+widen5_blk16:
 	CMPQ DX, $16
-	JLT  pack5_tail
-	VMOVUPS (SI), Z0
-	VCVTNEPS2BF16_Z0_Y1
-	VMOVDQU Y1, (DI)
-	ADDQ $64, SI
-	ADDQ $32, DI
+	JLT  widen5_tail
+	VPMOVZXWD (SI), Z0
+	VPSLLD $16, Z0, Z0
+	VMOVUPS Z0, (DI)
+	ADDQ $32, SI
+	ADDQ $64, DI
 	SUBQ $16, DX
-	JMP  pack5_blk16
+	JMP  widen5_blk16
 
-pack5_tail:
+widen5_tail:
 	TESTQ DX, DX
-	JE    pack5_done
+	JE    widen5_done
 	TAILMASK
-	VMOVUPS.Z (SI), K1, Z0
-	VCVTNEPS2BF16_Z0_Y1
-	VMOVDQU16 Y1, K1, (DI)
+	VPMOVZXWD.Z (SI), K1, Z0
+	VPSLLD $16, Z0, Z0
+	VMOVUPS Z0, K1, (DI)
 
-pack5_done:
+widen5_done:
 	VZEROUPPER
 	RET
 

@@ -2,65 +2,17 @@ package simd
 
 import "github.com/slide-cpu/slide/internal/bf16"
 
-// Mixed-precision kernels for the §4.4 quantization modes. On CPX these map
-// to AVX512-BF16 instructions (VDPBF16PS dot products); here they expand
-// bfloat16 lanes to float32 on the fly, which preserves the numerics and the
-// halved memory traffic while paying a software conversion cost (see
-// DESIGN.md "Known divergences").
+// Mixed-precision kernels for the §4.4 quantization modes. bfloat16 is a row
+// loader here: stored rows widen into float32 (WidenBF16) and the float32
+// kernels run on them, the unpack-then-full-width shape of FullPack. On CPX
+// the paper runs VDPBF16PS dot products instead; a bf16×bf16 product is exact
+// in float32, so the widened form computes the same products and differs
+// only in how they are summed (see DESIGN.md "Known divergences").
 
-// dotBF16BothVec and dotBF16BothScalar return the inner product of two
-// bfloat16 vectors (the DotBF16 entry: both weights and activations
-// quantized).
-func dotBF16BothVec(a, b []bf16.BF16) float32 {
-	n := len(a)
-	b = b[:n]
-	var s0, s1 float32
-	i := 0
-	for ; i+8 <= n; i += 8 {
-		x := a[i : i+8 : i+8]
-		y := b[i : i+8 : i+8]
-		s0 += x[0].Float32()*y[0].Float32() + x[1].Float32()*y[1].Float32() +
-			x[2].Float32()*y[2].Float32() + x[3].Float32()*y[3].Float32()
-		s1 += x[4].Float32()*y[4].Float32() + x[5].Float32()*y[5].Float32() +
-			x[6].Float32()*y[6].Float32() + x[7].Float32()*y[7].Float32()
-	}
-	for ; i < n; i++ {
-		s0 += a[i].Float32() * b[i].Float32()
-	}
-	return s0 + s1
-}
-
-func dotBF16BothScalar(a, b []bf16.BF16) float32 {
-	var s float32
-	for i := range a {
-		s += a[i].Float32() * b[i].Float32()
-	}
-	return s
-}
-
-// axpyBF16Vec and axpyBF16Scalar compute y += alpha*x where x is stored in
-// bfloat16 (len(y) >= len(x)).
-func axpyBF16Vec(alpha float32, x []bf16.BF16, y []float32) {
-	n := len(x)
-	y = y[:n]
-	i := 0
-	for ; i+Width <= n; i += Width {
-		xx := x[i : i+Width : i+Width]
-		yy := y[i : i+Width : i+Width]
-		for k := 0; k < Width; k++ {
-			yy[k] += alpha * xx[k].Float32()
-		}
-	}
-	for ; i < n; i++ {
-		y[i] += alpha * x[i].Float32()
-	}
-}
-
-func axpyBF16Scalar(alpha float32, x []bf16.BF16, y []float32) {
-	for i := range x {
-		y[i] += alpha * x[i].Float32()
-	}
-}
+// widenBF16Go and roundBF16Go are the software conversion kernels: widening
+// on the Go tiers, rounding on every tier without AVX512-BF16.
+func widenBF16Go(dst []float32, src []bf16.BF16) { bf16.Expand(dst[:len(src)], src) }
+func roundBF16Go(x []float32)                    { bf16.RoundSlice(x) }
 
 // adamStepBF16 applies one fused ADAM update to weights stored in bfloat16
 // (mode 1). The first and second moments stay in float32; each weight lane is

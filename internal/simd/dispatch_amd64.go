@@ -45,8 +45,7 @@ func init() {
 			DotManyBiasBatch: dotManyBiasBatchAVX2,
 			DotManyU8S8:      dotManyU8S8AVX2,
 
-			DotBF16:      dotBF16AVX2,
-			AxpyBF16:     axpyBF16AVX2,
+			WidenBF16:    widenBF16AVX2,
 			AdamStepBF16: adamStepBF16, // element-local re-rounding: software on every tier
 
 			DotU8S8: dotU8S8AVX2,
@@ -54,7 +53,6 @@ func init() {
 			QuantizeRow8: quantizeRow8AVX2,
 			DequantRows8: dequantRows8AVX2,
 
-			PackBF16:  packBF16Go,
 			RoundBF16: roundBF16Go,
 		}
 	}
@@ -81,8 +79,7 @@ func init() {
 			DotManyBiasBatch: dotManyBiasBatchAVX512,
 			DotManyU8S8:      dotManyU8S8AVX2, // as DotU8S8 below
 
-			DotBF16:      dotBF16AVX512,
-			AxpyBF16:     axpyBF16AVX512,
+			WidenBF16:    widenBF16AVX512,
 			AdamStepBF16: adamStepBF16,
 
 			// The integer dot and its walk ride the AVX2 kernels unless the
@@ -93,7 +90,6 @@ func init() {
 			QuantizeRow8: quantizeRow8AVX512,
 			DequantRows8: dequantRows8AVX512,
 
-			PackBF16:  packBF16Go,
 			RoundBF16: roundBF16Go,
 		}
 		if haveVNNI {
@@ -105,7 +101,6 @@ func init() {
 			// converter: subnormal float32 inputs are treated as zero
 			// (the instruction is DAZ); normal, zero, Inf and NaN inputs
 			// convert identically (see DESIGN.md "Native kernel backend").
-			avx512Kernels.PackBF16 = packBF16AVX512
 			avx512Kernels.RoundBF16 = roundBF16AVX512
 		}
 	}
@@ -167,25 +162,16 @@ func adamAVX2Asm(w, m, v, grad *float32, n int64, beta1, beta2, omb1, omb2, eps,
 func adamAVX512Asm(w, m, v, grad *float32, n int64, beta1, beta2, omb1, omb2, eps, corr float32)
 
 //go:noescape
-func dotBF16AVX2Asm(a, b *bf16.BF16, n int64) float32
+func widenBF16AVX2Asm(dst *float32, src *bf16.BF16, n int64)
 
 //go:noescape
-func dotBF16AVX512Asm(a, b *bf16.BF16, n int64) float32
-
-//go:noescape
-func axpyBF16AVX2Asm(alpha float32, x *bf16.BF16, y *float32, n int64)
-
-//go:noescape
-func axpyBF16AVX512Asm(alpha float32, x *bf16.BF16, y *float32, n int64)
+func widenBF16AVX512Asm(dst *float32, src *bf16.BF16, n int64)
 
 //go:noescape
 func dotU8S8AVX2Asm(a *uint8, b *int8, n int64) int32
 
 //go:noescape
 func dotU8S8VNNIAsm(a *uint8, b *int8, n int64) int32
-
-//go:noescape
-func packBF16AVX512Asm(dst *bf16.BF16, src *float32, n int64)
 
 //go:noescape
 func roundBF16AVX512Asm(x *float32, n int64)
@@ -344,29 +330,15 @@ func dotU8S8VNNI(a []uint8, b []int8) int32 {
 	return s
 }
 
-func dotBF16AVX2(a, b []bf16.BF16) float32 {
-	n := len(a)
-	b = b[:n]
-	nv := n &^ 7
-	var s float32
-	if nv > 0 {
-		s = dotBF16AVX2Asm(&a[0], &b[0], int64(nv))
-	}
-	for i := nv; i < n; i++ {
-		s += a[i].Float32() * b[i].Float32()
-	}
-	return s
-}
-
-func axpyBF16AVX2(alpha float32, x []bf16.BF16, y []float32) {
-	n := len(x)
-	y = y[:n]
+func widenBF16AVX2(dst []float32, src []bf16.BF16) {
+	n := len(src)
+	dst = dst[:n]
 	nv := n &^ 7
 	if nv > 0 {
-		axpyBF16AVX2Asm(alpha, &x[0], &y[0], int64(nv))
+		widenBF16AVX2Asm(&dst[0], &src[0], int64(nv))
 	}
 	for i := nv; i < n; i++ {
-		y[i] += alpha * x[i].Float32()
+		dst[i] = src[i].Float32()
 	}
 }
 
@@ -447,32 +419,13 @@ func adamAVX512(w, m, v, g []float32, p AdamParams) {
 		p.Beta1, p.Beta2, 1-p.Beta1, 1-p.Beta2, p.Eps, p.CorrLR)
 }
 
-func dotBF16AVX512(a, b []bf16.BF16) float32 {
-	n := len(a)
-	if n == 0 {
-		return 0
-	}
-	b = b[:n]
-	return dotBF16AVX512Asm(&a[0], &b[0], int64(n))
-}
-
-func axpyBF16AVX512(alpha float32, x []bf16.BF16, y []float32) {
-	n := len(x)
+func widenBF16AVX512(dst []float32, src []bf16.BF16) {
+	n := len(src)
 	if n == 0 {
 		return
 	}
-	y = y[:n]
-	axpyBF16AVX512Asm(alpha, &x[0], &y[0], int64(n))
-}
-
-func packBF16AVX512(dst []bf16.BF16, src []float32) {
-	if len(dst) != len(src) {
-		panic("bf16: Convert length mismatch")
-	}
-	if len(src) == 0 {
-		return
-	}
-	packBF16AVX512Asm(&dst[0], &src[0], int64(len(src)))
+	dst = dst[:n]
+	widenBF16AVX512Asm(&dst[0], &src[0], int64(n))
 }
 
 func roundBF16AVX512(x []float32) {

@@ -57,9 +57,13 @@ type Kernels struct {
 	DotManyBiasBatch func(rows [][]float32, bias []float32, ids []int32, hs, outs [][]float32)
 	DotManyU8S8      func(rows [][]int8, ids []int32, qas [][]uint8, accs [][]int32)
 
-	// Mixed-precision kernels (§4.4).
-	DotBF16      func(a, b []bf16.BF16) float32
-	AxpyBF16     func(alpha float32, x []bf16.BF16, y []float32)
+	// Mixed-precision kernels (§4.4). bfloat16 is a storage format, not an
+	// arithmetic one: WidenBF16 loads a stored row or column into float32
+	// (zero-extend, shift left 16 — exact, so every tier writes the same
+	// bits), and the float32 kernels above do the arithmetic on it. dst must
+	// hold at least len(src) values; nothing past len(src) is written.
+	// AdamStepBF16 is the one kernel that writes bfloat16.
+	WidenBF16    func(dst []float32, src []bf16.BF16)
 	AdamStepBF16 func(w []bf16.BF16, m, v, g []float32, p AdamParams)
 
 	// Quantized integer kernels (serving tier, internal/quant). DotU8S8 is
@@ -74,19 +78,12 @@ type Kernels struct {
 	QuantizeRow8 func(w []float32, dst []int8) (scale float32, rowSum int32, finite bool)
 	DequantRows8 func(acc []int32, scales []float32, rowSums []int32, bias []float32, sa float32, zp int32, out []float32)
 
-	// Precision-conversion kernels (§4.4). PackBF16 converts float32 to
-	// bfloat16 with round-to-nearest-even; RoundBF16 rounds float32 values
-	// through bfloat16 in place. On AVX512-BF16 hardware both map to
+	// RoundBF16 rounds float32 values through bfloat16 in place
+	// (round-to-nearest-even, §4.4). On AVX512-BF16 hardware it maps to
 	// VCVTNEPS2BF16 (which the paper's CPX pipeline uses); every other tier
 	// runs the software conversion.
-	PackBF16  func(dst []bf16.BF16, src []float32)
 	RoundBF16 func(x []float32)
 }
-
-// packBF16Go and roundBF16Go are the software conversion kernels backing
-// every tier without AVX512-BF16.
-func packBF16Go(dst []bf16.BF16, src []float32) { bf16.Convert(dst, src) }
-func roundBF16Go(x []float32)                   { bf16.RoundSlice(x) }
 
 // vectorKernels is the portable 16-lane (AVX-512 substitute) table.
 var vectorKernels = Kernels{
@@ -111,8 +108,7 @@ var vectorKernels = Kernels{
 	DotManyBiasBatch: dotManyBiasBatchVec,
 	DotManyU8S8:      dotManyU8S8Vec,
 
-	DotBF16:      dotBF16BothVec,
-	AxpyBF16:     axpyBF16Vec,
+	WidenBF16:    widenBF16Go, // exact: one definition serves every Go mode
 	AdamStepBF16: adamStepBF16,
 
 	DotU8S8: dotU8S8Vec,
@@ -120,7 +116,6 @@ var vectorKernels = Kernels{
 	QuantizeRow8: quantizeRow8, // the definitions serve both Go modes
 	DequantRows8: dequantRows8,
 
-	PackBF16:  packBF16Go,
 	RoundBF16: roundBF16Go,
 }
 
@@ -148,8 +143,7 @@ var scalarKernels = Kernels{
 	DotManyBiasBatch: dotManyBiasBatchScalar,
 	DotManyU8S8:      dotManyU8S8Scalar,
 
-	DotBF16:      dotBF16BothScalar,
-	AxpyBF16:     axpyBF16Scalar,
+	WidenBF16:    widenBF16Go,
 	AdamStepBF16: adamStepBF16, // element-local math: one impl serves both modes
 
 	DotU8S8: dotU8S8Scalar,
@@ -157,7 +151,6 @@ var scalarKernels = Kernels{
 	QuantizeRow8: quantizeRow8,
 	DequantRows8: dequantRows8,
 
-	PackBF16:  packBF16Go,
 	RoundBF16: roundBF16Go,
 }
 

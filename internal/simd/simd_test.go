@@ -386,41 +386,6 @@ func TestAdamStepDispatchAndPanic(t *testing.T) {
 	}
 }
 
-func TestDotBF16Both(t *testing.T) {
-	rng := rand.New(rand.NewPCG(13, 14))
-	for _, m := range []Mode{Vector, Scalar} {
-		withMode(t, m, func() {
-			n := 53
-			a := bf16.FromSlice(randSlice(rng, n))
-			b := bf16.FromSlice(randSlice(rng, n))
-			got := float64(Active().DotBF16(a, b))
-			want := float64(ForMode(Scalar).Dot(bf16.ToSlice(a), bf16.ToSlice(b)))
-			if !approxEqual(got, want, 1e-4) {
-				t.Errorf("%v DotBF16=%g want %g", m, got, want)
-			}
-		})
-	}
-}
-
-func TestAxpyBF16(t *testing.T) {
-	rng := rand.New(rand.NewPCG(15, 16))
-	for _, m := range []Mode{Vector, Scalar} {
-		withMode(t, m, func() {
-			n := 37
-			x := bf16.FromSlice(randSlice(rng, n))
-			y := randSlice(rng, n)
-			want := append([]float32(nil), y...)
-			ForMode(Scalar).Axpy(0.5, bf16.ToSlice(x), want)
-			Active().AxpyBF16(0.5, x, y)
-			for i := range y {
-				if !approxEqual(float64(y[i]), float64(want[i]), 1e-5) {
-					t.Errorf("%v AxpyBF16[%d]=%g want %g", m, i, y[i], want[i])
-				}
-			}
-		})
-	}
-}
-
 func TestAdamStepBF16Descends(t *testing.T) {
 	n := 24
 	w := make([]bf16.BF16, n)
@@ -442,13 +407,12 @@ func TestAdamStepBF16Descends(t *testing.T) {
 	}
 }
 
-// TestBF16MismatchPanics: the mixed-precision entries panic on a second
-// operand too short for the first, on every tier.
+// TestBF16MismatchPanics: the mixed-precision entries panic on an operand
+// too short for the first, on every tier.
 func TestBF16MismatchPanics(t *testing.T) {
 	for _, m := range AvailableModes() {
 		ks := ForMode(m)
-		expectPanic(t, m.String()+" DotBF16", func() { ks.DotBF16(make([]bf16.BF16, 24), make([]bf16.BF16, 16)) })
-		expectPanic(t, m.String()+" AxpyBF16", func() { ks.AxpyBF16(1, make([]bf16.BF16, 24), make([]float32, 16)) })
+		expectPanic(t, m.String()+" WidenBF16", func() { ks.WidenBF16(make([]float32, 16), make([]bf16.BF16, 24)) })
 		expectPanic(t, m.String()+" AdamStepBF16", func() {
 			ks.AdamStepBF16(make([]bf16.BF16, 24), make([]float32, 16), make([]float32, 24), make([]float32, 24), AdamParams{})
 		})

@@ -118,11 +118,11 @@ func shardedRun(t *testing.T, w *harness.Workload, opts harness.Options,
 // served scores/rankings — to be bit-identical to the W=1 run. 20 steps with
 // RebuildEvery well inside that window exercises the scheduled per-shard
 // rebuild (so the delta carries tables) under every worker count. The
-// Text8-like workload joins at FP32 and BF16Act. At this scale both
-// workloads' shards are narrow enough to select each touched row many times
-// per batch, so every shard of float32 rows walks the output layer row-major,
-// summing its ∇h partials from the shard's first row, and BF16Both's never
-// does; the W=1 run asserts which.
+// Text8-like workload joins at every precision on contiguous rows. At this
+// scale both workloads' shards are narrow enough to select each touched row
+// many times per batch, so every shard walks the output layer row-major —
+// BF16Both's bfloat16 rows widened — summing its ∇h partials from the shard's
+// first row; the W=1 run asserts it.
 func TestShardedWorkerCountDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full worker-count matrix; skipped in -short (race CI runs the focused lane)")
@@ -151,7 +151,7 @@ func TestShardedWorkerCountDeterminism(t *testing.T) {
 	// One shard: the sampler's lone set hashes on all W workers where the
 	// sets of several shards take one worker each.
 	combos = append(combos, combo{amazon, layer.FP32, layer.Contiguous, 1})
-	for _, prec := range []layer.Precision{layer.FP32, layer.BF16Act} {
+	for _, prec := range []layer.Precision{layer.FP32, layer.BF16Act, layer.BF16Both} {
 		combos = append(combos, combo{text8, prec, layer.Contiguous, 3})
 	}
 	for _, c := range combos {
@@ -165,8 +165,8 @@ func TestShardedWorkerCountDeterminism(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			ref := shardedRun(t, w, opts, prec, place, 1, shards, steps)
-			if (ref.rowMajor > 0) != (prec != layer.BF16Both) {
-				t.Fatalf("%d shard passes walked the output layer row-major", ref.rowMajor)
+			if ref.rowMajor == 0 {
+				t.Fatal("no shard pass walked the output layer row-major")
 			}
 			for _, workers := range []int{2, 4, 8} {
 				got := shardedRun(t, w, opts, prec, place, workers, shards, steps)

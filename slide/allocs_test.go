@@ -17,14 +17,52 @@ import (
 // is what made peak RSS grow with the step count.
 func TestTrainerSteadyStateAllocs(t *testing.T) {
 	const (
-		batch        = 64
-		rebuildEvery = 5
-		maxBytes     = 4 << 10
-		maxMallocs   = 8
+		maxBytes   = 4 << 10
+		maxMallocs = 8
 	)
 	if platform.RaceEnabled {
 		t.Skip("HOGWILD accumulation races by design, and the detector's sync.Pool drops scratch at random")
 	}
+	// The models are text8-shaped: on two workers their stripes select a
+	// touched output row often enough to walk the output layer row-major,
+	// whose stripe buffers — and, under BF16Both, its pooled widening
+	// buffers — are what this gate must see kept rather than reallocated. On
+	// sixteen workers the stripes are too short to cross over, and BF16Both
+	// widens each selected row on the per-sample walk instead.
+	for _, c := range []struct {
+		name     string
+		prec     Precision
+		workers  int
+		rowMajor bool
+	}{
+		{"fp32", FP32, 2, true},
+		{"bf16-both", BF16Full, 2, true},
+		{"bf16-both/per-sample", BF16Full, 16, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			steps, bytesPerStep, mallocsPerStep, rowMajor, perSample := trainerStepAllocs(t, c.prec, c.workers)
+			if (rowMajor > perSample) != c.rowMajor || !c.rowMajor && rowMajor > 0 {
+				t.Errorf("%d stripes walked the output layer row-major, %d per sample", rowMajor, perSample)
+			}
+			t.Logf("%d steps at GOMAXPROCS=%d: %.0f B and %.1f mallocs per step; %d stripes row-major, %d per sample", steps, runtime.GOMAXPROCS(0), bytesPerStep, mallocsPerStep, rowMajor, perSample)
+			if bytesPerStep > maxBytes || mallocsPerStep > maxMallocs {
+				t.Errorf("steady-state step allocates %.0f B in %.1f objects, budget is %d B in %d",
+					bytesPerStep, mallocsPerStep, maxBytes, maxMallocs)
+			}
+		})
+	}
+}
+
+// trainerStepAllocs trains a text8-shaped model of precision prec on workers
+// HOGWILD workers through a Trainer, warm for two passes, and measures the
+// steps of the next one — at least one epoch wrap and two rebuilds: the heap
+// bytes and objects per step, and the model's stripe walks.
+func trainerStepAllocs(t *testing.T, prec Precision, workers int) (steps int64, bytesPerStep, mallocsPerStep float64, rowMajor, perSample int64) {
+	t.Helper()
+	const (
+		batch        = 64
+		rebuildEvery = 5
+	)
 	train, _, err := Text8Like(0.001, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -35,7 +73,8 @@ func TestTrainerSteadyStateAllocs(t *testing.T) {
 		WithActiveSet(16, 0),
 		WithRebuildSchedule(rebuildEvery, 1),
 		WithLearningRate(1e-3),
-		WithWorkers(2), // stripes of 32 samples on any host
+		WithPrecision(prec),
+		WithWorkers(workers), // stripes of batch/workers samples on any host
 		WithSeed(9))
 	if err != nil {
 		t.Fatal(err)
@@ -45,10 +84,8 @@ func TestTrainerSteadyStateAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	perEpoch := (train.Len() + batch - 1) / batch
-	// Warm for two passes, then measure across at least one epoch wrap and
-	// two rebuilds.
 	warm := int64(2 * perEpoch)
-	steps := int64(max(perEpoch+1, 2*rebuildEvery+1))
+	steps = int64(max(perEpoch+1, 2*rebuildEvery+1))
 
 	var before, after runtime.MemStats
 	tr, err := NewTrainer(m, src, WithEpochs(0), WithMaxSteps(warm+steps),
@@ -70,19 +107,9 @@ func TestTrainerSteadyStateAllocs(t *testing.T) {
 	if rep.Epochs < 3 {
 		t.Fatalf("session completed %d passes; the measured window must cross an epoch wrap", rep.Epochs)
 	}
-	// The model is text8-shaped: its stripes select a touched output row
-	// often enough to walk the output layer row-major, whose stripe buffers
-	// are what this gate must see kept rather than reallocated.
-	if rowMajor, perSample := m.net.StripeWalks(); rowMajor <= perSample {
-		t.Errorf("%d stripes walked the output layer row-major, %d per sample", rowMajor, perSample)
-	}
-	bytesPerStep := float64(after.TotalAlloc-before.TotalAlloc) / float64(steps)
-	mallocsPerStep := float64(after.Mallocs-before.Mallocs) / float64(steps)
-	t.Logf("%d steps at GOMAXPROCS=%d: %.0f B and %.1f mallocs per step", steps, runtime.GOMAXPROCS(0), bytesPerStep, mallocsPerStep)
-	if bytesPerStep > maxBytes || mallocsPerStep > maxMallocs {
-		t.Errorf("steady-state step allocates %.0f B in %.1f objects, budget is %d B in %d",
-			bytesPerStep, mallocsPerStep, maxBytes, maxMallocs)
-	}
+	rowMajor, perSample = m.net.StripeWalks()
+	return steps, float64(after.TotalAlloc-before.TotalAlloc) / float64(steps),
+		float64(after.Mallocs-before.Mallocs) / float64(steps), rowMajor, perSample
 }
 
 // TestPredictAllocs pins what the serving docs promise — steady-state exact

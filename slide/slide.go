@@ -64,8 +64,8 @@ const (
 	// BF16Activations keeps parameters FP32 but rounds activations to
 	// bfloat16 values, on which the float32 kernels then run.
 	BF16Activations
-	// BF16Full stores weights and activations in bfloat16 (FP32 ADAM
-	// moments).
+	// BF16Full stores weights in bfloat16 and rounds activations to it
+	// (FP32 ADAM moments); the float32 kernels run on rows widened on load.
 	BF16Full
 )
 
@@ -554,15 +554,16 @@ func (m *Model) Evaluate(test *Dataset, n, k int) (float64, error) {
 }
 
 // Embedding copies the hidden-layer weight column of input feature i — the
-// learned embedding vector in word2vec-style models.
+// learned embedding vector in word2vec-style models. It returns nil for an i
+// outside [0, InputDim).
 func (m *Model) Embedding(i int) []float32 {
-	out := make([]float32, m.net.Config().HiddenDim)
-	col := m.net.Hidden().Col(i, out)
-	if len(col) > 0 && &col[0] != &out[0] {
-		// FP32/BF16Act layouts return a direct view; copy it into the fresh
-		// slice. (BF16Both expands straight into out — no second copy.)
-		copy(out, col)
+	if i < 0 || i >= m.net.Config().InputDim {
+		return nil
 	}
+	out := make([]float32, m.net.Config().HiddenDim)
+	// A float32 column comes back as a view and is copied; a bfloat16 one is
+	// widened straight into out, where the copy moves nothing.
+	copy(out, m.net.Hidden().Col(i, out))
 	return out
 }
 

@@ -243,6 +243,12 @@ func TestEmbedding(t *testing.T) {
 	if m.Embedding(7)[0] == e[0] {
 		t.Error("Embedding returned a live view")
 	}
+	// A feature id outside [0, InputDim) is refused with nil, not a panic.
+	for _, bad := range []int{-1, 50, 55} {
+		if e := m.Embedding(bad); e != nil {
+			t.Errorf("Embedding(%d) = %v, want nil", bad, e)
+		}
+	}
 }
 
 func TestSaveLoadFile(t *testing.T) {
