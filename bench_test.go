@@ -379,6 +379,23 @@ func BenchmarkKernelWidenBF16(b *testing.B) {
 	})
 }
 
+// BenchmarkKernelExpSum measures the label head's exponentials for one
+// text8-s sample: 598 logits, with m their max, under every kernel tier (the
+// Go tiers are the per-element math.Exp loop the assembly replaces).
+func BenchmarkKernelExpSum(b *testing.B) {
+	x := randF32(598, 11)
+	for i := range x {
+		x[i] *= 3
+	}
+	m := simd.Max(x)
+	out := make([]float32, len(x))
+	benchKernelModes(b, func(b *testing.B, ks *simd.Kernels) {
+		for i := 0; i < b.N; i++ {
+			ks.ExpSum(x, m, out, 0)
+		}
+	})
+}
+
 // BenchmarkKernelRoundBF16 measures the rounding through bfloat16 that feeds
 // the §4.4 activation quantization (VCVTNEPS2BF16 on AVX512-BF16 hosts, the
 // software rounder elsewhere). The source is refreshed every iteration, so

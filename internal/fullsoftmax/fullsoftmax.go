@@ -82,6 +82,7 @@ type Trainer struct {
 	dhs    [][]float32     // per-sample views of the reduced gradient, dh[0]
 	xs     []sparse.Vector // the chunk's samples
 	rowBuf [][]float32     // per-worker row expansion buffers
+	exps   [][]float32     // per-worker OutputDim rows for ExpSum's exps, never read
 	evalH  []float32
 }
 
@@ -108,9 +109,11 @@ func New(cfg *Config) (*Trainer, error) {
 	}
 	t.dh = make([][]float32, cfg.Workers)
 	t.rowBuf = make([][]float32, cfg.Workers)
+	t.exps = make([][]float32, cfg.Workers)
 	for w := range t.dh {
 		t.dh[w] = make([]float32, cfg.SampleChunk*cfg.HiddenDim)
 		t.rowBuf[w] = make([]float32, cfg.HiddenDim)
+		t.exps[w] = make([]float32, cfg.OutputDim)
 	}
 	hd := cfg.HiddenDim
 	t.h = make([][]float32, cfg.SampleChunk)
@@ -134,8 +137,9 @@ func (t *Trainer) Output() *layer.RowLayer { return t.output }
 // Step returns the optimizer step count.
 func (t *Trainer) Step() int64 { return t.step }
 
-// parallelFor splits [0,n) into contiguous ranges across workers.
-func parallelFor(n, workers int, f func(lo, hi int)) {
+// parallelFor splits [0,n) into contiguous ranges across workers; f gets the
+// worker's index too, below workers.
+func parallelFor(n, workers int, f func(w, lo, hi int)) {
 	if workers < 1 {
 		workers = 1
 	}
@@ -154,10 +158,10 @@ func parallelFor(n, workers int, f func(lo, hi int)) {
 			break
 		}
 		wg.Add(1)
-		go func(lo, hi int) {
+		go func(w, lo, hi int) {
 			defer wg.Done()
-			f(lo, hi)
-		}(lo, hi)
+			f(w, lo, hi)
+		}(w, lo, hi)
 	}
 	wg.Wait()
 }
@@ -185,7 +189,7 @@ func (t *Trainer) chunk(ks *simd.Kernels, b sparse.Batch, lo, hi int) float64 {
 	hd := t.cfg.HiddenDim
 
 	// 1. Hidden forward, parallel over samples.
-	parallelFor(n, t.cfg.Workers, func(s, e int) {
+	parallelFor(n, t.cfg.Workers, func(_, s, e int) {
 		for i := s; i < e; i++ {
 			t.hidden.Forward(ks, b.Sample(lo+i), t.h[i])
 		}
@@ -193,7 +197,7 @@ func (t *Trainer) chunk(ks *simd.Kernels, b sparse.Batch, lo, hi int) float64 {
 
 	// 2. All logits, tiled over output neurons: streams each weight row
 	// once across the whole chunk (the matmul access pattern).
-	parallelFor(out, t.cfg.Workers, func(s, e int) {
+	parallelFor(out, t.cfg.Workers, func(_, s, e int) {
 		for id := s; id < e; id++ {
 			for i := 0; i < n; i++ {
 				t.logits[i*out+id] = t.output.Logit(ks, int32(id), t.h[i])
@@ -203,14 +207,11 @@ func (t *Trainer) chunk(ks *simd.Kernels, b sparse.Batch, lo, hi int) float64 {
 
 	// 3. Softmax + cross-entropy per sample; logits become gz in place.
 	losses := make([]float64, n)
-	parallelFor(n, t.cfg.Workers, func(s, e int) {
+	parallelFor(n, t.cfg.Workers, func(w, s, e int) {
 		for i := s; i < e; i++ {
 			row := t.logits[i*out : (i+1)*out]
 			maxL := ks.Max(row)
-			var z float64
-			for k := range row {
-				z += math.Exp(float64(row[k] - maxL))
-			}
+			z := ks.ExpSum(row, maxL, t.exps[w], 0)
 			logZ := math.Log(z) + float64(maxL)
 			labels := b.Labels(lo + i)
 			var tgt float32
@@ -277,7 +278,7 @@ func (t *Trainer) chunk(ks *simd.Kernels, b sparse.Batch, lo, hi int) float64 {
 	for i := range n {
 		t.xs[i] = b.Sample(lo + i)
 	}
-	parallelFor(hd, t.cfg.Workers, func(s, e int) {
+	parallelFor(hd, t.cfg.Workers, func(_, s, e int) {
 		for i := range n {
 			for w := 1; w < len(t.dh); w++ {
 				ks.Add(t.dh[w][i*hd+s:i*hd+e], t.dhs[i][s:e])

@@ -279,15 +279,13 @@ func (n *Network) labelHead(ks *simd.Kernels, parts []*stripe, i, nTrue int) (lo
 			m = max(m, ks.Max(lg))
 		}
 	}
+	// exp(l − m) into the grads and onto z, part after part in index order.
+	// A NaN logit makes z NaN, so every output of the sample is NaN on every
+	// tier, whatever Max made of it.
 	var z float64
 	for _, s := range parts {
 		lo, hi := s.offs[i], s.offs[i+1]
-		g := s.grads[lo:hi]
-		for k, l := range s.logits[lo:hi] {
-			e := math.Exp(float64(l - m))
-			g[k] = float32(e)
-			z += e
-		}
+		z = ks.ExpSum(s.logits[lo:hi], m, s.grads[lo:hi], z)
 	}
 	invZ := float32(1 / z)
 	logZ = math.Log(z) + float64(m)

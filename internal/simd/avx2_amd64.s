@@ -145,8 +145,14 @@ add2_blk8:
 
 // func maxAVX2Asm(x *float32, n int64) float32
 // Lane-wise running maxima, horizontal resolve at the end. NaN handling
-// follows VMAXPS (NaN in the newer operand propagates), which differs from
-// the portable tier; callers never pass NaNs (see DESIGN.md).
+// follows VMAXPS, which returns its second (newer) operand when either is NaN:
+// a lane that meets a NaN forgets what it held and keeps the NaN only until
+// its next element. So with NaNs in x the result is NaN or the maximum of
+// some of the elements, depending on where the NaNs sit; the portable tier
+// returns NaN exactly when x[0] is one.
+// The label head does pass NaNs: raw logits, NaN under poisoned weights.
+// Its outputs are NaN on every tier anyway, because exp(NaN - m) makes its
+// softmax sum NaN whatever m is (network.TestLabelHeadMatchesDefinition).
 TEXT ·maxAVX2Asm(SB), NOSPLIT, $0-20
 	MOVQ x+0(FP), SI
 	MOVQ n+8(FP), DX

@@ -225,8 +225,11 @@ add5_done:
 
 // func maxAVX512Asm(x *float32, n int64) float32
 // Requires n >= 1. Accumulators seed at -Inf; the masked tail merges into a
-// -Inf-filled register so dead lanes never win. NaN handling follows VMAXPS
-// (differs from the portable tier; callers never pass NaNs).
+// -Inf-filled register so dead lanes never win. NaN handling follows VMAXPS,
+// as in maxAVX2Asm: with NaNs in x the result is NaN or the maximum of some of
+// the elements, depending on where the NaNs sit. The label head passes raw
+// logits, NaN under poisoned weights, and its outputs are NaN on every tier
+// either way: exp(NaN - m) makes its softmax sum NaN whatever m is.
 TEXT ·maxAVX512Asm(SB), NOSPLIT, $0-20
 	MOVQ x+0(FP), SI
 	MOVQ n+8(FP), DX

@@ -54,6 +54,8 @@ func init() {
 			DequantRows8: dequantRows8AVX2,
 
 			RoundBF16: roundBF16Go,
+
+			ExpSum: expSumAVX2,
 		}
 	}
 	if haveAVX512 {
@@ -91,6 +93,8 @@ func init() {
 			DequantRows8: dequantRows8AVX512,
 
 			RoundBF16: roundBF16Go,
+
+			ExpSum: expSumAVX512,
 		}
 		if haveVNNI {
 			avx512Kernels.DotU8S8 = dotU8S8VNNI

@@ -16,6 +16,10 @@ import "github.com/slide-cpu/slide/internal/bf16"
 // beyond what memory safety needs: an operand too short for the call panics
 // (a slice-bounds failure or the walks' named checks), a longer one is read
 // only as far as the call needs.
+//
+// The table has 22 entries. ExpSum, the newest, is not offset by a deletion:
+// the candidates, ArgMax and the per-row DotU8S8, live on only because the
+// frozen benchmark probes call them (ROADMAP item 1, "Then delete").
 type Kernels struct {
 	// Mode records which implementation set this table holds. When an
 	// assembly tier is unavailable, ForMode returns a downgraded table and
@@ -83,6 +87,12 @@ type Kernels struct {
 	// VCVTNEPS2BF16 (which the paper's CPX pipeline uses); every other tier
 	// runs the software conversion.
 	RoundBF16 func(x []float32)
+
+	// ExpSum is the label head's softmax numerator (see expsum.go):
+	// out[i] = float32(math.Exp(float64(x[i]-m))), and the return value is z
+	// plus those float64 exps summed in index order. Every tier returns the
+	// bits of that loop, which is the definition.
+	ExpSum func(x []float32, m float32, out []float32, z float64) float64
 }
 
 // vectorKernels is the portable 16-lane (AVX-512 substitute) table.
@@ -117,6 +127,8 @@ var vectorKernels = Kernels{
 	DequantRows8: dequantRows8,
 
 	RoundBF16: roundBF16Go,
+
+	ExpSum: expSum, // the definition serves both Go modes
 }
 
 // scalarKernels is the naive one-element-at-a-time table (the "-no-avx"
@@ -152,6 +164,8 @@ var scalarKernels = Kernels{
 	DequantRows8: dequantRows8,
 
 	RoundBF16: roundBF16Go,
+
+	ExpSum: expSum,
 }
 
 // avx2Kernels and avx512Kernels are the assembly tiers. They default to a

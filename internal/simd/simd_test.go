@@ -98,6 +98,7 @@ func TestDotLengthMismatchPanics(t *testing.T) {
 		expectPanic(t, m.String()+" Dot", func() { ks.Dot(make([]float32, 24), make([]float32, 16)) })
 		expectPanic(t, m.String()+" Axpy", func() { ks.Axpy(1, make([]float32, 24), make([]float32, 16)) })
 		expectPanic(t, m.String()+" Add", func() { ks.Add(make([]float32, 24), make([]float32, 16)) })
+		expectPanic(t, m.String()+" ExpSum", func() { ks.ExpSum(make([]float32, 17), 0, make([]float32, 16), 0) })
 	}
 }
 
