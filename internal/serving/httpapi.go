@@ -225,7 +225,7 @@ func predictSampledOne(p Predictor, e slide.BatchEntry) ([]int32, bool) {
 
 func (s *Server) handlePredict(w http.ResponseWriter, req *http.Request) {
 	var pr predictRequest
-	if err := json.NewDecoder(req.Body).Decode(&pr); err != nil {
+	if err := readRequest(req.Body, &pr); err != nil {
 		writeError(w, http.StatusBadRequest, "invalid JSON: %v", err)
 		return
 	}
@@ -300,7 +300,7 @@ func writeBatcherError(w http.ResponseWriter, req *http.Request, err error) {
 
 func (s *Server) handlePredictBatch(w http.ResponseWriter, req *http.Request) {
 	var br batchRequest
-	if err := json.NewDecoder(req.Body).Decode(&br); err != nil {
+	if err := readRequest(req.Body, &br); err != nil {
 		writeError(w, http.StatusBadRequest, "invalid JSON: %v", err)
 		return
 	}

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"testing"
 	"time"
@@ -297,6 +298,108 @@ func TestServeValidation(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("k == label space rejected: %d (%s)", resp.StatusCode, body)
 	}
+
+	// Bodies off the one-pass decoder's canonical subset are served as
+	// encoding/json decodes them: a valid one answers with the canonical
+	// body's labels, an invalid one with encoding/json's error text.
+	canonical := predictRequest{Indices: s.Indices, Values: s.Values, K: kp(3)}
+	one, err := json.Marshal(canonical)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch, err := json.Marshal(batchRequest{Samples: []predictRequest{canonical, canonical}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, body = postJSON(t, ts, "/predict", canonical)
+	var want predictResponse
+	if err := json.Unmarshal(body, &want); err != nil {
+		t.Fatal(err)
+	}
+	oneKeyed := func(from, to string) []byte { return bytes.Replace(one, []byte(from), []byte(to), 1) }
+	batchKeyed := func(from, to string) []byte { return bytes.Replace(batch, []byte(from), []byte(to), 1) }
+	for _, tc := range []struct {
+		name, path string
+		body       []byte
+	}{
+		{"capitalised key", "/predict", oneKeyed(`"indices"`, `"Indices"`)},
+		{"unknown field", "/predict", oneKeyed(`"k":3`, `"k":3,"note":"x"`)},
+		{"trailing bytes", "/predict", append(slices.Clone(one), " {nope"...)},
+		{"batch capitalised key", "/predict/batch", batchKeyed(`"samples"`, `"Samples"`)},
+		{"batch unknown field", "/predict/batch", batchKeyed(`"samples"`, `"note":null,"samples"`)},
+		{"batch trailing bytes", "/predict/batch", append(slices.Clone(batch), "}"...)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			resp, body := postRaw(t, ts, tc.path, tc.body)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("status %d, want 200 (body %s)", resp.StatusCode, body)
+			}
+			var got batchResponse
+			if tc.path == "/predict" {
+				var pr predictResponse
+				err = json.Unmarshal(body, &pr)
+				got.Labels = [][]int32{pr.Labels}
+			} else {
+				err = json.Unmarshal(body, &got)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, labels := range got.Labels {
+				if !slices.Equal(labels, want.Labels) {
+					t.Errorf("labels %v, canonical body's %v", labels, want.Labels)
+				}
+			}
+		})
+	}
+	for _, tc := range []struct {
+		name, path string
+		body       []byte
+	}{
+		{"malformed", "/predict", []byte("{nope")},
+		{"empty body", "/predict", nil},
+		{"byte order mark", "/predict", append([]byte("\xef\xbb\xbf"), one...)},
+		{"float index", "/predict", oneKeyed(`"indices":[`, `"indices":[1.0,`)},
+		{"index beyond int32", "/predict", oneKeyed(`"indices":[`, `"indices":[2147483648,`)},
+		{"value beyond float32", "/predict", oneKeyed(`"values":[`, `"values":[1e39,`)},
+		{"k not an integer", "/predict", oneKeyed(`"k":3`, `"k":3.5`)},
+		{"batch float index", "/predict/batch", batchKeyed(`"indices":[`, `"indices":[1.0,`)},
+		{"batch truncated", "/predict/batch", batch[:len(batch)-2]},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var decodeErr error
+			if tc.path == "/predict" {
+				decodeErr = json.NewDecoder(bytes.NewReader(tc.body)).Decode(new(predictRequest))
+			} else {
+				decodeErr = json.NewDecoder(bytes.NewReader(tc.body)).Decode(new(batchRequest))
+			}
+			if decodeErr == nil {
+				t.Fatalf("encoding/json accepts %q", tc.body)
+			}
+			resp, body := postRaw(t, ts, tc.path, tc.body)
+			var er errorResponse
+			if err := json.Unmarshal(body, &er); err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusBadRequest || er.Error != "invalid JSON: "+decodeErr.Error() {
+				t.Errorf("status %d, error %q; want 400, %q", resp.StatusCode, er.Error, "invalid JSON: "+decodeErr.Error())
+			}
+		})
+	}
+}
+
+func postRaw(t *testing.T, ts *httptest.Server, path string, body []byte) (*http.Response, []byte) {
+	t.Helper()
+	resp, err := ts.Client().Post(ts.URL+path, "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var buf bytes.Buffer
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
+		t.Fatal(err)
+	}
+	return resp, buf.Bytes()
 }
 
 func TestServeHealthAndStats(t *testing.T) {
