@@ -66,50 +66,23 @@ func (l *RowLayer) ForwardActive(ks *simd.Kernels, active []int32, h []float32, 
 // hBF is unread.
 //
 // This is the per-row form: the dense middle stack (whose "active set" is
-// chosen row by row by the ReLU mask) uses it; the output layer's
-// active-set walk goes through AccumulateActive. It calls the table's
+// chosen row by row by the ReLU mask) uses it; the output layer's training
+// walk goes through AccumulateStripe. It calls the table's
 // AxpyTwo entry on the row, widened when it is bfloat16 — a genuinely fused
 // single walk on the assembly tiers, two independent axpys on the Go tiers,
 // where the fused loop measures ~20% slower (see DESIGN.md "Known
 // divergences"); the two shapes are bit-identical because the slice pairs
 // never alias.
 func (l *RowLayer) Accumulate(ks *simd.Kernels, id int32, gz float32, h []float32, hBF []bf16.BF16, dh []float32) {
-	wb := l.w.widening(1)
-	l.accumulate(ks, id, gz, h, dh, wb)
-	wb.release()
-}
-
-// accumulate is Accumulate with the caller's widening scratch.
-func (l *RowLayer) accumulate(ks *simd.Kernels, id int32, gz float32, h, dh []float32, wb *widening) {
 	if dh != nil {
+		wb := l.w.widening(1)
 		ks.AxpyTwo(gz, h, l.grad[id], l.w.row(ks, int(id), wb), dh)
+		wb.release()
 	} else {
 		ks.Axpy(gz, h, l.grad[id])
 	}
 	l.gbias[id] += gz
 	l.touched.mark(id)
-}
-
-// AccumulateActive is the whole Algorithm 1 backward pass over one sample's
-// active set: Accumulate(active[k], gz[k]) for every k in list order, with
-// the same results to the bit. Over float32 rows the ∇W and ∇h walks are one
-// AxpyTwoMany call — on the assembly tiers h and ∇h stay in vector registers
-// while the listed rows stream past — followed by the bias-gradient and
-// touched-set marks; bfloat16 rows loop Accumulate's per-row form, each row
-// widened once. gz must hold at least len(active) values.
-func (l *RowLayer) AccumulateActive(ks *simd.Kernels, active []int32, gz []float32, h, dh []float32) {
-	if wb := l.w.widening(1); dh == nil || wb != nil {
-		for k, id := range active {
-			l.accumulate(ks, id, gz[k], h, dh, wb)
-		}
-		wb.release()
-		return
-	}
-	ks.AxpyTwoMany(gz, active, h, l.grad, l.w.f32, dh)
-	for k, id := range active {
-		l.gbias[id] += gz[k]
-		l.touched.mark(id)
-	}
 }
 
 // AccumulateOwnedRow adds gz·h into row id's gradient and gz into its bias

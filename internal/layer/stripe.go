@@ -4,13 +4,14 @@ import "github.com/slide-cpu/slide/internal/simd"
 
 // Stripe-major output walks. A HOGWILD worker's stripe selects each active
 // output row many times over — about eleven times per 128 samples on
-// text8-s — and the per-sample walks (ForwardActive, AccumulateActive)
-// reload the row and read and write its gradient at every selection. No
-// weight changes inside a batch, so the stripe can be walked the other way
-// round: transpose its active lists into row → (sample, slot) lists with one
-// counting sort (StripeIndex.Build), then visit every selected row once, the
-// row as the dense operand and the stripe's activations as the listed
-// vectors. See DESIGN.md "Stripe-major output walks".
+// text8-s — and a per-sample walk (ForwardActive, then Accumulate per
+// selection) reloads the row and reads and writes its gradient at every
+// selection. No weight changes inside a batch, so the stripe is walked the
+// other way round: transpose its active lists into row → (sample, slot)
+// lists with one counting sort (StripeIndex.Build), then visit every
+// selected row once, the row as the dense operand and the stripe's
+// activations as the listed vectors. Training runs the output layer through
+// these walks only; see DESIGN.md "Stripe-major output walks".
 
 // StripeIndex is the row-major transpose of one stripe's active lists: for
 // every output row, the selections that chose it, samples ascending and
@@ -31,26 +32,16 @@ type StripeIndex struct {
 }
 
 // Build transposes a stripe of len(offs)-1 samples over out rows — sample
-// k's active ids are active[offs[k]:offs[k+1]] — and reports whether the
-// stripe selects each row it touches at least minReuse times on average.
-// Only then is the transpose placed and the index ready for the walks;
-// otherwise the per-sample walks are the cheaper ones, and Build has cost
-// one counting pass. An id outside [0, out) panics as ForwardActive's would.
-func (x *StripeIndex) Build(out int, offs, active []int32, minReuse int) bool {
+// k's active ids are active[offs[k]:offs[k+1]] — and readies the index for
+// the walks. An id outside [0, out) panics as ForwardActive's would.
+func (x *StripeIndex) Build(out int, offs, active []int32) {
 	x.start = grow(x.start, out+1)
 	clear(x.start)
 	count := x.start[:out]
-	touched, longest := 0, int32(0)
+	longest := int32(0)
 	for _, id := range active {
-		c := count[id] + 1
-		if c == 1 {
-			touched++
-		}
-		count[id] = c
-		longest = max(longest, c)
-	}
-	if touched == 0 || len(active) < minReuse*touched {
-		return false
+		count[id]++
+		longest = max(longest, count[id])
 	}
 	// Inclusive prefix sums leave start[r] at the end of row r; placing the
 	// selections backwards moves it down to the row's beginning, and keeps
@@ -71,7 +62,6 @@ func (x *StripeIndex) Build(out int, offs, active []int32, minReuse int) bool {
 	}
 	x.bias = grow(x.bias, len(offs)-1)
 	x.buf = grow(x.buf, int(longest))
-	return true
 }
 
 // row returns the i-th row of a walk that starts at row first and wraps
@@ -113,18 +103,18 @@ func (l *RowLayer) ForwardStripe(ks *simd.Kernels, x *StripeIndex, hs [][]float3
 	wb.release()
 }
 
-// AccumulateStripe is AccumulateActive for every sample of the stripe,
+// AccumulateStripe is Accumulate for every selection of the stripe,
 // row-major: each selected row is one AxpyTwoMany call with the roles swapped
 // — the row and its gradient are the dense, register-resident operands, the
 // samples that chose it the listed ones — which adds gz[p]·hs[sample] into the
 // row's gradient and gz[p]·w[row] into the sample's input gradient
 // dhs[sample], both from one load of the row. The gradient's contributions
-// arrive in ascending sample order, the order the per-sample walks reach the
+// arrive in ascending sample order, the order a per-sample walk reaches the
 // row in, so the gradient, the bias gradient and the touched set come out
-// bit-identical to AccumulateActive's. An input gradient gets the same terms
-// in row-walk order instead of list order: rows ascending from first,
-// wrapping, and a row a sample chose twice in slot order. A bfloat16 row is
-// widened once per stripe.
+// bit-identical to those of Accumulate called per selection in list order.
+// An input gradient gets the same terms in row-walk order instead of list
+// order: rows ascending from first, wrapping, and a row a sample chose twice
+// in slot order. A bfloat16 row is widened once per stripe.
 func (l *RowLayer) AccumulateStripe(ks *simd.Kernels, x *StripeIndex, gz []float32, hs, dhs [][]float32, first int) {
 	wb := l.w.widening(1)
 	for i := range len(x.start) - 1 {

@@ -21,9 +21,18 @@ func flatten(lists [][]int32) (offs, active []int32) {
 	return offs, active
 }
 
+// accumulateEach is the per-sample backward walk the stripe walks are held
+// to: Accumulate once per selection of one sample's active list, in list
+// order.
+func accumulateEach(ks *simd.Kernels, l *RowLayer, active []int32, gz, h, dh []float32) {
+	for k, id := range active {
+		l.Accumulate(ks, id, gz[k], h, nil, dh)
+	}
+}
+
 // checkStripeWalks runs one stripe through the row-major walks on one layer
 // — ForwardStripe, then AccumulateStripe — and through ForwardActive and
-// AccumulateActive sample by sample on a twin, twice over (so the second pass
+// accumulateEach sample by sample on a twin, twice over (so the second pass
 // starts from non-zero gradients), and requires every logit, gradient row,
 // bias gradient and touched row to be the same bits. The input gradients sum
 // their terms in another order, so checkStripeDh checks them.
@@ -44,12 +53,7 @@ func checkStripeWalks(t *testing.T, name string, ks *simd.Kernels, o Options, in
 	offs, active := flatten(lists)
 	var x StripeIndex
 	for pass := 0; pass < 2; pass++ {
-		if !x.Build(out, offs, active, 0) {
-			if len(active) != 0 {
-				t.Fatalf("%s: Build refused a stripe of %d selections at reuse 0", name, len(active))
-			}
-			continue
-		}
+		x.Build(out, offs, active)
 		logits := make([]float32, len(active))
 		walk.ForwardStripe(ks, &x, hs, logits, first)
 		gz := randVec(rng, len(active))
@@ -65,7 +69,7 @@ func checkStripeWalks(t *testing.T, name string, ks *simd.Kernels, o Options, in
 			sameBits(t, fmt.Sprintf("%s logits of sample %d", name, k), logits[lo:hi], want)
 
 			dhLoop := make([]float32, in)
-			loop.AccumulateActive(ks, ids, gz[lo:hi], hs[k], dhLoop)
+			accumulateEach(ks, loop, ids, gz[lo:hi], hs[k], dhLoop)
 			checkStripeDh(t, fmt.Sprintf("%s dh of sample %d", name, k), ks, walk, ids, gz[lo:hi], first, dhs[k], dhLoop)
 		}
 	}
@@ -82,7 +86,7 @@ func checkStripeWalks(t *testing.T, name string, ks *simd.Kernels, o Options, in
 // against two references. It must be bit-identical to applying Axpy(g, w[r])
 // per selection in the walk's order — rows ascending from first, wrapping,
 // and a row the sample chose twice in slot order. And it must agree with the
-// list-order dhLoop of AccumulateActive: both lie within 1e-5·Σ|g·w| of the
+// list-order dhLoop of accumulateEach: both lie within 1e-5·Σ|g·w| of the
 // float64 sum of the same terms, per element.
 func checkStripeDh(t *testing.T, name string, ks *simd.Kernels, l *RowLayer, ids []int32, gz []float32, first int, dh, dhLoop []float32) {
 	t.Helper()
@@ -183,19 +187,21 @@ func TestStripeWalksBitIdenticalToPerSample(t *testing.T) {
 	}
 }
 
-// TestStripeBuildCrossover: Build places the transpose exactly when the
-// stripe selects each touched row at least minReuse times on average.
-func TestStripeBuildCrossover(t *testing.T) {
-	// 8 selections of 3 rows: reuse 2⅔.
-	offs, active := flatten([][]int32{{0, 1}, {0, 1, 2}, {0, 1, 2}})
+// TestStripeBuildTransposes: Build lists every row's selections, samples
+// ascending and slots ascending within a sample, at their flat positions —
+// and a rebuilt index forgets the stripe before, down to one that selects
+// nothing.
+func TestStripeBuildTransposes(t *testing.T) {
+	offs, active := flatten([][]int32{{0, 1}, {2, 0, 1, 2}, {1, 0}})
 	var x StripeIndex
-	for minReuse, want := range []bool{true, true, true, false, false} {
-		if got := x.Build(4, offs, active, minReuse); got != want {
-			t.Errorf("Build at minReuse %d = %v, want %v", minReuse, got, want)
-		}
+	x.Build(4, offs, active)
+	want := "start [0 3 6 8 8] sample [0 1 2 0 1 2 1 1] pos [0 3 7 1 4 6 2 5]"
+	if got := fmt.Sprintf("start %v sample %v pos %v", x.start, x.sample, x.pos); got != want {
+		t.Errorf("Build: %s, want %s", got, want)
 	}
-	if x.Build(4, []int32{0, 0, 0}, nil, 0) {
-		t.Error("Build placed a stripe that selects nothing")
+	x.Build(4, []int32{0, 0, 0}, nil)
+	if got := fmt.Sprint(x.start); got != "[0 0 0 0 0]" {
+		t.Errorf("Build of a stripe that selects nothing: start %s", got)
 	}
 }
 
@@ -224,7 +230,7 @@ func TestStripeWalksPanicAsPerSample(t *testing.T) {
 			ids := []int32{1, bad, 2}
 			offs, active := flatten([][]int32{{0}, ids})
 			var x StripeIndex
-			got := panicOf(func() { x.Build(out, offs, active, 0) })
+			got := panicOf(func() { x.Build(out, offs, active) })
 			want := panicOf(func() { l.ForwardActive(ks, ids, h, nil, make([]float32, len(ids))) })
 			if got == "" || got != want {
 				t.Errorf("%v id %d: Build panics with %q, ForwardActive with %q", m, bad, got, want)

@@ -6,7 +6,6 @@ import (
 	"math/rand/v2"
 	"testing"
 
-	"github.com/slide-cpu/slide/internal/bf16"
 	"github.com/slide-cpu/slide/internal/simd"
 )
 
@@ -35,57 +34,6 @@ func forEachLayerVariant(f func(name string, ks *simd.Kernels, o Options)) {
 			}
 		}
 	}
-}
-
-// TestAccumulateActiveEqualsAccumulateLoop: grad, gbias, the touched set and
-// dh after one AccumulateActive call are those of Accumulate called once per
-// id, in list order — including ids that repeat within the list.
-func TestAccumulateActiveEqualsAccumulateLoop(t *testing.T) {
-	const in, out = 200, 40
-	rng := rand.New(rand.NewPCG(61, 62))
-	forEachLayerVariant(func(name string, ks *simd.Kernels, o Options) {
-		walk, loop := NewRowLayer(in, out, o), NewRowLayer(in, out, o)
-		h := make([]float32, in)
-		for i := range h {
-			h[i] = float32(rng.NormFloat64())
-		}
-		if o.Precision != FP32 {
-			bf16.RoundSlice(h) // the BF16 modes take h already rounded
-		}
-		active := make([]int32, 57)
-		gz := make([]float32, len(active)+3) // longer than the list is allowed
-		for k := range active {
-			active[k] = int32(rng.IntN(out))
-			if k%7 == 3 {
-				active[k] = active[k-1]
-			}
-		}
-		for k := range gz {
-			gz[k] = float32(rng.NormFloat64())
-		}
-		// Two samples back to back, so the second walk starts from non-zero
-		// gradient rows.
-		for pass := 0; pass < 2; pass++ {
-			dhWalk, dhLoop := make([]float32, in), make([]float32, in)
-			walk.AccumulateActive(ks, active, gz, h, dhWalk)
-			for k, id := range active {
-				loop.Accumulate(ks, id, gz[k], h, nil, dhLoop)
-			}
-			sameBits(t, name+" dh", dhWalk, dhLoop)
-		}
-		// And once with no input gradient wanted.
-		walk.AccumulateActive(ks, active, gz, h, nil)
-		for k, id := range active {
-			loop.Accumulate(ks, id, gz[k], h, nil, nil)
-		}
-		for i := range loop.grad {
-			sameBits(t, fmt.Sprintf("%s grad[%d]", name, i), walk.grad[i], loop.grad[i])
-		}
-		sameBits(t, name+" gbias", walk.gbias, loop.gbias)
-		if got, want := fmt.Sprint(walk.touched.ids()), fmt.Sprint(loop.touched.ids()); got != want {
-			t.Fatalf("%s touched %s, want %s", name, got, want)
-		}
-	})
 }
 
 // TestColLayerWalksEqualPerNonZeroForms: Forward equals bias plus one Axpy

@@ -42,8 +42,6 @@ type forwardState struct {
 	dims []int
 	// lastDim is the width of the activation feeding the output layer.
 	lastDim int
-	// all is the precomputed full active set for NoSampling.
-	all []int32
 }
 
 // scratch holds the mutable buffers of one forward pass and its LSH
@@ -145,8 +143,9 @@ func (f *forwardState) forwardHidden(ks *simd.Kernels, x sparse.Vector, acts [][
 // dropped), then the LSH candidates of the sample's fingerprints hs (as
 // sampler.hash wrote them; unread when the model does not sample through
 // LSH), then random top-up to MinActive, capped at MaxActive — one budget
-// over the whole layer, however many sets the sampler probes. Returns the
-// number of label entries at the head of the slice.
+// over the whole layer, however many sets the sampler probes. Under
+// NoSampling every row is active: the labels, then every other row
+// ascending. Returns the number of label entries at the head of the slice.
 func (f *forwardState) sampleActive(ws *scratch, labels []int32, hs []uint32) int {
 	ws.active = ws.active[:0]
 	ws.dedup.Begin()
@@ -156,6 +155,14 @@ func (f *forwardState) sampleActive(ws *scratch, labels []int32, hs []uint32) in
 		}
 	}
 	nLabels := len(ws.active)
+	if f.cfg.NoSampling {
+		for id := range int32(f.cfg.OutputDim) {
+			if !ws.dedup.Seen(id) {
+				ws.active = append(ws.active, id)
+			}
+		}
+		return nLabels
+	}
 
 	limit := f.cfg.MaxActive
 	if limit > 0 && nLabels > limit {

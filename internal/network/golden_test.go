@@ -55,29 +55,18 @@ func trainStatsSHA(t *testing.T, n *Network, p *plantedProblem, batches, batchSi
 // a text8-like one (hidden 200, linear, SimHash, one-hot inputs) — through
 // both engines, the phase engine on four shards and on one, and compares the
 // trained state and the BatchStats of every step with hashes recorded before
-// the code that produced them moved: the state literals of hogwild1 and
-// shards4 before the active-set walks became single kernel calls, the shards1
-// row and every stats literal on the commit before the two table layouts
-// became one sampler, and the text8deep row (a text8-like model with a dense
-// middle layer, HOGWILD on one worker) before the HOGWILD stripes walked the
-// output layer row-major. The text8 and text8deep hogwild1 rows were
-// re-recorded when that walk began to sum each sample's input gradient in
-// row-walk order instead of list order (layer.AccumulateStripe), which moves
-// the bits of every model trained through row-major stripes and of no other;
-// TestStripeWalksBitIdenticalToPerSample checks the new order against its own
-// reference and TestOutputWalksTrainAlike the training it yields. The text8
-// shards1 and shards4 rows were re-recorded when the phase engine's shards
-// took the same walk, for the same reason. The BF16 rows pin both BF16
-// precisions on both engines; see their comments for which held when
-// BF16Act became float32 arithmetic on rounded activations and when BF16Both
-// rows began to widen on load. Every kernel tier
-// has its own literals: tiers differ from each other in dot-product reduction
-// order, but no tier may differ from its own past.
-//
-// Every row also checks which output walks its stripes and shards took, so
-// that the pins cover both: text8's select a touched row ≈ 5 times and
-// mostly walk row-major (text8deep's too, and both BF16 precisions' like
-// FP32's), and amazon's ≈ 1.4 times and never do.
+// the code that produced them moved. The text8deep row is a text8-like model
+// with a dense middle layer, HOGWILD on one worker; the BF16 rows pin both
+// BF16 precisions on both engines. Every row was last re-recorded when the
+// per-sample output walk was deleted: every stripe and shard now walks the
+// output layer row-major, summing each sample's input gradient in row-walk
+// order (layer.AccumulateStripe), which moved the bits of every row; the
+// parent commit, with every stripe and shard forced onto the row-major walk,
+// produced these same literals. TestStripeWalksBitIdenticalToPerSample
+// checks the walk against the per-sample definition and
+// TestOutputWalksTrainAlike the training it yields. Every kernel tier has its
+// own literals: tiers differ from each other in dot-product reduction order,
+// but no tier may differ from its own past.
 func TestTrainingBitsPinned(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("literals were recorded on amd64 (other compilers fuse a*b+c in the portable tiers)")
@@ -85,17 +74,16 @@ func TestTrainingBitsPinned(t *testing.T) {
 	type shape struct {
 		cfg      Config
 		protoNNZ int
-		rowMajor bool // most HOGWILD stripes walk the output layer row-major
 		engines  []string
 	}
 	all := []string{"hogwild1", "shards1", "shards4"}
 	shapes := map[string]shape{
 		"amazon": {Config{InputDim: 1500, HiddenDim: 128, OutputDim: 2000,
-			Hash: DWTA, K: 4, L: 10, MinActive: 48, LR: 0.01, RebuildEvery: 10, Seed: 101}, 12, false, all},
+			Hash: DWTA, K: 4, L: 10, MinActive: 48, LR: 0.01, RebuildEvery: 10, Seed: 101}, 12, all},
 		"text8": {Config{InputDim: 600, HiddenDim: 200, OutputDim: 600, HiddenActivation: layer.Linear,
-			Hash: SimHash, K: 6, L: 8, MinActive: 64, LR: 0.01, RebuildEvery: 10, Seed: 102}, 1, true, all},
+			Hash: SimHash, K: 6, L: 8, MinActive: 64, LR: 0.01, RebuildEvery: 10, Seed: 102}, 1, all},
 		"text8deep": {Config{InputDim: 600, HiddenDim: 200, HiddenLayers: []int{40}, OutputDim: 600, HiddenActivation: layer.Linear,
-			Hash: SimHash, K: 6, L: 8, MinActive: 96, LR: 0.01, RebuildEvery: 10, Seed: 103}, 1, true, []string{"hogwild1"}},
+			Hash: SimHash, K: 6, L: 8, MinActive: 96, LR: 0.01, RebuildEvery: 10, Seed: 103}, 1, []string{"hogwild1"}},
 	}
 	// The BF16 precisions on both regimes and both engines. Both walk like
 	// FP32: BF16Act's rows are float32, and BF16Both's bfloat16 rows are
@@ -115,89 +103,77 @@ func TestTrainingBitsPinned(t *testing.T) {
 	}
 	type pin struct{ state, stats string }
 	want := map[string]pin{
-		"avx512/amazon/hogwild1": {"3657991be757f0c180a85207cf3cd911f6040c09f0b68f91d0e7c3aaa3eb614a", "4c48c37ce5db2bdc5b61c493614ec884cb5ca366426c60e926e9921d0a4ccb53"},
-		"avx512/amazon/shards1":  {"bcd453f1bb8009fbf813a8418cd53792211d2afecb1fdbe5c547c2f0522732b5", "e78668ec7e465b4ee793bf56e688070dfe568ead33242a64ec3c418d52d40454"},
-		"avx512/amazon/shards4":  {"9e619e9967c8bd46b93edcee4bc90ffd5608fe71b5bf40c55f7cf910d36a9eef", "59e5842269a8c389b1212cb95378fcc26851a463a8ca0905fa4d5b1b500858d2"},
-		"avx512/text8/hogwild1":  {"28c33473c02314ce61f43d7da2e1b9f93b43ec35364e00bc2f7904e676cc8157", "729cdf5c6c80f79c11c8bfc92634da52ff3f32c3e46ec9521bc7b46ecddad9c2"},
-		"avx2/amazon/hogwild1":   {"464f272a514893168a4ad1591a8282a86c28df9807c49f2b0bdbaaa8db2430b3", "1a8de18af37fdb7c1cf4a559730bb15a2c53c2e5bb99605930cddffe81eddb62"},
-		"avx2/amazon/shards1":    {"4ba3958d7d38ba69ff6a96c7eddcf986c8dbf92ebc556212bbd0ecefc53dc7e8", "f3909196592652ea6c9df8999fc258c3d64939fa1ef2a3fc1f71c44eb8d63b59"},
-		"avx2/amazon/shards4":    {"9196031369cc0ec50fa85b407fd3901c795f6f496c85ddf578e8697209c1e22b", "bfca2f66de087e0831b8c2412a52b941209adb79036751053bce66505bd0e2b2"},
-		"avx2/text8/hogwild1":    {"f83a47be7393bd079953472c1341c52645c78df106ab7a4b074a504eb03bdbe8", "fc33895b3fe0c0b0f5765230766cbee265339b10da0dd5e91f88533999952c01"},
-		"vector/amazon/hogwild1": {"fbe6475ef56c3452cc56dc24070b99ad4a0ba2d4f17100d55a2d7460ceaff799", "d60d760ed7a58ec65459597bb7a28c900d6ba9a9882a97435290fea3eaa0f989"},
-		"vector/amazon/shards1":  {"8aac6844915b8daaca967098040b8036c2d88a18e3cfc9e81b6fe080f9962249", "93e52c9583d66065f4d12a9bd8d6b226653950fedc52980ec03844a211f3d2a7"},
-		"vector/amazon/shards4":  {"d5f2d192f70856dd937aee9108fd75f45f746ccb4b7ccaed19c02df43441d119", "132dde8963d8c202cb8d22da83503a1fee849846b2904c80942c4439645e651a"},
-		"vector/text8/hogwild1":  {"953e287a1b4f7c33f4fd4231ff6277111ea250295554c0cb047be0709735d2db", "034a4711c688b86c5e2632c1209d883703b1163965f1554436e24de3bb716aca"},
-		"scalar/amazon/hogwild1": {"6b91a72e8a6b64ee1fb02fd3cb815c9e3cf2087aee209c06303ca08d43b0133f", "1dd7d05564cd6c85f707a48c9d8db2ec07e766edde56690848eb7fc936a46fa3"},
-		"scalar/amazon/shards1":  {"5c1d74af2cac1493b8db2400c500cbb8be7187c898eb0b39c63510f7f265cb6d", "1bd0daa8f2ee6c2d11a97e656fecb86fad466f7940e650973651a3441b881f79"},
-		"scalar/amazon/shards4":  {"af0474ba9ff312279914b007f9e5fef17520f489b1202087ffe0d8c4038efdec", "929750bf6168265b88d416552aed6e9574fcef70180483e13e148d7879b2c29d"},
-		"scalar/text8/hogwild1":  {"eaa8f8be8934b7383d975db62de761f421f8efabdd3713ce8ccb6f22ca07f198", "010174b4ec3db87b1652aa358774fe6898b741abd6eb9053a6703048c45f9b44"},
-		// Recorded on the parent of the stripe-major output walks, re-recorded
-		// with the text8 rows for the row-order input gradient.
+		// FP32. Re-recorded: per-sample stripes/shards now walk row-major.
+		"avx512/amazon/hogwild1": {"837cbe3c811e884221ce3f49dd7a898fe450da29fa37baca6a14258a95c55439", "946243ef6d4b6f36a99f37bfdd9e7bf3638ea769314a4588b33686e0162a21fe"},
+		"avx512/amazon/shards1":  {"9dfe6064ebe3e9f9ed478d21e0bf271c19acb57fc790a4dd981226cae5b7a09e", "391108ff0bc420aa95f7df116d64a2c4e6b230786763b288add65389fe4e20b3"},
+		"avx512/amazon/shards4":  {"c0bd2d28648343977f01a75a9b582af3d815cc779e0c4fb487b8638174d283f7", "214f7540d320fea0997f8371acb1a141f339073b53fe4c4b6b02118e8ca33092"},
+		"avx512/text8/hogwild1":  {"ffef4133f5debf8c909f46f3cf007dae4e8bf3124189d1bcc1273bfb53ccf457", "7d75987ae374a020c3d2386f5931c001641ae23448d48695ddc488af8137e505"},
+		"avx2/amazon/hogwild1":   {"c5cccdfb622e55926485b91caab97032c247802a822efcb3f4d0d1c2ed13cf8e", "0f71b81452d7290e4b64f101e888c8778b1e10c727df8b9b09e3a120a308d61e"},
+		"avx2/amazon/shards1":    {"9b322f44fbcad5de5662cd7abe91db72b44605bf864ee4d17e27284eb31cf610", "931c79cad53ffb43b637f1b5b992cd078528d2e4268e9252b9a1af7ff2b2d6e2"},
+		"avx2/amazon/shards4":    {"ecdd8caa8eadfaaf794c2244348f605d684918a45fc74eafbe01ae4a55e8cab0", "b49fac2626789bd5cb4fcc06cb5cb7a25d83e7927c2723777732f3328d21502f"},
+		"avx2/text8/hogwild1":    {"ff01c7557f5409d07b5d7a0a0ee21aa117601ee8b1b7b950c444395d06d469cf", "3c002bafdb489780f8328909abb320eab24d548734a0cfd68fcf2ee8904a03e9"},
+		"vector/amazon/hogwild1": {"9d37d292465f33df272139c6ed36afd963cf6ec4e136689208163d04e9364d92", "62a5c64fb748f49ac41a7aed3dbbae1d6e24031af9b6df5e29a8eb427fcdd1d9"},
+		"vector/amazon/shards1":  {"fc38279c2c3da0c24af25be58a602c7dd8b2eda55ad28226780bc92669617e86", "1d94c226232ba1b608429c3f771cbe1b18cac1cd985ba442d779a8c782fee275"},
+		"vector/amazon/shards4":  {"15c243efe51dca5c94058b8a04354cd4ed46e7123189849fa40dc9cf40c49dd8", "03f15383f829da49b5f674d8d4d7c0e1d830efbe95641b7a4945d7a1e3dd37ba"},
+		"vector/text8/hogwild1":  {"250cc3fa5825cfd2f9879e1138c5aa93c2faa41d33eca0fb07f548b5c7dede73", "23a1ddcc27c720c3226b2ee300b53e6e9f0a84fae99ed65db83674f502eabd33"},
+		"scalar/amazon/hogwild1": {"e977796c13d3d769c5530f46a4bf770f15b5c32e544c893b0679b4366b490325", "73a98c53e495398ad6131e54b1fa85be359f438e822fa7c1e0f3fb7fe225132a"},
+		"scalar/amazon/shards1":  {"1887a0599a311e75fac887898071cf9860c82e8dd458f8f068f543b5d2b720df", "224698ca0c28cbb18966705ff2258a9543833787c9010639fac32a22be971099"},
+		"scalar/amazon/shards4":  {"52ee7ed7b23a7f89b562a974fee99d93979fd6bc1788236e0858a75d6673f0d3", "d6370b0d60b8b384e7505be23d91c598e36bce8c35ede987b24620ec97fd0838"},
+		"scalar/text8/hogwild1":  {"77ba07942a0d93a44d0aa7fcdb0af4d0e66b203126bba1a7b7e70a1241743016", "dcc2d5b89c07d955da1f6e92a1a5d22b3ec5b9957ad853620beae15b08cba7a6"},
+		// FP32 text8deep. Re-recorded: per-sample stripes/shards now walk row-major.
 		"avx512/text8deep/hogwild1": {"997465c81367d9fcbaf54f4b8b7583855a9fc59a6497f84d06f7a1e60d2ab8eb", "a93b3114f20e79fbbc6ed377397fc7841c1fc0ac6173c1daa3f59554383adef1"},
 		"avx2/text8deep/hogwild1":   {"4312f3ec4e6a0eb98725f404171cbd7c450c0cc474650701511c0f3d433e090d", "f22636b639e22e0406d642b690799837a480d3c6f1893f79877f3069231aff25"},
 		"vector/text8deep/hogwild1": {"083fe06ac4b513d8fb38488f72c447dca87401a311dc8ee859422f4ee9fccc62", "7847a41214c76f584c19a89c11b6dc503cf8dae44d82d843cff61ce78fe8a022"},
 		"scalar/text8deep/hogwild1": {"1957ac19d3412a15b4fc1bd8d83911a254c19312e6b10bfd483d556f749730e6", "5511a15fcfe90b887c1c360ea644a163bc3522cd4eb5933738f43f7c33e72750"},
-		// Re-recorded when the phase engine's shards took the stripe walk: the
-		// text8 shards cross over and sum each ∇h partial in row-walk order from
-		// the shard's first row. With the per-sample walk forced, these runs
-		// still produce the literals recorded before.
-		"avx512/text8/shards1": {"e3c27b6b41ee295d8fb2eafa948c957f0244278828eb1f0e49df37020f909bf2", "83a90cfcb4c181cb6915eb8f4b116f824de08a34533ada74036cc379a448946e"},
-		"avx512/text8/shards4": {"fc66c329c2bd1e6c5304fa409d9c49510dd0f157c16e74cf466e6d0974ba9b32", "3c6a715fb34d465d8a0eb00a8b933c3da99d1c5c6efdad414b489cf5950578d1"},
-		"avx2/text8/shards1":   {"67d3026204d5f4fa56eb97c08cc5d62fc8d53ee9e9cc09e6de37e73b062c52b1", "0f1056f60e503be5822d939a045393149f963634eb6f3517bb810b810d1371e4"},
-		"avx2/text8/shards4":   {"1099981e2c510bf3d4a1a1eb862d8a51577096d715c3aa62e372796b247b3f75", "62be15687db294e09e267d5223afcc7f8eb2bab8ce327269aeaa56b0042c5528"},
-		"vector/text8/shards1": {"bf455a8e1c6cefe135ff7c9d72b25df6248597a8a27e7b000b009987d3142783", "972d983e64d0e72bb7a1adcabfff2d719796c73d878e3e6a1ba20ca31b7550d8"},
-		"vector/text8/shards4": {"15c802a38748b6f89d55c907a6b75697a3cb892a32083353d172862539aae0fa", "ae944f8c145e9206c203f2af8100dd3bf6b9e13bbca56fe9fc93b5d8f69d3016"},
-		"scalar/text8/shards1": {"efca755dd0b3cb61fddab6a7118c60855071492ac4a8b0b3bc4f665bb3511590", "8b7a5b74dd2eaedd6a6cae5d69ea33472371864279e2c1b4945e2607347c131d"},
-		"scalar/text8/shards4": {"fe5f54e9e2635444b44646635ca4c5da0d4a022da3c4327cc1fe6e6f21288afa", "16a9843ec3106849615a20b4d65c4ccbd145efa1a35bdbe82ffe767a2f266735"},
-		// Recorded on the parent of BF16Act's float32 walks, and held by the
-		// change: BF16Act amazon on the Go tiers, where Dot sums as DotBF16F32
-		// did. The scalar BF16Both amazon rows also held when BF16Both's
-		// bfloat16 rows began to widen on load into the float32 kernels: the
-		// scalar Dot sums as DotBF16 did.
-		"vector/amazon-bf16-act/hogwild1":  {"327ad15de77bbf4067259ecf5565fdf2ae695a6edf77004b4e4b637ab430d718", "2f04aabd0bfc2eb9441c4bd7d39f5554cfb42d75c8bb9b34684471283e3cdd44"},
-		"vector/amazon-bf16-act/shards4":   {"436bf8f33631095aae1e756d62efb27a06e72d02cf2ea548b4efdc66ac4b4ff5", "e9e6aa0a9935d1c066b6476888002ced95955611d39e820c0003f1dd5cd5cfae"},
-		"scalar/amazon-bf16-act/hogwild1":  {"0048d1511d7767d4b3e5ce2ef6b51291c2f210e242967578022b142f95f66c39", "0124a2882f49156681e3a0c79c823cf69d3d27f5fc63de5188352fca685f01cb"},
-		"scalar/amazon-bf16-act/shards4":   {"104a500f260cc965c3a815ae9ee2ed73a597012a4852f0b5b8cec6266af12202", "60966a3e0d9931de95d96acb85186e048054578b462f0dffefb12b9ffd934706"},
-		"scalar/amazon-bf16-both/hogwild1": {"0e1af61b04bcfe8da04b9cbb909b7378ee9db0ef2de28faef304fad98704dec7", "bd27ab2d922d76e630c56540376aa14b3a62d6e264328e6086464d7d0a4ac26a"},
-		"scalar/amazon-bf16-both/shards4":  {"7f611b44fb16f14be6ba6a3df9df59398d4e0a5cec1f3c55a347f8be6c75112d", "b731cb52b6e255a4372d715d92e0e1ea8d311b02cd3f2c32cf5892063509001b"},
-		// Re-recorded for the reduction order when BF16Both's bfloat16 rows
-		// began to widen on load into the float32 kernels: the assembly and
-		// vector tiers' Dot sums in another order than their DotBF16 did.
-		"avx512/amazon-bf16-both/hogwild1": {"270860c23dc758cd88e7866f8d7c9c1b6914bbf5ff2d9ac8b5441c332a6080c8", "874fb3001beb38476b567e0b60a1f114c426ce2f530d06ae7e2bb4b73d0b0455"},
-		"avx512/amazon-bf16-both/shards4":  {"5a7ed1592453d6e892b0665b7c688f69fe9b2ca0c8e040e900d69cc5032115ae", "480c98a3bc6f56943a5d21f4af2bff0f17714785cc3b4edc6ccb582af25bd554"},
-		"avx2/amazon-bf16-both/hogwild1":   {"99ed0280fcaa11e47a0691d761a8508950ef71f9bdc0888f8ea242048633747b", "4e6014f15049a672cb8597d7fe272b3fce563728b46c3caaf1c8c6af2c846a2f"},
-		"avx2/amazon-bf16-both/shards4":    {"8087421a51ebb79d90889fc243ac41af7e7713a43e4806eac315e0666ee3f508", "dca22509f7d4f704b09610a9aa65cea4cf83ed22e0f4dbe03dbbf29c3e3ec843"},
-		"vector/amazon-bf16-both/hogwild1": {"b98b1d7f8a1a6352b4f20572dc6bb96aa0e77394d1ff4697d5031143fcaf46c9", "431967559969d91c7a55af104819b2f71244debca0f19a922ae3dbc8bdefa87c"},
-		"vector/amazon-bf16-both/shards4":  {"315ec24d990d21494ad624c3d5c4b403e8fbddfc8ba429bb4a79c7a528931a0a", "4b5add27f3d0cdfac9bfd1fbee8c619ab952e2ffc38f4abc05c8b23b1a6515ef"},
-		// Re-recorded for the row-major walks (and, off the scalar tier, Dot's
-		// reduction order): BF16Both text8 stripes and shards now cross over.
-		// With the per-sample walk forced, the scalar tier still produces the
-		// literals recorded before.
-		"avx512/text8-bf16-both/hogwild1": {"16bd52f69a7b1eb38993ba2d7a1ac72dab0f9f4ceeb8ad62788985218580867a", "b0c360d1f2c5c10f7cbc2a0a10beb50563b6b20eda63933f44d2597ebd641aaf"},
-		"avx512/text8-bf16-both/shards4":  {"3d17ef02cea0879b24dfd4ce5942e1f356ffbac57f7181b06c5b374141289e0f", "f255fd85851711f1fa7a8fc47e774eff83992da43631d1621e9e4c55f8321790"},
-		"avx2/text8-bf16-both/hogwild1":   {"b62b5deb6bd8b0fb1646c4b03bd4e431017a456767070545004ae19ac08d99c1", "9290eafcb7ef9d3e0424ddcfef3fd313752516b63afb3e3a64b11d4091566e1d"},
-		"avx2/text8-bf16-both/shards4":    {"198d1e9ef5fb1601ce53785e688971c7e6ecf7d296dd529c4483d35d04c813c1", "32a70a6a88de45125880af3e0a6a3a881cd03eac66a35279a9020701fe9e2493"},
-		"vector/text8-bf16-both/hogwild1": {"7a0f77fd3ebf0df66cd1a1e055bf3d860f2a2eed14d2ac7d386b537f4b0136c0", "b992a88a38fb8e6d4385efc018d0fc583c6d070c5d8ca8098e11d999542765e2"},
-		"vector/text8-bf16-both/shards4":  {"f658ca789f9cc1aa847641fbc9e3638e0f744ee009a027fefddf4dcbbdc133d6", "591f611ccbb6df92d01d4e57facf223d7add0ae22c5ec08a63a490c86061047e"},
-		"scalar/text8-bf16-both/hogwild1": {"667dabb8f7d52cadf15a640c5359a54f891e265d2ac87f26164aa83f1b9aac9c", "ef6dcd30e28c742e5ef440bc35e9299412fd026bef15bea94231bd775be59237"},
-		"scalar/text8-bf16-both/shards4":  {"02600a86f326498c37c01bd4bef9d86e620b46eb3d165928f5d36b12e63cc595", "a2b68f960fd98077feecf17a092a17c595d478dbb040a7715e80114a7778e07a"},
-		// Re-recorded for the reduction order: BF16Act now runs Dot on the
-		// assembly tiers, whose accumulators differ from DotBF16F32's.
-		"avx512/amazon-bf16-act/hogwild1": {"35909502918329086207f80490fa85a2ffd2ec6dea72802333557be27ebf2da1", "f4a351cc91326adcf8f7d2f14f6c4cf5bdb86ac0d3ad330164185cefdcdd213f"},
-		"avx512/amazon-bf16-act/shards4":  {"d94d8a2a86191dca43e72b6901940c79441142e543e278a6f1eb0e62a1bdc0fa", "ef7e54716e3149022e3b3449a0a67d36fbeb954f8d5d5e6e561691cb89da4bbb"},
-		"avx2/amazon-bf16-act/hogwild1":   {"426e214cdf646fd9e1493eadb5f81cdbab6451405bf3815bb4efd0531d84ac7a", "263036b89dfe9bd3c547defb1f367f0fb7a07a410c5ed7acbc3effc7106f691c"},
-		"avx2/amazon-bf16-act/shards4":    {"c50059a6a5f0c4f7ae916388c4fd235ecfd7789de75aaf299bcd3c50ebbe788a", "fed0eed0913b393520351f856cf8f055e9030c080fc25528f5db174ca539a52d"},
-		// Re-recorded for the row-major walks (and, on the assembly tiers, Dot's
-		// reduction order): BF16Act text8 stripes and shards now cross over. With
-		// the per-sample walk forced, the Go tiers still produce the parent's.
-		"avx512/text8-bf16-act/hogwild1": {"9e0bc7c8099b700c852c2ce299dda13e36dc02f822ba1475ccf4f9a9f67c7dc5", "d7d388d104b43d908f9640d3106f59e4d7793f847e6b7a400a78473a5967434a"},
-		"avx512/text8-bf16-act/shards4":  {"fff3282703be632ce59e175727b2deb093b6f331146bce04f0b2beed3d0ca6a1", "e345abda768257b8f80057d3e5d4672570fc1181b621581989a7e8e3e090ad74"},
-		"avx2/text8-bf16-act/hogwild1":   {"7dc2655871af19dcb947ca8e4864277db9733414e72947be8d081c27e96a494a", "7ed8d3fcfa00a6a6574b90e2180c6ab9187fa532aa5b7b2bd3cfb98bd7cb1b10"},
-		"avx2/text8-bf16-act/shards4":    {"00a035a9538b8a03ddabbf7e82a8652c81e408e43104a07d4ac06dfbba2f5e33", "32e908abbeca2b0157632f9d4cd6f03d381d049b683fec88f8665b794772ad0a"},
-		"vector/text8-bf16-act/hogwild1": {"be6559cd318371ad6a68921948bef6f0bfbf0c0fc29f3d53d436852789d1465f", "1915d93868d45ae034efb447420de374b3faf298d32289feefb8524c5fb29a43"},
-		"vector/text8-bf16-act/shards4":  {"5efebd4bd843d96409ebff049e0e06d7a7394cba70d098753df4280ab65f7766", "42f2fd4553c9cd571540c92a0387e2740712b5e591856ebc71c4148d278071d8"},
-		"scalar/text8-bf16-act/hogwild1": {"fefb9a8f8b5994b688dd2727f9e6d1108ee9fd2db589b1b3e0fd82187d8e69c9", "b1dc708bd612cb63fbb5dc27a9c73e6fb9ed7eac3c9573c84b0589ea871369d2"},
-		"scalar/text8-bf16-act/shards4":  {"41b0c9671f217cb29bad55f985bb5bf869e048be45ccef200d917fe3f81b4c8d", "1da5eef3fd32c19a8fa660ca20ba2ffe89f8d5ee4afe1f48223fce7b76e1ee88"},
+		// FP32 text8 shards. Re-recorded: per-sample stripes/shards now walk row-major.
+		"avx512/text8/shards1": {"a20b4c95e1b456d5f4de1d18dac1109486defe8610ed89c95f89d9af49803dc0", "d3b2ce8fd681cc96b9714885b9777656b85c4db5f471c61d1a37857acf9e5d3b"},
+		"avx512/text8/shards4": {"14c7b3a7b0f55ed62e639fee3cfacf73cea0a830d08b97218c2f4b99a73b573d", "f657c9be26ce3a51340b3c2e6a8a7377db03b5d3ae8414f8fab74d14cdc99f71"},
+		"avx2/text8/shards1":   {"608d9e4a13cc50f16ff3c41234ae796ff0c43ae3f5cae460a0bf6d1af073e2a6", "33ff64240a583dc2c0ac7a4e2c2d5751624a85349fcf4d94421eca4837438b6a"},
+		"avx2/text8/shards4":   {"2dc1f0d628b950366bbf23893acd0e4d4a0e9d1806dd1498fb13ba4978de1b97", "fa7a3f382a67647c082e9867f8e194e75e3c857ae739c4a17e09150f094f70ac"},
+		"vector/text8/shards1": {"f898276f01125efe2f7cbc37464ba800e3e059220034a4e1ddd609565896c0aa", "ac74b7e65bce1adceaa556c58191db18f53466518baaa3bf73e041bdf0807485"},
+		"vector/text8/shards4": {"b01f35cc943042f8431df1efea0d5f5b5659126ee2967af54fd7da093b80d5ce", "86fcd415a576cdd233801a2a45b1189a123435b5b577963e38940c4a7ae28e8e"},
+		"scalar/text8/shards1": {"8d870316256dac66fd621704d0deca64baa3df6d912c607c6d1efb67904b1f59", "95b3382ad72699f94176b494d3a9b18db3941cb305f3464006d425aa0dd2e974"},
+		"scalar/text8/shards4": {"2b6989a7c2a41e8fcf6b4fbbc45ad5c8b98f54c6a5864e919c7f350642883132", "76fb11f8f775a95323c663ab65f405417831e3f05321fae2ce8a560f8f4677c4"},
+		// BF16Act amazon on the Go tiers, BF16Both amazon on the scalar one.
+		// Re-recorded: per-sample stripes/shards now walk row-major.
+		"vector/amazon-bf16-act/hogwild1":  {"03caa41dc6c772e6ba5de47c3dec4d538a3570c42eedae5108b43a577219e181", "77816a7ba40658e097ecb5961da946a946175a039a510d6cba83be9e6296c6d0"},
+		"vector/amazon-bf16-act/shards4":   {"e3bf6f00d5547386d8fd3db4be3c633238f76e0c99f302f26fbd33a6677dae87", "2ef99709a680fbb6ce21e8176671dbd824ff3afd6712a0f5b58c3838c1a224ec"},
+		"scalar/amazon-bf16-act/hogwild1":  {"f6aeff89be4b2052d414ca72161c79418a11e612feaa3a19ca1b90553f5bb4e6", "e57456c22219ddb6d897b92b18d0b95c784430f764419ecb0edbcc5bb8c297d4"},
+		"scalar/amazon-bf16-act/shards4":   {"59c74f09b34db410ea28c19a4749382b8b3974fbe9b5fd3604953429d5954598", "e73ea1b985b4cea64fd820a0c193e34f488ea0cf7dae9b18b05ee16a52955b97"},
+		"scalar/amazon-bf16-both/hogwild1": {"694af1d393e9b03fe4ff713c26ba725290e6a8ef0e6907ce7ca851f6a3386d85", "198f0da3efb95a1855bb1d6b3930385054cc8181c90521aea9a9b99478178d0d"},
+		"scalar/amazon-bf16-both/shards4":  {"1635c66f0fcd62850c0942271c4c84eec5334f6b588374fc09d25f423420d4e7", "332041743cecc4b0c31630178174ac4370b408307dbdf5ab6ba04ba46b0353d8"},
+		// BF16Both amazon off the scalar tier.
+		// Re-recorded: per-sample stripes/shards now walk row-major.
+		"avx512/amazon-bf16-both/hogwild1": {"622c10c90943401331c3715c106609a84975de019424717942f5dee11186f96c", "f95b081e100dd4240643e56db4878e1c157b84650582977731930fa5f0731727"},
+		"avx512/amazon-bf16-both/shards4":  {"5b3fb4e3bb63494032087dd6659571538c727749cc51b3614b6278b3e2ada634", "c310f4c89318f87b19ba7c09b3c90f5d7b2bf4fe43081185c87447bbd70ec9ec"},
+		"avx2/amazon-bf16-both/hogwild1":   {"592a05507d0fa2f8e9b019a78ce9a4e263b020f5c00ff500ab66d911d985715f", "23821ba769cf4f22c1709da20168948b4c48eee1ccdbc401c95552222e1df618"},
+		"avx2/amazon-bf16-both/shards4":    {"560f35a2ce70f755fa10122ebb7f9c3357aea6d457b220349fbb595292a0f5f0", "d8ae2ca975fb2ad35eb262a388d509bd2666f04acfbf712980925e131d643dd0"},
+		"vector/amazon-bf16-both/hogwild1": {"0ff87c0857d5d9036a940a79523432e1022076a8cdc3c63171a0341681219753", "ba3d39ca0167165490d672a7a2a3c4f83998332d1ea0e576ce153e2558fccc28"},
+		"vector/amazon-bf16-both/shards4":  {"40ef5a63094280ef585ea81706b481d3db7b36b4dff1adc13d2b67eed656a6ab", "2782d9e8f8d094878d4f2d570b79909cfaeef6e7d5cdc9cec2929fc3e3a516f6"},
+		// BF16Both text8. Re-recorded: per-sample stripes/shards now walk row-major.
+		"avx512/text8-bf16-both/hogwild1": {"48fefc39c07f7477ab6f97b68990f19b03175ead4f8c520272e09702adee7522", "c8b6c6a36bf8ef44f0605b6284fa4eecbec82edd09dbd38ddabe1263a5ee9262"},
+		"avx512/text8-bf16-both/shards4":  {"abb006f17a494c08f6cb4f0306df2d39d267007de5ba4c9b1158e77b1b001f55", "f5e8af4c353935743706a98fd2c5b2843addbfa0ba4f37058d91d9ad3bb8e449"},
+		"avx2/text8-bf16-both/hogwild1":   {"230789f89038eabee9c46462808c75c0309de902ddfc9d41d609b69b306a1c3e", "a27820b6ee1e65c37685a6486c296852deb7d8ca32c8298d8805d40209e1c68a"},
+		"avx2/text8-bf16-both/shards4":    {"dcfde62364887879ff2c5062509741f549514ebd202a5468e43d55feca621497", "bc538b04715a43256bc62c785c4c97475ba8e57096ae56e4ef011914886ecdf8"},
+		"vector/text8-bf16-both/hogwild1": {"a1fb2c0fda6dd0b9a10a5b264105b6da714cdd309eac6cb80d43fa88111645b4", "a0173a3a0c6fd3516c2c5ddb741674d87f9da698ee8c68c7d3c417c5b66d03a7"},
+		"vector/text8-bf16-both/shards4":  {"385167f5a9b9dc947a51e472414c7e33fbea755fbb56c402cabd7042e703aae9", "529144411d1777aab243880dff95f2d2c8c7550b69fd30e1f1b776f4d68c1ba8"},
+		"scalar/text8-bf16-both/hogwild1": {"ea9e7c37fbca04f3ca3d161819abb1e14524f0159ca4513d012a590278fa3165", "3634d9f78b840ff3a9289fb1f720786ef50a986ae054e52973e54c1b4b4d679d"},
+		"scalar/text8-bf16-both/shards4":  {"143ff07bb3c69b2fbf0d05448bef785d1a208f100d2eeaae747ecafef294a8c4", "95640adc545fe7ea6d672ea2b57daa2b7c75d0fa371635d331673f06b701ab63"},
+		// BF16Act amazon on the assembly tiers.
+		// Re-recorded: per-sample stripes/shards now walk row-major.
+		"avx512/amazon-bf16-act/hogwild1": {"891125a078498948bd6d04c748f4f0de84457deed5991bd6fc24dae4381ab053", "7c109b6179daee38ccca40cd74aaa54c742608b622c60a5656d9363d54aafee2"},
+		"avx512/amazon-bf16-act/shards4":  {"b8cf5a08e1111e56c9b6661c4f37202541afd78daf2098ae8bf7d269e2216686", "afcafbbb639138b4a2d970ccb7e60956533f536e74b1ea5b4651d389cc7bbf2b"},
+		"avx2/amazon-bf16-act/hogwild1":   {"4df4c550914247eaee898ac764562f5cc2bdd00e873ba53744ce0648c0d43c11", "4ce4e0f90bb73096d0d56ad3c1d1dc65a99443c114fe2892183c58a482f30fbb"},
+		"avx2/amazon-bf16-act/shards4":    {"94feebca285ef69df6c64552fc7e12ec4cb6f55738ecd0039890010aa773ecb5", "5dd746e0b0a905b13673f336bf5093af4910c8c4d11c8df4118134378f5abbd0"},
+		// BF16Act text8. Re-recorded: per-sample stripes/shards now walk row-major.
+		"avx512/text8-bf16-act/hogwild1": {"9078bf97364ef8946c362731c64c8671f4d29f218644328bd7848f40cb73ad8f", "3564f7096a978070bca083d9d1afb6a03b352be71f0d74a988ce7a44b5dfa6d8"},
+		"avx512/text8-bf16-act/shards4":  {"2995a40681312da46ae29dd0cb4b8153421359eeac91ad7004d5cc3162793482", "9a4c8921c941e1d395ae22d56a1243422cb6403fcc4ab2c850b6c3a7457d0633"},
+		"avx2/text8-bf16-act/hogwild1":   {"618e0ae9604532888f179c8cf930af5add6ef1628e55eca0fd18ee2ab1af0f9d", "93dc99a226d0fa7084421acd617a2ed708a8408c555d138b9162f06abc74339c"},
+		"avx2/text8-bf16-act/shards4":    {"9725eba469e37e178da9fd33e1fe3eae6ff7456a071d05017bc66a974242d5ef", "893787bd34f23af9956a612eba2bdc529d621f48a3c32f4151eb154342c363fb"},
+		"vector/text8-bf16-act/hogwild1": {"55db765ce7107749983e4315dacb1af917f9e359d8fcc352fd7e74b12a75cdb5", "ae6d70e935e8c0069a51c41eca2b4ab51ee766a024dd9288527d936999b914cf"},
+		"vector/text8-bf16-act/shards4":  {"5a368b4b9426ec47b1375559f72c88fe23239cfd99238de11d51b56b412c1f80", "fcf0db64b1f2b9574a1dc65faba2ac7c0d2a60b39e8441362e54443f47f5b9b9"},
+		"scalar/text8-bf16-act/hogwild1": {"f27aba58a32e21afe1c191f2fd44b114ffb5ec78445c73435c1fdda188677383", "f08c743ee4fd7f18392df1d616591f000db86e2cc6a4805f8c56530699e9e780"},
+		"scalar/text8-bf16-act/shards4":  {"48b1a5994dc07c3b199c4aa36666e26b86f1316a6bdf4c64474a02e5a9a27df7", "ff1ac8faa18d6534269f002f9c4cdc463ccc6c5769545727d1ef29ba81b38f28"},
 	}
 	defer simd.SetMode(simd.CurrentMode())
 	for _, m := range simd.AvailableModes() {
@@ -217,9 +193,6 @@ func TestTrainingBitsPinned(t *testing.T) {
 				if got != want[name] {
 					t.Errorf("%s: trained state and step stats hash to\n%q: {%q, %q},\nwant %+v", name, name, got.state, got.stats, want[name])
 				}
-				if rm, ps := n.StripeWalks(); (rm > ps) != sh.rowMajor || !sh.rowMajor && rm > 0 {
-					t.Errorf("%s: %d output walks were row-major, %d per sample", name, rm, ps)
-				}
 			}
 		}
 	}
@@ -232,12 +205,10 @@ func TestTrainingBitsPinned(t *testing.T) {
 // Scores vectors and mixed-k PredictBatchK ids of 40 fixed queries, and was
 // recorded on the commit before every exact entry point became one blocked
 // walk of the active-set primitive — an oracle that does not share the
-// walk's code, which "batched equals single" no longer is. The text8/shards0
-// rows were re-recorded when HOGWILD stripes began to sum the input gradient
-// in row-walk order: that model trains through row-major stripes, so its
-// weights, and with them its scores, moved; the serving code did not. The
-// text8/shards4 rows were re-recorded for the same order when the phase
-// engine's shards took that walk.
+// walk's code, which "batched equals single" no longer is. Every row was
+// re-recorded when the per-sample output walk was deleted: the models train
+// through row-major stripes and shards only, so their weights, and with them
+// their scores, moved; the serving code did not.
 func TestServingScoresPinned(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("literals were recorded on amd64 (other compilers fuse a*b+c in the portable tiers)")
@@ -253,38 +224,39 @@ func TestServingScoresPinned(t *testing.T) {
 			Hash: SimHash, K: 6, L: 8, MinActive: 64, LR: 0.01, RebuildEvery: 10, Seed: 202}, 1},
 	}
 	want := map[string]string{
-		"avx512/amazon/shards0/f32":  "8e86807b0d30dae01abefbe71233a45df5f6fe96e30400c1af2bd22110188ab6",
-		"avx512/amazon/shards0/int8": "c8ba056152127982247fcd5d3c1b6140b300a87cf2dcdcf4c54797e979d40b47",
-		"avx512/amazon/shards4/f32":  "47babf9c5656f7c32a07313902518155acf09b549e52c0465f3e4a295f7352e9",
-		"avx512/amazon/shards4/int8": "636cef8d87c2aa1d59f8e4c3833390253162ddf05763d9bddf1ef14c7656794b",
-		"avx512/text8/shards0/f32":   "8946d105560d8d31de26f018f7182687709437fbc095603d775bf2d756c7ad70",
-		"avx512/text8/shards0/int8":  "ac149e608b805d631ae20c8dd9ef1008cd4b07bbb59c3d19229e0f22a0006ca1",
-		"avx512/text8/shards4/f32":   "b0dc367da5e162a30e56e57dcd766894db12d9e52ca2aa3b614458d8590b6003",
-		"avx512/text8/shards4/int8":  "cf532477978096761b77d889776bc2a546c96609b7288291f1a0445e5ce4b2e9",
-		"avx2/amazon/shards0/f32":    "1ba77c0f377a1d3837e514cd9a15e4294164875dd042341c94420a5f8cbde982",
-		"avx2/amazon/shards0/int8":   "9b11364e8b2a98c4433e6643489fdc4085ddc84dd15d0e05e21abef9b8189135",
-		"avx2/amazon/shards4/f32":    "d27e8dc1dbbe35e5b4e07b371b892b9270528d185bef968be1c73640dcc107e3",
-		"avx2/amazon/shards4/int8":   "49fb0da8e268c50f5010c7ca845cf9d21812229447bf66d0183c392bda013717",
-		"avx2/text8/shards0/f32":     "8f1caa4d5efe1f973e53e72e7a44be98c803a0ab17bc8c8915958083669f7722",
-		"avx2/text8/shards0/int8":    "5c0de53d4a55f0df0df4e6bac5ce12be6abab6da9ffba3fa89a73ce0db4050c8",
-		"avx2/text8/shards4/f32":     "8d89d1efe03edcc88ebfe712ea7763944d80e41e153fd4554872a9455f1f151a",
-		"avx2/text8/shards4/int8":    "62063a536d3f96b6bd80e142c9038fa58d7a3413c719778cec21bd6acd63d9c9",
-		"vector/amazon/shards0/f32":  "dd96350b5593d3a59629760a0f0835ba8e974d869efebc278dea1db9ed59dd7e",
-		"vector/amazon/shards0/int8": "f685443700296815582e4d2b813e33f744bab8da8192e4f6ac72971731f18cbb",
-		"vector/amazon/shards4/f32":  "a34955a410e8b6555562b60d19fdb36f2858982b2d5888f500474071f7a40994",
-		"vector/amazon/shards4/int8": "3a02c0d76e8cfe2b139f846075766d6e5aded3be051510c455fc144f67c08eb3",
-		"vector/text8/shards0/f32":   "ebc0d1ea939d0175f85447e503f262a4cc3aefd9c2c85df625450d5bd6d537b0",
-		"vector/text8/shards0/int8":  "6d8da8082ce4bf289ab33305b6120f15a4ddd054c6d4b44cb77998a22d7f82d8",
-		"vector/text8/shards4/f32":   "5bc5860762f83fd9683ad3fa5a70feb5a84fc311c824e90585be8577b894e6f3",
-		"vector/text8/shards4/int8":  "8a28895f9654d59271cc25d378e60adee78ed4b7410da0de5f47170b456f7e07",
-		"scalar/amazon/shards0/f32":  "e51f9d64b53d2eda6150a6a54362d646df19015575b372b040d452fd056f20cb",
-		"scalar/amazon/shards0/int8": "e1526c0247769b44faca2203b20633dea25a460f3fb03701fee20eaf4b36c1ca",
-		"scalar/amazon/shards4/f32":  "f8b6304d4028399084b980d217ae9262c7dd7706d3e9cd10e0b832c755a0b90f",
-		"scalar/amazon/shards4/int8": "cc84faa8dda181e70eac0c96f32fbcffe062c4a06a9777f3e4e7b6a252258312",
-		"scalar/text8/shards0/f32":   "5183f8805d82e18642f969a4f89033b041ad0ffed33f922523293a59639216b2",
-		"scalar/text8/shards0/int8":  "ea005c35f3edfdc53f131f91dda743a707b1bbc8eed2979880eae798affd9799",
-		"scalar/text8/shards4/f32":   "dd23fc8fcd674bb4640b6c599e1adf79123382c796ffda876eed9f59b56402d3",
-		"scalar/text8/shards4/int8":  "fa7ceadf51ff715b9c6c450e8c0ada401ce52125c72717ab9fa77016ecf22344",
+		// Re-recorded: per-sample stripes/shards now walk row-major.
+		"avx512/amazon/shards0/f32":  "c3858533f995ac26095573a25e14b910b85faa738dde81c68bb409dffdbde334",
+		"avx512/amazon/shards0/int8": "2a0416800383816b1c3de7aa0386285d47ac3f6dad4d8eca2f495b0fd725b99e",
+		"avx512/amazon/shards4/f32":  "ddb1d53d51a5120ad58a64aca256d6782c48452cb1fd3ccd39f08223f4bc3ed3",
+		"avx512/amazon/shards4/int8": "ba99e8a355ab308a8e6412794051cf663a780b261db29b21a15b34d09bf2c07f",
+		"avx512/text8/shards0/f32":   "4421c529aa519fd09f2535a8a97daaae6282b6fb49fd29dc29cc45bf1abee2d8",
+		"avx512/text8/shards0/int8":  "dc932a3b8a3977d6cba48eb91e45e258b49b14ca046fa57889e350812c918f58",
+		"avx512/text8/shards4/f32":   "89a66ba3bee3958241485f2663464dd8be79e4f142f90cbca145a0481266fbdb",
+		"avx512/text8/shards4/int8":  "a4308409fee7961e839a7605596d3b9ec6afcbc97c242d5f9cc4a3fb7c348229",
+		"avx2/amazon/shards0/f32":    "798a3b6b3eba00310dc03237ff5fdc9bc45d82ce2847f158cdbf1b506973dc69",
+		"avx2/amazon/shards0/int8":   "ff8efefa823cdf18518f091d1c432e732356ecab7b725032812be386499858df",
+		"avx2/amazon/shards4/f32":    "2e09a87c6d0eb78af76f3e257ed20cf1c7b9daf5be9e5c81a8be85b2718e0a3c",
+		"avx2/amazon/shards4/int8":   "9b148d732a4c1c2a71d9801d2224dc9f045e14c27db530099d3280f4a312fc4b",
+		"avx2/text8/shards0/f32":     "ccd522dda3682bd4ce44265dcde8fdb7f75688f989802e933a2832cea45ef624",
+		"avx2/text8/shards0/int8":    "643b98c2bdf448ba54fe7d4ea73e49301f47ad7057949476d2a55fc055dccc3f",
+		"avx2/text8/shards4/f32":     "7a9740577d7326dc7fb545231d97de1d2565f02da123d864053de23c85f1b9e6",
+		"avx2/text8/shards4/int8":    "cfedd2ab2701ff8a605aa44043a7fea7dd5045207d95e981f703a9cecb7afe43",
+		"vector/amazon/shards0/f32":  "d746fde612dc489948be7a3cc01e1d84e5cee839c2bd4dc3d70e05a3a68b8c73",
+		"vector/amazon/shards0/int8": "11f84af27ed12074cc47a5060c56ea7c85bb68e20283d8c757de9b11047ac159",
+		"vector/amazon/shards4/f32":  "a18ddad91fd7aa86d1a33003428aa4fdac4871395a69f402ed0a94dbe890eae6",
+		"vector/amazon/shards4/int8": "be10cda5bd32a6435a868e0d9939a78c2bc9ec5798d3ee1f615af284eb9f2e32",
+		"vector/text8/shards0/f32":   "57898b599faca74b6d5cb43ffe2bab02289a802000b7665953584f4cf135c18a",
+		"vector/text8/shards0/int8":  "491157a26a35ffce3ce9bb9b84d59cfba3581440522253e85e1761afe551dc7c",
+		"vector/text8/shards4/f32":   "8a6543d2914a673efb2ad164c4bc1c439966db9a3e26e25448127460de031351",
+		"vector/text8/shards4/int8":  "69ce613e18a62323e01eb873d6a9f98ba82855a081a8595b2696d2020cf9f795",
+		"scalar/amazon/shards0/f32":  "22e8fed52a8d407d4114d68fa788092c2343db3b3262b3082bcd14f7d760c628",
+		"scalar/amazon/shards0/int8": "e8544829b6e6f0b60ae12eb96f66bf3ba2c63a1a9cf2258a95d39fc9e1f61f8c",
+		"scalar/amazon/shards4/f32":  "6e8200f5ce4fcf6a0ab9d5a3499c0bbd1083a8093566515849add7658d664b78",
+		"scalar/amazon/shards4/int8": "70b654ab71009c0621d40bf9767c5081f1f3398ca49c46d9d8fc9762e74ae259",
+		"scalar/text8/shards0/f32":   "90964335fb39089886319d82aa33e78e4b8e542ccda051e32a9f9d185c5b719b",
+		"scalar/text8/shards0/int8":  "5287c1baa6695208eee9cd01de1c20a0990ebdbb4c2ec1095fc7f460f7f9cf7e",
+		"scalar/text8/shards4/f32":   "288d379ea35ec1da3bca68e2994587de70559ceaee418d1907478231de344461",
+		"scalar/text8/shards4/int8":  "f759464d30fb5c0bdb41a4ffefba7fb18a901d6b2b43890ed5eecb7e1d16494d",
 	}
 	defer simd.SetMode(simd.CurrentMode())
 	for _, m := range simd.AvailableModes() {
@@ -354,15 +326,12 @@ func TestServingScoresPinned(t *testing.T) {
 // model, the phase engine on one shard and on four, and a UniformSampling
 // model, whose streams carry no tables section at all. The literals were
 // recorded on the commit before the two table layouts became one sampler and
-// with the scalar tier, so they hold under every SLIDE_KERNEL_MODE. The
-// shards0 row was re-recorded when HOGWILD stripes began to sum the input
-// gradient in row-walk order: its 40-output model walks row-major, so its
-// trained weights moved; the config checksum and the encoders did not. The
-// shards1 and shards4 rows, but for their checksums, were re-recorded when
-// the phase engine's shards took that walk: their 40-output shards cross
-// over. Every
-// pinned stream is also fed back through its decoder and must come out again
-// byte for byte.
+// with the scalar tier, so they hold under every SLIDE_KERNEL_MODE. Every
+// row but its checksum was re-recorded when the per-sample output walk was
+// deleted: the models train through row-major stripes and shards only, so
+// their trained weights moved; the config checksums and the encoders did
+// not. Every pinned stream is also fed back through its decoder and must come
+// out again byte for byte.
 func TestSnapshotWireBytesPinned(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("literals were recorded on amd64 (other compilers fuse a*b+c in the portable tiers)")
@@ -377,34 +346,36 @@ func TestSnapshotWireBytesPinned(t *testing.T) {
 		"shards4": func(c *Config) { c.Shards = 4 },
 		"uniform": func(c *Config) { c.UniformSampling = true },
 	}
+	// Re-recorded, but for the checksums: per-sample stripes/shards now walk
+	// row-major.
 	want := map[string]map[string]string{
 		"shards0": {
-			"base":          "cde91c3d88a1dda8900baa65432c264009896ba0c5b54f34400f2d3d2a21a241",
-			"delta":         "78c84102ee99853379812cb743cb9b644d0ccab0811049939dc637bf6f981a58",
-			"delta+rebuild": "794b3d40bdb6d38e81098c0b93e41115d00a824e742317d8002b0ede526035f6",
+			"base":          "5774bc72c213f1501fc6e12782490bf880c8bfcc09ef068e5b1c9119a1f03642",
+			"delta":         "8a84fd9c7bcf280adebdc0aca3ee7e9784ec9344aab6ef94d35043eaa218d7ac",
+			"delta+rebuild": "ae4259b9253da202b77e1daef095215515966180b71dbf829c072e2a8394ff44",
 			"checksum":      "cf060de0",
-			"checkpoint":    "8d8b876f022c0ec2436bea320d4c8b5e805e0142901e0dc62d68c7b9b973f277",
+			"checkpoint":    "746690c46772a3d7b9eaefdf8037d05fc6a65e674aca4ed44421a908d5f12082",
 		},
 		"shards1": {
-			"base":          "c107fb53530db6e92dd2ce4782d8947bb690d67ca43b90db1bc8f022b912d6e9",
-			"delta":         "9e24d88f5b2050958e3896c0001fe05db0ae14a890ec3daf27238d02e7e728ad",
-			"delta+rebuild": "744c18a9f6990b955b441c78628d32df7742b89b3411ca8dc0a9925ed66c949c",
+			"base":          "d758ac122fb04edfe912ed2f66787a81541e5ecb4766a50a3aef31ccf886500f",
+			"delta":         "94d7f1fb75f1abe0f73eb7e5f74b439035fb181aec2f6c9f843165f194ab4d09",
+			"delta+rebuild": "2ed93d86e012b8bf658a7a1618b640be3ac4b9d4f31d77e4c81abb1232751189",
 			"checksum":      "3840cebb",
-			"checkpoint":    "12f7a8b56b842e2f4553fd366969b2329095bb4e3a0f8c1e32e3c78356a2a21c",
+			"checkpoint":    "9596b08e0b6746f13def5f88ec9c81246c313a19ba7903128590367c96988121",
 		},
 		"shards4": {
-			"base":          "c2fb3f34de07abf8c01db74f527982dec02c2565469ddbc66d6d1ae3ed271f95",
-			"delta":         "71f7183b1e9c724733d6198e4674a488d59f71e54cf31b53bdd898a9359c1e8a",
-			"delta+rebuild": "35272bfc32b3cb601d5fb78f2a50b6e3600e1a6ac70de228430a98b521b626ca",
+			"base":          "aaaf871c071257331e8f77444648050f6c311f360bbb883d7dd5f7b6abc2a99d",
+			"delta":         "64c41d8c511e0ba5710ea9b96e91429d59a9453204f69db7f22e7270c1f7a74d",
+			"delta+rebuild": "40f278c8b998214e189a803eb0eb6eb1b68bf30abc089efbf4be6654a0ae1140",
 			"checksum":      "506131f1",
-			"checkpoint":    "cd87b74c32fb33ff077ed09e7b17121535416eba499e8b64c842cd0394acf43d",
+			"checkpoint":    "0028177eb95c78e5e8bf9d181ac0932451ce204a7de414e7831b0b73d93cad4b",
 		},
 		"uniform": {
-			"base":          "f43195c4af7b32358d3deae067fe23045fc06f90f8b0317069b3e58983781b1b",
-			"delta":         "dc6ae36fa935f71f0f75c9739ae0579ad6472a0d52936c496c29008674c1868c",
-			"delta+rebuild": "a995b93af9b6b19b95400891f41a53908782e2f15bc99fbde5b68886a199f303",
+			"base":          "22f7b3798cefa508415d08c26e76d4f5b24a03e1a4bde461715b125ad723e441",
+			"delta":         "c33fb4da6367eb0ed90649613e054487c31e61108885e1bcecf173dd9c9c28df",
+			"delta+rebuild": "c03a0fd500cf52c89cf65dedca02f9283e00bade88b6583e8a44d5eb7abf60c2",
 			"checksum":      "12c618cb",
-			"checkpoint":    "ce1f93ae5716fcc6f7667a247a37ae1be200af875779034a3c7ba8a1d3ebe51d",
+			"checkpoint":    "d535a5a3a3cd7b4afe812f789e95d036bfea3267506ec4b1bffe7f6469fec649",
 		},
 	}
 	sha := func(parts ...[]byte) string {

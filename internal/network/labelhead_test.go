@@ -11,7 +11,7 @@ import (
 
 // labelHeadRef is labelHead as it was before its exponentials went through
 // the ExpSum kernel: one math.Exp per logit, summed in list order.
-func labelHeadRef(ks *simd.Kernels, guards bool, parts []*stripe, i, nTrue int) (loss, logZ float64, bad int64) {
+func labelHeadRef(ks *simd.Kernels, guards bool, parts []*stripe, i, nTrue int) (loss float64, bad int64) {
 	m := float32(math.Inf(-1))
 	for _, s := range parts {
 		lg := s.logits[s.offs[i]:s.offs[i+1]]
@@ -33,7 +33,7 @@ func labelHeadRef(ks *simd.Kernels, guards bool, parts []*stripe, i, nTrue int) 
 		}
 	}
 	invZ := float32(1 / z)
-	logZ = math.Log(z) + float64(m)
+	logZ := math.Log(z) + float64(m)
 	var t float32
 	if nTrue > 0 {
 		t = 1 / float32(nTrue)
@@ -49,7 +49,7 @@ func labelHeadRef(ks *simd.Kernels, guards bool, parts []*stripe, i, nTrue int) 
 			loss -= float64(t) * (float64(l) - logZ)
 		}
 	}
-	return loss, logZ, bad
+	return loss, bad
 }
 
 // headParts builds a phase-engine-shaped part list: one stripe per entry of
@@ -90,12 +90,12 @@ func sameBits64(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b) || a != a && b != b
 }
 
-// TestLabelHeadMatchesDefinition: on every tier, labelHead returns the loss,
-// log Z and guard count of the per-logit math.Exp loop it replaced, and
+// TestLabelHeadMatchesDefinition: on every tier, labelHead returns the loss
+// and guard count of the per-logit math.Exp loop it replaced, and
 // leaves every gradient with the same bits — over part lists shaped like the
 // phase engine's (empty parts included) and a HOGWILD stripe's single part,
 // for 0, 1 and 3 labels, with guards on and off, and with a NaN or a +Inf
-// logit. Any NaN equals any NaN. A NaN logit must make log Z and every
+// logit. Any NaN equals any NaN. A NaN logit must make the loss and every
 // gradient of the sample NaN on every tier, whatever the tier's Max makes
 // of the NaN: exp(NaN − m) poisons z.
 func TestLabelHeadMatchesDefinition(t *testing.T) {
@@ -129,12 +129,12 @@ func TestLabelHeadMatchesDefinition(t *testing.T) {
 						}
 						want := cloneParts(parts)
 						n := &Network{guards: guards}
-						loss, logZ, bad := n.labelHead(ks, parts, 1, nTrue)
-						wl, wz, wb := labelHeadRef(ks, guards, want, 1, nTrue)
+						loss, bad := n.labelHead(ks, parts, 1, nTrue)
+						wl, wb := labelHeadRef(ks, guards, want, 1, nTrue)
 						name := mode.String() + "/" + sh.name + "/" + po.name
-						if !sameBits64(loss, wl) || !sameBits64(logZ, wz) || bad != wb {
-							t.Fatalf("%s nTrue=%d guards=%v: (loss %g, logZ %g, bad %d), definition (%g, %g, %d)",
-								name, nTrue, guards, loss, logZ, bad, wl, wz, wb)
+						if !sameBits64(loss, wl) || bad != wb {
+							t.Fatalf("%s nTrue=%d guards=%v: (loss %g, bad %d), definition (%g, %d)",
+								name, nTrue, guards, loss, bad, wl, wb)
 						}
 						if guards && po.name != "finite" && bad != 1 {
 							t.Fatalf("%s: guards counted %d non-finite logits, want 1", name, bad)
@@ -147,8 +147,8 @@ func TestLabelHeadMatchesDefinition(t *testing.T) {
 							}
 						}
 						if po.name == "nan" {
-							if !math.IsNaN(logZ) || nTrue > 0 && !math.IsNaN(loss) {
-								t.Fatalf("%s nTrue=%d: a NaN logit left loss %g, logZ %g", name, nTrue, loss, logZ)
+							if nTrue > 0 && !math.IsNaN(loss) {
+								t.Fatalf("%s nTrue=%d: a NaN logit left loss %g", name, nTrue, loss)
 							}
 							for p, s := range parts {
 								for k, g := range s.grads[s.offs[1]:s.offs[2]] {

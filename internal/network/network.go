@@ -95,7 +95,7 @@ func build(cfg *Config) (*Network, error) {
 	oOpts := opts
 	oOpts.Seed = splitSeed(cfg.Seed, 2)
 
-	dims, lastDim, middleAll, all := forwardGeometry(cfg)
+	dims, lastDim, middleAll := forwardGeometry(cfg)
 	n := &Network{
 		cfg:           *cfg,
 		hidden:        layer.NewColLayer(cfg.InputDim, cfg.HiddenDim, cfg.HiddenActivation, hOpts),
@@ -133,7 +133,6 @@ func build(cfg *Config) (*Network, error) {
 		middleAll: middleAll,
 		dims:      dims,
 		lastDim:   lastDim,
-		all:       all,
 	}
 	n.live = newPredictor(n.fwd, splitSeed(cfg.Seed, 7))
 	n.live.single = true
@@ -161,19 +160,16 @@ func splitSeed(seed uint64, stream uint64) uint64 {
 
 // forwardGeometry computes the derived index structures of a validated
 // config: the hidden-stack dims, the width feeding the output layer, the
-// all-rows index lists for the dense middle stack, and (under NoSampling)
-// the full output index list. Pure function of the config — New and the
-// replication base decode must derive identical geometry.
-func forwardGeometry(cfg *Config) (dims []int, lastDim int, middleAll [][]int32, all []int32) {
+// all-rows index lists for the dense middle stack. Pure function of the
+// config — New and the replication base decode must derive identical
+// geometry.
+func forwardGeometry(cfg *Config) (dims []int, lastDim int, middleAll [][]int32) {
 	dims = append([]int{cfg.HiddenDim}, cfg.HiddenLayers...)
 	lastDim = dims[len(dims)-1]
 	for _, d := range dims[1:] {
 		middleAll = append(middleAll, layer.Iota(d))
 	}
-	if cfg.NoSampling {
-		all = layer.Iota(cfg.OutputDim)
-	}
-	return dims, lastDim, middleAll, all
+	return dims, lastDim, middleAll
 }
 
 // Config returns the validated configuration.
@@ -263,9 +259,8 @@ func (n *Network) backwardMiddle(ks *simd.Kernels, acts, dhs [][]float32) {
 // the float accumulation order is fixed by the list alone. Each part carries
 // its heads[i] label entries at its head, and its grads receive the logit
 // gradient (p − t at the label entries). Returns the loss over the label
-// entries, log Z for a caller whose labels sit elsewhere, and (guards on)
-// the count of non-finite logits.
-func (n *Network) labelHead(ks *simd.Kernels, parts []*stripe, i, nTrue int) (loss, logZ float64, bad int64) {
+// entries and (guards on) the count of non-finite logits.
+func (n *Network) labelHead(ks *simd.Kernels, parts []*stripe, i, nTrue int) (loss float64, bad int64) {
 	// Health guard: scan the raw logits — a poisoned weight or activation
 	// lands here first, and the buffers are about to be consumed anyway, so
 	// the scan rides hot cache lines.
@@ -288,7 +283,7 @@ func (n *Network) labelHead(ks *simd.Kernels, parts []*stripe, i, nTrue int) (lo
 		z = ks.ExpSum(s.logits[lo:hi], m, s.grads[lo:hi], z)
 	}
 	invZ := float32(1 / z)
-	logZ = math.Log(z) + float64(m)
+	logZ := math.Log(z) + float64(m)
 	// Cross-entropy target: uniform over the sample's labels.
 	var t float32
 	if nTrue > 0 {
@@ -305,7 +300,7 @@ func (n *Network) labelHead(ks *simd.Kernels, parts []*stripe, i, nTrue int) (lo
 			loss -= float64(t) * (float64(l) - logZ)
 		}
 	}
-	return loss, logZ, bad
+	return loss, bad
 }
 
 // guardLoss counts a non-finite loss as one finding of the health guards
@@ -399,12 +394,7 @@ func (n *Network) TrainBatch(b sparse.Batch) BatchStats {
 		stats.NonFinite += ws.nonFinite
 	}
 
-	p := n.stepDense(ks)
-	if n.cfg.NoSampling {
-		n.output.ApplyAdamAll(ks, p, n.cfg.Workers)
-	} else {
-		n.output.ApplyAdam(ks, p, n.cfg.Workers)
-	}
+	n.output.ApplyAdam(ks, n.stepDense(ks), n.cfg.Workers)
 	stats.Rebuilt = n.advanceRebuild(n.fanout.Run)
 	return stats
 }

@@ -88,7 +88,6 @@ func (n *Network) SnapshotDelta() (*Predictor, *Delta) {
 		middleAll: n.fwd.middleAll, // immutable index lists, shared
 		dims:      n.fwd.dims,
 		lastDim:   n.lastDim,
-		all:       n.fwd.all,
 	}
 	for _, ml := range n.middle {
 		f.middle = append(f.middle, ml.SnapshotWeights())
@@ -362,7 +361,7 @@ func NewPredictorFromBase(parts BaseParts) (*Predictor, error) {
 	if err := checkBaseSizes(&cfg, &parts); err != nil {
 		return nil, fail("%w", err)
 	}
-	dims, lastDim, middleAll, all := forwardGeometry(&cfg)
+	dims, lastDim, middleAll := forwardGeometry(&cfg)
 
 	hidden, err := layer.ReadColWeights(bytes.NewReader(parts.Hidden), cfg.InputDim, cfg.HiddenDim, cfg.Precision, cfg.HiddenActivation)
 	if err != nil {
@@ -398,7 +397,6 @@ func NewPredictorFromBase(parts BaseParts) (*Predictor, error) {
 		middleAll: middleAll,
 		dims:      dims,
 		lastDim:   lastDim,
-		all:       all,
 	}
 	p := newPredictor(f, snapshotSeed(&cfg, step))
 	p.steps = step

@@ -226,9 +226,9 @@ func (n *Network) trainBatchSharded(b sparse.Batch) BatchStats {
 	// batch — independent of which worker executes the shard. Each shard
 	// fills its own budget (the plan's split of MinActive/MaxActive) from its
 	// own set: unlike sampleActive's one budget over all sets, what a shard
-	// selects never depends on what another found. The shard's walk then
-	// starts at its first row, so a row-major walk sums each ∇h partial in
-	// an order fixed by the shard count alone.
+	// selects never depends on what another found. The shard's row-major
+	// walk then starts at its first row, so it sums each ∇h partial in an
+	// order fixed by the shard count alone.
 	pool.run(S, func(s int) {
 		lo, hi := plan.bounds[s], plan.bounds[s+1]
 		width := int(hi - lo)
@@ -270,12 +270,12 @@ func (n *Network) trainBatchSharded(b sparse.Batch) BatchStats {
 	// order — a pure function of (weights at batch start, sample), whichever
 	// worker runs it.
 	pool.run(B, func(i int) {
-		loss, _, bad := n.labelHead(ks, sh.parts, i, len(b.Labels(i)))
+		loss, bad := n.labelHead(ks, sh.parts, i, len(b.Labels(i)))
 		sh.losses[i], sh.nonFin[i] = loss, n.guardLoss(loss, bad)
 	})
 
 	// Phase D: output gradients. Each shard owns its rows exclusively, and
-	// every row meets its samples in order on either walk, so every
+	// the walk meets every row's samples in order, so every
 	// weight-row accumulation has a fixed order; ∇h partials land in
 	// shard-private rows.
 	pool.run(S, func(s int) {

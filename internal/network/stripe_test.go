@@ -12,55 +12,44 @@ import (
 )
 
 // text8Mini is the text8 miniature of TestTrainingBitsPinned: its stripes and
-// shards select a touched output row about five times per batch, so both
-// engines walk its output layer row-major.
+// shards select a touched output row about five times per batch.
 var text8Mini = Config{InputDim: 600, HiddenDim: 200, OutputDim: 600, HiddenActivation: layer.Linear,
 	Hash: SimHash, K: 6, L: 8, MinActive: 64, LR: 0.01, RebuildEvery: 10, Seed: 102}
-
-// forcePerSample makes every output walk from here on per-sample, until the
-// returned function restores the crossover.
-func forcePerSample() (restore func()) {
-	old := minStripeReuse
-	minStripeReuse = math.MaxInt32
-	return func() { minStripeReuse = old }
-}
 
 // TestOutputWalksTrainAlike checks the row-major output walks by what they
 // train, independently of any pinned hash and of the walk itself: the text8
 // miniature trains 36 steps from the same seed and batches on HOGWILD at W=1
-// and on the phase engine at S=1 and S=4, each of which must walk the output
-// layer row-major, and on the phase engine at S=1 with the per-sample walk
-// forced, the reference. The mean per-sample loss of the last 8 steps of
-// every run must lie within lossBand of the reference's. On every tier they
-// read 4.2200 for the reference, 4.2078 on HOGWILD (0.29 % apart), 4.2200
-// on the row-major S=1 and 4.2153 on S=4; a row-major walk that left the
-// input gradient at zero read 4.6776, 10.8 % apart.
+// and on the phase engine at S=1 and S=4, and the mean per-sample loss of
+// the last 8 steps of every run must lie within lossBand of perSampleLoss —
+// what the phase engine at S=1 read, on every tier, when it still walked the
+// output layer sample by sample (ForwardActive, then Accumulate per
+// selection). The row-major walks read 4.2078 on HOGWILD (0.29 % apart),
+// 4.2200 on S=1 and 4.2153 on S=4; a row-major walk that left the input
+// gradient at zero read 4.6776, 10.8 % apart.
 func TestOutputWalksTrainAlike(t *testing.T) {
 	const lossBand = 0.02 // relative: about seven times the measured spread
+	perSampleLoss := map[simd.Mode]float64{simd.Scalar: 4.219969, simd.Vector: 4.219969, simd.AVX2: 4.219969, simd.AVX512: 4.219969}
 	runs := []struct {
-		name      string
-		engine    func(*Config)
-		perSample bool
+		name   string
+		engine func(*Config)
 	}{
-		{"phase engine S=1, per-sample walk", func(c *Config) { c.Shards, c.Workers = 1, 2 }, true},
-		{"HOGWILD W=1", func(c *Config) { c.Workers = 1 }, false},
-		{"phase engine S=1", func(c *Config) { c.Shards, c.Workers = 1, 2 }, false},
-		{"phase engine S=4", func(c *Config) { c.Shards, c.Workers = 4, 2 }, false},
+		{"HOGWILD W=1", func(c *Config) { c.Workers = 1 }},
+		{"phase engine S=1", func(c *Config) { c.Shards, c.Workers = 1, 2 }},
+		{"phase engine S=4", func(c *Config) { c.Shards, c.Workers = 4, 2 }},
 	}
 	defer simd.SetMode(simd.CurrentMode())
 	for _, m := range simd.AvailableModes() {
 		simd.SetMode(m)
-		var ref float64
-		for i, r := range runs {
+		ref, ok := perSampleLoss[m]
+		if !ok {
+			t.Fatalf("no per-sample loss recorded for tier %v", m)
+		}
+		for _, r := range runs {
 			c := text8Mini
 			r.engine(&c)
 			n, err := New(&c)
 			if err != nil {
 				t.Fatal(err)
-			}
-			restore := func() {}
-			if r.perSample {
-				restore = forcePerSample()
 			}
 			p := newPlanted(c.InputDim, c.OutputDim, 1, 7)
 			var tail float64
@@ -70,25 +59,18 @@ func TestOutputWalksTrainAlike(t *testing.T) {
 					tail += st.Loss / float64(st.Samples) / 8
 				}
 			}
-			restore()
-			if rm, ps := n.StripeWalks(); r.perSample && rm != 0 || !r.perSample && rm <= ps {
-				t.Fatalf("%v %s: %d output walks were row-major, %d per sample", m, r.name, rm, ps)
-			}
-			if i == 0 {
-				ref = tail
-				continue
-			}
 			if d := math.Abs(tail-ref) / ref; !(d <= lossBand) {
-				t.Errorf("%v: last-8-step mean loss %.4f on %s, %.4f on %s: %.1f %% apart, band %.0f %%",
-					m, tail, r.name, ref, runs[0].name, 100*d, 100*lossBand)
+				t.Errorf("%v: last-8-step mean loss %.4f on %s, %.4f per sample: %.1f %% apart, band %.0f %%",
+					m, tail, r.name, ref, 100*d, 100*lossBand)
 			}
 		}
 	}
 }
 
 // TestShardWalksAgreeOnOneBatch runs one shard's output pass over one batch
-// both ways on two identical phase-engine models: row-major, and per sample
-// forced. The logits, the output layer's weight and bias gradients and its
+// on two identical phase-engine models: through the shard's row-major walk,
+// and sample by sample — ForwardActive, then Accumulate per selection in list
+// order. The logits, the output layer's weight and bias gradients and its
 // touched rows must be bit-identical, and every ∇h partial must lie within
 // 1e-5·Σ|g·w| of its float64 sum on both walks — the bound HOGWILD's
 // row-major input gradient is held to (layer's checkStripeDh). The gradients
@@ -125,26 +107,33 @@ func TestShardWalksAgreeOnOneBatch(t *testing.T) {
 			sh := n.sh
 			ss = sh.shards[0]
 			B := b.Len()
-			restore := func() {}
-			if w == 1 {
-				restore = forcePerSample()
-			}
-			ss.plan(c.OutputDim)
-			restore()
-			if ss.rowMajor != (w == 0) {
-				t.Fatalf("%v: walk %d planned row-major = %v", mode, w, ss.rowMajor)
-			}
-			ss.forward(ks, n.output, sh.lastA[:B], 0)
-			for i := range B {
-				n.labelHead(ks, sh.parts, i, len(b.Labels(i)))
-			}
-			dh := ss.dhPart[:B]
+			hs, dh := sh.lastA[:B], ss.dhPart[:B]
 			for _, d := range dh {
 				simd.Zero(d)
 			}
-			ss.backward(ks, n.output, sh.lastA[:B], dh, 0)
-			if w == 0 && n.output.TouchedRows() == 0 {
-				t.Fatalf("%v: the pass touched no row", mode)
+			ss.plan(c.OutputDim)
+			if w == 0 {
+				ss.forward(ks, n.output, hs, 0)
+			} else {
+				for k := range B {
+					lo, hi := ss.offs[k], ss.offs[k+1]
+					n.output.ForwardActive(ks, ss.ids[lo:hi], hs[k], nil, ss.logits[lo:hi])
+				}
+			}
+			for i := range B {
+				n.labelHead(ks, sh.parts, i, len(b.Labels(i)))
+			}
+			if w == 0 {
+				ss.backward(ks, n.output, hs, dh, 0)
+			} else {
+				for k := range B {
+					for j := ss.offs[k]; j < ss.offs[k+1]; j++ {
+						n.output.Accumulate(ks, ss.ids[j], ss.grads[j], hs[k], nil, dh[k])
+					}
+				}
+			}
+			if n.output.TouchedRows() == 0 {
+				t.Fatalf("%v: walk %d touched no row", mode, w)
 			}
 			read = n.output.SnapshotWeights()
 			n.output.ApplyAdam(ks, simd.NewAdamParams(0.01, 0, 0.999, 1e-8, 1), 1)
@@ -239,5 +228,64 @@ func TestStripeFingerprintsSelectLikePerSample(t *testing.T) {
 				t.Errorf("%v stripe of %d: top-up stream left at another state than per-sample sampling", mode, m)
 			}
 		}
+	}
+}
+
+// TestNoSamplingLossIsFullSoftmax: under NoSampling every row is active, the
+// labels first, so one step's BatchStats.Loss is the full-softmax
+// cross-entropy. It must equal the sum over the batch of each sample's
+// −(1/n)·Σ log softmax(logits)[y] over its distinct labels y below OutputDim,
+// n the length of its label list (the uniform target labelHead puts on the
+// list: a duplicate or a label past the layer takes its share of the target
+// and adds no logit), computed in float64 from the Scores of every row taken
+// before the step, to 1e-5 relative. A list that did not lead with the labels,
+// or label heads that miscounted them, would score other rows' logits.
+func TestNoSamplingLossIsFullSoftmax(t *testing.T) {
+	cfg := Config{InputDim: 40, HiddenDim: 16, OutputDim: 30, NoSampling: true, LR: 0.01, Workers: 1, Seed: 17}
+	n, err := New(&cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := newPlanted(cfg.InputDim, cfg.OutputDim, 5, 19)
+	trainN(t, n, p, 4, 16) // logits away from their initial spread
+
+	var sb sparse.Builder
+	warm := p.batch(4)
+	for i, labels := range [][]int32{{3}, {7, 7, 12}, {int32(cfg.OutputDim) + 4, 2}, {int32(cfg.OutputDim) - 1, 0, 5, 0}} {
+		x := warm.Sample(i)
+		sb.Add(x.Indices, x.Values, labels)
+	}
+	b, err := sb.CSR()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want float64
+	scores := make([]float32, cfg.OutputDim)
+	for i := range b.Len() {
+		n.Scores(b.Sample(i), scores)
+		m := math.Inf(-1)
+		for _, s := range scores {
+			m = max(m, float64(s))
+		}
+		var z float64
+		for _, s := range scores {
+			z += math.Exp(float64(s) - m)
+		}
+		logZ := m + math.Log(z)
+		labels := b.Labels(i)
+		seen := map[int32]bool{}
+		for _, y := range labels {
+			if int(y) < cfg.OutputDim && !seen[y] {
+				seen[y] = true
+				want -= (float64(scores[y]) - logZ) / float64(len(labels))
+			}
+		}
+	}
+	st := n.TrainBatch(b)
+	if d := math.Abs(st.Loss-want) / want; !(d <= 1e-5) {
+		t.Errorf("NoSampling step loss %.7g, full-softmax cross-entropy %.7g: %.2g apart", st.Loss, want, d)
+	}
+	if w := int64(b.Len() * cfg.OutputDim); st.ActiveSum != w {
+		t.Errorf("ActiveSum %d, want every row of every sample (%d)", st.ActiveSum, w)
 	}
 }

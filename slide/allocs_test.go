@@ -23,28 +23,22 @@ func TestTrainerSteadyStateAllocs(t *testing.T) {
 	if platform.RaceEnabled {
 		t.Skip("HOGWILD accumulation races by design, and the detector's sync.Pool drops scratch at random")
 	}
-	// The models are text8-shaped: on two workers their stripes select a
-	// touched output row often enough to walk the output layer row-major,
-	// whose stripe buffers — and, under BF16Both, its pooled widening
-	// buffers — are what this gate must see kept rather than reallocated. On
-	// sixteen workers the stripes are too short to cross over, and BF16Both
-	// widens each selected row on the per-sample walk instead.
+	// The models are text8-shaped and walk the output layer row-major: the
+	// stripe buffers — and, under BF16Both, the pooled widening buffers —
+	// are what this gate must see kept rather than reallocated, on long
+	// stripes (two workers) and on short ones (sixteen).
 	for _, c := range []struct {
-		name     string
-		prec     Precision
-		workers  int
-		rowMajor bool
+		name    string
+		prec    Precision
+		workers int
 	}{
-		{"fp32", FP32, 2, true},
-		{"bf16-both", BF16Full, 2, true},
-		{"bf16-both/per-sample", BF16Full, 16, false},
+		{"fp32", FP32, 2},
+		{"bf16-both", BF16Full, 2},
+		{"bf16-both/16-workers", BF16Full, 16},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			steps, bytesPerStep, mallocsPerStep, rowMajor, perSample := trainerStepAllocs(t, c.prec, c.workers)
-			if (rowMajor > perSample) != c.rowMajor || !c.rowMajor && rowMajor > 0 {
-				t.Errorf("%d stripes walked the output layer row-major, %d per sample", rowMajor, perSample)
-			}
-			t.Logf("%d steps at GOMAXPROCS=%d: %.0f B and %.1f mallocs per step; %d stripes row-major, %d per sample", steps, runtime.GOMAXPROCS(0), bytesPerStep, mallocsPerStep, rowMajor, perSample)
+			steps, bytesPerStep, mallocsPerStep := trainerStepAllocs(t, c.prec, c.workers)
+			t.Logf("%d steps at GOMAXPROCS=%d: %.0f B and %.1f mallocs per step", steps, runtime.GOMAXPROCS(0), bytesPerStep, mallocsPerStep)
 			if bytesPerStep > maxBytes || mallocsPerStep > maxMallocs {
 				t.Errorf("steady-state step allocates %.0f B in %.1f objects, budget is %d B in %d",
 					bytesPerStep, mallocsPerStep, maxBytes, maxMallocs)
@@ -56,8 +50,8 @@ func TestTrainerSteadyStateAllocs(t *testing.T) {
 // trainerStepAllocs trains a text8-shaped model of precision prec on workers
 // HOGWILD workers through a Trainer, warm for two passes, and measures the
 // steps of the next one — at least one epoch wrap and two rebuilds: the heap
-// bytes and objects per step, and the model's stripe walks.
-func trainerStepAllocs(t *testing.T, prec Precision, workers int) (steps int64, bytesPerStep, mallocsPerStep float64, rowMajor, perSample int64) {
+// bytes and objects per step.
+func trainerStepAllocs(t *testing.T, prec Precision, workers int) (steps int64, bytesPerStep, mallocsPerStep float64) {
 	t.Helper()
 	const (
 		batch        = 64
@@ -107,9 +101,8 @@ func trainerStepAllocs(t *testing.T, prec Precision, workers int) (steps int64, 
 	if rep.Epochs < 3 {
 		t.Fatalf("session completed %d passes; the measured window must cross an epoch wrap", rep.Epochs)
 	}
-	rowMajor, perSample = m.net.StripeWalks()
 	return steps, float64(after.TotalAlloc-before.TotalAlloc) / float64(steps),
-		float64(after.Mallocs-before.Mallocs) / float64(steps), rowMajor, perSample
+		float64(after.Mallocs-before.Mallocs) / float64(steps)
 }
 
 // TestPredictAllocs pins what the serving docs promise — steady-state exact
