@@ -17,19 +17,26 @@ import (
 // *CorruptError. One framing, one set of corruption semantics, one
 // battle-tested reader.
 
-// SectionWriter frames sections onto a stream: each payload is buffered (so
-// its length prefix and checksum can precede the next section), CRC32C'd,
-// and written as id + length + payload + crc. The buffer is reused across
-// sections; the transient copy is the price of a stream a reader can verify
-// before parsing.
+// SectionWriter frames sections in a buffer, in place: Section reserves the
+// 12-byte header, fill writes the payload straight after it, and the length
+// and the CRC32C, computed over the payload where it lies, are patched in.
+// No payload is staged and copied. A writer made by NewSectionWriter then
+// hands each finished section to its stream and reuses the buffer; one made
+// by NewSectionBuffer leaves the sections in the caller's buffer.
 type SectionWriter struct {
-	w   io.Writer
-	buf bytes.Buffer
-	err error
+	buf  *bytes.Buffer
+	sink io.Writer // nil: sections stay in buf
+	err  error
 }
 
-// NewSectionWriter frames sections onto w. The caller provides buffering.
-func NewSectionWriter(w io.Writer) *SectionWriter { return &SectionWriter{w: w} }
+// NewSectionWriter frames sections onto w, one section buffered at a time.
+// The caller provides any further buffering.
+func NewSectionWriter(w io.Writer) *SectionWriter {
+	return &SectionWriter{buf: new(bytes.Buffer), sink: w}
+}
+
+// NewSectionBuffer frames sections onto the end of buf, where they stay.
+func NewSectionBuffer(buf *bytes.Buffer) *SectionWriter { return &SectionWriter{buf: buf} }
 
 // Section writes one framed section whose payload fill produces. After the
 // first error every subsequent call is a no-op; collect it from Err.
@@ -37,23 +44,26 @@ func (sw *SectionWriter) Section(id uint32, name string, fill func(io.Writer) er
 	if sw.err != nil {
 		return
 	}
-	sw.buf.Reset()
-	if err := fill(&sw.buf); err != nil {
+	start := sw.buf.Len()
+	var hdr [12]byte
+	sw.buf.Write(hdr[:])
+	if err := fill(sw.buf); err != nil {
 		sw.err = wrapWriteErr(name, err)
 		return
 	}
-	payload := sw.buf.Bytes()
-	hdr := make([]byte, 12)
-	binary.LittleEndian.PutUint32(hdr[0:4], id)
-	binary.LittleEndian.PutUint64(hdr[4:12], uint64(len(payload)))
+	sec := sw.buf.Bytes()[start:]
+	binary.LittleEndian.PutUint32(sec[0:4], id)
+	binary.LittleEndian.PutUint64(sec[4:12], uint64(len(sec)-len(hdr)))
 	var trailer [4]byte
-	binary.LittleEndian.PutUint32(trailer[:], crc32.Checksum(payload, castagnoli))
-	for _, b := range [][]byte{hdr, payload, trailer[:]} {
-		if _, err := sw.w.Write(b); err != nil {
-			sw.err = wrapWriteErr(name, err)
-			return
-		}
+	binary.LittleEndian.PutUint32(trailer[:], crc32.Checksum(sec[len(hdr):], castagnoli))
+	sw.buf.Write(trailer[:])
+	if sw.sink == nil {
+		return
 	}
+	if _, err := sw.sink.Write(sw.buf.Bytes()); err != nil {
+		sw.err = wrapWriteErr(name, err)
+	}
+	sw.buf.Reset()
 }
 
 // Err returns the first error any Section call hit.

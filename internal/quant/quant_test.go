@@ -197,6 +197,36 @@ func TestPatchRowsCOW(t *testing.T) {
 	}
 }
 
+// TestPatchRowsOneAllocPerRow: each patched row costs exactly one
+// allocation, its own storage; the bytes are read into it, never staged.
+func TestPatchRowsOneAllocPerRow(t *testing.T) {
+	src := testRowWeights(t, 32, 40, 13)
+	q, err := QuantizeRowWeights(src, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(rows int) float64 {
+		ids := make([]int32, rows)
+		for i := range ids {
+			ids[i] = int32(2 * i)
+		}
+		var b bytes.Buffer
+		if err := q.SerializeRowsDelta(&b, ids); err != nil {
+			t.Fatal(err)
+		}
+		r := bytes.NewReader(b.Bytes())
+		return testing.AllocsPerRun(20, func() {
+			r.Reset(b.Bytes())
+			if _, _, err := q.PatchRows(r); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if few, many := allocs(4), allocs(12); many-few != 8 {
+		t.Fatalf("PatchRows: %v allocations for 4 rows, %v for 12; want one more per row", few, many)
+	}
+}
+
 func TestWriteRowsDeltaMatchesFullQuantize(t *testing.T) {
 	// The trainer-side on-the-fly delta encoder and a receiver-side full
 	// quantize must agree byte for byte on the touched rows — the delta

@@ -72,16 +72,14 @@ func (q *RowQ) writeRow(w io.Writer, id int32) error {
 	return err
 }
 
-// readRow8 fills an int8 row from the wire and returns its element sum.
+// readRow8 reads an int8 row from the wire straight into dst, through a
+// byte view of its storage, and returns its element sum.
 func readRow8(r io.Reader, dst []int8) (int32, error) {
-	buf := make([]byte, len(dst))
-	if _, err := io.ReadFull(r, buf); err != nil {
+	if _, err := io.ReadFull(r, unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(dst))), len(dst))); err != nil {
 		return 0, err
 	}
 	var sum int32
-	for i, b := range buf {
-		v := int8(b)
-		dst[i] = v
+	for _, v := range dst {
 		sum += int32(v)
 	}
 	return sum, nil
@@ -205,28 +203,31 @@ func (q *RowQ) PatchRows(r io.Reader) (*RowQ, []int32, error) {
 	p.bias = append([]float32(nil), q.bias...)
 	p.rows8 = append([][]int8(nil), q.rows8...)
 	ids := make([]int32, 0, n)
+	// rec holds a record's id and scale, then its bias; it is reused, so a
+	// record's one allocation is its row, which the bytes are read into.
+	rec := make([]byte, 8)
 	last := int64(-1)
 	for k := uint32(0); k < n; k++ {
-		var id uint32
-		if err := readU32(r, &id); err != nil {
+		if _, err := io.ReadFull(r, rec); err != nil {
 			return nil, nil, fmt.Errorf("quant: reading rows delta record %d: %w", k, err)
 		}
+		id := binary.LittleEndian.Uint32(rec[0:])
 		if int64(id) <= last || id >= out {
 			return nil, nil, fmt.Errorf("quant: rows delta id %d out of order or range (prev %d, rows %d)", id, last, out)
 		}
 		last = int64(id)
 		ids = append(ids, int32(id))
-		if err := readF32s(r, p.scales[id:id+1]); err != nil {
-			return nil, nil, err
-		}
+		p.scales[id] = math.Float32frombits(binary.LittleEndian.Uint32(rec[4:]))
+		row := make([]int8, q.In)
 		var err error
-		p.rows8[id] = make([]int8, q.In)
-		if p.rowSums[id], err = readRow8(r, p.rows8[id]); err != nil {
+		if p.rowSums[id], err = readRow8(r, row); err != nil {
 			return nil, nil, err
 		}
-		if err := readF32s(r, p.bias[id:id+1]); err != nil {
+		p.rows8[id] = row
+		if _, err := io.ReadFull(r, rec[:4]); err != nil {
 			return nil, nil, err
 		}
+		p.bias[id] = math.Float32frombits(binary.LittleEndian.Uint32(rec[:4]))
 	}
 	return p, ids, nil
 }

@@ -2,7 +2,11 @@ package replicate
 
 import (
 	"context"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -67,5 +71,36 @@ func TestResyncBackoffDeterministicSchedule(t *testing.T) {
 	c.backoffReset()
 	if c.failures != 0 || c.Stats.BackoffMS.Load() != 0 {
 		t.Fatalf("reset left failures=%d backoff=%dms", c.failures, c.Stats.BackoffMS.Load())
+	}
+}
+
+// TestRequireQuantizedRejectsOtherWidths: a Client pinned to a width no
+// hub streams (4 was one once) fails Run at once, without a single request
+// — not a backoff loop counting every base it refuses as corrupt.
+func TestRequireQuantizedRejectsOtherWidths(t *testing.T) {
+	var requests atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		requests.Add(1)
+		http.Error(w, "unexpected", http.StatusServiceUnavailable)
+	}))
+	defer srv.Close()
+	for _, bits := range []int{4, 16, -8} {
+		c := &Client{BaseURL: srv.URL, RequireQuantized: bits}
+		done := make(chan error, 1)
+		go func() { done <- c.Run(context.Background()) }()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), "0 or 8") {
+				t.Fatalf("RequireQuantized %d: Run returned %v, want a 0-or-8 error", bits, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("RequireQuantized %d: Run did not return", bits)
+		}
+		if got := c.Stats.Corrupt.Load(); got != 0 {
+			t.Errorf("RequireQuantized %d: counted %d corrupt", bits, got)
+		}
+	}
+	if n := requests.Load(); n != 0 {
+		t.Fatalf("the server saw %d requests, want 0", n)
 	}
 }

@@ -83,10 +83,11 @@ type Client struct {
 	// replica fleet doesn't retry in lockstep, yet a given seed replays the
 	// exact same schedule). Wire it to the replica's -seed flag.
 	JitterSeed uint64
-	// RequireQuantized, when 8 or 4, refuses base snapshots that are not
-	// quantized at exactly that width — a replica provisioned for an int8
-	// memory budget must not silently inflate to f32 because the hub was
-	// started without -quantize. 0 accepts whatever the hub streams.
+	// RequireQuantized, when 8, refuses base snapshots that are not int8
+	// quantized — a replica provisioned for an int8 memory budget must not
+	// silently inflate to f32 because the hub was started without
+	// -quantize. 0 accepts whatever the hub streams; Run refuses any other
+	// value before its first fetch.
 	// Deltas are checked structurally by ApplyDelta (a width flip between
 	// base and delta is corruption either way).
 	RequireQuantized int
@@ -160,9 +161,14 @@ func (c *Client) backoffReset() {
 	c.Stats.BackoffMS.Store(0)
 }
 
-// Run follows the stream until ctx is done. It always returns
-// ctx.Err() — every failure inside is handled by re-syncing.
+// Run follows the stream until ctx is done and returns ctx.Err() — every
+// failure inside is handled by re-syncing. The one exception is a
+// RequireQuantized other than 0 or 8, which no base could satisfy: Run
+// returns that error at once, before any fetch.
 func (c *Client) Run(ctx context.Context) error {
+	if c.RequireQuantized != 0 && c.RequireQuantized != 8 {
+		return fmt.Errorf("replicate: RequireQuantized must be 0 or 8 (got %d)", c.RequireQuantized)
+	}
 	for ctx.Err() == nil {
 		if err := c.syncBase(ctx); err != nil {
 			c.Stats.Connected.Store(0)

@@ -193,6 +193,11 @@ func TestQuantizedRingGapResync(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// Publish returns before the last delta's encode lands; the re-sync
+	// below must find v5 visible.
+	if err := hub.settle(); err != nil {
+		t.Fatal(err)
+	}
 	resync, err := c.pollOnce(ctx)
 	if err != nil {
 		t.Fatal(err)

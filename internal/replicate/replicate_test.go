@@ -219,6 +219,11 @@ func TestRingGapResync(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// Publish returns before the last delta's encode lands; the re-sync
+	// below must find v5 visible.
+	if err := hub.settle(); err != nil {
+		t.Fatal(err)
+	}
 	resync, _ := c.pollOnce(ctx)
 	if !resync {
 		t.Fatal("a gapped replica must be told to re-sync")
@@ -436,14 +441,17 @@ func TestHubStatusRing(t *testing.T) {
 	if hub.Version() != 4 {
 		t.Fatalf("version %d, want 4", hub.Version())
 	}
-	if len(hub.ring) != 2 || hub.ring[0].from != 2 {
-		t.Fatalf("ring should hold the last 2 deltas from v2, got len %d from %d",
-			len(hub.ring), hub.ring[0].from)
+	// The last delta may still be encoding: wait for it to land.
+	if err := hub.settle(); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := hub.deltasSince(1); err != errGone {
+	if _, from, n := ringShape(t, hub); n != 2 || from != 2 {
+		t.Fatalf("ring should hold the last 2 deltas from v2, got len %d from %d", n, from)
+	}
+	if _, _, err := hub.deltasSince(1); err != errGone {
 		t.Fatalf("deltasSince(1) = %v, want errGone", err)
 	}
-	got, err := hub.deltasSince(2)
+	got, _, err := hub.deltasSince(2)
 	if err != nil || len(got) != 2 {
 		t.Fatalf("deltasSince(2) = %d msgs, %v; want 2, nil", len(got), err)
 	}

@@ -95,7 +95,7 @@ type Delta struct {
 func EncodeBaseQ(p *network.Predictor, version uint64, qbits int) ([]byte, error) {
 	var buf bytes.Buffer
 	writeHeader(&buf, kindBase)
-	sw := network.NewSectionWriter(&buf)
+	sw := network.NewSectionBuffer(&buf)
 	sw.Section(secEnvelope, "envelope", func(w io.Writer) error {
 		return binary.Write(w, binary.LittleEndian, []uint64{
 			version, uint64(p.Steps()), boolU64(p.HasTables()), uint64(p.ConfigChecksum()), uint64(qbits),
@@ -120,8 +120,16 @@ func EncodeBaseQ(p *network.Predictor, version uint64, qbits int) ([]byte, error
 // O(touched rows).
 func EncodeDeltaQ(d *network.Delta, fromVersion, toVersion uint64, qbits int) ([]byte, error) {
 	var buf bytes.Buffer
-	writeHeader(&buf, kindDelta)
-	sw := network.NewSectionWriter(&buf)
+	if err := encodeDelta(&buf, d, fromVersion, toVersion, qbits); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
+// encodeDelta frames EncodeDeltaQ's message onto the end of buf.
+func encodeDelta(buf *bytes.Buffer, d *network.Delta, fromVersion, toVersion uint64, qbits int) error {
+	writeHeader(buf, kindDelta)
+	sw := network.NewSectionBuffer(buf)
 	sw.Section(secEnvelope, "envelope", func(w io.Writer) error {
 		return binary.Write(w, binary.LittleEndian, []uint64{
 			fromVersion, toVersion, uint64(d.FromStep), uint64(d.ToStep),
@@ -135,9 +143,9 @@ func EncodeDeltaQ(d *network.Delta, fromVersion, toVersion uint64, qbits int) ([
 		sw.Section(secTables, "tables", d.WriteTables)
 	}
 	if err := sw.Err(); err != nil {
-		return nil, fmt.Errorf("replicate: encoding delta v%d->v%d: %w", fromVersion, toVersion, err)
+		return fmt.Errorf("replicate: encoding delta v%d->v%d: %w", fromVersion, toVersion, err)
 	}
-	return buf.Bytes(), nil
+	return nil
 }
 
 func writeHeader(buf *bytes.Buffer, kind uint32) {
