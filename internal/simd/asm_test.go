@@ -513,6 +513,69 @@ func TestTiledWalksBitIdenticalToPerRow(t *testing.T) {
 	}
 }
 
+// specialValues are what randSlice never draws: quiet NaNs of distinct
+// payloads and both signs, ±Inf, ±0, subnormals, and magnitudes whose
+// products overflow (so that Inf - Inf makes the default NaN).
+var specialValues = []float32{
+	math.Float32frombits(0x7fc00001), math.Float32frombits(0x7fc0beef),
+	math.Float32frombits(0xffc00002), math.Float32frombits(0xffe54321),
+	math.Float32frombits(0x7fffffff), math.Float32frombits(0xffd00000),
+	float32(math.Inf(1)), float32(math.Inf(-1)),
+	0, float32(math.Copysign(0, -1)),
+	math.Float32frombits(1), math.Float32frombits(0x80000003), 1e-40, -2e-39,
+	3e38, -3e38, 1e20, -1e20,
+}
+
+// specialSlice returns n values of which about a share p are specialValues
+// and the rest normal draws, at element offset off.
+func specialSlice(rng *rand.Rand, n, off int, p float64) []float32 {
+	s := offsetSlice(rng, n, off)
+	for i := range s {
+		if rng.Float64() < p {
+			s[i] = specialValues[rng.IntN(len(specialValues))]
+		}
+	}
+	return s
+}
+
+// TestTiledWalksSpecialValuesBitIdentical: with NaNs, infinities, signed
+// zeros, subnormals and overflowing products in the rows, the activations
+// and the bias, every tier's DotManyBiasBatch still returns the bits of its
+// per-row Dot + bias. Finite data cannot tell a reduction that adds the
+// right pairs from one that adds them with swapped operands; two NaNs of
+// different payloads meeting in an add can, because the result keeps the
+// first operand's.
+func TestTiledWalksSpecialValuesBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewPCG(26, 1))
+	const nVec = 8
+	shares := []float64{0, 0.01, 0.05, 0.3}
+	for _, m := range AvailableModes() {
+		ks := ForMode(m)
+		for _, n := range tileWidths {
+			w, bias := make([][]float32, nVec), specialSlice(rng, nVec, 0, 0.5)
+			for i := range w {
+				w[i] = specialSlice(rng, n, 1+i%3, shares[i%len(shares)])
+			}
+			for nS := 1; nS <= 5; nS++ {
+				for _, ids := range [][]int32{{3}, {1, 2}, {5, 5, 0}, {2, 7, 7, 1}, walkIDs(rng, 17, nVec), walkIDs(rng, 24, nVec)} {
+					hs, outs := make([][]float32, nS), make([][]float32, nS)
+					for s := range hs {
+						hs[s], outs[s] = specialSlice(rng, n, s%3, shares[(s+n)%len(shares)]), make([]float32, len(ids))
+					}
+					ks.DotManyBiasBatch(w, bias, ids, hs, outs)
+					for s := range hs {
+						want := make([]float32, len(ids))
+						for k, id := range ids {
+							want[k] = ks.Dot(w[id], hs[s]) + bias[id]
+						}
+						checkExact(t, fmt.Sprintf("%s n=%d samples=%d ids=%v sample %d", m, n, nS, ids, s), outs[s], want)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestBF16DotEquivalence: a dot over bfloat16 operands is WidenBF16 of both
 // then the float32 Dot — the row loader's forward — and stays within the
 // reduction tolerance of the float64 sum of the (exact) products on every

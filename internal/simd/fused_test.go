@@ -1,6 +1,7 @@
 package simd
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -167,25 +168,71 @@ func TestActiveSetWalkContracts(t *testing.T) {
 			}
 		}
 
-		// So is it by the tiled walks, for the first tile's samples at least
-		// (the integer walk's definition scores every sample of a row before
-		// the next row; the float one finishes a sample's list first).
-		for s := range outs {
-			outs[s][0], accs[s][0] = float32(math.NaN()), math.MinInt32
+		// So is it by the integer tiled walk, for the first tile's samples at
+		// least (its definition scores every sample of a row before the next
+		// row).
+		for s := range accs {
+			accs[s][0] = math.MinInt32
 		}
-		func() {
-			defer func() { _ = recover() }()
-			ks.DotManyBiasBatch(vecs, bias, bad, hs, outs)
-		}()
 		func() {
 			defer func() { _ = recover() }()
 			ks.DotManyU8S8(qvecs, bad, qas, accs)
 		}()
-		if want := ks.Dot(vecs[1], hs[0]) + bias[1]; outs[0][0] != want {
-			t.Fatalf("%v: DotManyBiasBatch lost the id ahead of the offender: %v, want %v", m, outs[0][0], want)
-		}
 		if want := ks.DotU8S8(qas[0], qvecs[1]); accs[0][0] != want {
 			t.Fatalf("%v: DotManyU8S8 lost the id ahead of the offender: %v, want %v", m, accs[0][0], want)
+		}
+
+		// And by the float one at every position of its row pairs: an
+		// out-of-range id, or a ragged row, at list position 0-4 of a batch
+		// of 1-5 samples raises the per-row loop's panic. The samples of the
+		// walk's first call — sample 0 on the portable tiers, whose definition
+		// finishes a sample's list first, the first tile on the assembly
+		// tiers — hold the per-row logit at every position ahead of the
+		// offender; nothing else is written.
+		firstCall := max(map[Mode]int{AVX512: 4, AVX2: 2}[m], 1)
+		unset := math.Float32frombits(0x7fc0dead)
+		for _, off := range []struct {
+			name string
+			rows [][]float32
+			id   int32
+			msg  string
+		}{
+			{"id out of range", vecs, 4, "runtime error: index out of range [4] with length 4"},
+			{"ragged row", ragged, 2, "simd: DotManyBias row length mismatch"},
+		} {
+			for nS := 1; nS <= len(hs); nS++ {
+				for pos := 0; pos <= 4; pos++ {
+					ids := []int32{1, 0, 3, 3, 1, 0}
+					ids[pos] = off.id
+					got := make([][]float32, nS)
+					for s := range got {
+						got[s] = make([]float32, len(ids))
+						for k := range got[s] {
+							got[s][k] = unset
+						}
+					}
+					msg := func() (msg string) {
+						defer func() { msg = fmt.Sprint(recover()) }()
+						ks.DotManyBiasBatch(off.rows, bias, ids, hs[:nS], got)
+						return
+					}()
+					name := fmt.Sprintf("%v: DotManyBiasBatch, %s at position %d of %d samples", m, off.name, pos, nS)
+					if msg != off.msg {
+						t.Errorf("%s: panic %q, want %q", name, msg, off.msg)
+					}
+					for s := range got {
+						for k, id := range ids {
+							want := unset
+							if s < firstCall && k < pos {
+								want = ks.Dot(off.rows[id], hs[s]) + bias[id]
+							}
+							if math.Float32bits(got[s][k]) != math.Float32bits(want) {
+								t.Errorf("%s: outs[%d][%d] = %v, want %v", name, s, k, got[s][k], want)
+							}
+						}
+					}
+				}
+			}
 		}
 
 		// More samples than any tile holds are walked, not refused.

@@ -25,43 +25,113 @@
 	DECL AX     \
 	KMOVW AX, K1
 
-// Sixteen columns of one sample: the row's columns R against the sample's
-// at off(H)(CX), into A.
-#define DMBB5_FMA4(off, H, A0, A1, A2, A3) \
-	VFMADD231PS off+0(H)(CX*1), Z16, A0   \
-	VFMADD231PS off+64(H)(CX*1), Z17, A1  \
-	VFMADD231PS off+128(H)(CX*1), Z18, A2 \
-	VFMADD231PS off+192(H)(CX*1), Z19, A3
+// Sixteen columns of the 2 × 4 tile at byte offset off+CX: the two rows'
+// block is loaded once (Z28, Z29) and each sample's once (Z30/Z31), and the
+// eight products go into accumulators Ars (row r, sample s). The row is the
+// multiplier operand and the activation the other, as in dotAVX512Asm.
+#define DMBB5_BLOCK(off, A00, A01, A02, A03, A10, A11, A12, A13) \
+	VMOVUPS off(SI)(CX*1), Z28    \
+	VMOVUPS off(DI)(CX*1), Z29    \
+	VMOVUPS off(R12)(CX*1), Z30   \
+	VFMADD231PS Z30, Z28, A00     \
+	VFMADD231PS Z30, Z29, A10     \
+	VMOVUPS off(R13)(CX*1), Z31   \
+	VFMADD231PS Z31, Z28, A01     \
+	VFMADD231PS Z31, Z29, A11     \
+	VMOVUPS off(R14)(CX*1), Z30   \
+	VFMADD231PS Z30, Z28, A02     \
+	VFMADD231PS Z30, Z29, A12     \
+	VMOVUPS off(R15)(CX*1), Z31   \
+	VFMADD231PS Z31, Z28, A03     \
+	VFMADD231PS Z31, Z29, A13
 
-// dotAVX512Asm's reduction of one sample's four accumulators down to the
-// four partial sums of an xmm register, operand for operand.
-#define DMBB5_TREE(A0, A1, A2, A3, YLO, YHI, XLO, XHI) \
-	VADDPS A1, A0, A0 \
-	VADDPS A3, A2, A2 \
-	VADDPS A2, A0, A0 \
-	VEXTRACTF64X4 $1, A0, YHI \
-	VADDPS YHI, YLO, YLO \
-	VEXTRACTF128 $1, YLO, XHI \
-	VADDPS XHI, XLO, XLO
+#define DMBB5_ZERO(A0, A1, A2, A3, A4, A5, A6, A7) \
+	VXORPS A0, A0, A0 \
+	VXORPS A1, A1, A1 \
+	VXORPS A2, A2, A2 \
+	VXORPS A3, A3, A3 \
+	VXORPS A4, A4, A4 \
+	VXORPS A5, A5, A5 \
+	VXORPS A6, A6, A6 \
+	VXORPS A7, A7, A7
+
+// Pass j of the tile: block j (byte offset off = 64j) of every 64-column
+// group, in group order, into eight zeroed accumulators — dotAVX512Asm's
+// accumulator j for each of the eight dots. Leaves CX at the first column
+// past the groups.
+#define DMBB5_PASS(off, A0, A1, A2, A3, A4, A5, A6, A7, loop, end) \
+	DMBB5_ZERO(A0, A1, A2, A3, A4, A5, A6, A7)         \
+	XORQ CX, CX                                         \
+	MOVQ n+56(FP), DX                                   \
+	SHRQ $6, DX                                         \
+	JEQ  end                                            \
+loop:                                                   \
+	DMBB5_BLOCK(off, A0, A1, A2, A3, A4, A5, A6, A7)    \
+	ADDQ $256, CX                                       \
+	DECQ DX                                             \
+	JNE  loop                                           \
+end:
+
+// The tile's logits to its outputs: sample s's are the low two (MOV =
+// VMOVSD) or the low one (MOV = VMOVSS) floats of 128-bit lane s of Z0,
+// stored at slot k of the output whose pointer the frame holds at o<s>.
+// Absent samples' pointers are sample 0's and their logits are sample 0's,
+// so the stores run unconditionally, sample 0's last.
+#define DMBB5_STORE(MOV) \
+	MOVQ o3-8(SP), AX             \
+	VEXTRACTF32X4 $3, Z0, X1      \
+	MOV  X1, (AX)(R10*1)          \
+	MOVQ o2-16(SP), AX            \
+	VEXTRACTF32X4 $2, Z0, X1      \
+	MOV  X1, (AX)(R10*1)          \
+	MOVQ o1-24(SP), AX            \
+	VEXTRACTF32X4 $1, Z0, X1      \
+	MOV  X1, (AX)(R10*1)          \
+	MOVQ o0-32(SP), AX            \
+	MOV  X0, (AX)(R10*1)
+
+// Sample s's activation pointer into H and its output pointer into the
+// frame at O; off = 24s, AX and CX the two slice-header arrays.
+#define DMBB5_SAMPLE(off, H, O) \
+	MOVQ off(AX), H  \
+	MOVQ off(CX), DX \
+	MOVQ DX, O
 
 // func dotManyBiasBatchAVX512Asm(rows *[]float32, nrows int64, bias *float32, ids *int32, nids int64, hs *[]float32, ns, n int64, outs *[]float32) int64
 //
-// outs[s][k] = rows[ids[k]]·hs[s] + bias[ids[k]] for s < ns <= 4: a 1 row ×
-// 4 samples register tile. The row's current 64 columns sit in Z16-Z19,
-// loaded once for the tile; sample s owns accumulators Z(4s)-Z(4s+3), which
-// are dotAVX512Asm's four fed in its order (64-column groups, 16-column
-// blocks into the first accumulator, one K1-masked block) from activations
-// read as memory operands. Each sample's accumulators go through that
-// routine's reduction tree down to four partial sums; its last two levels —
-// VHADDPS of a register with itself, twice — are then taken for the four
-// samples at once by three VHADDPS over register pairs, which add the same
-// pairs in the same order, and the bias is added to the four logits as one
-// broadcast. Every logit is therefore bit-identical to the per-row call.
+// outs[s][k] = rows[ids[k]]·hs[s] + bias[ids[k]] for s < ns <= 4: a 2 rows
+// × 4 samples register tile walked column-block-major. dotAVX512Asm feeds
+// four accumulators: A_j takes column block j of every 64-column group, in
+// group order, and A_0 then also the 16-column blocks and the K1-masked
+// tail. The four sequences are independent, so the tile runs them one after
+// another for its eight dots at once — A_0 (groups, blocks, tail) into
+// Z0-Z7, A_1 into Z8-Z15, t = A_0 + A_1; A_2 into Z8-Z15, A_3 into Z16-Z23,
+// u = A_2 + A_3, p = t + u — each row block and activation block loaded once
+// per pass and used for four and two FMAs. Every accumulator sees the same
+// FMAs in the same order and p is that routine's (Z0+Z1)+(Z2+Z3).
+//
+// The eight p are then reduced together, adding at every level the pairs
+// the per-row tree adds, with its first operand (the low half, the even
+// lane) first, so that even a NaN keeps its payload: VSHUFF32X4
+// $0x44/$0xEE + add is 512→256, $0x88/$0xDD + add is 256→128 and leaves
+// sample s in 128-bit lane s, VSHUFPS $0x88/$0xDD + add is the first
+// VHADDPS, and the same again over the result the second, which leaves row
+// 0's and row 1's logit in the low two floats of each lane. The bias pair
+// is added as one broadcast and each sample's two logits stored as 8 bytes.
+// Every logit is therefore bit-identical to the per-row call.
+//
+// Absent samples (ns < 4) read sample 0's activation, so their logits are
+// sample 0's, and store them to sample 0's output. A tile of one row — the
+// last of an odd list, or the first of a pair whose second id is an
+// offender — runs with row 1 = row 0 and stores row 0's logits only; the
+// next iteration then stops at the offender. While a pair is scored, the
+// first four lines of the next pair's rows are prefetched.
 //
 // R8 ids cursor, R9 ids left, R10 byte offset of slot k in every output,
-// R11 rows, R12-R15 the samples' activations, BX samples, SI row, CX byte
-// offset of the current column, DX columns left.
-TEXT ·dotManyBiasBatchAVX512Asm(SB), NOSPLIT, $0-80
+// R11 rows, R12-R15 the samples' activations, SI row 0, DI row 1, BX rows
+// in the tile (1 or 2), CX byte offset of the current column, DX groups or
+// columns left; the frame holds the four output pointers.
+TEXT ·dotManyBiasBatchAVX512Asm(SB), NOSPLIT, $32-80
 	MOVQ rows+0(FP), R11
 	MOVQ ids+24(FP), R8
 	MOVQ nids+32(FP), R9
@@ -71,18 +141,27 @@ TEXT ·dotManyBiasBatchAVX512Asm(SB), NOSPLIT, $0-80
 	TAILMASK
 	XORQ R10, R10
 	MOVQ hs+40(FP), AX
+	MOVQ outs+64(FP), CX
 	MOVQ 0(AX), R12
+	MOVQ 0(CX), DX
+	MOVQ DX, o0-32(SP)
+	MOVQ R12, R13
+	MOVQ DX, o1-24(SP)
+	MOVQ R12, R14
+	MOVQ DX, o2-16(SP)
+	MOVQ R12, R15
+	MOVQ DX, o3-8(SP)
 	CMPQ BX, $2
-	JLT  dmbb5_row
-	MOVQ 24(AX), R13
+	JLT  dmbb5_tile
+	DMBB5_SAMPLE(24, R13, o1-24(SP))
 	CMPQ BX, $3
-	JLT  dmbb5_row
-	MOVQ 48(AX), R14
+	JLT  dmbb5_tile
+	DMBB5_SAMPLE(48, R14, o2-16(SP))
 	CMPQ BX, $4
-	JLT  dmbb5_row
-	MOVQ 72(AX), R15
+	JLT  dmbb5_tile
+	DMBB5_SAMPLE(72, R15, o3-8(SP))
 
-dmbb5_row:
+dmbb5_tile:
 	TESTQ R9, R9
 	JE    dmbb5_done
 	MOVL  (R8), AX
@@ -91,9 +170,27 @@ dmbb5_row:
 	LEAQ  (AX)(AX*2), AX
 	MOVQ  n+56(FP), DX
 	ROWPTR(R11, DX, SI, dmbb5_done)
+	MOVQ  SI, DI
+	MOVQ  $1, BX
 	CMPQ  R9, $1
 	JE    dmbb5_dot
 	MOVL  4(R8), AX
+	CMPQ  AX, nrows+8(FP)
+	JAE   dmbb5_dot
+	LEAQ  (AX)(AX*2), AX
+	ROWPTR(R11, DX, DI, dmbb5_dot)
+	MOVQ  $2, BX
+	CMPQ  R9, $3
+	JLT   dmbb5_dot
+	MOVL  8(R8), AX
+	CMPQ  AX, nrows+8(FP)
+	JAE   dmbb5_dot
+	LEAQ  (AX)(AX*2), AX
+	MOVQ  (R11)(AX*8), AX
+	PREFETCH4(AX)
+	CMPQ  R9, $4
+	JLT   dmbb5_dot
+	MOVL  12(R8), AX
 	CMPQ  AX, nrows+8(FP)
 	JAE   dmbb5_dot
 	LEAQ  (AX)(AX*2), AX
@@ -101,119 +198,122 @@ dmbb5_row:
 	PREFETCH4(AX)
 
 dmbb5_dot:
-	VXORPS Z0, Z0, Z0
-	VXORPS Z1, Z1, Z1
-	VXORPS Z2, Z2, Z2
-	VXORPS Z3, Z3, Z3
-	VXORPS Z4, Z4, Z4
-	VXORPS Z5, Z5, Z5
-	VXORPS Z6, Z6, Z6
-	VXORPS Z7, Z7, Z7
-	VXORPS Z8, Z8, Z8
-	VXORPS Z9, Z9, Z9
-	VXORPS Z10, Z10, Z10
-	VXORPS Z11, Z11, Z11
-	VXORPS Z12, Z12, Z12
-	VXORPS Z13, Z13, Z13
-	VXORPS Z14, Z14, Z14
-	VXORPS Z15, Z15, Z15
-	XORQ CX, CX
-
-dmbb5_grp64:
-	CMPQ DX, $64
-	JLT  dmbb5_blk16
-	VMOVUPS 0(SI)(CX*1), Z16
-	VMOVUPS 64(SI)(CX*1), Z17
-	VMOVUPS 128(SI)(CX*1), Z18
-	VMOVUPS 192(SI)(CX*1), Z19
-	DMBB5_FMA4(0, R12, Z0, Z1, Z2, Z3)
-	CMPQ BX, $2
-	JLT  dmbb5_grp64next
-	DMBB5_FMA4(0, R13, Z4, Z5, Z6, Z7)
-	CMPQ BX, $3
-	JLT  dmbb5_grp64next
-	DMBB5_FMA4(0, R14, Z8, Z9, Z10, Z11)
-	CMPQ BX, $4
-	JLT  dmbb5_grp64next
-	DMBB5_FMA4(0, R15, Z12, Z13, Z14, Z15)
-
-dmbb5_grp64next:
-	ADDQ $256, CX
-	SUBQ $64, DX
-	JMP  dmbb5_grp64
+	DMBB5_PASS(0, Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7, dmbb5_g0, dmbb5_g0end)
+	MOVQ n+56(FP), DX
+	ANDQ $63, DX
 
 dmbb5_blk16:
 	CMPQ DX, $16
 	JLT  dmbb5_tail
-	VMOVUPS (SI)(CX*1), Z16
-	VFMADD231PS (R12)(CX*1), Z16, Z0
-	CMPQ BX, $2
-	JLT  dmbb5_blk16next
-	VFMADD231PS (R13)(CX*1), Z16, Z4
-	CMPQ BX, $3
-	JLT  dmbb5_blk16next
-	VFMADD231PS (R14)(CX*1), Z16, Z8
-	CMPQ BX, $4
-	JLT  dmbb5_blk16next
-	VFMADD231PS (R15)(CX*1), Z16, Z12
-
-dmbb5_blk16next:
+	DMBB5_BLOCK(0, Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7)
 	ADDQ $64, CX
 	SUBQ $16, DX
 	JMP  dmbb5_blk16
 
 dmbb5_tail:
 	TESTQ DX, DX
-	JE    dmbb5_reduce
-	VMOVUPS.Z (SI)(CX*1), K1, Z16
-	VMOVUPS.Z (R12)(CX*1), K1, Z17
-	VFMADD231PS Z17, Z16, Z0
-	CMPQ BX, $2
-	JLT  dmbb5_reduce
-	VMOVUPS.Z (R13)(CX*1), K1, Z17
-	VFMADD231PS Z17, Z16, Z4
-	CMPQ BX, $3
-	JLT  dmbb5_reduce
-	VMOVUPS.Z (R14)(CX*1), K1, Z17
-	VFMADD231PS Z17, Z16, Z8
-	CMPQ BX, $4
-	JLT  dmbb5_reduce
-	VMOVUPS.Z (R15)(CX*1), K1, Z17
-	VFMADD231PS Z17, Z16, Z12
+	JE    dmbb5_pass1
+	VMOVUPS.Z (SI)(CX*1), K1, Z28
+	VMOVUPS.Z (DI)(CX*1), K1, Z29
+	VMOVUPS.Z (R12)(CX*1), K1, Z30
+	VFMADD231PS Z30, Z28, Z0
+	VFMADD231PS Z30, Z29, Z4
+	VMOVUPS.Z (R13)(CX*1), K1, Z31
+	VFMADD231PS Z31, Z28, Z1
+	VFMADD231PS Z31, Z29, Z5
+	VMOVUPS.Z (R14)(CX*1), K1, Z30
+	VFMADD231PS Z30, Z28, Z2
+	VFMADD231PS Z30, Z29, Z6
+	VMOVUPS.Z (R15)(CX*1), K1, Z31
+	VFMADD231PS Z31, Z28, Z3
+	VFMADD231PS Z31, Z29, Z7
 
-dmbb5_reduce:
-	DMBB5_TREE(Z0, Z1, Z2, Z3, Y0, Y1, X0, X1)
-	DMBB5_TREE(Z4, Z5, Z6, Z7, Y4, Y5, X4, X5)
-	DMBB5_TREE(Z8, Z9, Z10, Z11, Y8, Y9, X8, X9)
-	DMBB5_TREE(Z12, Z13, Z14, Z15, Y12, Y13, X12, X13)
-	VHADDPS X4, X0, X0
-	VHADDPS X12, X8, X8
-	VHADDPS X8, X0, X0
-	MOVL (R8), AX
+dmbb5_pass1:
+	DMBB5_PASS(64, Z8, Z9, Z10, Z11, Z12, Z13, Z14, Z15, dmbb5_g1, dmbb5_g1end)
+	VADDPS Z8, Z0, Z0
+	VADDPS Z9, Z1, Z1
+	VADDPS Z10, Z2, Z2
+	VADDPS Z11, Z3, Z3
+	VADDPS Z12, Z4, Z4
+	VADDPS Z13, Z5, Z5
+	VADDPS Z14, Z6, Z6
+	VADDPS Z15, Z7, Z7
+	DMBB5_PASS(128, Z8, Z9, Z10, Z11, Z12, Z13, Z14, Z15, dmbb5_g2, dmbb5_g2end)
+	DMBB5_PASS(192, Z16, Z17, Z18, Z19, Z20, Z21, Z22, Z23, dmbb5_g3, dmbb5_g3end)
+	VADDPS Z16, Z8, Z8
+	VADDPS Z17, Z9, Z9
+	VADDPS Z18, Z10, Z10
+	VADDPS Z19, Z11, Z11
+	VADDPS Z20, Z12, Z12
+	VADDPS Z21, Z13, Z13
+	VADDPS Z22, Z14, Z14
+	VADDPS Z23, Z15, Z15
+	VADDPS Z8, Z0, Z0
+	VADDPS Z9, Z1, Z1
+	VADDPS Z10, Z2, Z2
+	VADDPS Z11, Z3, Z3
+	VADDPS Z12, Z4, Z4
+	VADDPS Z13, Z5, Z5
+	VADDPS Z14, Z6, Z6
+	VADDPS Z15, Z7, Z7
+
+	// Z(4r+s) is row r's, sample s's p. Lanes i+8 onto i, two dots per
+	// register: Z8 = (row 0: sample 0 | sample 1), Z10 = (0: 2 | 3),
+	// Z12 = (1: 0 | 1), Z14 = (1: 2 | 3).
+	VSHUFF32X4 $0x44, Z1, Z0, Z8
+	VSHUFF32X4 $0xEE, Z1, Z0, Z9
+	VADDPS     Z9, Z8, Z8
+	VSHUFF32X4 $0x44, Z3, Z2, Z10
+	VSHUFF32X4 $0xEE, Z3, Z2, Z11
+	VADDPS     Z11, Z10, Z10
+	VSHUFF32X4 $0x44, Z5, Z4, Z12
+	VSHUFF32X4 $0xEE, Z5, Z4, Z13
+	VADDPS     Z13, Z12, Z12
+	VSHUFF32X4 $0x44, Z7, Z6, Z14
+	VSHUFF32X4 $0xEE, Z7, Z6, Z15
+	VADDPS     Z15, Z14, Z14
+
+	// Lanes i+4 onto i, sample s in 128-bit lane s: Z16 row 0, Z18 row 1.
+	VSHUFF32X4 $0x88, Z10, Z8, Z16
+	VSHUFF32X4 $0xDD, Z10, Z8, Z17
+	VADDPS     Z17, Z16, Z16
+	VSHUFF32X4 $0x88, Z14, Z12, Z18
+	VSHUFF32X4 $0xDD, Z14, Z12, Z19
+	VADDPS     Z19, Z18, Z18
+
+	// The two VHADDPS levels: (x0+x1, x2+x3) of row 0 then row 1 in each
+	// lane, then ((x0+x1)+(x2+x3)) of row 0 then row 1.
+	VSHUFPS $0x88, Z18, Z16, Z20
+	VSHUFPS $0xDD, Z18, Z16, Z21
+	VADDPS  Z21, Z20, Z20
+	VSHUFPS $0x88, Z20, Z20, Z21
+	VSHUFPS $0xDD, Z20, Z20, Z22
+	VADDPS  Z22, Z21, Z0
+
 	MOVQ bias+16(FP), DX
-	VBROADCASTSS (DX)(AX*4), X1
-	VADDPS X1, X0, X0
-	MOVQ outs+64(FP), DX
-	MOVQ 0(DX), AX
-	VMOVSS X0, (AX)(R10*1)
+	MOVL (R8), AX
+	VMOVSS (DX)(AX*4), X1
 	CMPQ BX, $2
-	JLT  dmbb5_next
-	MOVQ 24(DX), AX
-	VEXTRACTPS $1, X0, (AX)(R10*1)
-	CMPQ BX, $3
-	JLT  dmbb5_next
-	MOVQ 48(DX), AX
-	VEXTRACTPS $2, X0, (AX)(R10*1)
-	CMPQ BX, $4
-	JLT  dmbb5_next
-	MOVQ 72(DX), AX
-	VEXTRACTPS $3, X0, (AX)(R10*1)
+	JLT  dmbb5_bias
+	MOVL 4(R8), AX
+
+dmbb5_bias:
+	VINSERTPS    $0x10, (DX)(AX*4), X1, X1
+	VBROADCASTSD X1, Z1
+	VADDPS       Z1, Z0, Z0
+	CMPQ BX, $2
+	JLT  dmbb5_store1
+	DMBB5_STORE(VMOVSD)
+	JMP  dmbb5_next
+
+dmbb5_store1:
+	DMBB5_STORE(VMOVSS)
 
 dmbb5_next:
-	ADDQ $4, R8
-	ADDQ $4, R10
-	DECQ R9
-	JMP  dmbb5_row
+	LEAQ (R8)(BX*4), R8
+	LEAQ (R10)(BX*4), R10
+	SUBQ BX, R9
+	JMP  dmbb5_tile
 
 dmbb5_done:
 	VZEROUPPER
