@@ -98,7 +98,7 @@ func Table2(opts Options) (*Report, error) {
 	}
 	measured := &Table{
 		Title:  fmt.Sprintf("Table 2a — measured epoch times on host (scale %g)", opts.Scale),
-		Header: []string{"Dataset", "System", "Epoch(s)", "P@1", "vs FullSoftmax", "vs Naive"},
+		Header: []string{"Dataset", "System", "Epoch(s)", "P@1", "vs Full softmax", "vs Naive"},
 		Note:   "same hardware, same Go kernels: ratios are the algorithm+optimization effect",
 	}
 	modeled := &Table{
@@ -449,42 +449,19 @@ func samplingAblation(w *Workload, opts Options) (*Table, error) {
 		return nil, err
 	}
 	// Uniform sampling matches the LSH run's measured active-set budget.
-	cfg := w.NetworkConfig(opts, layer.FP32, layer.Contiguous)
-	cfg.UniformSampling = true
-	cfg.K, cfg.L = 0, 0
-	cfg.MinActive = max(1, int(lshRun.MeanActive))
-	net, err := network.New(&cfg)
+	v := Optimized
+	v.Name = "Uniform sampling"
+	uniform, err := runNetwork(w, v, opts, func(c *network.Config) {
+		c.UniformSampling = true
+		c.MinActive = max(1, int(lshRun.MeanActive))
+	})
 	if err != nil {
 		return nil, err
 	}
-	train := trainSlice(w.Train)
-	res := &RunResult{System: "Uniform sampling", Dataset: w.Name,
-		Tracker: metrics.NewTracker("Uniform sampling", w.Name)}
-	scores := make([]float32, cfg.OutputDim)
-	var activeSum, samples int64
-	start := time.Now()
-	for epoch := 0; epoch < opts.Epochs; epoch++ {
-		it := train.Iter(w.Batch, sparse.Coalesced, opts.Seed+uint64(epoch))
-		for {
-			b, ok := it.Next()
-			if !ok {
-				break
-			}
-			st := net.TrainBatch(b)
-			activeSum += st.ActiveSum
-			samples += int64(st.Samples)
-		}
-	}
-	res.TrainTime = time.Since(start)
-	res.EpochTime = res.TrainTime / time.Duration(opts.Epochs)
-	res.FinalP1 = evalP1(scores, net.Scores, w.Test, opts.EvalSamples)
-	if samples > 0 {
-		res.MeanActive = float64(activeSum) / float64(samples)
-	}
 
-	for _, r := range []*RunResult{lshRun, res} {
+	for _, r := range []*RunResult{lshRun, uniform} {
 		name := "LSH (adaptive)"
-		if r == res {
+		if r == uniform {
 			name = "Uniform (random)"
 		}
 		t.Append(name, fmt.Sprintf("%.3f", r.EpochTime.Seconds()),

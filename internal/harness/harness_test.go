@@ -262,6 +262,27 @@ func TestAblations(t *testing.T) {
 	}
 }
 
+// TestSamplingAblation runs the LSH-vs-uniform ablation at the smallest
+// scale without a -short skip, so the race lane covers its training runs. The
+// uniform row must train on the LSH row's measured active-set budget.
+func TestSamplingAblation(t *testing.T) {
+	opts := tinyOpts()
+	ws, err := Workloads(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := samplingAblation(ws[0], opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tbl.Rows) != 2 {
+		t.Fatalf("got %d rows, want LSH and uniform", len(tbl.Rows))
+	}
+	if lsh, uniform := tbl.Rows[0][3], tbl.Rows[1][3]; lsh != uniform {
+		t.Errorf("uniform MeanActive %s, LSH %s: not the same budget", uniform, lsh)
+	}
+}
+
 func TestRenderConvergenceEmpty(t *testing.T) {
 	out := RenderConvergence("empty", []*metrics.Tracker{metrics.NewTracker("s", "d")})
 	if !strings.Contains(out, "no convergence points") {

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"github.com/slide-cpu/slide/internal/dataset"
-	"github.com/slide-cpu/slide/internal/fullsoftmax"
 	"github.com/slide-cpu/slide/internal/layer"
 	"github.com/slide-cpu/slide/internal/metrics"
 	"github.com/slide-cpu/slide/internal/network"
@@ -65,7 +64,7 @@ type RunResult struct {
 	EpochTime time.Duration
 	FinalP1   float64
 	FinalLoss float64
-	// MeanActive is the mean active-set size per sample (SLIDE runs).
+	// MeanActive is the mean active-set size per sample.
 	MeanActive float64
 	Tracker    *metrics.Tracker
 }
@@ -98,12 +97,34 @@ func evalP1(scores []float32, scorer func(sparse.Vector, []float32), test *datas
 // RunSLIDE trains the workload with the given SLIDE variant and returns
 // measurements. Kernel mode is process-global; runs execute serially.
 func RunSLIDE(w *Workload, v Variant, opts Options) (*RunResult, error) {
+	return runNetwork(w, v, opts, nil)
+}
+
+// RunDense trains the workload's own network with sampling off: the
+// full-softmax baseline of Table 2 and Figure 6. It runs the Optimized
+// variant with every output neuron active (NoSampling), so the gap between
+// its row and Optimized SLIDE's is the sampling alone — the same engine and
+// kernels with LSH on and off.
+func RunDense(w *Workload, opts Options) (*RunResult, error) {
+	v := Optimized
+	v.Name = "Full softmax"
+	return runNetwork(w, v, opts, func(c *network.Config) { c.NoSampling = true })
+}
+
+// runNetwork is the measured session every system trains through: it builds
+// the workload's network for variant v, lets adjust edit the configuration
+// (nil leaves it as the workload declares it), trains it in v's batch layout
+// and evaluates its scores at the tracker's points and at the end.
+func runNetwork(w *Workload, v Variant, opts Options, adjust func(*network.Config)) (*RunResult, error) {
 	opts.defaults()
 	prev := simd.CurrentMode()
 	simd.SetMode(v.Kernels)
 	defer simd.SetMode(prev)
 
 	cfg := w.NetworkConfig(opts, v.Precision, v.Placement)
+	if adjust != nil {
+		adjust(&cfg)
+	}
 	if platform.RaceEnabled {
 		cfg.Workers = 1 // several HOGWILD workers race by design; see platform.RaceEnabled
 	}
@@ -111,43 +132,12 @@ func RunSLIDE(w *Workload, v Variant, opts Options) (*RunResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("harness: %s on %s: %w", v.Name, w.Name, err)
 	}
-	return run(w, opts, v.Name, v.BatchLayout, net, net.Scores, cfg.OutputDim)
-}
+	res := &RunResult{System: v.Name, Dataset: w.Name, Tracker: metrics.NewTracker(v.Name, w.Name)}
+	scores := make([]float32, cfg.OutputDim)
 
-// RunDense trains the workload with the dense full-softmax baseline.
-func RunDense(w *Workload, opts Options) (*RunResult, error) {
-	opts.defaults()
-	prev := simd.CurrentMode()
-	simd.SetMode(simd.Best()) // TF baselines use the best vector tier (AVX)
-	defer simd.SetMode(prev)
-
-	cfg := fullsoftmax.Config{
-		InputDim:         w.Train.Features,
-		HiddenDim:        w.Hidden,
-		OutputDim:        w.Train.Labels,
-		HiddenActivation: w.HiddenAct,
-		LR:               w.LR,
-		Workers:          opts.Workers,
-		Seed:             opts.Seed,
-	}
-	tr, err := fullsoftmax.New(&cfg)
+	src, err := dataset.NewMemorySource(trainSlice(w.Train), w.Batch, v.BatchLayout)
 	if err != nil {
-		return nil, fmt.Errorf("harness: dense baseline on %s: %w", w.Name, err)
-	}
-	return run(w, opts, "TF FullSoftmax", sparse.Coalesced, denseStepper{tr}, tr.Scores, cfg.OutputDim)
-}
-
-// run is the measured session both systems train through: step trains the
-// workload's head in the given batch layout, and scorer, writing outputDim
-// logits, is evaluated at the tracker's points and at the end.
-func run(w *Workload, opts Options, system string, layout sparse.Layout, step train.Stepper,
-	scorer func(sparse.Vector, []float32), outputDim int) (*RunResult, error) {
-	res := &RunResult{System: system, Dataset: w.Name, Tracker: metrics.NewTracker(system, w.Name)}
-	scores := make([]float32, outputDim)
-
-	src, err := dataset.NewMemorySource(trainSlice(w.Train), w.Batch, layout)
-	if err != nil {
-		return nil, fmt.Errorf("harness: %s on %s: %w", system, w.Name, err)
+		return nil, fmt.Errorf("harness: %s on %s: %w", v.Name, w.Name, err)
 	}
 	evalEvery := max(1, src.BatchesPerEpoch()/opts.EvalPointsPerEpoch)
 
@@ -159,7 +149,7 @@ func run(w *Workload, opts Options, system string, layout sparse.Layout, step tr
 	var lossN int64
 
 	runtime.GC() // isolate this run from the previous system's garbage
-	rep, err := train.Run(context.Background(), step, src, train.Config{
+	rep, err := train.Run(context.Background(), net, src, train.Config{
 		Epochs: opts.Epochs,
 		// Keep the harness's historical per-epoch seeding (measurement runs
 		// reproduce across harness versions); the default Step()+1 rule is
@@ -171,10 +161,10 @@ func run(w *Workload, opts Options, system string, layout sparse.Layout, step tr
 				lossSum += bi.Stats.Loss
 				lossN += int64(bi.Stats.Samples)
 				if bi.Step%int64(evalEvery) == 0 {
-					p1 := evalP1(scores, scorer, w.Test, opts.EvalSamples)
+					p1 := evalP1(scores, net.Scores, w.Test, opts.EvalSamples)
 					res.Tracker.Record(metrics.Point{
 						Elapsed: elapsed, Epoch: bi.Epoch + 1, Batches: bi.Step,
-						P1: p1, Loss: lossSum / float64(max64(lossN, 1)),
+						P1: p1, Loss: lossSum / float64(max(lossN, 1)),
 					})
 					lossSum, lossN = 0, 0
 				}
@@ -190,10 +180,10 @@ func run(w *Workload, opts Options, system string, layout sparse.Layout, step tr
 		},
 	})
 	if err != nil {
-		return nil, fmt.Errorf("harness: %s on %s: %w", system, w.Name, err)
+		return nil, fmt.Errorf("harness: %s on %s: %w", v.Name, w.Name, err)
 	}
 	res.TrainTime = rep.TrainTime
-	res.FinalP1 = evalP1(scores, scorer, w.Test, opts.EvalSamples)
+	res.FinalP1 = evalP1(scores, net.Scores, w.Test, opts.EvalSamples)
 	if last, ok := res.Tracker.Last(); ok {
 		res.FinalLoss = last.Loss
 	}
@@ -201,30 +191,4 @@ func run(w *Workload, opts Options, system string, layout sparse.Layout, step tr
 		res.MeanActive = float64(rep.Stats.ActiveSum) / float64(rep.Stats.Samples)
 	}
 	return res, nil
-}
-
-// denseStepper adapts the full-softmax baseline trainer to the session
-// engine's Stepper contract (every output neuron is always active, and its
-// stats count them so).
-type denseStepper struct {
-	t *fullsoftmax.Trainer
-}
-
-// TrainBatch implements train.Stepper.
-func (d denseStepper) TrainBatch(b sparse.Batch) network.BatchStats {
-	st := d.t.TrainBatch(b)
-	return network.BatchStats{
-		Samples: st.Samples, Loss: st.Loss,
-		ActiveSum: int64(st.Samples) * int64(d.t.Config().OutputDim),
-	}
-}
-
-// Step implements train.Stepper.
-func (d denseStepper) Step() int64 { return d.t.Step() }
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

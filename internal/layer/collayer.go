@@ -90,9 +90,8 @@ func (l *ColLayer) Backward(ks *simd.Kernels, x sparse.Vector, h, dh []float32) 
 // own disjoint [lo, hi) tiles, so no locks are needed; because every kernel
 // involved is elementwise, the per-scalar accumulation order is sample-
 // ascending regardless of where the tile boundaries fall — the result is
-// bit-identical for any tile count. Used by the sharded trainer and the dense
-// baseline in place of per-sample Backward calls; apply with ApplyAdam as
-// usual.
+// bit-identical for any tile count. Used by the sharded trainer in place of
+// per-sample Backward calls; apply with ApplyAdam as usual.
 func (l *ColLayer) BackwardBatchRange(ks *simd.Kernels, xs []sparse.Vector, acts, dhs [][]float32, lo, hi int) {
 	for i := range xs {
 		h, dh := acts[i], dhs[i]

@@ -187,8 +187,7 @@ func Iota(n int) []int32 {
 
 // ForwardAll computes every neuron's logit into out (len Out) — the exact
 // walk for a batch of one. workers > 1 tiles the rows over that many
-// goroutines (the dense baseline's evaluation); serving passes 1 and scales
-// across calls. hBF is unread.
+// goroutines; serving passes 1 and scales across calls. hBF is unread.
 func (w *RowWeights) ForwardAll(ks *simd.Kernels, h []float32, hBF []bf16.BF16, out []float32, workers int) {
 	if len(out) != w.Out {
 		panic("layer: ForwardAll output size mismatch")

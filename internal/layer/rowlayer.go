@@ -85,16 +85,6 @@ func (l *RowLayer) Accumulate(ks *simd.Kernels, id int32, gz float32, h []float3
 	l.touched.mark(id)
 }
 
-// AccumulateOwnedRow adds gz·h into row id's gradient and gz into its bias
-// gradient without touch-marking. The caller must own row id
-// exclusively (the dense baseline tiles disjoint row ranges over workers)
-// and must apply the update with ApplyAdamAll, which ignores the touched
-// set. FP32 storage only.
-func (l *RowLayer) AccumulateOwnedRow(ks *simd.Kernels, id int32, gz float32, h []float32) {
-	ks.Axpy(gz, h, l.grad[id])
-	l.gbias[id] += gz
-}
-
 // ApplyAdam steps every touched row and its bias, zeroes consumed gradients
 // and clears the touched set; rows are striped over workers by bitset word.
 func (l *RowLayer) ApplyAdam(ks *simd.Kernels, p simd.AdamParams, workers int) {
@@ -120,15 +110,15 @@ func (l *RowLayer) FinishAdam() { l.finishAdam(false) }
 func (l *RowLayer) TouchedRows() int { return l.touched.count() }
 
 // ApplyAdamAll steps every row unconditionally — the dense update of the
-// full-softmax baseline, where all parameters change every batch: ApplyAdam
-// with the touched test off, and a journal that records every row.
+// middle stack, where all parameters change every batch: ApplyAdam with the
+// touched test off, and a journal that records every row.
 func (l *RowLayer) ApplyAdamAll(ks *simd.Kernels, p simd.AdamParams, workers int) {
 	l.applyAdam(ks, p, workers, true)
 }
 
 // ForwardAll computes every neuron's logit into out (len Out) — the full
-// softmax pass used for evaluation and by the dense baseline; see
-// RowWeights.ForwardAll. hBF is unread.
+// softmax pass used for evaluation; see RowWeights.ForwardAll. hBF is
+// unread.
 func (l *RowLayer) ForwardAll(ks *simd.Kernels, h []float32, hBF []bf16.BF16, out []float32, workers int) {
 	l.fwd.ForwardAll(ks, h, nil, out, workers)
 }

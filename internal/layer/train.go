@@ -95,11 +95,11 @@ func (t *trainState) stepVector(ks *simd.Kernels, p simd.AdamParams, id int32) {
 }
 
 // adamRange steps the vectors of [lo, hi): the touched ones, or all of them
-// (the dense update of the full-softmax baseline and the middle stack, where
-// every parameter changes every batch). Calls over disjoint ranges may run
-// concurrently — touch reads are atomic and a vector is stepped by exactly
-// one of them. It neither clears the touched set nor feeds the journal; that
-// is finishAdam, once, after every range is done.
+// (the dense update of the middle stack, where every parameter changes every
+// batch). Calls over disjoint ranges may run concurrently — touch reads are
+// atomic and a vector is stepped by exactly one of them. It neither clears
+// the touched set nor feeds the journal; that is finishAdam, once, after
+// every range is done.
 func (t *trainState) adamRange(ks *simd.Kernels, p simd.AdamParams, lo, hi int, all bool) {
 	if all {
 		for id := max(lo, 0); id < min(hi, t.touched.n); id++ {

@@ -237,9 +237,11 @@ func TestStripeFingerprintsSelectLikePerSample(t *testing.T) {
 // −(1/n)·Σ log softmax(logits)[y] over its distinct labels y below OutputDim,
 // n the length of its label list (the uniform target labelHead puts on the
 // list: a duplicate or a label past the layer takes its share of the target
-// and adds no logit), computed in float64 from the Scores of every row taken
-// before the step, to 1e-5 relative. A list that did not lead with the labels,
-// or label heads that miscounted them, would score other rows' logits.
+// and adds no logit; a sample without labels adds nothing), computed in
+// float64 from the Scores of every row taken before the step, to 1e-5
+// relative. Every row is active for every sample, the label-less one too. A
+// list that did not lead with the labels, or label heads that miscounted
+// them, would score other rows' logits.
 func TestNoSamplingLossIsFullSoftmax(t *testing.T) {
 	cfg := Config{InputDim: 40, HiddenDim: 16, OutputDim: 30, NoSampling: true, LR: 0.01, Workers: 1, Seed: 17}
 	n, err := New(&cfg)
@@ -250,8 +252,8 @@ func TestNoSamplingLossIsFullSoftmax(t *testing.T) {
 	trainN(t, n, p, 4, 16) // logits away from their initial spread
 
 	var sb sparse.Builder
-	warm := p.batch(4)
-	for i, labels := range [][]int32{{3}, {7, 7, 12}, {int32(cfg.OutputDim) + 4, 2}, {int32(cfg.OutputDim) - 1, 0, 5, 0}} {
+	warm := p.batch(5)
+	for i, labels := range [][]int32{{3}, {7, 7, 12}, nil, {int32(cfg.OutputDim) + 4, 2}, {int32(cfg.OutputDim) - 1, 0, 5, 0}} {
 		x := warm.Sample(i)
 		sb.Add(x.Indices, x.Values, labels)
 	}

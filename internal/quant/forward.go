@@ -91,7 +91,7 @@ func (q *RowQ) ForwardActive(ks *simd.Kernels, active []int32, qa []uint8, sa fl
 // ForwardAll computes every neuron's logit into out (len Out): the exact
 // walk for a batch of one, on the caller's goroutine. workers is accepted
 // for signature parity with layer.RowWeights.ForwardAll and ignored —
-// serving scales across calls and the dense baseline never quantizes.
+// serving scales across calls.
 func (q *RowQ) ForwardAll(ks *simd.Kernels, qa []uint8, sa float32, zp int32, out []float32, workers int) {
 	q.ForwardAllBatch(ks, [][]uint8{qa}, []float32{sa}, []int32{zp}, [][]float32{out})
 }

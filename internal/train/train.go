@@ -4,9 +4,9 @@
 // schedule with atomic file writes, periodic snapshot callbacks, early
 // stopping, and context cancellation.
 //
-// It operates on the Stepper interface (implemented by network.Network and,
-// via a thin adapter, the dense full-softmax baseline), so the public API,
-// the cmds, and the experiment harness all drive the same loop.
+// It operates on the Stepper interface (implemented by network.Network), so
+// the public API, the cmds, and the experiment harness all drive the same
+// loop.
 //
 // Determinism contract: pass p of a session starts with src.Reset(seed)
 // where seed defaults to Step()+1 at pass start — exactly the legacy
