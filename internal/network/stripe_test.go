@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/slide-cpu/slide/internal/layer"
+	"github.com/slide-cpu/slide/internal/platform"
 	"github.com/slide-cpu/slide/internal/simd"
 	"github.com/slide-cpu/slide/internal/sparse"
 )
@@ -286,6 +287,40 @@ func TestNoSamplingLossIsFullSoftmax(t *testing.T) {
 	st := n.TrainBatch(b)
 	if d := math.Abs(st.Loss-want) / want; !(d <= 1e-5) {
 		t.Errorf("NoSampling step loss %.7g, full-softmax cross-entropy %.7g: %.2g apart", st.Loss, want, d)
+	}
+	if w := int64(b.Len() * cfg.OutputDim); st.ActiveSum != w {
+		t.Errorf("ActiveSum %d, want every row of every sample (%d)", st.ActiveSum, w)
+	}
+}
+
+// TestMultiLabelTargets: a NoSampling step on two workers over a batch that
+// holds a multi-label sample and a label-less one must count both samples,
+// take every row active for each, and report a positive, finite loss — the
+// multi-label sample spreads its target over its labels, the label-less one
+// adds no loss and no crash. HOGWILD on several workers races by design, so
+// the race lane trains on one.
+func TestMultiLabelTargets(t *testing.T) {
+	cfg := Config{InputDim: 20, HiddenDim: 8, OutputDim: 10, NoSampling: true, Workers: 2, Seed: 3}
+	if platform.RaceEnabled {
+		cfg.Workers = 1
+	}
+	n, err := New(&cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb sparse.Builder
+	sb.Add([]int32{1, 3}, []float32{1, 1}, []int32{2, 5, 7})
+	sb.Add([]int32{0}, []float32{1}, nil) // no labels
+	b, err := sb.CSR()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := n.TrainBatch(b)
+	if st.Samples != 2 {
+		t.Errorf("samples %d, want 2", st.Samples)
+	}
+	if !(st.Loss > 0) || math.IsInf(st.Loss, 0) {
+		t.Errorf("loss %g, want positive and finite", st.Loss)
 	}
 	if w := int64(b.Len() * cfg.OutputDim); st.ActiveSum != w {
 		t.Errorf("ActiveSum %d, want every row of every sample (%d)", st.ActiveSum, w)
