@@ -330,9 +330,9 @@ func TestSnapshotDeltaRoundTrip(t *testing.T) {
 }
 
 // TestApplyAdamWalksAgree: however the touched set is walked — one worker or
-// several, shard ranges plus FinishAdam, or the dense ApplyAdamAll over a
-// layer whose every row is touched — the stepped layer serialises to the
-// same bytes, and the touched set is empty afterwards.
+// several, or the dense ApplyAdamAll over a layer whose every row is touched
+// — the stepped layer serialises to the same bytes, and the touched set is
+// empty afterwards.
 func TestApplyAdamWalksAgree(t *testing.T) {
 	for _, prec := range []Precision{FP32, BF16Act, BF16Both} {
 		o := Options{Precision: prec}
@@ -368,13 +368,6 @@ func TestApplyAdamWalksAgree(t *testing.T) {
 						func(l *RowLayer) { l.ApplyAdamAll(pinKS(), pinAdam(5), workers) }})
 				}
 			}
-			walks = append(walks, walk{"ApplyAdamRange", func(l *RowLayer) {
-				// Boundaries inside a bitset word, on one, and an empty range.
-				for _, r := range [][2]int{{0, 5}, {5, 32}, {32, 32}, {32, 67}, {67, pinRowOut}} {
-					l.ApplyAdamRange(pinKS(), pinAdam(5), r[0], r[1])
-				}
-				l.FinishAdam()
-			}})
 			var want []byte
 			for _, w := range walks {
 				walkName, walk := w.name, w.run

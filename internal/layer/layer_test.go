@@ -407,8 +407,8 @@ func TestBF16BothIsFloat32OnWidenedRows(t *testing.T) {
 			for k := range hs {
 				dhsGot[k], dhsWant[k] = make([]float32, in), make([]float32, in)
 			}
-			bf.AccumulateStripe(ks, &x, sgz, hs, dhsGot, 5)
-			f32.AccumulateStripe(ks, &x, sgz, hs, dhsWant, 5)
+			bf.AccumulateStripe(ks, &x, sgz, hs, dhsGot, 5, nil)
+			f32.AccumulateStripe(ks, &x, sgz, hs, dhsWant, 5, nil)
 			for k := range hs {
 				sameBits(t, fmt.Sprintf("%s AccumulateStripe dh %d", name, k), dhsGot[k], dhsWant[k])
 			}

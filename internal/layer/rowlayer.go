@@ -62,7 +62,7 @@ func (l *RowLayer) ForwardActive(ks *simd.Kernels, active []int32, h []float32, 
 // gradient gz: ∇W[id] += gz·h, ∇b[id] += gz, and (if dh is non-nil)
 // dh += gz·W[id]. dh is worker-private; concurrent calls race on the shared
 // gradient rows by design (HOGWILD). Weights are only read here — they change
-// exclusively in ApplyAdam, which the trainer serializes against Backward.
+// in ApplyAdam, which the trainer serializes against Backward.
 // hBF is unread.
 //
 // This is the per-row form: the dense middle stack (whose "active set" is
@@ -90,21 +90,6 @@ func (l *RowLayer) Accumulate(ks *simd.Kernels, id int32, gz float32, h []float3
 func (l *RowLayer) ApplyAdam(ks *simd.Kernels, p simd.AdamParams, workers int) {
 	l.applyAdam(ks, p, workers, false)
 }
-
-// ApplyAdamRange steps every touched row in [lo, hi) and its bias, zeroing
-// consumed gradients. The sharded optimizer runs one call per shard
-// concurrently — safe because shard row ranges are disjoint and touch reads
-// are atomic. Unlike ApplyAdam it does NOT fold the touched set into the
-// journal or clear it; after all ranges complete, the caller must invoke
-// FinishAdam exactly once.
-func (l *RowLayer) ApplyAdamRange(ks *simd.Kernels, p simd.AdamParams, lo, hi int) {
-	l.adamRange(ks, p, lo, hi, false)
-}
-
-// FinishAdam completes a set of ApplyAdamRange calls covering the full row
-// space: it folds the touched set into the journal (when enabled) and clears
-// it. Must not run concurrently with ApplyAdamRange.
-func (l *RowLayer) FinishAdam() { l.finishAdam(false) }
 
 // TouchedRows returns how many rows currently hold unapplied gradient.
 func (l *RowLayer) TouchedRows() int { return l.touched.count() }

@@ -6,9 +6,9 @@ import "github.com/slide-cpu/slide/internal/simd"
 // output row many times over — about eleven times per 128 samples on
 // text8-s — and a per-sample walk (ForwardActive, then Accumulate per
 // selection) reloads the row and reads and writes its gradient at every
-// selection. No weight changes inside a batch, so the stripe is walked the
-// other way round: transpose its active lists into row → (sample, slot)
-// lists with one counting sort (StripeIndex.Build), then visit every
+// selection. No row changes before its batch's last read, so the stripe is
+// walked the other way round: transpose its active lists into row → (sample,
+// slot) lists with one counting sort (StripeIndex.Build), then visit every
 // selected row once, the row as the dense operand and the stripe's
 // activations as the listed vectors. Training runs the output layer through
 // these walks only; see DESIGN.md "Stripe-major output walks".
@@ -115,7 +115,14 @@ func (l *RowLayer) ForwardStripe(ks *simd.Kernels, x *StripeIndex, hs [][]float3
 // An input gradient gets the same terms in row-walk order instead of list
 // order: rows ascending from first, wrapping, and a row a sample chose twice
 // in slot order. A bfloat16 row is widened once per stripe.
-func (l *RowLayer) AccumulateStripe(ks *simd.Kernels, x *StripeIndex, gz []float32, hs, dhs [][]float32, first int) {
+//
+// step is the ADAM step of a walk that owns its rows for the whole batch
+// (HOGWILD's lone worker, a phase-engine shard): a row's gradient is final
+// once its AxpyTwoMany returns, so the row is stepped right there, still in
+// cache, and journaled instead of touched — the bytes ApplyAdam would leave,
+// as every input gradient has already read the row. Walks over shared rows
+// pass nil and leave the rows touched for ApplyAdam.
+func (l *RowLayer) AccumulateStripe(ks *simd.Kernels, x *StripeIndex, gz []float32, hs, dhs [][]float32, first int, step *simd.AdamParams) {
 	wb := l.w.widening(1)
 	for i := range len(x.start) - 1 {
 		r, lo, hi := x.row(i, first)
@@ -129,7 +136,14 @@ func (l *RowLayer) AccumulateStripe(ks *simd.Kernels, x *StripeIndex, gz []float
 		}
 		ks.AxpyTwoMany(g, x.sample[lo:hi], l.w.row(ks, r, wb), dhs, hs, l.grad[r])
 		l.gbias[r] = gb
-		l.touched.mark(int32(r))
+		if step == nil {
+			l.touched.mark(int32(r))
+		} else {
+			l.stepVector(ks, *step, int32(r))
+			if l.journal != nil {
+				l.journal.mark(int32(r))
+			}
+		}
 	}
 	wb.release()
 }

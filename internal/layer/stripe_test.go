@@ -61,7 +61,7 @@ func checkStripeWalks(t *testing.T, name string, ks *simd.Kernels, o Options, in
 		for k := range dhs {
 			dhs[k] = make([]float32, in)
 		}
-		walk.AccumulateStripe(ks, &x, gz, hs, dhs, first)
+		walk.AccumulateStripe(ks, &x, gz, hs, dhs, first, nil)
 		for k, ids := range lists {
 			lo, hi := offs[k], offs[k+1]
 			want := make([]float32, len(ids))

@@ -68,10 +68,10 @@ func (t *touchSet) ids() []int32 {
 }
 
 // forEachRange invokes f(id) for every marked id in [lo, hi), ascending.
-// Partial boundary words are masked, so shards whose row ranges share a
-// 32-bit word never visit each other's ids. Single-threaded per call; the
-// ADAM pass runs one call per worker stripe or shard concurrently, which is
-// safe because the ranges are disjoint and reads are atomic.
+// Partial boundary words are masked, so ranges that share a 32-bit word
+// never visit each other's ids. Single-threaded per call; the ADAM pass runs
+// one call per worker stripe concurrently, which is safe because the ranges
+// are disjoint and reads are atomic.
 func (t *touchSet) forEachRange(lo, hi int, f func(id int32)) {
 	if lo < 0 {
 		lo = 0

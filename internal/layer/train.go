@@ -53,11 +53,12 @@ func (t *trainState) ParamBytes() int64 {
 }
 
 // EnableJournal starts accumulating a touch journal: every vector stepped by
-// ApplyAdam (or all of them, under ApplyAdamAll) stays recorded across
-// batches until DrainJournal collects it. The journal is what turns
-// per-batch touch tracking into per-publish-interval delta extents. A
-// ColLayer's bias is deliberately not journaled — it receives dense gradient
-// every batch, so delta consumers always treat the whole bias as changed.
+// ApplyAdam or a stepping AccumulateStripe (all of them, under ApplyAdamAll)
+// stays recorded across batches until DrainJournal collects it. The journal
+// is what turns per-batch touch tracking into per-publish-interval delta
+// extents. A ColLayer's bias is deliberately not journaled — it receives
+// dense gradient every batch, so delta consumers always treat the whole bias
+// as changed.
 func (t *trainState) EnableJournal() {
 	if t.journal == nil {
 		t.journal = newTouchSet(t.w.n())
@@ -94,26 +95,25 @@ func (t *trainState) stepVector(ks *simd.Kernels, p simd.AdamParams, id int32) {
 	}
 }
 
-// adamRange steps the vectors of [lo, hi): the touched ones, or all of them
-// (the dense update of the middle stack, where every parameter changes every
-// batch). Calls over disjoint ranges may run concurrently — touch reads are
-// atomic and a vector is stepped by exactly one of them. It neither clears
-// the touched set nor feeds the journal; that is finishAdam, once, after
-// every range is done.
-func (t *trainState) adamRange(ks *simd.Kernels, p simd.AdamParams, lo, hi int, all bool) {
-	if all {
-		for id := max(lo, 0); id < min(hi, t.touched.n); id++ {
+// applyAdam is the whole optimizer pass: one word-aligned stripe of the
+// touched set per worker — or of every vector, the dense update of the middle
+// stack, where every parameter changes every batch — then the stepped vectors
+// go into the journal (when enabled) and the touched set is cleared. The
+// stripes are disjoint and touch reads atomic, so they run concurrently.
+func (t *trainState) applyAdam(ks *simd.Kernels, p simd.AdamParams, workers int, all bool) {
+	nw := len(t.touched.words)
+	workers = max(1, min(workers, nw))
+	per := (nw + workers - 1) / workers
+	t.fanout.Run(workers, func(w int) {
+		lo, hi := w*per*32, min((w+1)*per*32, t.touched.n)
+		if !all {
+			t.touched.forEachRange(lo, hi, func(id int32) { t.stepVector(ks, p, id) })
+			return
+		}
+		for id := lo; id < hi; id++ {
 			t.stepVector(ks, p, int32(id))
 		}
-		return
-	}
-	t.touched.forEachRange(lo, hi, func(id int32) { t.stepVector(ks, p, id) })
-}
-
-// finishAdam completes a set of adamRange calls that covered every vector:
-// the stepped vectors go into the journal (when enabled) and the touched set
-// is cleared. Must not run concurrently with adamRange.
-func (t *trainState) finishAdam(all bool) {
+	})
 	if t.journal != nil {
 		if all {
 			t.journal.markAll()
@@ -122,18 +122,6 @@ func (t *trainState) finishAdam(all bool) {
 		}
 	}
 	t.touched.clear()
-}
-
-// applyAdam is the whole optimizer pass: adamRange over one word-aligned
-// stripe of the touched set per worker, then finishAdam.
-func (t *trainState) applyAdam(ks *simd.Kernels, p simd.AdamParams, workers int, all bool) {
-	nw := len(t.touched.words)
-	workers = max(1, min(workers, nw))
-	per := (nw + workers - 1) / workers
-	t.fanout.Run(workers, func(w int) {
-		t.adamRange(ks, p, w*per*32, (w+1)*per*32, all)
-	})
-	t.finishAdam(all)
 }
 
 // adamScalar applies one ADAM step to a single parameter, used for the

@@ -22,7 +22,8 @@ import (
 //     it was applied to.
 //
 // Sharing is sound because snapshot views are immutable by contract: live
-// storage mutates only under ApplyAdam/ApplyAdamAll (journaled) and
+// storage mutates only under ApplyAdam/ApplyAdamAll or a stepping
+// AccumulateStripe (all journaled) and
 // Deserialize (which targets a fresh layer, never one with outstanding
 // views).
 //

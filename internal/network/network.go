@@ -312,19 +312,23 @@ func (n *Network) guardLoss(loss float64, bad int64) int64 {
 	return bad
 }
 
-// stepDense opens the optimizer phase of a batch: it advances the step
-// counter, derives the ADAM parameters and steps the hidden layer and the
-// dense middle stack, passes that are per-column and per-row independent at
-// any worker count. The caller steps the output layer with the parameters
-// returned — over the touched rows, or shard by shard over the rows it owns.
-func (n *Network) stepDense(ks *simd.Kernels) simd.AdamParams {
+// adamParams derives the ADAM parameters of the batch in flight, step
+// n.step+1, before the output walk: a walk that owns its rows steps them.
+func (n *Network) adamParams() simd.AdamParams {
+	return simd.NewAdamParams(n.cfg.LR, n.cfg.Beta1, n.cfg.Beta2, n.cfg.Eps, n.step+1)
+}
+
+// stepDense closes a batch's optimizer phase after backward: it steps the
+// hidden layer and the dense middle stack with p, passes that are per-column
+// and per-row independent at any worker count, and advances the step
+// counter. The output layer is stepped inside its owning walks, or by
+// ApplyAdam under HOGWILD at W > 1.
+func (n *Network) stepDense(ks *simd.Kernels, p simd.AdamParams) {
 	n.step++
-	p := simd.NewAdamParams(n.cfg.LR, n.cfg.Beta1, n.cfg.Beta2, n.cfg.Eps, n.step)
 	n.hidden.ApplyAdam(ks, p, n.cfg.Workers)
 	for _, ml := range n.middle {
 		ml.ApplyAdamAll(ks, p, n.cfg.Workers) // dense stack: every row touched
 	}
-	return p
 }
 
 // advanceRebuild closes a batch: it advances the table rebuild schedule and,
@@ -365,7 +369,9 @@ type BatchStats struct {
 // TrainBatch runs one HOGWILD-parallel gradient step over the batch:
 // workers process samples concurrently against shared parameters, gradients
 // accumulate into per-layer buffers, and one fused ADAM step applies to the
-// touched rows/columns. It then advances the hash-table rebuild schedule.
+// touched rows/columns: inside the output walk when one worker owns every
+// row, after backward (ApplyAdam) when several share them. It then advances
+// the hash-table rebuild schedule.
 func (n *Network) TrainBatch(b sparse.Batch) BatchStats {
 	// Numeric-poison drill: a nan/inf rule plants a non-finite hidden bias
 	// (feeding every unit, so the very next forward pass is non-finite for
@@ -387,21 +393,25 @@ func (n *Network) TrainBatch(b sparse.Batch) BatchStats {
 	// own scratch and are folded in worker order, so the fan-out shares
 	// nothing.
 	nw := min(n.cfg.Workers, b.Len())
-	n.fanout.Run(nw, func(w int) { n.trainStripe(ks, b, w, nw) })
+	p := n.adamParams()
+	n.fanout.Run(nw, func(w int) { n.trainStripe(ks, b, w, nw, p) })
 	for _, ws := range n.workers[:nw] {
 		stats.Loss += ws.loss
 		stats.ActiveSum += ws.activeSum
 		stats.NonFinite += ws.nonFinite
 	}
 
-	n.output.ApplyAdam(ks, n.stepDense(ks), n.cfg.Workers)
+	n.stepDense(ks, p)
+	if nw > 1 {
+		n.output.ApplyAdam(ks, p, n.cfg.Workers)
+	}
 	stats.Rebuilt = n.advanceRebuild(n.fanout.Run)
 	return stats
 }
 
 // applyPoison executes one fired poison rule. nan/inf plant the value in
 // the hidden bias; gradscale scales the LR for exactly this step (the
-// returned restore closure undoes it after ApplyAdam).
+// returned restore closure undoes it after the batch).
 func (n *Network) applyPoison(action string, row int, factor float64) func() {
 	switch action {
 	case "nan", "inf":

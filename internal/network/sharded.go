@@ -181,14 +181,15 @@ func (p *phasePool) close() {
 //	C (per sample): the label head (labelHead) over the shards' stripes —
 //	                max, Σexp, scale, label subtraction — in shard order.
 //	D (per shard):  the walk's backward: output-row gradient accumulation
-//	                (rows shard-owned) and the shard's partial ∇h per sample.
+//	                (rows shard-owned) and the shard's partial ∇h per sample;
+//	                each row takes its ADAM step as the walk leaves it.
 //	E (per sample): ∇h = Σ_s partials, fixed shard order; then the middle
 //	                stack backward (serial — stacked layers share gradient
 //	                rows across samples).
 //	F (per tile):   hidden backward over disjoint unit ranges; elementwise
 //	                kernels make the per-scalar order sample-ascending
 //	                regardless of tiling.
-//	G:              ADAM (output per shard via ApplyAdamRange) and the
+//	G:              ADAM of the dense layers (the output's ran in D) and the
 //	                table rebuild on schedule, the sets striped over the pool.
 //
 // Barriers separate the phases; nothing in any phase depends on how tasks
@@ -277,14 +278,16 @@ func (n *Network) trainBatchSharded(b sparse.Batch) BatchStats {
 	// Phase D: output gradients. Each shard owns its rows exclusively, and
 	// the walk meets every row's samples in order, so every
 	// weight-row accumulation has a fixed order; ∇h partials land in
-	// shard-private rows.
+	// shard-private rows. Owning its rows, the walk also steps their ADAM.
+	p := n.adamParams()
 	pool.run(S, func(s int) {
 		ss := sh.shards[s]
 		dhs := ss.dhPart[:B]
 		for _, dhp := range dhs {
 			simd.Zero(dhp)
 		}
-		ss.backward(ks, n.output, sh.lastA[:B], dhs, int(plan.bounds[s]))
+		step := p // a task's own copy: &p would move p to the heap
+		ss.backward(ks, n.output, sh.lastA[:B], dhs, int(plan.bounds[s]), &step)
 	})
 
 	// Phase E: reduce ∇h per sample in fixed shard order.
@@ -317,13 +320,9 @@ func (n *Network) trainBatchSharded(b sparse.Batch) BatchStats {
 		}
 	})
 
-	// Phase G: optimizer; the output layer steps per shard over the rows the
-	// shard owns. Then the rebuild schedule, the sets striped over the pool.
-	p := n.stepDense(ks)
-	pool.run(S, func(s int) {
-		n.output.ApplyAdamRange(ks, p, int(plan.bounds[s]), int(plan.bounds[s+1]))
-	})
-	n.output.FinishAdam()
+	// Phase G: optimizer of the dense layers; the output layer stepped in
+	// phase D. Then the rebuild schedule, the sets striped over the pool.
+	n.stepDense(ks, p)
 	stats.Rebuilt = n.advanceRebuild(pool.run)
 
 	for i := 0; i < B; i++ {

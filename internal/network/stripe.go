@@ -39,9 +39,10 @@ func (s *stripe) forward(ks *simd.Kernels, l *layer.RowLayer, hs [][]float32, fi
 
 // backward accumulates every sample's output-layer gradients, and adds its
 // input gradient into dhs[k], in one row-major walk from row first: each
-// input gradient sums in row-walk order (layer.AccumulateStripe).
-func (s *stripe) backward(ks *simd.Kernels, l *layer.RowLayer, hs, dhs [][]float32, first int) {
-	l.AccumulateStripe(ks, &s.index, s.grads, hs, dhs, first)
+// input gradient sums in row-walk order (layer.AccumulateStripe), and a
+// non-nil step is applied to each owned row as the walk leaves it.
+func (s *stripe) backward(ks *simd.Kernels, l *layer.RowLayer, hs, dhs [][]float32, first int, step *simd.AdamParams) {
+	l.AccumulateStripe(ks, &s.index, s.grads, hs, dhs, first, step)
 }
 
 // worker is one HOGWILD worker's state for the model's life: the forward
@@ -102,7 +103,7 @@ func (ws *worker) fitStripe(f *forwardState, m int) {
 
 // trainStripe runs worker w's share of a batch — samples w, w+nw, … — in
 // stages, each finished for every sample of the stripe before the next
-// starts, which is sound because no weight changes inside a batch:
+// starts, which is sound because no weight changes before its last read:
 //
 //  1. forward every sample; hash the stripe's output-layer inputs in one
 //     HashDenseMany call (SimHash walks its hyperplanes once per tile of
@@ -111,13 +112,14 @@ func (ws *worker) fitStripe(f *forwardState, m int) {
 //  2. walk the output layer row-major (stripe.plan, stripe.forward): every
 //     logit, then the label heads in sample order, then every weight
 //     gradient and every sample's input gradient in one pass over the rows
-//     (stripe.backward);
+//     (stripe.backward), which also steps each row's ADAM with p when a lone
+//     worker (nw == 1) owns every row; shared rows wait for TrainBatch;
 //  3. the middle stack and hidden backward, per sample in stripe order.
 //
 // The bits are those of running each sample end to end in stripe order,
 // except that each input gradient sums in row-walk order (AccumulateStripe).
 // The share's loss, active-set and non-finite sums are left in the worker.
-func (n *Network) trainStripe(ks *simd.Kernels, b sparse.Batch, w, nw int) {
+func (n *Network) trainStripe(ks *simd.Kernels, b sparse.Batch, w, nw int, p simd.AdamParams) {
 	ws := n.workers[w]
 	ws.ks = ks
 	ws.loss, ws.activeSum, ws.nonFinite = 0, 0, 0
@@ -153,7 +155,11 @@ func (n *Network) trainStripe(ks *simd.Kernels, b sparse.Batch, w, nw int) {
 	for _, dh := range dhs {
 		simd.Zero(dh)
 	}
-	ws.backward(ks, n.output, hs, dhs, first)
+	var step *simd.AdamParams
+	if nw == 1 {
+		step = &p
+	}
+	ws.backward(ks, n.output, hs, dhs, first, step)
 	for k, dh := range dhs {
 		if ws.offs[k] < ws.offs[k+1] {
 			n.backward(ws, k, dh, b.Sample(w+k*nw))

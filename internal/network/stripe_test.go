@@ -2,6 +2,7 @@ package network
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -69,108 +70,138 @@ func TestOutputWalksTrainAlike(t *testing.T) {
 }
 
 // TestShardWalksAgreeOnOneBatch runs one shard's output pass over one batch
-// on two identical phase-engine models: through the shard's row-major walk,
-// and sample by sample — ForwardActive, then Accumulate per selection in list
-// order. The logits, the output layer's weight and bias gradients and its
-// touched rows must be bit-identical, and every ∇h partial must lie within
-// 1e-5·Σ|g·w| of its float64 sum on both walks — the bound HOGWILD's
-// row-major input gradient is held to (layer's checkStripeDh). The gradients
-// are read through an ADAM step with Beta1 = 0, whose first moment is the
-// gradient itself.
+// on three identical phase-engine models, at every precision: through the
+// shard's row-major walk, then ApplyAdam; sample by sample — ForwardActive,
+// then Accumulate per selection in list order — then ApplyAdam; and through
+// the row-major walk that steps each row inside it, as phase D does. The
+// walks start at a row other than 0, so they wrap. The logits, the stepped
+// output layer's bytes and the journaled rows must be bit-identical, the
+// stepping walk must leave no row touched and the same ∇h bits as the walk
+// it replaces, and every ∇h partial must lie within 1e-5·Σ|g·w| of its
+// float64 sum — the bound HOGWILD's row-major input gradient is held to
+// (layer's checkStripeDh). The gradients are read through an ADAM step with
+// Beta1 = 0, whose first moment is the gradient itself.
 func TestShardWalksAgreeOnOneBatch(t *testing.T) {
+	const (
+		rowMajor = iota
+		perSample
+		stepping
+		walks
+	)
+	first := text8Mini.OutputDim / 3
+	adam := simd.NewAdamParams(0.01, 0, 0.999, 1e-8, 1)
 	defer simd.SetMode(simd.CurrentMode())
 	for _, mode := range simd.AvailableModes() {
 		simd.SetMode(mode)
 		ks := simd.Active()
-		p := newPlanted(text8Mini.InputDim, text8Mini.OutputDim, 1, 9)
-		batches := []sparse.Batch{p.batch(32), p.batch(32), p.batch(32), p.batch(48)}
-		var logits [2][]float32
-		var dhs [2][][]float32
-		var state [2][]byte
-		var journal [2][]int32
-		var read *layer.RowWeights // the weights both passes read
-		var ss *shardScratch       // the per-sample pass's selection and gradients
-		for w := range 2 {
-			c := text8Mini
-			c.Shards, c.Workers = 1, 1
-			n, err := New(&c)
-			if err != nil {
-				t.Fatal(err)
+		for _, prec := range []layer.Precision{layer.FP32, layer.BF16Act, layer.BF16Both} {
+			name := fmt.Sprintf("%v/%v", mode, prec)
+			p := newPlanted(text8Mini.InputDim, text8Mini.OutputDim, 1, 9)
+			batches := []sparse.Batch{p.batch(32), p.batch(32), p.batch(32), p.batch(48)}
+			var logits [walks][]float32
+			var dhs [walks][][]float32
+			var state [walks][]byte
+			var journal [walks][]int32
+			var read *layer.RowWeights // the weights every pass reads
+			var ss *shardScratch       // the per-sample pass's selection and gradients
+			for w := range walks {
+				c := text8Mini
+				c.Shards, c.Workers, c.Precision = 1, 1, prec
+				n, err := New(&c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// The last batch leaves its selection in the shard's stripe and
+				// its activations in the phase scratch.
+				for _, b := range batches {
+					n.TrainBatch(b)
+				}
+				n.output.EnableJournal()
+				n.output.DrainJournal()
+				b := batches[len(batches)-1]
+				sh := n.sh
+				ss = sh.shards[0]
+				B := b.Len()
+				hs, dh := sh.lastA[:B], ss.dhPart[:B]
+				for _, d := range dh {
+					simd.Zero(d)
+				}
+				ss.plan(c.OutputDim)
+				if w == perSample {
+					for k := range B {
+						lo, hi := ss.offs[k], ss.offs[k+1]
+						n.output.ForwardActive(ks, ss.ids[lo:hi], hs[k], nil, ss.logits[lo:hi])
+					}
+				} else {
+					ss.forward(ks, n.output, hs, first)
+				}
+				for i := range B {
+					n.labelHead(ks, sh.parts, i, len(b.Labels(i)))
+				}
+				read = n.output.SnapshotWeights()
+				switch w {
+				case rowMajor:
+					ss.backward(ks, n.output, hs, dh, first, nil)
+				case perSample:
+					for k := range B {
+						for j := ss.offs[k]; j < ss.offs[k+1]; j++ {
+							n.output.Accumulate(ks, ss.ids[j], ss.grads[j], hs[k], nil, dh[k])
+						}
+					}
+				case stepping:
+					step := adam
+					ss.backward(ks, n.output, hs, dh, first, &step)
+				}
+				if touched := n.output.TouchedRows(); (touched == 0) != (w == stepping) {
+					t.Fatalf("%s: walk %d left %d rows touched", name, w, touched)
+				}
+				if w != stepping {
+					n.output.ApplyAdam(ks, adam, 1)
+				}
+				var buf bytes.Buffer
+				if err := n.output.Serialize(&buf); err != nil {
+					t.Fatal(err)
+				}
+				logits[w], dhs[w] = ss.logits, dh
+				state[w], journal[w] = buf.Bytes(), n.output.DrainJournal()
 			}
-			// The last batch leaves its selection in the shard's stripe and
-			// its activations in the phase scratch.
-			for _, b := range batches {
-				n.TrainBatch(b)
-			}
-			n.output.EnableJournal()
-			n.output.DrainJournal()
-			b := batches[len(batches)-1]
-			sh := n.sh
-			ss = sh.shards[0]
-			B := b.Len()
-			hs, dh := sh.lastA[:B], ss.dhPart[:B]
-			for _, d := range dh {
-				simd.Zero(d)
-			}
-			ss.plan(c.OutputDim)
-			if w == 0 {
-				ss.forward(ks, n.output, hs, 0)
-			} else {
-				for k := range B {
-					lo, hi := ss.offs[k], ss.offs[k+1]
-					n.output.ForwardActive(ks, ss.ids[lo:hi], hs[k], nil, ss.logits[lo:hi])
+			for w := range walks {
+				if !slices.Equal(logits[w], logits[rowMajor]) {
+					t.Errorf("%s: walk %d's logits differ from the row-major walk's", name, w)
+				}
+				if !bytes.Equal(state[w], state[rowMajor]) {
+					t.Errorf("%s: walk %d leaves other weights, biases or moments than the row-major walk and ApplyAdam", name, w)
+				}
+				if !slices.Equal(journal[w], journal[rowMajor]) {
+					t.Errorf("%s: walk %d journaled rows %v, the row-major walk %v", name, w, journal[w], journal[rowMajor])
 				}
 			}
-			for i := range B {
-				n.labelHead(ks, sh.parts, i, len(b.Labels(i)))
+			if len(journal[rowMajor]) == 0 {
+				t.Errorf("%s: no row journaled", name)
 			}
-			if w == 0 {
-				ss.backward(ks, n.output, hs, dh, 0)
-			} else {
-				for k := range B {
-					for j := ss.offs[k]; j < ss.offs[k+1]; j++ {
-						n.output.Accumulate(ks, ss.ids[j], ss.grads[j], hs[k], nil, dh[k])
+			for k := range dhs[stepping] {
+				if !slices.Equal(dhs[stepping][k], dhs[rowMajor][k]) {
+					t.Fatalf("%s sample %d: the stepping walk's ∇h differs from the row-major walk's", name, k)
+				}
+			}
+			// ∇h against the float64 sum.
+			row := make([]float32, text8Mini.HiddenDim)
+			for k := range len(ss.offs) - 1 {
+				sum := make([]float64, text8Mini.HiddenDim)
+				abs := make([]float64, text8Mini.HiddenDim)
+				for j := ss.offs[k]; j < ss.offs[k+1]; j++ {
+					w := read.RowF32(int(ss.ids[j]), row)
+					for c, wc := range w {
+						term := float64(ss.grads[j]) * float64(wc)
+						sum[c] += term
+						abs[c] += math.Abs(term)
 					}
 				}
-			}
-			if n.output.TouchedRows() == 0 {
-				t.Fatalf("%v: walk %d touched no row", mode, w)
-			}
-			read = n.output.SnapshotWeights()
-			n.output.ApplyAdam(ks, simd.NewAdamParams(0.01, 0, 0.999, 1e-8, 1), 1)
-			var buf bytes.Buffer
-			if err := n.output.Serialize(&buf); err != nil {
-				t.Fatal(err)
-			}
-			logits[w], dhs[w] = ss.logits, dh
-			state[w], journal[w] = buf.Bytes(), n.output.DrainJournal()
-		}
-		if !slices.Equal(logits[0], logits[1]) {
-			t.Errorf("%v: row-major logits differ from per-sample ones", mode)
-		}
-		if !bytes.Equal(state[0], state[1]) {
-			t.Errorf("%v: row-major weight or bias gradients differ from per-sample ones", mode)
-		}
-		if !slices.Equal(journal[0], journal[1]) {
-			t.Errorf("%v: the walks touched rows %v and %v", mode, journal[0], journal[1])
-		}
-		// ∇h against the float64 sum.
-		row := make([]float32, text8Mini.HiddenDim)
-		for k := range len(ss.offs) - 1 {
-			sum := make([]float64, text8Mini.HiddenDim)
-			abs := make([]float64, text8Mini.HiddenDim)
-			for j := ss.offs[k]; j < ss.offs[k+1]; j++ {
-				w := read.RowF32(int(ss.ids[j]), row)
-				for c, wc := range w {
-					term := float64(ss.grads[j]) * float64(wc)
-					sum[c] += term
-					abs[c] += math.Abs(term)
-				}
-			}
-			for c := range sum {
-				for walk, dh := range dhs {
-					if got := float64(dh[k][c]); math.Abs(got-sum[c]) > 1e-5*abs[c] {
-						t.Fatalf("%v sample %d ∇h[%d]: walk %d %g, float64 sum %g (Σ|g·w| %g)", mode, k, c, walk, got, sum[c], abs[c])
+				for c := range sum {
+					for walk, dh := range dhs {
+						if got := float64(dh[k][c]); math.Abs(got-sum[c]) > 1e-5*abs[c] {
+							t.Fatalf("%s sample %d ∇h[%d]: walk %d %g, float64 sum %g (Σ|g·w| %g)", name, k, c, walk, got, sum[c], abs[c])
+						}
 					}
 				}
 			}
@@ -209,7 +240,7 @@ func TestStripeFingerprintsSelectLikePerSample(t *testing.T) {
 			}
 			b := p.batch(m)
 			got, ref := nets[0].workers[0], nets[1].workers[0]
-			nets[0].trainStripe(ks, b, 0, 1)
+			nets[0].trainStripe(ks, b, 0, 1, nets[0].adamParams())
 
 			f := nets[1].fwd
 			ref.ks = ks
