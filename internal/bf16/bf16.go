@@ -83,13 +83,6 @@ func Convert(dst []BF16, src []float32) {
 	}
 }
 
-// ToSlice converts a BF16 slice into a freshly allocated float32 slice.
-func ToSlice(src []BF16) []float32 {
-	dst := make([]float32, len(src))
-	Expand(dst, src)
-	return dst
-}
-
 // Expand converts src into dst. It panics on length mismatch.
 func Expand(dst []float32, src []BF16) {
 	if len(dst) != len(src) {

@@ -118,7 +118,8 @@ func TestPropertyMonotone(t *testing.T) {
 func TestSliceHelpers(t *testing.T) {
 	src := []float32{1, 2.5, -3.25, 1e20, -1e-20, 0}
 	bs := FromSlice(src)
-	back := ToSlice(bs)
+	back := make([]float32, len(bs))
+	Expand(back, bs)
 	if len(back) != len(src) {
 		t.Fatalf("length changed: %d -> %d", len(src), len(back))
 	}

@@ -151,10 +151,6 @@ func runNetwork(w *Workload, v Variant, opts Options, adjust func(*network.Confi
 	runtime.GC() // isolate this run from the previous system's garbage
 	rep, err := train.Run(context.Background(), net, src, train.Config{
 		Epochs: opts.Epochs,
-		// Keep the harness's historical per-epoch seeding (measurement runs
-		// reproduce across harness versions); the default Step()+1 rule is
-		// the public Trainer behaviour.
-		SeedFunc: func(pass int, _ int64) uint64 { return opts.Seed + uint64(pass) },
 		Hooks: train.Hooks{
 			OnBatch: func(bi train.BatchInfo) {
 				elapsed += bi.TrainTime

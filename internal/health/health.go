@@ -167,11 +167,6 @@ func (m *Monitor) EWMA() float64 { return m.ewma }
 // ±Inf. One integer test per value — branch-free in the scan loop below.
 const nonFiniteMask32 = 0x7f800000
 
-// IsFinite32 reports whether v is neither NaN nor ±Inf.
-func IsFinite32(v float32) bool {
-	return math.Float32bits(v)&nonFiniteMask32 != nonFiniteMask32
-}
-
 // CountNonFinite32 returns how many values in x are NaN or ±Inf. The guard
 // scan of the training engines: O(len) integer compares over data already
 // resident in cache from the forward pass.
@@ -179,18 +174,6 @@ func CountNonFinite32(x []float32) int64 {
 	var bad int64
 	for _, v := range x {
 		if math.Float32bits(v)&nonFiniteMask32 == nonFiniteMask32 {
-			bad++
-		}
-	}
-	return bad
-}
-
-// CountNonFiniteBF16 is CountNonFinite32 over bfloat16 storage (same
-// layout, top 16 bits: exponent mask 0x7f80).
-func CountNonFiniteBF16(x []bf16.BF16) int64 {
-	var bad int64
-	for _, v := range x {
-		if uint16(v)&0x7f80 == 0x7f80 {
 			bad++
 		}
 	}

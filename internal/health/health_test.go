@@ -31,19 +31,13 @@ func TestHealthCountNonFinite32(t *testing.T) {
 	if got := FirstNonFinite32([]float32{1, 2}); got != -1 {
 		t.Errorf("FirstNonFinite32 on finite slice = %d, want -1", got)
 	}
-	if !IsFinite32(1.5) || IsFinite32(nan) || IsFinite32(inf) || IsFinite32(-inf) {
-		t.Error("IsFinite32 misclassified a value")
-	}
 }
 
-func TestHealthCountNonFiniteBF16(t *testing.T) {
+func TestHealthFirstNonFiniteBF16(t *testing.T) {
 	vals := []float32{0, 1, float32(math.NaN()), float32(math.Inf(-1)), -3}
 	bf := make([]bf16.BF16, len(vals))
 	for i, v := range vals {
 		bf[i] = bf16.FromFloat32(v)
-	}
-	if got := CountNonFiniteBF16(bf); got != 2 {
-		t.Errorf("CountNonFiniteBF16 = %d, want 2", got)
 	}
 	if got := FirstNonFiniteBF16(bf); got != 2 {
 		t.Errorf("FirstNonFiniteBF16 = %d, want 2", got)

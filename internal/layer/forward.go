@@ -4,7 +4,6 @@ import (
 	"sync/atomic"
 
 	"github.com/slide-cpu/slide/internal/bf16"
-	"github.com/slide-cpu/slide/internal/fanout"
 	"github.com/slide-cpu/slide/internal/simd"
 	"github.com/slide-cpu/slide/internal/sparse"
 )
@@ -186,21 +185,13 @@ func Iota(n int) []int32 {
 }
 
 // ForwardAll computes every neuron's logit into out (len Out) — the exact
-// walk for a batch of one. workers > 1 tiles the rows over that many
-// goroutines; serving passes 1 and scales across calls. hBF is unread.
+// walk for a batch of one, on the caller's goroutine. hBF and workers are
+// unread: the benchmark's frozen probes still pass them (ROADMAP item 1).
 func (w *RowWeights) ForwardAll(ks *simd.Kernels, h []float32, hBF []bf16.BF16, out []float32, workers int) {
 	if len(out) != w.Out {
 		panic("layer: ForwardAll output size mismatch")
 	}
-	if workers <= 1 {
-		w.ForwardAllBatchRange(ks, [][]float32{h}, [][]float32{out}, 0, w.Out, nil)
-		return
-	}
-	per := (w.Out + workers - 1) / workers
-	var tiles fanout.Group
-	tiles.Run(workers, func(t int) {
-		w.ForwardAllBatchRange(ks, [][]float32{h}, [][]float32{out}, min(t*per, w.Out), min((t+1)*per, w.Out), nil)
-	})
+	w.ForwardAllBatchRange(ks, [][]float32{h}, [][]float32{out}, 0, w.Out, nil)
 }
 
 // ForwardAllBatch computes every neuron's logit for a coalesced batch of

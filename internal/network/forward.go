@@ -44,25 +44,22 @@ type forwardState struct {
 	lastDim int
 }
 
-// scratch holds the mutable buffers of one forward pass and its LSH
-// retrieval. Training owns one per HOGWILD worker for the whole run (inside
-// the worker, stripe.go); Predictors draw them from a sync.Pool per call.
+// scratch holds the mutable buffers of one serving call: a forward pass, its
+// LSH retrieval and, on the sampled path, the selection and its logits.
+// Predictors draw them from a sync.Pool per call.
 type scratch struct {
 	ks *simd.Kernels
 	// acts[0] is the first hidden layer's activation; acts[i] the i-th
 	// stacked layer's.
 	acts   [][]float32
 	active []int32
-	logits []float32 // serving only; a training worker's are stripe buffers
+	logits []float32
 	dedup  *lsh.Dedup
 	rng    *rand.Rand
-	// rngSrc is rng's underlying PCG, retained so checkpoints can serialize
-	// the random top-up state — part of the exact-resume contract.
+	// rngSrc is rng's underlying PCG, which Predictor.get reseeds per call.
 	rngSrc *rand.PCG
-	// hashBuf holds the per-table bucket hashes, L per sample: one query's
-	// on a predictor, one stripe's on a training worker (fitStripe grows
-	// it). A sample is hashed once, then every set of the sampler is probed
-	// with its fingerprints.
+	// hashBuf holds one query's per-table bucket hashes: it is hashed once,
+	// then every set of the sampler is probed with its fingerprints.
 	hashBuf []uint32
 	// qa/qsa/qzp hold the quantized activation vector of the current sample
 	// on quantized predictors: the last hidden activation rendered as u7
@@ -74,34 +71,39 @@ type scratch struct {
 	qacc quant.WalkScratch
 }
 
-// newScratch sizes a scratch set for this network shape. train leaves out
-// what only serving reads (the logits); stream separates the random top-up
-// sequences of sibling scratches.
-func (f *forwardState) newScratch(train bool, seed, stream uint64) *scratch {
+// newScratch sizes a scratch set for this network shape. Its top-up stream
+// is left unseeded: Predictor.get seeds it per call.
+func (f *forwardState) newScratch() *scratch {
 	// Buffers are sized for the worst case (every neuron active): MaxActive
 	// caps the usual path, but labels are never dropped, so a pathological
 	// sample could exceed it.
 	actCap := f.cfg.OutputDim
-	src := rand.NewPCG(seed, stream)
+	src := rand.NewPCG(0, 0)
 	ws := &scratch{
-		active: make([]int32, 0, actCap),
-		dedup:  lsh.NewDedup(f.cfg.OutputDim),
-		rng:    rand.New(src),
-		rngSrc: src,
-	}
-	for _, d := range f.dims {
-		ws.acts = append(ws.acts, make([]float32, d))
-	}
-	if !train {
-		ws.logits = make([]float32, actCap)
+		active:  make([]int32, 0, actCap),
+		logits:  make([]float32, actCap),
+		dedup:   lsh.NewDedup(f.cfg.OutputDim),
+		rng:     rand.New(src),
+		rngSrc:  src,
+		hashBuf: make([]uint32, f.smp.tables()),
+		acts:    newStack(f.dims),
 	}
 	// A quantized predictor's output layer reads the last activation as u7
 	// codes.
 	if f.qout != nil {
 		ws.qa = make([]uint8, f.lastDim)
 	}
-	ws.hashBuf = make([]uint32, f.smp.tables())
 	return ws
+}
+
+// newStack allocates one activation (or activation-gradient) buffer per
+// hidden width.
+func newStack(dims []int) [][]float32 {
+	stack := make([][]float32, len(dims))
+	for i, d := range dims {
+		stack[i] = make([]float32, d)
+	}
+	return stack
 }
 
 // last returns the activation feeding the output layer.
@@ -139,48 +141,55 @@ func (f *forwardState) forwardHidden(ks *simd.Kernels, x sparse.Vector, acts [][
 	}
 }
 
-// sampleActive fills ws.active for one sample: true labels first (never
-// dropped), then the LSH candidates of the sample's fingerprints hs (as
-// sampler.hash wrote them; unread when the model does not sample through
-// LSH), then random top-up to MinActive, capped at MaxActive — one budget
-// over the whole layer, however many sets the sampler probes. Under
-// NoSampling every row is active: the labels, then every other row
-// ascending. Returns the number of label entries at the head of the slice.
-func (f *forwardState) sampleActive(ws *scratch, labels []int32, hs []uint32) int {
-	ws.active = ws.active[:0]
-	ws.dedup.Begin()
+// layerBudget is the whole output layer's selection budget: every row, every
+// set of the sampler, MinActive and MaxActive. HOGWILD training and sampled
+// serving select under it with one dedup over the whole layer.
+func (f *forwardState) layerBudget() budget {
+	return budget{hi: int32(f.cfg.OutputDim), sets: f.smp.sets, floor: f.cfg.MinActive, cap: f.cfg.MaxActive}
+}
+
+// pick is the active-set selection, the one both training engines and sampled
+// serving run: it appends one sample's active rows under budget b to dst and
+// returns dst and the number of label entries at the head of what it
+// appended. The labels in [lo, hi) come first, deduplicated in list order and
+// never dropped. Under NoSampling every other row of the range follows in
+// ascending order. Otherwise the LSH candidates of the sample's fingerprints
+// hs follow, probed set by set in b's order and capped at max(cap, labels)
+// appended ids; then random top-up draws lo + IntN(hi−lo) from rng fill to
+// the floor. d stamps ids relative to lo, so it spans hi − lo ids.
+func (f *forwardState) pick(b budget, d *lsh.Dedup, rng *rand.Rand, labels []int32, hs []uint32, dst []int32) ([]int32, int) {
+	start := len(dst)
+	d.Begin()
 	for _, y := range labels {
-		if int(y) < f.cfg.OutputDim && !ws.dedup.Seen(y) {
-			ws.active = append(ws.active, y)
+		if y >= b.lo && y < b.hi && !d.Seen(y-b.lo) {
+			dst = append(dst, y)
 		}
 	}
-	nLabels := len(ws.active)
+	nLabels := len(dst) - start
 	if f.cfg.NoSampling {
-		for id := range int32(f.cfg.OutputDim) {
-			if !ws.dedup.Seen(id) {
-				ws.active = append(ws.active, id)
+		for id := b.lo; id < b.hi; id++ {
+			if !d.Seen(id - b.lo) {
+				dst = append(dst, id)
 			}
 		}
-		return nLabels
+		return dst, nLabels
 	}
-
-	limit := f.cfg.MaxActive
-	if limit > 0 && nLabels > limit {
-		limit = nLabels // labels always survive
+	limit := 0
+	if b.cap > 0 {
+		limit = start + max(b.cap, nLabels) // labels always survive
 	}
-	if f.smp.sampled() {
-		ws.active = f.smp.collect(hs, ws.dedup, ws.active, limit)
+	for _, ts := range b.sets {
+		dst = ts.Collect(hs, d, b.lo, dst, limit)
 	}
-
 	// Random top-up: keeps gradient flowing when buckets run cold early in
 	// training (SLIDE's random fill).
-	for len(ws.active) < f.cfg.MinActive {
-		id := int32(ws.rng.IntN(f.cfg.OutputDim))
-		if !ws.dedup.Seen(id) {
-			ws.active = append(ws.active, id)
+	for len(dst)-start < b.floor {
+		id := b.lo + int32(rng.IntN(int(b.hi-b.lo)))
+		if !d.Seen(id - b.lo) {
+			dst = append(dst, id)
 		}
 	}
-	return nLabels
+	return dst, nLabels
 }
 
 // predictSampled ranks the LSH-retrieved candidate set for one sample and
@@ -189,7 +198,7 @@ func (f *forwardState) sampleActive(ws *scratch, labels []int32, hs []uint32) in
 func (f *forwardState) predictSampled(ws *scratch, x sparse.Vector, k int) []int32 {
 	f.forwardStack(ws, x)
 	f.smp.hash(ws.last(), ws.hashBuf)
-	f.sampleActive(ws, nil, ws.hashBuf)
+	ws.active, _ = f.pick(f.layerBudget(), ws.dedup, ws.rng, nil, ws.hashBuf, ws.active[:0])
 	na := len(ws.active)
 	if na == 0 {
 		return nil

@@ -144,7 +144,7 @@ func build(cfg *Config) (*Network, error) {
 	} else {
 		n.workers = make([]*worker, cfg.Workers)
 		for w := range n.workers {
-			n.workers[w] = n.fwd.newWorker(splitSeed(cfg.Seed, 5), uint64(w))
+			n.workers[w] = &worker{lane: newLane(cfg.OutputDim, splitSeed(cfg.Seed, 5), uint64(w))}
 		}
 	}
 	return n, nil
@@ -225,11 +225,14 @@ func (n *Network) rebuildTables(run func(n int, task func(w int))) {
 }
 
 // What follows is the per-sample and per-batch math both engines run —
-// together with forwardState.forwardHidden, one body each. What differs
-// between TrainBatch and trainBatchSharded is scheduling and ownership
-// (sample-striped racy accumulation against barrier phases over shard-owned
-// rows), whose RNG streams the top-up draws from, and whether the worker
-// count is part of the checkpoint.
+// together with forwardState.forwardHidden, the active-set selection
+// (forwardState.pick, run by a lane over its stripe under a budget: the
+// whole layer's for a HOGWILD worker, sampler.shard(s)'s for shard s) and the
+// per-sample state (samples), one body each. What differs between TrainBatch
+// and trainBatchSharded is scheduling and ownership (sample-striped racy
+// accumulation against barrier phases over shard-owned rows), which budget
+// each lane picks under and whose RNG stream its top-up draws from, and
+// whether the worker count is part of the checkpoint.
 
 // backwardMiddle propagates dhs[last] down the middle stack, accumulating
 // the stacked layers' gradients, and leaves the first hidden layer's

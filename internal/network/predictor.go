@@ -41,11 +41,7 @@ type Predictor struct {
 
 func newPredictor(f *forwardState, seed uint64) *Predictor {
 	p := &Predictor{fwd: f, seed: seed}
-	p.pool.New = func() any {
-		// The RNG stream is reseeded per call in get(); the construction
-		// stream value never survives to a draw.
-		return f.newScratch(false, seed, 0)
-	}
+	p.pool.New = func() any { return f.newScratch() }
 	p.chunks.New = func() any {
 		c := &chunk{f: f}
 		c.scoreTile = c.score // bound once: handing it to the group allocates nothing per walk

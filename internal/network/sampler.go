@@ -173,11 +173,22 @@ func (sm *sampler) hashMany(acts [][]float32, hs []uint32) {
 	}
 }
 
-// collect probes every set, in shard order, with one sample's fingerprints
-// under one budget and one whole-layer dedup — ids are disjoint across sets.
-func (sm *sampler) collect(hs []uint32, d *lsh.Dedup, dst []int32, limit int) []int32 {
-	for _, ts := range sm.sets {
-		dst = ts.Collect(hs, d, 0, dst, limit)
+// budget is what one active-set selection may fill: the rows [lo, hi), the
+// table sets indexing them (none when the model does not sample through LSH),
+// the random top-up floor and the cap (0 = uncapped).
+type budget struct {
+	lo, hi     int32
+	sets       []*lsh.TableSet
+	floor, cap int
+}
+
+// shard returns shard s's budget: its rows, its own set and its split of the
+// active-set budget.
+func (sm *sampler) shard(s int) budget {
+	p := sm.plan
+	b := budget{lo: p.bounds[s], hi: p.bounds[s+1], floor: p.minAct[s], cap: p.maxAct[s]}
+	if sm.sampled() {
+		b.sets = sm.sets[s : s+1]
 	}
-	return dst
+	return b
 }

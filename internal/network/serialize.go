@@ -234,12 +234,14 @@ func (n *Network) writeRNG(w io.Writer) error {
 // anyway); at another, the overlapping workers restore and the rest keep
 // their fresh seeds.
 func (n *Network) rngSources() []*rand.PCG {
+	var srcs []*rand.PCG
 	if n.sh != nil {
-		return n.sh.rngSrcs
+		for _, ss := range n.sh.shards {
+			srcs = append(srcs, ss.rngSrc)
+		}
 	}
-	srcs := make([]*rand.PCG, len(n.workers))
-	for w, ws := range n.workers {
-		srcs[w] = ws.rngSrc
+	for _, ws := range n.workers {
+		srcs = append(srcs, ws.rngSrc)
 	}
 	return srcs
 }

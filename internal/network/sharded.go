@@ -1,12 +1,10 @@
 package network
 
 import (
-	"math/rand/v2"
 	"runtime"
 	"sync"
 
 	"github.com/slide-cpu/slide/internal/faultinject"
-	"github.com/slide-cpu/slide/internal/lsh"
 	"github.com/slide-cpu/slide/internal/mem"
 	"github.com/slide-cpu/slide/internal/platform"
 	"github.com/slide-cpu/slide/internal/simd"
@@ -25,34 +23,25 @@ import (
 // bit-identical for ANY worker count. The shard count S is a model property;
 // the worker count W is purely an execution resource.
 
-// shardScratch is one shard's per-batch working set: its output walk over
-// the whole batch — every sample's active ids among the shard's rows, labels
-// first, and their logits and gradients — and the shard's partial ∇h per
-// sample. dhPart rows are views into one 64-byte-aligned block per shard, so
-// one shard's gradient traffic is one contiguous stretch on its pinned core.
+// shardScratch is one shard's per-batch working set: its lane, whose stripe
+// is its output walk over the whole batch — every sample's active ids among
+// the shard's rows, labels first, and their logits and gradients — and the
+// shard's partial ∇h per sample. dhPart rows are views into one 64-byte-aligned
+// block per shard, so one shard's gradient traffic is one contiguous stretch
+// on its pinned core.
 type shardScratch struct {
-	stripe
+	lane
 	dhPart [][]float32 // [sample][lastDim] partial ∇h, one contiguous block
 }
 
 // shardState is the phase engine's machinery hanging off a Network; the
 // shard geometry and the per-shard tables are the network's sampler.
 type shardState struct {
-	rngs    []*rand.Rand // per-shard top-up streams (checkpointed)
-	rngSrcs []*rand.PCG
-	dedups  []*lsh.Dedup // per-shard, local-id (width-sized) stamps
-	pin     bool         // pin pool workers to CPUs (hint; skipped on 1-CPU hosts)
+	pin bool // pin pool workers to CPUs (hint; skipped on 1-CPU hosts)
 
 	// Per-batch scratch, grown on demand and reused across batches.
-	capB   int // sample capacity currently allocated
+	samples
 	xs     []sparse.Vector
-	acts   [][][]float32 // [sample][layer]
-	dhs    [][][]float32
-	acts0  [][]float32 // acts[i][0] views (hidden backward)
-	dhs0   [][]float32
-	lastA  [][]float32 // acts[i][last] views (output phases)
-	lastD  [][]float32
-	hashes []uint32 // sample i's bucket hash per table at [i·L, (i+1)·L)
 	losses []float64
 	nonFin []int64 // [sample] health-guard non-finite counts
 
@@ -66,14 +55,9 @@ func newShardState(cfg *Config, plan *shardPlan) *shardState {
 	ncpu := runtime.NumCPU()
 	sh := &shardState{pin: ncpu > 1 && cfg.Workers <= ncpu}
 	for s := 0; s < plan.s; s++ {
-		width := int(plan.bounds[s+1] - plan.bounds[s])
-		sh.dedups = append(sh.dedups, lsh.NewDedup(max(width, 1)))
 		// Stream 1<<40|s cannot collide with the HOGWILD per-worker streams
 		// (0..W-1) or any other splitSeed consumer.
-		src := rand.NewPCG(splitSeed(cfg.Seed, 5), uint64(1)<<40|uint64(s))
-		sh.rngSrcs = append(sh.rngSrcs, src)
-		sh.rngs = append(sh.rngs, rand.New(src))
-		ss := &shardScratch{}
+		ss := &shardScratch{lane: newLane(int(plan.bounds[s+1]-plan.bounds[s]), splitSeed(cfg.Seed, 5), uint64(1)<<40|uint64(s))}
 		sh.shards = append(sh.shards, ss)
 		sh.parts = append(sh.parts, &ss.stripe)
 	}
@@ -82,32 +66,13 @@ func newShardState(cfg *Config, plan *shardPlan) *shardState {
 
 // ensureBatch grows the per-batch scratch to hold b samples.
 func (sh *shardState) ensureBatch(f *forwardState, b int) {
-	if b <= sh.capB {
-		return
-	}
-	nLayers := len(f.dims)
-	for i := sh.capB; i < b; i++ {
-		stack := make([][]float32, nLayers)
-		dstack := make([][]float32, nLayers)
-		for li, d := range f.dims {
-			stack[li] = make([]float32, d)
-			dstack[li] = make([]float32, d)
-		}
-		sh.acts = append(sh.acts, stack)
-		sh.dhs = append(sh.dhs, dstack)
-		sh.acts0 = append(sh.acts0, stack[0])
-		sh.dhs0 = append(sh.dhs0, dstack[0])
-		sh.lastA = append(sh.lastA, stack[nLayers-1])
-		sh.lastD = append(sh.lastD, dstack[nLayers-1])
-	}
-	sh.hashes = make([]uint32, b*f.smp.tables())
-	sh.xs = make([]sparse.Vector, b)
-	sh.losses = make([]float64, b)
-	sh.nonFin = make([]int64, b)
+	sh.fit(f, b)
+	sh.xs, sh.losses, sh.nonFin = fit(sh.xs, b), fit(sh.losses, b), fit(sh.nonFin, b)
 	for _, ss := range sh.shards {
-		ss.dhPart, _ = mem.Contiguous2D(b, f.lastDim)
+		if len(ss.dhPart) < b {
+			ss.dhPart, _ = mem.Contiguous2D(b, f.lastDim)
+		}
 	}
-	sh.capB = b
 }
 
 // phaseCmd is one phase posted to a pool worker: run fn over tasks striped
@@ -219,52 +184,21 @@ func (n *Network) trainBatchSharded(b sparse.Batch) BatchStats {
 		for i := lo; i < hi; i++ {
 			f.forwardHidden(ks, sh.xs[i], sh.acts[i])
 		}
-		smp.hashMany(sh.lastA[lo:hi], sh.hashes[lo*L:hi*L])
+		smp.hashMany(sh.lasts[lo:hi], sh.hashes[lo*L:hi*L])
 	})
 
 	// Phase B: per-shard active sets and logits. Samples run in order inside
 	// each shard, so the shard RNG consumption is a pure function of the
 	// batch — independent of which worker executes the shard. Each shard
-	// fills its own budget (the plan's split of MinActive/MaxActive) from its
-	// own set: unlike sampleActive's one budget over all sets, what a shard
-	// selects never depends on what another found. The shard's row-major
-	// walk then starts at its first row, so it sums each ∇h partial in an
-	// order fixed by the shard count alone.
+	// picks under its own budget (the plan's split of MinActive/MaxActive)
+	// from its own set: unlike the whole-layer budget HOGWILD and serving
+	// pick under, what a shard selects never depends on what another found.
+	// The shard's row-major walk then starts at its first row, so it sums
+	// each ∇h partial in an order fixed by the shard count alone.
 	pool.run(S, func(s int) {
-		lo, hi := plan.bounds[s], plan.bounds[s+1]
-		width := int(hi - lo)
-		d := sh.dedups[s]
-		rng := sh.rngs[s]
-		ss := sh.shards[s]
-		// Sized before the fill: a batch larger than the last one would
-		// index past offs otherwise.
-		ss.offs, ss.heads = fit(ss.offs, B+1), fit(ss.heads, B)
-		act := ss.ids[:0]
-		for i := 0; i < B; i++ {
-			start := len(act)
-			d.Begin()
-			for _, y := range b.Labels(i) {
-				if y >= lo && y < hi && !d.Seen(y-lo) {
-					act = append(act, y)
-				}
-			}
-			nLab := len(act) - start
-			limit := plan.maxAct[s]
-			if limit > 0 {
-				limit = start + max(limit, nLab) // labels always survive
-			}
-			act = smp.sets[s].Collect(sh.hashes[i*L:(i+1)*L], d, lo, act, limit)
-			for len(act)-start < plan.minAct[s] {
-				local := int32(rng.IntN(width))
-				if !d.Seen(local) {
-					act = append(act, lo+local)
-				}
-			}
-			ss.heads[i], ss.offs[i+1] = nLab, int32(len(act))
-		}
-		ss.ids = act
-		ss.plan(int(hi))
-		ss.forward(ks, n.output, sh.lastA[:B], int(lo))
+		ss, bud := sh.shards[s], smp.shard(s)
+		ss.pick(f, bud, b, 0, 1, sh.hashes)
+		ss.forward(ks, n.output, sh.lasts[:B], int(bud.lo))
 	})
 
 	// Phase C: the per-sample label head over the shards' parts in ascending
@@ -287,12 +221,12 @@ func (n *Network) trainBatchSharded(b sparse.Batch) BatchStats {
 			simd.Zero(dhp)
 		}
 		step := p // a task's own copy: &p would move p to the heap
-		ss.backward(ks, n.output, sh.lastA[:B], dhs, int(plan.bounds[s]), &step)
+		ss.backward(ks, n.output, sh.lasts[:B], dhs, int(plan.bounds[s]), &step)
 	})
 
 	// Phase E: reduce ∇h per sample in fixed shard order.
 	pool.run(B, func(i int) {
-		dh := sh.lastD[i]
+		dh := sh.lastDhs[i]
 		simd.Zero(dh)
 		for s := 0; s < S; s++ {
 			ks.Add(sh.shards[s].dhPart[i], dh)
@@ -345,6 +279,3 @@ func fit[T any](buf []T, n int) []T {
 	}
 	return buf[:n]
 }
-
-// ShardCount returns the configured shard count (0 = unsharded).
-func (n *Network) ShardCount() int { return n.cfg.Shards }

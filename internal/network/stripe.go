@@ -1,7 +1,10 @@
 package network
 
 import (
+	"math/rand/v2"
+
 	"github.com/slide-cpu/slide/internal/layer"
+	"github.com/slide-cpu/slide/internal/lsh"
 	"github.com/slide-cpu/slide/internal/simd"
 	"github.com/slide-cpu/slide/internal/sparse"
 )
@@ -45,24 +48,72 @@ func (s *stripe) backward(ks *simd.Kernels, l *layer.RowLayer, hs, dhs [][]float
 	l.AccumulateStripe(ks, &s.index, s.grads, hs, dhs, first, step)
 }
 
-// worker is one HOGWILD worker's state for the model's life: the forward
-// scratch (top-up RNG, dedup stamps, the stripe's fingerprints), its output
-// walk over its share of the batch, one sample's activation gradients, and
-// the per-sample buffers the staged body keeps from stage to stage. The
-// buffers grow to the longest stripe seen and stay.
-type worker struct {
-	*scratch
+// lane is one selection stream of a training engine, a HOGWILD worker's or a
+// phase-engine shard's: the stripe it fills, the dedup stamps over the rows
+// it selects from, and its top-up PCG, a checkpointed stream
+// (Network.rngSources).
+type lane struct {
 	stripe
-	// dhs holds one sample's activation gradients, shaped like acts; backward
-	// points its last slot at the sample's output-layer input gradient.
-	dhs [][]float32
+	dedup  *lsh.Dedup
+	rng    *rand.Rand
+	rngSrc *rand.PCG
+}
 
-	// Per sample k of the stripe: its activations [k][layer] and the last of
-	// them (the output layer's input).
-	sampleActs [][][]float32
-	lasts      [][]float32
-	// lastDhs holds the output layer's input gradient per sample.
-	lastDhs [][]float32
+// newLane builds a lane selecting from width rows, drawing its top-up from
+// the PCG stream (seed, stream).
+func newLane(width int, seed, stream uint64) lane {
+	src := rand.NewPCG(seed, stream)
+	return lane{dedup: lsh.NewDedup(max(width, 1)), rng: rand.New(src), rngSrc: src}
+}
+
+// pick fills the stripe with the active sets of samples first, first+stride,
+// … of b under budget bud, sample k's fingerprints at hs[k·L:(k+1)·L], in
+// sample order, so the top-up draws keep their order; then it plans the walk
+// over the rows below bud.hi.
+func (ln *lane) pick(f *forwardState, bud budget, b sparse.Batch, first, stride int, hs []uint32) {
+	m := (b.Len() - first + stride - 1) / stride
+	l := f.smp.tables()
+	// Sized before the fill: a batch larger than the last one would index
+	// past offs otherwise.
+	ln.offs, ln.heads = fit(ln.offs, m+1), fit(ln.heads, m)
+	ids := ln.ids[:0]
+	for k := range m {
+		ids, ln.heads[k] = f.pick(bud, ln.dedup, ln.rng, b.Labels(first+k*stride), hs[k*l:(k+1)*l], ids)
+		ln.offs[k+1] = int32(len(ids))
+	}
+	ln.ids = ids
+	ln.plan(int(bud.hi))
+}
+
+// samples is the per-sample state of a training engine's share of a batch, a
+// HOGWILD worker's stripe or the phase engine's whole batch: sample k's
+// activation and activation-gradient stacks [k][layer], views of their first
+// and last layers, and the fingerprints of its last activation at
+// hashes[k·L:(k+1)·L]. The stacks grow to the most samples seen and stay.
+type samples struct {
+	acts, dhs      [][][]float32
+	acts0, dhs0    [][]float32 // the first hidden layer's (hidden backward)
+	lasts, lastDhs [][]float32 // the output layer's input and its gradient
+	hashes         []uint32
+}
+
+// fit sizes the state for m samples.
+func (s *samples) fit(f *forwardState, m int) {
+	for len(s.acts) < m {
+		acts, dhs := newStack(f.dims), newStack(f.dims)
+		s.acts, s.dhs = append(s.acts, acts), append(s.dhs, dhs)
+		s.acts0, s.dhs0 = append(s.acts0, acts[0]), append(s.dhs0, dhs[0])
+		s.lasts, s.lastDhs = append(s.lasts, acts[len(acts)-1]), append(s.lastDhs, dhs[len(dhs)-1])
+	}
+	s.hashes = fit(s.hashes, m*f.smp.tables())
+}
+
+// worker is one HOGWILD worker's state for the model's life: its lane over
+// the whole layer and the per-sample state the staged body keeps from stage
+// to stage.
+type worker struct {
+	lane
+	samples
 
 	// loss, activeSum and nonFinite are the worker's partial BatchStats for
 	// the batch in flight.
@@ -71,75 +122,37 @@ type worker struct {
 	nonFinite int64
 }
 
-func (f *forwardState) newWorker(seed, stream uint64) *worker {
-	ws := &worker{scratch: f.newScratch(true, seed, stream)}
-	for _, d := range f.dims {
-		ws.dhs = append(ws.dhs, make([]float32, d))
-	}
-	// The scratch's own activation buffers, and the last of its activation
-	// gradients, serve as sample 0's; stage 1 points them at sample k's
-	// before each forward.
-	ws.sampleActs = [][][]float32{ws.acts}
-	ws.lasts = [][]float32{ws.last()}
-	ws.lastDhs = [][]float32{ws.dhs[len(ws.dhs)-1]}
-	return ws
-}
-
-// fitStripe grows the per-sample buffers, the fingerprints among them, to
-// hold a stripe of m samples.
-func (ws *worker) fitStripe(f *forwardState, m int) {
-	for len(ws.sampleActs) < m {
-		acts := make([][]float32, len(f.dims))
-		for i, d := range f.dims {
-			acts[i] = make([]float32, d)
-		}
-		ws.sampleActs = append(ws.sampleActs, acts)
-		ws.lasts = append(ws.lasts, acts[len(acts)-1])
-		ws.lastDhs = append(ws.lastDhs, make([]float32, f.lastDim))
-	}
-	ws.offs, ws.heads = fit(ws.offs, m+1), fit(ws.heads, m)
-	ws.hashBuf = fit(ws.hashBuf, m*f.smp.tables())
-}
-
 // trainStripe runs worker w's share of a batch — samples w, w+nw, … — in
 // stages, each finished for every sample of the stripe before the next
 // starts, which is sound because no weight changes before its last read:
 //
 //  1. forward every sample; hash the stripe's output-layer inputs in one
 //     HashDenseMany call (SimHash walks its hyperplanes once per tile of
-//     simd.WalkTile samples); then sample, in stripe order, so the top-up
-//     draws keep their order;
-//  2. walk the output layer row-major (stripe.plan, stripe.forward): every
-//     logit, then the label heads in sample order, then every weight
-//     gradient and every sample's input gradient in one pass over the rows
-//     (stripe.backward), which also steps each row's ADAM with p when a lone
-//     worker (nw == 1) owns every row; shared rows wait for TrainBatch;
+//     simd.WalkTile samples); then pick every sample's active set under the
+//     whole layer's budget, in stripe order, so the top-up draws keep their
+//     order;
+//  2. walk the output layer row-major (stripe.forward): every logit, then
+//     the label heads in sample order, then every weight gradient and every
+//     sample's input gradient in one pass over the rows (stripe.backward),
+//     which also steps each row's ADAM with p when a lone worker (nw == 1)
+//     owns every row; shared rows wait for TrainBatch;
 //  3. the middle stack and hidden backward, per sample in stripe order.
 //
 // The bits are those of running each sample end to end in stripe order,
 // except that each input gradient sums in row-walk order (AccumulateStripe).
 // The share's loss, active-set and non-finite sums are left in the worker.
 func (n *Network) trainStripe(ks *simd.Kernels, b sparse.Batch, w, nw int, p simd.AdamParams) {
-	ws := n.workers[w]
-	ws.ks = ks
+	ws, f := n.workers[w], n.fwd
 	ws.loss, ws.activeSum, ws.nonFinite = 0, 0, 0
 	m := (b.Len() - w + nw - 1) / nw
-	ws.fitStripe(n.fwd, m)
+	ws.fit(f, m)
 
 	for k := range m {
-		ws.acts = ws.sampleActs[k]
-		n.fwd.forwardStack(ws.scratch, b.Sample(w+k*nw))
+		f.forwardHidden(ks, b.Sample(w+k*nw), ws.acts[k])
 	}
-	n.fwd.smp.hashMany(ws.lasts[:m], ws.hashBuf)
-	l := n.fwd.smp.tables()
-	ws.ids = ws.ids[:0]
-	for k := range m {
-		ws.heads[k] = n.fwd.sampleActive(ws.scratch, b.Labels(w+k*nw), ws.hashBuf[k*l:(k+1)*l])
-		ws.ids = extend(ws.ids, ws.active)
-		ws.offs[k+1] = int32(len(ws.ids))
-	}
+	f.smp.hashMany(ws.lasts[:m], ws.hashes)
+	ws.pick(f, f.layerBudget(), b, w, nw, ws.hashes)
 
-	ws.plan(n.cfg.OutputDim)
 	first := w * n.cfg.OutputDim / nw // concurrent workers sweep apart
 	hs, dhs := ws.lasts[:m], ws.lastDhs[:m]
 	ws.forward(ks, n.output, hs, first)
@@ -160,26 +173,10 @@ func (n *Network) trainStripe(ks *simd.Kernels, b sparse.Batch, w, nw int, p sim
 		step = &p
 	}
 	ws.backward(ks, n.output, hs, dhs, first, step)
-	for k, dh := range dhs {
+	for k := range m {
 		if ws.offs[k] < ws.offs[k+1] {
-			n.backward(ws, k, dh, b.Sample(w+k*nw))
+			n.backwardMiddle(ks, ws.acts[k], ws.dhs[k])
+			n.hidden.Backward(ks, b.Sample(w+k*nw), ws.acts[k][0], ws.dhs[k][0])
 		}
 	}
-}
-
-// backward propagates sample k's output-layer input gradient dh through the
-// middle stack and into the hidden layer.
-func (n *Network) backward(ws *worker, k int, dh []float32, x sparse.Vector) {
-	acts := ws.sampleActs[k]
-	ws.dhs[len(ws.dhs)-1] = dh
-	n.backwardMiddle(ws.ks, acts, ws.dhs)
-	n.hidden.Backward(ws.ks, x, acts[0], ws.dhs[0])
-}
-
-// extend appends xs to buf, growing it as fit does.
-func extend[T any](buf, xs []T) []T {
-	if n := len(buf) + len(xs); n > cap(buf) {
-		buf = append(make([]T, 0, max(n, 2*cap(buf))), buf...)
-	}
-	return append(buf, xs...)
 }

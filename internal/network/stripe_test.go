@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"slices"
 	"testing"
 
@@ -122,7 +123,7 @@ func TestShardWalksAgreeOnOneBatch(t *testing.T) {
 				sh := n.sh
 				ss = sh.shards[0]
 				B := b.Len()
-				hs, dh := sh.lastA[:B], ss.dhPart[:B]
+				hs, dh := sh.lasts[:B], ss.dhPart[:B]
 				for _, d := range dh {
 					simd.Zero(d)
 				}
@@ -210,12 +211,13 @@ func TestShardWalksAgreeOnOneBatch(t *testing.T) {
 }
 
 // TestStripeFingerprintsSelectLikePerSample: stage 1 of a HOGWILD stripe
-// hashes all its samples in one HashDenseMany call, then samples them in
+// hashes all its samples in one HashDenseMany call, then picks them in
 // stripe order. The active lists, their label heads and the top-up stream
-// left behind must equal forwarding, hashing with HashDense and sampling one
-// sample at a time, for a lone sample, a stripe one past the walk tile and a
-// full batch, on every tier. Both networks train the same warm-up batches
-// first, so the tables hold trained rows.
+// left behind must equal forwarding (forwardHidden), hashing with HashDense
+// and picking under the whole layer's budget one sample at a time, for a
+// lone sample, a stripe one past the walk tile and a full batch, on every
+// tier. Both networks train the same warm-up batches first, so the tables
+// hold trained rows.
 func TestStripeFingerprintsSelectLikePerSample(t *testing.T) {
 	cfg := Config{InputDim: 600, HiddenDim: 200, OutputDim: 600, HiddenActivation: layer.Linear,
 		Hash: SimHash, K: 6, L: 8, MinActive: 64, LR: 0.01, RebuildEvery: 10, Seed: 102, Workers: 1}
@@ -243,21 +245,149 @@ func TestStripeFingerprintsSelectLikePerSample(t *testing.T) {
 			nets[0].trainStripe(ks, b, 0, 1, nets[0].adamParams())
 
 			f := nets[1].fwd
-			ref.ks = ks
+			acts := newStack(f.dims)
 			hs := make([]uint32, cfg.L)
+			var ids []int32
 			for k := range m {
-				f.forwardStack(ref.scratch, b.Sample(k))
-				f.smp.sets[0].HashDense(ref.last(), hs)
-				heads := f.sampleActive(ref.scratch, b.Labels(k), hs)
-				if ids := got.ids[got.offs[k]:got.offs[k+1]]; !slices.Equal(ids, ref.active) || got.heads[k] != heads {
+				f.forwardHidden(ks, b.Sample(k), acts)
+				f.smp.sets[0].HashDense(acts[len(acts)-1], hs)
+				var heads int
+				ids, heads = f.pick(f.layerBudget(), ref.dedup, ref.rng, b.Labels(k), hs, ids[:0])
+				if sel := got.ids[got.offs[k]:got.offs[k+1]]; !slices.Equal(sel, ids) || got.heads[k] != heads {
 					t.Fatalf("%v stripe of %d, sample %d: stripe selected %v (%d labels), per sample %v (%d labels)",
-						mode, m, k, ids, got.heads[k], ref.active, heads)
+						mode, m, k, sel, got.heads[k], ids, heads)
 				}
 			}
 			gs, _ := got.rngSrc.MarshalBinary()
 			rs, _ := ref.rngSrc.MarshalBinary()
 			if !bytes.Equal(gs, rs) {
 				t.Errorf("%v stripe of %d: top-up stream left at another state than per-sample sampling", mode, m)
+			}
+		}
+	}
+}
+
+// TestPickBudgets checks the selection contract under every budget a model
+// hands out: the whole layer's of an un-sharded and of a Shards: 4 model and
+// each shard's of the latter, all sampling through LSH, and the whole
+// layer's under NoSampling and UniformSampling. The label lists hold
+// duplicates, labels past the layer and more labels than MaxActive, and
+// pick appends after ids already in the list. The labels inside the
+// budget's rows must lead, deduplicated in list order, and pick must count
+// exactly them; every id must lie in the rows, once; the list must hold at
+// least the floor and at most max(cap, labels) ids, and every candidate of
+// the budget's sets when it holds fewer. Under NoSampling the
+// rest of the rows follow in ascending order; under UniformSampling only
+// the top-up draws follow, replayed from a copy of the stream. shard(0) of
+// an un-sharded model is its whole-layer budget, field by field.
+func TestPickBudgets(t *testing.T) {
+	const outDim = 100
+	base := Config{InputDim: 60, HiddenDim: 16, OutputDim: outDim, Hash: SimHash, K: 3, L: 6,
+		MinActive: 12, MaxActive: 20, Seed: 5, Workers: 1}
+	many := []int32{outDim + 9} // more labels than MaxActive, one repeated, one past the layer
+	for y := int32(0); y < outDim; y += 3 {
+		many = append(many, y)
+	}
+	many = append(many, 6)
+	labelLists := [][]int32{nil, {3, 3, 97, 3, outDim + 4, 40}, {outDim, outDim + 1}, many}
+	models := []struct {
+		name string
+		set  func(*Config)
+	}{
+		{"un-sharded", func(*Config) {}},
+		{"shards4", func(c *Config) { c.Shards = 4 }},
+		{"NoSampling", func(c *Config) { c.NoSampling = true }},
+		{"UniformSampling", func(c *Config) { c.UniformSampling = true }},
+	}
+	ks := simd.Active()
+	p := newPlanted(base.InputDim, outDim, 4, 3)
+	x := p.batch(1).Sample(0)
+	for _, md := range models {
+		c := base
+		md.set(&c)
+		n, err := New(&c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := n.fwd
+		budgets := []budget{f.layerBudget()}
+		if c.Shards > 0 {
+			for s := range c.Shards {
+				budgets = append(budgets, f.smp.shard(s))
+			}
+		} else if b, w := f.smp.shard(0), budgets[0]; b.lo != w.lo || b.hi != w.hi || !slices.Equal(b.sets, w.sets) || b.floor != w.floor || b.cap != w.cap {
+			t.Errorf("%s: shard(0) is %+v, the whole layer's budget %+v", md.name, b, w)
+		}
+		acts := newStack(f.dims)
+		f.forwardHidden(ks, x, acts)
+		hs := make([]uint32, f.smp.tables())
+		if f.smp.sampled() {
+			f.smp.hash(acts[len(acts)-1], hs)
+		}
+		for bi, b := range budgets {
+			for li, labels := range labelLists {
+				name := fmt.Sprintf("%s budget %d [%d,%d) labels %d", md.name, bi, b.lo, b.hi, li)
+				ln := newLane(int(b.hi-b.lo), 7, uint64(li))
+				stream, _ := ln.rngSrc.MarshalBinary()
+				dst, heads := f.pick(b, ln.dedup, ln.rng, labels, hs, []int32{-1, -2})
+				if !slices.Equal(dst[:2], []int32{-1, -2}) {
+					t.Fatalf("%s: the ids before the pick became %v", name, dst[:2])
+				}
+				got := dst[2:]
+				var want []int32
+				for _, y := range labels {
+					if y >= b.lo && y < b.hi && !slices.Contains(want, y) {
+						want = append(want, y)
+					}
+				}
+				if heads != len(want) || len(got) < len(want) || !slices.Equal(got[:len(want)], want) {
+					t.Fatalf("%s: picked %v with %d labels, want the labels %v first", name, got, heads, want)
+				}
+				seen := map[int32]bool{}
+				for _, id := range got {
+					if id < b.lo || id >= b.hi || seen[id] {
+						t.Fatalf("%s: id %d outside the rows or repeated in %v", name, id, got)
+					}
+					seen[id] = true
+				}
+				if c.NoSampling {
+					for id := b.lo; id < b.hi; id++ {
+						if !slices.Contains(want, id) {
+							want = append(want, id)
+						}
+					}
+					if !slices.Equal(got, want) {
+						t.Errorf("%s: picked %v, want the labels then every other row ascending", name, got)
+					}
+					continue
+				}
+				if len(got) < b.floor || (b.cap > 0 && len(got) > max(b.cap, heads)) {
+					t.Errorf("%s: picked %d ids, want [%d, max(%d, %d)]", name, len(got), b.floor, b.cap, heads)
+				}
+				if len(got) < max(b.cap, heads) {
+					for _, ts := range b.sets {
+						ts.QueryHashes(hs, func(id int32) {
+							if !seen[id] {
+								t.Errorf("%s: %d ids picked, short of the cap, without candidate %d", name, len(got), id)
+							}
+						})
+					}
+				}
+				if c.UniformSampling {
+					src := new(rand.PCG)
+					if err := src.UnmarshalBinary(stream); err != nil {
+						t.Fatal(err)
+					}
+					rng := rand.New(src)
+					for len(want) < b.floor {
+						if id := b.lo + int32(rng.IntN(int(b.hi-b.lo))); !slices.Contains(want, id) {
+							want = append(want, id)
+						}
+					}
+					if !slices.Equal(got, want) {
+						t.Errorf("%s: picked %v, want the labels then the top-up draws %v", name, got, want)
+					}
+				}
 			}
 		}
 	}

@@ -111,7 +111,3 @@ func Host() Platform {
 		L3MB: 16, DRAMGBs: 20,
 	}
 }
-
-// HostFeatures returns the detected SIMD feature set backing Host's vector
-// attributes (for reports that want to print the capability line).
-func HostFeatures() cpufeat.Features { return cpufeat.Detect() }

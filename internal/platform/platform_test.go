@@ -1,6 +1,10 @@
 package platform
 
-import "testing"
+import (
+	"testing"
+
+	"github.com/slide-cpu/slide/internal/cpufeat"
+)
 
 func TestPaperPlatformSpecs(t *testing.T) {
 	// §3 of the paper: CLX is dual 24-core (96 threads with SMT), CPX is
@@ -44,7 +48,7 @@ func TestHostPlatform(t *testing.T) {
 
 func TestHostReportsDetectedFeatures(t *testing.T) {
 	h := Host()
-	f := HostFeatures()
+	f := cpufeat.Detect()
 	// Lane width mirrors detection: 16 under AVX-512, 8 under AVX2-only,
 	// and the portable tier's ILP-equivalent 4 when nothing was detected
 	// (strictly below a real AVX2 host, preserving roofline ordering).

@@ -575,7 +575,7 @@ func TestServeLoadgenEndToEnd(t *testing.T) {
 
 	run := func(direct bool) (LoadReport, *Server) {
 		srv, ts := testServer(t, p, ServerConfig{DefaultK: 5, Direct: direct})
-		report := RunLoad(context.Background(), ts.URL, nil, entries, 64)
+		report := RunLoadOpts(context.Background(), ts.URL, nil, entries, 64, LoadOptions{})
 		return report, srv
 	}
 

@@ -122,16 +122,12 @@ type LoadOptions struct {
 	Deadline time.Duration
 }
 
-// RunLoad drives the request set against baseURL with the given number of
-// closed-loop clients: client c owns requests c, c+clients, c+2·clients, …
-// and sends them sequentially, one in flight at a time. Request assignment
-// and payloads are deterministic; only timing varies between runs. A nil
-// client uses a transport sized so every load client keeps one connection.
-func RunLoad(ctx context.Context, baseURL string, client *http.Client, entries []slide.BatchEntry, clients int) LoadReport {
-	return RunLoadOpts(ctx, baseURL, client, entries, clients, LoadOptions{})
-}
-
-// RunLoadOpts is RunLoad with per-request options.
+// RunLoadOpts drives the request set against baseURL with the given number
+// of closed-loop clients: client c owns requests c, c+clients,
+// c+2·clients, … and sends them sequentially, one in flight at a time, with
+// the per-request options opts. Request assignment and payloads are
+// deterministic; only timing varies between runs. A nil client uses a
+// transport sized so every load client keeps one connection.
 func RunLoadOpts(ctx context.Context, baseURL string, client *http.Client, entries []slide.BatchEntry, clients int, opts LoadOptions) LoadReport {
 	if clients <= 0 {
 		clients = 1

@@ -73,7 +73,7 @@ func TestRunLoadClosedLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	report := RunLoad(context.Background(), ts.URL, ts.Client(), entries, 8)
+	report := RunLoadOpts(context.Background(), ts.URL, ts.Client(), entries, 8, LoadOptions{})
 	if report.Errors != 0 {
 		t.Fatalf("errors: %d (%s)", report.Errors, report.FirstError)
 	}

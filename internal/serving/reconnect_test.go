@@ -48,7 +48,7 @@ func TestRunLoadReconnects(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	report := RunLoad(ctx, "http://"+addr, nil, entries, 1)
+	report := RunLoadOpts(ctx, "http://"+addr, nil, entries, 1, LoadOptions{})
 	if err := <-up; err != nil {
 		t.Skipf("could not rebind %s: %v", addr, err)
 	}

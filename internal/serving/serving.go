@@ -22,9 +22,8 @@
 //     a new snapshot current without stalling in-flight batches, which
 //     finish on the snapshot they captured at flush time. Every request in
 //     one coalesced batch is served by exactly one snapshot.
-//   - RunLoad is a deterministic closed-loop load generator (fixed seed,
-//     fixed request set) used by the e2e tests, BenchmarkServingPipeline,
-//     and cmd/slide-loadgen.
+//   - RunLoadOpts is a deterministic closed-loop load generator (fixed seed,
+//     fixed request set) used by the e2e tests and cmd/slide-loadgen.
 package serving
 
 import "github.com/slide-cpu/slide/slide"

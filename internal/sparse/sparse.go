@@ -40,15 +40,6 @@ func (v Vector) Dot(dense []float32) float32 {
 	return s
 }
 
-// Dense scatters the vector into a fresh dense slice of the given dimension.
-func (v Vector) Dense(dim int) []float32 {
-	out := make([]float32, dim)
-	for k, idx := range v.Indices {
-		out[idx] = v.Values[k]
-	}
-	return out
-}
-
 // Validate checks that indices are sorted, unique and within [0, dim).
 // A negative dim skips the range check.
 func (v Vector) Validate(dim int) error {

@@ -218,18 +218,11 @@ func TestVectorValidate(t *testing.T) {
 	}
 }
 
-func TestVectorDotAndDense(t *testing.T) {
+func TestVectorDot(t *testing.T) {
 	v := Vector{Indices: []int32{1, 3}, Values: []float32{2, 5}}
 	dense := []float32{10, 20, 30, 40}
 	if got := v.Dot(dense); got != 2*20+5*40 {
 		t.Errorf("Dot = %g", got)
-	}
-	d := v.Dense(4)
-	want := []float32{0, 2, 0, 5}
-	for i := range d {
-		if d[i] != want[i] {
-			t.Errorf("Dense[%d] = %g, want %g", i, d[i], want[i])
-		}
 	}
 }
 

@@ -9,7 +9,7 @@
 // loop.
 //
 // Determinism contract: pass p of a session starts with src.Reset(seed)
-// where seed defaults to Step()+1 at pass start — exactly the legacy
+// where seed is Step()+1 at pass start — exactly the legacy
 // Model.TrainEpoch seeding rule — so a single-worker session is bit-identical
 // to the historical epoch loop, and a resumed session (Resume: true, Sized
 // source) fast-forwards to its mid-epoch position and reproduces the
@@ -144,10 +144,6 @@ type Config struct {
 	// passes.
 	EarlyStopPatience int
 	EarlyStopMinDelta float64
-	// SeedFunc overrides the default pass-seed rule (Step()+1 at pass start,
-	// the legacy TrainEpoch rule). The harness uses it to keep its historical
-	// per-epoch seeding.
-	SeedFunc func(pass int, stepAtPassStart int64) uint64
 	// Resume fast-forwards a stepper with Step() > 0 to its deterministic
 	// mid-epoch position before training (Sized sources only): the session
 	// re-derives the interrupted pass's seed and skips the batches the
@@ -387,11 +383,7 @@ func Run(ctx context.Context, s Stepper, src dataset.Source, cfg Config) (Report
 			// The interrupted pass began skip batches before the checkpoint.
 			seedStep = passStart - int64(skip)
 		}
-		seed := uint64(seedStep) + 1
-		if cfg.SeedFunc != nil {
-			seed = cfg.SeedFunc(pass, seedStep)
-		}
-		if err := src.Reset(seed); err != nil {
+		if err := src.Reset(uint64(seedStep) + 1); err != nil {
 			return se.rep, err
 		}
 		if pass == 0 && skip > 0 {

@@ -257,8 +257,8 @@ func TestShardedCrossWorkerResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if net2.ShardCount() != shards {
-		t.Fatalf("resumed network has %d shards, want %d", net2.ShardCount(), shards)
+	if net2.Config().Shards != shards {
+		t.Fatalf("resumed network has %d shards, want %d", net2.Config().Shards, shards)
 	}
 	next2 := batchFeeder(t, w, opts)
 	for s := 0; s < half; s++ { // skip the batches the checkpoint already saw
