@@ -1,7 +1,7 @@
 // Command slide-bench regenerates the paper's evaluation artifacts: every
 // table (1-4) and Figure 6, plus the memory-layout and thread-scaling
-// ablations. Measured rows run on this host at -scale of the paper's
-// dataset sizes; cross-platform rows come from the roofline cost model.
+// ablations. Every row is measured on this host at -scale of the paper's
+// dataset sizes; the paper's CLX/CPX/V100 rows are not reproduced.
 //
 // Usage:
 //

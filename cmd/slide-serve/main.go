@@ -266,7 +266,15 @@ func demoModel(scale float64, shards int, seed uint64) (*slide.Model, *slide.Dat
 	if err != nil {
 		return nil, nil, err
 	}
-	if _, err := m.TrainEpoch(train, 64); err != nil {
+	src, err := slide.NewDatasetSource(train, 64)
+	if err != nil {
+		return nil, nil, err
+	}
+	tr, err := slide.NewTrainer(m, src, slide.WithEpochs(1))
+	if err != nil {
+		return nil, nil, err
+	}
+	if _, err := tr.Run(context.Background()); err != nil {
 		return nil, nil, err
 	}
 	log.Printf("demo model ready: %d features, %d labels, %d samples (scale %g)",

@@ -10,7 +10,7 @@ import (
 
 // amazonWorkload mirrors the paper's Amazon-670K setting (Table 1, §5.3):
 // 490K samples, 75 non-zeros, hidden 128, 670K labels, batch 1024,
-// DWTA K=6 L=400. Mean active-set size ~0.5% of the output layer, the
+// K=6 L=400. Mean active-set size ~0.5% of the output layer, the
 // sparsity regime SLIDE reports.
 func amazonWorkload() Workload {
 	return Workload{
@@ -21,204 +21,108 @@ func amazonWorkload() Workload {
 	}
 }
 
-func TestTable2Shape(t *testing.T) {
+// xeon is a fixed 48-core, 2-way SMT AVX-512 server descriptor (two
+// 24-core sockets, 6 DDR4 channels each) without BF16; xeonBF16 is the
+// same with AVX512-BF16.
+var (
+	xeon = platform.Platform{
+		Name: "xeon", Cores: 48, ThreadsPerCore: 2, ClockGHz: 2.4,
+		VectorLanesF32: 16, FMAPorts: 2, DRAMGBs: 2 * 6 * 23.5,
+	}
+	xeonBF16 = func() platform.Platform { p := xeon; p.HasBF16 = true; return p }()
+)
+
+func speedup(a, b time.Duration) float64 { return float64(a) / float64(b) }
+
+func TestTable3ShapeBF16(t *testing.T) {
 	w := amazonWorkload()
-
-	tfV100 := EstimateEpoch(w, FullSoftmax(), platform.V100)
-	tfCLX := EstimateEpoch(w, FullSoftmax(), platform.CLX)
-	tfCPX := EstimateEpoch(w, FullSoftmax(), platform.CPX)
-	naiveCLX := EstimateEpoch(w, NaiveSLIDE(), platform.CLX)
-	naiveCPX := EstimateEpoch(w, NaiveSLIDE(), platform.CPX)
-	optCLX := EstimateEpoch(w, OptimizedSLIDE(platform.CLX), platform.CLX)
-	optCPX := EstimateEpoch(w, OptimizedSLIDE(platform.CPX), platform.CPX)
-
-	// Paper Table 2, Amazon-670K row: the ordering Opt-CPX < Opt-CLX <
-	// Naive < TF-CPU, with TF-CPU within ~30% of V100 and Optimized SLIDE
-	// several-fold faster than V100.
-	if !(optCPX < optCLX) {
-		t.Errorf("Opt CPX (%v) should beat Opt CLX (%v)", optCPX, optCLX)
+	full := OptimizedSLIDE(xeonBF16) // BF16 weights+acts
+	none := System{WeightBytes: 4, ActBytes: 4}
+	s := speedup(SingleStep(w, none, xeonBF16), SingleStep(w, full, xeonBF16))
+	// Paper Table 3: BF16 both buys 1.28x on Amazon-670K.
+	if s < 1.05 || s > 3 {
+		t.Errorf("BF16 speedup %.2fx outside plausible band", s)
 	}
-	if !(optCLX < naiveCLX) {
-		t.Errorf("Opt CLX (%v) should beat Naive CLX (%v)", optCLX, naiveCLX)
-	}
-	if !(optCPX < naiveCPX) {
-		t.Errorf("Opt CPX (%v) should beat Naive CPX (%v)", optCPX, naiveCPX)
-	}
-	if !(optCPX < tfV100 && optCLX < tfV100) {
-		t.Errorf("Optimized SLIDE (%v/%v) should beat TF V100 (%v)", optCLX, optCPX, tfV100)
-	}
-	if !(naiveCLX < tfCLX && naiveCPX < tfCPX) {
-		t.Errorf("Naive SLIDE should beat TF on the same CPU")
-	}
-
-	// Magnitudes: paper reports Opt-CPX 7.8x over V100, Opt-CLX 3.5x,
-	// Opt vs Naive 4.4x/7.2x. Accept a generous band — the model must land
-	// the right order of magnitude, not the exact figure.
-	check := func(name string, got float64, lo, hi float64) {
-		t.Helper()
-		if got < lo || got > hi {
-			t.Errorf("%s speedup = %.2fx, want within [%g, %g]", name, got, lo, hi)
-		}
-	}
-	check("OptCPX/V100", Speedup(tfV100, optCPX), 2, 40)
-	check("OptCLX/V100", Speedup(tfV100, optCLX), 1.2, 20)
-	check("OptCLX/NaiveCLX", Speedup(naiveCLX, optCLX), 1.5, 20)
-	check("OptCPX/NaiveCPX", Speedup(naiveCPX, optCPX), 1.5, 25)
-	check("OptCLX/TF-CLX", Speedup(tfCLX, optCLX), 1.5, 30)
-
-	// TF on CPU is in the same ballpark as V100 (paper: 1.01x-1.27x slower).
-	r := Speedup(tfV100, tfCLX)
-	if r > 1.2 || r < 0.2 {
-		t.Errorf("TF-CLX vs V100 ratio %.2f implausible (paper ~0.8)", 1/r)
+	// Without BF16 hardware OptimizedSLIDE must not claim BF16.
+	if sys := OptimizedSLIDE(xeon); sys.WeightBytes != 4 || sys.ActBytes != 4 {
+		t.Error("OptimizedSLIDE without BF16 hardware should stay FP32")
 	}
 }
 
 func TestTable4ShapeVectorization(t *testing.T) {
 	w := amazonWorkload()
-	on := OptimizedSLIDE(platform.CPX)
-	off := on
-	off.Vectorized = false
-	tOn := EstimateEpoch(w, on, platform.CPX)
-	tOff := EstimateEpoch(w, off, platform.CPX)
-	s := Speedup(tOff, tOn)
-	// Paper Table 4: AVX-512 buys 1.12x-1.22x (memory-bound workload).
-	if s < 1.01 || s > 4 {
+	sys := OptimizedSLIDE(xeon)
+	scalar := xeon
+	scalar.VectorLanesF32, scalar.FMAPorts = 1, 1
+	// Paper Table 4: AVX-512 buys 1.12x-1.22x on the whole machine
+	// (memory-bound workload).
+	all := xeon.Cores
+	if s := speedup(ShardedStep(w, sys, scalar, all), ShardedStep(w, sys, xeon, all)); s < 1.01 || s > 4 {
 		t.Errorf("vectorization speedup %.2fx outside plausible band", s)
-	}
-}
-
-func TestTable3ShapeBF16(t *testing.T) {
-	w := amazonWorkload()
-	full := OptimizedSLIDE(platform.CPX) // BF16 weights+acts on CPX
-	none := full
-	none.WeightBytes = 4
-	none.ActBytes = 4
-	tFull := EstimateEpoch(w, full, platform.CPX)
-	tNone := EstimateEpoch(w, none, platform.CPX)
-	s := Speedup(tNone, tFull)
-	// Paper Table 3: BF16 both buys 1.28x on Amazon-670K.
-	if s < 1.05 || s > 3 {
-		t.Errorf("BF16 speedup %.2fx outside plausible band", s)
-	}
-	// On CLX (no BF16 hardware) OptimizedSLIDE must not claim BF16.
-	if sys := OptimizedSLIDE(platform.CLX); sys.WeightBytes != 4 {
-		t.Error("OptimizedSLIDE on CLX should stay FP32")
-	}
-}
-
-func TestMemoryOptimizationShape(t *testing.T) {
-	// §5.7: memory optimizations provide the dominant share of the 2-7x.
-	w := amazonWorkload()
-	opt := OptimizedSLIDE(platform.CLX)
-	frag := opt
-	frag.Coalesced = false
-	s := Speedup(EstimateEpoch(w, frag, platform.CLX), EstimateEpoch(w, opt, platform.CLX))
-	if s < 1.5 {
-		t.Errorf("memory coalescing speedup %.2fx too small to explain §5.7", s)
 	}
 }
 
 func TestHyperthreadBoost(t *testing.T) {
 	w := amazonWorkload()
-	on := OptimizedSLIDE(platform.CLX)
-	off := on
-	off.Hyperthread = false
+	sys := OptimizedSLIDE(xeon)
+	noSMT := xeon
+	noSMT.ThreadsPerCore = 1
 	// Hyperthreading must never hurt and should help compute-bound phases.
-	tOn := EstimateEpoch(w, on, platform.CLX)
-	tOff := EstimateEpoch(w, off, platform.CLX)
-	if tOn > tOff {
-		t.Errorf("hyperthreading slowed the model down: %v vs %v", tOn, tOff)
+	for _, workers := range []int{1, 4, 48} {
+		if on, off := ShardedStep(w, sys, xeon, workers), ShardedStep(w, sys, noSMT, workers); on > off {
+			t.Errorf("W=%d: hyperthreading slowed the model down: %v vs %v", workers, on, off)
+		}
 	}
 }
 
 func TestPropertyMonotoneInWork(t *testing.T) {
-	// More samples, more active neurons, or a wider layer must never make
-	// the modeled epoch faster.
+	// More samples per step, more active neurons, or a wider layer must
+	// never make the modeled step faster.
 	base := amazonWorkload()
-	sys := OptimizedSLIDE(platform.CLX)
-	t0 := EstimateEpoch(base, sys, platform.CLX)
+	sys := OptimizedSLIDE(xeon)
+	t0 := SingleStep(base, sys, xeon)
 
 	more := base
 	more.Samples *= 2
-	if EstimateEpoch(more, sys, platform.CLX) <= t0 {
-		t.Error("doubling samples did not increase modeled time")
+	more.BatchSize *= 2
+	if SingleStep(more, sys, xeon) <= t0 {
+		t.Error("doubling the batch did not increase modeled step time")
 	}
 	wider := base
 	wider.Hidden *= 2
-	if EstimateEpoch(wider, sys, platform.CLX) <= t0 {
-		t.Error("doubling hidden width did not increase modeled time")
+	if SingleStep(wider, sys, xeon) <= t0 {
+		t.Error("doubling hidden width did not increase modeled step time")
 	}
 	denser := base
 	denser.MeanActive *= 4
-	if EstimateEpoch(denser, sys, platform.CLX) <= t0 {
-		t.Error("quadrupling active set did not increase modeled time")
+	if SingleStep(denser, sys, xeon) <= t0 {
+		t.Error("quadrupling active set did not increase modeled step time")
 	}
 }
 
 func TestPropertyOptimizationsNeverHurt(t *testing.T) {
-	// Each §4 optimization must be modeled as non-harmful on hardware that
-	// supports it.
+	// BF16, the one optimization System still selects, must be modeled as
+	// non-harmful on hardware that supports it, at any worker count.
 	w := amazonWorkload()
-	for _, p := range []platform.Platform{platform.CLX, platform.CPX} {
-		opt := OptimizedSLIDE(p)
-
-		noVec := opt
-		noVec.Vectorized = false
-		if EstimateEpoch(w, opt, p) > EstimateEpoch(w, noVec, p) {
-			t.Errorf("%s: vectorization modeled as harmful", p.Name)
+	opt := OptimizedSLIDE(xeonBF16)
+	fp32 := System{WeightBytes: 4, ActBytes: 4}
+	for _, workers := range []int{1, 2, 4, 8, 48} {
+		if ShardedStep(w, opt, xeonBF16, workers) > ShardedStep(w, fp32, xeonBF16, workers) {
+			t.Errorf("W=%d: BF16 modeled as harmful on BF16 hardware", workers)
 		}
-		frag := opt
-		frag.Coalesced = false
-		if EstimateEpoch(w, opt, p) > EstimateEpoch(w, frag, p) {
-			t.Errorf("%s: coalescing modeled as harmful", p.Name)
-		}
-		if p.HasBF16 {
-			fp32 := opt
-			fp32.WeightBytes, fp32.ActBytes = 4, 4
-			if EstimateEpoch(w, opt, p) > EstimateEpoch(w, fp32, p) {
-				t.Errorf("%s: BF16 modeled as harmful on BF16 hardware", p.Name)
-			}
-		}
-	}
-}
-
-func TestCPXDominatesCLX(t *testing.T) {
-	// The 4-socket CPX must never be modeled slower than the 2-socket CLX
-	// for the same system (more cores, more bandwidth, BF16).
-	w := amazonWorkload()
-	for _, sys := range []System{FullSoftmax(), NaiveSLIDE(), OptimizedSLIDE(platform.CLX)} {
-		if EstimateEpoch(w, sys, platform.CPX) > EstimateEpoch(w, sys, platform.CLX) {
-			t.Errorf("CPX modeled slower than CLX for %+v", sys)
-		}
-	}
-}
-
-func TestGPUAndEdgeCases(t *testing.T) {
-	w := amazonWorkload()
-	if EstimateEpoch(w, FullSoftmax(), platform.V100) <= 0 {
-		t.Error("GPU estimate must be positive")
-	}
-	if Speedup(time.Second, 0) != 0 {
-		t.Error("Speedup with zero denominator should be 0")
-	}
-	if platform.CLX.Threads() != 96 || platform.CPX.Threads() != 224 {
-		t.Error("paper platform thread counts wrong")
-	}
-	if h := platform.Host(); h.Cores <= 0 {
-		t.Error("host must report cores")
 	}
 }
 
 func TestHostRooflineUsesDetectedLanes(t *testing.T) {
-	// The same-hardware roofline row is parameterized by the detected lane
+	// The benchmark's prediction is parameterized by the detected lane
 	// count: a hypothetical host with no vector unit (1 lane) must never be
-	// modeled faster than the real detected host for a vectorized system.
+	// modeled faster than the real detected host.
 	w := amazonWorkload()
 	host := platform.Host()
 	narrow := host
 	narrow.VectorLanesF32 = 1
 	sys := OptimizedSLIDE(host)
-	if EstimateEpoch(w, sys, host) > EstimateEpoch(w, sys, narrow) {
+	if SingleStep(w, sys, host) > SingleStep(w, sys, narrow) {
 		t.Errorf("detected-lane host (%d lanes) modeled slower than 1-lane host",
 			host.VectorLanesF32)
 	}
@@ -226,69 +130,6 @@ func TestHostRooflineUsesDetectedLanes(t *testing.T) {
 	// tier's 4-lane ILP equivalent when no vector extension was detected).
 	if host.VectorLanesF32 != 4 && host.VectorLanesF32 != 8 && host.VectorLanesF32 != 16 {
 		t.Errorf("host lanes = %d, want 4, 8 or 16", host.VectorLanesF32)
-	}
-}
-
-// TestSimHashPricedAsMatvec: a SimHash fingerprint is K·L dots of width
-// Hidden against the ±1 matrix, so the hash phase carries K·L·h MACs and
-// K·L·h·4 bytes per hashed vector — every sample, and every output neuron
-// once per rebuild. The bin-scan families keep their flat per-bit price.
-func TestSimHashPricedAsMatvec(t *testing.T) {
-	// The text8-s shape of the benchmark: one batch, a rebuild every 20.
-	w := Workload{
-		Samples: 256, FeatureNNZ: 1, Input: 5077, Hidden: 200, Output: 5077,
-		MeanActive: 400, BatchSize: 256, L: 20, K: 7, RebuildPeriod: 20,
-	}
-	sys := OptimizedSLIDE(platform.CLX)
-	binScan := phases(w, sys)
-	w.SimHash = true
-	matvec := phases(w, sys)
-
-	hashed := 256 + 5077.0/20 // samples + rebuilt neurons per step
-	lk, h := 140.0, 200.0
-	last := len(matvec) - 1
-	if got, want := matvec[last].macs-binScan[last].macs, hashed*lk*(h-hashOpCost); !near(got, want) {
-		t.Errorf("SimHash adds %.0f MACs to the hash phase, want %.0f", got, want)
-	}
-	if got, want := matvec[last].bytes-binScan[last].bytes, hashed*lk*h*4; !near(got, want) {
-		t.Errorf("SimHash adds %.0f bytes to the hash phase, want %.0f", got, want)
-	}
-	for i := 0; i < last; i++ {
-		if matvec[i] != binScan[i] {
-			t.Errorf("phase %d changed with the hash family", i)
-		}
-	}
-}
-
-// TestDWTAPricedAsGather: a DWTA fingerprint is one GatherArgMax over
-// K·L·BinSize slots, so the hash phase carries that many compares and that
-// many 4-byte gathered loads per hashed vector. The compares are counted as
-// MACs, the one term EstimateEpoch divides by the lane count. DOPH (no
-// BinSize) keeps the flat per-bin price.
-func TestDWTAPricedAsGather(t *testing.T) {
-	// The amazon-s shape of the benchmark: one batch, a rebuild every 20.
-	w := Workload{
-		Samples: 256, FeatureNNZ: 75, Input: 2718, Hidden: 128, Output: 13401,
-		MeanActive: 60, BatchSize: 256, L: 32, K: 4, RebuildPeriod: 20,
-	}
-	sys := OptimizedSLIDE(platform.CLX)
-	flat := phases(w, sys)
-	w.BinSize = 8
-	gather := phases(w, sys)
-
-	hashed := 256 + 13401.0/20 // samples + rebuilt neurons per step
-	lk, slots := 128.0, 1024.0
-	last := len(gather) - 1
-	if got, want := gather[last].macs-flat[last].macs, hashed*(slots-lk*hashOpCost); !near(got, want) {
-		t.Errorf("DWTA adds %.0f compares to the hash phase, want %.0f", got, want)
-	}
-	if got, want := gather[last].bytes-flat[last].bytes, hashed*slots*4; !near(got, want) {
-		t.Errorf("DWTA adds %.0f gathered bytes to the hash phase, want %.0f", got, want)
-	}
-	for i := 0; i < last; i++ {
-		if gather[i] != flat[i] {
-			t.Errorf("phase %d changed with the hash family", i)
-		}
 	}
 }
 
@@ -303,9 +144,9 @@ func TestRowWalkPricedRegisterResident(t *testing.T) {
 	// the streams then scale with MeanActive.
 	w := Workload{
 		Samples: 256, FeatureNNZ: 1, Input: 5077, Hidden: 200, Output: 1 << 40,
-		MeanActive: 400, BatchSize: 256, L: 20, K: 7, SimHash: true, RebuildPeriod: 20,
+		MeanActive: 400, BatchSize: 256, L: 20, K: 7, RebuildPeriod: 20,
 	}
-	sys := System{Sampled: true, Vectorized: true, Coalesced: true, WeightBytes: 4, ActBytes: 4}
+	sys := System{WeightBytes: 4, ActBytes: 4}
 	base := phases(w, sys)
 	w.MeanActive = 700
 	wider := phases(w, sys)
@@ -327,6 +168,75 @@ func TestRowWalkPricedRegisterResident(t *testing.T) {
 	}
 }
 
-func near(a, b float64) bool { return within(a, b, 1e-9) }
-
 func within(a, b, rel float64) bool { return math.Abs(a-b) <= rel*math.Abs(b) }
+
+// shardedSpeedup is the modeled step-time ratio of the single-worker
+// reference to the W-worker sharded engine.
+func shardedSpeedup(w Workload, s System, workers int) float64 {
+	return speedup(SingleStep(w, s, xeon), ShardedStep(w, s, xeon, workers))
+}
+
+func TestShardedScalingCurveShape(t *testing.T) {
+	w := amazonWorkload()
+	s := OptimizedSLIDE(xeon)
+
+	// The curve is monotone non-decreasing while phases still divide
+	// (through W=16 on 48 cores); past bandwidth saturation the linearly
+	// growing barrier cost may bend it down, but only marginally — a
+	// collapse would mean the barrier term is mis-scaled.
+	prev := 0.0
+	peak := 0.0
+	for _, workers := range []int{1, 2, 4, 8, 16} {
+		sp := shardedSpeedup(w, s, workers)
+		if sp < prev {
+			t.Errorf("speedup dips at W=%d: %.3f after %.3f", workers, sp, prev)
+		}
+		prev = sp
+		peak = max(peak, sp)
+	}
+	for _, workers := range []int{32, 48} {
+		sp := shardedSpeedup(w, s, workers)
+		peak = max(peak, sp)
+		if sp < 0.9*peak {
+			t.Errorf("speedup collapses at W=%d: %.3f vs peak %.3f", workers, sp, peak)
+		}
+	}
+
+	// W=1 pays barrier overhead against the straight-line reference, so its
+	// "speedup" must sit just below 1 — the honest cost of determinism.
+	if sp := shardedSpeedup(w, s, 1); sp >= 1 || sp < 0.9 {
+		t.Errorf("W=1 sharded speedup %.4f, want slightly under 1", sp)
+	}
+
+	// At the paper's batch size the 4-worker engine must reach 1.6x, and 48
+	// workers must not exceed perfect linear scaling.
+	if sp := shardedSpeedup(w, s, 4); sp < 1.6 {
+		t.Errorf("W=4 sharded speedup %.2f, want >= 1.6", sp)
+	}
+	if sp := shardedSpeedup(w, s, 48); sp > 48 {
+		t.Errorf("W=48 sharded speedup %.2f exceeds linear", sp)
+	}
+}
+
+func TestShardingCrossoverBatch(t *testing.T) {
+	w := amazonWorkload()
+	s := OptimizedSLIDE(xeon)
+
+	// The smallest power-of-two batch at which the 8-worker sharded step
+	// outruns the single-worker step: below it, per-step barrier overhead
+	// swamps the divided compute.
+	bs := -1
+	for b := 1; b <= 1<<20 && bs < 0; b *= 2 {
+		at := w
+		at.BatchSize = b
+		if ShardedStep(at, s, xeon, 8) < SingleStep(at, s, xeon) {
+			bs = b
+		}
+	}
+	if bs <= 0 {
+		t.Fatal("no crossover batch found — barrier cost modeled as unamortizable")
+	}
+	if bs > w.BatchSize {
+		t.Errorf("crossover batch %d exceeds the paper's batch %d: sharding would never pay off", bs, w.BatchSize)
+	}
+}

@@ -4,8 +4,8 @@
 // AVX-512 for the 16-lane float32 kernels (§4.2), AVX512-BF16 for the
 // hardware bfloat16 conversions (§4.4). internal/simd uses this package once
 // at startup to pick its kernel tier, and internal/platform folds the
-// detected attributes into the Host descriptor so the roofline rows are
-// parameterized by measured capability rather than guesses.
+// detected attributes into the Host descriptor so the cost model's step
+// prediction is parameterized by measured capability rather than guesses.
 //
 // Detection is implemented directly over CPUID/XGETBV (no external
 // dependencies); on non-x86 architectures every flag reports false and the

@@ -15,7 +15,8 @@ import (
 // successive batches until the pass is exhausted, then io.EOF; Reset begins
 // a new pass. The seed passed to Reset drives any shuffling, so a pass is a
 // pure function of (source construction, seed) — the property the trainer's
-// bit-identical resume and the legacy TrainEpoch equivalence rest on.
+// bit-identical resume and its equivalence to the historical epoch loop
+// rest on.
 // Implementations that cannot shuffle (sequential streams) may ignore the
 // seed. Sources are not safe for concurrent use.
 type Source interface {
@@ -43,9 +44,9 @@ type Sized interface {
 }
 
 // MemorySource adapts an in-memory Dataset to the Source contract. Each pass
-// iterates d.Iter(batchSize, layout, seed) — the exact iterator the legacy
-// Model.TrainEpoch drove — so a MemorySource pass is bit-identical to a
-// TrainEpoch over the same dataset with the same seed.
+// iterates d.Iter(batchSize, layout, seed) — the exact iterator the
+// historical epoch loop drove — so a MemorySource pass is bit-identical to
+// that loop's epoch over the same dataset with the same seed.
 type MemorySource struct {
 	d      *Dataset
 	size   int

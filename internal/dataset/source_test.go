@@ -45,8 +45,8 @@ func testDataset(t *testing.T) *Dataset {
 }
 
 // TestMemorySourceMatchesIter: a MemorySource pass must be bit-identical to
-// the legacy epoch iterator with the same seed — the property Trainer/
-// TrainEpoch equivalence rests on.
+// the legacy epoch iterator with the same seed — the property the Trainer's
+// equivalence to the historical epoch loop rests on.
 func TestMemorySourceMatchesIter(t *testing.T) {
 	d := testDataset(t)
 	const batch, seed = 64, 99

@@ -6,11 +6,9 @@ import (
 	"runtime"
 	"time"
 
-	"github.com/slide-cpu/slide/internal/costmodel"
 	"github.com/slide-cpu/slide/internal/layer"
 	"github.com/slide-cpu/slide/internal/metrics"
 	"github.com/slide-cpu/slide/internal/network"
-	"github.com/slide-cpu/slide/internal/platform"
 	"github.com/slide-cpu/slide/internal/simd"
 	"github.com/slide-cpu/slide/internal/sparse"
 )
@@ -54,8 +52,8 @@ func Table1(opts Options) (*Report, error) {
 	for _, w := range ws {
 		st := w.Train.Stats()
 		params := float64(w.Train.ModelParams(w.Hidden)) / 1e6
-		fullParams := (float64(w.Full.Input)*float64(w.Full.Hidden) +
-			float64(w.Full.Hidden)*float64(w.Full.Output)) / 1e6
+		fullParams := (float64(w.Full.Input)*float64(w.Hidden) +
+			float64(w.Hidden)*float64(w.Full.Output)) / 1e6
 		t.Append(w.Name, st.Features, fmt.Sprintf("%.4f", st.FeatureSparsity*100),
 			st.Labels, st.Samples, w.Test.Len(),
 			fmt.Sprintf("%.2f", params),
@@ -78,18 +76,17 @@ func measureSystems(w *Workload, opts Options) (dense, naive, optimized *RunResu
 	return dense, naive, optimized, nil
 }
 
-// fullWorkload scales the measured active fraction up to the paper-sized
-// workload for the roofline rows.
-func fullWorkload(w *Workload, optimized *RunResult) costmodel.Workload {
-	full := w.Full
-	frac := optimized.MeanActive / float64(w.Train.Labels)
-	full.MeanActive = frac * float64(full.Output)
-	return full
+// ratio returns how much faster b is than a (a / b), or 0 when b is zero.
+func ratio(a, b time.Duration) float64 {
+	if b <= 0 {
+		return 0
+	}
+	return float64(a) / float64(b)
 }
 
-// Table2 regenerates the epoch-time speedup table: measured host rows for
-// the systems that share our hardware, and roofline rows for the paper's
-// seven platform/system combinations.
+// Table2 regenerates the epoch-time speedup table for the systems that
+// share our hardware: Full softmax, Naive and Optimized SLIDE, measured on
+// the host. The paper's CLX/CPX/V100 rows are not reproduced.
 func Table2(opts Options) (*Report, error) {
 	opts.defaults()
 	ws, err := Workloads(opts)
@@ -100,11 +97,6 @@ func Table2(opts Options) (*Report, error) {
 		Title:  fmt.Sprintf("Table 2a — measured epoch times on host (scale %g)", opts.Scale),
 		Header: []string{"Dataset", "System", "Epoch(s)", "P@1", "vs Full softmax", "vs Naive"},
 		Note:   "same hardware, same Go kernels: ratios are the algorithm+optimization effect",
-	}
-	modeled := &Table{
-		Title:  "Table 2b — roofline-modeled full-scale epoch times (paper platforms)",
-		Header: []string{"Dataset", "System", "Epoch(s)", "vs TF-V100", "vs TF-sameCPU", "vs Naive-sameCPU"},
-		Note:   "cost model per DESIGN.md; compare ratios with the paper's Table 2",
 	}
 	var trackers []*metrics.Tracker
 
@@ -118,56 +110,17 @@ func Table2(opts Options) (*Report, error) {
 			measured.Append(w.Name, r.System,
 				fmt.Sprintf("%.3f", r.EpochTime.Seconds()),
 				fmt.Sprintf("%.3f", r.FinalP1),
-				fmt.Sprintf("%.2fx", costmodel.Speedup(dense.EpochTime, r.EpochTime)),
-				fmt.Sprintf("%.2fx", costmodel.Speedup(naive.EpochTime, r.EpochTime)))
-		}
-
-		full := fullWorkload(w, optimized)
-		v100 := costmodel.EstimateEpoch(full, costmodel.FullSoftmax(), platform.V100)
-		type row struct {
-			name string
-			t    time.Duration
-			tf   time.Duration // same-CPU dense
-			nv   time.Duration // same-CPU naive
-		}
-		tfCLX := costmodel.EstimateEpoch(full, costmodel.FullSoftmax(), platform.CLX)
-		tfCPX := costmodel.EstimateEpoch(full, costmodel.FullSoftmax(), platform.CPX)
-		nvCLX := costmodel.EstimateEpoch(full, costmodel.NaiveSLIDE(), platform.CLX)
-		nvCPX := costmodel.EstimateEpoch(full, costmodel.NaiveSLIDE(), platform.CPX)
-		// The Host row parameterizes the same roofline with the CPUID-detected
-		// capabilities of this machine (lane width, BF16) — the same-hardware
-		// sanity anchor for the measured block above it.
-		host := platform.Host()
-		rows := []row{
-			{"TF V100", v100, 0, 0},
-			{"TF CLX", tfCLX, tfCLX, nvCLX},
-			{"TF CPX", tfCPX, tfCPX, nvCPX},
-			{"Naive SLIDE CLX", nvCLX, tfCLX, nvCLX},
-			{"Naive SLIDE CPX", nvCPX, tfCPX, nvCPX},
-			{"Optimized SLIDE CLX", costmodel.EstimateEpoch(full, costmodel.OptimizedSLIDE(platform.CLX), platform.CLX), tfCLX, nvCLX},
-			{"Optimized SLIDE CPX", costmodel.EstimateEpoch(full, costmodel.OptimizedSLIDE(platform.CPX), platform.CPX), tfCPX, nvCPX},
-			{"Optimized SLIDE Host", costmodel.EstimateEpoch(full, costmodel.OptimizedSLIDE(host), host), 0, 0},
-		}
-		for _, r := range rows {
-			vsTF, vsNaive := "-", "-"
-			if r.tf > 0 {
-				vsTF = fmt.Sprintf("%.2fx", costmodel.Speedup(r.tf, r.t))
-			}
-			if r.nv > 0 {
-				vsNaive = fmt.Sprintf("%.2fx", costmodel.Speedup(r.nv, r.t))
-			}
-			modeled.Append(w.Name, r.name, fmt.Sprintf("%.1f", r.t.Seconds()),
-				fmt.Sprintf("%.2fx", costmodel.Speedup(v100, r.t)), vsTF, vsNaive)
+				fmt.Sprintf("%.2fx", ratio(dense.EpochTime, r.EpochTime)),
+				fmt.Sprintf("%.2fx", ratio(naive.EpochTime, r.EpochTime)))
 		}
 	}
-	return &Report{Name: "table2", Tables: []*Table{measured, modeled}, Trackers: trackers}, nil
+	return &Report{Name: "table2", Tables: []*Table{measured}, Trackers: trackers}, nil
 }
 
 // Table3 regenerates the BF16 ablation: the three §4.4 quantization modes
-// on the optimized system. Host rows measure BF16 as this host runs it —
+// on the optimized system. Rows measure BF16 as this host runs it —
 // bfloat16 rows widened on load into the float32 kernels, no bfloat16
-// arithmetic (see DESIGN.md) — and the modeled column shows the
-// hardware-BF16 effect on CPX.
+// arithmetic (see DESIGN.md).
 func Table3(opts Options) (*Report, error) {
 	opts.defaults()
 	ws, err := Workloads(opts)
@@ -176,8 +129,8 @@ func Table3(opts Options) (*Report, error) {
 	}
 	t := &Table{
 		Title:  fmt.Sprintf("Table 3 — BF16 modes on optimized SLIDE (scale %g)", opts.Scale),
-		Header: []string{"Dataset", "Mode", "Epoch(s)", "P@1", "ParamBytes", "ModeledCPX(s)", "ModeledSpeedup"},
-		Note:   "host BF16 widens bfloat16 rows into float32 arithmetic (no native BF16 dot); ModeledCPX shows the hardware effect",
+		Header: []string{"Dataset", "Mode", "Epoch(s)", "P@1", "ParamBytes"},
+		Note:   "host BF16 widens bfloat16 rows into float32 arithmetic (no native BF16 dot)",
 	}
 	modes := []struct {
 		name string
@@ -188,7 +141,6 @@ func Table3(opts Options) (*Report, error) {
 		{"Without BF16", layer.FP32},
 	}
 	for _, w := range ws {
-		base := time.Duration(0)
 		for _, m := range modes {
 			v := Optimized
 			v.Name = m.name
@@ -197,28 +149,12 @@ func Table3(opts Options) (*Report, error) {
 			if err != nil {
 				return nil, err
 			}
-			full := fullWorkload(w, r)
-			sys := costmodel.OptimizedSLIDE(platform.CPX)
-			switch m.prec {
-			case layer.BF16Both:
-				sys.WeightBytes, sys.ActBytes = 2, 2
-			case layer.BF16Act:
-				sys.WeightBytes, sys.ActBytes = 4, 2
-			default:
-				sys.WeightBytes, sys.ActBytes = 4, 4
-			}
-			est := costmodel.EstimateEpoch(full, sys, platform.CPX)
-			if m.prec == layer.BF16Both {
-				base = est
-			}
 			paramBytes := int64(w.Train.Features)*int64(w.Hidden)*wBytes(m.prec) +
 				int64(w.Hidden)*int64(w.Train.Labels)*wBytes(m.prec)
 			t.Append(w.Name, m.name,
 				fmt.Sprintf("%.3f", r.EpochTime.Seconds()),
 				fmt.Sprintf("%.3f", r.FinalP1),
-				humanBytes(paramBytes),
-				fmt.Sprintf("%.1f", est.Seconds()),
-				fmt.Sprintf("%.2fx vs BF16-both", costmodel.Speedup(est, base)))
+				humanBytes(paramBytes))
 		}
 	}
 	return &Report{Name: "table3", Tables: []*Table{t}}, nil
@@ -287,15 +223,15 @@ func Table4(opts Options) (*Report, error) {
 			t.Append(w.Name, m.String(),
 				fmt.Sprintf("%.3f", r.EpochTime.Seconds()),
 				fmt.Sprintf("%.3f", r.FinalP1),
-				fmt.Sprintf("%.2fx", costmodel.Speedup(r.EpochTime, best)))
+				fmt.Sprintf("%.2fx", ratio(r.EpochTime, best)))
 		}
 	}
 	return &Report{Name: "table4", Tables: []*Table{t}}, nil
 }
 
 // Figure6 regenerates the convergence study: time-vs-P@1 curves (top row)
-// and epoch-time/P@1 bars (bottom row) for the measured systems, plus the
-// modeled full-scale bars for the paper's platforms.
+// and epoch-time/P@1 bars (bottom row) for the three measured systems on
+// the host.
 func Figure6(opts Options) (*Report, error) {
 	opts.defaults()
 	ws, err := Workloads(opts)
@@ -379,7 +315,7 @@ func Ablations(opts Options) (*Report, error) {
 		}
 		mem.Append(c.place.String(), c.lay.String(),
 			fmt.Sprintf("%.3f", r.EpochTime.Seconds()),
-			fmt.Sprintf("%.2fx", costmodel.Speedup(r.EpochTime, baseline)))
+			fmt.Sprintf("%.2fx", ratio(r.EpochTime, baseline)))
 	}
 
 	// Combined kernel-mode × worker sweep: every kernel tier this host
@@ -420,10 +356,10 @@ func Ablations(opts Options) (*Report, error) {
 			}
 			vsScalar := "-"
 			if base, ok := scalarAt[nw]; ok {
-				vsScalar = fmt.Sprintf("%.2fx", costmodel.Speedup(base, r.EpochTime))
+				vsScalar = fmt.Sprintf("%.2fx", ratio(base, r.EpochTime))
 			}
 			threads.Append(m.String(), nw, fmt.Sprintf("%.3f", r.EpochTime.Seconds()),
-				fmt.Sprintf("%.2fx", costmodel.Speedup(oneWorker, r.EpochTime)), vsScalar)
+				fmt.Sprintf("%.2fx", ratio(oneWorker, r.EpochTime)), vsScalar)
 		}
 	}
 

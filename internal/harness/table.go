@@ -4,10 +4,10 @@
 // (convergence curves and epoch-time bars), plus the §5.7 memory-layout and
 // §4.1.1 thread-scaling ablations.
 //
-// Measured rows run the real systems on the host at a configurable dataset
-// scale; cross-platform rows (CLX / CPX / V100) come from the roofline
-// estimator in internal/costmodel fed with statistics measured during the
-// runs. Every experiment renders an ASCII table and optionally writes CSVs.
+// Every row is measured: the real systems run on the host at a
+// configurable dataset scale. The paper's cross-platform rows (CLX / CPX /
+// V100) are not reproduced. Every experiment renders an ASCII table and
+// optionally writes CSVs.
 package harness
 
 import (

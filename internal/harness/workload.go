@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 
-	"github.com/slide-cpu/slide/internal/costmodel"
 	"github.com/slide-cpu/slide/internal/dataset"
 	"github.com/slide-cpu/slide/internal/layer"
 	"github.com/slide-cpu/slide/internal/network"
@@ -49,7 +48,7 @@ func (o *Options) defaults() {
 }
 
 // Workload is one benchmark dataset plus its (scaled) training
-// configuration and the full-scale statistics for the cost-model rows.
+// configuration and the paper's full-scale dimensions.
 type Workload struct {
 	Name  string
 	Train *dataset.Dataset
@@ -65,10 +64,15 @@ type Workload struct {
 	MinActive    int
 	RebuildEvery int
 
-	// Full carries the paper-scale statistics (Table 1) used by the
-	// roofline estimator for cross-platform rows; MeanActive is filled at
-	// run time from the measured active fraction.
-	Full costmodel.Workload
+	// Full is the paper-scale shape Table 1 prints next to the generated
+	// one; the hidden width is Hidden at every scale.
+	Full PaperDims
+}
+
+// PaperDims is a dataset's full-scale feature and label dimensions
+// (paper Table 1).
+type PaperDims struct {
+	Input, Output int
 }
 
 // scaleInt shrinks a paper-scale hyperparameter with a floor.
@@ -99,10 +103,7 @@ func Workloads(opts Options) ([]*Workload, error) {
 		Hash: network.DWTA, K: 4, L: scaleInt(400, opts.Scale*4, 12), BinSize: 8,
 		Hidden: 128, Batch: scaleInt(1024, opts.Scale*25, 64), LR: 1e-4,
 		HiddenAct: layer.ReLU, MinActive: 48, RebuildEvery: 20,
-		Full: costmodel.Workload{
-			Samples: 490449, FeatureNNZ: 75, Input: 135909, Hidden: 128,
-			Output: 670091, BatchSize: 1024, L: 400, K: 6, BinSize: 8, RebuildPeriod: 50,
-		},
+		Full: PaperDims{Input: 135909, Output: 670091},
 	})
 
 	// WikiLSH-325K: hidden 128, batch 256, DWTA K=5 L=350 (§5.3).
@@ -116,10 +117,7 @@ func Workloads(opts Options) ([]*Workload, error) {
 		Hash: network.DWTA, K: 4, L: scaleInt(350, opts.Scale*4, 12), BinSize: 8,
 		Hidden: 128, Batch: scaleInt(256, opts.Scale*25, 64), LR: 1e-4,
 		HiddenAct: layer.ReLU, MinActive: 48, RebuildEvery: 20,
-		Full: costmodel.Workload{
-			Samples: 1778351, FeatureNNZ: 42, Input: 1617899, Hidden: 128,
-			Output: 325056, BatchSize: 256, L: 350, K: 5, BinSize: 8, RebuildPeriod: 50,
-		},
+		Full: PaperDims{Input: 1617899, Output: 325056},
 	})
 
 	// Text8 word2vec: hidden 200, batch 512, SimHash K=9 L=50 (§5.3).
@@ -133,10 +131,7 @@ func Workloads(opts Options) ([]*Workload, error) {
 		Hash: network.SimHash, K: 7, L: scaleInt(50, opts.Scale*20, 10),
 		Hidden: 200, Batch: scaleInt(512, opts.Scale*25, 64), LR: 1e-4,
 		HiddenAct: layer.Linear, MinActive: 48, RebuildEvery: 20,
-		Full: costmodel.Workload{
-			Samples: 13604165, FeatureNNZ: 1, Input: 253855, Hidden: 200,
-			Output: 253855, BatchSize: 512, L: 50, K: 9, SimHash: true, RebuildPeriod: 50,
-		},
+		Full: PaperDims{Input: 253855, Output: 253855},
 	})
 	return ws, nil
 }

@@ -841,21 +841,6 @@ func TestEnumStrings(t *testing.T) {
 	}
 }
 
-func TestParamBytes(t *testing.T) {
-	c := NewColLayer(10, 20, ReLU, Options{})
-	if got := c.ParamBytes(); got != 10*20*4+20*4 {
-		t.Errorf("ColLayer ParamBytes = %d", got)
-	}
-	cb := NewColLayer(10, 20, ReLU, Options{Precision: BF16Both})
-	if got := cb.ParamBytes(); got != 10*20*2+20*4 {
-		t.Errorf("BF16 ColLayer ParamBytes = %d", got)
-	}
-	r := NewRowLayer(10, 20, Options{})
-	if got := r.ParamBytes(); got != 10*20*4+20*4 {
-		t.Errorf("RowLayer ParamBytes = %d", got)
-	}
-}
-
 func TestRowLayerForwardAllBatchMatchesPerSample(t *testing.T) {
 	rng := rand.New(rand.NewPCG(51, 52))
 	for _, prec := range []Precision{FP32, BF16Act, BF16Both} {

@@ -64,14 +64,6 @@ func (s store) vecLen() int {
 	return len(s.f32[0])
 }
 
-// elemBytes returns the resident size of one weight.
-func (s store) elemBytes() int {
-	if s.bf != nil {
-		return 2
-	}
-	return 4
-}
-
 // initGaussian fills the vectors with N(0, scale²) values from a
 // deterministic PCG stream; vector i always receives the same values
 // regardless of placement or precision, so layout/precision ablations start

@@ -46,12 +46,6 @@ func (t *trainState) Options() Options { return t.opts }
 // Bias returns the bias vector (read-only view).
 func (t *trainState) Bias() []float32 { return t.bias }
 
-// ParamBytes returns the resident size of the trained parameters in bytes,
-// used by the cost model's memory-traffic accounting.
-func (t *trainState) ParamBytes() int64 {
-	return int64(t.w.n())*int64(t.w.vecLen())*int64(t.w.elemBytes()) + int64(len(t.bias))*4
-}
-
 // EnableJournal starts accumulating a touch journal: every vector stepped by
 // ApplyAdam or a stepping AccumulateStripe (all of them, under ApplyAdamAll)
 // stays recorded across batches until DrainJournal collects it. The journal

@@ -139,7 +139,7 @@ type Point struct {
 
 // Tracker accumulates convergence points for one training run.
 type Tracker struct {
-	// System labels the run (e.g. "Optimized SLIDE CPX").
+	// System labels the run (e.g. "Optimized SLIDE").
 	System string
 	// Dataset labels the workload.
 	Dataset string

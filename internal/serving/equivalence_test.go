@@ -27,7 +27,7 @@ func trainedPredictor(t testing.TB, seed uint64, opts ...slide.Option) (*slide.P
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.TrainEpoch(train, 64); err != nil {
+	if err := trainEpoch(m, train, 64); err != nil {
 		t.Fatal(err)
 	}
 	return m.Snapshot(), test

@@ -31,10 +31,25 @@ func testPredictor(t *testing.T, opts ...slide.Option) (*slide.Predictor, *slide
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.TrainEpoch(train, 64); err != nil {
+	if err := trainEpoch(m, train, 64); err != nil {
 		t.Fatal(err)
 	}
 	return m.Snapshot(), test
+}
+
+// trainEpoch runs one shuffled epoch of train in batches of batch as a
+// one-epoch slide.Trainer session.
+func trainEpoch(m *slide.Model, train *slide.Dataset, batch int) error {
+	src, err := slide.NewDatasetSource(train, batch)
+	if err != nil {
+		return err
+	}
+	tr, err := slide.NewTrainer(m, src, slide.WithEpochs(1))
+	if err != nil {
+		return err
+	}
+	_, err = tr.Run(context.Background())
+	return err
 }
 
 // testServer wires a predictor into a started pipeline server + httptest

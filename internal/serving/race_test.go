@@ -36,7 +36,7 @@ func TestBatcherSnapshotSwapUnderLoad(t *testing.T) {
 	const versions = 4
 	preds := make([]*slide.Predictor, versions)
 	for v := 0; v < versions; v++ {
-		if _, err := m.TrainEpoch(train, 32); err != nil {
+		if err := trainEpoch(m, train, 32); err != nil {
 			t.Fatal(err)
 		}
 		preds[v] = m.Snapshot()

@@ -9,8 +9,8 @@
 // loop.
 //
 // Determinism contract: pass p of a session starts with src.Reset(seed)
-// where seed is Step()+1 at pass start — exactly the legacy
-// Model.TrainEpoch seeding rule — so a single-worker session is bit-identical
+// where seed is Step()+1 at pass start — exactly the historical epoch
+// loop's seeding rule — so a single-worker session is bit-identical
 // to the historical epoch loop, and a resumed session (Resume: true, Sized
 // source) fast-forwards to its mid-epoch position and reproduces the
 // uninterrupted run bit-for-bit.

@@ -124,7 +124,7 @@ func TestPredictAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.TrainEpoch(train, 64); err != nil {
+	if _, err := trainEpoch(m, train, 64); err != nil {
 		t.Fatal(err)
 	}
 	f32 := m.Snapshot()

@@ -29,7 +29,7 @@ type Predictor struct {
 
 // Snapshot deep-copies the model's current weights and LSH tables into a
 // Predictor. Call it between training calls — like Save, it must not run
-// concurrently with TrainBatch/TrainEpoch — but once it returns, the
+// concurrently with TrainBatch or a Trainer session — but once it returns, the
 // snapshot is fully independent of further training.
 func (m *Model) Snapshot() *Predictor {
 	return FromRaw(m.net.Snapshot(), snapshotVersion.Add(1))

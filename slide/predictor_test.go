@@ -30,7 +30,7 @@ func TestPredictorConcurrentWithTraining(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.TrainEpoch(train, 64); err != nil {
+	if _, err := trainEpoch(m, train, 64); err != nil {
 		t.Fatal(err)
 	}
 	p := m.Snapshot()
@@ -48,7 +48,7 @@ func TestPredictorConcurrentWithTraining(t *testing.T) {
 				return
 			default:
 			}
-			if _, err := m.TrainEpoch(train.Head(128), 64); err != nil {
+			if _, err := trainEpoch(m, train.Head(128), 64); err != nil {
 				trainerDone <- err
 				return
 			}
@@ -120,7 +120,7 @@ func TestPredictorEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := m.TrainEpoch(train, 64); err != nil {
+		if _, err := trainEpoch(m, train, 64); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -236,7 +236,7 @@ func TestPredictNonPositiveK(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := m.TrainEpoch(train.Head(128), 32); err != nil {
+		if _, err := trainEpoch(m, train.Head(128), 32); err != nil {
 			t.Fatal(err)
 		}
 		f32 := m.Snapshot()

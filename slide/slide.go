@@ -33,16 +33,15 @@
 //	approx, _ := p.PredictSampled(s.Indices, s.Values, 5) // sub-linear LSH inference
 //	_, _, _ = report, top, approx
 //
-// The pre-session entry points remain supported: TrainEpoch/TrainBatch are
-// thin wrappers over the same engine (single-worker results bit-identical to
-// the historical loop). See the examples/ directory for full programs,
+// Model.TrainBatch runs one optimizer step on a caller-built batch, outside
+// any session; a Trainer over NewDatasetSource(train, batch) with
+// WithEpochs(1) runs one shuffled epoch. See the examples/ directory for full programs,
 // cmd/slide-train for the training CLI (streaming files, LR schedules,
 // checkpoint schedules, graceful cancellation), cmd/slide-serve for the HTTP
 // serving front end, and cmd/slide-bench for the paper's experiment harness.
 package slide
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -472,29 +471,6 @@ func batchStats(st network.BatchStats) TrainStats {
 		out.MeanActive = float64(st.ActiveSum) / float64(st.Samples)
 	}
 	return out
-}
-
-// TrainEpoch runs one shuffled epoch over the dataset in batches of the
-// given size and returns aggregate statistics. It is a thin wrapper over a
-// one-epoch Trainer session (the shuffle is seeded with the optimizer step,
-// so every epoch sees a fresh permutation while the overall run stays
-// reproducible — and results are bit-identical to the historical epoch
-// loop). Use a Trainer directly for cancellation, hooks, schedules, or
-// streaming sources.
-func (m *Model) TrainEpoch(train *Dataset, batchSize int) (TrainStats, error) {
-	if train == nil || train.Len() == 0 {
-		return TrainStats{}, ErrEmptyBatch
-	}
-	src, err := NewDatasetSource(train, batchSize)
-	if err != nil {
-		return TrainStats{}, err
-	}
-	t, err := NewTrainer(m, src, WithEpochs(1))
-	if err != nil {
-		return TrainStats{}, err
-	}
-	rep, err := t.Run(context.Background())
-	return rep.Stats, err
 }
 
 // ErrNoSampling is returned by PredictSampled on models built without LSH

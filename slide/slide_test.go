@@ -2,6 +2,7 @@ package slide
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 )
@@ -13,6 +14,21 @@ func tinyData(t *testing.T) (*Dataset, *Dataset) {
 		t.Fatal(err)
 	}
 	return train, test
+}
+
+// trainEpoch runs one shuffled epoch of train in batches of batch as a
+// one-epoch Trainer session and returns its statistics.
+func trainEpoch(m *Model, train *Dataset, batch int) (TrainStats, error) {
+	src, err := NewDatasetSource(train, batch)
+	if err != nil {
+		return TrainStats{}, err
+	}
+	tr, err := NewTrainer(m, src, WithEpochs(1))
+	if err != nil {
+		return TrainStats{}, err
+	}
+	rep, err := tr.Run(context.Background())
+	return rep.Stats, err
 }
 
 func TestPublicEndToEnd(t *testing.T) {
@@ -30,7 +46,7 @@ func TestPublicEndToEnd(t *testing.T) {
 	}
 	var last TrainStats
 	for epoch := 0; epoch < 6; epoch++ {
-		st, err := m.TrainEpoch(train, 64)
+		st, err := trainEpoch(m, train, 64)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,7 +93,7 @@ func TestFullSoftmaxOption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := m.TrainEpoch(train.Head(64), 32)
+	st, err := trainEpoch(m, train.Head(64), 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +123,7 @@ func TestOptionCoverage(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if _, err := m.TrainEpoch(train.Head(32), 16); err != nil {
+		if _, err := trainEpoch(m, train.Head(32), 16); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 	}
@@ -124,7 +140,7 @@ func TestNewFeatures(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		if _, err := deep.TrainEpoch(train, 64); err != nil {
+		if _, err := trainEpoch(deep, train, 64); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -156,7 +172,7 @@ func TestNewFeatures(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if _, err := m.TrainEpoch(train.Head(64), 32); err != nil {
+		if _, err := trainEpoch(m, train.Head(64), 32); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 	}
@@ -198,10 +214,10 @@ func TestTrainBatchErrors(t *testing.T) {
 	if _, err := m.TrainBatch([]Sample{{Indices: []int32{1, 2}, Values: []float32{1}}}); err == nil {
 		t.Error("mismatched sample accepted")
 	}
-	if _, err := m.TrainEpoch(nil, 8); err != ErrEmptyBatch {
+	if _, err := NewDatasetSource(nil, 8); err != ErrEmptyBatch {
 		t.Errorf("nil dataset: %v", err)
 	}
-	if _, err := m.TrainEpoch(train, 0); err == nil {
+	if _, err := NewDatasetSource(train, 0); err == nil {
 		t.Error("zero batch size accepted")
 	}
 	if _, err := m.Evaluate(nil, 5, 1); err != ErrEmptyBatch {
@@ -259,7 +275,7 @@ func TestSaveLoadFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := m.TrainEpoch(train, 64); err != nil {
+		if _, err := trainEpoch(m, train, 64); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -284,7 +300,7 @@ func TestSaveLoadFile(t *testing.T) {
 		}
 	}
 	// Resumed training must work.
-	if _, err := back.TrainEpoch(train, 64); err != nil {
+	if _, err := trainEpoch(back, train, 64); err != nil {
 		t.Fatal(err)
 	}
 
@@ -325,7 +341,7 @@ func TestReadCorpus(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := m.TrainEpoch(ds, 64); err != nil {
+		if _, err := trainEpoch(m, ds, 64); err != nil {
 			t.Fatal(err)
 		}
 	}

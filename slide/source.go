@@ -55,7 +55,7 @@ func NewBatch(samples []Sample) (Batch, error) {
 //     may be short. A returned Batch is valid until the next Next or Reset.
 //
 // Three implementations ship with the package — NewDatasetSource (in-memory,
-// iteration bit-identical to the legacy TrainEpoch), NewFileSource
+// iteration bit-identical to the historical epoch loop), NewFileSource
 // (streaming XMC/SVMlight file, out-of-core with bounded memory), and
 // NewSyntheticSource (generator, never materialized) — and any type
 // implementing the interface can feed a Trainer: batches built with NewBatch
@@ -117,8 +117,8 @@ func wrapInternal(s dataset.Source) DataSource {
 }
 
 // NewDatasetSource adapts an in-memory Dataset: each pass is a seeded
-// shuffle in batches of batchSize, bit-identical to the iteration the legacy
-// Model.TrainEpoch ran.
+// shuffle in batches of batchSize, bit-identical to the iteration of the
+// historical epoch loop (d.Iter with seed = optimizer step + 1).
 func NewDatasetSource(d *Dataset, batchSize int) (DataSource, error) {
 	if d == nil || d.Len() == 0 {
 		return nil, ErrEmptyBatch

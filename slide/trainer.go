@@ -18,7 +18,7 @@ import (
 // construct with NewTrainer, drive with Run, observe and steer through the
 // typed lifecycle hooks (OnBatch, OnEpoch, OnCheckpoint, snapshots). A
 // Trainer owns no model state — it is a reusable description of how to run
-// a session, and the legacy Model.TrainEpoch is now a one-epoch Trainer run.
+// a session.
 //
 //	src, _ := slide.NewFileSource("train.txt", 256, 4096)
 //	t, _ := slide.NewTrainer(m, src,

@@ -36,7 +36,7 @@ func modelBytes(t *testing.T, m *Model) []byte {
 }
 
 // TestTrainerMatchesLegacyEpochLoop: a single-worker Trainer session must be
-// bit-identical to the historical TrainEpoch loop (hand-rolled here against
+// bit-identical to the historical epoch loop (hand-rolled here against
 // the internal iterator, exactly as the old implementation drove it).
 func TestTrainerMatchesLegacyEpochLoop(t *testing.T) {
 	train, _ := tinyData(t)
@@ -45,7 +45,7 @@ func TestTrainerMatchesLegacyEpochLoop(t *testing.T) {
 	legacy := detModel(t, train)
 	var legacyStats TrainStats
 	for e := 0; e < epochs; e++ {
-		// The pre-Trainer TrainEpoch body: iterate a seeded shuffle, seed =
+		// The pre-Trainer epoch body: iterate a seeded shuffle, seed =
 		// optimizer step + 1.
 		it := train.d.Iter(batch, sparse.Coalesced, uint64(legacy.net.Step())+1)
 		agg := TrainStats{}
@@ -89,17 +89,6 @@ func TestTrainerMatchesLegacyEpochLoop(t *testing.T) {
 	if lastEpoch.Stats.MeanLoss != legacyStats.MeanLoss ||
 		lastEpoch.Stats.MeanActive != legacyStats.MeanActive {
 		t.Fatalf("epoch stats %+v differ from legacy %+v", lastEpoch.Stats, legacyStats)
-	}
-
-	// ... and TrainEpoch (now a Trainer wrapper) stays on the same trajectory.
-	viaWrapper := detModel(t, train)
-	for e := 0; e < epochs; e++ {
-		if _, err := viaWrapper.TrainEpoch(train, batch); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !bytes.Equal(modelBytes(t, legacy), modelBytes(t, viaWrapper)) {
-		t.Fatal("TrainEpoch wrapper weights differ from the legacy epoch loop")
 	}
 }
 
