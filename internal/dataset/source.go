@@ -9,7 +9,7 @@ import (
 )
 
 // Source is a resettable batch iterator — the data-feeding contract of the
-// training session engine (internal/train) and of the public slide.Trainer.
+// public slide.Trainer's session loop and of the experiment harness.
 //
 // A Source yields one *pass* (epoch) of batches per Reset: Next returns
 // successive batches until the pass is exhausted, then io.EOF; Reset begins

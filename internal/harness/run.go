@@ -1,8 +1,9 @@
 package harness
 
 import (
-	"context"
+	"errors"
 	"fmt"
+	"io"
 	"runtime"
 	"time"
 
@@ -13,7 +14,6 @@ import (
 	"github.com/slide-cpu/slide/internal/platform"
 	"github.com/slide-cpu/slide/internal/simd"
 	"github.com/slide-cpu/slide/internal/sparse"
-	"github.com/slide-cpu/slide/internal/train"
 )
 
 // Variant names one measured SLIDE configuration: which §4 optimizations
@@ -141,50 +141,59 @@ func runNetwork(w *Workload, v Variant, opts Options, adjust func(*network.Confi
 	}
 	evalEvery := max(1, src.BatchesPerEpoch()/opts.EvalPointsPerEpoch)
 
-	// Convergence tracking: elapsed counts TrainBatch wall-clock only
-	// (BatchInfo.TrainTime excludes data loading, hooks and the evaluation
-	// below); loss is windowed between evaluation points.
-	var elapsed time.Duration
+	// Convergence tracking: TrainTime counts TrainBatch wall-clock only (data
+	// loading and the evaluation below are excluded); loss is windowed
+	// between evaluation points. Each pass is the historical epoch loop:
+	// Reset(Step()+1), then Next until io.EOF.
 	var lossSum float64
 	var lossN int64
+	var total network.BatchStats
 
 	runtime.GC() // isolate this run from the previous system's garbage
-	rep, err := train.Run(context.Background(), net, src, train.Config{
-		Epochs: opts.Epochs,
-		Hooks: train.Hooks{
-			OnBatch: func(bi train.BatchInfo) {
-				elapsed += bi.TrainTime
-				lossSum += bi.Stats.Loss
-				lossN += int64(bi.Stats.Samples)
-				if bi.Step%int64(evalEvery) == 0 {
-					p1 := evalP1(scores, net.Scores, w.Test, opts.EvalSamples)
-					res.Tracker.Record(metrics.Point{
-						Elapsed: elapsed, Epoch: bi.Epoch + 1, Batches: bi.Step,
-						P1: p1, Loss: lossSum / float64(max(lossN, 1)),
-					})
-					lossSum, lossN = 0, 0
-				}
-			},
-			OnEpoch: func(ei train.EpochInfo) {
-				if res.EpochTime == 0 || ei.TrainTime < res.EpochTime {
-					// Report the fastest epoch: first-epoch page faults, lazy
-					// allocations and noisy neighbours inflate the mean on
-					// small runs.
-					res.EpochTime = ei.TrainTime
-				}
-			},
-		},
-	})
-	if err != nil {
-		return nil, fmt.Errorf("harness: %s on %s: %w", v.Name, w.Name, err)
+	for e := 0; e < opts.Epochs; e++ {
+		if err := src.Reset(uint64(net.Step()) + 1); err != nil {
+			return nil, fmt.Errorf("harness: %s on %s: %w", v.Name, w.Name, err)
+		}
+		var epoch time.Duration
+		for {
+			b, err := src.Next()
+			if errors.Is(err, io.EOF) {
+				break
+			}
+			if err != nil {
+				return nil, fmt.Errorf("harness: %s on %s: %w", v.Name, w.Name, err)
+			}
+			start := time.Now()
+			st := net.TrainBatch(b)
+			dt := time.Since(start)
+			epoch += dt
+			res.TrainTime += dt
+			total.Samples += st.Samples
+			total.ActiveSum += st.ActiveSum
+			lossSum += st.Loss
+			lossN += int64(st.Samples)
+			if net.Step()%int64(evalEvery) == 0 {
+				p1 := evalP1(scores, net.Scores, w.Test, opts.EvalSamples)
+				res.Tracker.Record(metrics.Point{
+					Elapsed: res.TrainTime, Epoch: e + 1, Batches: net.Step(),
+					P1: p1, Loss: lossSum / float64(max(lossN, 1)),
+				})
+				lossSum, lossN = 0, 0
+			}
+		}
+		if res.EpochTime == 0 || epoch < res.EpochTime {
+			// Report the fastest epoch: first-epoch page faults, lazy
+			// allocations and noisy neighbours inflate the mean on small
+			// runs.
+			res.EpochTime = epoch
+		}
 	}
-	res.TrainTime = rep.TrainTime
 	res.FinalP1 = evalP1(scores, net.Scores, w.Test, opts.EvalSamples)
 	if last, ok := res.Tracker.Last(); ok {
 		res.FinalLoss = last.Loss
 	}
-	if rep.Stats.Samples > 0 {
-		res.MeanActive = float64(rep.Stats.ActiveSum) / float64(rep.Stats.Samples)
+	if total.Samples > 0 {
+		res.MeanActive = float64(total.ActiveSum) / float64(total.Samples)
 	}
 	return res, nil
 }

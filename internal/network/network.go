@@ -196,7 +196,7 @@ func (n *Network) Step() int64 { return n.step }
 // SetLR changes the ADAM learning rate applied by subsequent TrainBatch
 // calls — the hook LR schedules drive. A rate that is not finite and
 // positive is ignored. Not safe concurrently with training;
-// call it between batches (the training-session engine does). The value is
+// call it between batches (slide.Trainer's session loop does). The value is
 // serialized with the checkpoint, but schedule-driven callers re-derive it
 // from the step counter on resume, so a mid-schedule checkpoint restores
 // correctly either way.

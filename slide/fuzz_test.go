@@ -14,7 +14,8 @@ import (
 // fallbacks, the smallest shape with interesting fall-through behavior.
 const fuzzRetain = 3
 
-// ringSlot mirrors train.RingPaths naming: base, base.1, base.2, …
+// ringSlot restates the ring naming of ringPaths independently, as the
+// fuzz oracle: base, base.1, base.2, …
 func ringSlot(base string, i int) string {
 	if i == 0 {
 		return base

@@ -7,7 +7,7 @@ import (
 )
 
 // Numerical health monitoring and self-healing rollback. With monitoring
-// enabled the engine runs cheap per-step guards — a NaN/Inf scan of the
+// enabled the session runs cheap per-step guards — a NaN/Inf scan of the
 // active-set logits (order-independent, so the verdict is bit-identical at
 // any worker or shard count) plus an EWMA loss-spike and divergence
 // detector — and aborts the session with *HealthError before a red step can
@@ -154,7 +154,8 @@ func WithOnHealth(fn func(HealthEvent)) TrainerOption {
 // learning rate by lrFactor (compounding per rollback; 1.0 replays at full
 // rate), and resumes deterministically. After maxRetries rollbacks the next
 // red verdict returns *RollbackExhaustedError. Implies monitoring with
-// default settings; requires WithCheckpoints.
+// default settings; requires WithCheckpoints and a source with
+// BatchesPerEpoch (every replay resumes).
 func WithAutoRollback(maxRetries int, lrFactor float64) TrainerOption {
 	return func(o *trainerOptions) { o.rollbackMax, o.rollbackLR = maxRetries, lrFactor }
 }

@@ -20,8 +20,9 @@ func sameEvent(a, b HealthEvent) bool {
 		math.Float64bits(a.EWMA) == math.Float64bits(b.EWMA)
 }
 
-// armPoison arms a one-shot nan injection at the n-th TrainBatch call.
-func armPoison(t *testing.T, rule string) {
+// armFaults arms a fault-injection plan for the test and disarms it on
+// cleanup (the armed plan is process-global).
+func armFaults(t *testing.T, rule string) *faultinject.Plan {
 	t.Helper()
 	plan, err := faultinject.Parse(rule, 7)
 	if err != nil {
@@ -29,6 +30,7 @@ func armPoison(t *testing.T, rule string) {
 	}
 	faultinject.Arm(plan)
 	t.Cleanup(faultinject.Disarm)
+	return plan
 }
 
 // TestHealthVerdictWorkerIndependent: the NaN guard's verdict — which step
@@ -39,7 +41,7 @@ func TestHealthVerdictWorkerIndependent(t *testing.T) {
 	ds, _ := tinyData(t)
 	var events []HealthEvent
 	for _, w := range []int{1, 2, 4} {
-		armPoison(t, "train.batch@5=nan:0")
+		armFaults(t, "train.batch@5=nan:0")
 		m, err := New(ds.Features(), 16, ds.NumLabels(),
 			WithDWTA(3, 8),
 			WithLearningRate(1e-3),
@@ -96,7 +98,7 @@ func TestAutoRollbackBitIdentical(t *testing.T) {
 
 	dir := t.TempDir()
 	ckpt := filepath.Join(dir, "ck.slide")
-	armPoison(t, "train.batch@8=nan:0")
+	armFaults(t, "train.batch@8=nan:0")
 
 	m := detModel(t, ds)
 	src, err := NewDatasetSource(ds, 16)
@@ -160,7 +162,7 @@ func TestAutoRollbackExhausted(t *testing.T) {
 	ds, _ := tinyData(t)
 	dir := t.TempDir()
 	ckpt := filepath.Join(dir, "ck.slide")
-	armPoison(t, "train.batch@6=nan:0")
+	armFaults(t, "train.batch@6=nan:0")
 
 	m := detModel(t, ds)
 	src, err := NewDatasetSource(ds, 16)

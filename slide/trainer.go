@@ -9,9 +9,7 @@ import (
 	"time"
 
 	"github.com/slide-cpu/slide/internal/dataset"
-	"github.com/slide-cpu/slide/internal/health"
 	"github.com/slide-cpu/slide/internal/sparse"
-	"github.com/slide-cpu/slide/internal/train"
 )
 
 // Trainer is a composable training session over a Model and a DataSource:
@@ -31,7 +29,10 @@ import (
 // Run executes on the calling goroutine; cancel the context to stop
 // gracefully between batches (a stop, not an error). Hooks run on the
 // session goroutine between optimizer steps, so they may call Evaluate,
-// Snapshot, Save, etc. without synchronization.
+// Snapshot, Save, etc. without synchronization. Each step sets the
+// scheduled learning rate, trains the batch, fires OnBatch, takes the health
+// verdict, then runs the checkpoint and snapshot schedules; OnEpoch follows
+// a pass's last step and its work.
 type Trainer struct {
 	m   *Model
 	src DataSource
@@ -174,7 +175,8 @@ func WithEarlyStopping(patience int, minDelta float64) TrainerOption {
 // built-in sources); exact resume also requires a single worker or
 // WithShards, because several HOGWILD workers race on shared gradient rows by
 // design. The original worker count comes back with the checkpoint (see
-// Load).
+// Load). NewTrainer rejects WithResume on a model that has already trained
+// when the source does not report BatchesPerEpoch.
 func WithResume() TrainerOption {
 	return func(o *trainerOptions) { o.resume = true }
 }
@@ -188,7 +190,10 @@ type BatchEvent struct {
 	Epoch, Batch int
 	// Stats are this batch's training statistics.
 	Stats TrainStats
-	// LR is the learning rate the step used (0 when no schedule is set).
+	// LR is the learning rate the step used when a schedule or an
+	// auto-rollback backoff set it (after a rollback with no schedule, the
+	// model's configured rate times the backoff); 0 when the model's
+	// configured rate applied unchanged.
 	LR float64
 }
 
@@ -253,20 +258,6 @@ func (r StopReason) String() string {
 		return "early-stop"
 	default:
 		return "unknown"
-	}
-}
-
-// stopReason maps the engine's reason onto the public enum.
-func stopReason(r train.StopReason) StopReason {
-	switch r {
-	case train.StopMaxSteps:
-		return StopMaxSteps
-	case train.StopCanceled:
-		return StopCanceled
-	case train.StopEarly:
-		return StopEarly
-	default:
-		return StopCompleted
 	}
 }
 
@@ -357,6 +348,16 @@ func NewTrainer(m *Model, src DataSource, opts ...TrainerOption) (*Trainer, erro
 			return nil, fmt.Errorf("slide: WithAutoRollback needs WithCheckpoints (rollback reloads the ring)")
 		}
 	}
+	// The resume fast-forward skips Steps() mod the pass length, and every
+	// rollback replay resumes.
+	if _, sized := src.(interface{ BatchesPerEpoch() int }); !sized {
+		if o.rollbackMax > 0 {
+			return nil, fmt.Errorf("slide: WithAutoRollback needs a source with BatchesPerEpoch (every replay resumes)")
+		}
+		if o.resume && m.Steps() > 0 {
+			return nil, fmt.Errorf("slide: WithResume at step %d needs a source with BatchesPerEpoch", m.Steps())
+		}
+	}
 	if h := o.health; h != nil {
 		if h.Warmup < 0 || h.Alpha < 0 || h.Alpha > 1 || h.SpikeFactor < 0 || h.DivergenceLoss < 0 {
 			return nil, fmt.Errorf("slide: invalid health config %+v", *h)
@@ -384,13 +385,13 @@ func (t *Trainer) Run(ctx context.Context) (Report, error) {
 		if err == nil {
 			return rep, nil
 		}
-		var he *train.HealthError
+		var he *HealthError
 		if !errors.As(err, &he) || o.rollbackMax == 0 {
-			return rep, wrapRunError(err)
+			return rep, fmt.Errorf("slide: %w", err)
 		}
 		if attempt >= o.rollbackMax {
 			return rep, fmt.Errorf("slide: %w",
-				&RollbackExhaustedError{Attempts: attempt, Event: healthEvent(he.Event)})
+				&RollbackExhaustedError{Attempts: attempt, Event: he.Event})
 		}
 		attempt++
 		loaded, used, lerr := LoadLastGood(o.ckptPath, o.ckptRetain)
@@ -404,109 +405,10 @@ func (t *Trainer) Run(ctx context.Context) (Report, error) {
 		if o.onRollback != nil {
 			o.onRollback(RollbackEvent{
 				Attempt: attempt, Step: loaded.Steps(), Checkpoint: used,
-				Cause: healthEvent(he.Event), LRScale: lrScale,
+				Cause: he.Event, LRScale: lrScale,
 			})
 		}
 	}
-}
-
-// wrapRunError translates engine errors onto the public surface.
-func wrapRunError(err error) error {
-	var he *train.HealthError
-	if errors.As(err, &he) {
-		return fmt.Errorf("slide: %w", &HealthError{Event: healthEvent(he.Event)})
-	}
-	return fmt.Errorf("slide: %w", err)
-}
-
-// runOnce executes one engine session. retry marks a post-rollback replay
-// (forces the deterministic resume fast-forward); lrScale multiplies the
-// learning rate — schedule or model-configured — when != 1.
-func (t *Trainer) runOnce(ctx context.Context, retry bool, lrScale float64) (Report, error) {
-	o := &t.o
-	cfg := train.Config{
-		Epochs:            o.epochs,
-		MaxSteps:          o.maxSteps,
-		CheckpointPath:    o.ckptPath,
-		CheckpointEvery:   int64(o.ckptEvery),
-		CheckpointRetain:  o.ckptRetain,
-		SnapshotEvery:     int64(o.snapEvery),
-		EarlyStopPatience: o.earlyPatience,
-		EarlyStopMinDelta: o.earlyMinDelta,
-		Resume:            o.resume || retry,
-	}
-	if o.lr != nil {
-		cfg.LR = train.Schedule(o.lr)
-	}
-	if lrScale != 1 {
-		// The backoff compounds on whatever drove the rate before: the
-		// schedule, or the model's configured base rate.
-		if o.lr != nil {
-			base := o.lr
-			cfg.LR = func(step int64) float64 { return base(step) * lrScale }
-		} else {
-			base := t.m.net.Config().LR
-			cfg.LR = func(int64) float64 { return base * lrScale }
-		}
-	}
-	if o.healthOn() {
-		var hc HealthConfig
-		if o.health != nil {
-			hc = *o.health
-		}
-		cfg.Health = &health.Config{
-			Warmup: hc.Warmup, Alpha: hc.Alpha,
-			SpikeFactor: hc.SpikeFactor, DivergenceLoss: hc.DivergenceLoss,
-		}
-		if o.onHealth != nil {
-			fn := o.onHealth
-			cfg.Hooks.OnHealth = func(ev health.Event) { fn(healthEvent(ev)) }
-		}
-	}
-	if o.onBatch != nil {
-		fn := o.onBatch
-		cfg.Hooks.OnBatch = func(bi train.BatchInfo) {
-			fn(BatchEvent{
-				Step: bi.Step, Epoch: bi.Epoch, Batch: bi.Batch,
-				Stats: batchStats(bi.Stats), LR: bi.LR,
-			})
-		}
-	}
-	if o.onEpoch != nil {
-		fn := o.onEpoch
-		cfg.Hooks.OnEpoch = func(ei train.EpochInfo) {
-			fn(EpochEvent{
-				Epoch: ei.Epoch, Batches: ei.Batches,
-				Stats: batchStats(ei.Stats), TrainTime: ei.TrainTime,
-			})
-		}
-	}
-	if o.onCheckpoint != nil {
-		fn := o.onCheckpoint
-		cfg.Hooks.OnCheckpoint = func(ci train.CheckpointInfo) {
-			fn(CheckpointEvent{Step: ci.Step, Path: ci.Path})
-		}
-	}
-	if o.snapEvery > 0 {
-		publish := o.snapPublish
-		cfg.Hooks.OnSnapshot = func(int64) { publish(t.m.Snapshot()) }
-	}
-	if o.deltaEvery > 0 {
-		publish := o.deltaPublish
-		t.m.EnableDeltas()
-		cfg.SnapshotEvery = int64(o.deltaEvery)
-		cfg.Hooks.OnSnapshot = func(int64) { publish(t.m.SnapshotDelta()) }
-	}
-
-	rep, err := train.Run(ctx, t.m.net, t.internalSource(), cfg)
-	out := Report{
-		Steps: rep.Steps, Epochs: rep.Epochs,
-		Stats:          batchStats(rep.Stats),
-		TrainTime:      rep.TrainTime,
-		Reason:         stopReason(rep.Reason),
-		LastCheckpoint: rep.LastCheckpoint,
-	}
-	return out, err // raw engine error; Run wraps or rolls back
 }
 
 // internalSource unwraps built-in sources (their batches were validated at
@@ -537,7 +439,7 @@ func (u *userSource) Features() int           { return u.s.Features() }
 func (u *userSource) Labels() int             { return u.s.NumLabels() }
 func (u *userSource) Reset(seed uint64) error { return u.s.Reset(seed) }
 
-// Close forwards the engine's end-of-session release to sources that hold
+// Close forwards the session's end-of-run release to sources that hold
 // resources.
 func (u *userSource) Close() error {
 	if c, ok := u.s.(io.Closer); ok {
@@ -578,7 +480,7 @@ func (u *sizedUserSource) BatchesPerEpoch() int {
 	return u.s.(interface{ BatchesPerEpoch() int }).BatchesPerEpoch()
 }
 
-// compile-time checks: the adapters satisfy the engine contracts.
+// compile-time checks: the adapters satisfy the session's source contracts.
 var (
 	_ dataset.Source = (*userSource)(nil)
 	_ dataset.Sized  = (*sizedUserSource)(nil)

@@ -3,6 +3,7 @@ package slide
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -82,6 +83,9 @@ func TestTrainerMatchesLegacyEpochLoop(t *testing.T) {
 	}
 	if rep.Reason != StopCompleted || rep.Epochs != epochs {
 		t.Fatalf("report %+v, want %d completed epochs", rep, epochs)
+	}
+	if rep.Steps != viaTrainer.Steps() {
+		t.Fatalf("report steps %d, model steps %d", rep.Steps, viaTrainer.Steps())
 	}
 	if !bytes.Equal(modelBytes(t, legacy), modelBytes(t, viaTrainer)) {
 		t.Fatal("Trainer weights differ from the legacy epoch loop")
@@ -293,6 +297,81 @@ func TestTrainerLRSchedules(t *testing.T) {
 	}
 }
 
+// TestTrainerHooksAndSchedules: the per-step hook order (OnBatch, then the
+// checkpoint schedule's OnCheckpoint, then the snapshot schedule's publish),
+// OnEpoch after its pass's last step and that step's work, the batch and
+// epoch indices the events carry, and the final checkpoint flush.
+func TestTrainerHooksAndSchedules(t *testing.T) {
+	train, _ := tinyData(t)
+	const batch, epochs, ckptEvery, snapEvery = 64, 2, 3, 2
+	src, err := NewDatasetSource(train, batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bpe := (train.Len() + batch - 1) / batch
+	ckpt := filepath.Join(t.TempDir(), "ckpt.slide")
+
+	var got []string
+	var snapSteps []int64
+	m := detModel(t, train)
+	trainer, err := NewTrainer(m, src,
+		WithEpochs(epochs),
+		WithCheckpoints(ckpt, ckptEvery),
+		WithSnapshots(snapEvery, func(*Predictor) {
+			snapSteps = append(snapSteps, m.Steps())
+			got = append(got, fmt.Sprintf("snapshot %d", m.Steps()))
+		}),
+		WithOnBatch(func(e BatchEvent) {
+			got = append(got, fmt.Sprintf("batch %d epoch %d index %d", e.Step, e.Epoch, e.Batch))
+		}),
+		WithOnCheckpoint(func(e CheckpointEvent) {
+			got = append(got, fmt.Sprintf("checkpoint %d", e.Step))
+		}),
+		WithOnEpoch(func(e EpochEvent) {
+			got = append(got, fmt.Sprintf("epoch %d batches %d", e.Epoch, e.Batches))
+		}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := trainer.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Reason != StopCompleted || rep.Steps != int64(epochs*bpe) {
+		t.Fatalf("report %+v, want %d completed steps", rep, epochs*bpe)
+	}
+
+	var want []string
+	step := int64(0)
+	for e := 0; e < epochs; e++ {
+		for b := 0; b < bpe; b++ {
+			step++
+			want = append(want, fmt.Sprintf("batch %d epoch %d index %d", step, e, b))
+			if step%ckptEvery == 0 {
+				want = append(want, fmt.Sprintf("checkpoint %d", step))
+			}
+			if step%snapEvery == 0 {
+				want = append(want, fmt.Sprintf("snapshot %d", step))
+			}
+		}
+		want = append(want, fmt.Sprintf("epoch %d batches %d", e, bpe))
+	}
+	if step%ckptEvery != 0 {
+		want = append(want, fmt.Sprintf("checkpoint %d", step)) // the final flush
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d events, want %d:\ngot  %q\nwant %q", len(got), len(want), got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("event %d = %q, want %q", i, got[i], want[i])
+		}
+	}
+	if rep.LastCheckpoint != step {
+		t.Fatalf("last checkpoint at %d, want %d", rep.LastCheckpoint, step)
+	}
+}
+
 // TestTrainerEarlyStopping: a session that cannot improve stops early.
 func TestTrainerEarlyStopping(t *testing.T) {
 	train, _ := tinyData(t)
@@ -431,8 +510,11 @@ func TestNewTrainerValidation(t *testing.T) {
 		"negative epochs":        {WithEpochs(-1)},
 		"negative max steps":     {WithMaxSteps(-1)},
 		"checkpoint no interval": {WithCheckpoints("x", 0)},
+		"checkpoint no path":     {WithCheckpoints("", 5)},
+		"retain no checkpoints":  {WithCheckpointRetain(3)},
 		"snapshots no publish":   {WithSnapshots(5, nil)},
 		"negative early stop":    {WithEarlyStopping(-1, 0)},
+		"negative min delta":     {WithEarlyStopping(1, -0.5)},
 	} {
 		if _, err := NewTrainer(m, src, opts...); err == nil {
 			t.Errorf("%s: accepted", name)
@@ -448,5 +530,26 @@ func TestNewTrainerValidation(t *testing.T) {
 	wide := &funcSource{features: 10_000, labels: 20}
 	if _, err := NewTrainer(m, wide); err == nil {
 		t.Error("source wider than model accepted")
+	}
+
+	// A source without BatchesPerEpoch cannot place a resume: Run would
+	// fail, so NewTrainer must. At step 0 there is nothing to skip.
+	unsized := &funcSource{features: train.Features(), labels: train.NumLabels(),
+		samples: []Sample{train.Sample(0), train.Sample(1)}}
+	if _, err := NewTrainer(m, unsized, WithResume()); err != nil {
+		t.Errorf("resume at step 0 over an unsized source rejected: %v", err)
+	}
+	ckpt := filepath.Join(t.TempDir(), "ck.slide")
+	if _, err := NewTrainer(m, unsized, WithCheckpoints(ckpt, 1), WithAutoRollback(1, 0.5)); err == nil {
+		t.Error("auto-rollback over an unsized source accepted")
+	}
+	if _, err := m.TrainBatch(unsized.samples); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewTrainer(m, unsized, WithResume()); err == nil {
+		t.Error("resume at step 1 over an unsized source accepted")
+	}
+	if _, err := NewTrainer(m, src, WithResume()); err != nil {
+		t.Errorf("resume at step 1 over a sized source rejected: %v", err)
 	}
 }
