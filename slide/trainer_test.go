@@ -38,67 +38,72 @@ func modelBytes(t *testing.T, m *Model) []byte {
 
 // TestTrainerMatchesLegacyEpochLoop: a single-worker Trainer session must be
 // bit-identical to the historical epoch loop (hand-rolled here against
-// the internal iterator, exactly as the old implementation drove it).
+// the internal iterator, exactly as the old implementation drove it), and
+// its report must count the passes and steps the model took.
 func TestTrainerMatchesLegacyEpochLoop(t *testing.T) {
 	train, _ := tinyData(t)
-	const batch, epochs = 64, 3
-
-	legacy := detModel(t, train)
-	var legacyStats TrainStats
-	for e := 0; e < epochs; e++ {
-		// The pre-Trainer epoch body: iterate a seeded shuffle, seed =
-		// optimizer step + 1.
-		it := train.d.Iter(batch, sparse.Coalesced, uint64(legacy.net.Step())+1)
-		agg := TrainStats{}
-		for {
-			b, ok := it.Next()
-			if !ok {
-				break
+	const batch = 64
+	for _, epochs := range []int{2, 3} {
+		t.Run(fmt.Sprintf("%d epochs", epochs), func(t *testing.T) {
+			legacy := detModel(t, train)
+			var legacyStats TrainStats
+			for e := 0; e < epochs; e++ {
+				// The pre-Trainer epoch body: iterate a seeded shuffle, seed =
+				// optimizer step + 1.
+				it := train.d.Iter(batch, sparse.Coalesced, uint64(legacy.net.Step())+1)
+				agg := TrainStats{}
+				for {
+					b, ok := it.Next()
+					if !ok {
+						break
+					}
+					st := legacy.net.TrainBatch(b)
+					agg.Samples += st.Samples
+					agg.MeanLoss += st.Loss
+					agg.MeanActive += float64(st.ActiveSum)
+				}
+				agg.MeanLoss /= float64(agg.Samples)
+				agg.MeanActive /= float64(agg.Samples)
+				legacyStats = agg
 			}
-			st := legacy.net.TrainBatch(b)
-			agg.Samples += st.Samples
-			agg.MeanLoss += st.Loss
-			agg.MeanActive += float64(st.ActiveSum)
-		}
-		agg.MeanLoss /= float64(agg.Samples)
-		agg.MeanActive /= float64(agg.Samples)
-		legacyStats = agg
-	}
 
-	viaTrainer := detModel(t, train)
-	src, err := NewDatasetSource(train, batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var lastEpoch EpochEvent
-	trainer, err := NewTrainer(viaTrainer, src,
-		WithEpochs(epochs),
-		WithOnEpoch(func(e EpochEvent) { lastEpoch = e }))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := trainer.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Reason != StopCompleted || rep.Epochs != epochs {
-		t.Fatalf("report %+v, want %d completed epochs", rep, epochs)
-	}
-	if rep.Steps != viaTrainer.Steps() {
-		t.Fatalf("report steps %d, model steps %d", rep.Steps, viaTrainer.Steps())
-	}
-	if !bytes.Equal(modelBytes(t, legacy), modelBytes(t, viaTrainer)) {
-		t.Fatal("Trainer weights differ from the legacy epoch loop")
-	}
-	if lastEpoch.Stats.MeanLoss != legacyStats.MeanLoss ||
-		lastEpoch.Stats.MeanActive != legacyStats.MeanActive {
-		t.Fatalf("epoch stats %+v differ from legacy %+v", lastEpoch.Stats, legacyStats)
+			viaTrainer := detModel(t, train)
+			src, err := NewDatasetSource(train, batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var lastEpoch EpochEvent
+			trainer, err := NewTrainer(viaTrainer, src,
+				WithEpochs(epochs),
+				WithOnEpoch(func(e EpochEvent) { lastEpoch = e }))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := trainer.Run(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Reason != StopCompleted || rep.Epochs != epochs {
+				t.Fatalf("report %+v, want %d completed epochs", rep, epochs)
+			}
+			if rep.Steps != viaTrainer.Steps() {
+				t.Fatalf("report steps %d, model steps %d", rep.Steps, viaTrainer.Steps())
+			}
+			if !bytes.Equal(modelBytes(t, legacy), modelBytes(t, viaTrainer)) {
+				t.Fatal("Trainer weights differ from the legacy epoch loop")
+			}
+			if lastEpoch.Stats.MeanLoss != legacyStats.MeanLoss ||
+				lastEpoch.Stats.MeanActive != legacyStats.MeanActive {
+				t.Fatalf("epoch stats %+v differ from legacy %+v", lastEpoch.Stats, legacyStats)
+			}
+		})
 	}
 }
 
 // TestTrainerResumeBitIdentical is the public resume contract: train N steps
 // with a checkpoint scheduled at N, load it, continue to N+M with
-// WithResume — bit-identical to an uninterrupted N+M session.
+// WithResume — bit-identical to an uninterrupted N+M session. N lands both
+// mid-pass and exactly on a pass boundary.
 func TestTrainerResumeBitIdentical(t *testing.T) {
 	train, _ := tinyData(t)
 	const batch = 64
@@ -107,78 +112,95 @@ func TestTrainerResumeBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	bpe := (train.Len() + batch - 1) / batch
-	n := int64(bpe + max(bpe/2, 1)) // lands mid-epoch
-	m := int64(bpe)
+	for _, tc := range []struct {
+		name string
+		n    int64
+	}{
+		{"mid-epoch", int64(bpe + max(bpe/2, 1))},
+		{"epoch boundary", int64(bpe)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n := tc.n
+			m := int64(bpe)
 
-	full := detModel(t, train)
-	fullTrainer, err := NewTrainer(full, src, WithEpochs(0), WithMaxSteps(n+m))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fullTrainer.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+			full := detModel(t, train)
+			fullTrainer, err := NewTrainer(full, src, WithEpochs(0), WithMaxSteps(n+m))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := fullTrainer.Run(context.Background()); err != nil {
+				t.Fatal(err)
+			}
 
-	ckpt := filepath.Join(t.TempDir(), "ckpt.slide")
-	first := detModel(t, train)
-	var ckptEvents []CheckpointEvent
-	firstTrainer, err := NewTrainer(first, src,
-		WithEpochs(0), WithMaxSteps(n),
-		WithCheckpoints(ckpt, int(n)),
-		WithOnCheckpoint(func(e CheckpointEvent) { ckptEvents = append(ckptEvents, e) }))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := firstTrainer.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Reason != StopMaxSteps || rep.LastCheckpoint != n {
-		t.Fatalf("report %+v, want max-steps stop with checkpoint at step %d", rep, n)
-	}
-	if len(ckptEvents) == 0 || ckptEvents[0].Step != n || ckptEvents[0].Path != ckpt {
-		t.Fatalf("checkpoint events %+v, want step %d at %s", ckptEvents, n, ckpt)
-	}
+			ckpt := filepath.Join(t.TempDir(), "ckpt.slide")
+			first := detModel(t, train)
+			var ckptEvents []CheckpointEvent
+			firstTrainer, err := NewTrainer(first, src,
+				WithEpochs(0), WithMaxSteps(n),
+				WithCheckpoints(ckpt, int(n)),
+				WithOnCheckpoint(func(e CheckpointEvent) { ckptEvents = append(ckptEvents, e) }))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := firstTrainer.Run(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Reason != StopMaxSteps || rep.LastCheckpoint != n {
+				t.Fatalf("report %+v, want max-steps stop with checkpoint at step %d", rep, n)
+			}
+			if len(ckptEvents) == 0 || ckptEvents[0].Step != n || ckptEvents[0].Path != ckpt {
+				t.Fatalf("checkpoint events %+v, want step %d at %s", ckptEvents, n, ckpt)
+			}
 
-	resumed, err := LoadFile(ckpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resumed.Steps() != n {
-		t.Fatalf("checkpoint at step %d, want %d", resumed.Steps(), n)
-	}
-	resTrainer, err := NewTrainer(resumed, src,
-		WithEpochs(0), WithMaxSteps(n+m), WithResume())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := resTrainer.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if resumed.Steps() != n+m {
-		t.Fatalf("resumed to step %d, want %d", resumed.Steps(), n+m)
-	}
-	if !bytes.Equal(modelBytes(t, full), modelBytes(t, resumed)) {
-		t.Fatal("resumed weights differ from the uninterrupted run")
+			resumed, err := LoadFile(ckpt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resumed.Steps() != n {
+				t.Fatalf("checkpoint at step %d, want %d", resumed.Steps(), n)
+			}
+			resTrainer, err := NewTrainer(resumed, src,
+				WithEpochs(0), WithMaxSteps(n+m), WithResume())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := resTrainer.Run(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			if resumed.Steps() != n+m {
+				t.Fatalf("resumed to step %d, want %d", resumed.Steps(), n+m)
+			}
+			if !bytes.Equal(modelBytes(t, full), modelBytes(t, resumed)) {
+				t.Fatal("resumed weights differ from the uninterrupted run")
+			}
+		})
 	}
 }
 
-// TestTrainerStreamingFileSource: an end-to-end session from a streaming
-// XMC file — sequential order trains bit-identically to feeding the file's
-// samples in order, cancellation is graceful, and the final checkpoint loads.
-func TestTrainerStreamingFileSource(t *testing.T) {
-	train, _ := tinyData(t)
+// writeXMCFile writes d to a fresh XMC text file and returns its path.
+func writeXMCFile(t *testing.T, d *Dataset) string {
+	t.Helper()
 	path := filepath.Join(t.TempDir(), "train.txt")
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := train.WriteXMC(f); err != nil {
+	if err := d.WriteXMC(f); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
+	return path
+}
+
+// TestTrainerStreamingFileSource: an end-to-end session from a streaming
+// XMC file — sequential order trains bit-identically to feeding the file's
+// samples in order.
+func TestTrainerStreamingFileSource(t *testing.T) {
+	train, _ := tinyData(t)
+	path := writeXMCFile(t, train)
 	const batch = 32
 
 	// Reference: the file's samples in order, batched by hand.
@@ -219,34 +241,56 @@ func TestTrainerStreamingFileSource(t *testing.T) {
 		t.Fatal("streaming-file training differs from in-order in-memory training")
 	}
 
-	// Cancellation mid-stream is graceful and leaves a loadable checkpoint.
-	ckpt := filepath.Join(t.TempDir(), "stream.slide")
-	m2 := detModel(t, train)
-	ctx, cancel := context.WithCancel(context.Background())
-	canceled, err := NewTrainer(m2, src,
-		WithEpochs(0), // unbounded
-		WithCheckpoints(ckpt, 1000),
-		WithOnBatch(func(e BatchEvent) {
-			if e.Step == 5 {
-				cancel()
+}
+
+// TestTrainerCancellation: cancelling the context from OnBatch stops the
+// session gracefully after that step, over an in-memory and a streaming
+// source alike, and the final checkpoint loads at the cancelled step.
+func TestTrainerCancellation(t *testing.T) {
+	train, _ := tinyData(t)
+	path := writeXMCFile(t, train)
+	for _, tc := range []struct {
+		name string
+		src  func() (DataSource, error)
+		stop int64
+	}{
+		{"memory", func() (DataSource, error) { return NewDatasetSource(train, 64) }, 3},
+		{"file", func() (DataSource, error) { return NewFileSource(path, 32, 0) }, 5},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			src, err := tc.src()
+			if err != nil {
+				t.Fatal(err)
 			}
-		}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err = canceled.Run(ctx)
-	if err != nil {
-		t.Fatalf("cancellation must be graceful, got %v", err)
-	}
-	if rep.Reason != StopCanceled || rep.Steps != 5 {
-		t.Fatalf("report %+v, want canceled after 5 steps", rep)
-	}
-	back, err := LoadFile(ckpt)
-	if err != nil {
-		t.Fatalf("final checkpoint unloadable: %v", err)
-	}
-	if back.Steps() != 5 {
-		t.Fatalf("checkpoint at step %d, want 5", back.Steps())
+			ckpt := filepath.Join(t.TempDir(), "ckpt.slide")
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			trainer, err := NewTrainer(detModel(t, train), src,
+				WithEpochs(0),               // unbounded: only the cancel stops it
+				WithCheckpoints(ckpt, 1000), // the schedule never fires mid-run
+				WithOnBatch(func(e BatchEvent) {
+					if e.Step == tc.stop {
+						cancel()
+					}
+				}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := trainer.Run(ctx)
+			if err != nil {
+				t.Fatalf("cancellation must be graceful, got %v", err)
+			}
+			if rep.Reason != StopCanceled || rep.Steps != tc.stop {
+				t.Fatalf("report %+v, want canceled after %d steps", rep, tc.stop)
+			}
+			back, err := LoadFile(ckpt)
+			if err != nil {
+				t.Fatalf("final checkpoint unloadable: %v", err)
+			}
+			if back.Steps() != tc.stop {
+				t.Fatalf("checkpoint at step %d, want %d", back.Steps(), tc.stop)
+			}
+		})
 	}
 }
 
@@ -372,26 +416,30 @@ func TestTrainerHooksAndSchedules(t *testing.T) {
 	}
 }
 
-// TestTrainerEarlyStopping: a session that cannot improve stops early.
+// TestTrainerEarlyStopping: a session that cannot improve stops early: pass
+// 0 sets the best loss, and the next patience passes exhaust the patience.
 func TestTrainerEarlyStopping(t *testing.T) {
 	train, _ := tinyData(t)
-	m := detModel(t, train)
 	src, err := NewDatasetSource(train, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	trainer, err := NewTrainer(m, src,
-		WithEpochs(50),
-		WithEarlyStopping(2, 1e9)) // nothing improves by 1e9
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := trainer.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Reason != StopEarly || rep.Epochs != 3 {
-		t.Fatalf("report %+v, want early-stop after 3 epochs", rep)
+	for _, patience := range []int{1, 2} {
+		t.Run(fmt.Sprintf("patience %d", patience), func(t *testing.T) {
+			trainer, err := NewTrainer(detModel(t, train), src,
+				WithEpochs(50),
+				WithEarlyStopping(patience, 1e9)) // nothing improves by 1e9
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := trainer.Run(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Reason != StopEarly || rep.Epochs != patience+1 {
+				t.Fatalf("report %+v, want early-stop after %d epochs", rep, patience+1)
+			}
+		})
 	}
 }
 
@@ -516,9 +564,11 @@ func TestNewTrainerValidation(t *testing.T) {
 		"negative early stop":    {WithEarlyStopping(-1, 0)},
 		"negative min delta":     {WithEarlyStopping(1, -0.5)},
 	} {
-		if _, err := NewTrainer(m, src, opts...); err == nil {
-			t.Errorf("%s: accepted", name)
-		}
+		t.Run(name, func(t *testing.T) {
+			if _, err := NewTrainer(m, src, opts...); err == nil {
+				t.Error("accepted")
+			}
+		})
 	}
 	if _, err := NewTrainer(nil, src); err == nil {
 		t.Error("nil model accepted")
