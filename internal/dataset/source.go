@@ -8,8 +8,9 @@ import (
 	"github.com/slide-cpu/slide/internal/sparse"
 )
 
-// Source is a resettable batch iterator — the data-feeding contract of the
-// public slide.Trainer's session loop and of the experiment harness.
+// Source is a resettable batch iterator — the interface the three built-in
+// sources (MemorySource, FileSource, SyntheticSource) share behind the
+// public slide.DataSource constructors.
 //
 // A Source yields one *pass* (epoch) of batches per Reset: Next returns
 // successive batches until the pass is exhausted, then io.EOF; Reset begins
@@ -33,13 +34,9 @@ type Source interface {
 	// pass is exhausted. The final batch of a pass may be short. The
 	// returned batch is valid until the next Next or Reset call.
 	Next() (sparse.Batch, error)
-}
-
-// Sized is implemented by sources with a known, fixed number of batches per
-// pass. The trainer uses it to fast-forward a resumed session to its
-// mid-epoch position deterministically.
-type Sized interface {
-	// BatchesPerEpoch returns the number of batches one pass yields.
+	// BatchesPerEpoch returns the number of batches one pass yields; the
+	// trainer fast-forwards a resumed session to its mid-epoch position by
+	// it.
 	BatchesPerEpoch() int
 }
 
@@ -99,7 +96,7 @@ func (s *MemorySource) Next() (sparse.Batch, error) {
 	return b, nil
 }
 
-// BatchesPerEpoch implements Sized.
+// BatchesPerEpoch implements Source.
 func (s *MemorySource) BatchesPerEpoch() int {
 	return (s.d.Len() + s.size - 1) / s.size
 }
@@ -180,7 +177,7 @@ func (s *SyntheticSource) Next() (sparse.Batch, error) {
 	return csr, nil
 }
 
-// BatchesPerEpoch implements Sized.
+// BatchesPerEpoch implements Source.
 func (s *SyntheticSource) BatchesPerEpoch() int {
 	return (s.passSize + s.size - 1) / s.size
 }

@@ -86,7 +86,7 @@ func (s *FileSource) Labels() int { return s.header.Labels }
 // DeclaredSamples returns the sample count the file header declares.
 func (s *FileSource) DeclaredSamples() int { return s.header.Samples }
 
-// BatchesPerEpoch implements Sized, from the header's declared sample count.
+// BatchesPerEpoch implements Source, from the header's declared sample count.
 func (s *FileSource) BatchesPerEpoch() int {
 	return (s.header.Samples + s.size - 1) / s.size
 }

@@ -2,8 +2,7 @@ package slide
 
 import (
 	"fmt"
-
-	"github.com/slide-cpu/slide/internal/health"
+	"math"
 )
 
 // Numerical health monitoring and self-healing rollback. With monitoring
@@ -71,13 +70,6 @@ func (e HealthEvent) String() string {
 	}
 }
 
-func healthEvent(e health.Event) HealthEvent {
-	return HealthEvent{
-		Kind: HealthKind(e.Kind), Step: e.Step,
-		Loss: e.Loss, EWMA: e.EWMA, NonFinite: e.NonFinite,
-	}
-}
-
 // HealthConfig tunes the monitor. The zero value means defaults.
 type HealthConfig struct {
 	// Warmup is the number of batches observed before spike detection arms
@@ -91,6 +83,60 @@ type HealthConfig struct {
 	// DivergenceLoss flags any batch mean loss above this ceiling,
 	// warmup or not (default 0 = disabled).
 	DivergenceLoss float64
+}
+
+// monitor is the session's loss-trajectory detector: an EWMA of batch mean
+// losses plus the non-finite guard verdicts. The session observes between
+// batches on its own goroutine, so the verdicts are a deterministic function
+// of the sequence of observations; every attempt of a Run builds a fresh
+// one, so a rollback replay re-warms from the restored checkpoint.
+type monitor struct {
+	cfg  HealthConfig
+	ewma float64
+	seen int
+}
+
+// newMonitor builds a monitor; zero-value cfg fields take the defaults.
+func newMonitor(cfg HealthConfig) *monitor {
+	if cfg.Warmup <= 0 {
+		cfg.Warmup = 20
+	}
+	if cfg.Alpha <= 0 || cfg.Alpha > 1 {
+		cfg.Alpha = 0.1
+	}
+	if cfg.SpikeFactor == 0 {
+		cfg.SpikeFactor = 3
+	}
+	return &monitor{cfg: cfg}
+}
+
+// observe folds one batch into the monitor and reports a red verdict if
+// any. meanLoss is the batch mean loss; nonFinite the count of non-finite
+// values the engine's guards found in the batch. A red batch is not folded
+// into the EWMA — the baseline stays the healthy trajectory, so the replay
+// after a rollback re-derives the same verdicts at the same steps.
+func (m *monitor) observe(step int64, meanLoss float64, nonFinite int64) (HealthEvent, bool) {
+	e := HealthEvent{Step: step, Loss: meanLoss, EWMA: m.ewma, NonFinite: nonFinite}
+	if nonFinite > 0 || math.IsNaN(meanLoss) || math.IsInf(meanLoss, 0) {
+		e.Kind = HealthNonFinite
+		return e, true
+	}
+	if m.cfg.DivergenceLoss > 0 && meanLoss > m.cfg.DivergenceLoss {
+		e.Kind = HealthDivergence
+		return e, true
+	}
+	if m.seen >= m.cfg.Warmup && m.cfg.SpikeFactor > 1 &&
+		m.ewma > 0 && meanLoss > m.cfg.SpikeFactor*m.ewma {
+		e.Kind = HealthLossSpike
+		return e, true
+	}
+	if m.seen == 0 {
+		m.ewma = meanLoss
+	} else {
+		m.ewma += m.cfg.Alpha * (meanLoss - m.ewma)
+	}
+	m.seen++
+	return HealthEvent{}, false
 }
 
 // HealthError is the typed error a session returns when the health monitor

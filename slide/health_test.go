@@ -220,3 +220,83 @@ func TestAutoRollbackOptionValidation(t *testing.T) {
 		t.Fatal("negative retry budget accepted")
 	}
 }
+
+func TestHealthMonitorNonFinite(t *testing.T) {
+	m := newMonitor(HealthConfig{})
+	if _, red := m.observe(1, 2.0, 0); red {
+		t.Fatal("healthy batch flagged red")
+	}
+	e, red := m.observe(2, 2.0, 3)
+	if !red || e.Kind != HealthNonFinite || e.NonFinite != 3 || e.Step != 2 {
+		t.Fatalf("non-finite count not flagged: %+v red=%v", e, red)
+	}
+	e, red = m.observe(3, math.NaN(), 0)
+	if !red || e.Kind != HealthNonFinite {
+		t.Fatalf("NaN loss not flagged: %+v red=%v", e, red)
+	}
+	e, red = m.observe(4, math.Inf(1), 0)
+	if !red || e.Kind != HealthNonFinite {
+		t.Fatalf("Inf loss not flagged: %+v red=%v", e, red)
+	}
+}
+
+func TestHealthMonitorSpikeAndWarmup(t *testing.T) {
+	cfg := HealthConfig{Warmup: 5, Alpha: 0.5, SpikeFactor: 3}
+	m := newMonitor(cfg)
+	// During warmup even a big jump passes.
+	if _, red := m.observe(1, 100, 0); red {
+		t.Fatal("warmup batch flagged red")
+	}
+	for s := int64(2); s <= 5; s++ {
+		if _, red := m.observe(s, 2.0, 0); red {
+			t.Fatalf("warmup batch %d flagged red", s)
+		}
+	}
+	// Warmed up near 2.0-ish EWMA; a modest wobble passes.
+	if _, red := m.observe(6, 4.0, 0); red {
+		t.Fatal("modest wobble flagged red")
+	}
+	// A true spike trips.
+	e, red := m.observe(7, 1000, 0)
+	if !red || e.Kind != HealthLossSpike {
+		t.Fatalf("spike not flagged: %+v red=%v", e, red)
+	}
+	// The red batch was not folded in: the same spike trips again.
+	if _, red := m.observe(8, 1000, 0); !red {
+		t.Fatal("spike folded into EWMA despite red verdict")
+	}
+	// A fresh monitor, as every rollback attempt builds, re-enters warmup.
+	m = newMonitor(cfg)
+	if _, red := m.observe(9, 1000, 0); red {
+		t.Fatal("fresh monitor's batch flagged red during warmup")
+	}
+}
+
+func TestHealthMonitorDivergence(t *testing.T) {
+	m := newMonitor(HealthConfig{DivergenceLoss: 50})
+	// Fires immediately, warmup or not.
+	e, red := m.observe(1, 51, 0)
+	if !red || e.Kind != HealthDivergence {
+		t.Fatalf("divergence not flagged: %+v red=%v", e, red)
+	}
+	if _, red := m.observe(2, 49, 0); red {
+		t.Fatal("loss under the ceiling flagged red")
+	}
+}
+
+func TestHealthMonitorDeterministicReplay(t *testing.T) {
+	// Two monitors fed the same sequence produce identical verdicts and
+	// EWMA — the property the rollback replay depends on.
+	seq := []float64{3, 2.5, 2.8, 2.2, 9.9, 2.0, 2.1}
+	a, b := newMonitor(HealthConfig{Warmup: 2}), newMonitor(HealthConfig{Warmup: 2})
+	for i, l := range seq {
+		ea, ra := a.observe(int64(i), l, 0)
+		eb, rb := b.observe(int64(i), l, 0)
+		if ra != rb || ea != eb {
+			t.Fatalf("step %d: verdicts diverged: %+v/%v vs %+v/%v", i, ea, ra, eb, rb)
+		}
+	}
+	if a.ewma != b.ewma {
+		t.Fatalf("EWMA diverged: %g vs %g", a.ewma, b.ewma)
+	}
+}

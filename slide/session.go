@@ -7,9 +7,7 @@ import (
 	"io"
 	"time"
 
-	"github.com/slide-cpu/slide/internal/dataset"
 	"github.com/slide-cpu/slide/internal/faultinject"
-	"github.com/slide-cpu/slide/internal/health"
 	"github.com/slide-cpu/slide/internal/network"
 	"github.com/slide-cpu/slide/internal/sparse"
 )
@@ -29,8 +27,8 @@ import (
 type session struct {
 	o   *trainerOptions
 	m   *Model
-	lr  LRSchedule      // nil = the model's configured rate
-	mon *health.Monitor // nil = monitoring off
+	lr  LRSchedule // nil = the model's configured rate
+	mon *monitor   // nil = monitoring off
 	rep Report
 	// sum aggregates every batch of the attempt; Report.Stats is its mean.
 	sum network.BatchStats
@@ -61,7 +59,7 @@ func addStats(sum *network.BatchStats, st network.BatchStats) {
 func (t *Trainer) runOnce(ctx context.Context, retry bool, lrScale float64) (Report, error) {
 	o := &t.o
 	net := t.m.net
-	src := t.internalSource()
+	src := t.src
 	// Sources holding resources (the streaming file reader) are released on
 	// every exit path — cancellation and step bounds stop mid-pass, before
 	// the source's own end-of-pass close would run. Closed sources accept a
@@ -69,6 +67,11 @@ func (t *Trainer) runOnce(ctx context.Context, retry bool, lrScale float64) (Rep
 	if c, ok := src.(io.Closer); ok {
 		defer c.Close()
 	}
+	// The built-in sources validated their batches when they parsed or
+	// generated them; a user source's batches are range-checked against the
+	// model as they arrive.
+	_, builtin := src.(builtinSource)
+	cfg := net.Config()
 	se := &session{o: o, m: t.m, lr: o.lr}
 	if lrScale != 1 {
 		// The backoff compounds on whatever drove the rate before: the
@@ -76,7 +79,7 @@ func (t *Trainer) runOnce(ctx context.Context, retry bool, lrScale float64) (Rep
 		if base := o.lr; base != nil {
 			se.lr = func(step int64) float64 { return base(step) * lrScale }
 		} else {
-			base := net.Config().LR
+			base := cfg.LR
 			se.lr = func(int64) float64 { return base * lrScale }
 		}
 	}
@@ -85,10 +88,7 @@ func (t *Trainer) runOnce(ctx context.Context, retry bool, lrScale float64) (Rep
 		if o.health != nil {
 			hc = *o.health
 		}
-		se.mon = health.NewMonitor(health.Config{
-			Warmup: hc.Warmup, Alpha: hc.Alpha,
-			SpikeFactor: hc.SpikeFactor, DivergenceLoss: hc.DivergenceLoss,
-		})
+		se.mon = newMonitor(hc)
 		net.SetGuards(true)
 		defer net.SetGuards(false)
 	}
@@ -108,7 +108,7 @@ func (t *Trainer) runOnce(ctx context.Context, retry bool, lrScale float64) (Rep
 	// pass left off, deterministically from the step counter alone.
 	skip := 0
 	if (o.resume || retry) && net.Step() > 0 {
-		sized, ok := src.(dataset.Sized)
+		sized, ok := src.(interface{ BatchesPerEpoch() int })
 		if !ok {
 			return Report{}, errors.New("resume needs a source with BatchesPerEpoch")
 		}
@@ -162,8 +162,11 @@ func (t *Trainer) runOnce(ctx context.Context, retry bool, lrScale float64) (Rep
 			if errors.Is(err, io.EOF) {
 				break
 			}
+			if err == nil && !builtin {
+				err = checkBatch(src, b, cfg.InputDim, cfg.OutputDim)
+			}
 			if err == nil {
-				err = se.step(b, &ep)
+				err = se.step(b.b, &ep)
 			}
 			if err != nil {
 				se.merge(&ep)
@@ -231,8 +234,7 @@ func (se *session) step(b sparse.Batch, ep *epoch) error {
 		if st.Samples > 0 {
 			meanLoss = st.Loss / float64(st.Samples)
 		}
-		if hev, red := se.mon.Observe(step, meanLoss, st.NonFinite); red {
-			ev := healthEvent(hev)
+		if ev, red := se.mon.observe(step, meanLoss, st.NonFinite); red {
 			if o.onHealth != nil {
 				o.onHealth(ev)
 			}

@@ -2,6 +2,7 @@ package slide
 
 import (
 	"fmt"
+	"io"
 
 	"github.com/slide-cpu/slide/internal/dataset"
 	"github.com/slide-cpu/slide/internal/sparse"
@@ -59,7 +60,9 @@ func NewBatch(samples []Sample) (Batch, error) {
 // (streaming XMC/SVMlight file, out-of-core with bounded memory), and
 // NewSyntheticSource (generator, never materialized) — and any type
 // implementing the interface can feed a Trainer: batches built with NewBatch
-// are range-validated against the model as they arrive.
+// are range-validated against the model as they arrive. A source that also
+// implements io.Closer is closed at the end of every Run (and of every
+// auto-rollback attempt), however it ends.
 type DataSource interface {
 	// Name labels the workload for logs and reports.
 	Name() string
@@ -73,19 +76,19 @@ type DataSource interface {
 	Next() (Batch, error)
 }
 
-// internalSource wraps a dataset.Source as a DataSource whose batches are
-// trusted (validated at parse/generation time), so the Trainer skips
-// per-batch range checks.
-type internalSource struct {
+// builtinSource is a DataSource over one of the package's own sources.
+// Their batches were validated at parse/generation time, so the session
+// skips the per-batch range check it runs on user sources.
+type builtinSource struct {
 	s dataset.Source
 }
 
-func (w internalSource) Name() string            { return w.s.Name() }
-func (w internalSource) Features() int           { return w.s.Features() }
-func (w internalSource) NumLabels() int          { return w.s.Labels() }
-func (w internalSource) Reset(seed uint64) error { return w.s.Reset(seed) }
+func (w builtinSource) Name() string            { return w.s.Name() }
+func (w builtinSource) Features() int           { return w.s.Features() }
+func (w builtinSource) NumLabels() int          { return w.s.Labels() }
+func (w builtinSource) Reset(seed uint64) error { return w.s.Reset(seed) }
 
-func (w internalSource) Next() (Batch, error) {
+func (w builtinSource) Next() (Batch, error) {
 	b, err := w.s.Next()
 	if err != nil {
 		return Batch{}, err
@@ -93,27 +96,37 @@ func (w internalSource) Next() (Batch, error) {
 	return Batch{b: b}, nil
 }
 
-// trusted exposes the inner source to the Trainer (and marks the batches as
-// pre-validated).
-func (w internalSource) trusted() dataset.Source { return w.s }
+// BatchesPerEpoch returns the number of batches one pass yields.
+func (w builtinSource) BatchesPerEpoch() int { return w.s.BatchesPerEpoch() }
 
-// sizedSource additionally forwards the known batches-per-epoch, which the
-// Trainer's resume fast-forward requires.
-type sizedSource struct {
-	internalSource
-	sized dataset.Sized
+// Close releases the inner source's resources (the streaming file reader's
+// open file), where it holds any.
+func (w builtinSource) Close() error {
+	if c, ok := w.s.(io.Closer); ok {
+		return c.Close()
+	}
+	return nil
 }
 
-// BatchesPerEpoch returns the number of batches one pass yields.
-func (w sizedSource) BatchesPerEpoch() int { return w.sized.BatchesPerEpoch() }
-
-// wrapInternal picks the sized wrapper when the inner source knows its pass
-// length.
-func wrapInternal(s dataset.Source) DataSource {
-	if sized, ok := s.(dataset.Sized); ok {
-		return sizedSource{internalSource{s}, sized}
+// checkBatch range-checks a user source's batch against the model — the
+// API-boundary validation that turns would-be kernel panics into typed
+// errors.
+func checkBatch(src DataSource, b Batch, features, labels int) error {
+	if b.Len() == 0 {
+		return fmt.Errorf("DataSource %s returned an empty batch (return io.EOF to end the pass)", src.Name())
 	}
-	return internalSource{s}
+	for i := 0; i < b.b.Len(); i++ {
+		if err := b.b.Sample(i).Validate(features); err != nil {
+			return &BadSampleError{Sample: i, Err: err}
+		}
+		for _, y := range b.b.Labels(i) {
+			if y < 0 || int(y) >= labels {
+				return &BadSampleError{Sample: i,
+					Err: fmt.Errorf("label %d out of range [0,%d)", y, labels)}
+			}
+		}
+	}
+	return nil
 }
 
 // NewDatasetSource adapts an in-memory Dataset: each pass is a seeded
@@ -127,7 +140,7 @@ func NewDatasetSource(d *Dataset, batchSize int) (DataSource, error) {
 	if err != nil {
 		return nil, fmt.Errorf("slide: %w", err)
 	}
-	return wrapInternal(src), nil
+	return builtinSource{src}, nil
 }
 
 // NewFileSource streams an XMC/SVMlight-format file (the format OpenXMC
@@ -142,7 +155,7 @@ func NewFileSource(path string, batchSize, shuffleWindow int) (DataSource, error
 	if err != nil {
 		return nil, fmt.Errorf("slide: %w", err)
 	}
-	return wrapInternal(src), nil
+	return builtinSource{src}, nil
 }
 
 // NewSyntheticSource streams the planted-model synthetic workload — the
@@ -164,5 +177,5 @@ func NewSyntheticSource(workload string, scale float64, batchSize int, seed uint
 	if err != nil {
 		return nil, fmt.Errorf("slide: %w", err)
 	}
-	return wrapInternal(src), nil
+	return builtinSource{src}, nil
 }

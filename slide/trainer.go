@@ -4,12 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"time"
-
-	"github.com/slide-cpu/slide/internal/dataset"
-	"github.com/slide-cpu/slide/internal/sparse"
 )
 
 // Trainer is a composable training session over a Model and a DataSource:
@@ -410,78 +406,3 @@ func (t *Trainer) Run(ctx context.Context) (Report, error) {
 		}
 	}
 }
-
-// internalSource unwraps built-in sources (their batches were validated at
-// parse/generation time) and wraps user implementations in a per-batch
-// range-validating adapter.
-func (t *Trainer) internalSource() dataset.Source {
-	if tr, ok := t.src.(interface{ trusted() dataset.Source }); ok {
-		return tr.trusted()
-	}
-	cfg := t.m.net.Config()
-	u := &userSource{s: t.src, features: cfg.InputDim, labels: cfg.OutputDim}
-	if _, ok := t.src.(interface{ BatchesPerEpoch() int }); ok {
-		return &sizedUserSource{u}
-	}
-	return u
-}
-
-// userSource adapts a caller-implemented DataSource, range-checking every
-// batch against the model dimensions — the API-boundary validation that
-// turns would-be kernel panics into typed errors.
-type userSource struct {
-	s                DataSource
-	features, labels int
-}
-
-func (u *userSource) Name() string            { return u.s.Name() }
-func (u *userSource) Features() int           { return u.s.Features() }
-func (u *userSource) Labels() int             { return u.s.NumLabels() }
-func (u *userSource) Reset(seed uint64) error { return u.s.Reset(seed) }
-
-// Close forwards the session's end-of-run release to sources that hold
-// resources.
-func (u *userSource) Close() error {
-	if c, ok := u.s.(io.Closer); ok {
-		return c.Close()
-	}
-	return nil
-}
-
-func (u *userSource) Next() (sparse.Batch, error) {
-	b, err := u.s.Next()
-	if err != nil {
-		return nil, err
-	}
-	if b.b == nil || b.b.Len() == 0 {
-		return nil, fmt.Errorf("slide: DataSource %s returned an empty batch (return io.EOF to end the pass)", u.s.Name())
-	}
-	for i := 0; i < b.b.Len(); i++ {
-		if err := b.b.Sample(i).Validate(u.features); err != nil {
-			return nil, &BadSampleError{Sample: i, Err: err}
-		}
-		for _, y := range b.b.Labels(i) {
-			if y < 0 || int(y) >= u.labels {
-				return nil, &BadSampleError{Sample: i,
-					Err: fmt.Errorf("label %d out of range [0,%d)", y, u.labels)}
-			}
-		}
-	}
-	return b.b, nil
-}
-
-// sizedUserSource forwards a user source's known pass length.
-type sizedUserSource struct {
-	*userSource
-}
-
-// BatchesPerEpoch implements dataset.Sized.
-func (u *sizedUserSource) BatchesPerEpoch() int {
-	return u.s.(interface{ BatchesPerEpoch() int }).BatchesPerEpoch()
-}
-
-// compile-time checks: the adapters satisfy the session's source contracts.
-var (
-	_ dataset.Source = (*userSource)(nil)
-	_ dataset.Sized  = (*sizedUserSource)(nil)
-)

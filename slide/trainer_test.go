@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/slide-cpu/slide/internal/sparse"
@@ -543,6 +544,89 @@ func TestTrainerCustomSource(t *testing.T) {
 	_, err = trainer.Run(context.Background())
 	if !errorsIsBadSample(err, 0) {
 		t.Fatalf("out-of-range label: got %v, want BadSampleError{Sample: 0}", err)
+	}
+}
+
+// closeSource is a funcSource that holds a resource: it counts its Close
+// calls.
+type closeSource struct {
+	funcSource
+	closes int
+}
+
+func (c *closeSource) Close() error { c.closes++; return nil }
+
+// TestTrainerClosesUserSource: a user DataSource that implements io.Closer
+// is closed exactly once per Run, whether the Run completes its passes, is
+// canceled, or fails mid-pass on a bad sample.
+func TestTrainerClosesUserSource(t *testing.T) {
+	good := []Sample{{Indices: []int32{3, 50}, Values: []float32{1, 0.5}, Labels: []int32{7}}}
+	bad := []Sample{{Indices: []int32{500}, Values: []float32{1}, Labels: []int32{7}}}
+	for _, tc := range []struct {
+		name    string
+		samples []Sample
+		epochs  int
+		cancel  bool
+		reason  StopReason // want, when the sample is good
+	}{
+		{"completed", good, 2, false, StopCompleted},
+		{"canceled", good, 0, true, StopCanceled},
+		{"bad_sample", bad, 1, false, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m, err := New(100, 8, 20, WithDWTA(2, 6), WithWorkers(1), WithSeed(4))
+			if err != nil {
+				t.Fatal(err)
+			}
+			src := &closeSource{funcSource: funcSource{features: 100, labels: 20, samples: tc.samples}}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			opts := []TrainerOption{WithEpochs(tc.epochs)}
+			if tc.cancel {
+				opts = append(opts, WithOnBatch(func(BatchEvent) { cancel() }))
+			}
+			trainer, err := NewTrainer(m, src, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := trainer.Run(ctx)
+			if tc.name == "bad_sample" {
+				if !errorsIsBadSample(err, 0) {
+					t.Fatalf("got %v, want BadSampleError{Sample: 0}", err)
+				}
+			} else if err != nil || rep.Reason != tc.reason {
+				t.Fatalf("Run = %v, %v; want %v, nil", rep.Reason, err, tc.reason)
+			}
+			if src.closes != 1 {
+				t.Errorf("source closed %d times, want 1", src.closes)
+			}
+		})
+	}
+}
+
+// emptySource is a user DataSource whose Next returns the zero Batch and no
+// error.
+type emptySource struct{ funcSource }
+
+func (*emptySource) Next() (Batch, error) { return Batch{}, nil }
+
+// TestTrainerRejectsEmptyUserBatch: a zero Batch from a user source is an
+// error naming the mistake, not a panic or a step.
+func TestTrainerRejectsEmptyUserBatch(t *testing.T) {
+	m, err := New(100, 8, 20, WithDWTA(2, 6), WithWorkers(1), WithSeed(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	trainer, err := NewTrainer(m, &emptySource{funcSource{features: 100, labels: 20}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := trainer.Run(context.Background())
+	if err == nil || !strings.Contains(err.Error(), "returned an empty batch") {
+		t.Fatalf("Run error = %v, want the empty-batch error", err)
+	}
+	if rep.Steps != 0 || m.Steps() != 0 {
+		t.Fatalf("trained %d steps (model at %d) on an empty batch", rep.Steps, m.Steps())
 	}
 }
 
