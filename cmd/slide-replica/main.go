@@ -39,7 +39,6 @@ import (
 	"os"
 	"os/signal"
 	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -118,10 +117,6 @@ func run(addr, trainerURL string, cfg serving.ServerConfig, maxLag int64, pollTi
 		HTTP: &http.Client{Timeout: pollTimeout + 15*time.Second},
 	}
 
-	// Graceful drain: flipped on the first SIGTERM/SIGINT so readiness
-	// reports 503 while in-flight batches flush.
-	var draining atomic.Bool
-
 	// The serving pipeline needs an initial predictor, which only the first
 	// base sync can provide; until then swaps park under the mutex.
 	var (
@@ -135,7 +130,7 @@ func run(addr, trainerURL string, cfg serving.ServerConfig, maxLag int64, pollTi
 		mu.Lock()
 		defer mu.Unlock()
 		if srv == nil {
-			srv = serving.NewServer(sp, withReplicaHooks(cfg, client, maxLag, &draining))
+			srv = serving.NewServer(sp, withReplicaHooks(cfg, client, maxLag))
 			once.Do(func() { close(first) })
 			return
 		}
@@ -175,26 +170,22 @@ func run(addr, trainerURL string, cfg serving.ServerConfig, maxLag int64, pollTi
 		return err
 	case <-ctx.Done():
 	}
+	// Graceful drain: readiness reports 503 while in-flight batches flush.
 	stop() // restore default signal handling: a second SIGTERM is immediate
-	draining.Store(true)
 	log.Printf("draining: admission stopped, flushing in-flight batches (applied %d deltas, %d resyncs)",
 		client.Stats.DeltasApplied.Load(), client.Stats.Resyncs.Load())
 	shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	err := httpSrv.Shutdown(shutCtx) // close listeners, wait for handlers
-	s.Close()                        // drain the batcher queue, join workers
+	err := s.Shutdown(shutCtx, httpSrv)
 	log.Printf("drain complete")
 	return err
 }
 
 // withReplicaHooks extends the serving config with replication-aware
 // readiness and stats.
-func withReplicaHooks(cfg serving.ServerConfig, client *replicate.Client, maxLag int64, draining *atomic.Bool) serving.ServerConfig {
+func withReplicaHooks(cfg serving.ServerConfig, client *replicate.Client, maxLag int64) serving.ServerConfig {
 	cfg.ReadyReasons = func() []string {
 		var reasons []string
-		if draining.Load() {
-			reasons = append(reasons, "draining: shutdown in progress")
-		}
 		if client.Stats.Connected.Load() == 0 {
 			reasons = append(reasons, "replication stream disconnected")
 		}

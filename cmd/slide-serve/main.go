@@ -19,14 +19,15 @@
 // Endpoints:
 //
 //	POST /predict        {"indices":[...],"values":[...],"k":5,"sampled":false,"deadline_ms":250}
-//	POST /predict/batch  {"samples":[{"indices":[...]},...],"k":5}
+//	POST /predict/batch  {"samples":[{"indices":[...]},...],"k":5,"deadline_ms":250}
 //	GET  /healthz        model summary (back-compat health check)
 //	GET  /healthz/live   liveness: process is up (always 200)
-//	GET  /healthz/ready  readiness: 503 when the queue is saturated or the snapshot is stale
+//	GET  /healthz/ready  readiness: 503 when the queue is saturated, the snapshot is stale or the server is draining
 //	GET  /stats          queue depth, batch-size histogram, p50/p99, snapshot version/age
 //
-// A request carrying deadline_ms (or running under -default-deadline) is
-// answered 504 when it cannot be served within its budget. Under sustained
+// /predict is a /predict/batch of one sample. A request on either endpoint
+// carrying deadline_ms (or running under -default-deadline) is answered 504
+// when it cannot be served within its budget. Under sustained
 // queue pressure with -degrade-high set, the server downshifts to sampled
 // (LSH) prediction — responses are marked "degraded":true — before it sheds.
 //
@@ -50,7 +51,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -114,18 +114,6 @@ func main() {
 func run(addr, modelPath string, cfg serving.ServerConfig, demo bool, demoScale float64, refresh, shards int, seed uint64, replicated bool, qbits int) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-
-	// Graceful drain: the first SIGTERM/SIGINT flips readiness to 503 (load
-	// balancers steer new traffic away) while in-flight batches flush; a
-	// second signal kills the process immediately (stop() below restores
-	// default handling).
-	var draining atomic.Bool
-	cfg.ReadyReasons = func() []string {
-		if draining.Load() {
-			return []string{"draining: shutdown in progress"}
-		}
-		return nil
-	}
 
 	var hub *replicate.Hub
 	if replicated {
@@ -235,13 +223,14 @@ func run(addr, modelPath string, cfg serving.ServerConfig, demo bool, demoScale 
 		return err
 	case <-ctx.Done():
 	}
+	// Graceful drain: the first SIGTERM/SIGINT flips readiness to 503 (load
+	// balancers steer new traffic away) while in-flight batches flush; a
+	// second signal kills the process immediately.
 	stop() // restore default signal handling: a second SIGTERM is immediate
-	draining.Store(true)
 	log.Printf("draining: admission stopped, flushing in-flight batches")
 	shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	err := httpSrv.Shutdown(shutCtx) // close listeners, wait for handlers
-	srv.Close()                      // drain the batcher queue, join workers
+	err := srv.Shutdown(shutCtx, httpSrv)
 	log.Printf("drain complete")
 	return err
 }

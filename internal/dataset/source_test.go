@@ -113,8 +113,8 @@ func TestFileSourceSequentialMatchesReadXMC(t *testing.T) {
 	if src.Features() != d.Features || src.Labels() != d.Labels {
 		t.Fatalf("dims %d/%d, want %d/%d", src.Features(), src.Labels(), d.Features, d.Labels)
 	}
-	if src.DeclaredSamples() != d.Len() {
-		t.Fatalf("declared %d samples, want %d", src.DeclaredSamples(), d.Len())
+	if src.header.Samples != d.Len() {
+		t.Fatalf("declared %d samples, want %d", src.header.Samples, d.Len())
 	}
 
 	for pass := 0; pass < 2; pass++ { // two passes: Reset must rewind cleanly

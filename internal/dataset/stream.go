@@ -83,9 +83,6 @@ func (s *FileSource) Features() int { return s.header.Features }
 // Labels implements Source.
 func (s *FileSource) Labels() int { return s.header.Labels }
 
-// DeclaredSamples returns the sample count the file header declares.
-func (s *FileSource) DeclaredSamples() int { return s.header.Samples }
-
 // BatchesPerEpoch implements Source, from the header's declared sample count.
 func (s *FileSource) BatchesPerEpoch() int {
 	return (s.header.Samples + s.size - 1) / s.size

@@ -36,9 +36,6 @@ func NewZipf(n int, s float64) (*Zipf, error) {
 	return &Zipf{cum: cum}, nil
 }
 
-// N returns the number of ranks.
-func (z *Zipf) N() int { return len(z.cum) }
-
 // Sample maps a uniform u in [0,1) to a rank by inverse CDF.
 func (z *Zipf) Sample(u float64) int {
 	i := sort.SearchFloat64s(z.cum, u)
@@ -46,15 +43,4 @@ func (z *Zipf) Sample(u float64) int {
 		i = len(z.cum) - 1
 	}
 	return i
-}
-
-// Prob returns P(rank i).
-func (z *Zipf) Prob(i int) float64 {
-	if i < 0 || i >= len(z.cum) {
-		return 0
-	}
-	if i == 0 {
-		return z.cum[0]
-	}
-	return z.cum[i] - z.cum[i-1]
 }

@@ -119,24 +119,17 @@ func (l *RowLayer) SnapshotWeights() *RowWeights { return l.SnapshotWeightsCOW(n
 // Precision returns the storage precision of the view.
 func (w *RowWeights) Precision() Precision { return w.prec }
 
-// Logit computes neuron id's pre-activation for the dense input h using the
-// resolved kernel table ks: the float32 Dot of the row — bfloat16 rows
-// widened on load — and h, plus the bias.
-func (w *RowWeights) Logit(ks *simd.Kernels, id int32, h []float32) float32 {
-	wb := w.vecs.widening(1)
-	z := ks.Dot(w.vecs.row(ks, int(id), wb), h) + w.bias[id]
-	wb.release()
-	return z
-}
-
-// ForwardActive fills logits[k] with Logit(active[k]) for each active
-// neuron. Over float32 rows that is one DotManyBias call over the whole
-// active set: on the assembly tiers a single routine that keeps h in vector
-// registers and streams the listed rows past it, every logit still
-// bit-identical to Logit's because each row runs the per-row dot's
-// accumulators, block order and reduction (see DESIGN.md "Active-set walks:
-// one call per sample"). Over bfloat16 rows it is Logit's own loop: widen
-// the row, then Dot. hBF is unread (see the activation contract above).
+// ForwardActive fills logits[k] with neuron active[k]'s pre-activation for
+// the dense input h: the float32 Dot of its row — bfloat16 rows widened on
+// load — and h, plus the bias, computed with the resolved kernel table ks.
+// The package tests' refLogit is that definition, one row at a time. Over
+// float32 rows this is one DotManyBias call over the whole active set: on
+// the assembly tiers a single routine that keeps h in vector registers and
+// streams the listed rows past it, every logit still bit-identical to
+// refLogit's because each row runs the per-row dot's accumulators, block
+// order and reduction (see DESIGN.md "Active-set walks: one call per
+// sample"). Over bfloat16 rows it is refLogit's own loop: widen the row,
+// then Dot. hBF is unread (see the activation contract above).
 func (w *RowWeights) ForwardActive(ks *simd.Kernels, active []int32, h []float32, hBF []bf16.BF16, logits []float32) {
 	if len(logits) < len(active) {
 		panic("layer: ForwardActive logits buffer too short")
@@ -195,8 +188,8 @@ func (w *RowWeights) ForwardAll(ks *simd.Kernels, h []float32, hBF []bf16.BF16, 
 }
 
 // ForwardAllBatch computes every neuron's logit for a coalesced batch of
-// dense inputs: outs[s][i] = Logit(i, hs[s]) — ForwardAllBatchRange over
-// every row. The walk runs on the caller's goroutine: the serving pipeline
+// dense inputs: outs[s][i] is neuron i's logit for hs[s] —
+// ForwardAllBatchRange over every row. The walk runs on the caller's goroutine: the serving pipeline
 // parallelizes across concurrent batch calls, not within one. hBFs is
 // unread.
 func (w *RowWeights) ForwardAllBatch(ks *simd.Kernels, hs [][]float32, hBFs [][]bf16.BF16, outs [][]float32) {
@@ -208,8 +201,9 @@ func (w *RowWeights) ForwardAllBatch(ks *simd.Kernels, hs [][]float32, hBFs [][]
 	w.ForwardAllBatchRange(ks, hs, outs, 0, w.Out, nil)
 }
 
-// ForwardAllBatchRange is the exact walk: outs[s][i] = Logit(i, hs[s]) for
-// every row i in [lo, hi) and every sample s. Rows are taken a block at a
+// ForwardAllBatchRange is the exact walk: outs[s][i] is neuron i's logit
+// for hs[s] (the package tests' refLogit) for every row i in [lo, hi) and
+// every sample s. Rows are taken a block at a
 // time (BlockRows of them, sized by their float32 footprint) and each block
 // is scored against every sample before the next is touched — so the weight
 // matrix streams from memory once per chunk instead of once per sample, and
@@ -217,7 +211,7 @@ func (w *RowWeights) ForwardAllBatch(ks *simd.Kernels, hs [][]float32, hBFs [][]
 // tile at a time: one DotManyBiasBatch call scores it against simd.WalkTile
 // of them, each row loaded once for the tile; a lone last sample — so also a
 // single query — takes one DotManyBias call, the activation in registers on
-// the assembly tiers. Either way every logit is the one Logit computes.
+// the assembly tiers. Either way every logit is the one refLogit computes.
 // Callers tile the rows by calling it concurrently over disjoint ranges into
 // shared outs (shards, evaluation workers); the assembled scores are the
 // same bits at any tiling.

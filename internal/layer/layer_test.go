@@ -15,6 +15,17 @@ import (
 // layer hot paths (one table per stretch of work).
 func tks() *simd.Kernels { return simd.Active() }
 
+// refLogit is the definition every forward walk of a RowWeights is checked
+// against: neuron id's pre-activation for the dense input h, the float32
+// Dot of its row — bfloat16 rows widened on load — and h, plus the bias,
+// one row at a time.
+func refLogit(ks *simd.Kernels, w *RowWeights, id int32, h []float32) float32 {
+	wb := w.vecs.widening(1)
+	z := ks.Dot(w.vecs.row(ks, int(id), wb), h) + w.bias[id]
+	wb.release()
+	return z
+}
+
 func sampleVec(rng *rand.Rand, dim, nnz int) sparse.Vector {
 	used := map[int32]bool{}
 	idx := make([]int32, 0, nnz)
@@ -226,7 +237,7 @@ func TestRowLayerLogitMatchesDot(t *testing.T) {
 	buf := make([]float32, 16)
 	for id := int32(0); id < 12; id++ {
 		want := simd.ForMode(simd.Scalar).Dot(l.RowF32(int(id), buf), h) + l.Bias()[id]
-		got := l.Logit(tks(), id, h)
+		got := refLogit(tks(), l.ForwardView(), id, h)
 		if math.Abs(float64(got-want)) > 1e-4 {
 			t.Errorf("Logit(%d) = %g, want %g", id, got, want)
 		}
@@ -246,9 +257,9 @@ func TestRowLayerPrecisionLogits(t *testing.T) {
 	lact := NewRowLayer(32, 6, Options{Precision: BF16Act, Seed: 15})
 	lboth := NewRowLayer(32, 6, Options{Precision: BF16Both, Seed: 15})
 	for id := int32(0); id < 6; id++ {
-		ref := float64(l32.Logit(tks(), id, h))
-		a := float64(lact.Logit(tks(), id, hr))
-		b := float64(lboth.Logit(tks(), id, hr))
+		ref := float64(refLogit(tks(), l32.ForwardView(), id, h))
+		a := float64(refLogit(tks(), lact.ForwardView(), id, hr))
+		b := float64(refLogit(tks(), lboth.ForwardView(), id, hr))
 		if math.Abs(a-ref) > 0.05*math.Max(1, math.Abs(ref)) {
 			t.Errorf("BF16Act logit %d = %g, fp32 %g", id, a, ref)
 		}
@@ -281,7 +292,7 @@ func TestBF16ActIsFloat32OnRoundedActivations(t *testing.T) {
 			f32 := NewRowLayer(in, out, Options{Precision: FP32, Placement: place, Seed: 83})
 			act := NewRowLayer(in, out, Options{Precision: BF16Act, Placement: place, Seed: 83})
 			for id := int32(0); id < out; id++ {
-				a, b := act.Logit(ks, id, hs[0]), f32.Logit(ks, id, hs[0])
+				a, b := refLogit(ks, act.ForwardView(), id, hs[0]), refLogit(ks, f32.ForwardView(), id, hs[0])
 				if math.Float32bits(a) != math.Float32bits(b) {
 					t.Fatalf("%s: Logit(%d) = %g, FP32 %g", name, id, a, b)
 				}
@@ -357,7 +368,7 @@ func TestBF16BothIsFloat32OnWidenedRows(t *testing.T) {
 			name := fmt.Sprintf("%v/%v", m, place)
 			bf, f32 := widenedRowTwins(in, out, place, rng)
 			for id := range int32(out) {
-				a, b := bf.Logit(ks, id, hs[0]), f32.Logit(ks, id, hs[0])
+				a, b := refLogit(ks, bf.ForwardView(), id, hs[0]), refLogit(ks, f32.ForwardView(), id, hs[0])
 				if math.Float32bits(a) != math.Float32bits(b) {
 					t.Fatalf("%s: Logit(%d) = %g, FP32 %g", name, id, a, b)
 				}
@@ -546,7 +557,7 @@ func TestRowLayerForwardAll(t *testing.T) {
 					for s := range hs {
 						want[s], got[s] = make([]float32, out), make([]float32, out)
 						for i := range want[s] {
-							want[s][i] = w.Logit(ks, int32(i), hs[s])
+							want[s][i] = refLogit(ks, w, int32(i), hs[s])
 						}
 					}
 					clear := func() {

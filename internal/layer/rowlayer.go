@@ -45,15 +45,8 @@ func NewRowLayer(in, out int, o Options) *RowLayer {
 	return l
 }
 
-// Logit computes neuron id's pre-activation for the dense input h; see
-// RowWeights.Logit, which implements the pass for both the training path
-// and snapshot serving.
-func (l *RowLayer) Logit(ks *simd.Kernels, id int32, h []float32) float32 {
-	return l.fwd.Logit(ks, id, h)
-}
-
-// ForwardActive fills logits[k] with Logit(active[k]) for each active
-// neuron; see RowWeights.ForwardActive. hBF is unread.
+// ForwardActive fills logits[k] with neuron active[k]'s pre-activation for
+// h; see RowWeights.ForwardActive. hBF is unread.
 func (l *RowLayer) ForwardActive(ks *simd.Kernels, active []int32, h []float32, hBF []bf16.BF16, logits []float32) {
 	l.fwd.ForwardActive(ks, active, h, nil, logits)
 }

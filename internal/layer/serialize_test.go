@@ -97,7 +97,7 @@ func TestRowLayerSerializeRoundTrip(t *testing.T) {
 			bf16.RoundSlice(h)
 		}
 		for id := int32(0); id < 6; id++ {
-			if src.Logit(tks(), id, h) != dst.Logit(tks(), id, h) {
+			if refLogit(tks(), src.ForwardView(), id, h) != refLogit(tks(), dst.ForwardView(), id, h) {
 				t.Fatalf("%v: logit %d diverged after round trip", prec, id)
 			}
 		}
@@ -166,7 +166,7 @@ func TestSerializeStreamComposition(t *testing.T) {
 	}
 	h := []float32{1, 2, 3, 4}
 	for id := int32(0); id < 9; id++ {
-		if b.Logit(tks(), id, h) != b2.Logit(tks(), id, h) {
+		if refLogit(tks(), b.ForwardView(), id, h) != refLogit(tks(), b2.ForwardView(), id, h) {
 			t.Fatalf("row layer diverged at %d", id)
 		}
 	}

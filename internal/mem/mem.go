@@ -37,16 +37,6 @@ func alignedSlice(n int) []float32 {
 	return buf[off : off+n : off+n]
 }
 
-// Aligned reports whether the first element of s sits on a 64-byte boundary
-// (exported for the alignment tests and debug assertions; empty slices are
-// trivially aligned).
-func Aligned(s []float32) bool {
-	if len(s) == 0 {
-		return true
-	}
-	return uintptr(unsafe.Pointer(&s[0]))%alignBytes == 0
-}
-
 // Contiguous2D returns rows×cols as row views into one contiguous backing
 // slice (also returned, for whole-block kernels such as the fused ADAM pass
 // of §4.3.1). The backing block starts on a 64-byte boundary.

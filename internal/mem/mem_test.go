@@ -1,24 +1,36 @@
 package mem
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
+
+// aligned reports whether the first element of s sits on a 64-byte boundary
+// (empty slices are trivially aligned).
+func aligned(s []float32) bool {
+	if len(s) == 0 {
+		return true
+	}
+	return uintptr(unsafe.Pointer(&s[0]))%alignBytes == 0
+}
 
 func TestBackingAlignment(t *testing.T) {
 	// Backing allocations start on a 64-byte boundary (one cache line, one
 	// zmm register), for every allocation size including cache-line-odd ones.
 	for _, n := range []int{1, 2, 15, 16, 17, 64, 100, 1000, 4096} {
 		_, backing := Contiguous2D(3, n)
-		if !Aligned(backing) {
+		if !aligned(backing) {
 			t.Errorf("Contiguous2D(3, %d): backing not 64-byte aligned", n)
 		}
 	}
 	// Rows carved at multiples of 16 floats stay aligned for zmm loads.
 	rows, _ := Contiguous2D(4, 16)
 	for i, r := range rows {
-		if !Aligned(r) {
+		if !aligned(r) {
 			t.Errorf("Contiguous2D(4, 16) row %d not aligned", i)
 		}
 	}
-	if !Aligned(nil) {
+	if !aligned(nil) {
 		t.Error("empty slice must report aligned")
 	}
 }

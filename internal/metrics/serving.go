@@ -58,15 +58,6 @@ func (h *SizeHistogram) Mean() float64 {
 	return float64(sum) / float64(n)
 }
 
-// Total returns the number of observations.
-func (h *SizeHistogram) Total() uint64 {
-	var n uint64
-	for i := range h.counts {
-		n += h.counts[i].Load()
-	}
-	return n
-}
-
 // Reservoir keeps the most recent cap duration observations in a ring and
 // serves quantiles over them — the p50/p99 latency window of the serving
 // /stats endpoint. Safe for concurrent use; Observe takes one mutex.
@@ -97,15 +88,9 @@ func (r *Reservoir) Observe(d time.Duration) {
 	r.mu.Unlock()
 }
 
-// Quantile returns the q-quantile (0 <= q <= 1, nearest-rank) over the
-// current window, or 0 when nothing has been observed.
-func (r *Reservoir) Quantile(q float64) time.Duration {
-	qs := r.Quantiles(q)
-	return qs[0]
-}
-
-// Quantiles returns several quantiles over one consistent copy of the
-// window (one lock, one sort — cheaper than repeated Quantile calls).
+// Quantiles returns the q-quantiles (0 <= q <= 1, nearest-rank) over one
+// consistent copy of the current window (one lock, one sort), or zeros when
+// nothing has been observed.
 func (r *Reservoir) Quantiles(qs ...float64) []time.Duration {
 	r.mu.Lock()
 	n := r.next
@@ -131,14 +116,4 @@ func (r *Reservoir) Quantiles(qs ...float64) []time.Duration {
 		out[i] = window[rank]
 	}
 	return out
-}
-
-// Count returns the number of observations currently in the window.
-func (r *Reservoir) Count() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.full {
-		return len(r.ring)
-	}
-	return r.next
 }

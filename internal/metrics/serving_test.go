@@ -6,6 +6,25 @@ import (
 	"time"
 )
 
+// total is the histogram's observation count: the sum of its counts.
+func total(h *SizeHistogram) uint64 {
+	var n uint64
+	for _, c := range h.Counts() {
+		n += c
+	}
+	return n
+}
+
+// count is the number of observations currently in the reservoir's window.
+func count(r *Reservoir) int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.full {
+		return len(r.ring)
+	}
+	return r.next
+}
+
 func TestSizeHistogram(t *testing.T) {
 	h := NewSizeHistogram(8)
 	for _, n := range []int{1, 2, 2, 8, 0, 99} { // 0 clamps to 1, 99 clamps to 8
@@ -15,7 +34,7 @@ func TestSizeHistogram(t *testing.T) {
 	if counts[0] != 2 || counts[1] != 2 || counts[7] != 2 {
 		t.Errorf("counts = %v", counts)
 	}
-	if got := h.Total(); got != 6 {
+	if got := total(h); got != 6 {
 		t.Errorf("Total = %d", got)
 	}
 	if got, want := h.Mean(), (1+1+2+2+8+8)/6.0; got != want {
@@ -36,14 +55,14 @@ func TestSizeHistogramConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if got := h.Total(); got != 8000 {
+	if got := total(h); got != 8000 {
 		t.Errorf("Total = %d, want 8000", got)
 	}
 }
 
 func TestReservoirQuantiles(t *testing.T) {
 	r := NewReservoir(100)
-	if got := r.Quantile(0.5); got != 0 {
+	if got := r.Quantiles(0.5)[0]; got != 0 {
 		t.Errorf("empty quantile = %v", got)
 	}
 	for i := 1; i <= 100; i++ {
@@ -64,10 +83,10 @@ func TestReservoirQuantiles(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		r.Observe(time.Second)
 	}
-	if got := r.Quantile(0); got != time.Second {
+	if got := r.Quantiles(0)[0]; got != time.Second {
 		t.Errorf("post-wrap min = %v", got)
 	}
-	if got := r.Count(); got != 100 {
+	if got := count(r); got != 100 {
 		t.Errorf("Count = %d", got)
 	}
 }

@@ -38,9 +38,6 @@ func (p *Predictor) Quantize(bits int) (*Predictor, error) {
 	return qp, nil
 }
 
-// Quantized reports whether this predictor serves from packed integer rows.
-func (p *Predictor) Quantized() bool { return p.fwd.qout != nil }
-
 // QuantizedBits returns the packed bit width (8), or 0 for a
 // full-precision predictor.
 func (p *Predictor) QuantizedBits() int {

@@ -46,13 +46,11 @@ func TestQuantizePredictorBasics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !q8.Quantized() || q8.QuantizedBits() != 8 || q8.PrecisionName() != "int8" {
-		t.Fatalf("quantized predictor reports %v/%d/%s",
-			q8.Quantized(), q8.QuantizedBits(), q8.PrecisionName())
+	if q8.QuantizedBits() != 8 || q8.PrecisionName() != "int8" {
+		t.Fatalf("quantized predictor reports %d/%s", q8.QuantizedBits(), q8.PrecisionName())
 	}
-	if p.Quantized() || p.QuantizedBits() != 0 || p.PrecisionName() != "f32" {
-		t.Fatalf("source predictor reports %v/%d/%s after Quantize",
-			p.Quantized(), p.QuantizedBits(), p.PrecisionName())
+	if p.QuantizedBits() != 0 || p.PrecisionName() != "f32" {
+		t.Fatalf("source predictor reports %d/%s after Quantize", p.QuantizedBits(), p.PrecisionName())
 	}
 	if q8.PackedBytes() >= p.PackedBytes() {
 		t.Fatalf("int8 view (%d bytes) not smaller than f32 view (%d bytes)",
@@ -235,9 +233,8 @@ func TestQuantizedReplicaCycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !replica.Quantized() || replica.QuantizedBits() != 8 {
-		t.Fatalf("replica from quantized base reports %v/int%d",
-			replica.Quantized(), replica.QuantizedBits())
+	if replica.QuantizedBits() != 8 {
+		t.Fatalf("replica from quantized base reports int%d", replica.QuantizedBits())
 	}
 
 	// expectQuantIdentical asserts the replica serializes byte-identically

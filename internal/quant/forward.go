@@ -13,25 +13,6 @@ import (
 // instead of h. The score vectors they produce feed the existing
 // TopKInto / scatter-gather ranking unchanged.
 
-// dequant maps the integer accumulator back to a float32 logit. The
-// explicit float32 conversions pin every intermediate to a single rounding
-// — no FMA contraction — so logits are bit-stable across builds and tiers.
-func (q *RowQ) dequant(id int32, acc int32, sa float32, zp int32) float32 {
-	d := float32(q.scales[id] * sa)
-	v := float32(acc - zp*q.rowSums[id])
-	return float32(d*v) + q.bias[id]
-}
-
-// Logit computes neuron id's dequantized pre-activation — the per-row
-// definition every walk below is an id list of. qa must have In elements.
-func (q *RowQ) Logit(ks *simd.Kernels, id int32, qa []uint8, sa float32, zp int32) float32 {
-	row := q.rows8[id]
-	if len(qa) != len(row) {
-		panic("quant: Logit activation length mismatch")
-	}
-	return q.dequant(id, ks.DotU8S8(qa, row), sa, zp)
-}
-
 // WalkScratch holds a walk's integer accumulators between the kernel call
 // that fills them and the loop that dequantizes them: one list per sample of
 // a tile, as long as the longest id list walked so far. A walk grows it on
@@ -55,9 +36,11 @@ func (w *WalkScratch) lists(n int) *[simd.WalkTile][]int32 {
 	return &w.accs
 }
 
-// dequantInto turns the accumulators of an id list into its logits: dequant
+// dequantInto turns the accumulators of an id list into its logits, one
 // per id, over local copies of the per-row tables so that the stores into
-// logits cannot force their reload. A gathered list is what the sampled walk
+// logits cannot force their reload. The explicit float32 conversions pin
+// every intermediate to a single rounding — no FMA contraction — so logits
+// are bit-stable across builds and tiers. A gathered list is what the sampled walk
 // has; the exact walk's rows are contiguous and take simd's DequantRows8.
 func (q *RowQ) dequantInto(ids []int32, acc []int32, sa float32, zp int32, logits []float32) {
 	scales, rowSums, bias := q.scales, q.rowSums, q.bias
@@ -69,9 +52,11 @@ func (q *RowQ) dequantInto(ids []int32, acc []int32, sa float32, zp int32, logit
 	}
 }
 
-// ForwardActive fills logits[k] with Logit(active[k]) — the one scoring
-// primitive of this representation, a single DotManyU8S8 call over the id
-// list and one dequantizing loop: the sampled serving path calls it over the
+// ForwardActive fills logits[k] with neuron active[k]'s dequantized
+// pre-activation (the package tests' refLogit is the per-row definition
+// every walk here is an id list of) — the one scoring primitive of this
+// representation, a single DotManyU8S8 call over the id list and one
+// dequantizing loop: the sampled serving path calls it over the
 // LSH-retrieved candidate set. Like the f32 primitive it panics at the first
 // id that is out of range or whose row does not have len(qa) elements, after
 // having scored the ids before it. ws may be nil, which allocates.
@@ -97,7 +82,7 @@ func (q *RowQ) ForwardAll(ks *simd.Kernels, qa []uint8, sa float32, zp int32, ou
 }
 
 // ForwardAllBatch is the exact walk over every row:
-// outs[s][i] = Logit(i, qas[s]).
+// outs[s][i] is neuron i's dequantized logit for qas[s].
 func (q *RowQ) ForwardAllBatch(ks *simd.Kernels, qas [][]uint8, sas []float32, zps []int32, outs [][]float32) {
 	for s := range outs {
 		if len(outs[s]) != q.Out {
@@ -117,7 +102,7 @@ func (q *RowQ) ForwardAllBatch(ks *simd.Kernels, qas [][]uint8, sas []float32, z
 // DequantRows8 call per sample turns those into logits over the block's
 // contiguous stretch of the per-row tables (its ids are an Iota). Shards call it
 // concurrently over disjoint ranges into shared outs, each with its own ws
-// (nil allocates one); every logit is Logit's, so the assembled scores are
+// (nil allocates one); every logit is refLogit's, so the assembled scores are
 // bit-identical at any tiling.
 func (q *RowQ) ForwardAllBatchRange(ks *simd.Kernels, qas [][]uint8, sas []float32, zps []int32, outs [][]float32, lo, hi int, ws *WalkScratch) {
 	if len(outs) != len(qas) {

@@ -13,6 +13,20 @@ import (
 	"github.com/slide-cpu/slide/internal/simd"
 )
 
+// refLogit is the definition every walk of a RowQ is checked against:
+// neuron id's dequantized pre-activation for the quantized activation qa
+// (In elements), one row at a time. The explicit float32 conversions pin
+// every intermediate to a single rounding, as the walks' dequant does.
+func refLogit(ks *simd.Kernels, q *RowQ, id int32, qa []uint8, sa float32, zp int32) float32 {
+	row := q.rows8[id]
+	if len(qa) != len(row) {
+		panic("refLogit: activation length mismatch")
+	}
+	d := float32(q.scales[id] * sa)
+	v := float32(ks.DotU8S8(qa, row) - zp*q.rowSums[id])
+	return float32(d*v) + q.bias[id]
+}
+
 // testRowWeights builds an f32 RowWeights view via the layer constructor +
 // snapshot path (the quantizer consumes real views exactly as Snapshot
 // produces them): Gaussian weights from the seed, nonzero biases.
@@ -364,7 +378,7 @@ func TestLogitMatchesF32(t *testing.T) {
 	buf := make([]float32, 64)
 	for i := int32(0); i < 30; i++ {
 		exact := simd.Active().Dot(src.RowF32(int(i), buf), h) + src.Bias()[i]
-		got := q.Logit(ks, i, qa, sa, zp)
+		got := refLogit(ks, q, i, qa, sa, zp)
 		// Error budget: each product w*h gains at most |w|*sa/2 + |h|*sw/2
 		// + sw*sa/4; summed over 64 terms with |w|,|h| ~ N(0,1) this stays
 		// well under the loose bound below.
@@ -410,7 +424,7 @@ func TestForwardAllMatchesLogit(t *testing.T) {
 			for s := range qas {
 				want[s], got[s] = make([]float32, out), make([]float32, out)
 				for i := range want[s] {
-					want[s][i] = q.Logit(ks, int32(i), qas[s], sas[s], zps[s])
+					want[s][i] = refLogit(ks, q, int32(i), qas[s], sas[s], zps[s])
 				}
 			}
 			clear := func() {
@@ -512,7 +526,7 @@ func TestRowQForwardActiveRejectsShortActs(t *testing.T) {
 			if msg := panics(func() { q.ForwardActive(ks, []int32{1, 0, 7}, qa, 0.5, 3, logits, nil) }); msg != "simd: DotU8S8 length mismatch" {
 				t.Errorf("%v: ForwardActive with %d of %d activations: panic %v", m, n, in, msg)
 			}
-			if msg := panics(func() { q.Logit(ks, 1, qa, 0.5, 3) }); msg == nil {
+			if msg := panics(func() { refLogit(ks, q, 1, qa, 0.5, 3) }); msg == nil {
 				t.Errorf("%v: Logit with %d of %d activations did not panic", m, n, in)
 			}
 			if msg := panics(func() { q.ForwardAll(ks, qa, 0.5, 3, make([]float32, 8), 1) }); msg != "simd: DotU8S8 length mismatch" {

@@ -84,9 +84,8 @@ func TestInt8WireBytesPinned(t *testing.T) {
 // snapshot — the end-to-end quantize-at-publish contract.
 func quantIdentical(t *testing.T, local, remote *network.Predictor, src *trainSrc) {
 	t.Helper()
-	if !remote.Quantized() || remote.QuantizedBits() != 8 {
-		t.Fatalf("replica predictor reports %v/int%d, want int8",
-			remote.Quantized(), remote.QuantizedBits())
+	if remote.QuantizedBits() != 8 {
+		t.Fatalf("replica predictor reports int%d, want int8", remote.QuantizedBits())
 	}
 	lq, err := local.Quantize(8)
 	if err != nil {

@@ -13,18 +13,22 @@ import (
 	"github.com/slide-cpu/slide/slide"
 )
 
-// ErrOverloaded is returned by Submit when the admission queue is full: the
-// request was shed without queuing. The HTTP layer maps it to
+// latencyWindow is the sliding-window size, in requests, of the p50/p99
+// latency reservoir.
+const latencyWindow = 4096
+
+// ErrOverloaded is returned by SubmitMany when the admission queue is full:
+// the request was shed without queuing. The HTTP layer maps it to
 // 429 Too Many Requests with a Retry-After hint. Shedding at admission
 // keeps overload latency flat — a request is either queued and served, or
 // rejected in microseconds.
 var ErrOverloaded = errors.New("serving: admission queue full")
 
-// ErrClosed is returned by Submit after Close.
+// ErrClosed is returned by SubmitMany after Close.
 var ErrClosed = errors.New("serving: batcher closed")
 
-// ErrInvalidEntry is returned by Submit/SubmitMany for an entry that can
-// never be served regardless of snapshot (non-positive k, mismatched
+// ErrInvalidEntry is returned by SubmitMany for an entry that can never be
+// served regardless of snapshot (non-positive k, mismatched
 // indices/values). Rejecting at admission keeps a malformed entry from
 // poisoning the coalesced batch it would have flushed with.
 var ErrInvalidEntry = errors.New("serving: invalid batch entry")
@@ -60,9 +64,6 @@ type Config struct {
 	// worker runs one fused PredictEntries at a time; concurrency across
 	// workers is the pipeline's parallelism.
 	Workers int
-	// LatencyWindow is the sliding-window size of the p50/p99 latency
-	// reservoir (default 4096 requests).
-	LatencyWindow int
 	// Degrade is the tiered-degradation policy (see DegradePolicy). The
 	// zero value disables degradation: the pipeline serves exact until it
 	// sheds.
@@ -82,9 +83,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.LatencyWindow <= 0 {
-		c.LatencyWindow = 4096
 	}
 	if c.Degrade.enabled() {
 		if c.Degrade.LowWater <= 0 {
@@ -115,7 +113,7 @@ type Result struct {
 type pending struct {
 	entry    slide.BatchEntry
 	enqueued time.Time
-	deadline time.Time    // zero = none; captured from the Submit context
+	deadline time.Time    // zero = none; captured from the SubmitMany context
 	state    atomic.Int32 // pendingState / claimedState / canceledState
 	done     chan struct{}
 	servedAt time.Time
@@ -139,8 +137,8 @@ type Batcher struct {
 	mgr   *SnapshotManager
 	queue chan *pending
 
-	// mu guards closed against concurrent Submit sends: Submit holds the
-	// read side across the non-blocking enqueue, Close takes the write side
+	// mu guards closed against concurrent admissions: enqueue holds the
+	// read side across the non-blocking send, Close takes the write side
 	// before closing the channel.
 	mu     sync.RWMutex
 	closed bool
@@ -172,7 +170,7 @@ func NewBatcher(mgr *SnapshotManager, cfg Config) *Batcher {
 		mgr:     mgr,
 		queue:   make(chan *pending, cfg.QueueCap),
 		sizes:   metrics.NewSizeHistogram(cfg.MaxBatch),
-		latency: metrics.NewReservoir(cfg.LatencyWindow),
+		latency: metrics.NewReservoir(latencyWindow),
 	}
 	b.wg.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
@@ -181,52 +179,48 @@ func NewBatcher(mgr *SnapshotManager, cfg Config) *Batcher {
 	return b
 }
 
-// Submit queues one request and blocks until it is served or ctx is done.
-// It returns ErrOverloaded immediately when the admission queue is full and
-// ErrClosed after Close. A context deadline propagates with the request:
-// Submit rejects immediately with ErrDeadline when the deadline has already
-// passed or the remaining budget is below the current service-time estimate
-// (the request could not be served in time even if flushed at once), and a
-// queued request whose deadline passes before its batch flushes fails with
-// ErrDeadline instead of consuming backend work. On ctx cancellation the
-// queue slot is lazily reclaimed (the worker skips the entry), and ctx.Err()
-// is returned — except deadline expiry, which reports ErrDeadline.
+// Submit queues one request and blocks until it is served or ctx is done:
+// it is SubmitMany of one entry, with the same errors and deadline handling.
 func (b *Batcher) Submit(ctx context.Context, entry slide.BatchEntry) (Result, error) {
-	item := &pending{entry: entry, enqueued: time.Now(), done: make(chan struct{})}
-	if d, ok := ctx.Deadline(); ok {
-		item.deadline = d
-		if budget := time.Until(d); budget <= time.Duration(b.svcEWMA.Load()) {
-			b.deadlined.Add(1)
-			return Result{}, fmt.Errorf("serving: %v budget, service estimate %v: %w",
-				budget, time.Duration(b.svcEWMA.Load()), ErrDeadline)
-		}
-	}
-	if err := b.enqueue(item); err != nil {
+	out, err := b.SubmitMany(ctx, []slide.BatchEntry{entry})
+	if err != nil {
 		return Result{}, err
 	}
-	return b.await(ctx, item)
+	return out[0], nil
 }
 
 // SubmitMany queues a client batch as individual entries (they may coalesce
 // with other traffic or split across flushes) and blocks until every entry
-// is served. Entries are admitted in chunks no larger than half the queue,
-// awaiting each chunk before admitting the next, so a client batch larger
-// than the admission queue is still servable — it just flows through in
-// waves rather than demanding the whole queue at once. Within a chunk
-// admission is all-or-nothing: if concurrent traffic fills the queue
-// partway through, the chunk's queued entries are cancelled and
-// ErrOverloaded is returned (the usual shed-and-retry contract). Results
-// are index-aligned with entries.
+// is served. Results are index-aligned with entries. Entries are admitted in
+// chunks no larger than half the queue, awaiting each chunk before admitting
+// the next, so a batch larger than the queue flows through in waves. Within
+// a chunk admission is all-or-nothing: a full queue cancels the chunk's
+// queued entries and returns ErrOverloaded; after Close it is ErrClosed.
+//
+// A ctx deadline travels with every entry. A call whose budget is already
+// below the service-time estimate is refused with ErrDeadline before any
+// entry is admitted; a queued entry whose deadline passes before its flush
+// fails with ErrDeadline without backend work. Every entry a passed
+// deadline leaves unserved counts as deadlined; on any other ctx end the
+// workers skip the abandoned entries and ctx.Err() is returned.
 func (b *Batcher) SubmitMany(ctx context.Context, entries []slide.BatchEntry) ([]Result, error) {
+	var deadline time.Time
+	if d, ok := ctx.Deadline(); ok {
+		deadline = d
+		if budget, est := time.Until(d), time.Duration(b.svcEWMA.Load()); budget <= est {
+			b.deadlined.Add(uint64(len(entries)))
+			return nil, fmt.Errorf("serving: %v budget, service estimate %v: %w", budget, est, ErrDeadline)
+		}
+	}
 	chunk := max(1, b.cfg.QueueCap/2)
 	out := make([]Result, len(entries))
 	for lo := 0; lo < len(entries); lo += chunk {
 		hi := min(lo+chunk, len(entries))
 		items := make([]*pending, hi-lo)
 		for i, e := range entries[lo:hi] {
-			item := &pending{entry: e, enqueued: time.Now(), done: make(chan struct{})}
+			item := &pending{entry: e, enqueued: time.Now(), deadline: deadline, done: make(chan struct{})}
 			if err := b.enqueue(item); err != nil {
-				b.abandon(items[:i])
+				b.abandon(items[:i], &b.canceled)
 				return nil, err
 			}
 			items[i] = item
@@ -234,8 +228,13 @@ func (b *Batcher) SubmitMany(ctx context.Context, entries []slide.BatchEntry) ([
 		for i, item := range items {
 			r, err := b.await(ctx, item)
 			if err != nil {
-				// await already accounted for this item; abandon the rest.
-				b.abandon(items[i+1:])
+				// await accounted for this item; the rest go unserved.
+				left := &b.canceled
+				if errors.Is(err, ErrDeadline) {
+					left = &b.deadlined
+					left.Add(uint64(len(entries) - hi)) // never admitted
+				}
+				b.abandon(items[i+1:], left)
 				return nil, err
 			}
 			out[lo+i] = r
@@ -244,12 +243,13 @@ func (b *Batcher) SubmitMany(ctx context.Context, entries []slide.BatchEntry) ([
 	return out, nil
 }
 
-// abandon marks still-pending items cancelled; items a flush already
-// claimed are left alone (they were served and counted as such).
-func (b *Batcher) abandon(items []*pending) {
+// abandon marks still-pending items cancelled and counts each one it wins
+// in counter; items a flush already claimed are left alone (they were
+// served, or failed, and counted as such).
+func (b *Batcher) abandon(items []*pending, counter *atomic.Uint64) {
 	for _, q := range items {
 		if b.cancel(q) {
-			b.canceled.Add(1)
+			counter.Add(1)
 		}
 	}
 }
@@ -325,7 +325,7 @@ func (b *Batcher) finish(item *pending) (Result, error) {
 	return Result{Labels: item.labels, Version: item.version, Degraded: item.degraded}, nil
 }
 
-// Close stops admitting (Submit returns ErrClosed), lets the workers drain
+// Close stops admitting (SubmitMany returns ErrClosed), lets the workers drain
 // everything already queued, and waits for them to exit. Safe to call more
 // than once.
 func (b *Batcher) Close() {
@@ -519,7 +519,8 @@ func predictEntries(pred Predictor, entries []slide.BatchEntry) (out [][]int32, 
 	return pred.PredictEntries(entries)
 }
 
-// predictSampled runs one degraded-path prediction with the same panic
+// predictSampled is the one per-entry sampled call: the degraded flush path
+// and the front end's sampled requests both run it, with the same panic
 // containment as predictEntries.
 func predictSampled(pred Predictor, e slide.BatchEntry) (out []int32, err error) {
 	defer func() {

@@ -42,10 +42,6 @@ func (s *stubPredictor) PredictEntries(entries []slide.BatchEntry) ([][]int32, e
 	return out, nil
 }
 
-func (s *stubPredictor) Predict(indices []int32, values []float32, k int) []int32 {
-	return []int32{int32(s.version), int32(k)}
-}
-
 func (s *stubPredictor) PredictSampled(indices []int32, values []float32, k int) ([]int32, error) {
 	return nil, errors.New("stub: no sampling")
 }

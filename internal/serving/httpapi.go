@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"sync/atomic"
 	"time"
 
 	"github.com/slide-cpu/slide/slide"
@@ -14,26 +15,29 @@ import (
 // Server routes prediction traffic through the serving pipeline: a
 // SnapshotManager publishes versioned Predictor snapshots (hot-swapped by
 // the publisher — a background trainer or a replication client — without
-// stalling in-flight batches), and a Batcher coalesces concurrent
-// /predict requests into fused batch forwards. With cfg.Direct the
-// batcher is bypassed and every request runs its own forward pass — the
-// pre-batching behavior, kept as the A/B baseline for the load generator.
+// stalling in-flight batches), and a Batcher coalesces the exact entries of
+// concurrent /predict and /predict/batch requests into fused batch
+// forwards. With cfg.Direct the batcher is bypassed and every request's
+// exact entries run as their own PredictEntries call — the pre-batching
+// behavior, kept as the A/B baseline for the load generator.
 //
 // It is the shared HTTP front end of cmd/slide-serve (trainer/checkpoint
 // serving) and cmd/slide-replica (replicated serving); the hooks on
 // ServerConfig let each binary extend readiness and /stats without
 // forking the handler set.
 type Server struct {
-	cfg     ServerConfig
-	mgr     *SnapshotManager
-	batcher *Batcher // nil in direct mode
+	cfg      ServerConfig
+	mgr      *SnapshotManager
+	batcher  *Batcher // nil in direct mode
+	draining atomic.Bool
 }
 
 // ServerConfig configures a Server.
 type ServerConfig struct {
 	// DefaultK is the top-k applied when a request omits k (default 5).
 	DefaultK int
-	// Direct bypasses the micro-batcher: one forward pass per request.
+	// Direct bypasses the micro-batcher: one PredictEntries call per
+	// request.
 	Direct bool
 	// Batch configures the micro-batcher (ignored under Direct).
 	Batch Config
@@ -71,14 +75,23 @@ func NewServer(p Predictor, cfg ServerConfig) *Server {
 // finish on the one they captured.
 func (s *Server) Publish(p Predictor) { s.mgr.Publish(p) }
 
-// Manager exposes the snapshot manager (for Publisher wiring).
-func (s *Server) Manager() *SnapshotManager { return s.mgr }
-
 // Close releases the batcher workers (draining anything queued).
 func (s *Server) Close() {
 	if s.batcher != nil {
 		s.batcher.Close()
 	}
+}
+
+// Shutdown drains the server behind hs: /healthz/ready answers 503
+// ("draining: shutdown in progress") from now on, so load balancers steer
+// new traffic away; hs stops accepting and waits for in-flight handlers
+// (bounded by ctx); then the batcher flushes whatever is queued and its
+// workers exit.
+func (s *Server) Shutdown(ctx context.Context, hs *http.Server) error {
+	s.draining.Store(true)
+	err := hs.Shutdown(ctx)
+	s.Close()
+	return err
 }
 
 // Mux returns the endpoint set; callers may add more handlers (e.g. the
@@ -161,14 +174,6 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
-// writeOverloaded maps the batcher's backpressure signal to HTTP: 429 with
-// a Retry-After hint. Shedding happens at admission, so an overloaded
-// server answers in microseconds instead of queuing without bound.
-func writeOverloaded(w http.ResponseWriter) {
-	w.Header().Set("Retry-After", "1")
-	writeError(w, http.StatusTooManyRequests, "admission queue full, retry later")
-}
-
 // validate checks one request against the current snapshot and resolves it
 // to a batch entry. Every bad-input shape is a 400: empty or out-of-range
 // indices (which would otherwise panic deep in the forward pass),
@@ -211,47 +216,110 @@ func (s *Server) validate(r *predictRequest, p Predictor) (slide.BatchEntry, err
 	return slide.BatchEntry{Indices: r.Indices, Values: r.Values, K: k}, nil
 }
 
-// predictSampledOne serves one sampled request directly on the snapshot,
-// with exact fallback. Sampled retrieval is inherently per-sample (each
-// request probes its own LSH buckets), so it bypasses the batcher.
-func predictSampledOne(p Predictor, e slide.BatchEntry) ([]int32, bool) {
-	labels, err := p.PredictSampled(e.Indices, e.Values, e.K)
-	if err == nil {
-		return labels, true
-	}
-	// ErrNoSampling: model has no LSH tables — exact is the right call.
-	return p.Predict(e.Indices, e.Values, e.K), false
-}
-
 func (s *Server) handlePredict(w http.ResponseWriter, req *http.Request) {
 	var pr predictRequest
 	if err := readRequest(req.Body, &pr); err != nil {
 		writeError(w, http.StatusBadRequest, "invalid JSON: %v", err)
 		return
 	}
+	if r, ok := s.predict(w, req, []predictRequest{pr}, pr.DeadlineMS, false); ok {
+		writeJSON(w, http.StatusOK, predictResponse{Labels: r.Labels[0], Sampled: r.Sampled, Version: r.Version, Degraded: r.Degraded})
+	}
+}
+
+func (s *Server) handlePredictBatch(w http.ResponseWriter, req *http.Request) {
+	var br batchRequest
+	if err := readRequest(req.Body, &br); err != nil {
+		writeError(w, http.StatusBadRequest, "invalid JSON: %v", err)
+		return
+	}
+	if len(br.Samples) == 0 {
+		writeError(w, http.StatusBadRequest, "samples must be non-empty")
+		return
+	}
+	for i := range br.Samples {
+		if br.Samples[i].K == nil {
+			br.Samples[i].K = br.K
+		}
+		br.Samples[i].Sampled = br.Samples[i].Sampled || br.Sampled
+	}
+	if r, ok := s.predict(w, req, br.Samples, br.DeadlineMS, true); ok {
+		writeJSON(w, http.StatusOK, r)
+	}
+}
+
+// predict is the one request path behind /predict (a batch of one sample)
+// and /predict/batch. It validates every sample against one captured
+// snapshot p and serves the sampled ones one at a time on p through
+// predictSampled. All the others — exact samples, and sampled ones on a
+// model without LSH tables — go out as one batch: one PredictEntries call
+// on p in Direct mode, else one Batcher.SubmitMany under the request's
+// deadline, where they coalesce with concurrent traffic (and may split
+// across flushes, possibly spanning a snapshot swap, so Version is omitted
+// when samples were served by different snapshots). On failure the error
+// response is written and ok is false; batch names the failing sample in
+// validation errors.
+func (s *Server) predict(w http.ResponseWriter, req *http.Request, samples []predictRequest, deadlineMS int64, batch bool) (resp batchResponse, ok bool) {
 	p := s.mgr.Current()
-	e, err := s.validate(&pr, p)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
+	entries := make([]slide.BatchEntry, len(samples))
+	exact := make([]slide.BatchEntry, 0, len(samples))
+	for i := range samples {
+		e, err := s.validate(&samples[i], p)
+		if err != nil {
+			if batch {
+				err = fmt.Errorf("sample %d: %w", i, err)
+			}
+			writeError(w, http.StatusBadRequest, "%v", err)
+			return resp, false
+		}
+		entries[i] = e
+		if samples[i].Sampled = samples[i].Sampled && p.Sampled(); !samples[i].Sampled {
+			exact = append(exact, e)
+		}
 	}
-	if pr.Sampled {
-		labels, sampled := predictSampledOne(p, e)
-		writeJSON(w, http.StatusOK, predictResponse{Labels: labels, Sampled: sampled, Version: p.Version()})
-		return
+	var results []Result
+	switch {
+	case len(exact) == 0:
+	case s.batcher == nil:
+		labels, err := p.PredictEntries(exact)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, "%v", err)
+			return resp, false
+		}
+		for _, l := range labels {
+			results = append(results, Result{Labels: l, Version: p.Version()})
+		}
+	default:
+		ctx, cancel := s.deadlineCtx(req.Context(), deadlineMS)
+		defer cancel()
+		var err error
+		if results, err = s.batcher.SubmitMany(ctx, exact); err != nil {
+			writeBatcherError(w, req, err)
+			return resp, false
+		}
 	}
-	if s.batcher == nil {
-		writeJSON(w, http.StatusOK, predictResponse{Labels: p.Predict(e.Indices, e.Values, e.K), Version: p.Version()})
-		return
+	resp = batchResponse{Labels: make([][]int32, len(entries)), Sampled: len(exact) == 0}
+	for i, e := range entries {
+		var r Result
+		if samples[i].Sampled {
+			labels, err := predictSampled(p, e)
+			if err != nil {
+				writeBatcherError(w, req, err)
+				return resp, false
+			}
+			r = Result{Labels: labels, Version: p.Version()}
+		} else {
+			r, results = results[0], results[1:]
+		}
+		resp.Labels[i] = r.Labels
+		resp.Degraded = resp.Degraded || r.Degraded
+		if i == 0 {
+			resp.Version = r.Version
+		} else if r.Version != resp.Version {
+			resp.Version = 0 // mixed-version batch: omit rather than misattribute
+		}
 	}
-	ctx, cancel := s.deadlineCtx(req.Context(), pr.DeadlineMS)
-	defer cancel()
-	res, err := s.batcher.Submit(ctx, e)
-	if err != nil {
-		writeBatcherError(w, req, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, predictResponse{Labels: res.Labels, Version: res.Version, Degraded: res.Degraded})
+	return resp, true
 }
 
 // deadlineCtx derives the request's service context: the wire deadline_ms
@@ -277,7 +345,10 @@ func (s *Server) deadlineCtx(parent context.Context, deadlineMS int64) (context.
 func writeBatcherError(w http.ResponseWriter, req *http.Request, err error) {
 	switch {
 	case errors.Is(err, ErrOverloaded):
-		writeOverloaded(w)
+		// Backpressure: shedding happens at admission, so an overloaded
+		// server answers in microseconds instead of queuing without bound.
+		w.Header().Set("Retry-After", "1")
+		writeError(w, http.StatusTooManyRequests, "admission queue full, retry later")
 	case errors.Is(err, ErrDeadline):
 		// Deliberate deadline shedding: the request's budget (deadline_ms or
 		// the server default) could not be met. Checked before the transport
@@ -296,86 +367,6 @@ func writeBatcherError(w http.ResponseWriter, req *http.Request, err error) {
 	default:
 		writeError(w, http.StatusInternalServerError, "%v", err)
 	}
-}
-
-func (s *Server) handlePredictBatch(w http.ResponseWriter, req *http.Request) {
-	var br batchRequest
-	if err := readRequest(req.Body, &br); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid JSON: %v", err)
-		return
-	}
-	if len(br.Samples) == 0 {
-		writeError(w, http.StatusBadRequest, "samples must be non-empty")
-		return
-	}
-	p := s.mgr.Current()
-	entries := make([]slide.BatchEntry, len(br.Samples))
-	anySampled := false
-	for i := range br.Samples {
-		if br.Samples[i].K == nil {
-			br.Samples[i].K = br.K
-		}
-		br.Samples[i].Sampled = br.Samples[i].Sampled || br.Sampled
-		anySampled = anySampled || br.Samples[i].Sampled
-		e, err := s.validate(&br.Samples[i], p)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "sample %d: %v", i, err)
-			return
-		}
-		entries[i] = e
-	}
-	resp := batchResponse{Labels: make([][]int32, len(entries))}
-	if anySampled {
-		// Sampled retrieval is per-sample; a batch requesting it anywhere is
-		// served sample by sample on one snapshot. Sampled reports whether
-		// sampled retrieval served every sample.
-		resp.Sampled = true
-		resp.Version = p.Version()
-		for i, e := range entries {
-			if !br.Samples[i].Sampled {
-				resp.Labels[i] = p.Predict(e.Indices, e.Values, e.K)
-				resp.Sampled = false
-				continue
-			}
-			var sampled bool
-			resp.Labels[i], sampled = predictSampledOne(p, e)
-			resp.Sampled = resp.Sampled && sampled
-		}
-		writeJSON(w, http.StatusOK, resp)
-		return
-	}
-	if s.batcher == nil {
-		// Without the micro-batcher the client batch is its own coalesced
-		// batch: the same PredictEntries call a batcher flush makes.
-		labels, err := p.PredictEntries(entries)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		resp.Labels = labels
-		resp.Version = p.Version()
-		writeJSON(w, http.StatusOK, resp)
-		return
-	}
-	// Through the batcher the client batch coalesces with concurrent
-	// traffic (and may split across flushes, possibly spanning a snapshot
-	// swap — Version is only reported when one snapshot served everything).
-	ctx, cancel := s.deadlineCtx(req.Context(), br.DeadlineMS)
-	defer cancel()
-	results, err := s.batcher.SubmitMany(ctx, entries)
-	if err != nil {
-		writeBatcherError(w, req, err)
-		return
-	}
-	resp.Version = results[0].Version
-	for i, r := range results {
-		resp.Labels[i] = r.Labels
-		resp.Degraded = resp.Degraded || r.Degraded
-		if r.Version != resp.Version {
-			resp.Version = 0 // mixed-version batch: omit rather than misattribute
-		}
-	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
@@ -397,13 +388,16 @@ func (s *Server) handleLive(w http.ResponseWriter, _ *http.Request) {
 }
 
 // handleReady is the readiness probe: 503 when new traffic should go
-// elsewhere — the admission queue is saturated (arrivals are being shed),
-// the snapshot is older than MaxStale (the publishing side stopped), or
-// the ReadyReasons hook reports a problem (a replica's version skew or
-// lost replication stream). All conditions are reported, so an operator
-// sees why a replica left rotation.
+// elsewhere — Shutdown has begun draining the server, the admission queue
+// is saturated (arrivals are being shed), the snapshot is older than
+// MaxStale (the publishing side stopped), or the ReadyReasons hook reports
+// a problem (a replica's version skew or lost replication stream). All
+// conditions are reported, so an operator sees why a replica left rotation.
 func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 	var reasons []string
+	if s.draining.Load() {
+		reasons = append(reasons, "draining: shutdown in progress")
+	}
 	if s.batcher != nil {
 		if st := s.batcher.Stats(); st.QueueDepth >= st.QueueCap {
 			reasons = append(reasons, fmt.Sprintf("admission queue full (%d/%d)", st.QueueDepth, st.QueueCap))

@@ -1,6 +1,7 @@
 package serving
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -34,10 +35,6 @@ func (g *gateStub) PredictEntries(entries []slide.BatchEntry) ([][]int32, error)
 		out[i] = make([]int32, e.K)
 	}
 	return out, nil
-}
-
-func (g *gateStub) Predict(indices []int32, values []float32, k int) []int32 {
-	return make([]int32, k)
 }
 
 func (g *gateStub) PredictSampled(indices []int32, values []float32, k int) ([]int32, error) {
@@ -269,5 +266,105 @@ func TestHealthzReadyStale(t *testing.T) {
 	srv.Publish(newGateStub(2))
 	if status, _ := getPath(t, ts, "/healthz/ready"); status != http.StatusOK {
 		t.Fatalf("republished ready = %d, want 200", status)
+	}
+}
+
+// slowStub is a stubPredictor whose every exact flush takes delay, so a
+// flush sets the batcher's service estimate to about delay.
+type slowStub struct {
+	*stubPredictor
+	delay time.Duration
+}
+
+func (s slowStub) PredictEntries(entries []slide.BatchEntry) ([][]int32, error) {
+	time.Sleep(s.delay)
+	return s.stubPredictor.PredictEntries(entries)
+}
+
+// TestPredictBatchDeadlineCountsEveryEntry: /predict/batch gets /predict's
+// deadline handling, entry for entry. A budget under the service estimate
+// is refused before admission with a 504 on both endpoints, each refused
+// entry counted deadlined; and when a queued batch's deadline passes, every
+// one of its entries counts as deadlined, none as canceled.
+func TestPredictBatchDeadlineCountsEveryEntry(t *testing.T) {
+	srv, ts := testServer(t, slowStub{&stubPredictor{version: 1}, 40 * time.Millisecond},
+		ServerConfig{DefaultK: 5, Batch: batchCfg(8)})
+	sample := predictRequest{Indices: []int32{1, 2}, K: kp(3)}
+	if resp, body := postJSON(t, ts, "/predict", sample); resp.StatusCode != http.StatusOK {
+		t.Fatalf("slow warm-up flush: status %d: %s", resp.StatusCode, body)
+	}
+	const samples = 3
+	batch := batchRequest{Samples: []predictRequest{sample, sample, sample}, DeadlineMS: 5}
+	one := sample
+	one.DeadlineMS = 5
+	for _, tc := range []struct {
+		path    string
+		body    any
+		entries uint64
+	}{{"/predict", one, 1}, {"/predict/batch", batch, samples}} {
+		before := srv.batcher.Stats()
+		resp, body := postJSON(t, ts, tc.path, tc.body)
+		if resp.StatusCode != http.StatusGatewayTimeout {
+			t.Fatalf("%s under the service estimate: status %d (%s), want 504", tc.path, resp.StatusCode, body)
+		}
+		st := srv.batcher.Stats()
+		if st.Admitted != before.Admitted || st.Deadlined != before.Deadlined+tc.entries {
+			t.Fatalf("%s: admitted %d→%d, deadlined %d→%d; want admitted unchanged, deadlined +%d",
+				tc.path, before.Admitted, st.Admitted, before.Deadlined, st.Deadlined, tc.entries)
+		}
+	}
+
+	// A queued batch whose deadline passes behind a stuck flush.
+	stub := newGateStub(2)
+	srv, ts = testServer(t, stub, ServerConfig{DefaultK: 5, Batch: batchCfg(8)})
+	a := postAsync(t, ts, sample)
+	<-stub.entered // the only worker is now stuck serving A
+	batch.DeadlineMS = 30
+	if resp, body := postJSON(t, ts, "/predict/batch", batch); resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("queued batch past its deadline: status %d (%s), want 504", resp.StatusCode, body)
+	}
+	stub.release <- struct{}{}
+	if ra := <-a; ra.status != http.StatusOK {
+		t.Fatalf("A status %d", ra.status)
+	}
+	if st := srv.batcher.Stats(); st.Deadlined != samples || st.Canceled != 0 {
+		t.Fatalf("stats %+v, want all %d entries deadlined and none canceled", st, samples)
+	}
+}
+
+// TestShutdownFlipsReadyAndFinishesInFlight: once Shutdown starts draining,
+// /healthz/ready answers 503 naming the drain, while a request already in
+// flight still completes and Shutdown then returns cleanly.
+func TestShutdownFlipsReadyAndFinishesInFlight(t *testing.T) {
+	stub := newGateStub(1)
+	srv, ts := testServer(t, stub, ServerConfig{DefaultK: 5, Batch: batchCfg(8)})
+	ready := func() (int, string) {
+		rec := httptest.NewRecorder()
+		srv.Mux().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz/ready", nil))
+		return rec.Code, rec.Body.String()
+	}
+	if status, body := ready(); status != http.StatusOK {
+		t.Fatalf("ready before shutdown = %d %q, want 200", status, body)
+	}
+
+	a := postAsync(t, ts, predictRequest{Indices: []int32{1, 2}, K: kp(3)})
+	<-stub.entered // A is in flight inside the backend
+	done := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		done <- srv.Shutdown(ctx, ts.Config)
+	}()
+	waitUntil(t, "ready to report draining", func() bool {
+		status, body := ready()
+		return status == http.StatusServiceUnavailable && strings.Contains(body, "draining: shutdown in progress")
+	})
+
+	stub.release <- struct{}{}
+	if r := <-a; r.status != http.StatusOK {
+		t.Fatalf("in-flight request status %d during drain, want 200", r.status)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("Shutdown: %v", err)
 	}
 }

@@ -490,9 +490,6 @@ func (g *gatedPredictor) PredictEntries(entries []slide.BatchEntry) ([][]int32, 
 	}
 	return out, nil
 }
-func (g *gatedPredictor) Predict(indices []int32, values []float32, k int) []int32 {
-	return []int32{0}
-}
 func (g *gatedPredictor) PredictSampled(indices []int32, values []float32, k int) ([]int32, error) {
 	return nil, errors.New("no sampling")
 }

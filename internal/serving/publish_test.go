@@ -11,7 +11,7 @@ import (
 )
 
 // TestTrainerPublishesSnapshots: a Trainer session wired to a
-// SnapshotManager via Publisher hot-swaps fresh versions on schedule while
+// SnapshotManager's Publish hot-swaps fresh versions on schedule while
 // concurrent readers serve from whatever snapshot is current — the
 // train-and-serve-from-one-object loop the session API exists for.
 func TestTrainerPublishesSnapshots(t *testing.T) {
@@ -35,7 +35,7 @@ func TestTrainerPublishesSnapshots(t *testing.T) {
 	const snapEvery = 4
 	trainer, err := slide.NewTrainer(m, src,
 		slide.WithEpochs(3),
-		slide.WithSnapshots(snapEvery, Publisher(mgr)))
+		slide.WithSnapshots(snapEvery, func(p *slide.Predictor) { mgr.Publish(p) }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,6 +45,7 @@ func TestTrainerPublishesSnapshots(t *testing.T) {
 	var served atomic.Int64
 	var wg sync.WaitGroup
 	s := train.Sample(0)
+	entries := []slide.BatchEntry{{Indices: s.Indices, Values: s.Values, K: 2}}
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
 		go func() {
@@ -56,8 +57,8 @@ func TestTrainerPublishesSnapshots(t *testing.T) {
 				default:
 				}
 				p := mgr.Current()
-				if got := p.Predict(s.Indices, s.Values, 2); len(got) != 2 {
-					t.Errorf("prediction of length %d from snapshot v%d", len(got), p.Version())
+				if got, err := p.PredictEntries(entries); err != nil || len(got[0]) != 2 {
+					t.Errorf("prediction %v, %v from snapshot v%d", got, err, p.Version())
 					return
 				}
 				served.Add(1)

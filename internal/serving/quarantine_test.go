@@ -28,7 +28,7 @@ func TestPublishQuarantinesNonFinite(t *testing.T) {
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Mux())
 	defer ts.Close()
-	mgr := srv.Manager()
+	mgr := srv.mgr
 
 	get := func(path string) (int, string) {
 		t.Helper()

@@ -1,23 +1,31 @@
 // Package serving is the dynamic micro-batching pipeline between a traffic
-// front end (cmd/slide-serve) and an immutable slide.Predictor snapshot.
+// front end (cmd/slide-serve, cmd/slide-replica) and an immutable
+// slide.Predictor snapshot.
 //
 // The paper's throughput thesis (Daghaghi et al., MLSys 2021) is that CPU
 // inference speed comes from amortizing dispatch and memory traffic across
 // a batch — SLIDE processes batches, never single samples. A serving front
 // end, however, receives single samples from many independent clients. This
-// package closes that gap with three pieces:
+// package closes that gap with four pieces:
 //
-//   - Batcher coalesces concurrent predict requests into fused
-//     Predictor.PredictEntries calls: a bounded admission queue feeds a
-//     worker pool (sized to GOMAXPROCS); a worker greedily drains whatever
-//     is already queued and flushes when the batch reaches the maximum
-//     size, or after waiting at most the maximum wait for more company,
-//     whichever comes first. (MaxWait bounds the latency batching *adds*
-//     once a worker picks a request up; time spent queued behind a backlog
-//     is bounded by the queue, not by MaxWait.) A full queue sheds new
-//     requests with ErrOverloaded — explicit backpressure the HTTP layer
-//     maps to 429 + Retry-After — so overload degrades by rejecting fast,
-//     never by queuing without bound.
+//   - Server is the HTTP front end. POST /predict is a one-sample
+//     POST /predict/batch: both run one handler core that validates the
+//     entries against one captured snapshot, answers the sampled ones one
+//     at a time through the LSH path, and the exact ones through a single
+//     Predictor.PredictEntries call (Direct mode) or Batcher.SubmitMany.
+//     PredictEntries is the only exact call the package makes.
+//   - Batcher coalesces concurrent entries into fused PredictEntries calls:
+//     a bounded admission queue feeds a worker pool (sized to GOMAXPROCS);
+//     a worker greedily drains whatever is already queued and flushes when
+//     the batch reaches the maximum size, or after waiting at most the
+//     maximum wait for more company, whichever comes first. (MaxWait bounds
+//     the latency batching *adds* once a worker picks a request up; time
+//     spent queued behind a backlog is bounded by the queue, not by
+//     MaxWait.) Every admission is a SubmitMany (Submit is SubmitMany of one
+//     entry), and a context deadline travels with every entry it admits. A
+//     full queue sheds new requests with ErrOverloaded — explicit
+//     backpressure the HTTP layer maps to 429 + Retry-After — so overload
+//     degrades by rejecting fast, never by queuing without bound.
 //   - SnapshotManager versions predictors and hot-swaps them: Publish makes
 //     a new snapshot current without stalling in-flight batches, which
 //     finish on the snapshot they captured at flush time. Every request in
@@ -30,15 +38,15 @@ import "github.com/slide-cpu/slide/slide"
 
 // Predictor is the model surface the pipeline serves. *slide.Predictor
 // implements it; tests substitute stubs (e.g. a blocking backend to fill
-// the admission queue deterministically).
+// the admission queue deterministically). It has one exact method: a single
+// request is a batch of one entry.
 type Predictor interface {
-	// PredictEntries runs exact top-k prediction for a coalesced batch
-	// with per-entry k (see slide.Predictor.PredictEntries).
+	// PredictEntries runs exact top-k prediction for a batch with per-entry
+	// k (see slide.Predictor.PredictEntries): a coalesced flush, a Direct
+	// mode client batch, or one /predict sample.
 	PredictEntries(entries []slide.BatchEntry) ([][]int32, error)
-	// Predict is the single-sample exact path (direct, non-batched mode).
-	Predict(indices []int32, values []float32, k int) []int32
 	// PredictSampled is sub-linear LSH inference; it returns an error on
-	// models without tables (callers fall back to Predict).
+	// models without tables (the front end serves those exact instead).
 	PredictSampled(indices []int32, values []float32, k int) ([]int32, error)
 	// Sampled reports whether PredictSampled is available (LSH tables
 	// present).

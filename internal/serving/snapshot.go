@@ -5,13 +5,12 @@ import (
 	"time"
 
 	"github.com/slide-cpu/slide/internal/faultinject"
-	"github.com/slide-cpu/slide/slide"
 )
 
 // SnapshotManager publishes versioned Predictor snapshots to the serving
 // pipeline. Publish and Current are safe for unbounded concurrent use;
-// a swap never stalls in-flight work, because consumers (the Batcher, the
-// direct-path handlers) capture Current once per operation and finish on
+// a swap never stalls in-flight work, because consumers (a Batcher flush,
+// a request's handler) capture Current once per operation and finish on
 // the snapshot they captured. Old snapshots stay valid as long as any
 // in-flight batch references them (they are immutable; the garbage
 // collector reclaims them once the last batch completes).
@@ -111,16 +110,4 @@ func (m *SnapshotManager) QuarantineReason() string {
 // Cleared by the next successful swap; /healthz/ready surfaces it.
 func (m *SnapshotManager) QuarantinedLast() bool {
 	return m.quarLast.Load()
-}
-
-// Publisher adapts the manager to the Trainer's snapshot hook, so a model
-// trains and serves fresh versions from one object:
-//
-//	trainer, _ := slide.NewTrainer(m, src,
-//		slide.WithSnapshots(200, serving.Publisher(mgr)))
-//
-// Every scheduled snapshot the session takes is hot-swapped into the
-// pipeline; in-flight batches finish on the snapshot they captured.
-func Publisher(m *SnapshotManager) func(*slide.Predictor) {
-	return func(p *slide.Predictor) { m.Publish(p) }
 }

@@ -25,8 +25,9 @@
 //
 //	// Freeze the current weights into an immutable Predictor and serve it
 //	// from any number of goroutines — even while training continues; with
-//	// WithSnapshots(n, serving.Publisher(mgr)) a session publishes fresh
-//	// versions into the serving pipeline on schedule.
+//	// WithSnapshots(n, func(p *slide.Predictor) { srv.Publish(p) }) a
+//	// session publishes fresh versions into the serving pipeline on
+//	// schedule.
 //	p := m.Snapshot()
 //	s := test.Sample(0)
 //	top := p.Predict(s.Indices, s.Values, 5)              // exact top-5

@@ -19,7 +19,7 @@ import (
 //		slide.WithEpochs(3),
 //		slide.WithLRSchedule(slide.WarmupLR(1e-3, 500)),
 //		slide.WithCheckpoints("model.slide", 1000),
-//		slide.WithSnapshots(200, serving.Publisher(mgr)))
+//		slide.WithSnapshots(200, func(p *slide.Predictor) { srv.Publish(p) }))
 //	report, err := t.Run(ctx)
 //
 // Run executes on the calling goroutine; cancel the context to stop
@@ -141,9 +141,9 @@ func WithCheckpointRetain(n int) TrainerOption {
 }
 
 // WithSnapshots freezes a Predictor snapshot every everySteps optimizer
-// steps and hands it to publish — wire it to a serving pipeline with
-// serving.Publisher(mgr) and the model trains and serves fresh versions
-// from one object.
+// steps and hands it to publish — wire it to a serving pipeline's Publish
+// (serving.Server or serving.SnapshotManager) and the model trains and
+// serves fresh versions from one object.
 func WithSnapshots(everySteps int, publish func(*Predictor)) TrainerOption {
 	return func(o *trainerOptions) { o.snapEvery, o.snapPublish = everySteps, publish }
 }
