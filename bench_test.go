@@ -370,7 +370,10 @@ func BenchmarkTrainStepModes(b *testing.B) {
 // BenchmarkKernelWidenBF16 measures the §4.4 row loader: one 128-wide
 // bfloat16 row widened into float32, under every kernel tier.
 func BenchmarkKernelWidenBF16(b *testing.B) {
-	src := bf16.FromSlice(randF32(128, 7))
+	src := make([]bf16.BF16, 128)
+	for i, x := range randF32(128, 7) {
+		src[i] = bf16.FromFloat32(x)
+	}
 	dst := make([]float32, 128)
 	benchKernelModes(b, func(b *testing.B, ks *simd.Kernels) {
 		for i := 0; i < b.N; i++ {

@@ -56,7 +56,7 @@ func main() {
 		k          = flag.Int("k", 5, "default top-k when a request omits k")
 		noBatch    = flag.Bool("no-batch", false, "bypass the micro-batcher: one forward pass per request")
 		maxBatch   = flag.Int("max-batch", 32, "micro-batcher: flush when this many requests coalesce")
-		maxWait    = flag.Duration("max-wait", 2*time.Millisecond, "micro-batcher: flush a partial batch after this wait")
+		maxWait    = flag.Duration("max-wait", 2*time.Millisecond, "micro-batcher: flush a partial batch after this wait (0 selects the 2ms default, negative turns the wait off)")
 		queueCap   = flag.Int("queue-cap", 0, "admission queue bound; overflow sheds with 429 (0 = 8×max-batch)")
 
 		maxLag      = flag.Int64("max-version-lag", 0, "versions behind the trainer before /healthz/ready reports unready (0 = lag never gates readiness)")

@@ -71,7 +71,7 @@ func main() {
 		seed      = flag.Uint64("seed", 42, "demo RNG seed")
 		noBatch   = flag.Bool("no-batch", false, "bypass the micro-batcher: one forward pass per request (A/B baseline)")
 		maxBatch  = flag.Int("max-batch", 32, "micro-batcher: flush when this many requests coalesce")
-		maxWait   = flag.Duration("max-wait", 2*time.Millisecond, "micro-batcher: flush a partial batch after this wait")
+		maxWait   = flag.Duration("max-wait", 2*time.Millisecond, "micro-batcher: flush a partial batch after this wait (0 selects the 2ms default, negative turns the wait off)")
 		queueCap  = flag.Int("queue-cap", 0, "admission queue bound; overflow sheds with 429 (0 = 8×max-batch)")
 		replFlag  = flag.Bool("replicate", false, "expose /replicate/* so slide-replica processes can follow this server's snapshots")
 		quantize  = flag.Int("quantize", 0, "serve int8-quantized snapshots: 8; with -replicate the stream ships packed bases and deltas (0 = full precision)")

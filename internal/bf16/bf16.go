@@ -46,41 +46,8 @@ func (b BF16) Bits() uint16 { return uint16(b) }
 // FromBits builds a BF16 from raw bits.
 func FromBits(u uint16) BF16 { return BF16(u) }
 
-// IsNaN reports whether b is a NaN.
-func (b BF16) IsNaN() bool {
-	return b&0x7F80 == 0x7F80 && b&0x007F != 0
-}
-
-// IsInf reports whether b is an infinity of the given sign: +1 positive,
-// -1 negative, 0 either.
-func (b BF16) IsInf(sign int) bool {
-	if b&0x7FFF != 0x7F80 {
-		return false
-	}
-	neg := b&0x8000 != 0
-	return sign == 0 || (sign > 0 && !neg) || (sign < 0 && neg)
-}
-
 func isNaN32(bits uint32) bool {
 	return bits&0x7F800000 == 0x7F800000 && bits&0x007FFFFF != 0
-}
-
-// FromSlice converts a float32 slice into a freshly allocated BF16 slice.
-func FromSlice(src []float32) []BF16 {
-	dst := make([]BF16, len(src))
-	Convert(dst, src)
-	return dst
-}
-
-// Convert converts src into dst with round-to-nearest-even.
-// It panics if the slices have different lengths.
-func Convert(dst []BF16, src []float32) {
-	if len(dst) != len(src) {
-		panic("bf16: Convert length mismatch")
-	}
-	for i, x := range src {
-		dst[i] = FromFloat32(x)
-	}
 }
 
 // Expand converts src into dst. It panics on length mismatch.

@@ -6,7 +6,6 @@ import (
 	"io"
 	"slices"
 	"sort"
-	"strings"
 
 	"github.com/slide-cpu/slide/internal/sparse"
 )
@@ -161,10 +160,4 @@ func BuildCorpus(r io.Reader, cfg CorpusConfig) (*Dataset, *Vocabulary, error) {
 		name = "corpus"
 	}
 	return New(name, vocab.Size(), vocab.Size(), csr), vocab, nil
-}
-
-// BuildCorpusString is BuildCorpus over an in-memory string (tests,
-// examples).
-func BuildCorpusString(text string, cfg CorpusConfig) (*Dataset, *Vocabulary, error) {
-	return BuildCorpus(strings.NewReader(text), cfg)
 }

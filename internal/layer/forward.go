@@ -47,9 +47,6 @@ func (l *ColLayer) ForwardView() *ColWeights { return &l.fwd }
 // afterwards.
 func (l *ColLayer) SnapshotWeights() *ColWeights { return l.SnapshotWeightsCOW(nil, nil) }
 
-// Precision returns the storage precision of the view.
-func (w *ColWeights) Precision() Precision { return w.prec }
-
 // Forward computes h = act(Wx + b) into h (len Out) using the resolved
 // kernel table ks. Under the BF16 activation modes the result is
 // additionally rounded through bfloat16, so h carries exactly the values a
@@ -115,9 +112,6 @@ func (l *RowLayer) ForwardView() *RowWeights { return &l.fwd }
 // contiguous view. Do not call concurrently with ApplyAdam; the returned
 // view is safe for unlimited concurrent reads afterwards.
 func (l *RowLayer) SnapshotWeights() *RowWeights { return l.SnapshotWeightsCOW(nil, nil) }
-
-// Precision returns the storage precision of the view.
-func (w *RowWeights) Precision() Precision { return w.prec }
 
 // ForwardActive fills logits[k] with neuron active[k]'s pre-activation for
 // the dense input h: the float32 Dot of its row — bfloat16 rows widened on

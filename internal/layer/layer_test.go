@@ -61,7 +61,7 @@ func denseColRef(l *ColLayer, x sparse.Vector) []float64 {
 			out[i] += float64(x.Values[k]) * float64(col[i])
 		}
 	}
-	if l.Activation() == ReLU {
+	if l.fwd.act == ReLU {
 		for i := range out {
 			if out[i] < 0 {
 				out[i] = 0
@@ -162,8 +162,8 @@ func TestColLayerBackwardAccumulatesExactGradient(t *testing.T) {
 			}
 		}
 	}
-	if l.TouchedCols() != 2 {
-		t.Errorf("TouchedCols = %d, want 2", l.TouchedCols())
+	if n := l.touched.count(); n != 2 {
+		t.Errorf("TouchedCols = %d, want 2", n)
 	}
 	// Bias gradient is dh itself.
 	for i := range want {
@@ -216,7 +216,7 @@ func TestColLayerApplyAdamMovesOnlyTouched(t *testing.T) {
 			t.Errorf("untouched column %d moved", j)
 		}
 	}
-	if l.TouchedCols() != 0 {
+	if l.touched.count() != 0 {
 		t.Error("touched set not cleared after ApplyAdam")
 	}
 	// Gradients must be consumed.

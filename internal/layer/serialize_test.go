@@ -33,7 +33,7 @@ func trainRow(l *RowLayer, seed uint64) {
 		for i := range h {
 			h[i] = float32(rng.NormFloat64())
 		}
-		if l.Options().Precision != FP32 {
+		if l.opts.Precision != FP32 {
 			bf16.RoundSlice(h) // the BF16 modes take h already rounded
 		}
 		id := int32(rng.IntN(l.Out))

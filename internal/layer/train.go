@@ -40,9 +40,6 @@ func (t *trainState) init(o Options, w store, bias []float32, rowBias bool) {
 		touched: newTouchSet(n)}
 }
 
-// Options returns the construction options.
-func (t *trainState) Options() Options { return t.opts }
-
 // Bias returns the bias vector (read-only view).
 func (t *trainState) Bias() []float32 { return t.bias }
 

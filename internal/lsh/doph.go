@@ -86,9 +86,6 @@ func (d *DOPH) Tables() int { return d.l }
 // Bits implements Hasher.
 func (d *DOPH) Bits() int { return d.k * d.bitsPerBin }
 
-// Dim returns the configured feature-universe size.
-func (d *DOPH) Dim() int { return d.dim }
-
 // HashDenseMany implements Hasher as a loop over HashDense.
 func (d *DOPH) HashDenseMany(vals [][]float32, out []uint32) { hashEach(d, vals, out) }
 

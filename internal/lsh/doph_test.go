@@ -28,8 +28,8 @@ func TestDOPHConfigValidation(t *testing.T) {
 		}
 	}
 	d := mustDOPH(t, DOPHConfig{K: 3, L: 4, Dim: 100, Seed: 1})
-	if d.Bits() != 9 || d.Tables() != 4 || d.Dim() != 100 {
-		t.Errorf("accessors: %d %d %d", d.Bits(), d.Tables(), d.Dim())
+	if d.Bits() != 9 || d.Tables() != 4 || d.dim != 100 {
+		t.Errorf("accessors: %d %d %d", d.Bits(), d.Tables(), d.dim)
 	}
 }
 

@@ -120,9 +120,6 @@ func (d *DWTA) Tables() int { return d.l }
 // Bits implements Hasher.
 func (d *DWTA) Bits() int { return d.k * d.slotBit }
 
-// Dim returns the configured input dimensionality.
-func (d *DWTA) Dim() int { return d.dim }
-
 // HashDenseMany implements Hasher as a loop over HashDense.
 func (d *DWTA) HashDenseMany(vals [][]float32, out []uint32) { hashEach(d, vals, out) }
 

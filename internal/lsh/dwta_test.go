@@ -40,8 +40,8 @@ func TestDWTAConfigValidation(t *testing.T) {
 	if d.Bits() != 6 { // default binSize 8 -> 3 bits per bin
 		t.Errorf("Bits = %d, want 6", d.Bits())
 	}
-	if d.Tables() != 3 || d.Dim() != 64 {
-		t.Errorf("Tables/Dim = %d/%d", d.Tables(), d.Dim())
+	if d.Tables() != 3 || d.dim != 64 {
+		t.Errorf("Tables/Dim = %d/%d", d.Tables(), d.dim)
 	}
 }
 

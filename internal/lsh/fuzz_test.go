@@ -174,14 +174,12 @@ func FuzzTableSetDeserialize(f *testing.F) {
 	if err := src.Serialize(&valid); err != nil {
 		f.Fatal(err)
 	}
-	var p0, p1 bytes.Buffer
-	src.tables[0].Serialize(&p0)
-	src.tables[1].Serialize(&p1)
+	p0, p1 := src.tables[0].appendTo(nil), src.tables[1].appendTo(nil)
 	f.Add(valid.Bytes())
-	f.Add(frameSet(tablePayload(bucketSpec{2, 5, []int32{1, 1 << 30}}), p1.Bytes()))                      // id out of range
-	f.Add(frameSet(tablePayload(bucketSpec{2, 1, []int32{1}}, bucketSpec{2, 1, []int32{3}}), p1.Bytes())) // bucket twice
-	f.Add(valid.Bytes()[:valid.Len()/2])                                                                  // truncated
-	f.Add(frameLegacy(p0.Bytes(), p1.Bytes()))                                                            // pre-sentinel layout: refused
+	f.Add(frameSet(tablePayload(bucketSpec{2, 5, []int32{1, 1 << 30}}), p1))                      // id out of range
+	f.Add(frameSet(tablePayload(bucketSpec{2, 1, []int32{1}}, bucketSpec{2, 1, []int32{3}}), p1)) // bucket twice
+	f.Add(valid.Bytes()[:valid.Len()/2])                                                          // truncated
+	f.Add(frameLegacy(p0, p1))                                                                    // pre-sentinel layout: refused
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ts := fuzzSet(t)
 		r := bytes.NewReader(data)

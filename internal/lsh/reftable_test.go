@@ -129,11 +129,7 @@ func refBytes(t *testing.T, ref *refTable) []byte {
 
 func tableBytes(t *testing.T, tbl *Table) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := tbl.Serialize(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	return tbl.appendTo(nil)
 }
 
 // refRebuild is the serial rebuild: hash rows [lo, hi) with the set's hasher

@@ -28,18 +28,10 @@ import (
 // written; this proves they describe a table a query can walk.
 var ErrMalformed = errors.New("lsh: malformed table payload")
 
-// Serialize writes the table's bucket state: the number of non-empty
-// buckets, then for each in ascending order its index, lifetime count and
-// length followed by its ids. The caller provides synchronization against
-// Build.
-func (t *Table) Serialize(w io.Writer) error {
-	if _, err := w.Write(t.appendTo(nil)); err != nil {
-		return fmt.Errorf("lsh: writing table: %w", err)
-	}
-	return nil
-}
-
-// appendTo appends the table's serialized bucket state to out.
+// appendTo appends the table's serialized bucket state to out: the number of
+// non-empty buckets, then for each in ascending order its index, lifetime
+// count and length followed by its ids. The caller provides synchronization
+// against Build.
 func (t *Table) appendTo(out []byte) []byte {
 	nonEmpty, stored := t.Occupancy()
 	le := binary.LittleEndian

@@ -80,11 +80,7 @@ func TestTableSetChecksumDetectsBitFlip(t *testing.T) {
 	// set header, the whole first table (payload + 4-byte CRC), the 8-byte
 	// table header, and the 12-byte bucket header. An id flip parses fine —
 	// only the checksum can catch it.
-	var t0 bytes.Buffer
-	if err := src.tables[0].Serialize(&t0); err != nil {
-		t.Fatal(err)
-	}
-	pos := 24 + t0.Len() + 4 + 8 + 12
+	pos := 24 + len(src.tables[0].appendTo(nil)) + 4 + 8 + 12
 	raw := buf.Bytes()
 	raw[pos] ^= 0x40
 	err := emptyLike(t).Deserialize(bytes.NewReader(raw), 0, 1<<30)

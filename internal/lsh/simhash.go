@@ -110,9 +110,6 @@ func (s *SimHash) Tables() int { return s.l }
 // Bits implements Hasher.
 func (s *SimHash) Bits() int { return s.k }
 
-// Dim returns the configured input dimensionality.
-func (s *SimHash) Dim() int { return s.dim }
-
 // derive computes the ±1 hyperplane entry (bitIdx, feature) from the hash.
 func (s *SimHash) derive(bitIdx int, feature int32) float32 {
 	h := splitmix64(s.seed ^ uint64(bitIdx)<<32 ^ uint64(uint32(feature)))

@@ -34,8 +34,8 @@ func TestSimHashConfigValidation(t *testing.T) {
 		}
 	}
 	s := mustSimHash(t, SimHashConfig{K: 9, L: 50, Dim: 1000})
-	if s.Bits() != 9 || s.Tables() != 50 || s.Dim() != 1000 {
-		t.Errorf("accessors wrong: %d %d %d", s.Bits(), s.Tables(), s.Dim())
+	if s.Bits() != 9 || s.Tables() != 50 || s.dim != 1000 {
+		t.Errorf("accessors wrong: %d %d %d", s.Bits(), s.Tables(), s.dim)
 	}
 }
 

@@ -48,9 +48,6 @@ func NewTableSet(h Hasher, bucketCap int, policy BucketPolicy, seed uint64) *Tab
 	return ts
 }
 
-// Hasher returns the hasher feeding the tables.
-func (ts *TableSet) Hasher() Hasher { return ts.hasher }
-
 // Clone returns a deep copy of the current table contents under the read
 // lock: a point-in-time snapshot that later rebuilds of the original never
 // touch. The hasher is shared — hashers are immutable after construction

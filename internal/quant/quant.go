@@ -159,11 +159,5 @@ func QuantizeActs(h []float32, qa []uint8) (scale float32, zp int32) {
 	return scale, zp
 }
 
-// Scale returns row i's dequantization scale (tests and diagnostics).
-func (q *RowQ) Scale(i int32) float32 { return q.scales[i] }
-
-// Bias returns a read-only view of the bias vector.
-func (q *RowQ) Bias() []float32 { return q.bias }
-
 // Row8 returns row i's packed int8 view (read-only).
 func (q *RowQ) Row8(i int32) []int8 { return q.rows8[i] }

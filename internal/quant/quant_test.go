@@ -59,7 +59,7 @@ func TestQuantizeRoundTripAccuracy(t *testing.T) {
 		buf := make([]float32, in)
 		for i := 0; i < 32; i++ {
 			row := src.RowF32(i, buf)
-			sc := q.Scale(int32(i))
+			sc := q.scales[i]
 			for j, v := range row {
 				got := float32(q.Row8(int32(i))[j]) * sc
 				if diff := math.Abs(float64(got - v)); diff > float64(sc)/2+1e-6 {
@@ -382,7 +382,7 @@ func TestLogitMatchesF32(t *testing.T) {
 		// Error budget: each product w*h gains at most |w|*sa/2 + |h|*sw/2
 		// + sw*sa/4; summed over 64 terms with |w|,|h| ~ N(0,1) this stays
 		// well under the loose bound below.
-		bound := float64(64) * (float64(sa)/2*3 + float64(q.Scale(i))/2*3)
+		bound := float64(64) * (float64(sa)/2*3 + float64(q.scales[i])/2*3)
 		if diff := math.Abs(float64(got - exact)); diff > bound {
 			t.Fatalf("row %d: quantized logit %v vs exact %v (diff %v > bound %v)",
 				i, got, exact, diff, bound)

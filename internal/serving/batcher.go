@@ -143,6 +143,12 @@ type Batcher struct {
 	mu     sync.RWMutex
 	closed bool
 	wg     sync.WaitGroup
+	// collecting is held by the one worker filling a batch, from its first
+	// receive until the batch is full or MaxWait ends, so the entries of one
+	// client batch do not spread across idle workers that each wait. It is
+	// held across that blocking receive on purpose; Close wakes the holder
+	// by closing the queue.
+	collecting sync.Mutex
 
 	admitted  atomic.Uint64
 	served    atomic.Uint64
@@ -340,56 +346,65 @@ func (b *Batcher) Close() {
 	b.wg.Wait()
 }
 
-// worker pulls the next request, coalesces up to MaxBatch-1 more — first
-// greedily from what is already queued, then waiting up to MaxWait — and
-// flushes the batch through one fused call on the current snapshot.
+// worker collects a batch while it holds collecting, then releases it and
+// flushes the batch through one fused call on the current snapshot, so one
+// worker fills a batch while the others flush theirs.
 func (b *Batcher) worker() {
 	defer b.wg.Done()
 	batch := make([]*pending, 0, b.cfg.MaxBatch)
 	timer := time.NewTimer(time.Hour)
 	timer.Stop()
-	for {
-		first, ok := <-b.queue
-		if !ok {
-			return
+	for open := true; open; {
+		b.collecting.Lock()
+		batch, open = b.collect(batch[:0], timer)
+		b.collecting.Unlock()
+		if len(batch) > 0 {
+			b.flush(batch)
 		}
-		batch = append(batch[:0], first)
-		// Greedy drain: whatever is already waiting coalesces for free.
-	greedy:
-		for len(batch) < b.cfg.MaxBatch {
-			select {
-			case item, ok := <-b.queue:
-				if !ok {
-					b.flush(batch)
-					return
-				}
-				batch = append(batch, item)
-			default:
-				break greedy
-			}
-		}
-		// Partial batch: wait up to MaxWait (measured from now — the
-		// deadline bounds added latency, not total queue time) for more.
-		if len(batch) < b.cfg.MaxBatch && b.cfg.MaxWait > 0 {
-			timer.Reset(b.cfg.MaxWait)
-		wait:
-			for len(batch) < b.cfg.MaxBatch {
-				select {
-				case item, ok := <-b.queue:
-					if !ok {
-						timer.Stop()
-						b.flush(batch)
-						return
-					}
-					batch = append(batch, item)
-				case <-timer.C:
-					break wait
-				}
-			}
-			timer.Stop()
-		}
-		b.flush(batch)
 	}
+}
+
+// collect appends the next request to batch and coalesces up to MaxBatch-1
+// more: first greedily from what is already queued, then waiting up to
+// MaxWait. It reports false once the queue is closed.
+func (b *Batcher) collect(batch []*pending, timer *time.Timer) ([]*pending, bool) {
+	first, ok := <-b.queue
+	if !ok {
+		return batch, false
+	}
+	batch = append(batch, first)
+	// Greedy drain: whatever is already waiting coalesces for free.
+greedy:
+	for len(batch) < b.cfg.MaxBatch {
+		select {
+		case item, ok := <-b.queue:
+			if !ok {
+				return batch, false
+			}
+			batch = append(batch, item)
+		default:
+			break greedy
+		}
+	}
+	if len(batch) == b.cfg.MaxBatch || b.cfg.MaxWait <= 0 {
+		return batch, true
+	}
+	// Partial batch: wait up to MaxWait (measured from now — the deadline
+	// bounds added latency, not total queue time) for more.
+	timer.Reset(b.cfg.MaxWait)
+	defer timer.Stop()
+	for len(batch) < b.cfg.MaxBatch {
+		select {
+		case item, ok := <-b.queue:
+			if !ok {
+				return batch, false
+			}
+			batch = append(batch, item)
+		case <-timer.C:
+			return batch, true
+		}
+	}
+	return batch, true
 }
 
 // flush serves one coalesced batch from a single snapshot capture: exact
@@ -438,19 +453,21 @@ func (b *Batcher) flush(batch []*pending) {
 	b.batches.Add(1)
 	b.sizes.Observe(len(live))
 	version := pred.Version()
-	start := time.Now()
 	if degraded {
 		b.flushSampled(pred, live, version)
 	} else {
 		b.flushExact(pred, live, entries, version)
 	}
-	b.observeService(time.Since(start))
 }
 
-// flushExact is the normal path: one fused PredictEntries for the batch.
+// flushExact is the normal path: one fused PredictEntries for the batch. The
+// service time is in the estimate before any submitter is released, so a
+// caller whose request has returned is judged against it on the next one.
 func (b *Batcher) flushExact(pred Predictor, live []*pending, entries []slide.BatchEntry, version uint64) {
+	start := time.Now()
 	out, err := predictEntries(pred, entries)
 	now := time.Now()
+	b.observeService(now.Sub(start))
 	if err != nil {
 		b.failed.Add(uint64(len(live)))
 	} else {
@@ -469,8 +486,10 @@ func (b *Batcher) flushExact(pred Predictor, live []*pending, entries []slide.Ba
 }
 
 // flushSampled is the degraded path: per-entry LSH-sampled prediction, each
-// entry succeeding or failing on its own.
+// entry succeeding or failing on its own. As in flushExact, every counter
+// and the service estimate are updated before the first release.
 func (b *Batcher) flushSampled(pred Predictor, live []*pending, version uint64) {
+	start := time.Now()
 	for _, item := range live {
 		labels, err := predictSampled(pred, item.entry)
 		if err != nil {
@@ -479,11 +498,15 @@ func (b *Batcher) flushSampled(pred Predictor, live []*pending, version uint64) 
 		} else {
 			item.labels = labels
 			item.version = version
-			item.servedAt = time.Now()
 			item.degraded = true
 			b.served.Add(1)
 			b.degServed.Add(1)
 		}
+	}
+	now := time.Now()
+	b.observeService(now.Sub(start))
+	for _, item := range live {
+		item.servedAt = now
 		close(item.done)
 	}
 }

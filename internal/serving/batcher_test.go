@@ -246,6 +246,35 @@ func TestBatcherSubmitManyAlignsResults(t *testing.T) {
 	}
 }
 
+// TestBatcherClientBatchFlushesWhole: the entries of one client batch that
+// fits MaxBatch coalesce into one flush, which fills and goes at once. Were
+// each idle worker to take entries off the queue, they would split the
+// batch and every part would wait out MaxWait for company that never comes
+// (GOMAXPROCS=2 shows it on every run).
+func TestBatcherClientBatchFlushesWhole(t *testing.T) {
+	const maxWait = 500 * time.Millisecond
+	b := NewBatcher(NewSnapshotManager(&stubPredictor{version: 1}),
+		Config{Workers: 4, MaxBatch: 8, MaxWait: maxWait, QueueCap: 64})
+	defer b.Close()
+	entries := make([]slide.BatchEntry, 8)
+	for i := range entries {
+		entries[i] = entry(i + 1)
+	}
+	for round := 1; round <= 10; round++ {
+		start := time.Now()
+		if _, err := b.SubmitMany(context.Background(), entries); err != nil {
+			t.Fatal(err)
+		}
+		if took := time.Since(start); took >= maxWait/2 {
+			t.Fatalf("round %d took %v: the batch waited for company", round, took)
+		}
+		if st := b.Stats(); st.Batches != uint64(round) || st.BatchSizes[7] != uint64(round) {
+			t.Fatalf("after round %d: %d flushes, sizes %v; want every round one flush of 8",
+				round, st.Batches, st.BatchSizes)
+		}
+	}
+}
+
 func TestBatcherContextCancellation(t *testing.T) {
 	stub := newGatedStub(1)
 	mgr := NewSnapshotManager(stub)

@@ -15,13 +15,15 @@
 //     Predictor.PredictEntries call (Direct mode) or Batcher.SubmitMany.
 //     PredictEntries is the only exact call the package makes.
 //   - Batcher coalesces concurrent entries into fused PredictEntries calls:
-//     a bounded admission queue feeds a worker pool (sized to GOMAXPROCS);
-//     a worker greedily drains whatever is already queued and flushes when
+//     a bounded admission queue feeds a worker pool (sized to GOMAXPROCS).
+//     One worker fills a batch at a time while the others flush: it
+//     greedily drains whatever is already queued and stops collecting when
 //     the batch reaches the maximum size, or after waiting at most the
-//     maximum wait for more company, whichever comes first. (MaxWait bounds
-//     the latency batching *adds* once a worker picks a request up; time
-//     spent queued behind a backlog is bounded by the queue, not by
-//     MaxWait.) Every admission is a SubmitMany (Submit is SubmitMany of one
+//     maximum wait for more company, whichever comes first; then it hands
+//     collecting on and flushes. So the entries of one client batch land in
+//     one flush. (MaxWait bounds the latency batching *adds* once a worker
+//     picks a request up; time spent queued behind a backlog is bounded by
+//     the queue, not by MaxWait.) Every admission is a SubmitMany (Submit is SubmitMany of one
 //     entry), and a context deadline travels with every entry it admits. A
 //     full queue sheds new requests with ErrOverloaded — explicit
 //     backpressure the HTTP layer maps to 429 + Retry-After — so overload

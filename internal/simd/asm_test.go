@@ -45,6 +45,15 @@ func asmModes(t *testing.T) []Mode {
 	return modes
 }
 
+// packBF16 rounds src into a freshly allocated bfloat16 slice.
+func packBF16(src []float32) []bf16.BF16 {
+	dst := make([]bf16.BF16, len(src))
+	for i, x := range src {
+		dst[i] = bf16.FromFloat32(x)
+	}
+	return dst
+}
+
 // offsetSlice returns a slice of length n whose backing base is offset by
 // off elements from its allocation start (unaligned vector loads).
 func offsetSlice(rng *rand.Rand, n, off int) []float32 {
@@ -585,8 +594,8 @@ func TestBF16DotEquivalence(t *testing.T) {
 	for _, m := range asmModes(t) {
 		ks := ForMode(m)
 		for _, n := range testLengths {
-			a := bf16.FromSlice(offsetSlice(rng, n, 1))
-			bBF := bf16.FromSlice(offsetSlice(rng, n, 1))
+			a := packBF16(offsetSlice(rng, n, 1))
+			bBF := packBF16(offsetSlice(rng, n, 1))
 
 			var ref, scale float64
 			for i := range a {
@@ -660,7 +669,7 @@ func TestPackRoundBF16Equivalence(t *testing.T) {
 			checkExact(t, fmt.Sprintf("%s RoundBF16 n=%d", m, n), gotR, wantR)
 
 			widened := make([]float32, n)
-			ks.WidenBF16(widened, bf16.FromSlice(src))
+			ks.WidenBF16(widened, packBF16(src))
 			checkExact(t, fmt.Sprintf("%s WidenBF16 of packed n=%d", m, n), widened, wantR)
 		}
 	}

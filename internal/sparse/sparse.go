@@ -30,16 +30,6 @@ type Vector struct {
 // NNZ returns the number of stored non-zeros.
 func (v Vector) NNZ() int { return len(v.Indices) }
 
-// Dot returns the inner product of the sparse vector with a dense vector.
-// Out-of-range indices panic (caller dimension bug).
-func (v Vector) Dot(dense []float32) float32 {
-	var s float32
-	for k, idx := range v.Indices {
-		s += v.Values[k] * dense[idx]
-	}
-	return s
-}
-
 // Validate checks that indices are sorted, unique and within [0, dim).
 // A negative dim skips the range check.
 func (v Vector) Validate(dim int) error {
@@ -67,8 +57,6 @@ type Batch interface {
 	Sample(i int) Vector
 	// Labels returns the label ids of sample i (aliases storage).
 	Labels(i int) []int32
-	// NNZ returns the total number of non-zeros across all samples.
-	NNZ() int
 }
 
 // ErrEmptyBatch is returned by builders asked to finalize zero samples.
@@ -100,15 +88,11 @@ func (b *CSRBatch) Labels(i int) []int32 {
 	return b.labels[lo:hi:hi]
 }
 
-// NNZ implements Batch.
-func (b *CSRBatch) NNZ() int { return len(b.indices) }
-
 // FragBatch is the fragmented layout: per-sample heap allocations, the data
 // layout of the original (naive) SLIDE implementation.
 type FragBatch struct {
 	samples []Vector
 	labels  [][]int32
-	nnz     int
 }
 
 // Len implements Batch.
@@ -119,9 +103,6 @@ func (b *FragBatch) Sample(i int) Vector { return b.samples[i] }
 
 // Labels implements Batch.
 func (b *FragBatch) Labels(i int) []int32 { return b.labels[i] }
-
-// NNZ implements Batch.
-func (b *FragBatch) NNZ() int { return b.nnz }
 
 // Layout names a batch memory layout.
 type Layout int
@@ -217,7 +198,6 @@ func (b *Builder) Fragmented() (*FragBatch, error) {
 	fb := &FragBatch{
 		samples: make([]Vector, n),
 		labels:  make([][]int32, n),
-		nnz:     len(b.indices),
 	}
 	for i := 0; i < n; i++ {
 		lo, hi := b.offsets[i], b.offsets[i+1]
