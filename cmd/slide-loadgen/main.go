@@ -23,7 +23,7 @@
 // instead of failing the run — rolling restarts are not outages.
 //
 // Cluster mode (-targets host1:8081,host2:8082) spreads the same request
-// set round-robin across a fleet of replicas (slide-replica) instead of a
+// set round-robin across a fleet of replicas (slide-serve -follow) instead of a
 // single server: the report gains per-target sections, the snapshot
 // versions observed in responses, and the cluster-wide version skew; each
 // target's /stats replication counters (replica_version, trainer_version,
@@ -43,6 +43,7 @@ import (
 	"time"
 
 	"github.com/slide-cpu/slide/internal/serving"
+	"github.com/slide-cpu/slide/slide"
 )
 
 func main() {
@@ -64,6 +65,15 @@ func main() {
 	flag.Parse()
 	log.SetFlags(0)
 	log.SetPrefix("slide-loadgen: ")
+	entries, err := serving.BuildLoad(serving.LoadSpec{
+		Scale: *scale, Seed: *seed, Requests: *n, K: *k, MixedK: *mixedK,
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
+	defer cancel()
+	opts := serving.LoadOptions{Deadline: *deadline}
 
 	if *targets != "" {
 		urls := strings.Split(*targets, ",")
@@ -73,36 +83,25 @@ func main() {
 				urls[i] = "http://" + urls[i]
 			}
 		}
-		if err := runCluster(urls, *clients, *n, *k, *mixedK, *seed, *scale, *timeout, *deadline, *maxSkew, *jsonOut); err != nil {
-			log.Fatal(err)
-		}
-		return
+		err = runCluster(ctx, urls, entries, *clients, opts, *maxSkew, *jsonOut)
+	} else {
+		err = run(ctx, *addr, entries, *clients, opts, *minMeanBatch, *jsonOut)
 	}
-	if err := run(*addr, *clients, *n, *k, *mixedK, *seed, *scale, *timeout, *deadline, *minMeanBatch, *jsonOut); err != nil {
+	if err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run(addr string, clients, n, k int, mixedK bool, seed uint64, scale float64, timeout, deadline time.Duration, minMeanBatch float64, jsonOut bool) error {
-	entries, err := serving.BuildLoad(serving.LoadSpec{
-		Scale: scale, Seed: seed, Requests: n, K: k, MixedK: mixedK,
-	})
-	if err != nil {
-		return err
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-
-	report := serving.RunLoadOpts(ctx, addr, nil, entries, clients,
-		serving.LoadOptions{Deadline: deadline})
+func run(ctx context.Context, addr string, entries []slide.BatchEntry, clients int, opts serving.LoadOptions, minMeanBatch float64, jsonOut bool) error {
+	report := serving.RunLoadOpts(ctx, addr, nil, entries, clients, opts)
 
 	meanBatch := -1.0
 	if minMeanBatch > 0 {
-		mb, err := fetchMeanBatch(ctx, addr)
+		stats, err := fetchStats(ctx, addr)
 		if err != nil {
 			return fmt.Errorf("fetching /stats: %w", err)
 		}
-		meanBatch = mb
+		meanBatch, _ = stats["mean_batch"].(float64)
 	}
 
 	if jsonOut {
@@ -149,18 +148,8 @@ func run(addr string, clients, n, k int, mixedK bool, seed uint64, scale float64
 
 // runCluster drives the request set round-robin across the replica fleet
 // and reports per-target outcomes plus the observed version skew.
-func runCluster(targets []string, clients, n, k int, mixedK bool, seed uint64, scale float64, timeout, deadline time.Duration, maxSkew uint64, jsonOut bool) error {
-	entries, err := serving.BuildLoad(serving.LoadSpec{
-		Scale: scale, Seed: seed, Requests: n, K: k, MixedK: mixedK,
-	})
-	if err != nil {
-		return err
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-
-	report := serving.RunLoadCluster(ctx, targets, nil, entries, clients,
-		serving.LoadOptions{Deadline: deadline})
+func runCluster(ctx context.Context, targets []string, entries []slide.BatchEntry, clients int, opts serving.LoadOptions, maxSkew uint64, jsonOut bool) error {
+	report := serving.RunLoadCluster(ctx, targets, nil, entries, clients, opts)
 
 	targetsOut := make([]map[string]any, len(report.Targets))
 	for i, tr := range report.Targets {
@@ -174,7 +163,14 @@ func runCluster(targets []string, clients, n, k int, mixedK bool, seed uint64, s
 			"min_version": tr.Report.MinVersion,
 			"max_version": tr.Report.MaxVersion,
 		}
-		if repl, err := fetchReplicaStats(ctx, tr.URL); err == nil && repl != nil {
+		// A target whose /stats has no replica_version is not a replica.
+		if stats, err := fetchStats(ctx, tr.URL); err == nil && stats["replica_version"] != nil {
+			repl := map[string]any{}
+			for _, key := range []string{"replica_version", "trainer_version", "deltas_applied", "resyncs", "corrupt"} {
+				if v, ok := stats[key]; ok {
+					repl[key] = v
+				}
+			}
 			t["replica_stats"] = repl
 		}
 		targetsOut[i] = t
@@ -228,9 +224,8 @@ func runCluster(targets []string, clients, n, k int, mixedK bool, seed uint64, s
 	return nil
 }
 
-// fetchReplicaStats pulls the replication counters from a target's /stats,
-// returning nil when the target is not a replica (no replica_version key).
-func fetchReplicaStats(ctx context.Context, addr string) (map[string]any, error) {
+// fetchStats decodes the body of a server's /stats endpoint.
+func fetchStats(ctx context.Context, addr string) (map[string]any, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, addr+"/stats", nil)
 	if err != nil {
 		return nil, err
@@ -243,41 +238,7 @@ func fetchReplicaStats(ctx context.Context, addr string) (map[string]any, error)
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("/stats returned %d", resp.StatusCode)
 	}
-	var all map[string]any
-	if err := json.NewDecoder(resp.Body).Decode(&all); err != nil {
-		return nil, err
-	}
-	if _, ok := all["replica_version"]; !ok {
-		return nil, nil
-	}
-	out := map[string]any{}
-	for _, key := range []string{"replica_version", "trainer_version", "deltas_applied", "resyncs", "corrupt"} {
-		if v, ok := all[key]; ok {
-			out[key] = v
-		}
-	}
-	return out, nil
-}
-
-// fetchMeanBatch reads mean_batch from the server's /stats endpoint.
-func fetchMeanBatch(ctx context.Context, addr string) (float64, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, addr+"/stats", nil)
-	if err != nil {
-		return 0, err
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return 0, fmt.Errorf("/stats returned %d", resp.StatusCode)
-	}
-	var stats struct {
-		MeanBatch float64 `json:"mean_batch"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
-		return 0, err
-	}
-	return stats.MeanBatch, nil
+	var stats map[string]any
+	err = json.NewDecoder(resp.Body).Decode(&stats)
+	return stats, err
 }

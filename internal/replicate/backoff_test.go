@@ -104,3 +104,65 @@ func TestRequireQuantizedRejectsOtherWidths(t *testing.T) {
 		t.Fatalf("the server saw %d requests, want 0", n)
 	}
 }
+
+// TestLastErrorNamesTheFailure: a client that cannot sync says why. Before
+// the hub's first Publish it reports the refused base fetch; a good sync
+// clears the record; once the hub is gone the failed poll is recorded and
+// backed off from; an int8-pinned client against an f32 hub names the width
+// it requires.
+func TestLastErrorNamesTheFailure(t *testing.T) {
+	n := newTestNet(t, 61)
+	src := newTrainSrc(60, 20, 21)
+	n.TrainBatch(src.batch(32))
+	p, _ := n.SnapshotDelta()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	waitErr := func(c *Client, want string) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			err := c.LastError()
+			if err != nil && strings.Contains(err.Error(), want) {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("LastError = %v, want one naming %q", err, want)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+
+	hub := NewHub()
+	srv, c, swaps := testCluster(t, hub)
+	done := make(chan error, 1)
+	go func() { done <- c.Run(ctx) }()
+	waitErr(c, "base fetch: 503")
+	if err := hub.Publish(p, nil); err != nil {
+		t.Fatal(err)
+	}
+	waitVersion(t, swaps, 1)
+	if err := c.LastError(); err != nil {
+		t.Fatalf("after a good sync: LastError = %v, want nil", err)
+	}
+	srv.CloseClientConnections()
+	srv.Close()
+	waitErr(c, "/replicate/deltas")
+	for deadline := time.Now().Add(10 * time.Second); c.Stats.BackoffMS.Load() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("a failed poll was not backed off from")
+		}
+	}
+
+	f32 := NewHub()
+	if err := f32.Publish(p, nil); err != nil {
+		t.Fatal(err)
+	}
+	_, pinned, _ := testCluster(t, f32)
+	pinned.RequireQuantized = 8
+	go func() { done <- pinned.Run(ctx) }()
+	waitErr(pinned, "requires int8")
+
+	cancel()
+	<-done
+	<-done
+}

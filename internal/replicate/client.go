@@ -80,8 +80,8 @@ type Client struct {
 	// MaxResyncBackoff caps the exponential backoff (default 8s).
 	MaxResyncBackoff time.Duration
 	// JitterSeed seeds the deterministic backoff jitter (so a restarted
-	// replica fleet doesn't retry in lockstep, yet a given seed replays the
-	// exact same schedule). Wire it to the replica's -seed flag.
+	// follower fleet doesn't retry in lockstep, yet a given seed replays the
+	// exact same schedule). slide-serve -follow wires it to -seed.
 	JitterSeed uint64
 	// RequireQuantized, when 8, refuses base snapshots that are not int8
 	// quantized — a replica provisioned for an int8 memory budget must not
@@ -100,6 +100,19 @@ type Client struct {
 	// failures counts consecutive failed syncs, driving the backoff
 	// exponent. Only touched from the Run goroutine.
 	failures int
+	lastErr  atomic.Pointer[error] // see LastError
+}
+
+// LastError reports the most recent failure Run handled — a failed base
+// sync, a poll that forced a re-sync with an error, or a transient poll
+// error it backed off from — or nil once a later sync or poll succeeded. A
+// long-poll that simply runs out its budget is not a failure. Safe to call
+// from any goroutine.
+func (c *Client) LastError() error {
+	if p := c.lastErr.Load(); p != nil {
+		return *p
+	}
+	return nil
 }
 
 func (c *Client) http() *http.Client {
@@ -155,14 +168,17 @@ func (c *Client) backoff(ctx context.Context) {
 	}
 }
 
-// backoffReset clears the exponential schedule after a healthy sync.
+// backoffReset clears the exponential schedule and the recorded failure
+// after a healthy sync or poll.
 func (c *Client) backoffReset() {
 	c.failures = 0
 	c.Stats.BackoffMS.Store(0)
+	c.lastErr.Store(nil)
 }
 
 // Run follows the stream until ctx is done and returns ctx.Err() — every
-// failure inside is handled by re-syncing. The one exception is a
+// failure inside is handled by re-syncing, and LastError reports the most
+// recent one. The one exception is a
 // RequireQuantized other than 0 or 8, which no base could satisfy: Run
 // returns that error at once, before any fetch.
 func (c *Client) Run(ctx context.Context) error {
@@ -172,6 +188,7 @@ func (c *Client) Run(ctx context.Context) error {
 	for ctx.Err() == nil {
 		if err := c.syncBase(ctx); err != nil {
 			c.Stats.Connected.Store(0)
+			c.lastErr.Store(&err)
 			c.backoff(ctx)
 			continue
 		}
@@ -260,20 +277,23 @@ func (c *Client) follow(ctx context.Context) {
 		}
 		pctx, cancel := context.WithTimeout(ctx, poll)
 		resync, err := c.pollOnce(pctx)
+		expired := pctx.Err() != nil // read before cancel sets it
 		cancel()
 		if resync {
+			if err != nil {
+				c.lastErr.Store(&err)
+			}
 			c.Stats.Resyncs.Add(1)
 			return
 		}
-		if err == nil {
+		switch {
+		case err == nil:
 			c.backoffReset()
-		}
-		if err != nil && ctx.Err() == nil {
-			// Transient (timeout, connection refused): poll again after a
-			// beat; the served version stays up the whole time.
-			if pctx.Err() == nil {
-				c.backoff(ctx)
-			}
+		case !expired:
+			// Transient (connection refused, an error status): poll again
+			// after a beat; the served version stays up the whole time.
+			c.lastErr.Store(&err)
+			c.backoff(ctx)
 		}
 	}
 }

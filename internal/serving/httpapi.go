@@ -21,10 +21,10 @@ import (
 // exact entries run as their own PredictEntries call — the pre-batching
 // behavior, kept as the A/B baseline for the load generator.
 //
-// It is the shared HTTP front end of cmd/slide-serve (trainer/checkpoint
-// serving) and cmd/slide-replica (replicated serving); the hooks on
-// ServerConfig let each binary extend readiness and /stats without
-// forking the handler set.
+// It is the HTTP front end of cmd/slide-serve whatever its snapshot source
+// (checkpoint, demo trainer, or -follow replication); the hooks on
+// ServerConfig let a follower extend readiness and /stats without forking
+// the handler set.
 type Server struct {
 	cfg      ServerConfig
 	mgr      *SnapshotManager

@@ -1,5 +1,6 @@
 // Package serving is the dynamic micro-batching pipeline between a traffic
-// front end (cmd/slide-serve, cmd/slide-replica) and an immutable
+// front end (cmd/slide-serve, serving a checkpoint, a demo trainer or a
+// replication stream) and an immutable
 // slide.Predictor snapshot.
 //
 // The paper's throughput thesis (Daghaghi et al., MLSys 2021) is that CPU

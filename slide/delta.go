@@ -7,7 +7,7 @@ import "github.com/slide-cpu/slide/internal/network"
 // fraction of the model. EnableDeltas turns on touch journaling;
 // SnapshotDelta then returns each snapshot as a copy-on-write Predictor
 // plus a Delta naming exactly the rows that moved — the feed for the
-// replication subsystem (internal/replicate, cmd/slide-replica), which
+// replication subsystem (internal/replicate, slide-serve -follow), which
 // streams deltas to serving replicas instead of re-shipping the model.
 
 // EnableDeltas turns on per-row touch journaling so snapshots become
