@@ -265,10 +265,13 @@ func run(addr string, cfg serving.ServerConfig, o options) error {
 	}
 
 	mux := srv.Mux()
+	httpSrv := &http.Server{Addr: addr, Handler: mux}
 	if hub != nil {
 		hub.Register(mux)
+		// A follower's parked long-poll would hold the drain for up to its
+		// 25 s wait; the hub answers it 204 as shutdown starts.
+		httpSrv.RegisterOnShutdown(hub.Close)
 	}
-	httpSrv := &http.Server{Addr: addr, Handler: mux}
 	errc := make(chan error, 1)
 	log.Printf("listening on %s (-no-batch=%t -replicate=%t -follow=%q -quantize=%d)",
 		addr, cfg.Direct, hub != nil, o.follow, o.qbits)

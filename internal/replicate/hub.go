@@ -63,11 +63,23 @@ type Hub struct {
 	ring        []encDelta         // contiguous deltas ending at version
 	wake        chan struct{}      // closed and replaced whenever version advances
 	quarantined uint64             // snapshots refused at admission (non-finite)
+
+	closed    chan struct{} // closed by Close: long-polls stop parking
+	closeOnce sync.Once
 }
 
 // NewHub returns an empty hub; it serves errors until the first Publish.
 func NewHub() *Hub {
-	return &Hub{ringCap: defaultRingCap, pollWait: defaultPollWait, wake: make(chan struct{})}
+	return &Hub{ringCap: defaultRingCap, pollWait: defaultPollWait,
+		wake: make(chan struct{}), closed: make(chan struct{})}
+}
+
+// Close wakes every parked delta long-poll, which answers 204 at once, and
+// makes later polls answer 204 without parking. Register it with the HTTP
+// server's RegisterOnShutdown, so a graceful shutdown need not wait out
+// a follower's poll. Publish and the other endpoints are unaffected.
+func (h *Hub) Close() {
+	h.closeOnce.Do(func() { close(h.closed) })
 }
 
 // SetQuantize switches the hub to a quantized replication stream: every
@@ -267,7 +279,8 @@ func (h *Hub) deltasSince(from uint64) ([][]byte, uint64, error) {
 }
 
 // waitBeyond parks until the hub's visible version exceeds after, the wait
-// budget elapses, or ctx is done. Reports whether the version advanced.
+// budget elapses, ctx is done or the hub is closed. Reports whether the
+// version advanced.
 func (h *Hub) waitBeyond(ctx context.Context, after uint64, wait time.Duration) bool {
 	deadline := time.Now().Add(wait)
 	for {
@@ -289,6 +302,9 @@ func (h *Hub) waitBeyond(ctx context.Context, after uint64, wait time.Duration) 
 		case <-t.C:
 			return false
 		case <-ctx.Done():
+			t.Stop()
+			return false
+		case <-h.closed:
 			t.Stop()
 			return false
 		}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"strconv"
 	"testing"
@@ -205,5 +206,64 @@ func TestHubNeverAdvertisesUnencodedVersion(t *testing.T) {
 	}
 	if err := <-published; err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestHubCloseEndsParkedPoll: a delta long-poll parked under the default
+// 25 s wait answers 204 within a second of http.Server.Shutdown, once the
+// hub's Close is registered with RegisterOnShutdown, and the shutdown
+// drains cleanly.
+func TestHubCloseEndsParkedPoll(t *testing.T) {
+	hub := NewHub()
+	if hub.pollWait != 25*time.Second {
+		t.Fatalf("default poll wait %v, want 25s", hub.pollWait)
+	}
+	p, _ := newTestNet(t, 43).SnapshotDelta()
+	if err := hub.Publish(p, nil); err != nil {
+		t.Fatal(err)
+	}
+	mux := http.NewServeMux()
+	hub.Register(mux)
+	srv := &http.Server{Handler: mux}
+	srv.RegisterOnShutdown(hub.Close)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+
+	status := make(chan int, 1)
+	go func() {
+		resp, err := http.Get("http://" + ln.Addr().String() + "/replicate/deltas?from=1")
+		if err != nil {
+			status <- -1
+			return
+		}
+		resp.Body.Close()
+		status <- resp.StatusCode
+	}()
+	// Let the poll reach the handler and park: nothing newer than v1 comes.
+	select {
+	case code := <-status:
+		t.Fatalf("poll answered %d before shutdown", code)
+	case <-time.After(300 * time.Millisecond):
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	start := time.Now()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown: %v after %v", err, time.Since(start))
+	}
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("shutdown took %v with a parked poll, want under 1s", took)
+	}
+	if code := <-status; code != http.StatusNoContent {
+		t.Fatalf("parked poll answered %d, want 204", code)
+	}
+	// A poll after Close answers at once rather than parking.
+	start = time.Now()
+	if hub.waitBeyond(context.Background(), 1, time.Minute) || time.Since(start) > time.Second {
+		t.Fatal("a closed hub parked a poll")
 	}
 }

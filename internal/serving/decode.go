@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"strconv"
 	"sync"
 )
@@ -14,9 +15,13 @@ import (
 // whitespace after the object. That is every body json.Marshal makes from
 // the request shapes clients send. Any other body goes to encoding/json on
 // the same bytes, so what a request decodes to, and the text of every
-// decode error, is encoding/json's by construction. Floats are parsed by
-// the call encoding/json makes, strconv.ParseFloat(s, 32), so every value
-// has the same bits.
+// decode error, is encoding/json's by construction. Every float has the
+// bits of the call encoding/json makes, strconv.ParseFloat(s, 32): float
+// decides the short decimals clients send exactly from the digits it
+// scans (Clinger's fast path, see there) and hands every other number to
+// ParseFloat — more than 19 digits, a mantissa of 2^53 or more, an
+// exponent outside [-22, 22], a subnormal or overflowing result, and a
+// float64 that lands on a float32 rounding midpoint.
 
 // requestDecoder holds one request's body and the scratch the one-pass
 // decoder fills. It is pooled; nothing decoded aliases it.
@@ -295,45 +300,101 @@ func (d *requestDecoder) integer(bits int) (int64, bool) {
 	return int64(n), true
 }
 
+// pow10 holds the powers of ten a float64 holds exactly.
+var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9,
+	1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
+
 // float scans a number by JSON's grammar and parses it as encoding/json
-// does for a float32; one out of float32's range fails it.
+// does for a float32, strconv.ParseFloat(s, 32); one out of float32's
+// range fails it. As it scans it accumulates the decimal mantissa man and
+// exponent e, and decides most numbers from them by Clinger's fast path
+// ("How to Read Floating Point Numbers Accurately", PLDI 1990): with at
+// most 19 digits, man < 2^53 and -22 <= e <= 22, man and 10^|e| are both
+// float64s, so one multiply or divide rounds once and gives x, the
+// float64 nearest the value. In float32's normal range every float32
+// rounding midpoint is a float64 too, so x cannot lie across a midpoint
+// from the value: float32(x) is the float32 nearest the value unless x is
+// a midpoint itself, which is ambiguous. Zero is exact. A midpoint, a
+// result outside the normal range (these exponents cannot reach one; the
+// bound keeps the argument local) and every number the path does not
+// cover go to ParseFloat.
 func (d *requestDecoder) float() (float32, bool) {
 	d.space()
-	start := d.i
-	if d.i < len(d.b) && d.b[d.i] == '-' {
-		d.i++
+	b, i := d.b, d.i
+	start := i
+	neg := i < len(b) && b[i] == '-'
+	if neg {
+		i++
 	}
+	var man uint64 // the digits, wrapped once nd passes 19
+	nd, e := 0, 0  // digits from the first nonzero one; decimal exponent
 	switch {
-	case d.i < len(d.b) && d.b[d.i] == '0':
-		d.i++
-	case d.digits() == 0:
+	case i < len(b) && b[i] == '0':
+		i++
+	case i < len(b) && '1' <= b[i] && b[i] <= '9':
+		for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
+			man = man*10 + uint64(b[i]-'0')
+			nd++
+		}
+	default:
 		return 0, false
 	}
-	if d.i < len(d.b) && d.b[d.i] == '.' {
-		d.i++
-		if d.digits() == 0 {
+	if i < len(b) && b[i] == '.' {
+		i++
+		frac := i
+		if man == 0 {
+			for i < len(b) && b[i] == '0' {
+				i++
+			}
+		}
+		for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
+			man = man*10 + uint64(b[i]-'0')
+			nd++
+		}
+		if i == frac {
 			return 0, false
 		}
+		e = frac - i
 	}
-	if d.i < len(d.b) && (d.b[d.i] == 'e' || d.b[d.i] == 'E') {
-		d.i++
-		if d.i < len(d.b) && (d.b[d.i] == '+' || d.b[d.i] == '-') {
-			d.i++
+	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		i++
+		eneg := i < len(b) && b[i] == '-'
+		if i < len(b) && (eneg || b[i] == '+') {
+			i++
 		}
-		if d.digits() == 0 {
+		digits, x := i, 0
+		for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
+			if x < 1e6 { // past the fast path either way; no wrap
+				x = x*10 + int(b[i]-'0')
+			}
+		}
+		if i == digits {
 			return 0, false
 		}
+		if eneg {
+			x = -x
+		}
+		e += x
 	}
-	x, err := strconv.ParseFloat(string(d.b[start:d.i]), 32)
+	d.i = i
+	if nd <= 19 && man < 1<<53 && -22 <= e && e <= 22 {
+		x := float64(man)
+		if e < 0 {
+			x /= pow10[-e]
+		} else {
+			x *= pow10[e]
+		}
+		// The low 29 of float64's 52 mantissa bits are the ones float32
+		// drops; 1<<28 there is a midpoint.
+		if x == 0 || 0x1p-126 <= x && x < 0x1p127 && math.Float64bits(x)&(1<<29-1) != 1<<28 {
+			if neg {
+				x = -x
+			}
+			return float32(x), true
+		}
+	}
+	x, err := strconv.ParseFloat(string(b[start:i]), 32)
 	return float32(x), err == nil
-}
-
-func (d *requestDecoder) digits() int {
-	start := d.i
-	for d.i < len(d.b) && '0' <= d.b[d.i] && d.b[d.i] <= '9' {
-		d.i++
-	}
-	return d.i - start
 }
 
 func (d *requestDecoder) boolean() (bool, bool) {

@@ -7,6 +7,8 @@ import (
 	"math"
 	"math/rand/v2"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -230,5 +232,144 @@ func TestCanonicalBodiesTakeFastPath(t *testing.T) {
 	t.Logf("allocations per 32-sample body: %v at 4 features, %v at 400", small, large)
 	if small != large || small > 3 {
 		t.Errorf("allocations per 32-sample body: %v at 4 features, %v at 400; want the same, at most 3", small, large)
+	}
+}
+
+// checkFloat holds the decoder's float scan to strconv.ParseFloat(s, 32),
+// the call encoding/json makes. When s is one JSON number the scan must
+// take all of it, succeed exactly when ParseFloat does, and give its
+// bits; when s is not, the scan must not take it whole. Whitespace
+// before the number is skipped, as between any two JSON tokens.
+func checkFloat(t *testing.T, s string) {
+	t.Helper()
+	d := &requestDecoder{b: []byte(s)}
+	got, ok := d.float()
+	num := strings.TrimLeft(s, " \t\n\r")
+	if !isJSONNumber(num) {
+		if ok && d.i == len(s) {
+			t.Fatalf("%q is not a JSON number, scanned to %v", s, got)
+		}
+		return
+	}
+	want, err := strconv.ParseFloat(num, 32)
+	switch {
+	case d.i != len(s):
+		t.Fatalf("%q: scan stopped at byte %d", s, d.i)
+	case ok != (err == nil):
+		t.Fatalf("%q: ok %v, strconv.ParseFloat: %v", s, ok, err)
+	case ok && math.Float32bits(got) != math.Float32bits(float32(want)):
+		t.Fatalf("%q: %v (%#08x), strconv.ParseFloat %v (%#08x)",
+			s, got, math.Float32bits(got), float32(want), math.Float32bits(float32(want)))
+	}
+}
+
+// isJSONNumber reports whether s is one JSON number and nothing else.
+func isJSONNumber(s string) bool {
+	return s != "" && strings.IndexByte("-0123456789", s[0]) >= 0 &&
+		'0' <= s[len(s)-1] && s[len(s)-1] <= '9' && json.Valid([]byte(s))
+}
+
+// floatSeeds sit where the fast path's rule decides: float32 midpoints
+// written out exactly, and numbers whose nearest float64 is one; the ends
+// of the normal range, subnormals and overflow; signed zeros; mantissas
+// at 19 and 20 digits, at 2^53 and at 2^64 + 1, which wraps a uint64 to
+// 1; exponents at ±22 and ±23.
+var floatSeeds = []string{
+	"16777217", "16777219", "33554434", "8388608.5", "-8388609.5",
+	"0.5000000298023224", "0.5000000298023223", "0.500000029802322387695312",
+	"1.000000059604644775390625", "1.0000000596046448",
+	"3.4028235e38", "3.4028234663852886e38", "3.4028235677973366e38",
+	"3.4028235677973367e38", "3.5e38", "1e39", "-1e39", "1e-46",
+	"1.17549435e-38", "1.1754942e-38", "1.4e-45", "7e-46", "7.1e-46",
+	"-0", "0", "0.0", "-0.0", "0e5", "-0E-7", "0.000",
+	"1234567890123456789", "12345678901234567890", "18446744073709551617",
+	"1.8446744073709551617e-3", "9007199254740992",
+	"9007199254740993", "0.9007199254740991", "1.0000000000000000000",
+	"1e22", "1e23", "1e-22", "1e-23", "123e-22", "123e-23", "4e22",
+	"0.61710465", "-0.087355494", "1.0596576", "1E+2", "1e+0020",
+	"1e99999999999999999999", "1e-99999999999999999999",
+	"00", "01", "-", "1.", ".5", "1e", "1e+", "+1", "Inf", "NaN", "0x1p3",
+	"1_0", " 1", "\t-2.5e-3", "1 ",
+}
+
+func FuzzParseFloat(f *testing.F) {
+	for _, s := range floatSeeds {
+		f.Add(s)
+	}
+	f.Fuzz(checkFloat)
+}
+
+// TestParseFloatMatchesStrconv sweeps the forms clients write float32s
+// in, decimal forms of random float64s at 1 to 20 significant digits,
+// and float32 rounding midpoints in the forms a float64 prints them.
+func TestParseFloatMatchesStrconv(t *testing.T) {
+	rng := rand.New(rand.NewPCG(53, 2))
+	n := 20000
+	if testing.Short() {
+		n = 2000
+	}
+	for range n {
+		x := randomValue(rng)
+		for _, c := range []byte{'g', 'f', 'e'} {
+			checkFloat(t, strconv.FormatFloat(float64(x), c, -1, 32))
+		}
+		b, err := json.Marshal(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkFloat(t, string(b))
+		y := math.Float64frombits(rng.Uint64())
+		if math.IsNaN(y) || math.IsInf(y, 0) {
+			continue
+		}
+		if rng.IntN(2) == 0 {
+			y = float64(float32(rng.NormFloat64()) * 0.3)
+		}
+		checkFloat(t, strconv.FormatFloat(y, 'e', rng.IntN(20), 64))
+		// The midpoint above x, and its shortest float64 text.
+		if a := math.Abs(float64(x)); a >= 0x1p-126 && a < math.MaxFloat32 {
+			next := float64(math.Nextafter32(float32(a), math.MaxFloat32))
+			m := a + (next-a)/2
+			checkFloat(t, strconv.FormatFloat(m, 'g', -1, 64))
+			checkFloat(t, strconv.FormatFloat(m, 'f', -1, 64))
+		}
+	}
+	for _, s := range floatSeeds {
+		checkFloat(t, s)
+	}
+}
+
+// BenchmarkDecodeBatch decodes the benchmark client's body: 32 samples of
+// 51 features, values in float32's shortest text as json.Marshal writes
+// them, drawn like the synthetic datasets' (1 + N·0.1 or N·0.3).
+func BenchmarkDecodeBatch(b *testing.B) {
+	rng := rand.New(rand.NewPCG(7, 53))
+	samples := make([]benchSample, 32)
+	for i := range samples {
+		s := benchSample{Indices: make([]int32, 51), Values: make([]float32, 51)}
+		for j := range s.Indices {
+			s.Indices[j] = rng.Int32N(2700)
+			s.Values[j] = float32(rng.NormFloat64()) * 0.3
+			if j%2 == 0 {
+				s.Values[j] = 1 + float32(rng.NormFloat64())*0.1
+			}
+		}
+		samples[i] = s
+	}
+	body, err := json.Marshal(struct {
+		Samples []benchSample `json:"samples"`
+		Sampled bool          `json:"sampled,omitempty"`
+	}{samples, true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	d := new(requestDecoder)
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	for b.Loop() {
+		var br batchRequest
+		if !d.fast(body, &br) || len(br.Samples) != 32 {
+			b.Fatal("benchmark body fell back to encoding/json")
+		}
 	}
 }
