@@ -399,21 +399,6 @@ func BenchmarkKernelExpSum(b *testing.B) {
 	})
 }
 
-// BenchmarkKernelRoundBF16 measures the rounding through bfloat16 that feeds
-// the §4.4 activation quantization (VCVTNEPS2BF16 on AVX512-BF16 hosts, the
-// software rounder elsewhere). The source is refreshed every iteration, so
-// each call rounds unrounded values.
-func BenchmarkKernelRoundBF16(b *testing.B) {
-	src := randF32(128, 9)
-	x := make([]float32, 128)
-	benchKernelModes(b, func(b *testing.B, ks *simd.Kernels) {
-		for i := 0; i < b.N; i++ {
-			copy(x, src)
-			ks.RoundBF16(x)
-		}
-	})
-}
-
 // tableShape is one table-set configuration BenchmarkTableCollect runs at: a
 // small one, where everything sits in L1/L2 whatever the layout, and the two
 // the gated training workloads use.

@@ -79,7 +79,7 @@ import (
 // options are the flags that pick the snapshot source and shape it.
 type options struct {
 	modelPath, follow        string
-	demo, replicate          bool
+	demo, replicate, noBatch bool
 	demoScale                float64
 	refresh, shards, qbits   int
 	seed                     uint64
@@ -97,10 +97,9 @@ func main() {
 	flag.IntVar(&o.refresh, "refresh", 20, "demo: batches between snapshot refreshes (0 = freeze after warmup)")
 	flag.IntVar(&o.shards, "shards", 0, "demo: output-layer shards for the deterministic sharded trainer (0 = HOGWILD)")
 	flag.Uint64Var(&o.seed, "seed", 42, "demo RNG seed; under -follow, the seed of the deterministic re-sync backoff jitter (desynchronizes a fleet reproducibly)")
-	noBatch := flag.Bool("no-batch", false, "bypass the micro-batcher: one forward pass per request, no deadline checks (A/B baseline)")
-	maxBatch := flag.Int("max-batch", 32, "micro-batcher: flush when this many requests coalesce")
-	maxWait := flag.Duration("max-wait", 2*time.Millisecond, "micro-batcher: flush a partial batch after this wait (0 selects the 2ms default, negative turns the wait off)")
-	queueCap := flag.Int("queue-cap", 0, "admission queue bound; overflow sheds with 429 (0 = 8×max-batch)")
+	flag.BoolVar(&o.noBatch, "no-batch", false, "bypass the micro-batcher: one forward pass per request, no deadline checks (A/B baseline)")
+	maxBatch := flag.Int("max-batch", 32, "micro-batcher: flush when this many requests coalesce (a partial batch waits at most the measured flush time)")
+	queueCap := flag.Int("queue-cap", 0, "micro-batcher: admission queue bound; overflow sheds with 429 (0 = 8×max-batch)")
 	flag.BoolVar(&o.replicate, "replicate", false, "expose /replicate/* so slide-serve -follow processes can follow this server's snapshots")
 	flag.IntVar(&o.qbits, "quantize", 0, "serve int8-quantized snapshots: 8; with -replicate the stream ships packed bases and deltas, with -follow the stream must be int8 (0 = full precision, or under -follow whatever the hub streams)")
 	flag.StringVar(&o.follow, "follow", "", "replicate from the slide-serve -replicate hub at this base URL, e.g. http://host:8080")
@@ -109,10 +108,10 @@ func main() {
 	flag.DurationVar(&o.syncTimeout, "sync-timeout", 2*time.Minute, "how long to wait for the initial base sync before giving up")
 	chaos := flag.String("chaos", "", "fault-injection scenario, e.g. 'replicate.recv@3=err' (self-healing drills)")
 	chaosSeed := flag.Uint64("chaos-seed", 1, "seed for probabilistic chaos rules (p0.x)")
-	defaultDeadline := flag.Duration("default-deadline", 0, "service deadline for requests without deadline_ms; misses answer 504 (0 = none; ignored under -no-batch)")
-	degradeHigh := flag.Float64("degrade-high", 0, "queue occupancy fraction that engages degraded (sampled) serving (0 = disabled)")
-	degradeLow := flag.Float64("degrade-low", 0, "queue occupancy fraction that disengages degraded serving (0 = half of -degrade-high)")
-	degradeAfter := flag.Int("degrade-after", 0, "consecutive flush observations before switching modes (0 = default 3)")
+	defaultDeadline := flag.Duration("default-deadline", 0, "micro-batcher: service deadline for requests without deadline_ms; misses answer 504 (0 = none)")
+	degradeHigh := flag.Float64("degrade-high", 0, "micro-batcher: queue occupancy fraction that engages degraded (sampled) serving (0 = disabled)")
+	degradeLow := flag.Float64("degrade-low", 0, "micro-batcher: queue occupancy fraction that disengages degraded serving (0 = half of -degrade-high)")
+	degradeAfter := flag.Int("degrade-after", 0, "micro-batcher: consecutive flush observations before switching modes (0 = default 3)")
 	maxStale := flag.Duration("max-snapshot-stale", 0, "snapshot age beyond which /healthz/ready reports unready (0 = never)")
 	flag.Parse()
 	log.SetFlags(0)
@@ -134,10 +133,9 @@ func main() {
 
 	cfg := serving.ServerConfig{
 		DefaultK: *k,
-		Direct:   *noBatch,
+		Direct:   o.noBatch,
 		Batch: serving.Config{
 			MaxBatch: *maxBatch,
-			MaxWait:  *maxWait,
 			QueueCap: *queueCap,
 			Degrade: serving.DegradePolicy{
 				HighWater: *degradeHigh,
@@ -162,8 +160,9 @@ var sourceFlags = map[string]string{
 
 // checkFlags refuses flag combinations no server can honor: anything but
 // exactly one snapshot source, a flag given (set holds the names flag.Visit
-// reports) that the source ignores, a follower that would re-publish (it
-// holds no network.Delta to put on a hub), and a width other than 0 or 8.
+// reports) that the source or -no-batch ignores, a follower that would
+// re-publish (it holds no network.Delta to put on a hub), and a width other
+// than 0 or 8.
 func checkFlags(o options, set map[string]bool) error {
 	source, n := "", 0
 	for name, on := range map[string]bool{"-model": o.modelPath != "", "-demo": o.demo, "-follow": o.follow != ""} {
@@ -177,6 +176,11 @@ func checkFlags(o options, set map[string]bool) error {
 	for name, readers := range sourceFlags {
 		if set[name] && !strings.Contains(readers, source) {
 			return fmt.Errorf("-%s does not apply to %s (only to %s)", name, source, readers)
+		}
+	}
+	for _, name := range []string{"max-batch", "queue-cap", "default-deadline", "degrade-high", "degrade-low", "degrade-after"} {
+		if o.noBatch && set[name] { // only the micro-batcher reads these
+			return fmt.Errorf("-%s does not apply to -no-batch (only to the micro-batcher)", name)
 		}
 	}
 	switch {

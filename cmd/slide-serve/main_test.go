@@ -153,7 +153,7 @@ func TestFollowSyncTimeoutStopsTheClient(t *testing.T) {
 }
 
 // TestCheckFlags: exactly one snapshot source, no flag set that the source
-// ignores, and a follower never re-publishes.
+// or -no-batch ignores, and a follower never re-publishes.
 func TestCheckFlags(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -173,6 +173,14 @@ func TestCheckFlags(t *testing.T) {
 		{"demo and sync-timeout", options{demo: true}, []string{"sync-timeout"}, "-sync-timeout does not apply to -demo"},
 		{"model and seed", options{modelPath: "m.slide"}, []string{"seed"}, "-seed does not apply to -model (only to -demo and -follow)"},
 		{"int4", options{demo: true, qbits: 4}, nil, "-quantize must be 0 or 8"},
+		{"batched", options{demo: true}, []string{"max-batch", "queue-cap", "default-deadline", "degrade-high", "degrade-low", "degrade-after"}, ""},
+		{"no-batch", options{modelPath: "m.slide", noBatch: true}, []string{"no-batch", "k", "max-snapshot-stale"}, ""},
+		{"no-batch and max-batch", options{demo: true, noBatch: true}, []string{"max-batch"}, "-max-batch does not apply to -no-batch"},
+		{"no-batch and queue-cap", options{demo: true, noBatch: true}, []string{"queue-cap"}, "-queue-cap does not apply to -no-batch"},
+		{"no-batch and default-deadline", options{follow: "http://hub", noBatch: true}, []string{"default-deadline"}, "-default-deadline does not apply to -no-batch"},
+		{"no-batch and degrade-high", options{demo: true, noBatch: true}, []string{"degrade-high"}, "-degrade-high does not apply to -no-batch"},
+		{"no-batch and degrade-low", options{demo: true, noBatch: true}, []string{"degrade-low"}, "-degrade-low does not apply to -no-batch"},
+		{"no-batch and degrade-after", options{demo: true, noBatch: true}, []string{"degrade-after"}, "-degrade-after does not apply to -no-batch"},
 	} {
 		set := map[string]bool{}
 		for _, name := range tc.set {

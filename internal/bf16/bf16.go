@@ -8,7 +8,7 @@
 // footprint (half of FP32) and the numerical behaviour (rounding) of the
 // hardware format, so accuracy-impact experiments transfer directly.
 //
-// Conversion rounds to nearest even, as AVX512-BF16 VCVTNEPS2BF16 does.
+// Conversion rounds to nearest even, as VCVTNEPS2BF16 does for normal inputs.
 package bf16
 
 import "math"

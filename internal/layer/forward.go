@@ -76,7 +76,7 @@ func (w *ColWeights) Forward(ks *simd.Kernels, x sparse.Vector, h []float32) {
 		}
 	}
 	if w.prec != FP32 {
-		ks.RoundBF16(h)
+		bf16.RoundSlice(h)
 	}
 }
 

@@ -446,7 +446,7 @@ func TestBF16BothIsFloat32OnWidenedRows(t *testing.T) {
 			hb, hf := make([]float32, in), make([]float32, in)
 			cbf.Forward(ks, sv, hb)
 			cf.Forward(ks, sv, hf)
-			ks.RoundBF16(hf)
+			bf16.RoundSlice(hf)
 			sameBits(t, name+" ColLayer.Forward", hb, hf)
 			dhb := randVec(rng, in)
 			dhf := append([]float32(nil), dhb...)

@@ -6,6 +6,7 @@ import (
 	"math/rand/v2"
 	"testing"
 
+	"github.com/slide-cpu/slide/internal/bf16"
 	"github.com/slide-cpu/slide/internal/simd"
 )
 
@@ -65,7 +66,7 @@ func TestColLayerWalksEqualPerNonZeroForms(t *testing.T) {
 				}
 			}
 			if o.Precision != FP32 {
-				ks.RoundBF16(want)
+				bf16.RoundSlice(want)
 			}
 			sameBits(t, name+" forward", h, want)
 

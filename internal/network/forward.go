@@ -3,6 +3,7 @@ package network
 import (
 	"math/rand/v2"
 
+	"github.com/slide-cpu/slide/internal/bf16"
 	"github.com/slide-cpu/slide/internal/layer"
 	"github.com/slide-cpu/slide/internal/lsh"
 	"github.com/slide-cpu/slide/internal/metrics"
@@ -137,7 +138,7 @@ func (f *forwardState) forwardHidden(ks *simd.Kernels, x sparse.Vector, acts [][
 		}
 	}
 	if len(f.middle) > 0 && f.cfg.Precision != layer.FP32 {
-		ks.RoundBF16(acts[len(acts)-1])
+		bf16.RoundSlice(acts[len(acts)-1])
 	}
 }
 

@@ -17,8 +17,8 @@ import (
 // latency reservoir.
 const latencyWindow = 4096
 
-// ErrOverloaded is returned by SubmitMany when the admission queue is full:
-// the request was shed without queuing. The HTTP layer maps it to
+// ErrOverloaded is returned by SubmitMany when the admission queue has no
+// room for a chunk: it was shed without queuing. The HTTP layer maps it to
 // 429 Too Many Requests with a Retry-After hint. Shedding at admission
 // keeps overload latency flat — a request is either queued and served, or
 // rejected in microseconds.
@@ -52,11 +52,6 @@ type Config struct {
 	// MaxBatch is the coalescing limit: a worker flushes as soon as its
 	// batch reaches this size (default 32).
 	MaxBatch int
-	// MaxWait bounds how long a partial batch waits for company after a
-	// worker picks up its first request before flushing anyway. Zero
-	// selects the 2ms default; negative disables waiting entirely (a
-	// worker flushes whatever it greedily drained).
-	MaxWait time.Duration
 	// QueueCap bounds the admission queue; a full queue sheds with
 	// ErrOverloaded (default 8×MaxBatch).
 	QueueCap int
@@ -74,9 +69,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 32
-	}
-	if c.MaxWait == 0 {
-		c.MaxWait = 2 * time.Millisecond
 	}
 	if c.QueueCap <= 0 {
 		c.QueueCap = 8 * c.MaxBatch
@@ -114,6 +106,7 @@ type pending struct {
 	entry    slide.BatchEntry
 	enqueued time.Time
 	deadline time.Time    // zero = none; captured from the SubmitMany context
+	follow   int          // entries of the same chunk queued right behind this one
 	state    atomic.Int32 // pendingState / claimedState / canceledState
 	done     chan struct{}
 	servedAt time.Time
@@ -137,17 +130,17 @@ type Batcher struct {
 	mgr   *SnapshotManager
 	queue chan *pending
 
-	// mu guards closed against concurrent admissions: enqueue holds the
-	// read side across the non-blocking send, Close takes the write side
-	// before closing the channel.
-	mu     sync.RWMutex
+	// mu guards closed and serializes admissions: enqueue holds it across
+	// the sends of one chunk, so a chunk's entries sit back to back in the
+	// queue, and Close holds it while it closes the channel.
+	mu     sync.Mutex
 	closed bool
 	wg     sync.WaitGroup
 	// collecting is held by the one worker filling a batch, from its first
-	// receive until the batch is full or MaxWait ends, so the entries of one
-	// client batch do not spread across idle workers that each wait. It is
-	// held across that blocking receive on purpose; Close wakes the holder
-	// by closing the queue.
+	// receive until the batch is full or its wait ends, so the entries of
+	// one client batch do not spread across idle workers that each wait. It
+	// is held across that blocking receive on purpose; Close wakes the
+	// holder by closing the queue.
 	collecting sync.Mutex
 
 	admitted  atomic.Uint64
@@ -162,7 +155,7 @@ type Batcher struct {
 	latency   *metrics.Reservoir
 
 	// svcEWMA estimates flush service time (ns, exponentially weighted):
-	// the floor below which a remaining deadline budget is infeasible.
+	// the least deadline budget admitted and the longest a batch waits.
 	svcEWMA atomic.Int64
 	degrade degradeState
 }
@@ -199,9 +192,9 @@ func (b *Batcher) Submit(ctx context.Context, entry slide.BatchEntry) (Result, e
 // with other traffic or split across flushes) and blocks until every entry
 // is served. Results are index-aligned with entries. Entries are admitted in
 // chunks no larger than half the queue, awaiting each chunk before admitting
-// the next, so a batch larger than the queue flows through in waves. Within
-// a chunk admission is all-or-nothing: a full queue cancels the chunk's
-// queued entries and returns ErrOverloaded; after Close it is ErrClosed.
+// the next, so a batch larger than the queue flows through in waves. A chunk
+// is admitted whole or shed whole with ErrOverloaded; after Close it is
+// ErrClosed.
 //
 // A ctx deadline travels with every entry. A call whose budget is already
 // below the service-time estimate is refused with ErrDeadline before any
@@ -210,6 +203,20 @@ func (b *Batcher) Submit(ctx context.Context, entry slide.BatchEntry) (Result, e
 // deadline leaves unserved counts as deadlined; on any other ctx end the
 // workers skip the abandoned entries and ctx.Err() is returned.
 func (b *Batcher) SubmitMany(ctx context.Context, entries []slide.BatchEntry) ([]Result, error) {
+	for _, e := range entries {
+		// Snapshot-independent validation, before the entry can share a
+		// flush with anyone: PredictEntries is all-or-nothing, so a
+		// malformed entry reaching a flush would error every request
+		// coalesced with it. (Snapshot-dependent validation — index bounds
+		// — is the flush-time checkSkew guard.)
+		if e.K <= 0 {
+			return nil, fmt.Errorf("serving: entry has non-positive k %d: %w", e.K, ErrInvalidEntry)
+		}
+		if len(e.Indices) != len(e.Values) {
+			return nil, fmt.Errorf("serving: entry has %d indices but %d values: %w",
+				len(e.Indices), len(e.Values), ErrInvalidEntry)
+		}
+	}
 	var deadline time.Time
 	if d, ok := ctx.Deadline(); ok {
 		deadline = d
@@ -223,13 +230,12 @@ func (b *Batcher) SubmitMany(ctx context.Context, entries []slide.BatchEntry) ([
 	for lo := 0; lo < len(entries); lo += chunk {
 		hi := min(lo+chunk, len(entries))
 		items := make([]*pending, hi-lo)
+		now := time.Now()
 		for i, e := range entries[lo:hi] {
-			item := &pending{entry: e, enqueued: time.Now(), deadline: deadline, done: make(chan struct{})}
-			if err := b.enqueue(item); err != nil {
-				b.abandon(items[:i], &b.canceled)
-				return nil, err
-			}
-			items[i] = item
+			items[i] = &pending{entry: e, enqueued: now, deadline: deadline, follow: len(items) - 1 - i, done: make(chan struct{})}
+		}
+		if err := b.enqueue(items); err != nil {
+			return nil, err
 		}
 		for i, item := range items {
 			r, err := b.await(ctx, item)
@@ -260,32 +266,24 @@ func (b *Batcher) abandon(items []*pending, counter *atomic.Uint64) {
 	}
 }
 
-func (b *Batcher) enqueue(item *pending) error {
-	// Snapshot-independent validation happens before the entry can share a
-	// flush with anyone: PredictEntries is all-or-nothing, so a malformed
-	// entry reaching a flush would error every request coalesced with it.
-	// (Snapshot-dependent validation — index bounds — is the flush-time
-	// checkFeatures guard.)
-	if item.entry.K <= 0 {
-		return fmt.Errorf("serving: entry has non-positive k %d: %w", item.entry.K, ErrInvalidEntry)
-	}
-	if len(item.entry.Indices) != len(item.entry.Values) {
-		return fmt.Errorf("serving: entry has %d indices but %d values: %w",
-			len(item.entry.Indices), len(item.entry.Values), ErrInvalidEntry)
-	}
-	b.mu.RLock()
-	defer b.mu.RUnlock()
+// enqueue admits a chunk whole or sheds it whole. Only enqueue sends, and
+// only under mu, so once the room is checked no send can block, and the
+// chunk's entries reach the queue back to back.
+func (b *Batcher) enqueue(items []*pending) error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
 	if b.closed {
 		return ErrClosed
 	}
-	select {
-	case b.queue <- item:
-		b.admitted.Add(1)
-		return nil
-	default:
-		b.shed.Add(1)
+	if len(b.queue)+len(items) > cap(b.queue) {
+		b.shed.Add(uint64(len(items)))
 		return ErrOverloaded
 	}
+	for _, item := range items {
+		b.queue <- item
+	}
+	b.admitted.Add(uint64(len(items)))
+	return nil
 }
 
 func (b *Batcher) await(ctx context.Context, item *pending) (Result, error) {
@@ -365,14 +363,15 @@ func (b *Batcher) worker() {
 }
 
 // collect appends the next request to batch and coalesces up to MaxBatch-1
-// more: first greedily from what is already queued, then waiting up to
-// MaxWait. It reports false once the queue is closed.
+// more: first greedily from what is already queued, then waiting at most
+// the flush-time estimate (not at all before the first flush). It reports
+// false once the queue is closed.
 func (b *Batcher) collect(batch []*pending, timer *time.Timer) ([]*pending, bool) {
 	first, ok := <-b.queue
 	if !ok {
 		return batch, false
 	}
-	batch = append(batch, first)
+	batch = b.take(batch, first)
 	// Greedy drain: whatever is already waiting coalesces for free.
 greedy:
 	for len(batch) < b.cfg.MaxBatch {
@@ -381,17 +380,18 @@ greedy:
 			if !ok {
 				return batch, false
 			}
-			batch = append(batch, item)
+			batch = b.take(batch, item)
 		default:
 			break greedy
 		}
 	}
-	if len(batch) == b.cfg.MaxBatch || b.cfg.MaxWait <= 0 {
+	wait := time.Duration(b.svcEWMA.Load())
+	if len(batch) == b.cfg.MaxBatch || wait <= 0 {
 		return batch, true
 	}
-	// Partial batch: wait up to MaxWait (measured from now — the deadline
-	// bounds added latency, not total queue time) for more.
-	timer.Reset(b.cfg.MaxWait)
+	// Partial batch: wait for more, measured from now — the wait bounds
+	// added latency, not total queue time.
+	timer.Reset(wait)
 	defer timer.Stop()
 	for len(batch) < b.cfg.MaxBatch {
 		select {
@@ -399,12 +399,23 @@ greedy:
 			if !ok {
 				return batch, false
 			}
-			batch = append(batch, item)
+			batch = b.take(batch, item)
 		case <-timer.C:
 			return batch, true
 		}
 	}
 	return batch, true
+}
+
+// take appends item and then, up to MaxBatch, the entries of its chunk
+// queued behind it: enqueue is sending them under mu, so these receives
+// cannot come up empty, and a client batch that fits MaxBatch is not split.
+func (b *Batcher) take(batch []*pending, item *pending) []*pending {
+	batch = append(batch, item)
+	for n := item.follow; n > 0 && len(batch) < b.cfg.MaxBatch; n-- {
+		batch = append(batch, <-b.queue)
+	}
+	return batch
 }
 
 // flush serves one coalesced batch from a single snapshot capture: exact
@@ -581,9 +592,11 @@ type Stats struct {
 	// QueueDepth is the current admission-queue occupancy; QueueCap its
 	// bound.
 	QueueDepth, QueueCap int
-	// Workers, MaxBatch and MaxWait echo the configuration.
+	// Workers and MaxBatch echo the configuration.
 	Workers, MaxBatch int
-	MaxWait           time.Duration
+	// ServiceEstimate is svcEWMA: the longest a partial batch waits, and
+	// the least deadline budget admitted (zero until the first flush).
+	ServiceEstimate time.Duration
 	// Admitted counts requests accepted into the queue; Served those
 	// answered successfully; Failed those answered with an error (backend
 	// failure or snapshot skew); Shed those rejected with ErrOverloaded;
@@ -619,7 +632,7 @@ func (b *Batcher) Stats() Stats {
 		QueueCap:        b.cfg.QueueCap,
 		Workers:         b.cfg.Workers,
 		MaxBatch:        b.cfg.MaxBatch,
-		MaxWait:         b.cfg.MaxWait,
+		ServiceEstimate: time.Duration(b.svcEWMA.Load()),
 		Admitted:        b.admitted.Load(),
 		Served:          b.served.Load(),
 		Failed:          b.failed.Load(),

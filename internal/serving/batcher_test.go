@@ -187,7 +187,7 @@ func (s *statsProbe) PredictEntries(entries []slide.BatchEntry) ([][]int32, erro
 // batch it serves must already be counted.
 func TestBatcherCountsBeforeRelease(t *testing.T) {
 	probe := &statsProbe{stubPredictor: stubPredictor{version: 5}, seen: make(chan Stats, 1)}
-	b := NewBatcher(NewSnapshotManager(probe), Config{Workers: 1, MaxBatch: 4, MaxWait: time.Millisecond, QueueCap: 8})
+	b := NewBatcher(NewSnapshotManager(probe), Config{Workers: 1, MaxBatch: 4, QueueCap: 8})
 	defer b.Close()
 	probe.b = b
 	if _, err := b.Submit(context.Background(), entry(1)); err != nil {
@@ -198,14 +198,13 @@ func TestBatcherCountsBeforeRelease(t *testing.T) {
 	}
 }
 
-func TestBatcherMaxWaitFlushesPartialBatch(t *testing.T) {
+func TestBatcherServesLoneRequest(t *testing.T) {
 	stub := &stubPredictor{version: 3} // ungated
 	mgr := NewSnapshotManager(stub)
-	b := NewBatcher(mgr, Config{Workers: 1, MaxBatch: 64, MaxWait: time.Millisecond, QueueCap: 64})
+	b := NewBatcher(mgr, Config{Workers: 1, MaxBatch: 64, QueueCap: 64})
 	defer b.Close()
 
-	// A lone request must be served promptly even though the batch never
-	// fills — the MaxWait deadline flushes it.
+	// A lone request is served although its batch never fills.
 	r, err := b.Submit(context.Background(), entry(2))
 	if err != nil {
 		t.Fatal(err)
@@ -225,7 +224,7 @@ func TestBatcherMaxWaitFlushesPartialBatch(t *testing.T) {
 func TestBatcherSubmitManyAlignsResults(t *testing.T) {
 	stub := &stubPredictor{version: 9}
 	mgr := NewSnapshotManager(stub)
-	b := NewBatcher(mgr, Config{Workers: 2, MaxBatch: 4, MaxWait: time.Millisecond, QueueCap: 64})
+	b := NewBatcher(mgr, Config{Workers: 2, MaxBatch: 4, QueueCap: 64})
 	defer b.Close()
 
 	entries := make([]slide.BatchEntry, 10)
@@ -247,14 +246,15 @@ func TestBatcherSubmitManyAlignsResults(t *testing.T) {
 }
 
 // TestBatcherClientBatchFlushesWhole: the entries of one client batch that
-// fits MaxBatch coalesce into one flush, which fills and goes at once. Were
-// each idle worker to take entries off the queue, they would split the
-// batch and every part would wait out MaxWait for company that never comes
-// (GOMAXPROCS=2 shows it on every run).
+// fits MaxBatch coalesce into one flush, which fills and goes at once, round
+// 1 included, when no flush-time estimate exists yet and a partial batch
+// does not wait. Were each idle worker to take entries off the queue, or a
+// collector to flush before the rest of the chunk is queued, the batch
+// would split (GOMAXPROCS=2 and 4 show it).
 func TestBatcherClientBatchFlushesWhole(t *testing.T) {
-	const maxWait = 500 * time.Millisecond
+	const bound = 250 * time.Millisecond
 	b := NewBatcher(NewSnapshotManager(&stubPredictor{version: 1}),
-		Config{Workers: 4, MaxBatch: 8, MaxWait: maxWait, QueueCap: 64})
+		Config{Workers: 4, MaxBatch: 8, QueueCap: 64})
 	defer b.Close()
 	entries := make([]slide.BatchEntry, 8)
 	for i := range entries {
@@ -265,13 +265,130 @@ func TestBatcherClientBatchFlushesWhole(t *testing.T) {
 		if _, err := b.SubmitMany(context.Background(), entries); err != nil {
 			t.Fatal(err)
 		}
-		if took := time.Since(start); took >= maxWait/2 {
+		if took := time.Since(start); took >= bound {
 			t.Fatalf("round %d took %v: the batch waited for company", round, took)
 		}
 		if st := b.Stats(); st.Batches != uint64(round) || st.BatchSizes[7] != uint64(round) {
 			t.Fatalf("after round %d: %d flushes, sizes %v; want every round one flush of 8",
 				round, st.Batches, st.BatchSizes)
 		}
+	}
+}
+
+// recordingStub is a gated stub that records the k of every entry its
+// backend is asked to serve.
+type recordingStub struct {
+	*stubPredictor
+	mu   sync.Mutex
+	seen []int
+}
+
+func (s *recordingStub) PredictEntries(entries []slide.BatchEntry) ([][]int32, error) {
+	s.mu.Lock()
+	for _, e := range entries {
+		s.seen = append(s.seen, e.K)
+	}
+	s.mu.Unlock()
+	return s.stubPredictor.PredictEntries(entries)
+}
+
+// TestBatcherRefusesChunkWhole: a chunk larger than the queue's free space
+// is shed whole. None of its entries is queued, and the backend sees none.
+func TestBatcherRefusesChunkWhole(t *testing.T) {
+	stub := &recordingStub{stubPredictor: newGatedStub(1)}
+	b := NewBatcher(NewSnapshotManager(stub), Config{Workers: 1, MaxBatch: 1, QueueCap: 8})
+	defer b.Close()
+
+	var wg sync.WaitGroup
+	submit := func(k int) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := b.Submit(context.Background(), entry(k)); err != nil {
+				t.Errorf("Submit: %v", err)
+			}
+		}()
+	}
+	submit(1)
+	<-stub.entered // the worker is busy
+	for i := 0; i < 5; i++ {
+		submit(2)
+	}
+	waitFor(t, "queue to fill", func() bool { return b.Stats().QueueDepth == 5 })
+
+	// One chunk of 4 (QueueCap/2) against 3 free slots.
+	chunk := []slide.BatchEntry{entry(9), entry(9), entry(9), entry(9)}
+	if _, err := b.SubmitMany(context.Background(), chunk); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("SubmitMany into 3 free slots = %v, want ErrOverloaded", err)
+	}
+	if st := b.Stats(); st.Shed != 4 || st.QueueDepth != 5 || st.Admitted != 6 {
+		t.Errorf("after the refusal: shed %d, queue depth %d, admitted %d; want 4, 5, 6",
+			st.Shed, st.QueueDepth, st.Admitted)
+	}
+	for i := 0; i < 6; i++ {
+		stub.release <- struct{}{}
+	}
+	wg.Wait()
+	stub.mu.Lock()
+	defer stub.mu.Unlock()
+	for _, k := range stub.seen {
+		if k == 9 {
+			t.Fatalf("the backend served an entry of the refused chunk: ks %v", stub.seen)
+		}
+	}
+	if len(stub.seen) != 6 {
+		t.Errorf("the backend served %d entries, want 6", len(stub.seen))
+	}
+}
+
+// TestBatcherWaitsOneFlushTime: with no flush-time estimate a lone request
+// flushes at once; once a flush has set the estimate, a partial batch waits
+// up to that long, so a request arriving during the wait joins it.
+func TestBatcherWaitsOneFlushTime(t *testing.T) {
+	const delay = 100 * time.Millisecond
+	b := NewBatcher(NewSnapshotManager(slowStub{&stubPredictor{version: 1}, delay}),
+		Config{Workers: 1, MaxBatch: 8, QueueCap: 64})
+	defer b.Close()
+
+	if est := b.Stats().ServiceEstimate; est != 0 {
+		t.Fatalf("fresh batcher: estimate %v, want 0", est)
+	}
+	start := time.Now()
+	if _, err := b.Submit(context.Background(), entry(1)); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took >= 2*delay {
+		t.Errorf("a lone request with no estimate took %v over a %v flush", took, delay)
+	}
+	if st := b.Stats(); st.ServiceEstimate < delay || st.BatchSizes[0] != 1 {
+		t.Fatalf("after one flush: estimate %v, sizes %v; want >= %v and one flush of 1",
+			st.ServiceEstimate, st.BatchSizes, delay)
+	}
+
+	// The collector takes the next request and waits up to the estimate;
+	// a second one, sent a quarter of the estimate later, joins the same
+	// flush.
+	errc := make(chan error, 2)
+	go func() {
+		_, err := b.Submit(context.Background(), entry(2))
+		errc <- err
+	}()
+	waitFor(t, "the collector to take the request", func() bool {
+		st := b.Stats()
+		return st.Admitted == 2 && st.QueueDepth == 0
+	})
+	time.Sleep(delay / 4)
+	go func() {
+		_, err := b.Submit(context.Background(), entry(3))
+		errc <- err
+	}()
+	for range 2 {
+		if err := <-errc; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := b.Stats(); st.Batches != 2 || st.BatchSizes[1] != 1 {
+		t.Errorf("%d flushes, sizes %v; want a flush of 1, then one of 2", st.Batches, st.BatchSizes)
 	}
 }
 
@@ -324,7 +441,7 @@ func TestBatcherContextCancellation(t *testing.T) {
 func TestBatcherCloseDrainsAndRejects(t *testing.T) {
 	stub := &stubPredictor{version: 2}
 	mgr := NewSnapshotManager(stub)
-	b := NewBatcher(mgr, Config{Workers: 1, MaxBatch: 4, MaxWait: time.Millisecond, QueueCap: 64})
+	b := NewBatcher(mgr, Config{Workers: 1, MaxBatch: 4, QueueCap: 64})
 
 	var wg sync.WaitGroup
 	for i := 0; i < 12; i++ {
@@ -415,7 +532,7 @@ func (s *shrunkPredictor) NumFeatures() int { return s.features }
 func TestBatcherRejectsInvalidEntriesAtAdmission(t *testing.T) {
 	stub := &stubPredictor{version: 4}
 	mgr := NewSnapshotManager(stub)
-	b := NewBatcher(mgr, Config{Workers: 1, MaxBatch: 8, MaxWait: time.Millisecond, QueueCap: 16})
+	b := NewBatcher(mgr, Config{Workers: 1, MaxBatch: 8, QueueCap: 16})
 	defer b.Close()
 
 	ctx := context.Background()
@@ -445,7 +562,7 @@ func TestBatcherRejectsInvalidEntriesAtAdmission(t *testing.T) {
 func TestBatcherSubmitManyLargerThanQueue(t *testing.T) {
 	stub := &stubPredictor{version: 6}
 	mgr := NewSnapshotManager(stub)
-	b := NewBatcher(mgr, Config{Workers: 1, MaxBatch: 4, MaxWait: time.Millisecond, QueueCap: 8})
+	b := NewBatcher(mgr, Config{Workers: 1, MaxBatch: 4, QueueCap: 8})
 	defer b.Close()
 
 	entries := make([]slide.BatchEntry, 50) // >> QueueCap
@@ -516,7 +633,7 @@ func (p *panicPredictor) PredictEntries(entries []slide.BatchEntry) ([][]int32, 
 func TestBatcherContainsBackendPanic(t *testing.T) {
 	pp := &panicPredictor{stubPredictor: stubPredictor{version: 8}}
 	mgr := NewSnapshotManager(pp)
-	b := NewBatcher(mgr, Config{Workers: 1, MaxBatch: 4, MaxWait: time.Millisecond, QueueCap: 16})
+	b := NewBatcher(mgr, Config{Workers: 1, MaxBatch: 4, QueueCap: 16})
 	defer b.Close()
 
 	if _, err := b.Submit(context.Background(), entry(1)); err == nil {

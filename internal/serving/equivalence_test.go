@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"github.com/slide-cpu/slide/slide"
 )
@@ -53,7 +52,7 @@ func TestBatcherBitIdenticalToDirectPredict(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/%s", pname, lname), func(t *testing.T) {
 				pred, test := trainedPredictor(t, 11, popt, lopt, slide.WithDWTA(3, 8))
 				mgr := NewSnapshotManager(pred)
-				b := NewBatcher(mgr, Config{Workers: 2, MaxBatch: 8, MaxWait: time.Millisecond, QueueCap: 256})
+				b := NewBatcher(mgr, Config{Workers: 2, MaxBatch: 8, QueueCap: 256})
 				defer b.Close()
 
 				maxK := min(6, pred.NumLabels())

@@ -430,7 +430,7 @@ type statsResponse struct {
 	QueueCap        int      `json:"queue_cap"`
 	Workers         int      `json:"workers"`
 	MaxBatch        int      `json:"max_batch"`
-	MaxWaitMs       float64  `json:"max_wait_ms"`
+	ServiceEstMs    float64  `json:"service_estimate_ms"`
 	Admitted        uint64   `json:"admitted"`
 	Served          uint64   `json:"served"`
 	Failed          uint64   `json:"failed"`
@@ -491,7 +491,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		resp.QueueCap = st.QueueCap
 		resp.Workers = st.Workers
 		resp.MaxBatch = st.MaxBatch
-		resp.MaxWaitMs = float64(st.MaxWait.Microseconds()) / 1000
+		resp.ServiceEstMs = float64(st.ServiceEstimate.Microseconds()) / 1000
 		resp.Admitted = st.Admitted
 		resp.Served = st.Served
 		resp.Failed = st.Failed

@@ -506,7 +506,7 @@ func TestServeOverloadHTTP(t *testing.T) {
 	g := &gatedPredictor{entered: make(chan struct{}, 64), release: make(chan struct{})}
 	srv, ts := testServer(t, g, ServerConfig{
 		DefaultK: 5,
-		Batch:    Config{Workers: 1, MaxBatch: 1, QueueCap: 2, MaxWait: time.Millisecond},
+		Batch:    Config{Workers: 1, MaxBatch: 1, QueueCap: 2},
 	})
 
 	body := func() []byte {

@@ -19,7 +19,7 @@ func TestBatcherOverloadShedsAndDrains(t *testing.T) {
 
 	stub := newGatedStub(1)
 	mgr := NewSnapshotManager(stub)
-	b := NewBatcher(mgr, Config{Workers: 1, MaxBatch: 1, QueueCap: 3, MaxWait: time.Millisecond})
+	b := NewBatcher(mgr, Config{Workers: 1, MaxBatch: 1, QueueCap: 3})
 
 	var wg sync.WaitGroup
 	served := make(chan Result, 4)

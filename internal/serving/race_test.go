@@ -70,7 +70,7 @@ func TestBatcherSnapshotSwapUnderLoad(t *testing.T) {
 	}
 
 	mgr := NewSnapshotManager(preds[0])
-	b := NewBatcher(mgr, Config{Workers: 2, MaxBatch: 8, MaxWait: 200 * time.Microsecond, QueueCap: 1024})
+	b := NewBatcher(mgr, Config{Workers: 2, MaxBatch: 8, QueueCap: 1024})
 	defer b.Close()
 
 	// Publisher: swap snapshots as fast as the clients can observe them.

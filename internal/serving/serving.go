@@ -20,15 +20,14 @@
 //     One worker fills a batch at a time while the others flush: it
 //     greedily drains whatever is already queued and stops collecting when
 //     the batch reaches the maximum size, or after waiting at most the
-//     maximum wait for more company, whichever comes first; then it hands
-//     collecting on and flushes. So the entries of one client batch land in
-//     one flush. (MaxWait bounds the latency batching *adds* once a worker
-//     picks a request up; time spent queued behind a backlog is bounded by
-//     the queue, not by MaxWait.) Every admission is a SubmitMany (Submit is SubmitMany of one
-//     entry), and a context deadline travels with every entry it admits. A
-//     full queue sheds new requests with ErrOverloaded — explicit
-//     backpressure the HTTP layer maps to 429 + Retry-After — so overload
-//     degrades by rejecting fast, never by queuing without bound.
+//     measured flush time for more company; then it hands collecting on
+//     and flushes. Every admission is a SubmitMany (Submit is SubmitMany
+//     of one entry), which admits each chunk of a client batch whole, so
+//     a client batch that fits the maximum size lands in one flush; a
+//     context deadline travels with every entry it admits. A queue without
+//     room sheds the chunk with ErrOverloaded — explicit backpressure the
+//     HTTP layer maps to 429 + Retry-After — so overload degrades by
+//     rejecting fast, never by queuing without bound.
 //   - SnapshotManager versions predictors and hot-swaps them: Publish makes
 //     a new snapshot current without stalling in-flight batches, which
 //     finish on the snapshot they captured at flush time. Every request in

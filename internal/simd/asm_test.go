@@ -17,9 +17,9 @@ import (
 // kernels must accept any offset).
 //
 // Tolerance policy (see DESIGN.md "Native kernel backend"):
-//   - Elementwise kernels (Axpy, AxpyTwo, Add, Scale, AdamStep, WidenBF16,
-//     RoundBF16) must be BIT-IDENTICAL across tiers: the assembly uses the
-//     same two-rounding mul/add schedule as the Go code.
+//   - Elementwise kernels (Axpy, AxpyTwo, Add, Scale, AdamStep, WidenBF16)
+//     must be BIT-IDENTICAL across tiers: the assembly uses the same
+//     two-rounding mul/add schedule as the Go code.
 //   - Reductions (Dot, Sum, DotManyBias*) may differ by summation
 //     order and FMA contraction; they are compared against a float64
 //     reference with a tolerance scaled to the sum of absolute products.
@@ -645,12 +645,13 @@ func TestWidenBF16BitIdentical(t *testing.T) {
 	}
 }
 
+// TestPackRoundBF16Equivalence: rounding through bfloat16 has one
+// definition, bf16.RoundSlice, on every host, and it is packing to bfloat16
+// and widening back on every tier: zeros, infinities, values that round to
+// infinity and subnormals included (a subnormal keeps its rounded value; it
+// is not flushed to zero).
 func TestPackRoundBF16Equivalence(t *testing.T) {
-	// Inputs stay in the normal float32 range: the hardware converter
-	// (VCVTNEPS2BF16) flushes subnormal inputs to zero, a documented
-	// divergence from the software rounder. Normal values, zeros, infinities
-	// and NaNs convert identically. Rounding in place is packing to bfloat16
-	// and widening back, on every tier.
+	subnormals := []uint32{0x00000001, 0x00008000, 0x00018000, 0x00400000, 0x007FFFFF, 0x807F8000, 0x80000001}
 	rng := rand.New(rand.NewPCG(20, 1))
 	for _, m := range asmModes(t) {
 		ks := ForMode(m)
@@ -662,29 +663,47 @@ func TestPackRoundBF16Equivalence(t *testing.T) {
 				src[2] = float32(math.Inf(-1))
 				src[3] = 3.39e38 // near MaxFloat32: rounds up to +Inf in bf16
 			}
+			for i, b := range subnormals {
+				if 4+i < n {
+					src[4+i] = math.Float32frombits(b)
+				}
+			}
 			wantR := append([]float32(nil), src...)
 			bf16.RoundSlice(wantR)
-			gotR := append([]float32(nil), src...)
-			ks.RoundBF16(gotR)
-			checkExact(t, fmt.Sprintf("%s RoundBF16 n=%d", m, n), gotR, wantR)
-
 			widened := make([]float32, n)
 			ks.WidenBF16(widened, packBF16(src))
 			checkExact(t, fmt.Sprintf("%s WidenBF16 of packed n=%d", m, n), widened, wantR)
 		}
 	}
+	// Round to nearest even below the normal range, as above it.
+	for _, c := range []struct{ in, want uint32 }{
+		{0x00400000, 0x00400000}, // representable: unchanged
+		{0x007FFFFF, 0x00800000}, // rounds up into the normal range
+		{0x00018000, 0x00020000}, // tie, odd kept bit: rounds up
+		{0x00008000, 0x00000000}, // tie, even kept bit: rounds down to +0
+		{0x80000001, 0x80000000}, // rounds to -0
+	} {
+		x := []float32{math.Float32frombits(c.in)}
+		bf16.RoundSlice(x)
+		if got := math.Float32bits(x[0]); got != c.want {
+			t.Errorf("RoundSlice(%#08x) = %#08x, want %#08x", c.in, got, c.want)
+		}
+	}
 }
 
+// TestRoundBF16NaNQuieting: NaN payloads survive rounding with the quiet bit
+// set, and every tier widens the packed NaNs to the same bits.
 func TestRoundBF16NaNQuieting(t *testing.T) {
-	// NaN payloads survive rounding with the quiet bit set, on every tier:
-	// VCVTNEPS2BF16 quiets them as the software converter does.
 	src := []float32{math.Float32frombits(0x7FC01234), math.Float32frombits(0xFF800001), 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}
 	want := append([]float32(nil), src...)
 	bf16.RoundSlice(want)
+	if got := [2]uint32{math.Float32bits(want[0]), math.Float32bits(want[1])}; got != [2]uint32{0x7FC00000, 0xFFC00000} {
+		t.Fatalf("RoundSlice of NaNs = %#08x, want the quiet NaNs 0x7fc00000 0xffc00000", got)
+	}
 	for _, m := range asmModes(t) {
-		got := append([]float32(nil), src...)
-		ForMode(m).RoundBF16(got)
-		checkExact(t, fmt.Sprintf("%s RoundBF16 NaN", m), got, want)
+		got := make([]float32, len(src))
+		ForMode(m).WidenBF16(got, packBF16(src))
+		checkExact(t, fmt.Sprintf("%s WidenBF16 of packed NaN", m), got, want)
 	}
 }
 

@@ -8,17 +8,10 @@
 // finishes the final partial block with a K-masked load/store, so no Go-side
 // remainder loop is needed. As in the AVX2 tier, elementwise kernels use
 // separate VMULPS/VADDPS (two roundings, bit-identical to the Go reference)
-// and FMA appears only inside dot/sum reductions. The VCVTNEPS2BF16 kernel
-// at the bottom additionally requires AVX512-BF16 and is only installed in
-// the dispatch table when CPUID reports it. The Go assembler has no
-// AVX512-BF16 mnemonics, so VCVTNEPS2BF16 Z0 -> Y1 is hand-encoded
-// (EVEX.512.F3.0F38.W0 72 /r with reg=Y1, rm=Z0): 62 F2 7E 48 72 C8.
+// and FMA appears only inside dot/sum reductions.
 
 DATA negInf32<>+0(SB)/4, $0xFF800000
 GLOBL negInf32<>(SB), RODATA, $4
-
-#define VCVTNEPS2BF16_Z0_Y1 \
-	BYTE $0x62; BYTE $0xF2; BYTE $0x7E; BYTE $0x48; BYTE $0x72; BYTE $0xC8
 
 // tailmask: K1 = (1 << DX) - 1 for DX in [1,15]; clobbers AX, CX.
 #define TAILMASK \
@@ -423,38 +416,5 @@ widen5_tail:
 	VMOVUPS Z0, K1, (DI)
 
 widen5_done:
-	VZEROUPPER
-	RET
-
-// func roundBF16AVX512Asm(x *float32, n int64)
-// Rounds float32 values through bfloat16 in place: convert down with
-// VCVTNEPS2BF16, expand back by zero-extend + shift.
-TEXT ·roundBF16AVX512Asm(SB), NOSPLIT, $0-16
-	MOVQ x+0(FP), SI
-	MOVQ n+8(FP), DX
-
-round5_blk16:
-	CMPQ DX, $16
-	JLT  round5_tail
-	VMOVUPS (SI), Z0
-	VCVTNEPS2BF16_Z0_Y1
-	VPMOVZXWD Y1, Z2
-	VPSLLD $16, Z2, Z2
-	VMOVUPS Z2, (SI)
-	ADDQ $64, SI
-	SUBQ $16, DX
-	JMP  round5_blk16
-
-round5_tail:
-	TESTQ DX, DX
-	JE    round5_done
-	TAILMASK
-	VMOVUPS.Z (SI), K1, Z0
-	VCVTNEPS2BF16_Z0_Y1
-	VPMOVZXWD Y1, Z2
-	VPSLLD $16, Z2, Z2
-	VMOVUPS Z2, K1, (SI)
-
-round5_done:
 	VZEROUPPER
 	RET

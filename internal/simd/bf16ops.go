@@ -9,10 +9,8 @@ import "github.com/slide-cpu/slide/internal/bf16"
 // in float32, so the widened form computes the same products and differs
 // only in how they are summed (see DESIGN.md "Known divergences").
 
-// widenBF16Go and roundBF16Go are the software conversion kernels: widening
-// on the Go tiers, rounding on every tier without AVX512-BF16.
+// widenBF16Go is the software widening kernel of the Go tiers.
 func widenBF16Go(dst []float32, src []bf16.BF16) { bf16.Expand(dst[:len(src)], src) }
-func roundBF16Go(x []float32)                    { bf16.RoundSlice(x) }
 
 // adamStepBF16 applies one fused ADAM update to weights stored in bfloat16
 // (mode 1). The first and second moments stay in float32; each weight lane is

@@ -14,11 +14,10 @@ import (
 // SLIDE_NO_VNNI=1 forces the AVX-512 table onto the AVX2 integer kernel —
 // the CI knob for exercising the VNNI-absent fallback on VNNI hardware.
 var (
-	feat         = cpufeat.Detect()
-	haveAVX2     = feat.HasAVX2Tier()
-	haveAVX512   = feat.HasAVX512Tier()
-	haveAVX512BF = haveAVX512 && feat.AVX512BF16
-	haveVNNI     = feat.HasVNNITier() && os.Getenv("SLIDE_NO_VNNI") == ""
+	feat       = cpufeat.Detect()
+	haveAVX2   = feat.HasAVX2Tier()
+	haveAVX512 = feat.HasAVX512Tier()
+	haveVNNI   = feat.HasVNNITier() && os.Getenv("SLIDE_NO_VNNI") == ""
 )
 
 func init() {
@@ -52,8 +51,6 @@ func init() {
 
 			QuantizeRow8: quantizeRow8AVX2,
 			DequantRows8: dequantRows8AVX2,
-
-			RoundBF16: roundBF16Go,
 
 			ExpSum: expSumAVX2,
 		}
@@ -92,20 +89,11 @@ func init() {
 			QuantizeRow8: quantizeRow8AVX512,
 			DequantRows8: dequantRows8AVX512,
 
-			RoundBF16: roundBF16Go,
-
 			ExpSum: expSumAVX512,
 		}
 		if haveVNNI {
 			avx512Kernels.DotU8S8 = dotU8S8VNNI
 			avx512Kernels.DotManyU8S8 = dotManyU8S8VNNI
-		}
-		if haveAVX512BF {
-			// Hardware VCVTNEPS2BF16. Divergence from the software
-			// converter: subnormal float32 inputs are treated as zero
-			// (the instruction is DAZ); normal, zero, Inf and NaN inputs
-			// convert identically (see DESIGN.md "Native kernel backend").
-			avx512Kernels.RoundBF16 = roundBF16AVX512
 		}
 	}
 }
@@ -176,9 +164,6 @@ func dotU8S8AVX2Asm(a *uint8, b *int8, n int64) int32
 
 //go:noescape
 func dotU8S8VNNIAsm(a *uint8, b *int8, n int64) int32
-
-//go:noescape
-func roundBF16AVX512Asm(x *float32, n int64)
 
 // --- AVX2 wrappers ----------------------------------------------------------
 //
@@ -430,11 +415,4 @@ func widenBF16AVX512(dst []float32, src []bf16.BF16) {
 	}
 	dst = dst[:n]
 	widenBF16AVX512Asm(&dst[0], &src[0], int64(n))
-}
-
-func roundBF16AVX512(x []float32) {
-	if len(x) == 0 {
-		return
-	}
-	roundBF16AVX512Asm(&x[0], int64(len(x)))
 }

@@ -7,7 +7,6 @@ package simd
 // requests to Vector, and the avx tables keep their default (a copy of the
 // portable table) from kernels.go.
 const (
-	haveAVX2     = false
-	haveAVX512   = false
-	haveAVX512BF = false
+	haveAVX2   = false
+	haveAVX512 = false
 )

@@ -17,9 +17,10 @@ import "github.com/slide-cpu/slide/internal/bf16"
 // (a slice-bounds failure or the walks' named checks), a longer one is read
 // only as far as the call needs.
 //
-// The table has 22 entries. ExpSum, the newest, is not offset by a deletion:
-// the candidates, ArgMax and the per-row DotU8S8, live on only because the
-// frozen benchmark probes call them (ROADMAP item 1, "Then delete").
+// The table has 21 entries. Rounding through bfloat16 is not one of them: it
+// has one definition on every host, bf16.RoundSlice. ArgMax and the per-row
+// DotU8S8 live on only because the frozen benchmark probes call them
+// (ROADMAP item 1, "Then delete").
 type Kernels struct {
 	// Mode records which implementation set this table holds. When an
 	// assembly tier is unavailable, ForMode returns a downgraded table and
@@ -82,12 +83,6 @@ type Kernels struct {
 	QuantizeRow8 func(w []float32, dst []int8) (scale float32, rowSum int32, finite bool)
 	DequantRows8 func(acc []int32, scales []float32, rowSums []int32, bias []float32, sa float32, zp int32, out []float32)
 
-	// RoundBF16 rounds float32 values through bfloat16 in place
-	// (round-to-nearest-even, §4.4). On AVX512-BF16 hardware it maps to
-	// VCVTNEPS2BF16 (which the paper's CPX pipeline uses); every other tier
-	// runs the software conversion.
-	RoundBF16 func(x []float32)
-
 	// ExpSum is the label head's softmax numerator (see expsum.go):
 	// out[i] = float32(math.Exp(float64(x[i]-m))), and the return value is z
 	// plus those float64 exps summed in index order. Every tier returns the
@@ -126,8 +121,6 @@ var vectorKernels = Kernels{
 	QuantizeRow8: quantizeRow8, // the definitions serve both Go modes
 	DequantRows8: dequantRows8,
 
-	RoundBF16: roundBF16Go,
-
 	ExpSum: expSum, // the definition serves both Go modes
 }
 
@@ -162,8 +155,6 @@ var scalarKernels = Kernels{
 
 	QuantizeRow8: quantizeRow8,
 	DequantRows8: dequantRows8,
-
-	RoundBF16: roundBF16Go,
 
 	ExpSum: expSum,
 }
