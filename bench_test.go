@@ -11,6 +11,7 @@ package repro_test
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"github.com/slide-cpu/slide/internal/bf16"
@@ -256,6 +257,60 @@ func BenchmarkKernelDotManyU8S8(b *testing.B) {
 					}
 				}
 			})
+	}
+}
+
+// BenchmarkExactRank32 times the exact top-5 ranking of one 32-query batch
+// at the two output shapes, on every tier: "walk" is the full f32 walk plus
+// TopKInto per query — the live network's Evaluate, which never screens —
+// and "screen" the int8 walk plus the f32 refine of the rows that can reach
+// the top 5 — a snapshot's Evaluate on the same weights. Both include the
+// hidden forward; rows/query is what the screen scored in f32. Weights are
+// the untrained initialization, so the screen's cut is looser than on a
+// trained model.
+func BenchmarkExactRank32(b *testing.B) {
+	const queries, k = 32, 5
+	prev := simd.CurrentMode()
+	defer simd.SetMode(prev)
+	for i, s := range outputWalks {
+		in := hiddenWalks[i]
+		net, err := network.New(&network.Config{InputDim: in.rows, HiddenDim: s.dim, OutputDim: s.rows,
+			NoSampling: true, LR: 1e-3, Workers: 1, Seed: 9})
+		if err != nil {
+			b.Fatal(err)
+		}
+		snap := net.Snapshot()
+		rng := rand.New(rand.NewPCG(91, 1))
+		var bb sparse.Builder
+		for range queries {
+			ids := make([]int32, 0, in.ids)
+			for _, j := range rng.Perm(in.rows)[:in.ids] {
+				ids = append(ids, int32(j))
+			}
+			slices.Sort(ids)
+			bb.Add(ids, randF32(in.ids, rng.Uint64()), []int32{int32(rng.IntN(s.rows))})
+		}
+		batch, err := bb.CSR()
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, m := range simd.AvailableModes() {
+			for _, v := range []struct {
+				name string
+				eval func(sparse.Batch, int, int) float64
+			}{{"walk", net.Evaluate}, {"screen", snap.Evaluate}} {
+				b.Run(fmt.Sprintf("%s/%s/%s", m, s.name, v.name), func(b *testing.B) {
+					simd.SetMode(m)
+					q0, r0 := snap.ScreenStats()
+					for b.Loop() {
+						v.eval(batch, queries, k)
+					}
+					if q, r := snap.ScreenStats(); q > q0 {
+						b.ReportMetric(float64(r-r0)/float64(q-q0), "rows/query")
+					}
+				})
+			}
+		}
 	}
 }
 

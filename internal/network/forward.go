@@ -70,6 +70,13 @@ type scratch struct {
 	qzp int32
 	// qacc holds the integer accumulators of the sampled int8 walk.
 	qacc quant.WalkScratch
+	// The screened ranking's buffers (screen.rank): the top-k positions,
+	// the heaps of the k best int8 scores and lower ends, and each
+	// collected row's upper end. Each grows to the largest call it served.
+	top  []int32
+	best []float32
+	lows []float64
+	hi   []float64
 }
 
 // newScratch sizes a scratch set for this network shape. Its top-up stream
@@ -215,21 +222,5 @@ func (f *forwardState) predictSampled(ws *scratch, x sparse.Vector, k int) []int
 	for i, pos := range top {
 		out[i] = ws.active[pos]
 	}
-	return out
-}
-
-// rank selects the top-k ids from a full score vector into pooled storage
-// (the caller copies them out): one heap over every row, however many shards
-// the model trains on. A non-positive k selects nothing.
-func (f *forwardState) rank(ws *scratch, scores []float32, k int) []int32 {
-	return metrics.TopKInto(scores, k, ws.active[:0])
-}
-
-// ranked is rank copied out of the pooled storage: a fresh slice (empty, not
-// nil, when nothing is selected) the caller may retain.
-func (f *forwardState) ranked(ws *scratch, scores []float32, k int) []int32 {
-	top := f.rank(ws, scores, k)
-	out := make([]int32, len(top))
-	copy(out, top)
 	return out
 }

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 
 	"github.com/slide-cpu/slide/internal/fanout"
+	"github.com/slide-cpu/slide/internal/metrics"
 	"github.com/slide-cpu/slide/internal/quant"
 	"github.com/slide-cpu/slide/internal/simd"
 	"github.com/slide-cpu/slide/internal/sparse"
@@ -37,6 +38,14 @@ type Predictor struct {
 	calls  atomic.Uint64
 	pool   sync.Pool // *scratch, one per call in flight
 	chunks sync.Pool // *chunk, one per exact walk in flight
+
+	// scr is the int8 screen the ranking entry points rank through, built by
+	// the first of them (screen); nil where ranking takes the full walk.
+	scrOnce sync.Once
+	scr     *screen
+	// screened counts the samples ranked through scr, refined the rows
+	// those scored in f32.
+	screened, refined atomic.Uint64
 }
 
 func newPredictor(f *forwardState, seed uint64) *Predictor {
@@ -107,19 +116,22 @@ func (p *Predictor) get() *scratch {
 const fusedChunk = 64
 
 // chunk is the state of one exact walk: per sample in flight, what the output
-// layer's range walk takes of it — the last activation in the renderings the
-// predictor's scratch prepares (the others stay empty) and the score vector —
-// in parallel slices the chunk owns and grows to the largest pass it has
-// carried. Nothing here depends on which output representation that is.
+// layer's range walk takes of it — the last activation, its u7 codes where
+// the walk is in int8, its screen bound where it is screened — and the score
+// vector, in parallel slices the chunk owns and grows to the largest pass it
+// has carried. Nothing here depends on which output representation that is.
 type chunk struct {
 	f      *forwardState
 	ks     *simd.Kernels
-	n      int // samples in flight
-	tiles  int // row tiles of the pass in flight
+	scr    *screen // the walk's screen, or nil: scores are then the served logits
+	n      int     // samples in flight
+	tiles  int     // row tiles of the pass in flight
+	rows   int     // rows the walk's screened ranking refined so far
 	hs     [][]float32
 	qas    [][]uint8
 	sas    []float32
 	zps    []int32
+	bounds []sampleBound
 	scores [][]float32
 	tile   []tileScratch // per row tile of the pass in flight
 
@@ -136,31 +148,57 @@ type tileScratch struct {
 }
 
 // hold copies the activation forwardStack left in ws into sample i's slot,
-// growing the chunk by one sample if i is its first.
+// growing the chunk by one sample if i is its first. A screened walk renders
+// it in u7 codes here and computes its screen bound.
 func (c *chunk) hold(i int, ws *scratch) {
 	if i == len(c.scores) {
-		c.hs = append(c.hs, make([]float32, len(ws.last())))
-		c.qas = append(c.qas, make([]uint8, len(ws.qa)))
+		c.hs = append(c.hs, make([]float32, c.f.lastDim))
+		c.qas = append(c.qas, make([]uint8, c.f.lastDim))
 		c.sas, c.zps = append(c.sas, 0), append(c.zps, 0)
+		c.bounds = append(c.bounds, sampleBound{})
 		c.scores = append(c.scores, make([]float32, c.f.cfg.OutputDim))
 	}
-	copy(c.hs[i], ws.last())
-	copy(c.qas[i], ws.qa)
-	c.sas[i], c.zps[i] = ws.qsa, ws.qzp
+	h := c.hs[i]
+	copy(h, ws.last())
+	switch {
+	case c.scr != nil:
+		c.sas[i], c.zps[i] = quant.QuantizeActs(h, c.qas[i])
+		c.bounds[i] = c.scr.bound(h, c.qas[i], c.sas[i], c.zps[i])
+	case ws.qa != nil:
+		copy(c.qas[i], ws.qa)
+		c.sas[i], c.zps[i] = ws.qsa, ws.qzp
+	}
 }
 
 // score fills row tile t of every in-flight sample's scores — the one place
-// the exact pass asks which output representation the predictor holds. Tiles
-// split the rows evenly, whatever the model's shard count.
+// the exact pass asks which output representation it walks: the packed rows
+// of a quantized predictor or of the walk's screen, else the f32 or BF16
+// rows. Tiles split the rows evenly, whatever the model's shard count.
 func (c *chunk) score(t int) {
 	f, n := c.f, c.n
 	per := (f.cfg.OutputDim + c.tiles - 1) / c.tiles
 	lo, hi := min(t*per, f.cfg.OutputDim), min((t+1)*per, f.cfg.OutputDim)
-	if f.qout != nil {
-		f.qout.ForwardAllBatchRange(c.ks, c.qas[:n], c.sas[:n], c.zps[:n], c.scores[:n], lo, hi, &c.tile[t].q)
+	q := f.qout
+	if c.scr != nil {
+		q = c.scr.q
+	}
+	if q != nil {
+		q.ForwardAllBatchRange(c.ks, c.qas[:n], c.sas[:n], c.zps[:n], c.scores[:n], lo, hi, &c.tile[t].q)
 		return
 	}
 	f.output.ForwardAllBatchRange(c.ks, c.hs[:n], c.scores[:n], lo, hi, &c.tile[t].win)
+}
+
+// rank returns held sample j's top-k ids, highest first, in ws's pooled
+// storage: TopKInto over its scores, or, on a screened walk, the screen's
+// ranking, whose labels are the same.
+func (c *chunk) rank(ws *scratch, j, k int) []int32 {
+	if c.scr == nil {
+		return metrics.TopKInto(c.scores[j], k, ws.active[:0])
+	}
+	top, rows := c.scr.rank(ws.ks, c.f.output, &c.bounds[j], c.hs[j], c.scores[j], k, ws)
+	c.rows += rows
+	return top
 }
 
 // walk is the exact forward pass, and the only one: every entry point below
@@ -168,19 +206,22 @@ func (c *chunk) score(t int) {
 // the whole call, per chunk of up to fusedChunk samples it forwards each
 // hidden stack (which also prepares the activation for the output layer) and
 // holds the result, scores every output row of every held sample tile by
-// tile through the layer's blocked range walk, and hands each sample's
-// scores — with the scratch, for ranking — to emit, in input order, on the
-// calling goroutine. A single query is a chunk of one.
+// tile through the layer's blocked range walk, and hands each held sample —
+// its slot j in the chunk, with the scratch, for ranking — to emit, in input
+// order, on the calling goroutine. A single query is a chunk of one.
+//
+// Given a screen, the walk scores the screen's packed int8 rows instead of
+// the f32 ones, and the chunk's rank refines what can reach the top k.
 //
 // tiles is how many goroutines share the rows of a pass: 1 for the serving
 // entry points, which scale across concurrent calls, GOMAXPROCS for the
 // single-caller ones.
-func (p *Predictor) walk(xs []sparse.Vector, tiles int, emit func(i int, ws *scratch, scores []float32)) {
+func (p *Predictor) walk(xs []sparse.Vector, tiles int, scr *screen, emit func(i int, ws *scratch, c *chunk, j int)) {
 	f := p.fwd
 	ws, c := p.get(), p.chunks.Get().(*chunk)
 	defer p.pool.Put(ws)
 	defer p.chunks.Put(c)
-	c.ks, c.tiles = ws.ks, max(tiles, 1)
+	c.ks, c.tiles, c.scr, c.rows = ws.ks, max(tiles, 1), scr, 0
 	if len(c.tile) < c.tiles {
 		c.tile = make([]tileScratch, c.tiles)
 	}
@@ -191,10 +232,39 @@ func (p *Predictor) walk(xs []sparse.Vector, tiles int, emit func(i int, ws *scr
 			c.hold(i, ws)
 		}
 		c.group.Run(c.tiles, c.scoreTile)
-		for i, scores := range c.scores[:c.n] {
-			emit(lo+i, ws, scores)
+		for j := range c.n {
+			emit(lo+j, ws, c, j)
 		}
 	}
+	if scr != nil {
+		p.screened.Add(uint64(len(xs)))
+		p.refined.Add(uint64(c.rows))
+	}
+}
+
+// screen returns the predictor's int8 screen, built on first use, or nil
+// where ranking takes the full walk: the live predictor, whose weights
+// change; a quantized one, which ranks its own int8 scores; a snapshot whose
+// rows cannot be quantized.
+func (p *Predictor) screen() *screen {
+	if p.single || p.fwd.qout != nil {
+		return nil
+	}
+	p.scrOnce.Do(func() { p.scr = newScreen(p.fwd.output) })
+	return p.scr
+}
+
+// ranks hands emit each sample's top-k(i) ids, highest first, in pooled
+// storage: the walk through the predictor's screen where it has one.
+func (p *Predictor) ranks(xs []sparse.Vector, tiles int, k func(i int) int, emit func(i int, top []int32)) {
+	p.walk(xs, tiles, p.screen(), func(i int, ws *scratch, c *chunk, j int) { emit(i, c.rank(ws, j, k(i))) })
+}
+
+// ScreenStats reports how many samples the ranking entry points ranked
+// through the int8 screen and how many rows they scored in f32 for them —
+// queries times OutputDim would be the full walk's.
+func (p *Predictor) ScreenStats() (queries, rows uint64) {
+	return p.screened.Load(), p.refined.Load()
 }
 
 // tiles is the tile count of an entry point: GOMAXPROCS when it has a single
@@ -213,16 +283,24 @@ func (p *Predictor) Scores(x sparse.Vector, out []float32) {
 	if len(out) != p.fwd.cfg.OutputDim {
 		panic("network: Scores buffer must have OutputDim length")
 	}
-	p.walk([]sparse.Vector{x}, p.tiles(false), func(_ int, _ *scratch, scores []float32) { copy(out, scores) })
+	p.walk([]sparse.Vector{x}, p.tiles(false), nil, func(_ int, _ *scratch, c *chunk, j int) { copy(out, c.scores[j]) })
 }
 
-// topK ranks every sample of xs through the exact walk: out[i] holds the
-// top-k(i) label ids of xs[i], highest first, in a fresh slice the caller
-// may retain (the ranking itself runs in pooled storage). A non-positive k
-// yields an empty list.
+// topK ranks every sample of xs exactly: out[i] holds the top-k(i) label
+// ids of xs[i], highest first, in a fresh slice the caller may retain (the
+// ranking itself runs in pooled storage). A non-positive k yields an empty
+// list.
 func (p *Predictor) topK(xs []sparse.Vector, tiles int, k func(i int) int) [][]int32 {
 	out := make([][]int32, len(xs))
-	p.walk(xs, tiles, func(i int, ws *scratch, scores []float32) { out[i] = p.fwd.ranked(ws, scores, k(i)) })
+	p.ranks(xs, tiles, k, func(i int, top []int32) { out[i] = clone(top) })
+	return out
+}
+
+// clone copies a ranking out of pooled storage: a fresh slice, empty and
+// not nil when nothing is selected.
+func clone(top []int32) []int32 {
+	out := make([]int32, len(top))
+	copy(out, top)
 	return out
 }
 
@@ -231,7 +309,7 @@ func (p *Predictor) topK(xs []sparse.Vector, tiles int, k func(i int) int) [][]i
 // bit-identical to Network.Predict on the same weights.
 func (p *Predictor) Predict(x sparse.Vector, k int) []int32 {
 	var out []int32
-	p.walk([]sparse.Vector{x}, p.tiles(false), func(_ int, ws *scratch, scores []float32) { out = p.fwd.ranked(ws, scores, k) })
+	p.ranks([]sparse.Vector{x}, p.tiles(false), func(int) int { return k }, func(_ int, top []int32) { out = clone(top) })
 	return out
 }
 
@@ -261,7 +339,10 @@ func (p *Predictor) PredictBatch(xs []sparse.Vector, k int) [][]int32 {
 // exact walk on the caller's goroutine — the output weight matrix streams
 // from memory once per chunk of up to fusedChunk samples instead of once
 // per sample, which is what serving batches exist for — and per-sample
-// scores and rankings are bit-identical to Predict on the same weights.
+// rankings are bit-identical to Predict on the same weights. On an f32 or
+// BF16 snapshot the walk is the int8 screen's, and only the rows that can
+// reach a sample's top k are scored in f32; the labels are the full f32
+// walk's.
 //
 // The serving pipeline runs one PredictBatchK per batcher worker and scales
 // across workers, the same across-calls concurrency model as Predict. Use
@@ -284,9 +365,9 @@ func (p *Predictor) Evaluate(b sparse.Batch, n, k int) float64 {
 		xs[i] = b.Sample(i)
 	}
 	var sum float64
-	p.walk(xs, p.tiles(true), func(i int, ws *scratch, scores []float32) {
+	p.ranks(xs, p.tiles(true), func(int) int { return k }, func(i int, top []int32) {
 		hits := 0
-		for _, id := range p.fwd.rank(ws, scores, k) {
+		for _, id := range top {
 			if slices.Contains(b.Labels(i), id) {
 				hits++
 			}

@@ -161,3 +161,7 @@ func QuantizeActs(h []float32, qa []uint8) (scale float32, zp int32) {
 
 // Row8 returns row i's packed int8 view (read-only).
 func (q *RowQ) Row8(i int32) []int8 { return q.rows8[i] }
+
+// Scale returns row i's weight scale: the row dequantizes to
+// Scale(i)·Row8(i), element by element.
+func (q *RowQ) Scale(i int32) float32 { return q.scales[i] }

@@ -458,14 +458,22 @@ type statsResponse struct {
 	// present when the predictor reports them (slide.Predictor does).
 	SnapshotPrecision   string `json:"snapshot_precision,omitempty"`
 	SnapshotPackedBytes int64  `json:"snapshot_packed_bytes,omitempty"`
+	// ScreenedQueries counts the exact queries the current snapshot ranked
+	// through its int8 screen, and ScreenRowsPerQuery is the mean number of
+	// output rows each scored in f32: a bound that degrades shows as this
+	// mean climbing toward the label count. Present once a query was
+	// screened, when the predictor reports them (slide.Predictor does).
+	ScreenedQueries    uint64  `json:"screened_queries,omitempty"`
+	ScreenRowsPerQuery float64 `json:"screen_rows_per_query,omitempty"`
 }
 
-// precisionReporter is the optional observability surface a predictor may
-// implement (slide.Predictor does) to expose its
-// output-layer storage format on /stats.
-type precisionReporter interface {
+// snapshotReporter is the optional observability surface a predictor may
+// implement (slide.Predictor does) to expose its output-layer storage format
+// and its int8 screen's counters on /stats.
+type snapshotReporter interface {
 	SnapshotPrecision() string
 	PackedBytes() int64
+	ScreenStats() (queries, rows uint64)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
@@ -480,9 +488,12 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		Quarantined:      s.mgr.Quarantined(),
 		QuarantineReason: s.mgr.QuarantineReason(),
 	}
-	if pr, ok := p.(precisionReporter); ok {
-		resp.SnapshotPrecision = pr.SnapshotPrecision()
-		resp.SnapshotPackedBytes = pr.PackedBytes()
+	if sr, ok := p.(snapshotReporter); ok {
+		resp.SnapshotPrecision = sr.SnapshotPrecision()
+		resp.SnapshotPackedBytes = sr.PackedBytes()
+		if q, rows := sr.ScreenStats(); q > 0 {
+			resp.ScreenedQueries, resp.ScreenRowsPerQuery = q, float64(rows)/float64(q)
+		}
 	}
 	if s.batcher != nil {
 		st := s.batcher.Stats()

@@ -457,6 +457,11 @@ func TestServeHealthAndStats(t *testing.T) {
 	if stats.SnapshotVersion != p.Version() {
 		t.Errorf("stats version %d, snapshot %d", stats.SnapshotVersion, p.Version())
 	}
+	// The f32 snapshot ranked the three queries through its int8 screen,
+	// each scoring at least its k rows and at most every row in f32.
+	if stats.ScreenedQueries != 3 || stats.ScreenRowsPerQuery < 2 || stats.ScreenRowsPerQuery > float64(test.NumLabels()) {
+		t.Errorf("stats screened %d queries, %.1f rows each of %d", stats.ScreenedQueries, stats.ScreenRowsPerQuery, test.NumLabels())
+	}
 
 	// Snapshot hot-swap: version advances, requests keep working.
 	p2, _ := testPredictor(t, slide.WithDWTA(3, 8))

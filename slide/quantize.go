@@ -32,3 +32,11 @@ func (p *Predictor) SnapshotPrecision() string { return p.p.PrecisionName() }
 // representation — the number the int8-vs-f32 compression ratio is measured
 // on (hidden stack and tables are identical across precisions and excluded).
 func (p *Predictor) PackedBytes() int64 { return p.p.PackedBytes() }
+
+// ScreenStats reports how many queries the exact ranking entry points
+// (Predict, PredictEntries, PredictBatch, Evaluate) have ranked through this
+// snapshot's int8 screen, and how many output rows they scored in float32
+// for them: queries × NumLabels would be the full walk's. An f32 or bf16
+// snapshot ranks through the screen; an int8 one, and Scores, never do.
+// Surfaced by the serving /stats endpoint.
+func (p *Predictor) ScreenStats() (queries, rows uint64) { return p.p.ScreenStats() }
