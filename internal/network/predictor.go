@@ -118,8 +118,9 @@ const fusedChunk = 64
 // chunk is the state of one exact walk: per sample in flight, what the output
 // layer's range walk takes of it — the last activation, its u7 codes where
 // the walk is in int8, its screen bound where it is screened — and the score
-// vector, in parallel slices the chunk owns and grows to the largest pass it
-// has carried. Nothing here depends on which output representation that is.
+// vector with, where screened, its group maxima, in parallel slices the chunk
+// owns and grows to the largest pass it has carried. Nothing here depends on
+// which output representation that is.
 type chunk struct {
 	f      *forwardState
 	ks     *simd.Kernels
@@ -133,6 +134,7 @@ type chunk struct {
 	zps    []int32
 	bounds []sampleBound
 	scores [][]float32
+	maxes  [][]float32   // the int8 scores' simd.MaxGroup maxima, screened walks only
 	tile   []tileScratch // per row tile of the pass in flight
 
 	group     fanout.Group
@@ -156,7 +158,9 @@ func (c *chunk) hold(i int, ws *scratch) {
 		c.qas = append(c.qas, make([]uint8, c.f.lastDim))
 		c.sas, c.zps = append(c.sas, 0), append(c.zps, 0)
 		c.bounds = append(c.bounds, sampleBound{})
-		c.scores = append(c.scores, make([]float32, c.f.cfg.OutputDim))
+		out := c.f.cfg.OutputDim
+		buf := make([]float32, out+(out+simd.MaxGroup-1)/simd.MaxGroup) // the scores, then their maxima
+		c.scores, c.maxes = append(c.scores, buf[:out:out]), append(c.maxes, buf[out:])
 	}
 	h := c.hs[i]
 	copy(h, ws.last())
@@ -172,21 +176,27 @@ func (c *chunk) hold(i int, ws *scratch) {
 
 // score fills row tile t of every in-flight sample's scores — the one place
 // the exact pass asks which output representation it walks: the packed rows
-// of a quantized predictor or of the walk's screen, else the f32 or BF16
-// rows. Tiles split the rows evenly, whatever the model's shard count.
+// of a quantized predictor or of the walk's screen (with the scores' group
+// maxima), else the f32 or BF16 rows.
 func (c *chunk) score(t int) {
 	f, n := c.f, c.n
-	per := (f.cfg.OutputDim + c.tiles - 1) / c.tiles
-	lo, hi := min(t*per, f.cfg.OutputDim), min((t+1)*per, f.cfg.OutputDim)
-	q := f.qout
-	if c.scr != nil {
-		q = c.scr.q
+	lo, hi := tileRows(t, c.tiles, f.cfg.OutputDim)
+	switch {
+	case c.scr != nil:
+		c.scr.q.ForwardAllBatchRange(c.ks, c.qas[:n], c.sas[:n], c.zps[:n], c.scores[:n], c.maxes[:n], lo, hi, &c.tile[t].q)
+	case f.qout != nil:
+		f.qout.ForwardAllBatchRange(c.ks, c.qas[:n], c.sas[:n], c.zps[:n], c.scores[:n], nil, lo, hi, &c.tile[t].q)
+	default:
+		f.output.ForwardAllBatchRange(c.ks, c.hs[:n], c.scores[:n], lo, hi, &c.tile[t].win)
 	}
-	if q != nil {
-		q.ForwardAllBatchRange(c.ks, c.qas[:n], c.sas[:n], c.zps[:n], c.scores[:n], lo, hi, &c.tile[t].q)
-		return
-	}
-	f.output.ForwardAllBatchRange(c.ks, c.hs[:n], c.scores[:n], lo, hi, &c.tile[t].win)
+}
+
+// tileRows is row tile t's range of out rows when tiles goroutines share
+// them: as even a split as whole simd.MaxGroup groups allow, so that every
+// tile of a screened walk starts on a group boundary.
+func tileRows(t, tiles, out int) (lo, hi int) {
+	per := ((out+tiles-1)/tiles + simd.MaxGroup - 1) &^ (simd.MaxGroup - 1)
+	return min(t*per, out), min((t+1)*per, out)
 }
 
 // rank returns held sample j's top-k ids, highest first, in ws's pooled
@@ -196,7 +206,7 @@ func (c *chunk) rank(ws *scratch, j, k int) []int32 {
 	if c.scr == nil {
 		return metrics.TopKInto(c.scores[j], k, ws.active[:0])
 	}
-	top, rows := c.scr.rank(ws.ks, c.f.output, &c.bounds[j], c.hs[j], c.scores[j], k, ws)
+	top, rows := c.scr.rank(ws.ks, c.f.output, &c.bounds[j], c.hs[j], c.scores[j], c.maxes[j], k, ws)
 	c.rows += rows
 	return top
 }

@@ -136,17 +136,18 @@ func (s *screen) radius(b *sampleBound, r int32) float64 {
 
 // rank returns the top-k rows of one sample, highest f32 logit first, in
 // ws's pooled storage, and how many rows it scored in f32. a holds the int8
-// walk's scores of the sample and h its activation. Rows are refined with
-// out.ForwardActive, which returns the walk's bits, and ranked in ascending
-// id order, so ties still break toward the lower id. A sample the bound
+// walk's scores of the sample, maxes their simd.MaxGroup maxima, and h its
+// activation. Rows are refined with out.ForwardActive, which returns the
+// walk's bits, and ranked in ascending id order, so ties still break toward
+// the lower id. A sample the bound
 // cannot screen, or a k that takes every row, refines every row.
-func (s *screen) rank(ks *simd.Kernels, out *layer.RowWeights, b *sampleBound, h, a []float32, k int, ws *scratch) ([]int32, int) {
+func (s *screen) rank(ks *simd.Kernels, out *layer.RowWeights, b *sampleBound, h, a, maxes []float32, k int, ws *scratch) ([]int32, int) {
 	if k <= 0 {
 		return ws.top[:0], 0
 	}
 	cand := layer.Iota(len(a))
 	if b.ok && k < len(a) {
-		cand = s.candidates(b, a, k, ws)
+		cand = s.candidates(b, a, maxes, k, ws)
 	}
 	logits := ws.logits[:len(cand)]
 	out.ForwardActive(ks, cand, h, nil, logits)
@@ -168,17 +169,28 @@ func (s *screen) rank(ks *simd.Kernels, out *layer.RowWeights, b *sampleBound, h
 // the rows with a ≥ θ − 2E, E = b.e ≥ every e_r + σ; e_r is computed only
 // for those. A row it skips has a + e < θ_final − E ≤ T: the k rows of
 // largest a are all collected, each with a − e ≥ θ_final − E.
-func (s *screen) candidates(b *sampleBound, a []float32, k int, ws *scratch) []int32 {
+//
+// maxes[j] is the largest a of rows [64j, 64j+64) (simd.MaxGroup of them).
+// A group whose maximum is below the running cut is skipped whole: each of
+// its rows would have been skipped, being below a cut that only rises, and
+// a skipped row leaves the heap alone. So the rows collected are the same.
+// Until the heap holds k the cut is −∞, and a NaN maximum is below nothing.
+func (s *screen) candidates(b *sampleBound, a, maxes []float32, k int, ws *scratch) []int32 {
 	ids, best := ws.active[:0], ws.best[:0]
 	cut := float32(math.Inf(-1))
-	for r, v := range a {
-		if v < cut {
+	for lo := 0; lo < len(a); lo += simd.MaxGroup {
+		if maxes[lo/simd.MaxGroup] < cut {
 			continue
 		}
-		ids = append(ids, int32(r))
-		if len(best) < k || v > best[0] {
-			if best = keepBest(best, k, v); len(best) == k {
-				cut = down32(float64(best[0]) - 2*b.e)
+		for i, v := range a[lo:min(lo+simd.MaxGroup, len(a))] {
+			if v < cut {
+				continue
+			}
+			ids = append(ids, int32(lo+i))
+			if len(best) < k || v > best[0] {
+				if best = keepBest(best, k, v); len(best) == k {
+					cut = down32(float64(best[0]) - 2*b.e)
+				}
 			}
 		}
 	}

@@ -12,6 +12,7 @@ import (
 	"github.com/slide-cpu/slide/internal/bf16"
 	"github.com/slide-cpu/slide/internal/layer"
 	"github.com/slide-cpu/slide/internal/metrics"
+	"github.com/slide-cpu/slide/internal/simd"
 	"github.com/slide-cpu/slide/internal/sparse"
 )
 
@@ -301,6 +302,94 @@ func longExactRows(t testing.TB, prec layer.Precision, act layer.Activation) *Pr
 		bias[lo], bias[hi] = 0, float32(math.Round(exact[lo]-exact[hi]-gap/2))
 	}
 	return reweigh(t, p, nil, rows, bias)
+}
+
+// TestScreenCandidatesSkipGroups holds the scan, whose group maxima skip
+// whole simd.MaxGroup-row groups, to the candidates' definition: the rows r
+// with a_r + e_r ≥ T, T the k-th largest a_r − e_r. Every radius here is e
+// (zero norms, slack e), so the cut is the running k-th best minus 2e. The
+// layouts: random scores; a group whose maximum equals the cut exactly when
+// the scan reaches it (strictly below it is skipped, equal is not); the
+// top rows spread one per group, so that a cut set before the heap holds k
+// skips one; and a partial last group holding the best row.
+func TestScreenCandidatesSkipGroups(t *testing.T) {
+	const g = simd.MaxGroup
+	const n = 5*g + 17
+	rng := rand.New(rand.NewPCG(71, 72))
+	layouts := map[string][]float32{}
+	random := make([]float32, n)
+	for i := range random {
+		random[i] = float32(rng.NormFloat64())
+	}
+	layouts["random"] = random
+	equal := make([]float32, n)
+	for i := range equal {
+		equal[i] = -float32(i%g) - 1 // every group's maximum is −1, at its first row
+	}
+	equal[g+5] = 2 // group 1's maximum, reached before group 2 …
+	equal[3*g] = 2 // … whose maximum, at its first row, equals it
+	layouts["equal-max"] = equal
+	spread := make([]float32, n)
+	for i := range spread {
+		spread[i] = -100 - float32(i)
+	}
+	for j := range n / g {
+		spread[j*g+j] = float32(10 - j) // group j's best, below every earlier group's
+	}
+	layouts["spread"] = spread
+	tail := slices.Clone(random)
+	tail[n-1] = 50
+	layouts["partial-last"] = tail
+
+	s := &screen{rows: make([]rowNorms, n)}
+	ws := &scratch{active: make([]int32, 0, n)}
+	for name, a := range layouts {
+		maxes := make([]float32, (n+g-1)/g)
+		for j := range maxes {
+			maxes[j] = slices.Max(a[j*g : min(j*g+g, n)])
+		}
+		for _, e := range []float64{0, 0.01, 0.5} {
+			b := &sampleBound{e: e, slack: e, ok: true}
+			for _, k := range []int{1, 2, 3, 5, g, g + 1, n - 1} {
+				lows := make([]float64, n)
+				for r, v := range a {
+					lows[r] = float64(v) - e
+				}
+				slices.Sort(lows)
+				cut := lows[n-k]
+				var want []int32
+				for r, v := range a {
+					if float64(v)+e >= cut {
+						want = append(want, int32(r))
+					}
+				}
+				if got := s.candidates(b, a, maxes, k, ws); !slices.Equal(got, want) {
+					t.Fatalf("%s e=%g k=%d: candidates %v, want %v", name, e, k, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestTileRowsOnGroups: the row tiles of a pass cover the output rows in
+// order, without overlap, and each starts on a simd.MaxGroup boundary and
+// ends on one or at the last row, so a screened walk's maxima are whole.
+func TestTileRowsOnGroups(t *testing.T) {
+	for _, out := range []int{1, 63, 64, 65, 300, 6701, 13401} {
+		for tiles := 1; tiles <= 5; tiles++ {
+			next := 0
+			for i := range tiles {
+				lo, hi := tileRows(i, tiles, out)
+				if lo != next || hi < lo || lo%simd.MaxGroup != 0 && lo != out || hi%simd.MaxGroup != 0 && hi != out {
+					t.Fatalf("out=%d tiles=%d: tile %d is [%d, %d) after %d", out, tiles, i, lo, hi, next)
+				}
+				next = hi
+			}
+			if next != out {
+				t.Fatalf("out=%d tiles=%d: tiles end at %d", out, tiles, next)
+			}
+		}
+	}
 }
 
 // TestScreenBuiltOnce: concurrent first callers on a fresh snapshot build

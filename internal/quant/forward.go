@@ -89,7 +89,7 @@ func (q *RowQ) ForwardAllBatch(ks *simd.Kernels, qas [][]uint8, sas []float32, z
 			panic("quant: ForwardAllBatch output size mismatch")
 		}
 	}
-	q.ForwardAllBatchRange(ks, qas, sas, zps, outs, 0, q.Out, nil)
+	q.ForwardAllBatchRange(ks, qas, sas, zps, outs, nil, 0, q.Out, nil)
 }
 
 // ForwardAllBatchRange is the exact walk restricted to rows [lo, hi): the
@@ -104,25 +104,39 @@ func (q *RowQ) ForwardAllBatch(ks *simd.Kernels, qas [][]uint8, sas []float32, z
 // concurrently over disjoint ranges into shared outs, each with its own ws
 // (nil allocates one); every logit is refLogit's, so the assembled scores are
 // bit-identical at any tiling.
-func (q *RowQ) ForwardAllBatchRange(ks *simd.Kernels, qas [][]uint8, sas []float32, zps []int32, outs [][]float32, lo, hi int, ws *WalkScratch) {
-	if len(outs) != len(qas) {
+//
+// Unless maxes is nil, the dequant also sets maxes[s][j] to the largest of
+// outs[s][simd.MaxGroup·j:][:simd.MaxGroup] for every group in [lo, hi), so
+// a range that is not empty must then start on a group boundary and end on
+// one or at Out: blocks are whole groups (layer.BlockRows), and no group
+// spans two ranges.
+func (q *RowQ) ForwardAllBatchRange(ks *simd.Kernels, qas [][]uint8, sas []float32, zps []int32, outs, maxes [][]float32, lo, hi int, ws *WalkScratch) {
+	if len(outs) != len(qas) || maxes != nil && len(maxes) != len(outs) {
 		panic("quant: ForwardAllBatchRange batch size mismatch")
 	}
 	if lo < 0 || hi > q.Out || lo > hi {
 		panic("quant: ForwardAllBatchRange row range out of bounds")
+	}
+	const g = simd.MaxGroup
+	if maxes != nil && lo < hi && (lo%g != 0 || hi%g != 0 && hi != q.Out) {
+		panic("quant: ForwardAllBatchRange maxima over a range off the group boundaries")
 	}
 	if ws == nil {
 		ws = new(WalkScratch)
 	}
 	ids, block := layer.Iota(q.Out), layer.BlockRows(q.In)
 	accs := ws.lists(min(block, hi-lo))
+	var m []float32
 	for b := lo; b < hi; b += block {
 		e := min(b+block, hi)
 		for s := 0; s < len(outs); s += simd.WalkTile {
 			t := min(s+simd.WalkTile, len(outs))
 			ks.DotManyU8S8(q.rows8, ids[b:e], qas[s:t], accs[:t-s])
 			for i := s; i < t; i++ {
-				ks.DequantRows8(accs[i-s], q.scales[b:e], q.rowSums[b:e], q.bias[b:e], sas[i], zps[i], outs[i][b:e])
+				if maxes != nil {
+					m = maxes[i][b/g:]
+				}
+				ks.DequantRows8(accs[i-s], q.scales[b:e], q.rowSums[b:e], q.bias[b:e], sas[i], zps[i], outs[i][b:e], m)
 			}
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/slide-cpu/slide/internal/layer"
@@ -454,17 +455,33 @@ func TestForwardAllMatchesLogit(t *testing.T) {
 			// outside a range are not written.
 			cutA, cutB := out/3, out-out/4
 			clear()
-			q.ForwardAllBatchRange(ks, qas[:2], sas[:2], zps[:2], got[:2], cutA, cutB, ws)
+			q.ForwardAllBatchRange(ks, qas[:2], sas[:2], zps[:2], got[:2], nil, cutA, cutB, ws)
 			for i := 0; i < out; i++ {
 				if inside := i >= cutA && i < cutB; inside == math.IsNaN(float64(got[1][i])) {
 					t.Fatalf("%v out=%d: range [%d,%d) row %d written=%v", m, out, cutA, cutB, i, !inside)
 				}
 			}
-			q.ForwardAllBatchRange(ks, qas[:2], sas[:2], zps[:2], got[:2], 0, cutA, ws)
-			q.ForwardAllBatchRange(ks, qas[:2], sas[:2], zps[:2], got[:2], cutB, out, ws)
-			q.ForwardAllBatchRange(ks, qas[:2], sas[:2], zps[:2], got[:2], cutB, cutB, ws) // empty: a no-op
+			q.ForwardAllBatchRange(ks, qas[:2], sas[:2], zps[:2], got[:2], nil, 0, cutA, ws)
+			q.ForwardAllBatchRange(ks, qas[:2], sas[:2], zps[:2], got[:2], nil, cutB, out, ws)
+			q.ForwardAllBatchRange(ks, qas[:2], sas[:2], zps[:2], got[:2], nil, cutB, cutB, ws) // empty: a no-op
 			check("ForwardAllBatchRange", 0)
 			check("ForwardAllBatchRange", 1)
+			// With maxima, ranges split on a group boundary: each sample's
+			// maxima are those of its scores' groups.
+			clear()
+			g := simd.MaxGroup
+			maxes := [][]float32{make([]float32, (out+g-1)/g), make([]float32, (out+g-1)/g)}
+			cut := min(out, (out/2+g-1)&^(g-1))
+			q.ForwardAllBatchRange(ks, qas[:2], sas[:2], zps[:2], got[:2], maxes, 0, cut, ws)
+			q.ForwardAllBatchRange(ks, qas[:2], sas[:2], zps[:2], got[:2], maxes, cut, out, ws)
+			for s := range 2 {
+				check("ForwardAllBatchRange with maxima", s)
+				for j, mx := range maxes[s] {
+					if w := slices.Max(want[s][j*g : min(j*g+g, out)]); mx != w {
+						t.Fatalf("%v out=%d sample %d: maxes[%d] = %v, the group's max %v", m, out, s, j, mx, w)
+					}
+				}
+			}
 			clear()
 			q.ForwardAll(ks, qas[5], sas[5], zps[5], got[5], 4)
 			check("ForwardAll", 5)
@@ -486,12 +503,24 @@ func TestForwardAllMatchesLogit(t *testing.T) {
 		t.Fatal(err)
 	}
 	ks, outs := simd.Active(), [][]float32{make([]float32, 6)}
+	wide, err := QuantizeRowWeights(testRowWeights(t, in, 200, 68), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wideOut, wideMaxes := [][]float32{make([]float32, 200)}, [][]float32{make([]float32, 4)}
 	for name, call := range map[string]func(){
-		"batch mismatch": func() { q.ForwardAllBatchRange(ks, qas[:1], sas[:1], zps[:1], nil, 0, 6, nil) },
+		"batch mismatch": func() { q.ForwardAllBatchRange(ks, qas[:1], sas[:1], zps[:1], nil, nil, 0, 6, nil) },
 		"short out":      func() { q.ForwardAllBatch(ks, qas[:1], sas[:1], zps[:1], [][]float32{make([]float32, 5)}) },
 		"short single":   func() { q.ForwardAll(ks, qas[0], sas[0], zps[0], make([]float32, 5), 1) },
-		"range past end": func() { q.ForwardAllBatchRange(ks, qas[:1], sas[:1], zps[:1], outs, 2, 7, nil) },
-		"range reversed": func() { q.ForwardAllBatchRange(ks, qas[:1], sas[:1], zps[:1], outs, 3, 2, nil) },
+		"range past end": func() { q.ForwardAllBatchRange(ks, qas[:1], sas[:1], zps[:1], outs, nil, 2, 7, nil) },
+		"range reversed": func() { q.ForwardAllBatchRange(ks, qas[:1], sas[:1], zps[:1], outs, nil, 3, 2, nil) },
+		"maxima off a group start": func() {
+			wide.ForwardAllBatchRange(ks, qas[:1], sas[:1], zps[:1], wideOut, wideMaxes, 1, 200, nil)
+		},
+		"maxima off a group end": func() {
+			wide.ForwardAllBatchRange(ks, qas[:1], sas[:1], zps[:1], wideOut, wideMaxes, 0, 100, nil)
+		},
+		"maxes mismatch": func() { q.ForwardAllBatchRange(ks, qas[:1], sas[:1], zps[:1], outs, [][]float32{}, 0, 6, nil) },
 	} {
 		func() {
 			defer func() {

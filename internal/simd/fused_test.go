@@ -477,6 +477,14 @@ func FuzzDotManyU8S8(f *testing.F) {
 	f.Add(uint64(11), 333, 7, 20, 5)
 	f.Add(uint64(13), 128, 9, 0, 3)
 	f.Add(uint64(15), 256, 3, 5, 4)
+	// Odd id counts (the 2-row tile's lone last row) at every partial and
+	// full tile width, within the resident blocks and past them.
+	f.Add(uint64(17), 128, 6, 7, 1)
+	f.Add(uint64(19), 64, 5, 11, 2)
+	f.Add(uint64(21), 200, 9, 13, 3)
+	f.Add(uint64(23), 300, 8, 15, 4)
+	f.Add(uint64(25), 257, 4, 1, 3)
+	f.Add(uint64(27), 65, 7, 9, 6)
 	f.Fuzz(func(t *testing.T, seed uint64, dim, nRows, nIDs, nS int) {
 		if dim < 0 || dim > 600 || nRows < 1 || nRows > 64 || nIDs < 0 || nIDs > 256 || nS < 0 || nS > 12 {
 			t.Skip()

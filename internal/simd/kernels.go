@@ -79,9 +79,10 @@ type Kernels struct {
 
 	// The quantized tier's element-wise kernels: packing an f32 row into
 	// int8 codes, and dequantizing the accumulators of contiguous rows into
-	// logits (see quant8.go). Every tier returns the same bits.
+	// logits, with the maximum of every MaxGroup of them unless maxes is nil
+	// (see quant8.go). Every tier returns the same bits.
 	QuantizeRow8 func(w []float32, dst []int8) (scale float32, rowSum int32, finite bool)
-	DequantRows8 func(acc []int32, scales []float32, rowSums []int32, bias []float32, sa float32, zp int32, out []float32)
+	DequantRows8 func(acc []int32, scales []float32, rowSums []int32, bias []float32, sa float32, zp int32, out, maxes []float32)
 
 	// ExpSum is the label head's softmax numerator (see expsum.go):
 	// out[i] = float32(math.Exp(float64(x[i]-m))), and the return value is z

@@ -20,6 +20,15 @@ import "math"
 // out[k] = float32(scales[k]*sa) * float32(acc[k] - zp*rowSums[k]) + bias[k]
 // in float32 with a rounding after each operation and int32 arithmetic that
 // wraps. acc, scales, rowSums and bias must have at least len(out) elements.
+// Unless maxes is nil it also sets maxes[j] to the largest of
+// out[MaxGroup·j : MaxGroup·(j+1)] (the last group may be partial), so maxes
+// must then hold at least ⌈len(out)/MaxGroup⌉ elements; a group holding a
+// NaN has a NaN maximum, and a zero maximum may carry either sign. The
+// assembly tiers take the maxima while the logits are still in registers.
+
+// MaxGroup is how many consecutive logits each of DequantRows8's maxima
+// covers.
+const MaxGroup = 64
 
 // checkQuantizeRow8 and checkDequantRows8 enforce the length contracts:
 // re-slicing alone would let a short operand's spare capacity be used.
@@ -29,10 +38,13 @@ func checkQuantizeRow8(w []float32, dst []int8) {
 	}
 }
 
-func checkDequantRows8(acc []int32, scales []float32, rowSums []int32, bias []float32, out []float32) {
+func checkDequantRows8(acc []int32, scales []float32, rowSums []int32, bias []float32, out, maxes []float32) {
 	n := len(out)
 	if len(acc) < n || len(scales) < n || len(rowSums) < n || len(bias) < n {
 		panic("simd: DequantRows8 operand shorter than out")
+	}
+	if maxes != nil && len(maxes) < (n+MaxGroup-1)/MaxGroup {
+		panic("simd: DequantRows8 maxes shorter than out's groups")
 	}
 }
 
@@ -79,14 +91,28 @@ func quantize8(v float32, inv float64) int32 {
 }
 
 // dequantRows8 is the definition of the DequantRows8 entries. The explicit
-// float32 conversions keep the compiler from fusing the multiply and the add.
-func dequantRows8(acc []int32, scales []float32, rowSums []int32, bias []float32, sa float32, zp int32, out []float32) {
-	checkDequantRows8(acc, scales, rowSums, bias, out)
+// float32 conversions keep the compiler from fusing the multiply and the add;
+// Go's max propagates a NaN.
+func dequantRows8(acc []int32, scales []float32, rowSums []int32, bias []float32, sa float32, zp int32, out, maxes []float32) {
+	checkDequantRows8(acc, scales, rowSums, bias, out, maxes)
 	n := len(out)
 	acc, scales, rowSums, bias = acc[:n], scales[:n], rowSums[:n], bias[:n]
+	var m float32
 	for k := range out {
 		d := float32(scales[k] * sa)
 		v := float32(acc[k] - zp*rowSums[k])
-		out[k] = float32(d*v) + bias[k]
+		o := float32(d*v) + bias[k]
+		out[k] = o
+		if maxes == nil {
+			continue
+		}
+		if k%MaxGroup == 0 {
+			m = o
+		} else {
+			m = max(m, o)
+		}
+		if k%MaxGroup == MaxGroup-1 || k == n-1 {
+			maxes[k/MaxGroup] = m
+		}
 	}
 }

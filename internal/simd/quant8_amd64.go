@@ -2,7 +2,10 @@
 
 package simd
 
-import "math"
+import (
+	"math"
+	"unsafe"
+)
 
 // Go side of the quantized tier's element-wise kernels (quant8_amd64.s). The
 // AVX-512 routines take any n and mask their own tail; the AVX2 ones take a
@@ -26,10 +29,10 @@ func packRow8AVX512Asm(w *float32, n int64, inv float64, dst *int8) int32
 func packRow8AVX2Asm(w *float32, n int64, inv float64, dst *int8) int32
 
 //go:noescape
-func dequantRows8AVX512Asm(acc *int32, scales *float32, rowSums *int32, bias *float32, sa float32, zp int32, out *float32, n int64)
+func dequantRows8AVX512Asm(acc *int32, scales *float32, rowSums *int32, bias *float32, sa float32, zp int32, out *float32, n int64, maxes *float32)
 
 //go:noescape
-func dequantRows8AVX2Asm(acc *int32, scales *float32, rowSums *int32, bias *float32, sa float32, zp int32, out *float32, n int64)
+func dequantRows8AVX2Asm(acc *int32, scales *float32, rowSums *int32, bias *float32, sa float32, zp int32, out *float32, n int64, maxes *float32)
 
 const (
 	absBits32       = 0x7fffffff
@@ -79,22 +82,35 @@ func quantizeRow8Asm(maxAbs func(w *float32, n int64) uint32, pack func(w *float
 	return scale, rowSum, true
 }
 
-func dequantRows8AVX512(acc []int32, scales []float32, rowSums []int32, bias []float32, sa float32, zp int32, out []float32) {
-	dequantRows8Asm(dequantRows8AVX512Asm, 0, acc, scales, rowSums, bias, sa, zp, out)
+func dequantRows8AVX512(acc []int32, scales []float32, rowSums []int32, bias []float32, sa float32, zp int32, out, maxes []float32) {
+	dequantRows8Asm(dequantRows8AVX512Asm, 0, acc, scales, rowSums, bias, sa, zp, out, maxes)
 }
 
-func dequantRows8AVX2(acc []int32, scales []float32, rowSums []int32, bias []float32, sa float32, zp int32, out []float32) {
-	dequantRows8Asm(dequantRows8AVX2Asm, 7, acc, scales, rowSums, bias, sa, zp, out)
+func dequantRows8AVX2(acc []int32, scales []float32, rowSums []int32, bias []float32, sa float32, zp int32, out, maxes []float32) {
+	dequantRows8Asm(dequantRows8AVX2Asm, 7, acc, scales, rowSums, bias, sa, zp, out, maxes)
 }
 
-func dequantRows8Asm(asm func(acc *int32, scales *float32, rowSums *int32, bias *float32, sa float32, zp int32, out *float32, n int64),
-	tail int, acc []int32, scales []float32, rowSums []int32, bias []float32, sa float32, zp int32, out []float32) {
-	checkDequantRows8(acc, scales, rowSums, bias, out)
+// dequantRows8Asm runs one tier's DequantRows8: the assembly on the first
+// n&^tail rows, the definition on the rest, whose logits then join the
+// assembly's last group or open a new one.
+func dequantRows8Asm(asm func(acc *int32, scales *float32, rowSums *int32, bias *float32, sa float32, zp int32, out *float32, n int64, maxes *float32),
+	tail int, acc []int32, scales []float32, rowSums []int32, bias []float32, sa float32, zp int32, out, maxes []float32) {
+	checkDequantRows8(acc, scales, rowSums, bias, out, maxes)
 	n := len(out)
 	acc, scales, rowSums, bias = acc[:n], scales[:n], rowSums[:n], bias[:n]
 	nv := n &^ tail
 	if nv > 0 {
-		asm(&acc[0], &scales[0], &rowSums[0], &bias[0], sa, zp, &out[0], int64(nv))
+		asm(&acc[0], &scales[0], &rowSums[0], &bias[0], sa, zp, &out[0], int64(nv), unsafe.SliceData(maxes))
 	}
-	dequantRows8(acc[nv:], scales[nv:], rowSums[nv:], bias[nv:], sa, zp, out[nv:])
+	dequantRows8(acc[nv:], scales[nv:], rowSums[nv:], bias[nv:], sa, zp, out[nv:], nil)
+	if maxes == nil {
+		return
+	}
+	for k := nv; k < n; k++ {
+		if j := k / MaxGroup; k%MaxGroup == 0 {
+			maxes[j] = out[k]
+		} else {
+			maxes[j] = max(maxes[j], out[k])
+		}
+	}
 }

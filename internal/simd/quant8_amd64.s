@@ -18,7 +18,9 @@
 //
 // Dequantizing (dequantRows8*Asm) is VPMULLD/VPSUBD for acc - zp*rowSum
 // (wrapping, as Go's int32 arithmetic does), VCVTDQ2PS, two VMULPS and a
-// VADDPS: the definition's four roundings in its order, and no FMA.
+// VADDPS: the definition's four roundings in its order, and no FMA. A group's
+// maximum is VMAXPS over its logits while they are in registers, plus a NaN
+// test, since VMAXPS drops a NaN it already holds.
 
 DATA q8abs32<>+0(SB)/4, $0x7fffffff
 GLOBL q8abs32<>(SB), RODATA, $4
@@ -34,6 +36,10 @@ DATA q8half64<>+0(SB)/8, $0x3fe0000000000000
 GLOBL q8half64<>(SB), RODATA, $8
 DATA q8one64<>+0(SB)/8, $0x3ff0000000000000
 GLOBL q8one64<>(SB), RODATA, $8
+DATA q8neginf<>+0(SB)/4, $0xff800000
+GLOBL q8neginf<>(SB), RODATA, $4
+DATA q8nan<>+0(SB)/4, $0x7fc00000
+GLOBL q8nan<>(SB), RODATA, $4
 
 // tailmask: K1 = (1 << DX) - 1 for DX in [0,15]; clobbers AX, CX.
 #define TAILMASK \
@@ -245,8 +251,64 @@ pk2_blk8:
 	MOVSS X0, ret+32(FP)
 	RET
 
-// func dequantRows8AVX512Asm(acc *int32, scales *float32, rowSums *int32, bias *float32, sa float32, zp int32, out *float32, n int64)
-TEXT ·dequantRows8AVX512Asm(SB), NOSPLIT, $0-56
+// DQ5_LOGITS: sixteen logits into Z2 and out; DQ5_TAIL: the first DX of
+// them under K1 (set by TAILMASK), the dead lanes zero-loaded and not
+// stored. DQ5_NEXT steps every pointer past sixteen rows.
+#define DQ5_LOGITS \
+	VPMULLD   (R9), Z7, Z1 \
+	VMOVDQU32 (SI), Z0     \
+	VPSUBD    Z1, Z0, Z0   \
+	VCVTDQ2PS Z0, Z0       \
+	VMULPS    (R8), Z6, Z2 \
+	VMULPS    Z0, Z2, Z2   \
+	VADDPS    (R10), Z2, Z2 \
+	VMOVUPS   Z2, (DI)
+
+#define DQ5_TAIL \
+	TAILMASK                  \
+	VMOVDQU32.Z (R9), K1, Z1  \
+	VPMULLD     Z1, Z7, Z1    \
+	VMOVDQU32.Z (SI), K1, Z0  \
+	VPSUBD      Z1, Z0, Z0    \
+	VCVTDQ2PS   Z0, Z0        \
+	VMOVUPS.Z   (R8), K1, Z2  \
+	VMULPS      Z2, Z6, Z2    \
+	VMULPS      Z0, Z2, Z2    \
+	VMOVUPS.Z   (R10), K1, Z3 \
+	VADDPS      Z3, Z2, Z2    \
+	VMOVUPS     Z2, K1, (DI)
+
+#define DQ5_NEXT \
+	ADDQ $64, SI  \
+	ADDQ $64, R8  \
+	ADDQ $64, R9  \
+	ADDQ $64, R10 \
+	ADDQ $64, DI
+
+// MAXSTORE: the largest float of X8's four into (BX), or a NaN when the
+// group held one (Z flag clear on entry); BX steps to the next maximum.
+// Which of two equal zeros VMAXPS keeps is unspecified, and so is the sign
+// of a zero maximum. Clobbers X10.
+#define MAXSTORE(nan, store) \
+	JEQ       store         \
+	VMOVSS    q8nan<>(SB), X8 \
+	JMP       nan           \
+store:                      \
+	VPERMILPS $0x4E, X8, X10 \
+	VMAXPS    X10, X8, X8   \
+	VPERMILPS $0xB1, X8, X10 \
+	VMAXPS    X10, X8, X8   \
+nan:                        \
+	VMOVSS    X8, (BX)      \
+	ADDQ      $4, BX
+
+// func dequantRows8AVX512Asm(acc *int32, scales *float32, rowSums *int32, bias *float32, sa float32, zp int32, out *float32, n int64, maxes *float32)
+//
+// With maxes, the rows go a group of up to four blocks at a time: Z8 keeps
+// the group's lane-wise maximum — VMAXPS with the new logits as the operand
+// it returns on a NaN, the masked tail merged in under K1 — and K2 the lanes
+// that were NaN (VMAXPS does not keep one), then Z8 is reduced to one float.
+TEXT ·dequantRows8AVX512Asm(SB), NOSPLIT, $0-64
 	MOVQ acc+0(FP), SI
 	MOVQ scales+8(FP), R8
 	MOVQ rowSums+16(FP), R9
@@ -256,49 +318,86 @@ TEXT ·dequantRows8AVX512Asm(SB), NOSPLIT, $0-56
 	VPBROADCASTD AX, Z7
 	MOVQ out+40(FP), DI
 	MOVQ n+48(FP), DX
+	MOVQ maxes+56(FP), BX
+	TESTQ BX, BX
+	JNE   dq5m_group
 
 dq5_blk16:
 	CMPQ DX, $16
 	JLT  dq5_tail
-	VPMULLD   (R9), Z7, Z1
-	VMOVDQU32 (SI), Z0
-	VPSUBD    Z1, Z0, Z0
-	VCVTDQ2PS Z0, Z0
-	VMULPS    (R8), Z6, Z2
-	VMULPS    Z0, Z2, Z2
-	VADDPS    (R10), Z2, Z2
-	VMOVUPS   Z2, (DI)
-	ADDQ $64, SI
-	ADDQ $64, R8
-	ADDQ $64, R9
-	ADDQ $64, R10
-	ADDQ $64, DI
+	DQ5_LOGITS
+	DQ5_NEXT
 	SUBQ $16, DX
 	JMP  dq5_blk16
 
 dq5_tail:
 	TESTQ DX, DX
 	JE    dq5_done
-	TAILMASK
-	VMOVDQU32.Z (R9), K1, Z1
-	VPMULLD     Z1, Z7, Z1
-	VMOVDQU32.Z (SI), K1, Z0
-	VPSUBD      Z1, Z0, Z0
-	VCVTDQ2PS   Z0, Z0
-	VMOVUPS.Z   (R8), K1, Z2
-	VMULPS      Z2, Z6, Z2
-	VMULPS      Z0, Z2, Z2
-	VMOVUPS.Z   (R10), K1, Z3
-	VADDPS      Z3, Z2, Z2
-	VMOVUPS     Z2, K1, (DI)
+	DQ5_TAIL
 
 dq5_done:
 	VZEROUPPER
 	RET
 
-// func dequantRows8AVX2Asm(acc *int32, scales *float32, rowSums *int32, bias *float32, sa float32, zp int32, out *float32, n int64)
-// Contract: n > 0 and n%8 == 0.
-TEXT ·dequantRows8AVX2Asm(SB), NOSPLIT, $0-56
+dq5m_group:
+	TESTQ DX, DX
+	JE    dq5_done
+	VBROADCASTSS q8neginf<>(SB), Z8
+	KXORW K2, K2, K2
+	MOVQ  $4, R11
+
+dq5m_blk16:
+	CMPQ DX, $16
+	JLT  dq5m_tail
+	DQ5_LOGITS
+	VMAXPS Z2, Z8, Z8
+	VCMPPS $3, Z2, Z2, K3
+	KORW   K3, K2, K2
+	DQ5_NEXT
+	SUBQ $16, DX
+	DECQ R11
+	JNE  dq5m_blk16
+	JMP  dq5m_reduce
+
+dq5m_tail:
+	TESTQ DX, DX
+	JE    dq5m_reduce
+	DQ5_TAIL
+	VMAXPS Z2, Z8, K1, Z8
+	VCMPPS $3, Z2, Z2, K1, K3
+	KORW   K3, K2, K2
+	XORQ   DX, DX
+
+dq5m_reduce:
+	VEXTRACTF64X4 $1, Z8, Y9
+	VMAXPS        Y9, Y8, Y8
+	VEXTRACTF128  $1, Y8, X9
+	VMAXPS        X9, X8, X8
+	KORTESTW      K2, K2
+	MAXSTORE(dq5m_nan, dq5m_store)
+	JMP dq5m_group
+
+// DQ2_LOGITS: eight logits into Y2 and out, pointers stepped past them.
+#define DQ2_LOGITS \
+	VPMULLD   (R9), Y7, Y1  \
+	VMOVDQU   (SI), Y0      \
+	VPSUBD    Y1, Y0, Y0    \
+	VCVTDQ2PS Y0, Y0        \
+	VMULPS    (R8), Y6, Y2  \
+	VMULPS    Y0, Y2, Y2    \
+	VADDPS    (R10), Y2, Y2 \
+	VMOVUPS   Y2, (DI)      \
+	ADDQ $32, SI            \
+	ADDQ $32, R8            \
+	ADDQ $32, R9            \
+	ADDQ $32, R10           \
+	ADDQ $32, DI
+
+// func dequantRows8AVX2Asm(acc *int32, scales *float32, rowSums *int32, bias *float32, sa float32, zp int32, out *float32, n int64, maxes *float32)
+// Contract: n > 0 and n%8 == 0. With maxes, a group of up to eight blocks
+// at a time as in the AVX-512 routine, Y9 accumulating the NaN lanes; the Go
+// wrapper folds the rows past n into the last group.
+TEXT ·dequantRows8AVX2Asm(SB), NOSPLIT, $0-64
 	MOVQ acc+0(FP), SI
 	MOVQ scales+8(FP), R8
 	MOVQ rowSums+16(FP), R9
@@ -309,22 +408,39 @@ TEXT ·dequantRows8AVX2Asm(SB), NOSPLIT, $0-56
 	VPBROADCASTD X7, Y7
 	MOVQ out+40(FP), DI
 	MOVQ n+48(FP), DX
+	MOVQ maxes+56(FP), BX
+	TESTQ BX, BX
+	JNE   dq2m_group
 
 dq2_blk8:
-	VPMULLD   (R9), Y7, Y1
-	VMOVDQU   (SI), Y0
-	VPSUBD    Y1, Y0, Y0
-	VCVTDQ2PS Y0, Y0
-	VMULPS    (R8), Y6, Y2
-	VMULPS    Y0, Y2, Y2
-	VADDPS    (R10), Y2, Y2
-	VMOVUPS   Y2, (DI)
-	ADDQ $32, SI
-	ADDQ $32, R8
-	ADDQ $32, R9
-	ADDQ $32, R10
-	ADDQ $32, DI
+	DQ2_LOGITS
 	SUBQ $8, DX
 	JNE  dq2_blk8
+	VZEROUPPER
+	RET
+
+dq2m_group:
+	VBROADCASTSS q8neginf<>(SB), Y8
+	VXORPS Y9, Y9, Y9
+	MOVQ   $8, R11
+
+dq2m_blk8:
+	DQ2_LOGITS
+	VMAXPS Y2, Y8, Y8
+	VCMPPS $3, Y2, Y2, Y3
+	VORPS  Y3, Y9, Y9
+	SUBQ $8, DX
+	JE   dq2m_reduce
+	DECQ R11
+	JNE  dq2m_blk8
+
+dq2m_reduce:
+	VEXTRACTF128 $1, Y8, X10
+	VMAXPS       X10, X8, X8
+	VMOVMSKPS    Y9, AX
+	TESTL        AX, AX
+	MAXSTORE(dq2m_nan, dq2m_store)
+	TESTQ DX, DX
+	JNE   dq2m_group
 	VZEROUPPER
 	RET

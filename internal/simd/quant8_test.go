@@ -2,6 +2,7 @@ package simd
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -182,25 +183,105 @@ func FuzzDequantRows8(f *testing.F) {
 		}
 		sa := math.Float32frombits(saBits)
 		want := make([]float32, n+3)
-		dequantRows8(acc, scales, rowSums, bias, sa, zp, want[:n])
+		dequantRows8(acc, scales, rowSums, bias, sa, zp, want[:n], nil)
 		for _, m := range AvailableModes() {
-			out := make([]float32, n+3)
-			for i := range out {
-				out[i] = -1
-			}
-			ForMode(m).DequantRows8(acc, scales, rowSums, bias, sa, zp, out[:n])
-			for k := range n {
-				if !sameF32(out[k], want[k]) {
-					t.Fatalf("%v n=%d: out[%d] = %g (%#x), definition %g (%#x)", m, n, k, out[k], math.Float32bits(out[k]), want[k], math.Float32bits(want[k]))
+			for _, withMaxes := range []bool{false, true} {
+				out := make([]float32, n+3)
+				for i := range out {
+					out[i] = -1
 				}
-			}
-			for k := n; k < len(out); k++ {
-				if out[k] != -1 {
-					t.Fatalf("%v n=%d: wrote out[%d]", m, n, k)
+				var maxes []float32
+				if withMaxes {
+					maxes = make([]float32, groups(n))
+				}
+				ForMode(m).DequantRows8(acc, scales, rowSums, bias, sa, zp, out[:n], maxes)
+				for k := range n {
+					if !sameF32(out[k], want[k]) {
+						t.Fatalf("%v n=%d maxes=%v: out[%d] = %g (%#x), definition %g (%#x)", m, n, withMaxes, k, out[k], math.Float32bits(out[k]), want[k], math.Float32bits(want[k]))
+					}
+				}
+				for k := n; k < len(out); k++ {
+					if out[k] != -1 {
+						t.Fatalf("%v n=%d: wrote out[%d]", m, n, k)
+					}
+				}
+				if withMaxes {
+					checkMaxes(t, m.String(), out[:n], maxes)
 				}
 			}
 		}
 	})
+}
+
+// groups is how many DequantRows8 maxima n logits have.
+func groups(n int) int { return (n + MaxGroup - 1) / MaxGroup }
+
+// checkMaxes wants maxes[j] to be the Go max over out's group j: equal to
+// it, or a NaN where the group holds one.
+func checkMaxes(t *testing.T, tag string, out, maxes []float32) {
+	t.Helper()
+	for j := range groups(len(out)) {
+		g := out[j*MaxGroup : min((j+1)*MaxGroup, len(out))]
+		want := g[0]
+		for _, v := range g[1:] {
+			want = max(want, v)
+		}
+		if got := maxes[j]; got != want && !(got != got && want != want) {
+			t.Fatalf("%s n=%d: maxes[%d] = %g, the max over its group %g", tag, len(out), j, got, want)
+		}
+	}
+}
+
+// TestDequantRows8Maxima: on every tier, at every length from 0 to 300 and
+// at each start within a register, the maxima equal a Go max over out, out
+// holds the bits it holds without maxima, and nothing past the last group's
+// maximum is written — on ordinary logits, and with NaNs, infinities and
+// signed zeros placed at random rows.
+func TestDequantRows8Maxima(t *testing.T) {
+	rng := rand.New(rand.NewPCG(49, 50))
+	const sentinel = -7
+	for _, special := range []bool{false, true} {
+		for n := 0; n <= 300; n++ {
+			off := n % 16
+			acc, scales := make([]int32, off+n)[off:], randSlice(rng, off+n)[off:]
+			rowSums, bias := make([]int32, off+n)[off:], randSlice(rng, off+n)[off:]
+			for k := range n {
+				acc[k], rowSums[k] = rng.Int32N(1<<16)-1<<15, rng.Int32N(1<<10)
+			}
+			if special {
+				for range 1 + n/40 {
+					k := rng.IntN(max(n, 1))
+					if n == 0 {
+						break
+					}
+					bias[k] = []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.Copysign(0, -1))}[rng.IntN(4)]
+					scales[k] = 0
+				}
+			}
+			want := make([]float32, n)
+			dequantRows8(acc, scales, rowSums, bias, 0.02, 11, want, nil)
+			for _, m := range AvailableModes() {
+				tag := fmt.Sprintf("%v special=%v off=%d", m, special, off)
+				out := make([]float32, off+n)[off:]
+				maxes := make([]float32, groups(n)+2)
+				for j := range maxes {
+					maxes[j] = sentinel
+				}
+				ForMode(m).DequantRows8(acc, scales, rowSums, bias, 0.02, 11, out, maxes[:groups(n)])
+				for k := range out {
+					if math.Float32bits(out[k]) != math.Float32bits(want[k]) {
+						t.Fatalf("%s n=%d: out[%d] = %g, %g without maxima", tag, n, k, out[k], want[k])
+					}
+				}
+				checkMaxes(t, tag, out, maxes)
+				for j := groups(n); j < len(maxes); j++ {
+					if maxes[j] != sentinel {
+						t.Fatalf("%s n=%d: wrote maxes[%d]", tag, n, j)
+					}
+				}
+			}
+		}
+	}
 }
 
 // TestQuantKernelsContracts: on every tier an operand shorter than the call
@@ -211,25 +292,27 @@ func TestQuantKernelsContracts(t *testing.T) {
 	const n = 37
 	w := randSlice(rng, n)
 	acc, scales, rowSums, bias := make([]int32, n), randSlice(rng, n), make([]int32, n), randSlice(rng, n)
-	dst, out := make([]int8, n), make([]float32, n)
+	dst, out, maxes := make([]int8, n), make([]float32, n), make([]float32, groups(n))
 	for _, m := range AvailableModes() {
 		ks := ForMode(m)
 		for name, f := range map[string]func(){
 			"QuantizeRow8 short dst":    func() { ks.QuantizeRow8(w, dst[:n-1]) },
-			"DequantRows8 short acc":    func() { ks.DequantRows8(acc[:n-1], scales, rowSums, bias, 1, 3, out) },
-			"DequantRows8 short scales": func() { ks.DequantRows8(acc, scales[:n-1], rowSums, bias, 1, 3, out) },
-			"DequantRows8 short sums":   func() { ks.DequantRows8(acc, scales, rowSums[:n-1], bias, 1, 3, out) },
-			"DequantRows8 short bias":   func() { ks.DequantRows8(acc, scales, rowSums, bias[:n-1], 1, 3, out) },
+			"DequantRows8 short acc":    func() { ks.DequantRows8(acc[:n-1], scales, rowSums, bias, 1, 3, out, nil) },
+			"DequantRows8 short scales": func() { ks.DequantRows8(acc, scales[:n-1], rowSums, bias, 1, 3, out, nil) },
+			"DequantRows8 short sums":   func() { ks.DequantRows8(acc, scales, rowSums[:n-1], bias, 1, 3, out, nil) },
+			"DequantRows8 short bias":   func() { ks.DequantRows8(acc, scales, rowSums, bias[:n-1], 1, 3, out, nil) },
+			"DequantRows8 short maxes":  func() { ks.DequantRows8(acc, scales, rowSums, bias, 1, 3, out, maxes[:0]) },
 		} {
 			expectPanic(t, m.String()+" "+name, f)
 		}
 		if s, sum, fin := ks.QuantizeRow8(nil, nil); s != 0 || sum != 0 || !fin {
 			t.Errorf("%v: QuantizeRow8 of an empty row = (%g, %d, %v)", m, s, sum, fin)
 		}
-		ks.DequantRows8(nil, nil, nil, nil, 1, 3, nil)
+		ks.DequantRows8(nil, nil, nil, nil, 1, 3, nil, nil)
+		ks.DequantRows8(nil, nil, nil, nil, 1, 3, nil, maxes[:0])
 		for name, f := range map[string]func(){
 			"QuantizeRow8": func() { ks.QuantizeRow8(w, dst) },
-			"DequantRows8": func() { ks.DequantRows8(acc, scales, rowSums, bias, 1, 3, out) },
+			"DequantRows8": func() { ks.DequantRows8(acc, scales, rowSums, bias, 1, 3, out, maxes) },
 		} {
 			if a := testing.AllocsPerRun(20, f); a != 0 {
 				t.Errorf("%v %s: %v allocations per call", m, name, a)

@@ -322,65 +322,102 @@ dmbb5_done:
 	MOVQ AX, ret+72(FP)
 	RET
 
-// The first four 64-byte blocks of one sample's quantized activation, each
-// under its block's byte mask (all ones inside the row, zero past it — a
-// fully masked load touches no memory).
-#define DMQ5_ACT(hdr, A0, A1, A2, A3) \
-	MOVQ hdr(AX), DX \
+// The first four 64-byte blocks of the activation at DX, each under its
+// block's byte mask (all ones inside the row, zero past it — a fully masked
+// load touches no memory).
+#define DMQ5_ACT(A0, A1, A2, A3) \
 	VMOVDQU8.Z 0(DX), K1, A0   \
 	VMOVDQU8.Z 64(DX), K2, A1  \
 	VMOVDQU8.Z 128(DX), K3, A2 \
 	VMOVDQU8.Z 192(DX), K4, A3
 
-// One resident block: the row's bytes loaded once under the block's mask,
-// then multiplied into each sample's accumulator.
-#define DMQ5_BLOCK(off, K, A0, A1, A2, A3, next) \
-	VMOVDQU8.Z off(SI), K, Z4 \
-	VPDPBUSD Z4, A0, Z0 \
-	CMPQ BX, $2 \
+// One resident block of the 2 × 4 tile: each row's bytes loaded once under
+// the block's mask, then multiplied into its four samples' accumulators —
+// row 0's into Z0-Z3, row 1's into Z4-Z7.
+#define DMQ5_BLOCK(off, K, A0, A1, A2, A3) \
+	VMOVDQU8.Z off(SI), K, Z8 \
+	VMOVDQU8.Z off(DI), K, Z9 \
+	VPDPBUSD Z8, A0, Z0 \
+	VPDPBUSD Z9, A0, Z4 \
+	VPDPBUSD Z8, A1, Z1 \
+	VPDPBUSD Z9, A1, Z5 \
+	VPDPBUSD Z8, A2, Z2 \
+	VPDPBUSD Z9, A2, Z6 \
+	VPDPBUSD Z8, A3, Z3 \
+	VPDPBUSD Z9, A3, Z7
+
+// DMQ5_BLOCK for a partial tile (ns < 4): the absent samples' products are
+// skipped.
+#define DMQ5_PART(off, K, A0, A1, A2, next) \
+	VMOVDQU8.Z off(SI), K, Z8 \
+	VMOVDQU8.Z off(DI), K, Z9 \
+	VPDPBUSD Z8, A0, Z0 \
+	VPDPBUSD Z9, A0, Z4 \
+	CMPQ ns-48(SP), $2 \
 	JLT  next \
-	VPDPBUSD Z4, A1, Z1 \
-	CMPQ BX, $3 \
+	VPDPBUSD Z8, A1, Z1 \
+	VPDPBUSD Z9, A1, Z5 \
+	CMPQ ns-48(SP), $3 \
 	JLT  next \
-	VPDPBUSD Z4, A2, Z2 \
-	CMPQ BX, $4 \
-	JLT  next \
-	VPDPBUSD Z4, A3, Z3 \
+	VPDPBUSD Z8, A2, Z2 \
+	VPDPBUSD Z9, A2, Z6 \
 next:
 
-// One block past the resident four of sample s: its activation bytes come
-// from memory. AX the activations' header array, CX byte offset, K6 the
-// block's mask.
-#define DMQ5_MEM(hdr, ACC) \
-	MOVQ hdr(AX), AX \
-	VMOVDQU8.Z (AX)(CX*1), K6, Z5 \
-	VPDPBUSD Z4, Z5, ACC
+// A block past the resident four: sample s's activation bytes at byte
+// offset CX from memory, under K6, into both rows' accumulators.
+#define DMQ5_MEM(act, R0, R1) \
+	MOVQ act, AX \
+	VMOVDQU8.Z (AX)(CX*1), K6, Z10 \
+	VPDPBUSD Z8, Z10, R0 \
+	VPDPBUSD Z9, Z10, R1
+
+// The tile's sums to the accumulator lists: sample s's are the low two
+// (MOV = VMOVQ) or the low one (MOV = VMOVD) int32 of 128-bit lane s of Z10,
+// stored at slot k of the list R12-R15 point at, sample 0's last.
+#define DMQ5_STORE(MOV) \
+	VEXTRACTI32X4 $3, Z10, X11 \
+	MOV X11, (R15)(R10*1)      \
+	VEXTRACTI32X4 $2, Z10, X11 \
+	MOV X11, (R14)(R10*1)      \
+	VEXTRACTI32X4 $1, Z10, X11 \
+	MOV X11, (R13)(R10*1)      \
+	MOV X10, (R12)(R10*1)
 
 // func dotManyU8S8VNNIAsm(rows *[]int8, nrows int64, ids *int32, nids int64, qas *[]uint8, ns, n int64, masks *[5]uint64, accs *[]int32) int64
 //
-// accs[s][k] = Σ qas[s][i]·rows[ids[k]][i] for s < ns <= 4. The first 256
-// bytes of each sample's activation sit in Z16-Z31 (sample s in
-// Z(16+4s)-Z(19+4s), one register per 64-byte block); a row block is loaded
-// once, under the byte mask of its position so that nothing past the row is
-// read, and VPDPBUSD adds its products into one accumulator per sample,
-// Z0-Z3. Rows longer than 256 bytes take the remaining blocks' activations
-// from memory. The four accumulators are reduced together: two rounds of
-// 128-bit-lane shuffles leave one lane of partial sums per sample, two
-// in-lane rounds finish them. Integer addition is exact in any order, so
-// the sums are DotU8S8's whatever the tier.
+// accs[s][k] = Σ qas[s][i]·rows[ids[k]][i] for s < ns <= 4: a 2 rows × 4
+// samples register tile. The first 256 bytes of each sample's activation
+// sit in Z16-Z31 (sample s in Z(16+4s)-Z(19+4s), one register per 64-byte
+// block); a block of each row is loaded once, under the byte mask of its
+// position so that nothing past the row is read, and VPDPBUSD adds its
+// products into the eight accumulators Z(4r+s), row r, sample s. Rows
+// longer than 256 bytes take the remaining blocks' activations from memory.
+// The eight accumulators are then reduced together: 512→256 and 256→128
+// bit-lane shuffles leave sample s in 128-bit lane s of one register per
+// row, and two in-lane rounds over the pair leave row 0's and row 1's sum
+// side by side, stored as one 8-byte write per sample. Integer addition is
+// exact in any order, so the sums are DotU8S8's whatever the tier.
+//
+// A full tile (ns = 4) runs a body without a per-sample branch. A partial
+// one runs its copy that skips the absent samples; their accumulator
+// pointers are sample 0's, and sample 0's sums are stored last. A tile of one row — the last of an odd list, or the first of a pair whose
+// second id is an offender — runs with row 1 = row 0 and stores row 0's
+// sums only; the next iteration then stops at the offender. While a pair is
+// scored, the first lines of the next pair's rows are prefetched.
 //
 // masks[0..3] are the byte masks of blocks 0-3, masks[4] the last block's
 // when there are more. R8 ids cursor, R9 ids left, R10 byte offset of slot
 // k in every accumulator list, R11 rows, R12-R15 the samples' accumulator
-// lists, BX samples, DI 64-byte blocks per row, SI row.
-TEXT ·dotManyU8S8VNNIAsm(SB), NOSPLIT, $0-80
+// lists, SI row 0, DI row 1, BX rows in the tile (1 or 2); the frame holds
+// ns, the samples' activation pointers and the 64-byte blocks per row.
+TEXT ·dotManyU8S8VNNIAsm(SB), NOSPLIT, $48-80
 	MOVQ rows+0(FP), R11
 	MOVQ ids+16(FP), R8
 	MOVQ nids+24(FP), R9
-	MOVQ ns+40(FP), BX
-	MOVQ n+48(FP), DI
-	ADDQ $63, DI
-	SHRQ $6, DI
+	MOVQ n+48(FP), DX
+	ADDQ $63, DX
+	SHRQ $6, DX
+	MOVQ DX, nb-8(SP)
 	MOVQ masks+56(FP), AX
 	KMOVQ 0(AX), K1
 	KMOVQ 8(AX), K2
@@ -388,24 +425,46 @@ TEXT ·dotManyU8S8VNNIAsm(SB), NOSPLIT, $0-80
 	KMOVQ 24(AX), K4
 	KMOVQ 32(AX), K5
 	XORQ R10, R10
+	MOVQ ns+40(FP), BX
+	MOVQ BX, ns-48(SP)
 	MOVQ qas+32(FP), AX
 	MOVQ accs+64(FP), CX
-	DMQ5_ACT(0, Z16, Z17, Z18, Z19)
+	MOVQ 0(AX), DX
+	MOVQ DX, a0-40(SP)
+	MOVQ DX, a1-32(SP)
+	MOVQ DX, a2-24(SP)
+	MOVQ DX, a3-16(SP)
 	MOVQ 0(CX), R12
+	MOVQ R12, R13
+	MOVQ R12, R14
+	MOVQ R12, R15
 	CMPQ BX, $2
-	JLT  dmq5_row
-	DMQ5_ACT(24, Z20, Z21, Z22, Z23)
+	JLT  dmq5_acts
+	MOVQ 24(AX), DX
+	MOVQ DX, a1-32(SP)
 	MOVQ 24(CX), R13
 	CMPQ BX, $3
-	JLT  dmq5_row
-	DMQ5_ACT(48, Z24, Z25, Z26, Z27)
+	JLT  dmq5_acts
+	MOVQ 48(AX), DX
+	MOVQ DX, a2-24(SP)
 	MOVQ 48(CX), R14
 	CMPQ BX, $4
-	JLT  dmq5_row
-	DMQ5_ACT(72, Z28, Z29, Z30, Z31)
+	JLT  dmq5_acts
+	MOVQ 72(AX), DX
+	MOVQ DX, a3-16(SP)
 	MOVQ 72(CX), R15
 
-dmq5_row:
+dmq5_acts:
+	MOVQ a0-40(SP), DX
+	DMQ5_ACT(Z16, Z17, Z18, Z19)
+	MOVQ a1-32(SP), DX
+	DMQ5_ACT(Z20, Z21, Z22, Z23)
+	MOVQ a2-24(SP), DX
+	DMQ5_ACT(Z24, Z25, Z26, Z27)
+	MOVQ a3-16(SP), DX
+	DMQ5_ACT(Z28, Z29, Z30, Z31)
+
+dmq5_tile:
 	TESTQ R9, R9
 	JE    dmq5_done
 	MOVL  (R8), AX
@@ -414,9 +473,28 @@ dmq5_row:
 	LEAQ  (AX)(AX*2), AX
 	MOVQ  n+48(FP), DX
 	ROWPTR(R11, DX, SI, dmq5_done)
+	MOVQ  SI, DI
+	MOVQ  $1, BX
 	CMPQ  R9, $1
 	JE    dmq5_dot
 	MOVL  4(R8), AX
+	CMPQ  AX, nrows+8(FP)
+	JAE   dmq5_dot
+	LEAQ  (AX)(AX*2), AX
+	ROWPTR(R11, DX, DI, dmq5_dot)
+	MOVQ  $2, BX
+	CMPQ  R9, $3
+	JLT   dmq5_dot
+	MOVL  8(R8), AX
+	CMPQ  AX, nrows+8(FP)
+	JAE   dmq5_dot
+	LEAQ  (AX)(AX*2), AX
+	MOVQ  (R11)(AX*8), AX
+	PREFETCHT0 (AX)
+	PREFETCHT0 64(AX)
+	CMPQ  R9, $4
+	JLT   dmq5_dot
+	MOVL  12(R8), AX
 	CMPQ  AX, nrows+8(FP)
 	JAE   dmq5_dot
 	LEAQ  (AX)(AX*2), AX
@@ -429,19 +507,25 @@ dmq5_dot:
 	VPXORD Z1, Z1, Z1
 	VPXORD Z2, Z2, Z2
 	VPXORD Z3, Z3, Z3
-	CMPQ DI, $1
+	VPXORD Z4, Z4, Z4
+	VPXORD Z5, Z5, Z5
+	VPXORD Z6, Z6, Z6
+	VPXORD Z7, Z7, Z7
+	MOVQ nb-8(SP), DX
+	CMPQ ns-48(SP), $4
+	JLT  dmq5_part
+	CMPQ DX, $1
 	JLT  dmq5_reduce
-	DMQ5_BLOCK(0, K1, Z16, Z20, Z24, Z28, dmq5_blk1)
-	CMPQ DI, $2
+	DMQ5_BLOCK(0, K1, Z16, Z20, Z24, Z28)
+	CMPQ DX, $2
 	JLT  dmq5_reduce
-	DMQ5_BLOCK(64, K2, Z17, Z21, Z25, Z29, dmq5_blk2)
-	CMPQ DI, $3
+	DMQ5_BLOCK(64, K2, Z17, Z21, Z25, Z29)
+	CMPQ DX, $3
 	JLT  dmq5_reduce
-	DMQ5_BLOCK(128, K3, Z18, Z22, Z26, Z30, dmq5_blk3)
-	CMPQ DI, $4
+	DMQ5_BLOCK(128, K3, Z18, Z22, Z26, Z30)
+	CMPQ DX, $4
 	JLT  dmq5_reduce
-	DMQ5_BLOCK(192, K4, Z19, Z23, Z27, Z31, dmq5_blk4)
-	MOVQ DI, DX
+	DMQ5_BLOCK(192, K4, Z19, Z23, Z27, Z31)
 	SUBQ $4, DX
 	JLE  dmq5_reduce
 	MOVQ $256, CX
@@ -453,62 +537,105 @@ dmq5_mem:
 	KMOVQ K5, K6
 
 dmq5_memblk:
-	VMOVDQU8.Z (SI)(CX*1), K6, Z4
-	MOVQ qas+32(FP), AX
-	DMQ5_MEM(0, Z0)
-	CMPQ BX, $2
-	JLT  dmq5_memnext
-	MOVQ qas+32(FP), AX
-	DMQ5_MEM(24, Z1)
-	CMPQ BX, $3
-	JLT  dmq5_memnext
-	MOVQ qas+32(FP), AX
-	DMQ5_MEM(48, Z2)
-	CMPQ BX, $4
-	JLT  dmq5_memnext
-	MOVQ qas+32(FP), AX
-	DMQ5_MEM(72, Z3)
-
-dmq5_memnext:
+	VMOVDQU8.Z (SI)(CX*1), K6, Z8
+	VMOVDQU8.Z (DI)(CX*1), K6, Z9
+	DMQ5_MEM(a0-40(SP), Z0, Z4)
+	DMQ5_MEM(a1-32(SP), Z1, Z5)
+	DMQ5_MEM(a2-24(SP), Z2, Z6)
+	DMQ5_MEM(a3-16(SP), Z3, Z7)
 	ADDQ $64, CX
 	DECQ DX
 	JNZ  dmq5_mem
+	JMP  dmq5_reduce
+
+	// A partial tile: the same walk, skipping the absent samples, whose
+	// accumulators stay zero and whose stores sample 0's store then
+	// overwrites.
+dmq5_part:
+	CMPQ DX, $1
+	JLT  dmq5_reduce
+	DMQ5_PART(0, K1, Z16, Z20, Z24, dmq5_part1)
+	CMPQ DX, $2
+	JLT  dmq5_reduce
+	DMQ5_PART(64, K2, Z17, Z21, Z25, dmq5_part2)
+	CMPQ DX, $3
+	JLT  dmq5_reduce
+	DMQ5_PART(128, K3, Z18, Z22, Z26, dmq5_part3)
+	CMPQ DX, $4
+	JLT  dmq5_reduce
+	DMQ5_PART(192, K4, Z19, Z23, Z27, dmq5_part4)
+	SUBQ $4, DX
+	JLE  dmq5_reduce
+	MOVQ $256, CX
+	KXNORQ K6, K6, K6
+
+dmq5_pmem:
+	CMPQ DX, $1
+	JNE  dmq5_pmemblk
+	KMOVQ K5, K6
+
+dmq5_pmemblk:
+	VMOVDQU8.Z (SI)(CX*1), K6, Z8
+	VMOVDQU8.Z (DI)(CX*1), K6, Z9
+	DMQ5_MEM(a0-40(SP), Z0, Z4)
+	CMPQ ns-48(SP), $2
+	JLT  dmq5_pmemnext
+	DMQ5_MEM(a1-32(SP), Z1, Z5)
+	CMPQ ns-48(SP), $3
+	JLT  dmq5_pmemnext
+	DMQ5_MEM(a2-24(SP), Z2, Z6)
+
+dmq5_pmemnext:
+	ADDQ $64, CX
+	DECQ DX
+	JNZ  dmq5_pmem
 
 dmq5_reduce:
-	// 128-bit lanes, lowest first: Z4 = a0+a2 a1+a3 b0+b2 b1+b3 of Z0 = a,
-	// Z1 = b; Z6 the same of Z2 = c, Z3 = d; then Z0 = Σa Σb Σc Σd lanes.
-	VSHUFI64X2 $0x44, Z1, Z0, Z4
-	VSHUFI64X2 $0xEE, Z1, Z0, Z5
-	VPADDD Z5, Z4, Z4
-	VSHUFI64X2 $0x44, Z3, Z2, Z6
-	VSHUFI64X2 $0xEE, Z3, Z2, Z7
-	VPADDD Z7, Z6, Z6
-	VSHUFI64X2 $0x88, Z6, Z4, Z0
-	VSHUFI64X2 $0xDD, Z6, Z4, Z1
-	VPADDD Z1, Z0, Z0
-	VPSHUFD $0x4E, Z0, Z1
-	VPADDD Z1, Z0, Z0
-	VPSHUFD $0xB1, Z0, Z1
-	VPADDD Z1, Z0, Z0
-	VMOVD X0, (R12)(R10*1)
+	// 512→256: Z8 = row 0's (sample 0 | sample 1) halves, Z10 = row 0's
+	// (2 | 3), Z12 and Z14 the same of row 1.
+	VSHUFI64X2 $0x44, Z1, Z0, Z8
+	VSHUFI64X2 $0xEE, Z1, Z0, Z9
+	VPADDD     Z9, Z8, Z8
+	VSHUFI64X2 $0x44, Z3, Z2, Z10
+	VSHUFI64X2 $0xEE, Z3, Z2, Z11
+	VPADDD     Z11, Z10, Z10
+	VSHUFI64X2 $0x44, Z5, Z4, Z12
+	VSHUFI64X2 $0xEE, Z5, Z4, Z13
+	VPADDD     Z13, Z12, Z12
+	VSHUFI64X2 $0x44, Z7, Z6, Z14
+	VSHUFI64X2 $0xEE, Z7, Z6, Z15
+	VPADDD     Z15, Z14, Z14
+
+	// 256→128: sample s in 128-bit lane s, Z9 row 0 and Z13 row 1.
+	VSHUFI64X2 $0x88, Z10, Z8, Z9
+	VSHUFI64X2 $0xDD, Z10, Z8, Z11
+	VPADDD     Z11, Z9, Z9
+	VSHUFI64X2 $0x88, Z14, Z12, Z13
+	VSHUFI64X2 $0xDD, Z14, Z12, Z15
+	VPADDD     Z15, Z13, Z13
+
+	// In each lane, row 0's a0-a3 and row 1's b0-b3: (a0+a2, a1+a3, b0+b2,
+	// b1+b3), reordered to (a0+a2, b0+b2, a1+a3, b1+b3), plus its qword
+	// swap: (Σa, Σb) in the low two int32.
+	VPUNPCKLQDQ Z13, Z9, Z10
+	VPUNPCKHQDQ Z13, Z9, Z11
+	VPADDD      Z11, Z10, Z10
+	VPSHUFD     $0xD8, Z10, Z10
+	VPSHUFD     $0x4E, Z10, Z11
+	VPADDD      Z11, Z10, Z10
 	CMPQ BX, $2
-	JLT  dmq5_next
-	VEXTRACTI32X4 $1, Z0, X1
-	VMOVD X1, (R13)(R10*1)
-	CMPQ BX, $3
-	JLT  dmq5_next
-	VEXTRACTI32X4 $2, Z0, X1
-	VMOVD X1, (R14)(R10*1)
-	CMPQ BX, $4
-	JLT  dmq5_next
-	VEXTRACTI32X4 $3, Z0, X1
-	VMOVD X1, (R15)(R10*1)
+	JLT  dmq5_store1
+	DMQ5_STORE(VMOVQ)
+	JMP  dmq5_next
+
+dmq5_store1:
+	DMQ5_STORE(VMOVD)
 
 dmq5_next:
-	ADDQ $4, R8
-	ADDQ $4, R10
-	DECQ R9
-	JMP  dmq5_row
+	LEAQ (R8)(BX*4), R8
+	LEAQ (R10)(BX*4), R10
+	SUBQ BX, R9
+	JMP  dmq5_tile
 
 dmq5_done:
 	VZEROUPPER

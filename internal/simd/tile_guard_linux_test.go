@@ -123,13 +123,16 @@ func TestQuantizeRow8DequantRows8StayInBounds(t *testing.T) {
 			}
 			copy(scales, randSlice(rng, n))
 			copy(bias, randSlice(rng, n))
-			ref := make([]float32, n)
-			dequantRows8(acc, scales, sums, bias, 0.01, 9, ref)
-			ks.DequantRows8(acc, scales, sums, bias, 0.01, 9, out)
+			ref, refMaxes, maxes := make([]float32, n), make([]float32, groups(n)), f32s(groups(n))
+			dequantRows8(acc, scales, sums, bias, 0.01, 9, ref, refMaxes)
+			ks.DequantRows8(acc, scales, sums, bias, 0.01, 9, out, maxes)
 			for k := range out {
 				if out[k] != ref[k] {
 					t.Fatalf("%v n=%d: DequantRows8 out[%d] = %v, definition %v", m, n, k, out[k], ref[k])
 				}
+			}
+			if !slices.Equal(maxes, refMaxes) {
+				t.Fatalf("%v n=%d: DequantRows8 maxes %v, definition %v", m, n, maxes, refMaxes)
 			}
 		}
 	}

@@ -174,8 +174,9 @@ func checkDotManyU8S8(ids []int32, qas [][]uint8, accs [][]int32) {
 	}
 }
 
-// The portable tiled walks loop their tier's single-operand kernel over the
-// samples and are the definition of the assembly tiles.
+// The portable tiled walks other than dotManyU8S8Vec loop their tier's
+// single-operand kernel over the samples and are the definition of the
+// assembly tiles.
 
 func dotManyBiasBatchVec(rows [][]float32, bias []float32, ids []int32, hs, outs [][]float32) {
 	checkDotManyBiasBatch(ids, hs, outs)
@@ -207,8 +208,61 @@ func dotManyU8S8Rows(dot func(a []uint8, b []int8) int32, rows [][]int8, ids []i
 	}
 }
 
+// dotManyU8S8Vec scores the samples two at a time, each listed row loaded
+// once for the pair and both dots in one int64 multiply per byte: with
+// p = a0 + a1·2³², Σ p·w = S0 + S1·2³² exactly, and since each sum fits an
+// int32 (rows of up to pairCols bytes: |S| ≤ 512·255·128 < 2³¹) the low 32
+// bits are S0 and the rest S1. Longer rows, and a batch's last sample when
+// the count is odd, take the per-row loop.
 func dotManyU8S8Vec(rows [][]int8, ids []int32, qas [][]uint8, accs [][]int32) {
-	dotManyU8S8Rows(dotU8S8Vec, rows, ids, qas, accs)
+	checkDotManyU8S8(ids, qas, accs)
+	if len(qas) == 0 {
+		return
+	}
+	n := len(qas[0])
+	s := 0
+	if n <= pairCols {
+		var p [pairCols]int64
+		for ; s+1 < len(qas); s += 2 {
+			pp := p[:n]
+			for i, a := range qas[s] {
+				pp[i] = int64(a) | int64(qas[s+1][i])<<32
+			}
+			for k, id := range ids {
+				r := rows[id]
+				if len(r) != n {
+					panic("simd: DotU8S8 length mismatch")
+				}
+				t := dotPair(r, pp)
+				lo := int32(t)
+				accs[s][k], accs[s+1][k] = lo, int32((t-int64(lo))>>32)
+			}
+		}
+	}
+	dotManyU8S8Rows(dotU8S8Vec, rows, ids, qas[s:], accs[s:])
+}
+
+// pairCols bounds the rows dotManyU8S8Vec packs sample pairs for, and so
+// its stack buffer (4 KiB); the fixtures' hidden layers are 128 and 200
+// wide.
+const pairCols = 512
+
+// dotPair is Σ p[i]·r[i] over r's length, four chains.
+func dotPair(r []int8, p []int64) int64 {
+	p = p[:len(r)]
+	var t0, t1, t2, t3 int64
+	i := 0
+	for ; i+4 <= len(r); i += 4 {
+		w, q := r[i:i+4:i+4], p[i:i+4:i+4]
+		t0 += q[0] * int64(w[0])
+		t1 += q[1] * int64(w[1])
+		t2 += q[2] * int64(w[2])
+		t3 += q[3] * int64(w[3])
+	}
+	for ; i < len(r); i++ {
+		t0 += p[i] * int64(r[i])
+	}
+	return t0 + t1 + t2 + t3
 }
 
 func dotManyU8S8Scalar(rows [][]int8, ids []int32, qas [][]uint8, accs [][]int32) {
