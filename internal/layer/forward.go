@@ -149,12 +149,8 @@ func (w *RowWeights) ForwardActive(ks *simd.Kernels, active []int32, h []float32
 const rowBlockBytes = 128 << 10
 
 // BlockRows returns how many rows of rowBytes bytes each one block of the
-// exact walk covers: a whole number of simd.MaxGroup rows, at least one
-// group, so that a walk from a group boundary hands every block's
-// DequantRows8 call whole groups.
-func BlockRows(rowBytes int) int {
-	return max(simd.MaxGroup, rowBlockBytes/max(1, rowBytes)&^(simd.MaxGroup-1))
-}
+// exact walk covers (at least one).
+func BlockRows(rowBytes int) int { return max(1, rowBlockBytes/max(1, rowBytes)) }
 
 var iotaIDs atomic.Pointer[[]int32]
 

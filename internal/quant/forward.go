@@ -92,9 +92,17 @@ func (q *RowQ) ForwardAllBatch(ks *simd.Kernels, qas [][]uint8, sas []float32, z
 	q.ForwardAllBatchRange(ks, qas, sas, zps, outs, nil, 0, q.Out, nil)
 }
 
+// blockRows is how many packed rows of in bytes one block of the exact walk
+// covers: layer.BlockRows rounded down to whole simd.MaxGroup groups (at
+// least one), so that a walk from a group boundary hands every block's
+// DequantRows8 call whole groups.
+func blockRows(in int) int {
+	return max(simd.MaxGroup, layer.BlockRows(in)&^(simd.MaxGroup-1))
+}
+
 // ForwardAllBatchRange is the exact walk restricted to rows [lo, hi): the
 // same loop as layer.RowWeights.ForwardAllBatchRange — a block of rows
-// (layer.BlockRows of them, so four times as many as the f32 walk takes)
+// (blockRows of them, about four times as many as the f32 walk takes)
 // against every sample of the chunk — over packed rows, so each packed row
 // streams from memory once per chunk. A block meets the samples a tile at a
 // time: one DotManyU8S8 call scores it against simd.WalkTile of them, each
@@ -108,7 +116,7 @@ func (q *RowQ) ForwardAllBatch(ks *simd.Kernels, qas [][]uint8, sas []float32, z
 // Unless maxes is nil, the dequant also sets maxes[s][j] to the largest of
 // outs[s][simd.MaxGroup·j:][:simd.MaxGroup] for every group in [lo, hi), so
 // a range that is not empty must then start on a group boundary and end on
-// one or at Out: blocks are whole groups (layer.BlockRows), and no group
+// one or at Out: blocks are whole groups (blockRows), and no group
 // spans two ranges.
 func (q *RowQ) ForwardAllBatchRange(ks *simd.Kernels, qas [][]uint8, sas []float32, zps []int32, outs, maxes [][]float32, lo, hi int, ws *WalkScratch) {
 	if len(outs) != len(qas) || maxes != nil && len(maxes) != len(outs) {
@@ -124,7 +132,7 @@ func (q *RowQ) ForwardAllBatchRange(ks *simd.Kernels, qas [][]uint8, sas []float
 	if ws == nil {
 		ws = new(WalkScratch)
 	}
-	ids, block := layer.Iota(q.Out), layer.BlockRows(q.In)
+	ids, block := layer.Iota(q.Out), blockRows(q.In)
 	accs := ws.lists(min(block, hi-lo))
 	var m []float32
 	for b := lo; b < hi; b += block {

@@ -400,7 +400,7 @@ func TestLogitMatchesF32(t *testing.T) {
 // WalkScratch reused across all of them.
 func TestForwardAllMatchesLogit(t *testing.T) {
 	const in = 200
-	block := layer.BlockRows(in)
+	block := blockRows(in)
 	rng := rand.New(rand.NewSource(67))
 	qas := make([][]uint8, 64)
 	sas := make([]float32, len(qas))

@@ -103,15 +103,11 @@ func dequantRows8(acc []int32, scales []float32, rowSums []int32, bias []float32
 		v := float32(acc[k] - zp*rowSums[k])
 		o := float32(d*v) + bias[k]
 		out[k] = o
-		if maxes == nil {
-			continue
-		}
 		if k%MaxGroup == 0 {
 			m = o
-		} else {
-			m = max(m, o)
 		}
-		if k%MaxGroup == MaxGroup-1 || k == n-1 {
+		m = max(m, o)
+		if maxes != nil && (k%MaxGroup == MaxGroup-1 || k == n-1) {
 			maxes[k/MaxGroup] = m
 		}
 	}

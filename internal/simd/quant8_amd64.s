@@ -251,40 +251,6 @@ pk2_blk8:
 	MOVSS X0, ret+32(FP)
 	RET
 
-// DQ5_LOGITS: sixteen logits into Z2 and out; DQ5_TAIL: the first DX of
-// them under K1 (set by TAILMASK), the dead lanes zero-loaded and not
-// stored. DQ5_NEXT steps every pointer past sixteen rows.
-#define DQ5_LOGITS \
-	VPMULLD   (R9), Z7, Z1 \
-	VMOVDQU32 (SI), Z0     \
-	VPSUBD    Z1, Z0, Z0   \
-	VCVTDQ2PS Z0, Z0       \
-	VMULPS    (R8), Z6, Z2 \
-	VMULPS    Z0, Z2, Z2   \
-	VADDPS    (R10), Z2, Z2 \
-	VMOVUPS   Z2, (DI)
-
-#define DQ5_TAIL \
-	TAILMASK                  \
-	VMOVDQU32.Z (R9), K1, Z1  \
-	VPMULLD     Z1, Z7, Z1    \
-	VMOVDQU32.Z (SI), K1, Z0  \
-	VPSUBD      Z1, Z0, Z0    \
-	VCVTDQ2PS   Z0, Z0        \
-	VMOVUPS.Z   (R8), K1, Z2  \
-	VMULPS      Z2, Z6, Z2    \
-	VMULPS      Z0, Z2, Z2    \
-	VMOVUPS.Z   (R10), K1, Z3 \
-	VADDPS      Z3, Z2, Z2    \
-	VMOVUPS     Z2, K1, (DI)
-
-#define DQ5_NEXT \
-	ADDQ $64, SI  \
-	ADDQ $64, R8  \
-	ADDQ $64, R9  \
-	ADDQ $64, R10 \
-	ADDQ $64, DI
-
 // MAXSTORE: the largest float of X8's four into (BX), or a NaN when the
 // group held one (Z flag clear on entry); BX steps to the next maximum.
 // Which of two equal zeros VMAXPS keeps is unspecified, and so is the sign
@@ -304,10 +270,11 @@ nan:                        \
 
 // func dequantRows8AVX512Asm(acc *int32, scales *float32, rowSums *int32, bias *float32, sa float32, zp int32, out *float32, n int64, maxes *float32)
 //
-// With maxes, the rows go a group of up to four blocks at a time: Z8 keeps
-// the group's lane-wise maximum — VMAXPS with the new logits as the operand
-// it returns on a NaN, the masked tail merged in under K1 — and K2 the lanes
-// that were NaN (VMAXPS does not keep one), then Z8 is reduced to one float.
+// The rows go a group of up to four blocks at a time: Z8 keeps the group's
+// lane-wise maximum — VMAXPS with the new logits as the operand it returns
+// on a NaN, the masked tail merged in under K1 — and K2 the lanes that were
+// NaN (VMAXPS does not keep one); then, unless maxes is nil, Z8 is reduced
+// to one float and stored.
 TEXT ·dequantRows8AVX512Asm(SB), NOSPLIT, $0-64
 	MOVQ acc+0(FP), SI
 	MOVQ scales+8(FP), R8
@@ -319,84 +286,77 @@ TEXT ·dequantRows8AVX512Asm(SB), NOSPLIT, $0-64
 	MOVQ out+40(FP), DI
 	MOVQ n+48(FP), DX
 	MOVQ maxes+56(FP), BX
-	TESTQ BX, BX
-	JNE   dq5m_group
 
-dq5_blk16:
-	CMPQ DX, $16
-	JLT  dq5_tail
-	DQ5_LOGITS
-	DQ5_NEXT
-	SUBQ $16, DX
-	JMP  dq5_blk16
-
-dq5_tail:
-	TESTQ DX, DX
-	JE    dq5_done
-	DQ5_TAIL
-
-dq5_done:
-	VZEROUPPER
-	RET
-
-dq5m_group:
+dq5_group:
 	TESTQ DX, DX
 	JE    dq5_done
 	VBROADCASTSS q8neginf<>(SB), Z8
 	KXORW K2, K2, K2
 	MOVQ  $4, R11
 
-dq5m_blk16:
+dq5_blk16:
 	CMPQ DX, $16
-	JLT  dq5m_tail
-	DQ5_LOGITS
+	JLT  dq5_tail
+	VPMULLD   (R9), Z7, Z1
+	VMOVDQU32 (SI), Z0
+	VPSUBD    Z1, Z0, Z0
+	VCVTDQ2PS Z0, Z0
+	VMULPS    (R8), Z6, Z2
+	VMULPS    Z0, Z2, Z2
+	VADDPS    (R10), Z2, Z2
+	VMOVUPS   Z2, (DI)
 	VMAXPS Z2, Z8, Z8
 	VCMPPS $3, Z2, Z2, K3
 	KORW   K3, K2, K2
-	DQ5_NEXT
+	ADDQ $64, SI
+	ADDQ $64, R8
+	ADDQ $64, R9
+	ADDQ $64, R10
+	ADDQ $64, DI
 	SUBQ $16, DX
 	DECQ R11
-	JNE  dq5m_blk16
-	JMP  dq5m_reduce
+	JNE  dq5_blk16
+	JMP  dq5_reduce
 
-dq5m_tail:
+dq5_tail:
 	TESTQ DX, DX
-	JE    dq5m_reduce
-	DQ5_TAIL
+	JE    dq5_reduce
+	TAILMASK
+	VMOVDQU32.Z (R9), K1, Z1
+	VPMULLD     Z1, Z7, Z1
+	VMOVDQU32.Z (SI), K1, Z0
+	VPSUBD      Z1, Z0, Z0
+	VCVTDQ2PS   Z0, Z0
+	VMOVUPS.Z   (R8), K1, Z2
+	VMULPS      Z2, Z6, Z2
+	VMULPS      Z0, Z2, Z2
+	VMOVUPS.Z   (R10), K1, Z3
+	VADDPS      Z3, Z2, Z2
+	VMOVUPS     Z2, K1, (DI)
 	VMAXPS Z2, Z8, K1, Z8
 	VCMPPS $3, Z2, Z2, K1, K3
 	KORW   K3, K2, K2
 	XORQ   DX, DX
 
-dq5m_reduce:
+dq5_reduce:
+	TESTQ BX, BX
+	JE    dq5_group
 	VEXTRACTF64X4 $1, Z8, Y9
 	VMAXPS        Y9, Y8, Y8
 	VEXTRACTF128  $1, Y8, X9
 	VMAXPS        X9, X8, X8
 	KORTESTW      K2, K2
-	MAXSTORE(dq5m_nan, dq5m_store)
-	JMP dq5m_group
+	MAXSTORE(dq5_nan, dq5_store)
+	JMP dq5_group
 
-// DQ2_LOGITS: eight logits into Y2 and out, pointers stepped past them.
-#define DQ2_LOGITS \
-	VPMULLD   (R9), Y7, Y1  \
-	VMOVDQU   (SI), Y0      \
-	VPSUBD    Y1, Y0, Y0    \
-	VCVTDQ2PS Y0, Y0        \
-	VMULPS    (R8), Y6, Y2  \
-	VMULPS    Y0, Y2, Y2    \
-	VADDPS    (R10), Y2, Y2 \
-	VMOVUPS   Y2, (DI)      \
-	ADDQ $32, SI            \
-	ADDQ $32, R8            \
-	ADDQ $32, R9            \
-	ADDQ $32, R10           \
-	ADDQ $32, DI
+dq5_done:
+	VZEROUPPER
+	RET
 
 // func dequantRows8AVX2Asm(acc *int32, scales *float32, rowSums *int32, bias *float32, sa float32, zp int32, out *float32, n int64, maxes *float32)
-// Contract: n > 0 and n%8 == 0. With maxes, a group of up to eight blocks
-// at a time as in the AVX-512 routine, Y9 accumulating the NaN lanes; the Go
-// wrapper folds the rows past n into the last group.
+// Contract: n > 0 and n%8 == 0. A group of up to eight blocks at a time as
+// in the AVX-512 routine, Y9 accumulating the NaN lanes; the Go wrapper
+// folds the rows past n into the last group.
 TEXT ·dequantRows8AVX2Asm(SB), NOSPLIT, $0-64
 	MOVQ acc+0(FP), SI
 	MOVQ scales+8(FP), R8
@@ -409,38 +369,45 @@ TEXT ·dequantRows8AVX2Asm(SB), NOSPLIT, $0-64
 	MOVQ out+40(FP), DI
 	MOVQ n+48(FP), DX
 	MOVQ maxes+56(FP), BX
-	TESTQ BX, BX
-	JNE   dq2m_group
 
-dq2_blk8:
-	DQ2_LOGITS
-	SUBQ $8, DX
-	JNE  dq2_blk8
-	VZEROUPPER
-	RET
-
-dq2m_group:
+dq2_group:
 	VBROADCASTSS q8neginf<>(SB), Y8
 	VXORPS Y9, Y9, Y9
 	MOVQ   $8, R11
 
-dq2m_blk8:
-	DQ2_LOGITS
+dq2_blk8:
+	VPMULLD   (R9), Y7, Y1
+	VMOVDQU   (SI), Y0
+	VPSUBD    Y1, Y0, Y0
+	VCVTDQ2PS Y0, Y0
+	VMULPS    (R8), Y6, Y2
+	VMULPS    Y0, Y2, Y2
+	VADDPS    (R10), Y2, Y2
+	VMOVUPS   Y2, (DI)
+	ADDQ $32, SI
+	ADDQ $32, R8
+	ADDQ $32, R9
+	ADDQ $32, R10
+	ADDQ $32, DI
 	VMAXPS Y2, Y8, Y8
 	VCMPPS $3, Y2, Y2, Y3
 	VORPS  Y3, Y9, Y9
 	SUBQ $8, DX
-	JE   dq2m_reduce
+	JE   dq2_reduce
 	DECQ R11
-	JNE  dq2m_blk8
+	JNE  dq2_blk8
 
-dq2m_reduce:
+dq2_reduce:
+	TESTQ BX, BX
+	JE    dq2_next
 	VEXTRACTF128 $1, Y8, X10
 	VMAXPS       X10, X8, X8
 	VMOVMSKPS    Y9, AX
 	TESTL        AX, AX
-	MAXSTORE(dq2m_nan, dq2m_store)
+	MAXSTORE(dq2_nan, dq2_store)
+
+dq2_next:
 	TESTQ DX, DX
-	JNE   dq2m_group
+	JNE   dq2_group
 	VZEROUPPER
 	RET

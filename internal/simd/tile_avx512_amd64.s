@@ -346,23 +346,6 @@ dmbb5_done:
 	VPDPBUSD Z8, A3, Z3 \
 	VPDPBUSD Z9, A3, Z7
 
-// DMQ5_BLOCK for a partial tile (ns < 4): the absent samples' products are
-// skipped.
-#define DMQ5_PART(off, K, A0, A1, A2, next) \
-	VMOVDQU8.Z off(SI), K, Z8 \
-	VMOVDQU8.Z off(DI), K, Z9 \
-	VPDPBUSD Z8, A0, Z0 \
-	VPDPBUSD Z9, A0, Z4 \
-	CMPQ ns-48(SP), $2 \
-	JLT  next \
-	VPDPBUSD Z8, A1, Z1 \
-	VPDPBUSD Z9, A1, Z5 \
-	CMPQ ns-48(SP), $3 \
-	JLT  next \
-	VPDPBUSD Z8, A2, Z2 \
-	VPDPBUSD Z9, A2, Z6 \
-next:
-
 // A block past the resident four: sample s's activation bytes at byte
 // offset CX from memory, under K6, into both rows' accumulators.
 #define DMQ5_MEM(act, R0, R1) \
@@ -398,19 +381,20 @@ next:
 // side by side, stored as one 8-byte write per sample. Integer addition is
 // exact in any order, so the sums are DotU8S8's whatever the tier.
 //
-// A full tile (ns = 4) runs a body without a per-sample branch. A partial
-// one runs its copy that skips the absent samples; their accumulator
-// pointers are sample 0's, and sample 0's sums are stored last. A tile of one row — the last of an odd list, or the first of a pair whose
-// second id is an offender — runs with row 1 = row 0 and stores row 0's
-// sums only; the next iteration then stops at the offender. While a pair is
-// scored, the first lines of the next pair's rows are prefetched.
+// A partial tile (ns < 4) runs the same body: the absent samples'
+// activation and accumulator pointers are sample 0's, so they compute
+// sample 0's sums and store them over its own. A tile of one row — the
+// last of an odd list, or the first of a pair whose second id is an
+// offender — runs with row 1 = row 0 and stores row 0's sums only; the next
+// iteration then stops at the offender. While a pair is scored, the first
+// lines of the next pair's rows are prefetched.
 //
 // masks[0..3] are the byte masks of blocks 0-3, masks[4] the last block's
 // when there are more. R8 ids cursor, R9 ids left, R10 byte offset of slot
 // k in every accumulator list, R11 rows, R12-R15 the samples' accumulator
 // lists, SI row 0, DI row 1, BX rows in the tile (1 or 2); the frame holds
-// ns, the samples' activation pointers and the 64-byte blocks per row.
-TEXT ·dotManyU8S8VNNIAsm(SB), NOSPLIT, $48-80
+// the samples' activation pointers and the 64-byte blocks per row.
+TEXT ·dotManyU8S8VNNIAsm(SB), NOSPLIT, $40-80
 	MOVQ rows+0(FP), R11
 	MOVQ ids+16(FP), R8
 	MOVQ nids+24(FP), R9
@@ -426,7 +410,6 @@ TEXT ·dotManyU8S8VNNIAsm(SB), NOSPLIT, $48-80
 	KMOVQ 32(AX), K5
 	XORQ R10, R10
 	MOVQ ns+40(FP), BX
-	MOVQ BX, ns-48(SP)
 	MOVQ qas+32(FP), AX
 	MOVQ accs+64(FP), CX
 	MOVQ 0(AX), DX
@@ -512,8 +495,6 @@ dmq5_dot:
 	VPXORD Z6, Z6, Z6
 	VPXORD Z7, Z7, Z7
 	MOVQ nb-8(SP), DX
-	CMPQ ns-48(SP), $4
-	JLT  dmq5_part
 	CMPQ DX, $1
 	JLT  dmq5_reduce
 	DMQ5_BLOCK(0, K1, Z16, Z20, Z24, Z28)
@@ -546,49 +527,6 @@ dmq5_memblk:
 	ADDQ $64, CX
 	DECQ DX
 	JNZ  dmq5_mem
-	JMP  dmq5_reduce
-
-	// A partial tile: the same walk, skipping the absent samples, whose
-	// accumulators stay zero and whose stores sample 0's store then
-	// overwrites.
-dmq5_part:
-	CMPQ DX, $1
-	JLT  dmq5_reduce
-	DMQ5_PART(0, K1, Z16, Z20, Z24, dmq5_part1)
-	CMPQ DX, $2
-	JLT  dmq5_reduce
-	DMQ5_PART(64, K2, Z17, Z21, Z25, dmq5_part2)
-	CMPQ DX, $3
-	JLT  dmq5_reduce
-	DMQ5_PART(128, K3, Z18, Z22, Z26, dmq5_part3)
-	CMPQ DX, $4
-	JLT  dmq5_reduce
-	DMQ5_PART(192, K4, Z19, Z23, Z27, dmq5_part4)
-	SUBQ $4, DX
-	JLE  dmq5_reduce
-	MOVQ $256, CX
-	KXNORQ K6, K6, K6
-
-dmq5_pmem:
-	CMPQ DX, $1
-	JNE  dmq5_pmemblk
-	KMOVQ K5, K6
-
-dmq5_pmemblk:
-	VMOVDQU8.Z (SI)(CX*1), K6, Z8
-	VMOVDQU8.Z (DI)(CX*1), K6, Z9
-	DMQ5_MEM(a0-40(SP), Z0, Z4)
-	CMPQ ns-48(SP), $2
-	JLT  dmq5_pmemnext
-	DMQ5_MEM(a1-32(SP), Z1, Z5)
-	CMPQ ns-48(SP), $3
-	JLT  dmq5_pmemnext
-	DMQ5_MEM(a2-24(SP), Z2, Z6)
-
-dmq5_pmemnext:
-	ADDQ $64, CX
-	DECQ DX
-	JNZ  dmq5_pmem
 
 dmq5_reduce:
 	// 512→256: Z8 = row 0's (sample 0 | sample 1) halves, Z10 = row 0's
