@@ -174,9 +174,9 @@ func BenchmarkKernelDotManyBias(b *testing.B) {
 // matrix is taken a block of rows at a time and each block is scored against
 // every sample of the batch, by one tiled-walk call ("tile") or by the
 // tier's per-row kernel once per (row, sample) ("perrow"), for 256- and
-// 1,024-row blocks and batches of 1, 4 and 32. ns per (row, sample) is
+// 1,024-row blocks and the given batch sizes. ns per (row, sample) is
 // reported next to ns/op (one op is one pass over the matrix).
-func benchTiles(b *testing.B, s walkShape, tile, perrow func(ks *simd.Kernels, ids []int32, batch int)) {
+func benchTiles(b *testing.B, s walkShape, batches []int, tile, perrow func(ks *simd.Kernels, ids []int32, batch int)) {
 	all := layer.Iota(s.rows)
 	pass := func(b *testing.B, block, batch int, score func(ids []int32, batch int)) {
 		b.ResetTimer()
@@ -190,7 +190,7 @@ func benchTiles(b *testing.B, s walkShape, tile, perrow func(ks *simd.Kernels, i
 	b.Run(s.name, func(b *testing.B) {
 		benchKernelModes(b, func(b *testing.B, ks *simd.Kernels) {
 			for _, block := range []int{256, 1024} {
-				for _, batch := range []int{1, 4, 32} {
+				for _, batch := range batches {
 					b.Run(fmt.Sprintf("rows%d/batch%d", block, batch), func(b *testing.B) {
 						b.Run("tile", func(b *testing.B) {
 							pass(b, block, batch, func(ids []int32, n int) { tile(ks, ids, n) })
@@ -215,7 +215,7 @@ func BenchmarkKernelDotManyBiasBatch(b *testing.B) {
 		for i := range hs {
 			hs[i], outs[i] = randF32(s.dim, 73+uint64(i)), make([]float32, 1024)
 		}
-		benchTiles(b, s,
+		benchTiles(b, s, []int{1, 4, 32},
 			func(ks *simd.Kernels, ids []int32, n int) { ks.DotManyBiasBatch(rows, bias, ids, hs[:n], outs[:n]) },
 			func(ks *simd.Kernels, ids []int32, n int) {
 				for i, h := range hs[:n] {
@@ -228,9 +228,13 @@ func BenchmarkKernelDotManyBiasBatch(b *testing.B) {
 }
 
 // BenchmarkKernelDotManyU8S8 measures the int8 tiled walk against the
-// per-row DotU8S8 loop it is defined as (and replaced in quant.RowQ).
+// per-row DotU8S8 loop it is defined as (and replaced in quant.RowQ), on the
+// ids and accumulators the exact walk passes: contiguous ids, and one
+// accumulator list per sample cut from one buffer an odd number of cache
+// lines apart, as quant.WalkScratch cuts them. The batches bracket the VNNI
+// tier's switch from the 2 × 4 tile to activation panels.
 func BenchmarkKernelDotManyU8S8(b *testing.B) {
-	const maxBatch = 32
+	const maxBatch, maxBlock = 32, 1024
 	for _, s := range outputWalks {
 		rng := rand.New(rand.NewPCG(81, 1))
 		block := make([]int8, s.rows*s.dim)
@@ -241,14 +245,16 @@ func BenchmarkKernelDotManyU8S8(b *testing.B) {
 		for i := range rows {
 			rows[i] = block[i*s.dim : (i+1)*s.dim : (i+1)*s.dim]
 		}
+		const stride = maxBlock + 16
+		buf := make([]int32, maxBatch*stride)
 		qas, accs := make([][]uint8, maxBatch), make([][]int32, maxBatch)
 		for i := range qas {
-			qas[i], accs[i] = make([]uint8, s.dim), make([]int32, 1024)
+			qas[i], accs[i] = make([]uint8, s.dim), buf[i*stride:][:maxBlock:maxBlock]
 			for j := range qas[i] {
 				qas[i][j] = uint8(rng.IntN(128))
 			}
 		}
-		benchTiles(b, s,
+		benchTiles(b, s, []int{1, 4, 8, 12, 16, 32},
 			func(ks *simd.Kernels, ids []int32, n int) { ks.DotManyU8S8(rows, ids, qas[:n], accs[:n]) },
 			func(ks *simd.Kernels, ids []int32, n int) {
 				for i, qa := range qas[:n] {

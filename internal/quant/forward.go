@@ -15,25 +15,35 @@ import (
 
 // WalkScratch holds a walk's integer accumulators between the kernel call
 // that fills them and the loop that dequantizes them: one list per sample of
-// a tile, as long as the longest id list walked so far. A walk grows it on
-// first use and reuses it afterwards, so whoever owns it pays for it once —
-// network's pooled walk state keeps one per row tile for the exact walk and
-// one per call in flight for sampled serving. The zero value is ready; a
-// WalkScratch must not be shared between goroutines.
+// the largest batch walked so far, each as long as the longest id list. A
+// walk grows it on first use and reuses it afterwards, so whoever owns it
+// pays for it once — network's pooled walk state keeps one per row tile for
+// the exact walk and one per call in flight for sampled serving. The zero
+// value is ready; a WalkScratch must not be shared between goroutines.
 type WalkScratch struct {
-	accs [simd.WalkTile][]int32
+	accs [][]int32
 	qa   [1][]uint8 // ForwardActive's activation, as the batch of one the kernel takes
 }
 
-// lists returns the accumulator lists, each at least n long.
-func (w *WalkScratch) lists(n int) *[simd.WalkTile][]int32 {
-	if len(w.accs[0]) < n {
-		buf := make([]int32, simd.WalkTile*n)
+// lists returns ns accumulator lists, each at least n long. They are cut
+// from one buffer an odd number of 64-byte lines apart, never a multiple of
+// 4 KiB: a kernel that stores one slot of every sample at once (the VNNI
+// panel walk's transposed tile) would otherwise land all its stores in one
+// L1 set.
+func (w *WalkScratch) lists(ns, n int) [][]int32 {
+	if len(w.accs) < ns || len(w.accs) > 0 && len(w.accs[0]) < n {
+		lists, long := max(ns, len(w.accs)), n
+		if len(w.accs) > 0 {
+			long = max(n, len(w.accs[0]))
+		}
+		stride := ((long+15)/16 | 1) * 16
+		buf := make([]int32, lists*stride)
+		w.accs = make([][]int32, lists)
 		for s := range w.accs {
-			w.accs[s] = buf[s*n : (s+1)*n : (s+1)*n]
+			w.accs[s] = buf[s*stride : s*stride+long : s*stride+long]
 		}
 	}
-	return &w.accs
+	return w.accs[:ns]
 }
 
 // dequantInto turns the accumulators of an id list into its logits, one
@@ -67,9 +77,9 @@ func (q *RowQ) ForwardActive(ks *simd.Kernels, active []int32, qa []uint8, sa fl
 	if ws == nil {
 		ws = new(WalkScratch)
 	}
-	accs := ws.lists(len(active))
+	accs := ws.lists(1, len(active))
 	ws.qa[0] = qa
-	ks.DotManyU8S8(q.rows8, active, ws.qa[:], accs[:1])
+	ks.DotManyU8S8(q.rows8, active, ws.qa[:], accs)
 	q.dequantInto(active, accs[0], sa, zp, logits)
 }
 
@@ -104,14 +114,14 @@ func blockRows(in int) int {
 // same loop as layer.RowWeights.ForwardAllBatchRange — a block of rows
 // (blockRows of them, about four times as many as the f32 walk takes)
 // against every sample of the chunk — over packed rows, so each packed row
-// streams from memory once per chunk. A block meets the samples a tile at a
-// time: one DotManyU8S8 call scores it against simd.WalkTile of them, each
-// row block loaded once for the tile, into ws's accumulator lists, and one
-// DequantRows8 call per sample turns those into logits over the block's
-// contiguous stretch of the per-row tables (its ids are an Iota). Shards call it
-// concurrently over disjoint ranges into shared outs, each with its own ws
-// (nil allocates one); every logit is refLogit's, so the assembled scores are
-// bit-identical at any tiling.
+// streams from memory once per chunk. One DotManyU8S8 call scores a block
+// against every sample at once, into ws's accumulator lists — the kernel
+// chooses how to tile them (on the VNNI tier, activation panels for a large
+// batch) — and one DequantRows8 call per sample turns those into logits over
+// the block's contiguous stretch of the per-row tables (its ids are an
+// Iota). Shards call it concurrently over disjoint ranges into shared outs,
+// each with its own ws (nil allocates one); every logit is refLogit's, so
+// the assembled scores are bit-identical at any tiling.
 //
 // Unless maxes is nil, the dequant also sets maxes[s][j] to the largest of
 // outs[s][simd.MaxGroup·j:][:simd.MaxGroup] for every group in [lo, hi), so
@@ -133,19 +143,16 @@ func (q *RowQ) ForwardAllBatchRange(ks *simd.Kernels, qas [][]uint8, sas []float
 		ws = new(WalkScratch)
 	}
 	ids, block := layer.Iota(q.Out), blockRows(q.In)
-	accs := ws.lists(min(block, hi-lo))
+	accs := ws.lists(len(outs), min(block, hi-lo))
 	var m []float32
 	for b := lo; b < hi; b += block {
 		e := min(b+block, hi)
-		for s := 0; s < len(outs); s += simd.WalkTile {
-			t := min(s+simd.WalkTile, len(outs))
-			ks.DotManyU8S8(q.rows8, ids[b:e], qas[s:t], accs[:t-s])
-			for i := s; i < t; i++ {
-				if maxes != nil {
-					m = maxes[i][b/g:]
-				}
-				ks.DequantRows8(accs[i-s], q.scales[b:e], q.rowSums[b:e], q.bias[b:e], sas[i], zps[i], outs[i][b:e], m)
+		ks.DotManyU8S8(q.rows8, ids[b:e], qas, accs)
+		for i, acc := range accs {
+			if maxes != nil {
+				m = maxes[i][b/g:]
 			}
+			ks.DequantRows8(acc, q.scales[b:e], q.rowSums[b:e], q.bias[b:e], sas[i], zps[i], outs[i][b:e], m)
 		}
 	}
 }

@@ -284,11 +284,18 @@ func TestActiveSetWalksDoNotAllocate(t *testing.T) {
 		hs[s], outs[s] = randSlice(rng, n), make([]float32, len(ids))
 		qas[s], accs[s] = quantActs(rng, n, 0), make([]int32, len(ids))
 	}
+	// A batch the VNNI tier walks over activation panels.
+	wideIDs := walkIDs(rng, 19, nVec)
+	wideQas, wideAccs := make([][]uint8, 32), make([][]int32, 32)
+	for s := range wideQas {
+		wideQas[s], wideAccs[s] = quantActs(rng, n, 0), make([]int32, len(wideIDs))
+	}
 	for _, m := range AvailableModes() {
 		ks := ForMode(m)
 		for name, f := range map[string]func(){
 			"DotManyBiasBatch": func() { ks.DotManyBiasBatch(vecs, bias, ids, hs, outs) },
 			"DotManyU8S8":      func() { ks.DotManyU8S8(qvecs, ids, qas, accs) },
+			"DotManyU8S8 wide": func() { ks.DotManyU8S8(qvecs, wideIDs, wideQas, wideAccs) },
 
 			"DotManyBias": func() { ks.DotManyBias(vecs, bias, ids, h, out) },
 			"AxpyTwoMany": func() { ks.AxpyTwoMany(coef, ids, h, grad, vecs, dh) },
@@ -485,8 +492,20 @@ func FuzzDotManyU8S8(f *testing.F) {
 	f.Add(uint64(23), 300, 8, 15, 4)
 	f.Add(uint64(25), 257, 4, 1, 3)
 	f.Add(uint64(27), 65, 7, 9, 6)
+	// Batches around the panel walk's threshold and width, with id counts
+	// that leave rows past the last tile of 8 and every row length mod 4:
+	// the panel's transpose, its zeroed lanes and tail group, and the rows
+	// and samples it hands the 2 × 4 tile.
+	f.Add(uint64(29), 128, 9, 13, panelMin-1)
+	f.Add(uint64(31), 201, 11, 21, panelMin)
+	f.Add(uint64(33), 202, 12, 30, 31)
+	f.Add(uint64(35), 203, 13, 19, 32)
+	f.Add(uint64(37), 200, 14, 45, 33)
+	f.Add(uint64(39), 129, 15, 27, 64)
+	f.Add(uint64(41), 5, 6, 17, 17)
+	f.Add(uint64(43), 513, 5, 9, 32)
 	f.Fuzz(func(t *testing.T, seed uint64, dim, nRows, nIDs, nS int) {
-		if dim < 0 || dim > 600 || nRows < 1 || nRows > 64 || nIDs < 0 || nIDs > 256 || nS < 0 || nS > 12 {
+		if dim < 0 || dim > 600 || nRows < 1 || nRows > 64 || nIDs < 0 || nIDs > 256 || nS < 0 || nS > 64 {
 			t.Skip()
 		}
 		rng := rand.New(rand.NewPCG(seed, 96))
@@ -511,6 +530,71 @@ func FuzzDotManyU8S8(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestDotManyU8S8WideBatches: on every tier, batches on both sides of the
+// VNNI panel walk's threshold and width score exactly the listed ids — the
+// list is a prefix of a longer one whose next ids are valid, so a walk that
+// took one tile too many would score them — write no slot past the list,
+// and stop at an offender past the first tile of 8 with the per-row loop's
+// panic, having scored sample 0's ids ahead of it.
+func TestDotManyU8S8WideBatches(t *testing.T) {
+	rng := rand.New(rand.NewPCG(51, 52))
+	const nRows, sentinel = 9, -7
+	for _, m := range AvailableModes() {
+		ks := ForMode(m)
+		for _, n := range []int{4, 6, 128, 203} {
+			rows := quantVectors(rng, nRows, n, false)
+			for _, nS := range []int{panelMin - 1, panelMin, 31, 33, 64} {
+				qas, accs := make([][]uint8, nS), make([][]int32, nS)
+				for s := range qas {
+					qas[s] = quantActs(rng, n, s%3)
+				}
+				for _, nIDs := range []int{7, 8, 13, 27} {
+					name := fmt.Sprintf("%v n=%d samples=%d ids=%d", m, n, nS, nIDs)
+					all := walkIDs(rng, nIDs+16, nRows)
+					for s := range accs {
+						accs[s] = make([]int32, nIDs+16)
+						for k := range accs[s] {
+							accs[s][k] = sentinel
+						}
+						accs[s] = accs[s][:nIDs]
+					}
+					ks.DotManyU8S8(rows, all[:nIDs], qas, accs)
+					for s, acc := range accs {
+						for k, v := range acc[:nIDs+16] {
+							want := int32(sentinel)
+							if k < nIDs {
+								want = dotU8S8Scalar(qas[s], rows[all[k]])
+							}
+							if v != want {
+								t.Fatalf("%s: accs[%d][%d] = %d, want %d", name, s, k, v, want)
+							}
+						}
+					}
+				}
+
+				ids := walkIDs(rng, 20, nRows)
+				ids[13] = nRows
+				for s := range accs {
+					accs[s] = make([]int32, len(ids))
+				}
+				func() {
+					defer func() {
+						if r := recover(); r == nil {
+							t.Fatalf("%v n=%d samples=%d: no panic at the offender", m, n, nS)
+						}
+					}()
+					ks.DotManyU8S8(rows, ids, qas, accs)
+				}()
+				for k, id := range ids[:13] {
+					if want := dotU8S8Scalar(qas[0], rows[id]); accs[0][k] != want {
+						t.Fatalf("%v n=%d samples=%d: id %d ahead of the offender: %d, want %d", m, n, nS, k, accs[0][k], want)
+					}
+				}
+			}
+		}
+	}
 }
 
 // FuzzAxpyTwoMany: on every tier the backward walk leaves grad and dh exactly

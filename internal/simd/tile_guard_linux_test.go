@@ -33,15 +33,17 @@ func guarded(t *testing.T, size int) []byte {
 // activation, so that its last element is the last before an unmapped page,
 // at widths that leave a partial last block on every tier (n%64, n%16 and
 // n%8 all non-zero among them): a masked or split tail that read one element
-// too many would fault here.
+// too many would fault here. The list holds a tile of 8 ids and three more,
+// and the batches include the VNNI tier's panel walks, so its 4-byte row
+// loads — the K%4 tail's among them — meet the guard page too.
 func TestTiledWalksReadNothingPastARow(t *testing.T) {
 	rng := rand.New(rand.NewPCG(25, 1))
 	const nVec = 5
-	ids := []int32{4, 0, 4, 2, 1, 3}
+	ids := []int32{4, 0, 4, 2, 1, 3, 4, 1, 0, 4, 2}
 	for _, m := range AvailableModes() {
 		ks := ForMode(m)
 		for _, n := range []int{1, 7, 63, 65, 100, 200, 257, 300} {
-			for _, nS := range []int{1, 3, 4} {
+			for _, nS := range []int{1, 3, 4, panelMin, 32, 33} {
 				name := fmt.Sprintf("%s n=%d samples=%d", m, n, nS)
 
 				raw := guarded(t, nVec*n)

@@ -17,9 +17,10 @@ package simd
 // batch, so there the listed rows are the reused operand too: the tiled
 // walks at the end of this file, DotManyBiasBatch and DotManyU8S8, take an
 // id list and a batch of dense operands, and their assembly forms load each
-// listed row once for a register tile of samples (WalkTile of them at most;
-// how many a tier's tile holds is that routine's business — a longer batch
-// is walked in tiles, not rejected).
+// listed row once for a register tile of samples (WalkTile of them, or
+// panelWidth in the VNNI tier's activation panels; how many a tier's tile
+// holds is that routine's business — a longer batch is walked in tiles, not
+// rejected).
 //
 // All of these kernels bounds-check every id against the vector count and
 // compare every listed vector's length with the dense operand's, and panic
@@ -124,10 +125,23 @@ func scatterAxpyScalar(alpha []float32, ids []int32, x []float32, rows [][]float
 	scatterAxpyRows(axpyScalar, alpha, ids, x, rows)
 }
 
-// WalkTile is the widest sample tile of any tier's tiled walk. A caller that
-// owns per-sample scratch sizes it for this many and hands the tiled walks
-// groups of it; fewer is always accepted and more is walked in tiles.
+// WalkTile is the widest sample tile of any tier's tiled walk except the
+// VNNI activation panels below. A caller that owns per-sample scratch sizes
+// it for this many and hands the tiled walks groups of it; fewer is always
+// accepted and more is walked in tiles.
 const WalkTile = 4
+
+// The sizes of the VNNI tier's int8 walk over activation panels
+// (walk_amd64.go). panelWidth is the samples of one panel call, and panelMin
+// the fewest it is worth calling for: below it the 2 × 4 tile is faster
+// (DESIGN.md "Quantized serving tier" has the table it was chosen from).
+// panelCols bounds the rows a panel is built for, and so its stack buffer
+// (16 KiB); the fixtures' hidden layers are 128 and 200 wide.
+const (
+	panelWidth = 32
+	panelMin   = 12
+	panelCols  = 512
+)
 
 // DotManyBiasBatch fills outs[s][k] = rows[ids[k]]·hs[s] + bias[ids[k]] for
 // every listed id and every sample — DotManyBias over a batch of activations

@@ -54,6 +54,9 @@ func dotManyBiasBatchAVX2Asm(rows *[]float32, nrows int64, bias *float32, ids *i
 func dotManyU8S8VNNIAsm(rows *[]int8, nrows int64, ids *int32, nids int64, qas *[]uint8, ns, n int64, masks *[5]uint64, accs *[]int32) int64
 
 //go:noescape
+func dotManyU8S8PanelAsm(rows *[]int8, nrows int64, ids *int32, nids int64, panel *[panelWidth][4]uint8, n, ns int64, accs *[]int32) int64
+
+//go:noescape
 func dotManyU8S8AVX2Asm(rows *[]int8, nrows int64, ids *int32, nids int64, qas *[]uint8, ns, n int64, tails *[WalkTile][16]uint8, accs *[]int32) int64
 
 // rowOffender raises the per-row loop's panic for id: Go's own index panic
@@ -270,25 +273,96 @@ func lowBits(v int) uint64 {
 	return 1<<v - 1
 }
 
+// dotManyU8S8VNNI walks a batch of at least panelMin samples over
+// activation panels, panelWidth samples a call, and the rest — a small batch,
+// the samples left past the last panel, and the rows left past a panel's
+// last tile of 8 — by the 2 × 4 tile. Rows shorter than one 4-byte group or
+// longer than panelCols take the tile whatever the batch.
 func dotManyU8S8VNNI(rows [][]int8, ids []int32, qas [][]uint8, accs [][]int32) {
 	checkDotManyU8S8(ids, qas, accs)
 	if len(ids) == 0 || len(qas) == 0 {
 		return
 	}
 	n := len(qas[0])
-	// Byte masks of the 64-byte blocks of a row: one per register-resident
-	// block, and the last block's for rows that have more than four.
+	// Byte masks of the tile's 64-byte blocks of a row: one per
+	// register-resident block, and the last block's for rows that have more
+	// than four.
 	var masks [5]uint64
 	for j := range 4 {
 		masks[j] = lowBits(n - 64*j)
 	}
 	masks[4] = lowBits((n-1)%64 + 1)
+	s := 0
+	if n >= 4 && n <= panelCols {
+		for g := panelGroup(len(qas)); g > 0; g = panelGroup(len(qas) - s) {
+			done := dotManyU8S8Panel(rows, ids, qas[s:s+g], accs[s:s+g])
+			dotManyU8S8Tile(rows, ids, done, qas[s:s+g], accs[s:s+g], &masks)
+			s += g
+		}
+	}
+	dotManyU8S8Tile(rows, ids, 0, qas[s:], accs[s:], &masks)
+}
+
+// panelGroup is how many of left samples the next panel call takes: up to
+// panelWidth of them, or none when fewer than panelMin are left.
+func panelGroup(left int) int {
+	if left < panelMin {
+		return 0
+	}
+	return min(left, panelWidth)
+}
+
+// dotManyU8S8Panel lays qas (at most panelWidth samples, of one length n in
+// [4, panelCols]) out as activation panels and scores every whole tile of 8
+// ids against them (dotManyU8S8PanelAsm). It returns how many ids it
+// scored: a multiple of 8, short of len(ids) by the last len(ids)%8 ids or
+// from the first tile that holds an offender on.
+//
+// Group j of the panel is qa_s[4j : 4j+4] for every sample s, sample s at
+// byte 4s, and zero for the samples the batch does not have. A row length
+// with n%4 != 0 gives the last group only the last n%4 codes, behind zeros:
+// the routine reads that group from the row's last four bytes, so that it
+// reads nothing past a row, and the zeros drop the bytes already counted.
+func dotManyU8S8Panel(rows [][]int8, ids []int32, qas [][]uint8, accs [][]int32) int {
+	var p [panelCols / 4][panelWidth][4]uint8
+	n := len(qas[0])
+	if n < 4 || n > panelCols || len(qas) > panelWidth {
+		panic("simd: activation panel out of bounds")
+	}
+	for s, qa := range qas {
+		// Group j of sample s sits at p[j][s]; the loop steps a pointer a
+		// group at a time, inside p by the check above.
+		dst, src := unsafe.Pointer(&p[0][s]), unsafe.Pointer(&qa[0])
+		for range n / 4 {
+			*(*[4]uint8)(dst) = *(*[4]uint8)(src)
+			dst, src = unsafe.Add(dst, panelWidth*4), unsafe.Add(src, 4)
+		}
+		if r := n % 4; r != 0 {
+			copy(p[n/4][s][4-r:], qa[n-r:])
+		}
+	}
+	return int(dotManyU8S8PanelAsm(unsafe.SliceData(rows), int64(len(rows)), unsafe.SliceData(ids), int64(len(ids)),
+		&p[0], int64(n), int64(len(qas)), &accs[0]))
+}
+
+// dotManyU8S8Tile walks ids[from:] by the 2 × 4 tile, WalkTile samples a
+// call, into slots from on of accs, and raises the per-row loop's panic at
+// an offender.
+func dotManyU8S8Tile(rows [][]int8, ids []int32, from int, qas [][]uint8, accs [][]int32, masks *[5]uint64) {
+	if from == len(ids) || len(qas) == 0 {
+		return
+	}
+	n := len(qas[0])
+	var tile [WalkTile][]int32
 	for s := 0; s < len(qas); s += WalkTile {
 		g := min(WalkTile, len(qas)-s)
-		done := int(dotManyU8S8VNNIAsm(unsafe.SliceData(rows), int64(len(rows)), &ids[0], int64(len(ids)),
-			&qas[s], int64(g), int64(n), &masks, &accs[s]))
-		if done < len(ids) {
-			u8s8Offender(rows, ids[done], n)
+		for t := range g {
+			tile[t] = accs[s+t][from:]
+		}
+		done := int(dotManyU8S8VNNIAsm(unsafe.SliceData(rows), int64(len(rows)), &ids[from], int64(len(ids)-from),
+			&qas[s], int64(g), int64(n), masks, &tile[0]))
+		if from+done < len(ids) {
+			u8s8Offender(rows, ids[from+done], n)
 		}
 	}
 }
