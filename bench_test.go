@@ -254,7 +254,7 @@ func BenchmarkKernelDotManyU8S8(b *testing.B) {
 				qas[i][j] = uint8(rng.IntN(128))
 			}
 		}
-		benchTiles(b, s, []int{1, 4, 8, 12, 16, 32},
+		benchTiles(b, s, []int{1, 4, 8, 12, 13, 16, 32},
 			func(ks *simd.Kernels, ids []int32, n int) { ks.DotManyU8S8(rows, ids, qas[:n], accs[:n]) },
 			func(ks *simd.Kernels, ids []int32, n int) {
 				for i, qa := range qas[:n] {

@@ -15,7 +15,8 @@ import (
 
 // WalkScratch holds a walk's integer accumulators between the kernel call
 // that fills them and the loop that dequantizes them: one list per sample of
-// the largest batch walked so far, each as long as the longest id list. A
+// the largest batch one kernel call took so far (simd.PanelWidth at most),
+// each as long as the longest id list. A
 // walk grows it on first use and reuses it afterwards, so whoever owns it
 // pays for it once — network's pooled walk state keeps one per row tile for
 // the exact walk and one per call in flight for sampled serving. The zero
@@ -115,13 +116,14 @@ func blockRows(in int) int {
 // (blockRows of them, about four times as many as the f32 walk takes)
 // against every sample of the chunk — over packed rows, so each packed row
 // streams from memory once per chunk. One DotManyU8S8 call scores a block
-// against every sample at once, into ws's accumulator lists — the kernel
-// chooses how to tile them (on the VNNI tier, activation panels for a large
-// batch) — and one DequantRows8 call per sample turns those into logits over
-// the block's contiguous stretch of the per-row tables (its ids are an
-// Iota). Shards call it concurrently over disjoint ranges into shared outs,
-// each with its own ws (nil allocates one); every logit is refLogit's, so
-// the assembled scores are bit-identical at any tiling.
+// against up to simd.PanelWidth samples at once, into ws's accumulator
+// lists — the kernel chooses how to tile them (on the VNNI tier, activation
+// panels for a large batch) — and one DequantRows8 call per sample turns
+// those into logits over the block's contiguous stretch of the per-row
+// tables (its ids are an Iota). Shards call it concurrently over disjoint
+// ranges into shared outs, each with its own ws (nil allocates one); every
+// logit is refLogit's, so the assembled scores are bit-identical at any
+// tiling.
 //
 // Unless maxes is nil, the dequant also sets maxes[s][j] to the largest of
 // outs[s][simd.MaxGroup·j:][:simd.MaxGroup] for every group in [lo, hi), so
@@ -143,16 +145,19 @@ func (q *RowQ) ForwardAllBatchRange(ks *simd.Kernels, qas [][]uint8, sas []float
 		ws = new(WalkScratch)
 	}
 	ids, block := layer.Iota(q.Out), blockRows(q.In)
-	accs := ws.lists(len(outs), min(block, hi-lo))
+	accs := ws.lists(min(len(outs), simd.PanelWidth), min(block, hi-lo))
 	var m []float32
 	for b := lo; b < hi; b += block {
 		e := min(b+block, hi)
-		ks.DotManyU8S8(q.rows8, ids[b:e], qas, accs)
-		for i, acc := range accs {
-			if maxes != nil {
-				m = maxes[i][b/g:]
+		for s := 0; s < len(outs); s += simd.PanelWidth {
+			t := min(s+simd.PanelWidth, len(outs))
+			ks.DotManyU8S8(q.rows8, ids[b:e], qas[s:t], accs[:t-s])
+			for i := s; i < t; i++ {
+				if maxes != nil {
+					m = maxes[i][b/g:]
+				}
+				ks.DequantRows8(accs[i-s], q.scales[b:e], q.rowSums[b:e], q.bias[b:e], sas[i], zps[i], outs[i][b:e], m)
 			}
-			ks.DequantRows8(acc, q.scales[b:e], q.rowSums[b:e], q.bias[b:e], sas[i], zps[i], outs[i][b:e], m)
 		}
 	}
 }

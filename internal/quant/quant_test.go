@@ -444,7 +444,7 @@ func TestForwardAllMatchesLogit(t *testing.T) {
 				}
 			}
 			ws := new(WalkScratch)
-			for _, n := range []int{1, 2, 3, 4, 5, 33, 64} {
+			for _, n := range []int{1, 2, 3, 4, 5, 33, 45, 64} {
 				clear()
 				q.ForwardAllBatch(ks, qas[:n], sas[:n], zps[:n], got[:n])
 				for s := 0; s < n; s++ {

@@ -44,65 +44,26 @@ GLOBL pnlidx<>(SB), RODATA|NOPTR, $128
 	ROWPTR(BX, CX, dst, pnl_done)
 
 // One 4-byte group of a row at byte offset CX, broadcast into B, against
-// the panel's samples 0-15 (Z16) into A0 and, in the 32-wide body, 16-31
-// (Z17) into A1.
-#define PNL_ROW16(R, B, A0) \
+// the panel's samples 0-15 (Z16) into A0 and 16-31 (Z17) into A1.
+#define PNL_ROW(R, B, A0, A1) \
 	VPBROADCASTD (R)(CX*1), B \
-	VPDPBUSD B, Z16, A0
-
-#define PNL_ROW32(R, B, A0, A1) \
-	PNL_ROW16(R, B, A0)   \
+	VPDPBUSD B, Z16, A0       \
 	VPDPBUSD B, Z17, A1
 
 // One group of the tile: the panel's 4-byte group of every sample at DX,
 // each of the eight rows' group at CX. Row r sums into Z(r) for samples
 // 0-15 and Z(8+r) for 16-31.
-#define PNL_GROUP16 \
-	VMOVDQU32 (DX), Z16            \
-	PNL_ROW16(SI, Z18, Z0)         \
-	PNL_ROW16(DI, Z19, Z1)         \
-	PNL_ROW16(R8, Z20, Z2)         \
-	PNL_ROW16(R9, Z21, Z3)         \
-	PNL_ROW16(R10, Z22, Z4)        \
-	PNL_ROW16(R11, Z23, Z5)        \
-	PNL_ROW16(R12, Z24, Z6)        \
-	PNL_ROW16(R13, Z25, Z7)
-
-#define PNL_GROUP32 \
-	VMOVDQU32 (DX), Z16            \
-	VMOVDQU32 64(DX), Z17          \
-	PNL_ROW32(SI, Z18, Z0, Z8)     \
-	PNL_ROW32(DI, Z19, Z1, Z9)     \
-	PNL_ROW32(R8, Z20, Z2, Z10)    \
-	PNL_ROW32(R9, Z21, Z3, Z11)    \
-	PNL_ROW32(R10, Z22, Z4, Z12)   \
-	PNL_ROW32(R11, Z23, Z5, Z13)   \
-	PNL_ROW32(R12, Z24, Z6, Z14)   \
-	PNL_ROW32(R13, Z25, Z7, Z15)
-
-// The group loop of one body: AX full groups at CX = 0, 4, …, then, for a
-// row length n%4 != 0, the row's last four bytes at CX = n-4 against the
-// panel's last group, which holds each sample's last n%4 codes behind
-// zeros (so the bytes the full groups already took count zero times more).
-#define PNL_LOOP(GROUP, loop, tail) \
-	XORQ CX, CX          \
-	MOVQ panel+32(FP), DX \
-	MOVQ n+40(FP), AX    \
-	SHRQ $2, AX          \
-	JEQ  tail            \
-loop:                    \
-	GROUP                \
-	ADDQ $4, CX          \
-	ADDQ $128, DX        \
-	DECQ AX              \
-	JNE  loop            \
-tail:                    \
-	MOVQ n+40(FP), CX    \
-	TESTQ $3, CX         \
-	JEQ  pnl_sums        \
-	SUBQ $4, CX          \
-	GROUP                \
-	JMP  pnl_sums
+#define PNL_GROUP \
+	VMOVDQU32 (DX), Z16          \
+	VMOVDQU32 64(DX), Z17        \
+	PNL_ROW(SI, Z18, Z0, Z8)     \
+	PNL_ROW(DI, Z19, Z1, Z9)     \
+	PNL_ROW(R8, Z20, Z2, Z10)    \
+	PNL_ROW(R9, Z21, Z3, Z11)    \
+	PNL_ROW(R10, Z22, Z4, Z12)   \
+	PNL_ROW(R11, Z23, Z5, Z13)   \
+	PNL_ROW(R12, Z24, Z6, Z14)   \
+	PNL_ROW(R13, Z25, Z7, Z15)
 
 // Eight accumulators A0-A7 (row r in A(r), sample s in lane s) to sixteen
 // runs of eight rows: 32-bit then 64-bit interleaves leave U_j = A0-A3 and
@@ -180,7 +141,8 @@ tail:                    \
 // accs[s][k] = Σ qa_s[i]·rows[ids[k]][i] for s < ns <= 32, in tiles of 8
 // rows × all ns samples, where the panel holds the ns samples' codes
 // qa_s as dotManyU8S8Panel lays them out, n >= 4. The 16 accumulators are
-// rows × 16-sample halves; a batch of at most 16 runs the body of one half.
+// rows × 16-sample halves, whatever ns: the lanes of absent samples meet
+// the panel's zeros and are not stored.
 // The tiles' ids are checked as in the 2 × 4 tile: the walk stops at the
 // first tile that holds an id out of range or a row whose length is not n,
 // or that has fewer than 8 ids left, and returns the position of its first
@@ -217,11 +179,6 @@ pnl_tile:
 	VPXORD Z5, Z5, Z5
 	VPXORD Z6, Z6, Z6
 	VPXORD Z7, Z7, Z7
-	CMPQ ns+48(FP), $16
-	JGT  pnl_wide
-	PNL_LOOP(PNL_GROUP16, pnl_loop16, pnl_tail16)
-
-pnl_wide:
 	VPXORD Z8, Z8, Z8
 	VPXORD Z9, Z9, Z9
 	VPXORD Z10, Z10, Z10
@@ -230,7 +187,30 @@ pnl_wide:
 	VPXORD Z13, Z13, Z13
 	VPXORD Z14, Z14, Z14
 	VPXORD Z15, Z15, Z15
-	PNL_LOOP(PNL_GROUP32, pnl_loop32, pnl_tail32)
+
+	// AX full groups at CX = 0, 4, …, then, for a row length n%4 != 0, the
+	// row's last four bytes at CX = n-4 against the panel's last group,
+	// which holds each sample's last n%4 codes behind zeros (so the bytes
+	// the full groups already took count zero times more).
+	XORQ CX, CX
+	MOVQ panel+32(FP), DX
+	MOVQ n+40(FP), AX
+	SHRQ $2, AX
+	JEQ  pnl_tail
+
+pnl_loop:
+	PNL_GROUP
+	ADDQ $4, CX
+	ADDQ $128, DX
+	DECQ AX
+	JNE  pnl_loop
+
+pnl_tail:
+	MOVQ n+40(FP), CX
+	TESTQ $3, CX
+	JEQ  pnl_sums
+	SUBQ $4, CX
+	PNL_GROUP
 
 pnl_sums:
 	MOVQ ns+48(FP), R8

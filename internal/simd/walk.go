@@ -18,7 +18,7 @@ package simd
 // walks at the end of this file, DotManyBiasBatch and DotManyU8S8, take an
 // id list and a batch of dense operands, and their assembly forms load each
 // listed row once for a register tile of samples (WalkTile of them, or
-// panelWidth in the VNNI tier's activation panels; how many a tier's tile
+// PanelWidth in the VNNI tier's activation panels; how many a tier's tile
 // holds is that routine's business — a longer batch is walked in tiles, not
 // rejected).
 //
@@ -131,16 +131,21 @@ func scatterAxpyScalar(alpha []float32, ids []int32, x []float32, rows [][]float
 // accepted and more is walked in tiles.
 const WalkTile = 4
 
-// The sizes of the VNNI tier's int8 walk over activation panels
-// (walk_amd64.go). panelWidth is the samples of one panel call, and panelMin
-// the fewest it is worth calling for: below it the 2 × 4 tile is faster
-// (DESIGN.md "Quantized serving tier" has the table it was chosen from).
-// panelCols bounds the rows a panel is built for, and so its stack buffer
-// (16 KiB); the fixtures' hidden layers are 128 and 200 wide.
+// PanelWidth is the samples of one VNNI activation panel (walk_amd64.go), and
+// so the most a caller that owns per-sample accumulators hands DotManyU8S8 in
+// one call: a longer batch is walked a panel at a time anyway, and its
+// accumulators would only outgrow L1 before the caller reads them back.
+const PanelWidth = 32
+
+// The other sizes of the VNNI tier's int8 walk over activation panels.
+// panelMin is the fewest samples a panel is worth building for: below it the
+// 2 × 4 tile is faster (DESIGN.md "Quantized serving tier" has the table it
+// was chosen from). panelCols bounds the rows a panel is built for, and so
+// its stack buffer (16 KiB); the fixtures' hidden layers are 128 and 200
+// wide.
 const (
-	panelWidth = 32
-	panelMin   = 12
-	panelCols  = 512
+	panelMin  = 13
+	panelCols = 512
 )
 
 // DotManyBiasBatch fills outs[s][k] = rows[ids[k]]·hs[s] + bias[ids[k]] for

@@ -54,7 +54,7 @@ func dotManyBiasBatchAVX2Asm(rows *[]float32, nrows int64, bias *float32, ids *i
 func dotManyU8S8VNNIAsm(rows *[]int8, nrows int64, ids *int32, nids int64, qas *[]uint8, ns, n int64, masks *[5]uint64, accs *[]int32) int64
 
 //go:noescape
-func dotManyU8S8PanelAsm(rows *[]int8, nrows int64, ids *int32, nids int64, panel *[panelWidth][4]uint8, n, ns int64, accs *[]int32) int64
+func dotManyU8S8PanelAsm(rows *[]int8, nrows int64, ids *int32, nids int64, panel *[PanelWidth][4]uint8, n, ns int64, accs *[]int32) int64
 
 //go:noescape
 func dotManyU8S8AVX2Asm(rows *[]int8, nrows int64, ids *int32, nids int64, qas *[]uint8, ns, n int64, tails *[WalkTile][16]uint8, accs *[]int32) int64
@@ -274,7 +274,7 @@ func lowBits(v int) uint64 {
 }
 
 // dotManyU8S8VNNI walks a batch of at least panelMin samples over
-// activation panels, panelWidth samples a call, and the rest — a small batch,
+// activation panels, PanelWidth samples a call, and the rest — a small batch,
 // the samples left past the last panel, and the rows left past a panel's
 // last tile of 8 — by the 2 × 4 tile. Rows shorter than one 4-byte group or
 // longer than panelCols take the tile whatever the batch.
@@ -304,15 +304,15 @@ func dotManyU8S8VNNI(rows [][]int8, ids []int32, qas [][]uint8, accs [][]int32) 
 }
 
 // panelGroup is how many of left samples the next panel call takes: up to
-// panelWidth of them, or none when fewer than panelMin are left.
+// PanelWidth of them, or none when fewer than panelMin are left.
 func panelGroup(left int) int {
 	if left < panelMin {
 		return 0
 	}
-	return min(left, panelWidth)
+	return min(left, PanelWidth)
 }
 
-// dotManyU8S8Panel lays qas (at most panelWidth samples, of one length n in
+// dotManyU8S8Panel lays qas (at most PanelWidth samples, of one length n in
 // [4, panelCols]) out as activation panels and scores every whole tile of 8
 // ids against them (dotManyU8S8PanelAsm). It returns how many ids it
 // scored: a multiple of 8, short of len(ids) by the last len(ids)%8 ids or
@@ -324,9 +324,9 @@ func panelGroup(left int) int {
 // the routine reads that group from the row's last four bytes, so that it
 // reads nothing past a row, and the zeros drop the bytes already counted.
 func dotManyU8S8Panel(rows [][]int8, ids []int32, qas [][]uint8, accs [][]int32) int {
-	var p [panelCols / 4][panelWidth][4]uint8
+	var p [panelCols / 4][PanelWidth][4]uint8
 	n := len(qas[0])
-	if n < 4 || n > panelCols || len(qas) > panelWidth {
+	if n < 4 || n > panelCols || len(qas) > PanelWidth {
 		panic("simd: activation panel out of bounds")
 	}
 	for s, qa := range qas {
@@ -335,7 +335,7 @@ func dotManyU8S8Panel(rows [][]int8, ids []int32, qas [][]uint8, accs [][]int32)
 		dst, src := unsafe.Pointer(&p[0][s]), unsafe.Pointer(&qa[0])
 		for range n / 4 {
 			*(*[4]uint8)(dst) = *(*[4]uint8)(src)
-			dst, src = unsafe.Add(dst, panelWidth*4), unsafe.Add(src, 4)
+			dst, src = unsafe.Add(dst, PanelWidth*4), unsafe.Add(src, 4)
 		}
 		if r := n % 4; r != 0 {
 			copy(p[n/4][s][4-r:], qa[n-r:])
