@@ -16,11 +16,11 @@ import (
 // WalkScratch holds a walk's integer accumulators between the kernel call
 // that fills them and the loop that dequantizes them: one list per sample of
 // the largest batch one kernel call took so far (simd.PanelWidth at most),
-// each as long as the longest id list. A
-// walk grows it on first use and reuses it afterwards, so whoever owns it
-// pays for it once — network's pooled walk state keeps one per row tile for
-// the exact walk and one per call in flight for sampled serving. The zero
-// value is ready; a WalkScratch must not be shared between goroutines.
+// each as long as the longest id list. A walk grows it on first use and
+// reuses it afterwards, so whoever owns it pays for it once — network's
+// pooled walk state keeps one per row tile for the exact walk and one per
+// call in flight for sampled serving. The zero value is ready; a WalkScratch
+// must not be shared between goroutines.
 type WalkScratch struct {
 	accs [][]int32
 	qa   [1][]uint8 // ForwardActive's activation, as the batch of one the kernel takes
