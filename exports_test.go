@@ -29,13 +29,18 @@ var keptExports = map[string]string{
 	"dataset.Dataset.Validate":      "the generator tests use it as their oracle",
 }
 
+// keptOptions names the exported slide options that no non-test file sets
+// but that stay, each with its reason.
+var keptOptions = map[string]string{
+	"WithAdam":            "the only setter of the ADAM moments and epsilon, which checkpoints store",
+	"WithBuckets":         "a paper lever (bucket capacity, FIFO against reservoir) that ROADMAP item 3 flips",
+	"WithUniformSampling": "a paper lever (LSH against uniform sampling) that ROADMAP item 3 flips",
+}
+
 // TestNoDeadInternalExports fails on an exported function, method, type,
 // variable or constant declared in a non-test file under internal/ that no
 // non-test file of the module uses: such a name outlives its last caller
-// because nothing else fails when it does. It type-checks the non-test
-// files of every package `go list ./...` names (cmd/, examples/ and
-// benchmark/ included), for the host's build configuration, with the
-// standard library read from its export data.
+// because nothing else fails when it does. Uses are read from scanModule.
 //
 // A method also counts as used when its type implements an interface that
 // declares it, whether the interface is one the module declares or names,
@@ -44,6 +49,56 @@ var keptExports = map[string]string{
 // dynamic calls.
 // Delete what it reports, or add it to keptExports with the reason.
 func TestNoDeadInternalExports(t *testing.T) {
+	s := scanModule(t)
+	if dead := s.unused(t, s.decls, keptExports, "keptExports"); len(dead) > 0 {
+		t.Errorf("exported from internal/ and used by no non-test file; delete them or add them to keptExports with a reason:\n\t%s",
+			strings.Join(dead, "\n\t"))
+	}
+}
+
+// TestNoUnsetOptions fails on an exported function of package slide that
+// returns an Option or a TrainerOption and that no non-test file of the
+// module uses: a knob that nothing sets is a configuration no command,
+// example or benchmark runs. Delete what it reports, or add it to
+// keptOptions with the reason.
+func TestNoUnsetOptions(t *testing.T) {
+	s := scanModule(t)
+	if unset := s.unused(t, s.options, keptOptions, "keptOptions"); len(unset) > 0 {
+		t.Errorf("slide options set by no non-test file; delete them or add them to keptOptions with a reason:\n\t%s",
+			strings.Join(unset, "\n\t"))
+	}
+}
+
+// unused returns, sorted, the decls that no non-test file uses and that
+// kept does not list, and fails t on each entry of kept (named listName)
+// that is used or no longer declared.
+func (s *exportScan) unused(t *testing.T, decls []exportDecl, kept map[string]string, listName string) []string {
+	t.Helper()
+	kept = maps.Clone(kept)
+	var out []string
+	for _, d := range decls {
+		if s.used[d.obj] || s.reached(d) {
+			continue
+		}
+		if _, ok := kept[d.name]; ok {
+			delete(kept, d.name)
+			continue
+		}
+		out = append(out, fmt.Sprintf("%s (%s)", d.name, s.fset.Position(d.obj.Pos())))
+	}
+	for name := range kept {
+		t.Errorf("%s names %s, which is used or no longer declared: drop it from the list", listName, name)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// scanModule type-checks the non-test files of every package `go list ./...`
+// names (cmd/, examples/ and benchmark/ included), for the host's build
+// configuration, with the standard library read from its export data, and
+// records what they use and which interfaces they name.
+func scanModule(t *testing.T) *exportScan {
+	t.Helper()
 	pkgs := listPackages(t)
 	fset := token.NewFileSet()
 	exports := map[string]string{} // import path → export data file
@@ -90,27 +145,7 @@ func TestNoDeadInternalExports(t *testing.T) {
 			types.NewTuple(types.NewParam(token.NoPos, nil, "", result)), false))
 		s.ifaces = append(s.ifaces, types.NewInterfaceType([]*types.Func{unwrap}, nil).Complete())
 	}
-
-	kept := maps.Clone(keptExports)
-	var dead []string
-	for _, d := range s.decls {
-		if s.used[d.obj] || s.reached(d) {
-			continue
-		}
-		if _, ok := kept[d.name]; ok {
-			delete(kept, d.name)
-			continue
-		}
-		dead = append(dead, fmt.Sprintf("%s (%s)", d.name, fset.Position(d.obj.Pos())))
-	}
-	sort.Strings(dead)
-	if len(dead) > 0 {
-		t.Errorf("exported from internal/ and used by no non-test file; delete them or add them to keptExports with a reason:\n\t%s",
-			strings.Join(dead, "\n\t"))
-	}
-	for name := range kept {
-		t.Errorf("keptExports names %s, which is used or no longer declared: drop it from the list", name)
-	}
+	return s
 }
 
 // listedPackage is the part of a `go list -json` record the scan reads.
@@ -152,12 +187,14 @@ type exportScan struct {
 	std     types.Importer
 	used    map[types.Object]bool
 	decls   []exportDecl
+	options []exportDecl // package slide's Option and TrainerOption constructors
 	ifaces  []*types.Interface
 }
 
-// exportDecl is one exported declaration under internal/.
+// exportDecl is one exported declaration under internal/, or one option
+// constructor of package slide.
 type exportDecl struct {
-	name string       // "pkg.Name" or "pkg.Type.Method"
+	name string       // "pkg.Name" or "pkg.Type.Method"; an option's bare name
 	obj  types.Object // *types.Func for a method
 }
 
@@ -172,7 +209,7 @@ func (s *exportScan) Import(path string) (*types.Package, error) {
 
 // check type-checks p's non-test files and records what they use, the
 // interfaces they declare or name and, under internal/, their exported
-// declarations.
+// declarations; in package slide, its option constructors.
 func (s *exportScan) check(t *testing.T, p listedPackage) {
 	t.Helper()
 	var files []*ast.File
@@ -219,11 +256,24 @@ func (s *exportScan) check(t *testing.T, p listedPackage) {
 		}
 	}
 
+	scope := pkg.Scope()
+	if p.ImportPath == p.Module.Path+"/slide" {
+		opt, topt := scope.Lookup("Option").Type(), scope.Lookup("TrainerOption").Type()
+		for _, name := range scope.Names() {
+			fn, ok := scope.Lookup(name).(*types.Func)
+			if !ok || !fn.Exported() {
+				continue
+			}
+			if res := fn.Type().(*types.Signature).Results(); res.Len() == 1 &&
+				(types.Identical(res.At(0).Type(), opt) || types.Identical(res.At(0).Type(), topt)) {
+				s.options = append(s.options, exportDecl{name, fn})
+			}
+		}
+	}
 	rel, ok := strings.CutPrefix(p.ImportPath, p.Module.Path+"/internal/")
 	if !ok {
 		return
 	}
-	scope := pkg.Scope()
 	for _, name := range scope.Names() {
 		obj := scope.Lookup(name)
 		if obj.Exported() {

@@ -121,7 +121,11 @@ func (d *DWTA) Tables() int { return d.l }
 func (d *DWTA) Bits() int { return d.k * d.slotBit }
 
 // HashDenseMany implements Hasher as a loop over HashDense.
-func (d *DWTA) HashDenseMany(vals [][]float32, out []uint32) { hashEach(d, vals, out) }
+func (d *DWTA) HashDenseMany(vals [][]float32, out []uint32) {
+	for i, v := range vals {
+		d.HashDense(v, out[i*d.l:(i+1)*d.l])
+	}
+}
 
 // HashDense implements Hasher: one GatherArgMax call of the active kernel
 // tier resolves every bin's winner (§4.3.3's vectorized max, one bin per

@@ -1,5 +1,5 @@
 // Package lsh implements the locality-sensitive-hashing substrate of SLIDE:
-// the DWTA (Densified Winner-Take-All), SimHash and DOPH families, hash
+// the DWTA (Densified Winner-Take-All) and SimHash families, hash
 // tables with fixed-capacity FIFO/reservoir buckets, and the TableSet that
 // maps neuron ids to buckets and answers active-set queries (§2 of the
 // paper, with the vectorized DWTA bin-max of §4.3.3).
@@ -18,7 +18,8 @@
 // training stripes and rebuilds call). SimHash runs both through the kernel
 // table's walk kernels, its hyperplanes as the listed rows: one DotManyBias
 // per vector, one DotManyBiasBatch per tile of vectors, every bit the sign
-// of the tier's per-plane Dot.
+// of the tier's per-plane Dot; NewSimHash refuses a shape whose hyperplanes
+// exceed PrecomputeLimit.
 package lsh
 
 // Hasher computes, for one input vector, the bucket fingerprint in each of
@@ -38,15 +39,6 @@ type Hasher interface {
 	// go to out[i·L:(i+1)·L] (len(out) >= len(vals)·Tables()), each equal to
 	// what HashDense writes for it.
 	HashDenseMany(vals [][]float32, out []uint32)
-}
-
-// hashEach is HashDenseMany as a loop over HashDense, for the hashers with
-// no batched form.
-func hashEach(h Hasher, vals [][]float32, out []uint32) {
-	l := h.Tables()
-	for i, v := range vals {
-		h.HashDense(v, out[i*l:(i+1)*l])
-	}
 }
 
 // splitmix64 is the 64-bit finalizer used to derive per-(table,bit,feature)

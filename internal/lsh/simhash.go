@@ -12,32 +12,28 @@ import (
 //
 // Bit k of table t is the sign of the projection of the input onto a
 // pseudo-random ±1 hyperplane whose entries are derived from a splitmix64 of
-// (seed, bit, feature). Up to PrecomputeLimit bytes the K·L hyperplanes are
-// materialized at construction as one contiguous row-major float32 matrix
-// [K·L][dim], and a fingerprint is a matrix-vector product through the
-// active kernel table's walk kernels (§4.2–4.3): the hyperplanes are the
-// listed rows and the vector the activation, so one vector is one
-// DotManyBias call and a batch is one DotManyBiasBatch call per WalkTile
-// vectors, each hyperplane loaded once per tile — hashing runs at kernel
-// speed on every tier with no kernel of its own. Both walks are bit-identical
-// to the tier's Dot plus a zero bias, which no sign test can tell from Dot,
-// so every bit is the sign of the tier's per-plane Dot. Above the limit the
-// entries are derived lazily per non-zero to bound memory. Dot reductions
-// differ per tier at the rounding edge, so a bit whose projection is within
-// rounding of zero may differ between tiers and between the two paths
-// (DESIGN.md "SimHash projections").
+// (seed, bit, feature). The K·L hyperplanes are materialized at construction
+// as one contiguous row-major float32 matrix [K·L][dim], and a fingerprint
+// is a matrix-vector product through the active kernel table's walk kernels
+// (§4.2–4.3): the hyperplanes are the listed rows and the vector the
+// activation, so one vector is one DotManyBias call and a batch is one
+// DotManyBiasBatch call per WalkTile vectors, each hyperplane loaded once
+// per tile — hashing runs at kernel speed on every tier with no kernel of
+// its own. Both walks are bit-identical to the tier's Dot plus a zero bias,
+// which no sign test can tell from Dot, so every bit is the sign of the
+// tier's per-plane Dot. Dot reductions differ per tier at the rounding
+// edge, so a bit whose projection is within rounding of zero may differ
+// between tiers (DESIGN.md "SimHash projections").
 type SimHash struct {
 	k    int
 	l    int
 	dim  int
 	seed uint64
 
-	// planes is the ±1 matrix, hyperplane b in planes[b*dim:(b+1)*dim]. nil
-	// when it would exceed PrecomputeLimit.
+	// planes is the ±1 matrix, hyperplane b in planes[b*dim:(b+1)*dim].
 	planes []float32
 	// rows, ids and bias are the walk kernels' operands over planes: a row
-	// view per hyperplane (no copy), the ids 0…K·L−1 and K·L zeros. nil
-	// with planes.
+	// view per hyperplane (no copy), the ids 0…K·L−1 and K·L zeros.
 	rows [][]float32
 	ids  []int32
 	bias []float32
@@ -45,9 +41,9 @@ type SimHash struct {
 	scratch sync.Pool // *simhashScratch
 }
 
-// PrecomputeLimit is the byte budget of the materialized hyperplane matrix
-// (K·L·dim float32 entries); larger hashers derive entries lazily. The
-// paper's Text8 shape (K=9, L=50, 200 hidden units) takes 360 KB.
+// PrecomputeLimit is the byte budget of the hyperplane matrix (K·L·dim
+// float32 entries); NewSimHash refuses a larger one. The paper's Text8 shape
+// (K=9, L=50, 200 hidden units) takes 360 KB.
 const PrecomputeLimit = 64 << 20
 
 // simhashScratch holds the K·L projections of each vector of one tile.
@@ -78,20 +74,24 @@ func NewSimHash(cfg SimHashConfig) (*SimHash, error) {
 	if cfg.Dim <= 0 {
 		return nil, fmt.Errorf("lsh: SimHash requires Dim>0, got %d", cfg.Dim)
 	}
+	// The shape may come from a checkpoint or a replication base; the
+	// divisions keep the bound free of overflow.
+	if cfg.L > PrecomputeLimit/4/cfg.Dim/cfg.K {
+		return nil, fmt.Errorf("lsh: SimHash K=%d L=%d Dim=%d needs a hyperplane matrix over the %d-byte budget",
+			cfg.K, cfg.L, cfg.Dim, PrecomputeLimit)
+	}
 	s := &SimHash{k: cfg.K, l: cfg.L, dim: cfg.Dim, seed: cfg.Seed}
 	n := cfg.K * cfg.L
-	if n*cfg.Dim <= PrecomputeLimit/4 {
-		s.planes = make([]float32, n*cfg.Dim)
-		s.rows = make([][]float32, n)
-		s.ids = make([]int32, n)
-		s.bias = make([]float32, n)
-		for b := range n {
-			plane := s.planes[b*cfg.Dim : (b+1)*cfg.Dim]
-			for f := range plane {
-				plane[f] = s.derive(b, int32(f))
-			}
-			s.rows[b], s.ids[b] = plane, int32(b)
+	s.planes = make([]float32, n*cfg.Dim)
+	s.rows = make([][]float32, n)
+	s.ids = make([]int32, n)
+	s.bias = make([]float32, n)
+	for b := range n {
+		plane := s.planes[b*cfg.Dim : (b+1)*cfg.Dim]
+		for f := range plane {
+			plane[f] = s.derive(b, int32(f))
 		}
+		s.rows[b], s.ids[b] = plane, int32(b)
 	}
 	s.scratch.New = func() any {
 		sc := new(simhashScratch)
@@ -119,9 +119,9 @@ func (s *SimHash) derive(bitIdx int, feature int32) float32 {
 	return -1
 }
 
-// HashDense implements Hasher for dense vectors: on the materialized path,
-// one DotManyBias call of the active kernel tier projects vals onto every
-// hyperplane. len(vals) must equal Dim.
+// HashDense implements Hasher for dense vectors: one DotManyBias call of the
+// active kernel tier projects vals onto every hyperplane. len(vals) must
+// equal Dim.
 func (s *SimHash) HashDense(vals []float32, out []uint32) {
 	if len(out) < s.l {
 		panic("lsh: SimHash.HashDense out slice too short")
@@ -133,23 +133,13 @@ func (s *SimHash) HashDense(vals []float32, out []uint32) {
 	defer s.scratch.Put(sc)
 
 	acc := sc.accs[0]
-	if s.planes == nil {
-		clear(acc)
-		for f, val := range vals {
-			if val != 0 {
-				s.addDerived(acc, int32(f), val)
-			}
-		}
-	} else {
-		simd.Active().DotManyBias(s.rows, s.bias, s.ids, vals, acc)
-	}
+	simd.Active().DotManyBias(s.rows, s.bias, s.ids, vals, acc)
 	s.assemble(acc, out)
 }
 
-// HashDenseMany implements Hasher: on the materialized path, one
-// DotManyBiasBatch call of the active kernel tier per WalkTile vectors, each
-// hyperplane loaded once for the tile; the lazy path loops HashDense. Every
-// vector's length is checked before any is hashed.
+// HashDenseMany implements Hasher: one DotManyBiasBatch call of the active
+// kernel tier per WalkTile vectors, each hyperplane loaded once for the
+// tile. Every vector's length is checked before any is hashed.
 func (s *SimHash) HashDenseMany(vals [][]float32, out []uint32) {
 	if len(out) < len(vals)*s.l {
 		panic("lsh: SimHash.HashDenseMany out slice too short")
@@ -158,10 +148,6 @@ func (s *SimHash) HashDenseMany(vals [][]float32, out []uint32) {
 		if len(v) != s.dim {
 			panic(fmt.Sprintf("lsh: SimHash.HashDenseMany vector %d has %d values, hasher Dim is %d", i, len(v), s.dim))
 		}
-	}
-	if s.planes == nil {
-		hashEach(s, vals, out)
-		return
 	}
 	ks := simd.Active()
 	sc := s.scratch.Get().(*simhashScratch)
@@ -172,14 +158,6 @@ func (s *SimHash) HashDenseMany(vals [][]float32, out []uint32) {
 		for j, acc := range accs {
 			s.assemble(acc, out[(lo+j)*s.l:])
 		}
-	}
-}
-
-// addDerived adds one non-zero's contribution to every projection on the
-// lazy path.
-func (s *SimHash) addDerived(acc []float32, feature int32, val float32) {
-	for b := range acc {
-		acc[b] += val * s.derive(b, feature)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -117,12 +118,12 @@ func TestSimHashZeroVector(t *testing.T) {
 }
 
 func TestSimHashMatrixMatchesDerive(t *testing.T) {
-	// Every entry of the materialized hyperplane matrix is the lazily
-	// derived entry of the same (bit, feature) pair.
+	// Every entry of the hyperplane matrix is the derived entry of the same
+	// (bit, feature) pair.
 	const k, l, dim = 6, 20, 300
 	s := mustSimHash(t, SimHashConfig{K: k, L: l, Dim: dim, Seed: 41})
 	if len(s.planes) != k*l*dim {
-		t.Fatalf("small hasher materialized %d entries, want %d", len(s.planes), k*l*dim)
+		t.Fatalf("hasher materialized %d entries, want %d", len(s.planes), k*l*dim)
 	}
 	for b := 0; b < k*l; b++ {
 		for f := 0; f < dim; f++ {
@@ -131,36 +132,38 @@ func TestSimHashMatrixMatchesDerive(t *testing.T) {
 			}
 		}
 	}
-	// The two paths give the same fingerprints: on small-integer inputs
-	// every projection is exact in any summation order.
-	lazy := mustSimHash(t, SimHashConfig{K: k, L: l, Dim: dim, Seed: 41})
-	lazy.planes = nil
-	rng := rand.New(rand.NewPCG(3, 4))
-	got, want := make([]uint32, l), make([]uint32, l)
-	for trial := 0; trial < 20; trial++ {
-		v := make([]float32, dim)
-		for f := range v {
-			v[f] = float32(rng.IntN(7) - 3)
+}
+
+// TestSimHashRefusesOverBudget: a shape whose hyperplane matrix exceeds
+// PrecomputeLimit is refused with an error naming it, before anything is
+// allocated — the shape may come from a checkpoint. Budget/32 + 1 features
+// at K·L = 32 is one row over; the vocabulary-sized Text8 input is far over;
+// the last shape's entry count overflows int.
+func TestSimHashRefusesOverBudget(t *testing.T) {
+	const entries = PrecomputeLimit / 4
+	for _, cfg := range []SimHashConfig{
+		{K: 4, L: 8, Dim: entries/32 + 1},
+		{K: 9, L: 50, Dim: 253855},
+		{K: 30, L: math.MaxInt / 2, Dim: math.MaxInt / 2},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := NewSimHash(cfg)
+		runtime.ReadMemStats(&after)
+		if want := fmt.Sprintf("K=%d L=%d Dim=%d", cfg.K, cfg.L, cfg.Dim); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: NewSimHash gave %v, want an error naming %s", want, err, want)
 		}
-		s.HashDense(v, want)
-		lazy.HashDense(v, got)
-		if !slices.Equal(got, want) {
-			t.Fatalf("trial %d: derived path %v, matrix path %v", trial, got, want)
+		if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+			t.Errorf("%+v: refusing it allocated %d bytes", cfg, got)
 		}
 	}
-	// A hasher over the byte budget must still work and stay in range.
-	big := mustSimHash(t, SimHashConfig{K: 9, L: 50, Dim: 253855, Seed: 43})
-	if big.planes != nil {
-		t.Fatal("huge hasher should not materialize its hyperplane matrix")
+	if testing.Short() {
+		return
 	}
-	out := make([]uint32, 50)
-	oneHot := make([]float32, 253855)
-	oneHot[100000] = 1
-	big.HashDense(oneHot, out)
-	for _, h := range out {
-		if h >= 1<<9 {
-			t.Fatalf("hash %d out of range", h)
-		}
+	// A matrix of exactly the budget is built.
+	s := mustSimHash(t, SimHashConfig{K: 4, L: 8, Dim: entries / 32, Seed: 1})
+	if len(s.planes) != entries {
+		t.Fatalf("matrix at the budget has %d entries, want %d", len(s.planes), entries)
 	}
 }
 
@@ -349,50 +352,27 @@ func TestSimHashDenseManyMatchesPerPlaneDot(t *testing.T) {
 	})
 }
 
-// TestSimHashDenseManyLazyPath: above PrecomputeLimit the batch is a loop
-// over the lazily derived HashDense.
-func TestSimHashDenseManyLazyPath(t *testing.T) {
-	const l = 12
-	s := mustSimHash(t, SimHashConfig{K: 5, L: l, Dim: 90, Seed: 8})
-	s.planes = nil
-	vs := simhashVectors(2*simd.WalkTile+3, 90, 8)
-	got, one := make([]uint32, len(vs)*l), make([]uint32, l)
-	s.HashDenseMany(vs, got)
-	for i, v := range vs {
-		s.HashDense(v, one)
-		if !slices.Equal(got[i*l:(i+1)*l], one) {
-			t.Fatalf("vector %d: HashDenseMany %v, HashDense %v", i, got[i*l:(i+1)*l], one)
-		}
-	}
-}
-
 // TestSimHashDenseManyLengthMismatchPanics: a vector of the wrong length
-// anywhere in a batch panics by name before any vector is hashed, on both
-// paths.
+// anywhere in a batch panics by name before any vector is hashed.
 func TestSimHashDenseManyLengthMismatchPanics(t *testing.T) {
 	const l = 5
-	for _, lazy := range []bool{false, true} {
-		s := mustSimHash(t, SimHashConfig{K: 2, L: l, Dim: 10, Seed: 1})
-		if lazy {
-			s.planes = nil
-		}
-		for _, bad := range []int{0, simd.WalkTile, 8} {
-			for _, n := range []int{0, 9, 11} {
-				vs := simhashVectors(9, 10, 3)
-				vs[bad] = make([]float32, n)
-				out := make([]uint32, len(vs)*l)
-				func() {
-					defer func() {
-						msg, _ := recover().(string)
-						if want := fmt.Sprintf("vector %d has %d values, hasher Dim is 10", bad, n); !strings.Contains(msg, want) {
-							t.Errorf("lazy %v, %d values at %d: panic %q does not name the mismatch", lazy, n, bad, msg)
-						}
-					}()
-					s.HashDenseMany(vs, out)
+	s := mustSimHash(t, SimHashConfig{K: 2, L: l, Dim: 10, Seed: 1})
+	for _, bad := range []int{0, simd.WalkTile, 8} {
+		for _, n := range []int{0, 9, 11} {
+			vs := simhashVectors(9, 10, 3)
+			vs[bad] = make([]float32, n)
+			out := make([]uint32, len(vs)*l)
+			func() {
+				defer func() {
+					msg, _ := recover().(string)
+					if want := fmt.Sprintf("vector %d has %d values, hasher Dim is 10", bad, n); !strings.Contains(msg, want) {
+						t.Errorf("%d values at %d: panic %q does not name the mismatch", n, bad, msg)
+					}
 				}()
-				if slices.ContainsFunc(out, func(h uint32) bool { return h != 0 }) {
-					t.Errorf("lazy %v, %d values at %d: vectors were hashed before the panic", lazy, n, bad)
-				}
+				s.HashDenseMany(vs, out)
+			}()
+			if slices.ContainsFunc(out, func(h uint32) bool { return h != 0 }) {
+				t.Errorf("%d values at %d: vectors were hashed before the panic", n, bad)
 			}
 		}
 	}

@@ -14,7 +14,9 @@ import (
 	"github.com/slide-cpu/slide/internal/lsh"
 )
 
-// HashFamily selects the LSH family for output-layer sampling.
+// HashFamily selects the LSH family for output-layer sampling. Checkpoints
+// and replication bases store its value, so DWTA stays 0 and SimHash 1; any
+// other value (2 named a family since deleted) is refused on load.
 type HashFamily int
 
 const (
@@ -23,9 +25,6 @@ const (
 	DWTA HashFamily = iota
 	// SimHash is signed random projection (paper: Text8).
 	SimHash
-	// DOPH is densified one-permutation minhashing for binary/set data
-	// (available in the original SLIDE codebase).
-	DOPH
 )
 
 // String implements fmt.Stringer.
@@ -35,8 +34,6 @@ func (h HashFamily) String() string {
 		return "dwta"
 	case SimHash:
 		return "simhash"
-	case DOPH:
-		return "doph"
 	default:
 		return "unknown"
 	}

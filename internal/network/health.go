@@ -40,7 +40,7 @@ func (p *Predictor) CheckFinite() error {
 		// Quantized output: the packed integer codes cannot hold NaN/Inf by
 		// construction, so the scan covers the f32 sidecars (scales, biases)
 		// exactly — cheaper than the strided f32 row scan and just as strict.
-		if err := q.CheckFinite(quarantineStride); err != nil {
+		if err := q.CheckFinite(); err != nil {
 			return fmt.Errorf("network: snapshot step %d: output: %w", p.steps, err)
 		}
 		return nil

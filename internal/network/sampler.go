@@ -81,11 +81,6 @@ func newSampler(cfg *Config, lastDim int) (*sampler, error) {
 			K: cfg.K, L: cfg.L,
 			Dim: lastDim, Seed: splitSeed(cfg.Seed, 3),
 		})
-	case DOPH:
-		hasher, err = lsh.NewDOPH(lsh.DOPHConfig{
-			K: cfg.K, L: cfg.L,
-			Dim: lastDim, Seed: splitSeed(cfg.Seed, 3),
-		})
 	default:
 		err = fmt.Errorf("network: unknown hash family %d", cfg.Hash)
 	}

@@ -286,3 +286,21 @@ func TestCheckpointRetiredWordIgnored(t *testing.T) {
 		t.Error("after one batch it saves other bytes than the same checkpoint with the word 0")
 	}
 }
+
+// TestRetiredHashFamilyRefused: hash family 2 named a family that has been
+// deleted. A checkpoint or a replication base declaring it (config word 4)
+// is refused with an error naming the family, not a panic.
+func TestRetiredHashFamilyRefused(t *testing.T) {
+	n, _ := fuzzNet(t, func(*Config) {})
+	raw := saved(t, n)
+	cfg := bytes.Clone(section(t, raw, secConfig))
+	binary.LittleEndian.PutUint64(cfg[4*8:], 2)
+	if _, err := Load(bytes.NewReader(withSection(raw, secConfig, cfg)), 0); err == nil || !strings.Contains(err.Error(), "hash family 2") {
+		t.Errorf("checkpoint declaring hash family 2: Load gave %v", err)
+	}
+	parts := encodeBaseParts(t, n.Snapshot())
+	binary.LittleEndian.PutUint64(parts.Config[4*8:], 2)
+	if _, err := NewPredictorFromBase(parts); err == nil || !strings.Contains(err.Error(), "hash family 2") {
+		t.Errorf("base declaring hash family 2: NewPredictorFromBase gave %v", err)
+	}
+}

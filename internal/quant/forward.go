@@ -163,11 +163,9 @@ func (q *RowQ) ForwardAllBatchRange(ks *simd.Kernels, qas [][]uint8, sas []float
 }
 
 // CheckFinite scans the scales and biases — the only float state this view
-// holds; packed integer rows cannot be non-finite. The stride parameter
-// exists for signature parity with the layer views; the scan is O(Out)
-// scalars either way, so it is always complete.
-func (q *RowQ) CheckFinite(stride int) error {
-	_ = stride
+// holds; packed integer rows cannot be non-finite. The scan is O(Out)
+// scalars, so unlike the layer views' it is always complete.
+func (q *RowQ) CheckFinite() error {
 	if i := health.FirstNonFinite32(q.scales); i >= 0 {
 		return fmt.Errorf("%w: quantized scale[%d]", layer.ErrNonFinite, i)
 	}

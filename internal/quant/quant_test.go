@@ -571,14 +571,14 @@ func TestCheckFinite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := q.CheckFinite(16); err != nil {
+	if err := q.CheckFinite(); err != nil {
 		t.Fatalf("healthy view: %v", err)
 	}
 	if err := q.CheckFiniteRows([]int32{0, 9}); err != nil {
 		t.Fatalf("healthy rows: %v", err)
 	}
 	q.scales[4] = float32(math.NaN())
-	if err := q.CheckFinite(16); !errors.Is(err, layer.ErrNonFinite) {
+	if err := q.CheckFinite(); !errors.Is(err, layer.ErrNonFinite) {
 		t.Fatalf("NaN scale: CheckFinite = %v, want ErrNonFinite", err)
 	}
 	if err := q.CheckFiniteRows([]int32{4}); !errors.Is(err, layer.ErrNonFinite) {
@@ -586,7 +586,7 @@ func TestCheckFinite(t *testing.T) {
 	}
 	q.scales[4] = 1
 	q.bias[7] = float32(math.Inf(1))
-	if err := q.CheckFinite(16); !errors.Is(err, layer.ErrNonFinite) {
+	if err := q.CheckFinite(); !errors.Is(err, layer.ErrNonFinite) {
 		t.Fatalf("Inf bias: CheckFinite = %v, want ErrNonFinite", err)
 	}
 }

@@ -8,9 +8,9 @@ import (
 // Numerical health monitoring and self-healing rollback. With monitoring
 // enabled the session runs cheap per-step guards — a NaN/Inf scan of the
 // active-set logits (order-independent, so the verdict is bit-identical at
-// any worker or shard count) plus an EWMA loss-spike and divergence
-// detector — and aborts the session with *HealthError before a red step can
-// checkpoint or publish. WithAutoRollback turns the abort into recovery:
+// any worker or shard count) plus an EWMA loss-spike detector — and aborts
+// the session with *HealthError before a red step can checkpoint or
+// publish. WithAutoRollback turns the abort into recovery:
 // reload the newest valid checkpoint from the retention ring, back off the
 // learning rate, and replay; the replay is deterministic, so once past a
 // transient fault window the healed run is bit-identical to a run that
@@ -22,10 +22,8 @@ type HealthKind int
 const (
 	// HealthNonFinite: NaN/Inf in the logits or the batch loss.
 	HealthNonFinite HealthKind = iota + 1
-	// HealthLossSpike: batch mean loss exceeded SpikeFactor x the EWMA.
+	// HealthLossSpike: batch mean loss exceeded 3 x the EWMA.
 	HealthLossSpike
-	// HealthDivergence: batch mean loss exceeded the configured ceiling.
-	HealthDivergence
 )
 
 // String implements fmt.Stringer.
@@ -35,8 +33,6 @@ func (k HealthKind) String() string {
 		return "non-finite"
 	case HealthLossSpike:
 		return "loss-spike"
-	case HealthDivergence:
-		return "divergence"
 	default:
 		return "unknown"
 	}
@@ -63,27 +59,20 @@ func (e HealthEvent) String() string {
 		return fmt.Sprintf("non-finite values at step %d (%d logits, loss %g)", e.Step, e.NonFinite, e.Loss)
 	case HealthLossSpike:
 		return fmt.Sprintf("loss spike at step %d (%g vs EWMA %g)", e.Step, e.Loss, e.EWMA)
-	case HealthDivergence:
-		return fmt.Sprintf("divergence at step %d (loss %g)", e.Step, e.Loss)
 	default:
 		return fmt.Sprintf("health event at step %d", e.Step)
 	}
 }
 
-// HealthConfig tunes the monitor. The zero value means defaults.
-type HealthConfig struct {
-	// Warmup is the number of batches observed before spike detection arms
-	// (default 20) — early-training loss is legitimately volatile.
-	Warmup int
-	// Alpha is the EWMA smoothing factor in (0, 1] (default 0.1).
-	Alpha float64
-	// SpikeFactor flags a batch whose mean loss exceeds SpikeFactor x EWMA
-	// (default 3; <= 1 disables spike detection).
-	SpikeFactor float64
-	// DivergenceLoss flags any batch mean loss above this ceiling,
-	// warmup or not (default 0 = disabled).
-	DivergenceLoss float64
-}
+// The monitor's settings. Spike detection arms after healthWarmup batches —
+// early-training loss is legitimately volatile — and flags a batch whose
+// mean loss exceeds healthSpikeFactor x the EWMA of smoothing factor
+// healthAlpha.
+const (
+	healthWarmup      = 20
+	healthAlpha       = 0.1
+	healthSpikeFactor = 3
+)
 
 // monitor is the session's loss-trajectory detector: an EWMA of batch mean
 // losses plus the non-finite guard verdicts. The session observes between
@@ -91,23 +80,8 @@ type HealthConfig struct {
 // of the sequence of observations; every attempt of a Run builds a fresh
 // one, so a rollback replay re-warms from the restored checkpoint.
 type monitor struct {
-	cfg  HealthConfig
 	ewma float64
 	seen int
-}
-
-// newMonitor builds a monitor; zero-value cfg fields take the defaults.
-func newMonitor(cfg HealthConfig) *monitor {
-	if cfg.Warmup <= 0 {
-		cfg.Warmup = 20
-	}
-	if cfg.Alpha <= 0 || cfg.Alpha > 1 {
-		cfg.Alpha = 0.1
-	}
-	if cfg.SpikeFactor == 0 {
-		cfg.SpikeFactor = 3
-	}
-	return &monitor{cfg: cfg}
 }
 
 // observe folds one batch into the monitor and reports a red verdict if
@@ -121,19 +95,14 @@ func (m *monitor) observe(step int64, meanLoss float64, nonFinite int64) (Health
 		e.Kind = HealthNonFinite
 		return e, true
 	}
-	if m.cfg.DivergenceLoss > 0 && meanLoss > m.cfg.DivergenceLoss {
-		e.Kind = HealthDivergence
-		return e, true
-	}
-	if m.seen >= m.cfg.Warmup && m.cfg.SpikeFactor > 1 &&
-		m.ewma > 0 && meanLoss > m.cfg.SpikeFactor*m.ewma {
+	if m.seen >= healthWarmup && m.ewma > 0 && meanLoss > healthSpikeFactor*m.ewma {
 		e.Kind = HealthLossSpike
 		return e, true
 	}
 	if m.seen == 0 {
 		m.ewma = meanLoss
 	} else {
-		m.ewma += m.cfg.Alpha * (meanLoss - m.ewma)
+		m.ewma += healthAlpha * (meanLoss - m.ewma)
 	}
 	m.seen++
 	return HealthEvent{}, false
@@ -178,18 +147,12 @@ type RollbackEvent struct {
 	LRScale float64
 }
 
-// WithHealthMonitor enables numerical health monitoring with explicit
-// detector settings: per-step NaN/Inf guards on the training pass plus
-// EWMA loss-spike and divergence detection. A red verdict aborts Run with
-// *HealthError — before the offending step can checkpoint or publish a
-// snapshot — unless WithAutoRollback turns it into recovery.
-func WithHealthMonitor(cfg HealthConfig) TrainerOption {
-	return func(o *trainerOptions) { o.health = &cfg }
-}
-
 // WithOnHealth registers a hook called on every red health verdict, right
 // before the session aborts (and, under WithAutoRollback, rolls back).
-// Implies monitoring with default settings.
+// Implies monitoring: per-step NaN/Inf guards on the training pass plus EWMA
+// loss-spike detection. A red verdict aborts Run with *HealthError — before
+// the offending step can checkpoint or publish a snapshot — unless
+// WithAutoRollback turns it into recovery.
 func WithOnHealth(fn func(HealthEvent)) TrainerOption {
 	return func(o *trainerOptions) { o.onHealth = fn }
 }
@@ -199,9 +162,8 @@ func WithOnHealth(fn func(HealthEvent)) TrainerOption {
 // checkpoint from the retention ring (LoadLastGood), multiplies the
 // learning rate by lrFactor (compounding per rollback; 1.0 replays at full
 // rate), and resumes deterministically. After maxRetries rollbacks the next
-// red verdict returns *RollbackExhaustedError. Implies monitoring with
-// default settings; requires WithCheckpoints and a source with
-// BatchesPerEpoch (every replay resumes).
+// red verdict returns *RollbackExhaustedError. Implies monitoring; requires
+// WithCheckpoints and a source with BatchesPerEpoch (every replay resumes).
 func WithAutoRollback(maxRetries int, lrFactor float64) TrainerOption {
 	return func(o *trainerOptions) { o.rollbackMax, o.rollbackLR = maxRetries, lrFactor }
 }

@@ -222,7 +222,7 @@ func TestAutoRollbackOptionValidation(t *testing.T) {
 }
 
 func TestHealthMonitorNonFinite(t *testing.T) {
-	m := newMonitor(HealthConfig{})
+	var m monitor
 	if _, red := m.observe(1, 2.0, 0); red {
 		t.Fatal("healthy batch flagged red")
 	}
@@ -240,61 +240,67 @@ func TestHealthMonitorNonFinite(t *testing.T) {
 	}
 }
 
+// TestHealthMonitorSpikeAndWarmup pins the monitor's settings: spike
+// detection arms after 20 batches, the EWMA smooths by 0.1 and a spike is
+// a loss above 3 × the EWMA.
 func TestHealthMonitorSpikeAndWarmup(t *testing.T) {
-	cfg := HealthConfig{Warmup: 5, Alpha: 0.5, SpikeFactor: 3}
-	m := newMonitor(cfg)
-	// During warmup even a big jump passes.
-	if _, red := m.observe(1, 100, 0); red {
-		t.Fatal("warmup batch flagged red")
-	}
-	for s := int64(2); s <= 5; s++ {
+	var m monitor
+	for s := int64(1); s < 20; s++ {
 		if _, red := m.observe(s, 2.0, 0); red {
 			t.Fatalf("warmup batch %d flagged red", s)
 		}
 	}
-	// Warmed up near 2.0-ish EWMA; a modest wobble passes.
-	if _, red := m.observe(6, 4.0, 0); red {
-		t.Fatal("modest wobble flagged red")
+	// The 20th batch is still in warmup: even a big jump passes, and is
+	// folded in.
+	if _, red := m.observe(20, 100, 0); red {
+		t.Fatal("last warmup batch flagged red")
 	}
-	// A true spike trips.
-	e, red := m.observe(7, 1000, 0)
-	if !red || e.Kind != HealthLossSpike {
+	if want := 2 + 0.1*98; math.Abs(m.ewma-want) > 1e-12 {
+		t.Fatalf("EWMA after the jump = %g, want %g", m.ewma, want)
+	}
+	// Armed at EWMA 11.8: just under 3 × passes as a wobble ...
+	if _, red := m.observe(21, 35, 0); red {
+		t.Fatal("wobble under 3 × EWMA flagged red")
+	}
+	// ... and, at EWMA 14.12, just over 3 × trips.
+	e, red := m.observe(22, 43, 0)
+	if !red || e.Kind != HealthLossSpike || math.Abs(e.EWMA-14.12) > 1e-12 {
 		t.Fatalf("spike not flagged: %+v red=%v", e, red)
 	}
 	// The red batch was not folded in: the same spike trips again.
-	if _, red := m.observe(8, 1000, 0); !red {
+	if _, red := m.observe(23, 43, 0); !red {
 		t.Fatal("spike folded into EWMA despite red verdict")
 	}
 	// A fresh monitor, as every rollback attempt builds, re-enters warmup.
-	m = newMonitor(cfg)
-	if _, red := m.observe(9, 1000, 0); red {
+	m = monitor{}
+	if _, red := m.observe(24, 1000, 0); red {
 		t.Fatal("fresh monitor's batch flagged red during warmup")
-	}
-}
-
-func TestHealthMonitorDivergence(t *testing.T) {
-	m := newMonitor(HealthConfig{DivergenceLoss: 50})
-	// Fires immediately, warmup or not.
-	e, red := m.observe(1, 51, 0)
-	if !red || e.Kind != HealthDivergence {
-		t.Fatalf("divergence not flagged: %+v red=%v", e, red)
-	}
-	if _, red := m.observe(2, 49, 0); red {
-		t.Fatal("loss under the ceiling flagged red")
 	}
 }
 
 func TestHealthMonitorDeterministicReplay(t *testing.T) {
 	// Two monitors fed the same sequence produce identical verdicts and
-	// EWMA — the property the rollback replay depends on.
-	seq := []float64{3, 2.5, 2.8, 2.2, 9.9, 2.0, 2.1}
-	a, b := newMonitor(HealthConfig{Warmup: 2}), newMonitor(HealthConfig{Warmup: 2})
+	// EWMA — the property the rollback replay depends on. The sequence
+	// outlasts the warmup and spikes once after it.
+	seq := make([]float64, healthWarmup+10)
+	for i := range seq {
+		seq[i] = 2 + 0.1*float64(i%5)
+	}
+	seq[healthWarmup+3] = 9.9
+	var a, b monitor
+	reds := 0
 	for i, l := range seq {
 		ea, ra := a.observe(int64(i), l, 0)
 		eb, rb := b.observe(int64(i), l, 0)
 		if ra != rb || ea != eb {
 			t.Fatalf("step %d: verdicts diverged: %+v/%v vs %+v/%v", i, ea, ra, eb, rb)
 		}
+		if ra {
+			reds++
+		}
+	}
+	if reds != 1 {
+		t.Fatalf("%d red verdicts, want the one spike", reds)
 	}
 	if a.ewma != b.ewma {
 		t.Fatalf("EWMA diverged: %g vs %g", a.ewma, b.ewma)

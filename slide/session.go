@@ -84,11 +84,7 @@ func (t *Trainer) runOnce(ctx context.Context, retry bool, lrScale float64) (Rep
 		}
 	}
 	if o.healthOn() {
-		var hc HealthConfig
-		if o.health != nil {
-			hc = *o.health
-		}
-		se.mon = newMonitor(hc)
+		se.mon = new(monitor)
 		net.SetGuards(true)
 		defer net.SetGuards(false)
 	}

@@ -203,16 +203,6 @@ func WithSimHash(k, l int) Option {
 	}
 }
 
-// WithDOPH samples the output layer with densified one-permutation
-// minhashing, suited to binary/set-valued activations.
-func WithDOPH(k, l int) Option {
-	return func(c *config) {
-		c.net.Hash = network.DOPH
-		c.net.K, c.net.L = k, l
-		c.net.NoSampling = false
-	}
-}
-
 // WithFullSoftmax disables LSH sampling: every output neuron is active for
 // every sample (the dense baseline configuration).
 func WithFullSoftmax() Option {

@@ -163,18 +163,13 @@ func TestNewFeatures(t *testing.T) {
 		t.Error("PredictSampled on dense model should error")
 	}
 
-	// Uniform-sampling ablation and DOPH hashing construct and train.
-	for name, opt := range map[string]Option{
-		"uniform": WithUniformSampling(),
-		"doph":    WithDOPH(3, 8),
-	} {
-		m, err := New(train.Features(), 8, train.NumLabels(), opt, WithWorkers(1))
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if _, err := trainEpoch(m, train.Head(64), 32); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
+	// The uniform-sampling ablation constructs and trains.
+	uniform, err := New(train.Features(), 8, train.NumLabels(), WithUniformSampling(), WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := trainEpoch(uniform, train.Head(64), 32); err != nil {
+		t.Fatal(err)
 	}
 
 	// Deep checkpoints round-trip through the public API.

@@ -53,7 +53,6 @@ type trainerOptions struct {
 	onBatch       func(BatchEvent)
 	onEpoch       func(EpochEvent)
 	onCheckpoint  func(CheckpointEvent)
-	health        *HealthConfig
 	onHealth      func(HealthEvent)
 	rollbackMax   int
 	rollbackLR    float64
@@ -62,7 +61,7 @@ type trainerOptions struct {
 
 // healthOn reports whether any option asked for the health monitor.
 func (o *trainerOptions) healthOn() bool {
-	return o.health != nil || o.onHealth != nil || o.rollbackMax > 0
+	return o.onHealth != nil || o.rollbackMax > 0
 }
 
 // TrainerOption configures NewTrainer.
@@ -352,11 +351,6 @@ func NewTrainer(m *Model, src DataSource, opts ...TrainerOption) (*Trainer, erro
 		}
 		if o.resume && m.Steps() > 0 {
 			return nil, fmt.Errorf("slide: WithResume at step %d needs a source with BatchesPerEpoch", m.Steps())
-		}
-	}
-	if h := o.health; h != nil {
-		if h.Warmup < 0 || h.Alpha < 0 || h.Alpha > 1 || h.SpikeFactor < 0 || h.DivergenceLoss < 0 {
-			return nil, fmt.Errorf("slide: invalid health config %+v", *h)
 		}
 	}
 	return &Trainer{m: m, src: src, o: o}, nil
